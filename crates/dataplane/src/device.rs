@@ -555,10 +555,10 @@ pub struct Device {
     window_traps: u64,
     /// The most recent program trap (diagnostics; heartbeat detail).
     last_trap: Option<Trap>,
-    /// Reusable VM frame storage for [`Device::process_burst`]: one set of
-    /// stack/local/key buffers shared by every packet of every burst, so
-    /// steady-state burst processing performs no heap allocations.
-    burst_vm: bytecode::VmScratch,
+    /// Reusable VM frame storage: one set of stack/local/key buffers shared
+    /// by every packet [`Device::process`] and [`Device::process_burst`]
+    /// run, so steady-state execution performs no heap allocations.
+    vm: bytecode::VmScratch,
     /// Run-scoped `can_parse` memo for [`Device::process_burst`]'s header
     /// stripping; reset at each burst (the parser may change in between).
     proto_cache: crate::parser::ProtoCache,
@@ -592,7 +592,7 @@ impl Device {
             window_packets: 0,
             window_traps: 0,
             last_trap: None,
-            burst_vm: bytecode::VmScratch::new(),
+            vm: bytecode::VmScratch::new(),
             proto_cache: crate::parser::ProtoCache::default(),
         }
     }
@@ -1097,13 +1097,23 @@ impl Device {
                             .into())
                         }
                     };
+                    let entry = compiled
+                        .handler_entry("ingress")
+                        .ok_or_else(|| FlexError::NotFound("handler `ingress`".into()))?;
                     let mut env = SlotDeviceEnv {
                         tables: &*tables,
                         state,
                         service_names: &compiled.service_names,
                         invocations: &mut self.invocations,
                     };
-                    bytecode::execute_compiled_metered(compiled, "ingress", pkt, &mut env, remaining)?
+                    bytecode::execute_compiled_at(
+                        compiled,
+                        entry,
+                        pkt,
+                        &mut env,
+                        remaining,
+                        &mut self.vm,
+                    )?
                 }
             };
             total_ops += outcome.ops;
@@ -1202,9 +1212,9 @@ impl Device {
 
         // Move the persistent scratch out so the run loop can borrow it
         // alongside `self`; restore it on every exit path.
-        let mut vm = std::mem::take(&mut self.burst_vm);
+        let mut vm = std::mem::take(&mut self.vm);
         let result = self.run_burst(pkts, now, out, &mut vm);
-        self.burst_vm = vm;
+        self.vm = vm;
         result
     }
 

@@ -798,11 +798,11 @@ pub fn execute_compiled(
 /// Reusable VM frame storage: operand stack, locals, loop counters, call
 /// frames, and the table-key staging buffer.
 ///
-/// The burst path keeps one `VmScratch` alive across an entire packet
-/// vector so the per-packet frame setup is a handful of `clear()`s on
-/// already-sized buffers instead of five heap allocations. A fresh
-/// `VmScratch` per call (what [`execute_compiled_metered`] does) reproduces
-/// the historical single-packet cost profile exactly.
+/// A device keeps one `VmScratch` alive across every packet it runs —
+/// single or burst — so the per-packet frame setup is a handful of
+/// `clear()`s on already-sized buffers instead of five heap allocations.
+/// [`execute_compiled_metered`] builds a fresh one per call: the
+/// convenience form for tests and one-off runs, not a packet path.
 #[derive(Debug, Default)]
 pub struct VmScratch {
     stack: Vec<u64>,
@@ -854,7 +854,7 @@ pub fn execute_compiled_metered(
     execute_compiled_at(prog, entry, pkt, env, gas, &mut VmScratch::new())
 }
 
-/// The burst-path executor: `handler_entry` already resolved to `entry`,
+/// The device's executor: `handler_entry` already resolved to `entry`,
 /// frame storage supplied by the caller, and the environment type left
 /// generic so a device's concrete [`SlotEnv`] monomorphizes state access
 /// into direct calls instead of vtable dispatch.

@@ -16,7 +16,7 @@ use flexnet_dataplane::table::{KeyMatch, TableEntry};
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_types::{LinkId, NodeId, Packet, SimDuration, SimTime, Verdict};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, BTreeMap};
+use std::collections::BinaryHeap;
 
 /// Maximum hops before a packet is declared looping.
 pub const HOP_LIMIT: u64 = 32;
@@ -108,33 +108,46 @@ pub enum Command {
     },
 }
 
+/// What a queued event does when it fires.
 #[derive(Debug)]
 enum EventKind {
     Command(Command),
-    Arrive { node: NodeId, packet: Packet },
+    /// A packet in flight reaches `node`, having crossed `hops` devices.
+    Arrive {
+        node: NodeId,
+        packet: Packet,
+        hops: u64,
+    },
 }
 
-#[derive(Debug)]
-struct Event {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
+/// Heap key of a queued event: `(at, seq)` decides the pop order — time,
+/// then schedule order — and `slot` finds the payload in the slab, so a
+/// sift moves 24 bytes rather than a whole packet or program bundle.
+type EventKey = Reverse<(SimTime, u64, u32)>;
+
+/// Event payloads, parked while their keys wait in the heap. Freed slots
+/// are reused, so the slab stays as large as the most events ever pending.
+#[derive(Debug, Default)]
+struct EventSlab {
+    slots: Vec<Option<EventKind>>,
+    free: Vec<u32>,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl EventSlab {
+    fn insert(&mut self, kind: EventKind) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            (self.slots.len() - 1) as u32
+        });
+        self.slots[slot as usize] = Some(kind);
+        slot
     }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+    fn take(&mut self, slot: u32) -> EventKind {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("every heap key owns a filled slot")
     }
 }
 
@@ -217,8 +230,10 @@ impl<'a, T> IntoIterator for &'a LogBuffer<T> {
 pub struct Simulation {
     /// The network.
     pub topo: Topology,
-    routes: BTreeMap<(NodeId, NodeId), LinkId>,
-    queue: BinaryHeap<Reverse<Event>>,
+    /// Next hops, `routes[at][dst]`, both indexed by node id.
+    routes: Vec<Vec<Option<LinkId>>>,
+    queue: BinaryHeap<EventKey>,
+    events: EventSlab,
     /// Collected metrics.
     pub metrics: Metrics,
     now: SimTime,
@@ -236,11 +251,11 @@ pub struct Simulation {
 impl Simulation {
     /// Builds a simulation over `topo`, computing shortest-path routes.
     pub fn new(topo: Topology) -> Simulation {
-        let routes = topo.compute_routes();
-        Simulation {
+        let mut sim = Simulation {
             topo,
-            routes,
+            routes: Vec::new(),
             queue: BinaryHeap::new(),
+            events: EventSlab::default(),
             metrics: Metrics::default(),
             now: SimTime::ZERO,
             seq: 0,
@@ -248,12 +263,29 @@ impl Simulation {
             invocation_log: LogBuffer::default(),
             punt_log: LogBuffer::default(),
             errors: LogBuffer::default(),
-        }
+        };
+        sim.recompute_routes();
+        sim
     }
 
     /// Recomputes routes (after topology edits).
     pub fn recompute_routes(&mut self) {
-        self.routes = self.topo.compute_routes();
+        let n = self.topo.nodes().count();
+        self.routes = vec![vec![None; n]; n];
+        for ((at, dst), link) in self.topo.compute_routes() {
+            self.routes[at.0 as usize][dst.0 as usize] = Some(link);
+        }
+    }
+
+    /// The link to take at `at` towards `dst`, if `dst` is reachable.
+    fn next_hop(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
+        *self.routes.get(at.0 as usize)?.get(dst.0 as usize)?
+    }
+
+    fn push_event(&mut self, at: SimTime, kind: EventKind) {
+        self.seq += 1;
+        let slot = self.events.insert(kind);
+        self.queue.push(Reverse((at, self.seq, slot)));
     }
 
     /// Current simulated time.
@@ -263,12 +295,7 @@ impl Simulation {
 
     /// Schedules a command at `at`.
     pub fn schedule(&mut self, at: SimTime, command: Command) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            at,
-            seq: self.seq,
-            kind: EventKind::Command(command),
-        }));
+        self.push_event(at, EventKind::Command(command));
     }
 
     /// Schedules a correlated mass restart: every node in `nodes`
@@ -303,22 +330,20 @@ impl Simulation {
 
     /// Runs until the queue is empty or time exceeds `until`.
     pub fn run(&mut self, until: SimTime) {
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > until {
+        while let Some(&Reverse((at, _, slot))) = self.queue.peek() {
+            if at > until {
                 break;
             }
-            let Reverse(ev) = self.queue.pop().expect("peeked above");
-            self.now = self.now.max(ev.at);
-            match ev.kind {
+            self.queue.pop();
+            self.now = self.now.max(at);
+            match self.events.take(slot) {
                 EventKind::Command(cmd) => self.exec_command(cmd),
-                EventKind::Arrive { node, packet } => self.arrive(node, packet),
+                EventKind::Arrive { node, packet, hops } => self.arrive(node, packet, hops),
             }
         }
         // Let devices commit any reconfig that completes before `until`.
-        for id in self.topo.node_ids() {
-            if let Some(n) = self.topo.node_mut(id) {
-                n.device.tick(until);
-            }
+        for n in self.topo.nodes_mut() {
+            n.device.tick(until);
         }
         self.now = self.now.max(until);
     }
@@ -337,7 +362,7 @@ impl Simulation {
                 if packet.ingress_time == SimTime::ZERO {
                     packet.ingress_time = now;
                 }
-                self.arrive(node, packet);
+                self.arrive(node, packet, 0);
             }
             Command::Install { node, bundle } => {
                 let r = self
@@ -421,15 +446,9 @@ impl Simulation {
             }
             Command::SetLinkState { link, up } => {
                 // Links come in symmetric pairs; flip both directions.
-                let pair = self.topo.link(link).map(|l| (l.from, l.to));
-                match pair {
-                    Some((from, to)) => {
-                        let reverse = self
-                            .topo
-                            .links()
-                            .find(|l| l.from == to && l.to == from)
-                            .map(|l| l.id);
-                        for id in std::iter::once(link).chain(reverse) {
+                match self.topo.reverse_link(link) {
+                    Some(reverse) => {
+                        for id in [link, reverse] {
                             if let Some(l) = self.topo.link_mut(id) {
                                 l.up = up;
                             }
@@ -449,15 +468,16 @@ impl Simulation {
         }
     }
 
-    fn arrive(&mut self, node_id: NodeId, mut pkt: Packet) {
+    /// A packet reaches `node_id` having crossed `hops` devices so far. The
+    /// hop count travels with the flight, not in packet metadata: programs
+    /// neither see nor pay for it.
+    fn arrive(&mut self, node_id: NodeId, mut pkt: Packet, hops: u64) {
         let now = self.now;
         // Hop limit guard.
-        let hops = pkt.metadata.get("hops").copied().unwrap_or(0);
         if hops >= HOP_LIMIT {
             self.metrics.record_lost(LossKind::HopLimit, now);
             return;
         }
-        pkt.metadata.insert("hops".into(), hops + 1);
 
         let Some(node) = self.topo.node_mut(node_id) else {
             self.metrics.record_lost(LossKind::NoRoute, now);
@@ -527,13 +547,14 @@ impl Simulation {
                 // program delegates next-hop selection to the routing
                 // substrate. Any other port is explicit steering, with a
                 // route fallback when the port is not wired.
+                let routed = || dst.and_then(|d| self.next_hop(node_id, d));
                 let link_id = if port == 0 {
-                    dst.and_then(|d| self.routes.get(&(node_id, d)).copied())
+                    routed()
                 } else {
                     self.topo
                         .node(node_id)
                         .and_then(|n| n.ports.get(&port).copied())
-                        .or_else(|| dst.and_then(|d| self.routes.get(&(node_id, d)).copied()))
+                        .or_else(routed)
                 };
                 let Some(link_id) = link_id else {
                     self.metrics.record_lost(LossKind::NoRoute, now);
@@ -568,12 +589,12 @@ impl Simulation {
                     self.metrics.record_lost(LossKind::QueueDrop, now);
                     return;
                 }
-                self.seq += 1;
-                self.queue.push(Reverse(Event {
-                    at: deliver_at,
-                    seq: self.seq,
-                    kind: EventKind::Arrive { node: next, packet: pkt },
-                }));
+                let arrive = EventKind::Arrive {
+                    node: next,
+                    packet: pkt,
+                    hops: hops + 1,
+                };
+                self.push_event(deliver_at, arrive);
             }
         }
     }
@@ -750,6 +771,150 @@ mod tests {
         assert_eq!(
             sim.metrics.losses.get(&LossKind::HopLimit).copied(),
             Some(1)
+        );
+        assert_eq!(sim.metrics.total_lost(), 1, "the loop is the only loss");
+        let crossed: u64 = sim.topo.nodes().map(|n| n.device.stats().processed).sum();
+        assert_eq!(crossed, HOP_LIMIT, "not one device more than the limit");
+    }
+
+    #[test]
+    fn hop_count_is_engine_state_not_packet_metadata() {
+        let (topo, [h1, _n1, sw, _n2, h2]) = Topology::host_nic_switch_line();
+        let mut sim = Simulation::new(topo);
+        sim.metrics.keep_packets = true;
+        let install = |node, src| Command::Install {
+            node,
+            bundle: bundle(src),
+        };
+        sim.schedule(
+            SimTime::ZERO,
+            install(
+                h1,
+                "program f kind any { handler ingress(pkt) { forward(0); } }",
+            ),
+        );
+        // Punt every other packet at the switch so both exits are checked.
+        sim.schedule(
+            SimTime::ZERO,
+            install(
+                sw,
+                "program p kind any { handler ingress(pkt) {
+                   if (udp.sport % 2 == 1) { punt(); }
+                   forward(0);
+                 } }",
+            ),
+        );
+        let mut flows = vec![
+            FlowSpec::udp_cbr(
+                h1,
+                h2,
+                1000,
+                SimTime::from_millis(1),
+                SimDuration::from_millis(4),
+            ),
+            FlowSpec::udp_cbr(
+                h1,
+                h2,
+                1000,
+                SimTime::from_millis(1),
+                SimDuration::from_millis(4),
+            ),
+        ];
+        flows[1].src_port += 1;
+        sim.load(generate(&flows, 1));
+        sim.run_to_completion();
+        assert_eq!((sim.metrics.delivered, sim.metrics.punted), (4, 4));
+        let exits = sim
+            .metrics
+            .delivered_packets
+            .iter()
+            .chain(sim.punt_log.iter().map(|(_, _, p)| p));
+        for pkt in exits {
+            assert!(!pkt.metadata.contains_key("hops"), "{:?}", pkt.metadata);
+            assert_eq!(pkt.metadata.get("dst_node"), Some(&(h2.raw() as u64)));
+        }
+        assert_eq!(
+            sim.metrics.delivered_packets[0].trace.len(),
+            5,
+            "five devices crossed"
+        );
+    }
+
+    #[test]
+    fn equal_time_events_fire_in_schedule_order_across_slot_reuse() {
+        let (topo, _sw, hosts) = Topology::single_switch(2);
+        let mut sim = Simulation::new(topo);
+        let at = SimTime::from_millis(1);
+        let inject = |id| {
+            let mut packet = Packet::udp(id, 1, 2, 3, 4);
+            packet
+                .metadata
+                .insert("dst_node".into(), hosts[1].raw() as u64);
+            Command::Inject {
+                node: hosts[0],
+                packet,
+            }
+        };
+        // Round 1 parks seven payloads; delivering them frees their slots,
+        // and the free list hands those back last-freed-first — so round 2's
+        // events sit in slots that run *against* their schedule order.
+        for id in 0..7 {
+            sim.schedule(at, inject(id));
+        }
+        sim.run(at + SimDuration::from_micros(500));
+        assert_eq!(sim.metrics.delivered, 7);
+        assert_eq!(
+            sim.events.free.len(),
+            7,
+            "round 1's slots are free for reuse"
+        );
+
+        // Round 2, all at one instant: the injecting host's own program
+        // alternates between drop and forward, with an inject after each
+        // change and a failing control command (distinct per step) between.
+        let at = SimTime::from_millis(2);
+        let drop_all = "program d kind any { handler ingress(pkt) { drop(); } }";
+        let fwd_all = "program f kind any { handler ingress(pkt) { forward(0); } }";
+        for step in 0..6u32 {
+            let src = if step % 2 == 0 { drop_all } else { fwd_all };
+            sim.schedule(
+                at,
+                Command::Install {
+                    node: hosts[0],
+                    bundle: bundle(src),
+                },
+            );
+            sim.schedule(at, inject(100 + step as u64));
+            sim.schedule(
+                at,
+                Command::CrashDevice {
+                    node: NodeId(900 + step),
+                },
+            );
+        }
+        assert_eq!(
+            sim.events.slots.len(),
+            18,
+            "the seven freed slots were reused first"
+        );
+        sim.run_to_completion();
+
+        // Each inject met exactly the program installed just before it.
+        assert_eq!(sim.metrics.sent, 13);
+        assert_eq!(
+            sim.metrics.losses.get(&LossKind::PolicyDrop).copied(),
+            Some(3)
+        );
+        assert_eq!(sim.metrics.delivered, 7 + 3);
+        let errors: Vec<&str> = sim.errors.iter().map(|(_, e)| e.as_str()).collect();
+        let want: Vec<String> = (0..6)
+            .map(|s| format!("unknown node node{}", 900 + s))
+            .collect();
+        assert_eq!(errors, want, "control commands fired in schedule order");
+        assert_eq!(
+            sim.events.free.len(),
+            sim.events.slots.len(),
+            "every slot came back"
         );
     }
 

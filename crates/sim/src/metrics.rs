@@ -72,12 +72,14 @@ pub struct WindowDelta {
     pub p99_delta_ns: i64,
 }
 
-fn percentile_of_sorted(sorted: &[u64], p: f64) -> Option<SimDuration> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    Some(SimDuration::from_nanos(sorted[rank.min(sorted.len() - 1)]))
+/// The `p`-th percentile of `samples` — the value a full sort would leave
+/// at rank `round(p% × (len − 1))` — found by selection, which reorders
+/// `samples` but does not sort them.
+fn percentile_of(samples: &mut [u64], p: f64) -> Option<SimDuration> {
+    let last = samples.len().checked_sub(1)?;
+    let rank = ((p / 100.0) * last as f64).round() as usize;
+    let (_, value, _) = samples.select_nth_unstable(rank.min(last));
+    Some(SimDuration::from_nanos(*value))
 }
 
 /// Collected simulation metrics.
@@ -195,8 +197,7 @@ impl Metrics {
     /// A latency percentile (p in [0, 100]) over delivered packets.
     pub fn latency_percentile(&self, p: f64) -> Option<SimDuration> {
         let mut v: Vec<u64> = self.latencies_ns.iter().map(|&(_, l)| l).collect();
-        v.sort_unstable();
-        percentile_of_sorted(&v, p)
+        percentile_of(&mut v, p)
     }
 
     /// Mean delivery latency.
@@ -227,11 +228,10 @@ impl Metrics {
             .iter()
             .filter(|(at, _)| *at >= from && *at < to)
             .count() as u64;
-        lat.sort_unstable();
         WindowStats {
             delivered,
             lost,
-            p99: percentile_of_sorted(&lat, 99.0),
+            p99: percentile_of(&mut lat, 99.0),
         }
     }
 
@@ -326,6 +326,52 @@ mod tests {
         assert!(p50 < p99);
         assert_eq!(m.latency_percentile(100.0).unwrap(), SimDuration::from_micros(100));
         assert!(m.latency_mean().unwrap() >= SimDuration::from_micros(50));
+    }
+
+    #[test]
+    fn percentile_by_selection_equals_sort_based_answer() {
+        fn by_sorting(samples: &[u64], p: f64) -> Option<SimDuration> {
+            let mut sorted = samples.to_vec();
+            sorted.sort_unstable();
+            let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
+            sorted
+                .get(rank.min(sorted.len().saturating_sub(1)))
+                .map(|v| SimDuration::from_nanos(*v))
+        }
+        // Seeded vectors of several lengths; `% 7` forces heavy ties.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut vectors: Vec<Vec<u64>> = vec![vec![], vec![42], vec![5; 100]];
+        for len in [2usize, 3, 10, 101, 1000] {
+            vectors.push((0..len).map(|_| next() % 1_000_000).collect());
+            vectors.push((0..len).map(|_| next() % 7).collect());
+        }
+        for samples in &vectors {
+            for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+                let want = by_sorting(samples, p);
+                assert_eq!(
+                    percentile_of(&mut samples.clone(), p),
+                    want,
+                    "p{p} of {} samples",
+                    samples.len()
+                );
+                // And through the public entry points.
+                let mut m = Metrics::default();
+                for (i, &ns) in samples.iter().enumerate() {
+                    let sent = SimTime::from_micros(i as u64);
+                    m.record_delivered(&pkt_at(i as u64, sent), sent + SimDuration::from_nanos(ns));
+                }
+                assert_eq!(m.latency_percentile(p), want);
+                if p == 99.0 {
+                    assert_eq!(m.window_stats(SimTime::ZERO, SimTime::MAX).p99, want);
+                }
+            }
+        }
     }
 
     #[test]

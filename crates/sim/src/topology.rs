@@ -67,12 +67,14 @@ impl Link {
 }
 
 /// The physical network.
+///
+/// `NodeId`s and `LinkId`s are handed out sequentially from 0 and nothing
+/// is ever removed (a crashed device or a cut link stays in place, marked
+/// down), so an id *is* its index into these vectors.
 #[derive(Debug, Default)]
 pub struct Topology {
-    nodes: BTreeMap<NodeId, Node>,
-    links: BTreeMap<LinkId, Link>,
-    next_node: u32,
-    next_link: u32,
+    nodes: Vec<Node>,
+    links: Vec<Link>,
 }
 
 impl Topology {
@@ -83,28 +85,25 @@ impl Topology {
 
     /// Adds a node with the given role and device architecture.
     pub fn add_node(&mut self, kind: NodeKind, arch: Architecture) -> NodeId {
-        let id = NodeId(self.next_node);
-        self.next_node += 1;
+        let id = NodeId(self.nodes.len() as u32);
         let encoding = match kind {
             NodeKind::Switch => StateEncoding::StatefulTable,
             NodeKind::Nic => StateEncoding::FlowInstructionSet,
             NodeKind::Host => StateEncoding::StatefulTable,
         };
-        self.nodes.insert(
+        self.nodes.push(Node {
             id,
-            Node {
-                id,
-                kind,
-                device: Device::new(id, arch, encoding),
-                ports: BTreeMap::new(),
-                busy_until: SimTime::ZERO,
-            },
-        );
+            kind,
+            device: Device::new(id, arch, encoding),
+            ports: BTreeMap::new(),
+            busy_until: SimTime::ZERO,
+        });
         id
     }
 
     /// Connects `a.port_a` to `b` and `b.port_b` back to `a` with symmetric
-    /// characteristics. Returns the two directed link ids.
+    /// characteristics. Returns the two directed link ids, which are always
+    /// allocated as an adjacent pair (see [`Topology::reverse_link`]).
     pub fn connect(
         &mut self,
         a: NodeId,
@@ -114,106 +113,107 @@ impl Topology {
         latency: SimDuration,
         bandwidth_bps: u64,
     ) -> Result<(LinkId, LinkId)> {
-        if !self.nodes.contains_key(&a) || !self.nodes.contains_key(&b) {
+        if self.node(a).is_none() || self.node(b).is_none() {
             return Err(FlexError::Sim("connect: unknown node".into()));
         }
-        let mk = |topo: &mut Topology, from: NodeId, to: NodeId| {
-            let id = LinkId(topo.next_link);
-            topo.next_link += 1;
-            topo.links.insert(
+        let mut mk = |from: NodeId, to: NodeId| {
+            let id = LinkId(self.links.len() as u32);
+            self.links.push(Link {
                 id,
-                Link {
-                    id,
-                    from,
-                    to,
-                    latency,
-                    bandwidth_bps,
-                    queue_cap: 1000,
-                    busy_until: SimTime::ZERO,
-                    up: true,
-                },
-            );
+                from,
+                to,
+                latency,
+                bandwidth_bps,
+                queue_cap: 1000,
+                busy_until: SimTime::ZERO,
+                up: true,
+            });
             id
         };
-        let ab = mk(self, a, b);
-        let ba = mk(self, b, a);
-        self.nodes
-            .get_mut(&a)
-            .expect("checked above")
-            .ports
-            .insert(port_a, ab);
-        self.nodes
-            .get_mut(&b)
-            .expect("checked above")
-            .ports
-            .insert(port_b, ba);
+        let ab = mk(a, b);
+        let ba = mk(b, a);
+        self.nodes[a.0 as usize].ports.insert(port_a, ab);
+        self.nodes[b.0 as usize].ports.insert(port_b, ba);
         Ok((ab, ba))
     }
 
     /// Borrows a node.
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(&id)
+        self.nodes.get(id.0 as usize)
     }
 
     /// Borrows a node mutably.
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
-        self.nodes.get_mut(&id)
+        self.nodes.get_mut(id.0 as usize)
     }
 
     /// Borrows a link.
     pub fn link(&self, id: LinkId) -> Option<&Link> {
-        self.links.get(&id)
+        self.links.get(id.0 as usize)
     }
 
     /// Borrows a link mutably.
     pub fn link_mut(&mut self, id: LinkId) -> Option<&mut Link> {
-        self.links.get_mut(&id)
+        self.links.get_mut(id.0 as usize)
     }
 
-    /// Iterates over nodes.
+    /// The opposite direction of `id`: [`Topology::connect`] is the only
+    /// way to add links and always adds the two directions back to back.
+    pub fn reverse_link(&self, id: LinkId) -> Option<LinkId> {
+        self.link(id).map(|_| LinkId(id.0 ^ 1))
+    }
+
+    /// Iterates over nodes, in id order.
     pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.values()
+        self.nodes.iter()
     }
 
-    /// Iterates over node ids (avoids borrowing issues in the engine).
+    /// Iterates mutably over nodes, in id order.
+    pub fn nodes_mut(&mut self) -> impl Iterator<Item = &mut Node> {
+        self.nodes.iter_mut()
+    }
+
+    /// All node ids, for callers that mutate nodes while walking them.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.nodes.iter().map(|n| n.id).collect()
     }
 
-    /// Iterates over links.
+    /// Iterates over links, in id order.
     pub fn links(&self) -> impl Iterator<Item = &Link> {
-        self.links.values()
+        self.links.iter()
     }
 
     /// Whether `link` is usable: up, with both endpoint devices up.
     fn link_usable(&self, link: &Link) -> bool {
         link.up
-            && self.nodes.get(&link.from).is_some_and(|n| n.device.is_up())
-            && self.nodes.get(&link.to).is_some_and(|n| n.device.is_up())
+            && self.node(link.from).is_some_and(|n| n.device.is_up())
+            && self.node(link.to).is_some_and(|n| n.device.is_up())
     }
 
     /// All-pairs next hops by BFS (hop count), skipping down links and
     /// crashed devices — recomputing after a fault reroutes around it.
     /// Returns a map from `(at, destination)` to the link to take.
     pub fn compute_routes(&self) -> BTreeMap<(NodeId, NodeId), LinkId> {
+        // Links are symmetric, so a BFS from each destination over the
+        // reversed edges finds every node's next hop towards it. The
+        // reverse adjacency lists links in id order, which is what breaks
+        // ties between equal-length paths.
+        let mut radj: Vec<Vec<(NodeId, LinkId)>> = vec![Vec::new(); self.nodes.len()];
+        for l in self.links.iter().filter(|l| self.link_usable(l)) {
+            radj[l.to.0 as usize].push((l.from, l.id));
+        }
         let mut routes = BTreeMap::new();
-        for &dst in self.nodes.keys() {
-            // BFS backwards from dst over reversed edges = forwards works
-            // too since links are symmetric; do forward BFS from dst on the
-            // reverse graph.
-            let mut radj: BTreeMap<NodeId, Vec<(NodeId, LinkId)>> = BTreeMap::new();
-            for l in self.links.values().filter(|l| self.link_usable(l)) {
-                radj.entry(l.to).or_default().push((l.from, l.id));
-            }
-            let mut queue = std::collections::VecDeque::new();
-            let mut seen = std::collections::BTreeSet::new();
+        let mut queue = std::collections::VecDeque::new();
+        let mut seen = vec![false; self.nodes.len()];
+        for dst in self.nodes.iter().map(|n| n.id) {
+            seen.fill(false);
+            seen[dst.0 as usize] = true;
             queue.push_back(dst);
-            seen.insert(dst);
             while let Some(n) = queue.pop_front() {
-                for (prev, link) in radj.get(&n).into_iter().flatten() {
-                    if seen.insert(*prev) {
-                        routes.insert((*prev, dst), *link);
-                        queue.push_back(*prev);
+                for &(prev, link) in &radj[n.0 as usize] {
+                    if !std::mem::replace(&mut seen[prev.0 as usize], true) {
+                        routes.insert((prev, dst), link);
+                        queue.push_back(prev);
                     }
                 }
             }
@@ -377,6 +377,60 @@ mod tests {
         let routes = t.compute_routes();
         // Cross-pod host pair reachable.
         assert!(routes.contains_key(&(hosts[0], hosts[3])));
+    }
+
+    /// `compute_routes` as it was when the reverse adjacency was rebuilt
+    /// inside the per-destination loop — the reference the single-build
+    /// form must reproduce exactly, tie-breaks included.
+    fn compute_routes_reference(t: &Topology) -> BTreeMap<(NodeId, NodeId), LinkId> {
+        let mut routes = BTreeMap::new();
+        for dst in t.node_ids() {
+            let mut radj: BTreeMap<NodeId, Vec<(NodeId, LinkId)>> = BTreeMap::new();
+            for l in t.links().filter(|l| t.link_usable(l)) {
+                radj.entry(l.to).or_default().push((l.from, l.id));
+            }
+            let mut queue = std::collections::VecDeque::from([dst]);
+            let mut seen = std::collections::BTreeSet::from([dst]);
+            while let Some(n) = queue.pop_front() {
+                for (prev, link) in radj.get(&n).into_iter().flatten() {
+                    if seen.insert(*prev) {
+                        routes.insert((*prev, dst), *link);
+                        queue.push_back(*prev);
+                    }
+                }
+            }
+        }
+        routes
+    }
+
+    #[test]
+    fn routes_match_reference_before_and_after_faults() {
+        let (mut t, spines, leaves, hosts) = Topology::leaf_spine(2, 4, 4);
+        let intact = t.compute_routes();
+        assert_eq!(intact, compute_routes_reference(&t));
+        assert_eq!(intact.len(), 22 * 21, "every ordered pair is routable");
+
+        // Cut leaf 0's uplink to spine 0, both directions.
+        let uplink = t.node(leaves[0]).unwrap().ports[&100];
+        let downlink = t.reverse_link(uplink).unwrap();
+        assert_eq!(
+            t.link(downlink).map(|l| (l.from, l.to)),
+            Some((spines[0], leaves[0]))
+        );
+        for id in [uplink, downlink] {
+            t.link_mut(id).unwrap().up = false;
+        }
+        let cut = t.compute_routes();
+        assert_eq!(cut, compute_routes_reference(&t));
+        assert_ne!(cut, intact);
+        assert_eq!(cut.len(), intact.len(), "spine 1 still reaches everything");
+
+        // Crash a spine on top of that: leaf 0 is now cut off from the rest.
+        t.node_mut(spines[1]).unwrap().device.crash(SimTime::ZERO);
+        let crashed = t.compute_routes();
+        assert_eq!(crashed, compute_routes_reference(&t));
+        assert!(!crashed.contains_key(&(hosts[0], hosts[4])));
+        assert!(crashed.contains_key(&(hosts[4], hosts[8])));
     }
 
     #[test]

@@ -3,49 +3,19 @@
 //! After warmup, one [`BurstDriver::pump`] over a device must perform
 //! **zero heap allocations**: the packet ring is mutated in place, the
 //! result vector and per-burst log reuse their capacity, and the device's
-//! VM scratch persists across bursts. A counting `#[global_allocator]`
-//! wraps the system allocator and tallies every `alloc`/`realloc` inside
-//! the measured window; the steady-state pump must tally none.
+//! VM scratch persists across bursts. The counting `#[global_allocator]`
+//! of `common/counting_alloc.rs` tallies every `alloc`/`realloc` inside the
+//! measured window; the steady-state pump must tally none.
 //!
 //! This file holds exactly one test so no sibling test thread can
 //! allocate inside the counting window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 use flexnet_dataplane::{Architecture, Device, StateEncoding};
 use flexnet_sim::BurstDriver;
 use flexnet_types::{NodeId, Packet, SimTime};
-
-/// Counts allocations while `COUNTING` is set; otherwise a transparent
-/// passthrough to the system allocator.
-struct CountingAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_burst_pump_performs_zero_allocations() {
@@ -71,12 +41,8 @@ fn steady_state_burst_pump_performs_zero_allocations() {
         drv.pump(&mut dev, 2048, SimTime::ZERO).expect("warmup pump");
     }
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let totals = drv.pump(&mut dev, 2048, SimTime::ZERO).expect("measured pump");
-    COUNTING.store(false, Ordering::SeqCst);
-
-    let allocs = ALLOCS.load(Ordering::SeqCst);
+    let (allocs, totals) = counting_alloc::count(|| drv.pump(&mut dev, 2048, SimTime::ZERO));
+    let totals = totals.expect("measured pump");
     assert_eq!(totals.packets, 2048);
     assert_eq!(
         allocs, 0,
