@@ -106,7 +106,7 @@ fn main() {
         sim.run(t); // bring the sim (and device) up to the event time
         let dev = &sim.topo.node(sw).unwrap().device;
         let ops = flexnet_lang::diff::diff_bundles(
-            &dev.program().unwrap().bundle,
+            dev.program().unwrap().bundle(),
             &composed,
         );
         let duration = dev.cost_model().plan_duration(&ops);

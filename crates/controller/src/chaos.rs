@@ -291,7 +291,7 @@ pub fn run_chaos_seed(seed: u64) -> Result<ChaosReport> {
             violations.push(format!("{d} still mid-reconfiguration after settling"));
         }
         match dev.program() {
-            Some(p) if p.bundle == want => {}
+            Some(p) if *p.bundle() == want => {}
             Some(_) => violations.push(format!(
                 "{d} runs the wrong program (mixed network: expected {})",
                 if expect_committed { "v2" } else { "v1" },

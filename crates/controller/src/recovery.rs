@@ -27,7 +27,7 @@
 
 use crate::retry::{command_rtt, with_retry, LossyFabric, RetryPolicy};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
-use flexnet_dataplane::TxnTag;
+use flexnet_dataplane::{SealedTargets, TxnTag};
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::Simulation;
 use flexnet_types::{FlexError, NodeId, Result, SimTime};
@@ -165,6 +165,7 @@ pub fn recover(
 
     // Pass 2: resolve every non-terminal transaction, in id order.
     let mut resolutions: Vec<(u64, TxnResolution)> = Vec::new();
+    let mut sealed = SealedTargets::default();
     let mut reprepared = 0usize;
     let mut wiped_shadows = 0usize;
     for (&txn, rec) in &last {
@@ -205,8 +206,9 @@ pub fn recover(
                         .get(&txn)
                         .and_then(|ts| ts.iter().find(|(n, _)| n == node))
                         .map(|(_, b)| b);
-                    let (m, at, re) =
-                        commit_on(sim, *node, tag, flip_at, target, t, fabric, policy);
+                    let (m, at, re) = commit_on(
+                        sim, *node, tag, flip_at, target, &mut sealed, t, fabric, policy,
+                    );
                     messages += m;
                     t = at;
                     reprepared += usize::from(re);
@@ -236,7 +238,8 @@ pub fn recover(
         };
         match last.get(&orphan.txn_id) {
             Some(IntentRecord::Committed { .. }) => {
-                let (m, at, _) = commit_on(sim, *node, tag, t, None, t, fabric, policy);
+                let (m, at, _) =
+                    commit_on(sim, *node, tag, t, None, &mut sealed, t, fabric, policy);
                 messages += m;
                 t = at;
             }
@@ -312,7 +315,8 @@ fn abort_on(
 }
 
 /// Sends one idempotent commit, re-preparing a crash-lost shadow from
-/// `target` when the device's active program does not already match.
+/// `target` (sealed once per recovery pass, in `sealed`) when the
+/// device's active program does not already match.
 /// Returns (messages, finished_at, re-prepared?).
 #[allow(clippy::too_many_arguments)]
 fn commit_on(
@@ -321,6 +325,7 @@ fn commit_on(
     tag: TxnTag,
     flip_at: SimTime,
     target: Option<&ProgramBundle>,
+    sealed: &mut SealedTargets,
     t: SimTime,
     fabric: &mut LossyFabric,
     policy: &RetryPolicy,
@@ -349,13 +354,12 @@ fn commit_on(
             // image matches the target) or lost the shadow in a crash —
             // then the commit decision obliges us to re-prepare it.
             let needs = match (sim.topo.node(node).map(|n| &n.device), target) {
-                (Some(dev), Some(want)) if dev.program().map(|p| &p.bundle != want).unwrap_or(true) => {
+                (Some(dev), Some(want)) if dev.program().is_none_or(|p| p.bundle() != want) => {
                     Some(want)
                 }
                 _ => None,
             };
             if let Some(want) = needs {
-                let want = want.clone();
                 let mut done = false;
                 let out = with_retry(policy, fabric, t, command_rtt(), |at| {
                     if done {
@@ -366,7 +370,7 @@ fn commit_on(
                         .node_mut(node)
                         .ok_or_else(|| FlexError::Sim(format!("re-prepare: unknown node {node}")))?
                         .device;
-                    let rep = dev.prepare_txn_reconfig(want.clone(), at, tag)?;
+                    let rep = dev.prepare_txn_reconfig(|| sealed.image_for(want), at, tag)?;
                     dev.commit_txn(tag, rep.ready_at)?;
                     done = true;
                     Ok(())

@@ -44,7 +44,7 @@ use crate::recovery::{recover, RecoveryReport, TargetDirectory};
 use crate::retry::{command_rtt, with_retry, LossyFabric, RetryPolicy};
 use crate::txn::logged_transactional_reconfig;
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
-use flexnet_dataplane::{config_digest_of, TableEntry};
+use flexnet_dataplane::{entries_carry_over, ProgramImage, SealTarget, TableEntry};
 use flexnet_lang::ast::ActionCall;
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_lang::parser::parse_source;
@@ -54,6 +54,7 @@ use flexnet_sim::{
 };
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Reconciliation priority of a device's intended program.
 ///
@@ -70,26 +71,40 @@ pub enum ProgramClass {
 
 /// One device's intended configuration: the program the control plane
 /// last committed to it, plus the table entries installed out-of-band.
+/// Both change only through the store, which keeps the image's memoised
+/// digest true.
 #[derive(Debug, Clone)]
 pub struct IntendedDevice {
     /// The device.
     pub node: NodeId,
-    /// The committed program bundle.
-    pub bundle: ProgramBundle,
-    /// Intended control-plane table entries, in installation order.
-    pub entries: Vec<(String, TableEntry)>,
+    image: Arc<ProgramImage>,
+    entries: Vec<(String, TableEntry)>,
     /// Reconciliation priority.
     pub class: ProgramClass,
-    /// The transaction that committed `bundle` (0 = out-of-band).
+    /// The transaction that committed the program (0 = out-of-band).
     pub txn: u64,
 }
 
 impl IntendedDevice {
+    /// The committed program: the sealed image the device itself runs.
+    pub fn image(&self) -> &Arc<ProgramImage> {
+        &self.image
+    }
+
+    /// Intended control-plane table entries, in installation order.
+    pub fn entries(&self) -> &[(String, TableEntry)] {
+        &self.entries
+    }
+
     /// The intended-state digest — what the device's heartbeat digest
     /// must equal once converged.
     pub fn digest(&self) -> u64 {
-        config_digest_of(&self.bundle, &self.entries)
+        self.image.config_digest(borrowed(&self.entries))
     }
+}
+
+fn borrowed(entries: &[(String, TableEntry)]) -> impl Iterator<Item = (&str, &TableEntry)> {
+    entries.iter().map(|(t, e)| (t.as_str(), e))
 }
 
 /// The controller's per-device intended-state store.
@@ -158,41 +173,46 @@ impl IntendedStore {
         self.records.is_empty()
     }
 
-    /// Records that transaction `txn` committed `bundle` to `node`.
+    /// Records that transaction `txn` committed `target` to `node`
+    /// (a raw bundle is sealed first; the 2PC driver hands over the image
+    /// the devices run).
     ///
-    /// Intended entries of tables still declared (by name) in the new
-    /// bundle are kept — the hitless reconfiguration path carries
-    /// unchanged tables' entries across the flip, so intent follows the
-    /// same rule. The durable [`IntentRecord::IntendedState`] is
+    /// Intended entries follow the device across the flip: a table's
+    /// entries are kept exactly when the new program declares the table
+    /// unchanged ([`entries_carry_over`], the rule the device's shadow
+    /// build applies), so intent and device agree right after a committed
+    /// transaction. The durable [`IntentRecord::IntendedState`] is
     /// journaled *before* the store mutates (write-ahead).
     pub fn commit_target(
         &mut self,
         log: &mut ReplicatedIntentLog,
         txn: u64,
         node: NodeId,
-        bundle: ProgramBundle,
+        target: impl SealTarget,
     ) -> Result<()> {
+        let image = target.into_image()?;
         let kept: Vec<(String, TableEntry)> = match self.records.get(&node) {
-            Some(prev) => prev
-                .entries
-                .iter()
-                .filter(|(t, _)| bundle.program.table(t).is_some())
-                .cloned()
-                .collect(),
+            Some(prev) => {
+                let (old, new) = (&prev.image.bundle().program, &image.bundle().program);
+                prev.entries
+                    .iter()
+                    .filter(|(t, _)| old.table(t).is_some_and(|d| entries_carry_over(d, new)))
+                    .cloned()
+                    .collect()
+            }
             None => Vec::new(),
         };
-        let digest = config_digest_of(&bundle, &kept);
         log.append(&IntentRecord::IntendedState {
             txn,
             device: node.0 as u64,
-            digest,
+            digest: image.config_digest(borrowed(&kept)),
         })?;
         let class = self.class(node);
         self.records.insert(
             node,
             IntendedDevice {
                 node,
-                bundle,
+                image,
                 entries: kept,
                 class,
                 txn,
@@ -213,26 +233,21 @@ impl IntendedStore {
         table: &str,
         entry: TableEntry,
     ) -> Result<()> {
-        let rec = self.records.get(&node).ok_or_else(|| {
+        let rec = self.records.get_mut(&node).ok_or_else(|| {
             FlexError::NotFound(format!("no intended program for node {node}"))
         })?;
-        if rec.bundle.program.table(table).is_none() {
+        if rec.image.bundle().program.table(table).is_none() {
             return Err(FlexError::NotFound(format!(
                 "table `{table}` not in the intended program of {node}"
             )));
         }
-        let mut entries = rec.entries.clone();
-        entries.push((table.to_string(), entry));
-        let digest = config_digest_of(&rec.bundle, &entries);
+        let with_new = borrowed(&rec.entries).chain([(table, &entry)]);
         log.append(&IntentRecord::IntendedState {
             txn: 0,
             device: node.0 as u64,
-            digest,
+            digest: rec.image.config_digest(with_new),
         })?;
-        self.records
-            .get_mut(&node)
-            .expect("checked above")
-            .entries = entries;
+        rec.entries.push((table.to_string(), entry));
         Ok(())
     }
 
@@ -482,8 +497,7 @@ impl Resyncer {
             });
         }
 
-        // Diverged: re-provision the intended bundle via shadow + flip.
-        let bundle = intended.bundle.clone();
+        // Diverged: re-provision the intended image via shadow + flip.
         let mut acked: Option<flexnet_dataplane::ReconfigReport> = None;
         let out = with_retry(policy, fabric, t, command_rtt(), |at| {
             if let Some(rep) = &acked {
@@ -494,7 +508,7 @@ impl Resyncer {
                 .node_mut(node)
                 .ok_or_else(|| FlexError::Sim(format!("resync: unknown node {node}")))?
                 .device;
-            let rep = dev.begin_runtime_reconfig(bundle.clone(), at)?;
+            let rep = dev.begin_runtime_reconfig(intended.image().clone(), at)?;
             acked = Some(rep.clone());
             Ok(rep)
         });
@@ -650,7 +664,7 @@ fn complete_inner(
     // Replay the intended entries. Upsert: remove-then-add is exact and
     // idempotent, so entries the flip carried over are not duplicated.
     let mut replayed = 0usize;
-    for (table, entry) in &intended.entries {
+    for (table, entry) in intended.entries() {
         let mut done = false;
         let out = with_retry(policy, fabric, t, command_rtt(), |_| {
             if done {
@@ -1216,7 +1230,7 @@ mod tests {
         let with_entry = store.digest(sw).unwrap();
         // Upgrading to v2 keeps the acl table: the entry must survive.
         store.commit_target(&mut log, 9, sw, critical_v2()).unwrap();
-        assert_eq!(store.get(sw).unwrap().entries.len(), 1, "entry kept");
+        assert_eq!(store.get(sw).unwrap().entries().len(), 1, "entry kept");
         assert_eq!(store.get(sw).unwrap().txn, 9);
         assert_ne!(store.digest(sw).unwrap(), with_entry, "bundle changed");
         // A program without the table drops its intended entries.
@@ -1228,7 +1242,7 @@ mod tests {
                 bundle("program gate kind any { handler ingress(pkt) { forward(1); } }"),
             )
             .unwrap();
-        assert!(store.get(sw).unwrap().entries.is_empty(), "entry dropped");
+        assert!(store.get(sw).unwrap().entries().is_empty(), "entry dropped");
     }
 
     #[test]

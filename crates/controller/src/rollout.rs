@@ -1454,8 +1454,8 @@ mod tests {
         assert_eq!(report.rolled_back, vec![switches[0]], "wave 1 unwound");
         // Wave 1's device is back on the baseline image.
         assert_eq!(
-            sim.topo.node(switches[0]).unwrap().device.program().unwrap().bundle,
-            lane_base()
+            sim.topo.node(switches[0]).unwrap().device.program().unwrap().bundle(),
+            &lane_base()
         );
     }
 
@@ -1586,8 +1586,8 @@ mod tests {
         assert!(resumed[0].quarantined.is_empty());
         for &d in &switches[..2] {
             assert_eq!(
-                sim.topo.node(d).unwrap().device.program().unwrap().bundle,
-                lane_base(),
+                sim.topo.node(d).unwrap().device.program().unwrap().bundle(),
+                &lane_base(),
                 "{d} back on the baseline"
             );
         }

@@ -1536,7 +1536,7 @@ pub fn run_storage_seed_with(seed: u64, prot: StorageProtections) -> Result<Stor
             violations.push(format!("{d} still mid-reconfiguration after settling"));
         }
         match dev.program() {
-            Some(p) if p.bundle == want => {}
+            Some(p) if *p.bundle() == want => {}
             Some(_) => violations.push(format!("{d} runs the wrong program (mixed network)")),
             None => violations.push(format!("{d} lost its program entirely")),
         }

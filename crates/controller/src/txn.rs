@@ -32,9 +32,9 @@
 
 use crate::core::FailureDetector;
 use crate::resync::IntendedStore;
-use crate::retry::{command_rtt, with_retry, LossyFabric, RetryPolicy};
+use crate::retry::{command_rtt, with_retry, LossyFabric, RetryOutcome, RetryPolicy};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
-use flexnet_dataplane::{ReconfigOutcome, ReconfigReport, TxnTag};
+use flexnet_dataplane::{ReconfigOutcome, ReconfigReport, SealedTargets, TxnTag};
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::{CrashPhase, Simulation};
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
@@ -77,6 +77,44 @@ impl TxnReport {
     }
 }
 
+/// Phase 1 on one device, for both drivers: sends the prepare (tagged and
+/// held in doubt when `tag` is set) under `policy`. The target is sealed
+/// in `sealed`, lazily — from inside the device's prepare — so each
+/// distinct bundle of a transaction is checked once and a bundle that
+/// does not seal still fails as this device's prepare.
+#[allow(clippy::too_many_arguments)]
+fn prepare_on(
+    sim: &mut Simulation,
+    node: NodeId,
+    bundle: &ProgramBundle,
+    tag: Option<TxnTag>,
+    sealed: &mut SealedTargets,
+    t: SimTime,
+    fabric: &mut LossyFabric,
+    policy: &RetryPolicy,
+) -> RetryOutcome<ReconfigReport> {
+    let mut acked: Option<ReconfigReport> = None;
+    with_retry(policy, fabric, t, command_rtt(), |at| {
+        // Idempotent under response loss: if our earlier attempt reached
+        // the device, re-report its ack instead of re-preparing.
+        if let Some(rep) = &acked {
+            return Ok(rep.clone());
+        }
+        let dev = &mut sim
+            .topo
+            .node_mut(node)
+            .ok_or_else(|| FlexError::Sim(format!("prepare: unknown node {node}")))?
+            .device;
+        let target = || sealed.image_for(bundle);
+        let rep = match tag {
+            Some(tag) => dev.prepare_txn_reconfig(target, at, tag)?,
+            None => dev.begin_runtime_reconfig(target, at)?,
+        };
+        acked = Some(rep.clone());
+        Ok(rep)
+    })
+}
+
 /// Runs a two-phase-commit reconfiguration over a reliable fabric.
 ///
 /// Equivalent to [`transactional_reconfig_over`] with a lossless channel
@@ -115,25 +153,11 @@ pub fn transactional_reconfig_over(
     let mut prepared = 0usize;
     let mut latest_ready = now;
     let mut failure: Option<(usize, String)> = None;
+    let mut sealed = SealedTargets::default();
 
     // Phase 1: prepare a shadow on every device, in order.
     for (i, (node, bundle)) in targets.iter().enumerate() {
-        let mut acked: Option<ReconfigReport> = None;
-        let out = with_retry(policy, fabric, t, command_rtt(), |at| {
-            // Idempotent under response loss: if our earlier attempt
-            // reached the device, re-report its ack instead of re-preparing.
-            if let Some(rep) = &acked {
-                return Ok(rep.clone());
-            }
-            let dev = &mut sim
-                .topo
-                .node_mut(*node)
-                .ok_or_else(|| FlexError::Sim(format!("prepare: unknown node {node}")))?
-                .device;
-            let rep = dev.begin_runtime_reconfig(bundle.clone(), at)?;
-            acked = Some(rep.clone());
-            Ok(rep)
-        });
+        let out = prepare_on(sim, *node, bundle, None, &mut sealed, t, fabric, policy);
         messages += out.attempts;
         t = out.finished_at;
         match out.result {
@@ -347,6 +371,7 @@ pub fn logged_transactional_reconfig(
     };
     let mut latest_ready = now;
     let mut failure: Option<(usize, String)> = None;
+    let mut sealed = SealedTargets::default();
     for (i, (node, bundle)) in targets.iter().enumerate() {
         if i >= crash_after {
             return Ok(report(
@@ -357,20 +382,7 @@ pub fn logged_transactional_reconfig(
                 t,
             ));
         }
-        let mut acked: Option<ReconfigReport> = None;
-        let out = with_retry(policy, fabric, t, command_rtt(), |at| {
-            if let Some(rep) = &acked {
-                return Ok(rep.clone());
-            }
-            let dev = &mut sim
-                .topo
-                .node_mut(*node)
-                .ok_or_else(|| FlexError::Sim(format!("prepare: unknown node {node}")))?
-                .device;
-            let rep = dev.prepare_txn_reconfig(bundle.clone(), at, tag)?;
-            acked = Some(rep.clone());
-            Ok(rep)
-        });
+        let out = prepare_on(sim, *node, bundle, Some(tag), &mut sealed, t, fabric, policy);
         messages += out.attempts;
         t = out.finished_at;
         match out.result {
@@ -500,7 +512,10 @@ pub fn logged_transactional_reconfig(
     // ever describes configurations the network is converging to).
     if let Some(store) = intent {
         for (node, bundle) in targets {
-            if let Err(e) = store.commit_target(log, txn, *node, bundle.clone()) {
+            let recorded = sealed
+                .image_for(bundle)
+                .and_then(|image| store.commit_target(log, txn, *node, image));
+            if let Err(e) = recorded {
                 sim.errors
                     .push((t, format!("txn {txn}: intended state for {node}: {e}")));
             }
@@ -577,7 +592,7 @@ mod tests {
             let dev = &mut sim.topo.node_mut(d).unwrap().device;
             dev.tick(commit_at);
             assert!(!dev.reconfig_in_progress(), "{d} flips at commit_at");
-            assert_eq!(dev.program().unwrap().bundle, v2(), "{d} runs v2");
+            assert_eq!(dev.program().unwrap().bundle(), &v2(), "{d} runs v2");
         }
     }
 
@@ -600,8 +615,8 @@ mod tests {
             let dev = &sim.topo.node(*d).unwrap().device;
             assert!(!dev.reconfig_in_progress(), "{d} rolled back");
             assert_eq!(
-                dev.program().unwrap().bundle,
-                v1(),
+                dev.program().unwrap().bundle(),
+                &v1(),
                 "{d} still runs the pre-transaction program"
             );
         }
@@ -643,7 +658,7 @@ mod tests {
         for d in devices {
             let dev = &mut sim.topo.node_mut(d).unwrap().device;
             dev.tick(commit_at + SimDuration::from_nanos(1));
-            assert_eq!(dev.program().unwrap().bundle, v2());
+            assert_eq!(dev.program().unwrap().bundle(), &v2());
         }
     }
 
@@ -667,7 +682,7 @@ mod tests {
         for d in devices {
             let dev = &sim.topo.node(d).unwrap().device;
             assert!(!dev.reconfig_in_progress(), "{d} has no orphan shadow");
-            assert_eq!(dev.program().unwrap().bundle, v1());
+            assert_eq!(dev.program().unwrap().bundle(), &v1());
         }
     }
 
@@ -780,7 +795,7 @@ mod tests {
         for d in &devices[..2] {
             let dev = &sim.topo.node(*d).unwrap().device;
             assert!(!dev.reconfig_in_progress(), "{d} rolled back");
-            assert_eq!(dev.program().unwrap().bundle, v1());
+            assert_eq!(dev.program().unwrap().bundle(), &v1());
         }
     }
 
@@ -817,7 +832,7 @@ mod tests {
         for d in devices {
             let dev = &mut sim.topo.node_mut(d).unwrap().device;
             dev.tick(commit_at);
-            assert_eq!(dev.program().unwrap().bundle, v2(), "{d} flipped");
+            assert_eq!(dev.program().unwrap().bundle(), &v2(), "{d} flipped");
             assert_eq!(dev.fence(), report.epoch, "{d} observed the epoch");
         }
     }
@@ -848,7 +863,7 @@ mod tests {
             let dev = &mut sim.topo.node_mut(d).unwrap().device;
             dev.tick(SimTime::from_secs(3600));
             assert!(dev.reconfig_in_progress(), "{d} must stay in-doubt");
-            assert_eq!(dev.program().unwrap().bundle, v1(), "{d} still runs v1");
+            assert_eq!(dev.program().unwrap().bundle(), &v1(), "{d} still runs v1");
         }
     }
 
@@ -872,7 +887,7 @@ mod tests {
         for d in &devices[..2] {
             let dev = &sim.topo.node(*d).unwrap().device;
             assert!(!dev.reconfig_in_progress(), "{d} rolled back");
-            assert_eq!(dev.program().unwrap().bundle, v1());
+            assert_eq!(dev.program().unwrap().bundle(), &v1());
         }
     }
 

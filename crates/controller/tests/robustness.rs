@@ -89,7 +89,7 @@ fn crash_during_prepare_aborts_with_zero_packet_loss() {
     let dev = &sim.topo.node(sw).unwrap().device;
     assert!(!dev.reconfig_in_progress());
     let after = dev.program().unwrap();
-    assert_eq!(after.bundle, before.bundle, "program image restored");
+    assert_eq!(after.bundle(), before.bundle(), "program image restored");
     assert_eq!(dev.version(), version_before, "no version flip");
 
     // Traffic never noticed: every packet of the 2 s flow is delivered.

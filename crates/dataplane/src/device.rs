@@ -9,6 +9,7 @@
 
 use crate::arch::{ArchClass, Architecture, ArchAllocator};
 use crate::cost::CostModel;
+use crate::image::{Code, ProgramImage, SealTarget};
 use crate::parser::ParserGraph;
 use crate::state::{DeviceState, LogicalState, StateEncoding};
 use crate::table::{TableEntry, TableSet};
@@ -20,12 +21,11 @@ use flexnet_lang::diff::{ProgramBundle, ReconfigOp};
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::interp::{execute_metered, ExecEnv, GAS_UNLIMITED};
 use flexnet_lang::ir::program_elements;
-use flexnet_lang::typecheck::check_program;
-use flexnet_lang::verifier::verify_program;
 use flexnet_types::{
     FlexError, NodeId, Packet, ProgramVersion, ResourceVec, Result, SimDuration, SimTime, Trap,
     Verdict,
 };
+use std::sync::Arc;
 
 /// Maximum recirculation passes before a packet is dropped (hardware bounds
 /// recirculation to protect the pipeline).
@@ -49,44 +49,6 @@ pub const EMPTY_CONFIG_DIGEST: u64 = 0;
 /// beyond the deepest replay the chaos fabric can produce, while
 /// keeping the memory fixed (512 bytes) under any dup-flood.
 pub const DEDUP_WINDOW: usize = 64;
-
-/// FNV-1a 64-bit fold of `bytes` into `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Cheap deterministic content digest over one device's *configuration*:
-/// the program bundle (headers + pretty-printed source) and every
-/// installed table entry, grouped per table and order-insensitive within
-/// a table (controllers and devices may install entries in different
-/// orders).
-///
-/// Volatile runtime state (counters, registers, map contents) and
-/// device-local version numbers are deliberately excluded: the digest
-/// must be computable by the controller from its intended-state record
-/// alone, and restarts legitimately reset both. Two equal digests mean
-/// "same program, same entries" — the anti-entropy equality the resync
-/// protocol checks in every heartbeat.
-pub fn config_digest_of(bundle: &ProgramBundle, entries: &[(String, TableEntry)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-    for hdr in &bundle.headers {
-        h = fnv1a(h, format!("{hdr:?}").as_bytes());
-    }
-    h = fnv1a(h, bundle.program.to_source().as_bytes());
-    let mut lines: Vec<String> = entries
-        .iter()
-        .map(|(table, e)| format!("{table}|{e:?}"))
-        .collect();
-    lines.sort_unstable();
-    for line in lines {
-        h = fnv1a(h, line.as_bytes());
-    }
-    h
-}
 
 /// Resolves program symbols to the dense slots a specific device's tables
 /// and state plane actually assigned — the layout the bytecode VM indexes.
@@ -113,41 +75,37 @@ impl SlotResolver for DeviceResolver<'_> {
     }
 }
 
-/// One program installed on a device: AST bundle + registry + tables + state,
-/// plus the slot-resolved bytecode image the fast path executes.
+/// One program installed on a device: the sealed image it runs, this
+/// device's tables and state, and the slot-resolved bytecode the fast
+/// path executes.
 #[derive(Debug, Clone)]
 pub struct InstalledProgram {
-    /// The installed bundle (headers + program).
-    pub bundle: ProgramBundle,
-    /// Header registry (builtins + bundle headers).
-    pub registry: HeaderRegistry,
+    code: Code,
     /// Match/action tables with entries.
     pub tables: TableSet,
     /// Stateful storage.
     pub state: DeviceState,
-    /// The compiled image, lowered against this instance's slot layout.
+    /// The compiled image, lowered against this instance's slot layout
+    /// (shared with every other fresh instance of the same sealed image).
     /// `None` after a structural reconfiguration op until the next rebuild
     /// (entry-level changes never invalidate it — entries are data, not
     /// layout).
-    compiled: Option<CompiledProgram>,
+    compiled: Option<Arc<CompiledProgram>>,
 }
 
 impl InstalledProgram {
-    /// Checks, verifies, and materializes a bundle — including lowering it
-    /// to bytecode, so a program that references an unresolvable symbol is
-    /// rejected at install time ([`FlexError::UnresolvedSymbol`]), not when
-    /// a packet first reaches the dangling reference.
-    pub fn new(bundle: ProgramBundle, encoding: StateEncoding) -> Result<InstalledProgram> {
-        let registry = HeaderRegistry::with_user_headers(&bundle.headers)?;
-        check_program(&bundle.program, &registry)?;
-        verify_program(&bundle.program, &registry)?;
-        let tables = TableSet::from_decls(&bundle.program.tables);
-        let state = DeviceState::from_decls(&bundle.program.states, encoding);
+    /// Seals `target` (a raw bundle is checked and verified here; an
+    /// image already was) and materializes it — including lowering it to
+    /// bytecode, so a program that references an unresolvable symbol is
+    /// rejected at install time ([`FlexError::UnresolvedSymbol`]), not
+    /// when a packet first reaches the dangling reference.
+    pub fn new(target: impl SealTarget, encoding: StateEncoding) -> Result<InstalledProgram> {
+        let image = target.into_image()?;
+        let program = &image.bundle().program;
         let mut p = InstalledProgram {
-            bundle,
-            registry,
-            tables,
-            state,
+            tables: TableSet::from_decls(&program.tables),
+            state: DeviceState::from_decls(&program.states, encoding),
+            code: Code::Sealed(image),
             compiled: None,
         };
         p.recompile()?;
@@ -156,92 +114,111 @@ impl InstalledProgram {
 
     /// Rebuilds the bytecode image against the current slot layout.
     pub fn recompile(&mut self) -> Result<()> {
+        let (bundle, registry) = self.code.parts();
         let resolver = DeviceResolver {
             tables: &self.tables,
             state: &self.state,
-            services: &self.bundle.program.services,
+            services: &bundle.program.services,
         };
-        let compiled = bytecode::compile(&self.bundle.program, &self.registry, &resolver)?;
-        self.compiled = Some(compiled);
+        let compile = || bytecode::compile(&bundle.program, registry, &resolver);
+        self.compiled = Some(self.code.compiled_for(self.state.encoding(), compile)?);
         Ok(())
     }
 
     /// The current bytecode image, if one is built.
     pub fn compiled(&self) -> Option<&CompiledProgram> {
-        self.compiled.as_ref()
+        self.compiled.as_deref()
+    }
+
+    /// The installed bundle (headers + program).
+    pub fn bundle(&self) -> &ProgramBundle {
+        self.code.parts().0
+    }
+
+    /// The sealed image this instance runs; `None` once in-place ops have
+    /// mutated the program away from it.
+    pub fn image(&self) -> Option<&Arc<ProgramImage>> {
+        self.code.image()
+    }
+
+    /// Content digest of this instance (program + entries): the image's
+    /// memoised program part continued over the live entries.
+    pub fn config_digest(&self) -> u64 {
+        let entries = self.tables.iter().flat_map(|t| {
+            let table = t.decl.name.as_str();
+            t.entries.iter().map(move |e| (table, e))
+        });
+        self.code.config_digest(entries)
+    }
+
+    /// Rebuilds tables and state from the declarations (a restart wiped
+    /// them); the bytecode is rebuilt on first use.
+    fn reset_runtime(&mut self, encoding: StateEncoding) {
+        let program = &self.code.parts().0.program;
+        self.tables = TableSet::from_decls(&program.tables);
+        self.state = DeviceState::from_decls(&program.states, encoding);
+        self.compiled = None;
     }
 
     /// Applies one reconfiguration op to this instance's structures.
+    ///
+    /// This is the only mutation of an installed program (the
+    /// `UnsafeInPlace` ablation and fault injection). The sealed image is
+    /// left untouched: the first op moves this instance onto a private,
+    /// unverified copy, without the digest memo or the shared bytecode.
     pub fn apply_op(&mut self, op: &ReconfigOp) -> Result<()> {
+        let (bundle, registry) = self.code.patch();
         match op {
             ReconfigOp::AddTable(t) => {
                 self.tables.add_table(t.clone())?;
-                self.bundle.program.tables.push(t.clone());
+                bundle.program.tables.push(t.clone());
             }
             ReconfigOp::RemoveTable(n) => {
                 self.tables.remove_table(n)?;
-                self.bundle.program.tables.retain(|t| &t.name != n);
+                bundle.program.tables.retain(|t| &t.name != n);
             }
             ReconfigOp::ModifyTable(t) => {
                 self.tables.modify_table(t.clone())?;
-                if let Some(slot) = self
-                    .bundle
-                    .program
-                    .tables
-                    .iter_mut()
-                    .find(|x| x.name == t.name)
-                {
+                if let Some(slot) = bundle.program.tables.iter_mut().find(|x| x.name == t.name) {
                     *slot = t.clone();
                 }
             }
             ReconfigOp::AddState(s) => {
                 self.state.add_state(s.clone())?;
-                self.bundle.program.states.push(s.clone());
+                bundle.program.states.push(s.clone());
             }
             ReconfigOp::RemoveState(n) => {
                 self.state.remove_state(n)?;
-                self.bundle.program.states.retain(|s| &s.name != n);
+                bundle.program.states.retain(|s| &s.name != n);
             }
             ReconfigOp::ModifyState(s) => {
                 self.state.modify_state(s.clone())?;
-                if let Some(slot) = self
-                    .bundle
-                    .program
-                    .states
-                    .iter_mut()
-                    .find(|x| x.name == s.name)
-                {
+                if let Some(slot) = bundle.program.states.iter_mut().find(|x| x.name == s.name) {
                     *slot = s.clone();
                 }
             }
             ReconfigOp::AddParserState(h) => {
-                self.registry.register(h)?;
-                self.bundle.headers.push(h.clone());
+                registry.register(h)?;
+                bundle.headers.push(h.clone());
             }
             ReconfigOp::RemoveParserState(n) => {
-                self.bundle.headers.retain(|h| &h.name != n);
-                self.registry = HeaderRegistry::with_user_headers(&self.bundle.headers)?;
+                bundle.headers.retain(|h| &h.name != n);
+                *registry = HeaderRegistry::with_user_headers(&bundle.headers)?;
             }
             ReconfigOp::SetHandler(h) => {
-                match self
-                    .bundle
-                    .program
-                    .handlers
-                    .iter_mut()
-                    .find(|x| x.name == h.name)
-                {
+                match bundle.program.handlers.iter_mut().find(|x| x.name == h.name) {
                     Some(slot) => *slot = h.clone(),
-                    None => self.bundle.program.handlers.push(h.clone()),
+                    None => bundle.program.handlers.push(h.clone()),
                 }
             }
             ReconfigOp::RemoveHandler(n) => {
-                self.bundle.program.handlers.retain(|h| &h.name != n);
+                bundle.program.handlers.retain(|h| &h.name != n);
             }
             ReconfigOp::AddService(s) => {
-                self.bundle.program.services.push(s.clone());
+                bundle.program.services.push(s.clone());
             }
             ReconfigOp::RemoveService(n) => {
-                self.bundle.program.services.retain(|s| &s.name != n);
+                bundle.program.services.retain(|s| &s.name != n);
             }
         }
         // Structural ops can move slots (removals shift later slots down);
@@ -779,12 +756,12 @@ impl Device {
 
     /// Content digest of the running configuration (program + entries),
     /// or [`EMPTY_CONFIG_DIGEST`] with no program installed. Piggybacked
-    /// on heartbeats for divergence detection (see `config_digest_of`).
+    /// on heartbeats for divergence detection. Equals
+    /// [`crate::config_digest_of`] over the installed bundle and entries.
     pub fn config_digest(&self) -> u64 {
-        match &self.active {
-            None => EMPTY_CONFIG_DIGEST,
-            Some(p) => digest_of_installed(p),
-        }
+        self.active
+            .as_ref()
+            .map_or(EMPTY_CONFIG_DIGEST, InstalledProgram::config_digest)
     }
 
     /// Errors with [`FlexError::Unavailable`] when the device is down.
@@ -828,10 +805,7 @@ impl Device {
         self.up = true;
         self.drained_until = None;
         if let Some(p) = self.active.as_mut() {
-            p.tables = TableSet::from_decls(&p.bundle.program.tables);
-            p.state = DeviceState::from_decls(&p.bundle.program.states, self.encoding);
-            // Fresh structures, fresh slots: rebuild the image on first use.
-            p.compiled = None;
+            p.reset_runtime(self.encoding);
         }
         self.version = self.version.next();
         self.boot_id += 1;
@@ -840,19 +814,17 @@ impl Device {
 
     // -- installation ---------------------------------------------------------
 
-    /// Installs a bundle from scratch (initial deployment or reflash),
-    /// allocating resources for every element.
-    pub fn install(&mut self, bundle: ProgramBundle) -> Result<()> {
+    /// Installs a program from scratch (initial deployment or reflash),
+    /// allocating resources for every element. A sealed image is not
+    /// checked again; what is per-device — kind support, resource
+    /// admission, the parser graph, symbol resolution — always runs.
+    pub fn install(&mut self, target: impl SealTarget) -> Result<()> {
         self.ensure_up()?;
-        let installed = InstalledProgram::new(bundle, self.encoding)?;
-        if !self
-            .allocator
-            .arch()
-            .supports(installed.bundle.program.kind)
-        {
+        let installed = InstalledProgram::new(target, self.encoding)?;
+        let kind = installed.bundle().program.kind;
+        if !self.allocator.arch().supports(kind) {
             return Err(FlexError::Compile(format!(
-                "program kind `{}` not supported on {} device {}",
-                installed.bundle.program.kind,
+                "program kind `{kind}` not supported on {} device {}",
                 self.arch_class(),
                 self.id
             )));
@@ -865,7 +837,7 @@ impl Device {
         self.parser = ParserGraph::new();
 
         self.place_elements(&installed)?;
-        for h in &installed.bundle.headers {
+        for h in &installed.bundle().headers {
             self.parser.add_state(h)?;
         }
         // The outgoing program becomes the quarantine fallback — unless
@@ -904,21 +876,18 @@ impl Device {
     /// lets tests and the controller verify that a quarantine fallback
     /// restored exactly the image that was stashed.
     pub fn last_good_digest(&self) -> Option<u64> {
-        self.last_good.as_ref().map(|p| digest_of_installed(p))
+        self.last_good.as_ref().map(|p| p.config_digest())
     }
 
     /// Allocates every element of `installed`, applying monotone stage
     /// ordering for tables on RMT (tables applied later may not sit in an
     /// earlier stage than their predecessors).
     fn place_elements(&mut self, installed: &InstalledProgram) -> Result<()> {
-        let elements = program_elements(
-            &installed.bundle.program,
-            &installed.bundle.headers,
-            &installed.registry,
-        );
+        let (bundle, registry) = installed.code.parts();
+        let elements = program_elements(&bundle.program, &bundle.headers, registry);
         // Determine table application order from handlers.
         let mut apply_order: Vec<String> = Vec::new();
-        for h in &installed.bundle.program.handlers {
+        for h in &bundle.program.handlers {
             collect_applies(&h.body, &mut apply_order);
         }
         let mut last_stage = 0usize;
@@ -1064,17 +1033,18 @@ impl Device {
             let remaining = gas.saturating_sub(total_ops);
             let outcome = match self.exec_mode {
                 ExecMode::Interpreter => {
+                    let (bundle, registry) = active.code.parts();
                     let mut env = DeviceEnv {
                         tables: &active.tables,
                         state: &mut active.state,
                         invocations: &mut self.invocations,
                     };
                     execute_metered(
-                        &active.bundle.program,
+                        &bundle.program,
                         "ingress",
                         pkt,
                         &mut env,
-                        &active.registry,
+                        registry,
                         remaining,
                     )?
                 }
@@ -1088,7 +1058,7 @@ impl Device {
                         state,
                         ..
                     } = &mut *active;
-                    let compiled = match compiled.as_ref() {
+                    let compiled = match compiled.as_deref() {
                         Some(c) => c,
                         None => {
                             return Err(Trap::CorruptImage {
@@ -1283,17 +1253,18 @@ impl Device {
                         let mut passes = 0u32;
                         loop {
                             let remaining = gas.saturating_sub(total_ops);
+                            let (bundle, registry) = active.code.parts();
                             let mut env = DeviceEnv {
                                 tables: &active.tables,
                                 state: &mut active.state,
                                 invocations: &mut self.invocations,
                             };
                             let outcome = execute_metered(
-                                &active.bundle.program,
+                                &bundle.program,
                                 "ingress",
                                 pkt,
                                 &mut env,
-                                &active.registry,
+                                registry,
                                 remaining,
                             )?;
                             total_ops += outcome.ops;
@@ -1361,7 +1332,7 @@ impl Device {
                         state,
                         ..
                     } = &mut *active;
-                    let compiled = match compiled.as_ref() {
+                    let compiled = match compiled.as_deref() {
                         Some(c) => c,
                         None => {
                             return Err(Trap::CorruptImage {
@@ -1653,20 +1624,6 @@ impl Device {
     }
 }
 
-/// Content digest of one installed program instance (program + entries).
-fn digest_of_installed(p: &InstalledProgram) -> u64 {
-    let entries: Vec<(String, TableEntry)> = p
-        .tables
-        .iter()
-        .flat_map(|t| {
-            t.entries
-                .iter()
-                .map(|e| (t.decl.name.clone(), e.clone()))
-        })
-        .collect();
-    config_digest_of(&p.bundle, &entries)
-}
-
 /// Collects table names in `apply` order.
 fn collect_applies(block: &[flexnet_lang::ast::Stmt], out: &mut Vec<String>) {
     use flexnet_lang::ast::Stmt;
@@ -1686,6 +1643,7 @@ fn collect_applies(block: &[flexnet_lang::ast::Stmt], out: &mut Vec<String>) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::config_digest_of;
     use flexnet_lang::parser::parse_source;
 
     pub(crate) fn bundle(src: &str) -> ProgramBundle {

@@ -1,0 +1,337 @@
+//! Sealed program images and the configuration digest built on them.
+//!
+//! A [`ProgramImage`] is a program bundle that has passed the header
+//! registry build, the type checker and the verifier, frozen behind an
+//! `Arc`. It is the unit the control path moves: a coordinator seals a
+//! target once ([`SealedTargets`]) and every device, shadow and
+//! intended-state record of that operation shares the one image instead
+//! of deep-cloning and re-checking the bundle (`DESIGN.md` §18). The only
+//! constructor is [`ProgramImage::seal`] and nothing hands out `&mut`
+//! access, so holding an image is proof the program was checked; every
+//! entry point that takes a program takes a [`SealTarget`].
+//!
+//! The configuration digest splits along the same line: the expensive
+//! *program part* (headers + pretty-printed source) is folded once at
+//! seal time, and [`ProgramImage::config_digest`] continues that FNV state
+//! over the table entries. [`config_digest_of`] is the from-scratch
+//! reference with the identical value.
+
+use crate::state::StateEncoding;
+use crate::table::TableEntry;
+use flexnet_lang::bytecode::CompiledProgram;
+use flexnet_lang::diff::ProgramBundle;
+use flexnet_lang::headers::HeaderRegistry;
+use flexnet_lang::typecheck::check_program;
+use flexnet_lang::verifier::verify_program;
+use flexnet_types::Result;
+use std::sync::{Arc, OnceLock};
+
+/// FNV-1a 64-bit fold of `bytes` into `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The program part of the configuration digest: the FNV-1a state after
+/// folding the bundle's headers and pretty-printed source.
+fn program_digest_of(bundle: &ProgramBundle) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
+    for hdr in &bundle.headers {
+        h = fnv1a(h, format!("{hdr:?}").as_bytes());
+    }
+    fnv1a(h, bundle.program.to_source().as_bytes())
+}
+
+/// Continues a program-part digest over table entries: one
+/// `table|entry` line each, sorted, so the value is order-insensitive.
+fn fold_entries<'a>(
+    mut h: u64,
+    entries: impl IntoIterator<Item = (&'a str, &'a TableEntry)>,
+) -> u64 {
+    let mut lines: Vec<String> = entries
+        .into_iter()
+        .map(|(table, e)| format!("{table}|{e:?}"))
+        .collect();
+    lines.sort_unstable();
+    for line in lines {
+        h = fnv1a(h, line.as_bytes());
+    }
+    h
+}
+
+/// Cheap deterministic content digest over one device's *configuration*:
+/// the program bundle (headers + pretty-printed source) and every
+/// installed table entry, grouped per table and order-insensitive within
+/// a table (controllers and devices may install entries in different
+/// orders).
+///
+/// Volatile runtime state (counters, registers, map contents) and
+/// device-local version numbers are deliberately excluded: the digest
+/// must be computable by the controller from its intended-state record
+/// alone, and restarts legitimately reset both. Two equal digests mean
+/// "same program, same entries" — the anti-entropy equality the resync
+/// protocol checks in every heartbeat.
+///
+/// This is the from-scratch reference: it pretty-prints the whole
+/// program on every call. Devices and the intended-state store answer
+/// from the sealed image's memoised program part
+/// ([`ProgramImage::config_digest`]) — the same value, which the property
+/// tests hold them to.
+pub fn config_digest_of(bundle: &ProgramBundle, entries: &[(String, TableEntry)]) -> u64 {
+    fold_entries(
+        program_digest_of(bundle),
+        entries.iter().map(|(t, e)| (t.as_str(), e)),
+    )
+}
+
+/// A checked, verified, immutable program bundle (see the module docs).
+#[derive(Debug)]
+pub struct ProgramImage {
+    bundle: ProgramBundle,
+    registry: HeaderRegistry,
+    program_digest: u64,
+    /// Bytecode for the slot layout a fresh `from_decls` build assigns,
+    /// one cell per [`StateEncoding`]; filled by the first device that
+    /// materializes the image.
+    compiled: [OnceLock<Arc<CompiledProgram>>; 3],
+}
+
+impl ProgramImage {
+    /// Builds the header registry, type-checks and verifies `bundle`,
+    /// and folds the program part of its configuration digest.
+    pub fn seal(bundle: ProgramBundle) -> Result<Arc<ProgramImage>> {
+        let registry = HeaderRegistry::with_user_headers(&bundle.headers)?;
+        check_program(&bundle.program, &registry)?;
+        verify_program(&bundle.program, &registry)?;
+        let program_digest = program_digest_of(&bundle);
+        Ok(Arc::new(ProgramImage {
+            bundle,
+            registry,
+            program_digest,
+            compiled: Default::default(),
+        }))
+    }
+
+    /// The sealed bundle (headers + program).
+    pub fn bundle(&self) -> &ProgramBundle {
+        &self.bundle
+    }
+
+    /// The header registry (builtins + bundle headers).
+    pub fn registry(&self) -> &HeaderRegistry {
+        &self.registry
+    }
+
+    /// The configuration digest of this program with `entries` installed
+    /// — [`config_digest_of`]'s value, without re-printing the program.
+    pub fn config_digest<'a>(
+        &self,
+        entries: impl IntoIterator<Item = (&'a str, &'a TableEntry)>,
+    ) -> u64 {
+        fold_entries(self.program_digest, entries)
+    }
+
+    /// The shared bytecode for a fresh slot layout under `encoding`,
+    /// compiling it with `compile` if no device has yet. A failed compile
+    /// is not remembered: every device reports it for itself.
+    fn compiled_for(
+        &self,
+        encoding: StateEncoding,
+        compile: impl FnOnce() -> Result<CompiledProgram>,
+    ) -> Result<Arc<CompiledProgram>> {
+        let cell = match encoding {
+            StateEncoding::RegisterArray => &self.compiled[0],
+            StateEncoding::FlowInstructionSet => &self.compiled[1],
+            StateEncoding::StatefulTable => &self.compiled[2],
+        };
+        if let Some(c) = cell.get() {
+            return Ok(c.clone());
+        }
+        let fresh = Arc::new(compile()?);
+        Ok(cell.get_or_init(|| fresh).clone())
+    }
+}
+
+/// What an installed program executes: the shared sealed image, or — only
+/// after [`Code::patch`], i.e. under the `UnsafeInPlace` ablation and
+/// fault injection — a private, *unverified* copy that in-place ops have
+/// mutated. The copy has no digest memo and no shared bytecode.
+#[derive(Debug, Clone)]
+pub(crate) enum Code {
+    Sealed(Arc<ProgramImage>),
+    Patched(Box<(ProgramBundle, HeaderRegistry)>),
+}
+
+impl Code {
+    pub(crate) fn parts(&self) -> (&ProgramBundle, &HeaderRegistry) {
+        match self {
+            Code::Sealed(image) => (&image.bundle, &image.registry),
+            Code::Patched(p) => (&p.0, &p.1),
+        }
+    }
+
+    pub(crate) fn image(&self) -> Option<&Arc<ProgramImage>> {
+        match self {
+            Code::Sealed(image) => Some(image),
+            Code::Patched(_) => None,
+        }
+    }
+
+    /// Mutable access for an in-place op. The sealed image is never
+    /// touched: the first call copies its bundle and registry out.
+    pub(crate) fn patch(&mut self) -> (&mut ProgramBundle, &mut HeaderRegistry) {
+        if let Code::Sealed(image) = self {
+            let copy = (image.bundle.clone(), image.registry.clone());
+            *self = Code::Patched(Box::new(copy));
+        }
+        match self {
+            Code::Patched(p) => (&mut p.0, &mut p.1),
+            Code::Sealed(_) => unreachable!("unsealed above"),
+        }
+    }
+
+    pub(crate) fn config_digest<'a>(
+        &self,
+        entries: impl IntoIterator<Item = (&'a str, &'a TableEntry)>,
+    ) -> u64 {
+        match self {
+            Code::Sealed(image) => image.config_digest(entries),
+            Code::Patched(p) => fold_entries(program_digest_of(&p.0), entries),
+        }
+    }
+
+    /// Bytecode for the owner's current slot layout: the image's shared
+    /// one while sealed (a sealed program's tables and state always sit
+    /// in the fresh from-declarations layout — only in-place ops move
+    /// slots, and they unseal), a private compile once patched.
+    pub(crate) fn compiled_for(
+        &self,
+        encoding: StateEncoding,
+        compile: impl FnOnce() -> Result<CompiledProgram>,
+    ) -> Result<Arc<CompiledProgram>> {
+        match self {
+            Code::Sealed(image) => image.compiled_for(encoding, compile),
+            Code::Patched(_) => Ok(Arc::new(compile()?)),
+        }
+    }
+}
+
+/// A program on its way to a device or the intended-state store: a raw
+/// bundle (sealed on acceptance), an already sealed image, or a closure
+/// producing one.
+///
+/// Receivers call [`SealTarget::into_image`] at most once, and only after
+/// they have accepted the command (device up, epoch not fenced, nothing
+/// pending, not a duplicate prepare) — so a coordinator can seal lazily,
+/// and a target that does not seal fails exactly where building the
+/// shadow would have.
+pub trait SealTarget {
+    /// The sealed image of this target.
+    fn into_image(self) -> Result<Arc<ProgramImage>>;
+}
+
+impl SealTarget for ProgramBundle {
+    fn into_image(self) -> Result<Arc<ProgramImage>> {
+        ProgramImage::seal(self)
+    }
+}
+
+impl SealTarget for Arc<ProgramImage> {
+    fn into_image(self) -> Result<Arc<ProgramImage>> {
+        Ok(self)
+    }
+}
+
+impl<F: FnOnce() -> Result<Arc<ProgramImage>>> SealTarget for F {
+    fn into_image(self) -> Result<Arc<ProgramImage>> {
+        self()
+    }
+}
+
+/// The sealed images of one control operation: each distinct target
+/// bundle is sealed at most once, and every device whose target is equal
+/// shares the one image. Owned by the operation (a 2PC driver, a recovery
+/// pass) and dropped with it — sharing is by ownership, not a cache.
+#[derive(Debug, Default)]
+pub struct SealedTargets {
+    images: Vec<Arc<ProgramImage>>,
+}
+
+impl SealedTargets {
+    /// The image of `bundle`, sealing it if this operation has not yet.
+    pub fn image_for(&mut self, bundle: &ProgramBundle) -> Result<Arc<ProgramImage>> {
+        if let Some(image) = self.images.iter().find(|i| i.bundle() == bundle) {
+            return Ok(image.clone());
+        }
+        let image = ProgramImage::seal(bundle.clone())?;
+        self.images.push(image.clone());
+        Ok(image)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::tests::bundle;
+    use flexnet_lang::ast::ActionCall;
+    use flexnet_types::FlexError;
+
+    fn acl() -> ProgramBundle {
+        bundle(
+            "program fw kind any {
+               table acl {
+                 key { ipv4.src : exact; }
+                 action deny() { drop(); }
+                 size 16;
+               }
+               handler ingress(pkt) { apply acl; forward(1); }
+             }",
+        )
+    }
+
+    fn deny(key: u64) -> (String, TableEntry) {
+        let action = ActionCall {
+            action: "deny".into(),
+            args: vec![],
+        };
+        ("acl".to_string(), TableEntry::exact(&[key], action))
+    }
+
+    #[test]
+    fn memoised_digest_equals_the_reference() {
+        let image = ProgramImage::seal(acl()).unwrap();
+        let entries = vec![deny(7), deny(3)];
+        let borrowed = || entries.iter().map(|(t, e)| (t.as_str(), e));
+        assert_eq!(image.config_digest(borrowed()), config_digest_of(&acl(), &entries));
+        assert_eq!(
+            image.config_digest(borrowed().rev()),
+            config_digest_of(&acl(), &entries),
+            "entry order does not matter"
+        );
+        assert_eq!(image.config_digest([]), config_digest_of(&acl(), &[]));
+    }
+
+    #[test]
+    fn seal_rejects_what_install_rejected() {
+        let ill_typed = bundle(
+            "program p kind any { handler ingress(pkt) { count(nosuch); forward(1); } }",
+        );
+        assert!(matches!(
+            ProgramImage::seal(ill_typed),
+            Err(FlexError::Type(_))
+        ));
+        let unverifiable = bundle(
+            "program p kind any {
+               register r : u64[16];
+               handler ingress(pkt) { reg_write(r, hash(ipv4.src), 1); forward(1); }
+             }",
+        );
+        assert!(matches!(
+            ProgramImage::seal(unverifiable),
+            Err(FlexError::Verify(_))
+        ));
+    }
+}

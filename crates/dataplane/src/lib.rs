@@ -12,6 +12,8 @@
 //!   sets, stateful tables) behind a virtualized logical K/V layer (§3.1).
 //! - [`parser`] — the parser graph with runtime state add/remove (§2).
 //! - [`device`] — the device: placement, packet processing, statistics.
+//! - [`image`] — sealed program images (checked and verified once, shared
+//!   by `Arc`) and the configuration digest memoised on them.
 //! - [`reconfig`] — hitless runtime reconfiguration (shadow program +
 //!   atomic version flip), the drain/reflash compile-time baseline, and an
 //!   unsafe in-place ablation (§2).
@@ -33,6 +35,7 @@ pub mod baseline;
 pub mod cost;
 pub mod device;
 pub mod graph;
+pub mod image;
 pub mod parser;
 pub mod reconfig;
 pub mod sched;
@@ -44,14 +47,15 @@ pub use arch::{ArchAllocator, ArchClass, Architecture, Location};
 pub use baseline::{Hyper4Device, MantisDevice};
 pub use cost::CostModel;
 pub use device::{
-    config_digest_of, Device, DeviceStats, ExecMode, FrameOutcome, InstalledProgram,
-    ProcessResult, SandboxConfig, DEDUP_WINDOW, EMPTY_CONFIG_DIGEST,
+    Device, DeviceStats, ExecMode, FrameOutcome, InstalledProgram, ProcessResult, SandboxConfig,
+    DEDUP_WINDOW, EMPTY_CONFIG_DIGEST,
 };
 pub use graph::{
     BurstLanes, Classifier, EmitNode, ExecNode, ForwardingGraph, GraphCtx, GraphNode, SchedNode,
 };
+pub use image::{config_digest_of, ProgramImage, SealTarget, SealedTargets};
 pub use parser::ParserGraph;
-pub use reconfig::{ReconfigMode, ReconfigOutcome, ReconfigReport, TxnTag};
+pub use reconfig::{entries_carry_over, ReconfigMode, ReconfigOutcome, ReconfigReport, TxnTag};
 pub use sched::EgressScheduler;
 pub use state::{DeviceState, LogicalState, StateEncoding};
 pub use table::{KeyMatch, TableEntry, TableInstance, TableSet, BURST_MISS};

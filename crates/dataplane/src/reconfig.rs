@@ -26,10 +26,21 @@
 
 use crate::arch::ArchAllocator;
 use crate::device::{Device, InstalledProgram};
+use crate::image::SealTarget;
 use crate::parser::ParserGraph;
+use flexnet_lang::ast::{Program, TableDecl};
 use flexnet_lang::diff::{diff_bundles, ProgramBundle, ReconfigOp};
 use flexnet_lang::ir::{state_demand, table_demand};
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
+
+/// The entry carry-over rule of a hitless program change: a table's
+/// entries cross the flip exactly when `new` declares the table
+/// unchanged (same name, keys, actions, default and size). The device's
+/// shadow build and the controller's intended-state store both apply
+/// this one rule, so their digests agree right after the flip.
+pub fn entries_carry_over(old: &TableDecl, new: &Program) -> bool {
+    new.table(&old.name) == Some(old)
+}
 
 /// How a program change is rolled out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,11 +254,11 @@ impl Device {
     /// Prepare is idempotent per transaction: a duplicate prepare for
     /// the transaction that already owns the in-flight shadow (a
     /// duplicated fabric delivery, or a coordinator retry after a lost
-    /// ack) is re-acknowledged — the shadow is **not** rebuilt and the
-    /// transition clock does not restart.
+    /// ack) is re-acknowledged — the shadow is **not** rebuilt, `target`
+    /// is not sealed, and the transition clock does not restart.
     pub fn prepare_txn_reconfig(
         &mut self,
-        target: ProgramBundle,
+        target: impl SealTarget,
         now: SimTime,
         tag: TxnTag,
     ) -> Result<ReconfigReport> {
@@ -336,10 +347,12 @@ impl Device {
     ///
     /// Traffic continues on the old program during the transition; at
     /// `ready_at` the shadow becomes active atomically. State objects and
-    /// table entries shared between the two programs are carried over.
+    /// table entries shared between the two programs are carried over
+    /// ([`entries_carry_over`]). `target` is sealed only once the device
+    /// has accepted the command (see [`SealTarget`]).
     pub fn begin_runtime_reconfig(
         &mut self,
-        target: ProgramBundle,
+        target: impl SealTarget,
         now: SimTime,
     ) -> Result<ReconfigReport> {
         self.ensure_up()?;
@@ -348,15 +361,14 @@ impl Device {
                 "a reconfiguration is already in progress".into(),
             ));
         }
+        let target = target.into_image()?;
         let Some(active) = self.program() else {
             // First install: no old program to keep alive; still pay the
             // op costs, but there is no traffic to disturb.
+            let program = &target.bundle().program;
             let ops = diff_bundles(
-                &ProgramBundle::new(flexnet_lang::ast::Program::empty(
-                    &target.program.name,
-                    target.program.kind,
-                )),
-                &target,
+                &ProgramBundle::new(Program::empty(&program.name, program.kind)),
+                target.bundle(),
             );
             let duration = self.cost_model().plan_duration(&ops);
             self.install(target)?;
@@ -369,19 +381,18 @@ impl Device {
             });
         };
 
-        let ops = diff_bundles(&active.bundle, &target);
+        let ops = diff_bundles(active.bundle(), target.bundle());
         let duration = self.cost_model().plan_duration(&ops);
         let ready_at = now + duration;
         let allocator_snapshot = self.allocator().clone();
         let parser_snapshot = self.parser().clone();
 
-        // Materialize the shadow (checks + verifies target).
-        let mut shadow = InstalledProgram::new(target, self.encoding())?;
+        // Materialize the shadow from the (checked, verified) image.
+        let mut shadow = InstalledProgram::new(target.clone(), self.encoding())?;
         // Carry over logical state for declarations present in both.
         shadow.state.restore(&active.state.snapshot());
-        // Carry over entries of tables whose declaration is unchanged.
         for table in active.tables.iter() {
-            if shadow.bundle.program.table(&table.decl.name) == Some(&table.decl) {
+            if entries_carry_over(&table.decl, &target.bundle().program) {
                 if let Some(dst) = shadow.tables.get_mut(&table.decl.name) {
                     for e in &table.entries {
                         let _ = dst.insert(e.clone());
@@ -395,19 +406,19 @@ impl Device {
         let mut allocated: Vec<String> = Vec::new();
         let mut deferred_frees: Vec<String> = Vec::new();
         let mut deferred_parser_removals: Vec<String> = Vec::new();
-        let registry = shadow.registry.clone();
+        let registry = target.registry();
         let alloc_result: Result<()> = (|| {
             for op in &ops {
                 match op {
                     ReconfigOp::AddTable(t) => {
-                        let d = table_demand(t, &registry);
+                        let d = table_demand(t, registry);
                         self.allocator_mut().alloc(&t.name, &d, 0)?;
                         allocated.push(t.name.clone());
                     }
                     ReconfigOp::ModifyTable(t) => {
                         // Break-before-make for the same-named element.
                         let _ = self.allocator_mut().free(&t.name);
-                        let d = table_demand(t, &registry);
+                        let d = table_demand(t, registry);
                         self.allocator_mut().alloc(&t.name, &d, 0)?;
                     }
                     ReconfigOp::AddState(s) => {
@@ -537,7 +548,7 @@ impl Device {
             ));
         };
         let program_snapshot = Some(active.clone());
-        let ops = diff_bundles(&active.bundle, &target);
+        let ops = diff_bundles(active.bundle(), &target);
         let mut staged = Vec::new();
         let mut t = now;
         for op in &ops {
@@ -917,7 +928,7 @@ mod tests {
         )
         .unwrap();
 
-        let bundle_before = d.program().unwrap().bundle.clone();
+        let bundle_before = d.program().unwrap().bundle().clone();
         let tables_before = d.program().unwrap().tables.clone();
         let state_before = d.snapshot_state().unwrap();
         let used_before = d.used();
@@ -932,7 +943,7 @@ mod tests {
 
         assert!(!d.reconfig_in_progress());
         let p = d.program().unwrap();
-        assert_eq!(p.bundle, bundle_before, "program restored verbatim");
+        assert_eq!(p.bundle(), &bundle_before, "program restored verbatim");
         assert_eq!(p.tables, tables_before, "entries restored");
         assert_eq!(d.snapshot_state().unwrap(), state_before, "state restored");
         assert_eq!(d.used(), used_before, "placement restored");
@@ -959,7 +970,7 @@ mod tests {
 
         d.abort_reconfig(mid).unwrap();
         assert!(!d.program().unwrap().state.has("c"), "mutation rolled back");
-        assert_eq!(d.program().unwrap().bundle.program, bundle_expected.program);
+        assert_eq!(d.program().unwrap().bundle().program, bundle_expected.program);
     }
 
     #[test]
@@ -1090,7 +1101,7 @@ mod tests {
         d.prepare_txn_reconfig(v2(), SimTime::ZERO, tag).unwrap();
         let rep = d.abort_txn(tag, SimTime::from_millis(1)).unwrap();
         assert_eq!(rep.unwrap().outcome, ReconfigOutcome::Aborted);
-        assert_eq!(d.program().unwrap().bundle, v1(), "rolled back exactly");
+        assert_eq!(d.program().unwrap().bundle(), &v1(), "rolled back exactly");
         // Nothing pending: a retried abort is Ok(None), not an error.
         assert_eq!(d.abort_txn(tag, SimTime::from_millis(2)).unwrap(), None);
     }
@@ -1207,7 +1218,7 @@ mod tests {
         let p = d.program().unwrap();
         assert_eq!(p.state.counter_read("c"), 0, "counters wiped");
         assert_eq!(p.tables.get("t").unwrap().len(), 0, "entries wiped");
-        assert_eq!(p.bundle, stateful_base(), "program image survives");
+        assert_eq!(p.bundle(), &stateful_base(), "program image survives");
         assert!(d.version() > v_before, "restart is a new incarnation");
         // And it serves traffic again.
         let mut pkt2 = Packet::tcp(2, 9, 2, 3, 4, 0);

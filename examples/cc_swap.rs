@@ -95,7 +95,7 @@ fn main() {
     let nic_dev = &sim.topo.node(n1).unwrap().device;
     println!(
         "  NIC now runs `{}` (version {})",
-        nic_dev.program().unwrap().bundle.program.name,
+        nic_dev.program().unwrap().bundle().program.name,
         nic_dev.version()
     );
     let host_dev = &sim.topo.node(h1).unwrap().device;

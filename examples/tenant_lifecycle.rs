@@ -116,9 +116,9 @@ fn main() {
     let program = dev.program().unwrap();
     println!(
         "Final composed program: {} tables, {} states (tenant2's remain: {})",
-        program.bundle.program.tables.len(),
-        program.bundle.program.states.len(),
-        program.bundle.program.state("t2_counts").is_some()
+        program.bundle().program.tables.len(),
+        program.bundle().program.states.len(),
+        program.bundle().program.state("t2_counts").is_some()
     );
     println!(
         "Apps registry: {} running apps; tenant2 telemetry registered: {}",

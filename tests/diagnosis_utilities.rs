@@ -88,7 +88,7 @@ fn inject_trace_retire_cycle() {
     for (i, &n) in leaves.iter().chain(spines.iter()).enumerate() {
         let dev = &sim.topo.node(n).unwrap().device;
         assert!(
-            dev.program().unwrap().bundle.program.name == "idle",
+            dev.program().unwrap().bundle().program.name == "idle",
             "tracer retired on {n}"
         );
         // No persistent footprint: usage back to (at most) baseline plus

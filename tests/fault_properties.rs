@@ -84,7 +84,7 @@ proptest! {
         }
 
         let before = dev.program().unwrap();
-        let before_bundle = before.bundle.clone();
+        let before_bundle = before.bundle().clone();
         let before_tables = before.tables.clone();
         let before_state = before.state.snapshot();
         let before_version = dev.version();
@@ -108,7 +108,7 @@ proptest! {
         prop_assert_eq!(abort_rep.outcome, ReconfigOutcome::Aborted);
 
         let after = dev.program().unwrap();
-        prop_assert_eq!(&after.bundle, &before_bundle, "program image restored");
+        prop_assert_eq!(after.bundle(), &before_bundle, "program image restored");
         prop_assert_eq!(&after.tables, &before_tables, "table entries restored");
         prop_assert_eq!(after.state.snapshot(), expected_state, "state restored");
         prop_assert_eq!(dev.version(), before_version, "no version flip");
@@ -117,7 +117,7 @@ proptest! {
         // The flip must not resurrect later: tick far past the old
         // ready_at and re-check the program image.
         dev.tick(rep.ready_at + SimDuration::from_secs(10));
-        prop_assert_eq!(&dev.program().unwrap().bundle, &before_bundle);
+        prop_assert_eq!(dev.program().unwrap().bundle(), &before_bundle);
         prop_assert_eq!(dev.version(), before_version);
 
         // And the device is not wedged: a fresh transition still works.

@@ -86,7 +86,7 @@ fn tenant_churn_is_hitless_and_isolated() {
     assert_eq!(sim.metrics.delivered, 20_000);
 
     // Final program retains tenant 2's elements only.
-    let prog = &sim.topo.node(sw).unwrap().device.program().unwrap().bundle.program;
+    let prog = &sim.topo.node(sw).unwrap().device.program().unwrap().bundle().program;
     assert!(prog.state("t2_throttled").is_some());
     assert!(prog.state("t1_blocked").is_none());
     // Versions: install + 3 reconfigs.
