@@ -536,9 +536,6 @@ pub struct Device {
     /// by every packet [`Device::process`] and [`Device::process_burst`]
     /// run, so steady-state execution performs no heap allocations.
     vm: bytecode::VmScratch,
-    /// Run-scoped `can_parse` memo for [`Device::process_burst`]'s header
-    /// stripping; reset at each burst (the parser may change in between).
-    proto_cache: crate::parser::ProtoCache,
 }
 
 impl Device {
@@ -570,7 +567,6 @@ impl Device {
             window_traps: 0,
             last_trap: None,
             vm: bytecode::VmScratch::new(),
-            proto_cache: crate::parser::ProtoCache::default(),
         }
     }
 
@@ -1176,10 +1172,6 @@ impl Device {
             self.drained_until = None;
         }
 
-        // The parser may have changed since the previous burst; within this
-        // call it is fixed, so memoized accept verdicts are sound.
-        self.proto_cache.reset();
-
         // Move the persistent scratch out so the run loop can borrow it
         // alongside `self`; restore it on every exit path.
         let mut vm = std::mem::take(&mut self.vm);
@@ -1235,18 +1227,7 @@ impl Device {
             match self.exec_mode {
                 ExecMode::Interpreter => {
                     for pkt in pkts[i..].iter_mut() {
-                        // Fast path: when every header is visible there is
-                        // nothing to strip, so skip building (and later
-                        // reattaching) the hidden-header list entirely.
-                        let hidden = if self.parser.all_visible_cached(pkt, &mut self.proto_cache)
-                        {
-                            None
-                        } else {
-                            Some(
-                                self.parser
-                                    .strip_invisible_cached(pkt, &mut self.proto_cache),
-                            )
-                        };
+                        let hidden = self.parser.strip_invisible(pkt);
                         let mut total_ops = 0u64;
                         let mut verdict;
                         let mut trapped: Option<Trap> = None;
@@ -1285,9 +1266,7 @@ impl Device {
                                 break;
                             }
                         }
-                        if let Some(h) = hidden {
-                            self.parser.reattach(pkt, h);
-                        }
+                        self.parser.reattach(pkt, hidden);
                         pkt.record_processing(self.id, version);
                         self.stats.processed += 1;
                         if verdict == Verdict::ToController {
@@ -1354,18 +1333,7 @@ impl Device {
                         invocations: &mut self.invocations,
                     };
                     for pkt in pkts[i..].iter_mut() {
-                        // Fast path: when every header is visible there is
-                        // nothing to strip, so skip building (and later
-                        // reattaching) the hidden-header list entirely.
-                        let hidden = if self.parser.all_visible_cached(pkt, &mut self.proto_cache)
-                        {
-                            None
-                        } else {
-                            Some(
-                                self.parser
-                                    .strip_invisible_cached(pkt, &mut self.proto_cache),
-                            )
-                        };
+                        let hidden = self.parser.strip_invisible(pkt);
                         let mut total_ops = 0u64;
                         let mut verdict;
                         let mut trapped: Option<Trap> = None;
@@ -1393,9 +1361,7 @@ impl Device {
                                 break;
                             }
                         }
-                        if let Some(h) = hidden {
-                            self.parser.reattach(pkt, h);
-                        }
+                        self.parser.reattach(pkt, hidden);
                         pkt.record_processing(self.id, version);
                         self.stats.processed += 1;
                         if verdict == Verdict::ToController {

@@ -33,7 +33,7 @@
 use crate::device::{Device, FrameOutcome, ProcessResult};
 use crate::sched::EgressScheduler;
 use crate::table::BURST_MISS;
-use flexnet_types::{Packet, Result, SimTime, Verdict};
+use flexnet_types::{Packet, Result, SimTime, Sym, Verdict};
 
 /// Reusable per-burst lanes shared by every stage of a graph.
 ///
@@ -55,8 +55,6 @@ pub struct BurstLanes {
     keys: Vec<u64>,
     /// Winner staging for batch table classification.
     hits: Vec<u32>,
-    /// Dotted key-field paths of the classifier table (rebuilt per burst).
-    key_paths: Vec<String>,
 }
 
 impl BurstLanes {
@@ -107,12 +105,21 @@ impl GraphNode for ExecNode {
 pub enum Classifier {
     /// Read a packet field (dotted path, e.g. `ipv4.dscp` or `meta.tc`);
     /// the value modulo the class count selects the class. A packet
-    /// without the field lands in class 0.
+    /// without the field — or a path that is not `proto.field` — lands in
+    /// class 0.
     Field(String),
     /// Batch-resolve a table of the installed program by name
     /// ([`crate::table::TableInstance::lookup_burst`], one pass for the
     /// whole burst): a hit's first action argument is the class id; a
     /// miss — or an uninstalled table — lands in class 0.
+    Table(String),
+}
+
+/// A [`Classifier`] with its names resolved once, at stage construction.
+#[derive(Debug)]
+enum Resolved {
+    /// `None` when the path was not `proto.field`: every packet is class 0.
+    Field(Option<(Sym, Sym)>),
     Table(String),
 }
 
@@ -124,7 +131,7 @@ pub enum Classifier {
 #[derive(Debug)]
 pub struct SchedNode {
     sched: EgressScheduler,
-    classify: Classifier,
+    classify: Resolved,
     /// Per-burst class assignments (reused across bursts).
     scratch_classes: Vec<usize>,
 }
@@ -132,6 +139,13 @@ pub struct SchedNode {
 impl SchedNode {
     /// A sched stage over `sched` using `classify`.
     pub fn new(sched: EgressScheduler, classify: Classifier) -> SchedNode {
+        let classify = match classify {
+            Classifier::Field(path) => Resolved::Field(
+                path.split_once('.')
+                    .map(|(proto, field)| (Sym::intern(proto), Sym::intern(field))),
+            ),
+            Classifier::Table(name) => Resolved::Table(name),
+        };
         SchedNode {
             sched,
             classify,
@@ -149,28 +163,25 @@ impl SchedNode {
         let n = self.sched.num_classes();
         classes.clear();
         match &self.classify {
-            Classifier::Field(path) => {
+            Resolved::Field(path) => {
                 for pkt in cx.pkts.iter() {
-                    classes.push(pkt.get_field(path).unwrap_or(0) as usize % n);
+                    let value = path.and_then(|(proto, field)| pkt.get_field_sym(proto, field));
+                    classes.push(value.unwrap_or(0) as usize % n);
                 }
             }
-            Classifier::Table(tname) => {
+            Resolved::Table(tname) => {
                 let lanes = &mut *cx.lanes;
                 let Some(table) = cx.dev.table(tname) else {
                     classes.resize(cx.pkts.len(), 0);
                     return;
                 };
-                lanes.key_paths.clear();
-                for key in &table.decl.keys {
-                    lanes.key_paths.push(key.field.dotted());
-                }
                 lanes.keys.clear();
                 for pkt in cx.pkts.iter() {
-                    for path in &lanes.key_paths {
-                        lanes.keys.push(pkt.get_field(path).unwrap_or(0));
+                    for &(proto, field) in table.key_syms() {
+                        lanes.keys.push(pkt.get_field_sym(proto, field).unwrap_or(0));
                     }
                 }
-                table.lookup_burst(&lanes.keys, lanes.key_paths.len(), &mut lanes.hits);
+                table.lookup_burst(&lanes.keys, table.key_arity(), &mut lanes.hits);
                 for &hit in lanes.hits.iter() {
                     let class = if hit == BURST_MISS {
                         0

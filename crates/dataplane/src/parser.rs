@@ -8,14 +8,16 @@
 
 use flexnet_lang::ast::HeaderDecl;
 use flexnet_lang::headers::HeaderRegistry;
-use flexnet_types::{FlexError, Packet, ResourceKind, ResourceVec, Result};
+use flexnet_types::{FlexError, Header, Packet, ResourceKind, ResourceVec, Result, Sym};
 use std::collections::BTreeMap;
 
 /// A device's parser: the set of header types it can extract.
 #[derive(Debug, Clone)]
 pub struct ParserGraph {
-    /// Built-in protocols are always parseable.
-    builtin: Vec<String>,
+    /// Every parseable protocol: the built-ins (always parseable), then the
+    /// runtime-installed user states. Names are interned when a state is
+    /// installed, so the per-packet membership test is an id compare.
+    accept: Vec<Sym>,
     /// Runtime-installed user header states.
     user: BTreeMap<String, HeaderDecl>,
 }
@@ -30,9 +32,9 @@ impl ParserGraph {
     /// A parser that recognizes only the built-in protocols.
     pub fn new() -> ParserGraph {
         ParserGraph {
-            builtin: HeaderRegistry::builtins()
+            accept: HeaderRegistry::builtins()
                 .iter()
-                .map(|d| d.name.clone())
+                .map(|d| Sym::intern(&d.name))
                 .collect(),
             user: BTreeMap::new(),
         }
@@ -55,6 +57,7 @@ impl ParserGraph {
                 )));
             }
         }
+        self.accept.push(Sym::intern(&decl.name));
         self.user.insert(decl.name.clone(), decl.clone());
         Ok(())
     }
@@ -62,7 +65,7 @@ impl ParserGraph {
     /// Removes a user parser state. Built-in protocols cannot be removed,
     /// and neither can a state that another installed state follows.
     pub fn remove_state(&mut self, proto: &str) -> Result<()> {
-        if self.builtin.iter().any(|b| b == proto) {
+        if self.can_parse(proto) && !self.user.contains_key(proto) {
             return Err(FlexError::Reconfig(format!(
                 "cannot remove built-in parser state `{proto}`"
             )));
@@ -80,13 +83,19 @@ impl ParserGraph {
         if self.user.remove(proto).is_none() {
             return Err(FlexError::NotFound(format!("parser state `{proto}`")));
         }
+        self.accept.retain(|p| *p != proto);
         Ok(())
     }
 
     /// Whether a protocol is parseable.
-    #[inline]
     pub fn can_parse(&self, proto: &str) -> bool {
-        self.builtin.iter().any(|b| b == proto) || self.user.contains_key(proto)
+        Sym::lookup(proto).is_some_and(|p| self.can_parse_sym(p))
+    }
+
+    /// Whether a protocol is parseable — the per-packet form.
+    #[inline]
+    pub fn can_parse_sym(&self, proto: Sym) -> bool {
+        self.accept.contains(&proto)
     }
 
     /// The installed user header declarations.
@@ -107,64 +116,30 @@ impl ParserGraph {
     /// Splits a packet's header stack into the *visible* prefix the program
     /// sees and the hidden remainder, returning the hidden headers with
     /// their original positions so they can be reattached after processing.
+    /// When every header is parseable nothing is stripped and the returned
+    /// list is empty and unallocated.
     ///
     /// Mirrors real parsers: parsing proceeds front-to-back and *stops* at
     /// the first unrecognized header — everything after it is payload.
-    pub fn strip_invisible(&self, pkt: &mut Packet) -> Vec<(usize, flexnet_types::Header)> {
-        let mut hidden = Vec::new();
-        let mut stop = pkt.headers.len();
-        for (i, h) in pkt.headers.iter().enumerate() {
-            if !self.can_parse(&h.proto) {
-                stop = i;
-                break;
-            }
-        }
-        while pkt.headers.len() > stop {
-            let h = pkt.headers.remove(stop);
-            hidden.push((stop + hidden.len(), h));
-        }
-        hidden
-    }
-
-    /// Whether every header of `pkt` is parseable — the burst fast path:
-    /// when true, [`ParserGraph::strip_invisible`] would strip nothing, so
-    /// the caller can skip building and reattaching the hidden-header list
-    /// entirely. Membership verdicts come from the run-scoped cache.
     #[inline]
-    pub fn all_visible_cached(&self, pkt: &Packet, cache: &mut ProtoCache) -> bool {
-        pkt.headers.iter().all(|h| cache.check(self, &h.proto))
-    }
-
-    /// [`ParserGraph::strip_invisible`] with the `can_parse` membership test
-    /// served from a run-scoped [`ProtoCache`]. The burst path uses this —
-    /// a burst shares a handful of protocol names, so the builtin scan plus
-    /// user-header map probe collapses to a short string-equality sweep over
-    /// names already ruled on this burst. The single-packet path keeps the
-    /// uncached form.
-    #[inline]
-    pub fn strip_invisible_cached(
-        &self,
-        pkt: &mut Packet,
-        cache: &mut ProtoCache,
-    ) -> Vec<(usize, flexnet_types::Header)> {
-        let mut hidden = Vec::new();
-        let mut stop = pkt.headers.len();
-        for (i, h) in pkt.headers.iter().enumerate() {
-            if !cache.check(self, &h.proto) {
-                stop = i;
-                break;
-            }
-        }
-        while pkt.headers.len() > stop {
-            let h = pkt.headers.remove(stop);
-            hidden.push((stop + hidden.len(), h));
-        }
-        hidden
+    pub fn strip_invisible(&self, pkt: &mut Packet) -> Vec<(usize, Header)> {
+        let Some(visible) = pkt
+            .headers
+            .iter()
+            .position(|h| !self.can_parse_sym(h.proto))
+        else {
+            return Vec::new();
+        };
+        pkt.headers
+            .drain(visible..)
+            .enumerate()
+            .map(|(i, h)| (visible + i, h))
+            .collect()
     }
 
     /// Reattaches headers previously removed by [`ParserGraph::strip_invisible`].
     #[inline]
-    pub fn reattach(&self, pkt: &mut Packet, hidden: Vec<(usize, flexnet_types::Header)>) {
+    pub fn reattach(&self, pkt: &mut Packet, hidden: Vec<(usize, Header)>) {
         for (pos, h) in hidden {
             let idx = pos.min(pkt.headers.len());
             pkt.headers.insert(idx, h);
@@ -172,56 +147,10 @@ impl ParserGraph {
     }
 }
 
-/// Memoized `can_parse` verdicts for one burst.
-///
-/// The cache must be reset (not dropped) between bursts: a reconfiguration
-/// landing between two bursts can change the parser's accept set, but
-/// within one `process_burst` call the parser is fixed. String slots are
-/// reused across bursts (`clear()` + `push_str`) so the steady-state burst
-/// pump stays allocation-free.
-#[derive(Debug, Default)]
-pub struct ProtoCache {
-    names: Vec<String>,
-    verdicts: Vec<bool>,
-    live: usize,
-}
-
-impl ProtoCache {
-    /// Invalidates every memoized verdict while keeping slot capacity.
-    pub fn reset(&mut self) {
-        self.live = 0;
-    }
-
-    /// Whether `parser` accepts `proto`, memoized for this burst.
-    #[inline]
-    pub fn check(&mut self, parser: &ParserGraph, proto: &str) -> bool {
-        for (name, &verdict) in self.names[..self.live]
-            .iter()
-            .zip(&self.verdicts[..self.live])
-        {
-            if name == proto {
-                return verdict;
-            }
-        }
-        let verdict = parser.can_parse(proto);
-        if self.live < self.names.len() {
-            self.names[self.live].clear();
-            self.names[self.live].push_str(proto);
-            self.verdicts[self.live] = verdict;
-        } else {
-            self.names.push(proto.to_string());
-            self.verdicts.push(verdict);
-        }
-        self.live += 1;
-        verdict
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use flexnet_lang::ast::{FieldDecl, FollowsClause};
-    use flexnet_types::Header;
 
     fn vxlan() -> HeaderDecl {
         HeaderDecl {

@@ -25,7 +25,7 @@
 use flexnet_lang::ast::{StateDecl, StateKind};
 use flexnet_types::{FlexError, Result, SimDuration, SimTime, Trap};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// How a device encodes logical key/value maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -75,22 +75,83 @@ impl LogicalState {
     }
 }
 
+/// An exact store that remembers the order its keys were last stamped in.
+/// Stamping on insert only gives FIFO eviction (flow-instruction sets);
+/// restamping on every hit and overwrite gives LRU (stateful tables). Every
+/// operation is O(log n): the oldest key is the first entry of `by_stamp`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct StampedStore {
+    /// key → (value, stamp).
+    entries: BTreeMap<u64, (u64, u64)>,
+    /// stamp → key, for exactly the stamps held in `entries`.
+    by_stamp: BTreeMap<u64, u64>,
+    next_stamp: u64,
+    cap: usize,
+}
+
+impl StampedStore {
+    fn new(cap: usize) -> StampedStore {
+        StampedStore {
+            entries: BTreeMap::new(),
+            by_stamp: BTreeMap::new(),
+            next_stamp: 0,
+            cap: cap.max(1),
+        }
+    }
+
+    /// Makes `key` the newest: moves it from `*stamp` to a fresh stamp.
+    fn restamp(by_stamp: &mut BTreeMap<u64, u64>, next: &mut u64, stamp: &mut u64, key: u64) {
+        by_stamp.remove(stamp);
+        *stamp = *next;
+        *next += 1;
+        by_stamp.insert(*stamp, key);
+    }
+
+    fn get(&mut self, key: u64, restamp: bool) -> Option<u64> {
+        let (value, stamp) = self.entries.get_mut(&key)?;
+        if restamp {
+            Self::restamp(&mut self.by_stamp, &mut self.next_stamp, stamp, key);
+        }
+        Some(*value)
+    }
+
+    fn put(&mut self, key: u64, value: u64, restamp: bool) {
+        if let Some((old, stamp)) = self.entries.get_mut(&key) {
+            *old = value;
+            if restamp {
+                Self::restamp(&mut self.by_stamp, &mut self.next_stamp, stamp, key);
+            }
+            return;
+        }
+        if self.entries.len() >= self.cap {
+            if let Some((_, oldest)) = self.by_stamp.pop_first() {
+                self.entries.remove(&oldest);
+            }
+        }
+        self.by_stamp.insert(self.next_stamp, key);
+        self.entries.insert(key, (value, self.next_stamp));
+        self.next_stamp += 1;
+    }
+
+    fn del(&mut self, key: u64) {
+        if let Some((_, stamp)) = self.entries.remove(&key) {
+            self.by_stamp.remove(&stamp);
+        }
+    }
+
+    fn to_logical(&self) -> BTreeMap<u64, u64> {
+        self.entries.iter().map(|(k, (v, _))| (*k, *v)).collect()
+    }
+}
+
 /// One logical map under a specific encoding.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 enum MapStore {
-    Registers {
-        slots: Vec<Option<(u64, u64)>>,
-    },
-    FlowIs {
-        entries: BTreeMap<u64, u64>,
-        order: VecDeque<u64>,
-        cap: usize,
-    },
-    Stateful {
-        entries: BTreeMap<u64, u64>,
-        lru: VecDeque<u64>,
-        cap: usize,
-    },
+    Registers { slots: Vec<Option<(u64, u64)>> },
+    /// FIFO eviction.
+    FlowIs(StampedStore),
+    /// LRU eviction.
+    Stateful(StampedStore),
 }
 
 impl MapStore {
@@ -99,16 +160,8 @@ impl MapStore {
             StateEncoding::RegisterArray => MapStore::Registers {
                 slots: vec![None; cap.max(1)],
             },
-            StateEncoding::FlowInstructionSet => MapStore::FlowIs {
-                entries: BTreeMap::new(),
-                order: VecDeque::new(),
-                cap: cap.max(1),
-            },
-            StateEncoding::StatefulTable => MapStore::Stateful {
-                entries: BTreeMap::new(),
-                lru: VecDeque::new(),
-                cap: cap.max(1),
-            },
+            StateEncoding::FlowInstructionSet => MapStore::FlowIs(StampedStore::new(cap)),
+            StateEncoding::StatefulTable => MapStore::Stateful(StampedStore::new(cap)),
         }
     }
 
@@ -132,18 +185,8 @@ impl MapStore {
                     _ => None, // collision or empty: miss
                 }
             }
-            MapStore::FlowIs { entries, .. } => entries.get(&key).copied(),
-            MapStore::Stateful { entries, lru, .. } => {
-                let v = entries.get(&key).copied();
-                if v.is_some() {
-                    // Touch for LRU.
-                    if let Some(pos) = lru.iter().position(|k| *k == key) {
-                        lru.remove(pos);
-                    }
-                    lru.push_back(key);
-                }
-                v
-            }
+            MapStore::FlowIs(store) => store.get(key, false),
+            MapStore::Stateful(store) => store.get(key, true),
         }
     }
 
@@ -161,34 +204,12 @@ impl MapStore {
                     }
                 }
             }
-            MapStore::FlowIs {
-                entries,
-                order,
-                cap,
-            } => {
-                if !entries.contains_key(&key) {
-                    if entries.len() >= *cap {
-                        if let Some(old) = order.pop_front() {
-                            entries.remove(&old);
-                        }
-                    }
-                    order.push_back(key);
-                }
-                entries.insert(key, value);
+            MapStore::FlowIs(store) => {
+                store.put(key, value, false);
                 true
             }
-            MapStore::Stateful { entries, lru, cap } => {
-                if !entries.contains_key(&key) {
-                    if entries.len() >= *cap {
-                        if let Some(old) = lru.pop_front() {
-                            entries.remove(&old);
-                        }
-                    }
-                } else if let Some(pos) = lru.iter().position(|k| *k == key) {
-                    lru.remove(pos);
-                }
-                lru.push_back(key);
-                entries.insert(key, value);
+            MapStore::Stateful(store) => {
+                store.put(key, value, true);
                 true
             }
         }
@@ -202,14 +223,7 @@ impl MapStore {
                     slots[idx] = None;
                 }
             }
-            MapStore::FlowIs { entries, order, .. } => {
-                entries.remove(&key);
-                order.retain(|k| *k != key);
-            }
-            MapStore::Stateful { entries, lru, .. } => {
-                entries.remove(&key);
-                lru.retain(|k| *k != key);
-            }
+            MapStore::FlowIs(store) | MapStore::Stateful(store) => store.del(key),
         }
     }
 
@@ -218,9 +232,7 @@ impl MapStore {
             MapStore::Registers { slots } => {
                 slots.iter().flatten().map(|(k, v)| (*k, *v)).collect()
             }
-            MapStore::FlowIs { entries, .. } | MapStore::Stateful { entries, .. } => {
-                entries.clone()
-            }
+            MapStore::FlowIs(store) | MapStore::Stateful(store) => store.to_logical(),
         }
     }
 
@@ -233,9 +245,7 @@ impl MapStore {
     fn len(&self) -> usize {
         match self {
             MapStore::Registers { slots } => slots.iter().flatten().count(),
-            MapStore::FlowIs { entries, .. } | MapStore::Stateful { entries, .. } => {
-                entries.len()
-            }
+            MapStore::FlowIs(store) | MapStore::Stateful(store) => store.entries.len(),
         }
     }
 }
@@ -790,26 +800,25 @@ impl DeviceState {
 
     /// Slot-form of [`DeviceState::reg_write_checked`].
     pub fn reg_write_at_checked(&mut self, slot: u16, idx: u64, val: u64) -> Result<()> {
-        let name = self.registers.name_at(slot).map(str::to_string);
-        match self.registers.at_mut(slot) {
-            Some(r) => {
-                let size = r.len() as u64;
-                match r.get_mut(idx as usize) {
-                    Some(cell) => {
-                        *cell = val;
-                        Ok(())
-                    }
-                    None => Err(Trap::StateOutOfBounds {
-                        kind: "register",
-                        name: name.unwrap_or_else(|| "?".into()),
-                        index: idx,
-                        size,
-                    }
-                    .into()),
-                }
-            }
-            None => Ok(()),
+        let Some(r) = self.registers.at_mut(slot) else {
+            return Ok(());
+        };
+        let size = r.len() as u64;
+        if let Some(cell) = r.get_mut(idx as usize) {
+            *cell = val;
+            return Ok(());
         }
+        Err(Trap::StateOutOfBounds {
+            kind: "register",
+            name: self
+                .registers
+                .name_at(slot)
+                .unwrap_or("?")
+                .to_string(),
+            index: idx,
+            size,
+        }
+        .into())
     }
 
     /// The declared size of a register, if declared (quarantine
@@ -891,6 +900,115 @@ mod tests {
         s.map_put("m", 3, 3).unwrap(); // evicts 2
         assert_eq!(s.map_get("m", 2), None);
         assert_eq!(s.map_get("m", 1), Some(1));
+    }
+
+    /// The scan-and-shift exact store that [`StampedStore`] replaced, kept
+    /// as the reference it must agree with.
+    struct ScanStore {
+        entries: BTreeMap<u64, u64>,
+        order: std::collections::VecDeque<u64>,
+        cap: usize,
+    }
+
+    impl ScanStore {
+        fn touch(&mut self, key: u64) {
+            if let Some(pos) = self.order.iter().position(|k| *k == key) {
+                self.order.remove(pos);
+            }
+            self.order.push_back(key);
+        }
+
+        fn get(&mut self, key: u64, lru: bool) -> Option<u64> {
+            let v = self.entries.get(&key).copied();
+            if v.is_some() && lru {
+                self.touch(key);
+            }
+            v
+        }
+
+        fn put(&mut self, key: u64, value: u64, lru: bool) {
+            if !self.entries.contains_key(&key) {
+                if self.entries.len() >= self.cap {
+                    if let Some(old) = self.order.pop_front() {
+                        self.entries.remove(&old);
+                    }
+                }
+                self.order.push_back(key);
+            } else if lru {
+                self.touch(key);
+            }
+            self.entries.insert(key, value);
+        }
+
+        fn del(&mut self, key: u64) {
+            self.entries.remove(&key);
+            self.order.retain(|k| *k != key);
+        }
+    }
+
+    fn same_survivors(new: &StampedStore, old: &ScanStore) -> bool {
+        let new = new.entries.iter().map(|(k, (v, _))| (k, v));
+        new.eq(old.entries.iter())
+    }
+
+    #[test]
+    fn stamped_store_replays_like_the_scanning_store() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for lru in [false, true] {
+            for cap in [1usize, 4, 1024] {
+                let mut rng = StdRng::seed_from_u64(0x57a3 ^ cap as u64 ^ lru as u64);
+                let mut new = StampedStore::new(cap);
+                let mut old = ScanStore {
+                    entries: BTreeMap::new(),
+                    order: Default::default(),
+                    cap,
+                };
+                // Twice as many keys as slots: hits, misses and evictions.
+                let keys = 2 * cap as u64 + 1;
+                for op in 0..12_000u64 {
+                    let key = rng.gen_range(0..keys);
+                    match rng.gen_range(0..10u32) {
+                        0..=3 => assert_eq!(new.get(key, lru), old.get(key, lru), "op {op}"),
+                        4..=8 => {
+                            new.put(key, op, lru);
+                            old.put(key, op, lru);
+                        }
+                        _ => {
+                            new.del(key);
+                            old.del(key);
+                        }
+                    }
+                    assert!(same_survivors(&new, &old), "cap {cap} lru {lru} op {op}");
+                    assert_eq!(new.by_stamp.len(), new.entries.len());
+                }
+                // Same eviction order from here on: fill with fresh keys and
+                // compare who survives each insert.
+                for fresh in 0..2 * cap as u64 {
+                    new.put(keys + fresh, 0, lru);
+                    old.put(keys + fresh, 0, lru);
+                    assert!(same_survivors(&new, &old), "cap {cap} lru {lru} fill {fresh}");
+                }
+                assert_eq!(new.to_logical(), old.entries);
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_restore_keeps_survivors_under_both_exact_encodings() {
+        for enc in [StateEncoding::FlowInstructionSet, StateEncoding::StatefulTable] {
+            let mut s = DeviceState::from_decls(&[map_decl("m", 3)], enc);
+            for k in 0..5 {
+                s.map_put("m", k, k * 10).unwrap();
+            }
+            let _ = s.map_get("m", 2);
+            s.map_del("m", 3);
+            let snap = s.snapshot();
+            let mut t = DeviceState::from_decls(&[map_decl("m", 3)], enc);
+            t.restore(&snap);
+            assert_eq!(t.snapshot(), snap);
+            assert_eq!(t.map_len("m"), 2);
+        }
     }
 
     #[test]

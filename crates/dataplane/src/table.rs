@@ -15,7 +15,7 @@
 //! latest-inserted entry).
 
 use flexnet_lang::ast::{ActionCall, TableDecl};
-use flexnet_types::{FlexError, Result};
+use flexnet_types::{FlexError, Result, Sym};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -133,6 +133,9 @@ impl TableEntry {
 pub struct TableInstance {
     /// The declaration this instance implements.
     pub decl: TableDecl,
+    /// `decl.keys` as interned `(proto, field)` pairs, resolved once here so
+    /// batch classification gathers keys without touching a name.
+    key_syms: Vec<(Sym, Sym)>,
     /// Installed entries.
     pub entries: Vec<TableEntry>,
     /// Cached per-entry `(priority, specificity)` ranks (insert-time, not
@@ -153,6 +156,7 @@ impl TableInstance {
     /// An empty instance of `decl`.
     pub fn new(decl: TableDecl) -> TableInstance {
         let mut t = TableInstance {
+            key_syms: decl.keys.iter().map(|k| k.field.syms()).collect(),
             decl,
             entries: Vec::new(),
             ranks: Vec::new(),
@@ -363,6 +367,12 @@ impl TableInstance {
     /// Number of key components each entry of this table matches on.
     pub fn key_arity(&self) -> usize {
         self.decl.keys.len()
+    }
+
+    /// The key fields as interned `(proto, field)` pairs, in declaration
+    /// order.
+    pub fn key_syms(&self) -> &[(Sym, Sym)] {
+        &self.key_syms
     }
 
     /// Current occupancy.

@@ -14,7 +14,7 @@
 //! round-tripping is pinned by tests and exploited by the fuzz harness
 //! (valid frames must parse; arbitrary bytes must parse-or-trap).
 
-use flexnet_types::{FlexError, Header, Packet, Result, Trap};
+use flexnet_types::{FlexError, Header, Packet, Result, Sym, Trap};
 
 /// Maximum 802.1Q tags the parser will walk before declaring the frame
 /// malformed (real pipelines bound VLAN stacking the same way).
@@ -167,7 +167,7 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
         }
         let tci = be16(bytes, off);
         let mut h = Header::vlan(tci & 0x0fff);
-        h.set("pcp", tci >> 13);
+        h.fields.insert(Sym::PCP, tci >> 13);
         headers.push(h);
         ethertype = be16(bytes, off + 2);
         off += 4;
@@ -215,9 +215,9 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
         let ip_src = be32(bytes, off + 12);
         let ip_dst = be32(bytes, off + 16);
         let mut h = Header::ipv4(ip_src as u32, ip_dst as u32, proto);
-        h.set("ttl", ttl);
-        h.set("dscp", tos >> 2);
-        h.set("ecn", tos & 0x3);
+        h.fields.insert(Sym::TTL, ttl);
+        h.fields.insert(Sym::DSCP, tos >> 2);
+        h.fields.insert(Sym::ECN, tos & 0x3);
         headers.push(h);
         let l4_off = off + hdr_len;
         let l4_end = off + total_len;
@@ -247,9 +247,9 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
                     be16(bytes, off + 2) as u16,
                     bytes[off + 13],
                 );
-                h.set("seq", be32(bytes, off + 4));
-                h.set("ack", be32(bytes, off + 8));
-                h.set("window", be16(bytes, off + 14));
+                h.fields.insert(Sym::SEQ, be32(bytes, off + 4));
+                h.fields.insert(Sym::ACK, be32(bytes, off + 8));
+                h.fields.insert(Sym::WINDOW, be16(bytes, off + 14));
                 headers.push(h);
                 payload_start = off + data_off * 4;
             }
@@ -308,22 +308,27 @@ fn push48(out: &mut Vec<u8>, v: u64) {
     }
 }
 
+/// Reads `name` from an optional header.
+fn field(h: Option<&Header>, name: Sym) -> Option<u64> {
+    h.and_then(|h| h.get_sym(name))
+}
+
 /// Encodes a packet back to wire bytes for the protocols the codec
 /// speaks (eth, vlan, ipv4, tcp, udp). Headers the codec does not know
 /// are skipped — the encoder exists to make *valid* frames for tests
 /// and the chaos suite, not to be a general serializer.
 pub fn encode_wire(pkt: &Packet) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    let eth = pkt.header("eth");
-    push48(&mut out, eth.and_then(|h| h.get("dst")).unwrap_or(2));
-    push48(&mut out, eth.and_then(|h| h.get("src")).unwrap_or(1));
+    let eth = pkt.header_sym(Sym::ETH);
+    push48(&mut out, field(eth, Sym::DST).unwrap_or(2));
+    push48(&mut out, field(eth, Sym::SRC).unwrap_or(1));
 
-    let vlans: Vec<&Header> = pkt.headers.iter().filter(|h| h.proto == "vlan").collect();
-    let has_ip = pkt.has_header("ipv4");
+    let vlans: Vec<&Header> = pkt.headers.iter().filter(|h| h.proto == Sym::VLAN).collect();
+    let has_ip = pkt.has_header_sym(Sym::IPV4);
     let inner_ethertype = if has_ip {
         0x0800
     } else {
-        eth.and_then(|h| h.get("ethertype")).unwrap_or(0xffff)
+        field(eth, Sym::ETHERTYPE).unwrap_or(0xffff)
     };
     if vlans.is_empty() {
         push16(&mut out, inner_ethertype);
@@ -332,7 +337,8 @@ pub fn encode_wire(pkt: &Packet) -> Vec<u8> {
         // carries the inner ethertype.
         for (i, v) in vlans.iter().enumerate() {
             push16(&mut out, 0x8100);
-            let tci = (v.get("pcp").unwrap_or(0) << 13) | (v.get("vid").unwrap_or(0) & 0x0fff);
+            let tci = (v.get_sym(Sym::PCP).unwrap_or(0) << 13)
+                | (v.get_sym(Sym::VID).unwrap_or(0) & 0x0fff);
             push16(&mut out, tci);
             if i + 1 == vlans.len() {
                 push16(&mut out, inner_ethertype);
@@ -340,28 +346,28 @@ pub fn encode_wire(pkt: &Packet) -> Vec<u8> {
         }
     }
 
-    if let Some(ip) = pkt.header("ipv4") {
-        let proto = ip.get("proto").unwrap_or(0) as u8;
+    if let Some(ip) = pkt.header_sym(Sym::IPV4) {
+        let proto = ip.get_sym(Sym::PROTO).unwrap_or(0) as u8;
         let l4: Vec<u8> = match proto {
             6 => {
-                let t = pkt.header("tcp");
+                let t = pkt.header_sym(Sym::TCP);
                 let mut l4 = Vec::with_capacity(20);
-                push16(&mut l4, t.and_then(|h| h.get("sport")).unwrap_or(0));
-                push16(&mut l4, t.and_then(|h| h.get("dport")).unwrap_or(0));
-                push32(&mut l4, t.and_then(|h| h.get("seq")).unwrap_or(0));
-                push32(&mut l4, t.and_then(|h| h.get("ack")).unwrap_or(0));
+                push16(&mut l4, field(t, Sym::SPORT).unwrap_or(0));
+                push16(&mut l4, field(t, Sym::DPORT).unwrap_or(0));
+                push32(&mut l4, field(t, Sym::SEQ).unwrap_or(0));
+                push32(&mut l4, field(t, Sym::ACK).unwrap_or(0));
                 l4.push(5 << 4); // data offset 5, no options
-                l4.push(t.and_then(|h| h.get("flags")).unwrap_or(0) as u8);
-                push16(&mut l4, t.and_then(|h| h.get("window")).unwrap_or(65_535));
+                l4.push(field(t, Sym::FLAGS).unwrap_or(0) as u8);
+                push16(&mut l4, field(t, Sym::WINDOW).unwrap_or(65_535));
                 push16(&mut l4, 0); // checksum (unchecked by the parser)
                 push16(&mut l4, 0); // urgent pointer
                 l4
             }
             17 => {
-                let u = pkt.header("udp");
+                let u = pkt.header_sym(Sym::UDP);
                 let mut l4 = Vec::with_capacity(8);
-                push16(&mut l4, u.and_then(|h| h.get("sport")).unwrap_or(0));
-                push16(&mut l4, u.and_then(|h| h.get("dport")).unwrap_or(0));
+                push16(&mut l4, field(u, Sym::SPORT).unwrap_or(0));
+                push16(&mut l4, field(u, Sym::DPORT).unwrap_or(0));
                 push16(&mut l4, 8 + pkt.payload.len() as u64);
                 push16(&mut l4, 0); // checksum
                 l4
@@ -370,16 +376,17 @@ pub fn encode_wire(pkt: &Packet) -> Vec<u8> {
         };
         let total_len = 20 + l4.len() + pkt.payload.len();
         out.push(0x45); // version 4, ihl 5
-        let tos = (ip.get("dscp").unwrap_or(0) << 2) | (ip.get("ecn").unwrap_or(0) & 0x3);
+        let tos =
+            (ip.get_sym(Sym::DSCP).unwrap_or(0) << 2) | (ip.get_sym(Sym::ECN).unwrap_or(0) & 0x3);
         out.push(tos as u8);
         push16(&mut out, total_len as u64);
         push16(&mut out, 0); // identification
         push16(&mut out, 0); // flags/fragment
-        out.push(ip.get("ttl").unwrap_or(64) as u8);
+        out.push(ip.get_sym(Sym::TTL).unwrap_or(64) as u8);
         out.push(proto);
         push16(&mut out, 0); // checksum (unchecked by the parser)
-        push32(&mut out, ip.get("src").unwrap_or(0));
-        push32(&mut out, ip.get("dst").unwrap_or(0));
+        push32(&mut out, ip.get_sym(Sym::SRC).unwrap_or(0));
+        push32(&mut out, ip.get_sym(Sym::DST).unwrap_or(0));
         out.extend_from_slice(&l4);
     }
     out.extend_from_slice(&pkt.payload);

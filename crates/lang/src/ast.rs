@@ -13,6 +13,7 @@
 //! `Clone + PartialEq + Serialize` and the tree can be pretty-printed back
 //! to parseable source (`to_source`), which the tests round-trip.
 
+use flexnet_types::Sym;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fmt::Write as _;
@@ -207,6 +208,15 @@ impl FieldPath {
         match self {
             FieldPath::Header(p, f) => format!("{p}.{f}"),
             FieldPath::Meta(f) => format!("meta.{f}"),
+        }
+    }
+
+    /// The interned `(proto, field)` form used by the packet path. This is
+    /// where a program's field names enter the interner.
+    pub fn syms(&self) -> (Sym, Sym) {
+        match self {
+            FieldPath::Header(p, f) => (Sym::intern(p), Sym::intern(f)),
+            FieldPath::Meta(f) => (Sym::META, Sym::intern(f)),
         }
     }
 }

@@ -6,9 +6,10 @@
 //! programmability must not impose on the data plane. This module lowers a
 //! type-checked program **once, at install/flip time**, into a flat
 //! instruction array in which every symbol is a dense `u16` slot index and
-//! every field path is an interned id. Devices keep a matching slot-indexed
-//! state plane and swap whole compiled images atomically on a flip, so the
-//! old-XOR-new reconfiguration semantics are untouched.
+//! every protocol and field name is an interned [`flexnet_types::Sym`].
+//! Devices keep a matching slot-indexed state plane and swap whole compiled
+//! images atomically on a flip, so the old-XOR-new reconfiguration
+//! semantics are untouched.
 //!
 //! The lowering is **exactly** semantics- and ops-count-preserving with
 //! respect to the interpreter: every AST node that ticks the abstract op
@@ -24,7 +25,7 @@
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
 use crate::interp::{eval_bin, hash_values, ExecEnv, ExecOutcome, GAS_UNLIMITED, MAX_TABLE_KEY_WIDTH};
-use flexnet_types::{FlexError, Header, Packet, Result, Trap, Verdict};
+use flexnet_types::{Fields, FlexError, Header, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
 
 /// The kind of symbol a [`SlotResolver`] is asked to resolve.
@@ -163,7 +164,8 @@ pub enum Insn {
     PushInt(u64),
     /// Push a local slot's value.
     PushLocal(u16),
-    /// Push a packet field (interned dotted-path id); absent fields read 0.
+    /// Push a packet field (index into [`CompiledProgram::fields`]); absent
+    /// fields read 0.
     PushField(u32),
     /// Push 1 if the header (interned proto id) is present, else 0.
     PushValid(u32),
@@ -198,7 +200,8 @@ pub enum Insn {
     Jump(u32),
     /// Pop a value into a local slot (`let` / local assignment).
     StoreLocal(u16),
-    /// Pop a value into a packet field (interned dotted-path id).
+    /// Pop a value into a packet field (index into
+    /// [`CompiledProgram::fields`]).
     StoreField(u32),
     /// Pop value then key; insert into the map (full maps drop the insert).
     MapPut(u16),
@@ -256,7 +259,8 @@ pub struct TableMeta {
     pub name: String,
     /// The state-plane slot passed to [`SlotEnv::table_lookup`].
     pub slot: u16,
-    /// Interned dotted-path ids of the match keys, in declaration order.
+    /// The match keys as indices into [`CompiledProgram::fields`], in
+    /// declaration order.
     pub key_fields: Vec<u32>,
     /// Compiled actions, indexed by declaration position.
     pub actions: Vec<ActionMeta>,
@@ -269,18 +273,19 @@ pub struct TableMeta {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeaderTemplate {
     /// The protocol name.
-    pub proto: String,
+    pub proto: Sym,
     /// All declared fields, zeroed.
-    pub fields: BTreeMap<String, u64>,
+    pub fields: Fields,
     /// Where to insert: after this protocol, or at the top of the stack.
-    pub after: Option<String>,
+    pub after: Option<Sym>,
 }
 
 /// A program lowered to slot-resolved bytecode.
 ///
-/// Everything name-shaped was resolved at compile time; the per-kind
-/// `*_names` vectors (slot → name) exist so adapters and logs can translate
-/// back without consulting the AST.
+/// Everything name-shaped was resolved at compile time — packet names to
+/// interned [`Sym`]s, state names to slots; the per-kind `*_names` vectors
+/// (slot → name) exist so adapters and logs can translate back without
+/// consulting the AST.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompiledProgram {
     /// The source program's name.
@@ -291,15 +296,11 @@ pub struct CompiledProgram {
     pub handlers: Vec<(String, u32)>,
     /// Table metadata, indexed by [`Insn::Apply`]'s operand.
     pub tables: Vec<TableMeta>,
-    /// Interned dotted field paths (`ipv4.src`, `meta.mark`, …).
-    pub field_names: Vec<String>,
-    /// The same interned fields pre-split into `(proto, field)` parts,
-    /// index-aligned with [`CompiledProgram::field_names`]. The vector
-    /// executor's prefetch lane reads these to skip the per-access
-    /// `split_once('.')` of the dotted form.
-    pub field_parts: Vec<(String, String)>,
-    /// Interned protocol names (for `valid` / `remove_header`).
-    pub proto_names: Vec<String>,
+    /// The `(proto, field)` of every field path the program touches
+    /// (`ipv4.src`, `meta.mark`, …), indexed by the field operands.
+    pub fields: Vec<(Sym, Sym)>,
+    /// Protocol names (for `valid` / `remove_header`).
+    pub protos: Vec<Sym>,
     /// Header-insertion templates (for `add_header`).
     pub header_templates: Vec<HeaderTemplate>,
     /// Service names by slot (for invocation logging / adapters).
@@ -339,6 +340,16 @@ impl CompiledProgram {
     }
 }
 
+/// The index of the first item matching `is`, appending `make()` if none
+/// does: how the compiler dedups the few names a program mentions.
+fn index_of<T>(items: &mut Vec<T>, is: impl Fn(&T) -> bool, make: impl FnOnce() -> T) -> u32 {
+    let at = items.iter().position(is).unwrap_or_else(|| {
+        items.push(make());
+        items.len() - 1
+    });
+    at as u32
+}
+
 fn unresolved(kind: SymbolKind, name: &str) -> FlexError {
     FlexError::UnresolvedSymbol {
         kind: kind.as_str().into(),
@@ -364,9 +375,6 @@ pub fn compile(
             name: program.name.clone(),
             ..CompiledProgram::default()
         },
-        field_ids: BTreeMap::new(),
-        proto_ids: BTreeMap::new(),
-        template_ids: BTreeMap::new(),
         scopes: Vec::new(),
         next_local: 0,
     };
@@ -486,9 +494,6 @@ struct Compiler<'a> {
     registry: &'a HeaderRegistry,
     resolver: &'a dyn SlotResolver,
     out: CompiledProgram,
-    field_ids: BTreeMap<String, u32>,
-    proto_ids: BTreeMap<String, u32>,
-    template_ids: BTreeMap<String, u32>,
     /// Lexical frames, innermost last — mirrors the type checker exactly,
     /// which is what makes compile-time slot assignment sound.
     scopes: Vec<BTreeMap<String, u16>>,
@@ -517,51 +522,35 @@ impl Compiler<'_> {
     }
 
     fn intern_field(&mut self, p: &FieldPath) -> u32 {
-        let dotted = p.dotted();
-        if let Some(&id) = self.field_ids.get(&dotted) {
-            return id;
-        }
-        let id = self.out.field_names.len() as u32;
-        self.out.field_names.push(dotted.clone());
-        self.out.field_parts.push(match p {
-            FieldPath::Header(proto, field) => (proto.clone(), field.clone()),
-            FieldPath::Meta(field) => ("meta".to_string(), field.clone()),
-        });
-        self.field_ids.insert(dotted, id);
-        id
+        let syms = p.syms();
+        index_of(&mut self.out.fields, |f| *f == syms, || syms)
     }
 
     fn intern_proto(&mut self, proto: &str) -> u32 {
-        if let Some(&id) = self.proto_ids.get(proto) {
-            return id;
-        }
-        let id = self.out.proto_names.len() as u32;
-        self.out.proto_names.push(proto.to_string());
-        self.proto_ids.insert(proto.to_string(), id);
-        id
+        let proto = Sym::intern(proto);
+        index_of(&mut self.out.protos, |p| *p == proto, || proto)
     }
 
-    fn intern_template(&mut self, proto: &str) -> u32 {
-        if let Some(&id) = self.template_ids.get(proto) {
-            return id;
-        }
+    fn intern_template(&mut self, name: &str) -> u32 {
+        let proto = Sym::intern(name);
         // Mirrors the interpreter: unknown protos insert an empty-field
         // header at the top of the stack.
-        let decl = self.registry.decl(proto);
-        let fields = decl
-            .map(|d| d.fields.iter().map(|f| (f.name.clone(), 0)).collect())
-            .unwrap_or_default();
-        let after = decl
-            .and_then(|d| d.follows.as_ref())
-            .map(|f| f.prev_proto.clone());
-        let id = self.out.header_templates.len() as u32;
-        self.out.header_templates.push(HeaderTemplate {
-            proto: proto.to_string(),
-            fields,
-            after,
-        });
-        self.template_ids.insert(proto.to_string(), id);
-        id
+        let decl = self.registry.decl(name);
+        index_of(
+            &mut self.out.header_templates,
+            |t| t.proto == proto,
+            || HeaderTemplate {
+                proto,
+                fields: decl
+                    .into_iter()
+                    .flat_map(|d| &d.fields)
+                    .map(|f| (Sym::intern(&f.name), 0))
+                    .collect(),
+                after: decl
+                    .and_then(|d| d.follows.as_ref())
+                    .map(|f| Sym::intern(&f.prev_proto)),
+            },
+        )
     }
 
     fn slot(&self, kind: SymbolKind, name: &str) -> Result<u16> {
@@ -811,7 +800,7 @@ pub struct VmScratch {
     calls: Vec<usize>,
     keys: Vec<u64>,
     /// Prefetched field values, index-aligned with
-    /// [`CompiledProgram::field_names`]. Only the vector executor
+    /// [`CompiledProgram::fields`]. Only the vector executor
     /// ([`execute_compiled_vector`]) populates and reads this lane.
     fields: Vec<u64>,
 }
@@ -876,8 +865,11 @@ pub fn execute_compiled_at<E: SlotEnv + ?Sized>(
 /// [`execute_compiled_at`], plus a prefetched field-value lane. Every
 /// interned field is read once into `scratch.fields` at handler entry
 /// (and refreshed after any header-set mutation), so `PushField` and
-/// table-key gathering become single indexed loads instead of a dotted
-/// string split plus header scan per access. Gas accounting, verdicts,
+/// table-key gathering become single indexed loads instead of a header
+/// scan plus field scan per access. That pays on a burst of table
+/// lookups; the entry refetch reads fields a short program may never
+/// touch, which is why single packets keep the live lane (DESIGN.md §19).
+/// Gas accounting, verdicts,
 /// traps, and state effects are unchanged — the differential suite pins
 /// burst (this executor) against single-packet (the legacy one) across
 /// the whole gallery.
@@ -929,8 +921,8 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
         () => {
             if PREFETCH {
                 fields.clear();
-                for (proto, field) in &prog.field_parts {
-                    fields.push(pkt.get_field_at(proto, field).unwrap_or(0));
+                for &(proto, field) in &prog.fields {
+                    fields.push(pkt.get_field_sym(proto, field).unwrap_or(0));
                 }
             }
         };
@@ -992,12 +984,13 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
                 if PREFETCH {
                     stack.push(fields[*f as usize]);
                 } else {
-                    stack.push(pkt.get_field(&prog.field_names[*f as usize]).unwrap_or(0));
+                    let (proto, field) = prog.fields[*f as usize];
+                    stack.push(pkt.get_field_sym(proto, field).unwrap_or(0));
                 }
             }
             Insn::PushValid(p) => {
                 tick!(1);
-                stack.push(pkt.has_header(&prog.proto_names[*p as usize]) as u64);
+                stack.push(pkt.has_header_sym(prog.protos[*p as usize]) as u64);
             }
             Insn::MapGet(m) => {
                 tick!(1);
@@ -1085,13 +1078,13 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
             Insn::StoreField(f) => {
                 tick!(1);
                 let v = pop!();
-                pkt.set_field(&prog.field_names[*f as usize], v);
+                let (proto, field) = prog.fields[*f as usize];
+                pkt.set_field_sym(proto, field, v);
                 if PREFETCH {
                     // Write-through: refresh just this lane slot from the
                     // packet (a store to a missing header is a no-op, which
                     // the re-read reproduces exactly).
-                    let (proto, field) = &prog.field_parts[*f as usize];
-                    fields[*f as usize] = pkt.get_field_at(proto, field).unwrap_or(0);
+                    fields[*f as usize] = pkt.get_field_sym(proto, field).unwrap_or(0);
                 }
             }
             Insn::MapPut(m) => {
@@ -1161,7 +1154,8 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
                     keys.push(if PREFETCH {
                         fields[f as usize]
                     } else {
-                        pkt.get_field(&prog.field_names[f as usize]).unwrap_or(0)
+                        let (proto, field) = prog.fields[f as usize];
+                        pkt.get_field_sym(proto, field).unwrap_or(0)
                     });
                 }
                 let dispatch = match env.table_lookup(meta.slot, keys) {
@@ -1252,20 +1246,20 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
             Insn::AddHeader(t) => {
                 tick!(1);
                 let tpl = &prog.header_templates[*t as usize];
-                if !pkt.has_header(&tpl.proto) {
-                    pkt.insert_header(
+                if !pkt.has_header_sym(tpl.proto) {
+                    pkt.insert_header_sym(
                         Header {
-                            proto: tpl.proto.clone(),
+                            proto: tpl.proto,
                             fields: tpl.fields.clone(),
                         },
-                        tpl.after.as_deref(),
+                        tpl.after,
                     );
                     refetch!();
                 }
             }
             Insn::RemoveHeader(p) => {
                 tick!(1);
-                pkt.remove_header(&prog.proto_names[*p as usize]);
+                pkt.remove_header_sym(prog.protos[*p as usize]);
                 refetch!();
             }
         }

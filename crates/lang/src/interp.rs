@@ -13,7 +13,7 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
-use flexnet_types::{FlexError, Packet, Result, Trap, Verdict};
+use flexnet_types::{FlexError, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
 
 /// Sentinel gas budget meaning "no limit". The metering checkpoints still
@@ -346,23 +346,21 @@ impl<'a> Interp<'a> {
             Stmt::AddHeader(proto) => {
                 self.tick(1)?; // AddHeader
                 if !pkt.has_header(proto) {
-                    let mut fields = BTreeMap::new();
-                    if let Some(decl) = self.headers.decl(proto) {
-                        for f in &decl.fields {
-                            fields.insert(f.name.clone(), 0);
-                        }
-                    }
-                    let after = self
-                        .headers
-                        .decl(proto)
+                    let decl = self.headers.decl(proto);
+                    let fields = decl
+                        .into_iter()
+                        .flat_map(|d| &d.fields)
+                        .map(|f| (Sym::intern(&f.name), 0))
+                        .collect();
+                    let after = decl
                         .and_then(|d| d.follows.as_ref())
-                        .map(|f| f.prev_proto.clone());
+                        .map(|f| f.prev_proto.as_str());
                     pkt.insert_header(
                         flexnet_types::Header {
-                            proto: proto.clone(),
+                            proto: Sym::intern(proto),
                             fields,
                         },
-                        after.as_deref(),
+                        after,
                     );
                 }
                 Ok(Flow::Continue)

@@ -14,7 +14,7 @@ use crate::workload::Departure;
 use flexnet_dataplane::reconfig::ReconfigReport;
 use flexnet_dataplane::table::{KeyMatch, TableEntry};
 use flexnet_lang::diff::ProgramBundle;
-use flexnet_types::{LinkId, NodeId, Packet, SimDuration, SimTime, Verdict};
+use flexnet_types::{LinkId, NodeId, Packet, SimDuration, SimTime, Sym, Verdict};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -536,8 +536,8 @@ impl Simulation {
             Verdict::Forward(port) => {
                 let dst = pkt
                     .metadata
-                    .get("dst_node")
-                    .map(|v| NodeId(*v as u32));
+                    .get_sym(Sym::DST_NODE)
+                    .map(|v| NodeId(v as u32));
                 // Delivered when we are the destination host.
                 if dst == Some(node_id) && node_kind == NodeKind::Host {
                     self.metrics.record_delivered(&pkt, done_at);

@@ -6,7 +6,7 @@
 //! use case (E3), and a tenant churn trace for E5. All generators are
 //! seeded and fully deterministic.
 
-use flexnet_types::{NodeId, Packet, SimDuration, SimTime};
+use flexnet_types::{NodeId, Packet, SimDuration, SimTime, Sym};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -164,7 +164,7 @@ fn build_packet(id: u64, f: &FlowSpec) -> Packet {
         Packet::udp(id, f.src_ip, f.dst_ip, f.src_port, f.dst_port)
     };
     pkt.payload_len = f.payload;
-    pkt.metadata.insert("dst_node".into(), f.dst_node.raw() as u64);
+    pkt.metadata.insert(Sym::DST_NODE, f.dst_node.raw() as u64);
     pkt
 }
 
@@ -188,14 +188,14 @@ pub fn syn_flood(
     let mut t = start;
     let end = start + duration;
     let mut id = 1_000_000_000u64;
+    let attack = Sym::intern("attack");
     while t < end {
         let spoofed: u32 = rng.gen();
         let mut pkt = Packet::tcp(id, spoofed, victim_ip, rng.gen(), 80, 0x02);
         pkt.payload_len = 40;
         pkt.ingress_time = t;
-        pkt.metadata
-            .insert("dst_node".into(), victim_node.raw() as u64);
-        pkt.metadata.insert("attack".into(), 1);
+        pkt.metadata.insert(Sym::DST_NODE, victim_node.raw() as u64);
+        pkt.metadata.insert(attack, 1);
         out.push(Departure {
             at: t,
             node: attack_node,

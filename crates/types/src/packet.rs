@@ -2,65 +2,82 @@
 //!
 //! FlexNet programs are protocol-independent (FlexBPF parsers can add and
 //! remove header types at runtime, paper §2), so a packet carries a generic
-//! *header stack*: an ordered list of named headers, each a map from field
-//! name to value. Well-known protocols get convenience constructors, but a
-//! tenant extension is free to invent `myproto.flags` and a runtime parser
-//! update will start extracting it — without recompiling this crate.
+//! *header stack*: an ordered list of named headers, each a flat list of
+//! `(field, value)` pairs kept in field-name order. Names are interned
+//! [`Sym`]s, so the packet path compares 4-byte ids; the string-keyed
+//! accessors (`get_field("ipv4.src")`, `header("tcp")`, …) are a thin
+//! lookup veneer over the `*_sym` forms for tests, tools and control code.
+//! Well-known protocols get convenience constructors, but a tenant
+//! extension is free to invent `myproto.flags` and a runtime parser update
+//! will start extracting it — without recompiling this crate.
 
 use crate::id::{NodeId, ProgramVersion};
+use crate::sym::{Fields, Sym};
 use crate::time::SimTime;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One parsed header instance in a packet's header stack.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Header {
-    /// Protocol name, e.g. `"ipv4"`, `"tcp"`, or a tenant-defined name.
-    pub proto: String,
+    /// Protocol name, e.g. `ipv4`, `tcp`, or a tenant-defined name.
+    pub proto: Sym,
     /// Field name → value. Field widths are declared in FlexBPF header
     /// declarations; the packet representation stores raw values.
-    pub fields: BTreeMap<String, u64>,
+    pub fields: Fields,
 }
 
 impl Header {
     /// Creates a header with the given protocol name and fields.
     pub fn new(proto: &str, fields: impl IntoIterator<Item = (&'static str, u64)>) -> Header {
         Header {
-            proto: proto.to_string(),
+            proto: Sym::intern(proto),
             fields: fields
                 .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
+                .map(|(k, v)| (Sym::intern(k), v))
                 .collect(),
+        }
+    }
+
+    /// A well-known header from constants already in name order: one exact
+    /// allocation, no interner access.
+    fn well_known<const N: usize>(proto: Sym, fields: [(Sym, u64); N]) -> Header {
+        Header {
+            proto,
+            fields: Fields::from_name_ordered(fields.to_vec()),
         }
     }
 
     /// Standard Ethernet header.
     pub fn ethernet(src: u64, dst: u64, ethertype: u64) -> Header {
-        Header::new(
-            "eth",
-            [("src", src), ("dst", dst), ("ethertype", ethertype)],
+        Header::well_known(
+            Sym::ETH,
+            [
+                (Sym::DST, dst),
+                (Sym::ETHERTYPE, ethertype),
+                (Sym::SRC, src),
+            ],
         )
     }
 
     /// 802.1Q VLAN tag.
     pub fn vlan(vid: u64) -> Header {
-        Header::new("vlan", [("vid", vid), ("pcp", 0)])
+        Header::well_known(Sym::VLAN, [(Sym::PCP, 0), (Sym::VID, vid)])
     }
 
     /// IPv4 header (addresses as u32-in-u64, `proto` is the IP protocol
     /// number: 6 = TCP, 17 = UDP).
     pub fn ipv4(src: u32, dst: u32, proto: u8) -> Header {
-        Header::new(
-            "ipv4",
+        Header::well_known(
+            Sym::IPV4,
             [
-                ("src", src as u64),
-                ("dst", dst as u64),
-                ("proto", proto as u64),
-                ("ttl", 64),
-                ("ecn", 0),
-                ("dscp", 0),
+                (Sym::DSCP, 0),
+                (Sym::DST, dst as u64),
+                (Sym::ECN, 0),
+                (Sym::PROTO, proto as u64),
+                (Sym::SRC, src as u64),
+                (Sym::TTL, 64),
             ],
         )
     }
@@ -68,32 +85,36 @@ impl Header {
     /// TCP header. `flags` uses the usual bit layout (0x02 = SYN, 0x10 = ACK,
     /// 0x01 = FIN, 0x04 = RST).
     pub fn tcp(sport: u16, dport: u16, flags: u8) -> Header {
-        Header::new(
-            "tcp",
+        Header::well_known(
+            Sym::TCP,
             [
-                ("sport", sport as u64),
-                ("dport", dport as u64),
-                ("flags", flags as u64),
-                ("seq", 0),
-                ("ack", 0),
-                ("window", 65_535),
+                (Sym::ACK, 0),
+                (Sym::DPORT, dport as u64),
+                (Sym::FLAGS, flags as u64),
+                (Sym::SEQ, 0),
+                (Sym::SPORT, sport as u64),
+                (Sym::WINDOW, 65_535),
             ],
         )
     }
 
     /// UDP header.
     pub fn udp(sport: u16, dport: u16) -> Header {
-        Header::new("udp", [("sport", sport as u64), ("dport", dport as u64)])
+        Header::well_known(
+            Sym::UDP,
+            [(Sym::DPORT, dport as u64), (Sym::SPORT, sport as u64)],
+        )
     }
 
     /// Reads a field value; `None` if the field is absent.
-    pub fn get(&self, field: &str) -> Option<u64> {
-        self.fields.get(field).copied()
+    #[inline]
+    pub fn get_sym(&self, field: Sym) -> Option<u64> {
+        self.fields.get_sym(field)
     }
 
-    /// Writes a field value (creating the field if absent).
-    pub fn set(&mut self, field: &str, value: u64) {
-        self.fields.insert(field.to_string(), value);
+    /// [`Header::get_sym`] by name; `None` for a name never interned.
+    pub fn get(&self, field: &str) -> Option<u64> {
+        self.fields.get(field).copied()
     }
 }
 
@@ -129,30 +150,19 @@ impl FlowKey {
     /// Extracts the 5-tuple from a packet's header stack; `None` when the
     /// packet has no IPv4 header.
     pub fn extract(pkt: &Packet) -> Option<FlowKey> {
-        let ip = pkt.header("ipv4")?;
-        let proto = ip.get("proto").unwrap_or(0) as u8;
-        let (sp, dp) = match proto {
-            6 => {
-                let t = pkt.header("tcp");
-                (
-                    t.and_then(|h| h.get("sport")).unwrap_or(0) as u16,
-                    t.and_then(|h| h.get("dport")).unwrap_or(0) as u16,
-                )
-            }
-            17 => {
-                let u = pkt.header("udp");
-                (
-                    u.and_then(|h| h.get("sport")).unwrap_or(0) as u16,
-                    u.and_then(|h| h.get("dport")).unwrap_or(0) as u16,
-                )
-            }
-            _ => (0, 0),
+        let ip = pkt.header_sym(Sym::IPV4)?;
+        let proto = ip.get_sym(Sym::PROTO).unwrap_or(0) as u8;
+        let l4 = match proto {
+            6 => pkt.header_sym(Sym::TCP),
+            17 => pkt.header_sym(Sym::UDP),
+            _ => None,
         };
+        let port = |name| l4.and_then(|h| h.get_sym(name)).unwrap_or(0) as u16;
         Some(FlowKey {
-            src_ip: ip.get("src").unwrap_or(0) as u32,
-            dst_ip: ip.get("dst").unwrap_or(0) as u32,
-            src_port: sp,
-            dst_port: dp,
+            src_ip: ip.get_sym(Sym::SRC).unwrap_or(0) as u32,
+            dst_ip: ip.get_sym(Sym::DST).unwrap_or(0) as u32,
+            src_port: port(Sym::SPORT),
+            dst_port: port(Sym::DPORT),
             proto,
         })
     }
@@ -211,7 +221,7 @@ pub struct Packet {
     pub payload: Bytes,
     /// Per-packet scratch metadata written by programs (like P4 metadata or
     /// eBPF per-packet context).
-    pub metadata: BTreeMap<String, u64>,
+    pub metadata: Fields,
     /// When the packet entered the network.
     pub ingress_time: SimTime,
     /// Audit trail: which device processed this packet with which program
@@ -229,7 +239,7 @@ impl Packet {
             headers,
             payload_len,
             payload: Bytes::new(),
-            metadata: BTreeMap::new(),
+            metadata: Fields::new(),
             ingress_time: SimTime::ZERO,
             trace: Vec::new(),
         }
@@ -268,32 +278,82 @@ impl Packet {
         let hdr: u32 = self
             .headers
             .iter()
-            .map(|h| match h.proto.as_str() {
-                "eth" => 14,
-                "vlan" => 4,
-                "ipv4" => 20,
-                "tcp" => 20,
-                "udp" => 8,
+            .map(|h| match h.proto {
+                Sym::ETH => 14,
+                Sym::VLAN => 4,
+                Sym::IPV4 => 20,
+                Sym::TCP => 20,
+                Sym::UDP => 8,
                 _ => (4 * h.fields.len().max(1)) as u32,
             })
             .sum();
         hdr + self.payload_len
     }
 
-    /// Finds the first header with the given protocol name.
+    /// Finds the first header of the given protocol.
     #[inline]
-    pub fn header(&self, proto: &str) -> Option<&Header> {
+    pub fn header_sym(&self, proto: Sym) -> Option<&Header> {
         self.headers.iter().find(|h| h.proto == proto)
-    }
-
-    /// Finds the first header with the given protocol name, mutably.
-    #[inline]
-    pub fn header_mut(&mut self, proto: &str) -> Option<&mut Header> {
-        self.headers.iter_mut().find(|h| h.proto == proto)
     }
 
     /// Whether the stack contains a header of the given protocol.
     #[inline]
+    pub fn has_header_sym(&self, proto: Sym) -> bool {
+        self.header_sym(proto).is_some()
+    }
+
+    /// Reads `proto.field` (the pseudo-protocol `meta` reads packet
+    /// metadata).
+    #[inline]
+    pub fn get_field_sym(&self, proto: Sym, field: Sym) -> Option<u64> {
+        if proto == Sym::META {
+            return self.metadata.get_sym(field);
+        }
+        self.header_sym(proto)?.get_sym(field)
+    }
+
+    /// Writes `proto.field`, creating the field if the header lacks it;
+    /// returns `false` when the header does not exist (metadata writes
+    /// always succeed).
+    #[inline]
+    pub fn set_field_sym(&mut self, proto: Sym, field: Sym, value: u64) -> bool {
+        let fields = if proto == Sym::META {
+            &mut self.metadata
+        } else {
+            match self.headers.iter_mut().find(|h| h.proto == proto) {
+                Some(h) => &mut h.fields,
+                None => return false,
+            }
+        };
+        fields.insert(field, value);
+        true
+    }
+
+    /// Pushes a header after the outermost header of `after`
+    /// (or at the top of the stack when `after` is `None` or absent).
+    pub fn insert_header_sym(&mut self, header: Header, after: Option<Sym>) {
+        let at = after
+            .and_then(|p| self.headers.iter().position(|h| h.proto == p))
+            .map_or(0, |idx| idx + 1);
+        self.headers.insert(at, header);
+    }
+
+    /// Removes the first header of the given protocol; returns it if present.
+    pub fn remove_header_sym(&mut self, proto: Sym) -> Option<Header> {
+        let idx = self.headers.iter().position(|h| h.proto == proto)?;
+        Some(self.headers.remove(idx))
+    }
+
+    // The string-keyed forms below resolve names with `Sym::lookup` — a
+    // name that was never interned cannot be in any packet — and intern
+    // only where a store creates a field.
+
+    /// Finds the first header with the given protocol name.
+    pub fn header(&self, proto: &str) -> Option<&Header> {
+        self.header_sym(Sym::lookup(proto)?)
+    }
+
+    /// Whether the stack contains a header of the given protocol.
     pub fn has_header(&self, proto: &str) -> bool {
         self.header(proto).is_some()
     }
@@ -302,19 +362,7 @@ impl Packet {
     /// (the pseudo-protocol `meta` reads packet metadata).
     pub fn get_field(&self, path: &str) -> Option<u64> {
         let (proto, field) = path.split_once('.')?;
-        self.get_field_at(proto, field)
-    }
-
-    /// Reads a field by pre-split path parts — the split-free form of
-    /// [`Packet::get_field`] used when the caller already holds the
-    /// protocol and field names separately (e.g. the vector executor's
-    /// field-prefetch lane).
-    #[inline]
-    pub fn get_field_at(&self, proto: &str, field: &str) -> Option<u64> {
-        if proto == "meta" {
-            return self.metadata.get(field).copied();
-        }
-        self.header(proto)?.get(field)
+        self.get_field_sym(Sym::lookup(proto)?, Sym::lookup(field)?)
     }
 
     /// Writes a field by dotted path; returns `false` when the header does
@@ -323,32 +371,18 @@ impl Packet {
         let Some((proto, field)) = path.split_once('.') else {
             return false;
         };
-        if proto == "meta" {
-            self.metadata.insert(field.to_string(), value);
-            return true;
-        }
-        match self.header_mut(proto) {
-            Some(h) => {
-                h.set(field, value);
-                true
-            }
-            None => false,
-        }
+        Sym::lookup(proto).is_some_and(|p| self.set_field_sym(p, Sym::intern(field), value))
     }
 
     /// Pushes a header after the outermost header of `after_proto`
     /// (or at the top of the stack when `after_proto` is `None`).
     pub fn insert_header(&mut self, header: Header, after_proto: Option<&str>) {
-        match after_proto.and_then(|p| self.headers.iter().position(|h| h.proto == p)) {
-            Some(idx) => self.headers.insert(idx + 1, header),
-            None => self.headers.insert(0, header),
-        }
+        self.insert_header_sym(header, after_proto.and_then(Sym::lookup));
     }
 
     /// Removes the first header of the given protocol; returns it if present.
     pub fn remove_header(&mut self, proto: &str) -> Option<Header> {
-        let idx = self.headers.iter().position(|h| h.proto == proto)?;
-        Some(self.headers.remove(idx))
+        self.remove_header_sym(Sym::lookup(proto)?)
     }
 
     /// Records that `node` processed this packet under `version`.
@@ -375,7 +409,10 @@ mod tests {
     fn flow_key_extraction_tcp_and_udp() {
         let t = Packet::tcp(1, 10, 20, 5, 80, 0);
         let k = FlowKey::extract(&t).unwrap();
-        assert_eq!((k.src_ip, k.dst_ip, k.src_port, k.dst_port, k.proto), (10, 20, 5, 80, 6));
+        assert_eq!(
+            (k.src_ip, k.dst_ip, k.src_port, k.dst_port, k.proto),
+            (10, 20, 5, 80, 6)
+        );
 
         let u = Packet::udp(2, 11, 21, 53, 5353);
         let k = FlowKey::extract(&u).unwrap();
@@ -398,6 +435,53 @@ mod tests {
         assert!(p.set_field("meta.mark", 7), "metadata always writable");
         assert_eq!(p.get_field("meta.mark"), Some(7));
         assert_eq!(p.get_field("nodots"), None);
+    }
+
+    #[test]
+    fn fields_iterate_in_name_order_whatever_the_interning_order() {
+        // Interned in reverse name order, so ids run against names.
+        for name in ["pkt_test_z", "pkt_test_m", "pkt_test_a"] {
+            Sym::intern(name);
+        }
+        let h = Header::new(
+            "pkt_test_hdr",
+            [
+                ("pkt_test_m", 2),
+                ("pkt_test_z", 3),
+                ("pkt_test_a", 1),
+                ("pkt_test_m", 4),
+            ],
+        );
+        let names: Vec<&str> = h.fields.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["pkt_test_a", "pkt_test_m", "pkt_test_z"]);
+        assert_eq!(h.get("pkt_test_m"), Some(4), "later duplicate wins");
+        assert_eq!(
+            format!("{h:?}"),
+            r#"Header { proto: "pkt_test_hdr", fields: {"pkt_test_a": 1, "pkt_test_m": 4, "pkt_test_z": 3} }"#
+        );
+        for h in [
+            Header::ethernet(1, 2, 3),
+            Header::vlan(1),
+            Header::ipv4(1, 2, 6),
+            Header::tcp(1, 2, 0),
+            Header::udp(1, 2),
+        ] {
+            let names: Vec<&str> = h.fields.iter().map(|(n, _)| n.as_str()).collect();
+            assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        }
+    }
+
+    #[test]
+    fn metadata_keeps_its_map_veneer() {
+        let mut p = Packet::udp(1, 1, 2, 3, 4);
+        assert_eq!(p.metadata.insert("mark".into(), 7), None);
+        assert_eq!(p.metadata.insert(Sym::DST_NODE, 3), None);
+        assert_eq!(p.metadata.insert("mark".into(), 8), Some(7));
+        assert_eq!(p.metadata["mark"], 8);
+        assert_eq!(p.metadata.get("dst_node"), Some(&3));
+        assert!(!p.metadata.contains_key("pkt_test_never_interned"));
+        assert_eq!(p.metadata.len(), 2);
+        assert_eq!(format!("{:?}", p.metadata), r#"{"dst_node": 3, "mark": 8}"#);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use flexnet_dataplane::table::{KeyMatch, TableEntry};
 use flexnet_dataplane::SandboxConfig;
 use flexnet_lang::ast::{ActionCall, MatchKind, TableDecl};
 use flexnet_lang::parser::parse_source;
-use flexnet_types::Trap;
+use flexnet_types::{Header, Trap};
 use proptest::prelude::*;
 
 /// Every program the app gallery can produce, spanning maps, registers,
@@ -570,5 +570,113 @@ proptest! {
             let pkts = vec![p; reps];
             assert_modes_agree(&bundle.program.name, &bundle, &pkts);
         }
+    }
+}
+
+/// A tenant-defined header that comes and goes at runtime: the parser's
+/// accept set must follow `add_state`/`remove_state` — including removing
+/// a name and adding it back — identically for the interpreter, the
+/// single-packet bytecode lane and the burst lane, on packets that carry
+/// the header (visible or opaque, with a hidden tail behind it) and on
+/// packets the program adds it to or strips it from.
+#[test]
+fn tenant_header_added_removed_and_readded_at_runtime_agrees_across_engines() {
+    let plain = bundle_of("program app kind any { handler ingress(pkt) { forward(0); } }");
+    let tenant = bundle_of(
+        "header tun { fields { id: 16; tag: 8; } follows udp when udp.dport == 4789; }
+         program app kind any {
+           counter seen;
+           handler ingress(pkt) {
+             if (valid(tun)) {
+               count(seen);
+               if (tun.id == 7) { tun.tag = tun.tag + 1; meta.tun_tag = tun.tag; forward(1); }
+               if (tun.id == 9) { remove_header(tun); forward(2); }
+               drop();
+             }
+             if (udp.dport == 4789) { add_header(tun); tun.id = 5; forward(3); }
+             forward(0);
+           }
+         }",
+    );
+    let packets: Vec<Packet> = (0..96u64)
+        .map(|i| {
+            let mut p = Packet::udp(i, 1, 2, 3, if i % 4 == 3 { 53 } else { 4789 });
+            if i % 3 != 2 {
+                p.headers
+                    .push(Header::new("tun", [("id", 5 + i % 5), ("tag", i % 200)]));
+            }
+            if i % 5 == 0 {
+                // Behind an opaque `tun`, even a known protocol is payload.
+                p.headers.push(Header::tcp(1, 2, 0));
+            }
+            p
+        })
+        .collect();
+
+    let mut lanes = [
+        (dev(ExecMode::Interpreter, plain.program.kind), 1usize),
+        (dev(ExecMode::Bytecode, plain.program.kind), 1),
+        (dev(ExecMode::Bytecode, plain.program.kind), 64),
+        (dev(ExecMode::Interpreter, plain.program.kind), 64),
+    ];
+    for (d, _) in lanes.iter_mut() {
+        d.install(plain.clone()).expect("installs");
+    }
+    let mut now = SimTime::ZERO;
+    let mut out = Vec::new();
+    // plain → tenant → plain → tenant: add, remove, re-add the same name.
+    for (phase, (bundle, visible)) in [(&tenant, true), (&plain, false), (&tenant, true)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut seen: Vec<(Vec<ProcessResult>, Vec<Packet>)> = Vec::new();
+        let mut next = now;
+        for (d, burst) in lanes.iter_mut() {
+            let ready = d
+                .begin_runtime_reconfig(bundle.clone(), now)
+                .expect("reconfig begins")
+                .ready_at;
+            let mut pkts = packets.clone();
+            let mut results = Vec::new();
+            for chunk in pkts.chunks_mut(*burst) {
+                if *burst == 1 {
+                    results.push(d.process(&mut chunk[0], ready).expect("processes"));
+                } else {
+                    d.process_burst(chunk, ready, &mut out).expect("processes");
+                    results.append(&mut out);
+                }
+            }
+            assert_eq!(d.parser().can_parse("tun"), visible, "phase {phase}");
+            seen.push((results, pkts));
+            next = ready + SimDuration::from_millis(1);
+        }
+        now = next;
+        for lane in &seen[1..] {
+            assert_eq!(lane.0, seen[0].0, "phase {phase}: results");
+            assert_eq!(lane.1, seen[0].1, "phase {phase}: packets");
+        }
+        let (results, pkts) = &seen[0];
+        if visible {
+            // Each branch of the tenant program was taken.
+            for port in 0..4 {
+                assert!(
+                    results.iter().any(|r| r.verdict == Verdict::Forward(port)),
+                    "phase {phase}: no packet took port {port}: {:?}",
+                    results.iter().map(|r| r.verdict).collect::<Vec<_>>()
+                );
+            }
+            assert!(pkts.iter().any(|p| p.get_field("meta.tun_tag").is_some()));
+        } else {
+            // Opaque again: untouched and carried through.
+            assert_eq!(pkts.len(), packets.len());
+            for (after, before) in pkts.iter().zip(&packets) {
+                assert_eq!(after.headers, before.headers, "phase {phase}");
+            }
+        }
+    }
+    for (d, _) in &lanes[1..] {
+        assert_eq!(d.snapshot_state(), lanes[0].0.snapshot_state());
+        assert_eq!(d.config_digest(), lanes[0].0.config_digest());
+        assert_eq!(d.stats(), lanes[0].0.stats());
     }
 }

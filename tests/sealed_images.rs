@@ -325,6 +325,54 @@ fn one_transaction_seals_and_compiles_each_distinct_target_once() {
     assert!(!Arc::ptr_eq(&images[0], &first), "sharing is per transaction");
 }
 
+/// A tenant header arrives, leaves and arrives again by transaction: each
+/// round's devices share one image and one bytecode, their parsers accept
+/// exactly what the image declares, and a packet carrying the header is
+/// matched while it is visible and carried through untouched while not.
+#[test]
+fn transactions_add_remove_and_readd_a_tenant_header_on_shared_images() {
+    let tagged = || {
+        bundle(
+            "header tun { fields { id: 16; } follows udp when udp.dport == 4789; }
+             program app kind any {
+               counter c0;
+               handler ingress(pkt) {
+                 if (valid(tun) && tun.id == 7) { count(c0); drop(); }
+                 forward(1);
+               }
+             }",
+        )
+    };
+    let mut f = fleet();
+    let four = f.leaves[..4].to_vec();
+    let mut tunnelled = Packet::udp(1, 1, 2, 3, 4789);
+    tunnelled
+        .headers
+        .push(flexnet_types::Header::new("tun", [("id", 7)]));
+    for (round, (target, visible)) in [(tagged(), true), (gate(0, 16), false), (tagged(), true)]
+        .into_iter()
+        .enumerate()
+    {
+        let targets: Vec<_> = four.iter().map(|n| (*n, target.clone())).collect();
+        assert_eq!(run_txn(&mut f, &targets).outcome, LoggedTxnOutcome::Committed);
+        let first = image_of(&f, four[0]);
+        assert_eq!(first.bundle(), &target);
+        for n in &four {
+            assert!(Arc::ptr_eq(&image_of(&f, *n), &first), "round {round}: {n}");
+            let want = f.store.digest(*n);
+            let dev = &mut f.sim.topo.node_mut(*n).unwrap().device;
+            assert_eq!(dev.parser().can_parse("tun"), visible, "round {round}: {n}");
+            assert_eq!(Some(dev.config_digest()), want, "round {round}: {n}");
+            assert_eq!(dev.config_digest(), reference_digest(dev), "round {round}: {n}");
+            let mut pkt = tunnelled.clone();
+            let verdict = dev.process(&mut pkt, SimTime::from_secs(2)).unwrap().verdict;
+            let expected = if visible { Verdict::Drop } else { Verdict::Forward(1) };
+            assert_eq!(verdict, expected, "round {round}: {n}");
+            assert_eq!(pkt.headers, tunnelled.headers, "round {round}: {n}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // No check moved
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 //! Allocation budget for the simulation event core.
 //!
 //! A warmed-up `Simulation::run` on the benchmark's leaf-spine fabric must
-//! make **at most one heap allocation per device hop**: the event heap
-//! moves 24-byte keys, payloads park in a reused slab, the hop count is
-//! engine state rather than a `String`-keyed metadata insert, node, link
-//! and route lookups are index arithmetic, and `Device::process` runs on
-//! the device's persistent VM scratch. What is left is the packet's own
-//! growing audit trail and the metrics' sample vectors. (Before the event
-//! core was rebuilt this loop made about 3.4 allocations per hop.)
+//! make **at most one heap allocation per two device hops**: the event
+//! heap moves 24-byte keys, payloads park in a reused slab, the hop count
+//! is engine state, node, link and route lookups are index arithmetic,
+//! `Device::process` runs on the device's persistent VM scratch, and a
+//! field store writes a flat `(Sym, u64)` slot in place. What is left is
+//! the packet's own growing audit trail (two growths over five hops) and
+//! the metrics' sample vectors. (The loop made about 3.4 allocations per
+//! hop before the event core was rebuilt and 0.6 while the router's TTL
+//! store allocated its field name.)
 //!
 //! This file holds exactly one test (see `common/counting_alloc.rs`).
 
@@ -21,7 +23,7 @@ use flexnet_sim::{generate, FlowSpec, Simulation};
 use flexnet_types::{SimDuration, SimTime};
 
 #[test]
-fn warmed_up_leaf_spine_run_allocates_at_most_once_per_hop() {
+fn warmed_up_leaf_spine_run_allocates_at_most_once_per_two_hops() {
     let (mut sim, _spines, _leaves, hosts) = leaf_spine_fabric();
 
     // 16 cross-pod flows, one 1 ms slice at a time (~1.6 k packets each).
@@ -56,7 +58,7 @@ fn warmed_up_leaf_spine_run_allocates_at_most_once_per_hop() {
         "the measured slice carried traffic: {hops} hops"
     );
     assert!(
-        allocs <= hops,
+        2 * allocs <= hops,
         "{allocs} allocations over {hops} hops ({:.2} per hop)",
         allocs as f64 / hops as f64
     );
