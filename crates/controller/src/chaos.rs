@@ -181,24 +181,6 @@ pub fn run_chaos_seed(seed: u64) -> Result<ChaosReport> {
 
     // Invariant: every transaction in the log is terminal, and the one we
     // crashed resolved the way its phase demands.
-    let records = log.records()?;
-    let mut last_per_txn: std::collections::BTreeMap<u64, &IntentRecord> =
-        std::collections::BTreeMap::new();
-    for rec in &records {
-        // Intended-state records are reconciliation targets, not phases.
-        if matches!(rec, IntentRecord::IntendedState { .. }) {
-            continue;
-        }
-        last_per_txn.insert(rec.txn(), rec);
-    }
-    for (txn, rec) in &last_per_txn {
-        if !matches!(
-            rec,
-            IntentRecord::Committed { .. } | IntentRecord::Aborted { .. }
-        ) {
-            violations.push(format!("txn {txn} left unresolved: {rec:?}"));
-        }
-    }
     let expect_committed = match txn_report.outcome {
         // The flip decision was durable: recovery must roll forward.
         LoggedTxnOutcome::Crashed(flexnet_sim::CrashPhase::AfterFlipScheduled) => true,
@@ -206,10 +188,30 @@ pub fn run_chaos_seed(seed: u64) -> Result<ChaosReport> {
         // Prepared-or-earlier (or a live abort): roll back.
         _ => false,
     };
-    let committed = matches!(
-        last_per_txn.get(&txn_report.txn),
-        Some(IntentRecord::Committed { .. })
-    );
+    let committed = {
+        let replay = log.replay()?;
+        let mut last_per_txn: std::collections::BTreeMap<u64, &IntentRecord> =
+            std::collections::BTreeMap::new();
+        for rec in replay.records() {
+            // Intended-state records are reconciliation targets, not phases.
+            if matches!(rec, IntentRecord::IntendedState { .. }) {
+                continue;
+            }
+            last_per_txn.insert(rec.txn(), rec);
+        }
+        for (txn, rec) in &last_per_txn {
+            if !matches!(
+                rec,
+                IntentRecord::Committed { .. } | IntentRecord::Aborted { .. }
+            ) {
+                violations.push(format!("txn {txn} left unresolved: {rec:?}"));
+            }
+        }
+        matches!(
+            last_per_txn.get(&txn_report.txn),
+            Some(IntentRecord::Committed { .. })
+        )
+    };
     if committed != expect_committed {
         violations.push(format!(
             "txn {} resolved {} but phase {:?} demands {}",

@@ -76,7 +76,7 @@ pub use apps::{AppRecord, AppRegistry, AppStatus};
 pub use drpc::{BreakerSet, BreakerState, CircuitBreaker, ExecutionSite, Invocation, ServiceRegistry};
 pub use migrate::{Migration, MigrationReport, MigrationStrategy};
 pub use overload::{run_overload_seed, OverloadReport, OverloadScenario, Protections};
-pub use raft::{RaftCluster, Role};
+pub use raft::{CommittedView, RaftCluster, Role};
 pub use replicate::{FailoverReport, ReplicationGroup};
 pub use retry::{
     invoke_with_retry, with_retry, with_retry_adversarial, with_retry_budgeted, Adversary,
@@ -105,4 +105,4 @@ pub use storage::{
     NodeStorage, ScrubOutcome, SegmentedWal, SnapshotStore, StorageCounters, StorageProtections,
     StorageReport,
 };
-pub use wal::{CompactionReport, IntentRecord, ReplicatedIntentLog};
+pub use wal::{CompactionReport, IntentRecord, ReplayState, ReplicatedIntentLog};

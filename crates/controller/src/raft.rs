@@ -133,6 +133,9 @@ struct RaftNode {
     /// Recovery discarded synced bytes: the log may have a hole, so the
     /// node must not vote or campaign until replication refills it.
     catchup_only: bool,
+    /// Bumped by everything that changes the committed prefix other than
+    /// growth (see [`CommittedView::generation`]).
+    prefix_gen: u64,
     storage: NodeStorage,
 }
 
@@ -159,6 +162,39 @@ impl RaftNode {
     /// Term of the last entry (base term when the tail is empty).
     fn last_term(&self) -> Term {
         self.log.last().map(|e| e.term).unwrap_or(self.base_term)
+    }
+}
+
+/// A borrowed look at one node's committed command sequence: the snapshot
+/// summary followed by the committed log tail, with no command cloned.
+#[derive(Debug, Clone, Copy)]
+pub struct CommittedView<'a> {
+    /// The node's prefix generation. Between two views of one node with
+    /// the same generation the sequence only *grew*: the earlier view is a
+    /// prefix of the later one. Everything else that can happen to a
+    /// committed prefix bumps it — [`RaftCluster::revive`] (rebuilt from
+    /// the disk scrub), [`RaftCluster::compact_to`], adopting an
+    /// `InstallSnapshot`, and (defensively; Raft's log-matching property
+    /// rules it out) a follower truncating below its commit index.
+    pub generation: u64,
+    /// The snapshot's summary command sequence.
+    pub snapshot: &'a [String],
+    /// The committed entries after the snapshot.
+    pub tail: &'a [LogEntry],
+}
+
+impl<'a> CommittedView<'a> {
+    /// The commands from position `from` (0-based, snapshot first) on.
+    pub fn commands_from(&self, from: usize) -> impl Iterator<Item = &'a str> {
+        let snapshot = self.snapshot.get(from..).unwrap_or_default();
+        let tail = self
+            .tail
+            .get(from.saturating_sub(self.snapshot.len())..)
+            .unwrap_or_default();
+        snapshot
+            .iter()
+            .map(String::as_str)
+            .chain(tail.iter().map(|e| e.command.as_str()))
     }
 }
 
@@ -222,6 +258,7 @@ impl RaftCluster {
                     match_index: vec![0; n],
                     alive: true,
                     catchup_only: rec.needs_catchup,
+                    prefix_gen: 0,
                     storage,
                 }
             })
@@ -279,16 +316,25 @@ impl RaftCluster {
     }
 
     /// The committed command sequence as node `i` can reconstruct it:
-    /// snapshot summary followed by the committed log tail.
-    pub fn committed(&self, i: usize) -> Result<Vec<String>> {
+    /// snapshot summary followed by the committed log tail, borrowed.
+    pub fn committed_view(&self, i: usize) -> Result<CommittedView<'_>> {
         let n = self.node(i)?;
         let tail = n
             .commit
             .saturating_sub(n.base_index)
             .min(n.log.len());
-        let mut out = n.snapshot.clone();
-        out.extend(n.log[..tail].iter().map(|e| e.command.clone()));
-        Ok(out)
+        Ok(CommittedView {
+            generation: n.prefix_gen,
+            snapshot: &n.snapshot,
+            tail: &n.log[..tail],
+        })
+    }
+
+    /// [`RaftCluster::committed_view`], cloned into owned commands (for
+    /// tests and harness grading; the control plane reads the view).
+    pub fn committed(&self, i: usize) -> Result<Vec<String>> {
+        let view = self.committed_view(i)?;
+        Ok(view.commands_from(0).map(str::to_string).collect())
     }
 
     /// Global index of a node's last entry (committed and uncommitted,
@@ -310,13 +356,13 @@ impl RaftCluster {
     /// The command at 1-based global index `global` in node `i`'s log
     /// tail. `None` when the slot was compacted into the snapshot or is
     /// beyond the last entry.
-    pub fn command_at(&self, i: usize, global: u64) -> Result<Option<String>> {
+    pub fn command_at(&self, i: usize, global: u64) -> Result<Option<&str>> {
         let n = self.node(i)?;
         let global = global as usize;
         if global <= n.base_index || global > n.last_index() {
             return Ok(None);
         }
-        Ok(Some(n.log[global - n.base_index - 1].command.clone()))
+        Ok(Some(&n.log[global - n.base_index - 1].command))
     }
 
     /// Whether node `i` is demoted to catch-up-only (rejoined with a
@@ -368,6 +414,9 @@ impl RaftCluster {
             .map(|(term, command)| LogEntry { term, command })
             .collect();
         n.commit = n.base_index;
+        // The prefix now is whatever the scrub verified, not what memory
+        // held before the crash.
+        n.prefix_gen += 1;
         n.alive = true;
         n.role = Role::Follower;
         n.votes.clear();
@@ -452,6 +501,7 @@ impl RaftCluster {
         n.snapshot = summary.to_vec();
         n.base_index = upto_us;
         n.base_term = new_term;
+        n.prefix_gen += 1;
         Ok(())
     }
 
@@ -459,16 +509,13 @@ impl RaftCluster {
     /// timeouts.
     pub fn step(&mut self, dt: SimDuration) {
         self.now += dt;
-        // Deliver due messages.
-        let mut due = Vec::new();
-        self.inflight.retain(|(at, to, msg)| {
-            if *at <= self.now {
-                due.push((*to, msg.clone()));
-                false
-            } else {
-                true
-            }
-        });
+        // Deliver due messages, moved out in send order; the stable sort
+        // then orders them by recipient.
+        let mut due: Vec<(usize, Msg)> = self
+            .inflight
+            .extract_if(.., |(at, _, _)| *at <= self.now)
+            .map(|(_, to, msg)| (to, msg))
+            .collect();
         due.sort_by_key(|(to, _)| *to);
         for (to, msg) in due {
             if self.nodes[to].alive {
@@ -806,6 +853,9 @@ impl RaftCluster {
                         match self.nodes[me].storage.sync_log(write_from, &new) {
                             Ok(_) => {
                                 let n = &mut self.nodes[me];
+                                if prev_index + first_new < n.commit {
+                                    n.prefix_gen += 1;
+                                }
                                 n.log.truncate(prev_index + first_new - n.base_index);
                                 n.log.extend(entries[first_new..].iter().cloned());
                             }
@@ -899,6 +949,7 @@ impl RaftCluster {
                             n.base_term = base_term;
                             n.log.clear();
                             n.commit = base_index;
+                            n.prefix_gen += 1;
                             base_index
                         }
                         Err(_) => {

@@ -130,59 +130,36 @@ pub fn recover(
         }
     }
 
-    // Replay: the last record per transaction decides its fate; the last
-    // device list per transaction names its participants.
-    let records = log.records()?;
-    let mut last: BTreeMap<u64, IntentRecord> = BTreeMap::new();
-    let mut participants: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-    for rec in &records {
-        match rec {
-            IntentRecord::Intent { txn, devices } | IntentRecord::Prepared { txn, devices } => {
-                participants.insert(*txn, devices.iter().map(|d| NodeId(*d as u32)).collect());
-            }
-            // Intended-state records track reconciliation targets, not 2PC
-            // phases: they must never shadow a transaction's last phase
-            // record (a trailing `IntendedState` would otherwise make a
-            // committed transaction look unresolved).
-            IntentRecord::IntendedState { .. } => continue,
-            // Rollout records narrate the wave orchestration above the
-            // per-wave transactions; each wave's own 2PC records already
-            // carry everything this pass needs. Resolving rollout-level
-            // obligations (finishing an owed rollback) is the rollout
-            // module's resume path, not 2PC recovery.
-            IntentRecord::RolloutStarted { .. }
-            | IntentRecord::WaveCommitted { .. }
-            | IntentRecord::RolloutAborted { .. }
-            | IntentRecord::RolloutCompleted { .. }
-            | IntentRecord::RolledBack { .. } => continue,
-            // Compaction markers carry the id high-water mark for the
-            // allocator; they are not a transaction's phase record.
-            IntentRecord::Compacted { .. } => continue,
-            _ => {}
-        }
-        last.insert(rec.txn(), rec.clone());
-    }
+    // Replay: the last record of each open transaction decides its fate,
+    // its latest device list names its participants. `None` = no flip was
+    // ever scheduled. Rollouts left open are the rollout module's resume
+    // path, not 2PC recovery: each wave's own transaction records carry
+    // everything this pass needs.
+    let in_doubt: Vec<(u64, Option<SimTime>, Vec<NodeId>)> = {
+        let replay = log.replay()?;
+        replay
+            .open()
+            .filter_map(|txn| {
+                let commit_at = match replay.last(txn)? {
+                    IntentRecord::Intent { .. } | IntentRecord::Prepared { .. } => None,
+                    IntentRecord::FlipScheduled { commit_at, .. } => Some(*commit_at),
+                    _ => return None,
+                };
+                let nodes = replay.participants(txn).iter().map(|d| NodeId(*d as u32));
+                Some((txn, commit_at, nodes.collect()))
+            })
+            .collect()
+    };
 
     // Pass 2: resolve every non-terminal transaction, in id order.
     let mut resolutions: Vec<(u64, TxnResolution)> = Vec::new();
     let mut sealed = SealedTargets::default();
     let mut reprepared = 0usize;
     let mut wiped_shadows = 0usize;
-    for (&txn, rec) in &last {
+    for (txn, commit_at, nodes) in in_doubt {
         let tag = TxnTag { txn_id: txn, epoch };
-        let nodes = participants.get(&txn).cloned().unwrap_or_default();
-        match rec {
-            // Rollout records never enter `last` (skipped in pass 1).
-            IntentRecord::Committed { .. }
-            | IntentRecord::Aborted { .. }
-            | IntentRecord::IntendedState { .. }
-            | IntentRecord::RolloutStarted { .. }
-            | IntentRecord::WaveCommitted { .. }
-            | IntentRecord::RolloutAborted { .. }
-            | IntentRecord::RolloutCompleted { .. }
-            | IntentRecord::RolledBack { .. }
-            | IntentRecord::Compacted { .. } => {}
-            IntentRecord::Intent { .. } | IntentRecord::Prepared { .. } => {
+        match commit_at {
+            None => {
                 // No flip was ever scheduled: no participant can have
                 // flipped, so rolling back restores the old program
                 // everywhere. Journal the decision first.
@@ -195,12 +172,12 @@ pub fn recover(
                 }
                 resolutions.push((txn, TxnResolution::RolledBack));
             }
-            IntentRecord::FlipScheduled { commit_at, .. } => {
+            Some(commit_at) => {
                 // The decision to commit was durable: some participant may
                 // already hold a released shadow, so only roll-forward
                 // keeps the network single-program. Journal first.
                 log.append(&IntentRecord::Committed { txn })?;
-                let flip_at = if *commit_at > t { *commit_at } else { t };
+                let flip_at = if commit_at > t { commit_at } else { t };
                 for node in &nodes {
                     let target = targets
                         .get(&txn)
@@ -223,8 +200,10 @@ pub fn recover(
 
     // Pass 3: sweep orphans — shadows still *awaiting a decision* whose
     // transaction the log already closed (their decision command was lost
-    // in flight). Shadows released in pass 2 merely await their flip
-    // instant and are not orphans.
+    // in flight, in pass 2 included: the log is read as pass 2 left it).
+    // Shadows released in pass 2 merely await their flip instant and are
+    // not orphans.
+    let replay = log.replay()?;
     let mut orphans_swept = 0usize;
     for node in devices {
         let pending = sim
@@ -236,7 +215,7 @@ pub fn recover(
             txn_id: orphan.txn_id,
             epoch,
         };
-        match last.get(&orphan.txn_id) {
+        match replay.last(orphan.txn_id) {
             Some(IntentRecord::Committed { .. }) => {
                 let (m, at, _) =
                     commit_on(sim, *node, tag, t, None, &mut sealed, t, fabric, policy);

@@ -256,13 +256,11 @@ impl IntendedStore {
     /// This is what a failover successor starts from — the store's
     /// in-memory state died with the old leader, the log did not.
     pub fn digests_from_log(log: &ReplicatedIntentLog) -> Result<BTreeMap<NodeId, u64>> {
-        let mut digests = BTreeMap::new();
-        for rec in log.records()? {
-            if let IntentRecord::IntendedState { device, digest, .. } = rec {
-                digests.insert(NodeId(device as u32), digest);
-            }
-        }
-        Ok(digests)
+        let replay = log.replay()?;
+        Ok(replay
+            .intended()
+            .map(|(device, digest)| (NodeId(device as u32), digest))
+            .collect())
     }
 }
 

@@ -755,54 +755,43 @@ pub fn resume_rollouts(
     fabric: &mut LossyFabric,
     policy: &RetryPolicy,
 ) -> Result<Vec<RolloutResume>> {
-    struct State {
+    struct Owed {
         waves: Vec<Vec<u64>>,
         committed: u32,
         aborted: bool,
-        terminal: bool,
     }
-    let mut states: BTreeMap<u64, State> = BTreeMap::new();
-    for rec in log.records()? {
-        match rec {
-            IntentRecord::RolloutStarted { rollout, waves } => {
-                states.insert(
-                    rollout,
-                    State {
-                        waves,
-                        committed: 0,
-                        aborted: false,
-                        terminal: false,
-                    },
-                );
-            }
-            IntentRecord::WaveCommitted { rollout, wave, .. } => {
-                if let Some(s) = states.get_mut(&rollout) {
-                    if wave > s.committed {
-                        s.committed = wave;
+    // Only rollouts the log leaves open owe anything, and the replay
+    // state keeps exactly their histories.
+    let owed: Vec<(u64, Owed)> = {
+        let replay = log.replay()?;
+        replay
+            .open()
+            .filter_map(|rollout| {
+                let mut state: Option<Owed> = None;
+                for rec in replay.history(rollout) {
+                    match (rec, &mut state) {
+                        (IntentRecord::RolloutStarted { waves, .. }, _) => {
+                            state = Some(Owed {
+                                waves: waves.clone(),
+                                committed: 0,
+                                aborted: false,
+                            });
+                        }
+                        (IntentRecord::WaveCommitted { wave, .. }, Some(s)) => {
+                            s.committed = s.committed.max(*wave);
+                        }
+                        (IntentRecord::RolloutAborted { .. }, Some(s)) => s.aborted = true,
+                        _ => {}
                     }
                 }
-            }
-            IntentRecord::RolloutAborted { rollout, .. } => {
-                if let Some(s) = states.get_mut(&rollout) {
-                    s.aborted = true;
-                }
-            }
-            IntentRecord::RolloutCompleted { rollout }
-            | IntentRecord::RolledBack { rollout } => {
-                if let Some(s) = states.get_mut(&rollout) {
-                    s.terminal = true;
-                }
-            }
-            _ => {}
-        }
-    }
+                Some((rollout, state?))
+            })
+            .collect()
+    };
 
     let mut resumed = Vec::new();
     let mut t = now;
-    for (rollout, state) in states {
-        if state.terminal {
-            continue;
-        }
+    for (rollout, state) in owed {
         let aborted_now = !state.aborted;
         if aborted_now {
             // No verdict ever journaled: the candidate died unproven.
@@ -1179,11 +1168,10 @@ pub fn run_canary_seed(seed: u64) -> Result<CanaryReport> {
     }
 
     // Journal coherence: the rollout's records tell the same story.
-    let records = log.records()?;
     let mut started = 0usize;
     let mut waves_on_record = 0u32;
     let mut terminal: Vec<&'static str> = Vec::new();
-    for rec in &records {
+    for rec in log.replay()?.records() {
         match rec {
             IntentRecord::RolloutStarted { rollout, .. } if *rollout == report.rollout => {
                 started += 1;

@@ -23,7 +23,8 @@
 //!   snapshots, with [`NodeStorage::recover`] performing the full
 //!   scrub + fallback + catch-up-demotion decision.
 //! - **Compaction** ([`compact_records`]) — folds the committed intent
-//!   log into its recovery-relevant summary: latest intended state per
+//!   log into its recovery-relevant summary
+//!   ([`crate::wal::ReplayState::summary`]): latest intended state per
 //!   device, final record per terminal transaction, full history for
 //!   anything unresolved, and a [`crate::wal::IntentRecord::Compacted`]
 //!   marker preserving the id allocator's high-water mark.
@@ -38,7 +39,7 @@ use crate::recovery::{recover, TargetDirectory};
 use crate::resync::IntendedStore;
 use crate::retry::{LossyFabric, RetryPolicy};
 use crate::txn::logged_transactional_reconfig;
-use crate::wal::{IntentRecord, ReplicatedIntentLog};
+use crate::wal::{IntentRecord, ReplayState, ReplicatedIntentLog};
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_lang::parser::parse_source;
 use flexnet_sim::disk::{DiskFaultPlan, SimDisk};
@@ -823,117 +824,19 @@ impl NodeStorage {
 // Compaction and replay digests
 // ---------------------------------------------------------------------
 
-/// Folds a committed record sequence into its recovery-relevant
-/// summary:
-///
-/// - a [`IntentRecord::Compacted`] marker carrying the id allocator's
-///   high-water mark (so a successor never reuses a compacted-away id),
-/// - the latest [`IntentRecord::IntendedState`] per device (the
-///   reconciliation targets),
-/// - the *final* record of every terminal transaction and rollout
-///   (their resolution is all recovery needs),
-/// - the *full* record history of every non-terminal transaction and
-///   rollout (recovery must still resolve them).
-///
-/// Replaying summary + tail is state-equivalent to replaying the full
-/// log ([`replay_digest`] is the checked form of that claim).
+/// Folds a committed record sequence into the recovery-relevant summary
+/// a snapshot keeps in its place ([`ReplayState::summary`]): the replay
+/// fold, run from empty.
 pub fn compact_records(records: &[IntentRecord]) -> Vec<IntentRecord> {
-    let mut max_txn = 0u64;
-    let mut intended: BTreeMap<u64, IntentRecord> = BTreeMap::new();
-    // Per id: (history, terminal?)
-    let mut txns: BTreeMap<u64, (Vec<IntentRecord>, bool)> = BTreeMap::new();
-    for rec in records {
-        max_txn = max_txn.max(rec.txn());
-        match rec {
-            IntentRecord::IntendedState { device, .. } => {
-                intended.insert(*device, rec.clone());
-            }
-            IntentRecord::Compacted { .. } => {}
-            _ => {
-                let id = match rec {
-                    IntentRecord::RolloutStarted { rollout, .. }
-                    | IntentRecord::WaveCommitted { rollout, .. }
-                    | IntentRecord::RolloutAborted { rollout, .. }
-                    | IntentRecord::RolloutCompleted { rollout }
-                    | IntentRecord::RolledBack { rollout } => *rollout,
-                    other => other.txn(),
-                };
-                let terminal = matches!(
-                    rec,
-                    IntentRecord::Committed { .. }
-                        | IntentRecord::Aborted { .. }
-                        | IntentRecord::RolloutCompleted { .. }
-                        | IntentRecord::RolledBack { .. }
-                );
-                let slot = txns.entry(id).or_insert_with(|| (Vec::new(), false));
-                slot.0.push(rec.clone());
-                slot.1 = terminal;
-            }
-        }
-    }
-    let mut out = vec![IntentRecord::Compacted { txn: max_txn }];
-    out.extend(intended.into_values());
-    for (_, (history, terminal)) in txns {
-        if terminal {
-            if let Some(last) = history.into_iter().last() {
-                out.push(last);
-            }
-        } else {
-            out.extend(history);
-        }
-    }
-    out
+    ReplayState::over(records).summary()
 }
 
-/// A semantic digest of a replayed record sequence: FNV-1a 64 over the
-/// state recovery actually consumes — the final record per transaction
-/// and rollout, the latest intended state per device, and the id
-/// high-water mark. Invariant under [`compact_records`]: summary + tail
-/// digests equal to full-log digests, and any content corruption that
-/// survives decoding perturbs it.
+/// A semantic digest of a replayed record sequence
+/// ([`ReplayState::digest`]): the replay fold, run from empty. Invariant
+/// under [`compact_records`]: summary + tail digests equal to full-log
+/// digests.
 pub fn replay_digest(records: &[IntentRecord]) -> u64 {
-    let mut max_txn = 0u64;
-    let mut intended: BTreeMap<u64, String> = BTreeMap::new();
-    let mut finals: BTreeMap<u64, String> = BTreeMap::new();
-    for rec in records {
-        max_txn = max_txn.max(rec.txn());
-        match rec {
-            IntentRecord::IntendedState { device, .. } => {
-                intended.insert(*device, rec.encode());
-            }
-            IntentRecord::Compacted { .. } => {}
-            _ => {
-                let id = match rec {
-                    IntentRecord::RolloutStarted { rollout, .. }
-                    | IntentRecord::WaveCommitted { rollout, .. }
-                    | IntentRecord::RolloutAborted { rollout, .. }
-                    | IntentRecord::RolloutCompleted { rollout }
-                    | IntentRecord::RolledBack { rollout } => *rollout,
-                    other => other.txn(),
-                };
-                finals.insert(id, rec.encode());
-            }
-        }
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    eat(&max_txn.to_le_bytes());
-    for (dev, line) in &intended {
-        eat(&dev.to_le_bytes());
-        eat(line.as_bytes());
-    }
-    for (id, line) in &finals {
-        eat(&id.to_le_bytes());
-        eat(line.as_bytes());
-    }
-    h
+    ReplayState::over(records).digest()
 }
 
 /// Decodes a committed command sequence (skipping election barriers)
@@ -941,12 +844,11 @@ pub fn replay_digest(records: &[IntentRecord]) -> u64 {
 /// — with checksums disabled, rotted bytes replay as garbage — so the
 /// error propagates for the caller to grade as divergence.
 pub fn state_digest(cmds: &[String]) -> Result<u64> {
-    let records: Vec<IntentRecord> = cmds
-        .iter()
-        .filter(|s| !s.starts_with("barrier"))
-        .map(|s| IntentRecord::decode(s))
-        .collect::<Result<_>>()?;
-    Ok(replay_digest(&records))
+    let mut state = ReplayState::default();
+    for cmd in cmds {
+        state.absorb(cmd)?;
+    }
+    Ok(state.digest())
 }
 
 // ---------------------------------------------------------------------------
@@ -1186,7 +1088,7 @@ pub fn run_storage_seed_with(seed: u64, prot: StorageProtections) -> Result<Stor
                     // Only the decode failure qualifies: a transient
                     // `NoLeader` between attempts must keep retrying.
                     Err(_)
-                        if matches!(log.records(), Err(FlexError::Consensus(_))) =>
+                        if matches!(log.replay(), Err(FlexError::Consensus(_))) =>
                     {
                         break
                     }

@@ -17,9 +17,11 @@
 //! `String`s), e.g. `intent 3 dev 1,2,4` or `flip 3 at 1500000000` —
 //! human-readable in test failures and trivially round-trippable.
 
-use crate::raft::RaftCluster;
-use crate::storage::{compact_records, NodeStorage};
+use crate::raft::{CommittedView, RaftCluster};
+use crate::storage::NodeStorage;
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
+use std::cell::{Ref, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One durable phase transition of a reconfiguration transaction.
 ///
@@ -131,7 +133,7 @@ pub enum IntentRecord {
     /// Log-compaction marker: everything before this record was folded
     /// into a snapshot summary and `txn` is the id allocator's
     /// high-water mark at compaction time. Written first in every
-    /// snapshot ([`crate::storage::compact_records`]) so a failed-over
+    /// snapshot ([`ReplayState::summary`]) so a failed-over
     /// coordinator never reuses an id whose records were compacted
     /// away. Recovery's in-doubt resolution ignores it.
     Compacted {
@@ -159,6 +161,30 @@ impl IntentRecord {
             | IntentRecord::RolledBack { rollout } => *rollout,
             IntentRecord::WaveCommitted { rollout, txn, .. } => (*rollout).max(*txn),
         }
+    }
+
+    /// The transaction or rollout whose phase machine this record
+    /// advances: every rollout record counts towards its rollout (a
+    /// `WaveCommitted` too — its wave transaction has 2PC records of its
+    /// own). `None` for the two kinds that advance none: intended-state
+    /// records (reconciliation targets) and compaction markers.
+    fn subject(&self) -> Option<u64> {
+        match self {
+            IntentRecord::IntendedState { .. } | IntentRecord::Compacted { .. } => None,
+            IntentRecord::WaveCommitted { rollout, .. } => Some(*rollout),
+            other => Some(other.txn()),
+        }
+    }
+
+    /// Whether this record closes its transaction or rollout.
+    fn is_terminal(&self) -> bool {
+        matches!(
+            self,
+            IntentRecord::Committed { .. }
+                | IntentRecord::Aborted { .. }
+                | IntentRecord::RolloutCompleted { .. }
+                | IntentRecord::RolledBack { .. }
+        )
     }
 
     /// Stable wire encoding (a Raft command string).
@@ -323,15 +349,235 @@ impl IntentRecord {
     }
 }
 
-/// How long [`ReplicatedIntentLog::append`] drives the cluster waiting for
-/// a majority commit before declaring the append failed.
-const APPEND_TIMEOUT: SimDuration = SimDuration::from_secs(5);
-
 /// Prefix of the no-op barrier entries [`ReplicatedIntentLog::elect`]
 /// commits so a new leader can commit its predecessors' records (Raft
 /// only commits prior-term entries transitively through a current-term
 /// entry).
 const BARRIER: &str = "barrier";
+
+/// The replay state: a committed record sequence, decoded, plus the one
+/// fold every reader of the log needs — the id allocator's high-water
+/// mark, the latest intended state per device, and per transaction or
+/// rollout its last record, whether that record is terminal, and its full
+/// history while it is open.
+///
+/// Records are folded in one at a time, so a reader that has seen a
+/// prefix pays only for what was committed since.
+/// [`ReplicatedIntentLog::replay`] keeps one, advanced over the current
+/// leader's committed prefix; [`crate::storage::compact_records`]
+/// and [`crate::storage::replay_digest`] run the same fold from empty over
+/// a slice.
+///
+/// A history is dropped when its terminal record arrives, exactly as if
+/// the log had been compacted there: a record that (against the protocol —
+/// ids are never reused) follows a terminal one restarts the history from
+/// that terminal record.
+#[derive(Debug, Default)]
+pub struct ReplayState {
+    records: Vec<IntentRecord>,
+    max_id: u64,
+    /// Device → position in `records` of its latest `IntendedState`.
+    intended: BTreeMap<u64, usize>,
+    /// Transaction or rollout id → positions in `records` of its history:
+    /// every record while it is open, the terminal record alone after.
+    histories: BTreeMap<u64, Vec<usize>>,
+    /// The ids whose last record is not terminal.
+    open: BTreeSet<u64>,
+}
+
+impl ReplayState {
+    /// Folds a record sequence from empty.
+    pub(crate) fn over(records: &[IntentRecord]) -> ReplayState {
+        let mut state = ReplayState::default();
+        for rec in records {
+            state.push(rec.clone());
+        }
+        state
+    }
+
+    /// Folds the next committed record in.
+    fn push(&mut self, rec: IntentRecord) {
+        let at = self.records.len();
+        self.max_id = self.max_id.max(rec.txn());
+        if let IntentRecord::IntendedState { device, .. } = rec {
+            self.intended.insert(device, at);
+        } else if let Some(id) = rec.subject() {
+            let history = self.histories.entry(id).or_default();
+            if rec.is_terminal() {
+                history.clear();
+                self.open.remove(&id);
+            } else {
+                self.open.insert(id);
+            }
+            history.push(at);
+        }
+        self.records.push(rec);
+    }
+
+    /// Folds the next committed command in; election barriers fold away. A
+    /// command that does not decode is the typed error and leaves the
+    /// state as it was. The control plane's one decode site.
+    pub(crate) fn absorb(&mut self, command: &str) -> Result<()> {
+        if !command.starts_with(BARRIER) {
+            self.push(IntentRecord::decode(command)?);
+        }
+        Ok(())
+    }
+
+    /// The record sequence folded so far.
+    pub fn records(&self) -> &[IntentRecord] {
+        &self.records
+    }
+
+    /// The highest transaction or rollout id any record carries (0 for an
+    /// empty sequence): the id allocator's high-water mark.
+    pub fn max_id(&self) -> u64 {
+        self.max_id
+    }
+
+    /// `(device, digest)` of the latest intended state per device, in
+    /// device order.
+    pub(crate) fn intended(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.intended
+            .values()
+            .filter_map(|at| match self.records[*at] {
+                IntentRecord::IntendedState { device, digest, .. } => Some((device, digest)),
+                _ => None,
+            })
+    }
+
+    /// The transactions and rollouts whose last record is not terminal,
+    /// in id order.
+    pub fn open(&self) -> impl Iterator<Item = u64> + '_ {
+        self.open.iter().copied()
+    }
+
+    /// The last record of transaction or rollout `id`.
+    pub fn last(&self, id: u64) -> Option<&IntentRecord> {
+        let at = *self.histories.get(&id)?.last()?;
+        Some(&self.records[at])
+    }
+
+    /// The history of `id`: every record while it is open, its terminal
+    /// record alone once it is closed.
+    pub fn history(&self, id: u64) -> impl Iterator<Item = &IntentRecord> + '_ {
+        self.histories
+            .get(&id)
+            .into_iter()
+            .flatten()
+            .map(|at| &self.records[*at])
+    }
+
+    /// The participants of open transaction `id`: the device list of its
+    /// latest `Intent` or `Prepared` record (empty when there is none, and
+    /// once the transaction is closed).
+    pub fn participants(&self, id: u64) -> &[u64] {
+        self.history(id)
+            .filter_map(|rec| match rec {
+                IntentRecord::Intent { devices, .. } | IntentRecord::Prepared { devices, .. } => {
+                    Some(devices.as_slice())
+                }
+                _ => None,
+            })
+            .last()
+            .unwrap_or_default()
+    }
+
+    /// The recovery-relevant summary a snapshot keeps in place of the
+    /// sequence:
+    ///
+    /// - a [`IntentRecord::Compacted`] marker carrying the id allocator's
+    ///   high-water mark (so a successor never reuses a compacted-away id),
+    /// - the latest [`IntentRecord::IntendedState`] per device (the
+    ///   reconciliation targets),
+    /// - the *final* record of every terminal transaction and rollout
+    ///   (their resolution is all recovery needs),
+    /// - the *full* record history of every non-terminal transaction and
+    ///   rollout (recovery must still resolve them).
+    ///
+    /// Folding summary + tail gives the state folding the full sequence
+    /// gives ([`ReplayState::digest`] is the checked form of that claim).
+    pub fn summary(&self) -> Vec<IntentRecord> {
+        let marker = IntentRecord::Compacted { txn: self.max_id };
+        let kept = self
+            .intended
+            .values()
+            .chain(self.histories.values().flatten())
+            .map(|at| self.records[*at].clone());
+        std::iter::once(marker).chain(kept).collect()
+    }
+
+    /// A semantic digest of the fold: FNV-1a 64 over the state recovery
+    /// actually consumes — the id high-water mark, the latest intended
+    /// state per device, and the final record per transaction and rollout.
+    /// Invariant under [`ReplayState::summary`], and any content
+    /// corruption that survives decoding perturbs it.
+    pub fn digest(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h ^= 0xff;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        eat(&self.max_id.to_le_bytes());
+        for (device, at) in &self.intended {
+            eat(&device.to_le_bytes());
+            eat(self.records[*at].encode().as_bytes());
+        }
+        for (id, history) in &self.histories {
+            if let Some(at) = history.last() {
+                eat(&id.to_le_bytes());
+                eat(self.records[*at].encode().as_bytes());
+            }
+        }
+        h
+    }
+}
+
+/// The replay state of one node's committed prefix, and how far into that
+/// prefix it has been folded.
+#[derive(Debug, Default)]
+struct Cursor {
+    /// The node whose prefix was folded, under this
+    /// [`CommittedView::generation`].
+    node: usize,
+    generation: u64,
+    /// Commands consumed (barriers included).
+    consumed: usize,
+    state: ReplayState,
+}
+
+impl Cursor {
+    /// Brings the fold up to `node`'s `view`. Whether what was folded
+    /// before is still a prefix of `view` is decided here, on every read,
+    /// from the node and its prefix generation: harnesses kill, revive,
+    /// step and rot the cluster behind the log's back
+    /// ([`ReplicatedIntentLog::cluster_mut`]).
+    fn advance(&mut self, node: usize, view: CommittedView<'_>) -> Result<()> {
+        let committed = view.snapshot.len() + view.tail.len();
+        if (self.node, self.generation) != (node, view.generation) || committed < self.consumed {
+            *self = Cursor {
+                node,
+                generation: view.generation,
+                ..Cursor::default()
+            };
+        }
+        // A command that does not decode stops the cursor *at* it: never
+        // skipped, never folded past, re-attempted by the next read.
+        for command in view.commands_from(self.consumed) {
+            self.state.absorb(command)?;
+            self.consumed += 1;
+        }
+        Ok(())
+    }
+}
+
+/// How long [`ReplicatedIntentLog::append`] drives the cluster waiting for
+/// a majority commit before declaring the append failed.
+const APPEND_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
 /// The write-ahead intent log, replicated over a [`RaftCluster`].
 ///
@@ -345,33 +591,33 @@ const BARRIER: &str = "barrier";
 pub struct ReplicatedIntentLog {
     cluster: RaftCluster,
     next_txn: u64,
+    /// The current leader's committed prefix, folded as far as it was last
+    /// read.
+    cursor: RefCell<Cursor>,
 }
 
 impl ReplicatedIntentLog {
     /// A log replicated over `n` controller nodes; runs the initial
     /// election so the log is immediately usable.
     pub fn new(n: usize, seed: u64) -> Result<ReplicatedIntentLog> {
-        let mut cluster = RaftCluster::new(n, seed);
-        cluster
-            .run_until_leader(SimDuration::from_secs(10))
-            .ok_or_else(|| FlexError::Consensus("initial election never converged".into()))?;
-        Ok(ReplicatedIntentLog {
-            cluster,
-            next_txn: 1,
-        })
+        ReplicatedIntentLog::over(RaftCluster::new(n, seed))
     }
 
     /// Like [`ReplicatedIntentLog::new`], but each node persists to the
     /// given [`NodeStorage`] (one per node, possibly armed with fault
     /// plans) instead of default fault-free disks.
     pub fn new_with(n: usize, seed: u64, storages: Vec<NodeStorage>) -> Result<ReplicatedIntentLog> {
-        let mut cluster = RaftCluster::new_with(n, seed, storages);
+        ReplicatedIntentLog::over(RaftCluster::new_with(n, seed, storages))
+    }
+
+    fn over(mut cluster: RaftCluster) -> Result<ReplicatedIntentLog> {
         cluster
             .run_until_leader(SimDuration::from_secs(10))
             .ok_or_else(|| FlexError::Consensus("initial election never converged".into()))?;
         Ok(ReplicatedIntentLog {
             cluster,
             next_txn: 1,
+            cursor: RefCell::default(),
         })
     }
 
@@ -385,17 +631,19 @@ impl ReplicatedIntentLog {
         self.cluster.now()
     }
 
+    /// The current leader, or the retryable [`FlexError::NoLeader`].
+    fn leader(&self) -> Result<usize> {
+        self.cluster.leader().ok_or(FlexError::NoLeader {
+            hint: None,
+            retry_after: crate::raft::ELECTION_TIMEOUT_MAX,
+        })
+    }
+
     /// The current controller epoch: the leader's Raft term.
     ///
     /// Fails with the retryable [`FlexError::NoLeader`] during elections.
     pub fn epoch(&self) -> Result<u64> {
-        match self.cluster.leader() {
-            Some(l) => Ok(self.cluster.term(l)),
-            None => Err(FlexError::NoLeader {
-                hint: None,
-                retry_after: crate::raft::ELECTION_TIMEOUT_MAX,
-            }),
-        }
+        Ok(self.cluster.term(self.leader()?))
     }
 
     /// Allocates the next transaction id.
@@ -427,10 +675,7 @@ impl ReplicatedIntentLog {
         // `propose` only succeeds under a leader, but the leader's
         // durable append can trip its own disk mid-propose — re-check
         // instead of unwrapping.
-        let leader = self.cluster.leader().ok_or(FlexError::NoLeader {
-            hint: None,
-            retry_after: crate::raft::ELECTION_TIMEOUT_MAX,
-        })?;
+        let leader = self.leader()?;
         // The command's global index: the leader appended it at the end
         // of its log (uncommitted entries may precede it, so length of
         // the committed prefix alone would be the wrong slot).
@@ -464,28 +709,38 @@ impl ReplicatedIntentLog {
         )))
     }
 
+    /// The replay state of the committed log as the current leader sees
+    /// it: the one way the control plane reads its log.
+    ///
+    /// Each call folds in what the leader committed since the last one
+    /// (every committed command is decoded once and cloned never); a new
+    /// leader, or one whose prefix was rebuilt from its disk, compacted or
+    /// re-based by a snapshot, is re-folded from empty. Election barriers
+    /// (see [`ReplicatedIntentLog::elect`]) are internal bookkeeping and
+    /// filtered out.
+    ///
+    /// A committed command that does not decode (bit rot replicated with
+    /// checksums disabled) is a [`FlexError::Consensus`] error on every
+    /// read: the fold stops at it and is never handed out short.
+    pub fn replay(&self) -> Result<Ref<'_, ReplayState>> {
+        let leader = self.leader()?;
+        // A view handed out earlier and still alive borrows `self`, so
+        // nothing was committed since it was brought up to date.
+        if let Ok(mut cursor) = self.cursor.try_borrow_mut() {
+            cursor.advance(leader, self.cluster.committed_view(leader)?)?;
+        }
+        Ok(Ref::map(self.cursor.borrow(), |c| &c.state))
+    }
+
     /// The committed record sequence, decoded, as seen by the current
-    /// leader. Election barriers (see [`ReplicatedIntentLog::elect`]) are
-    /// internal bookkeeping and filtered out.
+    /// leader — a clone of [`ReplayState::records`].
     pub fn records(&self) -> Result<Vec<IntentRecord>> {
-        let leader = self.cluster.leader().ok_or(FlexError::NoLeader {
-            hint: None,
-            retry_after: crate::raft::ELECTION_TIMEOUT_MAX,
-        })?;
-        self.cluster
-            .committed(leader)?
-            .iter()
-            .filter(|s| !s.starts_with(BARRIER))
-            .map(|s| IntentRecord::decode(s))
-            .collect()
+        Ok(self.replay()?.records().to_vec())
     }
 
     /// Kills the current leader (the crash under test); returns its index.
     pub fn kill_leader(&mut self) -> Result<usize> {
-        let leader = self.cluster.leader().ok_or(FlexError::NoLeader {
-            hint: None,
-            retry_after: crate::raft::ELECTION_TIMEOUT_MAX,
-        })?;
+        let leader = self.leader()?;
         self.cluster.kill(leader)?;
         Ok(leader)
     }
@@ -507,26 +762,20 @@ impl ReplicatedIntentLog {
         // An undecodable committed log (bit rot replicated with checksums
         // disabled) must not wedge failover — the id allocator keeps its
         // current high-water mark and the divergence surfaces in grading.
-        let max_seen = self
-            .records()
-            .ok()
-            .and_then(|records| records.iter().map(IntentRecord::txn).max());
-        self.next_txn = self.next_txn.max(max_seen.map_or(1, |m| m + 1));
+        let max_seen = self.replay().map_or(0, |replay| replay.max_id());
+        self.next_txn = self.next_txn.max(max_seen + 1);
         Ok(leader)
     }
 
     /// Snapshot + compaction: folds the committed prefix into a summary
-    /// ([`compact_records`]) and installs it as a snapshot on every
+    /// ([`ReplayState::summary`]) and installs it as a snapshot on every
     /// caught-up node, deleting WAL segments behind the fallback
     /// horizon. Nodes whose commit lags, or whose snapshot disk refuses
     /// with [`flexnet_types::StorageError::NoSpace`], are skipped and
     /// keep their full log — compaction is per-node best-effort and
     /// never blocks the cluster.
     pub fn compact(&mut self) -> Result<CompactionReport> {
-        let leader = self.cluster.leader().ok_or(FlexError::NoLeader {
-            hint: None,
-            retry_after: crate::raft::ELECTION_TIMEOUT_MAX,
-        })?;
+        let leader = self.leader()?;
         let upto = self.cluster.commit_index(leader)?;
         let base = self.cluster.base_index(leader)?;
         let mut report = CompactionReport {
@@ -540,16 +789,11 @@ impl ReplicatedIntentLog {
             return Ok(report);
         }
         // The summary replays to the same recovery state as the full
-        // committed prefix (checked by `replay_digest` equality in the
-        // property suite). Barriers are bookkeeping and fold away.
-        let records: Vec<IntentRecord> = self
-            .cluster
-            .committed(leader)?
-            .iter()
-            .filter(|s| !s.starts_with(BARRIER))
-            .map(|s| IntentRecord::decode(s))
-            .collect::<Result<_>>()?;
-        let summary: Vec<String> = compact_records(&records)
+        // committed prefix (checked by digest equality in the property
+        // suite). Barriers are bookkeeping and fold away.
+        let summary: Vec<String> = self
+            .replay()?
+            .summary()
             .iter()
             .map(IntentRecord::encode)
             .collect();
