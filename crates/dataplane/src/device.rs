@@ -405,6 +405,37 @@ impl SandboxConfig {
     }
 }
 
+/// The sandbox's tumbling trap-accounting window: packets and program
+/// traps seen since it last rolled over.
+#[derive(Debug, Clone, Copy, Default)]
+struct TrapWindow {
+    packets: u64,
+    traps: u64,
+}
+
+impl TrapWindow {
+    /// Counts one cleanly processed packet.
+    fn clean(&mut self, cfg: &SandboxConfig) {
+        self.packets += 1;
+        self.roll(cfg);
+    }
+
+    /// Counts one trapped packet and returns the in-window trap rate in
+    /// parts per million.
+    fn trapped(&mut self) -> u64 {
+        self.packets += 1;
+        self.traps += 1;
+        self.traps.saturating_mul(1_000_000) / self.packets
+    }
+
+    /// Starts a fresh window once `cfg.trap_window` packets were seen.
+    fn roll(&mut self, cfg: &SandboxConfig) {
+        if self.packets >= cfg.trap_window {
+            *self = TrapWindow::default();
+        }
+    }
+}
+
 /// What happened to one packet at one device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessResult {
@@ -478,6 +509,20 @@ pub struct DeviceStats {
     pub checksum_drops: u64,
 }
 
+/// The wire admission step every byte-level entry shares: the checksum of
+/// a `sealed` frame is verified before any byte is parsed, then the body is
+/// parsed into a packet. A frame turned away comes back as the stage's own
+/// typed error ([`FlexError::ChecksumMismatch`], or the parser's
+/// [`Trap::MalformedPacket`]) for [`Device::bill`] to charge.
+fn admit(bytes: &[u8], sealed: bool, id: u64) -> Result<Packet> {
+    let body = if sealed {
+        crate::wire::open_frame(bytes)?
+    } else {
+        bytes
+    };
+    crate::wire::parse_wire(body, id)
+}
+
 /// A runtime-programmable network device.
 #[derive(Debug)]
 pub struct Device {
@@ -526,15 +571,13 @@ pub struct Device {
     /// next successful install or hitless flip (a human or the
     /// controller shipped a replacement), never by time.
     quarantined: bool,
-    /// Packets seen in the current trap-accounting window.
-    window_packets: u64,
-    /// Program traps seen in the current trap-accounting window.
-    window_traps: u64,
+    /// The current trap-accounting window.
+    window: TrapWindow,
     /// The most recent program trap (diagnostics; heartbeat detail).
     last_trap: Option<Trap>,
-    /// Reusable VM frame storage: one set of stack/local/key buffers shared
-    /// by every packet [`Device::process`] and [`Device::process_burst`]
-    /// run, so steady-state execution performs no heap allocations.
+    /// Reusable VM frame storage: one set of stack/local/key/field buffers
+    /// shared by every packet the device runs, so steady-state execution
+    /// performs no heap allocations.
     vm: bytecode::VmScratch,
 }
 
@@ -563,8 +606,7 @@ impl Device {
             sandbox: SandboxConfig::default(),
             last_good: None,
             quarantined: false,
-            window_packets: 0,
-            window_traps: 0,
+            window: TrapWindow::default(),
             last_trap: None,
             vm: bytecode::VmScratch::new(),
         }
@@ -588,8 +630,7 @@ impl Device {
     /// Replaces the sandbox configuration (gas budget, trap window).
     pub fn set_sandbox(&mut self, cfg: SandboxConfig) {
         self.sandbox = cfg;
-        self.window_packets = 0;
-        self.window_traps = 0;
+        self.window = TrapWindow::default();
     }
 
     /// The sandbox configuration in force.
@@ -847,8 +888,7 @@ impl Device {
             }
         }
         self.quarantined = false;
-        self.window_packets = 0;
-        self.window_traps = 0;
+        self.window = TrapWindow::default();
         self.active = Some(installed);
         self.version = self.version.next();
         Ok(())
@@ -864,8 +904,7 @@ impl Device {
             }
         }
         self.quarantined = false;
-        self.window_packets = 0;
-        self.window_traps = 0;
+        self.window = TrapWindow::default();
     }
 
     /// Content digest of the stashed last-known-good image, if any —
@@ -979,168 +1018,25 @@ impl Device {
 
     // -- packet processing ------------------------------------------------------
 
-    /// Processes one packet at simulated time `now`.
+    /// Processes one packet at simulated time `now` — a burst of one.
     pub fn process(&mut self, pkt: &mut Packet, now: SimTime) -> Result<ProcessResult> {
         self.ensure_up()?;
-        // Commit any reconfiguration whose transition completed.
-        self.commit_if_ready(now);
-
-        if let Some(until) = self.drained_until {
-            if now < until {
-                self.stats.refused += 1;
-                return Ok(ProcessResult {
-                    verdict: Verdict::Drop,
-                    latency: SimDuration::ZERO,
-                    version: self.version,
-                    ops: 0,
-                    refused: true,
-                    trap: None,
-                });
-            }
-            self.drained_until = None;
-        }
-
-        let version = self.version;
-        let Some(active) = self.active.as_mut() else {
-            // No program: transparent default forwarding.
-            self.stats.processed += 1;
-            pkt.record_processing(self.id, version);
-            return Ok(ProcessResult {
-                verdict: Verdict::Forward(self.default_port),
-                latency: self.cost.base_latency,
-                version,
-                ops: 0,
-                refused: false,
-                trap: None,
-            });
-        };
-
-        active.state.now = now;
-        let hidden = self.parser.strip_invisible(pkt);
-
-        let gas = self.sandbox.gas_limit;
-        let mut total_ops = 0u64;
-        let mut verdict;
-        let mut trapped: Option<Trap> = None;
-        let mut passes = 0u32;
-        loop {
-            // Gas is a *per-packet* budget: recirculated passes run on
-            // whatever the earlier passes left.
-            let remaining = gas.saturating_sub(total_ops);
-            let outcome = match self.exec_mode {
-                ExecMode::Interpreter => {
-                    let (bundle, registry) = active.code.parts();
-                    let mut env = DeviceEnv {
-                        tables: &active.tables,
-                        state: &mut active.state,
-                        invocations: &mut self.invocations,
-                    };
-                    execute_metered(
-                        &bundle.program,
-                        "ingress",
-                        pkt,
-                        &mut env,
-                        registry,
-                        remaining,
-                    )?
-                }
-                ExecMode::Bytecode => {
-                    if active.compiled.is_none() {
-                        active.recompile()?;
-                    }
-                    let InstalledProgram {
-                        compiled,
-                        tables,
-                        state,
-                        ..
-                    } = &mut *active;
-                    let compiled = match compiled.as_deref() {
-                        Some(c) => c,
-                        None => {
-                            return Err(Trap::CorruptImage {
-                                reason: "bytecode image missing after rebuild",
-                            }
-                            .into())
-                        }
-                    };
-                    let entry = compiled
-                        .handler_entry("ingress")
-                        .ok_or_else(|| FlexError::NotFound("handler `ingress`".into()))?;
-                    let mut env = SlotDeviceEnv {
-                        tables: &*tables,
-                        state,
-                        service_names: &compiled.service_names,
-                        invocations: &mut self.invocations,
-                    };
-                    bytecode::execute_compiled_at(
-                        compiled,
-                        entry,
-                        pkt,
-                        &mut env,
-                        remaining,
-                        &mut self.vm,
-                    )?
-                }
-            };
-            total_ops += outcome.ops;
-            if let Some(t) = outcome.trap {
-                // Fail closed: a trapped packet is dropped, never
-                // forwarded on a half-executed pipeline.
-                trapped = Some(t);
-                verdict = Verdict::Drop;
-                break;
-            }
-            verdict = outcome.verdict.unwrap_or(Verdict::Forward(self.default_port));
-            if verdict != Verdict::Recirculate {
-                break;
-            }
-            passes += 1;
-            if passes > MAX_RECIRCULATIONS {
-                self.stats.recirc_dropped += 1;
-                verdict = Verdict::Drop;
-                break;
-            }
-        }
-
-        self.parser.reattach(pkt, hidden);
-        pkt.record_processing(self.id, version);
-        self.stats.processed += 1;
-        if verdict == Verdict::ToController {
-            self.stats.punted += 1;
-        }
-        if verdict == Verdict::Drop {
-            self.stats.dropped += 1;
-        }
-        match trapped.clone() {
-            Some(t) => self.note_program_trap(t, now),
-            None => self.note_clean_packet(),
-        }
-
-        Ok(ProcessResult {
-            verdict,
-            latency: self.cost.packet_latency(total_ops),
-            version,
-            ops: total_ops,
-            refused: false,
-            trap: trapped,
-        })
+        self.run_one(pkt, now)
     }
 
     /// Processes a burst of packets at simulated time `now`, writing one
     /// [`ProcessResult`] per packet — input order, index-aligned — into
     /// `out` (cleared first, capacity reused).
     ///
-    /// Per-packet observable behavior is identical to calling
-    /// [`Device::process`] on each packet in order at the same `now`:
-    /// verdicts, op counts, gas traps, recirculation limits, trap-window
-    /// accounting, and quarantine (including a mid-burst quarantine
-    /// swapping the active image for the *remainder* of the burst) all
-    /// bill the exact packet that incurred them. What the burst form
-    /// amortizes is everything per-packet dispatch pays redundantly:
-    /// handler-entry resolution, environment construction, VM frame
-    /// allocation (via the device's persistent [`bytecode::VmScratch`]),
-    /// and the drain/commit preamble — the whole burst shares one `now`,
-    /// so one check covers it.
+    /// Every packet goes through the same per-packet body as
+    /// [`Device::process`], so a burst is observably a `process` call per
+    /// packet in order at the same `now`: verdicts, op counts, gas traps,
+    /// recirculation limits, trap-window accounting, and quarantine
+    /// (including a mid-burst quarantine swapping the active image for the
+    /// *remainder* of the burst) all bill the exact packet that incurred
+    /// them. What the burst form pays once per run instead of once per
+    /// packet is the drain/commit preamble — the whole burst shares one
+    /// `now` — and opening the run (image check, handler-entry resolution).
     ///
     /// On `Err` (device down, image corrupt) `out` holds results only for
     /// the packets completed before the failure.
@@ -1152,258 +1048,7 @@ impl Device {
     ) -> Result<()> {
         out.clear();
         self.ensure_up()?;
-        self.commit_if_ready(now);
-
-        if let Some(until) = self.drained_until {
-            if now < until {
-                self.stats.refused += pkts.len() as u64;
-                for _ in pkts.iter() {
-                    out.push(ProcessResult {
-                        verdict: Verdict::Drop,
-                        latency: SimDuration::ZERO,
-                        version: self.version,
-                        ops: 0,
-                        refused: true,
-                        trap: None,
-                    });
-                }
-                return Ok(());
-            }
-            self.drained_until = None;
-        }
-
-        // Move the persistent scratch out so the run loop can borrow it
-        // alongside `self`; restore it on every exit path.
-        let mut vm = std::mem::take(&mut self.vm);
-        let result = self.run_burst(pkts, now, out, &mut vm);
-        self.vm = vm;
-        result
-    }
-
-    /// The inner loop of [`Device::process_burst`].
-    ///
-    /// Packets execute in *runs*: maximal stretches of consecutive packets
-    /// handled by the same installed image. A program trap ends the run,
-    /// because its accounting ([`Device::note_program_trap`]) may
-    /// quarantine the image and swap in the last-known-good fallback; the
-    /// outer loop then starts a fresh run on whatever is active. This is
-    /// exactly the sequence the single-packet path produces — trap
-    /// accounting always lands between packets, never retroactively on a
-    /// neighbor.
-    fn run_burst(
-        &mut self,
-        pkts: &mut [Packet],
-        now: SimTime,
-        out: &mut Vec<ProcessResult>,
-        vm: &mut bytecode::VmScratch,
-    ) -> Result<()> {
-        let mut i = 0usize;
-        while i < pkts.len() {
-            let version = self.version;
-            let Some(active) = self.active.as_mut() else {
-                // No program: transparent default forwarding for the rest
-                // of the burst (only the control plane installs images, so
-                // none can appear mid-burst).
-                for pkt in pkts[i..].iter_mut() {
-                    self.stats.processed += 1;
-                    pkt.record_processing(self.id, version);
-                    out.push(ProcessResult {
-                        verdict: Verdict::Forward(self.default_port),
-                        latency: self.cost.base_latency,
-                        version,
-                        ops: 0,
-                        refused: false,
-                        trap: None,
-                    });
-                }
-                return Ok(());
-            };
-
-            active.state.now = now;
-            let gas = self.sandbox.gas_limit;
-            // At most one trapped packet per run — the trap ends it.
-            let mut run_trap: Option<Trap> = None;
-
-            match self.exec_mode {
-                ExecMode::Interpreter => {
-                    for pkt in pkts[i..].iter_mut() {
-                        let hidden = self.parser.strip_invisible(pkt);
-                        let mut total_ops = 0u64;
-                        let mut verdict;
-                        let mut trapped: Option<Trap> = None;
-                        let mut passes = 0u32;
-                        loop {
-                            let remaining = gas.saturating_sub(total_ops);
-                            let (bundle, registry) = active.code.parts();
-                            let mut env = DeviceEnv {
-                                tables: &active.tables,
-                                state: &mut active.state,
-                                invocations: &mut self.invocations,
-                            };
-                            let outcome = execute_metered(
-                                &bundle.program,
-                                "ingress",
-                                pkt,
-                                &mut env,
-                                registry,
-                                remaining,
-                            )?;
-                            total_ops += outcome.ops;
-                            if let Some(t) = outcome.trap {
-                                trapped = Some(t);
-                                verdict = Verdict::Drop;
-                                break;
-                            }
-                            verdict =
-                                outcome.verdict.unwrap_or(Verdict::Forward(self.default_port));
-                            if verdict != Verdict::Recirculate {
-                                break;
-                            }
-                            passes += 1;
-                            if passes > MAX_RECIRCULATIONS {
-                                self.stats.recirc_dropped += 1;
-                                verdict = Verdict::Drop;
-                                break;
-                            }
-                        }
-                        self.parser.reattach(pkt, hidden);
-                        pkt.record_processing(self.id, version);
-                        self.stats.processed += 1;
-                        if verdict == Verdict::ToController {
-                            self.stats.punted += 1;
-                        }
-                        if verdict == Verdict::Drop {
-                            self.stats.dropped += 1;
-                        }
-                        i += 1;
-                        out.push(ProcessResult {
-                            verdict,
-                            latency: self.cost.packet_latency(total_ops),
-                            version,
-                            ops: total_ops,
-                            refused: false,
-                            trap: trapped.clone(),
-                        });
-                        match trapped {
-                            Some(t) => {
-                                run_trap = Some(t);
-                                break;
-                            }
-                            None => {
-                                // note_clean_packet, inlined: `self` is
-                                // partially borrowed by the run.
-                                self.window_packets += 1;
-                                if self.window_packets >= self.sandbox.trap_window {
-                                    self.window_packets = 0;
-                                    self.window_traps = 0;
-                                }
-                            }
-                        }
-                    }
-                }
-                ExecMode::Bytecode => {
-                    if active.compiled.is_none() {
-                        active.recompile()?;
-                    }
-                    let InstalledProgram {
-                        compiled,
-                        tables,
-                        state,
-                        ..
-                    } = &mut *active;
-                    let compiled = match compiled.as_deref() {
-                        Some(c) => c,
-                        None => {
-                            return Err(Trap::CorruptImage {
-                                reason: "bytecode image missing after rebuild",
-                            }
-                            .into())
-                        }
-                    };
-                    // Hoisted per run: handler resolution and environment
-                    // construction. The concrete env type monomorphizes
-                    // state access inside the VM — no vtable dispatch.
-                    let entry = compiled
-                        .handler_entry("ingress")
-                        .ok_or_else(|| FlexError::NotFound("handler `ingress`".into()))?;
-                    let mut env = SlotDeviceEnv {
-                        tables: &*tables,
-                        state,
-                        service_names: &compiled.service_names,
-                        invocations: &mut self.invocations,
-                    };
-                    for pkt in pkts[i..].iter_mut() {
-                        let hidden = self.parser.strip_invisible(pkt);
-                        let mut total_ops = 0u64;
-                        let mut verdict;
-                        let mut trapped: Option<Trap> = None;
-                        let mut passes = 0u32;
-                        loop {
-                            let remaining = gas.saturating_sub(total_ops);
-                            let outcome = bytecode::execute_compiled_vector(
-                                compiled, entry, pkt, &mut env, remaining, vm,
-                            )?;
-                            total_ops += outcome.ops;
-                            if let Some(t) = outcome.trap {
-                                trapped = Some(t);
-                                verdict = Verdict::Drop;
-                                break;
-                            }
-                            verdict =
-                                outcome.verdict.unwrap_or(Verdict::Forward(self.default_port));
-                            if verdict != Verdict::Recirculate {
-                                break;
-                            }
-                            passes += 1;
-                            if passes > MAX_RECIRCULATIONS {
-                                self.stats.recirc_dropped += 1;
-                                verdict = Verdict::Drop;
-                                break;
-                            }
-                        }
-                        self.parser.reattach(pkt, hidden);
-                        pkt.record_processing(self.id, version);
-                        self.stats.processed += 1;
-                        if verdict == Verdict::ToController {
-                            self.stats.punted += 1;
-                        }
-                        if verdict == Verdict::Drop {
-                            self.stats.dropped += 1;
-                        }
-                        i += 1;
-                        out.push(ProcessResult {
-                            verdict,
-                            latency: self.cost.packet_latency(total_ops),
-                            version,
-                            ops: total_ops,
-                            refused: false,
-                            trap: trapped.clone(),
-                        });
-                        match trapped {
-                            Some(t) => {
-                                run_trap = Some(t);
-                                break;
-                            }
-                            None => {
-                                self.window_packets += 1;
-                                if self.window_packets >= self.sandbox.trap_window {
-                                    self.window_packets = 0;
-                                    self.window_traps = 0;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            if let Some(t) = run_trap {
-                // The run's borrows are released here, so trap accounting
-                // may quarantine and swap the active image before the next
-                // run begins.
-                self.note_program_trap(t, now);
-            }
-        }
-        Ok(())
+        self.run_burst(pkts, now, |r| out.push(r))
     }
 
     /// Parses raw wire bytes into a packet and processes it.
@@ -1413,23 +1058,7 @@ impl Device {
     /// — never a panic, and never a quarantine (parse traps indict the
     /// packet, not the program, so they are accounted separately).
     pub fn process_bytes(&mut self, bytes: &[u8], id: u64, now: SimTime) -> Result<ProcessResult> {
-        self.ensure_up()?;
-        match crate::wire::parse_wire(bytes, id) {
-            Ok(mut pkt) => self.process(&mut pkt, now),
-            Err(FlexError::Trap(t)) => {
-                self.stats.parse_traps += 1;
-                self.stats.dropped += 1;
-                Ok(ProcessResult {
-                    verdict: Verdict::Drop,
-                    latency: self.cost.base_latency,
-                    version: self.version,
-                    ops: 0,
-                    refused: false,
-                    trap: Some(t),
-                })
-            }
-            Err(e) => Err(e),
-        }
+        self.process_frame(bytes, false, id, now)
     }
 
     /// Verifies a sealed frame's end-to-end checksum, then parses and
@@ -1449,29 +1078,24 @@ impl Device {
         id: u64,
         now: SimTime,
     ) -> Result<ProcessResult> {
-        self.ensure_up()?;
-        match crate::wire::open_frame(sealed) {
-            Ok(body) => self.process_bytes(body, id, now),
-            Err(e) => {
-                self.stats.checksum_drops += 1;
-                Err(e)
-            }
-        }
+        self.process_frame(sealed, true, id, now)
     }
 
     /// Verifies, parses, and processes a burst of sealed frames, writing
     /// one [`FrameOutcome`] per frame (input order, index-aligned) into
     /// `out`; packets that survive admission are left, post-processing,
-    /// in `pkts` (in outcome order, `Processed` entries only).
+    /// in `pkts` (in outcome order, `Processed` entries only). Both are
+    /// cleared first and keep their capacity.
     ///
     /// Billing is per-offender, exactly as the single-frame entry points
     /// bill: a corrupted frame counts one `checksum_drops` and nothing
     /// else; a malformed body counts one `parse_traps` + one `dropped`
     /// and never feeds any trap window; neighbors in the burst are
     /// processed as if the poison frame had arrived alone between them.
-    /// Admitted packets run in maximal sub-bursts *flushed in arrival
-    /// order around each poison frame*, so quarantine/version
-    /// interleaving matches the equivalent single-frame call sequence.
+    /// Admitted packets are parsed straight into `pkts` and run as
+    /// sub-slices of it *flushed in arrival order around each poison
+    /// frame*, so quarantine/version interleaving matches the equivalent
+    /// single-frame call sequence.
     pub fn process_sealed_burst(
         &mut self,
         frames: &[Vec<u8>],
@@ -1483,47 +1107,253 @@ impl Device {
         out.clear();
         pkts.clear();
         self.ensure_up()?;
-        let mut run: Vec<Packet> = Vec::new();
-        let mut results: Vec<ProcessResult> = Vec::new();
-        macro_rules! flush {
-            () => {
-                if !run.is_empty() {
-                    self.process_burst(&mut run, now, &mut results)?;
-                    for (pkt, r) in run.drain(..).zip(results.drain(..)) {
-                        pkts.push(pkt);
-                        out.push(FrameOutcome::Processed(r));
-                    }
-                }
-            };
-        }
+        let mut flushed = 0;
         for (k, sealed) in frames.iter().enumerate() {
-            match crate::wire::open_frame(sealed) {
-                Err(_) => {
-                    flush!();
-                    self.stats.checksum_drops += 1;
-                    out.push(FrameOutcome::ChecksumDrop);
+            match admit(sealed, true, first_id + k as u64) {
+                Ok(pkt) => pkts.push(pkt),
+                Err(poison) => {
+                    self.run_burst(&mut pkts[flushed..], now, |r| {
+                        out.push(FrameOutcome::Processed(r))
+                    })?;
+                    flushed = pkts.len();
+                    out.push(match self.bill(poison) {
+                        Ok(r) => FrameOutcome::ParseDrop(r),
+                        Err(FlexError::ChecksumMismatch { .. }) => FrameOutcome::ChecksumDrop,
+                        Err(e) => return Err(e),
+                    });
                 }
-                Ok(body) => match crate::wire::parse_wire(body, first_id + k as u64) {
-                    Ok(pkt) => run.push(pkt),
-                    Err(FlexError::Trap(t)) => {
-                        flush!();
-                        self.stats.parse_traps += 1;
-                        self.stats.dropped += 1;
-                        out.push(FrameOutcome::ParseDrop(ProcessResult {
-                            verdict: Verdict::Drop,
-                            latency: self.cost.base_latency,
-                            version: self.version,
-                            ops: 0,
-                            refused: false,
-                            trap: Some(t),
-                        }));
-                    }
-                    Err(e) => return Err(e),
-                },
             }
         }
-        flush!();
+        self.run_burst(&mut pkts[flushed..], now, |r| {
+            out.push(FrameOutcome::Processed(r))
+        })
+    }
+
+    /// The single-frame wire entry: one up-check, [`admit`], then the
+    /// packet processed or the poison billed.
+    fn process_frame(
+        &mut self,
+        bytes: &[u8],
+        sealed: bool,
+        id: u64,
+        now: SimTime,
+    ) -> Result<ProcessResult> {
+        self.ensure_up()?;
+        match admit(bytes, sealed, id) {
+            Ok(mut pkt) => self.run_one(&mut pkt, now),
+            Err(poison) => self.bill(poison),
+        }
+    }
+
+    /// A burst of one behind the up-check, its result returned.
+    fn run_one(&mut self, pkt: &mut Packet, now: SimTime) -> Result<ProcessResult> {
+        let mut result = None;
+        self.run_burst(std::slice::from_mut(pkt), now, |r| result = Some(r))?;
+        Ok(result.expect("a burst of one packet yields one result"))
+    }
+
+    /// The one packet loop, behind the up-check: preamble, then every
+    /// packet through the per-packet body, each result handed to `sink`
+    /// in input order.
+    ///
+    /// Packets execute in *runs*: maximal stretches of consecutive packets
+    /// handled by the same installed image, with the engine [`ExecMode`]
+    /// selects resolved once per run. A program trap closes the run,
+    /// because its accounting ([`Device::note_program_trap`]) may
+    /// quarantine the image and swap in the last-known-good fallback; the
+    /// next run then opens on whatever is active, so trap accounting
+    /// always lands between packets, never retroactively on a neighbor.
+    fn run_burst(
+        &mut self,
+        pkts: &mut [Packet],
+        now: SimTime,
+        mut sink: impl FnMut(ProcessResult),
+    ) -> Result<()> {
+        if self.draining(now) {
+            pkts.iter().for_each(|_| sink(self.refuse()));
+            return Ok(());
+        }
+        let mut rest = pkts.iter_mut();
+        while rest.len() > 0 {
+            let version = self.version;
+            let Some(active) = self.active.as_mut() else {
+                // No program: transparent default forwarding for the rest
+                // of the burst (only the control plane installs images, so
+                // none can appear mid-burst).
+                for pkt in rest {
+                    self.stats.processed += 1;
+                    pkt.record_processing(self.id, version);
+                    sink(ProcessResult {
+                        verdict: Verdict::Forward(self.default_port),
+                        latency: self.cost.base_latency,
+                        version,
+                        ops: 0,
+                        refused: false,
+                        trap: None,
+                    });
+                }
+                return Ok(());
+            };
+
+            active.state.now = now;
+            // Resolved once per run; the reference interpreter walks the AST
+            // and needs neither.
+            let image = match self.exec_mode {
+                ExecMode::Interpreter => None,
+                ExecMode::Bytecode => {
+                    if active.compiled.is_none() {
+                        active.recompile()?;
+                    }
+                    let image = active.compiled.as_deref().ok_or(Trap::CorruptImage {
+                        reason: "bytecode image missing after rebuild",
+                    })?;
+                    let entry = image
+                        .handler_entry("ingress")
+                        .ok_or_else(|| FlexError::NotFound("handler `ingress`".into()))?;
+                    Some((image, entry))
+                }
+            };
+            let (code, tables, state) = (&active.code, &active.tables, &mut active.state);
+
+            // At most one trapped packet per run — the trap ends it.
+            let mut run_trap = None;
+            for pkt in rest.by_ref() {
+                let hidden = self.parser.strip_invisible(pkt);
+                let mut ops = 0u64;
+                let mut passes = 0u32;
+                let (verdict, trap) = loop {
+                    // Gas is a *per-packet* budget: recirculated passes run
+                    // on whatever the earlier passes left.
+                    let gas = self.sandbox.gas_limit.saturating_sub(ops);
+                    // The engine is the body's only varying part.
+                    let outcome = match image {
+                        Some((image, entry)) => {
+                            // The concrete env type monomorphizes state
+                            // access inside the VM — no vtable dispatch.
+                            let mut env = SlotDeviceEnv {
+                                tables,
+                                state,
+                                service_names: &image.service_names,
+                                invocations: &mut self.invocations,
+                            };
+                            let vm = &mut self.vm;
+                            bytecode::execute_compiled(image, entry, pkt, &mut env, gas, vm)?
+                        }
+                        None => {
+                            let (bundle, registry) = code.parts();
+                            let program = &bundle.program;
+                            let mut env = DeviceEnv {
+                                tables,
+                                state,
+                                invocations: &mut self.invocations,
+                            };
+                            execute_metered(program, "ingress", pkt, &mut env, registry, gas)?
+                        }
+                    };
+                    ops += outcome.ops;
+                    if outcome.trap.is_some() {
+                        // Fail closed: a trapped packet is dropped, never
+                        // forwarded on a half-executed pipeline.
+                        break (Verdict::Drop, outcome.trap);
+                    }
+                    let verdict = outcome
+                        .verdict
+                        .unwrap_or(Verdict::Forward(self.default_port));
+                    if verdict != Verdict::Recirculate {
+                        break (verdict, None);
+                    }
+                    passes += 1;
+                    if passes > MAX_RECIRCULATIONS {
+                        self.stats.recirc_dropped += 1;
+                        break (Verdict::Drop, None);
+                    }
+                };
+                self.parser.reattach(pkt, hidden);
+                pkt.record_processing(self.id, version);
+                self.stats.processed += 1;
+                if verdict == Verdict::ToController {
+                    self.stats.punted += 1;
+                }
+                if verdict == Verdict::Drop {
+                    self.stats.dropped += 1;
+                }
+                sink(ProcessResult {
+                    verdict,
+                    latency: self.cost.packet_latency(ops),
+                    version,
+                    ops,
+                    refused: false,
+                    trap: trap.clone(),
+                });
+                match trap {
+                    Some(t) => {
+                        run_trap = Some(t);
+                        break;
+                    }
+                    None => self.window.clean(&self.sandbox),
+                }
+            }
+            if let Some(t) = run_trap {
+                // The run's borrows are released here, so trap accounting
+                // may quarantine and swap the active image before the next
+                // run opens.
+                self.note_program_trap(t, now);
+            }
+        }
         Ok(())
+    }
+
+    /// The time-dependent preamble of every packet entry: commits a
+    /// reconfiguration whose transition completed, then reports whether the
+    /// device is still drained at `now` (a drain that ran out is lifted).
+    fn draining(&mut self, now: SimTime) -> bool {
+        crate::reconfig::commit_if_ready(self, now);
+        match self.drained_until {
+            Some(until) if now < until => true,
+            _ => {
+                self.drained_until = None;
+                false
+            }
+        }
+    }
+
+    /// Refuses one packet of a drained device: lost, not processed.
+    fn refuse(&mut self) -> ProcessResult {
+        self.stats.refused += 1;
+        ProcessResult {
+            verdict: Verdict::Drop,
+            latency: SimDuration::ZERO,
+            version: self.version,
+            ops: 0,
+            refused: true,
+            trap: None,
+        }
+    }
+
+    /// Bills a frame [`admit`] turned away to exactly that frame. A malformed
+    /// body is the packet's fault: a fail-closed drop at the device's current
+    /// version that feeds no trap window. A corrupted frame is the fabric's:
+    /// counted, and handed back as the typed error it is.
+    fn bill(&mut self, poison: FlexError) -> Result<ProcessResult> {
+        match poison {
+            FlexError::Trap(t) => {
+                self.stats.parse_traps += 1;
+                self.stats.dropped += 1;
+                Ok(ProcessResult {
+                    verdict: Verdict::Drop,
+                    latency: self.cost.base_latency,
+                    version: self.version,
+                    ops: 0,
+                    refused: false,
+                    trap: Some(t),
+                })
+            }
+            corrupt @ FlexError::ChecksumMismatch { .. } => {
+                self.stats.checksum_drops += 1;
+                Err(corrupt)
+            }
+            codec_failure => Err(codec_failure),
+        }
     }
 
     /// Read access to a table of the active program (used by the egress
@@ -1532,34 +1362,19 @@ impl Device {
         self.active.as_ref()?.tables.get(name)
     }
 
-    /// Trap-window accounting for one cleanly processed packet.
-    fn note_clean_packet(&mut self) {
-        self.window_packets += 1;
-        if self.window_packets >= self.sandbox.trap_window {
-            self.window_packets = 0;
-            self.window_traps = 0;
-        }
-    }
-
     /// Trap-window accounting for one trapped packet; quarantines the
     /// program when the in-window trap rate crosses threshold.
     fn note_program_trap(&mut self, trap: Trap, now: SimTime) {
         self.stats.traps += 1;
         self.last_trap = Some(trap);
-        self.window_packets += 1;
-        self.window_traps += 1;
-        let rate_ppm = self
-            .window_traps
-            .saturating_mul(1_000_000)
-            / self.window_packets.max(1);
+        let rate_ppm = self.window.trapped();
         if !self.quarantined
-            && self.window_packets >= self.sandbox.min_window
+            && self.window.packets >= self.sandbox.min_window
             && rate_ppm >= self.sandbox.trap_threshold_ppm
         {
             self.quarantine_now(now);
-        } else if self.window_packets >= self.sandbox.trap_window {
-            self.window_packets = 0;
-            self.window_traps = 0;
+        } else {
+            self.window.roll(&self.sandbox);
         }
     }
 
@@ -1575,18 +1390,9 @@ impl Device {
         }
         self.stats.quarantines += 1;
         self.quarantined = true;
-        self.window_packets = 0;
-        self.window_traps = 0;
-        match self.last_good.take() {
-            Some(good) => self.active = Some(*good),
-            None => self.active = None,
-        }
+        self.window = TrapWindow::default();
+        self.active = self.last_good.take().map(|good| *good);
         self.version = self.version.next();
-    }
-
-    /// Internal hook from the reconfiguration engine (see `reconfig.rs`).
-    fn commit_if_ready(&mut self, now: SimTime) {
-        crate::reconfig::commit_if_ready(self, now);
     }
 }
 

@@ -2,23 +2,27 @@
 //!
 //! A [`ForwardingGraph`] carries bursts of 64–256 packets through a small
 //! pipeline of [`GraphNode`] stages over reusable per-burst lanes
-//! ([`BurstLanes`]) — no per-packet allocation, no per-packet call chain:
+//! ([`BurstLanes`]) — no per-packet allocation, no per-packet call chain.
+//! It has two entries over the same stage list:
 //!
 //! ```text
-//!   parse ──▶ exec (match + action/VM) ──▶ sched (WRR queue) ──▶ emit
+//!   run         packets ──▶ exec ───────────────────────────▶ [sched] ──▶ emit
+//!   run_sealed  frames  ──▶ admission (checksum ▶ parse ▶ exec) ▶ [sched] ──▶ emit
 //! ```
 //!
-//! - The **parse** stage is the sealed-frame admission preamble
-//!   ([`crate::device::Device::process_sealed_burst`]), entered through
-//!   [`ForwardingGraph::run_sealed`]: checksum verification and wire
-//!   parsing bill the exact offending frame, and surviving packets join
-//!   the burst.
-//! - The **exec** stage ([`ExecNode`]) is the fused match/action/VM hot
-//!   path: [`crate::device::Device::process_burst`], which amortizes
-//!   handler resolution, environment setup, and VM frame storage across
-//!   the burst while keeping per-packet semantics (gas, traps,
-//!   quarantine) byte-identical to the single-packet path.
-//! - The **sched** stage ([`SchedNode`]) classifies forwarded packets
+//! - The **exec** stage ([`ExecNode`]) is the device's one packet loop,
+//!   [`crate::device::Device::process_burst`]: every packet through the
+//!   same per-packet body a single [`crate::device::Device::process`] call
+//!   runs (gas, traps, quarantine billed to the exact packet), with the
+//!   preamble and engine resolution paid once per run. It is always the
+//!   first stage.
+//! - **Admission** is what [`ForwardingGraph::run_sealed`] does in place of
+//!   the exec stage ([`crate::device::Device::process_sealed_burst`]):
+//!   checksum verification and wire parsing bill the exact offending
+//!   frame, and surviving packets run the same packet loop in arrival
+//!   order around each poison frame.
+//! - The **sched** stage ([`SchedNode`], only in
+//!   [`ForwardingGraph::with_scheduler`]) classifies forwarded packets
 //!   into weighted classes — by a packet field or by a batch
 //!   ([`crate::table::TableInstance::lookup_burst`]) table lookup — and
 //!   queues them on a deficit-round-robin [`EgressScheduler`].
@@ -86,7 +90,7 @@ pub trait GraphNode: std::fmt::Debug {
     fn run(&mut self, cx: &mut GraphCtx<'_>) -> Result<()>;
 }
 
-/// The fused match/action/VM stage: [`Device::process_burst`].
+/// The exec stage — the device's one packet loop, [`Device::process_burst`].
 #[derive(Debug, Default)]
 pub struct ExecNode;
 
@@ -251,6 +255,8 @@ impl GraphNode for EmitNode {
 /// burst lanes the stages share.
 #[derive(Debug)]
 pub struct ForwardingGraph {
+    /// `nodes[0]` is the exec stage: both constructors put it there and
+    /// [`ForwardingGraph::push_node`] only appends.
     nodes: Vec<Box<dyn GraphNode>>,
     lanes: BurstLanes,
     /// Packet storage for the sealed-frame entry.
@@ -317,11 +323,11 @@ impl ForwardingGraph {
         Ok(&self.lanes)
     }
 
-    /// The wire entry: admits sealed frames through the parse stage
-    /// ([`Device::process_sealed_burst`] — checksum, parse, and exec with
-    /// exact per-offender billing), then carries the surviving packets
-    /// through the remaining stages (sched/emit). Per-frame outcomes land
-    /// in [`BurstLanes::frame_outcomes`]; [`BurstLanes::results`] and
+    /// The wire entry: admission ([`Device::process_sealed_burst`] —
+    /// checksum, parse, and exec with exact per-offender billing) takes the
+    /// exec stage's place, then the surviving packets go through the
+    /// remaining stages (sched/emit). Per-frame outcomes land in
+    /// [`BurstLanes::frame_outcomes`]; [`BurstLanes::results`] and
     /// [`BurstLanes::egress`] are index-aligned with the *admitted*
     /// packets.
     pub fn run_sealed(
@@ -353,11 +359,9 @@ impl ForwardingGraph {
             pkts: &mut parsed[..],
             lanes,
         };
-        // The parse stage subsumed exec; run the remaining stages.
-        for node in nodes.iter_mut() {
-            if node.name() == "exec" {
-                continue;
-            }
+        // Admission already executed the packets: skip the exec stage, which
+        // is the first by construction (whatever any stage is named).
+        for node in nodes.iter_mut().skip(1) {
             node.run(&mut cx)?;
         }
         Ok(&self.lanes)
@@ -525,6 +529,39 @@ mod tests {
         assert_eq!(lanes.egress, vec![0, 1, 2, 3, 4, 5, 6]);
         assert_eq!(dev.stats().checksum_drops, 1);
         assert_eq!(dev.stats().processed, 7);
+    }
+
+    /// A custom stage that happens to share the exec stage's name.
+    #[derive(Debug)]
+    struct CountingNode(std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl GraphNode for CountingNode {
+        fn name(&self) -> &'static str {
+            "exec"
+        }
+
+        fn run(&mut self, _cx: &mut GraphCtx<'_>) -> Result<()> {
+            self.0.set(self.0.get() + 1);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_pushed_stage_named_exec_runs_once_per_burst_on_both_entries() {
+        let mut dev = filter_dev();
+        let mut g = ForwardingGraph::standard();
+        let runs = std::rc::Rc::new(std::cell::Cell::new(0));
+        g.push_node(Box::new(CountingNode(runs.clone())));
+
+        g.run(&mut dev, &mut burst(4), SimTime::ZERO).unwrap();
+        assert_eq!(runs.get(), 1, "run");
+        assert_eq!(dev.stats().processed, 4);
+
+        let frames: Vec<Vec<u8>> = burst(4).iter().map(|p| seal_frame(&encode_wire(p))).collect();
+        let lanes = g.run_sealed(&mut dev, &frames, 0, SimTime::ZERO).unwrap();
+        assert_eq!(lanes.results.len(), 4);
+        assert_eq!(runs.get(), 2, "run_sealed skips the exec stage by position, not by name");
+        assert_eq!(dev.stats().processed, 8, "each admitted packet executed exactly once");
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! - [`state`] — stateful-state encodings (registers, flow instruction
 //!   sets, stateful tables) behind a virtualized logical K/V layer (§3.1).
 //! - [`parser`] — the parser graph with runtime state add/remove (§2).
-//! - [`device`] — the device: placement, packet processing, statistics.
+//! - [`device`] — the device: placement, statistics, and the one packet
+//!   loop every entry ([`device::Device::process`],
+//!   [`device::Device::process_burst`], the wire entries) drives: one
+//!   per-packet body, with [`device::ExecMode`] selecting only the engine
+//!   inside it (the bytecode executor, or the reference interpreter).
 //! - [`image`] — sealed program images (checked and verified once, shared
 //!   by `Arc`) and the configuration digest memoised on them.
 //! - [`reconfig`] — hitless runtime reconfiguration (shadow program +
@@ -19,10 +23,14 @@
 //!   unsafe in-place ablation (§2).
 //! - [`baseline`] — Mantis- and HyPer4-style approximations (§1.1).
 //! - [`cost`] — per-architecture latency/reconfiguration/energy models.
-//! - [`wire`] — the raw-bytes wire codec feeding the sandbox's
-//!   poison-packet entry point ([`device::Device::process_bytes`]).
+//! - [`wire`] — the raw-bytes wire codec behind the device's one wire
+//!   admission step (checksum → parse → exact per-offender billing), which
+//!   [`device::Device::process_bytes`],
+//!   [`device::Device::process_sealed_bytes`] and
+//!   [`device::Device::process_sealed_burst`] share.
 //! - [`graph`] — the burst hot path: a forwarding graph of composable
-//!   nodes (parse → exec → sched → emit) over reusable packet vectors,
+//!   nodes (exec → \[sched\] → emit, with sealed-frame admission in the
+//!   exec stage's place on the wire entry) over reusable packet vectors,
 //!   built on [`device::Device::process_burst`].
 //! - [`sched`] — the weighted (deficit) round-robin egress scheduler
 //!   behind the graph's queue stage.

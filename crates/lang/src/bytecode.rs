@@ -24,7 +24,7 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
-use crate::interp::{eval_bin, hash_values, ExecEnv, ExecOutcome, GAS_UNLIMITED, MAX_TABLE_KEY_WIDTH};
+use crate::interp::{eval_bin, hash_values, ExecOutcome, MAX_TABLE_KEY_WIDTH};
 use flexnet_types::{Fields, FlexError, Header, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
 
@@ -123,10 +123,10 @@ impl SlotResolver for ProgramResolver<'_> {
 /// The environment compiled programs execute against: the device's state
 /// plane addressed by dense slot indices instead of names.
 ///
-/// Mirrors [`ExecEnv`] operation for operation; the only structural change
-/// is `table_lookup`, which returns the matched entry's *resolved action
-/// index* and a borrow of its argument vector, so the hot path neither
-/// hashes a string nor clones an `ActionCall`.
+/// Mirrors [`crate::interp::ExecEnv`] operation for operation; the only
+/// structural change is `table_lookup`, which returns the matched entry's
+/// *resolved action index* and a borrow of its argument vector, so the hot
+/// path neither hashes a string nor clones an `ActionCall`.
 pub trait SlotEnv {
     /// Looks up `keys` in table `table`, returning `(action index within
     /// the table's declared actions, action arguments)` on a hit.
@@ -773,25 +773,12 @@ impl Compiler<'_> {
     }
 }
 
-/// Executes `handler` of a compiled program over `pkt` against `env` with
-/// no gas limit. See [`execute_compiled_metered`] for the sandboxed form.
-pub fn execute_compiled(
-    prog: &CompiledProgram,
-    handler: &str,
-    pkt: &mut Packet,
-    env: &mut dyn SlotEnv,
-) -> Result<ExecOutcome> {
-    execute_compiled_metered(prog, handler, pkt, env, GAS_UNLIMITED)
-}
-
 /// Reusable VM frame storage: operand stack, locals, loop counters, call
-/// frames, and the table-key staging buffer.
+/// frames, the table-key staging buffer, and the prefetched field lane.
 ///
 /// A device keeps one `VmScratch` alive across every packet it runs —
 /// single or burst — so the per-packet frame setup is a handful of
-/// `clear()`s on already-sized buffers instead of five heap allocations.
-/// [`execute_compiled_metered`] builds a fresh one per call: the
-/// convenience form for tests and one-off runs, not a packet path.
+/// `clear()`s on already-sized buffers instead of heap allocations.
 #[derive(Debug, Default)]
 pub struct VmScratch {
     stack: Vec<u64>,
@@ -800,8 +787,7 @@ pub struct VmScratch {
     calls: Vec<usize>,
     keys: Vec<u64>,
     /// Prefetched field values, index-aligned with
-    /// [`CompiledProgram::fields`]. Only the vector executor
-    /// ([`execute_compiled_vector`]) populates and reads this lane.
+    /// [`CompiledProgram::fields`].
     fields: Vec<u64>,
 }
 
@@ -819,8 +805,19 @@ impl VmScratch {
     }
 }
 
-/// Executes `handler` of a compiled program over `pkt` against `env` under
-/// a gas budget of `gas` abstract operations.
+/// Executes a compiled program over `pkt` against `env` from the handler
+/// entry pc `entry` ([`CompiledProgram::handler_entry`]) under a gas budget
+/// of `gas` abstract operations ([`crate::interp::GAS_UNLIMITED`] disables
+/// metering), with frame storage supplied by the caller. The environment
+/// type is generic so a device's concrete [`SlotEnv`] monomorphizes state
+/// access into direct calls instead of vtable dispatch.
+///
+/// Every interned field is read once into the scratch's field lane at
+/// handler entry, refreshed after a header is added or removed and written
+/// through on a field store, so `PushField` and table-key gathering are
+/// single indexed loads instead of a header scan plus field scan per
+/// access. The prefetch is free under the gas meter — it only relocates
+/// reads.
 ///
 /// Verdicts, op counts, state effects, and traps are identical to
 /// [`crate::interp::execute_metered`] on the same program — the
@@ -830,67 +827,8 @@ impl VmScratch {
 /// outcomes carrying a [`Trap`]; an inconsistent image itself (stack/pc/
 /// frame invariants broken) traps as [`Trap::CorruptImage`] so a device can
 /// fail closed rather than crash its sweep.
-pub fn execute_compiled_metered(
-    prog: &CompiledProgram,
-    handler: &str,
-    pkt: &mut Packet,
-    env: &mut dyn SlotEnv,
-    gas: u64,
-) -> Result<ExecOutcome> {
-    let entry = prog
-        .handler_entry(handler)
-        .ok_or_else(|| FlexError::NotFound(format!("handler `{handler}`")))?;
-    execute_compiled_at(prog, entry, pkt, env, gas, &mut VmScratch::new())
-}
-
-/// The device's executor: `handler_entry` already resolved to `entry`,
-/// frame storage supplied by the caller, and the environment type left
-/// generic so a device's concrete [`SlotEnv`] monomorphizes state access
-/// into direct calls instead of vtable dispatch.
-///
-/// Semantics (verdicts, op counts, traps, state effects) are *identical* to
-/// [`execute_compiled_metered`], which is now a thin wrapper over this.
-pub fn execute_compiled_at<E: SlotEnv + ?Sized>(
-    prog: &CompiledProgram,
-    entry: u32,
-    pkt: &mut Packet,
-    env: &mut E,
-    gas: u64,
-    scratch: &mut VmScratch,
-) -> Result<ExecOutcome> {
-    exec_inner::<E, false>(prog, entry, pkt, env, gas, scratch)
-}
-
-/// The vector engine's executor: identical semantics to
-/// [`execute_compiled_at`], plus a prefetched field-value lane. Every
-/// interned field is read once into `scratch.fields` at handler entry
-/// (and refreshed after any header-set mutation), so `PushField` and
-/// table-key gathering become single indexed loads instead of a header
-/// scan plus field scan per access. That pays on a burst of table
-/// lookups; the entry refetch reads fields a short program may never
-/// touch, which is why single packets keep the live lane (DESIGN.md §19).
-/// Gas accounting, verdicts,
-/// traps, and state effects are unchanged — the differential suite pins
-/// burst (this executor) against single-packet (the legacy one) across
-/// the whole gallery.
-pub fn execute_compiled_vector<E: SlotEnv + ?Sized>(
-    prog: &CompiledProgram,
-    entry: u32,
-    pkt: &mut Packet,
-    env: &mut E,
-    gas: u64,
-    scratch: &mut VmScratch,
-) -> Result<ExecOutcome> {
-    exec_inner::<E, true>(prog, entry, pkt, env, gas, scratch)
-}
-
-/// The shared VM loop. `PREFETCH` selects the field-access strategy at
-/// monomorphization time: `false` reads fields live from the packet on
-/// every touch (the historical single-packet cost profile), `true` serves
-/// them from the scratch's prefetched lane.
-///
 #[inline]
-fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
+pub fn execute_compiled<E: SlotEnv + ?Sized>(
     prog: &CompiledProgram,
     entry: u32,
     pkt: &mut Packet,
@@ -915,15 +853,12 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
         fields,
     } = scratch;
 
-    // (Re)loads the prefetch lane from the live packet. Free under the gas
-    // meter — it only relocates reads the legacy path performs lazily.
+    // (Re)loads the field lane from the live packet.
     macro_rules! refetch {
         () => {
-            if PREFETCH {
-                fields.clear();
-                for &(proto, field) in &prog.fields {
-                    fields.push(pkt.get_field_sym(proto, field).unwrap_or(0));
-                }
+            fields.clear();
+            for &(proto, field) in &prog.fields {
+                fields.push(pkt.get_field_sym(proto, field).unwrap_or(0));
             }
         };
     }
@@ -981,12 +916,7 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
             }
             Insn::PushField(f) => {
                 tick!(1);
-                if PREFETCH {
-                    stack.push(fields[*f as usize]);
-                } else {
-                    let (proto, field) = prog.fields[*f as usize];
-                    stack.push(pkt.get_field_sym(proto, field).unwrap_or(0));
-                }
+                stack.push(fields[*f as usize]);
             }
             Insn::PushValid(p) => {
                 tick!(1);
@@ -1080,12 +1010,10 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
                 let v = pop!();
                 let (proto, field) = prog.fields[*f as usize];
                 pkt.set_field_sym(proto, field, v);
-                if PREFETCH {
-                    // Write-through: refresh just this lane slot from the
-                    // packet (a store to a missing header is a no-op, which
-                    // the re-read reproduces exactly).
-                    fields[*f as usize] = pkt.get_field_sym(proto, field).unwrap_or(0);
-                }
+                // Write-through: refresh just this lane slot from the packet
+                // (a store to a missing header is a no-op, which the re-read
+                // reproduces exactly).
+                fields[*f as usize] = pkt.get_field_sym(proto, field).unwrap_or(0);
             }
             Insn::MapPut(m) => {
                 tick!(1);
@@ -1150,14 +1078,7 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
                     });
                 }
                 keys.clear();
-                for &f in &meta.key_fields {
-                    keys.push(if PREFETCH {
-                        fields[f as usize]
-                    } else {
-                        let (proto, field) = prog.fields[f as usize];
-                        pkt.get_field_sym(proto, field).unwrap_or(0)
-                    });
-                }
+                keys.extend(meta.key_fields.iter().map(|&f| fields[f as usize]));
                 let dispatch = match env.table_lookup(meta.slot, keys) {
                     Some((aidx, args)) => {
                         let Some(am) = meta.actions.get(aidx as usize) else {
@@ -1266,101 +1187,115 @@ fn exec_inner<E: SlotEnv + ?Sized, const PREFETCH: bool>(
     }
 }
 
-/// Adapts a name-keyed [`ExecEnv`] (e.g. [`crate::interp::MemEnv`]) to the
-/// slot-indexed [`SlotEnv`] interface via a compiled program's reverse
-/// name tables. This is the bridge the differential tests use to run both
-/// engines against the *same* state; devices implement [`SlotEnv`]
-/// natively and never pay this translation.
-pub struct NamedSlotEnv<'a> {
-    prog: &'a CompiledProgram,
-    inner: &'a mut dyn ExecEnv,
-    table_names: Vec<String>,
-    last_call: Option<ActionCall>,
-}
-
-impl<'a> NamedSlotEnv<'a> {
-    /// Wraps `inner`, translating `prog`'s slots back to names.
-    pub fn new(prog: &'a CompiledProgram, inner: &'a mut dyn ExecEnv) -> NamedSlotEnv<'a> {
-        // slot → table name (table slots come from the resolver, so build
-        // the reverse map from the compiled metadata).
-        let max = prog.tables.iter().map(|t| t.slot).max().map_or(0, |m| m + 1);
-        let mut table_names = vec![String::new(); max as usize];
-        for t in &prog.tables {
-            table_names[t.slot as usize] = t.name.clone();
-        }
-        NamedSlotEnv {
-            prog,
-            inner,
-            table_names,
-            last_call: None,
-        }
-    }
-}
-
-impl SlotEnv for NamedSlotEnv<'_> {
-    fn table_lookup(&mut self, table: u16, keys: &[u64]) -> Option<(u16, &[u64])> {
-        let name = &self.table_names[table as usize];
-        self.last_call = self.inner.table_lookup(name, keys);
-        let call = self.last_call.as_ref()?;
-        // Unknown action names map to an out-of-range index; the VM turns
-        // that into the same class of runtime error the interpreter raises.
-        let idx = self
-            .prog
-            .action_index(table, &call.action)
-            .unwrap_or(u16::MAX);
-        Some((idx, call.args.as_slice()))
-    }
-
-    fn map_get(&mut self, map: u16, key: u64) -> Option<u64> {
-        self.inner.map_get(&self.prog.map_names[map as usize], key)
-    }
-
-    fn map_put(&mut self, map: u16, key: u64, value: u64) -> Result<()> {
-        self.inner
-            .map_put(&self.prog.map_names[map as usize], key, value)
-    }
-
-    fn map_del(&mut self, map: u16, key: u64) {
-        self.inner.map_del(&self.prog.map_names[map as usize], key)
-    }
-
-    fn reg_read(&mut self, reg: u16, idx: u64) -> Result<u64> {
-        self.inner
-            .reg_read(&self.prog.register_names[reg as usize], idx)
-    }
-
-    fn reg_write(&mut self, reg: u16, idx: u64, val: u64) -> Result<()> {
-        self.inner
-            .reg_write(&self.prog.register_names[reg as usize], idx, val)
-    }
-
-    fn counter_add(&mut self, counter: u16, pkts: u64, bytes: u64) {
-        self.inner
-            .counter_add(&self.prog.counter_names[counter as usize], pkts, bytes)
-    }
-
-    fn counter_read(&mut self, counter: u16) -> u64 {
-        self.inner
-            .counter_read(&self.prog.counter_names[counter as usize])
-    }
-
-    fn meter_check(&mut self, meter: u16, key: u64) -> bool {
-        self.inner
-            .meter_check(&self.prog.meter_names[meter as usize], key)
-    }
-
-    fn invoke_service(&mut self, service: u16, args: &[u64]) {
-        self.inner
-            .invoke_service(&self.prog.service_names[service as usize], args)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{execute, MemEnv};
+    use crate::interp::{execute, ExecEnv, MemEnv, GAS_UNLIMITED};
     use crate::parser::parse_program;
     use crate::typecheck::check_program;
+
+    /// Adapts a name-keyed [`ExecEnv`] (here [`MemEnv`]) to the slot-indexed
+    /// [`SlotEnv`] interface via a compiled program's reverse name tables: the
+    /// bridge these tests use to run both engines against the *same* state.
+    /// Devices implement [`SlotEnv`] natively and never pay this translation.
+    struct NamedSlotEnv<'a> {
+        prog: &'a CompiledProgram,
+        inner: &'a mut dyn ExecEnv,
+        table_names: Vec<String>,
+        last_call: Option<ActionCall>,
+    }
+
+    impl<'a> NamedSlotEnv<'a> {
+        fn new(prog: &'a CompiledProgram, inner: &'a mut dyn ExecEnv) -> NamedSlotEnv<'a> {
+            // slot → table name (table slots come from the resolver, so build
+            // the reverse map from the compiled metadata).
+            let max = prog.tables.iter().map(|t| t.slot).max().map_or(0, |m| m + 1);
+            let mut table_names = vec![String::new(); max as usize];
+            for t in &prog.tables {
+                table_names[t.slot as usize] = t.name.clone();
+            }
+            NamedSlotEnv {
+                prog,
+                inner,
+                table_names,
+                last_call: None,
+            }
+        }
+    }
+
+    impl SlotEnv for NamedSlotEnv<'_> {
+        fn table_lookup(&mut self, table: u16, keys: &[u64]) -> Option<(u16, &[u64])> {
+            let name = &self.table_names[table as usize];
+            self.last_call = self.inner.table_lookup(name, keys);
+            let call = self.last_call.as_ref()?;
+            // Unknown action names map to an out-of-range index; the VM turns
+            // that into the same class of runtime error the interpreter raises.
+            let idx = self
+                .prog
+                .action_index(table, &call.action)
+                .unwrap_or(u16::MAX);
+            Some((idx, call.args.as_slice()))
+        }
+
+        fn map_get(&mut self, map: u16, key: u64) -> Option<u64> {
+            self.inner.map_get(&self.prog.map_names[map as usize], key)
+        }
+
+        fn map_put(&mut self, map: u16, key: u64, value: u64) -> Result<()> {
+            self.inner
+                .map_put(&self.prog.map_names[map as usize], key, value)
+        }
+
+        fn map_del(&mut self, map: u16, key: u64) {
+            self.inner.map_del(&self.prog.map_names[map as usize], key)
+        }
+
+        fn reg_read(&mut self, reg: u16, idx: u64) -> Result<u64> {
+            self.inner
+                .reg_read(&self.prog.register_names[reg as usize], idx)
+        }
+
+        fn reg_write(&mut self, reg: u16, idx: u64, val: u64) -> Result<()> {
+            self.inner
+                .reg_write(&self.prog.register_names[reg as usize], idx, val)
+        }
+
+        fn counter_add(&mut self, counter: u16, pkts: u64, bytes: u64) {
+            self.inner
+                .counter_add(&self.prog.counter_names[counter as usize], pkts, bytes)
+        }
+
+        fn counter_read(&mut self, counter: u16) -> u64 {
+            self.inner
+                .counter_read(&self.prog.counter_names[counter as usize])
+        }
+
+        fn meter_check(&mut self, meter: u16, key: u64) -> bool {
+            self.inner
+                .meter_check(&self.prog.meter_names[meter as usize], key)
+        }
+
+        fn invoke_service(&mut self, service: u16, args: &[u64]) {
+            self.inner
+                .invoke_service(&self.prog.service_names[service as usize], args)
+        }
+    }
+
+    /// Runs `handler` of `c` on the one executor against `env` through the
+    /// name bridge, on fresh frame storage.
+    fn run(
+        c: &CompiledProgram,
+        handler: &str,
+        pkt: &mut Packet,
+        env: &mut MemEnv,
+        gas: u64,
+    ) -> Result<ExecOutcome> {
+        let entry = c
+            .handler_entry(handler)
+            .ok_or_else(|| FlexError::NotFound(format!("handler `{handler}`")))?;
+        let mut bridge = NamedSlotEnv::new(c, env);
+        execute_compiled(c, entry, pkt, &mut bridge, gas, &mut VmScratch::new())
+    }
 
     fn compiled(src: &str) -> (Program, CompiledProgram, HeaderRegistry) {
         let p = parse_program(src).unwrap();
@@ -1381,10 +1316,7 @@ mod tests {
         let mut pkt_i = pkt.clone();
         let mut pkt_b = pkt.clone();
         let out_i = execute(&p, "ingress", &mut pkt_i, &mut env_i, &headers).unwrap();
-        let out_b = {
-            let mut bridge = NamedSlotEnv::new(&c, &mut env_b);
-            execute_compiled(&c, "ingress", &mut pkt_b, &mut bridge).unwrap()
-        };
+        let out_b = run(&c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b, "verdict/ops diverged on {src}");
         assert_eq!(pkt_i, pkt_b, "packet effects diverged on {src}");
         assert_eq!(env_i.maps, env_b.maps, "map state diverged");
@@ -1530,8 +1462,7 @@ mod tests {
         let out_i = execute(&p, "ingress", &mut pkt.clone(), &mut env_i, &headers).unwrap();
         let mut env_b = MemEnv::new();
         env_b.tables = setup.tables.clone();
-        let mut bridge = NamedSlotEnv::new(&c, &mut env_b);
-        let out_b = execute_compiled(&c, "ingress", &mut pkt, &mut bridge).unwrap();
+        let out_b = run(&c, "ingress", &mut pkt, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b, "trap identity and gas count must agree");
         let trap = out_b.trap.expect("a bad entry traps, fail closed");
         assert_eq!(
@@ -1592,10 +1523,7 @@ mod tests {
                 &p, "ingress", &mut pkt_i, &mut env_i, &headers, gas,
             )
             .unwrap();
-            let out_b = {
-                let mut bridge = NamedSlotEnv::new(&c, &mut env_b);
-                execute_compiled_metered(&c, "ingress", &mut pkt_b, &mut bridge, gas).unwrap()
-            };
+            let out_b = run(&c, "ingress", &mut pkt_b, &mut env_b, gas).unwrap();
             assert_eq!(out_i, out_b, "divergence at gas={gas}");
             assert_eq!(pkt_i, pkt_b, "packet divergence at gas={gas}");
             assert_eq!(env_i.maps, env_b.maps, "map divergence at gas={gas}");
@@ -1630,10 +1558,7 @@ mod tests {
         let mut pkt_i = Packet::tcp(1, 1, 2, 3, 4, 0);
         let mut pkt_b = pkt_i.clone();
         let out_i = execute(&p, "ingress", &mut pkt_i, &mut env_i, &headers).unwrap();
-        let out_b = {
-            let mut bridge = NamedSlotEnv::new(&c, &mut env_b);
-            execute_compiled(&c, "ingress", &mut pkt_b, &mut bridge).unwrap()
-        };
+        let out_b = run(&c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b);
         assert_eq!(
             out_b.trap,
@@ -1649,14 +1574,8 @@ mod tests {
         c.insns.clear();
         c.insns.push(Insn::Jump(1000));
         let mut env = MemEnv::new();
-        let mut bridge = NamedSlotEnv::new(&c, &mut env);
-        let out = execute_compiled(
-            &c,
-            "ingress",
-            &mut Packet::tcp(1, 1, 2, 3, 4, 0),
-            &mut bridge,
-        )
-        .unwrap();
+        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
+        let out = run(&c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
         assert_eq!(
             out.trap,
             Some(flexnet_types::Trap::CorruptImage {
@@ -1670,14 +1589,8 @@ mod tests {
         c.insns.push(Insn::StoreLocal(0));
         c.n_locals = 1;
         let mut env = MemEnv::new();
-        let mut bridge = NamedSlotEnv::new(&c, &mut env);
-        let out = execute_compiled(
-            &c,
-            "ingress",
-            &mut Packet::tcp(1, 1, 2, 3, 4, 0),
-            &mut bridge,
-        )
-        .unwrap();
+        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
+        let out = run(&c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
         assert_eq!(
             out.trap,
             Some(flexnet_types::Trap::CorruptImage {
@@ -1796,14 +1709,8 @@ mod tests {
     fn unknown_handler_matches_interpreter_error() {
         let (_, c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
         let mut env = MemEnv::new();
-        let mut bridge = NamedSlotEnv::new(&c, &mut env);
-        let err = execute_compiled(
-            &c,
-            "egress",
-            &mut Packet::tcp(1, 1, 2, 3, 4, 0),
-            &mut bridge,
-        )
-        .unwrap_err();
+        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
+        let err = run(&c, "egress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap_err();
         assert_eq!(err, FlexError::NotFound("handler `egress`".into()));
     }
 

@@ -18,8 +18,9 @@
 //!   via interval analysis, and per-packet op bounds.
 //! - [`interp`] — the reference interpreter, executing handlers against an
 //!   [`interp::ExecEnv`] provided by each device model.
-//! - [`bytecode`] — the fast path: install-time lowering to flat,
-//!   slot-resolved instructions executed against a [`bytecode::SlotEnv`].
+//! - [`bytecode`] — the packet path's engine: install-time lowering to flat,
+//!   slot-resolved instructions, run by the one executor
+//!   [`bytecode::execute_compiled`] against a [`bytecode::SlotEnv`].
 //! - [`ir`] — decomposition into placeable elements with resource demands.
 //! - [`diff`] — program diffing into runtime [`diff::ReconfigOp`]s.
 //! - [`patch`] — the incremental-change DSL (paper §3.2).
@@ -68,9 +69,8 @@ pub mod verifier;
 pub mod prelude {
     pub use crate::ast::{Program, ProgramKind, SourceFile};
     pub use crate::bytecode::{
-        compile, compile_with_program_slots, execute_compiled, execute_compiled_at,
-        execute_compiled_metered, execute_compiled_vector, CompiledProgram, SlotEnv, SlotResolver,
-        SymbolKind, VmScratch,
+        compile, compile_with_program_slots, execute_compiled, CompiledProgram, SlotEnv,
+        SlotResolver, SymbolKind, VmScratch,
     };
     pub use crate::compose::{compose, TenantExtension};
     pub use crate::diff::{diff_bundles, ProgramBundle, ReconfigOp};

@@ -7,13 +7,22 @@
 //! of `common/counting_alloc.rs` tallies every `alloc`/`realloc` inside the
 //! measured window; the steady-state pump must tally none.
 //!
+//! The wire entry cannot be allocation-free — it builds the packets — but
+//! it must add nothing of its own: a warmed-up
+//! [`ForwardingGraph::run_sealed`] over clean frames allocates exactly
+//! what parsing those frames and stamping each packet's first trace entry
+//! allocates.
+//!
 //! This file holds exactly one test so no sibling test thread can
 //! allocate inside the counting window.
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
 
-use flexnet_dataplane::{Architecture, Device, StateEncoding};
+use flexnet_dataplane::{
+    encode_wire, open_frame, parse_wire, seal_frame, Architecture, Device, ForwardingGraph,
+    StateEncoding,
+};
 use flexnet_sim::BurstDriver;
 use flexnet_types::{NodeId, Packet, SimTime};
 
@@ -48,5 +57,39 @@ fn steady_state_burst_pump_performs_zero_allocations() {
         allocs, 0,
         "steady-state pump must not allocate (counted {allocs} allocations \
          across 2048 packets)"
+    );
+
+    // The wire entry, same device: 256 clean sealed frames per burst.
+    let frames: Vec<Vec<u8>> = (0..256u64)
+        .map(|i| seal_frame(&encode_wire(&Packet::tcp(i, (i % 251) as u32, 7, 1, 80, 0))))
+        .collect();
+    let mut graph = ForwardingGraph::standard();
+    for _ in 0..3 {
+        graph
+            .run_sealed(&mut dev, &frames, 0, SimTime::ZERO)
+            .expect("warmup burst");
+    }
+    // What building the packets costs by itself: the parse, and the trace
+    // entry each packet's first hop pushes onto an empty `Packet.trace`.
+    let (version, node) = (dev.version(), dev.id());
+    let (floor, _) = counting_alloc::count(|| {
+        for (i, frame) in frames.iter().enumerate() {
+            let body = open_frame(frame).expect("clean frame");
+            let mut pkt = parse_wire(body, i as u64).expect("well-formed body");
+            pkt.record_processing(node, version);
+            std::hint::black_box(&pkt);
+        }
+    });
+    let (allocs, admitted) = counting_alloc::count(|| {
+        graph
+            .run_sealed(&mut dev, &frames, 0, SimTime::ZERO)
+            .map(|lanes| lanes.results.len())
+    });
+    assert_eq!(admitted.expect("measured burst"), frames.len());
+    assert_eq!(
+        allocs, floor,
+        "a steady-state sealed burst must allocate only its packets \
+         ({floor} allocations for {} frames)",
+        frames.len()
     );
 }

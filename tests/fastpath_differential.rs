@@ -9,12 +9,13 @@
 //! records its own regressions file.
 
 use flexnet::prelude::*;
-use flexnet_dataplane::device::{ExecMode, ProcessResult};
+use flexnet_dataplane::device::{ExecMode, FrameOutcome, ProcessResult};
 use flexnet_dataplane::table::{KeyMatch, TableEntry};
-use flexnet_dataplane::SandboxConfig;
+use flexnet_dataplane::wire::{encode_wire, flip_bits, seal_frame};
+use flexnet_dataplane::{ForwardingGraph, SandboxConfig};
 use flexnet_lang::ast::{ActionCall, MatchKind, TableDecl};
 use flexnet_lang::parser::parse_source;
-use flexnet_types::{Header, Trap};
+use flexnet_types::{FlexError, Header, Trap};
 use proptest::prelude::*;
 
 /// Every program the app gallery can produce, spanning maps, registers,
@@ -342,11 +343,12 @@ fn trapping_inputs_trap_identically_in_both_modes() {
 /// points.
 const BURST_SIZES: [usize; 4] = [1, 3, 64, 256];
 
-/// Drives `packets` through two identically configured devices — one via
+/// Drives `packets` through three identically configured devices — one via
 /// per-packet [`Device::process`], one via [`Device::process_burst`] in
-/// chunks of `burst` — and requires identical observable behaviour. Each
-/// chunk shares one timestamp on both paths, mirroring how a burst shares
-/// its `now`.
+/// chunks of `burst`, one via [`ForwardingGraph::run`] over the same chunks
+/// (at burst 1 that is graph-of-1 ≡ `process` ≡ `process_burst` of 1) — and
+/// requires identical observable behaviour. Each chunk shares one timestamp
+/// on every path, mirroring how a burst shares its `now`.
 fn assert_burst_matches_single(
     name: &str,
     bundle: &ProgramBundle,
@@ -354,17 +356,8 @@ fn assert_burst_matches_single(
     burst: usize,
     mode: ExecMode,
 ) {
-    let mut single = dev(mode, bundle.program.kind);
-    let mut bursty = dev(mode, bundle.program.kind);
-    single.install(bundle.clone()).expect("installs");
-    bursty.install(bundle.clone()).expect("installs");
-    let mut rng = Rng(0x5eed_0000 ^ name.len() as u64);
-    for t in &bundle.program.tables {
-        for e in synth_entries(t, &mut rng) {
-            single.add_entry(&t.name, e.clone()).expect("entry fits");
-            bursty.add_entry(&t.name, e).expect("entry fits");
-        }
-    }
+    let [mut single, mut bursty, mut graphed] = gallery_devices(name, bundle, mode);
+    let mut graph = ForwardingGraph::standard();
     let mut out = Vec::new();
     for (ci, chunk) in packets.chunks(burst.max(1)).enumerate() {
         let now = SimTime::from_millis(ci as u64 * 3);
@@ -387,32 +380,52 @@ fn assert_burst_matches_single(
             burst_pkts, single_pkts,
             "{name}: burst {burst} {mode:?}, chunk {ci} packet mutations"
         );
+        let mut graph_pkts: Vec<Packet> = chunk.to_vec();
+        let lanes = graph
+            .run(&mut graphed, &mut graph_pkts, now)
+            .expect("processes");
+        assert_eq!(
+            lanes.results, singles,
+            "{name}: graph burst {burst} {mode:?}, chunk {ci} results"
+        );
+        assert_eq!(
+            graph_pkts, single_pkts,
+            "{name}: graph burst {burst} {mode:?}, chunk {ci} packet mutations"
+        );
     }
-    assert_eq!(
-        single.snapshot_state(),
-        bursty.snapshot_state(),
-        "{name}: burst {burst} {mode:?} logical state"
-    );
-    assert_eq!(
-        single.stats(),
-        bursty.stats(),
-        "{name}: burst {burst} {mode:?} device stats"
-    );
-    assert_eq!(
-        single.config_digest(),
-        bursty.config_digest(),
-        "{name}: burst {burst} {mode:?} config digest"
-    );
-    assert_eq!(
-        single.version(),
-        bursty.version(),
-        "{name}: burst {burst} {mode:?} program version"
-    );
-    assert_eq!(
-        single.quarantined(),
-        bursty.quarantined(),
-        "{name}: burst {burst} {mode:?} quarantine flag"
-    );
+    for (lane, other) in [("burst", &bursty), ("graph", &graphed)] {
+        assert_same_device(&format!("{name}: {lane} {burst} {mode:?}"), &single, other);
+    }
+}
+
+/// Identically configured devices for one gallery program: installed,
+/// with the same synthesized table entries.
+fn gallery_devices<const N: usize>(
+    name: &str,
+    bundle: &ProgramBundle,
+    mode: ExecMode,
+) -> [Device; N] {
+    std::array::from_fn(|_| {
+        let mut d = dev(mode, bundle.program.kind);
+        d.install(bundle.clone()).expect("installs");
+        let mut rng = Rng(0x5eed_0000 ^ name.len() as u64);
+        for t in &bundle.program.tables {
+            for e in synth_entries(t, &mut rng) {
+                d.add_entry(&t.name, e).expect("entry fits");
+            }
+        }
+        d
+    })
+}
+
+/// Everything a device lets an observer see after a stream: logical state,
+/// stats, config digest, program version and the quarantine flag.
+fn assert_same_device(what: &str, a: &Device, b: &Device) {
+    assert_eq!(a.snapshot_state(), b.snapshot_state(), "{what} logical state");
+    assert_eq!(a.stats(), b.stats(), "{what} device stats");
+    assert_eq!(a.config_digest(), b.config_digest(), "{what} config digest");
+    assert_eq!(a.version(), b.version(), "{what} program version");
+    assert_eq!(a.quarantined(), b.quarantined(), "{what} quarantine flag");
 }
 
 #[test]
@@ -523,6 +536,203 @@ fn burst_matches_single_under_tiny_gas_budgets() {
             }
         }
     }
+}
+
+/// Programs that change the header stack under the VM's field lane: a
+/// header added and then written, a header removed and then written (a
+/// store to a missing header is a no-op, and its other fields must read
+/// back 0), a store to a header the packet never had — and then a table
+/// keyed on the touched
+/// fields (through `meta.k`, itself a stored lane slot), so a stale lane
+/// slot would pick the wrong entry. Since single
+/// packets and bursts share the one executor, both engines and every burst
+/// size must agree.
+#[test]
+fn header_mutating_programs_agree_across_engines_and_burst_sizes() {
+    let mutate = bundle_of(
+        "header tun { fields { id: 16; tag: 8; } follows udp when udp.dport == 4789; }
+         program mutate kind any {
+           counter hits;
+           table touched {
+             key { meta.k : exact; }
+             action out(port: u16) { count(hits); forward(port); }
+             action deny() { drop(); }
+             default out(9);
+             size 16;
+           }
+           handler ingress(pkt) {
+             if (ipv4.src % 4 == 0) { add_header(tun); tun.tag = ipv4.dst % 8; }
+             if (ipv4.src % 4 == 1) { remove_header(tcp); tcp.sport = 7; }
+             if (ipv4.src % 4 == 2) { vlan.vid = 5; ipv4.ttl = ipv4.ttl - 1; }
+             if (ipv4.src % 8 == 4) { remove_header(tun); tun.id = 3; }
+             meta.k = tun.tag + tcp.dport + vlan.vid;
+             apply touched;
+             forward(0);
+           }
+         }",
+    );
+    let pkts = packet_stream(0x4ead, 240);
+    assert_modes_agree("mutate", &mutate, &pkts);
+    for burst in BURST_SIZES {
+        for mode in [ExecMode::Interpreter, ExecMode::Bytecode] {
+            assert_burst_matches_single("mutate", &mutate, &pkts, burst, mode);
+        }
+    }
+    // The stream takes every branch, and the table both hits and misses.
+    let [mut d] = gallery_devices("mutate", &mutate, ExecMode::Bytecode);
+    let mut verdicts = Vec::new();
+    for p in &pkts {
+        let mut p = p.clone();
+        let verdict = d.process(&mut p, SimTime::ZERO).expect("processes").verdict;
+        if !verdicts.contains(&verdict) {
+            verdicts.push(verdict);
+        }
+        let src = p.get_field("ipv4.src").expect("ipv4");
+        assert_eq!(p.has_header("tun"), src % 4 == 0 && src % 8 != 4, "src {src}");
+        assert_eq!(p.has_header("tcp"), src % 4 != 1, "src {src}");
+        assert!(!p.has_header("vlan"), "a store never creates a header");
+    }
+    assert!(verdicts.len() > 2, "only {verdicts:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Sealed differential: the three wire entries — `process_sealed_bytes` frame
+// by frame, `process_sealed_burst`, `ForwardingGraph::run_sealed` — share one
+// admission step and one packet loop, and must be indistinguishable on
+// streams that mix clean frames, frames corrupted in flight and validly
+// sealed garbage.
+// ---------------------------------------------------------------------------
+
+/// `packet_stream(seed, n)` on the wire, with a seeded share of poison: about
+/// one frame in eight has bits flipped after sealing (checksum drop) and
+/// about one in eight is a correctly sealed garbage body (parse drop, or a
+/// short unknown-ethertype packet).
+fn sealed_stream(seed: u64, n: usize) -> Vec<Vec<u8>> {
+    let mut rng = Rng(seed ^ 0x5ea1ed);
+    packet_stream(seed, n)
+        .iter()
+        .map(|p| match rng.next() % 8 {
+            0 => {
+                let mut frame = seal_frame(&encode_wire(p));
+                flip_bits(&mut frame, rng.next(), 1 + (rng.next() % 3) as u32);
+                frame
+            }
+            1 => {
+                let garbage: Vec<u8> = (0..rng.next() % 48).map(|_| rng.next() as u8).collect();
+                seal_frame(&garbage)
+            }
+            _ => seal_frame(&encode_wire(p)),
+        })
+        .collect()
+}
+
+/// The single-frame entry's return value as the burst entries report it.
+fn frame_outcome(r: flexnet_types::Result<ProcessResult>) -> FrameOutcome {
+    match r {
+        Err(FlexError::ChecksumMismatch { .. }) => FrameOutcome::ChecksumDrop,
+        Ok(r) if matches!(r.trap, Some(Trap::MalformedPacket { .. })) => FrameOutcome::ParseDrop(r),
+        Ok(r) => FrameOutcome::Processed(r),
+        Err(e) => panic!("wire entry failed: {e}"),
+    }
+}
+
+/// Feeds `frames` to three identically configured devices — frame by frame
+/// through [`Device::process_sealed_bytes`], and in chunks of `burst` through
+/// [`Device::process_sealed_burst`] and [`ForwardingGraph::run_sealed`] — and
+/// requires the same outcome per frame, the same survivors and the same
+/// device afterwards.
+fn assert_sealed_entries_agree(
+    name: &str,
+    bundle: &ProgramBundle,
+    frames: &[Vec<u8>],
+    burst: usize,
+) {
+    let [mut single, mut bursty, mut graphed] = gallery_devices(name, bundle, ExecMode::Bytecode);
+    let mut graph = ForwardingGraph::standard();
+    let (mut pkts, mut out) = (Vec::new(), Vec::new());
+    let mut kinds = [0usize; 3];
+    for (ci, chunk) in frames.chunks(burst).enumerate() {
+        let what = format!("{name}: sealed burst {burst}, chunk {ci}");
+        let now = SimTime::from_millis(ci as u64 * 3);
+        let first_id = (ci * burst) as u64;
+        let singles: Vec<FrameOutcome> = chunk
+            .iter()
+            .enumerate()
+            .map(|(k, f)| frame_outcome(single.process_sealed_bytes(f, first_id + k as u64, now)))
+            .collect();
+        bursty
+            .process_sealed_burst(chunk, first_id, now, &mut pkts, &mut out)
+            .expect("processes");
+        assert_eq!(out, singles, "{what} outcomes");
+        let lanes = graph
+            .run_sealed(&mut graphed, chunk, first_id, now)
+            .expect("processes");
+        assert_eq!(lanes.frame_outcomes, singles, "{what} graph outcomes");
+
+        // Survivors: exactly the processed frames, in arrival order, each
+        // stamped by the version that processed it; and the graph's results
+        // and egress line up with them.
+        let processed: Vec<(u64, &ProcessResult)> = singles
+            .iter()
+            .enumerate()
+            .filter_map(|(k, o)| match o {
+                FrameOutcome::Processed(r) => Some((first_id + k as u64, r)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pkts.len(), processed.len(), "{what} survivors");
+        for (pkt, (id, r)) in pkts.iter().zip(&processed) {
+            assert_eq!(pkt.id, *id, "{what} survivor order");
+            assert_eq!(pkt.trace, vec![(bursty.id(), r.version)], "{what} survivor trace");
+        }
+        let results: Vec<&ProcessResult> = processed.iter().map(|(_, r)| *r).collect();
+        assert_eq!(lanes.results.iter().collect::<Vec<_>>(), results, "{what} graph results");
+        let forwarded: Vec<u32> = (0..results.len() as u32)
+            .filter(|&i| matches!(results[i as usize].verdict, Verdict::Forward(_)))
+            .collect();
+        assert_eq!(lanes.egress, forwarded, "{what} graph egress");
+        for o in &singles {
+            kinds[match o {
+                FrameOutcome::Processed(_) => 0,
+                FrameOutcome::ChecksumDrop => 1,
+                FrameOutcome::ParseDrop(_) => 2,
+            }] += 1;
+        }
+    }
+    assert!(kinds.iter().all(|&k| k > 0), "{name}: stream lacks a frame kind: {kinds:?}");
+    for (lane, other) in [("sealed burst", &bursty), ("run_sealed", &graphed)] {
+        assert_same_device(&format!("{name}: {lane} {burst}"), &single, other);
+    }
+}
+
+#[test]
+fn sealed_entries_agree_on_every_gallery_program_with_poisoned_streams() {
+    let storm = bundle_of(
+        "program storm kind any {
+           map d : map<u32, u32>[16];
+           handler ingress(pkt) {
+             let x = 1000 / map_get(d, ipv4.src);
+             forward(1);
+           }
+         }",
+    );
+    let mut programs = gallery();
+    programs.push(("storm", storm));
+    for (name, bundle) in &programs {
+        let frames = sealed_stream(0x5ea1 ^ name.len() as u64, 200);
+        for burst in [1, 3, 64] {
+            assert_sealed_entries_agree(name, bundle, &frames, burst);
+        }
+    }
+    // The storm quarantines mid-burst: poison frames never feed the trap
+    // window, so it takes 16 *admitted* trapping packets.
+    let [mut d] = gallery_devices("storm", &programs.last().expect("storm").1, ExecMode::Bytecode);
+    let frames = sealed_stream(0x5ea1 ^ 5, 64);
+    let (mut pkts, mut out) = (Vec::new(), Vec::new());
+    d.process_sealed_burst(&frames, 0, SimTime::ZERO, &mut pkts, &mut out)
+        .expect("processes");
+    assert!(d.quarantined() && d.stats().traps == 16, "{:?}", d.stats());
+    assert!(d.stats().checksum_drops > 0 && d.stats().parse_traps > 0);
 }
 
 proptest! {
