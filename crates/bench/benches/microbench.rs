@@ -8,15 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexnet::prelude::*;
+use flexnet_bench::bundle;
 use std::hint::black_box;
-
-fn bundle(src: &str) -> ProgramBundle {
-    let file = parse_source(src).unwrap();
-    ProgramBundle {
-        headers: file.headers,
-        program: file.programs.into_iter().next().unwrap(),
-    }
-}
 
 fn firewall_bundle() -> ProgramBundle {
     flexnet::apps::security::firewall(256).unwrap()

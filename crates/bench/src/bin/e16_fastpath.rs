@@ -17,7 +17,8 @@ use std::time::Instant;
 
 use flexnet::prelude::*;
 use flexnet_bench::{bundle, header, row, sep, times};
-use flexnet_controller::rollout::run_canary_seed;
+use flexnet_bench::suites::canary;
+use flexnet_bench::Arm;
 use flexnet_dataplane::device::ExecMode;
 use flexnet_dataplane::table::{TableEntry, TableInstance};
 use flexnet_dataplane::SandboxConfig;
@@ -363,12 +364,12 @@ fn main() {
     let e15_seeds = sweep_seeds.min(12);
     let start = Instant::now();
     let serial_ok = (0..e15_seeds)
-        .map(run_canary_seed)
+        .map(|s| canary::run(s, Arm::Protected))
         .filter(|r| r.is_ok())
         .count();
     let e15_serial = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let par_ok = flexnet_bench::par_sweep(e15_seeds, run_canary_seed)
+    let par_ok = flexnet_bench::par_sweep(e15_seeds, |s| canary::run(s, Arm::Protected))
         .into_iter()
         .filter(|r| r.is_ok())
         .count();

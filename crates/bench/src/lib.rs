@@ -1,9 +1,33 @@
-//! Shared harness utilities for the FlexNet experiment binaries (E1–E16).
+//! The FlexNet experiment harness: the rigs every claim-derived
+//! experiment in EXPERIMENTS.md is regenerated with.
 //!
-//! Each `src/bin/eN_*.rs` binary regenerates one experiment from
-//! EXPERIMENTS.md, printing the rows recorded there. This library holds the
-//! table-printing helpers and a few shared scenario builders so the
-//! binaries stay focused on their experiment logic.
+//! - `src/bin/e1_hitless` … `e12_faults` and `e16_fastpath` each regenerate
+//!   one experiment, printing the rows recorded there; this file holds
+//!   their table-printing helpers, [`switch_scenario`] and [`par_sweep`].
+//! - The seeded chaos experiments (E13–E21) are seven [`suites`] built on
+//!   one [`fixture`] (fleets, programs, detector baselining, closing
+//!   checks) and swept by one driver ([`sweep`]): the `chaos` binary,
+//!   `chaos <suite|all> [seeds]`. A suite runs a seed on one [`Arm`] —
+//!   protected, or ablated for the oracle seeds that must keep failing.
+//!
+//! The controller library ships none of this: a test rig linked into
+//! `flexnetc` and the benchmark is a rig nobody can delete.
+
+pub mod fixture;
+pub mod sweep;
+/// The seeded chaos suites, one module per experiment.
+pub mod suites {
+    pub mod adversary;
+    pub mod canary;
+    pub mod overload;
+    pub mod recovery;
+    pub mod resync;
+    pub mod sandbox;
+    pub mod storage;
+}
+
+pub use fixture::bundle;
+pub use sweep::{Arm, Report};
 
 use flexnet::prelude::*;
 
@@ -28,16 +52,6 @@ pub fn row(cols: &[&str]) {
 /// Prints a separator sized for `n` columns.
 pub fn sep(n: usize) {
     println!("{}", "-".repeat((18 + 1) * n));
-}
-
-/// Parses FlexBPF source into a bundle (panics on error; harness inputs are
-/// static).
-pub fn bundle(src: &str) -> ProgramBundle {
-    let file = parse_source(src).expect("harness program parses");
-    ProgramBundle {
-        headers: file.headers,
-        program: file.programs.into_iter().next().expect("one program"),
-    }
 }
 
 /// The standard single-switch scenario: two hosts, CBR traffic.

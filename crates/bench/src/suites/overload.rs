@@ -1,38 +1,37 @@
-//! The overload-protection layer, end to end: the seeded metastability
-//! chaos harness (experiment E17, `DESIGN.md` §12).
+//! E17 — the overload-protection layer end to end: the seeded
+//! metastability suite.
 //!
-//! PRs 1–5 taught every subsystem to *retry harder* when something
-//! fails. That is the recipe for **metastable failure**: a transient
-//! fault (mass restart, fabric brownout, telemetry burst, slow
-//! controller) pushes offered control-plane load over service capacity;
-//! queueing delay crosses the clients' timeout; from then on every
-//! request the controller serves is one its requester has already given
-//! up on — *pure waste* — while the requesters' retries multiply
-//! arrivals. The overload sustains itself after the original fault
-//! clears. This module reproduces that trap deterministically and shows
-//! the protection layer breaking it:
+//! A control plane whose every subsystem *retries harder* when something
+//! fails is the recipe for **metastable failure**: a transient fault (mass
+//! restart, fabric brownout, telemetry burst, slow controller) pushes
+//! offered control-plane load over service capacity; queueing delay
+//! crosses the clients' timeout; from then on every request the
+//! controller serves is one its requester has already given up on — *pure
+//! waste* — while the requesters' retries multiply arrivals. The overload
+//! sustains itself after the original fault clears. This suite reproduces
+//! that trap deterministically and shows the protection layer breaking
+//! it:
 //!
-//! - **retry budgets** ([`crate::retry::RetryBudget`]) cap retries at a
-//!   fraction of successes, so a storm self-extinguishes instead of
-//!   multiplying arrivals;
-//! - **decorrelated jitter** ([`crate::retry::Jitter`]) desynchronizes
-//!   the retries that do run;
-//! - **circuit breakers** ([`crate::drpc::BreakerSet`]) stop burning
-//!   service capacity on destinations that are down;
-//! - **priority admission + deadline shedding**
-//!   ([`crate::core::AdmissionQueue`]) keep remedial/resync work ahead
-//!   of telemetry floods and discard expired work *unserved* — shedding
-//!   a stale item costs a counter bump, serving it costs capacity;
-//! - **the global resync token bucket** ([`crate::core::TokenBucket`])
-//!   paces a mass-restart stampede into an orderly queue;
-//! - **graceful degradation** ([`crate::core::OverloadGovernor`]) pauses
-//!   new rollouts and widens heartbeat cadence + detector thresholds
-//!   under sustained shed, instead of dropping failure detection.
+//! - **retry budgets** ([`RetryBudget`]) cap retries at a fraction of
+//!   successes, so a storm self-extinguishes instead of multiplying
+//!   arrivals;
+//! - **decorrelated jitter** desynchronizes the retries that do run;
+//! - **circuit breakers** ([`BreakerSet`]) stop burning service capacity
+//!   on destinations that are down;
+//! - **priority admission + deadline shedding** ([`AdmissionQueue`]) keep
+//!   remedial/resync work ahead of telemetry floods and discard expired
+//!   work *unserved* — shedding a stale item costs a counter bump,
+//!   serving it costs capacity;
+//! - **the global resync token bucket** ([`TokenBucket`]) paces a
+//!   mass-restart stampede into an orderly queue;
+//! - **graceful degradation** ([`OverloadGovernor`]) pauses new rollouts
+//!   and widens heartbeat cadence + detector thresholds under sustained
+//!   shed, instead of dropping failure detection.
 //!
-//! [`run_overload_seed`] executes one seeded scenario with a
-//! [`Protections`] toggle set; the E17 acceptance criterion is that the
-//! protected controller recovers within a bounded window after the
-//! fault clears in *every* seed, while the unprotected one demonstrably
+//! [`run`] executes one seeded scenario on one [`Arm`]; the acceptance
+//! criterion is that the protected controller recovers within a bounded
+//! window after the fault clears in *every* seed, while the ablated one —
+//! the same controller with every mechanism above off — demonstrably
 //! stays collapsed on pinned seeds.
 //!
 //! ## The model
@@ -49,15 +48,13 @@
 //! resync converges the device. All randomness (fabric loss, jitter)
 //! derives from the seed; two runs of one seed are identical.
 
-use crate::core::{
-    AdmissionQueue, ControllerMode, FailureDetector, HealthEvent, OverloadGovernor, TokenBucket,
-    WorkClass,
+use crate::sweep::{col, count, total, Arm, Oracle, Report, Suite, Summary};
+use flexnet_controller::{
+    AdmissionQueue, BreakerSet, ControllerMode, FailureDetector, HealthEvent, OverloadGovernor,
+    RetryBudget, TokenBucket, WorkClass,
 };
-use crate::drpc::BreakerSet;
-use crate::retry::RetryBudget;
-use flexnet_sim::OverloadSchedule;
-pub use flexnet_sim::OverloadScenario;
-use flexnet_types::{FlexError, NodeId, SimDuration, SimTime};
+use flexnet_sim::{mix, OverloadScenario, OverloadSchedule};
+use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -101,71 +98,16 @@ const COLLAPSE_WINDOW: SimDuration = SimDuration::from_millis(4_000);
 /// Trailing window for the goodput criterion.
 const GOODPUT_WINDOW: SimDuration = SimDuration::from_millis(500);
 
-/// splitmix64 (the sweep-wide convention for expanding seeds).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Which protection mechanisms are active. The E17 sweep runs each seed
-/// once with everything on and once with everything off; the individual
-/// flags exist so tests can attribute behaviour to one mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Protections {
-    /// Per-destination retry budget on report retransmissions.
-    pub retry_budget: bool,
-    /// Decorrelated jitter on retransmission spacing.
-    pub jitter: bool,
-    /// Per-device circuit breakers on the controller→device resync path.
-    pub breakers: bool,
-    /// Bounded priority admission queue with deadline-expiry shedding.
-    pub priority_queue: bool,
-    /// The shared global resync admission token bucket.
-    pub resync_bucket: bool,
-    /// The overload governor: Degraded mode pauses rollouts and widens
-    /// heartbeat cadence + detector thresholds.
-    pub degraded_mode: bool,
-}
-
-impl Protections {
-    /// Every mechanism enabled — the protected controller.
-    pub fn on() -> Protections {
-        Protections {
-            retry_budget: true,
-            jitter: true,
-            breakers: true,
-            priority_queue: true,
-            resync_bucket: true,
-            degraded_mode: true,
-        }
-    }
-
-    /// Every mechanism disabled — the PR-1–5 controller: unbounded FIFO
-    /// queue, naive periodic retransmission, no pacing, no degradation.
-    pub fn off() -> Protections {
-        Protections {
-            retry_budget: false,
-            jitter: false,
-            breakers: false,
-            priority_queue: false,
-            resync_bucket: false,
-            degraded_mode: false,
-        }
-    }
-}
-
-/// Everything one overload chaos run observed.
+/// Everything one overload run observed.
 #[derive(Debug, Clone)]
 pub struct OverloadReport {
     /// The schedule the seed expanded to.
     pub schedule: OverloadSchedule,
-    /// The protection toggle the run executed under.
-    pub protections: Protections,
+    /// The arm the run executed on.
+    pub arm: Arm,
     /// Whether the controller reached steady state (queue drained, all
     /// devices digest-converged, goodput restored, mode Normal) within
-    /// [`RECOVERY_WINDOW`] of the fault clearing.
+    /// `RECOVERY_WINDOW` of the fault clearing.
     pub recovered: bool,
     /// Milliseconds from fault-clear to steady state, when recovered.
     pub recovery_ms: Option<u64>,
@@ -200,16 +142,15 @@ pub struct OverloadReport {
     pub violations: Vec<String>,
 }
 
-impl OverloadReport {
-    /// Whether the run upheld every invariant.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+impl Report for OverloadReport {
+    fn failures(&self) -> Vec<String> {
+        self.violations.clone()
     }
 }
 
 /// One unacknowledged telemetry report on a device.
 #[derive(Debug, Clone)]
-struct Report {
+struct Pending {
     id: u64,
     /// Next retransmission instant.
     next_retry: SimTime,
@@ -227,7 +168,7 @@ struct DeviceState {
     intended: u64,
     restart_at: Option<SimTime>,
     /// Unacked reports, oldest first, capped at [`PENDING_CAP`].
-    pending: VecDeque<Report>,
+    pending: VecDeque<Pending>,
     next_report: SimTime,
     next_report_id: u64,
 }
@@ -263,17 +204,17 @@ fn node_of(device: usize) -> NodeId {
     NodeId(device as u32 + 1)
 }
 
-/// Runs the full overload scenario for one seed under `protections`.
+/// Runs the full overload scenario for one seed on `arm`.
 ///
-/// Deterministic: the same `(seed, protections)` pair always produces
-/// the identical report. Protected-run invariant violations come back
-/// as strings (`report.passed()`); an unprotected run records collapse
-/// in [`OverloadReport::collapsed`] without calling it a violation —
-/// collapse is that cohort's *expected* behaviour.
+/// Deterministic: the same `(seed, arm)` pair always produces the
+/// identical report. Protected-run invariant violations come back as
+/// strings; an ablated run records collapse in
+/// [`OverloadReport::collapsed`] without calling it a violation —
+/// collapse is that arm's *expected* behaviour.
 #[allow(clippy::too_many_lines)]
-pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport {
+pub fn run(seed: u64, arm: Arm) -> Result<OverloadReport> {
     let schedule = OverloadSchedule::from_seed(seed, FLEET);
-    let p = protections;
+    let protected = arm == Arm::Protected;
     let mut rng = StdRng::seed_from_u64(mix(seed ^ 0x0E17_0E17));
 
     // -- actors ----------------------------------------------------------
@@ -289,7 +230,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
             next_report_id: 1,
         })
         .collect();
-    let mut queue = if p.priority_queue {
+    let mut queue = if protected {
         AdmissionQueue::bounded(QUEUE_CAP)
     } else {
         AdmissionQueue::unbounded()
@@ -317,10 +258,10 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
     let mut violations: Vec<String> = Vec::new();
 
     let fault_clear = FAULT_AT + SimDuration::from_millis(schedule.fault_ms);
-    let observe_window = if p == Protections::off() {
-        COLLAPSE_WINDOW
-    } else {
+    let observe_window = if protected {
         RECOVERY_WINDOW
+    } else {
+        COLLAPSE_WINDOW
     };
     let t_end = fault_clear + observe_window;
     let mass_restart = schedule.scenario == OverloadScenario::MassRestart;
@@ -370,7 +311,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
         };
         // Graceful degradation widens the cadence devices are told to
         // use — fewer beats to serve while the backlog drains.
-        let cadence = if p.degraded_mode {
+        let cadence = if protected {
             governor.heartbeat_period(base_cadence)
         } else {
             base_cadence
@@ -386,7 +327,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                 devices[d].next_report = t + cadence;
                 let id = devices[d].next_report_id;
                 devices[d].next_report_id += 1;
-                devices[d].pending.push_back(Report {
+                devices[d].pending.push_back(Pending {
                     id,
                     next_retry: t + CLIENT_TIMEOUT,
                     prev_gap: CLIENT_TIMEOUT,
@@ -395,7 +336,14 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                     devices[d].pending.pop_front();
                 }
                 submit_copy(
-                    &mut queue, &mut ledger, &mut detector, &mut rng, &devices, d, id, t,
+                    &mut queue,
+                    &mut ledger,
+                    &mut detector,
+                    &mut rng,
+                    &devices,
+                    d,
+                    id,
+                    t,
                     fabric_loss,
                 );
             }
@@ -407,14 +355,14 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                 .map(|r| r.id)
                 .collect();
             for id in due {
-                let granted = if p.retry_budget {
+                let granted = if protected {
                     // One shared budget keyed by the controller: total
                     // retransmissions stay a fraction of total successes.
                     budget.try_spend(NodeId(0))
                 } else {
                     true
                 };
-                let gap = if p.jitter {
+                let gap = if protected {
                     let prev = devices[d]
                         .pending
                         .iter()
@@ -424,7 +372,8 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                     let base = CLIENT_TIMEOUT.as_nanos();
                     let hi = prev.as_nanos().saturating_mul(3).max(base + 1);
                     SimDuration::from_nanos(
-                        rng.gen_range(base..hi).min(SimDuration::from_millis(400).as_nanos()),
+                        rng.gen_range(base..hi)
+                            .min(SimDuration::from_millis(400).as_nanos()),
                     )
                 } else {
                     CLIENT_TIMEOUT
@@ -435,7 +384,14 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                 }
                 if granted {
                     submit_copy(
-                        &mut queue, &mut ledger, &mut detector, &mut rng, &devices, d, id, t,
+                        &mut queue,
+                        &mut ledger,
+                        &mut detector,
+                        &mut rng,
+                        &devices,
+                        d,
+                        id,
+                        t,
                         fabric_loss,
                     );
                 }
@@ -445,11 +401,9 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
         // -- rollout attempts (pure optional load) ---------------------
         if t >= next_rollout {
             next_rollout = t + ROLLOUT_PERIOD;
-            if p.degraded_mode && governor.admit_rollout().is_err() {
+            if protected && governor.admit_rollout().is_err() {
                 rollouts_paused += 1;
-            } else if let Ok(id) =
-                queue.push(WorkClass::Rollout, None, t, t + ROLLOUT_PERIOD)
-            {
+            } else if let Ok(id) = queue.push(WorkClass::Rollout, None, t, t + ROLLOUT_PERIOD) {
                 ledger.insert(id, Work::Rollout);
             }
         }
@@ -462,7 +416,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                     &mut resync_waiting,
                     &mut resync_pending,
                     &mut bucket,
-                    p,
+                    protected,
                     d,
                     t,
                 );
@@ -477,7 +431,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                     &mut resync_waiting,
                     &mut resync_pending,
                     &mut bucket,
-                    p,
+                    protected,
                     d,
                     t,
                 );
@@ -527,7 +481,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                     // capacity: the protected controller sheds it here
                     // at zero cost, exactly as the queue would have.
                     let fresh = t.saturating_since(submitted) <= CLIENT_TIMEOUT;
-                    if !fresh && p.priority_queue {
+                    if !fresh && protected {
                         queue.stats.shed_expired += 1;
                         continue;
                     }
@@ -553,7 +507,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                 }
                 Work::Resync { device } => {
                     let node = node_of(device);
-                    if p.breakers {
+                    if protected {
                         if let Err(FlexError::CircuitOpen { retry_after, .. }) =
                             breakers.breaker(node).admit(node, t)
                         {
@@ -568,11 +522,11 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
                     if devices[device].up && !lost {
                         devices[device].digest = devices[device].intended;
                         resync_pending.remove(&device);
-                        if p.breakers {
+                        if protected {
                             breakers.breaker(node).on_success();
                         }
                     } else {
-                        if p.breakers {
+                        if protected {
                             breakers.breaker(node).on_failure(t);
                         }
                         resync_waiting.push((t + SimDuration::from_millis(50), device));
@@ -585,7 +539,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
         }
 
         // -- governor + detector widening ------------------------------
-        if p.degraded_mode {
+        if protected {
             let was = governor.mode();
             let now_mode = governor.observe_sheds(t, queue.stats.shed_total());
             if was == ControllerMode::Normal && now_mode == ControllerMode::Degraded {
@@ -606,7 +560,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
             let trailing: u64 = goodput_ring.iter().map(|(_, n)| n).sum();
             let converged = devices.iter().all(|d| d.up && d.digest == d.intended);
             let drained = queue.len() + usize::from(carry.is_some()) <= FLEET;
-            let mode_ok = !p.degraded_mode || governor.mode() == ControllerMode::Normal;
+            let mode_ok = !protected || governor.mode() == ControllerMode::Normal;
             // ≥ 10% of nominal goodput (160 fresh acks / 500 ms) cleanly
             // separates a draining controller from a collapsed one.
             if converged && drained && mode_ok && trailing >= 16 {
@@ -623,7 +577,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
     let collapsed = recovered_at.is_none() && trailing < 16;
     let diverged_at_end = devices.iter().filter(|d| d.digest != d.intended).count();
 
-    if p == Protections::on() {
+    if protected {
         if !recovered {
             violations.push(format!(
                 "protected controller did not recover within {} of fault-clear \
@@ -646,12 +600,11 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
         }
     }
 
-    OverloadReport {
+    Ok(OverloadReport {
         schedule,
-        protections: p,
+        arm,
         recovered,
-        recovery_ms: recovered_at
-            .map(|at| at.saturating_since(fault_clear).as_nanos() / 1_000_000),
+        recovery_ms: recovered_at.map(|at| at.saturating_since(fault_clear).as_nanos() / 1_000_000),
         collapsed,
         peak_queue: queue.stats.peak_len,
         shed_capacity: queue.stats.shed_capacity,
@@ -665,7 +618,7 @@ pub fn run_overload_seed(seed: u64, protections: Protections) -> OverloadReport 
         rollouts_paused,
         diverged_at_end,
         violations,
-    }
+    })
 }
 
 /// Submits one copy of report `id` from device `d` toward the
@@ -707,22 +660,22 @@ fn submit_copy(
     }
 }
 
-/// Registers demand to resync device `d`. With the global bucket on,
-/// admission is paced: a granted reservation queues at its start time,
+/// Registers demand to resync device `d`. With the global bucket on
+/// (`paced`), admission is paced: a granted reservation queues at its start time,
 /// a denial parks the device until `retry_after` — requeued, never
 /// dropped. Duplicate demand for a device already pending is absorbed.
 fn demand_resync(
     waiting: &mut Vec<(SimTime, usize)>,
     pending: &mut BTreeSet<usize>,
     bucket: &mut TokenBucket,
-    p: Protections,
+    paced: bool,
     d: usize,
     t: SimTime,
 ) {
     if !pending.insert(d) {
         return;
     }
-    if p.resync_bucket {
+    if paced {
         match bucket.reserve(t, "resync admission") {
             Ok(start) => waiting.push((start, d)),
             Err(FlexError::Backpressure { retry_after, .. }) => {
@@ -735,15 +688,123 @@ fn demand_resync(
     }
 }
 
+/// The `p`-th percentile of the recovery times (ms) in a cohort, 0 when
+/// nothing recovered.
+fn recovery_percentile(cohort: &[&OverloadReport], p: usize) -> u64 {
+    let mut ms: Vec<u64> = cohort.iter().filter_map(|r| r.recovery_ms).collect();
+    ms.sort_unstable();
+    ms.get(ms.len().saturating_sub(1) * p / 100)
+        .copied()
+        .unwrap_or(0)
+}
+
+/// The E17 experiment.
+pub fn suite() -> Suite<OverloadReport> {
+    Suite {
+        name: "overload",
+        id: "E17",
+        title: "overload-safe control plane vs. metastable collapse",
+        claim: "a runtime-programmable network's control plane must shed load \
+                by priority and break retry feedback loops, or a transient \
+                fault becomes a self-sustaining outage",
+        sweep_note: "(scenario = seed mod 4), each run twice",
+        run,
+        cohort_title: "scenario",
+        cohorts: OverloadScenario::ALL
+            .iter()
+            .map(OverloadScenario::label)
+            .collect(),
+        cohort_of: |r| {
+            let scenario = r.schedule.scenario;
+            OverloadScenario::ALL
+                .iter()
+                .position(|s| *s == scenario)
+                .expect("a listed scenario")
+        },
+        columns: vec![
+            col("recovered", |c| count(c, |r| r.recovered).to_string()),
+            col("recovery p50", |c| {
+                format!("{} ms", recovery_percentile(c, 50))
+            }),
+            col("recovery max", |c| {
+                format!("{} ms", recovery_percentile(c, 100))
+            }),
+            col("shed expired", |c| total(c, |r| r.shed_expired).to_string()),
+            col("degraded", |c| total(c, |r| r.degraded_entered).to_string()),
+        ],
+        totals: None,
+        // Ablated seeds pinned as collapse regression oracles; the ablated
+        // arm runs the whole sweep so the collapse census is reported too.
+        oracle: Some(Oracle {
+            seeds: &[2, 3, 6, 7, 10, 11],
+            bites: |r| r.collapsed,
+            intro: |seeds, off| {
+                format!(
+                    "unprotected cohort: {}/{seeds} runs still collapsed {} ms after the \
+                     fault cleared ({} expired items served — capacity \
+                     burned on responses nobody was waiting for)",
+                    count(off, |r| r.collapsed),
+                    COLLAPSE_WINDOW.as_nanos() / 1_000_000,
+                    total(off, |r| r.stale_served),
+                )
+            },
+            detail: None,
+            soft: "no longer collapse without protections — the metastable trap is gone",
+        }),
+        summary: Some(Summary {
+            experiment: "e17_overload",
+            head: |t| {
+                let [p50, p90, max] = [50, 90, 100].map(|p| recovery_percentile(t.on, p));
+                vec![
+                    (
+                        "protected_recovered",
+                        count(t.on, |r| r.recovered).to_string(),
+                    ),
+                    (
+                        "recovery_ms",
+                        format!("{{ \"p50\": {p50}, \"p90\": {p90}, \"max\": {max} }}"),
+                    ),
+                ]
+            },
+            cohort: vec![
+                col("recovered", |c| count(c, |r| r.recovered).to_string()),
+                col("recovery_p50_ms", |c| {
+                    recovery_percentile(c, 50).to_string()
+                }),
+                col("recovery_max_ms", |c| {
+                    recovery_percentile(c, 100).to_string()
+                }),
+            ],
+            tail: |t| {
+                vec![
+                    (
+                        "unprotected_collapsed",
+                        count(t.off, |r| r.collapsed).to_string(),
+                    ),
+                    ("pinned_collapse_seeds_held", t.oracles_hold.to_string()),
+                ]
+            },
+        }),
+        verdict: "protected runs recovered within the bounded window and \
+                  upheld every invariant (no stale serves, full digest \
+                  convergence, governor back to Normal); wrote E17_summary.json",
+        failed_note: " (protected)",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_overload_seed(seed: u64, arm: Arm) -> OverloadReport {
+        run(seed, arm).expect("the overload model has no plumbing to fail")
+    }
 
     #[test]
     fn protections_on_recovers_every_scenario() {
         // Seeds 0..4 cycle through all four scenarios.
         for seed in 0..4u64 {
-            let r = run_overload_seed(seed, Protections::on());
+            let r = run_overload_seed(seed, Arm::Protected);
             assert!(
                 r.passed(),
                 "seed {seed} ({}): {:?}",
@@ -763,7 +824,7 @@ mod tests {
         // collapsing, the harness has lost its teeth.
         let mut collapsed_seeds = Vec::new();
         for seed in 0..8u64 {
-            let r = run_overload_seed(seed, Protections::off());
+            let r = run_overload_seed(seed, Arm::Ablated);
             if r.collapsed {
                 collapsed_seeds.push(seed);
             }
@@ -775,24 +836,11 @@ mod tests {
     }
 
     #[test]
-    fn overload_runs_are_deterministic() {
-        for (seed, p) in [(3u64, Protections::on()), (3u64, Protections::off())] {
-            let a = run_overload_seed(seed, p);
-            let b = run_overload_seed(seed, p);
-            assert_eq!(a.goodput, b.goodput);
-            assert_eq!(a.recovery_ms, b.recovery_ms);
-            assert_eq!(a.shed_expired, b.shed_expired);
-            assert_eq!(a.stale_served, b.stale_served);
-            assert_eq!(a.violations, b.violations);
-        }
-    }
-
-    #[test]
     fn protection_mechanisms_leave_fingerprints() {
         // Across the first 8 seeds the protected cohort must actually
         // *use* each mechanism — otherwise the sweep proves nothing.
         let reports: Vec<OverloadReport> = (0..8u64)
-            .map(|s| run_overload_seed(s, Protections::on()))
+            .map(|s| run_overload_seed(s, Arm::Protected))
             .collect();
         assert!(
             reports.iter().any(|r| r.shed_expired > 0),
@@ -807,12 +855,14 @@ mod tests {
             "the governor never entered Degraded"
         );
         assert!(
-            reports.iter().any(|r| r.bucket_denied > 0 || r.rollouts_paused > 0),
+            reports
+                .iter()
+                .any(|r| r.bucket_denied > 0 || r.rollouts_paused > 0),
             "neither the resync bucket nor the rollout pause engaged"
         );
         // The unprotected cohort burns capacity on stale serves.
         let off: Vec<OverloadReport> = (0..8u64)
-            .map(|s| run_overload_seed(s, Protections::off()))
+            .map(|s| run_overload_seed(s, Arm::Ablated))
             .collect();
         assert!(
             off.iter().any(|r| r.stale_served > 0),

@@ -1,5 +1,4 @@
-//! Rogue-program chaos: the seeded E18 harness proving the data-plane
-//! sandbox contains hostile tenants.
+//! E18 — the data-plane sandbox vs. rogue programs and poison packets.
 //!
 //! The paper's runtime-programmable network invites third-party programs
 //! into the packet path — which only works if a hostile (or merely
@@ -9,53 +8,37 @@
 //! - **gas metering** — every packet carries an instruction budget;
 //!   a runaway loop exhausts it and traps instead of wedging the pipe;
 //! - **typed traps** — malformed headers, out-of-bounds state slots,
-//!   division by zero all surface as [`Trap`] values in the verdict,
-//!   never as panics;
+//!   division by zero all surface as trap values in the verdict, never as
+//!   panics;
 //! - **quarantine** — a program whose in-window trap rate crosses
-//!   threshold is atomically swapped for the last-known-good image (or
-//!   the transparent-forward default), and the sticky flag rides
-//!   heartbeats into the [`FailureDetector`], admission, and the canary
-//!   rollout's most-specific guard;
+//!   threshold is atomically swapped for the last-known-good image, and
+//!   the sticky flag rides heartbeats into the failure detector,
+//!   admission, and the canary rollout's most-specific guard;
 //! - **parse-trap separation** — poison *bytes* indict the packet, not
 //!   the program: a malformed flood must never quarantine an innocent
 //!   image.
 //!
-//! [`run_sandbox_seed`] expands one seed into a [`RogueSchedule`] and
-//! plays it against the 8-lane topology with live traffic, returning
-//! every invariant violation as a string. The fleet-level claim under
-//! test: **quarantine fires before neighbor tenants see SLO impact** —
-//! the victim's trap storm is contained inside its trap window, other
-//! lanes lose nothing, and the fleet stays inside the canary loss
-//! budget throughout.
+//! One seed expands into a [`RogueSchedule`] played against the 8-lane
+//! fleet with live traffic. The fleet-level claim under test: **quarantine
+//! fires before neighbor tenants see SLO impact** — the victim's trap
+//! storm is contained inside its trap window, other lanes lose nothing,
+//! and the fleet stays inside the canary loss budget throughout.
 
-use std::collections::BTreeMap;
-
-use crate::core::{DataPathHealth, FailureDetector, HealthEvent};
-use crate::retry::{LossyFabric, RetryPolicy};
-use crate::rollout::{run_rollout, RolloutOutcome, RolloutPlan, RolloutReport, SloGuards};
-use crate::wal::ReplicatedIntentLog;
+use crate::fixture::{bundle, heartbeat_sweep, LaneFleet, HEARTBEAT_PERIOD, LANES};
+use crate::sweep::{col, count, total, Arm, Report, Suite, Summary};
+use flexnet_controller::{HealthEvent, LossyFabric, RolloutOutcome, RolloutReport};
 use flexnet_dataplane::SandboxConfig;
 use flexnet_lang::ast::{StateDecl, StateKind};
 use flexnet_lang::diff::{ProgramBundle, ReconfigOp};
-use flexnet_lang::parser::parse_source;
-use flexnet_sim::{generate, FlowSpec, RogueScenario, RogueSchedule, Simulation, Topology};
-use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
-
-/// Lanes (and therefore switches) in the sandbox fleet.
-const LANES: usize = 8;
-
-/// Packets per second per lane.
-const LANE_PPS: u64 = 500;
-
-/// Replicated-log cluster size (matches the canary harness).
-const CONTROLLERS: usize = 3;
+use flexnet_sim::{mix_next, RogueScenario, RogueSchedule};
+use flexnet_types::{FlexError, Result, SimDuration, SimTime};
 
 /// Fleet loss budget (ppm) the scenario must stay inside end to end —
 /// the same 2% the canary loss-delta guard enforces: a quarantine that
 /// only fires after the fleet SLO is gone fired too late.
 const FLEET_LOSS_BUDGET_PPM: u64 = 20_000;
 
-/// Everything one rogue-program chaos run observed.
+/// Everything one rogue-program run observed.
 #[derive(Debug, Clone)]
 pub struct SandboxReport {
     /// The schedule the seed expanded to.
@@ -79,24 +62,10 @@ pub struct SandboxReport {
     pub violations: Vec<String>,
 }
 
-impl SandboxReport {
-    /// Whether the run upheld every invariant.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+impl Report for SandboxReport {
+    fn failures(&self) -> Vec<String> {
+        self.violations.clone()
     }
-}
-
-fn bundle(src: &str) -> ProgramBundle {
-    let file = parse_source(src).expect("sandbox program parses");
-    ProgramBundle {
-        headers: file.headers,
-        program: file.programs.into_iter().next().expect("one program"),
-    }
-}
-
-/// The well-behaved baseline: plain forwarding down the lane.
-fn lane_base() -> ProgramBundle {
-    bundle("program lane kind any { handler ingress(pkt) { forward(1); } }")
 }
 
 /// A runaway loop: verifier-bounded, but far over any reasonable
@@ -145,129 +114,54 @@ fn rogue_divzero() -> ProgramBundle {
     )
 }
 
-/// One heartbeat sweep: every up device reports its counters (and its
-/// quarantine flag) through the lossy fabric; returns the detector's
-/// typed transitions.
-fn sweep_health(
-    detector: &mut FailureDetector,
-    sim: &Simulation,
-    fabric: &mut LossyFabric,
-    now: SimTime,
-) -> Vec<(NodeId, HealthEvent)> {
-    for node in sim.topo.nodes() {
-        if node.device.is_up() && fabric.deliver() {
-            let stats = node.device.stats();
-            detector.observe_heartbeat_health(
-                node.id,
-                now,
-                node.device.boot_id(),
-                node.device.config_digest(),
-                DataPathHealth {
-                    processed: stats.processed,
-                    dropped: stats.dropped,
-                    traps: stats.traps,
-                    quarantined: node.device.quarantined(),
-                },
-            );
-        }
-    }
-    detector.poll(now)
-}
-
-/// A deterministic truncated-frame generator: every frame is shorter
-/// than the 14-byte Ethernet minimum, so every one must parse-trap.
+/// The next frame of a deterministic poison stream: always shorter than
+/// the 14-byte Ethernet minimum, so every one must parse-trap.
 fn poison_frame(stream: &mut u64, buf: &mut Vec<u8>) {
-    // splitmix64 step, kept local so the harness owns its stream.
-    let mut z = stream.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    *stream = z;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = mix_next(stream);
     buf.clear();
-    let len = (z % 14) as usize;
-    for i in 0..len {
-        buf.push((z >> (8 * (i % 8))) as u8);
+    buf.extend((0..(z % 14) as usize).map(|i| (z >> (8 * (i % 8))) as u8));
+}
+
+/// The fleet stayed inside the loss budget end to end.
+fn fleet_slo_held(fleet: &LaneFleet, how_late: &str, violations: &mut Vec<String>) {
+    let (lost, attempts) = fleet.lost_of_attempts();
+    if attempts > 0 && lost * 1_000_000 / attempts > FLEET_LOSS_BUDGET_PPM {
+        violations.push(format!("fleet lost {lost}/{attempts} packets: {how_late}"));
     }
 }
 
-/// Runs the full rogue-program scenario for one seed.
-///
-/// Errors only on harness plumbing failures; sandbox misbehaviour is
-/// reported as violations, so sweeps keep going and count.
-pub fn run_sandbox_seed(seed: u64) -> Result<SandboxReport> {
-    // -- setup: 8 parallel lanes, the baseline program everywhere -------
-    let (topo, switches, lanes) = Topology::parallel_lanes(LANES);
-    let mut sim = Simulation::new(topo);
-    for &d in &switches {
-        sim.topo
-            .node_mut(d)
-            .expect("lane switch exists")
-            .device
-            .install(lane_base())
-            .map_err(|e| FlexError::Sim(format!("seed {seed}: install base on {d}: {e}")))?;
+/// Runs the full rogue-program scenario for one seed (the suite has no
+/// ablated arm).
+pub fn run(seed: u64, _arm: Arm) -> Result<SandboxReport> {
+    let schedule = RogueSchedule::from_seed(seed, LANES);
+    let mut fleet = LaneFleet::new(seed, schedule.fabric_loss)?;
+    if schedule.scenario == RogueScenario::TrapStormRollout {
+        return run_rollout_storm(schedule, fleet);
     }
-    let schedule = RogueSchedule::from_seed(seed, switches.len());
-    let mut fabric = LossyFabric::new(schedule.fabric_loss, seed);
-    let mut detector = FailureDetector::default();
     let mut violations: Vec<String> = Vec::new();
 
-    // Live traffic over the whole scenario: one CBR flow per lane.
-    let flow_start = SimTime::from_millis(500);
-    let flow_end = SimTime::from_secs(8);
-    let flows: Vec<FlowSpec> = lanes
-        .iter()
-        .map(|&(src, dst)| {
-            FlowSpec::udp_cbr(
-                src,
-                dst,
-                LANE_PPS,
-                flow_start,
-                flow_end.saturating_since(flow_start),
-            )
-        })
-        .collect();
-    sim.load(generate(&flows, seed));
-    sim.run(SimTime::from_secs(1));
-
-    if schedule.scenario == RogueScenario::TrapStormRollout {
-        return run_rollout_storm(
-            seed, schedule, sim, switches, &mut fabric, &mut detector, violations, flow_end,
-        );
-    }
-
     // -- arm the device-scoped attack -----------------------------------
-    let victim = switches[schedule.victim];
-    let base_digest = sim
-        .topo
-        .node(victim)
-        .expect("victim")
-        .device
-        .config_digest();
+    let victim = fleet.switches[schedule.victim];
+    let base_digest = fleet.device(victim).config_digest();
     {
-        let dev = &mut sim.topo.node_mut(victim).expect("victim").device;
-        match schedule.scenario {
+        let dev = &mut fleet.sim.topo.node_mut(victim).expect("victim").device;
+        let rogue = match schedule.scenario {
             RogueScenario::RunawayLoop => {
                 dev.set_sandbox(SandboxConfig {
                     gas_limit: schedule.gas_limit,
                     ..SandboxConfig::default()
                 });
-                dev.install(rogue_burn())
-                    .map_err(|e| FlexError::Sim(format!("seed {seed}: install burn: {e}")))?;
+                Some(rogue_burn())
             }
-            RogueScenario::StateBomb => {
-                dev.install(rogue_bomb())
-                    .map_err(|e| FlexError::Sim(format!("seed {seed}: install bomb: {e}")))?;
-            }
-            RogueScenario::MalformedFlood => {} // no rogue program at all
-            RogueScenario::TrapStormRollout => unreachable!("dispatched above"),
+            RogueScenario::StateBomb => Some(rogue_bomb()),
+            _ => None, // the flood ships no rogue program at all
+        };
+        if let Some(rogue) = rogue {
+            dev.install(rogue)
+                .map_err(|e| FlexError::Sim(format!("seed {seed}: install rogue: {e}")))?;
         }
     }
-    let armed_digest = sim
-        .topo
-        .node(victim)
-        .expect("victim")
-        .device
-        .config_digest();
+    let armed_digest = fleet.device(victim).config_digest();
 
     // -- drive: 50 ms slices, heartbeats each slice ----------------------
     let trigger_at = SimTime::from_secs(2);
@@ -275,11 +169,11 @@ pub fn run_sandbox_seed(seed: u64) -> Result<SandboxReport> {
     let mut quarantined_at: Option<SimTime> = None;
     let mut observed_at: Option<SimTime> = None;
     let mut t = SimTime::from_secs(1);
-    while t <= flow_end {
-        sim.run(t);
+    while t <= fleet.flow_end {
+        fleet.sim.run(t);
         if !triggered && t >= trigger_at {
             triggered = true;
-            let dev = &mut sim.topo.node_mut(victim).expect("victim").device;
+            let dev = &mut fleet.sim.topo.node_mut(victim).expect("victim").device;
             match schedule.scenario {
                 RogueScenario::StateBomb => {
                     // The runtime shrink that arms the bomb: cells 4..8
@@ -314,50 +208,36 @@ pub fn run_sandbox_seed(seed: u64) -> Result<SandboxReport> {
                 _ => {}
             }
         }
-        if quarantined_at.is_none()
-            && sim.topo.node(victim).expect("victim").device.quarantined()
-        {
+        if quarantined_at.is_none() && fleet.device(victim).quarantined() {
             quarantined_at = Some(t);
         }
-        for (node, event) in sweep_health(&mut detector, &sim, &mut fabric, t) {
+        for (node, event) in heartbeat_sweep(&mut fleet.detector, &fleet.sim, &mut fleet.fabric, t)
+        {
             if node == victim && matches!(event, HealthEvent::Quarantined { .. }) {
                 observed_at.get_or_insert(t);
             }
         }
-        t += SimDuration::from_millis(50);
+        t += HEARTBEAT_PERIOD;
     }
-    sim.run_to_completion();
+    fleet.sim.run_to_completion();
     // Settle the grading: a lossy fabric can eat the last few heartbeats
     // and leave a silence grade (Suspect) that has nothing to do with the
     // sandbox. The admission checks below judge the *data path*, so give
     // the detector a few reliably-delivered beats first — a quarantine
     // still reports through them and still refuses admission.
-    let mut settle = LossyFabric::reliable();
+    let mut reliable = LossyFabric::reliable();
     for k in 1..=3u64 {
-        sweep_health(
-            &mut detector,
-            &sim,
-            &mut settle,
-            flow_end + SimDuration::from_millis(50 * k),
-        );
+        let at = fleet.flow_end + HEARTBEAT_PERIOD.saturating_mul(k);
+        heartbeat_sweep(&mut fleet.detector, &fleet.sim, &mut reliable, at);
     }
 
     // -- invariants ------------------------------------------------------
-    let stats = sim.topo.node(victim).expect("victim").device.stats();
-    let end_digest = sim
-        .topo
-        .node(victim)
-        .expect("victim")
-        .device
-        .config_digest();
-    let end_quarantined = sim.topo.node(victim).expect("victim").device.quarantined();
-    let trap_window = sim
-        .topo
-        .node(victim)
-        .expect("victim")
-        .device
-        .sandbox()
-        .trap_window;
+    let dev = fleet.device(victim);
+    let stats = dev.stats();
+    let end_digest = dev.config_digest();
+    let end_quarantined = dev.quarantined();
+    let trap_window = dev.sandbox().trap_window;
+    let detector = &fleet.detector;
 
     match schedule.scenario {
         RogueScenario::RunawayLoop | RogueScenario::StateBomb => {
@@ -383,13 +263,7 @@ pub fn run_sandbox_seed(seed: u64) -> Result<SandboxReport> {
             if armed_digest == base_digest {
                 violations.push("rogue install did not change the config digest".into());
             }
-            let got_label = sim
-                .topo
-                .node(victim)
-                .expect("victim")
-                .device
-                .last_trap()
-                .map(|tr| tr.label());
+            let got_label = dev.last_trap().map(|tr| tr.label());
             if got_label != Some(want_label) {
                 violations.push(format!(
                     "last trap {got_label:?}, designed to storm with {want_label}"
@@ -429,21 +303,11 @@ pub fn run_sandbox_seed(seed: u64) -> Result<SandboxReport> {
             }
             // Recovery: once on the fallback, the lane forwards cleanly.
             if let Some(at) = quarantined_at {
-                let post = sim
-                    .metrics
-                    .window_stats(at + SimDuration::from_millis(200), flow_end);
-                if post.attempts() == 0 {
-                    violations.push("no post-quarantine traffic observed".into());
-                } else if post.lost > 0 {
-                    violations.push(format!(
-                        "post-quarantine window still losing: {}/{} packets",
-                        post.lost,
-                        post.attempts()
-                    ));
-                }
+                let from = at + SimDuration::from_millis(200);
+                fleet.clean_after("quarantine", from, &mut violations);
             }
         }
-        RogueScenario::MalformedFlood => {
+        _ => {
             if stats.parse_traps != u64::from(schedule.flood_packets) {
                 violations.push(format!(
                     "{} parse traps for a {}-frame flood",
@@ -468,36 +332,25 @@ pub fn run_sandbox_seed(seed: u64) -> Result<SandboxReport> {
             if detector.admit(victim).is_err() {
                 violations.push("victim still refused admission after the flood passed".into());
             }
-            if sim.metrics.total_lost() != 0 {
+            if fleet.sim.metrics.total_lost() != 0 {
                 violations.push(format!(
                     "lane traffic lost {} packets to a flood of unparseable bytes",
-                    sim.metrics.total_lost()
+                    fleet.sim.metrics.total_lost()
                 ));
             }
         }
-        _ => unreachable!(),
     }
 
     // Blast radius: no other lane pays anything, and the fleet stays
     // inside the canary loss budget end to end.
-    for &d in &switches {
-        if d == victim {
-            continue;
-        }
-        let dropped = sim.topo.node(d).expect("switch").device.stats().dropped;
-        if dropped > 0 {
-            violations.push(format!(
-                "neighbor {d} dropped {dropped} packets: blast radius leaked"
-            ));
-        }
+    for &d in fleet.switches.iter().filter(|&&d| d != victim) {
+        fleet.untouched(d, "neighbor", &mut violations);
     }
-    let attempts = sim.metrics.delivered + sim.metrics.total_lost();
-    if attempts > 0 && sim.metrics.total_lost() * 1_000_000 / attempts > FLEET_LOSS_BUDGET_PPM {
-        violations.push(format!(
-            "fleet lost {}/{attempts} packets: quarantine fired after the SLO was gone",
-            sim.metrics.total_lost()
-        ));
-    }
+    fleet_slo_held(
+        &fleet,
+        "quarantine fired after the SLO was gone",
+        &mut violations,
+    );
 
     Ok(SandboxReport {
         schedule,
@@ -506,8 +359,8 @@ pub fn run_sandbox_seed(seed: u64) -> Result<SandboxReport> {
         victim_traps: stats.traps,
         victim_parse_traps: stats.parse_traps,
         rollout: None,
-        delivered: sim.metrics.delivered,
-        lost: sim.metrics.total_lost(),
+        delivered: fleet.sim.metrics.delivered,
+        lost: fleet.sim.metrics.total_lost(),
         violations,
     })
 }
@@ -516,46 +369,10 @@ pub fn run_sandbox_seed(seed: u64) -> Result<SandboxReport> {
 /// div-by-zero candidate; the device-side quarantine must fire during
 /// wave 1's soak and the rollout's quarantine guard must abort and roll
 /// back before any later wave widens exposure.
-#[allow(clippy::too_many_arguments)]
-fn run_rollout_storm(
-    seed: u64,
-    schedule: RogueSchedule,
-    mut sim: Simulation,
-    switches: Vec<NodeId>,
-    fabric: &mut LossyFabric,
-    detector: &mut FailureDetector,
-    mut violations: Vec<String>,
-    flow_end: SimTime,
-) -> Result<SandboxReport> {
-    let mut log = ReplicatedIntentLog::new(CONTROLLERS, schedule.raft_seed)?;
-    let policy = RetryPolicy {
-        max_attempts: 16,
-        deadline: SimDuration::from_secs(60),
-        ..RetryPolicy::default()
-    };
-    let plan = RolloutPlan::canonical(&switches, SimDuration::from_secs(1), SloGuards::default());
-    let baseline: Vec<(NodeId, ProgramBundle)> =
-        switches.iter().map(|&d| (d, lane_base())).collect();
-    let candidate: Vec<(NodeId, ProgramBundle)> =
-        switches.iter().map(|&d| (d, rogue_divzero())).collect();
-    let old_digests: BTreeMap<NodeId, u64> = switches
-        .iter()
-        .map(|&d| (d, sim.topo.node(d).expect("switch").device.config_digest()))
-        .collect();
-
-    let report = run_rollout(
-        &mut sim,
-        &plan,
-        &baseline,
-        &candidate,
-        SimTime::from_secs(1),
-        fabric,
-        &policy,
-        &mut log,
-        detector,
-        None,
-    )?;
-    sim.run_to_completion();
+fn run_rollout_storm(schedule: RogueSchedule, mut fleet: LaneFleet) -> Result<SandboxReport> {
+    let rollout = fleet.rollout(schedule.raft_seed, |_| rogue_divzero())?;
+    let report = &rollout.report;
+    let mut violations: Vec<String> = Vec::new();
 
     // -- invariants ------------------------------------------------------
     match (&report.outcome, &report.breach) {
@@ -568,7 +385,9 @@ fn run_rollout_storm(
             }
         }
         other => {
-            violations.push(format!("trap-storm candidate was not rolled back: {other:?}"));
+            violations.push(format!(
+                "trap-storm candidate was not rolled back: {other:?}"
+            ));
         }
     }
     // The wave's flip journals before its soak judges it, so a wave-1
@@ -587,12 +406,12 @@ fn run_rollout_storm(
     }
     // Blast radius: only wave-1 devices saw the candidate; each one's
     // storm died inside two trap windows.
-    let wave1: Vec<NodeId> = plan.waves.first().cloned().unwrap_or_default();
+    let wave1 = rollout.plan.waves.first().cloned().unwrap_or_default();
     let mut storm_traps = 0u64;
-    for &d in &switches {
-        let node = sim.topo.node(d).expect("switch");
-        let stats = node.device.stats();
-        let trap_window = node.device.sandbox().trap_window;
+    for &d in &fleet.switches {
+        let dev = fleet.device(d);
+        let stats = dev.stats();
+        let trap_window = dev.sandbox().trap_window;
         if wave1.contains(&d) {
             storm_traps += stats.traps;
             if stats.traps == 0 {
@@ -605,61 +424,127 @@ fn run_rollout_storm(
                     2 * trap_window
                 ));
             }
-        } else if stats.dropped > 0 {
-            violations.push(format!(
-                "unflipped device {d} dropped {} packets: blast radius leaked",
-                stats.dropped
-            ));
+        } else {
+            fleet.untouched(d, "unflipped device", &mut violations);
         }
-        if node.device.quarantined() {
+        if dev.quarantined() {
             violations.push(format!(
                 "{d} still quarantined after rollback reinstalled the baseline"
             ));
         }
-        let got = node.device.config_digest();
-        if Some(&got) != old_digests.get(&d) {
-            violations.push(format!("{d} not back on the baseline digest after rollback"));
-        }
+        fleet.back_on_baseline(d, &rollout, &mut violations);
     }
-    // Fleet SLO held throughout: the wave-1 storm is contained.
-    let attempts = sim.metrics.delivered + sim.metrics.total_lost();
-    if attempts > 0 && sim.metrics.total_lost() * 1_000_000 / attempts > FLEET_LOSS_BUDGET_PPM {
-        violations.push(format!(
-            "fleet lost {}/{attempts} packets: the storm breached the SLO before the guard",
-            sim.metrics.total_lost()
-        ));
-    }
+    fleet_slo_held(
+        &fleet,
+        "the storm breached the SLO before the guard",
+        &mut violations,
+    );
     // And the network is clean again after the rollback settles.
     let post_from = report.finished_at + SimDuration::from_millis(300);
-    let post = sim.metrics.window_stats(post_from, flow_end);
-    if post.attempts() == 0 {
-        violations.push("no post-rollback traffic observed".into());
-    } else if post.lost > 0 {
-        violations.push(format!(
-            "post-rollback window still losing: {}/{} packets",
-            post.lost,
-            post.attempts()
-        ));
-    }
+    fleet.clean_after("rollback", post_from, &mut violations);
 
-    let _ = seed;
     Ok(SandboxReport {
         schedule,
         quarantined_at: None,
         observed_at: None,
         victim_traps: storm_traps,
         victim_parse_traps: 0,
-        rollout: Some(report),
-        delivered: sim.metrics.delivered,
-        lost: sim.metrics.total_lost(),
+        delivered: fleet.sim.metrics.delivered,
+        lost: fleet.sim.metrics.total_lost(),
+        rollout: Some(rollout.report),
         violations,
     })
+}
+
+type Agg = fn(&[&SandboxReport]) -> u64;
+const TRAPS: Agg = |c| total(c, |r| r.victim_traps);
+const PARSE_TRAPS: Agg = |c| total(c, |r| r.victim_parse_traps);
+const LOST: Agg = |c| total(c, |r| r.lost);
+const DELIVERED: Agg = |c| total(c, |r| r.delivered);
+
+/// Fleet loss across a cohort, in ppm of packets attempted.
+fn loss_ppm(c: &[&SandboxReport]) -> u64 {
+    (LOST(c) * 1_000_000)
+        .checked_div(LOST(c) + DELIVERED(c))
+        .unwrap_or(0)
+}
+
+/// The E18 experiment.
+pub fn suite() -> Suite<SandboxReport> {
+    Suite {
+        name: "sandbox",
+        id: "E18",
+        title: "data-plane sandbox: gas metering, typed traps, quarantine",
+        claim: "a runtime-programmable network invites third-party programs \
+                into the packet path; a hostile or buggy one must trap, not \
+                panic, and be quarantined before its tenant's neighbors notice",
+        sweep_note: "(scenario = seed mod 4)",
+        run,
+        cohort_title: "scenario",
+        cohorts: RogueScenario::ALL
+            .iter()
+            .map(RogueScenario::label)
+            .collect(),
+        cohort_of: |r| {
+            let scenario = r.schedule.scenario;
+            RogueScenario::ALL
+                .iter()
+                .position(|s| *s == scenario)
+                .expect("a listed scenario")
+        },
+        columns: vec![
+            col("contained", |c| count(c, |r| r.passed()).to_string()),
+            col("traps (sum)", |c| TRAPS(c).to_string()),
+            col("parse traps", |c| PARSE_TRAPS(c).to_string()),
+            col("lost/delivered", |c| {
+                format!("{}/{}", LOST(c), DELIVERED(c))
+            }),
+        ],
+        totals: Some(|all| {
+            format!(
+                "fleet loss across the whole sweep: {}/{} packets \
+                 ({} ppm — every storm contained inside the 2% canary \
+                 budget); {} trap-storm rollouts aborted by the \
+                 quarantine guard",
+                LOST(all),
+                LOST(all) + DELIVERED(all),
+                loss_ppm(all),
+                count(all, |r| r.rollout.is_some()),
+            )
+        }),
+        oracle: None,
+        summary: Some(Summary {
+            experiment: "e18_sandbox",
+            head: |t| {
+                vec![
+                    ("contained", t.passed.to_string()),
+                    ("fleet_loss_ppm", loss_ppm(t.on).to_string()),
+                ]
+            },
+            cohort: vec![
+                col("contained", |c| count(c, |r| r.passed()).to_string()),
+                col("traps", |c| TRAPS(c).to_string()),
+                col("parse_traps", |c| PARSE_TRAPS(c).to_string()),
+                col("lost", |c| LOST(c).to_string()),
+                col("delivered", |c| DELIVERED(c).to_string()),
+            ],
+            tail: |_| Vec::new(),
+        }),
+        verdict: "runs upheld every invariant (typed traps only, \
+                  quarantine before SLO impact, digest-verified fallback, zero \
+                  neighbor loss); wrote E18_summary.json",
+        failed_note: "",
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use flexnet_sim::rogue_sweep;
+
+    fn run_sandbox_seed(seed: u64) -> Result<SandboxReport> {
+        run(seed, Arm::Protected)
+    }
 
     #[test]
     fn runaway_loop_is_gas_trapped_and_quarantined() {
@@ -697,17 +582,6 @@ mod tests {
         let rollout = report.rollout.expect("rollout ran");
         assert!(matches!(rollout.outcome, RolloutOutcome::RolledBack { .. }));
         assert_eq!(rollout.breach.unwrap().guard, "quarantine");
-    }
-
-    #[test]
-    fn sandbox_runs_are_deterministic_in_their_seed() {
-        let a = run_sandbox_seed(5).unwrap();
-        let b = run_sandbox_seed(5).unwrap();
-        assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.lost, b.lost);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.quarantined_at, b.quarantined_at);
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! restarts — sometimes mid-transaction — → flap detection →
 //! rate-limited digest resync → convergence; E15: canary rollout of a
 //! seeded-bad candidate → SLO guard breach → automatic rollback), so a
-//! failure here reproduces bit-identically with `run_chaos_seed(<seed>)`,
-//! `run_resync_seed(<seed>)`, or `run_canary_seed(<seed>)`.
+//! failure here reproduces bit-identically with `chaos recovery`,
+//! `chaos resync`, or `chaos canary` (or `suites::<suite>::run(<seed>, ..)`).
 
-use flexnet_controller::chaos::run_chaos_seed;
-use flexnet_controller::resync::{run_resync_seed, ResyncOutcome};
-use flexnet_controller::rollout::{run_canary_seed, RolloutOutcome};
+use flexnet_bench::suites::{canary, recovery, resync};
+use flexnet_bench::{Arm, Report};
+use flexnet_controller::{ResyncOutcome, RolloutOutcome};
 use flexnet_sim::{ChaosSchedule, CrashPhase, RestartSchedule, RolloutFault, RolloutSchedule};
 
 /// The pinned CI seed set. Contiguous so phase coverage is guaranteed
@@ -55,7 +55,7 @@ fn the_smoke_seed_set_covers_the_scenario_space() {
 fn every_smoke_seed_upholds_every_invariant() {
     let mut failures = Vec::new();
     for &seed in &SMOKE_SEEDS {
-        match run_chaos_seed(seed) {
+        match recovery::run(seed, Arm::Protected) {
             Ok(report) if report.passed() => {
                 assert_eq!(
                     report.zombie_attempts, report.zombie_rejected,
@@ -119,7 +119,7 @@ fn the_restart_smoke_seed_set_covers_the_scenario_space() {
 fn every_restart_smoke_seed_converges_with_every_invariant() {
     let mut failures = Vec::new();
     for &seed in &RESTART_SMOKE_SEEDS {
-        match run_resync_seed(seed) {
+        match resync::run(seed, Arm::Protected) {
             Ok(report) if report.passed() => {
                 assert_eq!(
                     report.flapped.len(),
@@ -195,7 +195,7 @@ fn the_canary_smoke_seed_set_covers_the_scenario_space() {
 fn every_canary_smoke_seed_upholds_every_invariant() {
     let mut failures = Vec::new();
     for &seed in &CANARY_SMOKE_SEEDS {
-        match run_canary_seed(seed) {
+        match canary::run(seed, Arm::Protected) {
             Ok(report) if report.passed() => match report.schedule.fault {
                 RolloutFault::Clean => {
                     assert_eq!(

@@ -20,7 +20,7 @@
 //! - **Divergence detection** — devices piggyback a monotone `boot_id`
 //!   and an order-independent configuration digest on heartbeats; the
 //!   [`FailureDetector`] turns a boot-id advance into
-//!   [`HealthEvent::Flapped`], and [`flexnet_sim::diverged`] compares
+//!   [`crate::core::HealthEvent::Flapped`], and [`flexnet_sim::diverged`] compares
 //!   reported digests against [`IntendedStore::intended_digests`].
 //! - [`Resyncer`] — the anti-entropy pass: probe the device's digest,
 //!   and when it diverges, re-provision the intended program through the
@@ -32,26 +32,16 @@
 //!   the control fabric; a device denied by the bucket is requeued —
 //!   never dropped — and [`Resyncer::resync_all`] orders
 //!   [`ProgramClass::Critical`] devices before telemetry.
-//! - [`run_resync_seed`] — the deterministic chaos harness: one seed
-//!   expands to a [`RestartSchedule`] (how many devices restart, whether
-//!   mid-transaction, how lossy the fabric is), and every convergence
-//!   invariant is checked; violations come back as strings in the
-//!   [`ResyncChaosReport`], so `report.passed()` is the pass criterion
-//!   for benches, CI smoke tests, and property tests alike.
+//!
+//! The seeded restart suite that drives all of this end to end
+//! (experiment E14) lives with the other chaos suites in
+//! `flexnet_bench::suites::resync`.
 
-use crate::core::{FailureDetector, HealthEvent, TokenBucket};
-use crate::recovery::{recover, RecoveryReport, TargetDirectory};
+use crate::core::{FailureDetector, TokenBucket};
 use crate::retry::{command_rtt, with_retry, LossyFabric, RetryPolicy};
-use crate::txn::logged_transactional_reconfig;
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
 use flexnet_dataplane::{entries_carry_over, ProgramImage, SealTarget, TableEntry};
-use flexnet_lang::ast::ActionCall;
-use flexnet_lang::diff::ProgramBundle;
-use flexnet_lang::parser::parse_source;
-use flexnet_sim::faults::VICTIM_RESTART_DELAY;
-use flexnet_sim::{
-    diverged, generate, CrashPhase, FlowSpec, RestartSchedule, Simulation, Topology,
-};
+use flexnet_sim::Simulation;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -712,472 +702,84 @@ fn complete_inner(
     })
 }
 
-// ---------------------------------------------------------------------
-// The seeded restart-chaos harness (experiment E14).
-// ---------------------------------------------------------------------
-
-/// Controller nodes in the harness's Raft cluster.
-const CONTROLLERS: usize = 3;
-/// Heartbeat sweep cadence.
-const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_millis(50);
-
-/// Everything one restart-chaos run observed.
-#[derive(Debug, Clone)]
-pub struct ResyncChaosReport {
-    /// The schedule the seed expanded to.
-    pub schedule: RestartSchedule,
-    /// Devices the failure detector reported as flapped.
-    pub flapped: Vec<NodeId>,
-    /// Per-device resync reports, in execution order.
-    pub resyncs: Vec<ResyncReport>,
-    /// The 2PC recovery pass (mid-transaction schedules only).
-    pub recovery: Option<RecoveryReport>,
-    /// Packets delivered across the whole run.
-    pub delivered: u64,
-    /// Packets lost across the whole run (all causes).
-    pub lost: u64,
-    /// Simulated time from the restart fault to the last resync
-    /// completing.
-    pub converge_latency: SimDuration,
-    /// Every invariant violation observed (empty = the run passed).
-    pub violations: Vec<String>,
-}
-
-impl ResyncChaosReport {
-    /// Whether the run upheld every invariant.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-fn bundle(src: &str) -> ProgramBundle {
-    let file = parse_source(src).expect("harness program parses");
-    ProgramBundle {
-        headers: file.headers,
-        program: file.programs.into_iter().next().expect("one program"),
-    }
-}
-
-/// The switch's critical program: an ACL table in front of line
-/// forwarding. Losing its entries fails open — exactly the divergence
-/// resync exists to close.
-fn critical_v1() -> ProgramBundle {
-    bundle(
-        "program gate kind any {
-           table acl {
-             key { ipv4.src : exact; }
-             action deny() { drop(); }
-             action allow() { forward(1); }
-             default allow();
-             size 16;
-           }
-           handler ingress(pkt) { apply acl; }
-         }",
-    )
-}
-
-/// The critical program's upgrade target (the mid-transaction schedules
-/// crash a 2PC reconfiguration toward this).
-fn critical_v2() -> ProgramBundle {
-    bundle(
-        "program gate kind any {
-           counter gated;
-           table acl {
-             key { ipv4.src : exact; }
-             action deny() { drop(); }
-             action allow() { forward(1); }
-             default allow();
-             size 16;
-           }
-           handler ingress(pkt) { count(gated); apply acl; }
-         }",
-    )
-}
-
-/// The NICs' telemetry program: a watch table marking flows of
-/// interest, forwarding either way.
-fn telemetry_v1() -> ProgramBundle {
-    bundle(
-        "program tap kind any {
-           counter seen;
-           table watch {
-             key { ipv4.src : exact; }
-             action mark() { count(seen); forward(1); }
-             action pass() { forward(1); }
-             default pass();
-             size 8;
-           }
-           handler ingress(pkt) { apply watch; }
-         }",
-    )
-}
-
-/// The telemetry program's upgrade target.
-fn telemetry_v2() -> ProgramBundle {
-    bundle(
-        "program tap kind any {
-           counter seen;
-           counter sampled;
-           table watch {
-             key { ipv4.src : exact; }
-             action mark() { count(seen); forward(1); }
-             action pass() { forward(1); }
-             default pass();
-             size 8;
-           }
-           handler ingress(pkt) { count(sampled); apply watch; }
-         }",
-    )
-}
-
-/// A source address that never appears in generated traffic, so the
-/// intended entries are behaviorally benign (losing them changes the
-/// digest, not the traffic outcome — loss stays attributable to
-/// downtime, not to the entries themselves).
-const BENIGN_SRC: u64 = 0xDEAD_BEEF;
-
-fn deny_entry() -> TableEntry {
-    TableEntry::exact(
-        &[BENIGN_SRC],
-        ActionCall {
-            action: "deny".into(),
-            args: vec![],
-        },
-    )
-}
-
-fn mark_entry() -> TableEntry {
-    TableEntry::exact(
-        &[BENIGN_SRC],
-        ActionCall {
-            action: "mark".into(),
-            args: vec![],
-        },
-    )
-}
-
-/// Runs the full device-restart/resync scenario for one seed.
-///
-/// Errors only on harness plumbing failures; protocol misbehaviour is
-/// reported as violations, so sweeps keep going and count.
-#[allow(clippy::too_many_lines)]
-pub fn run_resync_seed(seed: u64) -> Result<ResyncChaosReport> {
-    // -- setup: line topology, intended state committed + journaled ------
-    let (topo, nodes) = Topology::host_nic_switch_line();
-    let devices = [nodes[1], nodes[2], nodes[3]];
-    let (src_host, dst_host) = (nodes[0], nodes[4]);
-    let sw = nodes[2];
-    let mut sim = Simulation::new(topo);
-    let schedule = RestartSchedule::from_seed(seed, devices.len());
-    let mut log = ReplicatedIntentLog::new(CONTROLLERS, schedule.raft_seed)?;
-    let mut fabric = LossyFabric::new(schedule.fabric_loss, seed);
-    let policy = RetryPolicy {
-        max_attempts: 16,
-        deadline: SimDuration::from_secs(60),
-        ..RetryPolicy::default()
-    };
-    let mut violations: Vec<String> = Vec::new();
-
-    let mut store = IntendedStore::new();
-    store.set_class(sw, ProgramClass::Critical);
-    for nic in [devices[0], devices[2]] {
-        store.set_class(nic, ProgramClass::Telemetry);
-    }
-    let plan_of = |d: NodeId| {
-        if d == sw {
-            (critical_v1(), "acl", deny_entry())
-        } else {
-            (telemetry_v1(), "watch", mark_entry())
-        }
-    };
-    for d in devices {
-        let (v1, table, entry) = plan_of(d);
-        let dev = &mut sim.topo.node_mut(d).expect("line node exists").device;
-        dev.install(v1.clone())
-            .map_err(|e| FlexError::Sim(format!("seed {seed}: install on {d}: {e}")))?;
-        dev.add_entry(table, entry.clone())
-            .map_err(|e| FlexError::Sim(format!("seed {seed}: entry on {d}: {e}")))?;
-        store.commit_target(&mut log, 0, d, v1)?;
-        store.record_entry(&mut log, d, table, entry)?;
-    }
-    if !diverged(&sim, &store.intended_digests()).is_empty() {
-        violations.push("baseline diverged before any fault".into());
-    }
-
-    // Baseline the failure detector before any fault: in a long-running
-    // network every device has heartbeated many times before it ever
-    // restarts, so the detector knows each one's pre-fault boot id.
-    // Without this, a restart that lands before the first heartbeat
-    // would *become* the baseline and never read as a flap.
-    let mut detector = FailureDetector::default();
-    let t_baseline = SimTime::from_millis(500);
-    for id in sim.topo.node_ids() {
-        let node = sim.topo.node(id).expect("listed node exists");
-        detector.observe_heartbeat(
-            id,
-            t_baseline,
-            node.device.boot_id(),
-            node.device.config_digest(),
-        );
-    }
-    detector.poll(t_baseline);
-
-    // -- act 1 (mid-txn schedules): restarts land between prepare and
-    // flip of an in-flight 2PC upgrade; the coordinator dies with them
-    // and its successor recovers before anti-entropy runs ---------------
-    let mut recovery: Option<RecoveryReport> = None;
-    let mut t_base = SimTime::from_secs(1);
-    let mut fault_at = t_base;
-    if schedule.mid_txn {
-        let targets: Vec<(NodeId, ProgramBundle)> = devices
-            .iter()
-            .map(|d| {
-                (*d, if *d == sw { critical_v2() } else { telemetry_v2() })
-            })
-            .collect();
-        // AfterPrepared: the flip decision is NOT durable, so recovery
-        // rolls the upgrade back and the intended store (updated only
-        // past the point of no return) still names v1 — the resync
-        // baseline and the 2PC resolution agree by construction.
-        let txn_report = logged_transactional_reconfig(
-            &mut sim,
-            &targets,
-            t_base,
-            &mut fabric,
-            &policy,
-            &mut log,
-            Some(CrashPhase::AfterPrepared),
-            Some(&mut store),
-            None,
-        )?;
-        fault_at = txn_report.finished_at;
-        for &v in &schedule.victims {
-            let dev = &mut sim
-                .topo
-                .node_mut(devices[v])
-                .expect("victim exists")
-                .device;
-            dev.crash(fault_at);
-            dev.restart(fault_at + VICTIM_RESTART_DELAY)
-                .map_err(|e| FlexError::Sim(format!("seed {seed}: victim restart: {e}")))?;
-        }
-        let mut directory = TargetDirectory::new();
-        directory.insert(txn_report.txn, targets);
-        let rec = recover(
-            &mut sim,
-            &mut log,
-            &directory,
-            &devices,
-            fault_at + SimDuration::from_secs(1),
-            &mut fabric,
-            &policy,
-        )?;
-        // Victims lost their prepared shadows with their volatile
-        // memory: the rollback must have tolerated (and counted) them.
-        if rec.wiped_shadows < schedule.restarts {
-            violations.push(format!(
-                "recovery counted {} wiped shadows, {} devices restarted mid-txn",
-                rec.wiped_shadows, schedule.restarts
-            ));
-        }
-        t_base = rec.finished_at + HEARTBEAT_PERIOD;
-        recovery = Some(rec);
-    }
-
-    // -- act 2: live traffic + heartbeats + flap-triggered resync --------
-    // Steady-state schedules crash the victims mid-traffic (the faults
-    // ride the event queue); mid-txn schedules already restarted them.
-    let traffic_dur = SimDuration::from_secs(3);
-    sim.load(generate(
-        &[FlowSpec::udp_cbr(
-            src_host,
-            dst_host,
-            1000,
-            t_base + SimDuration::from_millis(1),
-            traffic_dur,
-        )],
-        seed,
-    ));
-    if !schedule.mid_txn {
-        fault_at = t_base + SimDuration::from_secs(1);
-        schedule.fault_plan(&devices, fault_at).apply(&mut sim);
-    }
-
-    let mut resyncer = Resyncer::default();
-    let mut flapped: Vec<NodeId> = Vec::new();
-    let mut resyncs: Vec<ResyncReport> = Vec::new();
-    let mut converged_at = fault_at;
-    let mut t = t_base;
-    let t_end = t_base + traffic_dur + SimDuration::from_secs(1);
-    while t < t_end {
-        t += HEARTBEAT_PERIOD;
-        sim.run(t);
-        for id in sim.topo.node_ids() {
-            let node = sim.topo.node(id).expect("listed node exists");
-            if node.device.is_up() && fabric.deliver() {
-                detector.observe_heartbeat(
-                    id,
-                    t,
-                    node.device.boot_id(),
-                    node.device.config_digest(),
-                );
-            }
-        }
-        let mut batch: Vec<NodeId> = Vec::new();
-        for (node, event) in detector.poll(t) {
-            if let HealthEvent::Flapped { .. } = event {
-                flapped.push(node);
-                batch.push(node);
-            }
-        }
-        if !batch.is_empty() {
-            let reports =
-                resyncer.resync_all(&mut sim, &store, &batch, t, &mut fabric, &policy, None)?;
-            for r in &reports {
-                if r.finished_at > converged_at {
-                    converged_at = r.finished_at;
-                }
-            }
-            resyncs.extend(reports);
-        }
-    }
-
-    // -- invariants ------------------------------------------------------
-    // Every victim flapped exactly once; nobody else did.
-    let mut expect: Vec<NodeId> = schedule.victims.iter().map(|&v| devices[v]).collect();
-    expect.sort_unstable();
-    let mut saw = flapped.clone();
-    saw.sort_unstable();
-    if saw != expect {
-        violations.push(format!(
-            "flapped {saw:?} but the schedule restarted {expect:?}"
-        ));
-    }
-
-    // Convergence: every device's digest equals its intended digest.
-    let off = diverged(&sim, &store.intended_digests());
-    if !off.is_empty() {
-        violations.push(format!("diverged after resync: {off:?}"));
-    }
-
-    // The durable baseline agrees with the in-memory store (failover
-    // would reconcile to the very same digests).
-    if IntendedStore::digests_from_log(&log)? != store.intended_digests() {
-        violations.push("log-replayed intended digests differ from the store".into());
-    }
-
-    // Zero orphan shadows, nothing in doubt, nothing mid-flight.
-    let settle = t_end + SimDuration::from_secs(1);
-    for d in devices {
-        let dev = &mut sim.topo.node_mut(d).expect("device exists").device;
-        dev.tick(settle);
-        if let Some(tag) = dev.txn_in_doubt() {
-            violations.push(format!("orphan in-doubt shadow on {d}: {tag:?}"));
-        }
-        if dev.reconfig_in_progress() {
-            violations.push(format!("{d} still mid-reconfiguration after settling"));
-        }
-    }
-
-    // Critical before telemetry: no telemetry resync may start before a
-    // critical one that was admitted in the same recovery.
-    let starts = resyncer.starts();
-    for (i, (at, node)) in starts.iter().enumerate() {
-        if store.class(*node) == ProgramClass::Critical {
-            for (prev_at, prev_node) in &starts[..i] {
-                if store.class(*prev_node) == ProgramClass::Telemetry && prev_at > at {
-                    violations.push(format!(
-                        "telemetry {prev_node} resynced before critical {node}"
-                    ));
-                }
-            }
-        }
-    }
-    // Rate limit: consecutive admissions at least min_gap apart.
-    for pair in starts.windows(2) {
-        let gap = pair[1].0.saturating_since(pair[0].0);
-        if gap < resyncer.min_gap() {
-            violations.push(format!(
-                "resync admissions {} apart, minimum is {}",
-                gap,
-                resyncer.min_gap()
-            ));
-        }
-    }
-
-    // Loss is confined to the downtime + resync window. Steady-state
-    // schedules lose the packets that hit a down device (~restart delay
-    // at 1000 pps, plus detection slack); mid-txn schedules restarted
-    // the victims before traffic began, so loss must be (near) zero.
-    let downtime_ms = if schedule.mid_txn {
-        0
-    } else {
-        VICTIM_RESTART_DELAY.as_nanos() / 1_000_000
-    };
-    let loss_budget = downtime_ms + 100; // pps/1000 = 1 pkt per ms, +slack
-    let lost = sim.metrics.total_lost();
-    if lost > loss_budget {
-        violations.push(format!(
-            "lost {lost} packets, budget {loss_budget} (downtime {downtime_ms} ms)"
-        ));
-    }
-    if sim.metrics.delivered == 0 {
-        violations.push("no traffic delivered at all".into());
-    }
-
-    // Old-XOR-new: post-convergence traffic sees exactly one program
-    // version per device (the probe's version delta is the check — the
-    // main window legitimately spans restart + resync versions).
-    let before: BTreeMap<NodeId, Vec<_>> = devices
-        .iter()
-        .map(|d| (*d, sim.metrics.versions_seen(*d)))
-        .collect();
-    sim.load(generate(
-        &[FlowSpec::udp_cbr(
-            src_host,
-            dst_host,
-            1000,
-            settle + SimDuration::from_millis(1),
-            SimDuration::from_millis(200),
-        )],
-        seed ^ 1,
-    ));
-    sim.run_to_completion();
-    for d in devices {
-        let seen = sim.metrics.versions_seen(d);
-        let fresh: Vec<_> = seen
-            .iter()
-            .filter(|v| !before[&d].contains(v))
-            .collect();
-        if fresh.len() > 1 {
-            violations.push(format!(
-                "{d} processed post-resync packets under {} versions: old-XOR-new violated",
-                fresh.len()
-            ));
-        }
-    }
-    if sim.metrics.total_lost() > loss_budget {
-        violations.push(format!(
-            "post-convergence probe lost packets: {} total vs budget {loss_budget}",
-            sim.metrics.total_lost()
-        ));
-    }
-
-    Ok(ResyncChaosReport {
-        schedule,
-        flapped,
-        resyncs,
-        recovery,
-        delivered: sim.metrics.delivered,
-        lost,
-        converge_latency: converged_at.saturating_since(fault_at),
-        violations,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexnet_lang::ast::ActionCall;
+    use flexnet_lang::diff::ProgramBundle;
+    use flexnet_lang::parser::parse_source;
+    use flexnet_sim::faults::VICTIM_RESTART_DELAY;
+    use flexnet_sim::{diverged, Topology};
+
+    fn bundle(src: &str) -> ProgramBundle {
+        let file = parse_source(src).expect("test program parses");
+        ProgramBundle {
+            headers: file.headers,
+            program: file.programs.into_iter().next().expect("one program"),
+        }
+    }
+
+    /// The switch's critical program: an ACL in front of line forwarding
+    /// (`counter` adds the upgrade target's counter).
+    fn critical(counter: bool) -> ProgramBundle {
+        let (decl, stmt) = if counter { ("counter gated;", "count(gated);") } else { ("", "") };
+        bundle(&format!(
+            "program gate kind any {{
+               {decl}
+               table acl {{
+                 key {{ ipv4.src : exact; }}
+                 action deny() {{ drop(); }}
+                 action allow() {{ forward(1); }}
+                 default allow();
+                 size 16;
+               }}
+               handler ingress(pkt) {{ {stmt} apply acl; }}
+             }}"
+        ))
+    }
+
+    fn critical_v1() -> ProgramBundle {
+        critical(false)
+    }
+
+    fn critical_v2() -> ProgramBundle {
+        critical(true)
+    }
+
+    /// The NICs' telemetry program: a watch table, forwarding either way.
+    fn telemetry_v1() -> ProgramBundle {
+        bundle(
+            "program tap kind any {
+               counter seen;
+               table watch {
+                 key { ipv4.src : exact; }
+                 action mark() { count(seen); forward(1); }
+                 action pass() { forward(1); }
+                 default pass();
+                 size 8;
+               }
+               handler ingress(pkt) { apply watch; }
+             }",
+        )
+    }
+
+    fn entry(action: &str) -> TableEntry {
+        TableEntry::exact(
+            &[0xDEAD_BEEF],
+            ActionCall {
+                action: action.into(),
+                args: vec![],
+            },
+        )
+    }
+
+    fn deny_entry() -> TableEntry {
+        entry("deny")
+    }
+
+    fn mark_entry() -> TableEntry {
+        entry("mark")
+    }
 
     fn reliable_env() -> (LossyFabric, RetryPolicy) {
         (LossyFabric::reliable(), RetryPolicy::default())
@@ -1491,43 +1093,5 @@ mod tests {
         for pair in r.starts().windows(2) {
             assert!(pair[1].0.saturating_since(pair[0].0) >= r.min_gap());
         }
-    }
-
-    #[test]
-    fn a_known_seed_converges_with_every_invariant() {
-        // Seed 2: all three devices restart (2 % 3 == 2 -> all).
-        let report = run_resync_seed(2).unwrap();
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        assert_eq!(report.schedule.restarts, 3);
-        assert_eq!(report.flapped.len(), 3);
-        assert!(report.delivered > 0);
-        assert!(report.converge_latency > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn mid_transaction_restart_seed_recovers_then_converges() {
-        // Find a nearby mid-txn seed so the test is robust to the mix
-        // function, then assert the full pipeline: 2PC rollback with
-        // wiped shadows tolerated, then anti-entropy convergence.
-        let seed = (0..64)
-            .find(|s| RestartSchedule::from_seed(*s, 3).mid_txn)
-            .expect("some seed restarts mid-transaction");
-        let report = run_resync_seed(seed).unwrap();
-        assert!(report.passed(), "seed {seed} violations: {:?}", report.violations);
-        let rec = report.recovery.expect("mid-txn runs a recovery pass");
-        assert!(
-            rec.wiped_shadows >= report.schedule.restarts,
-            "restarted participants lost their shadows: {rec:?}"
-        );
-    }
-
-    #[test]
-    fn resync_chaos_is_deterministic() {
-        let a = run_resync_seed(5).unwrap();
-        let b = run_resync_seed(5).unwrap();
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.lost, b.lost);
-        assert_eq!(a.converge_latency, b.converge_latency);
     }
 }

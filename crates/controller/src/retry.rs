@@ -11,6 +11,7 @@
 //! long recovery actually took.
 
 use crate::drpc::{ServiceRegistry, CONTROLLER_RTT, DRPC_HOP_LATENCY};
+use flexnet_sim::mix;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,14 +105,6 @@ impl RetryPolicy {
             }
         }
     }
-}
-
-/// splitmix64 — decorrelates jitter streams of nearby start instants.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A per-destination retry budget: the storm-suppression layer.
@@ -603,198 +596,6 @@ pub fn with_retry<T>(
     }
 }
 
-/// Runs `op` against `node` like [`with_retry`], but through the **full
-/// adversarial fabric**: every attempt's command crosses
-/// [`LossyFabric::deliver_cmd`] and every ack crosses
-/// [`LossyFabric::deliver_up`].
-///
-/// - A *corrupted* command never reaches `op` — the receiver's frame
-///   checksum rejects it and (fabric permitting) a typed
-///   [`FlexError::ChecksumMismatch`] NACK comes back, which is retryable
-///   and counts against the destination's breaker exactly like a
-///   timeout. Corruption is therefore a transport event: no program, no
-///   trap accounting, no quarantine pressure.
-/// - A *duplicated* command invokes `op` once per copy. The extra
-///   invocations model the fabric hammering the receiver; their
-///   outcomes never reach the caller (their acks are redundant), so
-///   exactly-once semantics rest entirely on the receiver's idempotency
-///   — which is precisely what the E20 suite verifies.
-/// - A severed down direction swallows commands silently (the caller
-///   sees timeouts); a severed up direction swallows acks, turning every
-///   exchange into a retry against an already-applied command — the
-///   dedup window's reason to exist.
-pub fn with_retry_adversarial<T>(
-    policy: &RetryPolicy,
-    fabric: &mut LossyFabric,
-    node: NodeId,
-    start: SimTime,
-    rtt: SimDuration,
-    mut op: impl FnMut(SimTime) -> Result<T>,
-) -> RetryOutcome<T> {
-    let deadline = start + policy.deadline;
-    let mut t = start;
-    let mut last_retryable: Option<FlexError> = None;
-    let give_up = |last: Option<FlexError>, fallback: FlexError| last.unwrap_or(fallback);
-    let mut jitter_rng = StdRng::seed_from_u64(mix(start.as_nanos() ^ 0x4A17_7E2D));
-    let mut prev_backoff = policy.base_backoff;
-    for attempt in 0..policy.max_attempts.max(1) {
-        let delivery = fabric.deliver_cmd(node);
-        t += rtt;
-        match delivery {
-            Delivery::Lost => {}
-            Delivery::Corrupted { mask_seed } => {
-                // The receiver's integrity check caught the mangled
-                // frame before any payload logic ran. Its NACK carries
-                // the checksums (synthesized here from the mask seed —
-                // the simulation transports outcomes, not bytes).
-                let want = mix(mask_seed);
-                let nack = FlexError::ChecksumMismatch {
-                    want,
-                    got: want ^ (mask_seed | 1),
-                };
-                if fabric.deliver_up(node) {
-                    last_retryable = Some(nack);
-                }
-            }
-            Delivery::Arrived | Delivery::Duplicated { .. } => {
-                let result = op(t);
-                if let Delivery::Duplicated { extra } = delivery {
-                    // Duplicate copies hammer the receiver; whatever they
-                    // return is discarded (their acks are redundant).
-                    for _ in 0..extra {
-                        let _ = op(t);
-                    }
-                }
-                match result {
-                    Ok(v) => {
-                        if fabric.deliver_up(node) {
-                            return RetryOutcome {
-                                result: Ok(v),
-                                attempts: attempt + 1,
-                                finished_at: t,
-                            };
-                        }
-                        // Ack lost: the op took effect but we cannot
-                        // know; retry — the receiver's dedup absorbs it.
-                    }
-                    Err(e) if e.is_retryable() => last_retryable = Some(e),
-                    Err(e) => {
-                        return RetryOutcome {
-                            result: Err(e),
-                            attempts: attempt + 1,
-                            finished_at: t,
-                        }
-                    }
-                }
-            }
-        }
-        prev_backoff = policy.next_backoff(attempt, prev_backoff, &mut jitter_rng);
-        t += prev_backoff;
-        if t > deadline {
-            return RetryOutcome {
-                result: Err(give_up(
-                    last_retryable,
-                    FlexError::Timeout(format!(
-                        "deadline {} exceeded after {} attempts",
-                        policy.deadline,
-                        attempt + 1
-                    )),
-                )),
-                attempts: attempt + 1,
-                finished_at: t,
-            };
-        }
-    }
-    RetryOutcome {
-        result: Err(give_up(
-            last_retryable,
-            FlexError::Timeout(format!(
-                "gave up after {} attempts",
-                policy.max_attempts.max(1)
-            )),
-        )),
-        attempts: policy.max_attempts.max(1),
-        finished_at: t,
-    }
-}
-
-/// Runs `op` like [`with_retry`], but *retries* (attempts after the
-/// first) must be paid for from `budget`'s bucket for `dest`.
-///
-/// The first attempt is always made — a budget bounds *re*-tries, never
-/// the work itself. When a retry would be needed and the bucket is dry,
-/// the exchange ends with [`FlexError::RetryBudgetExhausted`] (carrying
-/// the attempts made so far), which is deliberately *not* retryable: the
-/// caller requeues at a higher level, where fresh successes replenish
-/// the budget. A successful exchange earns budget back, so steady-state
-/// traffic sustains the configured retry fraction and a storm against a
-/// dead destination self-extinguishes after the bucket drains.
-pub fn with_retry_budgeted<T>(
-    policy: &RetryPolicy,
-    budget: &mut RetryBudget,
-    dest: NodeId,
-    fabric: &mut LossyFabric,
-    start: SimTime,
-    rtt: SimDuration,
-    mut op: impl FnMut(SimTime) -> Result<T>,
-) -> RetryOutcome<T> {
-    let deadline = start + policy.deadline;
-    let mut t = start;
-    let mut last_retryable: Option<FlexError> = None;
-    let mut jitter_rng = StdRng::seed_from_u64(mix(start.as_nanos() ^ 0x4A17_7E2D));
-    let mut prev_backoff = policy.base_backoff;
-    let mut made = 0u32;
-    for attempt in 0..policy.max_attempts.max(1) {
-        made = attempt + 1;
-        let request_arrived = fabric.deliver();
-        t += rtt;
-        if request_arrived {
-            match op(t) {
-                Ok(v) => {
-                    if fabric.deliver() {
-                        budget.on_success(dest);
-                        return RetryOutcome {
-                            result: Ok(v),
-                            attempts: made,
-                            finished_at: t,
-                        };
-                    }
-                }
-                Err(e) if e.is_retryable() => last_retryable = Some(e),
-                Err(e) => {
-                    return RetryOutcome {
-                        result: Err(e),
-                        attempts: made,
-                        finished_at: t,
-                    }
-                }
-            }
-        }
-        prev_backoff = policy.next_backoff(attempt, prev_backoff, &mut jitter_rng);
-        t += prev_backoff;
-        if t > deadline || made >= policy.max_attempts.max(1) {
-            break;
-        }
-        // The next iteration is a retry: it must be paid for.
-        if !budget.try_spend(dest) {
-            return RetryOutcome {
-                result: Err(FlexError::RetryBudgetExhausted {
-                    dest: u64::from(dest.raw()),
-                }),
-                attempts: made,
-                finished_at: t,
-            };
-        }
-    }
-    RetryOutcome {
-        result: Err(last_retryable.unwrap_or_else(|| {
-            FlexError::Timeout(format!("budgeted exchange with {dest} gave up"))
-        })),
-        attempts: made,
-        finished_at: t,
-    }
-}
-
 /// Invokes a dRPC service through a lossy fabric with retries.
 ///
 /// The per-attempt cost is the dRPC round trip (`2 * hops` hops at
@@ -1158,82 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_retry_storm_self_extinguishes() {
-        // A dead destination: every exchange fails. Without a budget,
-        // 100 calls × 8 attempts = 800 messages; with a 10% budget and
-        // 3 retries of initial credit, attempts must collapse to
-        // first-attempts + initial credit.
-        let mut budget = RetryBudget::new(100_000, 10, 3);
-        let dest = NodeId(2);
-        let policy = RetryPolicy {
-            deadline: SimDuration::from_secs(3600),
-            ..RetryPolicy::default()
-        };
-        let mut fabric = LossyFabric::new(1.0, 11); // total loss
-        let mut total_attempts = 0u32;
-        let mut budget_stops = 0u32;
-        for i in 0..100u64 {
-            let out = with_retry_budgeted(
-                &policy,
-                &mut budget,
-                dest,
-                &mut fabric,
-                SimTime::from_millis(i),
-                SimDuration::from_micros(10),
-                |_| Ok(()),
-            );
-            total_attempts += out.attempts;
-            if matches!(out.result, Err(FlexError::RetryBudgetExhausted { .. })) {
-                budget_stops += 1;
-            }
-        }
-        assert!(
-            total_attempts <= 100 + 3 + 1,
-            "storm did not self-extinguish: {total_attempts} attempts"
-        );
-        assert!(budget_stops >= 97, "budget refused the storm: {budget_stops}");
-        // Once the destination heals, successes replenish the budget and
-        // retries flow again at the configured fraction.
-        let mut fabric = LossyFabric::reliable();
-        for i in 0..50u64 {
-            let out = with_retry_budgeted(
-                &policy,
-                &mut budget,
-                dest,
-                &mut fabric,
-                SimTime::from_secs(1 + i),
-                SimDuration::from_micros(10),
-                |_| Ok(()),
-            );
-            assert!(out.is_ok());
-        }
-        assert!(budget.available(dest) >= 4, "healed successes re-earn budget");
-    }
-
-    #[test]
-    fn budgeted_first_attempts_are_never_refused() {
-        // Zero initial credit, zero earn: the budget can only ever say
-        // "no retries" — but every first attempt still runs.
-        let mut budget = RetryBudget::new(0, 10, 0);
-        let mut fabric = LossyFabric::reliable();
-        let mut calls = 0u32;
-        let out = with_retry_budgeted(
-            &RetryPolicy::default(),
-            &mut budget,
-            NodeId(1),
-            &mut fabric,
-            SimTime::ZERO,
-            SimDuration::from_micros(10),
-            |_| {
-                calls += 1;
-                Ok(calls)
-            },
-        );
-        assert_eq!(out.result.unwrap(), 1);
-        assert_eq!(out.attempts, 1);
-    }
-
-    #[test]
     fn drpc_retry_under_30_percent_loss_always_succeeds() {
         let mut reg = ServiceRegistry::new();
         reg.register("mig", NodeId(1), 1, ExecutionSite::DataPlane)
@@ -1338,73 +1063,5 @@ mod tests {
         );
         assert!(delays.iter().all(|&d| d <= 6), "reorder depth bounded");
         assert!(delays.iter().any(|&d| d > 0));
-    }
-
-    #[test]
-    fn adversarial_retry_reports_corruption_as_checksum_mismatch() {
-        let mut f = LossyFabric::reliable();
-        f.enable_adversary(1.0, 0.0, 0.0, 4, 3); // every command corrupted
-        let out = with_retry_adversarial(
-            &RetryPolicy::default(),
-            &mut f,
-            NodeId(4),
-            SimTime::ZERO,
-            SimDuration::from_millis(2),
-            |_| Ok(()),
-        );
-        match out.result {
-            Err(FlexError::ChecksumMismatch { want, got }) => {
-                assert_ne!(want, got, "the mismatch must actually mismatch")
-            }
-            other => panic!("expected ChecksumMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn adversarial_retry_invokes_op_once_per_duplicate_copy() {
-        let mut f = LossyFabric::reliable();
-        f.enable_adversary(0.0, 1.0, 0.0, 4, 17); // every command duplicated
-        let mut calls = 0u32;
-        let out = with_retry_adversarial(
-            &RetryPolicy::default(),
-            &mut f,
-            NodeId(4),
-            SimTime::ZERO,
-            SimDuration::from_millis(2),
-            |_| {
-                calls += 1;
-                Ok(calls)
-            },
-        );
-        assert_eq!(out.result.unwrap(), 1, "the first copy's result wins");
-        assert_eq!(out.attempts, 1);
-        assert!(calls >= 2, "duplicate copies hammered the receiver");
-    }
-
-    #[test]
-    fn one_way_up_partition_forces_retries_into_the_receiver() {
-        // Commands arrive; acks never come back. The caller retries until
-        // the deadline, invoking op once per attempt — the receiver-side
-        // dedup window is what makes this safe.
-        let mut f = LossyFabric::reliable();
-        f.block_up(NodeId(8));
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            ..RetryPolicy::default()
-        };
-        let mut calls = 0u32;
-        let out = with_retry_adversarial(
-            &policy,
-            &mut f,
-            NodeId(8),
-            SimTime::ZERO,
-            SimDuration::from_millis(2),
-            |_| {
-                calls += 1;
-                Ok(())
-            },
-        );
-        assert!(matches!(out.result, Err(FlexError::Timeout(_))));
-        assert_eq!(calls, 5, "op ran every attempt; only the acks died");
     }
 }

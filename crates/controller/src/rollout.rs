@@ -36,11 +36,10 @@
 //! so a failed-over coordinator can finish an owed rollback with
 //! [`resume_rollouts`].
 //!
-//! [`run_canary_seed`] is the seeded chaos harness: one seed expands to
-//! a [`RolloutSchedule`] (which way the candidate is bad, which device
-//! gets the gray build, how lossy the control fabric is) and a full
-//! scenario on the 8-lane parallel topology with live traffic, returning
-//! every invariant violation as a string.
+//! The seeded canary suite (experiment E15: which way the candidate is
+//! bad, which device gets the gray build, how lossy the control fabric
+//! is) lives with the other chaos suites in
+//! `flexnet_bench::suites::canary`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,9 +48,8 @@ use crate::retry::{LossyFabric, RetryPolicy};
 use crate::txn::{logged_transactional_reconfig, LoggedTxnOutcome};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
 use flexnet_lang::diff::ProgramBundle;
-use flexnet_lang::parser::parse_source;
 use flexnet_sim::metrics::{WindowDelta, WindowStats};
-use flexnet_sim::{generate, FlowSpec, RolloutFault, RolloutSchedule, Simulation, Topology};
+use flexnet_sim::Simulation;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 
 /// Heartbeat period during soak windows (matches the failure detector's
@@ -829,398 +827,42 @@ pub fn resume_rollouts(
     Ok(resumed)
 }
 
-// ---------------------------------------------------------------------
-// The seeded chaos harness (experiment E15).
-// ---------------------------------------------------------------------
-
-/// Controller nodes in the scenario's Raft cluster.
-const CONTROLLERS: usize = 3;
-
-/// Lanes (and therefore switches) in the canary fleet.
-const LANES: usize = 8;
-
-/// Packets per second per lane.
-const LANE_PPS: u64 = 500;
-
-/// Everything one canary chaos run observed.
-#[derive(Debug, Clone)]
-pub struct CanaryReport {
-    /// The schedule the seed expanded to.
-    pub schedule: RolloutSchedule,
-    /// The orchestrator's account.
-    pub rollout: RolloutReport,
-    /// Packets delivered over the whole scenario.
-    pub delivered: u64,
-    /// Packets lost over the whole scenario.
-    pub lost: u64,
-    /// Every invariant violation observed (empty = the run passed).
-    pub violations: Vec<String>,
-}
-
-impl CanaryReport {
-    /// Whether the run upheld every invariant.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-fn bundle(src: &str) -> ProgramBundle {
-    let file = parse_source(src).expect("canary program parses");
-    ProgramBundle {
-        headers: file.headers,
-        program: file.programs.into_iter().next().expect("one program"),
-    }
-}
-
-/// The pre-rollout program: plain forwarding down the lane.
-fn lane_base() -> ProgramBundle {
-    bundle("program lane kind any { handler ingress(pkt) { forward(1); } }")
-}
-
-/// The correct candidate: forwarding plus a counter — a real diff with
-/// negligible cost.
-fn lane_good() -> ProgramBundle {
-    bundle(
-        "program lane kind any {
-           counter upgraded;
-           handler ingress(pkt) { count(upgraded); forward(1); }
-         }",
-    )
-}
-
-/// Uniform drop: the loudest regression — every packet dies.
-fn lane_drop_all() -> ProgramBundle {
-    bundle("program lane kind any { handler ingress(pkt) { drop(); } }")
-}
-
-/// Latency inflation: ~2 µs of busy work per packet, zero loss.
-fn lane_latency() -> ProgramBundle {
-    bundle(
-        "program lane kind any {
-           register burn : u64[1];
-           handler ingress(pkt) {
-             repeat (64) {
-               repeat (8) { reg_write(burn, 0, reg_read(burn, 0) + 1); }
-             }
-             forward(1);
-           }
-         }",
-    )
-}
-
-/// Slow burn: a stateful 1-in-8 drop — per-device slope 12.5%, under
-/// the 20% gray threshold, so only widening fleet exposure reveals it.
-fn lane_slow_burn() -> ProgramBundle {
-    bundle(
-        "program lane kind any {
-           counter seen;
-           handler ingress(pkt) {
-             count(seen);
-             if (counter_read(seen) % 8 == 0) { drop(); }
-             forward(1);
-           }
-         }",
-    )
-}
-
-/// The candidate bundle each device receives under `schedule`.
-fn candidate_targets(
-    schedule: &RolloutSchedule,
-    switches: &[NodeId],
-) -> Vec<(NodeId, ProgramBundle)> {
-    switches
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| {
-            let bundle = match schedule.fault {
-                RolloutFault::Clean => lane_good(),
-                RolloutFault::UniformDrop => lane_drop_all(),
-                RolloutFault::GrayDrop => {
-                    if Some(i) == schedule.gray_victim {
-                        lane_drop_all()
-                    } else {
-                        lane_good()
-                    }
-                }
-                RolloutFault::LatencyInflation => lane_latency(),
-                RolloutFault::SlowBurn => lane_slow_burn(),
-            };
-            (d, bundle)
-        })
-        .collect()
-}
-
-/// The wave (1-based) in which fleet index `i` flips under the canonical
-/// 8-device plan (waves of 1, 1, 2, 4).
-fn wave_of_index(i: usize) -> u32 {
-    match i {
-        0 => 1,
-        1 => 2,
-        2 | 3 => 3,
-        _ => 4,
-    }
-}
-
-/// Runs the full canary scenario for one seed.
-///
-/// Errors only on harness plumbing failures; protocol misbehaviour is
-/// reported as violations, so sweeps keep going and count.
-pub fn run_canary_seed(seed: u64) -> Result<CanaryReport> {
-    // -- setup: 8 parallel lanes, the baseline program everywhere -------
-    let (topo, switches, lanes) = Topology::parallel_lanes(LANES);
-    let mut sim = Simulation::new(topo);
-    for &d in &switches {
-        sim.topo
-            .node_mut(d)
-            .expect("lane switch exists")
-            .device
-            .install(lane_base())
-            .map_err(|e| FlexError::Sim(format!("seed {seed}: install base on {d}: {e}")))?;
-    }
-    let schedule = RolloutSchedule::from_seed(seed, switches.len());
-    let mut log = ReplicatedIntentLog::new(CONTROLLERS, schedule.raft_seed)?;
-    let mut fabric = LossyFabric::new(schedule.fabric_loss, seed);
-    let policy = RetryPolicy {
-        max_attempts: 16,
-        deadline: SimDuration::from_secs(60),
-        ..RetryPolicy::default()
-    };
-    let mut detector = FailureDetector::default();
-    let mut violations: Vec<String> = Vec::new();
-
-    // Live traffic over the whole scenario: one CBR flow per lane.
-    let flow_start = SimTime::from_millis(500);
-    let flow_end = SimTime::from_secs(8);
-    let flows: Vec<FlowSpec> = lanes
-        .iter()
-        .map(|&(src, dst)| {
-            FlowSpec::udp_cbr(
-                src,
-                dst,
-                LANE_PPS,
-                flow_start,
-                flow_end.saturating_since(flow_start),
-            )
-        })
-        .collect();
-    sim.load(generate(&flows, seed));
-    sim.run(SimTime::from_secs(1));
-
-    // -- the rollout -----------------------------------------------------
-    let plan = RolloutPlan::canonical(
-        &switches,
-        SimDuration::from_secs(1),
-        SloGuards::default(),
-    );
-    let baseline: Vec<(NodeId, ProgramBundle)> =
-        switches.iter().map(|&d| (d, lane_base())).collect();
-    let candidate = candidate_targets(&schedule, &switches);
-    let old_digests: BTreeMap<NodeId, u64> = switches
-        .iter()
-        .map(|&d| (d, sim.topo.node(d).expect("switch").device.config_digest()))
-        .collect();
-    let report = run_rollout(
-        &mut sim,
-        &plan,
-        &baseline,
-        &candidate,
-        SimTime::from_secs(1),
-        &mut fabric,
-        &policy,
-        &mut log,
-        &mut detector,
-        None,
-    )?;
-
-    // Post-rollout convergence window, then drain the remaining traffic.
-    let post_from = report.finished_at + SimDuration::from_millis(300);
-    sim.run_to_completion();
-
-    // -- invariants ------------------------------------------------------
-    let total_waves = plan.waves.len() as u32;
-    let flipped: BTreeSet<NodeId> = plan
-        .waves
-        .iter()
-        .take(report.waves_committed as usize)
-        .flatten()
-        .copied()
-        .collect();
-
-    match schedule.fault {
-        RolloutFault::Clean => {
-            if report.outcome != RolloutOutcome::Completed {
-                violations.push(format!(
-                    "clean candidate did not complete: {:?} (false positive)",
-                    report.outcome
-                ));
-            }
-            if sim.metrics.total_lost() != 0 {
-                violations.push(format!(
-                    "clean rollout lost {} packets (must be zero)",
-                    sim.metrics.total_lost()
-                ));
-            }
-        }
-        fault => {
-            let (guard, wave) = match (&report.outcome, &report.breach) {
-                (RolloutOutcome::RolledBack { .. }, Some(b)) => {
-                    (b.guard.clone(), b.wave)
-                }
-                other => {
-                    violations.push(format!(
-                        "{} candidate was not rolled back: {other:?}",
-                        fault.label()
-                    ));
-                    (String::new(), 0)
-                }
-            };
-            if report.waves_committed >= total_waves {
-                violations.push(format!(
-                    "{} breached only after full-fleet exposure ({} waves)",
-                    fault.label(),
-                    report.waves_committed
-                ));
-            }
-            // Each fault class must trip its designed guard in its
-            // designed wave — detection before the blast radius grows.
-            let expect: Option<(&str, u32)> = match fault {
-                RolloutFault::UniformDrop => Some(("drop-slope", 1)),
-                RolloutFault::LatencyInflation => Some(("p99-delta", 1)),
-                RolloutFault::SlowBurn => Some(("loss-delta", 2)),
-                RolloutFault::GrayDrop => {
-                    let v = schedule.gray_victim.expect("gray runs pick a victim");
-                    if !report.degraded_seen.contains(&switches[v]) {
-                        violations.push(format!(
-                            "gray victim {} was never graded Degraded",
-                            switches[v]
-                        ));
-                    }
-                    Some(("drop-slope", wave_of_index(v)))
-                }
-                RolloutFault::Clean => None,
-            };
-            if let Some((want_guard, want_wave)) = expect {
-                if !guard.is_empty() && (guard != want_guard || wave != want_wave) {
-                    violations.push(format!(
-                        "{} tripped {guard} in wave {wave}, designed for {want_guard} in wave {want_wave}",
-                        fault.label()
-                    ));
-                }
-            }
-            // Blast radius: every lost packet was dropped by a flipped
-            // device; untouched waves never pay.
-            let mut flipped_drops = 0u64;
-            for &d in &switches {
-                let dropped = sim.topo.node(d).expect("switch").device.stats().dropped;
-                if flipped.contains(&d) {
-                    flipped_drops += dropped;
-                } else if dropped > 0 {
-                    violations.push(format!(
-                        "unflipped device {d} dropped {dropped} packets: blast radius leaked"
-                    ));
-                }
-            }
-            if sim.metrics.total_lost() != flipped_drops {
-                violations.push(format!(
-                    "{} packets lost but flipped devices only account for {}",
-                    sim.metrics.total_lost(),
-                    flipped_drops
-                ));
-            }
-            if !report.quarantined.is_empty() {
-                violations.push(format!(
-                    "no device crashed, yet rollback quarantined {:?}",
-                    report.quarantined
-                ));
-            }
-            // Rollback converges: every device is digest-equal to its
-            // pre-rollout baseline again.
-            for &d in &switches {
-                let got = sim.topo.node(d).expect("switch").device.config_digest();
-                if Some(&got) != old_digests.get(&d) {
-                    violations.push(format!(
-                        "{d} not back on the baseline digest after rollback"
-                    ));
-                }
-            }
-            // And the network is clean again: the post-rollback window
-            // pays no loss and its p99 is back at the baseline.
-            let post = sim.metrics.window_stats(post_from, flow_end);
-            if post.attempts() == 0 {
-                violations.push("no post-rollback traffic observed".into());
-            } else if post.lost > 0 {
-                violations.push(format!(
-                    "post-rollback window still losing: {}/{} packets",
-                    post.lost,
-                    post.attempts()
-                ));
-            }
-            let post_delta = sim
-                .metrics
-                .window_delta((SimTime::from_secs(1), SimTime::from_secs(2)), (post_from, flow_end));
-            if post_delta.p99_delta_ns.unsigned_abs() > plan.guards.p99_delta_ns {
-                violations.push(format!(
-                    "post-rollback p99 off baseline by {} ns",
-                    post_delta.p99_delta_ns
-                ));
-            }
-        }
-    }
-
-    // Journal coherence: the rollout's records tell the same story.
-    let mut started = 0usize;
-    let mut waves_on_record = 0u32;
-    let mut terminal: Vec<&'static str> = Vec::new();
-    for rec in log.replay()?.records() {
-        match rec {
-            IntentRecord::RolloutStarted { rollout, .. } if *rollout == report.rollout => {
-                started += 1;
-            }
-            IntentRecord::WaveCommitted { rollout, .. } if *rollout == report.rollout => {
-                waves_on_record += 1;
-            }
-            IntentRecord::RolloutCompleted { rollout } if *rollout == report.rollout => {
-                terminal.push("completed");
-            }
-            IntentRecord::RolledBack { rollout } if *rollout == report.rollout => {
-                terminal.push("rolled-back");
-            }
-            _ => {}
-        }
-    }
-    if started != 1 {
-        violations.push(format!("{started} RolloutStarted records (want 1)"));
-    }
-    if waves_on_record != report.waves_committed {
-        violations.push(format!(
-            "journal has {waves_on_record} committed waves, report says {}",
-            report.waves_committed
-        ));
-    }
-    let want_terminal = match report.outcome {
-        RolloutOutcome::Completed => "completed",
-        RolloutOutcome::RolledBack { .. } => "rolled-back",
-        RolloutOutcome::Crashed(_) => "",
-    };
-    if terminal != vec![want_terminal] {
-        violations.push(format!(
-            "terminal records {terminal:?}, want [{want_terminal}]"
-        ));
-    }
-
-    Ok(CanaryReport {
-        schedule,
-        rollout: report,
-        delivered: sim.metrics.delivered,
-        lost: sim.metrics.total_lost(),
-        violations,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexnet_sim::rollout_sweep;
+    use flexnet_lang::parser::parse_source;
+    use flexnet_sim::{generate, FlowSpec, Topology};
+
+    /// Packets per second per lane.
+    const LANE_PPS: u64 = 500;
+
+    fn bundle(src: &str) -> ProgramBundle {
+        let file = parse_source(src).expect("test program parses");
+        ProgramBundle {
+            headers: file.headers,
+            program: file.programs.into_iter().next().expect("one program"),
+        }
+    }
+
+    /// The pre-rollout program: plain forwarding down the lane.
+    fn lane_base() -> ProgramBundle {
+        bundle("program lane kind any { handler ingress(pkt) { forward(1); } }")
+    }
+
+    /// The correct candidate: forwarding plus a counter.
+    fn lane_good() -> ProgramBundle {
+        bundle(
+            "program lane kind any {
+               counter upgraded;
+               handler ingress(pkt) { count(upgraded); forward(1); }
+             }",
+        )
+    }
+
+    /// Uniform drop: every packet dies.
+    fn lane_drop_all() -> ProgramBundle {
+        bundle("program lane kind any { handler ingress(pkt) { drop(); } }")
+    }
 
     /// A reliable-control-plane environment over `n` lanes, with the
     /// baseline program installed and traffic loaded.
@@ -1328,71 +970,6 @@ mod tests {
         assert_eq!(flat, fleet, "every device flips exactly once");
         let tiny = RolloutPlan::canonical(&fleet[..3], SimDuration::from_secs(1), SloGuards::default());
         assert_eq!(tiny.waves.iter().map(Vec::len).collect::<Vec<_>>(), vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn clean_candidate_completes_every_wave_with_zero_loss() {
-        let report = run_canary_seed(0).unwrap();
-        assert_eq!(report.schedule.fault, RolloutFault::Clean);
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        assert_eq!(report.rollout.outcome, RolloutOutcome::Completed);
-        assert_eq!(report.rollout.waves_committed, 4);
-        assert_eq!(report.lost, 0);
-        assert!(report.rollout.breach.is_none());
-    }
-
-    #[test]
-    fn uniform_drop_is_caught_in_wave_one() {
-        let report = run_canary_seed(1).unwrap();
-        assert_eq!(report.schedule.fault, RolloutFault::UniformDrop);
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        assert_eq!(report.rollout.waves_committed, 1, "one canary, not the fleet");
-        let breach = report.rollout.breach.as_ref().unwrap();
-        assert_eq!(breach.guard, "drop-slope");
-        assert!(breach.observed >= 200_000, "a full drop: {}", breach.observed);
-        assert!(report.rollout.rollback_latency.unwrap() > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn gray_victim_is_graded_degraded_and_never_reaches_the_fleet() {
-        let report = run_canary_seed(2).unwrap();
-        assert_eq!(report.schedule.fault, RolloutFault::GrayDrop);
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        assert!(report.rollout.waves_committed < 4);
-        assert!(!report.rollout.degraded_seen.is_empty());
-    }
-
-    #[test]
-    fn latency_inflation_trips_the_p99_guard_without_losing_a_packet() {
-        let report = run_canary_seed(3).unwrap();
-        assert_eq!(report.schedule.fault, RolloutFault::LatencyInflation);
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        let breach = report.rollout.breach.as_ref().unwrap();
-        assert_eq!(breach.guard, "p99-delta");
-        assert_eq!(report.lost, 0, "inflation loses nothing; the guard still fires");
-    }
-
-    #[test]
-    fn slow_burn_breaches_only_as_waves_widen_exposure() {
-        let report = run_canary_seed(4).unwrap();
-        assert_eq!(report.schedule.fault, RolloutFault::SlowBurn);
-        assert!(report.passed(), "violations: {:?}", report.violations);
-        // Wave 1's exposure (1/8 of the fleet at a 12.5% device rate) is
-        // under the 2% budget; wave 2's is over: a multi-wave abort.
-        assert_eq!(report.rollout.waves_committed, 2);
-        assert_eq!(report.rollout.rolled_back.len(), 2);
-        let lat = report.rollout.rollback_latency.unwrap();
-        assert!(lat > SimDuration::ZERO, "two waves of rollback cost RTTs");
-    }
-
-    #[test]
-    fn canary_runs_are_deterministic() {
-        let a = run_canary_seed(9).unwrap();
-        let b = run_canary_seed(9).unwrap();
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.lost, b.lost);
-        assert_eq!(a.rollout.waves_committed, b.rollout.waves_committed);
     }
 
     #[test]
@@ -1589,20 +1166,5 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| matches!(r, IntentRecord::RolledBack { rollout } if *rollout == report.rollout)));
-    }
-
-    #[test]
-    fn every_fault_class_is_caught_before_full_fleet_exposure() {
-        // One contiguous block of 5 seeds covers every fault class.
-        for schedule in rollout_sweep(10, 5, LANES) {
-            let report = run_canary_seed(schedule.seed).unwrap();
-            assert!(
-                report.passed(),
-                "seed {} ({}) violations: {:?}",
-                schedule.seed,
-                schedule.fault.label(),
-                report.violations
-            );
-        }
     }
 }

@@ -28,28 +28,15 @@
 //!   device, final record per terminal transaction, full history for
 //!   anything unresolved, and a [`crate::wal::IntentRecord::Compacted`]
 //!   marker preserving the id allocator's high-water mark.
-//! - **The E21 harness** ([`run_storage_seed`]) — seeded storage-chaos
-//!   scenarios (crash-mid-append, torn-tail-on-failover, cold-log rot,
-//!   snapshot rot, `NoSpace` during compaction, lagging fsync) graded
-//!   by fleet convergence and cross-node replay digests, with a
-//!   protections-off arm (CRC checks disabled) that must diverge on
-//!   the rot scenarios — proving the checksums are load-bearing.
+//!
+//! The seeded storage suite (experiment E21: crash-mid-append,
+//! torn-tail-on-failover, cold-log rot, snapshot rot, `NoSpace` during
+//! compaction, lagging fsync, and the CRC-checks-off oracle arm) lives
+//! with the other chaos suites in `flexnet_bench::suites::storage`.
 
-use crate::recovery::{recover, TargetDirectory};
-use crate::resync::IntendedStore;
-use crate::retry::{LossyFabric, RetryPolicy};
-use crate::txn::logged_transactional_reconfig;
-use crate::wal::{IntentRecord, ReplayState, ReplicatedIntentLog};
-use flexnet_lang::diff::ProgramBundle;
-use flexnet_lang::parser::parse_source;
+use crate::wal::{IntentRecord, ReplayState};
 use flexnet_sim::disk::{DiskFaultPlan, SimDisk};
-use flexnet_sim::{
-    generate, FlowSpec, Simulation, StorageScenario, StorageSchedule, Topology,
-};
-use flexnet_types::{
-    FlexError, NodeId, Result, SimDuration, SimTime, StorageError,
-};
-use std::collections::BTreeMap;
+use flexnet_types::{FlexError, Result, SimDuration, StorageError};
 
 /// Bytes of record header: `[len u32 LE][crc u32 LE]`.
 pub const RECORD_HEADER: usize = 8;
@@ -851,637 +838,10 @@ pub fn state_digest(cmds: &[String]) -> Result<u64> {
     Ok(state.digest())
 }
 
-// ---------------------------------------------------------------------------
-// The E21 storage-chaos harness.
-// ---------------------------------------------------------------------------
-
-/// Controller nodes in the storage scenario's Raft cluster.
-const CONTROLLERS: usize = 3;
-
-/// The protections switch for the E21 oracle arm.
-///
-/// Protections-on (the default) arms checksum verification on every
-/// durable record; protections-off disables only CRC checks (structural
-/// torn-record detection stays, because a torn length prefix is not a
-/// protection — it is unparseable). The rot scenarios must diverge with
-/// CRC off, proving the checksums are load-bearing rather than
-/// decorative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StorageProtections {
-    /// Verify record checksums during recovery scrubs and snapshot loads.
-    pub crc_checks: bool,
-}
-
-impl Default for StorageProtections {
-    fn default() -> StorageProtections {
-        StorageProtections { crc_checks: true }
-    }
-}
-
-/// Everything one E21 run observed.
-#[derive(Debug, Clone)]
-pub struct StorageReport {
-    /// The schedule the seed expanded to.
-    pub schedule: StorageSchedule,
-    /// Which protections the run armed.
-    pub protections: StorageProtections,
-    /// Whether replica state diverged (undecodable committed records, or
-    /// replay digests that disagree across live nodes).
-    pub diverged: bool,
-    /// Fleet-wide storage counters, rolled up across all nodes.
-    pub counters: StorageCounters,
-    /// Packets delivered by the post-scenario traffic check.
-    pub delivered: u64,
-    /// Committed intent records in the leader's final log view.
-    pub replay_records: usize,
-    /// Every invariant violation observed (empty = the run passed).
-    pub violations: Vec<String>,
-}
-
-impl StorageReport {
-    /// Whether the run upheld every invariant without diverging.
-    pub fn passed(&self) -> bool {
-        !self.diverged && self.violations.is_empty()
-    }
-}
-
-fn bundle(src: &str) -> ProgramBundle {
-    let file = parse_source(src).expect("storage program parses");
-    ProgramBundle {
-        headers: file.headers,
-        program: file.programs.into_iter().next().expect("one program"),
-    }
-}
-
-/// The pre-scenario program: plain forwarding along the line.
-fn v1() -> ProgramBundle {
-    bundle("program app kind any { handler ingress(pkt) { forward(1); } }")
-}
-
-/// First reconfiguration target: forwarding plus a counter.
-fn v2() -> ProgramBundle {
-    bundle(
-        "program app kind any {
-           counter c;
-           handler ingress(pkt) { count(c); forward(1); }
-         }",
-    )
-}
-
-/// Second reconfiguration target: two counters, so the multi-txn
-/// scenarios produce a non-trivial third program state.
-fn v3() -> ProgramBundle {
-    bundle(
-        "program app kind any {
-           counter c;
-           counter d;
-           handler ingress(pkt) { count(c); count(d); forward(1); }
-         }",
-    )
-}
-
-/// Builds the per-node storage stacks the schedule demands. Disk seeds
-/// derive arithmetically from `schedule.disk_seed` — storage never draws
-/// from the cluster's RNG, so arming faults cannot perturb the election
-/// byte-stream legacy experiments pin.
-fn storages_for(schedule: &StorageSchedule, prot: StorageProtections) -> Vec<NodeStorage> {
-    (0..CONTROLLERS)
-        .map(|i| {
-            let node_seed =
-                schedule.disk_seed ^ ((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut wal_plan = DiskFaultPlan::seeded(node_seed).tearing();
-            let mut snap_capacity = None;
-            if i == schedule.victim {
-                match schedule.scenario {
-                    StorageScenario::CrashMidAppend | StorageScenario::TornTailOnFailover => {
-                        wal_plan = wal_plan.crash_at_write(schedule.crash_at_write);
-                    }
-                    StorageScenario::NoSpaceDuringCompaction => {
-                        snap_capacity = schedule.snap_capacity;
-                    }
-                    _ => {}
-                }
-            }
-            if schedule.scenario == StorageScenario::LaggingFsync {
-                wal_plan =
-                    wal_plan.with_fsync_lag(SimDuration::from_micros(schedule.fsync_lag_us));
-            }
-            NodeStorage::with_plans(
-                wal_plan,
-                DiskFaultPlan::seeded(node_seed ^ 0x4A2D_0001),
-                snap_capacity,
-                node_seed,
-                prot.crc_checks,
-            )
-        })
-        .collect()
-}
-
-/// Runs one seeded storage-chaos scenario with full protections.
-pub fn run_storage_seed(seed: u64) -> Result<StorageReport> {
-    run_storage_seed_with(seed, StorageProtections::default())
-}
-
-/// Runs one seeded storage-chaos scenario under explicit protections
-/// (the bench's oracle arm re-runs rot seeds with CRC checks off and
-/// requires the divergence the checksums exist to prevent).
-///
-/// Errors only on harness plumbing failures (a cluster that cannot
-/// elect at all); protocol misbehaviour is reported as violations or
-/// divergence, not errors, so sweeps keep going and count.
-pub fn run_storage_seed_with(seed: u64, prot: StorageProtections) -> Result<StorageReport> {
-    // -- setup: line topology, v1 everywhere, durable-storage Raft -------
-    let (topo, nodes) = Topology::host_nic_switch_line();
-    let devices = [nodes[1], nodes[2], nodes[3]];
-    let (src_host, dst_host) = (nodes[0], nodes[4]);
-    let mut sim = Simulation::new(topo);
-    for d in devices {
-        sim.topo
-            .node_mut(d)
-            .expect("line node exists")
-            .device
-            .install(v1())
-            .map_err(|e| FlexError::Sim(format!("seed {seed}: install v1 on {d}: {e}")))?;
-    }
-    let schedule = StorageSchedule::from_seed(seed, CONTROLLERS);
-    let storages = storages_for(&schedule, prot);
-    let mut log = ReplicatedIntentLog::new_with(CONTROLLERS, schedule.raft_seed, storages)?;
-    log.epoch()?;
-    let mut fabric = LossyFabric::new(schedule.fabric_loss, seed);
-    let policy = RetryPolicy {
-        max_attempts: 16,
-        deadline: SimDuration::from_secs(60),
-        ..RetryPolicy::default()
-    };
-    let mut store = IntendedStore::new();
-    let mut violations: Vec<String> = Vec::new();
-
-    // Recovery needs roll-forward targets for any transaction left in
-    // doubt. A transaction that dies in `append` never reports its id,
-    // so the directory is pre-populated for every id this harness can
-    // allocate; recovery only consults ids that actually exist.
-    let targets_v2: Vec<(NodeId, ProgramBundle)> = devices.iter().map(|d| (*d, v2())).collect();
-    let targets_v3: Vec<(NodeId, ProgramBundle)> = devices.iter().map(|d| (*d, v3())).collect();
-    let mut directory = TargetDirectory::new();
-    for id in 1..=8u64 {
-        directory.insert(id, targets_v2.clone());
-    }
-
-    // Which program each transaction id targeted, in execution order;
-    // the expected fleet program is folded from the committed subset.
-    let mut txn_programs: Vec<(u64, ProgramBundle)> = Vec::new();
-    let mut recovery_finished: Option<SimTime> = None;
-
-    // One journaled reconfiguration act; an `Err` means the coordinator's
-    // own storage died mid-append, which the caller handles as a crash.
-    macro_rules! txn_act {
-        ($targets:expr, $bundle:expr, $at:expr, $crash:expr) => {
-            match logged_transactional_reconfig(
-                &mut sim,
-                $targets,
-                $at,
-                &mut fabric,
-                &policy,
-                &mut log,
-                $crash,
-                Some(&mut store),
-                None,
-            ) {
-                Ok(report) => {
-                    txn_programs.push((report.txn, $bundle));
-                    Ok(report)
-                }
-                Err(e) => Err(e),
-            }
-        };
-    }
-
-    // Fail over off a dead (or suspect) coordinator and resolve every
-    // in-doubt transaction at the devices. An armed victim disk can trip
-    // *during* recovery's own appends and collapse a bare-majority
-    // quorum — the retry arm restarts every dead replica (whose recovery
-    // scrubs its torn tail) and re-runs the idempotent recovery pass.
-    macro_rules! failover_and_recover {
-        ($from:expr) => {{
-            let mut attempts = 0;
-            loop {
-                let result = log.elect().and_then(|_| {
-                    recover(
-                        &mut sim,
-                        &mut log,
-                        &directory,
-                        &devices,
-                        $from,
-                        &mut fabric,
-                        &policy,
-                    )
-                });
-                match result {
-                    Ok(recovery) => {
-                        recovery_finished = Some(recovery.finished_at);
-                        break;
-                    }
-                    // An undecodable committed log (bit rot replicated
-                    // with checksums disabled) makes resolution
-                    // impossible by construction — grading surfaces it
-                    // as divergence; don't mask it as a harness error.
-                    // Only the decode failure qualifies: a transient
-                    // `NoLeader` between attempts must keep retrying.
-                    Err(_)
-                        if matches!(log.replay(), Err(FlexError::Consensus(_))) =>
-                    {
-                        break
-                    }
-                    Err(_) if attempts < 3 => {
-                        attempts += 1;
-                        let cluster = log.cluster_mut();
-                        for i in 0..CONTROLLERS {
-                            if !cluster.is_alive(i) {
-                                cluster.revive(i)?;
-                            }
-                        }
-                        cluster.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }};
-    }
-
-    // -- the scenario act ------------------------------------------------
-    match schedule.scenario {
-        // The victim's WAL disk trips mid-append. A victim coordinator
-        // surfaces it as a failed propose (crash + failover + recovery);
-        // a victim follower self-crashes without acking. Either way the
-        // node then recovers from its torn disk and must catch up.
-        StorageScenario::CrashMidAppend => {
-            let outcome = txn_act!(&targets_v2, v2(), SimTime::from_secs(1), None);
-            if outcome.is_err() {
-                failover_and_recover!(SimTime::from_secs(2));
-            }
-            let cluster = log.cluster_mut();
-            if cluster.is_alive(schedule.victim) {
-                cluster.kill(schedule.victim)?;
-            }
-            cluster.revive(schedule.victim)?;
-            cluster.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-        }
-
-        // The E13 kill schedule composed with a tearing disk: the
-        // transaction crashes at its scheduled phase, the leader dies,
-        // and the victim's torn WAL tail must truncate cleanly on revive.
-        StorageScenario::TornTailOnFailover => {
-            let outcome = txn_act!(
-                &targets_v2,
-                v2(),
-                SimTime::from_secs(1),
-                Some(schedule.crash_phase)
-            );
-            // A victim *follower* whose disk tripped mid-append
-            // self-crashed without acking. Bring it back through the
-            // torn-tail scrub now, while a leader can still refill it —
-            // the coming failover needs it as a voting majority member.
-            {
-                let cluster = log.cluster_mut();
-                if !cluster.is_alive(schedule.victim) {
-                    cluster.revive(schedule.victim)?;
-                    cluster.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-                }
-            }
-            let from = match outcome {
-                Ok(report) => {
-                    log.kill_leader()?;
-                    report.finished_at + SimDuration::from_secs(1)
-                }
-                // The coordinator's own disk died before the scheduled
-                // phase; it is already down.
-                Err(_) => SimTime::from_secs(2),
-            };
-            failover_and_recover!(from);
-            let cluster = log.cluster_mut();
-            if cluster.is_alive(schedule.victim) {
-                cluster.kill(schedule.victim)?;
-            }
-            cluster.revive(schedule.victim)?;
-            cluster.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-        }
-
-        // Two clean transactions land, then a bit rots in the victim's
-        // *cold* log (a record everyone already committed). With CRC on,
-        // recovery truncates there and demotes the node to catch-up-only;
-        // with CRC off the rot replays as garbage and the replica
-        // diverges — the oracle arm requires exactly that.
-        StorageScenario::BitRotInColdLog => {
-            txn_act!(&targets_v2, v2(), SimTime::from_secs(1), None)?;
-            txn_act!(&targets_v3, v3(), SimTime::from_secs(3), None)?;
-            let cluster = log.cluster_mut();
-            cluster.kill(schedule.victim)?;
-            if cluster
-                .storage_mut(schedule.victim)?
-                .wal_mut()
-                .rot_payload(1)
-                .is_none()
-            {
-                violations.push("rot target record 1 missing from victim WAL".into());
-            }
-            cluster.revive(schedule.victim)?;
-            cluster.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-            // Failover pressure: the catch-up-only node must not block a
-            // re-election once the leader has refilled it.
-            log.kill_leader()?;
-            log.elect()?;
-        }
-
-        // Two transactions, each followed by compaction, build two
-        // snapshot generations on every node; then the victim's newest
-        // snapshot rots. With CRC on, recovery falls back to the prior
-        // generation plus a longer WAL tail; with CRC off the rotted
-        // snapshot replays as garbage state.
-        StorageScenario::RotInSnapshot => {
-            txn_act!(&targets_v2, v2(), SimTime::from_secs(1), None)?;
-            log.cluster_mut()
-                .run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-            log.compact()?;
-            txn_act!(&targets_v3, v3(), SimTime::from_secs(3), None)?;
-            log.cluster_mut()
-                .run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-            let second = log.compact()?;
-            if !second.compacted.contains(&schedule.victim) {
-                violations.push(format!(
-                    "victim {} missing generation 2 (compacted {:?}, skipped {:?})",
-                    schedule.victim, second.compacted, second.skipped
-                ));
-            }
-            let cluster = log.cluster_mut();
-            cluster.kill(schedule.victim)?;
-            if !cluster.storage_mut(schedule.victim)?.snaps_mut().rot_latest() {
-                violations.push("victim has no snapshot generation to rot".into());
-            }
-            cluster.revive(schedule.victim)?;
-            cluster.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-        }
-
-        // The victim's snapshot disk is too small for any summary: its
-        // compaction must be refused with a typed `NoSpace`, skipped
-        // without touching the node, while the rest of the fleet
-        // compacts and the cluster keeps committing.
-        StorageScenario::NoSpaceDuringCompaction => {
-            txn_act!(&targets_v2, v2(), SimTime::from_secs(1), None)?;
-            log.cluster_mut()
-                .run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-            let report = log.compact()?;
-            if report.nospace == 0 {
-                violations.push(format!(
-                    "victim compaction was not refused with NoSpace (compacted {:?})",
-                    report.compacted
-                ));
-            }
-            if report.compacted.len() != CONTROLLERS - 1 {
-                violations.push(format!(
-                    "expected {} nodes compacted, got {:?} (skipped {:?})",
-                    CONTROLLERS - 1,
-                    report.compacted,
-                    report.skipped
-                ));
-            }
-            txn_act!(&targets_v3, v3(), SimTime::from_secs(3), None)?;
-        }
-
-        // Every disk fsyncs slowly. The full E13 crash/failover/recovery
-        // drill runs on top, and the harness checks the latency was
-        // actually charged to the durability path.
-        StorageScenario::LaggingFsync => {
-            let outcome = txn_act!(
-                &targets_v2,
-                v2(),
-                SimTime::from_secs(1),
-                Some(schedule.crash_phase)
-            );
-            let from = match outcome {
-                Ok(report) => {
-                    log.kill_leader()?;
-                    report.finished_at + SimDuration::from_secs(1)
-                }
-                Err(_) => SimTime::from_secs(2),
-            };
-            failover_and_recover!(from);
-        }
-    }
-
-    // -- heal the fleet and let replication settle -----------------------
-    for i in 0..CONTROLLERS {
-        if !log.cluster_mut().is_alive(i) {
-            log.cluster_mut().revive(i)?;
-        }
-    }
-    log.cluster_mut()
-        .run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-    // Two jobs before grading. (1) A leader elected organically
-    // mid-scenario may sit on a fully replicated but uncommitted
-    // prior-term tail (Raft only commits old-term entries under an
-    // own-term entry) — the barrier `elect` plays the no-op-on-election
-    // rule and covers the tail. (2) A coordinator whose disk tripped
-    // *while appending the terminal record* leaves a durable
-    // `FlipScheduled` with flipped devices — by design the terminal
-    // append is best-effort past the point of no return, and the
-    // recovery sweep is the documented roll-forward. Both are idempotent,
-    // so the sweep runs unconditionally.
-    let sweep_from = recovery_finished.map_or(SimTime::from_secs(8), |t| {
-        t.max(SimTime::from_secs(8))
-    });
-    failover_and_recover!(sweep_from);
-    log.cluster_mut()
-        .run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-
-    // -- grading: terminal transactions and the expected program ---------
-    let mut diverged = false;
-    let records = match log.records() {
-        Ok(records) => records,
-        Err(e) => {
-            diverged = true;
-            violations.push(format!("committed records undecodable: {e}"));
-            Vec::new()
-        }
-    };
-    let replay_records = records.len();
-    let mut last_per_txn: BTreeMap<u64, &IntentRecord> = BTreeMap::new();
-    for rec in &records {
-        // Intended-state records are reconciliation targets, compaction
-        // markers are allocator bookkeeping, rollout records belong to
-        // the canary journal — none of them is a 2PC phase.
-        if matches!(
-            rec,
-            IntentRecord::IntendedState { .. }
-                | IntentRecord::Compacted { .. }
-                | IntentRecord::RolloutStarted { .. }
-                | IntentRecord::WaveCommitted { .. }
-                | IntentRecord::RolloutAborted { .. }
-                | IntentRecord::RolledBack { .. }
-                | IntentRecord::RolloutCompleted { .. }
-        ) {
-            continue;
-        }
-        last_per_txn.insert(rec.txn(), rec);
-    }
-    for (txn, rec) in &last_per_txn {
-        if !matches!(
-            rec,
-            IntentRecord::Committed { .. } | IntentRecord::Aborted { .. }
-        ) {
-            violations.push(format!("txn {txn} left unresolved: {rec:?}"));
-        }
-    }
-    let mut want = v1();
-    for (txn, bundle) in &txn_programs {
-        if matches!(last_per_txn.get(txn), Some(IntentRecord::Committed { .. })) {
-            want = bundle.clone();
-        }
-    }
-
-    // -- grading: every live replica replays to the same state -----------
-    let cluster = log.cluster_mut();
-    let leader = cluster
-        .leader()
-        .ok_or_else(|| FlexError::Consensus(format!("seed {seed}: no leader after settling")))?;
-    let leader_digest = match state_digest(&cluster.committed(leader)?) {
-        Ok(digest) => Some(digest),
-        Err(e) => {
-            diverged = true;
-            violations.push(format!("leader {leader} replays garbage: {e}"));
-            None
-        }
-    };
-    let leader_commit = cluster.commit_index(leader)?;
-    for i in 0..CONTROLLERS {
-        if !cluster.is_alive(i) || i == leader {
-            continue;
-        }
-        let commit = cluster.commit_index(i)?;
-        if commit < leader_commit {
-            violations.push(format!(
-                "node {i} commit {commit} never caught leader commit {leader_commit}"
-            ));
-            continue;
-        }
-        match state_digest(&cluster.committed(i)?) {
-            Ok(digest) if Some(digest) == leader_digest => {}
-            Ok(digest) => {
-                diverged = true;
-                violations.push(format!(
-                    "node {i} replay digest {digest:016x} disagrees with leader"
-                ));
-            }
-            Err(e) => {
-                diverged = true;
-                violations.push(format!("node {i} replays garbage: {e}"));
-            }
-        }
-    }
-
-    // -- grading: storage counters match the scenario's story ------------
-    let mut counters = StorageCounters::default();
-    for i in 0..CONTROLLERS {
-        counters.merge(cluster.storage(i)?.counters());
-    }
-    if prot.crc_checks {
-        match schedule.scenario {
-            StorageScenario::CrashMidAppend => {
-                if counters.torn_truncations == 0 {
-                    violations.push("mid-append trip never produced a torn-tail truncation".into());
-                }
-            }
-            StorageScenario::BitRotInColdLog => {
-                if counters.checksum_truncations == 0 || counters.mid_log_rot == 0 {
-                    violations.push(format!(
-                        "cold-log rot not detected (checksum_truncations {}, mid_log_rot {})",
-                        counters.checksum_truncations, counters.mid_log_rot
-                    ));
-                }
-                if counters.catchup_demotions == 0 {
-                    violations.push("cold-log rot did not demote the victim to catch-up".into());
-                }
-            }
-            StorageScenario::RotInSnapshot => {
-                if counters.snapshot_fallbacks == 0 {
-                    violations.push("rotted snapshot never fell back a generation".into());
-                }
-            }
-            StorageScenario::NoSpaceDuringCompaction => {
-                if counters.nospace == 0 {
-                    violations.push("capped snapshot disk never counted a NoSpace".into());
-                }
-            }
-            StorageScenario::LaggingFsync => {
-                if counters.fsync_lag == SimDuration::ZERO {
-                    violations.push("lagging fsync charged no latency".into());
-                }
-            }
-            StorageScenario::TornTailOnFailover => {}
-        }
-    }
-
-    // -- the network converges on one program and still moves packets ----
-    let settle = recovery_finished
-        .map(|t| t + SimDuration::from_secs(2))
-        .unwrap_or_default()
-        .max(SimTime::from_secs(8));
-    for d in devices {
-        sim.topo
-            .node_mut(d)
-            .expect("device exists")
-            .device
-            .tick(settle);
-    }
-    for d in devices {
-        let dev = &sim.topo.node(d).expect("device exists").device;
-        if dev.reconfig_in_progress() {
-            violations.push(format!("{d} still mid-reconfiguration after settling"));
-        }
-        match dev.program() {
-            Some(p) if *p.bundle() == want => {}
-            Some(_) => violations.push(format!("{d} runs the wrong program (mixed network)")),
-            None => violations.push(format!("{d} lost its program entirely")),
-        }
-    }
-    sim.load(generate(
-        &[FlowSpec::udp_cbr(
-            src_host,
-            dst_host,
-            1000,
-            settle + SimDuration::from_millis(1),
-            SimDuration::from_millis(200),
-        )],
-        seed,
-    ));
-    sim.run_to_completion();
-    let delivered = sim.metrics.delivered;
-    if delivered == 0 {
-        violations.push("no post-scenario traffic delivered".into());
-    }
-    for d in devices {
-        let versions = sim.metrics.versions_seen(d);
-        if versions.len() > 1 {
-            violations.push(format!(
-                "{d} processed packets under {} different versions: old-XOR-new violated",
-                versions.len()
-            ));
-        }
-    }
-
-    Ok(StorageReport {
-        schedule,
-        protections: prot,
-        diverged,
-        counters,
-        delivered,
-        replay_records,
-        violations,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexnet_types::SimTime;
 
     fn wal(seed: u64) -> SegmentedWal {
         SegmentedWal::new(SimDisk::with_plan(DiskFaultPlan::seeded(seed).tearing()), true)
@@ -1652,21 +1012,5 @@ mod tests {
         assert_eq!(state.entries.len(), 4, "recovery must replay only the tail");
         // The WAL holds at most the tail rounded up to a segment.
         assert!(ns.wal().next_record() - ns.wal().base_record() <= 8);
-    }
-
-    #[test]
-    fn storage_seed_zero_passes_with_protections_on() {
-        let report = run_storage_seed(0).expect("harness runs");
-        assert!(report.passed(), "violations: {:?}", report.violations);
-    }
-
-    #[test]
-    fn cold_log_rot_seed_diverges_with_checksums_off() {
-        // Seed 2 is the pinned oracle: scenario BitRotInColdLog.
-        let on = run_storage_seed(2).expect("harness runs");
-        assert!(on.passed(), "violations: {:?}", on.violations);
-        let off = run_storage_seed_with(2, StorageProtections { crc_checks: false })
-            .expect("harness runs");
-        assert!(off.diverged, "rot with CRC off must diverge");
     }
 }

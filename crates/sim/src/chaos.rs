@@ -66,12 +66,24 @@ pub struct ChaosSchedule {
     pub raft_seed: u64,
 }
 
-/// splitmix64: decorrelates consecutive seeds into independent streams.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+/// splitmix64's stream increment.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// splitmix64: decorrelates consecutive seeds into independent streams
+/// (the workspace's one seed-expansion hash — schedules, retry jitter and
+/// the chaos suites all draw through it).
+pub fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The next draw of the splitmix64 stream whose state is `stream`.
+pub fn mix_next(stream: &mut u64) -> u64 {
+    let z = mix(*stream);
+    *stream = stream.wrapping_add(GAMMA);
+    z
 }
 
 impl ChaosSchedule {

@@ -33,7 +33,7 @@ pub mod topology;
 pub mod workload;
 
 pub use chaos::{
-    adversary_sweep, diverged, overload_sweep, restart_sweep, rogue_sweep, rollout_sweep,
+    adversary_sweep, diverged, mix, mix_next, overload_sweep, restart_sweep, rogue_sweep, rollout_sweep,
     storage_sweep, sweep, AdversarySchedule, AdversaryScenario, ChaosSchedule, CrashPhase,
     OverloadSchedule, OverloadScenario, RestartSchedule, RogueScenario, RogueSchedule,
     RolloutFault, RolloutSchedule, StorageScenario, StorageSchedule,

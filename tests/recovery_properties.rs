@@ -10,7 +10,8 @@
 //! - the orphan sweep reads the log as the resolve pass left it: a shadow
 //!   whose roll-forward commit was lost is released, not discarded.
 
-use flexnet_controller::chaos::run_chaos_seed;
+use flexnet_bench::suites::recovery;
+use flexnet_bench::{Arm, Report};
 use flexnet_controller::wal::{IntentRecord, ReplicatedIntentLog};
 use flexnet_controller::{
     logged_transactional_reconfig, recover, LossyFabric, RetryPolicy, TxnResolution,
@@ -31,7 +32,7 @@ proptest! {
     /// every zombie, and leaves a single-program network — for any seed.
     #[test]
     fn any_seed_survives_coordinator_death(seed in 0u64..1_000_000) {
-        let report = run_chaos_seed(seed).expect("harness runs");
+        let report = recovery::run(seed, Arm::Protected).expect("harness runs");
         prop_assert!(
             report.passed(),
             "seed {} ({}): {:?}",

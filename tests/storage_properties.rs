@@ -13,9 +13,9 @@
 //! - the full storage-chaos harness converges for *any* seed with
 //!   checksums armed.
 
-use flexnet_controller::storage::{
-    encode_entry, encode_record, run_storage_seed, scrub, NodeStorage,
-};
+use flexnet_bench::suites::storage;
+use flexnet_bench::{Arm, Report};
+use flexnet_controller::storage::{encode_entry, encode_record, scrub, NodeStorage};
 use flexnet_controller::wal::IntentRecord;
 use flexnet_types::SimTime;
 use proptest::prelude::*;
@@ -167,7 +167,7 @@ proptest! {
     /// and every replica replays to the leader's digest.
     #[test]
     fn any_seed_replays_to_one_state(seed in 0u64..1_000_000) {
-        let report = run_storage_seed(seed).expect("harness runs");
+        let report = storage::run(seed, Arm::Protected).expect("harness runs");
         prop_assert!(
             report.passed(),
             "seed {} ({}): {:?}",
