@@ -10,11 +10,10 @@
 //! - [`LineFleet`] (host – NIC – switch – NIC – host with a replicated
 //!   intent log and a lossy fabric) and [`LaneFleet`] (eight parallel
 //!   one-switch lanes under live traffic, with the canary rollout);
-//! - [`baseline_detector`] and [`heartbeat_sweep`];
+//! - [`baseline_detector`];
 //! - the closing checks, each violation string in exactly one place.
 
 use flexnet::prelude::*;
-use flexnet_controller::core::DataPathHealth;
 use flexnet_controller::{
     run_rollout, IntendedStore, IntentRecord, ProgramClass, ReplicatedIntentLog, RolloutPlan,
     RolloutReport, SloGuards,
@@ -152,35 +151,6 @@ pub fn baseline_detector(sim: &Simulation, detector: &mut FailureDetector, at: S
         );
     }
     detector.poll(at);
-}
-
-/// One heartbeat sweep: every up device reports its incarnation, digest,
-/// counters and quarantine flag through the lossy fabric; returns the
-/// detector's typed transitions.
-pub fn heartbeat_sweep(
-    detector: &mut FailureDetector,
-    sim: &Simulation,
-    fabric: &mut LossyFabric,
-    now: SimTime,
-) -> Vec<(NodeId, HealthEvent)> {
-    for node in sim.topo.nodes() {
-        if node.device.is_up() && fabric.deliver() {
-            let stats = node.device.stats();
-            detector.observe_heartbeat_health(
-                node.id,
-                now,
-                node.device.boot_id(),
-                node.device.config_digest(),
-                DataPathHealth {
-                    processed: stats.processed,
-                    dropped: stats.dropped,
-                    traps: stats.traps,
-                    quarantined: node.device.quarantined(),
-                },
-            );
-        }
-    }
-    detector.poll(now)
 }
 
 /// Folds 2PC records to the last one per transaction, reports every

@@ -11,7 +11,7 @@
 //! loss confined to the downtime window, old-XOR-new on post-convergence
 //! traffic); violations come back as strings in the report.
 
-use crate::fixture::{baseline_detector, heartbeat_sweep, intent_log, LineFleet, HEARTBEAT_PERIOD};
+use crate::fixture::{baseline_detector, intent_log, LineFleet, HEARTBEAT_PERIOD};
 use crate::sweep::{col, count, mean, total, Arm, Report, Suite};
 use flexnet_controller::recovery::{recover, RecoveryReport, TargetDirectory};
 use flexnet_controller::txn::logged_transactional_reconfig;
@@ -136,7 +136,7 @@ pub fn run(seed: u64, _arm: Arm) -> Result<ResyncChaosReport> {
     while t < t_end {
         t += HEARTBEAT_PERIOD;
         fleet.sim.run(t);
-        let batch: Vec<NodeId> = heartbeat_sweep(&mut detector, &fleet.sim, &mut fleet.fabric, t)
+        let batch: Vec<NodeId> = detector.sweep(&fleet.sim, &mut fleet.fabric, t)
             .into_iter()
             .filter(|(_, event)| matches!(event, HealthEvent::Flapped { .. }))
             .map(|(node, _)| node)

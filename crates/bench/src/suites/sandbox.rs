@@ -24,7 +24,7 @@
 //! storm is contained inside its trap window, other lanes lose nothing,
 //! and the fleet stays inside the canary loss budget throughout.
 
-use crate::fixture::{bundle, heartbeat_sweep, LaneFleet, HEARTBEAT_PERIOD, LANES};
+use crate::fixture::{bundle, LaneFleet, HEARTBEAT_PERIOD, LANES};
 use crate::sweep::{col, count, total, Arm, Report, Suite, Summary};
 use flexnet_controller::{HealthEvent, LossyFabric, RolloutOutcome, RolloutReport};
 use flexnet_dataplane::SandboxConfig;
@@ -211,7 +211,7 @@ pub fn run(seed: u64, _arm: Arm) -> Result<SandboxReport> {
         if quarantined_at.is_none() && fleet.device(victim).quarantined() {
             quarantined_at = Some(t);
         }
-        for (node, event) in heartbeat_sweep(&mut fleet.detector, &fleet.sim, &mut fleet.fabric, t)
+        for (node, event) in fleet.detector.sweep(&fleet.sim, &mut fleet.fabric, t)
         {
             if node == victim && matches!(event, HealthEvent::Quarantined { .. }) {
                 observed_at.get_or_insert(t);
@@ -228,7 +228,7 @@ pub fn run(seed: u64, _arm: Arm) -> Result<SandboxReport> {
     let mut reliable = LossyFabric::reliable();
     for k in 1..=3u64 {
         let at = fleet.flow_end + HEARTBEAT_PERIOD.saturating_mul(k);
-        heartbeat_sweep(&mut fleet.detector, &fleet.sim, &mut reliable, at);
+        fleet.detector.sweep(&fleet.sim, &mut reliable, at);
     }
 
     // -- invariants ------------------------------------------------------

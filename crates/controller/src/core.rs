@@ -14,6 +14,7 @@ use crate::drpc::{ExecutionSite, ServiceRegistry};
 use crate::retry::LossyFabric;
 use crate::tenant::TenantManager;
 use flexnet_compiler::{split_datapath, LogicalDatapath, SplitResult, TargetView};
+use flexnet_dataplane::Device;
 use flexnet_lang::compose::tenant_prefix;
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::Simulation;
@@ -330,6 +331,38 @@ impl FailureDetector {
         // Under the sample floor: keep both the stored counters and the
         // previous verdict, so slow trickles still accumulate into a
         // judgeable delta instead of being re-baselined away.
+    }
+
+    /// Records the heartbeat `dev` sends at `now`: its incarnation,
+    /// configuration digest and cumulative data-path counters.
+    pub fn observe_device(&mut self, dev: &Device, now: SimTime) {
+        let stats = dev.stats();
+        let health = DataPathHealth {
+            processed: stats.processed,
+            dropped: stats.dropped,
+            traps: stats.traps,
+            quarantined: dev.quarantined(),
+        };
+        self.observe_heartbeat_health(dev.id(), now, dev.boot_id(), dev.config_digest(), health);
+    }
+
+    /// Collects one round of heartbeats from every device in `sim` over
+    /// `fabric` and returns the typed transitions that resulted. A down
+    /// device does not answer; an up device's heartbeat can still be lost
+    /// in the fabric — the detector only ever sees silence, never its
+    /// cause.
+    pub fn sweep(
+        &mut self,
+        sim: &Simulation,
+        fabric: &mut LossyFabric,
+        now: SimTime,
+    ) -> Vec<(NodeId, HealthEvent)> {
+        for node in sim.topo.nodes() {
+            if node.device.is_up() && fabric.deliver() {
+                self.observe_device(&node.device, now);
+            }
+        }
+        self.poll(now)
     }
 
     /// Whether `node`'s latest heartbeat reported a sandbox quarantine.
@@ -979,12 +1012,8 @@ impl Controller {
         })
     }
 
-    /// Collects one round of heartbeats from every device in `sim` over
-    /// `fabric` and returns the typed health transitions that resulted.
-    ///
-    /// A down device does not answer; an up device's heartbeat can still be
-    /// lost in the fabric (that is the point — the controller only ever
-    /// sees silence, never its cause). Each delivered heartbeat carries the
+    /// Collects one round of heartbeats ([`FailureDetector::sweep`]) into
+    /// the controller's detector. Each delivered heartbeat carries the
     /// device's boot id and configuration digest. Callers react to
     /// [`HealthEvent::Graded`]`(Dead)` by routing around the device
     /// (`Simulation::recompute_routes` already excludes down devices; for
@@ -996,24 +1025,7 @@ impl Controller {
         fabric: &mut LossyFabric,
         now: SimTime,
     ) -> Vec<(NodeId, HealthEvent)> {
-        for node in sim.topo.nodes() {
-            if node.device.is_up() && fabric.deliver() {
-                let stats = node.device.stats();
-                self.detector.observe_heartbeat_health(
-                    node.id,
-                    now,
-                    node.device.boot_id(),
-                    node.device.config_digest(),
-                    DataPathHealth {
-                        processed: stats.processed,
-                        dropped: stats.dropped,
-                        traps: stats.traps,
-                        quarantined: node.device.quarantined(),
-                    },
-                );
-            }
-        }
-        self.detector.poll(now)
+        self.detector.sweep(sim, fabric, now)
     }
 
     /// The node hosting the composed infrastructure program.

@@ -13,9 +13,12 @@
 //! - [`scale`] — elastic scaling with hysteresis and cooldown.
 //! - [`drpc`] — data-plane RPC registry, discovery, and latency model.
 //! - [`retry`] — lossy control fabric, retry policies with exponential
-//!   backoff and deadlines.
+//!   backoff and deadlines, and the one controller→device command
+//!   channel [`txn`], [`recovery`] and [`resync`] send through (retry,
+//!   exactly-once ack cache, node lookup, message/time accounting).
 //! - [`txn`] — transactional network-wide reconfiguration (two-phase
-//!   commit with rollback).
+//!   commit with rollback): two drivers, plain and journaled, over one
+//!   set of prepare / abort / commit steps that [`recovery`] shares.
 //! - [`replicate`] — replicated state groups with epoch-based failover.
 //! - [`raft`] — simulated Raft for physically distributed controllers.
 //! - [`wal`] — the replicated write-ahead intent log for crash-recovery.
@@ -75,7 +78,7 @@ pub use retry::{
 pub use scale::{ElasticScaler, ScaleDecision, ScalingPolicy};
 pub use recovery::{recover, RecoveryReport, TxnResolution};
 pub use rollout::{
-    resume_rollouts, run_rollout, run_rollout_governed, RolloutCrash, RolloutDirectory,
+    resume_rollouts, run_rollout, RolloutCrash, RolloutDirectory,
     RolloutOutcome, RolloutPlan, RolloutReport, RolloutResume, SloBreach, SloGuards,
 };
 pub use resync::{

@@ -7,8 +7,8 @@
 //! 1. **Fence** — every reachable device observes the new controller
 //!    epoch ([`flexnet_dataplane::Device::observe_epoch`]). From this
 //!    point the deposed coordinator's prepare/commit/abort commands are
-//!    rejected with [`FlexError::Fenced`], so recovery cannot race a
-//!    zombie.
+//!    rejected with [`flexnet_types::FlexError::Fenced`], so recovery
+//!    cannot race a zombie.
 //! 2. **Resolve** — for each transaction whose last durable record is not
 //!    terminal, apply the in-doubt resolution rule (`DESIGN.md` §8):
 //!    `Intent` or `Prepared` → roll **back** (presumed abort: no flip was
@@ -25,12 +25,13 @@
 //! The whole procedure is idempotent: a second run finds every
 //! transaction terminal and no orphans, and changes nothing.
 
-use crate::retry::{command_rtt, with_retry, LossyFabric, RetryPolicy};
+use crate::retry::{Channel, LossyFabric, RetryPolicy};
+use crate::txn::{abort_on, commit_on};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
 use flexnet_dataplane::{SealedTargets, TxnTag};
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::Simulation;
-use flexnet_types::{FlexError, NodeId, Result, SimTime};
+use flexnet_types::{NodeId, Result, SimTime};
 use std::collections::BTreeMap;
 
 /// How one in-doubt transaction was resolved.
@@ -89,7 +90,6 @@ pub type TargetDirectory = BTreeMap<u64, Vec<(NodeId, ProgramBundle)>>;
 /// `targets` supplies the per-transaction programs for roll-forward
 /// re-preparation. The log must have a leader (run
 /// [`ReplicatedIntentLog::elect`] after a coordinator crash first).
-#[allow(clippy::too_many_arguments)]
 pub fn recover(
     sim: &mut Simulation,
     log: &mut ReplicatedIntentLog,
@@ -100,31 +100,20 @@ pub fn recover(
     policy: &RetryPolicy,
 ) -> Result<RecoveryReport> {
     let epoch = log.epoch()?;
-    let mut t = now;
-    let mut messages = 0u32;
+    let mut ch = Channel {
+        sim,
+        fabric,
+        policy,
+        now,
+        messages: 0,
+    };
     let mut unreachable: Vec<NodeId> = Vec::new();
 
     // Pass 1: fence. After this, the old coordinator's epoch is dead on
     // every reachable device.
     let mut fenced = 0usize;
     for node in devices {
-        let mut acked = false;
-        let out = with_retry(policy, fabric, t, command_rtt(), |_| {
-            if acked {
-                return Ok(());
-            }
-            let dev = &mut sim
-                .topo
-                .node_mut(*node)
-                .ok_or_else(|| FlexError::Sim(format!("fence: unknown node {node}")))?
-                .device;
-            dev.observe_epoch(epoch)?;
-            acked = true;
-            Ok(())
-        });
-        messages += out.attempts;
-        t = out.finished_at;
-        match out.result {
+        match ch.send(*node, "fence", |dev, _| dev.observe_epoch(epoch)) {
             Ok(()) => fenced += 1,
             Err(_) => unreachable.push(*node),
         }
@@ -165,10 +154,7 @@ pub fn recover(
                 // everywhere. Journal the decision first.
                 log.append(&IntentRecord::Aborted { txn })?;
                 for node in &nodes {
-                    let (m, at, wiped) = abort_on(sim, *node, tag, t, fabric, policy);
-                    messages += m;
-                    t = at;
-                    wiped_shadows += usize::from(wiped);
+                    wiped_shadows += usize::from(discard_shadow(&mut ch, *node, tag));
                 }
                 resolutions.push((txn, TxnResolution::RolledBack));
             }
@@ -177,20 +163,16 @@ pub fn recover(
                 // already hold a released shadow, so only roll-forward
                 // keeps the network single-program. Journal first.
                 log.append(&IntentRecord::Committed { txn })?;
-                let flip_at = if commit_at > t { commit_at } else { t };
+                let flip_at = commit_at.max(ch.now);
                 for node in &nodes {
                     let target = targets
                         .get(&txn)
                         .and_then(|ts| ts.iter().find(|(n, _)| n == node))
                         .map(|(_, b)| b);
-                    let (m, at, re) = commit_on(
-                        sim, *node, tag, flip_at, target, &mut sealed, t, fabric, policy,
-                    );
-                    messages += m;
-                    t = at;
-                    reprepared += usize::from(re);
                     // A roll-forward that had to re-prepare found the
                     // prepared shadow gone — wiped by a restart.
+                    let re = commit_on(&mut ch, *node, tag, flip_at, target, &mut sealed, WHO);
+                    reprepared += usize::from(re);
                     wiped_shadows += usize::from(re);
                 }
                 resolutions.push((txn, TxnResolution::RolledForward));
@@ -206,7 +188,8 @@ pub fn recover(
     let replay = log.replay()?;
     let mut orphans_swept = 0usize;
     for node in devices {
-        let pending = sim
+        let pending = ch
+            .sim
             .topo
             .node(*node)
             .and_then(|n| n.device.txn_in_doubt());
@@ -217,16 +200,12 @@ pub fn recover(
         };
         match replay.last(orphan.txn_id) {
             Some(IntentRecord::Committed { .. }) => {
-                let (m, at, _) =
-                    commit_on(sim, *node, tag, t, None, &mut sealed, t, fabric, policy);
-                messages += m;
-                t = at;
+                let flip_at = ch.now;
+                commit_on(&mut ch, *node, tag, flip_at, None, &mut sealed, WHO);
             }
             // Aborted, never-logged, or (unreachably) still open: discard.
             _ => {
-                let (m, at, _) = abort_on(sim, *node, tag, t, fabric, policy);
-                messages += m;
-                t = at;
+                discard_shadow(&mut ch, *node, tag);
             }
         }
         orphans_swept += 1;
@@ -240,134 +219,27 @@ pub fn recover(
         reprepared,
         wiped_shadows,
         orphans_swept,
-        messages,
-        finished_at: t,
+        messages: ch.messages,
+        finished_at: ch.now,
     })
 }
 
-/// Sends one idempotent abort; returns (messages, finished_at, wiped?).
-/// `wiped` is true when the delivered abort found nothing pending: the
-/// shadow the log promised was gone on-device (restart-wiped, or the
-/// prepare itself never arrived). Pre-PR-3 this path silently assumed
-/// the shadow still existed; now it is tolerated and reported.
-fn abort_on(
-    sim: &mut Simulation,
-    node: NodeId,
-    tag: TxnTag,
-    t: SimTime,
-    fabric: &mut LossyFabric,
-    policy: &RetryPolicy,
-) -> (u32, SimTime, bool) {
-    let mut done = false;
-    let mut wiped = false;
-    let out = with_retry(policy, fabric, t, command_rtt(), |at| {
-        if done {
-            return Ok(());
-        }
-        let dev = &mut sim
-            .topo
-            .node_mut(node)
-            .ok_or_else(|| FlexError::Sim(format!("abort: unknown node {node}")))?
-            .device;
-        match dev.abort_txn(tag, at) {
-            Ok(rep) => {
-                match rep {
-                    Some(rep) => sim.reconfig_reports.push((at, node, rep)),
-                    None => wiped = true,
-                }
-                done = true;
-                Ok(())
-            }
-            // A shadow owned by someone else is not ours to discard.
-            Err(FlexError::Conflict(_)) => {
-                done = true;
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
-    });
-    if let Err(e) = out.result {
-        sim.errors
-            .push((out.finished_at, format!("recovery abort on {node}: {e}")));
-    }
-    (out.attempts, out.finished_at, wiped)
-}
+/// How this coordinator's command failures are labelled in `sim.errors`.
+const WHO: &str = "recovery";
 
-/// Sends one idempotent commit, re-preparing a crash-lost shadow from
-/// `target` (sealed once per recovery pass, in `sealed`) when the
-/// device's active program does not already match.
-/// Returns (messages, finished_at, re-prepared?).
-#[allow(clippy::too_many_arguments)]
-fn commit_on(
-    sim: &mut Simulation,
-    node: NodeId,
-    tag: TxnTag,
-    flip_at: SimTime,
-    target: Option<&ProgramBundle>,
-    sealed: &mut SealedTargets,
-    t: SimTime,
-    fabric: &mut LossyFabric,
-    policy: &RetryPolicy,
-) -> (u32, SimTime, bool) {
-    let mut released: Option<bool> = None;
-    let out = with_retry(policy, fabric, t, command_rtt(), |_| {
-        if let Some(r) = released {
-            return Ok(r);
-        }
-        let dev = &mut sim
-            .topo
-            .node_mut(node)
-            .ok_or_else(|| FlexError::Sim(format!("commit: unknown node {node}")))?
-            .device;
-        let r = dev.commit_txn(tag, flip_at)?;
-        released = Some(r);
-        Ok(r)
-    });
-    let mut messages = out.attempts;
-    let mut t = out.finished_at;
-    let mut reprepared = false;
-    match out.result {
-        Ok(true) => {}
-        Ok(false) => {
-            // Nothing pending: the device either flipped already (its
-            // image matches the target) or lost the shadow in a crash —
-            // then the commit decision obliges us to re-prepare it.
-            let needs = match (sim.topo.node(node).map(|n| &n.device), target) {
-                (Some(dev), Some(want)) if dev.program().is_none_or(|p| p.bundle() != want) => {
-                    Some(want)
-                }
-                _ => None,
-            };
-            if let Some(want) = needs {
-                let mut done = false;
-                let out = with_retry(policy, fabric, t, command_rtt(), |at| {
-                    if done {
-                        return Ok(());
-                    }
-                    let dev = &mut sim
-                        .topo
-                        .node_mut(node)
-                        .ok_or_else(|| FlexError::Sim(format!("re-prepare: unknown node {node}")))?
-                        .device;
-                    let rep = dev.prepare_txn_reconfig(|| sealed.image_for(want), at, tag)?;
-                    dev.commit_txn(tag, rep.ready_at)?;
-                    done = true;
-                    Ok(())
-                });
-                messages += out.attempts;
-                t = out.finished_at;
-                match out.result {
-                    Ok(()) => reprepared = true,
-                    Err(e) => sim
-                        .errors
-                        .push((t, format!("recovery re-prepare on {node}: {e}"))),
-                }
-            }
-        }
-        Err(e) => {
-            sim.errors
-                .push((t, format!("recovery commit on {node}: {e}")));
-        }
+/// Sends one idempotent abort of `tag`'s shadow on `node`. Returns whether
+/// the delivered abort found nothing pending: the shadow the log promised
+/// was gone on-device (restart-wiped, or the prepare itself never
+/// arrived) — tolerated and reported, not an error. The device's rollback
+/// is recorded at the instant it happened, whether or not its ack arrived.
+fn discard_shadow(ch: &mut Channel<'_>, node: NodeId, tag: TxnTag) -> bool {
+    let (result, delivered) = abort_on(ch, node, Some(tag));
+    if let Err(e) = result {
+        ch.sim.errors.push((ch.now, format!("{WHO} abort on {node}: {e}")));
     }
-    (messages, t, reprepared)
+    let Some(done) = delivered else { return false };
+    if let Some(rep) = done.report {
+        ch.sim.reconfig_reports.push((done.at, node, rep));
+    }
+    done.wiped
 }

@@ -38,9 +38,9 @@
 //! `flexnet_bench::suites::resync`.
 
 use crate::core::{FailureDetector, TokenBucket};
-use crate::retry::{command_rtt, with_retry, LossyFabric, RetryPolicy};
+use crate::retry::{Channel, LossyFabric, RetryPolicy};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
-use flexnet_dataplane::{entries_carry_over, ProgramImage, SealTarget, TableEntry};
+use flexnet_dataplane::{entries_carry_over, Device, ProgramImage, SealTarget, TableEntry};
 use flexnet_sim::Simulation;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -413,8 +413,6 @@ impl Resyncer {
         let intended = store.get(node).ok_or_else(|| {
             FlexError::NotFound(format!("no intended state for node {node}"))
         })?;
-        let want = intended.digest();
-        let class = intended.class;
         // Admission: one global token-bucket reservation. The grant is a
         // deferred start instant (≥ min_gap after the previous grant);
         // past the booking horizon the bucket denies with the retryable
@@ -422,9 +420,14 @@ impl Resyncer {
         let prior_tat = self.bucket.next_free();
         let start_at = self.bucket.reserve(now, "resync admission")?;
         self.in_progress.insert(node);
-        let result = self.start_inner(
-            sim, intended, want, node, class, start_at, fabric, policy,
-        );
+        let mut ch = Channel {
+            sim,
+            fabric,
+            policy,
+            now: start_at,
+            messages: 0,
+        };
+        let result = start_inner(&mut ch, intended);
         if result.is_err() {
             self.in_progress.remove(&node);
             // The reservation was never used: give it back so a failed
@@ -434,85 +437,6 @@ impl Resyncer {
             self.starts.push((start_at, node));
         }
         result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_inner(
-        &mut self,
-        sim: &mut Simulation,
-        intended: &IntendedDevice,
-        want: u64,
-        node: NodeId,
-        class: ProgramClass,
-        start_at: SimTime,
-        fabric: &mut LossyFabric,
-        policy: &RetryPolicy,
-    ) -> Result<ResyncTicket> {
-        let mut messages = 0u32;
-        // Probe the device's digest and boot id over the fabric.
-        let mut probed: Option<(u64, u64)> = None;
-        let out = with_retry(policy, fabric, start_at, command_rtt(), |_| {
-            if let Some(p) = probed {
-                return Ok(p);
-            }
-            let dev = &sim
-                .topo
-                .node(node)
-                .ok_or_else(|| FlexError::Sim(format!("resync: unknown node {node}")))?
-                .device;
-            if !dev.is_up() {
-                return Err(FlexError::Unavailable(format!(
-                    "resync probe: device {node} is down"
-                )));
-            }
-            let p = (dev.config_digest(), dev.boot_id());
-            probed = Some(p);
-            Ok(p)
-        });
-        messages += out.attempts;
-        let mut t = out.finished_at;
-        let (got, boot_id) = out.result?;
-        if got == want {
-            return Ok(ResyncTicket {
-                node,
-                class,
-                boot_id,
-                started_at: start_at,
-                ready_at: None,
-                ops: 0,
-                messages,
-                after_start: t,
-            });
-        }
-
-        // Diverged: re-provision the intended image via shadow + flip.
-        let mut acked: Option<flexnet_dataplane::ReconfigReport> = None;
-        let out = with_retry(policy, fabric, t, command_rtt(), |at| {
-            if let Some(rep) = &acked {
-                return Ok(rep.clone());
-            }
-            let dev = &mut sim
-                .topo
-                .node_mut(node)
-                .ok_or_else(|| FlexError::Sim(format!("resync: unknown node {node}")))?
-                .device;
-            let rep = dev.begin_runtime_reconfig(intended.image().clone(), at)?;
-            acked = Some(rep.clone());
-            Ok(rep)
-        });
-        messages += out.attempts;
-        t = out.finished_at;
-        let rep = out.result?;
-        Ok(ResyncTicket {
-            node,
-            class,
-            boot_id,
-            started_at: start_at,
-            ready_at: Some(rep.ready_at),
-            ops: rep.ops,
-            messages,
-            after_start: t,
-        })
     }
 
     /// Completes a resync started with [`Resyncer::start`]: waits out
@@ -590,6 +514,38 @@ impl Resyncer {
     }
 }
 
+/// The fabric half of [`Resyncer::start`], on a channel opened at the
+/// admitted start instant: probe, and re-provision when diverged.
+fn start_inner(ch: &mut Channel<'_>, intended: &IntendedDevice) -> Result<ResyncTicket> {
+    let (node, started_at) = (intended.node, ch.now);
+    // Probe the device's digest and boot id over the fabric.
+    let (got, boot_id) = ch.send(node, "resync", |dev, _| {
+        if !dev.is_up() {
+            return Err(FlexError::Unavailable(format!(
+                "resync probe: device {node} is down"
+            )));
+        }
+        Ok((dev.config_digest(), dev.boot_id()))
+    })?;
+    // Diverged: re-provision the intended image via shadow + flip.
+    let shadow = if got == intended.digest() {
+        None
+    } else {
+        let image = intended.image();
+        Some(ch.send(node, "resync", |dev, at| dev.begin_runtime_reconfig(image.clone(), at))?)
+    };
+    Ok(ResyncTicket {
+        node,
+        class: intended.class,
+        boot_id,
+        started_at,
+        ready_at: shadow.as_ref().map(|rep| rep.ready_at),
+        ops: shadow.map_or(0, |rep| rep.ops),
+        messages: ch.messages,
+        after_start: ch.now,
+    })
+}
+
 fn complete_inner(
     sim: &mut Simulation,
     store: &IntendedStore,
@@ -602,86 +558,55 @@ fn complete_inner(
         FlexError::NotFound(format!("no intended state for node {node}"))
     })?;
     let want = intended.digest();
-    let mut messages = ticket.messages;
-    let mut t = ticket.after_start;
+    let mut ch = Channel {
+        sim,
+        fabric,
+        policy,
+        now: ticket.after_start,
+        messages: ticket.messages,
+    };
+
+    let report = |ch: &Channel<'_>, outcome| ResyncReport {
+        node,
+        class: ticket.class,
+        outcome,
+        started_at: ticket.started_at,
+        finished_at: ch.now,
+        messages: ch.messages,
+    };
 
     // A boot-id advance since the start means the device restarted
     // mid-resync: the shadow died with its incarnation. Report it —
     // the caller re-runs resync against the new boot id.
-    let current_boot = sim
-        .topo
-        .node(node)
-        .ok_or_else(|| FlexError::Sim(format!("resync: unknown node {node}")))?
-        .device
-        .boot_id();
-    if current_boot > ticket.boot_id {
-        return Ok(ResyncReport {
-            node,
-            class: ticket.class,
-            outcome: ResyncOutcome::Superseded {
-                new_boot_id: current_boot,
-            },
-            started_at: ticket.started_at,
-            finished_at: t,
-            messages,
-        });
+    let new_boot_id = device(ch.sim, node)?.boot_id();
+    if new_boot_id > ticket.boot_id {
+        return Ok(report(&ch, ResyncOutcome::Superseded { new_boot_id }));
     }
 
     let Some(ready_at) = ticket.ready_at else {
         // The probe found the device digest-equal to intent.
-        return Ok(ResyncReport {
-            node,
-            class: ticket.class,
-            outcome: ResyncOutcome::AlreadyConverged,
-            started_at: ticket.started_at,
-            finished_at: t,
-            messages,
-        });
+        return Ok(report(&ch, ResyncOutcome::AlreadyConverged));
     };
 
     // Let the shadow flip (atomic: packets before see the old program,
     // packets after see the new one).
-    let flip_at = if ready_at > t { ready_at } else { t };
-    sim.topo
-        .node_mut(node)
-        .ok_or_else(|| FlexError::Sim(format!("resync: unknown node {node}")))?
-        .device
-        .tick(flip_at);
-    t = flip_at;
+    ch.now = ready_at.max(ch.now);
+    device(ch.sim, node)?.tick(ch.now);
 
     // Replay the intended entries. Upsert: remove-then-add is exact and
     // idempotent, so entries the flip carried over are not duplicated.
-    let mut replayed = 0usize;
+    let mut entries = 0usize;
     for (table, entry) in intended.entries() {
-        let mut done = false;
-        let out = with_retry(policy, fabric, t, command_rtt(), |_| {
-            if done {
-                return Ok(());
-            }
-            let dev = &mut sim
-                .topo
-                .node_mut(node)
-                .ok_or_else(|| FlexError::Sim(format!("resync: unknown node {node}")))?
-                .device;
+        ch.send(node, "resync", |dev, _| {
             dev.remove_entry(table, &entry.matches)?;
-            dev.add_entry(table, entry.clone())?;
-            done = true;
-            Ok(())
-        });
-        messages += out.attempts;
-        t = out.finished_at;
-        out.result?;
-        replayed += 1;
+            dev.add_entry(table, entry.clone())
+        })?;
+        entries += 1;
     }
 
     // Verify: the whole point of digest-based anti-entropy is that
     // convergence is checked, not assumed.
-    let got = sim
-        .topo
-        .node(node)
-        .ok_or_else(|| FlexError::Sim(format!("resync: unknown node {node}")))?
-        .device
-        .config_digest();
+    let got = device(ch.sim, node)?.config_digest();
     if got != want {
         return Err(FlexError::DigestMismatch {
             node: node.0 as u64,
@@ -689,17 +614,18 @@ fn complete_inner(
             got,
         });
     }
-    Ok(ResyncReport {
-        node,
-        class: ticket.class,
-        outcome: ResyncOutcome::Reprovisioned {
-            ops: ticket.ops,
-            entries: replayed,
-        },
-        started_at: ticket.started_at,
-        finished_at: t,
-        messages,
-    })
+    let ops = ticket.ops;
+    Ok(report(&ch, ResyncOutcome::Reprovisioned { ops, entries }))
+}
+
+/// The simulation's own handle on `node`'s device, for the reads and the
+/// clock tick that are not commands and cross no fabric.
+fn device(sim: &mut Simulation, node: NodeId) -> Result<&mut Device> {
+    let node = sim
+        .topo
+        .node_mut(node)
+        .ok_or_else(|| FlexError::Sim(format!("resync: unknown node {node}")))?;
+    Ok(&mut node.device)
 }
 
 #[cfg(test)]

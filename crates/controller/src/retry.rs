@@ -9,9 +9,16 @@
 //! [`RetryPolicy`] — exponential backoff between attempts, a hard
 //! deadline, and simulated-time accounting so experiments can measure how
 //! long recovery actually took.
+//!
+//! Controller→device commands do not call [`with_retry`] themselves: the
+//! crate-private `Channel` wraps it once with what every command needs on
+//! top — the ack cache that keeps a command exactly-once when its response
+//! is lost, the destination lookup, and the running message count and
+//! clock (`DESIGN.md` §21). [`invoke_with_retry`] is the dRPC flavour.
 
 use crate::drpc::{ServiceRegistry, CONTROLLER_RTT, DRPC_HOP_LATENCY};
-use flexnet_sim::mix;
+use flexnet_dataplane::Device;
+use flexnet_sim::{mix, Simulation};
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,13 +119,12 @@ impl RetryPolicy {
 /// Every *successful* exchange with a destination earns a fraction of a
 /// retry token ([`RetryBudget::ratio_ppm`]); every retry (second and
 /// later attempt of an exchange) spends one. When a destination's bucket
-/// is empty, further retries to it are refused with the non-retryable
-/// [`FlexError::RetryBudgetExhausted`] — first attempts are *never*
-/// refused. The effect is the classic retry-budget invariant: sustained
-/// retries are capped at `ratio` × the first-attempt success rate, so a
-/// retry storm against a struggling destination self-extinguishes
-/// instead of amplifying, and the budget refills only as real successes
-/// resume.
+/// is empty, [`RetryBudget::try_spend`] answers `false` and the caller
+/// must not retry — first attempts are *never* refused. The effect is
+/// the classic retry-budget invariant: sustained retries are capped at
+/// `ratio` × the first-attempt success rate, so a retry storm against a
+/// struggling destination self-extinguishes instead of amplifying, and
+/// the budget refills only as real successes resume.
 ///
 /// Token accounting is integer (millitokens), so budgets are exactly
 /// deterministic across platforms.
@@ -331,14 +337,6 @@ impl LossyFabric {
         self.drop_prob
     }
 
-    /// Changes the drop probability mid-run (the overload harness uses
-    /// this for brownout windows: lossy while the fault holds, clean
-    /// after it clears). The RNG stream is untouched, so runs stay
-    /// deterministic per seed.
-    pub fn set_drop_prob(&mut self, drop_prob: f64) {
-        self.drop_prob = drop_prob.clamp(0.0, 1.0);
-    }
-
     /// Sends one message; `true` when it arrives.
     pub fn deliver(&mut self) -> bool {
         if self.rng.gen_bool(self.drop_prob) {
@@ -398,12 +396,6 @@ impl LossyFabric {
     pub fn heal(&mut self, node: NodeId) {
         self.blocked_up.remove(&node);
         self.blocked_down.remove(&node);
-    }
-
-    /// Heals every partition.
-    pub fn heal_all(&mut self) {
-        self.blocked_up.clear();
-        self.blocked_down.clear();
     }
 
     /// Whether `node`'s up (device → controller) direction is severed.
@@ -623,6 +615,54 @@ pub fn command_rtt() -> SimDuration {
     CONTROLLER_RTT
 }
 
+/// The one controller→device command channel: `txn`, `recovery` and
+/// `resync` send every command through [`Channel::send`], which owns the
+/// retry, the exactly-once ack cache, the node lookup and the message /
+/// simulated-time accounting.
+pub(crate) struct Channel<'a> {
+    pub sim: &'a mut Simulation,
+    pub fabric: &'a mut LossyFabric,
+    pub policy: &'a RetryPolicy,
+    /// Where simulated time stands: each exchange starts here and leaves
+    /// its `finished_at` here.
+    pub now: SimTime,
+    /// Attempts made so far, lost ones included.
+    pub messages: u32,
+}
+
+impl Channel<'_> {
+    /// Runs the command `op` on `node`'s device under the retry policy.
+    ///
+    /// A lost response makes [`with_retry`] deliver the request again; the
+    /// first `Ok` the device gave is remembered and re-reported, so the
+    /// command takes effect exactly once however many acks are lost. An
+    /// `Err` is not remembered: a retryable one runs `op` again.
+    pub fn send<T: Clone>(
+        &mut self,
+        node: NodeId,
+        what: &str,
+        mut op: impl FnMut(&mut Device, SimTime) -> Result<T>,
+    ) -> Result<T> {
+        let sim = &mut *self.sim;
+        let mut acked: Option<T> = None;
+        let out = with_retry(self.policy, self.fabric, self.now, command_rtt(), |at| {
+            if let Some(ack) = &acked {
+                return Ok(ack.clone());
+            }
+            let dest = sim
+                .topo
+                .node_mut(node)
+                .ok_or_else(|| FlexError::Sim(format!("{what}: unknown node {node}")))?;
+            let ack = op(&mut dest.device, at)?;
+            acked = Some(ack.clone());
+            Ok(ack)
+        });
+        self.messages += out.attempts;
+        self.now = out.finished_at;
+        out.result
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,40 +806,54 @@ mod tests {
 
     #[test]
     fn response_lost_after_successful_apply_retries_idempotently() {
-        // Drop sequence under seed 5 engineered check: we assert the
-        // *semantic* contract instead — when a response is lost after the
-        // op applied, the op runs again on retry and the caller-side cache
-        // pattern (as used by txn prepare/abort) keeps the effect
-        // exactly-once.
-        let mut applied = 0u32;
-        let mut cached: Option<u64> = None;
-        // Find a seed whose delivery pattern is: req ok, resp LOST, req ok,
-        // resp ok — i.e. the op applies once, the ack is lost, and the
-        // retry must re-report the cached effect.
+        // A seed whose delivery pattern is: req ok, resp LOST, req ok,
+        // resp ok — the command applies once, the ack is lost, and the
+        // retry must re-report the remembered answer, not apply again.
         let seed = (0..1000)
             .find(|&s| {
                 let mut f = LossyFabric::new(0.5, s);
                 f.deliver() && !f.deliver() && f.deliver() && f.deliver()
             })
             .expect("some seed produces ok/LOST/ok/ok");
-        let mut f = LossyFabric::new(0.5, seed);
-        let out = with_retry(
-            &RetryPolicy::default(),
-            &mut f,
-            SimTime::ZERO,
-            SimDuration::from_micros(10),
-            |_| {
-                if let Some(v) = cached {
-                    return Ok(v); // idempotent re-ack, no second apply
-                }
-                applied += 1;
-                cached = Some(42);
-                Ok(42)
-            },
-        );
-        assert_eq!(out.result.unwrap(), 42);
-        assert_eq!(out.attempts, 2, "one lost response, one retry");
+        let (topo, sw, _hosts) = flexnet_sim::Topology::single_switch(2);
+        let mut sim = Simulation::new(topo);
+        let mut fabric = LossyFabric::new(0.5, seed);
+        let policy = RetryPolicy::default();
+        let mut ch = Channel {
+            sim: &mut sim,
+            fabric: &mut fabric,
+            policy: &policy,
+            now: SimTime::ZERO,
+            messages: 0,
+        };
+        let mut applied = 0u32;
+        let boot = ch.send(sw, "probe", |dev, _| {
+            applied += 1;
+            Ok(dev.boot_id())
+        });
+        assert_eq!(boot.unwrap(), 1, "the device's own answer comes back");
         assert_eq!(applied, 1, "the effect happened exactly once");
+        assert_eq!(ch.messages, 2, "one lost response, one retry");
+        let two_attempts_one_backoff = command_rtt().saturating_mul(2) + policy.backoff(0);
+        assert_eq!(ch.now, SimTime::ZERO + two_attempts_one_backoff);
+
+        // An `Err` is not remembered: a retryable one runs the op again.
+        let mut fabric = LossyFabric::reliable();
+        ch.fabric = &mut fabric;
+        let mut calls = 0u32;
+        let out = ch.send(sw, "probe", |_, _| {
+            calls += 1;
+            if calls < 3 {
+                return Err(FlexError::Unreachable { node: 1 });
+            }
+            Ok(calls)
+        });
+        assert_eq!(out.unwrap(), 3, "two refusals, then the answer");
+        assert_eq!(ch.messages, 2 + 3);
+
+        // And the lookup is the channel's: one error string, one place.
+        let err = ch.send(NodeId(999), "probe", |_, _| Ok(())).unwrap_err();
+        assert!(matches!(err, FlexError::Sim(m) if m == "probe: unknown node node999"));
     }
 
     #[test]

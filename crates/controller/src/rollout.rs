@@ -43,7 +43,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::core::{DataPathHealth, FailureDetector, Health, HealthEvent};
+use crate::core::{FailureDetector, Health, HealthEvent};
 use crate::retry::{LossyFabric, RetryPolicy};
 use crate::txn::{logged_transactional_reconfig, LoggedTxnOutcome};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
@@ -140,17 +140,6 @@ pub struct SloBreach {
     pub threshold: u64,
 }
 
-impl SloBreach {
-    /// The breach as the typed error the rest of the stack speaks.
-    pub fn to_error(&self) -> FlexError {
-        FlexError::SloViolation {
-            guard: self.guard.clone(),
-            observed: self.observed,
-            threshold: self.threshold,
-        }
-    }
-}
-
 /// How a rollout ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RolloutOutcome {
@@ -224,24 +213,10 @@ fn soak_with_heartbeats(
         t = if next > until { until } else { next };
         sim.run(t);
         for &d in fleet {
-            let Some(node) = sim.topo.node(d) else { continue };
-            let dev = &node.device;
-            if !dev.is_up() {
-                continue;
+            // No fabric draw: the soak's heartbeats always arrive.
+            if let Some(node) = sim.topo.node(d).filter(|n| n.device.is_up()) {
+                detector.observe_device(&node.device, t);
             }
-            let stats = dev.stats();
-            detector.observe_heartbeat_health(
-                d,
-                t,
-                dev.boot_id(),
-                dev.config_digest(),
-                DataPathHealth {
-                    processed: stats.processed,
-                    dropped: stats.dropped,
-                    traps: stats.traps,
-                    quarantined: dev.quarantined(),
-                },
-            );
         }
     }
 }
@@ -485,6 +460,26 @@ pub fn run_rollout(
             .collect(),
     })?;
 
+    // Every exit builds its report here; the one that unwound fills in
+    // the rollback fields.
+    let report = |outcome, wave_txns: Vec<u64>, deltas, breach, degraded_seen, messages, t| {
+        RolloutReport {
+            rollout,
+            outcome,
+            waves_committed: wave_txns.len() as u32,
+            wave_txns,
+            baseline: baseline_stats,
+            deltas,
+            breach,
+            degraded_seen,
+            rollback_latency: None,
+            rolled_back: Vec::new(),
+            quarantined: Vec::new(),
+            messages,
+            finished_at: t,
+        }
+    };
+
     let mut t = baseline_window.1;
     let mut messages = 0u32;
     let mut wave_txns: Vec<u64> = Vec::new();
@@ -542,21 +537,8 @@ pub fn run_rollout(
         flipped.extend(wave.iter().copied());
         flip_order.extend(wave.iter().copied());
         if crash == Some(RolloutCrash::AfterWaveCommit(wave_no)) {
-            return Ok(RolloutReport {
-                rollout,
-                outcome: RolloutOutcome::Crashed(RolloutCrash::AfterWaveCommit(wave_no)),
-                waves_committed: wave_no,
-                wave_txns,
-                baseline: baseline_stats,
-                deltas,
-                breach: None,
-                degraded_seen,
-                rollback_latency: None,
-                rolled_back: Vec::new(),
-                quarantined: Vec::new(),
-                messages,
-                finished_at: t,
-            });
+            let outcome = RolloutOutcome::Crashed(RolloutCrash::AfterWaveCommit(wave_no));
+            return Ok(report(outcome, wave_txns, deltas, None, degraded_seen, messages, t));
         }
 
         // Let the aligned flip land, then record the wave's new digests.
@@ -612,25 +594,11 @@ pub fn run_rollout(
         }
     }
 
-    let waves_committed = wave_txns.len() as u32;
     let Some(breach) = breach else {
         // Every wave soaked clean.
         log.append(&IntentRecord::RolloutCompleted { rollout })?;
-        return Ok(RolloutReport {
-            rollout,
-            outcome: RolloutOutcome::Completed,
-            waves_committed,
-            wave_txns,
-            baseline: baseline_stats,
-            deltas,
-            breach: None,
-            degraded_seen,
-            rollback_latency: None,
-            rolled_back: Vec::new(),
-            quarantined: Vec::new(),
-            messages,
-            finished_at: t,
-        });
+        let outcome = RolloutOutcome::Completed;
+        return Ok(report(outcome, wave_txns, deltas, None, degraded_seen, messages, t));
     };
 
     // Halt: journal the verdict, then unwind every flipped device in
@@ -641,21 +609,8 @@ pub fn run_rollout(
         guard: breach.guard.clone(),
     })?;
     if crash == Some(RolloutCrash::AfterAbortRecord) {
-        return Ok(RolloutReport {
-            rollout,
-            outcome: RolloutOutcome::Crashed(RolloutCrash::AfterAbortRecord),
-            waves_committed,
-            wave_txns,
-            baseline: baseline_stats,
-            deltas,
-            breach: Some(breach),
-            degraded_seen,
-            rollback_latency: None,
-            rolled_back: Vec::new(),
-            quarantined: Vec::new(),
-            messages,
-            finished_at: t,
-        });
+        let outcome = RolloutOutcome::Crashed(RolloutCrash::AfterAbortRecord);
+        return Ok(report(outcome, wave_txns, deltas, Some(breach), degraded_seen, messages, t));
     }
     let abort_at = t;
     flip_order.reverse();
@@ -665,52 +620,16 @@ pub fn run_rollout(
     log.append(&IntentRecord::RolledBack { rollout })?;
     note_degraded(detector, t, &mut degraded_seen);
 
+    let outcome = RolloutOutcome::RolledBack {
+        wave: breach.wave,
+        guard: breach.guard.clone(),
+    };
     Ok(RolloutReport {
-        rollout,
-        outcome: RolloutOutcome::RolledBack {
-            wave: breach.wave,
-            guard: breach.guard.clone(),
-        },
-        waves_committed,
-        wave_txns,
-        baseline: baseline_stats,
-        deltas,
-        breach: Some(breach),
-        degraded_seen,
         rollback_latency: Some(t.saturating_since(abort_at)),
         rolled_back,
         quarantined,
-        messages,
-        finished_at: t,
+        ..report(outcome, wave_txns, deltas, Some(breach), degraded_seen, messages, t)
     })
-}
-
-/// [`run_rollout`] behind the overload governor's rollout gate: while
-/// the controller is [`Degraded`](crate::core::ControllerMode::Degraded),
-/// *new* rollouts are refused up front with the retryable
-/// [`FlexError::Backpressure`] — before any baseline soak, journal
-/// record, or fabric traffic. Rollouts are the one work class that is
-/// pure optional load during an overload incident: nothing breaks by
-/// starting them later, and every wave they would push contends with the
-/// resyncs that end the incident.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rollout_governed(
-    governor: &crate::core::OverloadGovernor,
-    sim: &mut Simulation,
-    plan: &RolloutPlan,
-    baseline: &[(NodeId, ProgramBundle)],
-    candidate: &[(NodeId, ProgramBundle)],
-    now: SimTime,
-    fabric: &mut LossyFabric,
-    policy: &RetryPolicy,
-    log: &mut ReplicatedIntentLog,
-    detector: &mut FailureDetector,
-    crash: Option<RolloutCrash>,
-) -> Result<RolloutReport> {
-    governor.admit_rollout()?;
-    run_rollout(
-        sim, plan, baseline, candidate, now, fabric, policy, log, detector, crash,
-    )
 }
 
 /// One rollout obligation the successor coordinator settled.
@@ -901,62 +820,6 @@ mod tests {
 
     fn pairs(switches: &[NodeId], bundle: ProgramBundle) -> Vec<(NodeId, ProgramBundle)> {
         switches.iter().map(|&d| (d, bundle.clone())).collect()
-    }
-
-    #[test]
-    fn degraded_controller_pauses_new_rollouts_up_front() {
-        use crate::core::{ControllerMode, OverloadGovernor};
-        let (mut sim, switches, mut log, mut fabric, policy) = lanes_env(4, 4);
-        let plan =
-            RolloutPlan::canonical(&switches, SimDuration::from_millis(300), SloGuards::default());
-        let mut detector = FailureDetector::default();
-        let mut gov = OverloadGovernor::new(
-            2,
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(200),
-        );
-        gov.observe_sheds(SimTime::from_millis(10), 2);
-        assert_eq!(gov.mode(), ControllerMode::Degraded);
-        let journal_len = log.records().unwrap().len();
-        let err = run_rollout_governed(
-            &gov,
-            &mut sim,
-            &plan,
-            &pairs(&switches, lane_base()),
-            &pairs(&switches, lane_good()),
-            SimTime::from_secs(1),
-            &mut fabric,
-            &policy,
-            &mut log,
-            &mut detector,
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, FlexError::Backpressure { .. }), "{err}");
-        assert!(err.is_retryable(), "paused, not cancelled");
-        assert_eq!(
-            log.records().unwrap().len(),
-            journal_len,
-            "refused before any journal record or fabric traffic"
-        );
-        // Once the governor recovers, the same rollout is admitted.
-        gov.observe_sheds(SimTime::from_millis(400), 2);
-        assert_eq!(gov.mode(), ControllerMode::Normal);
-        let report = run_rollout_governed(
-            &gov,
-            &mut sim,
-            &plan,
-            &pairs(&switches, lane_base()),
-            &pairs(&switches, lane_good()),
-            SimTime::from_secs(1),
-            &mut fabric,
-            &policy,
-            &mut log,
-            &mut detector,
-            None,
-        )
-        .unwrap();
-        assert_eq!(report.outcome, RolloutOutcome::Completed);
     }
 
     #[test]

@@ -26,13 +26,23 @@
 //! [`TxnReport`] records the outcome, message cost, and — on abort — the
 //! rollback latency.
 //!
+//! [`transactional_reconfig_over`] is that protocol as is;
+//! [`logged_transactional_reconfig`] is its journaled form (`DESIGN.md`
+//! §8): every command tagged, every phase transition written ahead in the
+//! replicated intent log, shadows held in doubt until an explicit
+//! `commit_txn`. The two drivers differ in phase 2 and share everything
+//! else — phase 1, the per-device abort and the abort sweep, selected by
+//! `Option<TxnTag>` — and the recovery coordinator uses the same tagged
+//! abort and commit. Every command goes through the one control channel
+//! (`DESIGN.md` §21).
+//!
 //! [`Device::begin_runtime_reconfig`]: flexnet_dataplane::Device::begin_runtime_reconfig
 //! [`Device::hold_pending_until`]: flexnet_dataplane::Device::hold_pending_until
 //! [`Device::abort_reconfig`]: flexnet_dataplane::Device::abort_reconfig
 
 use crate::core::FailureDetector;
 use crate::resync::IntendedStore;
-use crate::retry::{command_rtt, with_retry, LossyFabric, RetryOutcome, RetryPolicy};
+use crate::retry::{Channel, LossyFabric, RetryPolicy};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
 use flexnet_dataplane::{ReconfigOutcome, ReconfigReport, SealedTargets, TxnTag};
 use flexnet_lang::diff::ProgramBundle;
@@ -77,42 +87,167 @@ impl TxnReport {
     }
 }
 
-/// Phase 1 on one device, for both drivers: sends the prepare (tagged and
-/// held in doubt when `tag` is set) under `policy`. The target is sealed
-/// in `sealed`, lazily — from inside the device's prepare — so each
-/// distinct bundle of a transaction is checked once and a bundle that
-/// does not seal still fails as this device's prepare.
-#[allow(clippy::too_many_arguments)]
-fn prepare_on(
-    sim: &mut Simulation,
-    node: NodeId,
-    bundle: &ProgramBundle,
+/// What phase 1 left behind.
+struct Phase1 {
+    /// Devices whose prepare acked, in order.
+    prepared: Vec<NodeId>,
+    /// Of those, the ones holding a pending (abortable) transition.
+    in_flight: Vec<NodeId>,
+    /// The slowest participant's ready instant, never before the start.
+    latest_ready: SimTime,
+    /// The first failed prepare: its index in the targets, and why.
+    failure: Option<(usize, String)>,
+}
+
+/// Phase 1 for both drivers: prepares a shadow on every target in order
+/// (tagged and held in doubt when `tag` is set), stopping at the first
+/// failure or after `stop_after` acks. Each target is sealed in `sealed`,
+/// lazily — from inside the device's prepare — so each distinct bundle of
+/// a transaction is checked once and a bundle that does not seal still
+/// fails as that device's prepare.
+fn prepare_all(
+    ch: &mut Channel<'_>,
+    targets: &[(NodeId, ProgramBundle)],
     tag: Option<TxnTag>,
     sealed: &mut SealedTargets,
-    t: SimTime,
-    fabric: &mut LossyFabric,
-    policy: &RetryPolicy,
-) -> RetryOutcome<ReconfigReport> {
-    let mut acked: Option<ReconfigReport> = None;
-    with_retry(policy, fabric, t, command_rtt(), |at| {
-        // Idempotent under response loss: if our earlier attempt reached
-        // the device, re-report its ack instead of re-preparing.
-        if let Some(rep) = &acked {
-            return Ok(rep.clone());
+    stop_after: usize,
+) -> Phase1 {
+    let mut p = Phase1 {
+        prepared: Vec::new(),
+        in_flight: Vec::new(),
+        latest_ready: ch.now,
+        failure: None,
+    };
+    for (i, (node, bundle)) in targets.iter().enumerate().take(stop_after) {
+        let acked = ch.send(*node, "prepare", |dev, at| {
+            let target = || sealed.image_for(bundle);
+            match tag {
+                Some(tag) => dev.prepare_txn_reconfig(target, at, tag),
+                None => dev.begin_runtime_reconfig(target, at),
+            }
+        });
+        match acked {
+            Ok(rep) => {
+                p.prepared.push(*node);
+                p.latest_ready = p.latest_ready.max(rep.ready_at);
+                if rep.outcome == ReconfigOutcome::InFlight {
+                    p.in_flight.push(*node);
+                }
+                ch.sim.reconfig_reports.push((ch.now, *node, rep));
+            }
+            Err(e) => {
+                p.failure = Some((i, format!("prepare on {node} failed: {e}")));
+                break;
+            }
         }
-        let dev = &mut sim
-            .topo
-            .node_mut(node)
-            .ok_or_else(|| FlexError::Sim(format!("prepare: unknown node {node}")))?
-            .device;
-        let target = || sealed.image_for(bundle);
-        let rep = match tag {
-            Some(tag) => dev.prepare_txn_reconfig(target, at, tag)?,
-            None => dev.begin_runtime_reconfig(target, at)?,
+    }
+    p
+}
+
+/// What a delivered abort did on its device.
+pub(crate) struct Aborted {
+    /// The attempt instant the device executed it at.
+    pub at: SimTime,
+    /// The rollback, when a shadow of ours was pending.
+    pub report: Option<ReconfigReport>,
+    /// Nothing at all was pending — as opposed to someone else's shadow.
+    pub wiped: bool,
+}
+
+/// Sends one idempotent abort to `node`: `abort_txn` when `tag` is set,
+/// `abort_reconfig` otherwise. Returns how the exchange ended and, when an
+/// attempt reached the device, what it did there — known even when every
+/// ack was then lost.
+pub(crate) fn abort_on(
+    ch: &mut Channel<'_>,
+    node: NodeId,
+    tag: Option<TxnTag>,
+) -> (Result<()>, Option<Aborted>) {
+    let mut delivered = None;
+    let result = ch.send(node, "abort", |dev, at| {
+        let (report, wiped) = match tag {
+            None => match dev.abort_reconfig(at) {
+                Ok(rep) => (Some(rep), false),
+                // Nothing pending (never prepared, or a crash already
+                // discarded the volatile shadow): abort is a no-op.
+                Err(FlexError::Reconfig(_)) => (None, true),
+                Err(e) => return Err(e),
+            },
+            Some(tag) => match dev.abort_txn(tag, at) {
+                Ok(rep) => {
+                    let wiped = rep.is_none();
+                    (rep, wiped)
+                }
+                // A pending shadow we don't own (the prepare conflict
+                // that failed the transaction) is not ours to abort.
+                Err(FlexError::Conflict(_)) => (None, false),
+                Err(e) => return Err(e),
+            },
         };
-        acked = Some(rep.clone());
-        Ok(rep)
-    })
+        delivered = Some(Aborted { at, report, wiped });
+        Ok(())
+    });
+    (result, delivered)
+}
+
+/// The abort sweep of both drivers: rolls back, in reverse, every device
+/// the coordinator talked to — including the failed one, whose prepare may
+/// have taken effect even though the ack was lost (orphaned shadow).
+fn abort_sweep(ch: &mut Channel<'_>, talked_to: &[(NodeId, ProgramBundle)], tag: Option<TxnTag>) {
+    for (node, _) in talked_to.iter().rev() {
+        match abort_on(ch, *node, tag) {
+            (Ok(()), Some(Aborted { report: Some(rep), .. })) => {
+                ch.sim.reconfig_reports.push((ch.now, *node, rep));
+            }
+            (Ok(()), _) => {}
+            (Err(e), _) => ch.sim.errors.push((ch.now, format!("txn abort on {node}: {e}"))),
+        }
+    }
+}
+
+/// Sends one idempotent tagged commit releasing `node`'s shadow to flip at
+/// `flip_at`. When nothing was pending and the device's active program is
+/// not `target`, the shadow died with a crash and the commit decision
+/// obliges a re-prepare (sealed once per pass, in `sealed`); returns
+/// whether that happened. Failures go to `sim.errors` under `who`.
+pub(crate) fn commit_on(
+    ch: &mut Channel<'_>,
+    node: NodeId,
+    tag: TxnTag,
+    flip_at: SimTime,
+    target: Option<&ProgramBundle>,
+    sealed: &mut SealedTargets,
+    who: &str,
+) -> bool {
+    match ch.send(node, "commit", |dev, _| dev.commit_txn(tag, flip_at)) {
+        Ok(true) => {}
+        Ok(false) => {
+            // Nothing pending: the device either flipped already (its
+            // image matches the target) or lost the shadow in a crash.
+            let needs = match (ch.sim.topo.node(node).map(|n| &n.device), target) {
+                (Some(dev), Some(want)) if dev.program().is_none_or(|p| p.bundle() != want) => {
+                    Some(want)
+                }
+                _ => None,
+            };
+            if let Some(want) = needs {
+                let redone = ch.send(node, "re-prepare", |dev, at| {
+                    let rep = dev.prepare_txn_reconfig(|| sealed.image_for(want), at, tag)?;
+                    dev.commit_txn(tag, rep.ready_at)?;
+                    Ok(())
+                });
+                match redone {
+                    Ok(()) => return true,
+                    Err(e) => {
+                        let failed = format!("{who} re-prepare on {node}: {e}");
+                        ch.sim.errors.push((ch.now, failed));
+                    }
+                }
+            }
+        }
+        Err(e) => ch.sim.errors.push((ch.now, format!("{who} commit on {node}: {e}"))),
+    }
+    false
 }
 
 /// Runs a two-phase-commit reconfiguration over a reliable fabric.
@@ -146,114 +281,50 @@ pub fn transactional_reconfig_over(
     fabric: &mut LossyFabric,
     policy: &RetryPolicy,
 ) -> TxnReport {
-    let mut t = now;
-    let mut messages = 0u32;
-    // Devices whose prepare acked with a pending (abortable) transition.
-    let mut in_flight: Vec<NodeId> = Vec::new();
-    let mut prepared = 0usize;
-    let mut latest_ready = now;
-    let mut failure: Option<(usize, String)> = None;
-    let mut sealed = SealedTargets::default();
+    let mut ch = Channel {
+        sim,
+        fabric,
+        policy,
+        now,
+        messages: 0,
+    };
+    let p = prepare_all(&mut ch, targets, None, &mut SealedTargets::default(), usize::MAX);
 
-    // Phase 1: prepare a shadow on every device, in order.
-    for (i, (node, bundle)) in targets.iter().enumerate() {
-        let out = prepare_on(sim, *node, bundle, None, &mut sealed, t, fabric, policy);
-        messages += out.attempts;
-        t = out.finished_at;
-        match out.result {
-            Ok(rep) => {
-                prepared += 1;
-                if rep.ready_at > latest_ready {
-                    latest_ready = rep.ready_at;
-                }
-                if rep.outcome == ReconfigOutcome::InFlight {
-                    in_flight.push(*node);
-                }
-                sim.reconfig_reports.push((t, *node, rep));
-            }
-            Err(e) => {
-                failure = Some((i, format!("prepare on {node} failed: {e}")));
-                break;
-            }
-        }
-    }
-
-    if let Some((failed_idx, reason)) = failure {
-        // Phase 2 (abort): roll back every device the coordinator talked
-        // to — including the failed one, whose prepare may have taken
-        // effect even though the ack was lost (orphaned shadow).
-        let abort_started = t;
-        for (node, _) in targets[..=failed_idx].iter().rev() {
-            let mut done: Option<Option<ReconfigReport>> = None;
-            let out = with_retry(policy, fabric, t, command_rtt(), |at| {
-                if let Some(cached) = &done {
-                    return Ok(cached.clone());
-                }
-                let dev = &mut sim
-                    .topo
-                    .node_mut(*node)
-                    .ok_or_else(|| FlexError::Sim(format!("abort: unknown node {node}")))?
-                    .device;
-                let rep = match dev.abort_reconfig(at) {
-                    Ok(rep) => Some(rep),
-                    // Nothing pending (never prepared, or a crash already
-                    // discarded the volatile shadow): abort is a no-op.
-                    Err(FlexError::Reconfig(_)) => None,
-                    Err(e) => return Err(e),
-                };
-                done = Some(rep.clone());
-                Ok(rep)
-            });
-            messages += out.attempts;
-            t = out.finished_at;
-            match out.result {
-                Ok(Some(rep)) => sim.reconfig_reports.push((t, *node, rep)),
-                Ok(None) => {}
-                Err(e) => sim.errors.push((t, format!("txn abort on {node}: {e}"))),
-            }
-        }
+    if let Some((failed_idx, reason)) = p.failure {
+        let abort_started = ch.now;
+        abort_sweep(&mut ch, &targets[..=failed_idx], None);
         return TxnReport {
             outcome: TxnOutcome::Aborted,
             devices: targets.len(),
-            prepared,
+            prepared: p.prepared.len(),
             commit_at: None,
-            rollback_latency: Some(t.saturating_since(abort_started)),
+            rollback_latency: Some(ch.now.saturating_since(abort_started)),
             reason: Some(reason),
-            messages,
-            finished_at: t,
+            messages: ch.messages,
+            finished_at: ch.now,
         };
     }
 
     // Phase 2 (commit): align every flip on the slowest participant.
     // hold_pending_until never moves a flip earlier, so holding after the
     // protocol's own message delays keeps every device consistent.
-    let commit_at = if latest_ready > t { latest_ready } else { t };
-    for node in &in_flight {
-        let out = with_retry(policy, fabric, t, command_rtt(), |_| {
-            let dev = &mut sim
-                .topo
-                .node_mut(*node)
-                .ok_or_else(|| FlexError::Sim(format!("hold: unknown node {node}")))?
-                .device;
-            dev.hold_pending_until(commit_at)
-        });
-        messages += out.attempts;
-        t = out.finished_at;
-        if let Err(e) = out.result {
+    let commit_at = p.latest_ready.max(ch.now);
+    for node in &p.in_flight {
+        if let Err(e) = ch.send(*node, "hold", |dev, _| dev.hold_pending_until(commit_at)) {
             // The device still flips — at its own (earlier) ready_at — so
             // the network converges, just not at one aligned instant.
-            sim.errors.push((t, format!("txn hold on {node}: {e}")));
+            ch.sim.errors.push((ch.now, format!("txn hold on {node}: {e}")));
         }
     }
     TxnReport {
         outcome: TxnOutcome::Committed,
         devices: targets.len(),
-        prepared,
+        prepared: p.prepared.len(),
         commit_at: Some(commit_at),
         rollback_latency: None,
         reason: None,
-        messages,
-        finished_at: t,
+        messages: ch.messages,
+        finished_at: ch.now,
     }
 }
 
@@ -334,18 +405,21 @@ pub fn logged_transactional_reconfig(
     let epoch = log.epoch()?;
     let tag = TxnTag { txn_id: txn, epoch };
     let devices: Vec<u64> = targets.iter().map(|(n, _)| n.0 as u64).collect();
-    let mut t = now;
-    let mut messages = 0u32;
-    let mut prepared: Vec<NodeId> = Vec::new();
-
-    let report = |outcome, prepared, commit_at, messages, finished_at| LoggedTxnReport {
+    let mut ch = Channel {
+        sim,
+        fabric,
+        policy,
+        now,
+        messages: 0,
+    };
+    let report = |ch: &Channel<'_>, outcome, prepared, commit_at| LoggedTxnReport {
         txn,
         epoch,
         outcome,
         prepared,
         commit_at,
-        messages,
-        finished_at,
+        messages: ch.messages,
+        finished_at: ch.now,
     };
 
     // Write-ahead: the intent is durable before any device hears from us.
@@ -354,97 +428,35 @@ pub fn logged_transactional_reconfig(
         devices: devices.clone(),
     })?;
     if crash == Some(CrashPhase::AfterIntent) {
-        return Ok(report(
-            LoggedTxnOutcome::Crashed(CrashPhase::AfterIntent),
-            prepared,
-            None,
-            messages,
-            t,
-        ));
+        let phase = LoggedTxnOutcome::Crashed(CrashPhase::AfterIntent);
+        return Ok(report(&ch, phase, Vec::new(), None));
     }
 
     // Phase 1: prepare a tagged, in-doubt shadow on every device. A
     // MidPrepare crash dies after roughly half the participants acked.
-    let crash_after = match crash {
+    let stop_after = match crash {
         Some(CrashPhase::MidPrepare) => targets.len().div_ceil(2),
         _ => usize::MAX,
     };
-    let mut latest_ready = now;
-    let mut failure: Option<(usize, String)> = None;
     let mut sealed = SealedTargets::default();
-    for (i, (node, bundle)) in targets.iter().enumerate() {
-        if i >= crash_after {
-            return Ok(report(
-                LoggedTxnOutcome::Crashed(CrashPhase::MidPrepare),
-                prepared,
-                None,
-                messages,
-                t,
-            ));
-        }
-        let out = prepare_on(sim, *node, bundle, Some(tag), &mut sealed, t, fabric, policy);
-        messages += out.attempts;
-        t = out.finished_at;
-        match out.result {
-            Ok(rep) => {
-                prepared.push(*node);
-                if rep.ready_at > latest_ready {
-                    latest_ready = rep.ready_at;
-                }
-                sim.reconfig_reports.push((t, *node, rep));
-            }
-            Err(e) => {
-                failure = Some((i, format!("prepare on {node} failed: {e}")));
-                break;
-            }
-        }
-    }
+    let p = prepare_all(&mut ch, targets, Some(tag), &mut sealed, stop_after);
 
-    if let Some((failed_idx, reason)) = failure {
+    if let Some((failed_idx, reason)) = p.failure {
         // Log the abort decision first (presumed abort: recovery rolls a
         // prepared-only transaction back anyway, so a lost record is
         // safe), then roll back every device we talked to.
         if let Err(e) = log.append(&IntentRecord::Aborted { txn }) {
-            sim.errors
-                .push((t, format!("txn {txn}: abort record not durable: {e}")));
+            let lost = format!("txn {txn}: abort record not durable: {e}");
+            ch.sim.errors.push((ch.now, lost));
         }
-        for (node, _) in targets[..=failed_idx].iter().rev() {
-            let mut done: Option<Option<ReconfigReport>> = None;
-            let out = with_retry(policy, fabric, t, command_rtt(), |at| {
-                if let Some(cached) = &done {
-                    return Ok(cached.clone());
-                }
-                let dev = &mut sim
-                    .topo
-                    .node_mut(*node)
-                    .ok_or_else(|| FlexError::Sim(format!("abort: unknown node {node}")))?
-                    .device;
-                let rep = match dev.abort_txn(tag, at) {
-                    Ok(rep) => rep,
-                    // A pending shadow we don't own (the prepare conflict
-                    // that failed the transaction) is not ours to abort.
-                    Err(FlexError::Conflict(_)) => None,
-                    Err(e) => return Err(e),
-                };
-                done = Some(rep.clone());
-                Ok(rep)
-            });
-            messages += out.attempts;
-            t = out.finished_at;
-            match out.result {
-                Ok(Some(rep)) => sim.reconfig_reports.push((t, *node, rep)),
-                Ok(None) => {}
-                Err(e) => sim.errors.push((t, format!("txn abort on {node}: {e}"))),
-            }
-        }
-        sim.errors.push((t, format!("txn {txn} aborted: {reason}")));
-        return Ok(report(
-            LoggedTxnOutcome::Aborted,
-            prepared,
-            None,
-            messages,
-            t,
-        ));
+        abort_sweep(&mut ch, &targets[..=failed_idx], Some(tag));
+        ch.sim.errors.push((ch.now, format!("txn {txn} aborted: {reason}")));
+        return Ok(report(&ch, LoggedTxnOutcome::Aborted, p.prepared, None));
+    }
+    if p.prepared.len() < targets.len() {
+        // No failure, yet not everyone prepared: the MidPrepare stop.
+        let phase = LoggedTxnOutcome::Crashed(CrashPhase::MidPrepare);
+        return Ok(report(&ch, phase, p.prepared, None));
     }
 
     // All participants hold in-doubt shadows: make that durable.
@@ -453,58 +465,30 @@ pub fn logged_transactional_reconfig(
         devices: devices.clone(),
     })?;
     if crash == Some(CrashPhase::AfterPrepared) {
-        return Ok(report(
-            LoggedTxnOutcome::Crashed(CrashPhase::AfterPrepared),
-            prepared,
-            None,
-            messages,
-            t,
-        ));
+        let phase = LoggedTxnOutcome::Crashed(CrashPhase::AfterPrepared);
+        return Ok(report(&ch, phase, p.prepared, None));
     }
 
     // The decision: align every flip on the slowest participant, and make
     // the decision durable *before* any commit command is sent — past
     // this record the transaction can only roll forward.
-    let commit_at = if latest_ready > t { latest_ready } else { t };
+    let commit_at = p.latest_ready.max(ch.now);
     log.append(&IntentRecord::FlipScheduled { txn, commit_at })?;
     if crash == Some(CrashPhase::AfterFlipScheduled) {
-        return Ok(report(
-            LoggedTxnOutcome::Crashed(CrashPhase::AfterFlipScheduled),
-            prepared,
-            Some(commit_at),
-            messages,
-            t,
-        ));
+        let phase = LoggedTxnOutcome::Crashed(CrashPhase::AfterFlipScheduled);
+        return Ok(report(&ch, phase, p.prepared, Some(commit_at)));
     }
 
-    // Phase 2: release every shadow to flip at commit_at.
+    // Phase 2: release every shadow to flip at commit_at. A device whose
+    // commit fails keeps its in-doubt shadow; the recovery sweep (same
+    // roll-forward rule) will release it.
     for (node, _) in targets {
-        let mut acked: Option<bool> = None;
-        let out = with_retry(policy, fabric, t, command_rtt(), |_| {
-            if let Some(done) = acked {
-                return Ok(done);
-            }
-            let dev = &mut sim
-                .topo
-                .node_mut(*node)
-                .ok_or_else(|| FlexError::Sim(format!("commit: unknown node {node}")))?
-                .device;
-            let released = dev.commit_txn(tag, commit_at)?;
-            acked = Some(released);
-            Ok(released)
-        });
-        messages += out.attempts;
-        t = out.finished_at;
-        if let Err(e) = out.result {
-            // The device keeps its in-doubt shadow; the recovery sweep
-            // (same roll-forward rule) will release it.
-            sim.errors.push((t, format!("txn commit on {node}: {e}")));
-        }
+        commit_on(&mut ch, *node, tag, commit_at, None, &mut sealed, "txn");
     }
     if let Err(e) = log.append(&IntentRecord::Committed { txn }) {
         // Recovery re-runs the (idempotent) roll-forward from FlipScheduled.
-        sim.errors
-            .push((t, format!("txn {txn}: committed record not durable: {e}")));
+        let lost = format!("txn {txn}: committed record not durable: {e}");
+        ch.sim.errors.push((ch.now, lost));
     }
     // The transaction is past its point of no return: the targets are now
     // the per-device intended state (a crash before this point rolls the
@@ -516,18 +500,13 @@ pub fn logged_transactional_reconfig(
                 .image_for(bundle)
                 .and_then(|image| store.commit_target(log, txn, *node, image));
             if let Err(e) = recorded {
-                sim.errors
-                    .push((t, format!("txn {txn}: intended state for {node}: {e}")));
+                let lost = format!("txn {txn}: intended state for {node}: {e}");
+                ch.sim.errors.push((ch.now, lost));
             }
         }
     }
-    Ok(report(
-        LoggedTxnOutcome::Committed,
-        prepared,
-        Some(commit_at),
-        messages,
-        t,
-    ))
+    let outcome = LoggedTxnOutcome::Committed;
+    Ok(report(&ch, outcome, p.prepared, Some(commit_at)))
 }
 
 #[cfg(test)]

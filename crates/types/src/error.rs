@@ -309,18 +309,6 @@ pub enum FlexError {
         /// The device being resynchronized.
         node: u64,
     },
-    /// A rollout SLO guard breached during a soak window. Units are
-    /// integer so the error stays `Eq`-comparable: rates are parts per
-    /// million, latencies are nanoseconds.
-    SloViolation {
-        /// Which guard fired (e.g. `loss-delta`, `p99-delta`,
-        /// `drop-slope`, `version-xor`).
-        guard: String,
-        /// The observed value (ppm for rates, ns for latencies).
-        observed: u64,
-        /// The configured threshold in the same unit.
-        threshold: u64,
-    },
     /// A canary rollout halted before completing: some waves may have
     /// committed and are being (or have been) rolled back. Not
     /// retryable — the new program itself is suspect and needs a human
@@ -354,16 +342,6 @@ pub enum FlexError {
         node: u64,
         /// How long until the breaker admits a half-open probe.
         retry_after: SimDuration,
-    },
-    /// The per-destination retry budget is exhausted: retries to this
-    /// destination already exceed the allowed fraction of first attempts,
-    /// so this retry is refused to let the storm self-extinguish. *Not*
-    /// retryable at this layer — the budget is the mechanism that says
-    /// "stop retrying"; the caller must requeue at a higher level (where
-    /// fresh first attempts replenish the budget) or escalate.
-    RetryBudgetExhausted {
-        /// The destination whose budget ran dry.
-        dest: u64,
     },
     /// The controller's admission layer refused the work: the bounded
     /// queue is full of higher-priority work, the global rate bucket has
@@ -484,14 +462,6 @@ impl fmt::Display for FlexError {
             FlexError::ResyncInProgress { node } => {
                 write!(f, "resync already in progress on node {node}")
             }
-            FlexError::SloViolation {
-                guard,
-                observed,
-                threshold,
-            } => write!(
-                f,
-                "SLO guard {guard} breached: observed {observed} > threshold {threshold}"
-            ),
             FlexError::RolloutAborted { wave, reason } => {
                 write!(f, "rollout aborted at wave {wave}: {reason}")
             }
@@ -501,10 +471,6 @@ impl fmt::Display for FlexError {
             FlexError::CircuitOpen { node, retry_after } => write!(
                 f,
                 "circuit breaker open for node {node}: retry after {retry_after}"
-            ),
-            FlexError::RetryBudgetExhausted { dest } => write!(
-                f,
-                "retry budget exhausted for destination {dest}: storm suppression active"
             ),
             FlexError::Backpressure { what, retry_after } => write!(
                 f,
@@ -548,18 +514,15 @@ impl FlexError {
     ///
     /// [`FlexError::DegradedDevice`] qualifies: the grade is cleared when
     /// the device recovers, resyncs, or a rollback restores its old
-    /// program, so a later admission attempt can succeed. A breached
-    /// guard ([`FlexError::SloViolation`]) or an aborted rollout
-    /// ([`FlexError::RolloutAborted`]) indicts the *program*, not the
-    /// moment — retrying the same bundle reproduces the breach.
+    /// program, so a later admission attempt can succeed. An aborted
+    /// rollout ([`FlexError::RolloutAborted`]) indicts the *program*, not
+    /// the moment — retrying the same bundle reproduces the breach.
     ///
-    /// The overload-protection errors split by design:
-    /// [`FlexError::CircuitOpen`] and [`FlexError::Backpressure`] are
-    /// retryable (the breaker cools down, the queue drains), while
-    /// [`FlexError::RetryBudgetExhausted`] is *not* — the budget is the
-    /// layer that stops retries; retrying on it would defeat it.
+    /// The overload-protection errors [`FlexError::CircuitOpen`] and
+    /// [`FlexError::Backpressure`] are retryable: the breaker cools down,
+    /// the queue drains.
     ///
-    /// The adversarial-fabric errors split the same way:
+    /// The adversarial-fabric errors split:
     /// [`FlexError::ChecksumMismatch`] is retryable (a retransmission
     /// gets an uncorrupted copy), [`FlexError::Unreachable`] is
     /// retryable (the partition heals), but
@@ -616,11 +579,9 @@ impl FlexError {
             FlexError::NoLeader { .. } => "no-leader",
             FlexError::DigestMismatch { .. } => "digest-mismatch",
             FlexError::ResyncInProgress { .. } => "resync-in-progress",
-            FlexError::SloViolation { .. } => "slo-violation",
             FlexError::RolloutAborted { .. } => "rollout-aborted",
             FlexError::DegradedDevice { .. } => "degraded-device",
             FlexError::CircuitOpen { .. } => "circuit-open",
-            FlexError::RetryBudgetExhausted { .. } => "retry-budget-exhausted",
             FlexError::Backpressure { .. } => "backpressure",
             FlexError::ChecksumMismatch { .. } => "checksum-mismatch",
             FlexError::StaleDuplicate { .. } => "stale-duplicate",
@@ -731,20 +692,6 @@ mod tests {
 
     #[test]
     fn rollout_errors_format_and_classify() {
-        let slo = FlexError::SloViolation {
-            guard: "loss-delta".into(),
-            observed: 31_250,
-            threshold: 20_000,
-        };
-        let s = slo.to_string();
-        assert!(s.contains("loss-delta"), "{s}");
-        assert!(s.contains("31250"), "{s}");
-        assert!(s.contains("20000"), "{s}");
-        assert!(
-            !slo.is_retryable(),
-            "a breached guard indicts the program; retrying reproduces it"
-        );
-
         let aborted = FlexError::RolloutAborted {
             wave: 2,
             reason: "p99-delta".into(),
@@ -796,13 +743,6 @@ mod tests {
         assert!(
             open.is_retryable(),
             "breakers cool down; a later call may find it half-open"
-        );
-
-        let dry = FlexError::RetryBudgetExhausted { dest: 7 };
-        assert!(dry.to_string().contains("destination 7"));
-        assert!(
-            !dry.is_retryable(),
-            "the budget is the stop signal; retrying on it defeats it"
         );
 
         let bp = FlexError::Backpressure {
@@ -860,7 +800,6 @@ mod tests {
                 },
                 "circuit-open",
             ),
-            (FlexError::RetryBudgetExhausted { dest: 1 }, "retry-budget-exhausted"),
             (FlexError::ChecksumMismatch { want: 1, got: 2 }, "checksum-mismatch"),
             (FlexError::StaleDuplicate { token: 1 }, "stale-duplicate"),
             (FlexError::Unreachable { node: 1 }, "unreachable"),
