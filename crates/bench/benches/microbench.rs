@@ -147,6 +147,27 @@ fn bench_composition(c: &mut Criterion) {
             b.iter(|| black_box(compose(&infra, &exts).unwrap()))
         });
     }
+    // Steady-state churn through the tenant manager: the oldest of `n`
+    // tenants leaves and a new one arrives. Read against `compose_{n}`:
+    // the isolate of the newcomer does not grow with `n`, the two
+    // assemblies (after the departure, for the arrival) do.
+    for n in [8u32, 64] {
+        let ext = flexnet::apps::security::firewall(64).unwrap();
+        let mut tenants = flexnet_controller::TenantManager::new(infra.clone());
+        for id in 1..=n {
+            tenants.arrive(TenantId(id), ext.clone()).unwrap();
+        }
+        let (mut oldest, mut next) = (1, n + 1);
+        c.bench_function(&format!("tenant_churn_{n}"), |b| {
+            b.iter(|| {
+                tenants.depart(TenantId(oldest)).unwrap();
+                black_box(tenants.composed().unwrap());
+                black_box(tenants.arrive(TenantId(next), ext.clone()).unwrap());
+                oldest = oldest % (2 * n) + 1;
+                next = next % (2 * n) + 1;
+            })
+        });
+    }
 }
 
 fn bench_simulation(c: &mut Criterion) {

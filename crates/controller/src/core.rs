@@ -1051,8 +1051,7 @@ impl Controller {
             .map(|s| (s.name.clone(), s.params.len()))
             .collect();
 
-        let vlan = self.tenants.arrive(tenant, extension)?;
-        let (composed, _report) = self.tenants.composed()?;
+        let (vlan, composition) = self.tenants.admit(tenant, extension)?;
 
         // Register the tenant's app under its URI.
         let uri = AppUri::new(&tenant.to_string(), &app_name)
@@ -1071,7 +1070,7 @@ impl Controller {
                 ExecutionSite::DataPlane,
             )?;
         }
-        Ok((vlan, composed))
+        Ok((vlan, composition.bundle))
     }
 
     /// Removes a tenant. Returns the composed bundle without it (push via

@@ -8,8 +8,18 @@
 //! trigger the generation of new VLAN configurations from the control
 //! plane, as well as infrastructure program changes to accommodate the new
 //! extensions. Departures achieve opposite effects."
+//!
+//! The manager keeps, beside each admitted extension, the [`Fragment`]
+//! [`isolate`] made of it at admission. A fragment depends on nothing but
+//! its own tenant and the infrastructure, so an arrival isolates the
+//! newcomer alone and every composition — the one an arrival validates and
+//! ships, the one after a departure — is one [`assemble`] over the kept
+//! fragments in tenant-id order. The infrastructure program is fixed for
+//! the manager's lifetime: the fragments were checked against it.
 
-use flexnet_lang::compose::{compose, CompositionReport, TenantExtension};
+use flexnet_lang::compose::{
+    assemble, isolate, Composition, CompositionReport, Fragment, TenantExtension,
+};
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_types::{FlexError, Result, TenantId, VlanId};
 use std::collections::BTreeMap;
@@ -19,7 +29,7 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct TenantManager {
     infra: ProgramBundle,
-    extensions: BTreeMap<TenantId, TenantExtension>,
+    admitted: BTreeMap<TenantId, (TenantExtension, Fragment)>,
     next_vlan: u16,
     free_vlans: Vec<VlanId>,
 }
@@ -29,7 +39,7 @@ impl TenantManager {
     pub fn new(infra: ProgramBundle) -> TenantManager {
         TenantManager {
             infra,
-            extensions: BTreeMap::new(),
+            admitted: BTreeMap::new(),
             next_vlan: VlanId::MIN.0 + 99, // leave low VLANs to the operator
             free_vlans: Vec::new(),
         }
@@ -40,64 +50,78 @@ impl TenantManager {
         &self.infra
     }
 
-    /// Replaces the infrastructure program (an operator-initiated update);
-    /// callers then [`TenantManager::composed`] and push the result.
-    pub fn update_infra(&mut self, infra: ProgramBundle) {
-        self.infra = infra;
-    }
-
     /// Active tenants.
     pub fn tenants(&self) -> Vec<TenantId> {
-        self.extensions.keys().copied().collect()
+        self.admitted.keys().copied().collect()
     }
 
     /// The VLAN assigned to `tenant`.
     pub fn vlan_of(&self, tenant: TenantId) -> Option<VlanId> {
-        self.extensions.get(&tenant).map(|e| e.vlan)
+        self.admitted.get(&tenant).map(|(ext, _)| ext.vlan)
     }
 
-    fn allocate_vlan(&mut self) -> Result<VlanId> {
-        if let Some(v) = self.free_vlans.pop() {
-            return Ok(v);
-        }
-        let v = VlanId(self.next_vlan);
-        if !v.is_valid() {
-            return Err(FlexError::Compile("VLAN space exhausted".into()));
-        }
-        self.next_vlan += 1;
-        Ok(v)
-    }
-
-    /// Admits a tenant extension: allocates a VLAN and validates the
-    /// extension by test-composing it with the current set (access control
+    /// Admits a tenant extension: assigns a VLAN and validates the
+    /// extension by composing it with the current set (access control
     /// happens inside composition). Returns the assigned VLAN.
     pub fn arrive(&mut self, tenant: TenantId, bundle: ProgramBundle) -> Result<VlanId> {
-        if self.extensions.contains_key(&tenant) {
+        self.admit(tenant, bundle).map(|(vlan, _)| vlan)
+    }
+
+    /// [`TenantManager::arrive`], also returning the composition that
+    /// admitted the tenant — what [`TenantManager::composed`] now is. A
+    /// rejected arrival leaves the manager exactly as it was.
+    pub(crate) fn admit(
+        &mut self,
+        tenant: TenantId,
+        bundle: ProgramBundle,
+    ) -> Result<(VlanId, Composition)> {
+        if self.admitted.contains_key(&tenant) {
             return Err(FlexError::Conflict(format!(
                 "{tenant} already has an extension installed"
             )));
         }
-        let vlan = self.allocate_vlan()?;
+        // The VLAN is only taken out of the pool once the tenant is in.
+        let vlan = match self.free_vlans.last() {
+            Some(v) => *v,
+            None => VlanId(self.next_vlan),
+        };
+        if !vlan.is_valid() {
+            return Err(FlexError::Compile("VLAN space exhausted".into()));
+        }
         let ext = TenantExtension {
             tenant,
             vlan,
             bundle,
         };
-        // Validate by composing with the would-be extension set.
-        let mut all: Vec<TenantExtension> = self.extensions.values().cloned().collect();
-        all.push(ext.clone());
-        compose(&self.infra, &all).inspect_err(|_| {
-            // Roll the VLAN back on rejection.
-            self.free_vlans.push(vlan);
+        let fragment = isolate(&self.infra, &ext)?;
+
+        // Validate the composition that ships: the newcomer at its place
+        // in tenant-id order, not last.
+        let at = self.admitted.range(..tenant).count();
+        let mut fragments: Vec<&Fragment> = self.admitted.values().map(|(_, f)| f).collect();
+        fragments.insert(at, &fragment);
+        let composition = assemble(&self.infra, &fragments).map_err(|shipped| {
+            // Rejected. The admitted tenants compose without the newcomer,
+            // so whatever clashed, the newcomer brought it: report it as the
+            // walk that meets the newcomer last does, rather than naming
+            // the admitted tenant the id-order walk happened to reach
+            // second. Where that walk finds nothing, the shipped one stands.
+            fragments.remove(at);
+            fragments.push(&fragment);
+            assemble(&self.infra, &fragments).err().unwrap_or(shipped)
         })?;
-        self.extensions.insert(tenant, ext);
-        Ok(vlan)
+
+        if self.free_vlans.pop().is_none() {
+            self.next_vlan += 1;
+        }
+        self.admitted.insert(tenant, (ext, fragment));
+        Ok((vlan, composition))
     }
 
     /// Removes a tenant's extension, releasing its VLAN.
     pub fn depart(&mut self, tenant: TenantId) -> Result<()> {
-        let ext = self
-            .extensions
+        let (ext, _) = self
+            .admitted
             .remove(&tenant)
             .ok_or_else(|| FlexError::NotFound(format!("{tenant}")))?;
         self.free_vlans.push(ext.vlan);
@@ -107,8 +131,8 @@ impl TenantManager {
     /// The current composed program (infra + all admitted extensions) —
     /// what the data plane should be running.
     pub fn composed(&self) -> Result<(ProgramBundle, CompositionReport)> {
-        let all: Vec<TenantExtension> = self.extensions.values().cloned().collect();
-        let c = compose(&self.infra, &all)?;
+        let fragments: Vec<&Fragment> = self.admitted.values().map(|(_, f)| f).collect();
+        let c = assemble(&self.infra, &fragments)?;
         Ok((c.bundle, c.report))
     }
 }
@@ -202,6 +226,57 @@ mod tests {
         // The VLAN that was tentatively allocated is reused next.
         let v = tm.arrive(TenantId(4), ext("ok")).unwrap();
         assert_eq!(v, VlanId(100));
+    }
+
+    /// The composition validated is the one shipped. Tenant 7 provides a
+    /// service it named `t5_x`; tenant 5 then provides `x`, which
+    /// namespaces to the same `t5_x`. Laid down with the newcomer last
+    /// nothing clashes — in tenant-id order, which is what ships, tenant
+    /// 7's name is already taken.
+    #[test]
+    fn arrival_is_validated_in_the_order_it_ships() {
+        let provides = |svc: &str| {
+            bundle(&format!(
+                "program p kind any {{
+                   service provide {svc}(level: u8);
+                   handler ingress(pkt) {{ meta.m = 1; }}
+                 }}"
+            ))
+        };
+        let mut tm = TenantManager::new(infra());
+        tm.arrive(TenantId(7), provides("t5_x")).unwrap();
+        let before = tm.composed().unwrap();
+
+        let err = tm.arrive(TenantId(5), provides("x")).unwrap_err();
+        assert!(
+            matches!(&err, FlexError::Conflict(m) if m.contains("tenant7") && m.contains("`t5_x`")),
+            "{err}"
+        );
+        // Rejected means untouched: tenants, the next VLAN, the composition.
+        assert_eq!(tm.tenants(), vec![TenantId(7)]);
+        assert_eq!(tm.vlan_of(TenantId(5)), None);
+        assert_eq!(tm.composed().unwrap(), before);
+        assert_eq!(tm.arrive(TenantId(8), ext("ok")).unwrap(), VlanId(101));
+    }
+
+    /// A header clash the newcomer introduces is reported against the
+    /// newcomer, whichever side of the admitted tenant its id falls.
+    #[test]
+    fn header_clash_names_the_newcomer() {
+        let vxlan = |bits: u32| {
+            bundle(&format!(
+                "header vxlan {{ fields {{ vni: {bits}; }} follows udp when udp.dport == 4789; }}
+                 program x {{ handler ingress(pkt) {{ meta.m = 0; }} }}"
+            ))
+        };
+        let mut tm = TenantManager::new(infra());
+        tm.arrive(TenantId(5), vxlan(24)).unwrap();
+        for newcomer in [TenantId(3), TenantId(9)] {
+            let err = tm.arrive(newcomer, vxlan(32)).unwrap_err();
+            let expected = format!("tenant {newcomer} redeclares header `vxlan` incompatibly");
+            assert!(matches!(&err, FlexError::Conflict(m) if *m == expected), "{err}");
+        }
+        tm.arrive(TenantId(3), vxlan(24)).unwrap();
     }
 
     #[test]

@@ -105,11 +105,11 @@ struct Phase1 {
 /// lazily — from inside the device's prepare — so each distinct bundle of
 /// a transaction is checked once and a bundle that does not seal still
 /// fails as that device's prepare.
-fn prepare_all(
+fn prepare_all<'a>(
     ch: &mut Channel<'_>,
-    targets: &[(NodeId, ProgramBundle)],
+    targets: &'a [(NodeId, ProgramBundle)],
     tag: Option<TxnTag>,
-    sealed: &mut SealedTargets,
+    sealed: &mut SealedTargets<'a>,
     stop_after: usize,
 ) -> Phase1 {
     let mut p = Phase1 {
@@ -210,13 +210,13 @@ fn abort_sweep(ch: &mut Channel<'_>, talked_to: &[(NodeId, ProgramBundle)], tag:
 /// not `target`, the shadow died with a crash and the commit decision
 /// obliges a re-prepare (sealed once per pass, in `sealed`); returns
 /// whether that happened. Failures go to `sim.errors` under `who`.
-pub(crate) fn commit_on(
+pub(crate) fn commit_on<'a>(
     ch: &mut Channel<'_>,
     node: NodeId,
     tag: TxnTag,
     flip_at: SimTime,
-    target: Option<&ProgramBundle>,
-    sealed: &mut SealedTargets,
+    target: Option<&'a ProgramBundle>,
+    sealed: &mut SealedTargets<'a>,
     who: &str,
 ) -> bool {
     match ch.send(node, "commit", |dev, _| dev.commit_txn(tag, flip_at)) {

@@ -24,6 +24,7 @@ use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::typecheck::check_program;
 use flexnet_lang::verifier::verify_program;
 use flexnet_types::Result;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
 
 /// FNV-1a 64-bit fold of `bytes` into `h`.
@@ -35,14 +36,27 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// The program part of the configuration digest: the FNV-1a state after
-/// folding the bundle's headers and pretty-printed source.
-fn program_digest_of(bundle: &ProgramBundle) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
-    for hdr in &bundle.headers {
-        h = fnv1a(h, format!("{hdr:?}").as_bytes());
+/// An FNV-1a state as a text sink: what is written is folded, not kept.
+struct FnvSink(u64);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a(self.0, s.as_bytes());
+        Ok(())
     }
-    fnv1a(h, bundle.program.to_source().as_bytes())
+}
+
+/// The program part of the configuration digest: the FNV-1a state after
+/// folding the bundle's headers and pretty-printed source. The printer
+/// writes straight into the fold — the bytes of `{hdr:?}` and
+/// `to_source()`, never materialized.
+fn program_digest_of(bundle: &ProgramBundle) -> u64 {
+    let mut h = FnvSink(0xcbf2_9ce4_8422_2325); // FNV-1a offset basis
+    for hdr in &bundle.headers {
+        let _ = write!(h, "{hdr:?}"); // the sink cannot fail
+    }
+    let _ = bundle.program.write_source(&mut h);
+    h.0
 }
 
 /// Continues a program-part digest over table entries: one
@@ -255,19 +269,29 @@ impl<F: FnOnce() -> Result<Arc<ProgramImage>>> SealTarget for F {
 /// bundle is sealed at most once, and every device whose target is equal
 /// shares the one image. Owned by the operation (a 2PC driver, a recovery
 /// pass) and dropped with it — sharing is by ownership, not a cache.
+///
+/// Targets are borrowed for the operation's lifetime, so a target
+/// reference seen before is recognized by address — nobody can have
+/// changed the bundle behind a live shared borrow — and bundles are
+/// compared by value once per distinct reference, not once per use.
 #[derive(Debug, Default)]
-pub struct SealedTargets {
-    images: Vec<Arc<ProgramImage>>,
+pub struct SealedTargets<'a> {
+    /// Every target reference resolved so far, with its image.
+    resolved: Vec<(&'a ProgramBundle, Arc<ProgramImage>)>,
 }
 
-impl SealedTargets {
+impl<'a> SealedTargets<'a> {
     /// The image of `bundle`, sealing it if this operation has not yet.
-    pub fn image_for(&mut self, bundle: &ProgramBundle) -> Result<Arc<ProgramImage>> {
-        if let Some(image) = self.images.iter().find(|i| i.bundle() == bundle) {
+    pub fn image_for(&mut self, bundle: &'a ProgramBundle) -> Result<Arc<ProgramImage>> {
+        let seen = self.resolved.iter().find(|(b, _)| std::ptr::eq(*b, bundle));
+        if let Some((_, image)) = seen {
             return Ok(image.clone());
         }
-        let image = ProgramImage::seal(bundle.clone())?;
-        self.images.push(image.clone());
+        let image = match self.resolved.iter().find(|(_, i)| i.bundle() == bundle) {
+            Some((_, image)) => image.clone(),
+            None => ProgramImage::seal(bundle.clone())?,
+        };
+        self.resolved.push((bundle, image.clone()));
         Ok(image)
     }
 }
@@ -312,6 +336,50 @@ mod tests {
             "entry order does not matter"
         );
         assert_eq!(image.config_digest([]), config_digest_of(&acl(), &[]));
+    }
+
+    #[test]
+    fn streamed_program_digest_folds_exactly_the_printed_bytes() {
+        let with_header = bundle(
+            "header vxlan { fields { flags: 8; vni: 24; } follows udp when udp.dport == 4789; }
+             program p kind any {
+               map seen : map<u32, u8>[16];
+               handler ingress(pkt) {
+                 if (valid(vxlan) && !(map_has(seen, ipv4.src))) { map_put(seen, ipv4.src, 1); }
+                 forward(hash(ipv4.src, vxlan.vni) % 4);
+               }
+             }",
+        );
+        for b in [acl(), with_header] {
+            let mut printed: String = b.headers.iter().map(|h| format!("{h:?}")).collect();
+            printed.push_str(&b.program.to_source());
+            let expected = fnv1a(0xcbf2_9ce4_8422_2325, printed.as_bytes());
+            assert_eq!(program_digest_of(&b), expected);
+        }
+    }
+
+    #[test]
+    fn targets_share_an_image_by_value_and_are_recognized_by_address() {
+        // Equal bundles at two addresses, and a different one.
+        let (a, a_again, other) = (acl(), acl(), bundle("program q kind any { }"));
+        let mut sealed = SealedTargets::default();
+        let first = sealed.image_for(&a).unwrap();
+        assert!(Arc::ptr_eq(&first, &sealed.image_for(&a).unwrap()));
+        assert!(Arc::ptr_eq(&first, &sealed.image_for(&a_again).unwrap()));
+        let second = sealed.image_for(&other).unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(second.bundle(), &other);
+        assert!(Arc::ptr_eq(&second, &sealed.image_for(&other).unwrap()));
+        assert_eq!(sealed.resolved.len(), 3, "one by-value search per distinct reference");
+    }
+
+    #[test]
+    fn a_target_that_does_not_seal_fails_every_time_it_is_asked_for() {
+        let bad = bundle("program p kind any { handler ingress(pkt) { count(nosuch); } }");
+        let mut sealed = SealedTargets::default();
+        assert!(matches!(sealed.image_for(&bad), Err(FlexError::Type(_))));
+        assert!(matches!(sealed.image_for(&bad), Err(FlexError::Type(_))));
+        assert!(sealed.resolved.is_empty());
     }
 
     #[test]

@@ -223,7 +223,10 @@ impl FieldPath {
 
 impl fmt::Display for FieldPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.dotted())
+        match self {
+            FieldPath::Header(p, field) => write!(f, "{p}.{field}"),
+            FieldPath::Meta(field) => write!(f, "meta.{field}"),
+        }
     }
 }
 
@@ -489,116 +492,116 @@ impl Expr {
 // ---------------------------------------------------------------------------
 // Pretty printer
 // ---------------------------------------------------------------------------
+//
+// One writer, generic over the sink: `to_source` collects it into a
+// `String`, the configuration digest folds the same bytes into an FNV
+// state without materializing them.
 
-fn indent(out: &mut String, depth: usize) {
+/// A comma-separated list, written through `item`.
+fn write_list<W: fmt::Write, T>(
+    out: &mut W,
+    items: &[T],
+    mut item: impl FnMut(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        item(out, x)?;
+    }
+    Ok(())
+}
+
+/// `name: u<width>, …` — service and action parameter lists.
+fn write_params<W: fmt::Write>(out: &mut W, params: &[(String, u8)]) -> fmt::Result {
+    write_list(out, params, |out, (n, w)| write!(out, "{n}: u{w}"))
+}
+
+fn indent<W: fmt::Write>(out: &mut W, depth: usize) -> fmt::Result {
     for _ in 0..depth {
-        out.push_str("  ");
+        out.write_str("  ")?;
     }
+    Ok(())
 }
 
-fn write_block(out: &mut String, block: &Block, depth: usize) {
-    for stmt in block {
-        write_stmt(out, stmt, depth);
-    }
+fn write_block<W: fmt::Write>(out: &mut W, block: &Block, depth: usize) -> fmt::Result {
+    block.iter().try_for_each(|stmt| write_stmt(out, stmt, depth))
 }
 
-fn write_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
-    indent(out, depth);
+fn write_stmt<W: fmt::Write>(out: &mut W, stmt: &Stmt, depth: usize) -> fmt::Result {
+    indent(out, depth)?;
     match stmt {
-        Stmt::Let(n, e) => {
-            let _ = writeln!(out, "let {n} = {};", expr_src(e));
-        }
-        Stmt::AssignLocal(n, e) => {
-            let _ = writeln!(out, "{n} = {};", expr_src(e));
-        }
-        Stmt::AssignField(p, e) => {
-            let _ = writeln!(out, "{p} = {};", expr_src(e));
-        }
-        Stmt::MapPut(m, k, v) => {
-            let _ = writeln!(out, "map_put({m}, {}, {});", expr_src(k), expr_src(v));
-        }
-        Stmt::MapDelete(m, k) => {
-            let _ = writeln!(out, "map_del({m}, {});", expr_src(k));
-        }
-        Stmt::RegWrite(r, i, v) => {
-            let _ = writeln!(out, "reg_write({r}, {}, {});", expr_src(i), expr_src(v));
-        }
-        Stmt::Count(c) => {
-            let _ = writeln!(out, "count({c});");
-        }
+        Stmt::Let(n, e) => writeln!(out, "let {n} = {e};"),
+        Stmt::AssignLocal(n, e) => writeln!(out, "{n} = {e};"),
+        Stmt::AssignField(p, e) => writeln!(out, "{p} = {e};"),
+        Stmt::MapPut(m, k, v) => writeln!(out, "map_put({m}, {k}, {v});"),
+        Stmt::MapDelete(m, k) => writeln!(out, "map_del({m}, {k});"),
+        Stmt::RegWrite(r, i, v) => writeln!(out, "reg_write({r}, {i}, {v});"),
+        Stmt::Count(c) => writeln!(out, "count({c});"),
         Stmt::If(c, t, e) => {
-            let _ = writeln!(out, "if ({}) {{", expr_src(c));
-            write_block(out, t, depth + 1);
-            if e.is_empty() {
-                indent(out, depth);
-                out.push_str("}\n");
-            } else {
-                indent(out, depth);
-                out.push_str("} else {\n");
-                write_block(out, e, depth + 1);
-                indent(out, depth);
-                out.push_str("}\n");
+            writeln!(out, "if ({c}) {{")?;
+            write_block(out, t, depth + 1)?;
+            indent(out, depth)?;
+            if !e.is_empty() {
+                out.write_str("} else {\n")?;
+                write_block(out, e, depth + 1)?;
+                indent(out, depth)?;
             }
+            out.write_str("}\n")
         }
         Stmt::Repeat(n, b) => {
-            let _ = writeln!(out, "repeat ({n}) {{");
-            write_block(out, b, depth + 1);
-            indent(out, depth);
-            out.push_str("}\n");
+            writeln!(out, "repeat ({n}) {{")?;
+            write_block(out, b, depth + 1)?;
+            indent(out, depth)?;
+            out.write_str("}\n")
         }
-        Stmt::Apply(t) => {
-            let _ = writeln!(out, "apply {t};");
-        }
-        Stmt::Drop => out.push_str("drop();\n"),
-        Stmt::Forward(e) => {
-            let _ = writeln!(out, "forward({});", expr_src(e));
-        }
-        Stmt::Punt => out.push_str("punt();\n"),
-        Stmt::Recirculate => out.push_str("recirculate();\n"),
+        Stmt::Apply(t) => writeln!(out, "apply {t};"),
+        Stmt::Drop => out.write_str("drop();\n"),
+        Stmt::Forward(e) => writeln!(out, "forward({e});"),
+        Stmt::Punt => out.write_str("punt();\n"),
+        Stmt::Recirculate => out.write_str("recirculate();\n"),
         Stmt::Invoke(s, args) => {
-            let args = args.iter().map(expr_src).collect::<Vec<_>>().join(", ");
-            let _ = writeln!(out, "invoke {s}({args});");
+            write!(out, "invoke {s}(")?;
+            write_list(out, args, |out, a| write!(out, "{a}"))?;
+            out.write_str(");\n")
         }
-        Stmt::AddHeader(p) => {
-            let _ = writeln!(out, "add_header({p});");
-        }
-        Stmt::RemoveHeader(p) => {
-            let _ = writeln!(out, "remove_header({p});");
-        }
-        Stmt::Return => out.push_str("return;\n"),
+        Stmt::AddHeader(p) => writeln!(out, "add_header({p});"),
+        Stmt::RemoveHeader(p) => writeln!(out, "remove_header({p});"),
+        Stmt::Return => out.write_str("return;\n"),
     }
 }
 
-fn expr_src(e: &Expr) -> String {
-    match e {
-        Expr::Int(v) => v.to_string(),
-        Expr::Local(n) => n.clone(),
-        Expr::Field(p) => p.dotted(),
-        Expr::Valid(p) => format!("valid({p})"),
-        Expr::MapGet(m, k) => format!("map_get({m}, {})", expr_src(k)),
-        Expr::MapHas(m, k) => format!("map_has({m}, {})", expr_src(k)),
-        Expr::RegRead(r, i) => format!("reg_read({r}, {})", expr_src(i)),
-        Expr::CounterRead(c) => format!("counter_read({c})"),
-        Expr::MeterCheck(m, k) => format!("meter_check({m}, {})", expr_src(k)),
-        Expr::Hash(args) => {
-            let args = args.iter().map(expr_src).collect::<Vec<_>>().join(", ");
-            format!("hash({args})")
-        }
-        Expr::PktLen => "pktlen()".to_string(),
-        Expr::Bin(op, l, r) => format!("({} {} {})", expr_src(l), op.symbol(), expr_src(r)),
-        Expr::Un(op, v) => {
-            let sym = match op {
-                UnOp::Not => "!",
-                UnOp::BitNot => "~",
-                UnOp::Neg => "-",
-            };
-            format!("{sym}{}", expr_src(v))
+/// An expression as parseable source (binary operations fully
+/// parenthesized).
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expr::Int(v) => write!(f, "{v}"),
+            Expr::Local(n) => f.write_str(n),
+            Expr::Field(p) => write!(f, "{p}"),
+            Expr::Valid(p) => write!(f, "valid({p})"),
+            Expr::MapGet(m, k) => write!(f, "map_get({m}, {k})"),
+            Expr::MapHas(m, k) => write!(f, "map_has({m}, {k})"),
+            Expr::RegRead(r, i) => write!(f, "reg_read({r}, {i})"),
+            Expr::CounterRead(c) => write!(f, "counter_read({c})"),
+            Expr::MeterCheck(m, k) => write!(f, "meter_check({m}, {k})"),
+            Expr::Hash(args) => {
+                f.write_str("hash(")?;
+                write_list(f, args, |f, a| write!(f, "{a}"))?;
+                f.write_str(")")
+            }
+            Expr::PktLen => f.write_str("pktlen()"),
+            Expr::Bin(op, l, r) => write!(f, "({l} {} {r})", op.symbol()),
+            Expr::Un(op, v) => {
+                let sym = match op {
+                    UnOp::Not => "!",
+                    UnOp::BitNot => "~",
+                    UnOp::Neg => "-",
+                };
+                write!(f, "{sym}{v}")
+            }
         }
     }
-}
-
-fn width_ty(w: u8) -> String {
-    format!("u{w}")
 }
 
 impl SourceFile {
@@ -622,7 +625,7 @@ impl SourceFile {
             out.push_str("}\n\n");
         }
         for p in &self.programs {
-            out.push_str(&p.to_source());
+            let _ = p.write_source(&mut out);
             out.push('\n');
         }
         out
@@ -633,91 +636,78 @@ impl Program {
     /// Pretty-prints the program back to parseable FlexBPF source.
     pub fn to_source(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "program {} kind {} {{", self.name, self.kind);
+        let _ = self.write_source(&mut out); // writing to a String cannot fail
+        out
+    }
+
+    /// Writes the program's parseable FlexBPF source into `out` — the
+    /// bytes of [`Program::to_source`], without building them first.
+    pub fn write_source<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        writeln!(out, "program {} kind {} {{", self.name, self.kind)?;
         for s in &self.states {
-            indent(&mut out, 1);
+            indent(out, 1)?;
             match &s.kind {
                 StateKind::Map {
                     key_width,
                     value_width,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "map {} : map<{}, {}>[{}];",
-                        s.name,
-                        width_ty(*key_width),
-                        width_ty(*value_width),
-                        s.size
-                    );
-                }
-                StateKind::Counter => {
-                    let _ = writeln!(out, "counter {};", s.name);
-                }
+                } => writeln!(
+                    out,
+                    "map {} : map<u{key_width}, u{value_width}>[{}];",
+                    s.name, s.size
+                )?,
+                StateKind::Counter => writeln!(out, "counter {};", s.name)?,
                 StateKind::Register { width } => {
-                    let _ = writeln!(out, "register {} : {}[{}];", s.name, width_ty(*width), s.size);
+                    writeln!(out, "register {} : u{width}[{}];", s.name, s.size)?
                 }
                 StateKind::Meter { rate_pps, burst } => {
-                    let _ = writeln!(out, "meter {} rate {} burst {};", s.name, rate_pps, burst);
+                    writeln!(out, "meter {} rate {rate_pps} burst {burst};", s.name)?
                 }
             }
         }
         for svc in &self.services {
-            indent(&mut out, 1);
-            let params = svc
-                .params
-                .iter()
-                .map(|(n, w)| format!("{n}: {}", width_ty(*w)))
-                .collect::<Vec<_>>()
-                .join(", ");
+            indent(out, 1)?;
             let kw = if svc.provided { "provide" } else { "require" };
-            let _ = writeln!(out, "service {kw} {}({params});", svc.name);
+            write!(out, "service {kw} {}(", svc.name)?;
+            write_params(out, &svc.params)?;
+            out.write_str(");\n")?;
         }
         for t in &self.tables {
-            indent(&mut out, 1);
-            let _ = writeln!(out, "table {} {{", t.name);
-            indent(&mut out, 2);
-            out.push_str("key {");
+            indent(out, 1)?;
+            writeln!(out, "table {} {{", t.name)?;
+            indent(out, 2)?;
+            out.write_str("key {")?;
             for k in &t.keys {
-                let _ = write!(out, " {} : {};", k.field, k.match_kind);
+                write!(out, " {} : {};", k.field, k.match_kind)?;
             }
-            out.push_str(" }\n");
+            out.write_str(" }\n")?;
             for a in &t.actions {
-                indent(&mut out, 2);
-                let params = a
-                    .params
-                    .iter()
-                    .map(|(n, w)| format!("{n}: {}", width_ty(*w)))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "action {}({params}) {{", a.name);
-                write_block(&mut out, &a.body, 3);
-                indent(&mut out, 2);
-                out.push_str("}\n");
+                indent(out, 2)?;
+                write!(out, "action {}(", a.name)?;
+                write_params(out, &a.params)?;
+                out.write_str(") {\n")?;
+                write_block(out, &a.body, 3)?;
+                indent(out, 2)?;
+                out.write_str("}\n")?;
             }
             if let Some(d) = &t.default_action {
-                indent(&mut out, 2);
-                let args = d
-                    .args
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let _ = writeln!(out, "default {}({args});", d.action);
+                indent(out, 2)?;
+                write!(out, "default {}(", d.action)?;
+                write_list(out, &d.args, |out, v| write!(out, "{v}"))?;
+                out.write_str(");\n")?;
             }
-            indent(&mut out, 2);
-            let _ = writeln!(out, "size {};", t.size);
-            indent(&mut out, 1);
-            out.push_str("}\n");
+            indent(out, 2)?;
+            writeln!(out, "size {};", t.size)?;
+            indent(out, 1)?;
+            out.write_str("}\n")?;
         }
         for h in &self.handlers {
-            indent(&mut out, 1);
-            let _ = writeln!(out, "handler {}(pkt) {{", h.name);
-            write_block(&mut out, &h.body, 2);
-            indent(&mut out, 1);
-            out.push_str("}\n");
+            indent(out, 1)?;
+            writeln!(out, "handler {}(pkt) {{", h.name)?;
+            write_block(out, &h.body, 2)?;
+            indent(out, 1)?;
+            out.write_str("}\n")?;
         }
-        out.push_str("}\n");
-        out
+        out.write_str("}\n")
     }
 }
 

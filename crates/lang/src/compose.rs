@@ -9,21 +9,36 @@
 //! "logically-sharable code that present\[s\] optimization opportunities or
 //! conflicting datapaths that need to be resolved".
 //!
-//! Concretely, [`compose`]:
+//! Composition splits along what depends on *one* tenant and what depends
+//! on *the set*, so that a tenant arrival costs what it changes:
+//!
+//! [`isolate`] turns one extension into a [`Fragment`], looking at nothing
+//! but that extension and the infrastructure:
 //!
 //! 1. **Access control** — rejects extensions that reference state, tables,
 //!    or handlers they did not declare (the only cross-boundary interface is
-//!    invoking an infra-`provide`d dRPC service).
+//!    invoking an infra-`provide`d dRPC service), and imports of services
+//!    the infrastructure does not provide with that arity.
 //! 2. **Namespacing** — renames every tenant element to `t<id>_<name>` and
 //!    rewrites all references, so tenants can never collide with each other
 //!    or the infrastructure.
-//! 3. **VLAN guards** — wraps each tenant handler body in
+//! 3. **VLAN guards** — wraps each tenant `ingress` body in
 //!    `if (valid(vlan) && vlan.vid == <tenant vlan>) { … }`, so a tenant's
 //!    code only ever sees its own traffic.
-//! 4. **Sharing** — structurally identical *stateless* tenant tables are
+//!
+//! [`assemble`] lays any number of fragments over the infrastructure:
+//!
+//! 4. **Conflict detection** — incompatible redeclarations of the same
+//!    header type and duplicate `provide`d services are hard errors.
+//! 5. **Sharing** — structurally identical *stateless* tenant tables are
 //!    deduplicated into a single shared table.
-//! 5. **Conflict detection** — duplicate `provide`d services and
-//!    incompatible redeclarations of the same header type are hard errors.
+//!
+//! [`compose`] is the from-scratch reference: isolate each extension,
+//! assemble the lot. A holder of fragments (the controller's tenant
+//! manager) reaches the same composition by isolating only the newcomer.
+//! Errors come in one order on both routes: header clashes first, then
+//! tenant by tenant in the order given, each tenant's faults in the order
+//! its program declares them.
 
 use crate::ast::*;
 use crate::diff::ProgramBundle;
@@ -61,179 +76,274 @@ pub struct Composition {
     pub report: CompositionReport,
 }
 
+/// One admitted extension, isolated: access-checked, namespaced and
+/// VLAN-guarded, ready to be laid over the infrastructure by [`assemble`].
+///
+/// Nothing in a fragment depends on any other tenant — only on its own
+/// extension and on the infrastructure it was isolated against — so a
+/// fragment stays valid while other tenants come and go. The only
+/// constructor is [`isolate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fragment {
+    tenant: TenantId,
+    /// Header types the extension brings, as declared.
+    headers: Vec<HeaderDecl>,
+    /// Namespaced state.
+    states: Vec<StateDecl>,
+    /// Namespaced tables, action bodies rewritten.
+    tables: Vec<TableDecl>,
+    /// Provided services: the name as the tenant wrote it, and the
+    /// namespaced declaration.
+    provides: Vec<(String, ServiceDecl)>,
+    /// One VLAN-guarded `if` per `ingress` handler.
+    guards: Vec<Stmt>,
+    /// Every other handler, namespaced.
+    handlers: Vec<Handler>,
+    /// (original, namespaced) for each state and table.
+    renamed: Vec<(String, String)>,
+}
+
 /// The tenant namespace prefix for an element name.
 pub fn tenant_prefix(tenant: TenantId) -> String {
     format!("t{}_", tenant.raw())
 }
 
-/// Composes the infrastructure bundle with tenant extensions.
+/// Composes the infrastructure bundle with tenant extensions, from scratch.
 pub fn compose(infra: &ProgramBundle, extensions: &[TenantExtension]) -> Result<Composition> {
-    let mut out = infra.clone();
-    let mut report = CompositionReport {
-        tenants: extensions.len(),
-        ..CompositionReport::default()
+    let mut assembly = Assembly::begin(
+        infra,
+        extensions.iter().map(|e| (e.tenant, &e.bundle.headers[..])),
+    )?;
+    for ext in extensions {
+        // A tenant with several faults reports the one its program declares
+        // first, so what preceded an isolation fault is laid down — and
+        // checked against the tenants before it — ahead of reporting it.
+        let (fragment, fault) = isolate_until_fault(infra, ext);
+        assembly.add(fragment)?;
+        if let Some(fault) = fault {
+            return Err(fault);
+        }
+    }
+    Ok(assembly.finish())
+}
+
+/// Isolates one extension against `infra`: access control, the import
+/// check, `t<id>_` namespacing and the VLAN guard (module docs, 1–3).
+pub fn isolate(infra: &ProgramBundle, ext: &TenantExtension) -> Result<Fragment> {
+    match isolate_until_fault(infra, ext) {
+        (fragment, None) => Ok(fragment),
+        (_, Some(fault)) => Err(fault),
+    }
+}
+
+/// Lays `fragments`, in the order given, over `infra`: header merge,
+/// provider uniqueness, tenant guards ahead of the infrastructure
+/// `ingress`, table sharing (module docs, 4–5). Every fragment must have
+/// been isolated against this `infra`.
+pub fn assemble(infra: &ProgramBundle, fragments: &[&Fragment]) -> Result<Composition> {
+    let headers = fragments.iter().map(|f| (f.tenant, &f.headers[..]));
+    let mut assembly = Assembly::begin(infra, headers)?;
+    for fragment in fragments {
+        assembly.add(Fragment::clone(fragment))?;
+    }
+    Ok(assembly.finish())
+}
+
+/// [`isolate`], returning what was built before the first fault beside it.
+fn isolate_until_fault(
+    infra: &ProgramBundle,
+    ext: &TenantExtension,
+) -> (Fragment, Option<FlexError>) {
+    let program = &ext.bundle.program;
+    let prefix = tenant_prefix(ext.tenant);
+    let namespaced = |name: &String| format!("{prefix}{name}");
+    let renamed = |name: &String| (name.clone(), namespaced(name));
+    let mut frag = Fragment {
+        tenant: ext.tenant,
+        headers: ext.bundle.headers.clone(),
+        states: Vec::new(),
+        tables: Vec::new(),
+        provides: Vec::new(),
+        guards: Vec::new(),
+        handlers: Vec::new(),
+        renamed: (program.states.iter())
+            .map(|s| renamed(&s.name))
+            .chain(program.tables.iter().map(|t| renamed(&t.name)))
+            .collect(),
     };
-
-    // Headers: merge, rejecting incompatible redeclarations.
-    for ext in extensions {
-        for h in &ext.bundle.headers {
-            match out.headers.iter().find(|x| x.name == h.name) {
-                None => out.headers.push(h.clone()),
-                Some(existing) if existing == h => {} // identical: share
-                Some(_) => {
-                    return Err(FlexError::Conflict(format!(
-                        "tenant {} redeclares header `{}` incompatibly",
-                        ext.tenant, h.name
-                    )))
-                }
-            }
-        }
+    if let Some(name) = undeclared_reference(program) {
+        let fault = FlexError::Denied(format!(
+            "{}: extension references `{name}` which it does not declare \
+             (cross-program access is only allowed via dRPC services)",
+            ext.tenant
+        ));
+        return (frag, Some(fault));
     }
 
-    // Provided services must be unique across the composition.
-    let mut providers: BTreeMap<String, String> = out
-        .program
-        .services
-        .iter()
-        .filter(|s| s.provided)
-        .map(|s| (s.name.clone(), "infra".to_string()))
-        .collect();
-
-    let mut guarded_ingress: Vec<Stmt> = Vec::new();
-
-    for ext in extensions {
-        validate_access(&ext.bundle.program, infra)
-            .map_err(|e| prefix_err(e, ext.tenant))?;
-
-        let prefix = tenant_prefix(ext.tenant);
-        let mut renames: BTreeMap<String, String> = BTreeMap::new();
-        for s in &ext.bundle.program.states {
-            renames.insert(s.name.clone(), format!("{prefix}{}", s.name));
+    let renames: BTreeMap<String, String> = frag.renamed.iter().cloned().collect();
+    for s in &program.states {
+        let mut s = s.clone();
+        s.name = renames[&s.name].clone();
+        frag.states.push(s);
+    }
+    for t in &program.tables {
+        let mut t = t.clone();
+        t.name = renames[&t.name].clone();
+        for a in &mut t.actions {
+            rename_block(&mut a.body, &renames);
         }
-        for t in &ext.bundle.program.tables {
-            renames.insert(t.name.clone(), format!("{prefix}{}", t.name));
+        frag.tables.push(t);
+    }
+    for svc in &program.services {
+        if svc.provided {
+            let decl = ServiceDecl {
+                name: namespaced(&svc.name),
+                params: svc.params.clone(),
+                provided: true,
+            };
+            frag.provides.push((svc.name.clone(), decl));
+            continue;
         }
-
-        for s in &ext.bundle.program.states {
-            let mut s = s.clone();
-            let new = renames[&s.name].clone();
-            report.renamed.push((s.name.clone(), new.clone()));
-            s.name = new;
-            out.program.states.push(s);
-        }
-        for t in &ext.bundle.program.tables {
-            let mut t = t.clone();
-            let new = renames[&t.name].clone();
-            report.renamed.push((t.name.clone(), new.clone()));
-            t.name = new;
-            for a in &mut t.actions {
-                rename_block(&mut a.body, &renames);
+        // Imported service: must be provided by the infrastructure, which
+        // is also what declares it in the composed program.
+        let provided = infra.program.services.iter();
+        let fault = match provided.filter(|s| s.provided).find(|s| s.name == svc.name) {
+            None => FlexError::Denied(format!(
+                "tenant {} requires service `{}` which the infrastructure does not provide",
+                ext.tenant, svc.name
+            )),
+            Some(infra_svc) if infra_svc.params.len() != svc.params.len() => {
+                FlexError::Conflict(format!(
+                    "tenant {} requires service `{}` with {} params, infra provides {}",
+                    ext.tenant,
+                    svc.name,
+                    svc.params.len(),
+                    infra_svc.params.len()
+                ))
             }
-            out.program.tables.push(t);
-        }
-        for svc in &ext.bundle.program.services {
-            if svc.provided {
-                let name = format!("{prefix}{}", svc.name);
-                if providers.contains_key(&svc.name) || providers.contains_key(&name) {
-                    return Err(FlexError::Conflict(format!(
-                        "tenant {} provides service `{}` which is already provided",
-                        ext.tenant, svc.name
-                    )));
-                }
-                providers.insert(name.clone(), ext.tenant.to_string());
-                out.program.services.push(ServiceDecl {
-                    name,
-                    params: svc.params.clone(),
-                    provided: true,
-                });
-            } else {
-                // Imported service: must be provided by the infrastructure.
-                let Some(infra_svc) = infra
-                    .program
-                    .services
-                    .iter()
-                    .find(|s| s.provided && s.name == svc.name)
-                else {
-                    return Err(FlexError::Denied(format!(
-                        "tenant {} requires service `{}` which the infrastructure does not provide",
-                        ext.tenant, svc.name
-                    )));
-                };
-                if infra_svc.params.len() != svc.params.len() {
-                    return Err(FlexError::Conflict(format!(
-                        "tenant {} requires service `{}` with {} params, infra provides {}",
-                        ext.tenant,
-                        svc.name,
-                        svc.params.len(),
-                        infra_svc.params.len()
-                    )));
-                }
-                // The composed program already declares it (from infra).
-            }
-        }
-
-        for h in &ext.bundle.program.handlers {
-            let mut body = h.body.clone();
-            rename_block(&mut body, &renames);
-            if h.name == "ingress" {
-                // Guard the tenant's ingress code behind its VLAN.
-                let guard = Expr::Bin(
-                    BinOp::LAnd,
-                    Box::new(Expr::Valid("vlan".to_string())),
-                    Box::new(Expr::eq(
-                        Expr::field("vlan", "vid"),
-                        Expr::Int(ext.vlan.0 as u64),
-                    )),
-                );
-                guarded_ingress.push(Stmt::If(guard, body, Vec::new()));
-            } else {
-                // Non-ingress handlers are installed namespaced.
-                out.program.handlers.push(Handler {
-                    name: format!("{prefix}{}", h.name),
-                    body,
-                });
-            }
+            Some(_) => continue,
+        };
+        return (frag, Some(fault));
+    }
+    for h in &program.handlers {
+        let mut body = h.body.clone();
+        rename_block(&mut body, &renames);
+        if h.name == "ingress" {
+            // Guard the tenant's ingress code behind its VLAN.
+            let guard = Expr::Bin(
+                BinOp::LAnd,
+                Box::new(Expr::Valid("vlan".to_string())),
+                Box::new(Expr::eq(
+                    Expr::field("vlan", "vid"),
+                    Expr::Int(ext.vlan.0 as u64),
+                )),
+            );
+            frag.guards.push(Stmt::If(guard, body, Vec::new()));
+        } else {
+            // Non-ingress handlers are installed namespaced.
+            frag.handlers.push(Handler {
+                name: namespaced(&h.name),
+                body,
+            });
         }
     }
-
-    // Tenant ingress guards run before the infrastructure ingress body, so
-    // a tenant verdict (e.g. a tenant firewall drop) takes effect first and
-    // fall-through continues into infrastructure processing.
-    if !guarded_ingress.is_empty() {
-        match out.program.handlers.iter_mut().find(|h| h.name == "ingress") {
-            Some(h) => {
-                let mut body = guarded_ingress;
-                body.append(&mut h.body);
-                h.body = body;
-            }
-            None => out.program.handlers.insert(
-                0,
-                Handler {
-                    name: "ingress".to_string(),
-                    body: guarded_ingress,
-                },
-            ),
-        }
-    }
-
-    report.shared_tables = dedup_stateless_tables(&mut out.program);
-    Ok(Composition {
-        bundle: out,
-        report,
-    })
+    (frag, None)
 }
 
-fn prefix_err(e: FlexError, tenant: TenantId) -> FlexError {
-    match e {
-        FlexError::Denied(m) => FlexError::Denied(format!("{tenant}: {m}")),
-        other => other,
+/// A composition under construction: the set-dependent half, shared by
+/// [`compose`] and [`assemble`].
+struct Assembly {
+    out: ProgramBundle,
+    report: CompositionReport,
+    guards: Vec<Stmt>,
+}
+
+impl Assembly {
+    /// Starts from the infrastructure and merges every tenant's headers,
+    /// rejecting incompatible redeclarations.
+    fn begin<'a>(
+        infra: &ProgramBundle,
+        headers: impl Iterator<Item = (TenantId, &'a [HeaderDecl])>,
+    ) -> Result<Assembly> {
+        let mut out = infra.clone();
+        for (tenant, declared) in headers {
+            for h in declared {
+                match out.headers.iter().find(|x| x.name == h.name) {
+                    None => out.headers.push(h.clone()),
+                    Some(existing) if existing == h => {} // identical: share
+                    Some(_) => {
+                        return Err(FlexError::Conflict(format!(
+                            "tenant {tenant} redeclares header `{}` incompatibly",
+                            h.name
+                        )))
+                    }
+                }
+            }
+        }
+        Ok(Assembly {
+            out,
+            report: CompositionReport::default(),
+            guards: Vec::new(),
+        })
+    }
+
+    /// Lays one tenant's fragment down after those already added.
+    fn add(&mut self, frag: Fragment) -> Result<()> {
+        let program = &mut self.out.program;
+        // Provided services must be unique across the composition: every
+        // one so far — the infrastructure's and the earlier tenants' — is a
+        // `provided` entry of the program being built.
+        for (written, decl) in frag.provides {
+            let taken = |s: &ServiceDecl| s.provided && (s.name == written || s.name == decl.name);
+            if program.services.iter().any(taken) {
+                return Err(FlexError::Conflict(format!(
+                    "tenant {} provides service `{written}` which is already provided",
+                    frag.tenant
+                )));
+            }
+            program.services.push(decl);
+        }
+        program.states.extend(frag.states);
+        program.tables.extend(frag.tables);
+        program.handlers.extend(frag.handlers);
+        self.guards.extend(frag.guards);
+        self.report.renamed.extend(frag.renamed);
+        self.report.tenants += 1;
+        Ok(())
+    }
+
+    fn finish(mut self) -> Composition {
+        let program = &mut self.out.program;
+        // Tenant ingress guards run before the infrastructure ingress body,
+        // so a tenant verdict (e.g. a tenant firewall drop) takes effect
+        // first and fall-through continues into infrastructure processing.
+        if !self.guards.is_empty() {
+            match program.handlers.iter_mut().find(|h| h.name == "ingress") {
+                Some(h) => {
+                    self.guards.append(&mut h.body);
+                    h.body = self.guards;
+                }
+                None => program.handlers.insert(
+                    0,
+                    Handler {
+                        name: "ingress".to_string(),
+                        body: self.guards,
+                    },
+                ),
+            }
+        }
+        self.report.shared_tables = dedup_stateless_tables(program);
+        Composition {
+            bundle: self.out,
+            report: self.report,
+        }
     }
 }
 
-/// Rejects extension programs that reference names they did not declare.
+/// The first name an extension program references without declaring it.
 /// Required imports (non-provided services) are checked against the infra
 /// program separately.
-fn validate_access(ext: &Program, _infra: &ProgramBundle) -> Result<()> {
+fn undeclared_reference(ext: &Program) -> Option<&str> {
     let mut declared: Vec<&str> = ext.states.iter().map(|s| s.name.as_str()).collect();
     declared.extend(ext.tables.iter().map(|t| t.name.as_str()));
 
@@ -246,27 +356,19 @@ fn validate_access(ext: &Program, _infra: &ProgramBundle) -> Result<()> {
             collect_refs(&a.body, &mut refs);
         }
     }
-    for r in refs {
-        if !declared.contains(&r.as_str()) {
-            return Err(FlexError::Denied(format!(
-                "extension references `{r}` which it does not declare \
-                 (cross-program access is only allowed via dRPC services)"
-            )));
-        }
-    }
-    Ok(())
+    refs.into_iter().find(|r| !declared.contains(r))
 }
 
 /// Collects every state/table name referenced in a block.
-fn collect_refs(block: &Block, out: &mut Vec<String>) {
-    fn expr(e: &Expr, out: &mut Vec<String>) {
+fn collect_refs<'a>(block: &'a Block, out: &mut Vec<&'a str>) {
+    fn expr<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
         match e {
             Expr::MapGet(n, k) | Expr::MapHas(n, k) | Expr::RegRead(n, k)
             | Expr::MeterCheck(n, k) => {
-                out.push(n.clone());
+                out.push(n);
                 expr(k, out);
             }
-            Expr::CounterRead(n) => out.push(n.clone()),
+            Expr::CounterRead(n) => out.push(n),
             Expr::Hash(args) => args.iter().for_each(|a| expr(a, out)),
             Expr::Bin(_, l, r) => {
                 expr(l, out);
@@ -281,22 +383,22 @@ fn collect_refs(block: &Block, out: &mut Vec<String>) {
             Stmt::Let(_, e) | Stmt::AssignLocal(_, e) | Stmt::AssignField(_, e)
             | Stmt::Forward(e) => expr(e, out),
             Stmt::MapPut(n, k, v) | Stmt::RegWrite(n, k, v) => {
-                out.push(n.clone());
+                out.push(n);
                 expr(k, out);
                 expr(v, out);
             }
             Stmt::MapDelete(n, k) => {
-                out.push(n.clone());
+                out.push(n);
                 expr(k, out);
             }
-            Stmt::Count(n) => out.push(n.clone()),
+            Stmt::Count(n) => out.push(n),
             Stmt::If(c, t, e) => {
                 expr(c, out);
                 collect_refs(t, out);
                 collect_refs(e, out);
             }
             Stmt::Repeat(_, b) => collect_refs(b, out),
-            Stmt::Apply(t) => out.push(t.clone()),
+            Stmt::Apply(t) => out.push(t),
             Stmt::Invoke(_, args) => args.iter().for_each(|a| expr(a, out)),
             _ => {}
         }
@@ -375,30 +477,32 @@ fn dedup_stateless_tables(program: &mut Program) -> usize {
         !digits.is_empty() && digits.chars().all(|c| c.is_ascii_digit())
     }
 
-    // Signature: the table definition with the name blanked.
-    fn signature(t: &TableDecl) -> TableDecl {
-        let mut t = t.clone();
-        t.name = String::new();
-        t
+    // The same table under another name.
+    fn same_definition(a: &TableDecl, b: &TableDecl) -> bool {
+        let TableDecl {
+            name: _,
+            keys,
+            actions,
+            default_action,
+            size,
+        } = a;
+        (keys, actions, default_action, size) == (&b.keys, &b.actions, &b.default_action, &b.size)
     }
 
-    let mut keep: Vec<TableDecl> = Vec::new();
+    let mut keep: Vec<TableDecl> = Vec::with_capacity(program.tables.len());
+    // Indices into `keep` of the tables a later copy may be folded into.
+    let mut shareable: Vec<usize> = Vec::new();
     let mut renames: BTreeMap<String, String> = BTreeMap::new();
     let mut eliminated = 0usize;
 
     for t in std::mem::take(&mut program.tables) {
-        let shareable = is_tenant_table(&t.name)
-            && t.actions.iter().all(|a| block_is_stateless(&a.body));
-        if shareable {
-            if let Some(existing) = keep.iter().find(|k| {
-                is_tenant_table(&k.name)
-                    && signature(k) == signature(&t)
-                    && k.actions.iter().all(|a| block_is_stateless(&a.body))
-            }) {
-                renames.insert(t.name.clone(), existing.name.clone());
+        if is_tenant_table(&t.name) && t.actions.iter().all(|a| block_is_stateless(&a.body)) {
+            if let Some(&i) = shareable.iter().find(|&&i| same_definition(&keep[i], &t)) {
+                renames.insert(t.name, keep[i].name.clone());
                 eliminated += 1;
                 continue;
             }
+            shareable.push(keep.len());
         }
         keep.push(t);
     }

@@ -55,12 +55,22 @@ impl Parser {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
+    /// Steps over the current token and hands it out by move: the parser
+    /// never backtracks, so the slot it leaves behind (an `Eof` at the same
+    /// position) is never read again. The final `Eof` stays put.
     fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
-        t
+        let t = &mut self.tokens[self.pos];
+        let hole = Token {
+            kind: TokenKind::Eof,
+            line: t.line,
+            col: t.col,
+        };
+        self.pos += 1;
+        std::mem::replace(t, hole)
     }
 
     pub(crate) fn error_here(&self, msg: impl Into<String>) -> FlexError {
@@ -78,13 +88,12 @@ impl Parser {
 
     /// Consumes an identifier token (any word), returning its text.
     pub(crate) fn ident(&mut self) -> Result<String> {
-        match &self.peek().kind {
-            TokenKind::Ident(s) => {
-                let s = s.clone();
-                self.advance();
-                Ok(s)
-            }
-            other => Err(self.error_here(format!("expected identifier, found {other}"))),
+        match self.peek().kind {
+            TokenKind::Ident(_) => match self.advance().kind {
+                TokenKind::Ident(s) => Ok(s),
+                _ => unreachable!("peeked an identifier"),
+            },
+            ref other => Err(self.error_here(format!("expected identifier, found {other}"))),
         }
     }
 
@@ -372,13 +381,12 @@ impl Parser {
 
     /// Consumes a string literal token.
     pub(crate) fn string(&mut self) -> Result<String> {
-        match &self.peek().kind {
-            TokenKind::Str(s) => {
-                let s = s.clone();
-                self.advance();
-                Ok(s)
-            }
-            other => Err(self.error_here(format!("expected string literal, found {other}"))),
+        match self.peek().kind {
+            TokenKind::Str(_) => match self.advance().kind {
+                TokenKind::Str(s) => Ok(s),
+                _ => unreachable!("peeked a string literal"),
+            },
+            ref other => Err(self.error_here(format!("expected string literal, found {other}"))),
         }
     }
 

@@ -8,7 +8,10 @@
 //!   once, and every device and the store share that one image;
 //! - sealing moved no check: bad targets abort where and how they did,
 //!   duplicate prepares re-ack without sealing, restarts keep the image;
-//! - intent and device apply the same entry carry-over rule.
+//! - intent and device apply the same entry carry-over rule;
+//! - the seal folds the printed program without building it: the digest
+//!   is still FNV-1a over the bytes `to_source()` returns, and those bytes
+//!   still parse back to the program.
 
 use flexnet::prelude::*;
 use flexnet_controller::txn::LoggedTxnOutcome;
@@ -24,6 +27,9 @@ use proptest::test_runner::ProptestConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+#[path = "common/gallery.rs"]
+mod gallery_programs;
 
 fn bundle(src: &str) -> ProgramBundle {
     let file = parse_source(src).unwrap();
@@ -482,4 +488,93 @@ fn a_transaction_that_modifies_a_table_leaves_intent_and_device_agreeing() {
         dev.config_digest(),
         "the journaled digest is the one the device reports"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The streamed program digest
+// ---------------------------------------------------------------------------
+
+/// The three `ctl_txn` tenant flavours, varied by `i`.
+fn tenant_flavour(i: u64) -> ProgramBundle {
+    bundle(&match i % 3 {
+        0 => format!(
+            "program meter{i} kind any {{
+               counter seen;
+               map hits : map<u32, u32>[64];
+               handler ingress(pkt) {{
+                 count(seen);
+                 let c = map_get(hits, ipv4.src) + {i};
+                 map_put(hits, ipv4.src, c);
+                 if (c > 4000) {{ drop(); }} else {{ meta.m = ~c; }}
+               }}
+             }}"
+        ),
+        1 => format!(
+            "header probe{i} {{ fields {{ hop: 8; stamp: 48; }} follows udp when udp.dport == {i}; }}
+             program acl{i} kind any {{
+               counter denied;
+               table rules {{
+                 key {{ ipv4.src : exact; tcp.dport : exact; }}
+                 action deny() {{ count(denied); drop(); }}
+                 action pass() {{ }}
+                 default pass();
+                 size 32;
+               }}
+               handler ingress(pkt) {{
+                 if (valid(tcp) && tcp.dport == {i}) {{ apply rules; }}
+               }}
+             }}"
+        ),
+        _ => format!(
+            "program sketch{i} kind any {{
+               register row : u64[256];
+               counter updates;
+               handler ingress(pkt) {{
+                 let i = hash(ipv4.src, ipv4.dst, {i}) % 256;
+                 reg_write(row, i, reg_read(row, i) + 1);
+                 count(updates);
+               }}
+             }}"
+        ),
+    })
+}
+
+/// Every gallery program, and the composed programs of 1…8 tenants.
+#[test]
+fn the_streamed_digest_is_fnv_of_the_printed_source_which_parses_back() {
+    let infra = bundle(
+        "program infra kind switch {
+           counter total;
+           service provide migrate_state(dst: u32);
+           handler ingress(pkt) { count(total); forward(0); }
+         }",
+    );
+    let mut programs = gallery_programs::gallery();
+    let mut tenants = flexnet_controller::TenantManager::new(infra);
+    for t in 1..=8u64 {
+        tenants.arrive(TenantId(t as u32), tenant_flavour(t)).unwrap();
+        programs.push(("composed", tenants.composed().unwrap().0));
+    }
+    assert_eq!(programs.len(), 14 + 8);
+
+    for (name, b) in programs {
+        let source = b.program.to_source();
+        let mut streamed = String::new();
+        b.program.write_source(&mut streamed).unwrap();
+        assert_eq!(streamed, source, "{name}: one writer");
+        let reparsed = parse_source(&source).unwrap();
+        assert_eq!(reparsed.programs, vec![b.program.clone()], "{name}: round trip");
+
+        let fnv1a = |h: u64, bytes: &[u8]| {
+            bytes
+                .iter()
+                .fold(h, |h, b| (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+        };
+        let headers = b.headers.iter().map(|h| format!("{h:?}"));
+        let printed: String = headers.chain([source]).collect();
+        let expected = fnv1a(0xcbf2_9ce4_8422_2325, printed.as_bytes());
+        assert_eq!(config_digest_of(&b, &[]), expected, "{name}: reference digest");
+        let image = ProgramImage::seal(b).unwrap();
+        assert_eq!(image.config_digest([]), expected, "{name}: sealed digest");
+    }
 }
