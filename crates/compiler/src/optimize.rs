@@ -18,7 +18,7 @@ use flexnet_dataplane::CostModel;
 use flexnet_lang::ast::{ActionCall, ActionDecl, TableDecl};
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::ir::table_demand;
-use flexnet_types::{FlexError, ResourceVec, Result, SimDuration};
+use flexnet_types::{FlexError, ResourceVec, Result};
 
 /// The predicted effect of merging two tables.
 #[derive(Debug, Clone)]
@@ -190,9 +190,7 @@ pub fn component_power_w(cost: &CostModel, offered_pps: u64) -> f64 {
         return f64::INFINITY;
     }
     let util = (offered_pps as f64 / cost.throughput_pps as f64).clamp(0.0, 1.0);
-    cost.power_idle_w
-        + (cost.power_max_w - cost.power_idle_w) * util
-        + cost.energy_per_pkt_uj * offered_pps as f64 / 1e6
+    cost.power_at(util) + cost.energy_per_pkt_uj * offered_pps as f64 / 1e6
 }
 
 /// Picks the best target for `component` among `candidates` under the given
@@ -219,12 +217,6 @@ pub fn choose_target(
             pa.total_cmp(&pb)
         }),
     }
-}
-
-/// Estimated added per-packet latency of a placement choice (re-exported
-/// convenience over `split::component_latency`).
-pub fn placement_latency(component: &Component, target: &TargetView) -> SimDuration {
-    crate::split::component_latency(component, target)
 }
 
 #[cfg(test)]

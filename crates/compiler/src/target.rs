@@ -123,15 +123,6 @@ impl Placement {
         self.assignments.get(component).copied()
     }
 
-    /// Components assigned to `node`.
-    pub fn on_node(&self, node: NodeId) -> Vec<&str> {
-        self.assignments
-            .iter()
-            .filter(|(_, n)| **n == node)
-            .map(|(c, _)| c.as_str())
-            .collect()
-    }
-
     /// Number of placed components.
     pub fn len(&self) -> usize {
         self.assignments.len()
@@ -241,7 +232,6 @@ mod tests {
         p.assignments.insert("c".into(), NodeId(2));
         assert_eq!(p.node_of("a"), Some(NodeId(1)));
         assert_eq!(p.node_of("z"), None);
-        assert_eq!(p.on_node(NodeId(1)).len(), 2);
         assert_eq!(p.len(), 3);
         assert!(!p.is_empty());
     }

@@ -7,7 +7,7 @@
 //! … is done automatically by the FlexNet management system."
 
 use flexnet_compiler::Placement;
-use flexnet_types::{AppId, AppUri, FlexError, NodeId, Result, SimTime, TenantId};
+use flexnet_types::{AppId, AppUri, FlexError, Result, SimTime, TenantId};
 use std::collections::BTreeMap;
 
 /// Lifecycle state of a managed app.
@@ -87,11 +87,6 @@ impl AppRegistry {
         self.by_uri.get(uri)
     }
 
-    /// Mutable lookup by URI.
-    pub fn lookup_mut(&mut self, uri: &AppUri) -> Option<&mut AppRecord> {
-        self.by_uri.get_mut(uri)
-    }
-
     /// Marks an app as migrating / running / retired.
     pub fn set_status(&mut self, uri: &AppUri, status: AppStatus) -> Result<()> {
         let rec = self
@@ -100,28 +95,6 @@ impl AppRegistry {
             .ok_or_else(|| FlexError::NotFound(format!("app `{uri}`")))?;
         rec.status = status;
         Ok(())
-    }
-
-    /// Records a placement change (after migration or rescaling).
-    pub fn update_placement(&mut self, uri: &AppUri, placement: Placement) -> Result<()> {
-        let rec = self
-            .by_uri
-            .get_mut(uri)
-            .ok_or_else(|| FlexError::NotFound(format!("app `{uri}`")))?;
-        rec.placement = placement;
-        Ok(())
-    }
-
-    /// All non-retired apps with a component on `node` (used when a device
-    /// fails or is drained).
-    pub fn apps_on_node(&self, node: NodeId) -> Vec<&AppRecord> {
-        self.by_uri
-            .values()
-            .filter(|r| {
-                r.status != AppStatus::Retired
-                    && r.placement.assignments.values().any(|n| *n == node)
-            })
-            .collect()
     }
 
     /// All non-retired apps owned by `tenant`.
@@ -144,6 +117,7 @@ impl AppRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexnet_types::NodeId;
 
     fn placement_on(node: u32) -> Placement {
         let mut p = Placement::default();
@@ -180,7 +154,7 @@ mod tests {
     }
 
     #[test]
-    fn node_and_tenant_queries() {
+    fn tenant_queries_skip_retired_apps() {
         let mut reg = AppRegistry::new();
         let a = AppUri::new("tenant1", "fw").unwrap();
         let b = AppUri::new("tenant2", "lb").unwrap();
@@ -188,26 +162,14 @@ mod tests {
             .unwrap();
         reg.register(b, Some(TenantId(2)), placement_on(6), SimTime::ZERO)
             .unwrap();
-        assert_eq!(reg.apps_on_node(NodeId(5)).len(), 1);
-        assert_eq!(reg.apps_on_node(NodeId(9)).len(), 0);
         assert_eq!(reg.apps_of_tenant(TenantId(1)).len(), 1);
         reg.set_status(&a, AppStatus::Retired).unwrap();
         assert_eq!(reg.apps_of_tenant(TenantId(1)).len(), 0);
-        assert_eq!(reg.apps_on_node(NodeId(5)).len(), 0);
     }
 
     #[test]
-    fn placement_updates() {
+    fn set_status_of_an_unknown_app_is_an_error() {
         let mut reg = AppRegistry::new();
-        let uri = AppUri::infra("mig");
-        reg.register(uri.clone(), None, placement_on(1), SimTime::ZERO)
-            .unwrap();
-        reg.update_placement(&uri, placement_on(2)).unwrap();
-        assert_eq!(
-            reg.lookup(&uri).unwrap().placement.node_of("main"),
-            Some(NodeId(2))
-        );
-        assert!(reg.update_placement(&AppUri::infra("nope"), placement_on(1)).is_err());
         assert!(reg.set_status(&AppUri::infra("nope"), AppStatus::Running).is_err());
     }
 }

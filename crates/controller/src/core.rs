@@ -13,13 +13,12 @@ use crate::apps::{AppRegistry, AppStatus};
 use crate::drpc::{ExecutionSite, ServiceRegistry};
 use crate::retry::LossyFabric;
 use crate::tenant::TenantManager;
-use flexnet_compiler::{split_datapath, LogicalDatapath, SplitResult, TargetView};
 use flexnet_dataplane::Device;
 use flexnet_lang::compose::tenant_prefix;
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::Simulation;
 use flexnet_types::{
-    AppId, AppUri, FlexError, NodeId, Result, SimDuration, SimTime, TenantId, VlanId,
+    AppUri, FlexError, NodeId, Result, SimDuration, SimTime, TenantId, VlanId,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -209,17 +208,6 @@ impl FailureDetector {
             liveness_hints: BTreeMap::new(),
             monotone_guard: true,
         }
-    }
-
-    /// Overrides the gray-failure drop-slope threshold (ppm of processed
-    /// packets dropped between judged heartbeats).
-    pub fn set_degrade_threshold_ppm(&mut self, ppm: u64) {
-        self.degrade_threshold_ppm = ppm;
-    }
-
-    /// Overrides the hysteresis recovery floor (see the field doc).
-    pub fn set_recover_after(&mut self, recover_after: SimDuration) {
-        self.recover_after = recover_after;
     }
 
     /// Scales every silence threshold by `scale` (clamped to ≥ 1). The
@@ -675,12 +663,6 @@ impl AdmissionQueue {
         self.lanes.iter().all(|l| l.is_empty())
     }
 
-    /// True when `node` already has queued work of `class` — callers
-    /// dedup instead of queueing the same reconciliation twice.
-    pub fn contains_node(&self, class: WorkClass, node: NodeId) -> bool {
-        self.lanes[class.index()].iter().any(|w| w.node == Some(node))
-    }
-
     /// Admits one item, possibly evicting lower-priority work. Returns
     /// the admission id, or retryable [`FlexError::Backpressure`] when
     /// the queue is full of work at or above `class`.
@@ -1101,29 +1083,11 @@ impl Controller {
         }
         Ok(composed)
     }
-
-    /// Deploys a whole-stack logical datapath across `path`, registering it
-    /// as an app named by `uri`.
-    pub fn deploy_datapath(
-        &mut self,
-        uri: AppUri,
-        datapath: &LogicalDatapath,
-        path: &mut [TargetView],
-        now: SimTime,
-    ) -> Result<(AppId, SplitResult)> {
-        let split = split_datapath(datapath, path)?;
-        let id = self
-            .apps
-            .register(uri, None, split.placement.clone(), now)?;
-        Ok((id, split))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexnet_compiler::Component;
-    use flexnet_dataplane::Architecture;
     use flexnet_lang::parser::parse_source;
 
     fn bundle(src: &str) -> ProgramBundle {
@@ -1183,29 +1147,6 @@ mod tests {
     fn depart_unknown_tenant_fails() {
         let mut c = controller();
         assert!(c.tenant_depart(TenantId(42)).is_err());
-    }
-
-    #[test]
-    fn deploy_datapath_registers_app_with_placement() {
-        let mut c = controller();
-        let dp = LogicalDatapath::new(
-            "lb",
-            vec![Component::new(
-                "spread",
-                bundle("program spread kind switch { handler ingress(pkt) { forward(0); } }"),
-            )],
-        );
-        let mut path = vec![
-            TargetView::fresh(NodeId(1), Architecture::host_default()),
-            TargetView::fresh(NodeId(2), Architecture::drmt_default()),
-        ];
-        let (id, split) = c
-            .deploy_datapath(AppUri::infra("lb"), &dp, &mut path, SimTime::ZERO)
-            .unwrap();
-        assert_eq!(split.placement.node_of("spread"), Some(NodeId(2)));
-        let rec = c.apps.lookup(&AppUri::infra("lb")).unwrap();
-        assert_eq!(rec.id, id);
-        assert_eq!(rec.placement.node_of("spread"), Some(NodeId(2)));
     }
 
     #[test]
@@ -1751,7 +1692,8 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.stats.shed_capacity, 1);
         assert_eq!(q.stats.shed_by_class[WorkClass::Telemetry.index()], 1);
-        assert!(!q.contains_node(WorkClass::Telemetry, NodeId(3)));
+        let telemetry = &q.lanes[WorkClass::Telemetry.index()];
+        assert!(telemetry.iter().all(|w| w.node != Some(NodeId(3))));
         // Remedial work evicts the remaining telemetry.
         q.push(WorkClass::Remedial, Some(NodeId(5)), now, far).unwrap();
         // Serve order is strictly by class, not arrival: remedial,

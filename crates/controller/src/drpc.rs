@@ -199,53 +199,6 @@ impl BreakerSet {
     pub fn total_opens(&self) -> u64 {
         self.breakers.values().map(|b| b.opens).sum()
     }
-
-    /// Whether `e` counts against the breaker (the device could not be
-    /// reached or did not answer in time) rather than as contact.
-    ///
-    /// The adversarial-fabric errors classify with the transport family:
-    /// a [`FlexError::ChecksumMismatch`] means the fabric mangled the
-    /// exchange (the payload never validly arrived), and
-    /// [`FlexError::Unreachable`] means replies cannot cross a one-way
-    /// partition — both are fabric faults, not device answers. A
-    /// [`FlexError::StaleDuplicate`] is the opposite: the device not
-    /// only answered, it had *already done the work* — unambiguous
-    /// contact.
-    /// Storage errors classify the same way: a failed record checksum
-    /// ([`flexnet_types::StorageError::ChecksumFailed`]) means the medium
-    /// mangled the exchange with the platter — the storage-shaped twin
-    /// of a fabric `ChecksumMismatch` — while a typed `NoSpace` refusal
-    /// is a well-formed answer (contact).
-    pub fn counts_as_failure(e: &FlexError) -> bool {
-        matches!(
-            e,
-            FlexError::Timeout(_)
-                | FlexError::Unavailable(_)
-                | FlexError::NoLeader { .. }
-                | FlexError::ChecksumMismatch { .. }
-                | FlexError::Unreachable { .. }
-                | FlexError::Storage(flexnet_types::StorageError::ChecksumFailed { .. })
-        )
-    }
-
-    /// Runs `call` against `node` under its breaker: admission check
-    /// first (refused calls cost nothing and return `CircuitOpen`), then
-    /// the outcome is classified and recorded.
-    pub fn guarded<T>(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-        call: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        self.breaker(node).admit(node, now)?;
-        let result = call();
-        match &result {
-            Ok(_) => self.breaker(node).on_success(),
-            Err(e) if Self::counts_as_failure(e) => self.breaker(node).on_failure(now),
-            Err(_) => self.breaker(node).on_success(),
-        }
-        result
-    }
 }
 
 /// Round-trip through control-plane software (the escalation path).
@@ -512,102 +465,26 @@ mod tests {
     }
 
     #[test]
-    fn breaker_set_guards_calls_and_classifies_outcomes() {
+    fn breaker_set_keeps_one_breaker_per_node() {
         let mut set = BreakerSet::new(2, SimDuration::from_millis(100));
         let n = NodeId(7);
         let t = SimTime::from_secs(1);
-        // Semantic errors are contact, not failure: never trips.
-        for _ in 0..5 {
-            let r: Result<()> = set.guarded(n, t, || Err(FlexError::Type("bad".into())));
-            assert!(matches!(r, Err(FlexError::Type(_))));
-        }
-        assert_eq!(set.state(n, t), BreakerState::Closed);
-        // Transport failures trip after the threshold.
+        assert_eq!(set.state(n, t), BreakerState::Closed, "never used: closed");
         for _ in 0..2 {
-            let r: Result<()> = set.guarded(n, t, || Err(FlexError::Timeout("lost".into())));
-            assert!(r.is_err());
+            set.breaker(n).admit(n, t).unwrap();
+            set.breaker(n).on_failure(t);
         }
         assert_eq!(set.state(n, t), BreakerState::Open);
         assert_eq!(set.total_opens(), 1);
-        // While open, the call closure is never invoked.
-        let mut invoked = false;
-        let r: Result<()> = set.guarded(n, t + SimDuration::from_millis(10), || {
-            invoked = true;
-            Ok(())
-        });
-        assert!(matches!(r, Err(FlexError::CircuitOpen { .. })));
-        assert!(!invoked, "open breaker must not touch the fabric");
+        let refused = set.breaker(n).admit(n, t + SimDuration::from_millis(10));
+        assert!(matches!(refused, Err(FlexError::CircuitOpen { .. })));
         // Other devices are unaffected.
-        assert!(set.guarded(NodeId(8), t, || Ok(42)).is_ok());
-        // After the cooldown, the probe runs and closes the breaker.
+        assert!(set.breaker(NodeId(8)).admit(NodeId(8), t).is_ok());
+        // After the cooldown, the probe is admitted and closes the breaker.
         let t2 = t + SimDuration::from_millis(120);
-        assert_eq!(set.guarded(n, t2, || Ok(1)).unwrap(), 1);
+        set.breaker(n).admit(n, t2).unwrap();
+        set.breaker(n).on_success();
         assert_eq!(set.state(n, t2), BreakerState::Closed);
-    }
-
-    #[test]
-    fn storage_errors_classify_like_their_transport_twins() {
-        use flexnet_types::StorageError;
-        // A failed record checksum is the storage twin of a fabric
-        // ChecksumMismatch: medium fault, counts against the breaker.
-        assert!(BreakerSet::counts_as_failure(&FlexError::Storage(
-            StorageError::ChecksumFailed {
-                segment: 1,
-                want: 2,
-                got: 3
-            }
-        )));
-        // Typed refusals and recovery outcomes are well-formed answers.
-        assert!(!BreakerSet::counts_as_failure(&FlexError::Storage(
-            StorageError::NoSpace {
-                needed: 64,
-                capacity: 32
-            }
-        )));
-        assert!(!BreakerSet::counts_as_failure(&FlexError::Storage(
-            StorageError::TornRecord {
-                segment: 0,
-                offset: 12
-            }
-        )));
-        assert!(!BreakerSet::counts_as_failure(&FlexError::Storage(
-            StorageError::StaleSnapshot { generation: 2 }
-        )));
-    }
-
-    #[test]
-    fn adversarial_errors_classify_like_transport() {
-        // Fabric faults count against the breaker…
-        assert!(BreakerSet::counts_as_failure(&FlexError::ChecksumMismatch {
-            want: 1,
-            got: 2
-        }));
-        assert!(BreakerSet::counts_as_failure(&FlexError::Unreachable { node: 3 }));
-        // …but an absorbed duplicate is unambiguous contact.
-        assert!(!BreakerSet::counts_as_failure(&FlexError::StaleDuplicate {
-            token: 7
-        }));
-
-        // Three consecutive corrupted exchanges trip the breaker exactly
-        // like three timeouts would.
-        let mut set = BreakerSet::default();
-        let n = NodeId(4);
-        let t = SimTime::from_secs(1);
-        for _ in 0..3 {
-            let r: Result<()> = set.guarded(n, t, || {
-                Err(FlexError::ChecksumMismatch { want: 1, got: 2 })
-            });
-            assert!(r.is_err());
-        }
-        assert_eq!(set.state(n, t), BreakerState::Open);
-        // A stream of stale duplicates never trips anything.
-        let mut set2 = BreakerSet::default();
-        for _ in 0..10 {
-            let r: Result<()> =
-                set2.guarded(n, t, || Err(FlexError::StaleDuplicate { token: 9 }));
-            assert!(r.is_err());
-        }
-        assert_eq!(set2.state(n, t), BreakerState::Closed);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use migrate::{Migration, MigrationReport, MigrationStrategy};
 pub use raft::{CommittedView, RaftCluster, Role};
 pub use replicate::{FailoverReport, ReplicationGroup};
 pub use retry::{
-    invoke_with_retry, with_retry, Adversary, Delivery, Jitter, LossyFabric, RetryBudget,
+    invoke_with_retry, with_retry, Adversary, Delivery, LossyFabric, RetryBudget,
     RetryOutcome, RetryPolicy,
 };
 pub use scale::{ElasticScaler, ScaleDecision, ScalingPolicy};

@@ -10,7 +10,6 @@
 //! Failover promotes the replica with the freshest epoch, and reports how
 //! many epochs of updates were lost (zero when synchronization kept up).
 
-use crate::raft::RaftCluster;
 use flexnet_types::{FlexError, NodeId, Result, SimTime};
 use std::collections::BTreeMap;
 
@@ -78,11 +77,6 @@ impl ReplicationGroup {
         Ok(())
     }
 
-    /// Staleness of `replica` in epochs.
-    pub fn staleness(&self, replica: NodeId) -> Option<u64> {
-        self.applied.get(&replica).map(|e| self.epoch - e)
-    }
-
     /// Handles the failure of a node. If the primary failed, the freshest
     /// replica is promoted; if a replica failed, it is removed.
     pub fn fail_node(&mut self, failed: NodeId) -> Result<Option<FailoverReport>> {
@@ -115,98 +109,11 @@ impl ReplicationGroup {
             Err(FlexError::NotFound(format!("{failed} is not in the group")))
         }
     }
-
-    /// Promotes a specific replica to primary, demoting the current
-    /// primary to a replica (caught up at the new lineage's epoch: it has
-    /// every snapshot the promoted node does).
-    ///
-    /// Unlike [`ReplicationGroup::fail_node`] — which picks the freshest
-    /// replica — the choice here is the caller's, so an external election
-    /// (e.g. Raft) can dictate the primary. Epochs cut by the demoted
-    /// primary past the promoted node's last applied snapshot are lost,
-    /// exactly as in a failover.
-    pub fn promote(&mut self, node: NodeId) -> Result<FailoverReport> {
-        if node == self.primary {
-            return Err(FlexError::Conflict(format!("{node} is already primary")));
-        }
-        if !self.replicas.contains(&node) {
-            return Err(FlexError::NotFound(format!(
-                "{node} is not a replica of this group"
-            )));
-        }
-        let promoted_epoch = self.applied.get(&node).copied().unwrap_or(0);
-        let report = FailoverReport {
-            failed: self.primary,
-            promoted: node,
-            lost_epochs: self.epoch - promoted_epoch,
-        };
-        self.replicas.retain(|r| *r != node);
-        self.applied.remove(&node);
-        self.replicas.push(report.failed);
-        self.applied.insert(report.failed, promoted_epoch);
-        self.primary = node;
-        self.epoch = promoted_epoch;
-        Ok(report)
-    }
-
-    /// Aligns the group's primary with a [`RaftCluster`]'s leader, so
-    /// consensus and state replication agree on who pilots the network.
-    ///
-    /// `node_of[i]` is the topology node hosting Raft node `i`. Returns
-    /// `Ok(None)` when nothing changed (no leader yet, or the leader
-    /// already is the primary). When leadership moved, the leader's node
-    /// is promoted; a deposed primary whose Raft node is dead is removed
-    /// from the group entirely ([`ReplicationGroup::fail_node`]), while a
-    /// merely-deposed (alive) one stays on as a replica.
-    pub fn align_with_raft(
-        &mut self,
-        cluster: &RaftCluster,
-        node_of: &[NodeId],
-    ) -> Result<Option<FailoverReport>> {
-        let Some(leader) = cluster.leader() else {
-            return Ok(None);
-        };
-        let leader_node = *node_of.get(leader).ok_or_else(|| {
-            FlexError::NotFound(format!("raft node {leader} has no topology mapping"))
-        })?;
-        if leader_node == self.primary {
-            return Ok(None);
-        }
-        let primary_raft = node_of.iter().position(|n| *n == self.primary);
-        let primary_alive = primary_raft.map(|i| cluster.is_alive(i)).unwrap_or(false);
-        let report = self.promote(leader_node)?;
-        if !primary_alive {
-            // The deposed primary's controller is dead: drop it from the
-            // group instead of keeping a corpse as a replica.
-            self.fail_node(report.failed)?;
-        }
-        Ok(Some(report))
-    }
-
-    /// Adds a fresh replica (it starts at epoch 0 until synced).
-    pub fn add_replica(&mut self, node: NodeId) -> Result<()> {
-        if node == self.primary || self.replicas.contains(&node) {
-            return Err(FlexError::Conflict(format!("{node} already in the group")));
-        }
-        self.replicas.push(node);
-        self.applied.insert(node, 0);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sync_and_staleness() {
-        let mut g = ReplicationGroup::new(NodeId(1), vec![NodeId(2), NodeId(3)]);
-        let e1 = g.cut_epoch(SimTime::from_secs(1));
-        g.record_applied(NodeId(2), e1).unwrap();
-        assert_eq!(g.staleness(NodeId(2)), Some(0));
-        assert_eq!(g.staleness(NodeId(3)), Some(1));
-        assert_eq!(g.staleness(NodeId(9)), None);
-    }
 
     #[test]
     fn failover_promotes_freshest_replica() {
@@ -248,123 +155,8 @@ mod tests {
     }
 
     #[test]
-    fn add_replica_and_duplicates() {
-        let mut g = ReplicationGroup::new(NodeId(1), vec![NodeId(2)]);
-        g.add_replica(NodeId(3)).unwrap();
-        assert!(g.add_replica(NodeId(3)).is_err());
-        assert!(g.add_replica(NodeId(1)).is_err());
-        assert_eq!(g.staleness(NodeId(3)), Some(0));
-        g.cut_epoch(SimTime::from_secs(1));
-        assert_eq!(g.staleness(NodeId(3)), Some(1));
-    }
-
-    #[test]
     fn record_applied_unknown_replica_rejected() {
         let mut g = ReplicationGroup::new(NodeId(1), vec![NodeId(2)]);
         assert!(g.record_applied(NodeId(9), 1).is_err());
-    }
-
-    #[test]
-    fn promote_is_caller_chosen_and_demotes_cleanly() {
-        let mut g = ReplicationGroup::new(NodeId(1), vec![NodeId(2), NodeId(3)]);
-        let e1 = g.cut_epoch(SimTime::from_secs(1));
-        g.record_applied(NodeId(2), e1).unwrap();
-        // Promote the *stale* replica 3 (epoch 0), not the freshest.
-        let report = g.promote(NodeId(3)).unwrap();
-        assert_eq!(report.promoted, NodeId(3));
-        assert_eq!(report.failed, NodeId(1));
-        assert_eq!(report.lost_epochs, 1);
-        assert_eq!(g.primary, NodeId(3));
-        assert!(g.replicas.contains(&NodeId(1)), "old primary demoted, kept");
-        // The demoted primary is current in the new lineage — no underflow
-        // when computing staleness against the reset epoch.
-        assert_eq!(g.staleness(NodeId(1)), Some(0));
-        assert!(g.promote(NodeId(3)).is_err(), "already primary");
-        assert!(g.promote(NodeId(9)).is_err(), "not in group");
-    }
-
-    #[test]
-    fn raft_leader_change_drives_group_failover() {
-        use flexnet_types::SimDuration;
-        // Controller raft nodes 0..3 live on topology nodes 10..13.
-        let node_of = [NodeId(10), NodeId(11), NodeId(12)];
-        let mut cluster = RaftCluster::new(3, 42);
-        let leader = cluster
-            .run_until_leader(SimDuration::from_secs(5))
-            .expect("a leader");
-        let mut g = ReplicationGroup::new(
-            node_of[leader],
-            node_of
-                .iter()
-                .filter(|n| **n != node_of[leader])
-                .copied()
-                .collect(),
-        );
-        g.cut_epoch(SimTime::from_secs(1));
-        for r in g.replicas.clone() {
-            g.record_applied(r, 1).unwrap();
-        }
-        // In agreement: aligning is a no-op.
-        assert_eq!(g.align_with_raft(&cluster, &node_of).unwrap(), None);
-
-        // Kill the leader; once a successor wins, the group must follow —
-        // and since the deposed primary's raft node is dead, it is dropped
-        // from the group rather than demoted.
-        cluster.kill(leader).unwrap();
-        cluster
-            .run_until_leader(SimDuration::from_secs(5))
-            .expect("re-election");
-        let new_leader = cluster.leader().unwrap();
-        let report = g
-            .align_with_raft(&cluster, &node_of)
-            .unwrap()
-            .expect("leadership moved");
-        assert_eq!(report.promoted, node_of[new_leader]);
-        assert_eq!(g.primary, node_of[new_leader], "group follows raft");
-        assert!(
-            !g.replicas.contains(&node_of[leader]),
-            "dead primary removed"
-        );
-        assert_eq!(report.lost_epochs, 0, "replicas were caught up");
-        // Aligning again changes nothing.
-        assert_eq!(g.align_with_raft(&cluster, &node_of).unwrap(), None);
-    }
-
-    #[test]
-    fn deposed_but_alive_primary_stays_as_replica() {
-        use flexnet_types::SimDuration;
-        let node_of = [NodeId(10), NodeId(11), NodeId(12), NodeId(13), NodeId(14)];
-        let mut cluster = RaftCluster::new(5, 7);
-        let l1 = cluster
-            .run_until_leader(SimDuration::from_secs(5))
-            .expect("a leader");
-        let mut g = ReplicationGroup::new(
-            node_of[l1],
-            node_of
-                .iter()
-                .filter(|n| **n != node_of[l1])
-                .copied()
-                .collect(),
-        );
-        // Depose l1 but bring it back before aligning: it lost leadership,
-        // not its life.
-        cluster.kill(l1).unwrap();
-        cluster
-            .run_until_leader(SimDuration::from_secs(5))
-            .expect("re-election");
-        cluster.revive(l1).unwrap();
-        cluster.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-        let new_leader = cluster.leader().unwrap();
-        assert_ne!(l1, new_leader);
-        let report = g
-            .align_with_raft(&cluster, &node_of)
-            .unwrap()
-            .expect("leadership moved");
-        assert_eq!(g.primary, node_of[new_leader]);
-        assert_eq!(report.failed, node_of[l1]);
-        assert!(
-            g.replicas.contains(&node_of[l1]),
-            "alive deposed primary serves on as a replica"
-        );
     }
 }

@@ -24,30 +24,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How backoff intervals are spread to decorrelate concurrent retriers.
-///
-/// Pure exponential backoff keeps every caller that failed at the same
-/// instant *synchronized*: they all sleep the same `base * m^k` and
-/// re-arrive together, turning one burst of failures into a periodic
-/// thundering herd. Decorrelated jitter (`sleep = rand(base, prev * 3)`,
-/// capped) breaks the alignment — each retrier walks its own randomized
-/// schedule, so re-arrivals smear out instead of spiking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Jitter {
-    /// Deterministic exponential backoff (the pre-overload behavior;
-    /// keeps timing-sensitive callers and tests exact).
-    None,
-    /// Decorrelated jitter: each backoff is drawn uniformly from
-    /// `[base_backoff, prev * 3]`, clamped to `cap`. The draw stream is
-    /// seeded from the exchange's start instant, so a retried call is
-    /// deterministic in its inputs while *different* calls (different
-    /// start times, different destinations) decorrelate.
-    Decorrelated {
-        /// Upper clamp on any single backoff.
-        cap: SimDuration,
-    },
-}
-
 /// How an operation is retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -60,8 +36,6 @@ pub struct RetryPolicy {
     /// Give up when the next attempt would start later than this long
     /// after the first.
     pub deadline: SimDuration,
-    /// How backoffs are spread across concurrent retriers.
-    pub jitter: Jitter,
 }
 
 impl Default for RetryPolicy {
@@ -71,46 +45,16 @@ impl Default for RetryPolicy {
             base_backoff: SimDuration::from_millis(1),
             multiplier: 2,
             deadline: SimDuration::from_secs(1),
-            jitter: Jitter::None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// The default policy with decorrelated jitter capped at 100× base —
-    /// what every overload-aware caller should use.
-    pub fn jittered() -> RetryPolicy {
-        let base = RetryPolicy::default();
-        RetryPolicy {
-            jitter: Jitter::Decorrelated {
-                cap: base.base_backoff.saturating_mul(100),
-            },
-            ..base
-        }
-    }
-
     /// The backoff inserted after failed attempt `attempt` (0-based):
-    /// `base_backoff * multiplier^attempt`, saturating. This is the
-    /// *deterministic* schedule; jittered callers use
-    /// [`RetryPolicy::next_backoff`] instead.
+    /// `base_backoff * multiplier^attempt`, saturating.
     pub fn backoff(&self, attempt: u32) -> SimDuration {
         self.base_backoff
             .saturating_mul(self.multiplier.saturating_pow(attempt.min(20)) as u64)
-    }
-
-    /// The backoff after failed attempt `attempt`, given the previous
-    /// backoff `prev` (ignored by [`Jitter::None`]) and the exchange's
-    /// jitter stream `rng`.
-    pub fn next_backoff(&self, attempt: u32, prev: SimDuration, rng: &mut StdRng) -> SimDuration {
-        match self.jitter {
-            Jitter::None => self.backoff(attempt),
-            Jitter::Decorrelated { cap } => {
-                let base = self.base_backoff.as_nanos().max(1);
-                let hi = prev.as_nanos().saturating_mul(3).max(base + 1);
-                let drawn = rng.gen_range(base..hi);
-                SimDuration::from_nanos(drawn.min(cap.as_nanos().max(base)))
-            }
-        }
     }
 }
 
@@ -398,32 +342,12 @@ impl LossyFabric {
         self.blocked_down.remove(&node);
     }
 
-    /// Whether `node`'s up (device → controller) direction is severed.
-    pub fn is_blocked_up(&self, node: NodeId) -> bool {
-        self.blocked_up.contains(&node)
-    }
-
-    /// Whether `node`'s down (controller → device) direction is severed.
-    pub fn is_blocked_down(&self, node: NodeId) -> bool {
-        self.blocked_down.contains(&node)
-    }
-
     /// Sends one device → controller message (heartbeat, ack, response)
     /// from `node`; `true` when it arrives. A severed up direction
     /// swallows it *without* consuming a loss draw, so partition windows
     /// leave the seeded loss stream untouched.
     pub fn deliver_up(&mut self, node: NodeId) -> bool {
         if self.blocked_up.contains(&node) {
-            self.partition_drops += 1;
-            return false;
-        }
-        self.deliver()
-    }
-
-    /// Sends one controller → device message to `node`; `true` when it
-    /// arrives. The down-direction twin of [`LossyFabric::deliver_up`].
-    pub fn deliver_down(&mut self, node: NodeId) -> bool {
-        if self.blocked_down.contains(&node) {
             self.partition_drops += 1;
             return false;
         }
@@ -524,10 +448,6 @@ pub fn with_retry<T>(
     let mut t = start;
     let mut last_retryable: Option<FlexError> = None;
     let give_up = |last: Option<FlexError>, fallback: FlexError| last.unwrap_or(fallback);
-    // The jitter stream is seeded from the exchange's start instant:
-    // the same call replays identically, different calls decorrelate.
-    let mut jitter_rng = StdRng::seed_from_u64(mix(start.as_nanos() ^ 0x4A17_7E2D));
-    let mut prev_backoff = policy.base_backoff;
     for attempt in 0..policy.max_attempts.max(1) {
         let request_arrived = fabric.deliver();
         t += rtt;
@@ -558,8 +478,7 @@ pub fn with_retry<T>(
                 }
             }
         }
-        prev_backoff = policy.next_backoff(attempt, prev_backoff, &mut jitter_rng);
-        t += prev_backoff;
+        t += policy.backoff(attempt);
         if t > deadline {
             return RetryOutcome {
                 result: Err(give_up(
@@ -769,7 +688,6 @@ mod tests {
             base_backoff: SimDuration::from_millis(9),
             multiplier: 2,
             deadline: SimDuration::from_millis(10),
-            jitter: Jitter::None,
         };
         let mut f = LossyFabric::new(1.0, 1); // request never arrives...
         let mut calls = 0u32;
@@ -940,57 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn decorrelated_jitter_spreads_backoffs_over_a_seeded_rng() {
-        let policy = RetryPolicy::jittered();
-        let cap = match policy.jitter {
-            Jitter::Decorrelated { cap } => cap,
-            Jitter::None => panic!("jittered() must enable jitter"),
-        };
-        // Draw a long backoff walk from a seeded stream and check the
-        // spread: every draw within [base, cap], draws not all equal
-        // (desynchronized), and the same seed replays identically.
-        let walk = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut prev = policy.base_backoff;
-            (0..200u32)
-                .map(|a| {
-                    prev = policy.next_backoff(a, prev, &mut rng);
-                    prev
-                })
-                .collect::<Vec<_>>()
-        };
-        let a = walk(7);
-        assert_eq!(a, walk(7), "same seed, same schedule");
-        assert_ne!(a, walk(8), "different seeds decorrelate");
-        let distinct: std::collections::BTreeSet<_> = a.iter().collect();
-        assert!(distinct.len() > 50, "draws spread, got {}", distinct.len());
-        for b in &a {
-            assert!(*b >= policy.base_backoff, "never below base: {b}");
-            assert!(*b <= cap, "never above cap: {b}");
-        }
-        // Two retriers failing at the same instant but with different
-        // streams must NOT re-align. Draws clamped at the cap coincide by
-        // design (that is the max-backoff steady state); below the cap,
-        // coincidence over nanosecond granularity means re-alignment.
-        let b = walk(8);
-        let aligned = a
-            .iter()
-            .zip(&b)
-            .filter(|(x, y)| x == y && **x < cap)
-            .count();
-        assert!(aligned < 10, "thundering herd re-alignment: {aligned}/200");
-        let below_cap = a.iter().filter(|x| **x < cap).count();
-        assert!(below_cap > 10, "walk never explores below cap: {below_cap}");
-        // Jitter::None keeps the exact deterministic schedule.
-        let exact = RetryPolicy::default();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(
-            exact.next_backoff(3, SimDuration::from_secs(9), &mut rng),
-            exact.backoff(3)
-        );
-    }
-
-    #[test]
     fn retry_budget_caps_retries_and_replenishes_on_success() {
         let mut budget = RetryBudget::new(100_000, 10, 2);
         let dest = NodeId(4);
@@ -1092,7 +959,7 @@ mod tests {
         let b: Vec<bool> = (0..200).map(|_| cut.deliver()).collect();
         assert_eq!(a, b, "blocked traffic drew no randomness");
         cut.heal(NodeId(5));
-        assert!(!cut.is_blocked_up(NodeId(5)) && !cut.is_blocked_down(NodeId(5)));
+        assert!(cut.blocked_up.is_empty() && cut.blocked_down.is_empty());
     }
 
     #[test]

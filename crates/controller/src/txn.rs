@@ -80,13 +80,6 @@ pub struct TxnReport {
     pub finished_at: SimTime,
 }
 
-impl TxnReport {
-    /// Whether the transaction committed.
-    pub fn is_committed(&self) -> bool {
-        self.outcome == TxnOutcome::Committed
-    }
-}
-
 /// What phase 1 left behind.
 struct Phase1 {
     /// Devices whose prepare acked, in order.

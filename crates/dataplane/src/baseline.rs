@@ -42,7 +42,6 @@ pub const HYPER4_LOAD_LATENCY: SimDuration = SimDuration::from_millis(10);
 pub struct MantisDevice {
     dev: Device,
     variants: Vec<ProgramBundle>,
-    active: usize,
     static_demand: ResourceVec,
 }
 
@@ -70,7 +69,6 @@ impl MantisDevice {
         Ok(MantisDevice {
             dev,
             variants,
-            active: 0,
             static_demand: total,
         })
     }
@@ -78,11 +76,6 @@ impl MantisDevice {
     /// The precompiled static footprint (sum over variants).
     pub fn static_demand(&self) -> &ResourceVec {
         &self.static_demand
-    }
-
-    /// The active variant index.
-    pub fn active_variant(&self) -> usize {
-        self.active
     }
 
     /// Switches to precompiled variant `idx` — a register write, effectively
@@ -94,7 +87,6 @@ impl MantisDevice {
             )));
         };
         self.dev.install(v.clone())?;
-        self.active = idx;
         Ok(MANTIS_SWITCH_LATENCY)
     }
 
@@ -195,7 +187,6 @@ mod tests {
         assert_eq!(lat, MANTIS_SWITCH_LATENCY);
         let mut pkt2 = Packet::tcp(2, 1, 2, 3, 4, 0);
         assert_eq!(m.process(&mut pkt2, SimTime::ZERO).unwrap().verdict, Verdict::Forward(2));
-        assert_eq!(m.active_variant(), 1);
     }
 
     #[test]

@@ -31,6 +31,9 @@ use std::sync::Arc;
 /// recirculation to protect the pipeline).
 pub const MAX_RECIRCULATIONS: u32 = 4;
 
+/// The port a packet leaves on when no handler yields a verdict.
+const DEFAULT_PORT: u16 = 0;
+
 /// The content digest of a device with no program installed.
 ///
 /// Distinct from every real digest (which folds at least the program
@@ -558,7 +561,6 @@ pub struct Device {
     recent_cmds: std::collections::VecDeque<u64>,
     stats: DeviceStats,
     invocations: Vec<(String, Vec<u64>)>,
-    default_port: u16,
     exec_mode: ExecMode,
     /// Execution sandbox configuration (gas budget, quarantine window).
     sandbox: SandboxConfig,
@@ -601,7 +603,6 @@ impl Device {
             recent_cmds: std::collections::VecDeque::new(),
             stats: DeviceStats::default(),
             invocations: Vec::new(),
-            default_port: 0,
             exec_mode: ExecMode::default(),
             sandbox: SandboxConfig::default(),
             last_good: None,
@@ -610,11 +611,6 @@ impl Device {
             last_trap: None,
             vm: bytecode::VmScratch::new(),
         }
-    }
-
-    /// Overrides the cost model (tests and what-if studies).
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
     }
 
     /// Selects the packet-path engine (bytecode by default).
@@ -649,11 +645,6 @@ impl Device {
     /// The most recent program trap, if any (diagnostics).
     pub fn last_trap(&self) -> Option<&Trap> {
         self.last_trap.as_ref()
-    }
-
-    /// Sets the port used when a handler yields no verdict.
-    pub fn set_default_port(&mut self, port: u16) {
-        self.default_port = port;
     }
 
     /// The device id.
@@ -772,11 +763,6 @@ impl Device {
     /// Drains recorded dRPC invocations.
     pub fn take_invocations(&mut self) -> Vec<(String, Vec<u64>)> {
         std::mem::take(&mut self.invocations)
-    }
-
-    /// Power draw at a utilization level.
-    pub fn power_watts(&self, utilization: f64) -> f64 {
-        self.cost.power_at(utilization)
     }
 
     // -- fault lifecycle ------------------------------------------------------
@@ -905,13 +891,6 @@ impl Device {
         }
         self.quarantined = false;
         self.window = TrapWindow::default();
-    }
-
-    /// Content digest of the stashed last-known-good image, if any —
-    /// lets tests and the controller verify that a quarantine fallback
-    /// restored exactly the image that was stashed.
-    pub fn last_good_digest(&self) -> Option<u64> {
-        self.last_good.as_ref().map(|p| p.config_digest())
     }
 
     /// Allocates every element of `installed`, applying monotone stage
@@ -1184,7 +1163,7 @@ impl Device {
                     self.stats.processed += 1;
                     pkt.record_processing(self.id, version);
                     sink(ProcessResult {
-                        verdict: Verdict::Forward(self.default_port),
+                        verdict: Verdict::Forward(DEFAULT_PORT),
                         latency: self.cost.base_latency,
                         version,
                         ops: 0,
@@ -1258,7 +1237,7 @@ impl Device {
                     }
                     let verdict = outcome
                         .verdict
-                        .unwrap_or(Verdict::Forward(self.default_port));
+                        .unwrap_or(Verdict::Forward(DEFAULT_PORT));
                     if verdict != Verdict::Recirculate {
                         break (verdict, None);
                     }
@@ -1518,10 +1497,9 @@ pub(crate) mod tests {
     #[test]
     fn empty_device_forwards_on_default_port() {
         let mut d = new_dev();
-        d.set_default_port(7);
         let mut pkt = Packet::udp(1, 1, 2, 3, 4);
         let r = d.process(&mut pkt, SimTime::ZERO).unwrap();
-        assert_eq!(r.verdict, Verdict::Forward(7));
+        assert_eq!(r.verdict, Verdict::Forward(DEFAULT_PORT));
     }
 
     #[test]
@@ -1864,7 +1842,10 @@ pub(crate) mod tests {
         let good_digest = d.config_digest();
         // Ship the rogue program; the fw image becomes last-known-good.
         d.install(trapping_bundle()).unwrap();
-        assert_eq!(d.last_good_digest(), Some(good_digest));
+        assert_eq!(
+            d.last_good.as_ref().map(|p| p.config_digest()),
+            Some(good_digest)
+        );
         let bad_digest = d.config_digest();
         assert_ne!(bad_digest, good_digest);
 
@@ -1908,7 +1889,6 @@ pub(crate) mod tests {
     #[test]
     fn quarantine_without_fallback_fails_to_transparent_default() {
         let mut d = new_dev();
-        d.set_default_port(3);
         d.install(trapping_bundle()).unwrap(); // first program: no last-good
         for i in 0..20u64 {
             let mut pkt = Packet::tcp(i, i as u32, 20, 1, 80, 0);
@@ -1920,7 +1900,7 @@ pub(crate) mod tests {
         let r = d.process(&mut pkt, SimTime::ZERO).unwrap();
         assert_eq!(
             r.verdict,
-            Verdict::Forward(3),
+            Verdict::Forward(DEFAULT_PORT),
             "quarantined device degrades to transparent forwarding"
         );
     }
@@ -1968,7 +1948,7 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(
-            d.last_good_digest(),
+            d.last_good.as_ref().map(|p| p.config_digest()),
             Some(fw_digest),
             "hitless flip must stash the outgoing image"
         );

@@ -28,12 +28,9 @@
 //!   [`device::Device::process_bytes`],
 //!   [`device::Device::process_sealed_bytes`] and
 //!   [`device::Device::process_sealed_burst`] share.
-//! - [`graph`] — the burst hot path: a forwarding graph of composable
-//!   nodes (exec → \[sched\] → emit, with sealed-frame admission in the
-//!   exec stage's place on the wire entry) over reusable packet vectors,
-//!   built on [`device::Device::process_burst`].
-//! - [`sched`] — the weighted (deficit) round-robin egress scheduler
-//!   behind the graph's queue stage.
+//! - [`graph`] — the burst hot path: exec → emit (sealed-frame admission
+//!   in exec's place on the wire entry) over reusable burst lanes, built
+//!   on [`device::Device::process_burst`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,7 +43,6 @@ pub mod graph;
 pub mod image;
 pub mod parser;
 pub mod reconfig;
-pub mod sched;
 pub mod state;
 pub mod table;
 pub mod wire;
@@ -58,13 +54,10 @@ pub use device::{
     Device, DeviceStats, ExecMode, FrameOutcome, InstalledProgram, ProcessResult, SandboxConfig,
     DEDUP_WINDOW, EMPTY_CONFIG_DIGEST,
 };
-pub use graph::{
-    BurstLanes, Classifier, EmitNode, ExecNode, ForwardingGraph, GraphCtx, GraphNode, SchedNode,
-};
+pub use graph::{BurstLanes, ForwardingGraph};
 pub use image::{config_digest_of, ProgramImage, SealTarget, SealedTargets};
 pub use parser::ParserGraph;
 pub use reconfig::{entries_carry_over, ReconfigMode, ReconfigOutcome, ReconfigReport, TxnTag};
-pub use sched::EgressScheduler;
 pub use state::{DeviceState, LogicalState, StateEncoding};
 pub use table::{KeyMatch, TableEntry, TableInstance, TableSet, BURST_MISS};
 pub use wire::{encode_wire, flip_bits, frame_checksum, open_frame, parse_wire, seal_frame};

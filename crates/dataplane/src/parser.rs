@@ -98,11 +98,6 @@ impl ParserGraph {
         self.accept.contains(&proto)
     }
 
-    /// The installed user header declarations.
-    pub fn user_states(&self) -> impl Iterator<Item = &HeaderDecl> {
-        self.user.values()
-    }
-
     /// Parser resource consumption (TCAM entries).
     pub fn used(&self) -> ResourceVec {
         let entries: u64 = self

@@ -223,17 +223,10 @@ impl Device {
         Ok(())
     }
 
-    /// The transaction owning the in-flight shadow, if it was prepared
-    /// through the two-phase-commit path. Recovery coordinators enumerate
-    /// shadows with this to find orphans the intent log never resolved.
-    pub fn pending_txn(&self) -> Option<TxnTag> {
-        self.pending.as_ref().and_then(|p| p.txn)
-    }
-
-    /// The transaction whose shadow is still awaiting a commit/abort
-    /// decision — unlike [`Device::pending_txn`] this excludes shadows
-    /// already released by a commit that merely await their flip instant.
-    /// A `Some` after recovery finished is an orphan.
+    /// The transaction whose shadow, prepared through the two-phase-commit
+    /// path, is still awaiting a commit/abort decision — shadows already
+    /// released by a commit that merely await their flip instant are
+    /// excluded. A `Some` after recovery finished is an orphan.
     pub fn txn_in_doubt(&self) -> Option<TxnTag> {
         self.pending
             .as_ref()
@@ -1017,7 +1010,7 @@ mod tests {
         let tag = TxnTag { txn_id: 7, epoch: 1 };
         let rep = d.prepare_txn_reconfig(v2(), SimTime::ZERO, tag).unwrap();
         assert_eq!(rep.outcome, ReconfigOutcome::InFlight);
-        assert_eq!(d.pending_txn(), Some(tag));
+        assert_eq!(d.txn_in_doubt(), Some(tag));
         // Far past the transition's ready_at, the shadow is still in doubt.
         d.tick(rep.ready_at + SimDuration::from_secs(3600));
         assert!(d.reconfig_in_progress(), "in-doubt shadow held");
@@ -1052,7 +1045,7 @@ mod tests {
         assert_eq!(dup.ops, first.ops);
         assert_eq!(dup.outcome, ReconfigOutcome::InFlight);
         assert_eq!(d.version(), v_before, "no second shadow was built");
-        assert_eq!(d.pending_txn(), Some(tag));
+        assert_eq!(d.txn_in_doubt(), Some(tag));
         // The shadow still commits exactly once.
         assert!(d.commit_txn(tag, first.ready_at).unwrap());
         d.tick(first.ready_at);
@@ -1166,7 +1159,7 @@ mod tests {
         d.prepare_txn_reconfig(v2(), SimTime::ZERO, tag).unwrap();
         d.crash(SimTime::from_millis(1));
         d.restart(SimTime::from_millis(2)).unwrap();
-        assert_eq!(d.pending_txn(), None, "volatile shadow lost in the crash");
+        assert_eq!(d.txn_in_doubt(), None, "volatile shadow lost in the crash");
         assert_eq!(d.fence(), 3, "fencing token is persistent");
         assert!(matches!(
             d.observe_epoch(2),

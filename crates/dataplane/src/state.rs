@@ -23,7 +23,7 @@
 //! semantics for control-plane code and the interpreter.
 
 use flexnet_lang::ast::{StateDecl, StateKind};
-use flexnet_types::{FlexError, Result, SimDuration, SimTime, Trap};
+use flexnet_types::{FlexError, Result, SimTime, Trap};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -40,17 +40,6 @@ pub enum StateEncoding {
     /// Spectrum-style stateful tables: an exact store with data-plane flow
     /// insertion/removal and LRU eviction when full.
     StatefulTable,
-}
-
-impl StateEncoding {
-    /// Relative per-access cost (abstract ops) of this encoding.
-    pub fn access_cost(self) -> u64 {
-        match self {
-            StateEncoding::RegisterArray => 1,
-            StateEncoding::FlowInstructionSet => 2,
-            StateEncoding::StatefulTable => 2,
-        }
-    }
 }
 
 /// A serializable snapshot of a program's entire logical state — the
@@ -559,12 +548,6 @@ impl DeviceState {
         }
     }
 
-    /// Estimated time to stream this state out at data-plane rates, given a
-    /// per-item cost (used by in-data-plane migration, paper §3.4).
-    pub fn migration_duration(&self, per_item: SimDuration) -> SimDuration {
-        per_item.saturating_mul(self.snapshot().item_count().max(1))
-    }
-
     // -- data-plane accessors (ExecEnv plumbing) ------------------------------
 
     /// Reads a map.
@@ -574,7 +557,7 @@ impl DeviceState {
 
     /// Writes a map. Register-encoded maps may drop colliding inserts; that
     /// is reported as `Ok(())` to programs (data planes degrade silently)
-    /// but counted in [`DeviceState::dropped_inserts`].
+    /// but counted in the `__dropped_inserts` counter.
     pub fn map_put(&mut self, map: &str, key: u64, value: u64) -> Result<()> {
         let Some(store) = self.maps.get_mut(map) else {
             return Err(FlexError::NotFound(format!("map `{map}`")));
@@ -592,14 +575,6 @@ impl DeviceState {
         if let Some(c) = self.counters.get_mut("__dropped_inserts") {
             c.0 += 1;
         }
-    }
-
-    /// Number of inserts silently dropped by the encoding (collisions).
-    pub fn dropped_inserts(&self) -> u64 {
-        self.counters
-            .get("__dropped_inserts")
-            .map(|c| c.0)
-            .unwrap_or(0)
     }
 
     /// Deletes a map entry.
@@ -680,24 +655,6 @@ impl DeviceState {
     pub fn map_del_at(&mut self, slot: u16, key: u64) {
         if let Some(store) = self.maps.at_mut(slot) {
             store.del(key);
-        }
-    }
-
-    /// Reads a register cell by slot.
-    pub fn reg_read_at(&self, slot: u16, idx: u64) -> u64 {
-        self.registers
-            .at(slot)
-            .and_then(|r| r.get(idx as usize))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Writes a register cell by slot (out-of-range writes are ignored).
-    pub fn reg_write_at(&mut self, slot: u16, idx: u64, val: u64) {
-        if let Some(r) = self.registers.at_mut(slot) {
-            if let Some(cell) = r.get_mut(idx as usize) {
-                *cell = val;
-            }
         }
     }
 
@@ -820,15 +777,6 @@ impl DeviceState {
         }
         .into())
     }
-
-    /// The declared size of a register, if declared (quarantine
-    /// diagnostics; the runtime bound is the array's current length).
-    pub fn reg_declared_size(&self, reg: &str) -> Option<u64> {
-        self.decls.get(reg).and_then(|d| match d.kind {
-            StateKind::Register { .. } => Some(d.size),
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -875,7 +823,7 @@ mod tests {
         for k in 0..16 {
             s.map_put("m", k, k).unwrap();
         }
-        assert!(s.dropped_inserts() > 0, "register encoding must drop colliding inserts");
+        assert!(s.counter_read("__dropped_inserts") > 0, "register encoding must drop colliding inserts");
         assert!(s.map_len("m") <= 2);
     }
 
@@ -1105,16 +1053,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_duration_scales_with_items() {
-        let mut s = DeviceState::from_decls(&[map_decl("m", 64)], StateEncoding::StatefulTable);
-        for k in 0..10 {
-            s.map_put("m", k, k).unwrap();
-        }
-        let d = s.migration_duration(SimDuration::from_micros(1));
-        assert_eq!(d, SimDuration::from_micros(10));
-    }
-
-    #[test]
     fn slot_accessors_alias_the_named_state() {
         let mut s = DeviceState::from_decls(
             &[
@@ -1141,9 +1079,9 @@ mod tests {
         s.map_del_at(1, 7);
         assert_eq!(s.map_get("m2", 7), None);
 
-        s.reg_write_at(0, 2, 5);
+        s.reg_write_at_checked(0, 2, 5).unwrap();
         assert_eq!(s.reg_read("r", 2), 5);
-        assert_eq!(s.reg_read_at(0, 2), 5);
+        assert_eq!(s.reg_read_at_checked(0, 2), Ok(5));
 
         s.counter_add_at(0, 3, 30);
         assert_eq!(s.counter_read("c"), 3);
@@ -1169,6 +1107,6 @@ mod tests {
         for k in 0..16 {
             s.map_put_at(0, k, k);
         }
-        assert!(s.dropped_inserts() > 0, "slot path counts drops too");
+        assert!(s.counter_read("__dropped_inserts") > 0, "slot path counts drops too");
     }
 }

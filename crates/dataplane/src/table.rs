@@ -15,7 +15,7 @@
 //! latest-inserted entry).
 
 use flexnet_lang::ast::{ActionCall, TableDecl};
-use flexnet_types::{FlexError, Result, Sym};
+use flexnet_types::{FlexError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -133,9 +133,6 @@ impl TableEntry {
 pub struct TableInstance {
     /// The declaration this instance implements.
     pub decl: TableDecl,
-    /// `decl.keys` as interned `(proto, field)` pairs, resolved once here so
-    /// batch classification gathers keys without touching a name.
-    key_syms: Vec<(Sym, Sym)>,
     /// Installed entries.
     pub entries: Vec<TableEntry>,
     /// Cached per-entry `(priority, specificity)` ranks (insert-time, not
@@ -156,7 +153,6 @@ impl TableInstance {
     /// An empty instance of `decl`.
     pub fn new(decl: TableDecl) -> TableInstance {
         let mut t = TableInstance {
-            key_syms: decl.keys.iter().map(|k| k.field.syms()).collect(),
             decl,
             entries: Vec::new(),
             ranks: Vec::new(),
@@ -349,30 +345,9 @@ impl TableInstance {
         }
     }
 
-    /// The entry behind a [`TableInstance::lookup_burst`] hit index.
-    pub fn entry_at(&self, idx: u32) -> &TableEntry {
-        &self.entries[idx as usize]
-    }
-
-    /// The `(action declaration index, argument borrow)` of a
-    /// [`TableInstance::lookup_burst`] hit — the resolved form
-    /// [`TableInstance::lookup_resolved`] returns.
-    pub fn resolved_at(&self, idx: u32) -> (u16, &[u64]) {
-        (
-            self.action_slots[idx as usize],
-            self.entries[idx as usize].action.args.as_slice(),
-        )
-    }
-
     /// Number of key components each entry of this table matches on.
     pub fn key_arity(&self) -> usize {
         self.decl.keys.len()
-    }
-
-    /// The key fields as interned `(proto, field)` pairs, in declaration
-    /// order.
-    pub fn key_syms(&self) -> &[(Sym, Sym)] {
-        &self.key_syms
     }
 
     /// Current occupancy.
@@ -913,14 +888,9 @@ mod tests {
                     ),
                     idx => {
                         assert_eq!(
-                            Some(t.entry_at(idx)),
+                            Some(&t.entries[idx as usize]),
                             single,
                             "burst winner diverged (round {round}, {tuple:?})"
-                        );
-                        assert_eq!(
-                            Some(t.resolved_at(idx)),
-                            t.lookup_resolved(tuple),
-                            "resolved form diverged (round {round}, {tuple:?})"
                         );
                     }
                 }

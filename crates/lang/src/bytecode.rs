@@ -62,62 +62,11 @@ impl SymbolKind {
 /// Maps symbol names to the dense slot indices of a concrete state plane.
 ///
 /// The device models implement this over their slot-indexed table sets and
-/// state planes; [`ProgramResolver`] implements it positionally over the
-/// program's own declarations (the layout `TableSet::from_decls` /
-/// `DeviceState::from_decls` produce at install time).
+/// state planes.
 pub trait SlotResolver {
     /// Resolves `name` of `kind` to its slot, or `None` if the target
     /// image does not provide it.
     fn resolve(&self, kind: SymbolKind, name: &str) -> Option<u16>;
-}
-
-/// A [`SlotResolver`] assigning slots by declaration position: table `i` of
-/// the program gets slot `i`, and each state kind is numbered independently
-/// in declaration order (map 0, 1, …; register 0, 1, …; and so on).
-#[derive(Debug, Clone, Copy)]
-pub struct ProgramResolver<'a> {
-    program: &'a Program,
-}
-
-impl<'a> ProgramResolver<'a> {
-    /// A resolver over `program`'s own declarations.
-    pub fn new(program: &'a Program) -> ProgramResolver<'a> {
-        ProgramResolver { program }
-    }
-
-    fn state_slot(&self, name: &str, want: fn(&StateKind) -> bool) -> Option<u16> {
-        self.program
-            .states
-            .iter()
-            .filter(|s| want(&s.kind))
-            .position(|s| s.name == name)
-            .map(|i| i as u16)
-    }
-}
-
-impl SlotResolver for ProgramResolver<'_> {
-    fn resolve(&self, kind: SymbolKind, name: &str) -> Option<u16> {
-        match kind {
-            SymbolKind::Table => self
-                .program
-                .tables
-                .iter()
-                .position(|t| t.name == name)
-                .map(|i| i as u16),
-            SymbolKind::Map => self.state_slot(name, |k| matches!(k, StateKind::Map { .. })),
-            SymbolKind::Register => {
-                self.state_slot(name, |k| matches!(k, StateKind::Register { .. }))
-            }
-            SymbolKind::Counter => self.state_slot(name, |k| matches!(k, StateKind::Counter)),
-            SymbolKind::Meter => self.state_slot(name, |k| matches!(k, StateKind::Meter { .. })),
-            SymbolKind::Service => self
-                .program
-                .services
-                .iter()
-                .position(|s| s.name == name)
-                .map(|i| i as u16),
-        }
-    }
 }
 
 /// The environment compiled programs execute against: the device's state
@@ -325,19 +274,6 @@ impl CompiledProgram {
             .find(|(n, _)| n == handler)
             .map(|(_, pc)| *pc)
     }
-
-    /// The declaration index of `action` within the table compiled at
-    /// state-plane slot `table_slot`. Used by name-keyed adapter
-    /// environments to translate an `ActionCall` into the VM's indices.
-    pub fn action_index(&self, table_slot: u16, action: &str) -> Option<u16> {
-        self.tables
-            .iter()
-            .find(|t| t.slot == table_slot)?
-            .actions
-            .iter()
-            .position(|a| a.name == action)
-            .map(|i| i as u16)
-    }
 }
 
 /// The index of the first item matching `is`, appending `make()` if none
@@ -381,8 +317,8 @@ pub fn compile(
 
     // Slot → name reverse maps, so adapters and invocation logs can
     // translate without the AST. Dangling state/service declarations are
-    // impossible from ProgramResolver but possible against a foreign
-    // (device) layout — surface them now, not per packet.
+    // impossible against the program's own layout but possible against a
+    // foreign (device) layout — surface them now, not per packet.
     for s in &program.states {
         let (kind, names) = match s.kind {
             StateKind::Map { .. } => (SymbolKind::Map, &mut c.out.map_names),
@@ -479,15 +415,6 @@ pub fn compile(
 
     c.out.n_locals = c.next_local;
     Ok(c.out)
-}
-
-/// Compiles `program` against its own declaration order (the layout devices
-/// build at install time) via [`ProgramResolver`].
-pub fn compile_with_program_slots(
-    program: &Program,
-    registry: &HeaderRegistry,
-) -> Result<CompiledProgram> {
-    compile(program, registry, &ProgramResolver::new(program))
 }
 
 struct Compiler<'a> {
@@ -1194,6 +1121,42 @@ mod tests {
     use crate::parser::parse_program;
     use crate::typecheck::check_program;
 
+    /// Slots by declaration position: table `i` gets slot `i`, each state
+    /// kind is numbered independently in declaration order — the layout a
+    /// device builds at install time.
+    struct Positional<'a>(&'a Program);
+
+    impl Positional<'_> {
+        fn state_slot(&self, name: &str, want: fn(&StateKind) -> bool) -> Option<u16> {
+            let mut of_kind = self.0.states.iter().filter(|s| want(&s.kind));
+            of_kind.position(|s| s.name == name).map(|i| i as u16)
+        }
+    }
+
+    impl SlotResolver for Positional<'_> {
+        fn resolve(&self, kind: SymbolKind, name: &str) -> Option<u16> {
+            let at = |i: usize| i as u16;
+            match kind {
+                SymbolKind::Table => self.0.tables.iter().position(|t| t.name == name).map(at),
+                SymbolKind::Map => self.state_slot(name, |k| matches!(k, StateKind::Map { .. })),
+                SymbolKind::Register => {
+                    self.state_slot(name, |k| matches!(k, StateKind::Register { .. }))
+                }
+                SymbolKind::Counter => self.state_slot(name, |k| matches!(k, StateKind::Counter)),
+                SymbolKind::Meter => {
+                    self.state_slot(name, |k| matches!(k, StateKind::Meter { .. }))
+                }
+                SymbolKind::Service => {
+                    self.0.services.iter().position(|s| s.name == name).map(at)
+                }
+            }
+        }
+    }
+
+    fn compile_positional(p: &Program, headers: &HeaderRegistry) -> Result<CompiledProgram> {
+        compile(p, headers, &Positional(p))
+    }
+
     /// Adapts a name-keyed [`ExecEnv`] (here [`MemEnv`]) to the slot-indexed
     /// [`SlotEnv`] interface via a compiled program's reverse name tables: the
     /// bridge these tests use to run both engines against the *same* state.
@@ -1230,10 +1193,10 @@ mod tests {
             let call = self.last_call.as_ref()?;
             // Unknown action names map to an out-of-range index; the VM turns
             // that into the same class of runtime error the interpreter raises.
-            let idx = self
-                .prog
-                .action_index(table, &call.action)
-                .unwrap_or(u16::MAX);
+            let meta = self.prog.tables.iter().find(|t| t.slot == table);
+            let idx = meta
+                .and_then(|t| t.actions.iter().position(|a| a.name == call.action))
+                .map_or(u16::MAX, |i| i as u16);
             Some((idx, call.args.as_slice()))
         }
 
@@ -1301,7 +1264,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let headers = HeaderRegistry::builtins();
         check_program(&p, &headers).unwrap();
-        let c = compile_with_program_slots(&p, &headers).unwrap();
+        let c = compile_positional(&p, &headers).unwrap();
         (p, c, headers)
     }
 
@@ -1671,7 +1634,7 @@ mod tests {
             body: vec![Stmt::Forward(Expr::Local("nope".into()))],
         });
         let headers = HeaderRegistry::builtins();
-        let err = compile_with_program_slots(&p, &headers).unwrap_err();
+        let err = compile_positional(&p, &headers).unwrap_err();
         assert_eq!(
             err,
             FlexError::UnresolvedSymbol {
@@ -1695,7 +1658,7 @@ mod tests {
             name: "ingress".into(),
             body: vec![Stmt::Apply("t".into())],
         });
-        let err = compile_with_program_slots(&p, &headers).unwrap_err();
+        let err = compile_positional(&p, &headers).unwrap_err();
         assert_eq!(
             err,
             FlexError::UnresolvedSymbol {
@@ -1736,20 +1699,5 @@ mod tests {
             |_| {},
         );
         assert_eq!(out.verdict, Some(Verdict::Forward(5)));
-    }
-
-    #[test]
-    fn program_resolver_slots_follow_declaration_order() {
-        let (p, _, _) = compiled(
-            "program p {
-               counter a; map m : map<u32,u32>[4]; counter b; register r : u64[2];
-               handler ingress(pkt) { count(b); forward(1); } }",
-        );
-        let r = ProgramResolver::new(&p);
-        assert_eq!(r.resolve(SymbolKind::Counter, "a"), Some(0));
-        assert_eq!(r.resolve(SymbolKind::Counter, "b"), Some(1));
-        assert_eq!(r.resolve(SymbolKind::Map, "m"), Some(0));
-        assert_eq!(r.resolve(SymbolKind::Register, "r"), Some(0));
-        assert_eq!(r.resolve(SymbolKind::Counter, "m"), None, "kind-checked");
     }
 }

@@ -77,19 +77,6 @@ impl ReconfigOp {
             ReconfigOp::RemoveService(n) => format!("remove service `{n}`"),
         }
     }
-
-    /// Whether this op only *adds* capability (safe to apply before traffic
-    /// switches to the new program version).
-    pub fn is_additive(&self) -> bool {
-        matches!(
-            self,
-            ReconfigOp::AddTable(_)
-                | ReconfigOp::AddState(_)
-                | ReconfigOp::AddParserState(_)
-                | ReconfigOp::AddService(_)
-                | ReconfigOp::SetHandler(_)
-        )
-    }
 }
 
 /// Computes the ops that transform `old` into `new`.
@@ -291,27 +278,6 @@ mod tests {
                 ReconfigOp::AddParserState(new.headers[0].clone()),
             ]
         );
-    }
-
-    #[test]
-    fn additive_classification() {
-        let t = TableDecl {
-            name: "t".into(),
-            keys: vec![],
-            actions: vec![],
-            default_action: None,
-            size: 1,
-        };
-        assert!(ReconfigOp::AddTable(t).is_additive());
-        assert!(!ReconfigOp::RemoveTable("t".into()).is_additive());
-        assert!(!ReconfigOp::ModifyTable(TableDecl {
-            name: "t".into(),
-            keys: vec![],
-            actions: vec![],
-            default_action: None,
-            size: 1,
-        })
-        .is_additive());
     }
 
     #[test]

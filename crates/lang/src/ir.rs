@@ -283,15 +283,6 @@ impl IrProgram {
     pub fn element(&self, name: &str) -> Option<&Element> {
         self.elements.iter().find(|e| e.name == name)
     }
-
-    /// Total canonical demand.
-    pub fn total_demand(&self) -> ResourceVec {
-        let mut total = ResourceVec::new();
-        for e in &self.elements {
-            total += e.demand.clone();
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -391,19 +382,6 @@ mod tests {
         assert_eq!(handler.deps, vec!["t"]);
         assert_eq!(ir.element("vxlan").unwrap().kind, ElementKind::Parser);
         assert!(ir.max_ops > 0);
-    }
-
-    #[test]
-    fn total_demand_sums_elements() {
-        let ir = ir(
-            "program p {
-               map m : map<u64, u64>[8192];
-               table t { key { ipv4.dst : lpm; } size 256; }
-             }",
-        );
-        let d = ir.total_demand();
-        assert!(d.get(ResourceKind::SramKb) > 0);
-        assert!(d.get(ResourceKind::TcamKb) > 0);
     }
 
     #[test]

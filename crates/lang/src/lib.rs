@@ -69,8 +69,7 @@ pub mod verifier;
 pub mod prelude {
     pub use crate::ast::{Program, ProgramKind, SourceFile};
     pub use crate::bytecode::{
-        compile, compile_with_program_slots, execute_compiled, CompiledProgram, SlotEnv,
-        SlotResolver, SymbolKind, VmScratch,
+        compile, execute_compiled, CompiledProgram, SlotEnv, SlotResolver, SymbolKind, VmScratch,
     };
     pub use crate::compose::{compose, TenantExtension};
     pub use crate::diff::{diff_bundles, ProgramBundle, ReconfigOp};

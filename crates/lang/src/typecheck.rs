@@ -31,15 +31,6 @@ pub fn check_program(program: &Program, headers: &HeaderRegistry) -> Result<()> 
     Checker::new(program, headers)?.check()
 }
 
-/// Convenience: checks a whole source file (registering its header decls).
-pub fn check_source(file: &SourceFile) -> Result<()> {
-    let registry = HeaderRegistry::with_user_headers(&file.headers)?;
-    for p in &file.programs {
-        check_program(p, &registry)?;
-    }
-    Ok(())
-}
-
 struct Checker<'a> {
     program: &'a Program,
     headers: &'a HeaderRegistry,
@@ -438,7 +429,8 @@ mod tests {
 
     fn check(src: &str) -> Result<()> {
         let file = parse_source(src)?;
-        check_source(&file)
+        let registry = HeaderRegistry::with_user_headers(&file.headers)?;
+        file.programs.iter().try_for_each(|p| check_program(p, &registry))
     }
 
     #[test]

@@ -131,14 +131,6 @@ impl ChaosSchedule {
     }
 }
 
-/// The schedules for a contiguous seed range — the shape every sweep
-/// (bench binary, CI smoke test, property test) iterates over.
-pub fn sweep(first_seed: u64, count: u64, participants: usize) -> Vec<ChaosSchedule> {
-    (first_seed..first_seed.saturating_add(count))
-        .map(|s| ChaosSchedule::from_seed(s, participants))
-        .collect()
-}
-
 /// Everything a device-restart chaos run does, derived from one seed.
 ///
 /// Where [`ChaosSchedule`] kills the *coordinator*, a `RestartSchedule`
@@ -225,13 +217,6 @@ impl RestartSchedule {
         }
         plan
     }
-}
-
-/// The restart schedules for a contiguous seed range (E14's sweep shape).
-pub fn restart_sweep(first_seed: u64, count: u64, participants: usize) -> Vec<RestartSchedule> {
-    (first_seed..first_seed.saturating_add(count))
-        .map(|s| RestartSchedule::from_seed(s, participants))
-        .collect()
 }
 
 /// How a canary rollout's *candidate program* misbehaves.
@@ -460,13 +445,6 @@ impl OverloadSchedule {
             fault_ms: 600 + ((h >> 16) % 5) * 150,
         }
     }
-}
-
-/// The overload schedules for a contiguous seed range (E17's sweep shape).
-pub fn overload_sweep(first_seed: u64, count: u64, participants: usize) -> Vec<OverloadSchedule> {
-    (first_seed..first_seed.saturating_add(count))
-        .map(|s| OverloadSchedule::from_seed(s, participants))
-        .collect()
 }
 
 /// How a rogue tenant attacks the data-plane sandbox.
@@ -730,14 +708,6 @@ impl AdversarySchedule {
     }
 }
 
-/// The adversary schedules for a contiguous seed range (E20's sweep
-/// shape).
-pub fn adversary_sweep(first_seed: u64, count: u64, participants: usize) -> Vec<AdversarySchedule> {
-    (first_seed..first_seed.saturating_add(count))
-        .map(|s| AdversarySchedule::from_seed(s, participants))
-        .collect()
-}
-
 /// Where every earlier schedule breaks a *process* (coordinator, device,
 /// controller) or the *fabric*, a storage scenario breaks the *medium*
 /// the control plane persists into: the crash lands mid-append, the
@@ -869,13 +839,6 @@ impl StorageSchedule {
     }
 }
 
-/// The storage schedules for a contiguous seed range (E21's sweep shape).
-pub fn storage_sweep(first_seed: u64, count: u64, controllers: usize) -> Vec<StorageSchedule> {
-    (first_seed..first_seed.saturating_add(count))
-        .map(|s| StorageSchedule::from_seed(s, controllers))
-        .collect()
-}
-
 /// The convergence check at the heart of anti-entropy: which of the
 /// devices in `intended` report a configuration digest different from
 /// their intended-state digest? An empty return means the network is
@@ -911,9 +874,8 @@ mod tests {
     #[test]
     fn any_four_consecutive_seeds_cover_every_phase() {
         for start in [0u64, 5, 1000] {
-            let mut phases: Vec<CrashPhase> = sweep(start, 4, 3)
-                .iter()
-                .map(|s| s.crash_phase)
+            let mut phases: Vec<CrashPhase> = (start..start + 4)
+                .map(|seed| ChaosSchedule::from_seed(seed, 3).crash_phase)
                 .collect();
             phases.sort();
             phases.dedup();
@@ -923,7 +885,7 @@ mod tests {
 
     #[test]
     fn victims_stay_in_range_and_sometimes_exist() {
-        let schedules = sweep(0, 64, 3);
+        let schedules: Vec<_> = (0..64).map(|seed| ChaosSchedule::from_seed(seed, 3)).collect();
         let with_victim = schedules
             .iter()
             .filter(|s| s.victim.is_some())
@@ -940,7 +902,7 @@ mod tests {
 
     #[test]
     fn zero_participants_never_picks_a_victim() {
-        for s in sweep(0, 16, 0) {
+        for s in (0..16).map(|seed| ChaosSchedule::from_seed(seed, 0)) {
             assert_eq!(s.victim, None);
         }
     }
@@ -948,8 +910,8 @@ mod tests {
     #[test]
     fn restart_schedules_cover_the_sweep_axis_and_stay_distinct() {
         for start in [0u64, 7, 4096] {
-            let counts: Vec<usize> = restart_sweep(start, 3, 4)
-                .iter()
+            let counts: Vec<usize> = (start..start + 3)
+                .map(|seed| RestartSchedule::from_seed(seed, 4))
                 .map(|s| s.restarts)
                 .collect();
             let mut sorted = counts.clone();
@@ -961,7 +923,7 @@ mod tests {
                 start + 3
             );
         }
-        for s in restart_sweep(0, 64, 4) {
+        for s in (0..64).map(|seed| RestartSchedule::from_seed(seed, 4)) {
             assert_eq!(s.victims.len(), s.restarts, "seed {}", s.seed);
             let mut dedup = s.victims.clone();
             dedup.dedup();
@@ -969,14 +931,16 @@ mod tests {
             assert!(s.victims.iter().all(|&v| v < 4));
             assert_eq!(s, RestartSchedule::from_seed(s.seed, 4), "deterministic");
         }
-        let mid: usize = restart_sweep(0, 64, 4).iter().filter(|s| s.mid_txn).count();
+        let mid: usize = (0..64)
+            .filter(|&seed| RestartSchedule::from_seed(seed, 4).mid_txn)
+            .count();
         assert!(mid > 16 && mid < 48, "both timing modes occur: {mid}/64");
     }
 
     #[test]
     fn restart_fault_plan_crashes_and_restarts_every_victim() {
         let devices = [NodeId(4), NodeId(5), NodeId(6)];
-        for s in restart_sweep(0, 12, devices.len()) {
+        for s in (0..12).map(|seed| RestartSchedule::from_seed(seed, devices.len())) {
             let plan = s.fault_plan(&devices, SimTime::from_secs(1));
             assert_eq!(plan.events().len(), 2 * s.restarts, "crash+restart each");
         }
@@ -1025,8 +989,8 @@ mod tests {
     #[test]
     fn overload_schedules_cover_scenarios_and_stay_in_bounds() {
         for start in [0u64, 3, 997] {
-            let mut scenarios: Vec<OverloadScenario> = overload_sweep(start, 4, 16)
-                .iter()
+            let mut scenarios: Vec<OverloadScenario> = (start..start + 4)
+                .map(|seed| OverloadSchedule::from_seed(seed, 16))
                 .map(|s| s.scenario)
                 .collect();
             scenarios.sort();
@@ -1038,7 +1002,7 @@ mod tests {
                 start + 4
             );
         }
-        for s in overload_sweep(0, 120, 16) {
+        for s in (0..120).map(|seed| OverloadSchedule::from_seed(seed, 16)) {
             assert_eq!(s, OverloadSchedule::from_seed(s.seed, 16), "deterministic");
             assert!((0.0..=0.05).contains(&s.fabric_loss), "seed {}", s.seed);
             assert!((0.5..=0.7).contains(&s.brownout_loss));
@@ -1104,8 +1068,8 @@ mod tests {
     #[test]
     fn adversary_schedules_cover_scenarios_and_stay_in_bounds() {
         for start in [0u64, 2, 997] {
-            let mut scenarios: Vec<AdversaryScenario> = adversary_sweep(start, 5, 16)
-                .iter()
+            let mut scenarios: Vec<AdversaryScenario> = (start..start + 5)
+                .map(|seed| AdversarySchedule::from_seed(seed, 16))
                 .map(|s| s.scenario)
                 .collect();
             scenarios.sort();
@@ -1117,7 +1081,7 @@ mod tests {
                 start + 5
             );
         }
-        for s in adversary_sweep(0, 120, 16) {
+        for s in (0..120).map(|seed| AdversarySchedule::from_seed(seed, 16)) {
             assert_eq!(s, AdversarySchedule::from_seed(s.seed, 16), "deterministic");
             assert!(s.victim < 16, "seed {}", s.seed);
             assert!((0.0..=0.25).contains(&s.fabric_loss));
@@ -1142,7 +1106,7 @@ mod tests {
                 );
             }
         }
-        for s in adversary_sweep(0, 16, 0) {
+        for s in (0..16).map(|seed| AdversarySchedule::from_seed(seed, 0)) {
             assert_eq!(s.victim, 0, "empty fleets pin the victim index");
         }
     }
@@ -1150,8 +1114,8 @@ mod tests {
     #[test]
     fn storage_schedules_cover_scenarios_and_stay_in_bounds() {
         for start in [0u64, 4, 997] {
-            let mut scenarios: Vec<StorageScenario> = storage_sweep(start, 6, 3)
-                .iter()
+            let mut scenarios: Vec<StorageScenario> = (start..start + 6)
+                .map(|seed| StorageSchedule::from_seed(seed, 3))
                 .map(|s| s.scenario)
                 .collect();
             scenarios.sort();
@@ -1163,7 +1127,7 @@ mod tests {
                 start + 6
             );
         }
-        for s in storage_sweep(0, 120, 3) {
+        for s in (0..120).map(|seed| StorageSchedule::from_seed(seed, 3)) {
             assert_eq!(s, StorageSchedule::from_seed(s.seed, 3), "deterministic");
             assert!(s.victim < 3, "seed {}", s.seed);
             assert!((0.0..=0.25).contains(&s.fabric_loss));
@@ -1183,7 +1147,7 @@ mod tests {
                 assert_eq!(s.scenario, StorageScenario::RotInSnapshot);
             }
         }
-        for s in storage_sweep(0, 16, 0) {
+        for s in (0..16).map(|seed| StorageSchedule::from_seed(seed, 0)) {
             assert_eq!(s.victim, 0, "empty clusters pin the victim index");
         }
     }
@@ -1208,7 +1172,7 @@ mod tests {
     fn fault_plan_matches_the_victim() {
         let devices = [NodeId(4), NodeId(5), NodeId(6)];
         let mut seen_crash = false;
-        for s in sweep(0, 16, devices.len()) {
+        for s in (0..16).map(|seed| ChaosSchedule::from_seed(seed, devices.len())) {
             let plan = s.fault_plan(&devices, SimTime::from_secs(1));
             match s.victim {
                 Some(v) => {

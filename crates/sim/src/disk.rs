@@ -247,11 +247,6 @@ impl SimDisk {
         &self.synced
     }
 
-    /// Bytes currently volatile (would be lost by a crash).
-    pub fn volatile_len(&self) -> usize {
-        self.volatile.len()
-    }
-
     /// Whether the device tripped mid-write and is refusing I/O.
     pub fn is_tripped(&self) -> bool {
         self.tripped
@@ -302,10 +297,8 @@ mod tests {
         d.write(b"hello").unwrap();
         d.fsync().unwrap();
         d.write(b" world").unwrap();
-        assert_eq!(d.volatile_len(), 6);
         d.crash();
         assert_eq!(d.synced_bytes(), b"hello");
-        assert_eq!(d.volatile_len(), 0);
         assert_eq!(d.stats().dropped_bytes, 6);
         assert_eq!(d.stats().torn_crashes, 0);
     }

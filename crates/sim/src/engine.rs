@@ -298,23 +298,6 @@ impl Simulation {
         self.push_event(at, EventKind::Command(command));
     }
 
-    /// Schedules a correlated mass restart: every node in `nodes`
-    /// crashes at `crash_at` and restarts `downtime` later with its
-    /// runtime state wiped — the power-event shape the overload chaos
-    /// scenarios use to stampede the controller with simultaneous
-    /// resync demand.
-    pub fn schedule_mass_restart(
-        &mut self,
-        nodes: &[NodeId],
-        crash_at: SimTime,
-        downtime: SimDuration,
-    ) {
-        for &node in nodes {
-            self.schedule(crash_at, Command::CrashDevice { node });
-            self.schedule(crash_at + downtime, Command::RestartDevice { node });
-        }
-    }
-
     /// Loads a generated packet schedule.
     pub fn load(&mut self, departures: Vec<Departure>) {
         for d in departures {

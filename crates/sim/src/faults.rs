@@ -109,24 +109,6 @@ impl FaultPlan {
         self
     }
 
-    /// Cuts the link pair containing `link` at `at`.
-    pub fn link_down(mut self, at: SimTime, link: LinkId) -> FaultPlan {
-        self.events.push(FaultEvent {
-            at,
-            kind: FaultKind::LinkDown(link),
-        });
-        self
-    }
-
-    /// Restores the link pair containing `link` at `at`.
-    pub fn link_up(mut self, at: SimTime, link: LinkId) -> FaultPlan {
-        self.events.push(FaultEvent {
-            at,
-            kind: FaultKind::LinkUp(link),
-        });
-        self
-    }
-
     /// Aborts whatever reconfiguration is in flight on `node` at `at`.
     pub fn abort_reconfig(mut self, at: SimTime, node: NodeId) -> FaultPlan {
         self.events.push(FaultEvent {
@@ -311,10 +293,9 @@ mod tests {
             )],
             1,
         ));
-        FaultPlan::new(0)
-            .link_down(SimTime::from_secs(1), cut)
-            .link_up(SimTime::from_secs(2), cut)
-            .apply(&mut sim);
+        for (at, up) in [(1, false), (2, true)] {
+            sim.schedule(SimTime::from_secs(at), Command::SetLinkState { link: cut, up });
+        }
         sim.run_to_completion();
         let lost: u64 = sim.metrics.total_lost();
         assert!(

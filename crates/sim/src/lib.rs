@@ -33,10 +33,9 @@ pub mod topology;
 pub mod workload;
 
 pub use chaos::{
-    adversary_sweep, diverged, mix, mix_next, overload_sweep, restart_sweep, rogue_sweep, rollout_sweep,
-    storage_sweep, sweep, AdversarySchedule, AdversaryScenario, ChaosSchedule, CrashPhase,
-    OverloadSchedule, OverloadScenario, RestartSchedule, RogueScenario, RogueSchedule,
-    RolloutFault, RolloutSchedule, StorageScenario, StorageSchedule,
+    diverged, mix, mix_next, rogue_sweep, rollout_sweep, AdversarySchedule, AdversaryScenario,
+    ChaosSchedule, CrashPhase, OverloadSchedule, OverloadScenario, RestartSchedule, RogueScenario,
+    RogueSchedule, RolloutFault, RolloutSchedule, StorageScenario, StorageSchedule,
 };
 pub use disk::{DiskFaultPlan, DiskStats, SimDisk};
 pub use engine::{Command, LogBuffer, Simulation, DEFAULT_LOG_CAP};

@@ -186,14 +186,6 @@ impl Metrics {
         self.losses.values().sum()
     }
 
-    /// Loss fraction of injected packets.
-    pub fn loss_rate(&self) -> f64 {
-        if self.sent == 0 {
-            return 0.0;
-        }
-        self.total_lost() as f64 / self.sent as f64
-    }
-
     /// A latency percentile (p in [0, 100]) over delivered packets.
     pub fn latency_percentile(&self, p: f64) -> Option<SimDuration> {
         let mut v: Vec<u64> = self.latencies_ns.iter().map(|&(_, l)| l).collect();
@@ -299,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_loss_rate() {
+    fn counts_by_outcome() {
         let mut m = Metrics::default();
         for _ in 0..10 {
             m.record_sent();
@@ -312,7 +304,6 @@ mod tests {
         m.record_lost(LossKind::QueueDrop, SimTime::from_micros(3));
         assert_eq!(m.delivered, 7);
         assert_eq!(m.total_lost(), 3);
-        assert!((m.loss_rate() - 0.3).abs() < 1e-9);
     }
 
     #[test]

@@ -93,24 +93,9 @@ impl BurstDriver {
         }
     }
 
-    /// Changes the burst size for subsequent pumps.
-    pub fn set_burst(&mut self, burst: usize) {
-        self.burst = burst.max(1);
-    }
-
-    /// The current burst size.
-    pub fn burst(&self) -> usize {
-        self.burst
-    }
-
     /// Per-burst totals of the most recent pump.
     pub fn log(&self) -> &LogBuffer<SweepTotals> {
         &self.log
-    }
-
-    /// Results of the most recent burst of the most recent pump.
-    pub fn last_results(&self) -> &[ProcessResult] {
-        &self.results
     }
 
     /// Drives `packets` packets through `dev` at time `now`, returning the

@@ -309,16 +309,6 @@ pub enum FlexError {
         /// The device being resynchronized.
         node: u64,
     },
-    /// A canary rollout halted before completing: some waves may have
-    /// committed and are being (or have been) rolled back. Not
-    /// retryable — the new program itself is suspect and needs a human
-    /// or a fixed build, not another attempt.
-    RolloutAborted {
-        /// The wave (1-based) whose soak breached a guard.
-        wave: u32,
-        /// Single-token reason, typically the guard label.
-        reason: String,
-    },
     /// A device is excluded from admission because its health grade is
     /// not `Healthy` — it may be silent (suspect/dead) or gray-failing
     /// (heartbeats on time, data path degraded). Retryable: the failure
@@ -462,9 +452,6 @@ impl fmt::Display for FlexError {
             FlexError::ResyncInProgress { node } => {
                 write!(f, "resync already in progress on node {node}")
             }
-            FlexError::RolloutAborted { wave, reason } => {
-                write!(f, "rollout aborted at wave {wave}: {reason}")
-            }
             FlexError::DegradedDevice { node, grade } => {
                 write!(f, "node {node} excluded from admission: health grade {grade}")
             }
@@ -514,9 +501,7 @@ impl FlexError {
     ///
     /// [`FlexError::DegradedDevice`] qualifies: the grade is cleared when
     /// the device recovers, resyncs, or a rollback restores its old
-    /// program, so a later admission attempt can succeed. An aborted
-    /// rollout ([`FlexError::RolloutAborted`]) indicts the *program*, not
-    /// the moment — retrying the same bundle reproduces the breach.
+    /// program, so a later admission attempt can succeed.
     ///
     /// The overload-protection errors [`FlexError::CircuitOpen`] and
     /// [`FlexError::Backpressure`] are retryable: the breaker cools down,
@@ -579,7 +564,6 @@ impl FlexError {
             FlexError::NoLeader { .. } => "no-leader",
             FlexError::DigestMismatch { .. } => "digest-mismatch",
             FlexError::ResyncInProgress { .. } => "resync-in-progress",
-            FlexError::RolloutAborted { .. } => "rollout-aborted",
             FlexError::DegradedDevice { .. } => "degraded-device",
             FlexError::CircuitOpen { .. } => "circuit-open",
             FlexError::Backpressure { .. } => "backpressure",
@@ -691,15 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn rollout_errors_format_and_classify() {
-        let aborted = FlexError::RolloutAborted {
-            wave: 2,
-            reason: "p99-delta".into(),
-        };
-        assert!(aborted.to_string().contains("wave 2"));
-        assert!(aborted.to_string().contains("p99-delta"));
-        assert!(!aborted.is_retryable(), "the bundle is suspect, not the moment");
-
+    fn degraded_device_formats_and_classifies() {
         let degraded = FlexError::DegradedDevice {
             node: 5,
             grade: "degraded".into(),

@@ -23,7 +23,7 @@ pub mod time;
 
 pub use error::{FlexError, Result, StorageError, Trap};
 pub use id::{AppId, AppUri, LinkId, NodeId, ProgramVersion, TenantId, VlanId};
-pub use packet::{FlowKey, Header, Packet, Verdict};
+pub use packet::{Header, Packet, Verdict};
 pub use resources::{ResourceKind, ResourceVec};
 pub use sym::{Fields, Sym};
 pub use time::{SimDuration, SimTime};

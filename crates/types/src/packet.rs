@@ -16,7 +16,6 @@ use crate::sym::{Fields, Sym};
 use crate::time::SimTime;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// One parsed header instance in a packet's header stack.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,81 +128,6 @@ pub enum Verdict {
     ToController,
     /// Re-inject into the pipeline for another pass.
     Recirculate,
-}
-
-/// The classic 5-tuple flow key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct FlowKey {
-    /// IPv4 source address.
-    pub src_ip: u32,
-    /// IPv4 destination address.
-    pub dst_ip: u32,
-    /// Transport source port (0 when absent).
-    pub src_port: u16,
-    /// Transport destination port (0 when absent).
-    pub dst_port: u16,
-    /// IP protocol number.
-    pub proto: u8,
-}
-
-impl FlowKey {
-    /// Extracts the 5-tuple from a packet's header stack; `None` when the
-    /// packet has no IPv4 header.
-    pub fn extract(pkt: &Packet) -> Option<FlowKey> {
-        let ip = pkt.header_sym(Sym::IPV4)?;
-        let proto = ip.get_sym(Sym::PROTO).unwrap_or(0) as u8;
-        let l4 = match proto {
-            6 => pkt.header_sym(Sym::TCP),
-            17 => pkt.header_sym(Sym::UDP),
-            _ => None,
-        };
-        let port = |name| l4.and_then(|h| h.get_sym(name)).unwrap_or(0) as u16;
-        Some(FlowKey {
-            src_ip: ip.get_sym(Sym::SRC).unwrap_or(0) as u32,
-            dst_ip: ip.get_sym(Sym::DST).unwrap_or(0) as u32,
-            src_port: port(Sym::SPORT),
-            dst_port: port(Sym::DPORT),
-            proto,
-        })
-    }
-
-    /// A stable 64-bit hash of the key (used to index sketches and ECMP
-    /// buckets deterministically across the codebase).
-    pub fn stable_hash(&self) -> u64 {
-        // FNV-1a over the packed tuple: deterministic across platforms and
-        // runs, unlike `DefaultHasher` which is seeded per-process.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |b: u64| {
-            for i in 0..8 {
-                h ^= (b >> (i * 8)) & 0xff;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.src_ip as u64);
-        mix(self.dst_ip as u64);
-        mix(((self.src_port as u64) << 32) | (self.dst_port as u64) << 8 | self.proto as u64);
-        h
-    }
-}
-
-impl fmt::Display for FlowKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}.{}.{}.{}:{} -> {}.{}.{}.{}:{} ({})",
-            self.src_ip >> 24,
-            (self.src_ip >> 16) & 0xff,
-            (self.src_ip >> 8) & 0xff,
-            self.src_ip & 0xff,
-            self.src_port,
-            self.dst_ip >> 24,
-            (self.dst_ip >> 16) & 0xff,
-            (self.dst_ip >> 8) & 0xff,
-            self.dst_ip & 0xff,
-            self.dst_port,
-            self.proto,
-        )
-    }
 }
 
 /// A packet traversing the simulated network.
@@ -406,27 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_key_extraction_tcp_and_udp() {
-        let t = Packet::tcp(1, 10, 20, 5, 80, 0);
-        let k = FlowKey::extract(&t).unwrap();
-        assert_eq!(
-            (k.src_ip, k.dst_ip, k.src_port, k.dst_port, k.proto),
-            (10, 20, 5, 80, 6)
-        );
-
-        let u = Packet::udp(2, 11, 21, 53, 5353);
-        let k = FlowKey::extract(&u).unwrap();
-        assert_eq!(k.proto, 17);
-        assert_eq!(k.src_port, 53);
-    }
-
-    #[test]
-    fn flow_key_requires_ipv4() {
-        let p = Packet::new(1, vec![Header::ethernet(1, 2, 0x0806)], 64);
-        assert!(FlowKey::extract(&p).is_none());
-    }
-
-    #[test]
     fn field_paths_read_and_write() {
         let mut p = Packet::tcp(1, 1, 2, 3, 4, 0);
         assert!(p.set_field("ipv4.ttl", 10));
@@ -518,35 +421,9 @@ mod tests {
     }
 
     #[test]
-    fn stable_hash_is_deterministic_and_spreads() {
-        let a = FlowKey {
-            src_ip: 1,
-            dst_ip: 2,
-            src_port: 3,
-            dst_port: 4,
-            proto: 6,
-        };
-        let b = FlowKey { src_port: 5, ..a };
-        assert_eq!(a.stable_hash(), a.stable_hash());
-        assert_ne!(a.stable_hash(), b.stable_hash());
-    }
-
-    #[test]
     fn processing_trace_records_versions() {
         let mut p = Packet::udp(1, 1, 2, 3, 4);
         p.record_processing(NodeId(7), ProgramVersion(2));
         assert_eq!(p.trace, vec![(NodeId(7), ProgramVersion(2))]);
-    }
-
-    #[test]
-    fn flow_key_display_is_dotted_quad() {
-        let k = FlowKey {
-            src_ip: 0x0a000001,
-            dst_ip: 0x0a000002,
-            src_port: 1,
-            dst_port: 2,
-            proto: 6,
-        };
-        assert_eq!(k.to_string(), "10.0.0.1:1 -> 10.0.0.2:2 (6)");
     }
 }

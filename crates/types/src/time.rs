@@ -66,11 +66,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction of two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -100,11 +95,6 @@ impl SimDuration {
     /// The span in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// The span in microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// The span in milliseconds (truncating).
@@ -195,7 +185,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
-        assert_eq!(SimDuration::from_millis(1).as_micros(), 1_000);
     }
 
     #[test]
@@ -210,17 +199,6 @@ mod tests {
         let late = SimTime::from_secs(3);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(2));
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn checked_since_detects_order() {
-        let early = SimTime::from_secs(1);
-        let late = SimTime::from_secs(3);
-        assert!(early.checked_since(late).is_none());
-        assert_eq!(
-            late.checked_since(early),
-            Some(SimDuration::from_secs(2))
-        );
     }
 
     #[test]

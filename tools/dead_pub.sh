@@ -1,20 +1,26 @@
 #!/bin/sh
-# Public functions nobody calls: deletion candidates.
+# Public items nobody uses: a gate, not a report.
 #
 #   tools/dead_pub.sh
 #
-# For every `pub fn` declared before the first `#[cfg(test)]` of a file
-# under crates/*/src (binaries excluded), prints `file:line name` when the
-# name occurs in no other file of crates/ tests/ examples/ benchmark/src and
-# nowhere else in its own file's non-test part. Comment lines and `use`
-# statements do not count as occurrences, so a function kept alive only by
-# its own unit tests, its docs and a re-export is listed. Names are matched
-# as words, not paths: a name shared with any other function (`new`, `len`)
-# is never listed, so the list under-reports and what it prints is real.
+# For every `pub fn|struct|enum|trait|const|type` declared before the first
+# `#[cfg(test)]` of a file under crates/*/src (binaries excluded), prints
+# `file:line name` when the name occurs in no other file of crates/ tests/
+# examples/ benchmark/src and nowhere else in its own file's non-test part.
+# Comment lines and `use` statements do not count as occurrences, so an item
+# kept alive only by its own unit tests, its docs and a re-export is listed.
+# Names are matched as words, not paths: a name shared with any other item
+# (`new`, `len`) is never listed, so the list under-reports and what it
+# prints is real.
+#
+# Exits non-zero unless the printed names are exactly the names in
+# tools/dead_pub.allow (one `name — reason` per line, `#` comments): an
+# unlisted entry fails, and so does a listed entry the tool no longer
+# prints — the allowlist can only shrink.
 set -eu
 cd "$(dirname "$0")/.."
 
-find crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | sort |
+dead=$(find crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | sort |
     xargs awk '
     FNR == 1 {
         intest = 0; inuse = 0
@@ -27,9 +33,10 @@ find crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | 
     {
         line = $0
         sub(/\/\/.*/, "", line)
-        if (lib && !intest && match(line, /^[[:space:]]*pub fn [A-Za-z_0-9]+/)) {
+        if (lib && !intest &&
+            match(line, /^[[:space:]]*pub (const fn|fn|struct|enum|trait|const|type) [A-Za-z_0-9]+/)) {
             name = substr(line, RSTART, RLENGTH)
-            sub(/.*pub fn /, "", name)
+            sub(/.* /, "", name)
             decl[FILENAME SUBSEP name] = FNR
         }
         n = split(line, word, /[^A-Za-z_0-9]+/)
@@ -46,4 +53,17 @@ find crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | 
             if (everywhere[part[2]] == here[k] && live[k] == 1)
                 printf "%s:%d %s\n", part[1], decl[k], part[2]
         }
-    }' | sort -t: -k1,1 -k2,2n
+    }' | sort -t: -k1,1 -k2,2n)
+[ -z "$dead" ] || printf '%s\n' "$dead"
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+printf '%s\n' "$dead" | sed -n 's/.* //p' | sort >"$tmp/printed"
+sed -n 's/^\([A-Za-z_0-9][A-Za-z_0-9]*\) — ..*/\1/p' tools/dead_pub.allow | sort >"$tmp/allowed"
+unlisted=$(comm -23 "$tmp/printed" "$tmp/allowed")
+stale=$(comm -13 "$tmp/printed" "$tmp/allowed")
+# shellcheck disable=SC2086
+[ -z "$unlisted" ] || echo "dead_pub: no caller and not in tools/dead_pub.allow (delete it or give it a caller):" $unlisted >&2
+# shellcheck disable=SC2086
+[ -z "$stale" ] || echo "dead_pub: in tools/dead_pub.allow but no longer printed (delete the line):" $stale >&2
+[ -z "$unlisted$stale" ]
