@@ -11,6 +11,7 @@ use crate::arch::{ArchClass, Architecture, ArchAllocator};
 use crate::cost::CostModel;
 use crate::image::{Code, ProgramImage, SealTarget};
 use crate::parser::ParserGraph;
+use crate::reconfig::entries_carry_over;
 use crate::state::{DeviceState, LogicalState, StateEncoding};
 use crate::table::{TableEntry, TableSet};
 use flexnet_lang::ast::ActionCall;
@@ -152,6 +153,24 @@ impl InstalledProgram {
             t.entries.iter().map(move |e| (table, e))
         });
         self.code.config_digest(entries)
+    }
+
+    /// The carry-over rule of a hitless flip: this (incoming) instance
+    /// takes the logical state of every object `outgoing` also declares
+    /// and the entries of every table declared unchanged
+    /// ([`entries_carry_over`]) — as they stand when this is called.
+    pub(crate) fn carry_over(&mut self, outgoing: &InstalledProgram) {
+        self.state.restore(&outgoing.state.snapshot());
+        let program = &self.code.parts().0.program;
+        for table in outgoing.tables.iter() {
+            if entries_carry_over(&table.decl, program) {
+                if let Some(dst) = self.tables.get_mut(&table.decl.name) {
+                    for e in &table.entries {
+                        let _ = dst.insert(e.clone());
+                    }
+                }
+            }
+        }
     }
 
     /// Rebuilds tables and state from the declarations (a restart wiped
@@ -566,8 +585,10 @@ pub struct Device {
     sandbox: SandboxConfig,
     /// The last program image that completed an install or a hitless
     /// flip without being quarantined — the image quarantine falls back
-    /// to. Boxed: it is touched only on install/flip/quarantine, never
-    /// on the packet path.
+    /// to. After a flip it is the outgoing instance whole: its program
+    /// with its state and entries as of the flip, copies of what the
+    /// incoming program carried over. Boxed: it is touched only on
+    /// install/flip/quarantine, never on the packet path.
     last_good: Option<Box<InstalledProgram>>,
     /// Sticky quarantine flag, reported in heartbeats. Cleared by the
     /// next successful install or hitless flip (a human or the
@@ -1940,7 +1961,7 @@ pub(crate) mod tests {
         // Drive time forward until the transition commits.
         let mut t = SimTime::ZERO;
         for _ in 0..1000 {
-            t = t + SimDuration::from_millis(10);
+            t += SimDuration::from_millis(10);
             let mut pkt = Packet::tcp(1, 10, 20, 1, 80, 0);
             let r = d.process(&mut pkt, t).unwrap();
             if r.verdict == Verdict::Forward(2) {

@@ -58,7 +58,7 @@ impl BurstLanes {
 
 /// A device's forwarding graph: the reusable burst lanes plus the packet
 /// storage of the sealed-frame entry.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ForwardingGraph {
     lanes: BurstLanes,
     parsed: Vec<Packet>,
@@ -67,7 +67,10 @@ pub struct ForwardingGraph {
 impl ForwardingGraph {
     /// The graph: exec → emit.
     pub fn standard() -> ForwardingGraph {
-        ForwardingGraph::default()
+        ForwardingGraph {
+            lanes: BurstLanes::default(),
+            parsed: Vec::new(),
+        }
     }
 
     /// The lanes of the most recent burst.

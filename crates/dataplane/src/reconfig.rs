@@ -10,10 +10,10 @@
 //! Three reconfiguration modes are implemented:
 //!
 //! - [`ReconfigMode::RuntimeHitless`] — the FlexNet mode. A *shadow* copy of
-//!   the new program is materialized beside the active one (carrying over
-//!   shared state and table entries); packets keep flowing through the old
-//!   program during the transition; when every op has been applied
-//!   (cost-model time), one atomic version flip makes the shadow active.
+//!   the new program is materialized beside the active one; packets keep
+//!   flowing through the old program during the transition; when every op
+//!   has been applied (cost-model time), one atomic version flip carries
+//!   the shared state and table entries over and makes the shadow active.
 //!   Zero loss; every packet sees exactly the old or exactly the new
 //!   program.
 //! - [`ReconfigMode::DrainAndReflash`] — the compile-time baseline: the
@@ -36,8 +36,8 @@ use flexnet_types::{FlexError, Result, SimDuration, SimTime};
 /// The entry carry-over rule of a hitless program change: a table's
 /// entries cross the flip exactly when `new` declares the table
 /// unchanged (same name, keys, actions, default and size). The device's
-/// shadow build and the controller's intended-state store both apply
-/// this one rule, so their digests agree right after the flip.
+/// flip and the controller's intended-state store both apply this one
+/// rule, so their digests agree right after the flip.
 pub fn entries_carry_over(old: &TableDecl, new: &Program) -> bool {
     new.table(&old.name) == Some(old)
 }
@@ -340,9 +340,11 @@ impl Device {
     ///
     /// Traffic continues on the old program during the transition; at
     /// `ready_at` the shadow becomes active atomically. State objects and
-    /// table entries shared between the two programs are carried over
-    /// ([`entries_carry_over`]). `target` is sealed only once the device
-    /// has accepted the command (see [`SealTarget`]).
+    /// table entries shared between the two programs are carried over as
+    /// they stand at that instant (`InstalledProgram::carry_over`), so
+    /// nothing the window wrote is lost. `target` is sealed only once the
+    /// device has accepted the command (see [`SealTarget`]); a rejected
+    /// begin leaves placement and parser as they were.
     pub fn begin_runtime_reconfig(
         &mut self,
         target: impl SealTarget,
@@ -380,23 +382,13 @@ impl Device {
         let allocator_snapshot = self.allocator().clone();
         let parser_snapshot = self.parser().clone();
 
-        // Materialize the shadow from the (checked, verified) image.
-        let mut shadow = InstalledProgram::new(target.clone(), self.encoding())?;
-        // Carry over logical state for declarations present in both.
-        shadow.state.restore(&active.state.snapshot());
-        for table in active.tables.iter() {
-            if entries_carry_over(&table.decl, &target.bundle().program) {
-                if let Some(dst) = shadow.tables.get_mut(&table.decl.name) {
-                    for e in &table.entries {
-                        let _ = dst.insert(e.clone());
-                    }
-                }
-            }
-        }
+        // Materialize the shadow from the (checked, verified) image. It
+        // starts empty: state and entries are carried at the flip, from
+        // what the old program holds then (`InstalledProgram::carry_over`).
+        let shadow = InstalledProgram::new(target.clone(), self.encoding())?;
 
         // Resource accounting: make-before-break. Allocate additions now,
         // defer frees of removals to commit. Roll back on failure.
-        let mut allocated: Vec<String> = Vec::new();
         let mut deferred_frees: Vec<String> = Vec::new();
         let mut deferred_parser_removals: Vec<String> = Vec::new();
         let registry = target.registry();
@@ -406,7 +398,6 @@ impl Device {
                     ReconfigOp::AddTable(t) => {
                         let d = table_demand(t, registry);
                         self.allocator_mut().alloc(&t.name, &d, 0)?;
-                        allocated.push(t.name.clone());
                     }
                     ReconfigOp::ModifyTable(t) => {
                         // Break-before-make for the same-named element.
@@ -417,7 +408,6 @@ impl Device {
                     ReconfigOp::AddState(s) => {
                         let d = state_demand(s);
                         self.allocator_mut().alloc(&s.name, &d, 0)?;
-                        allocated.push(s.name.clone());
                     }
                     ReconfigOp::ModifyState(s) => {
                         let _ = self.allocator_mut().free(&s.name);
@@ -446,9 +436,8 @@ impl Device {
             Ok(())
         })();
         if let Err(e) = alloc_result {
-            for name in allocated {
-                let _ = self.allocator_mut().free(&name);
-            }
+            *self.allocator_mut() = allocator_snapshot;
+            *self.parser_mut() = parser_snapshot;
             return Err(e);
         }
 
@@ -623,12 +612,16 @@ pub(crate) fn commit_if_ready(dev: &mut Device, now: SimTime) {
             let Some(pending) = dev.pending.take() else {
                 return;
             };
-            if let Some(shadow) = pending.shadow {
+            if let Some(mut shadow) = pending.shadow {
                 // Atomic flip: packets before this instant saw the old
-                // program, packets after see the new one. The outgoing
-                // image is stashed as the sandbox's last-known-good
-                // quarantine fallback.
+                // program, packets after see the new one, which starts
+                // from the state and entries the old one holds now. The
+                // outgoing image is stashed as the sandbox's
+                // last-known-good quarantine fallback.
                 let outgoing = dev.take_active();
+                if let (ReconfigMode::RuntimeHitless, Some(old)) = (pending.mode, &outgoing) {
+                    shadow.carry_over(old);
+                }
                 dev.set_active(shadow);
                 dev.note_flip_committed(outgoing);
                 dev.bump_version();

@@ -378,7 +378,7 @@ mod tests {
         let diff: u32 = a
             .synced_bytes()
             .iter()
-            .map(|&x| u32::from(x.count_ones()))
+            .map(|&x| x.count_ones())
             .sum();
         assert_eq!(diff, 1, "exactly one bit flipped");
         assert_eq!(a.stats().rotted_bytes, 1);
