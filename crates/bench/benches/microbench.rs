@@ -9,7 +9,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexnet::prelude::*;
 use flexnet_bench::bundle;
+use flexnet_dataplane::ProgramImage;
+use flexnet_lang::ast::ActionCall;
+use std::cell::RefCell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn firewall_bundle() -> ProgramBundle {
     flexnet::apps::security::firewall(256).unwrap()
@@ -106,26 +110,87 @@ fn bench_reconfig_planning(c: &mut Criterion) {
     c.bench_function("diff_bundles", |b| {
         b.iter(|| black_box(diff_bundles(&old, &new)))
     });
-    c.bench_function("begin_hitless_reconfig", |b| {
-        b.iter_batched(
-            || {
-                let mut dev = Device::new(
-                    NodeId(1),
-                    Architecture::drmt_default(),
-                    StateEncoding::StatefulTable,
-                );
-                dev.install(old.clone()).unwrap();
-                dev
-            },
-            |mut dev| {
-                black_box(
-                    dev.begin_runtime_reconfig(new.clone(), SimTime::ZERO)
-                        .unwrap(),
-                )
-            },
-            criterion::BatchSize::SmallInput,
-        );
-    });
+}
+
+/// Two images that declare the same ACL, register and map and differ in a
+/// counter and the egress port: everything a device on the first holds
+/// crosses a flip to the second, and back.
+fn carrying_pair() -> [Arc<ProgramImage>; 2] {
+    [("", 1), ("counter extra;", 2)].map(|(decl, port)| {
+        ProgramImage::seal(bundle(&format!(
+            "program app kind any {{
+               register r : u64[1024];
+               map seen : map<u32, u64>[1024];
+               {decl}
+               table acl {{
+                 key {{ ipv4.src : exact; }}
+                 action deny() {{ drop(); }}
+                 size 32768;
+               }}
+               handler ingress(pkt) {{
+                 reg_write(r, ipv4.src % 1024, 1);
+                 map_put(seen, ipv4.src, 1);
+                 apply acl;
+                 forward({port});
+               }}
+             }}"
+        )))
+        .unwrap()
+    })
+}
+
+/// A device on `image` holding `entries` ACL entries and, when `populated`,
+/// a value in every register cell and every map slot.
+fn carrying_device(image: &Arc<ProgramImage>, entries: u64, populated: bool) -> Device {
+    let mut dev = Device::new(NodeId(1), Architecture::host_default(), StateEncoding::StatefulTable);
+    dev.install(image.clone()).unwrap();
+    let deny = ActionCall { action: "deny".into(), args: vec![] };
+    for key in 0..entries {
+        dev.add_entry("acl", TableEntry::exact(&[key], deny.clone())).unwrap();
+    }
+    let state = &mut dev.program_mut().unwrap().state;
+    for i in 0..if populated { 1024 } else { 0 } {
+        state.reg_write("r", i, i + 1);
+        state.map_put("seen", i * 7, i).unwrap();
+    }
+    dev
+}
+
+/// ROADMAP 1(c): what a hitless change costs the host as the carried
+/// state grows. `begin` must stay flat — it builds nothing that is carried
+/// — and `flip` is one copy of it plus the drop of the previous fallback.
+/// One device per arm; what is not being measured (the abort that clears
+/// the last begin, the begin before a flip) runs in the untimed set-up.
+fn bench_hitless_reconfig(c: &mut Criterion) {
+    let pair = carrying_pair();
+    let arms = [("0", 0, false), ("1k", 1024, false), ("32k", 32 * 1024, false), ("1k_reg_map", 0, true)];
+    for (label, entries, populated) in arms {
+        let dev = RefCell::new(carrying_device(&pair[0], entries, populated));
+        c.bench_function(&format!("begin_hitless_reconfig/{label}"), |b| {
+            b.iter_batched(
+                || drop(dev.borrow_mut().abort_reconfig(SimTime::ZERO)),
+                |()| {
+                    let begun = dev.borrow_mut().begin_runtime_reconfig(pair[1].clone(), SimTime::ZERO);
+                    black_box(begun.unwrap())
+                },
+                criterion::BatchSize::SmallInput,
+            );
+        });
+        let _ = dev.borrow_mut().abort_reconfig(SimTime::ZERO);
+        let mut flips = 0usize;
+        c.bench_function(&format!("flip_hitless_reconfig/{label}"), |b| {
+            b.iter_batched(
+                || {
+                    flips += 1;
+                    let (target, now) = (pair[flips % 2].clone(), SimTime::from_secs(flips as u64));
+                    dev.borrow_mut().begin_runtime_reconfig(target, now).unwrap().ready_at
+                },
+                |at| dev.borrow_mut().tick(at),
+                criterion::BatchSize::SmallInput,
+            );
+        });
+        assert_eq!(dev.borrow().table("acl").unwrap().len() as u64, entries, "carried");
+    }
 }
 
 fn bench_composition(c: &mut Criterion) {
@@ -204,6 +269,7 @@ criterion_group!(
     bench_table_lookup,
     bench_language_pipeline,
     bench_reconfig_planning,
+    bench_hitless_reconfig,
     bench_composition,
     bench_simulation,
 );

@@ -94,10 +94,11 @@ struct Phase1 {
 
 /// Phase 1 for both drivers: prepares a shadow on every target in order
 /// (tagged and held in doubt when `tag` is set), stopping at the first
-/// failure or after `stop_after` acks. Each target is sealed in `sealed`,
-/// lazily — from inside the device's prepare — so each distinct bundle of
-/// a transaction is checked once and a bundle that does not seal still
-/// fails as that device's prepare.
+/// failure or after `stop_after` acks. Each target is sealed and planned
+/// in `sealed`, lazily — from inside the device's prepare — so each
+/// distinct bundle of a transaction is checked once, each distinct change
+/// is diffed once, and a bundle that does not seal still fails as that
+/// device's prepare.
 fn prepare_all<'a>(
     ch: &mut Channel<'_>,
     targets: &'a [(NodeId, ProgramBundle)],
@@ -113,7 +114,7 @@ fn prepare_all<'a>(
     };
     for (i, (node, bundle)) in targets.iter().enumerate().take(stop_after) {
         let acked = ch.send(*node, "prepare", |dev, at| {
-            let target = || sealed.image_for(bundle);
+            let target = sealed.target(bundle);
             match tag {
                 Some(tag) => dev.prepare_txn_reconfig(target, at, tag),
                 None => dev.begin_runtime_reconfig(target, at),
@@ -225,7 +226,7 @@ pub(crate) fn commit_on<'a>(
             };
             if let Some(want) = needs {
                 let redone = ch.send(node, "re-prepare", |dev, at| {
-                    let rep = dev.prepare_txn_reconfig(|| sealed.image_for(want), at, tag)?;
+                    let rep = dev.prepare_txn_reconfig(sealed.target(want), at, tag)?;
                     dev.commit_txn(tag, rep.ready_at)?;
                     Ok(())
                 });

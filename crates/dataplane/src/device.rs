@@ -11,7 +11,6 @@ use crate::arch::{ArchClass, Architecture, ArchAllocator};
 use crate::cost::CostModel;
 use crate::image::{Code, ProgramImage, SealTarget};
 use crate::parser::ParserGraph;
-use crate::reconfig::entries_carry_over;
 use crate::state::{DeviceState, LogicalState, StateEncoding};
 use crate::table::{TableEntry, TableSet};
 use flexnet_lang::ast::ActionCall;
@@ -116,6 +115,24 @@ impl InstalledProgram {
         Ok(p)
     }
 
+    /// The shadow of a hitless change: `image` and its bytecode, with no
+    /// tables and no state — [`InstalledProgram::carry_over`] builds those at
+    /// the flip, in declaration order, the layout every sealed image's
+    /// shared bytecode is compiled for. The first instance of an image
+    /// under an encoding is built whole, which compiles that bytecode (or
+    /// fails on an unresolvable symbol) once for everyone after.
+    pub(crate) fn shadow(image: Arc<ProgramImage>, encoding: StateEncoding) -> Result<InstalledProgram> {
+        let Some(compiled) = image.compiled(encoding).cloned() else {
+            return InstalledProgram::new(image, encoding);
+        };
+        Ok(InstalledProgram {
+            tables: TableSet::default(),
+            state: DeviceState::from_decls(&[], encoding),
+            code: Code::Sealed(image),
+            compiled: Some(compiled),
+        })
+    }
+
     /// Rebuilds the bytecode image against the current slot layout.
     pub fn recompile(&mut self) -> Result<()> {
         let (bundle, registry) = self.code.parts();
@@ -155,22 +172,18 @@ impl InstalledProgram {
         self.code.config_digest(entries)
     }
 
-    /// The carry-over rule of a hitless flip: this (incoming) instance
-    /// takes the logical state of every object `outgoing` also declares
-    /// and the entries of every table declared unchanged
-    /// ([`entries_carry_over`]) — as they stand when this is called.
+    /// The carry-over rule of a hitless flip: this (incoming) instance's
+    /// storage is built from its declarations, each state object
+    /// `outgoing` also declares and each table declared unchanged
+    /// (`entries_carry_over`) as a copy of what `outgoing` holds when this
+    /// is called ([`DeviceState::carrying`], [`TableSet::carrying`]). The
+    /// copy is the only one made: `outgoing` stays whole, as the
+    /// quarantine fallback.
     pub(crate) fn carry_over(&mut self, outgoing: &InstalledProgram) {
-        self.state.restore(&outgoing.state.snapshot());
         let program = &self.code.parts().0.program;
-        for table in outgoing.tables.iter() {
-            if entries_carry_over(&table.decl, program) {
-                if let Some(dst) = self.tables.get_mut(&table.decl.name) {
-                    for e in &table.entries {
-                        let _ = dst.insert(e.clone());
-                    }
-                }
-            }
-        }
+        self.tables = TableSet::carrying(&program.tables, &outgoing.tables);
+        self.state =
+            DeviceState::carrying(&program.states, self.state.encoding(), Some(&outgoing.state));
     }
 
     /// Rebuilds tables and state from the declarations (a restart wiped

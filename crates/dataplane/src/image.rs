@@ -16,6 +16,8 @@
 //! over the table entries. [`config_digest_of`] is the from-scratch
 //! reference with the identical value.
 
+use crate::device::InstalledProgram;
+use crate::reconfig::ReconfigPlan;
 use crate::state::StateEncoding;
 use crate::table::TableEntry;
 use flexnet_lang::bytecode::CompiledProgram;
@@ -108,8 +110,8 @@ pub struct ProgramImage {
     registry: HeaderRegistry,
     program_digest: u64,
     /// Bytecode for the slot layout a fresh `from_decls` build assigns,
-    /// one cell per [`StateEncoding`]; filled by the first device that
-    /// materializes the image.
+    /// one cell per [`StateEncoding`] variant; filled by the first device
+    /// that materializes the image.
     compiled: [OnceLock<Arc<CompiledProgram>>; 3],
 }
 
@@ -148,6 +150,12 @@ impl ProgramImage {
         fold_entries(self.program_digest, entries)
     }
 
+    /// The shared bytecode for a fresh slot layout under `encoding`, once
+    /// some device has compiled it.
+    pub(crate) fn compiled(&self, encoding: StateEncoding) -> Option<&Arc<CompiledProgram>> {
+        self.compiled[encoding as usize].get()
+    }
+
     /// The shared bytecode for a fresh slot layout under `encoding`,
     /// compiling it with `compile` if no device has yet. A failed compile
     /// is not remembered: every device reports it for itself.
@@ -156,16 +164,11 @@ impl ProgramImage {
         encoding: StateEncoding,
         compile: impl FnOnce() -> Result<CompiledProgram>,
     ) -> Result<Arc<CompiledProgram>> {
-        let cell = match encoding {
-            StateEncoding::RegisterArray => &self.compiled[0],
-            StateEncoding::FlowInstructionSet => &self.compiled[1],
-            StateEncoding::StatefulTable => &self.compiled[2],
-        };
-        if let Some(c) = cell.get() {
+        if let Some(c) = self.compiled(encoding) {
             return Ok(c.clone());
         }
         let fresh = Arc::new(compile()?);
-        Ok(cell.get_or_init(|| fresh).clone())
+        Ok(self.compiled[encoding as usize].get_or_init(|| fresh).clone())
     }
 }
 
@@ -234,17 +237,25 @@ impl Code {
 }
 
 /// A program on its way to a device or the intended-state store: a raw
-/// bundle (sealed on acceptance), an already sealed image, or a closure
-/// producing one.
+/// bundle (sealed on acceptance), an already sealed image, a closure
+/// producing one, or a target of a control operation
+/// ([`SealedTargets::target`]).
 ///
-/// Receivers call [`SealTarget::into_image`] at most once, and only after
-/// they have accepted the command (device up, epoch not fenced, nothing
-/// pending, not a duplicate prepare) — so a coordinator can seal lazily,
-/// and a target that does not seal fails exactly where building the
-/// shadow would have.
-pub trait SealTarget {
+/// Receivers call [`SealTarget::into_image`] or [`SealTarget::into_plan`]
+/// at most once, and only after they have accepted the command (device up,
+/// epoch not fenced, nothing pending, not a duplicate prepare) — so a
+/// coordinator can seal lazily, and a target that does not seal fails
+/// exactly where building the shadow would have.
+pub trait SealTarget: Sized {
     /// The sealed image of this target.
     fn into_image(self) -> Result<Arc<ProgramImage>>;
+
+    /// The plan that takes `active` — what the accepting device runs,
+    /// `None` on an empty one — to this target. Only a target of a control
+    /// operation has a plan to share; any other gets one of its own.
+    fn into_plan(self, active: Option<&InstalledProgram>) -> Result<Arc<ReconfigPlan>> {
+        Ok(Arc::new(ReconfigPlan::new(active, self.into_image()?)))
+    }
 }
 
 impl SealTarget for ProgramBundle {
@@ -265,19 +276,27 @@ impl<F: FnOnce() -> Result<Arc<ProgramImage>>> SealTarget for F {
     }
 }
 
-/// The sealed images of one control operation: each distinct target
-/// bundle is sealed at most once, and every device whose target is equal
-/// shares the one image. Owned by the operation (a 2PC driver, a recovery
-/// pass) and dropped with it — sharing is by ownership, not a cache.
+/// The sealed images and reconfiguration plans of one control operation:
+/// each distinct target bundle is sealed at most once and every device
+/// whose target is equal shares the one image; each distinct (active
+/// image, target image) pair is planned at most once and every device on
+/// that pair shares the one plan. Owned by the operation (a 2PC driver, a
+/// recovery pass) and dropped with it — sharing is by ownership, not a
+/// cache.
 ///
 /// Targets are borrowed for the operation's lifetime, so a target
 /// reference seen before is recognized by address — nobody can have
 /// changed the bundle behind a live shared borrow — and bundles are
 /// compared by value once per distinct reference, not once per use.
+/// Images are recognized by address too: a plan is handed only to a device
+/// whose active image *is* the one the plan was made from, which the plan
+/// list keeps alive.
 #[derive(Debug, Default)]
 pub struct SealedTargets<'a> {
     /// Every target reference resolved so far, with its image.
     resolved: Vec<(&'a ProgramBundle, Arc<ProgramImage>)>,
+    /// Every plan made so far, with the active image it starts from.
+    plans: Vec<(Arc<ProgramImage>, Arc<ReconfigPlan>)>,
 }
 
 impl<'a> SealedTargets<'a> {
@@ -293,6 +312,45 @@ impl<'a> SealedTargets<'a> {
         };
         self.resolved.push((bundle, image.clone()));
         Ok(image)
+    }
+
+    /// `bundle` as a target of this operation: sealed, and planned, when a
+    /// device accepts it.
+    pub fn target<'s>(&'s mut self, bundle: &'a ProgramBundle) -> OperationTarget<'s, 'a> {
+        OperationTarget { sealed: self, bundle }
+    }
+}
+
+/// One target of a control operation ([`SealedTargets::target`]).
+#[derive(Debug)]
+pub struct OperationTarget<'s, 'a> {
+    sealed: &'s mut SealedTargets<'a>,
+    bundle: &'a ProgramBundle,
+}
+
+impl SealTarget for OperationTarget<'_, '_> {
+    fn into_image(self) -> Result<Arc<ProgramImage>> {
+        self.sealed.image_for(self.bundle)
+    }
+
+    /// The operation's plan for this (active image, target) pair. A device
+    /// that runs no sealed image — empty, or patched in place — has no
+    /// identity to share a plan under and gets one of its own.
+    fn into_plan(self, active: Option<&InstalledProgram>) -> Result<Arc<ReconfigPlan>> {
+        let target = self.sealed.image_for(self.bundle)?;
+        let Some(from) = active.and_then(InstalledProgram::image) else {
+            return Ok(Arc::new(ReconfigPlan::new(active, target)));
+        };
+        let plans = &mut self.sealed.plans;
+        let made = plans
+            .iter()
+            .find(|(f, p)| Arc::ptr_eq(f, from) && Arc::ptr_eq(&p.target, &target));
+        if let Some((_, plan)) = made {
+            return Ok(plan.clone());
+        }
+        let plan = Arc::new(ReconfigPlan::new(active, target));
+        plans.push((from.clone(), plan.clone()));
+        Ok(plan)
     }
 }
 
@@ -314,6 +372,10 @@ mod tests {
                handler ingress(pkt) { apply acl; forward(1); }
              }",
         )
+    }
+
+    fn other() -> ProgramBundle {
+        bundle("program q kind any { }")
     }
 
     fn deny(key: u64) -> (String, TableEntry) {
@@ -361,7 +423,7 @@ mod tests {
     #[test]
     fn targets_share_an_image_by_value_and_are_recognized_by_address() {
         // Equal bundles at two addresses, and a different one.
-        let (a, a_again, other) = (acl(), acl(), bundle("program q kind any { }"));
+        let (a, a_again, other) = (acl(), acl(), other());
         let mut sealed = SealedTargets::default();
         let first = sealed.image_for(&a).unwrap();
         assert!(Arc::ptr_eq(&first, &sealed.image_for(&a).unwrap()));
@@ -371,6 +433,37 @@ mod tests {
         assert_eq!(second.bundle(), &other);
         assert!(Arc::ptr_eq(&second, &sealed.image_for(&other).unwrap()));
         assert_eq!(sealed.resolved.len(), 3, "one by-value search per distinct reference");
+    }
+
+    #[test]
+    fn prepares_plan_each_active_target_pair_once_and_only_for_sealed_actives() {
+        use crate::{Architecture, Device, StateEncoding};
+        use flexnet_lang::diff::ReconfigOp;
+        use flexnet_types::{NodeId, SimTime};
+        let (a, b) = (ProgramImage::seal(acl()).unwrap(), ProgramImage::seal(other()).unwrap());
+        let target = bundle("program fw kind any { counter c; handler ingress(pkt) { forward(2); } }");
+        let mut devs: Vec<Device> = [&a, &a, &b, &a, &a]
+            .iter()
+            .map(|image| {
+                let mut d = Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable);
+                d.install((*image).clone()).unwrap();
+                d
+            })
+            .collect();
+        // The last one is patched off its image: same program, no identity.
+        let patched = devs[4].program_mut().unwrap();
+        patched.apply_op(&ReconfigOp::RemoveHandler("nosuch".into())).unwrap();
+        assert!(patched.image().is_none());
+
+        let mut sealed = SealedTargets::default();
+        for dev in &mut devs {
+            dev.begin_runtime_reconfig(sealed.target(&target), SimTime::ZERO).unwrap();
+        }
+        assert_eq!(sealed.resolved.len(), 1);
+        assert_eq!(sealed.plans.len(), 2, "one for the three on `a`, one for `b`, none kept for the patched");
+        assert!(Arc::ptr_eq(&sealed.plans[0].0, &a) && Arc::ptr_eq(&sealed.plans[1].0, &b));
+        let shared = |p: &Arc<ReconfigPlan>| Arc::ptr_eq(&p.target, &sealed.resolved[0].1);
+        assert!(sealed.plans.iter().all(|(_, p)| shared(p) && Arc::strong_count(p) == 1));
     }
 
     #[test]

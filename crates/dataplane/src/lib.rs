@@ -57,7 +57,9 @@ pub use device::{
 pub use graph::{BurstLanes, ForwardingGraph};
 pub use image::{config_digest_of, ProgramImage, SealTarget, SealedTargets};
 pub use parser::ParserGraph;
-pub use reconfig::{entries_carry_over, ReconfigMode, ReconfigOutcome, ReconfigReport, TxnTag};
+pub use reconfig::{
+    entries_carry_over, ReconfigMode, ReconfigOutcome, ReconfigPlan, ReconfigReport, TxnTag,
+};
 pub use state::{DeviceState, LogicalState, StateEncoding};
 pub use table::{KeyMatch, TableEntry, TableInstance, TableSet, BURST_MISS};
 pub use wire::{encode_wire, flip_bits, frame_checksum, open_frame, parse_wire, seal_frame};

@@ -26,20 +26,70 @@
 
 use crate::arch::ArchAllocator;
 use crate::device::{Device, InstalledProgram};
-use crate::image::SealTarget;
+use crate::image::{ProgramImage, SealTarget};
 use crate::parser::ParserGraph;
 use flexnet_lang::ast::{Program, TableDecl};
 use flexnet_lang::diff::{diff_bundles, ProgramBundle, ReconfigOp};
-use flexnet_lang::ir::{state_demand, table_demand};
-use flexnet_types::{FlexError, Result, SimDuration, SimTime};
+use flexnet_lang::ir::{handler_demand, state_demand, table_demand};
+use flexnet_types::{FlexError, ResourceVec, Result, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// The entry carry-over rule of a hitless program change: a table's
 /// entries cross the flip exactly when `new` declares the table
-/// unchanged (same name, keys, actions, default and size). The device's
-/// flip and the controller's intended-state store both apply this one
-/// rule, so their digests agree right after the flip.
+/// unchanged (same name, keys, actions, default and size). The
+/// controller's intended-state store applies this function and the
+/// device's flip the same test, declaration by declaration
+/// (`TableSet::carrying`), so their digests agree right after the flip.
 pub fn entries_carry_over(old: &TableDecl, new: &Program) -> bool {
     new.table(&old.name) == Some(old)
+}
+
+/// What a device needs to know to change from one program to another,
+/// worked out once per (active program, target image) pair: the primitive
+/// ops and what each addition asks of the allocator. What is freed and
+/// un-parsed at the flip are the removals among `ops`; what crosses the
+/// flip is everything they leave alone. How long the change takes is each
+/// device's own (`CostModel::plan_duration`).
+///
+/// A control operation shares one plan among the devices that run the
+/// same sealed image (`SealedTargets`); nothing in a plan is per device.
+#[derive(Debug)]
+pub struct ReconfigPlan {
+    /// The image this plan leads to.
+    pub(crate) target: Arc<ProgramImage>,
+    ops: Vec<ReconfigOp>,
+    /// Make-before-break placements in op order: the element, its demand,
+    /// and whether a same-named element is freed first (break-before-make
+    /// for one that is modified in place).
+    placements: Vec<(String, ResourceVec, bool)>,
+}
+
+impl ReconfigPlan {
+    /// The plan from `active` (`None`: an empty device) to `target`.
+    pub(crate) fn new(active: Option<&InstalledProgram>, target: Arc<ProgramImage>) -> ReconfigPlan {
+        let ops = match active {
+            Some(p) => diff_bundles(p.bundle(), target.bundle()),
+            None => {
+                let program = &target.bundle().program;
+                let empty = ProgramBundle::new(Program::empty(&program.name, program.kind));
+                diff_bundles(&empty, target.bundle())
+            }
+        };
+        let registry = target.registry();
+        let placements = ops.iter().filter_map(|op| {
+            let (name, demand, replace) = match op {
+                ReconfigOp::AddTable(t) => (&t.name, table_demand(t, registry), false),
+                ReconfigOp::ModifyTable(t) => (&t.name, table_demand(t, registry), true),
+                ReconfigOp::AddState(s) => (&s.name, state_demand(s), false),
+                ReconfigOp::ModifyState(s) => (&s.name, state_demand(s), true),
+                ReconfigOp::SetHandler(h) => (&h.name, handler_demand(h), true),
+                _ => return None,
+            };
+            Some((name.clone(), demand, replace))
+        });
+        let placements = placements.collect();
+        ReconfigPlan { target, ops, placements }
+    }
 }
 
 /// How a program change is rolled out.
@@ -115,11 +165,12 @@ pub(crate) struct PendingReconfig {
     /// Number of primitive ops in the change (for abort reports).
     ops: usize,
     /// Hitless / reflash: the program that becomes active at `ready_at`.
+    /// A hitless shadow holds no tables and no state until the flip
+    /// builds them from what the outgoing program holds then.
     shadow: Option<InstalledProgram>,
-    /// Hitless: elements to free from the allocator at commit (removals).
-    deferred_frees: Vec<String>,
-    /// Hitless: parser states to remove at commit.
-    deferred_parser_removals: Vec<String>,
+    /// Hitless: the removals among the plan's ops, freed and un-parsed at
+    /// commit (a copy: the plan itself stays with its operation).
+    removals: Vec<ReconfigOp>,
     /// Unsafe in-place: (apply-at, op) pairs not yet applied.
     staged_ops: Vec<(SimTime, ReconfigOp)>,
     /// Pre-reconfig placement, restored verbatim on abort.
@@ -356,114 +407,71 @@ impl Device {
                 "a reconfiguration is already in progress".into(),
             ));
         }
-        let target = target.into_image()?;
-        let Some(active) = self.program() else {
+        let plan = target.into_plan(self.program())?;
+        let duration = self.cost_model().plan_duration(&plan.ops);
+        let report = |outcome| ReconfigReport {
+            mode: ReconfigMode::RuntimeHitless,
+            ops: plan.ops.len(),
+            duration,
+            ready_at: now + duration,
+            outcome,
+        };
+        if self.program().is_none() {
             // First install: no old program to keep alive; still pay the
             // op costs, but there is no traffic to disturb.
-            let program = &target.bundle().program;
-            let ops = diff_bundles(
-                &ProgramBundle::new(Program::empty(&program.name, program.kind)),
-                target.bundle(),
-            );
-            let duration = self.cost_model().plan_duration(&ops);
-            self.install(target)?;
-            return Ok(ReconfigReport {
-                mode: ReconfigMode::RuntimeHitless,
-                ops: ops.len(),
-                duration,
-                ready_at: now + duration,
-                outcome: ReconfigOutcome::Committed,
-            });
-        };
-
-        let ops = diff_bundles(active.bundle(), target.bundle());
-        let duration = self.cost_model().plan_duration(&ops);
-        let ready_at = now + duration;
+            self.install(plan.target.clone())?;
+            return Ok(report(ReconfigOutcome::Committed));
+        }
+        // The shadow is the image and its bytecode, checked against the
+        // slot layout the flip will build; the storage comes at the flip.
+        let shadow = InstalledProgram::shadow(plan.target.clone(), self.encoding())?;
         let allocator_snapshot = self.allocator().clone();
         let parser_snapshot = self.parser().clone();
 
-        // Materialize the shadow from the (checked, verified) image. It
-        // starts empty: state and entries are carried at the flip, from
-        // what the old program holds then (`InstalledProgram::carry_over`).
-        let shadow = InstalledProgram::new(target.clone(), self.encoding())?;
-
-        // Resource accounting: make-before-break. Allocate additions now,
-        // defer frees of removals to commit. Roll back on failure.
-        let mut deferred_frees: Vec<String> = Vec::new();
-        let mut deferred_parser_removals: Vec<String> = Vec::new();
-        let registry = target.registry();
-        let alloc_result: Result<()> = (|| {
-            for op in &ops {
-                match op {
-                    ReconfigOp::AddTable(t) => {
-                        let d = table_demand(t, registry);
-                        self.allocator_mut().alloc(&t.name, &d, 0)?;
-                    }
-                    ReconfigOp::ModifyTable(t) => {
-                        // Break-before-make for the same-named element.
-                        let _ = self.allocator_mut().free(&t.name);
-                        let d = table_demand(t, registry);
-                        self.allocator_mut().alloc(&t.name, &d, 0)?;
-                    }
-                    ReconfigOp::AddState(s) => {
-                        let d = state_demand(s);
-                        self.allocator_mut().alloc(&s.name, &d, 0)?;
-                    }
-                    ReconfigOp::ModifyState(s) => {
-                        let _ = self.allocator_mut().free(&s.name);
-                        let d = state_demand(s);
-                        self.allocator_mut().alloc(&s.name, &d, 0)?;
-                    }
-                    ReconfigOp::SetHandler(h) => {
-                        let d = flexnet_lang::ir::handler_demand(h);
-                        let _ = self.allocator_mut().free(&h.name);
-                        self.allocator_mut().alloc(&h.name, &d, 0)?;
-                    }
-                    ReconfigOp::AddParserState(h) => {
-                        self.parser_mut().add_state(h)?;
-                    }
-                    ReconfigOp::RemoveTable(n)
-                    | ReconfigOp::RemoveState(n)
-                    | ReconfigOp::RemoveHandler(n) => {
-                        deferred_frees.push(n.clone());
-                    }
-                    ReconfigOp::RemoveParserState(n) => {
-                        deferred_parser_removals.push(n.clone());
-                    }
-                    ReconfigOp::AddService(_) | ReconfigOp::RemoveService(_) => {}
+        // Resource accounting: make-before-break. Parse and allocate the
+        // additions now (a diff lists parser states first), defer removals
+        // to commit. Roll back on failure.
+        let placed: Result<()> = (|| {
+            for op in &plan.ops {
+                if let ReconfigOp::AddParserState(h) = op {
+                    self.parser_mut().add_state(h)?;
                 }
+            }
+            for (name, demand, replace) in &plan.placements {
+                if *replace {
+                    let _ = self.allocator_mut().free(name);
+                }
+                self.allocator_mut().alloc(name, demand, 0)?;
             }
             Ok(())
         })();
-        if let Err(e) = alloc_result {
+        if let Err(e) = placed {
             *self.allocator_mut() = allocator_snapshot;
             *self.parser_mut() = parser_snapshot;
             return Err(e);
         }
 
+        let removal = |op: &&ReconfigOp| {
+            use ReconfigOp::*;
+            matches!(op, RemoveTable(_) | RemoveState(_) | RemoveHandler(_) | RemoveParserState(_))
+        };
+        let report = report(ReconfigOutcome::InFlight);
         self.pending = Some(PendingReconfig {
             mode: ReconfigMode::RuntimeHitless,
-            ready_at,
+            ready_at: report.ready_at,
             txn: None,
             await_decision: false,
             started_at: now,
-            ops: ops.len(),
+            ops: report.ops,
             shadow: Some(shadow),
-            deferred_frees,
-            deferred_parser_removals,
+            removals: plan.ops.iter().filter(removal).cloned().collect(),
             staged_ops: Vec::new(),
             allocator_snapshot,
             parser_snapshot,
             program_snapshot: None,
             was_drained: false,
         });
-        Ok(ReconfigReport {
-            mode: ReconfigMode::RuntimeHitless,
-            ops: ops.len(),
-            duration,
-            ready_at,
-            outcome: ReconfigOutcome::InFlight,
-        })
+        Ok(report)
     }
 
     /// Begins a compile-time drain/reflash/redeploy to `target`.
@@ -493,8 +501,7 @@ impl Device {
             started_at: now,
             ops: 1,
             shadow: Some(shadow),
-            deferred_frees: Vec::new(),
-            deferred_parser_removals: Vec::new(),
+            removals: Vec::new(),
             staged_ops: Vec::new(),
             allocator_snapshot,
             parser_snapshot,
@@ -512,7 +519,8 @@ impl Device {
 
     /// Begins the unsafe in-place ablation: each op mutates the live
     /// program as its (cost-model) time arrives, with no shadow and no
-    /// atomic flip.
+    /// atomic flip. `target` must seal, like any other target; what the
+    /// ops leave behind on the device is the unverified patched copy.
     pub fn begin_unsafe_inplace(
         &mut self,
         target: ProgramBundle,
@@ -530,16 +538,16 @@ impl Device {
             ));
         };
         let program_snapshot = Some(active.clone());
-        let ops = diff_bundles(active.bundle(), &target);
+        let ops = ReconfigPlan::new(Some(active), ProgramImage::seal(target)?).ops;
         let mut staged = Vec::new();
         let mut t = now;
-        for op in &ops {
-            t += self.cost_model().op_duration(op);
-            staged.push((t, op.clone()));
+        for op in ops {
+            t += self.cost_model().op_duration(&op);
+            staged.push((t, op));
         }
         let ready_at = t;
         let duration = ready_at.saturating_since(now);
-        let n = ops.len();
+        let n = staged.len();
         self.pending = Some(PendingReconfig {
             mode: ReconfigMode::UnsafeInPlace,
             ready_at,
@@ -548,8 +556,7 @@ impl Device {
             started_at: now,
             ops: n,
             shadow: None,
-            deferred_frees: Vec::new(),
-            deferred_parser_removals: Vec::new(),
+            removals: Vec::new(),
             staged_ops: staged,
             allocator_snapshot: self.allocator().clone(),
             parser_snapshot: self.parser().clone(),
@@ -626,11 +633,14 @@ pub(crate) fn commit_if_ready(dev: &mut Device, now: SimTime) {
                 dev.note_flip_committed(outgoing);
                 dev.bump_version();
             }
-            for name in pending.deferred_frees {
-                let _ = dev.allocator_mut().free(&name);
-            }
-            for proto in pending.deferred_parser_removals {
-                let _ = dev.parser_mut().remove_state(&proto);
+            for op in &pending.removals {
+                match op {
+                    ReconfigOp::RemoveParserState(n) => drop(dev.parser_mut().remove_state(n)),
+                    ReconfigOp::RemoveTable(n)
+                    | ReconfigOp::RemoveState(n)
+                    | ReconfigOp::RemoveHandler(n) => drop(dev.allocator_mut().free(n)),
+                    _ => {}
+                }
             }
         }
     }

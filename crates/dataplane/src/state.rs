@@ -25,7 +25,7 @@
 use flexnet_lang::ast::{StateDecl, StateKind};
 use flexnet_types::{FlexError, Result, SimTime, Trap};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// How a device encodes logical key/value maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -131,6 +131,16 @@ impl StampedStore {
     fn to_logical(&self) -> BTreeMap<u64, u64> {
         self.entries.iter().map(|(k, (v, _))| (*k, *v)).collect()
     }
+
+    /// Leaves this empty store as putting `from`'s entries into it in key
+    /// order would: the `cap` largest keys, stamped in key order.
+    fn refill(&mut self, from: &StampedStore) {
+        let n = from.entries.len();
+        let kept = || from.entries.iter().enumerate().skip(n.saturating_sub(self.cap));
+        self.entries = kept().map(|(i, (k, (v, _)))| (*k, (*v, i as u64))).collect();
+        self.by_stamp = kept().map(|(i, (k, _))| (i as u64, *k)).collect();
+        self.next_stamp = n as u64;
+    }
 }
 
 /// One logical map under a specific encoding.
@@ -152,6 +162,27 @@ impl MapStore {
             StateEncoding::FlowInstructionSet => MapStore::FlowIs(StampedStore::new(cap)),
             StateEncoding::StatefulTable => MapStore::Stateful(StampedStore::new(cap)),
         }
+    }
+
+    /// A store of `cap` holding what re-putting `old`'s entries in key
+    /// order into an empty one leaves — the one copy a hitless flip or a
+    /// resize makes, with no logical map in between unless slots re-hash.
+    fn carrying(encoding: StateEncoding, cap: usize, old: Option<&MapStore>) -> MapStore {
+        let mut fresh = MapStore::new(encoding, cap);
+        match (&mut fresh, old) {
+            (_, None) => {}
+            (MapStore::Registers { slots }, Some(MapStore::Registers { slots: from }))
+                if slots.len() == from.len() =>
+            {
+                slots.clone_from(from)
+            }
+            (
+                MapStore::FlowIs(store) | MapStore::Stateful(store),
+                Some(MapStore::FlowIs(from) | MapStore::Stateful(from)),
+            ) => store.refill(from),
+            (_, Some(from)) => fresh.restore(&from.to_logical()),
+        }
+        fresh
     }
 
     fn slot_of(key: u64, len: usize) -> usize {
@@ -290,10 +321,10 @@ impl<T> Default for SlotArena<T> {
 
 impl<T> SlotArena<T> {
     fn insert(&mut self, name: &str, value: T) {
-        match self.index.get(name) {
-            Some(&i) => self.items[i].1 = value,
-            None => {
-                self.index.insert(name.to_string(), self.items.len());
+        match self.index.entry(name.to_string()) {
+            Entry::Occupied(at) => self.items[*at.get()].1 = value,
+            Entry::Vacant(at) => {
+                at.insert(self.items.len());
                 self.items.push((name.to_string(), value));
             }
         }
@@ -342,7 +373,8 @@ impl<T> SlotArena<T> {
     }
 }
 
-/// All state of one installed program on one device.
+/// All state of one installed program on one device: what the program
+/// declared is whatever the four arenas hold.
 ///
 /// By-name accessors serve the control plane and the reference interpreter;
 /// `*_at` slot accessors serve the bytecode VM without any string hashing
@@ -350,7 +382,6 @@ impl<T> SlotArena<T> {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceState {
     encoding: StateEncoding,
-    decls: BTreeMap<String, StateDecl>,
     maps: SlotArena<MapStore>,
     registers: SlotArena<Vec<u64>>,
     counters: SlotArena<(u64, u64)>,
@@ -363,21 +394,32 @@ pub struct DeviceState {
 impl DeviceState {
     /// Builds storage for every declaration using the given encoding.
     pub fn from_decls(decls: &[StateDecl], encoding: StateEncoding) -> DeviceState {
+        DeviceState::carrying(decls, encoding, None)
+    }
+
+    /// Storage for every declaration, in declaration order, where an
+    /// object `outgoing` also holds (same name, same kind) starts as a copy
+    /// of what is there now: maps re-put in key order under the local
+    /// encoding, registers cell for cell up to the shorter length, counters
+    /// as they stand; meter buckets start full. One copy per object, and
+    /// equal to `from_decls(decls)` after `restore(&outgoing.snapshot())`.
+    pub(crate) fn carrying(
+        decls: &[StateDecl],
+        encoding: StateEncoding,
+        outgoing: Option<&DeviceState>,
+    ) -> DeviceState {
         let mut s = DeviceState {
             encoding,
-            decls: BTreeMap::new(),
             maps: SlotArena::default(),
             registers: SlotArena::default(),
             counters: SlotArena::default(),
             meters: SlotArena::default(),
             now: SimTime::ZERO,
         };
+        // Names are unique in a checked program; in a hand-built slice the
+        // last declaration of a name takes its kind's slot.
         for d in decls {
-            // Duplicate declaration names are rejected upstream by the
-            // verifier; a hand-built slice keeps the first occurrence.
-            if !s.decls.contains_key(&d.name) {
-                let _ = s.add_state(d.clone());
-            }
+            s.install(d, outgoing);
         }
         s
     }
@@ -389,26 +431,38 @@ impl DeviceState {
 
     /// Installs storage for a new state declaration.
     pub fn add_state(&mut self, decl: StateDecl) -> Result<()> {
-        if self.decls.contains_key(&decl.name) {
+        if self.has(&decl.name) {
             return Err(FlexError::Reconfig(format!(
                 "state `{}` already installed",
                 decl.name
             )));
         }
+        self.install(&decl, None);
+        Ok(())
+    }
+
+    /// Storage for `decl`, started from what `outgoing` holds under the
+    /// same name and kind (see [`DeviceState::carrying`]).
+    fn install(&mut self, decl: &StateDecl, outgoing: Option<&DeviceState>) {
+        let (name, size) = (decl.name.as_str(), decl.size as usize);
         match &decl.kind {
             StateKind::Map { .. } => {
-                self.maps
-                    .insert(&decl.name, MapStore::new(self.encoding, decl.size as usize));
+                let old = outgoing.and_then(|o| o.maps.get(name));
+                self.maps.insert(name, MapStore::carrying(self.encoding, size, old));
             }
             StateKind::Counter => {
-                self.counters.insert(&decl.name, (0, 0));
+                let old = outgoing.and_then(|o| o.counters.get(name));
+                self.counters.insert(name, old.copied().unwrap_or_default());
             }
             StateKind::Register { .. } => {
-                self.registers.insert(&decl.name, vec![0; decl.size as usize]);
+                let old = outgoing.and_then(|o| o.registers.get(name));
+                let mut cells = old.map_or_else(Vec::new, |r| r[..r.len().min(size)].to_vec());
+                cells.resize(size, 0);
+                self.registers.insert(name, cells);
             }
             StateKind::Meter { rate_pps, burst } => {
                 self.meters.insert(
-                    &decl.name,
+                    name,
                     MeterInstance {
                         rate_pps: *rate_pps,
                         burst: *burst,
@@ -417,66 +471,58 @@ impl DeviceState {
                 );
             }
         }
-        self.decls.insert(decl.name.clone(), decl);
-        Ok(())
     }
 
     /// Removes a state object; its contents are lost.
     pub fn remove_state(&mut self, name: &str) -> Result<()> {
-        if self.decls.remove(name).is_none() {
-            return Err(FlexError::NotFound(format!("state `{name}`")));
+        let held = [
+            self.maps.remove(name).is_some(),
+            self.registers.remove(name).is_some(),
+            self.counters.remove(name).is_some(),
+            self.meters.remove(name).is_some(),
+        ];
+        if held.contains(&true) {
+            Ok(())
+        } else {
+            Err(FlexError::NotFound(format!("state `{name}`")))
         }
-        self.maps.remove(name);
-        self.registers.remove(name);
-        self.counters.remove(name);
-        self.meters.remove(name);
-        Ok(())
     }
 
     /// Replaces a state declaration, preserving contents when the kind is
     /// unchanged (e.g. growing a map keeps its entries; register arrays are
     /// resized, truncating or zero-filling).
     pub fn modify_state(&mut self, decl: StateDecl) -> Result<()> {
-        let Some(old) = self.decls.get(&decl.name) else {
-            return Err(FlexError::NotFound(format!("state `{}`", decl.name)));
-        };
-        let same_kind = std::mem::discriminant(&old.kind) == std::mem::discriminant(&decl.kind);
-        if !same_kind {
-            self.remove_state(&decl.name)?;
-            return self.add_state(decl);
-        }
-        match &decl.kind {
+        let (name, size) = (decl.name.as_str(), decl.size as usize);
+        let same_kind = match &decl.kind {
             StateKind::Map { .. } => {
-                let logical = self
-                    .maps
-                    .get(&decl.name)
-                    .map(|m| m.to_logical())
-                    .unwrap_or_default();
-                let mut store = MapStore::new(self.encoding, decl.size as usize);
-                store.restore(&logical);
+                let old = self.maps.get(name);
+                let resized = old.map(|old| MapStore::carrying(self.encoding, size, Some(old)));
                 // In-place replace keeps the slot stable.
-                self.maps.insert(&decl.name, store);
+                resized.map(|store| self.maps.insert(name, store)).is_some()
             }
             StateKind::Register { .. } => {
-                if let Some(r) = self.registers.get_mut(&decl.name) {
-                    r.resize(decl.size as usize, 0);
-                }
+                let cells = self.registers.get_mut(name);
+                cells.map(|r| r.resize(size, 0)).is_some()
             }
-            StateKind::Counter => {}
+            StateKind::Counter => self.counters.get(name).is_some(),
             StateKind::Meter { rate_pps, burst } => {
-                if let Some(m) = self.meters.get_mut(&decl.name) {
-                    m.rate_pps = *rate_pps;
-                    m.burst = *burst;
-                }
+                let meter = self.meters.get_mut(name);
+                meter.map(|m| (m.rate_pps, m.burst) = (*rate_pps, *burst)).is_some()
             }
+        };
+        if !same_kind {
+            self.remove_state(name)?;
+            return self.add_state(decl);
         }
-        self.decls.insert(decl.name.clone(), decl);
         Ok(())
     }
 
     /// Whether a state object exists.
     pub fn has(&self, name: &str) -> bool {
-        self.decls.contains_key(name)
+        self.maps.get(name).is_some()
+            || self.registers.get(name).is_some()
+            || self.counters.get(name).is_some()
+            || self.meters.get(name).is_some()
     }
 
     // -- slot resolution (bytecode lowering) ----------------------------------

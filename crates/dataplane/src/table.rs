@@ -17,7 +17,9 @@
 use flexnet_lang::ast::{ActionCall, TableDecl};
 use flexnet_types::{FlexError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Sentinel entry index [`TableInstance::lookup_burst`] writes for a miss.
 pub const BURST_MISS: u32 = u32::MAX;
@@ -131,10 +133,14 @@ impl TableEntry {
 /// digest (which reads `entries` only) are unaffected by them.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableInstance {
-    /// The declaration this instance implements.
-    pub decl: TableDecl,
+    /// The declaration this instance implements; shared with the copy a
+    /// hitless flip makes of an unchanged table.
+    pub decl: Arc<TableDecl>,
     /// Installed entries.
     pub entries: Vec<TableEntry>,
+    /// `decl.keys.len()`, kept beside the entries so a lookup does not
+    /// follow the declaration's pointer.
+    arity: usize,
     /// Cached per-entry `(priority, specificity)` ranks (insert-time, not
     /// per-packet).
     ranks: Vec<(i32, u32)>,
@@ -153,7 +159,8 @@ impl TableInstance {
     /// An empty instance of `decl`.
     pub fn new(decl: TableDecl) -> TableInstance {
         let mut t = TableInstance {
-            decl,
+            arity: decl.keys.len(),
+            decl: Arc::new(decl),
             entries: Vec::new(),
             ranks: Vec::new(),
             action_slots: Vec::new(),
@@ -270,7 +277,7 @@ impl TableInstance {
     /// The winning entry index for `keys`, via the hash index when every
     /// entry is exact, else the rank-ordered scan (first match wins).
     fn winner(&self, keys: &[u64]) -> Option<u32> {
-        if keys.len() != self.decl.keys.len() {
+        if keys.len() != self.arity {
             return None;
         }
         if let Some(index) = &self.exact {
@@ -327,7 +334,7 @@ impl TableInstance {
         if arity == 0 {
             return;
         }
-        if arity != self.decl.keys.len() {
+        if arity != self.arity {
             out.resize(keys.len() / arity, BURST_MISS);
             return;
         }
@@ -347,7 +354,7 @@ impl TableInstance {
 
     /// Number of key components each entry of this table matches on.
     pub fn key_arity(&self) -> usize {
-        self.decl.keys.len()
+        self.arity
     }
 
     /// Current occupancy.
@@ -377,12 +384,24 @@ pub struct TableSet {
 impl TableSet {
     /// Builds instances for every table declaration of a program.
     pub fn from_decls(decls: &[TableDecl]) -> TableSet {
+        TableSet::carrying(decls, &TableSet::default())
+    }
+
+    /// Instances for every declaration, in declaration order, where a
+    /// table `outgoing` holds under an identical declaration (the
+    /// `entries_carry_over` rule) starts as a copy of it — entries and
+    /// indexes, what inserting the entries one by one would rebuild — and
+    /// every other table starts empty.
+    pub(crate) fn carrying(decls: &[TableDecl], outgoing: &TableSet) -> TableSet {
         let mut set = TableSet::default();
         for d in decls {
             // Duplicate names cannot pass the type checker; keep the first.
-            if !set.index.contains_key(&d.name) {
-                set.index.insert(d.name.clone(), set.tables.len());
-                set.tables.push(TableInstance::new(d.clone()));
+            if let Entry::Vacant(slot) = set.index.entry(d.name.clone()) {
+                slot.insert(set.tables.len());
+                set.tables.push(match outgoing.get(&d.name) {
+                    Some(held) if *held.decl == *d => held.clone(),
+                    _ => TableInstance::new(d.clone()),
+                });
             }
         }
         set

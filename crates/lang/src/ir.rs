@@ -11,7 +11,7 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
-use crate::verifier::{block_ops, VerifyReport};
+use crate::verifier::block_ops;
 use flexnet_types::{ResourceKind, ResourceVec};
 use serde::{Deserialize, Serialize};
 
@@ -246,45 +246,6 @@ pub fn program_demand(
     total
 }
 
-/// A verified, placement-ready program: AST plus its certification and its
-/// element decomposition. This is the unit the compiler consumes and the
-/// unit that migrates between devices "carr\[ying\] its state in this logical
-/// representation" (paper §3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IrProgram {
-    /// The program AST.
-    pub program: Program,
-    /// User header declarations the program depends on.
-    pub user_headers: Vec<HeaderDecl>,
-    /// Per-handler op bounds from the verifier.
-    pub max_ops: u64,
-    /// Element decomposition with demands.
-    pub elements: Vec<Element>,
-}
-
-impl IrProgram {
-    /// Builds an [`IrProgram`] from a checked and verified AST.
-    pub fn build(
-        program: Program,
-        user_headers: Vec<HeaderDecl>,
-        headers: &HeaderRegistry,
-        report: &VerifyReport,
-    ) -> IrProgram {
-        let elements = program_elements(&program, &user_headers, headers);
-        IrProgram {
-            program,
-            user_headers,
-            max_ops: report.max_ops,
-            elements,
-        }
-    }
-
-    /// Looks up an element by name.
-    pub fn element(&self, name: &str) -> Option<&Element> {
-        self.elements.iter().find(|e| e.name == name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,13 +253,18 @@ mod tests {
     use crate::typecheck::check_program;
     use crate::verifier::verify_program;
 
-    fn ir(src: &str) -> IrProgram {
+    /// The elements of a checked and verified program.
+    fn elements(src: &str) -> Vec<Element> {
         let file = parse_source(src).unwrap();
         let headers = HeaderRegistry::with_user_headers(&file.headers).unwrap();
         let program = file.programs.into_iter().next().unwrap();
         check_program(&program, &headers).unwrap();
-        let report = verify_program(&program, &headers).unwrap();
-        IrProgram::build(program, file.headers, &headers, &report)
+        verify_program(&program, &headers).unwrap();
+        program_elements(&program, &file.headers, &headers)
+    }
+
+    fn element<'a>(elements: &'a [Element], name: &str) -> &'a Element {
+        elements.iter().find(|e| e.name == name).unwrap()
     }
 
     #[test]
@@ -362,7 +328,7 @@ mod tests {
 
     #[test]
     fn elements_cover_all_parts_with_deps() {
-        let ir = ir(
+        let elements = elements(
             "header vxlan { fields { vni: 24; } follows udp when udp.dport == 4789; }
              program p {
                counter c;
@@ -374,20 +340,17 @@ mod tests {
                handler ingress(pkt) { apply t; forward(1); }
              }",
         );
-        let names: Vec<_> = ir.elements.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<_> = elements.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["vxlan", "c", "t", "ingress"]);
-        let table = ir.element("t").unwrap();
-        assert_eq!(table.deps, vec!["c"]);
-        let handler = ir.element("ingress").unwrap();
-        assert_eq!(handler.deps, vec!["t"]);
-        assert_eq!(ir.element("vxlan").unwrap().kind, ElementKind::Parser);
-        assert!(ir.max_ops > 0);
+        assert_eq!(element(&elements, "t").deps, vec!["c"]);
+        assert_eq!(element(&elements, "ingress").deps, vec!["t"]);
+        assert_eq!(element(&elements, "vxlan").kind, ElementKind::Parser);
     }
 
     #[test]
     fn handler_demand_tracks_ops() {
-        let ir = ir("program p { handler h(pkt) { repeat (8) { meta.x = meta.x + 1; } forward(1); } }");
-        let h = ir.element("h").unwrap();
-        assert!(h.demand.get(ResourceKind::ActionSlots) > 8);
+        let elements =
+            elements("program p { handler h(pkt) { repeat (8) { meta.x = meta.x + 1; } forward(1); } }");
+        assert!(element(&elements, "h").demand.get(ResourceKind::ActionSlots) > 8);
     }
 }

@@ -78,7 +78,6 @@ pub mod prelude {
         execute, execute_metered, ExecEnv, ExecOutcome, MemEnv, GAS_UNLIMITED,
         MAX_TABLE_KEY_WIDTH,
     };
-    pub use crate::ir::IrProgram;
     pub use crate::parser::{parse_program, parse_source};
     pub use crate::patch::{apply_patch, parse_patch, Patch};
     pub use crate::typecheck::check_program;

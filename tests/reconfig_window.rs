@@ -6,6 +6,8 @@
 //! the device's state: the flip carries what is there *at the flip*, an
 //! abort keeps it, and a crash reboots into the old image. And a begin the
 //! device rejects leaves placement, resource use and the parser untouched.
+//! The outgoing program stays behind as the quarantine fallback with a copy
+//! of what it held at the flip — not empty, not what its successor wrote.
 
 use flexnet::prelude::*;
 use flexnet_dataplane::TxnTag;
@@ -23,6 +25,11 @@ fn bundle(src: &str) -> ProgramBundle {
 /// `headers` and `decls` are spliced in, `t` holds `t_size` entries and
 /// unmatched packets leave on `port`.
 fn app(headers: &str, decls: &str, t_size: u32, port: u16) -> ProgramBundle {
+    app_with(headers, decls, t_size, port, "")
+}
+
+/// `app` with `stmts` run after the table and before the forward.
+fn app_with(headers: &str, decls: &str, t_size: u32, port: u16, stmts: &str) -> ProgramBundle {
     bundle(&format!(
         "{headers}
          program app kind any {{
@@ -40,6 +47,7 @@ fn app(headers: &str, decls: &str, t_size: u32, port: u16) -> ProgramBundle {
              reg_write(r, 0, reg_read(r, 0) + 1);
              map_put(seen, ipv4.src, 1);
              apply t;
+             {stmts}
              forward({port});
            }}
          }}"
@@ -239,4 +247,112 @@ fn a_rejected_begin_leaves_no_residue() {
         d.tick(rep.ready_at);
         assert_eq!(verdict(&mut d, 90, 21, rep.ready_at), Verdict::Forward(2));
     }
+}
+
+/// `new()`'s declarations on `port`, with a handler that divides by zero on
+/// every source from 5000 up: a program a storm can quarantine.
+fn rogue(port: u16) -> ProgramBundle {
+    let trap = "if (ipv4.src >= 5000) { let x = 1000 / map_get(seen, 0); }";
+    app_with(VX, "counter extra;", 8, port, trap)
+}
+
+/// Traps the active program until the device quarantines it.
+fn storm(d: &mut Device, at: SimTime) {
+    for i in 0..64 {
+        assert_eq!(verdict(d, 1000 + i, 5000 + i as u32, at), Verdict::Drop);
+        if d.quarantined() {
+            return;
+        }
+    }
+    panic!("64 trapping packets did not quarantine the program");
+}
+
+/// The digest of a fresh device on `program` holding `denied`.
+fn digest_of(program: ProgramBundle, denied: &[u64]) -> u64 {
+    let mut fresh = Device::new(
+        NodeId(2),
+        Architecture::drmt_default(),
+        StateEncoding::StatefulTable,
+    );
+    fresh.install(program).unwrap();
+    for src in denied {
+        fresh.add_entry("t", deny(*src)).unwrap();
+    }
+    fresh.config_digest()
+}
+
+#[test]
+fn quarantine_falls_back_to_the_outgoing_program_as_it_stood_at_the_flip() {
+    let tag = TxnTag { txn_id: 11, epoch: 1 };
+    for transactional in [false, true] {
+        // v1 -> v2, writing in the window; v2 is the rogue.
+        let mut d = warmed_up();
+        let t0 = SimTime::from_secs(1);
+        let flip = if transactional {
+            let rep = d.prepare_txn_reconfig(rogue(2), t0, tag).unwrap();
+            let late = rep.ready_at + SimDuration::from_secs(3600);
+            write_in_window(&mut d, late);
+            assert!(d.commit_txn(tag, late).unwrap());
+            late
+        } else {
+            let rep = d.begin_runtime_reconfig(rogue(2), t0).unwrap();
+            write_in_window(&mut d, t0 + SimDuration::from_nanos(rep.duration.as_nanos() / 2));
+            rep.ready_at
+        };
+        d.tick(flip);
+        assert_eq!(d.program().unwrap().bundle(), &rogue(2), "flipped");
+
+        // v2 writes on: three packets, one entry more, one entry less.
+        for i in 0..3 {
+            assert_eq!(verdict(&mut d, 50 + i, 70 + i as u32, flip), Verdict::Forward(2));
+        }
+        d.add_entry("t", deny(300)).unwrap();
+        assert_eq!(d.remove_entry("t", &[KeyMatch::Exact(200)]).unwrap(), 1);
+        assert_eq!(d.program().unwrap().state.counter_read("c"), 9);
+
+        storm(&mut d, flip);
+        assert_eq!(d.program().unwrap().bundle(), &old(), "back on v1");
+        assert_window_writes_present(&d);
+        let t = d.program().unwrap().tables.get("t").unwrap();
+        assert_eq!(t.len(), 1, "v1's entries as of the flip, and only those");
+        assert_eq!(d.config_digest(), digest_of(old(), &[200]));
+        assert_eq!(verdict(&mut d, 90, 200, flip), Verdict::Drop);
+        assert_eq!(verdict(&mut d, 91, 300, flip), Verdict::Forward(1));
+    }
+}
+
+#[test]
+fn a_second_flip_replaces_the_fallback_with_the_second_outgoing_program() {
+    let mut d = warmed_up();
+    let t0 = SimTime::from_secs(1);
+    let rep = d.begin_runtime_reconfig(new(), t0).unwrap();
+    write_in_window(&mut d, t0);
+    d.tick(rep.ready_at);
+
+    // v2 = `new()` serves and is written to, then flips to the rogue v3.
+    let t1 = rep.ready_at + SimDuration::from_secs(1);
+    for i in 0..4 {
+        assert_eq!(verdict(&mut d, 50 + i, 70 + i as u32, t1), Verdict::Forward(2));
+    }
+    d.add_entry("t", deny(300)).unwrap();
+    let rep = d.begin_runtime_reconfig(rogue(3), t1).unwrap();
+    assert_eq!(verdict(&mut d, 60, 80, t1), Verdict::Forward(2)); // in the window
+    d.tick(rep.ready_at);
+    assert_eq!(d.program().unwrap().bundle(), &rogue(3), "flipped again");
+
+    // v3 writes on, then storms.
+    assert_eq!(verdict(&mut d, 61, 81, rep.ready_at), Verdict::Forward(3));
+    d.add_entry("t", deny(400)).unwrap();
+    storm(&mut d, rep.ready_at);
+
+    let p = d.program().unwrap();
+    assert_eq!(p.bundle(), &new(), "back on v2, not v1");
+    assert_eq!(p.state.counter_read("c"), 11, "6 carried from v1 + 5 under v2");
+    assert_eq!(p.state.reg_read("r", 0), 11);
+    assert_eq!(p.state.map_len("seen"), 11);
+    assert_eq!(p.state.counter_read("extra"), 0);
+    let t = p.tables.get("t").unwrap();
+    assert_eq!(t.len(), 2);
+    assert!(t.lookup(&[200]).is_some() && t.lookup(&[300]).is_some());
+    assert_eq!(d.config_digest(), digest_of(new(), &[200, 300]));
 }

@@ -6,6 +6,10 @@
 //!   the intended-state store's digest equals it on the controller side;
 //! - one committed transaction seals and compiles each distinct target
 //!   once, and every device and the store share that one image;
+//! - one operation plans each distinct (active image, target image) pair
+//!   once; a device with no image identity to share under — patched in
+//!   place, or handed a raw bundle — gets a plan of its own and the same
+//!   report, and a rejected begin on one device costs the others nothing;
 //! - sealing moved no check: bad targets abort where and how they did,
 //!   duplicate prepares re-ack without sealing, restarts keep the image;
 //! - intent and device apply the same entry carry-over rule;
@@ -19,9 +23,12 @@ use flexnet_controller::{
     logged_transactional_reconfig, IntendedStore, IntentRecord, LoggedTxnReport,
     ReplicatedIntentLog,
 };
-use flexnet_dataplane::{config_digest_of, ProgramImage, SandboxConfig, TxnTag, EMPTY_CONFIG_DIGEST};
+use flexnet_dataplane::{
+    config_digest_of, InstalledProgram, ProgramImage, ReconfigPlan, ReconfigReport, SandboxConfig,
+    SealTarget, SealedTargets, TxnTag, EMPTY_CONFIG_DIGEST,
+};
 use flexnet_lang::ast::ActionCall;
-use flexnet_lang::diff::diff_bundles;
+use flexnet_lang::diff::{diff_bundles, ReconfigOp};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 use rand::rngs::StdRng;
@@ -377,6 +384,189 @@ fn transactions_add_remove_and_readd_a_tenant_header_on_shared_images() {
             assert_eq!(pkt.headers, tunnelled.headers, "round {round}: {n}");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// One plan per (active image, target image) pair
+// ---------------------------------------------------------------------------
+
+/// What `begin_runtime_reconfig` reported before plans existed: the diff of
+/// what the device runs against the target, priced by the device's own
+/// cost model.
+fn report_from_scratch(dev: &Device, target: &ProgramBundle, now: SimTime) -> ReconfigReport {
+    let ops = diff_bundles(dev.program().unwrap().bundle(), target);
+    let duration = dev.cost_model().plan_duration(&ops);
+    ReconfigReport {
+        mode: ReconfigMode::RuntimeHitless,
+        ops: ops.len(),
+        duration,
+        ready_at: now + duration,
+        outcome: ReconfigOutcome::InFlight,
+    }
+}
+
+/// Placement, resource use and parser of a device.
+fn footprint(d: &Device) -> (Vec<String>, ResourceVec, ResourceVec) {
+    let placed = d.allocator().placed().map(str::to_owned).collect();
+    (placed, d.allocator().used(), d.parser().used())
+}
+
+fn device_on(node: u32, arch: Architecture, image: &Arc<ProgramImage>) -> Device {
+    let mut d = Device::new(NodeId(node), arch, StateEncoding::StatefulTable);
+    d.install(image.clone()).unwrap();
+    d
+}
+
+#[test]
+fn one_operation_plans_each_active_target_pair_once() {
+    let a = ProgramImage::seal(gate(0, 16)).unwrap();
+    let b = ProgramImage::seal(gate(2, 16)).unwrap();
+    let target = gate(1, 32);
+    // Three on image A — on three architectures, so three cost models —
+    // and one on image B.
+    let mut devs = [
+        device_on(0, Architecture::drmt_default(), &a),
+        device_on(1, Architecture::rmt_default(), &a),
+        device_on(2, Architecture::host_default(), &a),
+        device_on(3, Architecture::drmt_default(), &b),
+    ];
+    let mut sealed = SealedTargets::default();
+    let now = SimTime::from_secs(1);
+    for (i, dev) in devs.iter_mut().enumerate() {
+        let tag = TxnTag { txn_id: 5, epoch: 1 };
+        let expected = report_from_scratch(dev, &target, now);
+        let got = dev.prepare_txn_reconfig(sealed.target(&target), now, tag).unwrap();
+        assert_eq!(got, expected, "device {i}: report, ready_at and ops as without a plan");
+    }
+    let probe = [ReconfigOp::RemoveTable("t".into())];
+    let price = |d: &Device| d.cost_model().plan_duration(&probe);
+    assert_ne!(price(&devs[0]), price(&devs[2]), "the durations came from different cost models");
+
+    // Asking again hands back the plans the prepares were made from: one
+    // for the three on A, one for B (that the four prepares made exactly
+    // these two is `image.rs`'s unit test, which can count them).
+    let plans: Vec<Arc<ReconfigPlan>> = devs
+        .iter()
+        .map(|d| sealed.target(&target).into_plan(d.program()).unwrap())
+        .collect();
+    assert!(Arc::ptr_eq(&plans[0], &plans[1]) && Arc::ptr_eq(&plans[0], &plans[2]));
+    assert!(!Arc::ptr_eq(&plans[0], &plans[3]), "a different active image, a different plan");
+    drop(sealed);
+    assert_eq!(Arc::strong_count(&plans[0]), 3, "a plan does not outlive its operation");
+
+    // Every shadow is the one target image, whichever plan brought it.
+    for dev in devs.iter_mut() {
+        assert!(dev.commit_txn(TxnTag { txn_id: 5, epoch: 1 }, now).unwrap());
+        dev.tick(now + SimDuration::from_secs(60));
+    }
+    let image = |d: &Device| d.program().unwrap().image().unwrap().clone();
+    assert!(devs.iter().all(|d| Arc::ptr_eq(&image(d), &image(&devs[0]))));
+    assert_eq!(image(&devs[0]).bundle(), &target);
+}
+
+#[test]
+fn a_device_without_an_image_identity_gets_a_plan_of_its_own_and_the_same_report() {
+    let a = ProgramImage::seal(gate(0, 16)).unwrap();
+    let target = gate(1, 32);
+    let now = SimTime::from_secs(1);
+    let mut sealed = SealedTargets::default();
+    let mut shared = device_on(0, Architecture::drmt_default(), &a);
+    let with_plan = shared.begin_runtime_reconfig(sealed.target(&target), now).unwrap();
+    let the_plan = sealed.target(&target).into_plan(shared.program()).unwrap();
+
+    // A raw bundle and a bare image: sealed or not, no operation to share in.
+    let mut raw = device_on(1, Architecture::drmt_default(), &a);
+    assert_eq!(raw.begin_runtime_reconfig(target.clone(), now).unwrap(), with_plan);
+    let mut bare = device_on(2, Architecture::drmt_default(), &a);
+    let image = ProgramImage::seal(target.clone()).unwrap();
+    assert_eq!(bare.begin_runtime_reconfig(image, now).unwrap(), with_plan);
+
+    // Patched in place, then patched back: the same program as `a`, but no
+    // longer the image — the operation's plan for `a` is not for it.
+    let mut patched = device_on(3, Architecture::drmt_default(), &a);
+    let p = patched.program_mut().unwrap();
+    let extra = gate(1, 16).program.states[1].clone();
+    p.apply_op(&ReconfigOp::AddState(extra)).unwrap();
+    p.apply_op(&ReconfigOp::RemoveState("c1".into())).unwrap();
+    assert!(p.image().is_none() && p.bundle() == a.bundle());
+    let expected = report_from_scratch(&patched, &target, now);
+    assert_eq!(expected, with_plan, "same program, same change");
+    let private = sealed.target(&target).into_plan(patched.program()).unwrap();
+    assert!(!Arc::ptr_eq(&private, &the_plan));
+    assert_eq!(Arc::strong_count(&private), 1, "not kept: there is nobody to share it with");
+    assert_eq!(patched.begin_runtime_reconfig(sealed.target(&target), now).unwrap(), expected);
+
+    for dev in [&mut shared, &mut raw, &mut bare, &mut patched] {
+        dev.tick(with_plan.ready_at);
+        assert_eq!(dev.program().unwrap().bundle(), &target);
+        assert_eq!(dev.config_digest(), reference_digest(dev));
+    }
+}
+
+/// A target that must never be asked for anything.
+struct Untouchable;
+
+impl SealTarget for Untouchable {
+    fn into_image(self) -> Result<Arc<ProgramImage>> {
+        panic!("asked for the image")
+    }
+    fn into_plan(self, _: Option<&InstalledProgram>) -> Result<Arc<ReconfigPlan>> {
+        panic!("asked for the plan")
+    }
+}
+
+#[test]
+fn a_duplicate_prepare_asks_for_neither_image_nor_plan() {
+    let a = ProgramImage::seal(gate(0, 16)).unwrap();
+    let mut dev = device_on(0, Architecture::drmt_default(), &a);
+    let tag = TxnTag { txn_id: 9, epoch: 0 };
+    let target = gate(1, 16);
+    let mut sealed = SealedTargets::default();
+    let first = dev.prepare_txn_reconfig(sealed.target(&target), SimTime::from_secs(1), tag).unwrap();
+    let again = dev.prepare_txn_reconfig(Untouchable, SimTime::from_secs(2), tag).unwrap();
+    assert_eq!((again.ready_at, again.ops), (first.ready_at, first.ops));
+    dev.crash(SimTime::from_secs(3));
+    let err = dev.prepare_txn_reconfig(Untouchable, SimTime::from_secs(4), tag).unwrap_err();
+    assert!(matches!(err, FlexError::Unavailable(_)), "{err:?}");
+}
+
+#[test]
+fn a_begin_rejected_on_one_device_leaves_it_clean_and_the_shared_plan_usable() {
+    let a = ProgramImage::seal(gate(0, 16)).unwrap();
+    // Frees `acl`, then asks for more than device 2 has left.
+    let target = gate(1, 1 << 16);
+    let mut devs: Vec<Device> =
+        (0..4).map(|i| device_on(i, Architecture::drmt_default(), &a)).collect();
+    let ballast = devs[2].capacity().saturating_sub(&devs[2].used());
+    let ballast = ResourceVec::from_pairs([(ResourceKind::SramKb, ballast.get(ResourceKind::SramKb))]);
+    devs[2].allocator_mut().alloc("ballast", &ballast, 0).unwrap();
+    let before = footprint(&devs[2]);
+    let digest = devs[2].config_digest();
+
+    let mut sealed = SealedTargets::default();
+    let now = SimTime::from_secs(1);
+    let tag = TxnTag { txn_id: 6, epoch: 1 };
+    let expected = report_from_scratch(&devs[0], &target, now);
+    for (i, dev) in devs.iter_mut().enumerate() {
+        let got = dev.prepare_txn_reconfig(sealed.target(&target), now, tag);
+        if i == 2 {
+            let err = got.unwrap_err();
+            assert!(matches!(err, FlexError::ResourceExhausted { .. }), "{err}");
+        } else {
+            assert_eq!(got.unwrap(), expected, "device {i}");
+        }
+    }
+    assert!(!devs[2].reconfig_in_progress());
+    assert_eq!(footprint(&devs[2]), before, "placement, use and parser untouched");
+    assert_eq!(devs[2].config_digest(), digest);
+
+    // Without the ballast the same plan — device 2's refusal changed
+    // nothing in it — still serves device 2.
+    let plan = sealed.target(&target).into_plan(devs[2].program()).unwrap();
+    assert!(Arc::ptr_eq(&plan, &sealed.target(&target).into_plan(devs[3].program()).unwrap()));
+    devs[2].allocator_mut().free("ballast").unwrap();
+    let got = devs[2].prepare_txn_reconfig(sealed.target(&target), now, tag).unwrap();
+    assert_eq!(got, expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@
 # examples/ benchmark/src and nowhere else in its own file's non-test part.
 # Comment lines and `use` statements do not count as occurrences, so an item
 # kept alive only by its own unit tests, its docs and a re-export is listed.
+# For a `pub struct|enum|trait`, occurrences inside a top-level `impl` block
+# whose header names the type do not count either: a type that only its own
+# definition and its own `impl` blocks mention is listed.
 # Names are matched as words, not paths: a name shared with any other item
 # (`new`, `len`) is never listed, so the list under-reports and what it
 # prints is real.
@@ -23,7 +26,7 @@ cd "$(dirname "$0")/.."
 dead=$(find crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | sort |
     xargs awk '
     FNR == 1 {
-        intest = 0; inuse = 0
+        intest = 0; inuse = 0; inhdr = 0; inimpl = 0
         lib = FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /\/bin\//
     }
     /^[[:space:]]*#\[cfg\(test\)\]/ { intest = 1 }
@@ -36,21 +39,30 @@ dead=$(find crates tests examples benchmark/src -name '*.rs' -not -path '*/targe
         if (lib && !intest &&
             match(line, /^[[:space:]]*pub (const fn|fn|struct|enum|trait|const|type) [A-Za-z_0-9]+/)) {
             name = substr(line, RSTART, RLENGTH)
+            istype = name ~ /pub (struct|enum|trait) /
             sub(/.* /, "", name)
             decl[FILENAME SUBSEP name] = FNR
+            if (istype) type[FILENAME SUBSEP name] = 1
         }
+        # A top-level `impl` block: its header runs to the first `{`, its
+        # body to the next `}` in column one.
+        if (line ~ /^impl[ <]/) { inimpl = 1; inhdr = 1; split("", subject) }
+        if (line ~ /^}/) inimpl = 0
         n = split(line, word, /[^A-Za-z_0-9]+/)
+        if (inhdr) for (i = 1; i <= n; i++) subject[word[i]] = 1
+        if (inhdr && line ~ /\{/) inhdr = 0
         for (i = 1; i <= n; i++) {
             if (word[i] == "") continue
             everywhere[word[i]]++
             here[FILENAME SUBSEP word[i]]++
             if (!intest) live[FILENAME SUBSEP word[i]]++
+            if (!intest && !(inimpl && word[i] in subject)) apart[FILENAME SUBSEP word[i]]++
         }
     }
     END {
         for (k in decl) {
             split(k, part, SUBSEP)
-            if (everywhere[part[2]] == here[k] && live[k] == 1)
+            if (everywhere[part[2]] == here[k] && (live[k] == 1 || (k in type && apart[k] == 1)))
                 printf "%s:%d %s\n", part[1], decl[k], part[2]
         }
     }' | sort -t: -k1,1 -k2,2n)
