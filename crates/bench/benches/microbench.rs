@@ -222,6 +222,28 @@ fn bench_composition(c: &mut Criterion) {
         for id in 1..=n {
             tenants.arrive(TenantId(id), ext.clone()).unwrap();
         }
+        if n == 8 {
+            // What the control path does with a composition: hands it on
+            // (a copy per target, dropped after the operation), recognises
+            // it (`==`) and diffs it against the one a device runs.
+            let (before, _) = tenants.composed().unwrap();
+            tenants.depart(TenantId(1)).unwrap();
+            tenants.arrive(TenantId(n + 1), ext.clone()).unwrap();
+            let (after, _) = tenants.composed().unwrap();
+            let copy = after.clone();
+            c.bench_function("bundle_clone_drop/8_tenants", |b| {
+                b.iter(|| drop(black_box(after.clone())))
+            });
+            c.bench_function("bundle_eq/8_tenants", |b| {
+                b.iter(|| black_box(&copy) == black_box(&after))
+            });
+            c.bench_function("diff_successive_compositions/8_tenants", |b| {
+                b.iter(|| black_box(diff_bundles(&before, &after)))
+            });
+            // Back to tenants 1..=n for the churn below.
+            tenants.depart(TenantId(n + 1)).unwrap();
+            tenants.arrive(TenantId(1), ext.clone()).unwrap();
+        }
         let (mut oldest, mut next) = (1, n + 1);
         c.bench_function(&format!("tenant_churn_{n}"), |b| {
             b.iter(|| {

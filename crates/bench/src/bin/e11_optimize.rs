@@ -14,8 +14,10 @@
 use flexnet::prelude::*;
 use flexnet_bench::{bundle, header, row, sep};
 use flexnet_compiler::{choose_target, component_power_w, merge_tables, Objective};
+use flexnet_lang::ast::TableDecl;
+use std::sync::Arc;
 
-fn two_tables(a_size: u64, b_size: u64) -> (flexnet_lang::ast::TableDecl, flexnet_lang::ast::TableDecl) {
+fn two_tables(a_size: u64, b_size: u64) -> (Arc<TableDecl>, Arc<TableDecl>) {
     let p = bundle(&format!(
         "program p kind any {{
            table first {{

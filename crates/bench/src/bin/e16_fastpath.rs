@@ -13,6 +13,7 @@
 //!
 //! Usage: `e16_fastpath [packets] [sweep_seeds]` (defaults 200000, 24)
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use flexnet::prelude::*;
@@ -22,7 +23,7 @@ use flexnet_bench::Arm;
 use flexnet_dataplane::device::ExecMode;
 use flexnet_dataplane::table::{TableEntry, TableInstance};
 use flexnet_dataplane::SandboxConfig;
-use flexnet_lang::ast::{ActionCall, TableDecl};
+use flexnet_lang::ast::ActionCall;
 
 /// The E2 dynamic-apps workload: a 4-row count-min sketch (register reads
 /// and writes, hashing, a counter bump on every packet).
@@ -203,11 +204,10 @@ fn scan_lookup<'a>(entries: &'a [TableEntry], keys: &[u64]) -> Option<&'a TableE
 /// Builds an all-exact single-key ACL table with `size` entries.
 fn exact_table(size: u64) -> TableInstance {
     let prog = acl_workload();
-    let decl = prog.program.tables[0].clone();
-    let mut t = TableInstance::new(TableDecl {
-        size: size.max(decl.size),
-        ..decl
-    });
+    let mut decl = prog.program.tables[0].clone();
+    let grown = size.max(decl.size);
+    Arc::make_mut(&mut decl).size = grown;
+    let mut t = TableInstance::new(decl);
     for k in 0..size {
         t.insert(TableEntry::exact(
             &[k],

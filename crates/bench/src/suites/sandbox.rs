@@ -182,7 +182,7 @@ pub fn run(seed: u64, _arm: Arm) -> Result<SandboxReport> {
                         name: "slots".into(),
                         kind: StateKind::Register { width: 64 },
                         size: schedule.shrink_to,
-                    });
+                    }.into());
                     if let Some(p) = dev.program_mut() {
                         p.apply_op(&shrink).map_err(|e| {
                             FlexError::Sim(format!("seed {seed}: shrink register: {e}"))

@@ -256,7 +256,7 @@ mod tests {
              }",
         )
         .unwrap();
-        (p.tables[0].clone(), p.tables[1].clone())
+        (TableDecl::clone(&p.tables[0]), TableDecl::clone(&p.tables[1]))
     }
 
     #[test]

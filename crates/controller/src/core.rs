@@ -14,6 +14,7 @@ use crate::drpc::{ExecutionSite, ServiceRegistry};
 use crate::retry::LossyFabric;
 use crate::tenant::TenantManager;
 use flexnet_dataplane::Device;
+use flexnet_lang::ast::ServiceDecl;
 use flexnet_lang::compose::tenant_prefix;
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::Simulation;
@@ -1017,7 +1018,10 @@ impl Controller {
 
     /// Admits a tenant extension. Returns the assigned VLAN and the new
     /// composed bundle to push to the infrastructure device (via
-    /// `Command::RuntimeReconfig`).
+    /// `Command::RuntimeReconfig`). All or nothing: whatever can refuse the
+    /// arrival — the app URI, a namespaced service name, admission — is
+    /// asked before anything is taken, so a rejected tenant leaves
+    /// `tenants`, `apps`, `services` and the VLAN pool as they were.
     pub fn tenant_arrive(
         &mut self,
         tenant: TenantId,
@@ -1025,32 +1029,29 @@ impl Controller {
         now: SimTime,
     ) -> Result<(VlanId, ProgramBundle)> {
         let app_name = extension.program.name.clone();
-        let provided: Vec<(String, usize)> = extension
-            .program
-            .services
-            .iter()
-            .filter(|s| s.provided)
-            .map(|s| (s.name.clone(), s.params.len()))
+        let uri = AppUri::new(&tenant.to_string(), &app_name)
+            .unwrap_or_else(|| AppUri::infra(&app_name));
+        if (self.apps.lookup(&uri)).is_some_and(|app| app.status != AppStatus::Retired) {
+            return Err(FlexError::Conflict(format!("app `{uri}` is already registered")));
+        }
+        let provided: Vec<(String, usize)> = tenant_services(tenant, &extension)
+            .map(|(name, svc)| (name, svc.params.len()))
             .collect();
+        if let Some((name, _)) = provided.iter().find(|(n, _)| self.services.discover(n).is_some()) {
+            return Err(FlexError::Conflict(format!("service `{name}` already registered")));
+        }
 
         let (vlan, composition) = self.tenants.admit(tenant, extension)?;
 
         // Register the tenant's app under its URI.
-        let uri = AppUri::new(&tenant.to_string(), &app_name)
-            .unwrap_or_else(|| AppUri::infra(&app_name));
         let mut placement = flexnet_compiler::Placement::default();
         placement.assignments.insert(app_name, self.infra_node);
         self.apps.register(uri, Some(tenant), placement, now)?;
 
         // Register namespaced tenant-provided services.
-        for (name, arity) in provided {
-            let namespaced = format!("{}{}", tenant_prefix(tenant), name);
-            self.services.register(
-                &namespaced,
-                self.infra_node,
-                arity,
-                ExecutionSite::DataPlane,
-            )?;
+        for (namespaced, arity) in provided {
+            let site = ExecutionSite::DataPlane;
+            self.services.register(&namespaced, self.infra_node, arity, site)?;
         }
         Ok((vlan, composition.bundle))
     }
@@ -1059,7 +1060,7 @@ impl Controller {
     /// runtime reconfiguration; its resources are reclaimed by the diff's
     /// remove ops).
     pub fn tenant_depart(&mut self, tenant: TenantId) -> Result<ProgramBundle> {
-        self.tenants.depart(tenant)?;
+        let departed = self.tenants.depart(tenant)?;
         let (composed, _) = self.tenants.composed()?;
         // Retire the tenant's apps and services.
         let uris: Vec<AppUri> = self
@@ -1071,18 +1072,24 @@ impl Controller {
         for uri in uris {
             self.apps.set_status(&uri, AppStatus::Retired)?;
         }
-        let prefix = tenant_prefix(tenant);
-        let stale: Vec<String> = self
-            .services
-            .services()
-            .filter(|s| s.name.starts_with(&prefix))
-            .map(|s| s.name.clone())
-            .collect();
-        for name in stale {
+        // Exactly the names its arrival registered: a name that merely
+        // starts with the tenant's prefix may be the operator's.
+        for (name, _) in tenant_services(tenant, &departed.bundle) {
             self.services.unregister(&name)?;
         }
         Ok(composed)
     }
+}
+
+/// The services `extension` provides, under the names `tenant`'s arrival
+/// registers them by.
+fn tenant_services(
+    tenant: TenantId,
+    extension: &ProgramBundle,
+) -> impl Iterator<Item = (String, &ServiceDecl)> {
+    let prefix = tenant_prefix(tenant);
+    let provided = extension.program.services.iter().filter(|s| s.provided);
+    provided.map(move |s| (format!("{prefix}{}", s.name), &**s))
 }
 
 #[cfg(test)]

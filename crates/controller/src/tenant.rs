@@ -118,14 +118,15 @@ impl TenantManager {
         Ok((vlan, composition))
     }
 
-    /// Removes a tenant's extension, releasing its VLAN.
-    pub fn depart(&mut self, tenant: TenantId) -> Result<()> {
+    /// Removes a tenant's extension, releasing its VLAN, and hands the
+    /// extension back.
+    pub fn depart(&mut self, tenant: TenantId) -> Result<TenantExtension> {
         let (ext, _) = self
             .admitted
             .remove(&tenant)
             .ok_or_else(|| FlexError::NotFound(format!("{tenant}")))?;
         self.free_vlans.push(ext.vlan);
-        Ok(())
+        Ok(ext)
     }
 
     /// The current composed program (infra + all admitted extensions) —

@@ -25,6 +25,7 @@ use flexnet_lang::diff::ProgramBundle;
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::ir::program_demand;
 use flexnet_types::{FlexError, Packet, ResourceVec, Result, SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Per-packet op multiplier of HyPer4-style emulation (the HyPer4 paper
 /// reports 80–95% throughput loss vs. native).
@@ -118,10 +119,12 @@ impl Hyper4Device {
     pub fn load_program(&mut self, bundle: ProgramBundle) -> Result<SimDuration> {
         let mut inflated = bundle;
         for t in &mut inflated.program.tables {
+            let t = Arc::make_mut(t);
             t.size = t.size.saturating_mul(HYPER4_TABLE_INFLATION);
         }
         for s in &mut inflated.program.states {
             if matches!(s.kind, flexnet_lang::ast::StateKind::Map { .. }) {
+                let s = Arc::make_mut(s);
                 s.size = s.size.saturating_mul(HYPER4_TABLE_INFLATION);
             }
         }

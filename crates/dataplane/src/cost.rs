@@ -202,18 +202,18 @@ mod tests {
                 name: "s".into(),
                 kind: StateKind::Counter,
                 size: 1,
-            }),
+            }.into()),
             ReconfigOp::AddTable(TableDecl {
                 name: "t".into(),
                 keys: vec![],
                 actions: vec![],
                 default_action: None,
                 size: 8,
-            }),
+            }.into()),
             ReconfigOp::SetHandler(Handler {
                 name: "h".into(),
                 body: vec![],
-            }),
+            }.into()),
         ]
     }
 

@@ -58,7 +58,7 @@ pub const DEDUP_WINDOW: usize = 64;
 struct DeviceResolver<'a> {
     tables: &'a TableSet,
     state: &'a DeviceState,
-    services: &'a [flexnet_lang::ast::ServiceDecl],
+    services: &'a [Arc<flexnet_lang::ast::ServiceDecl>],
 }
 
 impl SlotResolver for DeviceResolver<'_> {
@@ -219,7 +219,7 @@ impl InstalledProgram {
                 }
             }
             ReconfigOp::AddState(s) => {
-                self.state.add_state(s.clone())?;
+                self.state.add_state(s)?;
                 bundle.program.states.push(s.clone());
             }
             ReconfigOp::RemoveState(n) => {
@@ -227,7 +227,7 @@ impl InstalledProgram {
                 bundle.program.states.retain(|s| &s.name != n);
             }
             ReconfigOp::ModifyState(s) => {
-                self.state.modify_state(s.clone())?;
+                self.state.modify_state(s)?;
                 if let Some(slot) = bundle.program.states.iter_mut().find(|x| x.name == s.name) {
                     *slot = s.clone();
                 }
@@ -1785,7 +1785,7 @@ pub(crate) mod tests {
                 name: "extra".into(),
                 kind: flexnet_lang::ast::StateKind::Counter,
                 size: 1,
-            }))
+            }.into()))
             .unwrap();
         assert!(d.program().unwrap().compiled().is_none(), "invalidated");
         let mut pkt = Packet::tcp(1, 10, 20, 1, 80, 0);

@@ -5,7 +5,8 @@
 //! `Arc`. It is the unit the control path moves: a coordinator seals a
 //! target once ([`SealedTargets`]) and every device, shadow and
 //! intended-state record of that operation shares the one image instead
-//! of deep-cloning and re-checking the bundle (`DESIGN.md` §18). The only
+//! of re-checking the bundle (`DESIGN.md` §18); the bundle inside shares
+//! its declarations with the bundle it was sealed from (§23). The only
 //! constructor is [`ProgramImage::seal`] and nothing hands out `&mut`
 //! access, so holding an image is proof the program was checked; every
 //! entry point that takes a program takes a [`SealTarget`].
@@ -198,7 +199,8 @@ impl Code {
     }
 
     /// Mutable access for an in-place op. The sealed image is never
-    /// touched: the first call copies its bundle and registry out.
+    /// touched: the first call copies its bundle — the lists, not the
+    /// declarations, which an op replaces whole — and registry out.
     pub(crate) fn patch(&mut self) -> (&mut ProgramBundle, &mut HeaderRegistry) {
         if let Code::Sealed(image) = self {
             let copy = (image.bundle.clone(), image.registry.clone());

@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// controller's intended-state store applies this function and the
 /// device's flip the same test, declaration by declaration
 /// (`TableSet::carrying`), so their digests agree right after the flip.
-pub fn entries_carry_over(old: &TableDecl, new: &Program) -> bool {
+pub fn entries_carry_over(old: &Arc<TableDecl>, new: &Program) -> bool {
     new.table(&old.name) == Some(old)
 }
 

@@ -26,6 +26,7 @@ use flexnet_lang::ast::{StateDecl, StateKind};
 use flexnet_types::{FlexError, Result, SimTime, Trap};
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 /// How a device encodes logical key/value maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -393,7 +394,7 @@ pub struct DeviceState {
 
 impl DeviceState {
     /// Builds storage for every declaration using the given encoding.
-    pub fn from_decls(decls: &[StateDecl], encoding: StateEncoding) -> DeviceState {
+    pub fn from_decls(decls: &[Arc<StateDecl>], encoding: StateEncoding) -> DeviceState {
         DeviceState::carrying(decls, encoding, None)
     }
 
@@ -404,7 +405,7 @@ impl DeviceState {
     /// as they stand; meter buckets start full. One copy per object, and
     /// equal to `from_decls(decls)` after `restore(&outgoing.snapshot())`.
     pub(crate) fn carrying(
-        decls: &[StateDecl],
+        decls: &[Arc<StateDecl>],
         encoding: StateEncoding,
         outgoing: Option<&DeviceState>,
     ) -> DeviceState {
@@ -430,14 +431,14 @@ impl DeviceState {
     }
 
     /// Installs storage for a new state declaration.
-    pub fn add_state(&mut self, decl: StateDecl) -> Result<()> {
+    pub fn add_state(&mut self, decl: &StateDecl) -> Result<()> {
         if self.has(&decl.name) {
             return Err(FlexError::Reconfig(format!(
                 "state `{}` already installed",
                 decl.name
             )));
         }
-        self.install(&decl, None);
+        self.install(decl, None);
         Ok(())
     }
 
@@ -491,7 +492,7 @@ impl DeviceState {
     /// Replaces a state declaration, preserving contents when the kind is
     /// unchanged (e.g. growing a map keeps its entries; register arrays are
     /// resized, truncating or zero-filling).
-    pub fn modify_state(&mut self, decl: StateDecl) -> Result<()> {
+    pub fn modify_state(&mut self, decl: &StateDecl) -> Result<()> {
         let (name, size) = (decl.name.as_str(), decl.size as usize);
         let same_kind = match &decl.kind {
             StateKind::Map { .. } => {
@@ -829,23 +830,23 @@ impl DeviceState {
 mod tests {
     use super::*;
 
-    fn map_decl(name: &str, size: u64) -> StateDecl {
-        StateDecl {
+    fn map_decl(name: &str, size: u64) -> Arc<StateDecl> {
+        Arc::new(StateDecl {
             name: name.into(),
             kind: StateKind::Map {
                 key_width: 32,
                 value_width: 32,
             },
             size,
-        }
+        })
     }
 
-    fn reg_decl(name: &str, size: u64) -> StateDecl {
-        StateDecl {
+    fn reg_decl(name: &str, size: u64) -> Arc<StateDecl> {
+        Arc::new(StateDecl {
             name: name.into(),
             kind: StateKind::Register { width: 64 },
             size,
-        }
+        })
     }
 
     #[test]
@@ -1012,7 +1013,7 @@ mod tests {
                 name: "c".into(),
                 kind: StateKind::Counter,
                 size: 1,
-            }],
+            }.into()],
             StateEncoding::StatefulTable,
         );
         s.reg_write("r", 2, 99);
@@ -1032,7 +1033,7 @@ mod tests {
                     burst: 2,
                 },
                 size: 1,
-            }],
+            }.into()],
             StateEncoding::StatefulTable,
         );
         s.now = SimTime::from_millis(0);
@@ -1067,11 +1068,11 @@ mod tests {
 
     #[test]
     fn restore_merges_counters() {
-        let decl = StateDecl {
+        let decl = Arc::new(StateDecl {
             name: "c".into(),
             kind: StateKind::Counter,
             size: 1,
-        };
+        });
         let mut a = DeviceState::from_decls(std::slice::from_ref(&decl), StateEncoding::StatefulTable);
         a.counter_add("c", 5, 500);
         let snap = a.snapshot();
@@ -1084,18 +1085,18 @@ mod tests {
     #[test]
     fn add_remove_modify_state() {
         let mut s = DeviceState::from_decls(&[], StateEncoding::StatefulTable);
-        s.add_state(map_decl("m", 2)).unwrap();
-        assert!(s.add_state(map_decl("m", 2)).is_err());
+        s.add_state(&map_decl("m", 2)).unwrap();
+        assert!(s.add_state(&map_decl("m", 2)).is_err());
         s.map_put("m", 1, 1).unwrap();
         // Growing preserves contents.
-        s.modify_state(map_decl("m", 16)).unwrap();
+        s.modify_state(&map_decl("m", 16)).unwrap();
         assert_eq!(s.map_get("m", 1), Some(1));
         // Kind change wipes contents.
-        s.modify_state(reg_decl("m", 4)).unwrap();
+        s.modify_state(&reg_decl("m", 4)).unwrap();
         assert_eq!(s.reg_read("m", 0), 0);
         s.remove_state("m").unwrap();
         assert!(s.remove_state("m").is_err());
-        assert!(s.modify_state(map_decl("q", 2)).is_err());
+        assert!(s.modify_state(&map_decl("q", 2)).is_err());
     }
 
     #[test]
@@ -1109,7 +1110,7 @@ mod tests {
                     name: "c".into(),
                     kind: StateKind::Counter,
                     size: 1,
-                },
+                }.into(),
             ],
             StateEncoding::StatefulTable,
         );

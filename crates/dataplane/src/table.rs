@@ -156,11 +156,11 @@ pub struct TableInstance {
 }
 
 impl TableInstance {
-    /// An empty instance of `decl`.
-    pub fn new(decl: TableDecl) -> TableInstance {
+    /// An empty instance of `decl`, which it shares with whoever gave it.
+    pub fn new(decl: Arc<TableDecl>) -> TableInstance {
         let mut t = TableInstance {
             arity: decl.keys.len(),
-            decl: Arc::new(decl),
+            decl,
             entries: Vec::new(),
             ranks: Vec::new(),
             action_slots: Vec::new(),
@@ -383,7 +383,7 @@ pub struct TableSet {
 
 impl TableSet {
     /// Builds instances for every table declaration of a program.
-    pub fn from_decls(decls: &[TableDecl]) -> TableSet {
+    pub fn from_decls(decls: &[Arc<TableDecl>]) -> TableSet {
         TableSet::carrying(decls, &TableSet::default())
     }
 
@@ -392,14 +392,14 @@ impl TableSet {
     /// `entries_carry_over` rule) starts as a copy of it — entries and
     /// indexes, what inserting the entries one by one would rebuild — and
     /// every other table starts empty.
-    pub(crate) fn carrying(decls: &[TableDecl], outgoing: &TableSet) -> TableSet {
+    pub(crate) fn carrying(decls: &[Arc<TableDecl>], outgoing: &TableSet) -> TableSet {
         let mut set = TableSet::default();
         for d in decls {
             // Duplicate names cannot pass the type checker; keep the first.
             if let Entry::Vacant(slot) = set.index.entry(d.name.clone()) {
                 slot.insert(set.tables.len());
                 set.tables.push(match outgoing.get(&d.name) {
-                    Some(held) if *held.decl == *d => held.clone(),
+                    Some(held) if held.decl == *d => held.clone(),
                     _ => TableInstance::new(d.clone()),
                 });
             }
@@ -408,7 +408,7 @@ impl TableSet {
     }
 
     /// Adds an (empty) table for `decl`.
-    pub fn add_table(&mut self, decl: TableDecl) -> Result<()> {
+    pub fn add_table(&mut self, decl: Arc<TableDecl>) -> Result<()> {
         if self.index.contains_key(&decl.name) {
             return Err(FlexError::Reconfig(format!(
                 "table `{}` already installed",
@@ -438,7 +438,7 @@ impl TableSet {
     /// Replaces a table's declaration in place (same slot), migrating
     /// entries that still fit (same key arity and a declared action);
     /// others are dropped.
-    pub fn modify_table(&mut self, decl: TableDecl) -> Result<usize> {
+    pub fn modify_table(&mut self, decl: Arc<TableDecl>) -> Result<usize> {
         let pos = *self
             .index
             .get(&decl.name)
@@ -496,8 +496,8 @@ mod tests {
     use super::*;
     use flexnet_lang::ast::{ActionDecl, FieldPath, MatchKind, TableKey};
 
-    fn decl(name: &str, kinds: &[MatchKind], size: u64) -> TableDecl {
-        TableDecl {
+    fn decl(name: &str, kinds: &[MatchKind], size: u64) -> Arc<TableDecl> {
+        Arc::new(TableDecl {
             name: name.into(),
             keys: kinds
                 .iter()
@@ -520,7 +520,7 @@ mod tests {
             ],
             default_action: None,
             size,
-        }
+        })
     }
 
     fn go(p: u64) -> ActionCall {

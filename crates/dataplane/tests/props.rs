@@ -56,7 +56,7 @@ proptest! {
             StateEncoding::FlowInstructionSet,
             StateEncoding::StatefulTable,
         ][enc_idx];
-        let mut s = DeviceState::from_decls(&[map_decl(cap)], enc);
+        let mut s = DeviceState::from_decls(&[map_decl(cap).into()], enc);
         let mut model = std::collections::BTreeMap::new();
         for op in &ops {
             match op {
@@ -103,12 +103,12 @@ proptest! {
     fn snapshot_restore_preserves_exact_state(
         entries in prop::collection::btree_map(any::<u64>(), any::<u64>(), 0..16),
     ) {
-        let mut a = DeviceState::from_decls(&[map_decl(64)], StateEncoding::StatefulTable);
+        let mut a = DeviceState::from_decls(&[map_decl(64).into()], StateEncoding::StatefulTable);
         for (k, v) in &entries {
             a.map_put("m", *k, *v).unwrap();
         }
         let snap = a.snapshot();
-        let mut b = DeviceState::from_decls(&[map_decl(64)], StateEncoding::FlowInstructionSet);
+        let mut b = DeviceState::from_decls(&[map_decl(64).into()], StateEncoding::FlowInstructionSet);
         b.restore(&snap);
         for (k, v) in &entries {
             prop_assert_eq!(b.map_get("m", *k), Some(*v));
@@ -139,7 +139,7 @@ proptest! {
             default_action: None,
             size: 64,
         };
-        let mut table = TableInstance::new(decl);
+        let mut table = TableInstance::new(decl.into());
         for (i, (value, len, prio)) in entries.iter().enumerate() {
             table
                 .insert(TableEntry {
@@ -188,7 +188,7 @@ proptest! {
                     burst,
                 },
                 size: 1,
-            }],
+            }.into()],
             StateEncoding::StatefulTable,
         );
         // Offer 10x the fair share, evenly spaced.

@@ -12,17 +12,26 @@
 //! (`patch.rs`) and datapath composition (`compose.rs`), so every node is
 //! `Clone + PartialEq + Serialize` and the tree can be pretty-printed back
 //! to parseable source (`to_source`), which the tests round-trip.
+//!
+//! The declaration is the unit of sharing: a [`Program`] holds its state,
+//! table, service and handler declarations (and a bundle its headers)
+//! behind `Arc`s, the parser makes them, and composition, diffing, sealing
+//! and the device hand the pointer on. An `Arc<T>` prints and compares as
+//! its `T` (a shared one is recognised by address first), so sharing is
+//! invisible to `{:?}`, `to_source()` and every digest; whoever edits a
+//! declaration in place does so through `Arc::make_mut`, on its own copy.
 
 use flexnet_types::Sym;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A parsed FlexBPF source file.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SourceFile {
     /// Global header-type declarations.
-    pub headers: Vec<HeaderDecl>,
+    pub headers: Vec<Arc<HeaderDecl>>,
     /// Program declarations.
     pub programs: Vec<Program>,
 }
@@ -93,13 +102,13 @@ pub struct Program {
     /// Target-class hint.
     pub kind: ProgramKind,
     /// State declarations (maps, counters, registers, meters).
-    pub states: Vec<StateDecl>,
+    pub states: Vec<Arc<StateDecl>>,
     /// Match/action table declarations.
-    pub tables: Vec<TableDecl>,
+    pub tables: Vec<Arc<TableDecl>>,
     /// dRPC services this program invokes or provides.
-    pub services: Vec<ServiceDecl>,
+    pub services: Vec<Arc<ServiceDecl>>,
     /// Packet handlers (`ingress`, `egress`, …).
-    pub handlers: Vec<Handler>,
+    pub handlers: Vec<Arc<Handler>>,
 }
 
 impl Program {
@@ -116,17 +125,17 @@ impl Program {
     }
 
     /// Finds a table by name.
-    pub fn table(&self, name: &str) -> Option<&TableDecl> {
+    pub fn table(&self, name: &str) -> Option<&Arc<TableDecl>> {
         self.tables.iter().find(|t| t.name == name)
     }
 
     /// Finds a state declaration by name.
-    pub fn state(&self, name: &str) -> Option<&StateDecl> {
+    pub fn state(&self, name: &str) -> Option<&Arc<StateDecl>> {
         self.states.iter().find(|s| s.name == name)
     }
 
     /// Finds a handler by name.
-    pub fn handler(&self, name: &str) -> Option<&Handler> {
+    pub fn handler(&self, name: &str) -> Option<&Arc<Handler>> {
         self.handlers.iter().find(|h| h.name == name)
     }
 }
@@ -741,7 +750,7 @@ mod tests {
             actions: vec![],
             default_action: None,
             size: 8,
-        });
+        }.into());
         assert!(p.table("acl").is_some());
         assert!(p.table("nope").is_none());
         assert!(p.state("s").is_none());
@@ -778,11 +787,11 @@ mod tests {
                 value_width: 8,
             },
             size: 1024,
-        });
+        }.into());
         p.handlers.push(Handler {
             name: "ingress".into(),
             body: vec![Stmt::Forward(Expr::Int(1))],
-        });
+        }.into());
         let src = p.to_source();
         assert!(src.contains("program fw kind switch {"));
         assert!(src.contains("map blocked : map<u32, u8>[1024];"));

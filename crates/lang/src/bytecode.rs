@@ -1632,7 +1632,7 @@ mod tests {
         p.handlers.push(Handler {
             name: "ingress".into(),
             body: vec![Stmt::Forward(Expr::Local("nope".into()))],
-        });
+        }.into());
         let headers = HeaderRegistry::builtins();
         let err = compile_positional(&p, &headers).unwrap_err();
         assert_eq!(
@@ -1653,11 +1653,11 @@ mod tests {
                 args: vec![],
             }),
             size: 4,
-        });
+        }.into());
         p.handlers.push(Handler {
             name: "ingress".into(),
             body: vec![Stmt::Apply("t".into())],
-        });
+        }.into());
         let err = compile_positional(&p, &headers).unwrap_err();
         assert_eq!(
             err,

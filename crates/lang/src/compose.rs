@@ -44,6 +44,7 @@ use crate::ast::*;
 use crate::diff::ProgramBundle;
 use flexnet_types::{FlexError, Result, TenantId, VlanId};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A tenant extension awaiting composition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,23 +83,25 @@ pub struct Composition {
 /// Nothing in a fragment depends on any other tenant — only on its own
 /// extension and on the infrastructure it was isolated against — so a
 /// fragment stays valid while other tenants come and go. The only
-/// constructor is [`isolate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// constructor is [`isolate`]. The namespaced declarations are built once,
+/// here; every composition the fragment is laid into shares them.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Fragment {
     tenant: TenantId,
     /// Header types the extension brings, as declared.
-    headers: Vec<HeaderDecl>,
+    headers: Vec<Arc<HeaderDecl>>,
     /// Namespaced state.
-    states: Vec<StateDecl>,
+    states: Vec<Arc<StateDecl>>,
     /// Namespaced tables, action bodies rewritten.
-    tables: Vec<TableDecl>,
+    tables: Vec<Arc<TableDecl>>,
     /// Provided services: the name as the tenant wrote it, and the
     /// namespaced declaration.
-    provides: Vec<(String, ServiceDecl)>,
-    /// One VLAN-guarded `if` per `ingress` handler.
+    provides: Vec<(String, Arc<ServiceDecl>)>,
+    /// One VLAN-guarded `if` per `ingress` handler. The merged `ingress`
+    /// body is one `Vec<Stmt>`, so these are what an assembly copies.
     guards: Vec<Stmt>,
     /// Every other handler, namespaced.
-    handlers: Vec<Handler>,
+    handlers: Vec<Arc<Handler>>,
     /// (original, namespaced) for each state and table.
     renamed: Vec<(String, String)>,
 }
@@ -118,8 +121,9 @@ pub fn compose(infra: &ProgramBundle, extensions: &[TenantExtension]) -> Result<
         // A tenant with several faults reports the one its program declares
         // first, so what preceded an isolation fault is laid down — and
         // checked against the tenants before it — ahead of reporting it.
-        let (fragment, fault) = isolate_until_fault(infra, ext);
-        assembly.add(fragment)?;
+        let (mut fragment, fault) = isolate_until_fault(infra, ext);
+        let guards = std::mem::take(&mut fragment.guards);
+        assembly.add(&fragment, guards)?;
         if let Some(fault) = fault {
             return Err(fault);
         }
@@ -144,7 +148,7 @@ pub fn assemble(infra: &ProgramBundle, fragments: &[&Fragment]) -> Result<Compos
     let headers = fragments.iter().map(|f| (f.tenant, &f.headers[..]));
     let mut assembly = Assembly::begin(infra, headers)?;
     for fragment in fragments {
-        assembly.add(Fragment::clone(fragment))?;
+        assembly.add(fragment, fragment.guards.iter().cloned())?;
     }
     Ok(assembly.finish())
 }
@@ -182,17 +186,17 @@ fn isolate_until_fault(
 
     let renames: BTreeMap<String, String> = frag.renamed.iter().cloned().collect();
     for s in &program.states {
-        let mut s = s.clone();
+        let mut s = StateDecl::clone(s);
         s.name = renames[&s.name].clone();
-        frag.states.push(s);
+        frag.states.push(Arc::new(s));
     }
     for t in &program.tables {
-        let mut t = t.clone();
+        let mut t = TableDecl::clone(t);
         t.name = renames[&t.name].clone();
         for a in &mut t.actions {
             rename_block(&mut a.body, &renames);
         }
-        frag.tables.push(t);
+        frag.tables.push(Arc::new(t));
     }
     for svc in &program.services {
         if svc.provided {
@@ -201,7 +205,7 @@ fn isolate_until_fault(
                 params: svc.params.clone(),
                 provided: true,
             };
-            frag.provides.push((svc.name.clone(), decl));
+            frag.provides.push((svc.name.clone(), Arc::new(decl)));
             continue;
         }
         // Imported service: must be provided by the infrastructure, which
@@ -241,10 +245,10 @@ fn isolate_until_fault(
             frag.guards.push(Stmt::If(guard, body, Vec::new()));
         } else {
             // Non-ingress handlers are installed namespaced.
-            frag.handlers.push(Handler {
+            frag.handlers.push(Arc::new(Handler {
                 name: namespaced(&h.name),
                 body,
-            });
+            }));
         }
     }
     (frag, None)
@@ -263,7 +267,7 @@ impl Assembly {
     /// rejecting incompatible redeclarations.
     fn begin<'a>(
         infra: &ProgramBundle,
-        headers: impl Iterator<Item = (TenantId, &'a [HeaderDecl])>,
+        headers: impl Iterator<Item = (TenantId, &'a [Arc<HeaderDecl>])>,
     ) -> Result<Assembly> {
         let mut out = infra.clone();
         for (tenant, declared) in headers {
@@ -287,27 +291,31 @@ impl Assembly {
         })
     }
 
-    /// Lays one tenant's fragment down after those already added.
-    fn add(&mut self, frag: Fragment) -> Result<()> {
+    /// Lays one tenant's fragment down after those already added: its
+    /// declarations by reference, and `guards` — its own, moved or copied —
+    /// into the merged `ingress` body.
+    fn add(&mut self, frag: &Fragment, guards: impl IntoIterator<Item = Stmt>) -> Result<()> {
         let program = &mut self.out.program;
         // Provided services must be unique across the composition: every
         // one so far — the infrastructure's and the earlier tenants' — is a
         // `provided` entry of the program being built.
-        for (written, decl) in frag.provides {
-            let taken = |s: &ServiceDecl| s.provided && (s.name == written || s.name == decl.name);
+        for (written, decl) in &frag.provides {
+            let taken = |s: &Arc<ServiceDecl>| {
+                s.provided && (s.name == *written || s.name == decl.name)
+            };
             if program.services.iter().any(taken) {
                 return Err(FlexError::Conflict(format!(
                     "tenant {} provides service `{written}` which is already provided",
                     frag.tenant
                 )));
             }
-            program.services.push(decl);
+            program.services.push(decl.clone());
         }
-        program.states.extend(frag.states);
-        program.tables.extend(frag.tables);
-        program.handlers.extend(frag.handlers);
-        self.guards.extend(frag.guards);
-        self.report.renamed.extend(frag.renamed);
+        program.states.extend(frag.states.iter().cloned());
+        program.tables.extend(frag.tables.iter().cloned());
+        program.handlers.extend(frag.handlers.iter().cloned());
+        self.guards.extend(guards);
+        self.report.renamed.extend(frag.renamed.iter().cloned());
         self.report.tenants += 1;
         Ok(())
     }
@@ -317,19 +325,19 @@ impl Assembly {
         // Tenant ingress guards run before the infrastructure ingress body,
         // so a tenant verdict (e.g. a tenant firewall drop) takes effect
         // first and fall-through continues into infrastructure processing.
+        // This merged handler is the one declaration a composition builds.
         if !self.guards.is_empty() {
-            match program.handlers.iter_mut().find(|h| h.name == "ingress") {
-                Some(h) => {
-                    self.guards.append(&mut h.body);
-                    h.body = self.guards;
-                }
-                None => program.handlers.insert(
-                    0,
-                    Handler {
-                        name: "ingress".to_string(),
-                        body: self.guards,
-                    },
-                ),
+            let infra_ingress = program.handlers.iter_mut().find(|h| h.name == "ingress");
+            if let Some(h) = &infra_ingress {
+                self.guards.extend(h.body.iter().cloned());
+            }
+            let merged = Arc::new(Handler {
+                name: "ingress".to_string(),
+                body: self.guards,
+            });
+            match infra_ingress {
+                Some(h) => *h = merged,
+                None => program.handlers.insert(0, merged),
             }
         }
         self.report.shared_tables = dedup_stateless_tables(program);
@@ -489,7 +497,7 @@ fn dedup_stateless_tables(program: &mut Program) -> usize {
         (keys, actions, default_action, size) == (&b.keys, &b.actions, &b.default_action, &b.size)
     }
 
-    let mut keep: Vec<TableDecl> = Vec::with_capacity(program.tables.len());
+    let mut keep: Vec<Arc<TableDecl>> = Vec::with_capacity(program.tables.len());
     // Indices into `keep` of the tables a later copy may be folded into.
     let mut shareable: Vec<usize> = Vec::new();
     let mut renames: BTreeMap<String, String> = BTreeMap::new();
@@ -498,7 +506,7 @@ fn dedup_stateless_tables(program: &mut Program) -> usize {
     for t in std::mem::take(&mut program.tables) {
         if is_tenant_table(&t.name) && t.actions.iter().all(|a| block_is_stateless(&a.body)) {
             if let Some(&i) = shareable.iter().find(|&&i| same_definition(&keep[i], &t)) {
-                renames.insert(t.name, keep[i].name.clone());
+                renames.insert(t.name.clone(), keep[i].name.clone());
                 eliminated += 1;
                 continue;
             }
@@ -508,12 +516,24 @@ fn dedup_stateless_tables(program: &mut Program) -> usize {
     }
     program.tables = keep;
 
-    if !renames.is_empty() {
-        for h in &mut program.handlers {
-            rename_block(&mut h.body, &renames);
+    if renames.is_empty() {
+        return 0;
+    }
+    // Only a declaration that names an eliminated table is rewritten, on a
+    // copy of its own: the fragment it came from is shared and stays as is.
+    let mentions = |block: &Block| {
+        let mut refs = Vec::new();
+        collect_refs(block, &mut refs);
+        refs.iter().any(|r| renames.contains_key(*r))
+    };
+    for h in &mut program.handlers {
+        if mentions(&h.body) {
+            rename_block(&mut Arc::make_mut(h).body, &renames);
         }
-        for t in &mut program.tables {
-            for a in &mut t.actions {
+    }
+    for t in &mut program.tables {
+        if t.actions.iter().any(|a| mentions(&a.body)) {
+            for a in &mut Arc::make_mut(t).actions {
                 rename_block(&mut a.body, &renames);
             }
         }

@@ -9,13 +9,15 @@
 
 use crate::ast::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A program together with the user header types it requires — the unit
-/// installed on a device.
+/// installed on a device. Every declaration sits behind an `Arc`, so a
+/// clone copies six vectors of pointers and a name, never a declaration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProgramBundle {
     /// User-declared header types (parser additions).
-    pub headers: Vec<HeaderDecl>,
+    pub headers: Vec<Arc<HeaderDecl>>,
     /// The program.
     pub program: Program,
 }
@@ -30,31 +32,32 @@ impl ProgramBundle {
     }
 }
 
-/// One primitive runtime reconfiguration of a device program.
+/// One primitive runtime reconfiguration of a device program. An op that
+/// brings a declaration shares the target bundle's, it does not copy it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReconfigOp {
     /// Install a new match/action table.
-    AddTable(TableDecl),
+    AddTable(Arc<TableDecl>),
     /// Remove a table (and its entries).
     RemoveTable(String),
     /// Replace a table's definition in place (keys/actions/size changed).
-    ModifyTable(TableDecl),
+    ModifyTable(Arc<TableDecl>),
     /// Install a new state object.
-    AddState(StateDecl),
+    AddState(Arc<StateDecl>),
     /// Remove a state object (its contents are lost).
     RemoveState(String),
     /// Replace a state object's declaration (size/kind changed).
-    ModifyState(StateDecl),
+    ModifyState(Arc<StateDecl>),
     /// Add a parser state for a new header type.
-    AddParserState(HeaderDecl),
+    AddParserState(Arc<HeaderDecl>),
     /// Remove a parser state.
     RemoveParserState(String),
     /// Install or replace a handler.
-    SetHandler(Handler),
+    SetHandler(Arc<Handler>),
     /// Remove a handler.
     RemoveHandler(String),
     /// Add a service binding.
-    AddService(ServiceDecl),
+    AddService(Arc<ServiceDecl>),
     /// Remove a service binding.
     RemoveService(String),
 }
@@ -85,7 +88,8 @@ impl ReconfigOp {
 /// before handlers, so new handlers never reference missing elements),
 /// removals last — matching how a hitless reconfiguration engine must stage
 /// changes so that both the old and the new program are runnable throughout
-/// the transition.
+/// the transition. A declaration both bundles share is recognised by
+/// address (`Arc`'s `==` looks there first) before it is compared by value.
 pub fn diff_bundles(old: &ProgramBundle, new: &ProgramBundle) -> Vec<ReconfigOp> {
     let mut ops = Vec::new();
 

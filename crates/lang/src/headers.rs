@@ -10,6 +10,7 @@
 use crate::ast::{FieldDecl, FollowsClause, HeaderDecl};
 use flexnet_types::{FlexError, Result};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A registry of known header types.
 #[derive(Debug, Clone, Default)]
@@ -121,7 +122,7 @@ impl HeaderRegistry {
     }
 
     /// A registry seeded with builtins plus the given user declarations.
-    pub fn with_user_headers(headers: &[HeaderDecl]) -> Result<HeaderRegistry> {
+    pub fn with_user_headers(headers: &[Arc<HeaderDecl>]) -> Result<HeaderRegistry> {
         let mut r = HeaderRegistry::builtins();
         for h in headers {
             r.register(h)?;
@@ -194,7 +195,7 @@ mod tests {
     #[test]
     fn with_user_headers_builds_registry() {
         let vxlan = builtin("vxlan", &[("vni", 24)], Some(("udp", "dport", 4789)));
-        let r = HeaderRegistry::with_user_headers(&[vxlan]).unwrap();
+        let r = HeaderRegistry::with_user_headers(&[vxlan.into()]).unwrap();
         assert!(r.has_proto("vxlan"));
         assert_eq!(r.iter().count(), 6);
     }

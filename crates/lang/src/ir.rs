@@ -14,6 +14,7 @@ use crate::headers::HeaderRegistry;
 use crate::verifier::block_ops;
 use flexnet_types::{ResourceKind, ResourceVec};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// What kind of program element this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -171,7 +172,7 @@ fn block_refs(block: &Block, out: &mut Vec<String>) {
 /// elements with demand estimates.
 pub fn program_elements(
     program: &Program,
-    user_headers: &[HeaderDecl],
+    user_headers: &[Arc<HeaderDecl>],
     headers: &HeaderRegistry,
 ) -> Vec<Element> {
     let mut out = Vec::new();
@@ -236,7 +237,7 @@ pub fn program_elements(
 /// Total canonical demand of a program (sum over elements).
 pub fn program_demand(
     program: &Program,
-    user_headers: &[HeaderDecl],
+    user_headers: &[Arc<HeaderDecl>],
     headers: &HeaderRegistry,
 ) -> ResourceVec {
     let mut total = ResourceVec::new();

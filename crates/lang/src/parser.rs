@@ -16,6 +16,7 @@ use crate::ast::*;
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
 use flexnet_types::{FlexError, Result};
+use std::sync::Arc;
 
 /// Parses a FlexBPF source file (headers + programs).
 pub fn parse_source(src: &str) -> Result<SourceFile> {
@@ -151,7 +152,7 @@ impl Parser {
         let mut file = SourceFile::default();
         while !self.at_eof() {
             if self.at_keyword("header") {
-                file.headers.push(self.parse_header_decl()?);
+                file.headers.push(Arc::new(self.parse_header_decl()?));
             } else if self.at_keyword("program") {
                 file.programs.push(self.parse_program_decl()?);
             } else {
@@ -237,13 +238,13 @@ impl Parser {
         let mut program = Program::empty(&name, kind);
         while !self.eat(&TokenKind::RBrace) {
             if let Some(state) = self.try_parse_state_decl()? {
-                program.states.push(state);
+                program.states.push(Arc::new(state));
             } else if self.at_keyword("service") {
-                program.services.push(self.parse_service_decl()?);
+                program.services.push(Arc::new(self.parse_service_decl()?));
             } else if self.at_keyword("table") {
-                program.tables.push(self.parse_table_decl()?);
+                program.tables.push(Arc::new(self.parse_table_decl()?));
             } else if self.at_keyword("handler") {
-                program.handlers.push(self.parse_handler()?);
+                program.handlers.push(Arc::new(self.parse_handler()?));
             } else {
                 return Err(self.error_here(format!(
                     "expected a program item, found {}",

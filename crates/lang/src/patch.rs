@@ -23,7 +23,9 @@
 //! }
 //! ```
 //!
-//! Applying a patch produces a *new* [`ProgramBundle`]; callers re-run the
+//! Applying a patch produces a *new* [`ProgramBundle`] that shares every
+//! declaration the patch leaves alone with its base and un-shares
+//! (`Arc::make_mut`) each one it edits; callers re-run the
 //! type checker and verifier on the result, then diff old vs. new
 //! ([`crate::diff::diff_bundles`]) to obtain the runtime reconfiguration
 //! operations. The patch itself never touches a live device.
@@ -35,6 +37,7 @@ use crate::parser::Parser;
 use crate::token::TokenKind;
 use flexnet_types::{FlexError, Result};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Where an added table goes relative to existing tables (placement
 /// adjacency matters for incremental recompilation, paper §3.3).
@@ -63,15 +66,15 @@ pub enum ModifyMode {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PatchOp {
     /// `add map|counter|register|meter …`
-    AddState(StateDecl),
+    AddState(Arc<StateDecl>),
     /// `add header …`
-    AddHeader(HeaderDecl),
+    AddHeader(Arc<HeaderDecl>),
     /// `add table [before|after NAME] { … }`
-    AddTable(TableDecl, TablePosition),
+    AddTable(Arc<TableDecl>, TablePosition),
     /// `add service …`
-    AddService(ServiceDecl),
+    AddService(Arc<ServiceDecl>),
     /// `add handler NAME(pkt) { … }`
-    AddHandler(Handler),
+    AddHandler(Arc<Handler>),
     /// `remove table NAME;`
     RemoveTable(String),
     /// `remove state NAME;`
@@ -127,13 +130,13 @@ fn parse_patch_body(p: &mut Parser) -> Result<Patch> {
         }
         if p.eat_keyword("add") {
             if let Some(state) = p.try_parse_state_decl()? {
-                ops.push(PatchOp::AddState(state));
+                ops.push(PatchOp::AddState(Arc::new(state)));
             } else if matches!(peek_kw(p).as_deref(), Some("header")) {
-                ops.push(PatchOp::AddHeader(p.parse_header_decl()?));
+                ops.push(PatchOp::AddHeader(Arc::new(p.parse_header_decl()?)));
             } else if matches!(peek_kw(p).as_deref(), Some("service")) {
-                ops.push(PatchOp::AddService(p.parse_service_decl()?));
+                ops.push(PatchOp::AddService(Arc::new(p.parse_service_decl()?)));
             } else if matches!(peek_kw(p).as_deref(), Some("handler")) {
-                ops.push(PatchOp::AddHandler(p.parse_handler()?));
+                ops.push(PatchOp::AddHandler(Arc::new(p.parse_handler()?)));
             } else if matches!(peek_kw(p).as_deref(), Some("table")) {
                 // `add table NAME [before|after OTHER] { … }` — we parse the
                 // name, then an optional position, then hand the body to the
@@ -238,7 +241,7 @@ fn parse_add_table(p: &mut Parser) -> Result<PatchOp> {
     };
     let mut decl = p.parse_table_body()?;
     decl.name = name;
-    Ok(PatchOp::AddTable(decl, position))
+    Ok(PatchOp::AddTable(Arc::new(decl), position))
 }
 
 /// A simple glob matcher supporting `*` (any run) and `?` (any one char).
@@ -383,7 +386,7 @@ fn apply_op(out: &mut ProgramBundle, op: &PatchOp, patch_name: &str) -> Result<(
                 .iter_mut()
                 .find(|t| &t.name == n)
                 .ok_or_else(|| missing("table", n))?;
-            t.size = *size;
+            Arc::make_mut(t).size = *size;
         }
         PatchOp::SetDefault(n, call) => {
             let t = out
@@ -404,7 +407,7 @@ fn apply_op(out: &mut ProgramBundle, op: &PatchOp, patch_name: &str) -> Result<(
                     call.action
                 )));
             }
-            t.default_action = Some(call.clone());
+            Arc::make_mut(t).default_action = Some(call.clone());
         }
         PatchOp::ModifyHandler(n, mode, body) => {
             let h = out
@@ -413,6 +416,7 @@ fn apply_op(out: &mut ProgramBundle, op: &PatchOp, patch_name: &str) -> Result<(
                 .iter_mut()
                 .find(|h| &h.name == n)
                 .ok_or_else(|| missing("handler", n))?;
+            let h = Arc::make_mut(h);
             match mode {
                 ModifyMode::Prepend => {
                     let mut nb = body.clone();
@@ -584,7 +588,7 @@ mod tests {
                 width: 24,
             }],
             follows: None,
-        });
+        }.into());
         let p = parse_patch("patch x on fw { remove header vxlan; }").unwrap();
         let out = apply_patch(&b, &p).unwrap();
         assert!(out.headers.is_empty());

@@ -84,9 +84,10 @@ impl<'a> Checker<'a> {
     }
 
     fn state(&self, name: &str) -> Result<&StateDecl> {
-        self.program
-            .state(name)
-            .ok_or_else(|| FlexError::Type(format!("unknown state object `{name}`")))
+        match self.program.state(name) {
+            Some(s) => Ok(s),
+            None => Err(FlexError::Type(format!("unknown state object `{name}`"))),
+        }
     }
 
     fn expect_state_kind(

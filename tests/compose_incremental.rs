@@ -9,7 +9,7 @@
 //! `ctl_txn` tenant flavours and the sharing cases. After **every step**:
 //!
 //! - `TenantManager::composed()` equals `compose(infra, admitted in id
-//!   order)`, bundle and report;
+//!   order)`, bundle and report — by value: the two share no declaration;
 //! - an arrival is admitted exactly when that from-scratch composition
 //!   with the newcomer in it — in id order, the order that ships —
 //!   succeeds, and a rejection carries `compose`'s error: the one the walk
@@ -28,6 +28,7 @@ use proptest::test_runner::ProptestConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const STEPS: usize = 40;
 /// Tenant ids are drawn from `1..=TENANT_IDS`: few enough that histories
@@ -162,6 +163,18 @@ fn reference_rejection(
     )
 }
 
+fn shares_a_declaration(a: &ProgramBundle, b: &ProgramBundle) -> bool {
+    fn any<T>(a: &[Arc<T>], b: &[Arc<T>]) -> bool {
+        a.iter().any(|x| b.iter().any(|y| Arc::ptr_eq(x, y)))
+    }
+    let (p, q) = (&a.program, &b.program);
+    any(&a.headers, &b.headers)
+        || any(&p.states, &q.states)
+        || any(&p.tables, &q.tables)
+        || any(&p.services, &q.services)
+        || any(&p.handlers, &q.handlers)
+}
+
 fn assert_in_step(
     tm: &TenantManager,
     twin: &TenantManager,
@@ -169,8 +182,14 @@ fn assert_in_step(
     infra: &ProgramBundle,
 ) {
     let composed = tm.composed().unwrap();
-    assert_eq!(composed, reference(infra, admitted));
-    assert_eq!(composed, twin.composed().unwrap());
+    let (reference, twin_composed) = (reference(infra, admitted), twin.composed().unwrap());
+    // Neither shares a declaration with the manager's composition, so the
+    // equalities below compare every one by value, none by address.
+    for other in [&reference.0, &twin_composed.0] {
+        assert!(!shares_a_declaration(&composed.0, other));
+    }
+    assert_eq!(composed, reference);
+    assert_eq!(composed, twin_composed);
     assert_eq!(tm.tenants(), admitted.keys().copied().collect::<Vec<_>>());
     assert_eq!(tm.tenants(), twin.tenants());
     for (tenant, ext) in admitted {
@@ -181,9 +200,10 @@ fn assert_in_step(
 
 fn run_history(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
+    // Three parses: the reference and the two managers share nothing.
     let infra = infra();
-    let mut tm = TenantManager::new(infra.clone());
-    let mut twin = TenantManager::new(infra.clone());
+    let mut tm = TenantManager::new(self::infra());
+    let mut twin = TenantManager::new(self::infra());
     let mut admitted = Admitted::new();
     let (mut accepted, mut rejected) = (0, 0);
 
@@ -196,8 +216,10 @@ fn run_history(seed: u64) {
                 twin.depart(tenant).unwrap();
             }
         } else {
-            let brought = bundle(POOL[rng.gen_range(0..POOL.len())]);
-            let outcome = tm.arrive(tenant, brought.clone());
+            // Parsed afresh for each holder (see `shares_a_declaration`).
+            let source = POOL[rng.gen_range(0..POOL.len())];
+            let brought = || bundle(source);
+            let outcome = tm.arrive(tenant, brought());
             if admitted.contains_key(&tenant) {
                 assert!(
                     matches!(outcome, Err(FlexError::Conflict(_))),
@@ -210,12 +232,12 @@ fn run_history(seed: u64) {
                 let newcomer = TenantExtension {
                     tenant,
                     vlan,
-                    bundle: brought.clone(),
+                    bundle: brought(),
                 };
                 match reference_rejection(&infra, &admitted, &newcomer) {
                     None => {
                         assert!(outcome.is_ok(), "compose admits {tenant}: {outcome:?}");
-                        assert_eq!(twin.arrive(tenant, brought).unwrap(), vlan);
+                        assert_eq!(twin.arrive(tenant, brought()).unwrap(), vlan);
                         admitted.insert(tenant, newcomer);
                         accepted += 1;
                     }

@@ -287,7 +287,7 @@ fn trapping_inputs_trap_identically_in_both_modes() {
                 name: "r".into(),
                 kind: StateKind::Register { width: 64 },
                 size: 2,
-            });
+            }.into());
             for d in [&mut interp, &mut byte] {
                 d.program_mut().unwrap().apply_op(&shrink).expect("shrinks");
             }

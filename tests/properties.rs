@@ -5,15 +5,21 @@
 //! - verifier-certified register safety under arbitrary traffic,
 //! - resource-vector algebra,
 //! - LPM longest-prefix-wins semantics,
-//! - exactly-once control semantics under duplication and restart (E20).
+//! - exactly-once control semantics under duplication and restart (E20),
+//! - aliasing safety of shared declarations under patches and in-place ops.
 
 use flexnet::prelude::*;
+use flexnet_dataplane::ProgramImage;
 use flexnet_lang::ast::{
-    BinOp, Block, Expr, FieldPath, Handler, Program, ProgramKind, StateDecl, StateKind, Stmt,
-    UnOp,
+    ActionCall, BinOp, Block, Expr, FieldPath, Handler, Program, ProgramKind, StateDecl,
+    StateKind, Stmt, UnOp,
 };
+use flexnet_lang::patch::{ModifyMode, PatchOp};
 use flexnet_lang::verifier::analyze_expr_range;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Generators
@@ -93,17 +99,17 @@ fn arb_program() -> impl Strategy<Value = Program> {
                     value_width: 64,
                 },
                 size: map_size,
-            });
+            }.into());
             p.states.push(StateDecl {
                 name: "r".into(),
                 kind: StateKind::Register { width: 64 },
                 size: reg_size,
-            });
+            }.into());
             p.states.push(StateDecl {
                 name: "c".into(),
                 kind: StateKind::Counter,
                 size: 1,
-            });
+            }.into());
             let mut body: Block = Vec::new();
             for (i, e) in exprs.into_iter().enumerate() {
                 body.push(Stmt::Let(format!("x{i}"), e.clone()));
@@ -136,7 +142,7 @@ fn arb_program() -> impl Strategy<Value = Program> {
             p.handlers.push(Handler {
                 name: "ingress".into(),
                 body,
-            });
+            }.into());
             p
         })
 }
@@ -178,7 +184,7 @@ proptest! {
                 Stmt::AssignField(FieldPath::Meta("out".into()), e),
                 Stmt::Forward(Expr::Int(0)),
             ],
-        });
+        }.into());
         let mut env = MemEnv::new();
         let mut pkt = pkt;
         let outcome = execute(&p, "ingress", &mut pkt, &mut env, &headers).expect("executes");
@@ -278,7 +284,7 @@ proptest! {
             default_action: None,
             size: 8,
         };
-        let mut table = flexnet_dataplane::TableInstance::new(decl);
+        let mut table = flexnet_dataplane::TableInstance::new(decl.into());
         // Two entries whose prefixes are both derived from the key itself,
         // so both always match.
         for (i, len) in [len_a, len_b].iter().enumerate() {
@@ -423,5 +429,111 @@ proptest! {
         prop_assert!(!d.reconfig_in_progress());
         prop_assert_eq!(d.version(), clean.version(), "flipped exactly once");
         prop_assert_eq!(d.config_digest(), clean.config_digest());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Aliasing safety: declarations are shared (`Arc`) from the parser to the
+// device; whoever changes one changes a copy of its own.
+// ---------------------------------------------------------------------------
+
+#[path = "common/gallery.rs"]
+mod gallery;
+
+/// Everything observable about a bundle, a sealed image of it and a device
+/// running that image.
+fn observed(bundle: &ProgramBundle, image: &ProgramImage, witness: &Device) -> [String; 6] {
+    let running = witness.program().unwrap();
+    [
+        bundle.program.to_source(),
+        format!("{bundle:?}"),
+        format!("{:?}", image.bundle()),
+        format!("{:#x}", image.config_digest([])),
+        format!("{:?} {:#x}", running.bundle(), witness.config_digest()),
+        running.bundle().program.to_source(),
+    ]
+}
+
+/// A random edit of `base` in the patch DSL's terms; it may well not apply.
+fn arb_patch_op(rng: &mut StdRng, base: &Program) -> PatchOp {
+    let pick = |rng: &mut StdRng, n: usize| rng.gen_range(0..n.max(1));
+    let table = |rng: &mut StdRng| base.tables.get(pick(rng, base.tables.len())).cloned();
+    let handler = &base.handlers[pick(rng, base.handlers.len())];
+    let body = vec![Stmt::AssignField(FieldPath::Meta("aliased".into()), Expr::Int(rng.gen_range(0..9)))];
+    match (rng.gen_range(0..8), table(rng)) {
+        (0, Some(t)) => PatchOp::ResizeTable(t.name.clone(), t.size + 1 + rng.gen_range(0..64)),
+        (1, Some(t)) => {
+            let a = &t.actions[pick(rng, t.actions.len())];
+            let call = ActionCall { action: a.name.clone(), args: vec![1; a.params.len()] };
+            PatchOp::SetDefault(t.name.clone(), call)
+        }
+        (2, Some(t)) => PatchOp::RemoveTable(t.name.clone()),
+        (3, _) if !base.states.is_empty() => {
+            PatchOp::RemoveState(base.states[pick(rng, base.states.len())].name.clone())
+        }
+        (4, _) => PatchOp::AddState(Arc::new(StateDecl {
+            name: format!("extra{}", rng.gen_range(0..4)),
+            kind: StateKind::Counter,
+            size: 1,
+        })),
+        (5, _) => PatchOp::ModifyHandler(handler.name.clone(), ModifyMode::Replace, body),
+        (6, _) => PatchOp::ModifyHandler(handler.name.clone(), ModifyMode::Prepend, body),
+        _ => PatchOp::ModifyHandler(handler.name.clone(), ModifyMode::Append, body),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// For every gallery program: patch a clone of the bundle, push the
+    /// resulting ops into a device one at a time (`apply_op`) and through
+    /// the unsafe in-place mode — both unseal — and the original bundle,
+    /// the sealed image and a second device on that image read as before,
+    /// byte for byte.
+    #[test]
+    fn edits_of_a_clone_never_show_through_what_it_shares_declarations_with(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gallery = gallery::gallery();
+        for (i, (name, original)) in gallery.iter().enumerate() {
+            let image = ProgramImage::seal(original.clone()).unwrap();
+            let device = || match original.program.kind {
+                ProgramKind::Host | ProgramKind::Nic => {
+                    Device::new(NodeId(1), Architecture::host_default(), StateEncoding::StatefulTable)
+                }
+                _ => fresh_device(),
+            };
+            let (mut witness, mut edited, mut inplace) = (device(), device(), device());
+            for dev in [&mut witness, &mut edited, &mut inplace] {
+                dev.install(image.clone()).unwrap();
+            }
+            let before = observed(original, &image, &witness);
+
+            // The patch DSL on a clone: `make_mut` at each declaration touched.
+            let mut patched = original.clone();
+            for n in 0..rng.gen_range(1..6) {
+                let patch = Patch {
+                    name: format!("p{n}"),
+                    target: patched.program.name.clone(),
+                    ops: vec![arb_patch_op(&mut rng, &patched.program)],
+                };
+                patched = apply_patch(&patched, &patch).unwrap_or(patched);
+            }
+            // The same edits as device ops, onto a live (unsealing) program…
+            let ops = diff_bundles(original, &patched);
+            let live = edited.program_mut().unwrap();
+            for op in &ops {
+                let _ = live.apply_op(op);
+            }
+            prop_assert!(ops.is_empty() || live.image().is_none(), "{name}: an applied op unseals");
+            // …and the unsafe in-place mode towards another gallery program.
+            let (_, other) = &gallery[(i + 1) % gallery.len()];
+            let report = inplace.begin_unsafe_inplace(other.clone(), SimTime::ZERO).unwrap();
+            inplace.tick(report.ready_at);
+            prop_assert!(!inplace.reconfig_in_progress());
+            let landed = inplace.program().unwrap().bundle();
+            prop_assert!(diff_bundles(landed, other).is_empty(), "{name}: the ops did land");
+
+            prop_assert_eq!(observed(original, &image, &witness), before, "{}", name);
+        }
     }
 }

@@ -189,3 +189,70 @@ fn churn_trace_drives_many_tenants() {
     check_program(&bundle.program, &reg).unwrap();
     verify_program(&bundle.program, &reg).unwrap();
 }
+
+fn probe_extension() -> ProgramBundle {
+    apps::build(
+        "program probe kind any {
+           counter seen;
+           service provide probe(x: u32);
+           handler ingress(pkt) { count(seen); }
+         }",
+    )
+    .unwrap()
+}
+
+/// The controller's tenant-facing books: tenants, VLANs, apps by URI and
+/// status, service names.
+fn books(ctl: &Controller) -> String {
+    let tenants = ctl.tenants.tenants();
+    let vlans: Vec<_> = tenants.iter().map(|t| ctl.tenants.vlan_of(*t)).collect();
+    let services: Vec<_> = ctl.services.services().map(|s| (&s.name, s.provider, s.arity, s.site)).collect();
+    let probe_app = AppUri::new(&TenantId(5).to_string(), "probe").unwrap();
+    format!(
+        "{tenants:?} {vlans:?} running={} probe={:?} {services:?}",
+        ctl.apps.running(),
+        ctl.apps.lookup(&probe_app).map(|a| a.status),
+    )
+}
+
+#[test]
+fn a_rejected_arrival_leaves_every_registry_as_it_was() {
+    use flexnet_controller::ExecutionSite;
+    let node = NodeId(1);
+    let mut ctl = Controller::new(infra(), node, SimTime::ZERO).unwrap();
+    ctl.tenant_arrive(TenantId(1), apps::security::firewall(32).unwrap(), SimTime::ZERO).unwrap();
+    // The operator already runs a service under the name tenant 5's
+    // `probe` would be namespaced to.
+    ctl.services.register("t5_probe", node, 1, ExecutionSite::ControlPlane).unwrap();
+    let before = books(&ctl);
+    let composed_before = ctl.tenants.composed().unwrap();
+
+    let err = ctl.tenant_arrive(TenantId(5), probe_extension(), SimTime::from_secs(1)).unwrap_err();
+    assert!(matches!(&err, FlexError::Conflict(m) if m.contains("t5_probe")), "{err}");
+    assert_eq!(books(&ctl), before, "nothing was admitted, registered or taken");
+    assert_eq!(ctl.tenants.composed().unwrap(), composed_before);
+
+    // The refusal is not sticky: once the name is free the same arrival
+    // goes through, on the VLAN the rejected attempt did not consume.
+    ctl.services.unregister("t5_probe").unwrap();
+    let (vlan, _) = ctl.tenant_arrive(TenantId(5), probe_extension(), SimTime::from_secs(2)).unwrap();
+    assert_eq!(vlan, VlanId(101));
+    assert_eq!(ctl.services.discover("t5_probe").unwrap().site, ExecutionSite::DataPlane);
+}
+
+#[test]
+fn a_departure_unregisters_only_what_the_tenant_registered() {
+    use flexnet_controller::ExecutionSite;
+    let node = NodeId(1);
+    let mut ctl = Controller::new(infra(), node, SimTime::ZERO).unwrap();
+    ctl.tenant_arrive(TenantId(5), probe_extension(), SimTime::ZERO).unwrap();
+    // Operator services that merely look like tenant 5's.
+    ctl.services.register("t5_audit", node, 0, ExecutionSite::ControlPlane).unwrap();
+    ctl.services.register("t5_probe_mirror", node, 1, ExecutionSite::ControlPlane).unwrap();
+
+    ctl.tenant_depart(TenantId(5)).unwrap();
+    assert!(ctl.services.discover("t5_probe").is_none(), "the tenant's own is gone");
+    assert!(ctl.services.discover("t5_audit").is_some(), "the operator's stay");
+    assert!(ctl.services.discover("t5_probe_mirror").is_some());
+    assert!(ctl.services.discover("migrate_state").is_some());
+}
