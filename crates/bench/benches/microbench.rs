@@ -15,6 +15,9 @@ use std::cell::RefCell;
 use std::hint::black_box;
 use std::sync::Arc;
 
+#[path = "../../../tests/common/fabric.rs"]
+mod fabric;
+
 fn firewall_bundle() -> ProgramBundle {
     flexnet::apps::security::firewall(256).unwrap()
 }
@@ -283,6 +286,41 @@ fn bench_simulation(c: &mut Criterion) {
             black_box(sim.metrics.delivered)
         });
     });
+
+    // `fabric_forward`'s shape, one `load` + `run` per iteration: the
+    // event-core tests' leaf-spine fabric under 16 cross-pod Poisson flows,
+    // fed 50 µs slices of ≈ 1.4 k packets with ≈ 900 in flight from the
+    // slice before. `generate` runs in the untimed set-up, which also
+    // empties `delivered_packets` as `fabric_reconfig`'s checker does.
+    for (label, keep_packets) in [("forward", false), ("keep_packets", true)] {
+        let (mut sim, _spines, _leaves, hosts) = fabric::leaf_spine_fabric();
+        sim.metrics.keep_packets = keep_packets;
+        let slice = SimDuration::from_micros(50);
+        let mut flows: Vec<FlowSpec> = (0..hosts.len())
+            .map(|i| fabric::cross_pod_flow(&hosts, i, 1_750_000, SimTime::ZERO, slice))
+            .collect();
+        let sim = RefCell::new(sim);
+        let mut slice_no = 0u64;
+        c.bench_function(&format!("sim_slice/{label}"), |b| {
+            b.iter_batched(
+                || {
+                    slice_no += 1;
+                    let start = SimTime::from_nanos(slice_no * slice.as_nanos());
+                    flows.iter_mut().for_each(|f| f.start = start);
+                    sim.borrow_mut().metrics.delivered_packets.clear();
+                    (generate(&flows, slice_no), start + slice)
+                },
+                |(departures, until)| {
+                    let mut sim = sim.borrow_mut();
+                    sim.load(departures);
+                    sim.run(until);
+                },
+                criterion::BatchSize::SmallInput,
+            );
+        });
+        let sim = sim.into_inner();
+        assert!(sim.metrics.sent > 10_000 && sim.metrics.total_lost() == 0, "{:?}", sim.metrics.losses);
+    }
 }
 
 criterion_group!(

@@ -16,7 +16,8 @@ use flexnet_dataplane::table::{KeyMatch, TableEntry};
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_types::{LinkId, NodeId, Packet, SimDuration, SimTime, Sym, Verdict};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Maximum hops before a packet is declared looping.
 pub const HOP_LIMIT: u64 = 32;
@@ -108,46 +109,141 @@ pub enum Command {
     },
 }
 
-/// What a queued event does when it fires.
-#[derive(Debug)]
-enum EventKind {
-    Command(Command),
+/// Devices on a typical path (host, leaf, spine, leaf, host): the audit
+/// trail reserved when a packet is injected, so a flight grows it once.
+const TYPICAL_PATH: usize = 5;
+
+/// What a queued event does when it fires. A packet is named by its slot
+/// in the in-flight table, a command by its slot in the command slab.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Fire {
+    /// A loaded packet enters the network at `node`.
+    Inject { node: NodeId, pkt: u32 },
     /// A packet in flight reaches `node`, having crossed `hops` devices.
-    Arrive {
-        node: NodeId,
-        packet: Packet,
-        hops: u64,
-    },
+    Arrive { node: NodeId, pkt: u32, hops: u32 },
+    /// A scheduled command is due.
+    Command(u32),
 }
 
-/// Heap key of a queued event: `(at, seq)` decides the pop order — time,
-/// then schedule order — and `slot` finds the payload in the slab, so a
-/// sift moves 24 bytes rather than a whole packet or program bundle.
-type EventKey = Reverse<(SimTime, u64, u32)>;
+/// A queued event. `(at, seq)` decides the pop order — time, then schedule
+/// order — and `seq` is unique, so `fire` never takes part in a
+/// comparison's outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Event {
+    at: SimTime,
+    seq: u64,
+    fire: Fire,
+}
 
-/// Event payloads, parked while their keys wait in the heap. Freed slots
-/// are reused, so the slab stays as large as the most events ever pending.
-#[derive(Debug, Default)]
-struct EventSlab {
-    slots: Vec<Option<EventKind>>,
+/// How a hop that did not lose the packet ended.
+enum Hop {
+    /// Onto a link towards the next device.
+    Forwarded,
+    /// At its destination host; the device is done with it at the instant.
+    Delivered(SimTime),
+    /// To the controller.
+    Punted,
+}
+
+/// Values parked while events name them by slot. Freed slots are reused,
+/// so a slab stays as large as the most values ever parked at once.
+#[derive(Debug)]
+struct Slab<T> {
+    slots: Vec<Option<T>>,
     free: Vec<u32>,
 }
 
-impl EventSlab {
-    fn insert(&mut self, kind: EventKind) -> u32 {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            (self.slots.len() - 1) as u32
-        });
-        self.slots[slot as usize] = Some(kind);
-        slot
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                self.slots.push(Some(value));
+                (self.slots.len() - 1) as u32
+            }
+        }
     }
 
-    fn take(&mut self, slot: u32) -> EventKind {
+    fn get_mut(&mut self, slot: u32) -> &mut T {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("every queued event names a filled slot")
+    }
+
+    fn take(&mut self, slot: u32) -> T {
         self.free.push(slot);
         self.slots[slot as usize]
             .take()
-            .expect("every heap key owns a filled slot")
+            .expect("every queued event names a filled slot")
+    }
+}
+
+/// The event queue. A source that emits in time order keeps its events in
+/// a FIFO lane — lane 0 is the loaded schedule, lane `l + 1` is link `l` —
+/// and `heads` orders the non-empty lanes by their first event. `general`
+/// holds what has no lane (commands) and any event that would land out of
+/// order on its lane (an unsorted or overlapping `load`, a link whose
+/// `latency` or `busy_until` was edited from outside). `(at, seq)` is
+/// unique per event, so the pop sequence is the sorted one whichever
+/// container an event sits in.
+#[derive(Debug, Default)]
+struct EventQueue {
+    general: BinaryHeap<Reverse<Event>>,
+    lanes: Vec<VecDeque<Event>>,
+    /// `(at, seq, lane)` of the first event of every non-empty lane.
+    heads: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+}
+
+impl EventQueue {
+    fn push_lane(&mut self, lane: usize, ev: Event) {
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
+        }
+        let queue = &mut self.lanes[lane];
+        match queue.back() {
+            Some(last) if *last > ev => self.general.push(Reverse(ev)),
+            Some(_) => queue.push_back(ev),
+            None => {
+                queue.push_back(ev);
+                self.heads.push(Reverse((ev.at, ev.seq, lane as u32)));
+            }
+        }
+    }
+
+    /// Removes the earliest event, unless it fires after `until`.
+    fn pop(&mut self, until: SimTime) -> Option<Event> {
+        let general = self.general.peek().map(|Reverse(ev)| (ev.at, ev.seq));
+        match self.heads.peek_mut() {
+            Some(mut head) if general.is_none_or(|g| (head.0 .0, head.0 .1) < g) => {
+                let Reverse((at, _, lane)) = *head;
+                if at > until {
+                    return None;
+                }
+                let queue = &mut self.lanes[lane as usize];
+                let ev = queue.pop_front().expect("a lane in `heads` is non-empty");
+                match queue.front() {
+                    Some(next) => *head = Reverse((next.at, next.seq, lane)),
+                    None => drop(PeekMut::pop(head)),
+                }
+                Some(ev)
+            }
+            _ => match general {
+                Some((at, _)) if at <= until => self.general.pop().map(|Reverse(ev)| ev),
+                _ => None,
+            },
+        }
     }
 }
 
@@ -232,8 +328,11 @@ pub struct Simulation {
     pub topo: Topology,
     /// Next hops, `routes[at][dst]`, both indexed by node id.
     routes: Vec<Vec<Option<LinkId>>>,
-    queue: BinaryHeap<EventKey>,
-    events: EventSlab,
+    queue: EventQueue,
+    /// Packets in flight: parked once at `load`/injection, borrowed in
+    /// place by every device on the path, taken out where the flight ends.
+    packets: Slab<Packet>,
+    commands: Slab<Command>,
     /// Collected metrics.
     pub metrics: Metrics,
     now: SimTime,
@@ -254,8 +353,9 @@ impl Simulation {
         let mut sim = Simulation {
             topo,
             routes: Vec::new(),
-            queue: BinaryHeap::new(),
-            events: EventSlab::default(),
+            queue: EventQueue::default(),
+            packets: Slab::default(),
+            commands: Slab::default(),
             metrics: Metrics::default(),
             now: SimTime::ZERO,
             seq: 0,
@@ -282,10 +382,14 @@ impl Simulation {
         *self.routes.get(at.0 as usize)?.get(dst.0 as usize)?
     }
 
-    fn push_event(&mut self, at: SimTime, kind: EventKind) {
+    /// The next event in schedule order: `seq` is what orders equal instants.
+    fn event(&mut self, at: SimTime, fire: Fire) -> Event {
         self.seq += 1;
-        let slot = self.events.insert(kind);
-        self.queue.push(Reverse((at, self.seq, slot)));
+        Event {
+            at,
+            seq: self.seq,
+            fire,
+        }
     }
 
     /// Current simulated time.
@@ -295,33 +399,31 @@ impl Simulation {
 
     /// Schedules a command at `at`.
     pub fn schedule(&mut self, at: SimTime, command: Command) {
-        self.push_event(at, EventKind::Command(command));
+        let fire = Fire::Command(self.commands.insert(command));
+        let ev = self.event(at, fire);
+        self.queue.general.push(Reverse(ev));
     }
 
     /// Loads a generated packet schedule.
     pub fn load(&mut self, departures: Vec<Departure>) {
         for d in departures {
-            self.schedule(
-                d.at,
-                Command::Inject {
-                    node: d.node,
-                    packet: d.packet,
-                },
-            );
+            let pkt = self.packets.insert(d.packet);
+            let ev = self.event(d.at, Fire::Inject { node: d.node, pkt });
+            self.queue.push_lane(0, ev);
         }
     }
 
     /// Runs until the queue is empty or time exceeds `until`.
     pub fn run(&mut self, until: SimTime) {
-        while let Some(&Reverse((at, _, slot))) = self.queue.peek() {
-            if at > until {
-                break;
-            }
-            self.queue.pop();
-            self.now = self.now.max(at);
-            match self.events.take(slot) {
-                EventKind::Command(cmd) => self.exec_command(cmd),
-                EventKind::Arrive { node, packet, hops } => self.arrive(node, packet, hops),
+        while let Some(ev) = self.queue.pop(until) {
+            self.now = self.now.max(ev.at);
+            match ev.fire {
+                Fire::Inject { node, pkt } => self.inject(node, pkt),
+                Fire::Arrive { node, pkt, hops } => self.arrive(node, pkt, hops),
+                Fire::Command(slot) => {
+                    let cmd = self.commands.take(slot);
+                    self.exec_command(cmd);
+                }
             }
         }
         // Let devices commit any reconfig that completes before `until`.
@@ -340,12 +442,8 @@ impl Simulation {
         let now = self.now;
         match cmd {
             Command::Inject { node, packet } => {
-                self.metrics.record_sent();
-                let mut packet = packet;
-                if packet.ingress_time == SimTime::ZERO {
-                    packet.ingress_time = now;
-                }
-                self.arrive(node, packet, 0);
+                let pkt = self.packets.insert(packet);
+                self.inject(node, pkt);
             }
             Command::Install { node, bundle } => {
                 let r = self
@@ -451,24 +549,50 @@ impl Simulation {
         }
     }
 
-    /// A packet reaches `node_id` having crossed `hops` devices so far. The
-    /// hop count travels with the flight, not in packet metadata: programs
+    /// The packet in `slot` enters the network at `node`.
+    fn inject(&mut self, node: NodeId, slot: u32) {
+        self.metrics.record_sent();
+        let pkt = self.packets.get_mut(slot);
+        if pkt.ingress_time == SimTime::ZERO {
+            pkt.ingress_time = self.now;
+        }
+        pkt.trace.reserve(TYPICAL_PATH);
+        self.arrive(node, slot, 0);
+    }
+
+    /// The packet in `slot` reaches `node_id`. Unless it was forwarded, its
+    /// flight ends here, and here only is it taken out of the table.
+    fn arrive(&mut self, node_id: NodeId, slot: u32, hops: u32) {
+        let now = self.now;
+        match self.hop(node_id, slot, hops) {
+            Ok(Hop::Forwarded) => {}
+            Ok(Hop::Delivered(at)) => {
+                let pkt = self.packets.take(slot);
+                self.metrics.record_delivered(pkt, at);
+            }
+            Ok(Hop::Punted) => {
+                self.metrics.record_punted();
+                self.punt_log.push((now, node_id, self.packets.take(slot)));
+            }
+            Err(kind) => {
+                drop(self.packets.take(slot));
+                self.metrics.record_lost(kind, now);
+            }
+        }
+    }
+
+    /// One device and, if it forwards, one link; `Err` is a loss. The hop
+    /// count travels with the flight, not in packet metadata: programs
     /// neither see nor pay for it.
-    fn arrive(&mut self, node_id: NodeId, mut pkt: Packet, hops: u64) {
+    fn hop(&mut self, node_id: NodeId, slot: u32, hops: u32) -> Result<Hop, LossKind> {
         let now = self.now;
         // Hop limit guard.
-        if hops >= HOP_LIMIT {
-            self.metrics.record_lost(LossKind::HopLimit, now);
-            return;
+        if hops as u64 >= HOP_LIMIT {
+            return Err(LossKind::HopLimit);
         }
-
-        let Some(node) = self.topo.node_mut(node_id) else {
-            self.metrics.record_lost(LossKind::NoRoute, now);
-            return;
-        };
+        let node = self.topo.node_mut(node_id).ok_or(LossKind::NoRoute)?;
         if !node.device.is_up() {
-            self.metrics.record_lost(LossKind::DeviceDown, now);
-            return;
+            return Err(LossKind::DeviceDown);
         }
 
         // Device service (throughput) model: packets queue for the device;
@@ -479,107 +603,79 @@ impl Simulation {
         let start = now.max(node.busy_until);
         let wait = start.saturating_since(now);
         if wait > DEVICE_QUEUE_BOUND {
-            self.metrics.record_lost(LossKind::DeviceOverload, now);
-            return;
+            return Err(LossKind::DeviceOverload);
         }
         node.busy_until = start + service;
 
-        let result = match node.device.process(&mut pkt, now) {
-            Ok(r) => r,
-            Err(e) => {
-                self.errors.push((now, format!("process at {node_id}: {e}")));
-                self.metrics.record_lost(LossKind::PolicyDrop, now);
-                return;
-            }
-        };
+        let pkt = self.packets.get_mut(slot);
+        let result = node.device.process(pkt, now).map_err(|e| {
+            self.errors.push((now, format!("process at {node_id}: {e}")));
+            LossKind::PolicyDrop
+        })?;
         let node_kind = node.kind;
         for (svc, args) in node.device.take_invocations() {
             self.invocation_log.push((now, node_id, svc, args));
         }
-
         if result.refused {
-            self.metrics.record_lost(LossKind::Refused, now);
-            return;
+            return Err(LossKind::Refused);
         }
 
         let done_at = now + wait + result.latency;
-        match result.verdict {
-            Verdict::Drop => {
-                self.metrics.record_lost(LossKind::PolicyDrop, now);
-            }
-            Verdict::ToController => {
-                self.metrics.record_punted();
-                self.punt_log.push((now, node_id, pkt));
-            }
-            Verdict::Recirculate => {
-                // Devices bound recirculation internally; reaching here
-                // means a device returned it anyway — drop defensively.
-                self.metrics.record_lost(LossKind::PolicyDrop, now);
-            }
-            Verdict::Forward(port) => {
-                let dst = pkt
-                    .metadata
-                    .get_sym(Sym::DST_NODE)
-                    .map(|v| NodeId(v as u32));
-                // Delivered when we are the destination host.
-                if dst == Some(node_id) && node_kind == NodeKind::Host {
-                    self.metrics.record_delivered(&pkt, done_at);
-                    return;
-                }
-                // Resolve egress. Port 0 is the "routed" convention: the
-                // program delegates next-hop selection to the routing
-                // substrate. Any other port is explicit steering, with a
-                // route fallback when the port is not wired.
-                let routed = || dst.and_then(|d| self.next_hop(node_id, d));
-                let link_id = if port == 0 {
-                    routed()
-                } else {
-                    self.topo
-                        .node(node_id)
-                        .and_then(|n| n.ports.get(&port).copied())
-                        .or_else(routed)
-                };
-                let Some(link_id) = link_id else {
-                    self.metrics.record_lost(LossKind::NoRoute, now);
-                    return;
-                };
-                let wire = pkt.wire_len();
-                let (next, deliver_at, drop_queue) = {
-                    let Some(link) = self.topo.link_mut(link_id) else {
-                        self.metrics.record_lost(LossKind::NoRoute, now);
-                        return;
-                    };
-                    if !link.up {
-                        self.metrics.record_lost(LossKind::LinkDown, now);
-                        return;
-                    }
-                    let ser = link.serialization(wire);
-                    let tx_start = done_at.max(link.busy_until);
-                    let backlog = tx_start.saturating_since(done_at);
-                    let backlog_pkts = if ser.as_nanos() == 0 {
-                        0
-                    } else {
-                        backlog.as_nanos() / ser.as_nanos()
-                    };
-                    if backlog_pkts > link.queue_cap as u64 {
-                        (link.to, SimTime::ZERO, true)
-                    } else {
-                        link.busy_until = tx_start + ser;
-                        (link.to, tx_start + ser + link.latency, false)
-                    }
-                };
-                if drop_queue {
-                    self.metrics.record_lost(LossKind::QueueDrop, now);
-                    return;
-                }
-                let arrive = EventKind::Arrive {
-                    node: next,
-                    packet: pkt,
-                    hops: hops + 1,
-                };
-                self.push_event(deliver_at, arrive);
-            }
+        let port = match result.verdict {
+            Verdict::Forward(port) => port,
+            Verdict::ToController => return Ok(Hop::Punted),
+            // Devices bound recirculation internally; one that returns it
+            // anyway is dropped defensively.
+            Verdict::Drop | Verdict::Recirculate => return Err(LossKind::PolicyDrop),
+        };
+        let dst = pkt
+            .metadata
+            .get_sym(Sym::DST_NODE)
+            .map(|v| NodeId(v as u32));
+        // Delivered when we are the destination host.
+        if dst == Some(node_id) && node_kind == NodeKind::Host {
+            return Ok(Hop::Delivered(done_at));
         }
+        let wire = pkt.wire_len();
+        // Resolve egress. Port 0 is the "routed" convention: the program
+        // delegates next-hop selection to the routing substrate. Any other
+        // port is explicit steering, with a route fallback when the port is
+        // not wired.
+        let routed = || dst.and_then(|d| self.next_hop(node_id, d));
+        let link_id = if port == 0 {
+            routed()
+        } else {
+            self.topo
+                .node(node_id)
+                .and_then(|n| n.ports.get(&port).copied())
+                .or_else(routed)
+        };
+        let link_id = link_id.ok_or(LossKind::NoRoute)?;
+        let link = self.topo.link_mut(link_id).ok_or(LossKind::NoRoute)?;
+        if !link.up {
+            return Err(LossKind::LinkDown);
+        }
+        let ser = link.serialization(wire);
+        let tx_start = done_at.max(link.busy_until);
+        let backlog = tx_start.saturating_since(done_at);
+        let backlog_pkts = if ser.as_nanos() == 0 {
+            0
+        } else {
+            backlog.as_nanos() / ser.as_nanos()
+        };
+        if backlog_pkts > link.queue_cap as u64 {
+            return Err(LossKind::QueueDrop);
+        }
+        link.busy_until = tx_start + ser;
+        let (node, deliver_at) = (link.to, tx_start + ser + link.latency);
+        let arrive = Fire::Arrive {
+            node,
+            pkt: slot,
+            hops: hops + 1,
+        };
+        let ev = self.event(deliver_at, arrive);
+        self.queue.push_lane(link_id.0 as usize + 1, ev);
+        Ok(Hop::Forwarded)
     }
 }
 
@@ -599,6 +695,16 @@ mod tests {
 
     fn forwarding() -> ProgramBundle {
         bundle("program fwd kind any { handler ingress(pkt) { forward(0); } }")
+    }
+
+    /// Packets parked, commands parked, events queued (lane heads included).
+    fn parked(sim: &Simulation) -> (usize, usize, usize) {
+        let q = &sim.queue;
+        (
+            sim.packets.slots.len() - sim.packets.free.len(),
+            sim.commands.slots.len() - sim.commands.free.len(),
+            q.general.len() + q.heads.len() + q.lanes.iter().map(VecDeque::len).sum::<usize>(),
+        )
     }
 
     #[test]
@@ -838,17 +944,18 @@ mod tests {
                 packet,
             }
         };
-        // Round 1 parks seven payloads; delivering them frees their slots,
-        // and the free list hands those back last-freed-first — so round 2's
-        // events sit in slots that run *against* their schedule order.
+        // Round 1 parks seven commands and, as they fire, seven packets;
+        // firing and delivering them frees their slots, and the free lists
+        // hand those back last-freed-first — so round 2's events name slots
+        // that run *against* their schedule order.
         for id in 0..7 {
             sim.schedule(at, inject(id));
         }
         sim.run(at + SimDuration::from_micros(500));
         assert_eq!(sim.metrics.delivered, 7);
         assert_eq!(
-            sim.events.free.len(),
-            7,
+            (sim.commands.free.len(), sim.packets.free.len()),
+            (7, 7),
             "round 1's slots are free for reuse"
         );
 
@@ -876,7 +983,7 @@ mod tests {
             );
         }
         assert_eq!(
-            sim.events.slots.len(),
+            sim.commands.slots.len(),
             18,
             "the seven freed slots were reused first"
         );
@@ -894,11 +1001,172 @@ mod tests {
             .map(|s| format!("unknown node node{}", 900 + s))
             .collect();
         assert_eq!(errors, want, "control commands fired in schedule order");
-        assert_eq!(
-            sim.events.free.len(),
-            sim.events.slots.len(),
-            "every slot came back"
+        assert_eq!(sim.packets.slots.len(), 7, "packet slots were reused too");
+        assert_eq!(parked(&sim), (0, 0, 0), "every slot came back");
+    }
+
+    #[test]
+    fn queue_pops_what_one_heap_of_keys_would() {
+        use crate::chaos::{mix, mix_next};
+        type Model = BinaryHeap<Reverse<(SimTime, u64)>>;
+        // What both must answer to "the earliest event, if due by `until`".
+        fn pop_both(queue: &mut EventQueue, model: &mut Model, until: SimTime) -> Option<SimTime> {
+            let got = queue.pop(until).map(|ev| (ev.at, ev.seq));
+            let due = model.peek().is_some_and(|Reverse((at, _))| *at <= until);
+            let want = if due { model.pop() } else { None }.map(|Reverse(key)| key);
+            assert_eq!(got, want, "until {until:?}");
+            got.map(|(at, _)| at)
+        }
+        let (mut on_lane, mut fell_back, mut grew, mut not_due) = (0, 0, 0, 0);
+        for seed in 0..256u64 {
+            let mut rng = mix(seed);
+            let mut draw = |n: u64| mix_next(&mut rng) % n;
+            let mut queue = EventQueue::default();
+            let mut model = Model::new();
+            let (mut seq, mut now) = (0u64, 1_000u64);
+            for _ in 0..300 {
+                seq += 1;
+                let fire = Fire::Command(seq as u32);
+                match draw(8) {
+                    // A lane push: mostly at or after the lane's tail, now
+                    // and then before it, now and then on a lane never seen.
+                    0..=3 => {
+                        let known = queue.lanes.len();
+                        let lane = match draw(12) {
+                            0 => known + draw(3) as usize,
+                            _ => draw(4) as usize,
+                        };
+                        let tail = queue.lanes.get(lane).and_then(|l| l.back());
+                        let tail = tail.map_or(now, |ev| ev.at.as_nanos());
+                        let at = match draw(4) {
+                            0 => tail.saturating_sub(1 + draw(40)),
+                            _ => tail + draw(40),
+                        };
+                        let at = SimTime::from_nanos(at);
+                        let before = queue.general.len();
+                        queue.push_lane(lane, Event { at, seq, fire });
+                        model.push(Reverse((at, seq)));
+                        grew += (lane >= known) as u32;
+                        fell_back += (queue.general.len() > before) as u32;
+                        on_lane += (queue.general.len() == before) as u32;
+                    }
+                    4 => {
+                        let at = SimTime::from_nanos((now + draw(200)).saturating_sub(50));
+                        queue.general.push(Reverse(Event { at, seq, fire }));
+                        model.push(Reverse((at, seq)));
+                    }
+                    _ => {
+                        let until = SimTime::from_nanos(now + draw(60));
+                        for _ in 0..draw(5) {
+                            match pop_both(&mut queue, &mut model, until) {
+                                Some(at) => now = now.max(at.as_nanos()),
+                                None => not_due += 1,
+                            }
+                        }
+                    }
+                }
+            }
+            while pop_both(&mut queue, &mut model, SimTime::MAX).is_some() {}
+            assert!(queue.heads.is_empty() && queue.lanes.iter().all(VecDeque::is_empty));
+        }
+        assert!(
+            on_lane > 10_000 && fell_back > 1_000 && grew > 256 && not_due > 1_000,
+            "{on_lane} {fell_back} {grew} {not_due}"
         );
+    }
+
+    #[test]
+    fn every_way_out_of_a_flight_frees_its_slot() {
+        // Host 0 — switch — host 1, plus host 2 behind a link too slow for
+        // a burst, host 3 behind a link that fails unannounced, and host 4
+        // to bounce packets off.
+        let (topo, sw, hosts) = Topology::single_switch(5);
+        let mut sim = Simulation::new(topo);
+        let at = SimTime::from_millis;
+        let packet_to = |id: u64, dst: u32| {
+            let mut packet = Packet::udp(id, 1, 2, id as u16, 4);
+            packet.metadata.insert("dst_node".into(), dst as u64);
+            packet
+        };
+        let to = |node: NodeId, id: u64, dst: NodeId| Command::Inject {
+            node,
+            packet: packet_to(id, dst.raw()),
+        };
+        let install = |node, src| Command::Install {
+            node,
+            bundle: bundle(src),
+        };
+        // Delivered, punted, dropped by policy, looped to the hop limit (the
+        // switch steers to host 4, which routes the packet straight back).
+        sim.schedule(
+            SimTime::ZERO,
+            install(
+                sw,
+                "program exits kind any { handler ingress(pkt) {
+                   if (udp.sport == 1) { punt(); }
+                   if (udp.sport == 2) { drop(); }
+                   if (udp.sport == 3) { forward(4); }
+                   forward(0);
+                 } }",
+            ),
+        );
+        for id in 0..4 {
+            sim.schedule(at(1), to(hosts[0], id, hosts[1]));
+        }
+        // No route; a queue drop behind a burst on the slow link; a link
+        // that is down while the routes still use it.
+        sim.schedule(at(1), to(hosts[0], 10, NodeId(999)));
+        let slow = sim.topo.node(sw).unwrap().ports[&2];
+        let slow = sim.topo.link_mut(slow).unwrap();
+        (slow.bandwidth_bps, slow.queue_cap) = (100_000_000, 2);
+        for id in 20..30 {
+            sim.schedule(at(1), to(hosts[0], id, hosts[2]));
+        }
+        let silent = sim.topo.node(sw).unwrap().ports[&3];
+        sim.topo.link_mut(silent).unwrap().up = false;
+        sim.schedule(at(1), to(hosts[0], 30, hosts[3]));
+        sim.run(at(5));
+        assert!(sim.metrics.delivered >= 2 && sim.metrics.punted == 1);
+
+        // A host offered twice what it serves sheds the excess.
+        let flow = FlowSpec::udp_cbr(
+            hosts[1],
+            hosts[0],
+            10_000_000,
+            at(10),
+            SimDuration::from_millis(3),
+        );
+        sim.load(generate(&[flow], 1));
+        // A program whose handler the device cannot enter fails `process`;
+        // a reflashing device refuses; a crashed one is down.
+        sim.schedule(at(20), install(hosts[1], "program h kind any { handler egress(pkt) { drop(); } }"));
+        sim.schedule(at(21), to(hosts[1], 40, hosts[0]));
+        sim.schedule(at(22), install(hosts[1], "program f kind any { handler ingress(pkt) { forward(0); } }"));
+        sim.schedule(
+            at(30),
+            Command::Reflash {
+                node: sw,
+                bundle: forwarding(),
+            },
+        );
+        sim.schedule(at(31), to(hosts[0], 50, hosts[1]));
+        sim.schedule(at(40), Command::CrashDevice { node: hosts[2] });
+        sim.schedule(at(41), to(hosts[2], 60, hosts[1]));
+        sim.run_to_completion();
+
+        let lost = |kind| sim.metrics.losses.get(&kind).copied().unwrap_or(0);
+        use LossKind::*;
+        for kind in [
+            HopLimit, NoRoute, DeviceDown, DeviceOverload, Refused, PolicyDrop, LinkDown, QueueDrop,
+        ] {
+            assert!(lost(kind) > 0, "{kind:?}: {:?}", sim.metrics.losses);
+        }
+        assert_eq!(sim.errors.len(), 1, "{:?}", &sim.errors[..]);
+        assert!(sim.errors[0].1.starts_with("process at"));
+        let m = &sim.metrics;
+        assert_eq!(m.sent, m.delivered + m.punted + m.total_lost());
+        assert_eq!(parked(&sim), (0, 0, 0), "a leaked slot is memory a lossy run never returns");
+        assert!(sim.packets.slots.len() > 5_000, "the overload queued thousands at once");
     }
 
     #[test]

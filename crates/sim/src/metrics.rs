@@ -147,8 +147,9 @@ impl Metrics {
         self.sent += 1;
     }
 
-    /// Records a delivery with its end-to-end latency.
-    pub fn record_delivered(&mut self, pkt: &Packet, at: SimTime) {
+    /// Records a delivery with its end-to-end latency. The packet's flight
+    /// is over: it is kept whole when `keep_packets`, dropped otherwise.
+    pub fn record_delivered(&mut self, pkt: Packet, at: SimTime) {
         self.delivered += 1;
         let latency = at.saturating_since(pkt.ingress_time);
         self.latencies_ns.push((at, latency.as_nanos()));
@@ -157,7 +158,7 @@ impl Metrics {
             *self.version_counts.entry((*node, *version)).or_insert(0) += 1;
         }
         if self.keep_packets {
-            self.delivered_packets.push(pkt.clone());
+            self.delivered_packets.push(pkt);
         }
     }
 
@@ -297,7 +298,7 @@ mod tests {
             m.record_sent();
         }
         for i in 0..7u64 {
-            m.record_delivered(&pkt_at(i, SimTime::ZERO), SimTime::from_micros(5));
+            m.record_delivered(pkt_at(i, SimTime::ZERO), SimTime::from_micros(5));
         }
         m.record_lost(LossKind::PolicyDrop, SimTime::from_micros(1));
         m.record_lost(LossKind::Refused, SimTime::from_micros(2));
@@ -310,7 +311,7 @@ mod tests {
     fn percentiles_ordered() {
         let mut m = Metrics::default();
         for i in 1..=100u64 {
-            m.record_delivered(&pkt_at(i, SimTime::ZERO), SimTime::from_micros(i));
+            m.record_delivered(pkt_at(i, SimTime::ZERO), SimTime::from_micros(i));
         }
         let p50 = m.latency_percentile(50.0).unwrap();
         let p99 = m.latency_percentile(99.0).unwrap();
@@ -355,7 +356,7 @@ mod tests {
                 let mut m = Metrics::default();
                 for (i, &ns) in samples.iter().enumerate() {
                     let sent = SimTime::from_micros(i as u64);
-                    m.record_delivered(&pkt_at(i as u64, sent), sent + SimDuration::from_nanos(ns));
+                    m.record_delivered(pkt_at(i as u64, sent), sent + SimDuration::from_nanos(ns));
                 }
                 assert_eq!(m.latency_percentile(p), want);
                 if p == 99.0 {
@@ -385,8 +386,8 @@ mod tests {
     #[test]
     fn timeseries_buckets() {
         let mut m = Metrics::new(SimDuration::from_millis(10));
-        m.record_delivered(&pkt_at(1, SimTime::ZERO), SimTime::from_millis(5));
-        m.record_delivered(&pkt_at(2, SimTime::ZERO), SimTime::from_millis(15));
+        m.record_delivered(pkt_at(1, SimTime::ZERO), SimTime::from_millis(5));
+        m.record_delivered(pkt_at(2, SimTime::ZERO), SimTime::from_millis(15));
         m.record_lost(LossKind::QueueDrop, SimTime::from_millis(15));
         let ts = m.timeseries();
         assert_eq!(ts.len(), 2);
@@ -398,7 +399,7 @@ mod tests {
     #[test]
     fn empty_window_is_neutral() {
         let mut m = Metrics::default();
-        m.record_delivered(&pkt_at(1, SimTime::ZERO), SimTime::from_millis(5));
+        m.record_delivered(pkt_at(1, SimTime::ZERO), SimTime::from_millis(5));
         m.record_lost(LossKind::PolicyDrop, SimTime::from_millis(5));
         // A window covering no events at all.
         let w = m.window_stats(SimTime::from_secs(1), SimTime::from_secs(2));
@@ -423,8 +424,8 @@ mod tests {
         // math must still be exact, and [from, to) must include `from`
         // but exclude `to`.
         let mut m = Metrics::new(SimDuration::from_millis(10));
-        m.record_delivered(&pkt_at(1, SimTime::ZERO), SimTime::from_millis(2));
-        m.record_delivered(&pkt_at(2, SimTime::ZERO), SimTime::from_millis(4));
+        m.record_delivered(pkt_at(1, SimTime::ZERO), SimTime::from_millis(2));
+        m.record_delivered(pkt_at(2, SimTime::ZERO), SimTime::from_millis(4));
         m.record_lost(LossKind::PolicyDrop, SimTime::from_millis(4));
         let w = m.window_stats(SimTime::from_millis(2), SimTime::from_millis(4));
         assert_eq!(w.delivered, 1, "2ms included, 4ms excluded");
@@ -441,12 +442,12 @@ mod tests {
         let mut m = Metrics::default();
         // Baseline [0, 10ms): fast, lossless.
         for i in 0..10u64 {
-            m.record_delivered(&pkt_at(i, SimTime::from_millis(i)), SimTime::from_millis(i) + SimDuration::from_micros(100));
+            m.record_delivered(pkt_at(i, SimTime::from_millis(i)), SimTime::from_millis(i) + SimDuration::from_micros(100));
         }
         // Observation [100ms, 110ms): slower and lossy.
         for i in 0..8u64 {
             m.record_delivered(
-                &pkt_at(100 + i, SimTime::from_millis(100 + i)),
+                pkt_at(100 + i, SimTime::from_millis(100 + i)),
                 SimTime::from_millis(100 + i) + SimDuration::from_micros(300),
             );
         }
@@ -465,10 +466,10 @@ mod tests {
         let mut m = Metrics::default();
         let mut p = pkt_at(1, SimTime::ZERO);
         p.record_processing(NodeId(3), ProgramVersion(1));
-        m.record_delivered(&p, SimTime::from_micros(1));
+        m.record_delivered(p, SimTime::from_micros(1));
         let mut p2 = pkt_at(2, SimTime::ZERO);
         p2.record_processing(NodeId(3), ProgramVersion(2));
-        m.record_delivered(&p2, SimTime::from_micros(2));
+        m.record_delivered(p2, SimTime::from_micros(2));
         let vs = m.versions_seen(NodeId(3));
         assert_eq!(vs.len(), 2);
         assert!(m.versions_seen(NodeId(9)).is_empty());
@@ -480,7 +481,7 @@ mod tests {
             keep_packets: true,
             ..Metrics::default()
         };
-        m.record_delivered(&pkt_at(1, SimTime::ZERO), SimTime::from_micros(1));
+        m.record_delivered(pkt_at(1, SimTime::ZERO), SimTime::from_micros(1));
         assert_eq!(m.delivered_packets.len(), 1);
     }
 }
