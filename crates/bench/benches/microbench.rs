@@ -42,6 +42,18 @@ fn bench_packet_processing(c: &mut Criterion) {
             });
         });
     }
+    // Four sketch rows whose hashes share the (src, dst, proto) prefix.
+    let mut dev = Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable);
+    dev.install(flexnet::apps::telemetry::count_min_sketch(4, 4096).unwrap())
+        .unwrap();
+    group.bench_function("cms4", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            let mut pkt = Packet::tcp(i, i as u32, 2, 3, 80, 0x10);
+            i += 1;
+            black_box(dev.process(&mut pkt, SimTime::ZERO).unwrap())
+        });
+    });
     group.finish();
 }
 
@@ -79,6 +91,37 @@ fn bench_table_lookup(c: &mut Criterion) {
             b.iter(|| {
                 k = k.wrapping_add(0x10001);
                 black_box(table.lookup(&[k & 0xffff_ffff]))
+            });
+        });
+    }
+    // The all-exact hash index, hit on every lookup.
+    for arity in [1usize, 2] {
+        let keys = ["ipv4.src : exact;", "ipv4.dst : exact;"][..arity].concat();
+        let decl = bundle(&format!(
+            "program p kind any {{
+               table t {{ key {{ {keys} }}
+                 action out(x: u16) {{ forward(x); }} size 4096; }}
+             }}"
+        ))
+        .program
+        .tables[0]
+            .clone();
+        let mut table = flexnet_dataplane::TableInstance::new(decl);
+        let tuple = |i: u64| [i, i << 8][..arity].to_vec();
+        for i in 0..4096u64 {
+            let action = ActionCall {
+                action: "out".into(),
+                args: vec![i],
+            };
+            table
+                .insert(flexnet_dataplane::TableEntry::exact(&tuple(i), action))
+                .unwrap();
+        }
+        group.bench_function(BenchmarkId::new("exact", format!("{arity}_keys")), |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i = (i + 1) % 4096;
+                black_box(table.lookup(&[i, i << 8][..arity]))
             });
         });
     }

@@ -1120,7 +1120,7 @@ impl Device {
                 reason: "bytecode image missing after rebuild",
             })?;
             let entry = image
-                .handler_entry("ingress")
+                .ingress
                 .ok_or_else(|| FlexError::NotFound("handler `ingress`".into()))?;
             let (tables, state) = (&active.tables, &mut active.state);
 

@@ -9,7 +9,8 @@
 //! rank and its action's declaration index are computed **once at insert
 //! time**; entries are kept in a winner-first scan order; and a table whose
 //! entries are all exact-match additionally maintains a hash index keyed by
-//! the full key vector, making its lookups O(1). The winner a lookup
+//! the full key vector, making its lookups O(1). That index hashes with a
+//! keyed folded multiply ([`FoldKey`]) rather than SipHash. The winner a lookup
 //! returns is bit-identical to the historical linear scan (highest
 //! `(priority, total LPM specificity)`, ties broken toward the
 //! latest-inserted entry).
@@ -18,7 +19,9 @@ use flexnet_lang::ast::{ActionCall, TableDecl};
 use flexnet_types::{FlexError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// Sentinel entry index [`TableInstance::lookup_burst`] writes for a miss.
@@ -126,6 +129,72 @@ impl TableEntry {
     }
 }
 
+/// The exact index's hasher: a folded 64×64→128-bit multiply per key word
+/// under a per-index random secret, the design of hashbrown's default
+/// hasher. It stays keyed because lookups come from packets: a fixed
+/// function would let traffic aim keys at one bucket chain.
+#[derive(Debug, Clone)]
+struct FoldKey([u64; 2]);
+
+impl Default for FoldKey {
+    /// Draws a fresh secret from std's per-process random keys (each
+    /// `RandomState` differs from the last).
+    fn default() -> FoldKey {
+        let draw = RandomState::new();
+        FoldKey([draw.hash_one(0u64), draw.hash_one(1u64)])
+    }
+}
+
+impl BuildHasher for FoldKey {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            acc: self.0[0],
+            key: self.0[1],
+        }
+    }
+}
+
+/// The low and high halves of `a × b`, XORed.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = (a as u128) * (b as u128);
+    (full as u64) ^ ((full >> 64) as u64)
+}
+
+#[derive(Debug)]
+struct FoldHasher {
+    acc: u64,
+    key: u64,
+}
+
+impl FoldHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.acc = folded_multiply(self.acc ^ word, self.key);
+    }
+}
+
+impl Hasher for FoldHasher {
+    /// A `[u64]` key arrives as its length, then its bytes in one call.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_ne_bytes(w.try_into().expect("eight bytes")));
+        }
+        for &b in words.remainder() {
+            self.mix(b as u64);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        folded_multiply(self.acc, self.key.rotate_left(23))
+    }
+}
+
 /// One table's installed entries plus its declaration.
 ///
 /// The non-public fields are lookup indexes — pure functions of
@@ -152,7 +221,7 @@ pub struct TableInstance {
     /// Full-key-vector hash index, maintained while *every* entry is
     /// all-exact; `None` as soon as any entry needs prefix/mask/range
     /// matching.
-    exact: Option<HashMap<Vec<u64>, u32>>,
+    exact: Option<HashMap<Vec<u64>, u32, FoldKey>>,
 }
 
 impl TableInstance {
@@ -195,7 +264,7 @@ impl TableInstance {
             .map(TableEntry::exact_keys)
             .collect::<Option<Vec<_>>>()
             .map(|keyvecs| {
-                let mut m = HashMap::with_capacity(keyvecs.len());
+                let mut m = HashMap::with_capacity_and_hasher(keyvecs.len(), FoldKey::default());
                 // Ascending preference, so the last write per key vector is
                 // the rank/recency winner.
                 for &i in self.order.iter().rev() {
@@ -910,6 +979,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_exact_index_hasher_is_keyed_and_spreads_structured_keys() {
+        let index = |arity: usize| {
+            let t = TableInstance::new(decl("t", &vec![MatchKind::Exact; arity], 8));
+            t.exact.expect("an empty table is all-exact").hasher().clone()
+        };
+        // Sequential keys, a 2³² stride and top-byte-only differences, at
+        // arity 1 and 2: no two distinct tuples share a 64-bit hash.
+        for arity in [1, 2] {
+            let hasher = index(arity);
+            for family in ["sequential", "stride 2^32", "top byte"] {
+                // The last `arity` words of a two-word tuple.
+                let tuple = |i: u64| {
+                    let words = match family {
+                        "sequential" => [7, i],
+                        "stride 2^32" => [(4095 - i) << 32, i << 32],
+                        _ => [(i / 256) << 56, (i % 256) << 56],
+                    };
+                    words[2 - arity..].to_vec()
+                };
+                let tuples: std::collections::BTreeSet<Vec<u64>> = (0..4096).map(tuple).collect();
+                let hashes: std::collections::BTreeSet<u64> =
+                    tuples.iter().map(|t| hasher.hash_one(t.as_slice())).collect();
+                // 4 096 tuples each, but for the 256 a lone top byte takes.
+                let want = if (family, arity) == ("top byte", 1) { 256 } else { 4096 };
+                assert_eq!(tuples.len(), want, "{family}/{arity}");
+                assert_eq!(hashes.len(), want, "{family}/{arity}: colliding hashes");
+            }
+        }
+        // Every index draws its own secret, so two indexes disagree.
+        let (a, b) = (index(1), index(1));
+        assert_ne!(a.0, b.0, "two indexes drew the same secret");
+        assert_ne!(a.hash_one([5u64].as_slice()), b.hash_one([5u64].as_slice()));
     }
 
     #[test]

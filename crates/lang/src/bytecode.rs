@@ -24,7 +24,7 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
-use crate::interp::{eval_bin, hash_values, ExecOutcome, MAX_TABLE_KEY_WIDTH};
+use crate::interp::{eval_bin, fnv_step, ExecOutcome, FNV_OFFSET, MAX_TABLE_KEY_WIDTH};
 use flexnet_types::{Fields, FlexError, Header, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
 
@@ -243,6 +243,9 @@ pub struct CompiledProgram {
     pub insns: Vec<Insn>,
     /// Handler entry points: `(name, pc)`.
     pub handlers: Vec<(String, u32)>,
+    /// The `ingress` handler's entry pc, resolved once at compile time so
+    /// a device does not look it up by name per packet run.
+    pub ingress: Option<u32>,
     /// Table metadata, indexed by [`Insn::Apply`]'s operand.
     pub tables: Vec<TableMeta>,
     /// The `(proto, field)` of every field path the program touches
@@ -264,16 +267,6 @@ pub struct CompiledProgram {
     pub meter_names: Vec<String>,
     /// Local slot count (the VM's frame size).
     pub n_locals: u16,
-}
-
-impl CompiledProgram {
-    /// The entry pc of `handler`, if compiled.
-    pub fn handler_entry(&self, handler: &str) -> Option<u32> {
-        self.handlers
-            .iter()
-            .find(|(n, _)| n == handler)
-            .map(|(_, pc)| *pc)
-    }
 }
 
 /// The index of the first item matching `is`, appending `make()` if none
@@ -411,6 +404,9 @@ pub fn compile(
         c.compile_block(&h.body)?;
         c.out.insns.push(Insn::EndHandler);
         c.out.handlers.push((h.name.clone(), entry));
+        if h.name == "ingress" && c.out.ingress.is_none() {
+            c.out.ingress = Some(entry);
+        }
     }
 
     c.out.n_locals = c.next_local;
@@ -716,6 +712,11 @@ pub struct VmScratch {
     /// Prefetched field values, index-aligned with
     /// [`CompiledProgram::fields`].
     fields: Vec<u64>,
+    /// The last [`Insn::Hash`]'s arguments, each paired with the FNV state
+    /// after it. The state after a prefix depends on the prefix values
+    /// alone, so the memo is exact across packets, handlers and programs
+    /// and never needs invalidating; it holds at most the widest `hash()`.
+    hash_memo: Vec<(u64, u64)>,
 }
 
 impl VmScratch {
@@ -728,12 +729,13 @@ impl VmScratch {
             calls: Vec::new(),
             keys: Vec::with_capacity(4),
             fields: Vec::new(),
+            hash_memo: Vec::new(),
         }
     }
 }
 
 /// Executes a compiled program over `pkt` against `env` from the handler
-/// entry pc `entry` ([`CompiledProgram::handler_entry`]) under a gas budget
+/// entry pc `entry` (e.g. [`CompiledProgram::ingress`]) under a gas budget
 /// of `gas` abstract operations ([`crate::interp::GAS_UNLIMITED`] disables
 /// metering), with frame storage supplied by the caller. The environment
 /// type is generic so a device's concrete [`SlotEnv`] monomorphizes state
@@ -778,6 +780,7 @@ pub fn execute_compiled<E: SlotEnv + ?Sized>(
         calls,
         keys,
         fields,
+        hash_memo,
     } = scratch;
 
     // (Re)loads the field lane from the live packet.
@@ -809,6 +812,18 @@ pub fn execute_compiled<E: SlotEnv + ?Sized>(
             ops += $n;
             if ops > gas {
                 trap!(Trap::GasExhausted { limit: gas });
+            }
+        };
+    }
+
+    // The start of the top `n` stack values, or a corrupt-image trap.
+    macro_rules! top_n {
+        ($n:expr) => {
+            match stack.len().checked_sub($n as usize) {
+                Some(at) => at,
+                None => trap!(Trap::CorruptImage {
+                    reason: "bytecode stack underflow",
+                }),
             }
         };
     }
@@ -879,8 +894,17 @@ pub fn execute_compiled<E: SlotEnv + ?Sized>(
             }
             Insn::Hash(n) => {
                 tick!(1);
-                let at = stack.len() - *n as usize;
-                let h = hash_values(&stack[at..]);
+                let at = top_n!(*n);
+                // Resume FNV from the longest prefix shared with the last
+                // `hash()` (a sketch's rows differ only in their salt).
+                let args = &stack[at..];
+                let same = hash_memo.iter().zip(args).take_while(|(m, a)| m.0 == **a).count();
+                hash_memo.truncate(same);
+                let mut h = hash_memo.last().map_or(FNV_OFFSET, |m| m.1);
+                for &v in &args[same..] {
+                    h = fnv_step(h, v);
+                    hash_memo.push((v, h));
+                }
                 stack.truncate(at);
                 stack.push(h);
             }
@@ -1087,7 +1111,7 @@ pub fn execute_compiled<E: SlotEnv + ?Sized>(
             }
             Insn::Invoke(s, n) => {
                 tick!(1);
-                let at = stack.len() - *n as usize;
+                let at = top_n!(*n);
                 env.invoke_service(*s, &stack[at..]);
                 stack.truncate(at);
             }
@@ -1254,7 +1278,9 @@ mod tests {
         gas: u64,
     ) -> Result<ExecOutcome> {
         let entry = c
-            .handler_entry(handler)
+            .handlers
+            .iter()
+            .find_map(|(n, pc)| (n == handler).then_some(*pc))
             .ok_or_else(|| FlexError::NotFound(format!("handler `{handler}`")))?;
         let mut bridge = NamedSlotEnv::new(c, env);
         execute_compiled(c, entry, pkt, &mut bridge, gas, &mut VmScratch::new())
@@ -1546,20 +1572,110 @@ mod tests {
             })
         );
 
-        // A store with nothing on the stack underflows.
-        let (_, mut c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
-        c.insns.clear();
-        c.insns.push(Insn::StoreLocal(0));
-        c.n_locals = 1;
-        let mut env = MemEnv::new();
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let out = run(&c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
-        assert_eq!(
-            out.trap,
-            Some(flexnet_types::Trap::CorruptImage {
-                reason: "bytecode stack underflow",
+        // A store, a hash or an invocation with too little on the stack
+        // underflows.
+        for insn in [Insn::StoreLocal(0), Insn::Hash(3), Insn::Invoke(0, 2)] {
+            let (_, mut c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
+            c.insns.clear();
+            c.insns.push(insn);
+            c.n_locals = 1;
+            c.service_names = vec!["s".into()];
+            let mut env = MemEnv::new();
+            let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
+            let out = run(&c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
+            assert_eq!(
+                out.trap,
+                Some(flexnet_types::Trap::CorruptImage {
+                    reason: "bytecode stack underflow",
+                }),
+                "{insn:?}"
+            );
+        }
+    }
+
+    /// Every `hash()` the VM resumes from its memo equals a fresh
+    /// [`crate::interp::hash_values`], whatever ran through the same
+    /// scratch before it: other packets, shared prefixes, repeats, every
+    /// arity from 0 (a hand-built `Hash(0)`: the checker rejects `hash()`)
+    /// to 8, values that differ only in their top byte, and another program
+    /// in between.
+    #[test]
+    fn the_hash_memo_is_exact_across_packets_and_programs() {
+        use crate::interp::hash_values;
+        // One program per arity hashing its locals `x0..x{n-1}`, and another
+        // image (with a counter) hashing a three-wide prefix of them.
+        let widest = 8usize;
+        let lets: String = (0..widest).map(|i| format!("let x{i} = meta.a{i};")).collect();
+        let args = |n: usize| (0..n).map(|i| format!("x{i}")).collect::<Vec<_>>().join(", ");
+        let hash_n: Vec<CompiledProgram> = (0..=widest)
+            .map(|n| {
+                let src = format!(
+                    "program p{n} {{ handler ingress(pkt) {{ {lets} meta.h = hash({}); }} }}",
+                    args(n.max(1))
+                );
+                let mut c = compiled(&src).1;
+                if n == 0 {
+                    // `x0` stays pushed beneath the hash, unread.
+                    let at = c.insns.iter().position(|i| *i == Insn::Hash(1)).unwrap();
+                    c.insns[at] = Insn::Hash(0);
+                }
+                c
             })
-        );
+            .collect();
+        let other = compiled(&format!(
+            "program q {{ counter c; handler ingress(pkt) {{ {lets} count(c); \
+             meta.h = hash(x0, x1, x2); }} }}"
+        ))
+        .1;
+        let mut x: u64 = 0x1234_5678_9abc_def1;
+        let mut rng = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut scratch = VmScratch::new();
+        let mut last = vec![0u64; widest];
+        for round in 0..4_000 {
+            // Mostly small perturbations of the previous vector, so
+            // prefixes are shared often; sometimes identical, sometimes
+            // only the top byte differs, sometimes all fresh.
+            let mut vals = last.clone();
+            match rng() % 5 {
+                0 => {}
+                1 => {
+                    let i = (rng() % widest as u64) as usize;
+                    vals[i] ^= 0xff << 56;
+                }
+                2 => vals.iter_mut().for_each(|v| *v = rng()),
+                _ => {
+                    let i = (rng() % widest as u64) as usize;
+                    vals[i] = rng() % 4;
+                }
+            }
+            let (prog, n) = if rng() % 7 == 0 {
+                (&other, 3)
+            } else {
+                let n = (rng() % (widest as u64 + 1)) as usize;
+                (&hash_n[n], n)
+            };
+            let mut pkt = Packet::tcp(round, 1, 2, 3, 4, 0);
+            for (i, v) in vals.iter().enumerate() {
+                pkt.metadata.insert(Sym::intern(&format!("a{i}")), *v);
+            }
+            let mut env = MemEnv::new();
+            let mut bridge = NamedSlotEnv::new(prog, &mut env);
+            let entry = prog.ingress.unwrap();
+            execute_compiled(prog, entry, &mut pkt, &mut bridge, GAS_UNLIMITED, &mut scratch)
+                .unwrap();
+            assert_eq!(
+                pkt.metadata["h"],
+                hash_values(&vals[..n]),
+                "round {round}: hash of {:?}",
+                &vals[..n]
+            );
+            last = vals;
+        }
     }
 
     #[test]

@@ -79,16 +79,25 @@ impl ExecOutcome {
     }
 }
 
-/// Deterministic FNV-1a mixing used by the `hash()` builtin.
-pub fn hash_values(values: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for i in 0..8 {
-            h ^= (v >> (i * 8)) & 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// The FNV-1a state before any value: what `hash()` of no arguments is.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step of the `hash()` builtin: folds `v`'s eight bytes, low
+/// byte first, into the state `h`. The state after a prefix of arguments
+/// depends on that prefix alone, which is what lets the VM resume a hash
+/// from a shared prefix.
+#[inline]
+pub(crate) fn fnv_step(mut h: u64, v: u64) -> u64 {
+    for i in 0..8 {
+        h ^= (v >> (i * 8)) & 0xff;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Deterministic FNV-1a mixing used by the `hash()` builtin.
+pub fn hash_values(values: &[u64]) -> u64 {
+    values.iter().fold(FNV_OFFSET, |h, &v| fnv_step(h, v))
 }
 
 /// Executes `handler` of `program` over `pkt` against `env` with no gas

@@ -22,7 +22,15 @@ use proptest::prelude::*;
 
 #[path = "common/gallery.rs"]
 mod gallery_programs;
-use gallery_programs::gallery;
+
+/// The shared gallery plus the four-row sketch at the benchmark's width,
+/// whose rows' hashes share a three-value prefix the VM resumes from.
+fn gallery() -> Vec<(&'static str, ProgramBundle)> {
+    let mut programs = gallery_programs::gallery();
+    let cms = flexnet::apps::telemetry::count_min_sketch(4, 4096).unwrap();
+    programs.push(("cms_4096", cms));
+    programs
+}
 
 #[path = "common/oracle.rs"]
 mod oracle;
