@@ -11,7 +11,8 @@
 //!   intent log and a lossy fabric) and [`LaneFleet`] (eight parallel
 //!   one-switch lanes under live traffic, with the canary rollout);
 //! - [`baseline_detector`];
-//! - the closing checks, each violation string in exactly one place.
+//! - the closing checks, each violation string in exactly one place;
+//! - [`Draws`], the one way a suite expands its seed into a schedule.
 
 use flexnet::prelude::*;
 use flexnet_controller::{
@@ -20,8 +21,8 @@ use flexnet_controller::{
 };
 use flexnet_dataplane::Device;
 use flexnet_lang::ast::ActionCall;
-use flexnet_sim::diverged;
 use flexnet_sim::faults::VICTIM_RESTART_DELAY;
+use flexnet_sim::{diverged, mix};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Controller nodes in every suite's Raft cluster.
@@ -36,6 +37,60 @@ pub const LANE_PPS: u64 = 500;
 /// entries keyed on it are behaviorally benign: losing one changes the
 /// digest, not the traffic outcome.
 pub const BENIGN_KEY: u64 = 0xDEAD_BEEF;
+
+/// One seed's schedule hash, `mix(seed ^ salt)` with a salt of the
+/// suite's own, and the draws every suite's schedule takes from it. Each
+/// draw reads a fixed bit range of the one hash, so a schedule is a pure
+/// function of its seed.
+#[derive(Debug, Clone, Copy)]
+pub struct Draws(u64);
+
+impl Draws {
+    /// The hash of `seed` under a suite's `salt`.
+    pub fn new(seed: u64, salt: u64) -> Draws {
+        Draws(mix(seed ^ salt))
+    }
+
+    /// The hash shifted right by `shift`, modulo `n`.
+    pub fn bits(self, shift: u32, n: u64) -> u64 {
+        (self.0 >> shift) % n
+    }
+
+    /// Whether bit `shift` is set.
+    pub fn bit(self, shift: u32) -> bool {
+        self.bits(shift, 2) == 1
+    }
+
+    /// The standard control-fabric loss tier: 0, 10 % or 25 %.
+    pub fn fabric_loss(self) -> f64 {
+        [0.0, 0.10, 0.25][self.bits(8, 3) as usize]
+    }
+
+    /// An index below `n` from the bits at `shift` (0 for an empty fleet).
+    pub fn index(self, shift: u32, n: usize) -> usize {
+        if n == 0 {
+            0
+        } else {
+            self.bits(shift, n as u64) as usize
+        }
+    }
+
+    /// `k ≤ n` distinct indices below `n`, ascending, walked from the
+    /// hash's own mix stream.
+    pub fn distinct(self, k: usize, n: usize) -> Vec<usize> {
+        let mut picked: Vec<usize> = Vec::with_capacity(k);
+        let mut z = self.0;
+        while picked.len() < k {
+            z = mix(z);
+            let v = (z as usize) % n;
+            if !picked.contains(&v) {
+                picked.push(v);
+            }
+        }
+        picked.sort_unstable();
+        picked
+    }
+}
 
 /// Parses FlexBPF source into a bundle (panics on error; harness inputs are
 /// static).
@@ -560,6 +615,145 @@ impl LaneFleet {
                 post.lost,
                 post.attempts()
             ));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::fixture::{CONTROLLERS, LANES};
+    use crate::suites::adversary::{AdversaryScenario, AdversarySchedule};
+    use crate::suites::canary::{RolloutFault, RolloutSchedule};
+    use crate::suites::overload::{OverloadScenario, OverloadSchedule};
+    use crate::suites::recovery::ChaosSchedule;
+    use crate::suites::resync::RestartSchedule;
+    use crate::suites::sandbox::{RogueScenario, RogueSchedule};
+    use crate::suites::storage::{StorageScenario, StorageSchedule};
+    use flexnet_sim::CrashPhase;
+
+    /// The standard control-fabric loss tiers.
+    const TIERS: [f64; 3] = [0.0, 0.10, 0.25];
+
+    /// Where `x` sits in `all`.
+    fn pos<T: PartialEq>(all: &[T], x: &T) -> usize {
+        all.iter().position(|a| a == x).expect("a listed cohort")
+    }
+
+    /// Whether `v` is strictly ascending (distinct and sorted) below `n`.
+    fn distinct_below(v: &[usize], n: usize) -> bool {
+        v.windows(2).all(|w| w[0] < w[1]) && v.iter().all(|&i| i < n)
+    }
+
+    /// One suite's seed expansion over the fleet the suite runs: its
+    /// cohort count, and for a seed the cohort it falls in and the
+    /// schedule's `{:?}` — after asserting every draw's bounds and the
+    /// suite's own pins.
+    type Expansion = (&'static str, usize, fn(u64) -> (usize, String));
+
+    #[test]
+    fn every_suite_expands_its_seeds_deterministically_in_bounds_over_every_cohort() {
+        let table: [Expansion; 7] = [
+            ("recovery", 4, |seed| {
+                let s = ChaosSchedule::from_seed(seed, 3);
+                assert!(s.victim.is_none_or(|v| v < 3) && TIERS.contains(&s.fabric_loss));
+                (pos(&CrashPhase::ALL, &s.crash_phase), format!("{s:?}"))
+            }),
+            ("resync", 3, |seed| {
+                let s = RestartSchedule::from_seed(seed, 3);
+                assert_eq!(s.victims.len(), s.restarts);
+                assert!(distinct_below(&s.victims, 3) && TIERS.contains(&s.fabric_loss));
+                (s.restarts - 1, format!("{s:?}"))
+            }),
+            ("canary", 5, |seed| {
+                let s = RolloutSchedule::from_seed(seed, LANES);
+                // The gray victim flips before the final wave (1 → 2 → 4 → 8).
+                let gray = s.fault == RolloutFault::GrayDrop;
+                assert_eq!(s.gray_victim.is_some(), gray);
+                assert!(s.gray_victim.is_none_or(|v| v < 4) && TIERS.contains(&s.fabric_loss));
+                (pos(&RolloutFault::ALL, &s.fault), format!("{s:?}"))
+            }),
+            ("overload", 4, |seed| {
+                let s = OverloadSchedule::from_seed(seed, 16);
+                assert!([0.0, 0.05].contains(&s.fabric_loss));
+                assert!([0.5, 0.7].contains(&s.brownout_loss));
+                assert!((6..=10).contains(&s.burst_factor) && (4..=7).contains(&s.slow_factor));
+                assert!((600..=1200).contains(&s.fault_ms));
+                // A stampede restarts most of the fleet; nothing else does.
+                let stampede = s.scenario == OverloadScenario::MassRestart;
+                assert!(if stampede {
+                    s.restarts >= 12
+                } else {
+                    s.restarts == 0
+                });
+                assert_eq!(s.victims.len(), s.restarts);
+                assert!(distinct_below(&s.victims, 16));
+                (pos(&OverloadScenario::ALL, &s.scenario), format!("{s:?}"))
+            }),
+            ("sandbox", 4, |seed| {
+                let s = RogueSchedule::from_seed(seed, LANES);
+                assert!(s.victim < LANES && [64, 256, 1024].contains(&s.gas_limit));
+                assert!((1..=4).contains(&s.shrink_to));
+                assert!([128, 256, 384].contains(&s.flood_packets));
+                assert!(TIERS.contains(&s.fabric_loss));
+                // Seeds ≡ 3 mod 4 are the rollout storms.
+                assert_eq!(s.scenario == RogueScenario::TrapStormRollout, seed % 4 == 3);
+                (pos(&RogueScenario::ALL, &s.scenario), format!("{s:?}"))
+            }),
+            ("adversary", 5, |seed| {
+                let s = AdversarySchedule::from_seed(seed, 3);
+                assert!(s.victim < 3 && TIERS.contains(&s.fabric_loss));
+                assert!(s.corrupt_prob <= 0.70 && s.dup_prob <= 0.80 && s.reorder_prob <= 0.80);
+                assert!((2..=8).contains(&s.reorder_depth) && (8..=16).contains(&s.commands));
+                assert!((800..=2400).contains(&s.heal_after_ms));
+                // The scenario's own fault dominates.
+                assert!(match s.scenario {
+                    AdversaryScenario::CorruptStorm => s.corrupt_prob >= 0.30,
+                    AdversaryScenario::DupFlood => s.dup_prob >= 0.40,
+                    AdversaryScenario::ReorderChurn => s.reorder_prob >= 0.40,
+                    _ => true,
+                });
+                // Seeds ≡ 4 mod 5 are the mid-rollout partitions.
+                let mid = s.scenario == AdversaryScenario::PartitionMidRollout;
+                assert_eq!(mid, seed % 5 == 4);
+                (pos(&AdversaryScenario::ALL, &s.scenario), format!("{s:?}"))
+            }),
+            ("storage", 6, |seed| {
+                let s = StorageSchedule::from_seed(seed, CONTROLLERS);
+                assert!(s.victim < CONTROLLERS && TIERS.contains(&s.fabric_loss));
+                assert!((2..=7).contains(&s.crash_at_write));
+                assert!((200..=800).contains(&s.fsync_lag_us));
+                let nospace = s.scenario == StorageScenario::NoSpaceDuringCompaction;
+                assert_eq!(s.snap_capacity.is_some(), nospace);
+                assert!(s.snap_capacity.is_none_or(|cap| (24..64).contains(&cap)));
+                // Seeds ≡ 2 and ≡ 3 mod 6 are the rot (CRC-oracle) runs.
+                assert_eq!(
+                    s.scenario == StorageScenario::BitRotInColdLog,
+                    seed % 6 == 2
+                );
+                assert_eq!(s.scenario == StorageScenario::RotInSnapshot, seed % 6 == 3);
+                (pos(&StorageScenario::ALL, &s.scenario), format!("{s:?}"))
+            }),
+        ];
+        for (suite, cohorts, expand) in table {
+            for start in [0, 7, 997] {
+                let mut seen: Vec<usize> = (start..start + cohorts as u64)
+                    .map(|seed| expand(seed).0)
+                    .collect();
+                seen.sort_unstable();
+                seen.dedup();
+                assert_eq!(
+                    seen.len(),
+                    cohorts,
+                    "{suite}: seeds {start}.. miss a cohort"
+                );
+            }
+            for seed in 0..120 {
+                assert_eq!(
+                    expand(seed),
+                    expand(seed),
+                    "{suite}: seed {seed} expands two ways"
+                );
+            }
         }
     }
 }

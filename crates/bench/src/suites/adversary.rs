@@ -3,13 +3,14 @@
 //! asymmetric partitions.
 //!
 //! Where E14 restarts devices and E17 overloads the controller, E20
-//! attacks the *network between them*. The fabric
-//! ([`flexnet_controller::LossyFabric`] with its adversary armed) corrupts
-//! command frames in flight, delivers commands two or three times over,
-//! delays heartbeat copies by several slots, and severs one direction of
-//! a victim's link while the other keeps working. The suite drives its
-//! `deliver_cmd` / `deliver_up` itself, one delivery attempt per unacked
-//! command per heartbeat tick. Four defenses — all armed on
+//! attacks the *network between them*. The suite's `Adversary` rides on
+//! the line's [`LossyFabric`]: it corrupts command frames in flight,
+//! delivers commands two or three times over, delays heartbeat copies by
+//! several slots, and severs one direction of a victim's link while the
+//! other keeps working. The suite plays every delivery itself, one
+//! attempt per unacked command per heartbeat tick: the controller's own
+//! command channel (`Channel::send`, which `txn`, `recovery` and `resync`
+//! use) meets plain loss only. Four defenses — all armed on
 //! [`Arm::Protected`], all ablated on [`Arm::Ablated`] so the off arm can
 //! demonstrate the damage — keep the control plane exactly-once and the
 //! fleet digest-convergent:
@@ -34,14 +35,251 @@
 //!    still serving traffic is how split brain happens.
 
 use crate::fixture::{
-    baseline_detector, entry_for, intent_log, table_of, LineFleet, BENIGN_KEY, HEARTBEAT_PERIOD,
+    baseline_detector, entry_for, intent_log, table_of, Draws, LineFleet, BENIGN_KEY,
+    HEARTBEAT_PERIOD,
 };
 use crate::sweep::{col, count, total, Arm, Oracle, Report, Suite, Summary};
-use flexnet_controller::{Delivery, FailureDetector, Health, HealthEvent};
+use flexnet_controller::{FailureDetector, Health, HealthEvent, LossyFabric};
 use flexnet_dataplane::{flip_bits, seal_frame, TxnTag};
-use flexnet_sim::{mix, AdversaryScenario, AdversarySchedule};
+use flexnet_sim::mix;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Which integrity / exactly-once layer an adversarial-fabric run leans
+/// on: frame checksums, the device dedup window, heartbeat monotonicity,
+/// or the Unreachable-vs-Dead split-brain guard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum AdversaryScenario {
+    /// Heavy in-flight bit-flips on the command path: every mangled frame
+    /// must die at the checksum (a retryable transport failure), never
+    /// reach config logic, and never bill a program's trap window.
+    CorruptStorm,
+    /// Commands and heartbeats delivered two or three times over: the
+    /// device dedup window and idempotent 2PC verbs must absorb every
+    /// replay — acknowledged, not reapplied.
+    DupFlood,
+    /// Bounded reordering delays command/heartbeat copies by several
+    /// slots: stale heartbeats must never regress `boot_id` or the
+    /// reported digest, and out-of-order command replays must be absorbed.
+    ReorderChurn,
+    /// One direction of a victim's link is severed — the device keeps
+    /// serving traffic and hearing (or sending) but not both. The
+    /// detector must grade it `Unreachable`, not `Dead`, suppressing
+    /// remedial reprovisioning that would split-brain live state.
+    OneWayPartition,
+    /// The partition lands in the middle of a 2PC rollout: retried
+    /// Prepare/Flip commands after heal must be absorbed exactly-once and
+    /// the fleet must converge to a single digest.
+    PartitionMidRollout,
+}
+
+impl AdversaryScenario {
+    /// All scenarios, cycled by the sweep.
+    pub const ALL: [AdversaryScenario; 5] = [
+        AdversaryScenario::CorruptStorm,
+        AdversaryScenario::DupFlood,
+        AdversaryScenario::ReorderChurn,
+        AdversaryScenario::OneWayPartition,
+        AdversaryScenario::PartitionMidRollout,
+    ];
+
+    /// A short stable label for tables and test output.
+    pub fn label(&self) -> &'static str {
+        match self {
+            AdversaryScenario::CorruptStorm => "corrupt-storm",
+            AdversaryScenario::DupFlood => "dup-flood",
+            AdversaryScenario::ReorderChurn => "reorder-churn",
+            AdversaryScenario::OneWayPartition => "one-way-partition",
+            AdversaryScenario::PartitionMidRollout => "partition-mid-rollout",
+        }
+    }
+}
+
+/// Everything an adversarial-fabric run does, derived from one seed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AdversarySchedule {
+    /// The originating seed (kept for reproduction in reports).
+    pub seed: u64,
+    /// Which fabric fault this run leans on.
+    pub scenario: AdversaryScenario,
+    /// Fleet index of the partition victim (partition scenarios) or the
+    /// device whose command stream takes the brunt of the fault.
+    pub victim: usize,
+    /// Baseline drop probability of the controller↔device fabric, drawn
+    /// from the standard {0, 10%, 25%} tiers.
+    pub fabric_loss: f64,
+    /// Per-command in-flight corruption probability.
+    pub corrupt_prob: f64,
+    /// Per-command duplication probability.
+    pub dup_prob: f64,
+    /// Per-heartbeat reorder probability.
+    pub reorder_prob: f64,
+    /// Maximum reorder displacement in heartbeat slots (≤ 8, matching the
+    /// dedup-window sizing argument).
+    pub reorder_depth: usize,
+    /// Partition scenarios: `true` severs the device→controller (up)
+    /// direction — acks and heartbeats die, commands still land; `false`
+    /// severs controller→device — the device keeps heartbeating but
+    /// hears nothing.
+    pub partition_up: bool,
+    /// Partition scenarios: milliseconds after the run starts at which
+    /// the severed direction heals.
+    pub heal_after_ms: u64,
+    /// How many config commands the controller pushes through the
+    /// adversarial fabric during the run.
+    pub commands: u32,
+    /// Seed for the controller Raft cluster.
+    pub raft_seed: u64,
+}
+
+impl AdversarySchedule {
+    /// Expands `seed` into an adversarial-fabric schedule over
+    /// `participants` devices.
+    ///
+    /// The scenario cycles with the seed (any contiguous run of ≥5 seeds
+    /// covers every fault class; seeds ≡ 4 mod 5 are the partition-mid-
+    /// rollout runs), severity knobs come from the seed's hash, and the
+    /// scenario decides which fault dominates — the others idle at
+    /// background levels so every run still exercises all defenses.
+    pub fn from_seed(seed: u64, participants: usize) -> AdversarySchedule {
+        let d = Draws::new(seed, 0xAD5E_7ACE);
+        let scenario = AdversaryScenario::ALL[(seed % 5) as usize];
+        let tier = |tiers: [f64; 3]| tiers[d.bits(5, 3) as usize];
+        let (corrupt_prob, dup_prob, reorder_prob) = match scenario {
+            AdversaryScenario::CorruptStorm => (tier([0.30, 0.50, 0.70]), 0.05, 0.05),
+            AdversaryScenario::DupFlood => (0.02, tier([0.40, 0.60, 0.80]), 0.10),
+            AdversaryScenario::ReorderChurn => (0.02, 0.10, tier([0.40, 0.60, 0.80])),
+            AdversaryScenario::OneWayPartition | AdversaryScenario::PartitionMidRollout => {
+                (0.05, 0.10, 0.10)
+            }
+        };
+        AdversarySchedule {
+            seed,
+            scenario,
+            victim: d.index(3, participants),
+            fabric_loss: d.fabric_loss(),
+            corrupt_prob,
+            dup_prob,
+            reorder_prob,
+            reorder_depth: 2 + d.bits(14, 7) as usize,
+            partition_up: d.bit(16),
+            heal_after_ms: 800 + d.bits(18, 5) * 400,
+            commands: 8 + d.bits(24, 9) as u32,
+            raft_seed: mix(seed ^ 0x0DD_5EED),
+        }
+    }
+}
+
+/// What the adversary did to one command in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delivery {
+    /// Dropped: plain loss, or a severed partition direction.
+    Lost,
+    /// Arrived exactly once, intact.
+    Arrived,
+    /// Arrived intact, with `extra` duplicate copies right behind it (the
+    /// receiver's dedup window must absorb them).
+    Duplicated { extra: u8 },
+    /// Arrived with bits flipped in flight; `mask_seed` selects which.
+    Corrupted { mask_seed: u64 },
+}
+
+/// The seeded adversary riding on the line's [`LossyFabric`]: per-command
+/// corruption and duplication, bounded heartbeat reordering, and one
+/// severed link direction at a time — the asymmetric partition (the
+/// controller hears a device that never hears it, or the other way
+/// round) that symmetric link-state flips cannot express.
+///
+/// Every message still crosses the fabric's loss stream exactly as a
+/// plain send would; the adversary draws from its **own** stream, seeded
+/// apart from the fabric's, so arming it moves no loss draw. A severed
+/// direction swallows a message before the loss draw and draws nothing.
+#[derive(Debug)]
+struct Adversary {
+    corrupt_prob: f64,
+    dup_prob: f64,
+    reorder_prob: f64,
+    reorder_depth: usize,
+    rng: StdRng,
+    /// The partitioned node and the severed direction (`true`: up, the
+    /// device's acks and heartbeats; `false`: down, the commands).
+    severed: Option<(NodeId, bool)>,
+    /// Commands corrupted in flight.
+    corrupted: u64,
+    /// Commands duplicated in flight.
+    duplicated: u64,
+    /// Heartbeats delivered out of order.
+    reordered: u64,
+    /// Messages swallowed by the severed direction.
+    partition_drops: u64,
+}
+
+impl Adversary {
+    /// The adversary `schedule` arms, on its own stream under `seed`.
+    fn new(schedule: &AdversarySchedule, seed: u64) -> Adversary {
+        Adversary {
+            corrupt_prob: schedule.corrupt_prob,
+            dup_prob: schedule.dup_prob,
+            reorder_prob: schedule.reorder_prob,
+            reorder_depth: schedule.reorder_depth,
+            rng: StdRng::seed_from_u64(mix(seed ^ 0xAD5E_7ACE_F1A8_0001)),
+            severed: None,
+            corrupted: 0,
+            duplicated: 0,
+            reordered: 0,
+            partition_drops: 0,
+        }
+    }
+
+    /// Whether `node`'s `up` direction is severed; counts the swallowed
+    /// message if so.
+    fn swallows(&mut self, node: NodeId, up: bool) -> bool {
+        let cut = self.severed == Some((node, up));
+        self.partition_drops += u64::from(cut);
+        cut
+    }
+
+    /// Sends one device → controller message (heartbeat, ack) from
+    /// `node`; `true` when it arrives.
+    fn deliver_up(&mut self, fabric: &mut LossyFabric, node: NodeId) -> bool {
+        !self.swallows(node, true) && fabric.deliver()
+    }
+
+    /// Sends one command to `node`: the partition check, the fabric's
+    /// loss draw, then — for a command that survived both — the
+    /// corruption and duplication draws.
+    fn deliver_cmd(&mut self, fabric: &mut LossyFabric, node: NodeId) -> Delivery {
+        if self.swallows(node, false) || !fabric.deliver() {
+            return Delivery::Lost;
+        }
+        if self.rng.gen_bool(self.corrupt_prob) {
+            self.corrupted += 1;
+            return Delivery::Corrupted {
+                mask_seed: self.rng.gen(),
+            };
+        }
+        if self.rng.gen_bool(self.dup_prob) {
+            self.duplicated += 1;
+            // 1–3 duplicate copies, weighted toward one.
+            let extra = 1 + (self.rng.gen_range(0u8..4) / 3);
+            return Delivery::Duplicated { extra };
+        }
+        Delivery::Arrived
+    }
+
+    /// Draws the reorder decision for one heartbeat: `0` delivers it in
+    /// order, `k > 0` holds it back until `k` later ones overtook it.
+    fn reorder_delay(&mut self) -> usize {
+        if self.rng.gen_bool(self.reorder_prob) {
+            self.reordered += 1;
+            self.rng.gen_range(1..=self.reorder_depth)
+        } else {
+            0
+        }
+    }
+}
 
 /// Table size of the adversary fleet's gate / tap programs.
 const TABLE_SIZE: u32 = 32;
@@ -171,13 +409,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<AdversaryReport> {
     let mut fleet = LineFleet::new(seed, schedule.fabric_loss, intent_log(schedule.raft_seed)?);
     let (devices, sw) = (fleet.devices, fleet.switch());
     let victim = devices[schedule.victim];
-    fleet.fabric.enable_adversary(
-        schedule.corrupt_prob,
-        schedule.dup_prob,
-        schedule.reorder_prob,
-        schedule.reorder_depth,
-        seed,
-    );
+    let mut adversary = Adversary::new(&schedule, seed);
     let mut violations: Vec<String> = Vec::new();
     let mut store = fleet.provision_gate_and_taps(seed, TABLE_SIZE, &mut violations)?;
     // The suite's own copy of each device's intended entries — what an
@@ -331,15 +563,11 @@ pub fn run(seed: u64, arm: Arm) -> Result<AdversaryReport> {
 
         // Partition lifecycle (no randomness drawn by blocked paths).
         if partitioned && !partition_active && t >= partition_start && t < heal_at {
-            if schedule.partition_up {
-                fleet.fabric.block_up(victim);
-            } else {
-                fleet.fabric.block_down(victim);
-            }
+            adversary.severed = Some((victim, schedule.partition_up));
             partition_active = true;
         }
         if partition_active && t >= heal_at {
-            fleet.fabric.heal(victim);
+            adversary.severed = None;
             partition_active = false;
         }
 
@@ -385,7 +613,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<AdversaryReport> {
             }
             let is_sw = c.node == sw;
             let table = table_of(is_sw);
-            match fleet.fabric.deliver_cmd(c.node) {
+            match adversary.deliver_cmd(&mut fleet.fabric, c.node) {
                 Delivery::Lost => {}
                 Delivery::Corrupted { mask_seed } => {
                     if protected {
@@ -393,7 +621,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<AdversaryReport> {
                         // NACK (ChecksumMismatch) rides the up path and
                         // feeds the retry machinery. Either way: retry.
                         report.corrupt_rejected += 1;
-                        let _ = fleet.fabric.deliver_up(c.node);
+                        adversary.deliver_up(&mut fleet.fabric, c.node);
                     } else if let CmdKind::AddEntry(key) = c.kind {
                         // Unsealed fabric: a payload bit-flip slips
                         // through and the device applies a mangled
@@ -403,7 +631,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<AdversaryReport> {
                             .device(c.node)
                             .add_entry(table, entry_for(is_sw, mangled));
                         report.corrupt_applied += 1;
-                        if fleet.fabric.deliver_up(c.node) {
+                        if adversary.deliver_up(&mut fleet.fabric, c.node) {
                             c.acked = true;
                             last_ack = t;
                         }
@@ -458,7 +686,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<AdversaryReport> {
                             },
                         }
                     }
-                    if fleet.fabric.deliver_up(c.node) {
+                    if adversary.deliver_up(&mut fleet.fabric, c.node) {
                         c.acked = true;
                         last_ack = t;
                     }
@@ -487,10 +715,10 @@ pub fn run(seed: u64, arm: Arm) -> Result<AdversaryReport> {
         // (ablated) has no such channel.
         for node in fleet.sim.topo.nodes().filter(|n| n.device.is_up()) {
             let (boot_id, digest) = (node.device.boot_id(), node.device.config_digest());
-            if !fleet.fabric.deliver_up(node.id) {
+            if !adversary.deliver_up(&mut fleet.fabric, node.id) {
                 continue;
             }
-            let delay = fleet.fabric.reorder_delay();
+            let delay = adversary.reorder_delay();
             if delay == 0 {
                 detector.observe_heartbeat(node.id, t, boot_id, digest);
             } else {
@@ -618,12 +846,10 @@ pub fn run(seed: u64, arm: Arm) -> Result<AdversaryReport> {
         }
     }
 
-    if let Some(adv) = fleet.fabric.adversary() {
-        report.corrupted = adv.corrupted;
-        report.duplicated = adv.duplicated;
-        report.reordered = adv.reordered;
-    }
-    report.partition_drops = fleet.fabric.partition_drops;
+    report.corrupted = adversary.corrupted;
+    report.duplicated = adversary.duplicated;
+    report.reordered = adversary.reordered;
+    report.partition_drops = adversary.partition_drops;
     report.delivered = fleet.sim.metrics.delivered;
     report.lost = fleet.sim.metrics.total_lost();
     report.converge_latency = last_ack.saturating_since(t_base);
@@ -828,5 +1054,93 @@ mod tests {
             r.unreachable_polls > 0,
             "seed {seed}: the victim was never graded unreachable"
         );
+    }
+
+    /// An adversary with the given per-message probabilities.
+    fn armed(corrupt: f64, dup: f64, reorder: f64, depth: usize, seed: u64) -> Adversary {
+        let schedule = AdversarySchedule {
+            corrupt_prob: corrupt,
+            dup_prob: dup,
+            reorder_prob: reorder,
+            reorder_depth: depth,
+            ..AdversarySchedule::from_seed(seed, 3)
+        };
+        Adversary::new(&schedule, seed)
+    }
+
+    #[test]
+    fn the_adversary_leaves_the_fabric_loss_stream_untouched() {
+        // The suite's loss draws are pinned to the fabric's stream. A
+        // command crosses the lossy link exactly once whether or not the
+        // adversary rides on it, and the adversary draws only from its
+        // own stream, so arming it must not shift the loss stream at all.
+        let run = |seed, arm: bool| {
+            let mut f = LossyFabric::new(0.3, seed);
+            let mut adv = armed(0.5, 0.5, 0.5, 8, seed);
+            (0..500)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        // interleave adversarial draws between plain ones
+                        if arm {
+                            adv.deliver_cmd(&mut f, NodeId(1));
+                            adv.reorder_delay();
+                        } else {
+                            f.deliver();
+                        }
+                    }
+                    f.deliver()
+                })
+                .collect::<Vec<_>>()
+        };
+        for seed in [1u64, 42, 0xDEAD] {
+            assert_eq!(run(seed, false), run(seed, true), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_severed_direction_consumes_no_randomness() {
+        let mut open = LossyFabric::new(0.3, 11);
+        let mut cut = LossyFabric::new(0.3, 11);
+        let mut adv = armed(0.2, 0.2, 0.3, 6, 11);
+        adv.severed = Some((NodeId(5), false));
+        for _ in 0..100 {
+            // Swallowed sends return early; the loss rng never advances.
+            assert_eq!(adv.deliver_cmd(&mut cut, NodeId(5)), Delivery::Lost);
+        }
+        adv.severed = Some((NodeId(5), true));
+        for _ in 0..100 {
+            assert!(!adv.deliver_up(&mut cut, NodeId(5)));
+        }
+        assert_eq!(adv.partition_drops, 200);
+        let a: Vec<bool> = (0..200).map(|_| open.deliver()).collect();
+        let b: Vec<bool> = (0..200).map(|_| cut.deliver()).collect();
+        assert_eq!(a, b, "severed traffic drew no randomness");
+        adv.severed = None;
+        assert!(
+            adv.deliver_up(&mut LossyFabric::reliable(), NodeId(5)),
+            "healed"
+        );
+    }
+
+    #[test]
+    fn adversary_draws_are_deterministic_and_counted() {
+        let run = |seed| {
+            let mut f = LossyFabric::reliable();
+            let mut adv = armed(0.2, 0.2, 0.3, 6, seed);
+            let events: Vec<Delivery> = (0..400)
+                .map(|_| adv.deliver_cmd(&mut f, NodeId(2)))
+                .collect();
+            let delays: Vec<usize> = (0..200).map(|_| adv.reorder_delay()).collect();
+            (events, delays, adv.corrupted, adv.duplicated, adv.reordered)
+        };
+        assert_eq!(run(9), run(9), "same seed, same adversarial schedule");
+        let (events, delays, corrupted, duplicated, reordered) = run(9);
+        assert!(corrupted > 0 && duplicated > 0 && reordered > 0);
+        let corrupt_events = events
+            .iter()
+            .filter(|e| matches!(e, Delivery::Corrupted { .. }));
+        assert_eq!(corrupt_events.count() as u64, corrupted);
+        assert!(delays.iter().all(|&d| d <= 6), "reorder depth bounded");
+        assert!(delays.iter().any(|&d| d > 0));
     }
 }

@@ -12,13 +12,102 @@
 //! pre-rollout digest with a clean post-rollback window, and that the
 //! intent log's rollout records tell the same story as the report.
 
-use crate::fixture::{bundle, LaneFleet, LANES};
+use crate::fixture::{bundle, Draws, LaneFleet, LANES};
 use crate::sweep::{col, count, mean, total, Arm, Report, Suite};
 use flexnet_controller::{IntentRecord, RolloutOutcome, RolloutReport};
 use flexnet_lang::diff::ProgramBundle;
-use flexnet_sim::{RolloutFault, RolloutSchedule};
+use flexnet_sim::mix;
 use flexnet_types::{NodeId, Result, SimDuration, SimTime};
 use std::collections::BTreeSet;
+
+/// How a canary rollout's *candidate program* misbehaves. The
+/// infrastructure works perfectly; the payload itself regresses the SLOs,
+/// and each variant is designed to trip a different guard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum RolloutFault {
+    /// The candidate is correct: the rollout must complete every wave
+    /// with zero loss and no guard false-positive.
+    Clean,
+    /// The candidate drops every packet it sees — the loudest possible
+    /// regression; the fleet loss-delta guard must fire in wave 1.
+    UniformDrop,
+    /// One specific device (and only it) receives a pathological build
+    /// of the candidate — a device-scoped miscompile. The device keeps
+    /// heartbeating on time; only its data-path drop slope betrays it
+    /// (the paper's gray failure).
+    GrayDrop,
+    /// The candidate burns ~2 µs of extra per-packet work: no loss at
+    /// all, but the p99 latency-delta guard must catch it.
+    LatencyInflation,
+    /// The candidate drops 1 packet in 8, per device: fleet-level loss
+    /// stays under the guard while only one wave's devices run it, and
+    /// crosses the threshold as later waves widen exposure — the
+    /// slow-burn regression that only late waves reveal.
+    SlowBurn,
+}
+
+impl RolloutFault {
+    /// All faults, cycled by the sweep.
+    pub const ALL: [RolloutFault; 5] = [
+        RolloutFault::Clean,
+        RolloutFault::UniformDrop,
+        RolloutFault::GrayDrop,
+        RolloutFault::LatencyInflation,
+        RolloutFault::SlowBurn,
+    ];
+
+    /// A short stable label for tables and test output.
+    pub fn label(&self) -> &'static str {
+        match self {
+            RolloutFault::Clean => "clean",
+            RolloutFault::UniformDrop => "uniform-drop",
+            RolloutFault::GrayDrop => "gray-drop",
+            RolloutFault::LatencyInflation => "latency-inflation",
+            RolloutFault::SlowBurn => "slow-burn",
+        }
+    }
+}
+
+/// Everything a canary-rollout run does, derived from one seed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RolloutSchedule {
+    /// The originating seed (kept for reproduction in reports).
+    pub seed: u64,
+    /// Which way the candidate program is bad (or [`RolloutFault::Clean`]).
+    pub fault: RolloutFault,
+    /// For [`RolloutFault::GrayDrop`]: the fleet index of the device that
+    /// receives the pathological build. Drawn from the first
+    /// `min(4, participants)` indices so — under the canonical cumulative
+    /// wave plan 1 → 2 → 4 → all — the victim always flips *before* the
+    /// final wave, and a guard that works must catch it short of
+    /// full-fleet exposure. `None` for every other fault.
+    pub gray_victim: Option<usize>,
+    /// Drop probability of the controller↔device fabric (the control
+    /// plane retries through it; the rollout must still resolve).
+    pub fabric_loss: f64,
+    /// Seed for the controller Raft cluster.
+    pub raft_seed: u64,
+}
+
+impl RolloutSchedule {
+    /// Expands `seed` into a rollout schedule over `participants` devices.
+    ///
+    /// The fault cycles with the seed (any contiguous run of ≥5 seeds
+    /// covers every fault class), the gray victim is drawn from the
+    /// early-wave indices, and fabric loss comes from the standard tiers.
+    pub fn from_seed(seed: u64, participants: usize) -> RolloutSchedule {
+        let d = Draws::new(seed, 0x0BAD_CA5E);
+        let fault = RolloutFault::ALL[(seed % 5) as usize];
+        let gray = fault == RolloutFault::GrayDrop && participants > 0;
+        RolloutSchedule {
+            seed,
+            fault,
+            gray_victim: gray.then(|| d.index(3, participants.min(4))),
+            fabric_loss: d.fabric_loss(),
+            raft_seed: mix(seed ^ 0xCAFE_F11B),
+        }
+    }
+}
 
 /// Everything one canary run observed.
 #[derive(Debug, Clone)]
@@ -336,7 +425,6 @@ pub fn suite() -> Suite<CanaryReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexnet_sim::rollout_sweep;
 
     fn run_canary_seed(seed: u64) -> Result<CanaryReport> {
         run(seed, Arm::Protected)
@@ -410,13 +498,12 @@ mod tests {
     #[test]
     fn every_fault_class_is_caught_before_full_fleet_exposure() {
         // One contiguous block of 5 seeds covers every fault class.
-        for schedule in rollout_sweep(10, 5, LANES) {
-            let report = run_canary_seed(schedule.seed).unwrap();
+        for seed in 10..15 {
+            let report = run_canary_seed(seed).unwrap();
             assert!(
                 report.passed(),
-                "seed {} ({}) violations: {:?}",
-                schedule.seed,
-                schedule.fault.label(),
+                "seed {seed} ({}) violations: {:?}",
+                report.schedule.fault.label(),
                 report.violations
             );
         }

@@ -12,27 +12,29 @@
 //! that trap deterministically and shows the protection layer breaking
 //! it:
 //!
-//! - **retry budgets** ([`RetryBudget`]) cap retries at a fraction of
+//! - **retry budgets** (`RetryBudget`) cap retries at a fraction of
 //!   successes, so a storm self-extinguishes instead of multiplying
 //!   arrivals;
 //! - **decorrelated jitter** desynchronizes the retries that do run;
-//! - **circuit breakers** ([`BreakerSet`]) stop burning service capacity
+//! - **circuit breakers** (`BreakerSet`) stop burning service capacity
 //!   on destinations that are down;
-//! - **priority admission + deadline shedding** ([`AdmissionQueue`]) keep
-//!   remedial/resync work ahead of telemetry floods and discard expired
+//! - **priority admission + deadline shedding** (`AdmissionQueue`) keep
+//!   resync work ahead of telemetry floods and discard expired
 //!   work *unserved* — shedding a stale item costs a counter bump,
 //!   serving it costs capacity;
 //! - **the global resync token bucket** ([`TokenBucket`]) paces a
 //!   mass-restart stampede into an orderly queue;
-//! - **graceful degradation** ([`OverloadGovernor`]) pauses new rollouts
+//! - **graceful degradation** (`OverloadGovernor`) pauses new rollouts
 //!   and widens heartbeat cadence + detector thresholds under sustained
 //!   shed, instead of dropping failure detection.
 //!
-//! [`run`] executes one seeded scenario on one [`Arm`]; the acceptance
-//! criterion is that the protected controller recovers within a bounded
-//! window after the fault clears in *every* seed, while the ablated one —
-//! the same controller with every mechanism above off — demonstrably
-//! stays collapsed on pinned seeds.
+//! The budget, breakers, queue and governor are this suite's own: E17 is
+//! the one thing that drives them, so they live here and not in the
+//! controller library. [`run`] executes one seeded scenario on one
+//! [`Arm`]; the acceptance criterion is that the protected controller
+//! recovers within a bounded window after the fault clears in *every*
+//! seed, while the ablated one — the same controller with every mechanism
+//! above off — demonstrably stays collapsed on pinned seeds.
 //!
 //! ## The model
 //!
@@ -48,16 +50,528 @@
 //! resync converges the device. All randomness (fabric loss, jitter)
 //! derives from the seed; two runs of one seed are identical.
 
+use crate::fixture::Draws;
 use crate::sweep::{col, count, total, Arm, Oracle, Report, Suite, Summary};
-use flexnet_controller::{
-    AdmissionQueue, BreakerSet, ControllerMode, FailureDetector, HealthEvent, OverloadGovernor,
-    RetryBudget, TokenBucket, WorkClass,
-};
-use flexnet_sim::{mix, OverloadScenario, OverloadSchedule};
+use flexnet_controller::{FailureDetector, HealthEvent, TokenBucket};
+use flexnet_sim::mix;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// How one overload run tries to push the controller into metastable
+/// collapse: offered control-plane load exceeds service capacity long
+/// enough that, without protection, the backlog's own retries and stale
+/// work keep the controller saturated after the fault clears.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum OverloadScenario {
+    /// Most of the fleet restarts at once: a resync stampede meets the
+    /// admission path.
+    MassRestart,
+    /// The control fabric browns out (heavy loss) for the fault window:
+    /// every exchange retries, multiplying offered load.
+    Brownout,
+    /// Devices multiply their telemetry cadence: a flood of the
+    /// lowest-priority work class.
+    HeartbeatBurst,
+    /// The controller itself slows down (capacity divided) while load
+    /// stays nominal: queue delay crosses the client timeout and every
+    /// request starts arriving in duplicate.
+    SlowController,
+}
+
+impl OverloadScenario {
+    /// All scenarios, cycled by the sweep.
+    pub const ALL: [OverloadScenario; 4] = [
+        OverloadScenario::MassRestart,
+        OverloadScenario::Brownout,
+        OverloadScenario::HeartbeatBurst,
+        OverloadScenario::SlowController,
+    ];
+
+    /// A short stable label for tables and test output.
+    pub fn label(&self) -> &'static str {
+        match self {
+            OverloadScenario::MassRestart => "mass-restart",
+            OverloadScenario::Brownout => "brownout",
+            OverloadScenario::HeartbeatBurst => "heartbeat-burst",
+            OverloadScenario::SlowController => "slow-controller",
+        }
+    }
+}
+
+/// Everything an overload run does, derived from one seed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OverloadSchedule {
+    /// The originating seed (kept for reproduction in reports).
+    pub seed: u64,
+    /// Which overload mechanism this run exercises.
+    pub scenario: OverloadScenario,
+    /// [`OverloadScenario::MassRestart`]: how many devices restart
+    /// (most or all of the fleet — a stampede, not a blip).
+    pub restarts: usize,
+    /// Device indices that restart, distinct, `restarts` of them.
+    pub victims: Vec<usize>,
+    /// [`OverloadScenario::Brownout`]: fabric drop probability while the
+    /// fault holds.
+    pub brownout_loss: f64,
+    /// [`OverloadScenario::HeartbeatBurst`]: telemetry cadence
+    /// multiplier while the fault holds.
+    pub burst_factor: u32,
+    /// [`OverloadScenario::SlowController`]: controller service-capacity
+    /// divisor while the fault holds.
+    pub slow_factor: u32,
+    /// Baseline drop probability of the control fabric (outside the
+    /// fault window).
+    pub fabric_loss: f64,
+    /// How long the fault holds, in milliseconds of simulated time.
+    pub fault_ms: u64,
+}
+
+impl OverloadSchedule {
+    /// Expands `seed` into an overload schedule over `participants`
+    /// devices.
+    ///
+    /// The scenario cycles with the seed (any contiguous run of ≥4 seeds
+    /// covers every mechanism); severity knobs come from the seed's hash —
+    /// always hard enough that offered load exceeds unprotected capacity
+    /// during the fault, because a scenario the *unprotected* controller
+    /// survives proves nothing about the protections.
+    pub fn from_seed(seed: u64, participants: usize) -> OverloadSchedule {
+        let d = Draws::new(seed, 0x0EE2_10AD);
+        let scenario = OverloadScenario::ALL[(seed % 4) as usize];
+        // All of the fleet, or three quarters of it: a stampede.
+        let restarts = match (scenario, d.bit(2)) {
+            (OverloadScenario::MassRestart, false) => participants,
+            (OverloadScenario::MassRestart, true) => (participants * 3).div_ceil(4),
+            _ => 0,
+        };
+        OverloadSchedule {
+            seed,
+            scenario,
+            restarts,
+            victims: d.distinct(restarts, participants),
+            brownout_loss: if d.bit(4) { 0.7 } else { 0.5 },
+            burst_factor: 6 + d.bits(6, 5) as u32,
+            slow_factor: 4 + d.bits(9, 4) as u32,
+            fabric_loss: if d.bit(12) { 0.05 } else { 0.0 },
+            fault_ms: 600 + d.bits(16, 5) * 150,
+        }
+    }
+}
+
+/// The retry budget, the storm-suppression layer: every fresh
+/// acknowledgement earns a tenth of a retry token, every retransmission
+/// spends one, and an empty bucket refuses the retransmission (first
+/// transmissions are never refused). Sustained retries are capped at a
+/// tenth of the success rate, so a retry storm self-extinguishes instead
+/// of amplifying, and the budget refills only as real successes resume.
+/// Integer millitokens keep it exactly deterministic.
+#[derive(Debug)]
+struct RetryBudget {
+    /// Millitokens in the bucket.
+    tokens: u64,
+    /// Retransmissions refused.
+    refused: u64,
+}
+
+impl RetryBudget {
+    /// Millitokens one success earns: a tenth of a retry.
+    const EARN: u64 = 100;
+    /// The bucket's cap: ten retries, the burst a success streak can bank.
+    const CAP: u64 = 10_000;
+
+    /// Records a successful exchange, earning budget.
+    fn on_success(&mut self) {
+        self.tokens = (self.tokens + Self::EARN).min(Self::CAP);
+    }
+
+    /// Tries to spend one retry token; `false` means the retry must not
+    /// happen.
+    fn try_spend(&mut self) -> bool {
+        if self.tokens >= 1000 {
+            self.tokens -= 1000;
+            true
+        } else {
+            self.refused += 1;
+            false
+        }
+    }
+}
+
+impl Default for RetryBudget {
+    /// Three retries of starting credit, so a healthy fleet's first
+    /// failures can still be retried.
+    fn default() -> RetryBudget {
+        RetryBudget {
+            tokens: 3_000,
+            refused: 0,
+        }
+    }
+}
+
+/// State of a per-device circuit breaker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BreakerState {
+    /// Calls flow normally; consecutive failures are counted.
+    Closed,
+    /// Calls are refused until the cooldown elapses.
+    Open,
+    /// The cooldown elapsed: exactly one probe call is admitted. Success
+    /// closes the breaker; failure re-opens it (cooldown restarts).
+    HalfOpen,
+}
+
+/// A per-device circuit breaker on the resync path: once
+/// [`CircuitBreaker::THRESHOLD`] consecutive resyncs against a device
+/// have failed, further ones are refused at zero capacity cost until
+/// [`CircuitBreaker::COOLDOWN`] elapses; then exactly one probe is
+/// admitted, whose success closes the breaker and whose failure re-opens
+/// it. During a brownout this turns O(attempts) wasted service per dead
+/// device into one probe per cooldown.
+#[derive(Debug)]
+struct CircuitBreaker {
+    state: BreakerState,
+    consecutive_failures: u32,
+    opened_at: SimTime,
+    probe_in_flight: bool,
+    /// Times this breaker transitioned Closed/HalfOpen → Open.
+    opens: u64,
+}
+
+impl CircuitBreaker {
+    /// Consecutive failures that trip a closed breaker.
+    const THRESHOLD: u32 = 3;
+    /// How long an open breaker refuses before admitting a probe.
+    const COOLDOWN: SimDuration = SimDuration::from_millis(200);
+
+    fn new() -> CircuitBreaker {
+        CircuitBreaker {
+            state: BreakerState::Closed,
+            consecutive_failures: 0,
+            opened_at: SimTime::ZERO,
+            probe_in_flight: false,
+            opens: 0,
+        }
+    }
+
+    /// The state as of `now` (Open lapses to HalfOpen once the cooldown
+    /// has elapsed).
+    fn state(&self, now: SimTime) -> BreakerState {
+        match self.state {
+            BreakerState::Open if now.saturating_since(self.opened_at) >= Self::COOLDOWN => {
+                BreakerState::HalfOpen
+            }
+            s => s,
+        }
+    }
+
+    /// Asks to place a call at `now`. `Ok` admits it — the caller must
+    /// then report the outcome; `Err` refuses it with the wait until the
+    /// next probe window.
+    fn admit(&mut self, now: SimTime) -> std::result::Result<(), SimDuration> {
+        match self.state(now) {
+            BreakerState::Closed => Ok(()),
+            BreakerState::HalfOpen if !self.probe_in_flight => {
+                self.state = BreakerState::HalfOpen;
+                self.probe_in_flight = true;
+                Ok(())
+            }
+            BreakerState::HalfOpen => Err(Self::COOLDOWN),
+            BreakerState::Open => Err((self.opened_at + Self::COOLDOWN).saturating_since(now)),
+        }
+    }
+
+    /// Reports a successful call: closes the breaker, resets the streak.
+    fn on_success(&mut self) {
+        self.state = BreakerState::Closed;
+        self.consecutive_failures = 0;
+        self.probe_in_flight = false;
+    }
+
+    /// Reports a failed call at `now`: a closed breaker trips after the
+    /// threshold; a failed half-open probe re-opens at once.
+    fn on_failure(&mut self, now: SimTime) {
+        match self.state {
+            BreakerState::HalfOpen => self.trip(now),
+            BreakerState::Closed => {
+                self.consecutive_failures += 1;
+                if self.consecutive_failures >= Self::THRESHOLD {
+                    self.trip(now);
+                }
+            }
+            BreakerState::Open => {}
+        }
+    }
+
+    fn trip(&mut self, now: SimTime) {
+        self.state = BreakerState::Open;
+        self.opened_at = now;
+        self.probe_in_flight = false;
+        self.consecutive_failures = 0;
+        self.opens += 1;
+    }
+}
+
+/// One [`CircuitBreaker`] per device, created closed on first use.
+#[derive(Debug, Default)]
+struct BreakerSet {
+    breakers: BTreeMap<NodeId, CircuitBreaker>,
+}
+
+impl BreakerSet {
+    /// The breaker guarding `node`.
+    fn breaker(&mut self, node: NodeId) -> &mut CircuitBreaker {
+        self.breakers
+            .entry(node)
+            .or_insert_with(CircuitBreaker::new)
+    }
+
+    /// Closed/HalfOpen → Open transitions across the set.
+    fn total_opens(&self) -> u64 {
+        self.breakers.values().map(|b| b.opens).sum()
+    }
+}
+
+/// Priority class of controller work, most urgent first: the queue
+/// serves classes *strictly* in this order, so a telemetry flood can
+/// never starve the resyncs that end the incident.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum WorkClass {
+    /// Intended-state reconciliation of a restarted or diverged device.
+    Resync,
+    /// Planned change: rollout waves.
+    Rollout,
+    /// Telemetry reports.
+    Telemetry,
+}
+
+impl WorkClass {
+    /// Lanes, one per class.
+    const LANES: usize = 3;
+
+    /// Lane index: 0 = most urgent.
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    /// A short stable label for errors.
+    fn label(self) -> &'static str {
+        match self {
+            WorkClass::Resync => "resync",
+            WorkClass::Rollout => "rollout",
+            WorkClass::Telemetry => "telemetry",
+        }
+    }
+}
+
+/// One queued unit of controller work.
+#[derive(Debug, Clone, Copy)]
+struct WorkItem {
+    /// Admission-order id (unique per queue).
+    id: u64,
+    /// When the item was admitted.
+    enqueued_at: SimTime,
+    /// Propagated deadline: past it the requester has given up, so
+    /// serving the item buys nothing. Expired items are shed at pop time —
+    /// serving them is the timeout amplification that sustains
+    /// metastable collapse.
+    deadline: SimTime,
+}
+
+/// Shed accounting for an [`AdmissionQueue`].
+#[derive(Debug, Default)]
+struct QueueStats {
+    /// Items shed because the queue was full (evicted victim or refused
+    /// arrival).
+    shed_capacity: u64,
+    /// Items shed at pop time because their deadline had passed.
+    shed_expired: u64,
+    /// High-water mark of total queue length.
+    peak_len: usize,
+}
+
+impl QueueStats {
+    /// Total items shed for any reason.
+    fn shed_total(&self) -> u64 {
+        self.shed_capacity + self.shed_expired
+    }
+}
+
+/// The controller's front door: a bounded work queue with strict priority
+/// classes and deadline-expiry shedding. When full, an arrival evicts the
+/// *newest* item of the *lowest*-priority occupied lane below its own
+/// class; with nothing below it queued, the arrival itself is refused
+/// with the retryable [`FlexError::Backpressure`]. Lanes drain in class
+/// order, and expired items are discarded unserved — a counter bump
+/// instead of an execution slot.
+#[derive(Debug)]
+struct AdmissionQueue {
+    cap: usize,
+    shed_expired: bool,
+    lanes: [VecDeque<WorkItem>; WorkClass::LANES],
+    next_id: u64,
+    stats: QueueStats,
+}
+
+impl AdmissionQueue {
+    /// A queue of at most `cap` items that sheds expired work at pop time
+    /// — the protected configuration.
+    fn bounded(cap: usize) -> AdmissionQueue {
+        AdmissionQueue {
+            cap: cap.max(1),
+            shed_expired: true,
+            lanes: Default::default(),
+            next_id: 0,
+            stats: QueueStats::default(),
+        }
+    }
+
+    /// An unbounded queue that serves expired work anyway — the
+    /// unprotected baseline.
+    fn unbounded() -> AdmissionQueue {
+        AdmissionQueue {
+            cap: usize::MAX,
+            shed_expired: false,
+            ..AdmissionQueue::bounded(1)
+        }
+    }
+
+    /// Items queued across all lanes.
+    fn len(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum()
+    }
+
+    /// Admits one item, possibly evicting lower-priority work. Returns
+    /// its admission id, or [`FlexError::Backpressure`] when the queue is
+    /// full of work at or above `class`.
+    fn push(&mut self, class: WorkClass, now: SimTime, deadline: SimTime) -> Result<u64> {
+        if self.len() >= self.cap {
+            let victim_lane = (class.index() + 1..WorkClass::LANES)
+                .rev()
+                .find(|&i| !self.lanes[i].is_empty());
+            self.stats.shed_capacity += 1;
+            match victim_lane {
+                Some(i) => {
+                    self.lanes[i].pop_back();
+                }
+                None => {
+                    return Err(FlexError::Backpressure {
+                        what: format!("work queue ({})", class.label()),
+                        retry_after: SimDuration::from_millis(5),
+                    });
+                }
+            }
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.lanes[class.index()].push_back(WorkItem {
+            id,
+            enqueued_at: now,
+            deadline,
+        });
+        self.stats.peak_len = self.stats.peak_len.max(self.len());
+        Ok(id)
+    }
+
+    /// Pops the most urgent live item, shedding (not serving) expired
+    /// ones when expiry shedding is on.
+    fn pop(&mut self, now: SimTime) -> Option<WorkItem> {
+        for lane in self.lanes.iter_mut() {
+            while let Some(item) = lane.pop_front() {
+                if self.shed_expired && item.deadline < now {
+                    self.stats.shed_expired += 1;
+                    continue;
+                }
+                return Some(item);
+            }
+        }
+        None
+    }
+}
+
+/// Watches the queue's shed counter and flips the controller between
+/// normal and *degraded* mode: [`OverloadGovernor::ENTER`] sheds inside
+/// [`OverloadGovernor::WINDOW`] enter it, [`OverloadGovernor::EXIT_QUIET`]
+/// without a shed leave it. While degraded it refuses new rollouts and
+/// widens heartbeat cadence and detector thresholds by
+/// [`OverloadGovernor::WIDEN`] — failure detection keeps running.
+#[derive(Debug, Default)]
+struct OverloadGovernor {
+    events: VecDeque<(SimTime, u64)>,
+    last_total: u64,
+    last_shed_at: Option<SimTime>,
+    /// The published mode: `true` while degraded.
+    degraded: bool,
+}
+
+impl OverloadGovernor {
+    /// Sheds inside the window that enter `Degraded`.
+    const ENTER: u64 = 8;
+    /// The sliding shed-counting window.
+    const WINDOW: SimDuration = SimDuration::from_millis(200);
+    /// Shed-free time that leaves `Degraded`.
+    const EXIT_QUIET: SimDuration = SimDuration::from_millis(300);
+    /// The heartbeat-period and detector-threshold multiplier while
+    /// degraded.
+    const WIDEN: u64 = 4;
+
+    /// Feeds the queue's *cumulative* shed count at `now` and returns
+    /// whether the controller is (now) degraded.
+    fn observe_sheds(&mut self, now: SimTime, total_sheds: u64) -> bool {
+        let delta = total_sheds.saturating_sub(self.last_total);
+        self.last_total = self.last_total.max(total_sheds);
+        if delta > 0 {
+            self.events.push_back((now, delta));
+            self.last_shed_at = Some(now);
+        }
+        while let Some(&(t, _)) = self.events.front() {
+            if now.saturating_since(t) > Self::WINDOW {
+                self.events.pop_front();
+            } else {
+                break;
+            }
+        }
+        let recent: u64 = self.events.iter().map(|(_, n)| n).sum();
+        if self.degraded {
+            let quiet = self
+                .last_shed_at
+                .is_none_or(|t| now.saturating_since(t) >= Self::EXIT_QUIET);
+            self.degraded = !quiet;
+        } else {
+            self.degraded = recent >= Self::ENTER;
+        }
+        self.degraded
+    }
+
+    /// Gate for *new* rollout work: refused with the retryable
+    /// [`FlexError::Backpressure`] while degraded.
+    fn admit_rollout(&self) -> Result<()> {
+        if !self.degraded {
+            return Ok(());
+        }
+        Err(FlexError::Backpressure {
+            what: "rollout admission (controller degraded)".to_string(),
+            retry_after: Self::EXIT_QUIET,
+        })
+    }
+
+    /// The multiplier for heartbeat periods and detector thresholds: 1
+    /// nominally, [`OverloadGovernor::WIDEN`] while degraded.
+    fn detector_scale(&self) -> u64 {
+        if self.degraded {
+            Self::WIDEN
+        } else {
+            1
+        }
+    }
+
+    /// The heartbeat period devices should use: `base`, widened while
+    /// degraded (fewer beats to serve).
+    fn heartbeat_period(&self, base: SimDuration) -> SimDuration {
+        SimDuration::from_nanos(base.as_nanos().saturating_mul(self.detector_scale()))
+    }
+}
 
 /// Simulation tick.
 const TICK: SimDuration = SimDuration::from_millis(5);
@@ -358,7 +872,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<OverloadReport> {
                 let granted = if protected {
                     // One shared budget keyed by the controller: total
                     // retransmissions stay a fraction of total successes.
-                    budget.try_spend(NodeId(0))
+                    budget.try_spend()
                 } else {
                     true
                 };
@@ -403,7 +917,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<OverloadReport> {
             next_rollout = t + ROLLOUT_PERIOD;
             if protected && governor.admit_rollout().is_err() {
                 rollouts_paused += 1;
-            } else if let Ok(id) = queue.push(WorkClass::Rollout, None, t, t + ROLLOUT_PERIOD) {
+            } else if let Ok(id) = queue.push(WorkClass::Rollout, t, t + ROLLOUT_PERIOD) {
                 ledger.insert(id, Work::Rollout);
             }
         }
@@ -446,7 +960,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<OverloadReport> {
             .collect();
         resync_waiting.retain(|(at, _)| t < *at);
         for d in due {
-            match queue.push(WorkClass::Resync, Some(node_of(d)), t, SimTime::MAX) {
+            match queue.push(WorkClass::Resync, t, SimTime::MAX) {
                 Ok(id) => {
                     ledger.insert(id, Work::Resync { device: d });
                 }
@@ -495,7 +1009,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<OverloadReport> {
                             devices[device].pending.remove(pos);
                             goodput += 1;
                             goodput_ring.push_back((t, 1));
-                            budget.on_success(NodeId(0));
+                            budget.on_success();
                         }
                         // A duplicate fresh copy of an already-acked
                         // report: served, but nothing to complete.
@@ -508,9 +1022,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<OverloadReport> {
                 Work::Resync { device } => {
                     let node = node_of(device);
                     if protected {
-                        if let Err(FlexError::CircuitOpen { retry_after, .. }) =
-                            breakers.breaker(node).admit(node, t)
-                        {
+                        if let Err(retry_after) = breakers.breaker(node).admit(t) {
                             // Refused at zero capacity cost: requeue for
                             // after the cooldown.
                             resync_waiting.push((t + retry_after, device));
@@ -540,9 +1052,8 @@ pub fn run(seed: u64, arm: Arm) -> Result<OverloadReport> {
 
         // -- governor + detector widening ------------------------------
         if protected {
-            let was = governor.mode();
-            let now_mode = governor.observe_sheds(t, queue.stats.shed_total());
-            if was == ControllerMode::Normal && now_mode == ControllerMode::Degraded {
+            let was = governor.degraded;
+            if governor.observe_sheds(t, queue.stats.shed_total()) && !was {
                 degraded_entered += 1;
             }
             detector.widen(governor.detector_scale());
@@ -560,7 +1071,7 @@ pub fn run(seed: u64, arm: Arm) -> Result<OverloadReport> {
             let trailing: u64 = goodput_ring.iter().map(|(_, n)| n).sum();
             let converged = devices.iter().all(|d| d.up && d.digest == d.intended);
             let drained = queue.len() + usize::from(carry.is_some()) <= FLEET;
-            let mode_ok = !protected || governor.mode() == ControllerMode::Normal;
+            let mode_ok = !protected || !governor.degraded;
             // ≥ 10% of nominal goodput (160 fresh acks / 500 ms) cleanly
             // separates a draining controller from a collapsed one.
             if converged && drained && mode_ok && trailing >= 16 {
@@ -643,12 +1154,7 @@ fn submit_copy(
         return;
     }
     detector.observe_heartbeat(node_of(d), t, devices[d].boot_id, devices[d].digest);
-    if let Ok(id) = queue.push(
-        WorkClass::Telemetry,
-        Some(node_of(d)),
-        t,
-        t + CLIENT_TIMEOUT,
-    ) {
+    if let Ok(id) = queue.push(WorkClass::Telemetry, t, t + CLIENT_TIMEOUT) {
         ledger.insert(
             id,
             Work::Telemetry {
@@ -868,5 +1374,197 @@ mod tests {
             off.iter().any(|r| r.stale_served > 0),
             "unprotected runs never served stale work"
         );
+    }
+
+    #[test]
+    fn retry_budget_caps_retries_and_replenishes_on_success() {
+        let mut budget = RetryBudget::default();
+        // Drain: only the initial credit's worth of retries are granted.
+        for _ in 0..3 {
+            assert!(budget.try_spend());
+        }
+        assert!(!budget.try_spend(), "bucket dry, retry refused");
+        assert_eq!(budget.refused, 1);
+        // 10 successes at 10% earn exactly one more retry.
+        for _ in 0..10 {
+            budget.on_success();
+        }
+        assert!(budget.try_spend());
+        assert!(!budget.try_spend());
+    }
+
+    #[test]
+    fn breaker_walks_closed_open_halfopen_closed() {
+        let mut b = CircuitBreaker::new();
+        let t0 = SimTime::from_secs(1);
+        assert_eq!(b.state(t0), BreakerState::Closed);
+        // Two failures: still closed (threshold is 3).
+        for _ in 0..2 {
+            b.admit(t0).unwrap();
+            b.on_failure(t0);
+        }
+        assert_eq!(b.state(t0), BreakerState::Closed);
+        // Third consecutive failure trips it.
+        b.admit(t0).unwrap();
+        b.on_failure(t0);
+        assert_eq!(b.state(t0), BreakerState::Open);
+        assert_eq!(b.opens, 1);
+        // Refused during cooldown, with the remaining wait.
+        let refused = b.admit(t0 + SimDuration::from_millis(50));
+        assert_eq!(refused, Err(SimDuration::from_millis(150)));
+        // Cooldown elapsed: exactly one probe is admitted.
+        let t1 = t0 + SimDuration::from_millis(200);
+        assert_eq!(b.state(t1), BreakerState::HalfOpen);
+        b.admit(t1).unwrap();
+        assert!(b.admit(t1).is_err(), "second concurrent probe refused");
+        // Probe success closes the breaker and resets the streak.
+        b.on_success();
+        assert_eq!(b.state(t1), BreakerState::Closed);
+        b.admit(t1).unwrap();
+        b.on_failure(t1);
+        assert_eq!(b.state(t1), BreakerState::Closed, "streak was reset");
+    }
+
+    #[test]
+    fn failed_probe_reopens_for_a_fresh_cooldown() {
+        let mut b = CircuitBreaker::new();
+        for _ in 0..3 {
+            b.admit(SimTime::ZERO).unwrap();
+            b.on_failure(SimTime::ZERO);
+        }
+        let t1 = SimTime::from_millis(200);
+        b.admit(t1).unwrap(); // half-open probe
+        b.on_failure(t1); // probe failed
+        assert_eq!(b.opens, 2);
+        assert_eq!(
+            b.state(t1 + SimDuration::from_millis(199)),
+            BreakerState::Open
+        );
+        assert_eq!(
+            b.state(t1 + SimDuration::from_millis(200)),
+            BreakerState::HalfOpen,
+            "cooldown restarted from the failed probe"
+        );
+    }
+
+    #[test]
+    fn breaker_set_keeps_one_breaker_per_node() {
+        let mut set = BreakerSet::default();
+        let n = NodeId(7);
+        let t = SimTime::from_secs(1);
+        assert_eq!(set.breaker(n).state(t), BreakerState::Closed, "new: closed");
+        for _ in 0..3 {
+            set.breaker(n).admit(t).unwrap();
+            set.breaker(n).on_failure(t);
+        }
+        assert_eq!(set.breaker(n).state(t), BreakerState::Open);
+        assert_eq!(set.total_opens(), 1);
+        assert!(set
+            .breaker(n)
+            .admit(t + SimDuration::from_millis(10))
+            .is_err());
+        // Other devices are unaffected.
+        assert!(set.breaker(NodeId(8)).admit(t).is_ok());
+        // After the cooldown, the probe is admitted and closes the breaker.
+        let t2 = t + SimDuration::from_millis(220);
+        set.breaker(n).admit(t2).unwrap();
+        set.breaker(n).on_success();
+        assert_eq!(set.breaker(n).state(t2), BreakerState::Closed);
+    }
+
+    #[test]
+    fn admission_queue_serves_strict_priority_and_sheds_lowest_first() {
+        let mut q = AdmissionQueue::bounded(3);
+        let now = SimTime::ZERO;
+        let far = SimTime::from_millis(1_000);
+        q.push(WorkClass::Telemetry, now, far).unwrap();
+        let rollout = q.push(WorkClass::Rollout, now, far).unwrap();
+        let newest_telemetry = q.push(WorkClass::Telemetry, now, far).unwrap();
+        // Queue full: a resync evicts the newest telemetry item.
+        let first = q.push(WorkClass::Resync, now, far).unwrap();
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.stats.shed_capacity, 1);
+        let telemetry = &q.lanes[WorkClass::Telemetry.index()];
+        assert!(telemetry.iter().all(|w| w.id != newest_telemetry));
+        // A second resync evicts the remaining telemetry.
+        let second = q.push(WorkClass::Resync, now, far).unwrap();
+        // Serve order is strictly by class, not arrival: resyncs, then
+        // the rollout.
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop(now)).map(|w| w.id).collect();
+        assert_eq!(order, vec![first, second, rollout]);
+    }
+
+    #[test]
+    fn full_queue_of_higher_priority_work_refuses_with_backpressure() {
+        let mut q = AdmissionQueue::bounded(2);
+        let now = SimTime::ZERO;
+        let far = SimTime::from_millis(1_000);
+        q.push(WorkClass::Resync, now, far).unwrap();
+        q.push(WorkClass::Rollout, now, far).unwrap();
+        // Telemetry cannot evict work above its own class.
+        let refused = q.push(WorkClass::Telemetry, now, far).unwrap_err();
+        assert!(
+            matches!(refused, FlexError::Backpressure { .. }),
+            "{refused}"
+        );
+        assert!(
+            refused.is_retryable(),
+            "backpressure means requeue, not drop"
+        );
+        assert_eq!(q.len(), 2, "queued work untouched");
+    }
+
+    #[test]
+    fn admission_queue_sheds_expired_work_before_execution() {
+        let mut q = AdmissionQueue::bounded(16);
+        let t0 = SimTime::ZERO;
+        // Three telemetry items whose requesters time out at 50 ms, one
+        // resync good until 500 ms.
+        for _ in 0..3 {
+            q.push(WorkClass::Telemetry, t0, SimTime::from_millis(50))
+                .unwrap();
+        }
+        let resync = q
+            .push(WorkClass::Resync, t0, SimTime::from_millis(500))
+            .unwrap();
+        // By the time the executor gets there, the telemetry deadlines
+        // have passed: the resync is served, the stale telemetry shed
+        // unserved (serving it would be pure timeout-amplification).
+        let now = SimTime::from_millis(100);
+        assert_eq!(q.pop(now).map(|w| w.id), Some(resync));
+        assert!(q.pop(now).is_none());
+        assert_eq!(q.stats.shed_expired, 3);
+        // The unprotected queue happily serves the same stale work.
+        let mut unprot = AdmissionQueue::unbounded();
+        unprot
+            .push(WorkClass::Telemetry, t0, SimTime::from_millis(50))
+            .unwrap();
+        assert!(unprot.pop(SimTime::from_millis(100)).is_some());
+    }
+
+    #[test]
+    fn governor_enters_degraded_under_sustained_shed_and_recovers() {
+        let mut gov = OverloadGovernor::default();
+        assert!(!gov.degraded);
+        assert!(gov.admit_rollout().is_ok());
+        // 7 sheds in the window: still normal.
+        assert!(!gov.observe_sheds(SimTime::from_millis(10), 7));
+        // The 8th shed trips it.
+        assert!(gov.observe_sheds(SimTime::from_millis(20), 8));
+        let paused = gov.admit_rollout().unwrap_err();
+        assert!(matches!(paused, FlexError::Backpressure { .. }), "{paused}");
+        assert!(paused.is_retryable(), "rollouts resume after recovery");
+        // Degradation widens the heartbeat machinery instead of
+        // dropping failure detection.
+        let base = SimDuration::from_millis(50);
+        assert_eq!(gov.heartbeat_period(base), SimDuration::from_millis(200));
+        assert_eq!(gov.detector_scale(), 4);
+        // Sheds keep trickling: stays degraded.
+        assert!(gov.observe_sheds(SimTime::from_millis(150), 9));
+        // 300 ms of quiet exits back to normal, and the widening reverts.
+        assert!(!gov.observe_sheds(SimTime::from_millis(460), 9));
+        assert!(gov.admit_rollout().is_ok());
+        assert_eq!(gov.heartbeat_period(base), base);
+        assert_eq!(gov.detector_scale(), 1);
     }
 }

@@ -21,13 +21,52 @@
 //! - **Old-XOR-new** — post-recovery traffic sees exactly one program
 //!   version per device and one program across the network.
 
-use crate::fixture::{app, intent_log, resolved_txns, LineFleet};
+use crate::fixture::{app, intent_log, resolved_txns, Draws, LineFleet};
 use crate::sweep::{col, mean, total, Arm, Report, Suite};
 use flexnet_controller::recovery::{recover, RecoveryReport, TargetDirectory, TxnResolution};
 use flexnet_controller::txn::{logged_transactional_reconfig, LoggedTxnOutcome, LoggedTxnReport};
 use flexnet_dataplane::TxnTag;
-use flexnet_sim::{ChaosSchedule, CrashPhase};
+use flexnet_sim::{mix, CrashPhase};
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
+
+/// Everything a crash-recovery run does, derived deterministically from
+/// one seed: *which* two-phase-commit phase the coordinator dies in,
+/// *which* participant (if any) crashes with it, and how lossy the
+/// control fabric is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChaosSchedule {
+    /// The originating seed (kept for reproduction in reports).
+    pub seed: u64,
+    /// Where the coordinator dies.
+    pub crash_phase: CrashPhase,
+    /// Participant index (into the transaction's device list) that crashes
+    /// together with the coordinator, losing its volatile shadow — or
+    /// `None` for a clean coordinator-only crash.
+    pub victim: Option<usize>,
+    /// Drop probability of the controller↔device fabric.
+    pub fabric_loss: f64,
+    /// Seed for the controller Raft cluster.
+    pub raft_seed: u64,
+}
+
+impl ChaosSchedule {
+    /// Expands `seed` into a schedule over `participants` devices.
+    ///
+    /// The crash phase cycles with the seed (so any contiguous run of ≥4
+    /// seeds covers every phase), a device crashes alongside the
+    /// coordinator in half the runs, and fabric loss comes from the
+    /// standard tiers.
+    pub fn from_seed(seed: u64, participants: usize) -> ChaosSchedule {
+        let d = Draws::new(seed, 0);
+        ChaosSchedule {
+            seed,
+            crash_phase: CrashPhase::ALL[(seed % 4) as usize],
+            victim: (participants > 0 && d.bit(0)).then(|| d.index(1, participants)),
+            fabric_loss: d.fabric_loss(),
+            raft_seed: mix(seed ^ 0xC0FF_EE00),
+        }
+    }
+}
 
 /// Everything one crash-recovery run observed.
 #[derive(Debug, Clone)]

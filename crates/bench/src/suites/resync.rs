@@ -11,16 +11,78 @@
 //! loss confined to the downtime window, old-XOR-new on post-convergence
 //! traffic); violations come back as strings in the report.
 
-use crate::fixture::{baseline_detector, intent_log, LineFleet, HEARTBEAT_PERIOD};
+use crate::fixture::{baseline_detector, intent_log, Draws, LineFleet, HEARTBEAT_PERIOD};
 use crate::sweep::{col, count, mean, total, Arm, Report, Suite};
 use flexnet_controller::recovery::{recover, RecoveryReport, TargetDirectory};
 use flexnet_controller::txn::logged_transactional_reconfig;
 use flexnet_controller::{
     FailureDetector, HealthEvent, ProgramClass, ResyncOutcome, ResyncReport, Resyncer,
 };
-use flexnet_sim::faults::VICTIM_RESTART_DELAY;
-use flexnet_sim::{CrashPhase, RestartSchedule};
+use flexnet_sim::faults::{FaultPlan, VICTIM_RESTART_DELAY};
+use flexnet_sim::{mix, CrashPhase};
 use flexnet_types::{NodeId, Result, SimDuration, SimTime};
+
+/// Everything a device-restart run does, derived from one seed: a seeded
+/// subset of the participants crashes and restarts (runtime state wiped),
+/// optionally in the middle of an in-flight two-phase-commit transaction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RestartSchedule {
+    /// The originating seed (kept for reproduction in reports).
+    pub seed: u64,
+    /// How many devices restart: 1, about half, or all of them
+    /// (the E14 sweep axis — single blip, correlated failure, power event).
+    pub restarts: usize,
+    /// Participant indices (into the device list) that crash + restart,
+    /// distinct, `restarts` of them.
+    pub victims: Vec<usize>,
+    /// Whether the restarts land in the middle of an in-flight
+    /// transaction (between prepare and flip) rather than during steady
+    /// traffic.
+    pub mid_txn: bool,
+    /// Drop probability of the controller↔device fabric.
+    pub fabric_loss: f64,
+    /// Seed for the controller Raft cluster.
+    pub raft_seed: u64,
+}
+
+impl RestartSchedule {
+    /// Expands `seed` into a restart schedule over `participants` devices.
+    ///
+    /// The restart count cycles 1 → ⌈n/2⌉ → n with the seed (so any three
+    /// consecutive seeds cover the whole E14 axis), victims are drawn
+    /// distinct, every other run restarts mid-transaction, and fabric loss
+    /// comes from the standard tiers.
+    pub fn from_seed(seed: u64, participants: usize) -> RestartSchedule {
+        let d = Draws::new(seed, 0x5EED_CAFE);
+        let restarts = match (participants, seed % 3) {
+            (0, _) => 0,
+            (_, 0) => 1,
+            (_, 1) => participants.div_ceil(2),
+            _ => participants,
+        };
+        RestartSchedule {
+            seed,
+            restarts,
+            victims: d.distinct(restarts, participants),
+            mid_txn: d.bit(4),
+            fabric_loss: d.fabric_loss(),
+            raft_seed: mix(seed ^ 0xDEC0_DED0),
+        }
+    }
+
+    /// The data-plane half of the schedule: every victim crashes at
+    /// `crash_at` and restarts after the standard victim delay, modelling
+    /// a correlated power event.
+    fn fault_plan(&self, devices: &[NodeId], crash_at: SimTime) -> FaultPlan {
+        let mut plan = FaultPlan::new(self.seed);
+        for &v in &self.victims {
+            plan = plan
+                .crash(crash_at, devices[v])
+                .restart(crash_at + VICTIM_RESTART_DELAY, devices[v]);
+        }
+        plan
+    }
+}
 
 /// Table size of the resync fleet's gate / tap programs.
 const TABLE_SIZE: u32 = 16;

@@ -16,7 +16,7 @@
 //! the pinned rot seeds must *diverge* — if a rotted replica replays clean
 //! without its checksums the experiment no longer tests anything.
 
-use crate::fixture::{app, resolved_txns, LineFleet, CONTROLLERS};
+use crate::fixture::{app, resolved_txns, Draws, LineFleet, CONTROLLERS};
 use crate::sweep::{col, count, total, Arm, Oracle, Report, Suite, Summary};
 use flexnet_controller::recovery::{recover, TargetDirectory};
 use flexnet_controller::txn::logged_transactional_reconfig;
@@ -25,8 +25,120 @@ use flexnet_controller::{
 };
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::disk::DiskFaultPlan;
-use flexnet_sim::{StorageScenario, StorageSchedule};
+use flexnet_sim::{mix, CrashPhase};
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
+
+/// Which layer of the durable-state stack one run attacks: the medium the
+/// control plane persists into, not a process or the fabric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum StorageScenario {
+    /// A controller node's disk fails in the middle of a log append: the
+    /// record's bytes are in the volatile buffer, no barrier ever comes,
+    /// and recovery must scrub the torn tail away and rejoin cleanly.
+    CrashMidAppend,
+    /// The mid-append crash composes with a leader kill at a seeded 2PC
+    /// phase: failover and torn-tail recovery race, and the new leader's
+    /// log must win over the scrubbed node's truncated suffix.
+    TornTailOnFailover,
+    /// A bit rots in the *cold* region of a follower's log — bytes synced
+    /// long ago, mid-log, with valid records after them. The CRC scrub
+    /// must truncate at the rot, demote the node to catch-up-only (it
+    /// never votes with a hole), and anti-entropy must re-replicate the
+    /// suffix from the leader.
+    BitRotInColdLog,
+    /// The newest snapshot generation rots: recovery must detect the bad
+    /// checksum, fall back to the previous generation, and replay the
+    /// longer tail instead of trusting garbage.
+    RotInSnapshot,
+    /// The snapshot disk is too small for the next generation: compaction
+    /// must fail with typed `NoSpace`, leave the log intact, and the
+    /// cluster must keep operating (slower, never wrong).
+    NoSpaceDuringCompaction,
+    /// Every fsync barrier drags (a lagging disk) while the E13 crash
+    /// schedule runs: acks wait for durability, elections slow down, and
+    /// the run must still converge with the lag fully accounted.
+    LaggingFsync,
+}
+
+impl StorageScenario {
+    /// All scenarios, cycled by the sweep.
+    pub const ALL: [StorageScenario; 6] = [
+        StorageScenario::CrashMidAppend,
+        StorageScenario::TornTailOnFailover,
+        StorageScenario::BitRotInColdLog,
+        StorageScenario::RotInSnapshot,
+        StorageScenario::NoSpaceDuringCompaction,
+        StorageScenario::LaggingFsync,
+    ];
+
+    /// A short stable label for tables and test output.
+    pub fn label(&self) -> &'static str {
+        match self {
+            StorageScenario::CrashMidAppend => "crash-mid-append",
+            StorageScenario::TornTailOnFailover => "torn-tail-on-failover",
+            StorageScenario::BitRotInColdLog => "bit-rot-in-cold-log",
+            StorageScenario::RotInSnapshot => "rot-in-snapshot",
+            StorageScenario::NoSpaceDuringCompaction => "nospace-during-compaction",
+            StorageScenario::LaggingFsync => "lagging-fsync",
+        }
+    }
+}
+
+/// Everything a storage-chaos run does, derived from one seed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StorageSchedule {
+    /// The originating seed (kept for reproduction in reports).
+    pub seed: u64,
+    /// Which layer of the durable-state stack this run attacks.
+    pub scenario: StorageScenario,
+    /// Controller-node index (0..3) whose disk takes the fault.
+    pub victim: usize,
+    /// Where in the two-phase-commit protocol the composed crash lands
+    /// (used by the failover and lagging-fsync scenarios, which run the
+    /// E13 kill schedule on top of the disk fault).
+    pub crash_phase: CrashPhase,
+    /// The 1-based write index at which the victim's WAL disk trips
+    /// (mid-append scenarios).
+    pub crash_at_write: u64,
+    /// Fsync latency in microseconds ([`StorageScenario::LaggingFsync`]).
+    pub fsync_lag_us: u64,
+    /// Snapshot-disk capacity in bytes
+    /// ([`StorageScenario::NoSpaceDuringCompaction`] pins it small).
+    pub snap_capacity: Option<u64>,
+    /// Drop probability of the controller↔device fabric.
+    pub fabric_loss: f64,
+    /// Seed for the controller Raft cluster.
+    pub raft_seed: u64,
+    /// Seed stream for the per-node disk fault plans.
+    pub disk_seed: u64,
+}
+
+impl StorageSchedule {
+    /// Expands `seed` into a storage schedule over `controllers` nodes.
+    ///
+    /// The scenario cycles with the seed (any contiguous run of ≥6 seeds
+    /// covers every storage layer; seeds ≡ 2 mod 6 are the cold-log rot
+    /// runs and seeds ≡ 3 mod 6 the snapshot rot runs — the CRC-oracle
+    /// scenarios), the crash phase cycles independently, and fabric loss
+    /// comes from the standard tiers.
+    pub fn from_seed(seed: u64, controllers: usize) -> StorageSchedule {
+        let d = Draws::new(seed, 0xD15C_FA17);
+        let scenario = StorageScenario::ALL[(seed % 6) as usize];
+        let nospace = scenario == StorageScenario::NoSpaceDuringCompaction;
+        StorageSchedule {
+            seed,
+            scenario,
+            victim: d.index(3, controllers),
+            crash_phase: CrashPhase::ALL[d.bits(6, 4) as usize],
+            crash_at_write: 2 + d.bits(10, 6),
+            fsync_lag_us: 200 + d.bits(13, 4) * 200,
+            snap_capacity: nospace.then(|| 24 + d.bits(17, 40)),
+            fabric_loss: d.fabric_loss(),
+            raft_seed: mix(seed ^ 0xD15C_C0DE),
+            disk_seed: mix(seed ^ 0xD15C_5EED),
+        }
+    }
+}
 
 /// Everything one E21 run observed.
 #[derive(Debug, Clone)]

@@ -12,10 +12,12 @@
 //! failure here reproduces bit-identically with `chaos recovery`,
 //! `chaos resync`, or `chaos canary` (or `suites::<suite>::run(<seed>, ..)`).
 
-use flexnet_bench::suites::{canary, recovery, resync};
+use flexnet_bench::suites::canary::{self, RolloutFault, RolloutSchedule};
+use flexnet_bench::suites::recovery::{self, ChaosSchedule};
+use flexnet_bench::suites::resync::{self, RestartSchedule};
 use flexnet_bench::{Arm, Report};
 use flexnet_controller::{ResyncOutcome, RolloutOutcome};
-use flexnet_sim::{ChaosSchedule, CrashPhase, RestartSchedule, RolloutFault, RolloutSchedule};
+use flexnet_sim::CrashPhase;
 
 /// The pinned CI seed set. Contiguous so phase coverage is guaranteed
 /// (seeds cycle phases mod 4); pinned so CI failures are reproducible

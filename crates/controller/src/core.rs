@@ -21,7 +21,7 @@ use flexnet_sim::Simulation;
 use flexnet_types::{
     AppUri, FlexError, NodeId, Result, SimDuration, SimTime, TenantId, VlanId,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Liveness of a device as judged by the controller's heartbeats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -144,9 +144,10 @@ pub struct FailureDetector {
     /// the grade Healthy↔Suspect every poll, and each flap re-triggers
     /// admission churn downstream.
     recover_after: SimDuration,
-    /// Multiplier applied to every silence threshold (≥ 1). The overload
-    /// governor widens this in `Degraded` mode so a slow controller does
-    /// not misread its *own* queueing delay as device death.
+    /// Multiplier applied to every silence threshold (≥ 1). The E17
+    /// suite's overload governor widens this in degraded mode so a slow
+    /// controller does not misread its *own* queueing delay as device
+    /// death.
     period_scale: u64,
     /// Drop slope (dropped/processed between heartbeats, ppm) at or
     /// above which a punctual device is graded [`Health::Degraded`].
@@ -212,17 +213,13 @@ impl FailureDetector {
     }
 
     /// Scales every silence threshold by `scale` (clamped to ≥ 1). The
-    /// overload governor calls this when entering/leaving `Degraded` mode:
+    /// E17 suite's overload governor calls this entering/leaving degraded
+    /// mode:
     /// widened thresholds keep failure detection *running* under overload
     /// — late heartbeats are tolerated rather than misgraded — instead of
     /// dropping it.
     pub fn widen(&mut self, scale: u64) {
         self.period_scale = scale.max(1);
-    }
-
-    /// The current threshold multiplier (1 = nominal).
-    pub fn scale(&self) -> u64 {
-        self.period_scale
     }
 
     /// Records a bare heartbeat from `node` at `now` (liveness only — no
@@ -521,211 +518,6 @@ impl Default for FailureDetector {
     }
 }
 
-/// Priority class of controller work, most urgent first. The admission
-/// queue serves classes *strictly* in this order: remedial work (fault
-/// recovery, rollback) preempts resync, resync preempts rollout, and
-/// telemetry is served only when nothing else waits. Under overload that
-/// ordering is the difference between recovery and collapse — a telemetry
-/// flood must never starve the resyncs that end the incident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum WorkClass {
-    /// Fault recovery: rollbacks, remedial transactions, route repair.
-    Remedial,
-    /// Intended-state reconciliation of a restarted or diverged device.
-    Resync,
-    /// Planned change: rollout waves, tenant arrivals.
-    Rollout,
-    /// Telemetry reports, digest gossip, background polling.
-    Telemetry,
-}
-
-impl WorkClass {
-    /// Every class, most urgent first (serve order).
-    pub const ALL: [WorkClass; 4] = [
-        WorkClass::Remedial,
-        WorkClass::Resync,
-        WorkClass::Rollout,
-        WorkClass::Telemetry,
-    ];
-
-    /// Lane index: 0 = most urgent.
-    pub fn index(&self) -> usize {
-        *self as usize
-    }
-
-    /// A short stable label for errors and test output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            WorkClass::Remedial => "remedial",
-            WorkClass::Resync => "resync",
-            WorkClass::Rollout => "rollout",
-            WorkClass::Telemetry => "telemetry",
-        }
-    }
-}
-
-/// One queued unit of controller work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkItem {
-    /// Admission-order id (unique per queue).
-    pub id: u64,
-    /// Priority class (serve order).
-    pub class: WorkClass,
-    /// The device this work concerns, if any.
-    pub node: Option<NodeId>,
-    /// When the item was admitted.
-    pub enqueued_at: SimTime,
-    /// Propagated deadline: past this instant the *requester* has given
-    /// up (timed out, retried, or moved on), so executing the item buys
-    /// nothing. Expired items are shed at pop time, before execution —
-    /// serving them is the timeout-amplification that sustains
-    /// metastable collapse.
-    pub deadline: SimTime,
-}
-
-/// Shed/serve accounting for an [`AdmissionQueue`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueueStats {
-    /// Items accepted into the queue.
-    pub admitted: u64,
-    /// Items handed to an executor.
-    pub served: u64,
-    /// Items shed because the queue was full (evicted victim or refused
-    /// arrival).
-    pub shed_capacity: u64,
-    /// Items shed at pop time because their deadline had passed.
-    pub shed_expired: u64,
-    /// Sheds per class lane (indexed by [`WorkClass::index`]).
-    pub shed_by_class: [u64; 4],
-    /// High-water mark of total queue length.
-    pub peak_len: usize,
-}
-
-impl QueueStats {
-    /// Total items shed for any reason.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_capacity + self.shed_expired
-    }
-}
-
-/// The controller's front door: a bounded work queue with strict
-/// priority classes and deadline-expiry shedding.
-///
-/// Admission policy when full: an arriving item evicts the *newest* item
-/// of the *lowest*-priority occupied lane strictly below its own class
-/// (shedding the work the system would serve last anyway); if nothing
-/// below it is queued, the arrival itself is refused with the typed,
-/// retryable [`FlexError::Backpressure`]. Service policy: lanes drain in
-/// class order, and (when deadline shedding is enabled) expired items are
-/// discarded unserved — each one costs a counter bump instead of an
-/// execution slot.
-#[derive(Debug, Clone)]
-pub struct AdmissionQueue {
-    cap: usize,
-    shed_expired: bool,
-    lanes: [VecDeque<WorkItem>; 4],
-    next_id: u64,
-    /// Shed/serve accounting, readable by the overload governor.
-    pub stats: QueueStats,
-}
-
-impl AdmissionQueue {
-    /// A bounded queue holding at most `cap` items, shedding expired work
-    /// at pop time — the protected configuration.
-    pub fn bounded(cap: usize) -> AdmissionQueue {
-        AdmissionQueue {
-            cap: cap.max(1),
-            shed_expired: true,
-            lanes: Default::default(),
-            next_id: 0,
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// An unbounded queue that serves expired work anyway — the
-    /// unprotected baseline the chaos suite collapses.
-    pub fn unbounded() -> AdmissionQueue {
-        AdmissionQueue {
-            cap: usize::MAX,
-            shed_expired: false,
-            lanes: Default::default(),
-            next_id: 0,
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// Items currently queued across all lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| l.len()).sum()
-    }
-
-    /// True when no work is queued.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.iter().all(|l| l.is_empty())
-    }
-
-    /// Admits one item, possibly evicting lower-priority work. Returns
-    /// the admission id, or retryable [`FlexError::Backpressure`] when
-    /// the queue is full of work at or above `class`.
-    pub fn push(
-        &mut self,
-        class: WorkClass,
-        node: Option<NodeId>,
-        now: SimTime,
-        deadline: SimTime,
-    ) -> Result<u64> {
-        if self.len() >= self.cap {
-            let victim_lane = (class.index() + 1..WorkClass::ALL.len())
-                .rev()
-                .find(|&i| !self.lanes[i].is_empty());
-            match victim_lane {
-                Some(i) => {
-                    self.lanes[i].pop_back();
-                    self.stats.shed_capacity += 1;
-                    self.stats.shed_by_class[i] += 1;
-                }
-                None => {
-                    self.stats.shed_capacity += 1;
-                    self.stats.shed_by_class[class.index()] += 1;
-                    return Err(FlexError::Backpressure {
-                        what: format!("work queue ({})", class.label()),
-                        retry_after: SimDuration::from_millis(5),
-                    });
-                }
-            }
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.lanes[class.index()].push_back(WorkItem {
-            id,
-            class,
-            node,
-            enqueued_at: now,
-            deadline,
-        });
-        self.stats.admitted += 1;
-        self.stats.peak_len = self.stats.peak_len.max(self.len());
-        Ok(id)
-    }
-
-    /// Pops the most urgent live item, shedding (not serving) any item
-    /// whose deadline has passed when expiry shedding is enabled.
-    pub fn pop(&mut self, now: SimTime) -> Option<WorkItem> {
-        for lane in self.lanes.iter_mut() {
-            while let Some(item) = lane.pop_front() {
-                if self.shed_expired && item.deadline < now {
-                    self.stats.shed_expired += 1;
-                    self.stats.shed_by_class[item.class.index()] += 1;
-                    continue;
-                }
-                self.stats.served += 1;
-                return Some(item);
-            }
-        }
-        None
-    }
-}
-
 /// A global rate limiter with reservation semantics (a deferral-form
 /// GCRA): each grant is a *start time* at least one refill period after
 /// the previous grant. A caller whose start time would sit further than
@@ -796,158 +588,6 @@ impl TokenBucket {
         self.tat = tat;
         self.granted += 1;
         Ok(start)
-    }
-}
-
-/// The controller's published operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControllerMode {
-    /// Nominal: all work classes admitted.
-    Normal,
-    /// Sustained shedding detected: new rollouts are paused and heartbeat
-    /// intervals widened. Failure detection keeps running (with widened
-    /// thresholds) — degrading gracefully means shedding *optional* load,
-    /// never the recovery machinery.
-    Degraded,
-}
-
-impl ControllerMode {
-    /// A short stable label for errors and test output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ControllerMode::Normal => "normal",
-            ControllerMode::Degraded => "degraded",
-        }
-    }
-}
-
-/// Watches the admission queue's shed counters and flips the controller
-/// between [`ControllerMode::Normal`] and [`ControllerMode::Degraded`]:
-/// enough sheds inside a sliding window enter `Degraded`; a quiet period
-/// with no sheds exits it. While degraded,
-/// [`OverloadGovernor::admit_rollout`] refuses new rollouts with
-/// [`FlexError::Backpressure`], and [`OverloadGovernor::heartbeat_period`]
-/// plus [`OverloadGovernor::detector_scale`] widen the heartbeat
-/// machinery instead of dropping it.
-#[derive(Debug, Clone)]
-pub struct OverloadGovernor {
-    enter_threshold: u64,
-    window: SimDuration,
-    exit_quiet: SimDuration,
-    widen_factor: u64,
-    events: VecDeque<(SimTime, u64)>,
-    last_total: u64,
-    last_shed_at: Option<SimTime>,
-    mode: ControllerMode,
-    /// Times `Degraded` was entered.
-    pub entered: u64,
-}
-
-impl OverloadGovernor {
-    /// A governor entering `Degraded` after `enter_threshold` sheds
-    /// within `window`, and returning to `Normal` after `exit_quiet`
-    /// without a shed.
-    pub fn new(enter_threshold: u64, window: SimDuration, exit_quiet: SimDuration) -> OverloadGovernor {
-        OverloadGovernor {
-            enter_threshold: enter_threshold.max(1),
-            window,
-            exit_quiet,
-            widen_factor: 4,
-            events: VecDeque::new(),
-            last_total: 0,
-            last_shed_at: None,
-            mode: ControllerMode::Normal,
-            entered: 0,
-        }
-    }
-
-    /// Feeds the governor the queue's *cumulative* shed count at `now`
-    /// and returns the (possibly updated) mode. Call once per tick with
-    /// `queue.stats.shed_total()`.
-    pub fn observe_sheds(&mut self, now: SimTime, total_sheds: u64) -> ControllerMode {
-        let delta = total_sheds.saturating_sub(self.last_total);
-        self.last_total = self.last_total.max(total_sheds);
-        if delta > 0 {
-            self.events.push_back((now, delta));
-            self.last_shed_at = Some(now);
-        }
-        while let Some(&(t, _)) = self.events.front() {
-            if now.saturating_since(t) > self.window {
-                self.events.pop_front();
-            } else {
-                break;
-            }
-        }
-        let recent: u64 = self.events.iter().map(|(_, n)| n).sum();
-        match self.mode {
-            ControllerMode::Normal => {
-                if recent >= self.enter_threshold {
-                    self.mode = ControllerMode::Degraded;
-                    self.entered += 1;
-                }
-            }
-            ControllerMode::Degraded => {
-                let quiet = self
-                    .last_shed_at
-                    .map(|t| now.saturating_since(t) >= self.exit_quiet)
-                    .unwrap_or(true);
-                if quiet {
-                    self.mode = ControllerMode::Normal;
-                }
-            }
-        }
-        self.mode
-    }
-
-    /// The current published mode.
-    pub fn mode(&self) -> ControllerMode {
-        self.mode
-    }
-
-    /// Gate for *new* rollout work: refused (retryable
-    /// [`FlexError::Backpressure`]) while degraded. In-flight waves are
-    /// not interrupted — pausing means not *starting* more.
-    pub fn admit_rollout(&self) -> Result<()> {
-        match self.mode {
-            ControllerMode::Normal => Ok(()),
-            ControllerMode::Degraded => Err(FlexError::Backpressure {
-                what: "rollout admission (controller degraded)".to_string(),
-                retry_after: self.exit_quiet,
-            }),
-        }
-    }
-
-    /// The heartbeat period devices should use: `base` nominally, widened
-    /// by the degradation factor while degraded (fewer beats to serve).
-    pub fn heartbeat_period(&self, base: SimDuration) -> SimDuration {
-        match self.mode {
-            ControllerMode::Normal => base,
-            ControllerMode::Degraded => {
-                SimDuration::from_nanos(base.as_nanos().saturating_mul(self.widen_factor))
-            }
-        }
-    }
-
-    /// The threshold multiplier to hand [`FailureDetector::widen`]: 1
-    /// nominally, the widen factor while degraded — thresholds stretch in
-    /// step with the heartbeat period so graded health stays meaningful.
-    pub fn detector_scale(&self) -> u64 {
-        match self.mode {
-            ControllerMode::Normal => 1,
-            ControllerMode::Degraded => self.widen_factor,
-        }
-    }
-}
-
-impl Default for OverloadGovernor {
-    /// Degraded after 8 sheds inside 200 ms; back to normal after 300 ms
-    /// without a shed.
-    fn default() -> OverloadGovernor {
-        OverloadGovernor::new(
-            8,
-            SimDuration::from_millis(200),
-            SimDuration::from_millis(300),
-        )
     }
 }
 
@@ -1687,78 +1327,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_queue_serves_strict_priority_and_sheds_lowest_first() {
-        let mut q = AdmissionQueue::bounded(3);
-        let now = SimTime::ZERO;
-        let far = SimTime::from_millis(1_000);
-        q.push(WorkClass::Telemetry, Some(NodeId(1)), now, far).unwrap();
-        q.push(WorkClass::Rollout, Some(NodeId(2)), now, far).unwrap();
-        q.push(WorkClass::Telemetry, Some(NodeId(3)), now, far).unwrap();
-        // Queue full: a resync evicts the newest telemetry item (node 3).
-        q.push(WorkClass::Resync, Some(NodeId(4)), now, far).unwrap();
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.stats.shed_capacity, 1);
-        assert_eq!(q.stats.shed_by_class[WorkClass::Telemetry.index()], 1);
-        let telemetry = &q.lanes[WorkClass::Telemetry.index()];
-        assert!(telemetry.iter().all(|w| w.node != Some(NodeId(3))));
-        // Remedial work evicts the remaining telemetry.
-        q.push(WorkClass::Remedial, Some(NodeId(5)), now, far).unwrap();
-        // Serve order is strictly by class, not arrival: remedial,
-        // resync, rollout.
-        let order: Vec<WorkClass> = std::iter::from_fn(|| q.pop(now)).map(|w| w.class).collect();
-        assert_eq!(
-            order,
-            vec![WorkClass::Remedial, WorkClass::Resync, WorkClass::Rollout]
-        );
-        assert_eq!(q.stats.served, 3);
-    }
-
-    #[test]
-    fn full_queue_of_higher_priority_work_refuses_with_backpressure() {
-        let mut q = AdmissionQueue::bounded(2);
-        let now = SimTime::ZERO;
-        let far = SimTime::from_millis(1_000);
-        q.push(WorkClass::Remedial, None, now, far).unwrap();
-        q.push(WorkClass::Resync, None, now, far).unwrap();
-        // Telemetry cannot evict work above its own class.
-        let refused = q
-            .push(WorkClass::Telemetry, Some(NodeId(9)), now, far)
-            .unwrap_err();
-        assert!(matches!(refused, FlexError::Backpressure { .. }), "{refused}");
-        assert!(refused.is_retryable(), "backpressure means requeue, not drop");
-        assert_eq!(q.len(), 2, "queued work untouched");
-    }
-
-    #[test]
-    fn admission_queue_sheds_expired_work_before_execution() {
-        let mut q = AdmissionQueue::bounded(16);
-        let t0 = SimTime::ZERO;
-        // Three telemetry items whose requesters time out at 50 ms, one
-        // resync good until 500 ms.
-        for n in 1..=3 {
-            q.push(WorkClass::Telemetry, Some(NodeId(n)), t0, SimTime::from_millis(50))
-                .unwrap();
-        }
-        q.push(WorkClass::Resync, Some(NodeId(7)), t0, SimTime::from_millis(500))
-            .unwrap();
-        // By the time the executor gets there, the telemetry deadlines
-        // have passed: the resync is served, the stale telemetry shed
-        // unserved (serving it would be pure timeout-amplification).
-        let now = SimTime::from_millis(100);
-        let served = q.pop(now).unwrap();
-        assert_eq!(served.class, WorkClass::Resync);
-        assert!(q.pop(now).is_none());
-        assert_eq!(q.stats.shed_expired, 3);
-        assert_eq!(q.stats.served, 1);
-        // The unprotected queue happily serves the same stale work.
-        let mut unprot = AdmissionQueue::unbounded();
-        unprot
-            .push(WorkClass::Telemetry, None, t0, SimTime::from_millis(50))
-            .unwrap();
-        assert!(unprot.pop(SimTime::from_millis(100)).is_some());
-    }
-
-    #[test]
     fn token_bucket_defers_then_denies_beyond_horizon() {
         // One grant per 25 ms, booking at most 2 periods ahead.
         let mut tb = TokenBucket::new(SimDuration::from_millis(25), 2);
@@ -1776,49 +1344,6 @@ mod tests {
         // Once time passes the backlog, reservations flow again.
         let later = SimTime::from_millis(75);
         assert_eq!(tb.reserve(later, "resync").unwrap(), later);
-    }
-
-    #[test]
-    fn governor_enters_degraded_under_sustained_shed_and_recovers() {
-        let mut gov = OverloadGovernor::new(
-            4,
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(200),
-        );
-        assert_eq!(gov.mode(), ControllerMode::Normal);
-        assert!(gov.admit_rollout().is_ok());
-        // 3 sheds in the window: still normal.
-        assert_eq!(
-            gov.observe_sheds(SimTime::from_millis(10), 3),
-            ControllerMode::Normal
-        );
-        // The 4th shed trips it.
-        assert_eq!(
-            gov.observe_sheds(SimTime::from_millis(20), 4),
-            ControllerMode::Degraded
-        );
-        assert_eq!(gov.entered, 1);
-        let paused = gov.admit_rollout().unwrap_err();
-        assert!(matches!(paused, FlexError::Backpressure { .. }), "{paused}");
-        assert!(paused.is_retryable(), "rollouts resume after recovery");
-        // Degradation widens the heartbeat machinery instead of
-        // dropping failure detection.
-        let base = SimDuration::from_millis(50);
-        assert_eq!(gov.heartbeat_period(base), SimDuration::from_millis(200));
-        assert_eq!(gov.detector_scale(), 4);
-        // Sheds keep trickling: stays degraded.
-        assert_eq!(
-            gov.observe_sheds(SimTime::from_millis(150), 5),
-            ControllerMode::Degraded
-        );
-        // 200 ms of quiet exits back to normal, and the widening reverts.
-        assert_eq!(
-            gov.observe_sheds(SimTime::from_millis(360), 5),
-            ControllerMode::Normal
-        );
-        assert!(gov.admit_rollout().is_ok());
-        assert_eq!(gov.heartbeat_period(base), base);
-        assert_eq!(gov.detector_scale(), 1);
     }
 
     #[test]

@@ -18,11 +18,10 @@
 
 use crate::drpc::{ServiceRegistry, CONTROLLER_RTT, DRPC_HOP_LATENCY};
 use flexnet_dataplane::Device;
-use flexnet_sim::{mix, Simulation};
+use flexnet_sim::Simulation;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// How an operation is retried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,184 +57,11 @@ impl RetryPolicy {
     }
 }
 
-/// A per-destination retry budget: the storm-suppression layer.
-///
-/// Every *successful* exchange with a destination earns a fraction of a
-/// retry token ([`RetryBudget::ratio_ppm`]); every retry (second and
-/// later attempt of an exchange) spends one. When a destination's bucket
-/// is empty, [`RetryBudget::try_spend`] answers `false` and the caller
-/// must not retry — first attempts are *never* refused. The effect is
-/// the classic retry-budget invariant: sustained retries are capped at
-/// `ratio` × the first-attempt success rate, so a retry storm against a
-/// struggling destination self-extinguishes instead of amplifying, and
-/// the budget refills only as real successes resume.
-///
-/// Token accounting is integer (millitokens), so budgets are exactly
-/// deterministic across platforms.
-#[derive(Debug, Clone)]
-pub struct RetryBudget {
-    /// Millitokens earned per successful exchange (100_000 ppm = 0.1
-    /// retries earned per success).
-    ratio_ppm: u64,
-    /// Bucket cap in millitokens (bounds the burst of retries a long
-    /// success streak can bank).
-    cap_millitokens: u64,
-    /// Fresh destinations start with this many millitokens, so the very
-    /// first failure of a healthy destination can still be retried.
-    initial_millitokens: u64,
-    tokens: BTreeMap<NodeId, u64>,
-    /// Retries spent, total (observability).
-    pub spent: u64,
-    /// Retries refused, total (observability).
-    pub refused: u64,
-}
-
-impl Default for RetryBudget {
-    /// 10% retry ratio, 10-retry cap, 3 retries of initial credit.
-    fn default() -> RetryBudget {
-        RetryBudget::new(100_000, 10, 3)
-    }
-}
-
-impl RetryBudget {
-    /// A budget earning `ratio_ppm` of a retry per success, capped at
-    /// `cap` retries, with `initial` retries of starting credit per
-    /// destination.
-    pub fn new(ratio_ppm: u64, cap: u64, initial: u64) -> RetryBudget {
-        RetryBudget {
-            ratio_ppm,
-            cap_millitokens: cap.saturating_mul(1000),
-            initial_millitokens: initial.saturating_mul(1000).min(cap.saturating_mul(1000)),
-            tokens: BTreeMap::new(),
-            spent: 0,
-            refused: 0,
-        }
-    }
-
-    /// The configured earn ratio in ppm.
-    pub fn ratio_ppm(&self) -> u64 {
-        self.ratio_ppm
-    }
-
-    /// Whole retry tokens currently available for `dest`.
-    pub fn available(&self, dest: NodeId) -> u64 {
-        self.tokens
-            .get(&dest)
-            .copied()
-            .unwrap_or(self.initial_millitokens)
-            / 1000
-    }
-
-    /// Records a successful exchange with `dest`, earning budget.
-    pub fn on_success(&mut self, dest: NodeId) {
-        let t = self
-            .tokens
-            .entry(dest)
-            .or_insert(self.initial_millitokens);
-        *t = (*t + self.ratio_ppm / 1000).min(self.cap_millitokens);
-    }
-
-    /// Tries to spend one retry token for `dest`. `false` means the
-    /// budget is dry and the retry must not happen.
-    pub fn try_spend(&mut self, dest: NodeId) -> bool {
-        let t = self
-            .tokens
-            .entry(dest)
-            .or_insert(self.initial_millitokens);
-        if *t >= 1000 {
-            *t -= 1000;
-            self.spent += 1;
-            true
-        } else {
-            self.refused += 1;
-            false
-        }
-    }
-}
-
-/// What the adversarial fabric did to one command in flight
-/// ([`LossyFabric::deliver_cmd`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Dropped: plain loss, or a severed partition direction.
-    Lost,
-    /// Arrived exactly once, intact.
-    Arrived,
-    /// Arrived intact — `extra` additional duplicate copies arrive right
-    /// behind it (the receiver's dedup window must absorb them).
-    Duplicated {
-        /// Number of duplicate copies beyond the first.
-        extra: u8,
-    },
-    /// Arrived with bits flipped in flight; `mask_seed` deterministically
-    /// selects which bits (see [`flexnet_dataplane::wire::open_frame`] —
-    /// the receiver's checksum rejects the frame before parsing it).
-    Corrupted {
-        /// Seed for the bit-flip mask applied to the frame.
-        mask_seed: u64,
-    },
-}
-
-/// The seeded adversary riding on a [`LossyFabric`]: per-message
-/// corruption, duplication, and bounded reordering.
-///
-/// Draws from its **own** RNG stream, independently seeded from the
-/// fabric's loss stream — enabling the adversary must not perturb a
-/// single loss draw, or every pinned seed in E12–E18 would change
-/// meaning.
-#[derive(Debug, Clone)]
-pub struct Adversary {
-    /// Probability a delivered command arrives with flipped bits.
-    pub corrupt_prob: f64,
-    /// Probability a delivered command is duplicated in flight.
-    pub dup_prob: f64,
-    /// Probability a message is held back and delivered out of order.
-    pub reorder_prob: f64,
-    /// Maximum messages a held-back message can be overtaken by.
-    pub reorder_depth: usize,
-    rng: StdRng,
-    /// Commands corrupted in flight.
-    pub corrupted: u64,
-    /// Commands duplicated in flight.
-    pub duplicated: u64,
-    /// Messages delivered out of order.
-    pub reordered: u64,
-}
-
-impl Adversary {
-    /// An adversary with the given per-message probabilities, drawing
-    /// from its own stream seeded by `seed`.
-    pub fn new(
-        corrupt_prob: f64,
-        dup_prob: f64,
-        reorder_prob: f64,
-        reorder_depth: usize,
-        seed: u64,
-    ) -> Adversary {
-        Adversary {
-            corrupt_prob: corrupt_prob.clamp(0.0, 1.0),
-            dup_prob: dup_prob.clamp(0.0, 1.0),
-            reorder_prob: reorder_prob.clamp(0.0, 1.0),
-            reorder_depth,
-            rng: StdRng::seed_from_u64(mix(seed ^ 0xAD5E_7ACE_F1A8_0001)),
-            corrupted: 0,
-            duplicated: 0,
-            reordered: 0,
-        }
-    }
-}
-
 /// A message channel that drops each message with probability
-/// `drop_prob`, deterministically in its seed.
-///
-/// Beyond loss, the fabric can be made *adversarial*:
-/// [`LossyFabric::enable_adversary`] arms seeded corruption,
-/// duplication, and bounded reordering (drawn from a separate RNG stream
-/// so the legacy loss stream is untouched), and
-/// [`LossyFabric::block_up`]/[`LossyFabric::block_down`] sever one
-/// *direction* of a node's control channel — the asymmetric-partition
-/// model (A hears B while B never hears A) that symmetric link-state
-/// flips cannot express. Partition checks draw no randomness.
+/// `drop_prob`, deterministically in its seed. Loss is the only fault it
+/// models: corruption, duplication, reordering and one-way partitions are
+/// the E20 suite's adversary, which rides on a fabric's loss stream from
+/// outside.
 #[derive(Debug, Clone)]
 pub struct LossyFabric {
     drop_prob: f64,
@@ -244,16 +70,6 @@ pub struct LossyFabric {
     pub delivered: u64,
     /// Messages lost in flight.
     pub dropped: u64,
-    /// Nodes whose *up* direction (device → controller: heartbeats,
-    /// acks, responses) is severed.
-    blocked_up: BTreeSet<NodeId>,
-    /// Nodes whose *down* direction (controller → device: commands) is
-    /// severed.
-    blocked_down: BTreeSet<NodeId>,
-    /// Messages swallowed by a severed partition direction.
-    pub partition_drops: u64,
-    /// The armed adversary, if any.
-    adversary: Option<Adversary>,
 }
 
 impl LossyFabric {
@@ -264,10 +80,6 @@ impl LossyFabric {
             rng: StdRng::seed_from_u64(seed),
             delivered: 0,
             dropped: 0,
-            blocked_up: BTreeSet::new(),
-            blocked_down: BTreeSet::new(),
-            partition_drops: 0,
-            adversary: None,
         }
     }
 
@@ -289,116 +101,6 @@ impl LossyFabric {
         } else {
             self.delivered += 1;
             true
-        }
-    }
-
-    // -- adversarial extensions (corruption, duplication, reordering,
-    //    asymmetric partitions) ---------------------------------------------
-
-    /// Arms the adversary: delivered messages may additionally be
-    /// corrupted, duplicated, or reordered, with the given per-message
-    /// probabilities, drawn from a **separate** RNG stream seeded by
-    /// `seed`. The legacy loss stream ([`LossyFabric::deliver`]) is
-    /// byte-identical whether or not an adversary is armed.
-    pub fn enable_adversary(
-        &mut self,
-        corrupt_prob: f64,
-        dup_prob: f64,
-        reorder_prob: f64,
-        reorder_depth: usize,
-        seed: u64,
-    ) {
-        self.adversary = Some(Adversary::new(
-            corrupt_prob,
-            dup_prob,
-            reorder_prob,
-            reorder_depth,
-            seed,
-        ));
-    }
-
-    /// The armed adversary's counters, if any.
-    pub fn adversary(&self) -> Option<&Adversary> {
-        self.adversary.as_ref()
-    }
-
-    /// Severs `node`'s *up* direction: its heartbeats, acks, and
-    /// responses stop arriving at the controller, while commands still
-    /// reach it — the one-way partition where we cannot hear a device
-    /// that hears us fine. Draws no randomness.
-    pub fn block_up(&mut self, node: NodeId) {
-        self.blocked_up.insert(node);
-    }
-
-    /// Severs `node`'s *down* direction: controller commands stop
-    /// reaching it, while its own heartbeats still arrive.
-    pub fn block_down(&mut self, node: NodeId) {
-        self.blocked_down.insert(node);
-    }
-
-    /// Heals both directions of `node`'s partition.
-    pub fn heal(&mut self, node: NodeId) {
-        self.blocked_up.remove(&node);
-        self.blocked_down.remove(&node);
-    }
-
-    /// Sends one device → controller message (heartbeat, ack, response)
-    /// from `node`; `true` when it arrives. A severed up direction
-    /// swallows it *without* consuming a loss draw, so partition windows
-    /// leave the seeded loss stream untouched.
-    pub fn deliver_up(&mut self, node: NodeId) -> bool {
-        if self.blocked_up.contains(&node) {
-            self.partition_drops += 1;
-            return false;
-        }
-        self.deliver()
-    }
-
-    /// Sends one command to `node` through the full adversary: partition
-    /// check (no randomness), then the legacy loss draw, then — only for
-    /// messages that survived both — the adversary's corruption and
-    /// duplication draws from its own stream.
-    pub fn deliver_cmd(&mut self, node: NodeId) -> Delivery {
-        if self.blocked_down.contains(&node) {
-            self.partition_drops += 1;
-            return Delivery::Lost;
-        }
-        if !self.deliver() {
-            return Delivery::Lost;
-        }
-        let Some(adv) = self.adversary.as_mut() else {
-            return Delivery::Arrived;
-        };
-        if adv.corrupt_prob > 0.0 && adv.rng.gen_bool(adv.corrupt_prob) {
-            adv.corrupted += 1;
-            return Delivery::Corrupted {
-                mask_seed: adv.rng.gen(),
-            };
-        }
-        if adv.dup_prob > 0.0 && adv.rng.gen_bool(adv.dup_prob) {
-            adv.duplicated += 1;
-            // 1–3 duplicate copies, weighted toward one.
-            let extra = 1 + (adv.rng.gen_range(0u8..4) / 3);
-            return Delivery::Duplicated { extra };
-        }
-        Delivery::Arrived
-    }
-
-    /// Draws the adversary's reorder decision for one message: `0` means
-    /// deliver in order; `k > 0` means hold it back until `k` later
-    /// messages have overtaken it (bounded by the configured depth). The
-    /// caller owns the holding buffer — heartbeat loops use this to
-    /// replay stale beats after newer ones.
-    pub fn reorder_delay(&mut self) -> usize {
-        let Some(adv) = self.adversary.as_mut() else {
-            return 0;
-        };
-        if adv.reorder_prob > 0.0 && adv.reorder_depth > 0 && adv.rng.gen_bool(adv.reorder_prob)
-        {
-            adv.reordered += 1;
-            adv.rng.gen_range(1..=adv.reorder_depth)
-        } else {
-            0
         }
     }
 }
@@ -537,7 +239,9 @@ pub fn command_rtt() -> SimDuration {
 /// The one controller→device command channel: `txn`, `recovery` and
 /// `resync` send every command through [`Channel::send`], which owns the
 /// retry, the exactly-once ack cache, the node lookup and the message /
-/// simulated-time accounting.
+/// simulated-time accounting. Its fabric only loses messages: corruption,
+/// duplication and partitions never reach this path (the E20 suite plays
+/// them through its own command loop).
 pub(crate) struct Channel<'a> {
     pub sim: &'a mut Simulation,
     pub fabric: &'a mut LossyFabric,
@@ -762,7 +466,7 @@ mod tests {
         let out = ch.send(sw, "probe", |_, _| {
             calls += 1;
             if calls < 3 {
-                return Err(FlexError::Unreachable { node: 1 });
+                return Err(FlexError::ChecksumMismatch { want: 1, got: 2 });
             }
             Ok(calls)
         });
@@ -858,28 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_budget_caps_retries_and_replenishes_on_success() {
-        let mut budget = RetryBudget::new(100_000, 10, 2);
-        let dest = NodeId(4);
-        assert_eq!(budget.available(dest), 2, "initial credit");
-        // Drain: only the initial credit's worth of retries are granted.
-        assert!(budget.try_spend(dest));
-        assert!(budget.try_spend(dest));
-        assert!(!budget.try_spend(dest), "bucket dry, retry refused");
-        assert_eq!(budget.spent, 2);
-        assert_eq!(budget.refused, 1);
-        // 10 successes at 10% earn exactly one more retry.
-        for _ in 0..10 {
-            budget.on_success(dest);
-        }
-        assert_eq!(budget.available(dest), 1);
-        assert!(budget.try_spend(dest));
-        assert!(!budget.try_spend(dest));
-        // Destinations are independent buckets.
-        assert!(budget.try_spend(NodeId(9)));
-    }
-
-    #[test]
     fn drpc_retry_under_30_percent_loss_always_succeeds() {
         let mut reg = ServiceRegistry::new();
         reg.register("mig", NodeId(1), 1, ExecutionSite::DataPlane)
@@ -913,76 +595,5 @@ mod tests {
         }
         assert_eq!(ok, 200, "every call eventually succeeds under 30% loss");
         assert!(attempts > 200, "some calls needed retries");
-    }
-
-    #[test]
-    fn arming_the_adversary_leaves_the_legacy_stream_untouched() {
-        // E12–E18 pin seeds against the exact deliver() sequence; the
-        // adversary must draw only from its own rng. Each deliver_cmd
-        // consumes exactly one legacy loss sample (the command still
-        // crosses the lossy link) whether or not the adversary is armed,
-        // so arming it must not shift the legacy stream at all.
-        let run = |seed, arm: bool| {
-            let mut f = LossyFabric::new(0.3, seed);
-            if arm {
-                f.enable_adversary(0.5, 0.5, 0.5, 8, seed);
-            }
-            (0..500)
-                .map(|i| {
-                    if i % 7 == 0 {
-                        // interleave adversarial draws between legacy ones
-                        let _ = f.deliver_cmd(NodeId(1));
-                        let _ = f.reorder_delay();
-                    }
-                    f.deliver()
-                })
-                .collect::<Vec<_>>()
-        };
-        for seed in [1u64, 42, 0xDEAD] {
-            assert_eq!(run(seed, false), run(seed, true), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn partition_blocks_consume_no_randomness() {
-        let mut open = LossyFabric::new(0.3, 11);
-        let mut cut = LossyFabric::new(0.3, 11);
-        cut.block_down(NodeId(5));
-        cut.block_up(NodeId(5));
-        for _ in 0..100 {
-            // Blocked sends return early; the loss rng never advances.
-            assert_eq!(cut.deliver_cmd(NodeId(5)), Delivery::Lost);
-            assert!(!cut.deliver_up(NodeId(5)));
-        }
-        assert_eq!(cut.partition_drops, 200);
-        let a: Vec<bool> = (0..200).map(|_| open.deliver()).collect();
-        let b: Vec<bool> = (0..200).map(|_| cut.deliver()).collect();
-        assert_eq!(a, b, "blocked traffic drew no randomness");
-        cut.heal(NodeId(5));
-        assert!(cut.blocked_up.is_empty() && cut.blocked_down.is_empty());
-    }
-
-    #[test]
-    fn adversary_draws_are_deterministic_and_counted() {
-        let run = |seed| {
-            let mut f = LossyFabric::reliable();
-            f.enable_adversary(0.2, 0.2, 0.3, 6, seed);
-            let events: Vec<Delivery> = (0..400).map(|_| f.deliver_cmd(NodeId(2))).collect();
-            let delays: Vec<usize> = (0..200).map(|_| f.reorder_delay()).collect();
-            let adv = f.adversary().unwrap();
-            (events, delays, adv.corrupted, adv.duplicated, adv.reordered)
-        };
-        assert_eq!(run(9), run(9), "same seed, same adversarial schedule");
-        let (events, delays, corrupted, duplicated, reordered) = run(9);
-        assert!(corrupted > 0 && duplicated > 0 && reordered > 0);
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| matches!(e, Delivery::Corrupted { .. }))
-                .count() as u64,
-            corrupted
-        );
-        assert!(delays.iter().all(|&d| d <= 6), "reorder depth bounded");
-        assert!(delays.iter().any(|&d| d > 0));
     }
 }

@@ -44,6 +44,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::core::{FailureDetector, Health, HealthEvent};
+use crate::recovery::TargetDirectory;
 use crate::retry::{LossyFabric, RetryPolicy};
 use crate::txn::{logged_transactional_reconfig, LoggedTxnOutcome};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
@@ -190,12 +191,6 @@ pub struct RolloutReport {
     /// When the orchestrator stopped working on the rollout.
     pub finished_at: SimTime,
 }
-
-/// Per-rollout pre-rollout targets, for rollback after a failover:
-/// `rollout id → [(device, pre-rollout bundle)]`. Coordinators persist
-/// this next to the log, exactly like the transaction-level
-/// [`crate::recovery::TargetDirectory`].
-pub type RolloutDirectory = BTreeMap<u64, Vec<(NodeId, ProgramBundle)>>;
 
 /// Runs heartbeats over `[from, until]`: advances the simulation in
 /// heartbeat steps and feeds every fleet device's liveness + data-path
@@ -658,8 +653,9 @@ pub struct RolloutResume {
 /// the conservative resolution is abort + rollback), and a rollout whose
 /// `RolloutAborted` is on record but whose `RolledBack` is not (the
 /// rollback itself is owed). Both end with every flipped device driven
-/// back to the `baselines` directory's bundle and a terminal
-/// `RolledBack` record. Individual wave *transactions* left in doubt are
+/// back to its pre-rollout bundle in `baselines` — keyed by rollout id,
+/// persisted next to the log like a transaction's targets — and a
+/// terminal `RolledBack` record. Individual wave *transactions* left in doubt are
 /// [`crate::recovery::recover`]'s job and must be resolved first.
 ///
 /// Idempotent: a second pass finds only terminal rollouts and does
@@ -667,7 +663,7 @@ pub struct RolloutResume {
 pub fn resume_rollouts(
     sim: &mut Simulation,
     log: &mut ReplicatedIntentLog,
-    baselines: &RolloutDirectory,
+    baselines: &TargetDirectory,
     now: SimTime,
     fabric: &mut LossyFabric,
     policy: &RetryPolicy,
@@ -930,7 +926,7 @@ mod tests {
             .unwrap()
             .device
             .crash(report.finished_at);
-        let mut directory = RolloutDirectory::new();
+        let mut directory = TargetDirectory::new();
         directory.insert(report.rollout, baseline.clone());
         let resumed = resume_rollouts(
             &mut sim,
@@ -993,7 +989,7 @@ mod tests {
 
         log.kill_leader().unwrap();
         log.elect().unwrap();
-        let mut directory = RolloutDirectory::new();
+        let mut directory = TargetDirectory::new();
         directory.insert(report.rollout, baseline.clone());
         let resumed = resume_rollouts(
             &mut sim,

@@ -312,8 +312,8 @@ impl SlotEnv for ProgramEnv<'_> {
 }
 
 /// Per-device execution sandbox configuration: the gas budget every
-/// packet is admitted with, and the trap-rate window that triggers
-/// program quarantine.
+/// packet is admitted with. The trap-rate window that triggers program
+/// quarantine is the same on every device ([`TRAP_WINDOW`]).
 ///
 /// Paper §3.1 requires FlexBPF programs be "analyzable to certify
 /// bounded execution \[and\] well-behavedness" — but the static proof
@@ -332,26 +332,22 @@ pub struct SandboxConfig {
     /// recirculation with headroom, so it only fires on programs whose
     /// static proof no longer holds.
     pub gas_limit: u64,
-    /// Tumbling trap-accounting window, in packets.
-    pub trap_window: u64,
-    /// Quarantine when `traps / window ≥ threshold` (parts per million)
-    /// within a window.
-    pub trap_threshold_ppm: u64,
-    /// Minimum packets observed in the current window before the rate
-    /// test may fire (one early trap in a tiny window is noise).
-    pub min_window: u64,
 }
 
 impl Default for SandboxConfig {
     fn default() -> SandboxConfig {
-        SandboxConfig {
-            gas_limit: 32_768,
-            trap_window: 64,
-            trap_threshold_ppm: 500_000,
-            min_window: 16,
-        }
+        SandboxConfig { gas_limit: 32_768 }
     }
 }
+
+/// The sandbox's tumbling trap-accounting window, in packets.
+pub const TRAP_WINDOW: u64 = 64;
+/// Quarantine when `traps / packets ≥` this (parts per million) within a
+/// window.
+const TRAP_THRESHOLD_PPM: u64 = 500_000;
+/// Packets the current window must have seen before the rate test may
+/// fire (one early trap in a tiny window is noise).
+const MIN_WINDOW: u64 = 16;
 
 /// The sandbox's tumbling trap-accounting window: packets and program
 /// traps seen since it last rolled over.
@@ -363,9 +359,9 @@ struct TrapWindow {
 
 impl TrapWindow {
     /// Counts one cleanly processed packet.
-    fn clean(&mut self, cfg: &SandboxConfig) {
+    fn clean(&mut self) {
         self.packets += 1;
-        self.roll(cfg);
+        self.roll();
     }
 
     /// Counts one trapped packet and returns the in-window trap rate in
@@ -376,9 +372,9 @@ impl TrapWindow {
         self.traps.saturating_mul(1_000_000) / self.packets
     }
 
-    /// Starts a fresh window once `cfg.trap_window` packets were seen.
-    fn roll(&mut self, cfg: &SandboxConfig) {
-        if self.packets >= cfg.trap_window {
+    /// Starts a fresh window once [`TRAP_WINDOW`] packets were seen.
+    fn roll(&mut self) {
+        if self.packets >= TRAP_WINDOW {
             *self = TrapWindow::default();
         }
     }
@@ -507,7 +503,7 @@ pub struct Device {
     recent_cmds: std::collections::VecDeque<u64>,
     stats: DeviceStats,
     invocations: Vec<(String, Vec<u64>)>,
-    /// Execution sandbox configuration (gas budget, quarantine window).
+    /// Execution sandbox configuration (the gas budget).
     sandbox: SandboxConfig,
     /// The last program image that completed an install or a hitless
     /// flip without being quarantined — the image quarantine falls back
@@ -559,7 +555,8 @@ impl Device {
         }
     }
 
-    /// Replaces the sandbox configuration (gas budget, trap window).
+    /// Replaces the sandbox configuration (the gas budget) and starts a
+    /// fresh trap window.
     pub fn set_sandbox(&mut self, cfg: SandboxConfig) {
         self.sandbox = cfg;
         self.window = TrapWindow::default();
@@ -1184,7 +1181,7 @@ impl Device {
                         run_trap = Some(t);
                         break;
                     }
-                    None => self.window.clean(&self.sandbox),
+                    None => self.window.clean(),
                 }
             }
             if let Some(t) = run_trap {
@@ -1262,13 +1259,11 @@ impl Device {
         self.stats.traps += 1;
         self.last_trap = Some(trap);
         let rate_ppm = self.window.trapped();
-        if !self.quarantined
-            && self.window.packets >= self.sandbox.min_window
-            && rate_ppm >= self.sandbox.trap_threshold_ppm
+        if !self.quarantined && self.window.packets >= MIN_WINDOW && rate_ppm >= TRAP_THRESHOLD_PPM
         {
             self.quarantine_now(now);
         } else {
-            self.window.roll(&self.sandbox);
+            self.window.roll();
         }
     }
 
@@ -1671,10 +1666,7 @@ pub(crate) mod tests {
         .unwrap();
         // One pass costs 1 op; 3 gas admits passes 1-3 and traps pass 4
         // at its first charge, before the recirculation bound (5 passes).
-        d.set_sandbox(SandboxConfig {
-            gas_limit: 3,
-            ..SandboxConfig::default()
-        });
+        d.set_sandbox(SandboxConfig { gas_limit: 3 });
         let mut pkt = Packet::udp(1, 1, 2, 3, 4);
         let r = d.process(&mut pkt, SimTime::ZERO).unwrap();
         assert_eq!(r.verdict, Verdict::Drop);
@@ -1690,12 +1682,6 @@ pub(crate) mod tests {
     #[test]
     fn trap_storm_quarantines_to_last_known_good() {
         let mut d = new_dev();
-        d.set_sandbox(SandboxConfig {
-            trap_window: 64,
-            min_window: 16,
-            trap_threshold_ppm: 500_000,
-            ..SandboxConfig::default()
-        });
         d.install(fw_bundle()).unwrap();
         let good_digest = d.config_digest();
         // Ship the rogue program; the fw image becomes last-known-good.

@@ -52,7 +52,7 @@ pub use baseline::{Hyper4Device, MantisDevice};
 pub use cost::CostModel;
 pub use device::{
     Device, DeviceStats, FrameOutcome, InstalledProgram, ProcessResult, SandboxConfig,
-    DEDUP_WINDOW, EMPTY_CONFIG_DIGEST,
+    DEDUP_WINDOW, EMPTY_CONFIG_DIGEST, TRAP_WINDOW,
 };
 pub use graph::{BurstLanes, ForwardingGraph};
 pub use image::{config_digest_of, ProgramImage, SealTarget, SealedTargets};

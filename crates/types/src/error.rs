@@ -310,28 +310,17 @@ pub enum FlexError {
         node: u64,
     },
     /// A device is excluded from admission because its health grade is
-    /// not `Healthy` — it may be silent (suspect/dead) or gray-failing
-    /// (heartbeats on time, data path degraded). Retryable: the failure
-    /// detector clears the grade when the device recovers or a resync
-    /// converges it.
+    /// not `Healthy` — it may be silent (suspect/dead), one-way
+    /// partitioned (unreachable: alive, but its replies never arrive) or
+    /// gray-failing (heartbeats on time, data path degraded). Retryable:
+    /// the failure detector clears the grade when the device recovers, the
+    /// partition heals or a resync converges it.
     DegradedDevice {
         /// The excluded device.
         node: u64,
         /// The health grade that blocked admission (single token:
-        /// `degraded`, `suspect`, or `dead`).
+        /// `degraded`, `suspect`, `unreachable` or `dead`).
         grade: String,
-    },
-    /// A per-device circuit breaker is open: recent calls to this device
-    /// failed consecutively, so further calls are refused *without*
-    /// touching the fabric until the cooldown elapses and a half-open
-    /// probe succeeds. Retryable — the breaker exists precisely so the
-    /// caller backs off and tries again later instead of hammering a
-    /// struggling device.
-    CircuitOpen {
-        /// The device whose breaker is open.
-        node: u64,
-        /// How long until the breaker admits a half-open probe.
-        retry_after: SimDuration,
     },
     /// The controller's admission layer refused the work: the bounded
     /// queue is full of higher-priority work, the global rate bucket has
@@ -376,17 +365,6 @@ pub enum FlexError {
     StaleDuplicate {
         /// The idempotency token that was replayed.
         token: u64,
-    },
-    /// A one-way partition: the node is alive and serving traffic (we
-    /// have indirect evidence — data-plane counters advancing, peers
-    /// relaying its liveness) but its control-channel replies never
-    /// reach us. Distinct from `Unavailable` (which means *down*):
-    /// remedial reprovisioning of an `Unreachable` device would
-    /// split-brain a device that is still forwarding. Retryable — the
-    /// partition heals, after which the same call succeeds.
-    Unreachable {
-        /// The node we cannot hear from.
-        node: u64,
     },
     /// A durable-storage fault surfaced by the simulated disk layer or
     /// the crash-consistent log built on it. Retryability splits per
@@ -455,10 +433,6 @@ impl fmt::Display for FlexError {
             FlexError::DegradedDevice { node, grade } => {
                 write!(f, "node {node} excluded from admission: health grade {grade}")
             }
-            FlexError::CircuitOpen { node, retry_after } => write!(
-                f,
-                "circuit breaker open for node {node}: retry after {retry_after}"
-            ),
             FlexError::Backpressure { what, retry_after } => write!(
                 f,
                 "backpressure from {what}: requeue and retry after {retry_after}"
@@ -470,10 +444,6 @@ impl fmt::Display for FlexError {
             FlexError::StaleDuplicate { token } => write!(
                 f,
                 "stale duplicate: idempotency token {token:#x} already absorbed"
-            ),
-            FlexError::Unreachable { node } => write!(
-                f,
-                "node {node} unreachable: alive but its replies never arrive (one-way partition)"
             ),
             FlexError::Trap(t) => write!(f, "data-plane trap: {t}"),
             FlexError::Storage(s) => write!(f, "storage fault: {s}"),
@@ -503,16 +473,14 @@ impl FlexError {
     /// the device recovers, resyncs, or a rollback restores its old
     /// program, so a later admission attempt can succeed.
     ///
-    /// The overload-protection errors [`FlexError::CircuitOpen`] and
-    /// [`FlexError::Backpressure`] are retryable: the breaker cools down,
-    /// the queue drains.
+    /// The overload-protection error [`FlexError::Backpressure`] is
+    /// retryable: the queue drains.
     ///
     /// The adversarial-fabric errors split:
     /// [`FlexError::ChecksumMismatch`] is retryable (a retransmission
-    /// gets an uncorrupted copy), [`FlexError::Unreachable`] is
-    /// retryable (the partition heals), but
-    /// [`FlexError::StaleDuplicate`] is *not* — the work is already
-    /// done; retrying manufactures more duplicates.
+    /// gets an uncorrupted copy), but [`FlexError::StaleDuplicate`] is
+    /// *not* — the work is already done; retrying manufactures more
+    /// duplicates.
     ///
     /// The storage faults split the same way, mirroring the fabric's
     /// `ChecksumMismatch` treatment: [`StorageError::NoSpace`] is
@@ -529,10 +497,8 @@ impl FlexError {
             FlexError::NoLeader { .. }
                 | FlexError::ResyncInProgress { .. }
                 | FlexError::DegradedDevice { .. }
-                | FlexError::CircuitOpen { .. }
                 | FlexError::Backpressure { .. }
                 | FlexError::ChecksumMismatch { .. }
-                | FlexError::Unreachable { .. }
                 | FlexError::Storage(
                     StorageError::NoSpace { .. } | StorageError::ChecksumFailed { .. }
                 )
@@ -565,11 +531,9 @@ impl FlexError {
             FlexError::DigestMismatch { .. } => "digest-mismatch",
             FlexError::ResyncInProgress { .. } => "resync-in-progress",
             FlexError::DegradedDevice { .. } => "degraded-device",
-            FlexError::CircuitOpen { .. } => "circuit-open",
             FlexError::Backpressure { .. } => "backpressure",
             FlexError::ChecksumMismatch { .. } => "checksum-mismatch",
             FlexError::StaleDuplicate { .. } => "stale-duplicate",
-            FlexError::Unreachable { .. } => "unreachable",
             FlexError::Trap(t) => t.label(),
             FlexError::Storage(s) => s.label(),
             FlexError::UnresolvedSymbol { .. } => "unresolved-symbol",
@@ -711,16 +675,6 @@ mod tests {
 
     #[test]
     fn overload_errors_format_and_classify() {
-        let open = FlexError::CircuitOpen {
-            node: 3,
-            retry_after: SimDuration::from_millis(250),
-        };
-        assert!(open.to_string().contains("node 3"));
-        assert!(
-            open.is_retryable(),
-            "breakers cool down; a later call may find it half-open"
-        );
-
         let bp = FlexError::Backpressure {
             what: "resync bucket".into(),
             retry_after: SimDuration::from_millis(100),
@@ -754,14 +708,6 @@ mod tests {
             !dup.is_retryable(),
             "the work is already done; retrying manufactures more duplicates"
         );
-
-        let one_way = FlexError::Unreachable { node: 6 };
-        assert!(one_way.to_string().contains("node 6"));
-        assert_eq!(one_way.label(), "unreachable");
-        assert!(
-            one_way.is_retryable(),
-            "the partition heals; the same call then succeeds"
-        );
     }
 
     #[test]
@@ -769,16 +715,8 @@ mod tests {
         let cases: Vec<(FlexError, &str)> = vec![
             (FlexError::Timeout("x".into()), "timeout"),
             (FlexError::Unavailable("x".into()), "unavailable"),
-            (
-                FlexError::CircuitOpen {
-                    node: 1,
-                    retry_after: SimDuration::from_millis(1),
-                },
-                "circuit-open",
-            ),
             (FlexError::ChecksumMismatch { want: 1, got: 2 }, "checksum-mismatch"),
             (FlexError::StaleDuplicate { token: 1 }, "stale-duplicate"),
-            (FlexError::Unreachable { node: 1 }, "unreachable"),
             (
                 FlexError::Trap(Trap::MalformedPacket { reason: "x".into() }),
                 "malformed-packet",

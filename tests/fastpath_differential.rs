@@ -166,15 +166,7 @@ fn gas_exhaustion_is_identical_across_modes_on_every_gallery_program() {
     for (name, bundle) in gallery() {
         for gas in [1u64, 3, 7, 19, 47] {
             let pkts = packet_stream(0x9a5 ^ gas ^ name.len() as u64, 40);
-            assert_matches_reference(
-                name,
-                &bundle,
-                &pkts,
-                SandboxConfig {
-                    gas_limit: gas,
-                    ..SandboxConfig::default()
-                },
-            );
+            assert_matches_reference(name, &bundle, &pkts, SandboxConfig { gas_limit: gas });
         }
     }
 }
@@ -323,10 +315,7 @@ fn exec_modes_agree_on_verdict_ops_and_state() {
 #[test]
 fn gas_exhaustion_drops_and_counts_in_both_modes() {
     let mut d = installed(FW, "blocked", 7);
-    d.set_sandbox(SandboxConfig {
-        gas_limit: 3, // far below the handler's cost
-        ..SandboxConfig::default()
-    });
+    d.set_sandbox(SandboxConfig { gas_limit: 3 }); // far below the handler's cost
     let r = oracle::process(&mut d, &mut Packet::tcp(1, 10, 20, 1, 80, 0), SimTime::ZERO);
     assert_eq!(r.verdict, Verdict::Drop, "fail closed");
     assert_eq!(r.trap, Some(Trap::GasExhausted { limit: 3 }));
@@ -543,10 +532,7 @@ fn burst_matches_single_under_tiny_gas_budgets() {
             for burst in BURST_SIZES {
                 let mut single = dev(bundle.program.kind);
                 let mut bursty = dev(bundle.program.kind);
-                let sandbox = SandboxConfig {
-                    gas_limit: gas,
-                    ..SandboxConfig::default()
-                };
+                let sandbox = SandboxConfig { gas_limit: gas };
                 single.set_sandbox(sandbox);
                 bursty.set_sandbox(sandbox);
                 single.install(bundle.clone()).expect("installs");

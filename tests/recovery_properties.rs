@@ -10,7 +10,7 @@
 //! - the orphan sweep reads the log as the resolve pass left it: a shadow
 //!   whose roll-forward commit was lost is released, not discarded.
 
-use flexnet_bench::suites::recovery;
+use flexnet_bench::suites::recovery::{self, ChaosSchedule};
 use flexnet_bench::{Arm, Report};
 use flexnet_controller::wal::{IntentRecord, ReplicatedIntentLog};
 use flexnet_controller::{
@@ -18,7 +18,7 @@ use flexnet_controller::{
 };
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_lang::parser::parse_source;
-use flexnet_sim::{ChaosSchedule, CrashPhase, Simulation, Topology};
+use flexnet_sim::{CrashPhase, Simulation, Topology};
 use flexnet_types::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;

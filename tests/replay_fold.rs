@@ -14,10 +14,11 @@
 //! Every history ends with the idempotency signature: a second `recover`
 //! is a no-op.
 
+use flexnet_controller::recovery::TargetDirectory;
 use flexnet_controller::storage::NodeStorage;
 use flexnet_controller::{
     compact_records, recover, replay_digest, resume_rollouts, IntendedStore, IntentRecord,
-    LossyFabric, ReplicatedIntentLog, RetryPolicy, RolloutDirectory,
+    LossyFabric, ReplicatedIntentLog, RetryPolicy,
 };
 use flexnet_sim::disk::DiskFaultPlan;
 use flexnet_sim::{Simulation, Topology};
@@ -586,7 +587,7 @@ fn run_history(seed: u64) -> Coverage {
     let resumed = resume_rollouts(
         &mut sim,
         &mut log,
-        &RolloutDirectory::new(),
+        &TargetDirectory::new(),
         second.finished_at,
         &mut fabric,
         &policy,

@@ -213,7 +213,7 @@ fn render_program(stmts: &[GenStmt]) -> ProgramBundle {
 /// A device with a `gas`-op budget running `bundle`, if it installs.
 fn sandboxed(bundle: ProgramBundle, gas: u64) -> Option<Device> {
     let mut d = Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable);
-    d.set_sandbox(SandboxConfig { gas_limit: gas, ..SandboxConfig::default() });
+    d.set_sandbox(SandboxConfig { gas_limit: gas });
     d.install(bundle).ok().map(|()| d)
 }
 

@@ -24,8 +24,8 @@ use flexnet_controller::{
     ReplicatedIntentLog,
 };
 use flexnet_dataplane::{
-    config_digest_of, InstalledProgram, ProgramImage, ReconfigPlan, ReconfigReport, SandboxConfig,
-    SealTarget, SealedTargets, TxnTag, EMPTY_CONFIG_DIGEST,
+    config_digest_of, InstalledProgram, ProgramImage, ReconfigPlan, ReconfigReport, SealTarget,
+    SealedTargets, TxnTag, EMPTY_CONFIG_DIGEST,
 };
 use flexnet_lang::ast::ActionCall;
 use flexnet_lang::diff::{diff_bundles, ReconfigOp};
@@ -155,10 +155,8 @@ proptest! {
     #[test]
     fn digests_equal_the_reference_after_any_history(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut dev = Device::new(NODE, Architecture::drmt_default(), StateEncoding::StatefulTable);
-        dev.set_sandbox(SandboxConfig { min_window: 4, ..SandboxConfig::default() });
         let mut w = Pair {
-            dev,
+            dev: Device::new(NODE, Architecture::drmt_default(), StateEncoding::StatefulTable),
             store: IntendedStore::new(),
             log: ReplicatedIntentLog::new(3, seed).unwrap(),
             in_sync: true,
@@ -238,10 +236,11 @@ proptest! {
                 }
                 _ => {
                     // Ship a rogue program and storm it until the device
-                    // falls back to the image it ran before.
+                    // falls back to the image it ran before: 16 trapping
+                    // packets fill the sandbox's minimum window.
                     if let Ok(rep) = w.dev.begin_runtime_reconfig(trapping(), now) {
                         w.dev.tick(rep.ready_at);
-                        for i in 0..8u64 {
+                        for i in 0..16u64 {
                             let mut pkt = Packet::tcp(i, i as u32, 20, 1, 80, 0);
                             w.dev.process(&mut pkt, rep.ready_at).unwrap();
                         }
