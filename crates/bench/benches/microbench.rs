@@ -12,11 +12,14 @@ use flexnet_bench::bundle;
 use flexnet_dataplane::ProgramImage;
 use flexnet_lang::ast::ActionCall;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::Arc;
 
 #[path = "../../../tests/common/fabric.rs"]
 mod fabric;
+#[path = "../../../tests/common/tenants.rs"]
+mod tenants;
 
 fn firewall_bundle() -> ProgramBundle {
     flexnet::apps::security::firewall(256).unwrap()
@@ -143,6 +146,29 @@ fn bench_language_pipeline(c: &mut Criterion) {
     });
     c.bench_function("verify_firewall", |b| {
         b.iter(|| verify_program(black_box(&program), &headers).unwrap())
+    });
+}
+
+/// What the control path checks each op: the seal of `ctl_txn`'s 8-tenant
+/// composition (a copy of it, as a coordinator seals; built by the churn of
+/// `tests/control_alloc.rs`) and the front end of one tenant source.
+fn bench_control_checks(c: &mut Criterion) {
+    let infra = flexnet::apps::build(tenants::INFRA).unwrap();
+    let mut ctl = Controller::new(infra, NodeId(1), SimTime::ZERO).unwrap();
+    let mut live = VecDeque::new();
+    let mut composed = None;
+    for op in 0..40 {
+        let extension = flexnet::apps::build(&tenants::tenant_source(op)).unwrap();
+        let now = SimTime::from_millis(op + 1);
+        composed = Some(tenants::churn(&mut ctl, &mut live, op, extension, now));
+    }
+    let composed = composed.unwrap();
+    c.bench_function("lang/seal/composed_8", |b| {
+        b.iter(|| black_box(ProgramImage::seal(composed.clone()).unwrap()))
+    });
+    let src = tenants::tenant_source(41);
+    c.bench_function("lang/front_end/tenant", |b| {
+        b.iter(|| black_box(flexnet::apps::build(&src).unwrap()))
     });
 }
 
@@ -372,6 +398,7 @@ criterion_group!(
     bench_packet_processing,
     bench_table_lookup,
     bench_language_pipeline,
+    bench_control_checks,
     bench_reconfig_planning,
     bench_hitless_reconfig,
     bench_composition,

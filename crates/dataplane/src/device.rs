@@ -222,7 +222,7 @@ impl InstalledProgram {
                 }
             }
             ReconfigOp::AddParserState(h) => {
-                registry.register(h)?;
+                registry.register(h.clone())?;
                 bundle.headers.push(h.clone());
             }
             ReconfigOp::RemoveParserState(n) => {

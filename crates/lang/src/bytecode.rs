@@ -232,9 +232,8 @@ pub struct HeaderTemplate {
 /// A program lowered to slot-resolved bytecode.
 ///
 /// Everything name-shaped was resolved at compile time — packet names to
-/// interned [`Sym`]s, state names to slots; the per-kind `*_names` vectors
-/// (slot → name) exist so adapters and logs can translate back without
-/// consulting the AST.
+/// interned [`Sym`]s, state names to slots. Only services keep their names
+/// (slot → name), for the device's invocation log.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CompiledProgram {
     /// The source program's name.
@@ -255,16 +254,8 @@ pub struct CompiledProgram {
     pub protos: Vec<Sym>,
     /// Header-insertion templates (for `add_header`).
     pub header_templates: Vec<HeaderTemplate>,
-    /// Service names by slot (for invocation logging / adapters).
+    /// Service names by slot (for invocation logging).
     pub service_names: Vec<String>,
-    /// Map names by slot.
-    pub map_names: Vec<String>,
-    /// Register names by slot.
-    pub register_names: Vec<String>,
-    /// Counter names by slot.
-    pub counter_names: Vec<String>,
-    /// Meter names by slot.
-    pub meter_names: Vec<String>,
     /// Local slot count (the VM's frame size).
     pub n_locals: u16,
 }
@@ -308,25 +299,18 @@ pub fn compile(
         next_local: 0,
     };
 
-    // Slot → name reverse maps, so adapters and invocation logs can
-    // translate without the AST. Dangling state/service declarations are
-    // impossible against the program's own layout but possible against a
-    // foreign (device) layout — surface them now, not per packet.
+    // Dangling state/service declarations are impossible against the
+    // program's own layout but possible against a foreign (device) layout —
+    // surface them now, not per packet. Services keep slot → name for the
+    // invocation log.
     for s in &program.states {
-        let (kind, names) = match s.kind {
-            StateKind::Map { .. } => (SymbolKind::Map, &mut c.out.map_names),
-            StateKind::Register { .. } => (SymbolKind::Register, &mut c.out.register_names),
-            StateKind::Counter => (SymbolKind::Counter, &mut c.out.counter_names),
-            StateKind::Meter { .. } => (SymbolKind::Meter, &mut c.out.meter_names),
+        let kind = match s.kind {
+            StateKind::Map { .. } => SymbolKind::Map,
+            StateKind::Register { .. } => SymbolKind::Register,
+            StateKind::Counter => SymbolKind::Counter,
+            StateKind::Meter { .. } => SymbolKind::Meter,
         };
-        let slot = c
-            .resolver
-            .resolve(kind, &s.name)
-            .ok_or_else(|| unresolved(kind, &s.name))? as usize;
-        if names.len() <= slot {
-            names.resize(slot + 1, String::new());
-        }
-        names[slot] = s.name.clone();
+        c.slot(kind, &s.name)?;
     }
     for s in &program.services {
         let slot = c
@@ -1145,15 +1129,29 @@ mod tests {
     use crate::parser::parse_program;
     use crate::typecheck::check_program;
 
+    const IS_MAP: fn(&StateKind) -> bool = |k| matches!(k, StateKind::Map { .. });
+    const IS_REGISTER: fn(&StateKind) -> bool = |k| matches!(k, StateKind::Register { .. });
+    const IS_COUNTER: fn(&StateKind) -> bool = |k| matches!(k, StateKind::Counter);
+    const IS_METER: fn(&StateKind) -> bool = |k| matches!(k, StateKind::Meter { .. });
+
     /// Slots by declaration position: table `i` gets slot `i`, each state
     /// kind is numbered independently in declaration order — the layout a
     /// device builds at install time.
     struct Positional<'a>(&'a Program);
 
-    impl Positional<'_> {
+    impl<'a> Positional<'a> {
         fn state_slot(&self, name: &str, want: fn(&StateKind) -> bool) -> Option<u16> {
             let mut of_kind = self.0.states.iter().filter(|s| want(&s.kind));
             of_kind.position(|s| s.name == name).map(|i| i as u16)
+        }
+
+        /// The inverse of [`Self::state_slot`]: the declared name of a slot.
+        fn state_name(&self, slot: u16, want: fn(&StateKind) -> bool) -> &'a str {
+            let mut of_kind = self.0.states.iter().filter(|s| want(&s.kind));
+            &of_kind
+                .nth(slot as usize)
+                .expect("a slot this layout gave out")
+                .name
         }
     }
 
@@ -1162,14 +1160,10 @@ mod tests {
             let at = |i: usize| i as u16;
             match kind {
                 SymbolKind::Table => self.0.tables.iter().position(|t| t.name == name).map(at),
-                SymbolKind::Map => self.state_slot(name, |k| matches!(k, StateKind::Map { .. })),
-                SymbolKind::Register => {
-                    self.state_slot(name, |k| matches!(k, StateKind::Register { .. }))
-                }
-                SymbolKind::Counter => self.state_slot(name, |k| matches!(k, StateKind::Counter)),
-                SymbolKind::Meter => {
-                    self.state_slot(name, |k| matches!(k, StateKind::Meter { .. }))
-                }
+                SymbolKind::Map => self.state_slot(name, IS_MAP),
+                SymbolKind::Register => self.state_slot(name, IS_REGISTER),
+                SymbolKind::Counter => self.state_slot(name, IS_COUNTER),
+                SymbolKind::Meter => self.state_slot(name, IS_METER),
                 SymbolKind::Service => {
                     self.0.services.iter().position(|s| s.name == name).map(at)
                 }
@@ -1182,18 +1176,24 @@ mod tests {
     }
 
     /// Adapts a name-keyed [`ExecEnv`] (here [`MemEnv`]) to the slot-indexed
-    /// [`SlotEnv`] interface via a compiled program's reverse name tables: the
+    /// [`SlotEnv`] interface, naming each state slot from the declarations of
+    /// the program `prog` was compiled from ([`Positional`] in reverse): the
     /// bridge these tests use to run both engines against the *same* state.
     /// Devices implement [`SlotEnv`] natively and never pay this translation.
     struct NamedSlotEnv<'a> {
         prog: &'a CompiledProgram,
+        layout: Positional<'a>,
         inner: &'a mut dyn ExecEnv,
         table_names: Vec<String>,
         last_call: Option<ActionCall>,
     }
 
     impl<'a> NamedSlotEnv<'a> {
-        fn new(prog: &'a CompiledProgram, inner: &'a mut dyn ExecEnv) -> NamedSlotEnv<'a> {
+        fn new(
+            prog: &'a CompiledProgram,
+            program: &'a Program,
+            inner: &'a mut dyn ExecEnv,
+        ) -> NamedSlotEnv<'a> {
             // slot → table name (table slots come from the resolver, so build
             // the reverse map from the compiled metadata).
             let max = prog.tables.iter().map(|t| t.slot).max().map_or(0, |m| m + 1);
@@ -1203,6 +1203,7 @@ mod tests {
             }
             NamedSlotEnv {
                 prog,
+                layout: Positional(program),
                 inner,
                 table_names,
                 last_call: None,
@@ -1225,41 +1226,41 @@ mod tests {
         }
 
         fn map_get(&mut self, map: u16, key: u64) -> Option<u64> {
-            self.inner.map_get(&self.prog.map_names[map as usize], key)
+            self.inner.map_get(self.layout.state_name(map, IS_MAP), key)
         }
 
         fn map_put(&mut self, map: u16, key: u64, value: u64) -> Result<()> {
             self.inner
-                .map_put(&self.prog.map_names[map as usize], key, value)
+                .map_put(self.layout.state_name(map, IS_MAP), key, value)
         }
 
         fn map_del(&mut self, map: u16, key: u64) {
-            self.inner.map_del(&self.prog.map_names[map as usize], key)
+            self.inner.map_del(self.layout.state_name(map, IS_MAP), key)
         }
 
         fn reg_read(&mut self, reg: u16, idx: u64) -> Result<u64> {
             self.inner
-                .reg_read(&self.prog.register_names[reg as usize], idx)
+                .reg_read(self.layout.state_name(reg, IS_REGISTER), idx)
         }
 
         fn reg_write(&mut self, reg: u16, idx: u64, val: u64) -> Result<()> {
             self.inner
-                .reg_write(&self.prog.register_names[reg as usize], idx, val)
+                .reg_write(self.layout.state_name(reg, IS_REGISTER), idx, val)
         }
 
         fn counter_add(&mut self, counter: u16, pkts: u64, bytes: u64) {
             self.inner
-                .counter_add(&self.prog.counter_names[counter as usize], pkts, bytes)
+                .counter_add(self.layout.state_name(counter, IS_COUNTER), pkts, bytes)
         }
 
         fn counter_read(&mut self, counter: u16) -> u64 {
             self.inner
-                .counter_read(&self.prog.counter_names[counter as usize])
+                .counter_read(self.layout.state_name(counter, IS_COUNTER))
         }
 
         fn meter_check(&mut self, meter: u16, key: u64) -> bool {
             self.inner
-                .meter_check(&self.prog.meter_names[meter as usize], key)
+                .meter_check(self.layout.state_name(meter, IS_METER), key)
         }
 
         fn invoke_service(&mut self, service: u16, args: &[u64]) {
@@ -1271,6 +1272,7 @@ mod tests {
     /// Runs `handler` of `c` on the one executor against `env` through the
     /// name bridge, on fresh frame storage.
     fn run(
+        p: &Program,
         c: &CompiledProgram,
         handler: &str,
         pkt: &mut Packet,
@@ -1282,7 +1284,7 @@ mod tests {
             .iter()
             .find_map(|(n, pc)| (n == handler).then_some(*pc))
             .ok_or_else(|| FlexError::NotFound(format!("handler `{handler}`")))?;
-        let mut bridge = NamedSlotEnv::new(c, env);
+        let mut bridge = NamedSlotEnv::new(c, p, env);
         execute_compiled(c, entry, pkt, &mut bridge, gas, &mut VmScratch::new())
     }
 
@@ -1305,7 +1307,7 @@ mod tests {
         let mut pkt_i = pkt.clone();
         let mut pkt_b = pkt.clone();
         let out_i = execute(&p, "ingress", &mut pkt_i, &mut env_i, &headers).unwrap();
-        let out_b = run(&c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
+        let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b, "verdict/ops diverged on {src}");
         assert_eq!(pkt_i, pkt_b, "packet effects diverged on {src}");
         assert_eq!(env_i.maps, env_b.maps, "map state diverged");
@@ -1451,7 +1453,7 @@ mod tests {
         let out_i = execute(&p, "ingress", &mut pkt.clone(), &mut env_i, &headers).unwrap();
         let mut env_b = MemEnv::new();
         env_b.tables = setup.tables.clone();
-        let out_b = run(&c, "ingress", &mut pkt, &mut env_b, GAS_UNLIMITED).unwrap();
+        let out_b = run(&p, &c, "ingress", &mut pkt, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b, "trap identity and gas count must agree");
         let trap = out_b.trap.expect("a bad entry traps, fail closed");
         assert_eq!(
@@ -1512,7 +1514,7 @@ mod tests {
                 &p, "ingress", &mut pkt_i, &mut env_i, &headers, gas,
             )
             .unwrap();
-            let out_b = run(&c, "ingress", &mut pkt_b, &mut env_b, gas).unwrap();
+            let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, gas).unwrap();
             assert_eq!(out_i, out_b, "divergence at gas={gas}");
             assert_eq!(pkt_i, pkt_b, "packet divergence at gas={gas}");
             assert_eq!(env_i.maps, env_b.maps, "map divergence at gas={gas}");
@@ -1547,7 +1549,7 @@ mod tests {
         let mut pkt_i = Packet::tcp(1, 1, 2, 3, 4, 0);
         let mut pkt_b = pkt_i.clone();
         let out_i = execute(&p, "ingress", &mut pkt_i, &mut env_i, &headers).unwrap();
-        let out_b = run(&c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
+        let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b);
         assert_eq!(
             out_b.trap,
@@ -1559,12 +1561,12 @@ mod tests {
     fn corrupt_image_traps_instead_of_panicking() {
         // A hand-corrupted image (jump past the end) must fail closed with
         // a CorruptImage trap, never a panic or a hang.
-        let (_, mut c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
+        let (p, mut c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
         c.insns.clear();
         c.insns.push(Insn::Jump(1000));
         let mut env = MemEnv::new();
         let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let out = run(&c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
+        let out = run(&p, &c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
         assert_eq!(
             out.trap,
             Some(flexnet_types::Trap::CorruptImage {
@@ -1575,14 +1577,14 @@ mod tests {
         // A store, a hash or an invocation with too little on the stack
         // underflows.
         for insn in [Insn::StoreLocal(0), Insn::Hash(3), Insn::Invoke(0, 2)] {
-            let (_, mut c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
+            let (p, mut c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
             c.insns.clear();
             c.insns.push(insn);
             c.n_locals = 1;
             c.service_names = vec!["s".into()];
             let mut env = MemEnv::new();
             let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-            let out = run(&c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
+            let out = run(&p, &c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
             assert_eq!(
                 out.trap,
                 Some(flexnet_types::Trap::CorruptImage {
@@ -1607,26 +1609,25 @@ mod tests {
         let widest = 8usize;
         let lets: String = (0..widest).map(|i| format!("let x{i} = meta.a{i};")).collect();
         let args = |n: usize| (0..n).map(|i| format!("x{i}")).collect::<Vec<_>>().join(", ");
-        let hash_n: Vec<CompiledProgram> = (0..=widest)
+        let hash_n: Vec<(Program, CompiledProgram)> = (0..=widest)
             .map(|n| {
                 let src = format!(
                     "program p{n} {{ handler ingress(pkt) {{ {lets} meta.h = hash({}); }} }}",
                     args(n.max(1))
                 );
-                let mut c = compiled(&src).1;
+                let (p, mut c, _) = compiled(&src);
                 if n == 0 {
                     // `x0` stays pushed beneath the hash, unread.
                     let at = c.insns.iter().position(|i| *i == Insn::Hash(1)).unwrap();
                     c.insns[at] = Insn::Hash(0);
                 }
-                c
+                (p, c)
             })
             .collect();
-        let other = compiled(&format!(
+        let (q, other, _) = compiled(&format!(
             "program q {{ counter c; handler ingress(pkt) {{ {lets} count(c); \
              meta.h = hash(x0, x1, x2); }} }}"
-        ))
-        .1;
+        ));
         let mut x: u64 = 0x1234_5678_9abc_def1;
         let mut rng = move || {
             x ^= x << 13;
@@ -1653,18 +1654,19 @@ mod tests {
                     vals[i] = rng() % 4;
                 }
             }
-            let (prog, n) = if rng() % 7 == 0 {
-                (&other, 3)
+            let ((program, prog), n) = if rng() % 7 == 0 {
+                ((&q, &other), 3)
             } else {
                 let n = (rng() % (widest as u64 + 1)) as usize;
-                (&hash_n[n], n)
+                let (p, c) = &hash_n[n];
+                ((p, c), n)
             };
             let mut pkt = Packet::tcp(round, 1, 2, 3, 4, 0);
             for (i, v) in vals.iter().enumerate() {
                 pkt.metadata.insert(Sym::intern(&format!("a{i}")), *v);
             }
             let mut env = MemEnv::new();
-            let mut bridge = NamedSlotEnv::new(prog, &mut env);
+            let mut bridge = NamedSlotEnv::new(prog, program, &mut env);
             let entry = prog.ingress.unwrap();
             execute_compiled(prog, entry, &mut pkt, &mut bridge, GAS_UNLIMITED, &mut scratch)
                 .unwrap();
@@ -1786,10 +1788,10 @@ mod tests {
 
     #[test]
     fn unknown_handler_matches_interpreter_error() {
-        let (_, c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
+        let (p, c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
         let mut env = MemEnv::new();
         let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let err = run(&c, "egress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap_err();
+        let err = run(&p, &c, "egress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap_err();
         assert_eq!(err, FlexError::NotFound("handler `egress`".into()));
     }
 

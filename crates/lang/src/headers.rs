@@ -9,13 +9,57 @@
 
 use crate::ast::{FieldDecl, FollowsClause, HeaderDecl};
 use flexnet_types::{FlexError, Result};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
-/// A registry of known header types.
-#[derive(Debug, Clone, Default)]
+/// The built-in protocols in name order: one table for the whole process,
+/// built on first use and never changed.
+static BUILTINS: LazyLock<[HeaderDecl; 5]> = LazyLock::new(|| {
+    [
+        builtin("eth", &[("src", 48), ("dst", 48), ("ethertype", 16)], None),
+        builtin(
+            "ipv4",
+            &[
+                ("src", 32),
+                ("dst", 32),
+                ("proto", 8),
+                ("ttl", 8),
+                ("ecn", 2),
+                ("dscp", 6),
+            ],
+            Some(("eth", "ethertype", 0x0800)),
+        ),
+        builtin(
+            "tcp",
+            &[
+                ("sport", 16),
+                ("dport", 16),
+                ("flags", 8),
+                ("seq", 32),
+                ("ack", 32),
+                ("window", 16),
+            ],
+            Some(("ipv4", "proto", 6)),
+        ),
+        builtin(
+            "udp",
+            &[("sport", 16), ("dport", 16)],
+            Some(("ipv4", "proto", 17)),
+        ),
+        builtin(
+            "vlan",
+            &[("vid", 12), ("pcp", 3)],
+            Some(("eth", "ethertype", 0x8100)),
+        ),
+    ]
+});
+
+/// A registry of known header types: the built-ins, plus the user
+/// declarations it owns.
+#[derive(Debug, Clone)]
 pub struct HeaderRegistry {
-    decls: BTreeMap<String, HeaderDecl>,
+    /// User declarations in name order, shared with the bundle they came
+    /// from; none has a built-in's name.
+    user: Vec<Arc<HeaderDecl>>,
 }
 
 fn builtin(name: &str, fields: &[(&str, u8)], follows: Option<(&str, &str, u64)>) -> HeaderDecl {
@@ -39,59 +83,15 @@ fn builtin(name: &str, fields: &[(&str, u8)], follows: Option<(&str, &str, u64)>
 impl HeaderRegistry {
     /// A registry with only the built-in protocols.
     pub fn builtins() -> HeaderRegistry {
-        let mut r = HeaderRegistry::default();
-        for decl in [
-            builtin(
-                "eth",
-                &[("src", 48), ("dst", 48), ("ethertype", 16)],
-                None,
-            ),
-            builtin(
-                "vlan",
-                &[("vid", 12), ("pcp", 3)],
-                Some(("eth", "ethertype", 0x8100)),
-            ),
-            builtin(
-                "ipv4",
-                &[
-                    ("src", 32),
-                    ("dst", 32),
-                    ("proto", 8),
-                    ("ttl", 8),
-                    ("ecn", 2),
-                    ("dscp", 6),
-                ],
-                Some(("eth", "ethertype", 0x0800)),
-            ),
-            builtin(
-                "tcp",
-                &[
-                    ("sport", 16),
-                    ("dport", 16),
-                    ("flags", 8),
-                    ("seq", 32),
-                    ("ack", 32),
-                    ("window", 16),
-                ],
-                Some(("ipv4", "proto", 6)),
-            ),
-            builtin(
-                "udp",
-                &[("sport", 16), ("dport", 16)],
-                Some(("ipv4", "proto", 17)),
-            ),
-        ] {
-            r.decls.insert(decl.name.clone(), decl);
-        }
-        r
+        HeaderRegistry { user: Vec::new() }
     }
 
     /// Registers a user header declaration. The `follows` predecessor, if
     /// any, must already be known. Redeclaring an existing protocol is an
     /// error (runtime parser updates go through the reconfiguration engine,
     /// not the registry).
-    pub fn register(&mut self, decl: &HeaderDecl) -> Result<()> {
-        if self.decls.contains_key(&decl.name) {
+    pub fn register(&mut self, decl: Arc<HeaderDecl>) -> Result<()> {
+        if self.has_proto(&decl.name) {
             return Err(FlexError::Type(format!(
                 "header `{}` is already declared",
                 decl.name
@@ -104,7 +104,7 @@ impl HeaderRegistry {
             )));
         }
         if let Some(f) = &decl.follows {
-            let Some(prev) = self.decls.get(&f.prev_proto) else {
+            let Some(prev) = self.decl(&f.prev_proto) else {
                 return Err(FlexError::Type(format!(
                     "header `{}` follows unknown protocol `{}`",
                     decl.name, f.prev_proto
@@ -117,7 +117,8 @@ impl HeaderRegistry {
                 )));
             }
         }
-        self.decls.insert(decl.name.clone(), decl.clone());
+        let (Ok(at) | Err(at)) = self.user_index(&decl.name);
+        self.user.insert(at, decl);
         Ok(())
     }
 
@@ -125,33 +126,44 @@ impl HeaderRegistry {
     pub fn with_user_headers(headers: &[Arc<HeaderDecl>]) -> Result<HeaderRegistry> {
         let mut r = HeaderRegistry::builtins();
         for h in headers {
-            r.register(h)?;
+            r.register(h.clone())?;
         }
         Ok(r)
     }
 
+    /// Where `proto` sits among the user declarations (`Err`: where it
+    /// would go).
+    fn user_index(&self, proto: &str) -> std::result::Result<usize, usize> {
+        self.user.binary_search_by(|d| d.name.as_str().cmp(proto))
+    }
+
     /// Whether `proto` is a known header type.
     pub fn has_proto(&self, proto: &str) -> bool {
-        self.decls.contains_key(proto)
+        self.decl(proto).is_some()
     }
 
     /// Looks up a field declaration.
     pub fn field(&self, proto: &str, field: &str) -> Option<&FieldDecl> {
-        self.decls
-            .get(proto)?
-            .fields
-            .iter()
-            .find(|f| f.name == field)
+        self.decl(proto)?.fields.iter().find(|f| f.name == field)
     }
 
     /// The full declaration for `proto`.
     pub fn decl(&self, proto: &str) -> Option<&HeaderDecl> {
-        self.decls.get(proto)
+        match BUILTINS.iter().find(|b| b.name == proto) {
+            Some(b) => Some(b),
+            None => self.user_index(proto).ok().map(|i| &*self.user[i]),
+        }
     }
 
-    /// Iterates over all known declarations.
+    /// Iterates over all known declarations in name order.
     pub fn iter(&self) -> impl Iterator<Item = &HeaderDecl> {
-        self.decls.values()
+        let mut builtins = BUILTINS.iter().peekable();
+        let mut user = self.user.iter().map(|d| &**d).peekable();
+        std::iter::from_fn(move || match (builtins.peek(), user.peek()) {
+            (Some(b), Some(u)) if u.name < b.name => user.next(),
+            (Some(_), _) => builtins.next(),
+            (None, _) => user.next(),
+        })
     }
 }
 
@@ -174,7 +186,7 @@ mod tests {
     fn registering_custom_header() {
         let mut r = HeaderRegistry::builtins();
         let vxlan = builtin("vxlan", &[("vni", 24)], Some(("udp", "dport", 4789)));
-        r.register(&vxlan).unwrap();
+        r.register(vxlan.into()).unwrap();
         assert!(r.has_proto("vxlan"));
         assert_eq!(r.decl("vxlan").unwrap().follows.as_ref().unwrap().value, 4789);
     }
@@ -183,13 +195,13 @@ mod tests {
     fn rejects_duplicate_and_dangling() {
         let mut r = HeaderRegistry::builtins();
         let dup = builtin("ipv4", &[("x", 8)], None);
-        assert!(r.register(&dup).is_err());
+        assert!(r.register(dup.into()).is_err());
         let dangling = builtin("x", &[("y", 8)], Some(("nope", "f", 1)));
-        assert!(r.register(&dangling).is_err());
+        assert!(r.register(dangling.into()).is_err());
         let bad_select = builtin("x", &[("y", 8)], Some(("udp", "nofield", 1)));
-        assert!(r.register(&bad_select).is_err());
+        assert!(r.register(bad_select.into()).is_err());
         let empty = builtin("e", &[], None);
-        assert!(r.register(&empty).is_err());
+        assert!(r.register(empty.into()).is_err());
     }
 
     #[test]
@@ -198,5 +210,23 @@ mod tests {
         let r = HeaderRegistry::with_user_headers(&[vxlan.into()]).unwrap();
         assert!(r.has_proto("vxlan"));
         assert_eq!(r.iter().count(), 6);
+    }
+
+    #[test]
+    fn iteration_is_in_name_order_across_builtins_and_user_headers() {
+        let user = [
+            builtin("vxlan", &[("vni", 24)], Some(("udp", "dport", 4789))),
+            builtin("arp", &[("op", 16)], Some(("eth", "ethertype", 0x0806))),
+            builtin("mpls", &[("label", 20)], Some(("eth", "ethertype", 0x8847))),
+        ];
+        let r = HeaderRegistry::with_user_headers(&user.map(Arc::new)).unwrap();
+        let names: Vec<&str> = r.iter().map(|d| d.name.as_str()).collect();
+        let expected = ["arp", "eth", "ipv4", "mpls", "tcp", "udp", "vlan", "vxlan"];
+        assert_eq!(names, expected);
+        assert_eq!(r.decl("mpls").unwrap().fields[0].name, "label");
+        assert!(r.field("arp", "op").is_some() && r.field("arp", "src").is_none());
+        let builtins = HeaderRegistry::builtins();
+        let names: Vec<&str> = builtins.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["eth", "ipv4", "tcp", "udp", "vlan"]);
     }
 }

@@ -754,8 +754,8 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(v) => {
+        match &self.peek().kind {
+            &TokenKind::Int(v) => {
                 self.advance();
                 Ok(Expr::Int(v))
             }
@@ -776,18 +776,19 @@ impl Parser {
                         return Ok(Expr::Valid(p));
                     }
                     "map_get" | "map_has" | "reg_read" | "meter_check" => {
+                        let make: fn(String, Box<Expr>) -> Expr = match name.as_str() {
+                            "map_get" => Expr::MapGet,
+                            "map_has" => Expr::MapHas,
+                            "reg_read" => Expr::RegRead,
+                            _ => Expr::MeterCheck,
+                        };
                         self.advance();
                         self.expect(&TokenKind::LParen)?;
                         let obj = self.ident()?;
                         self.expect(&TokenKind::Comma)?;
                         let arg = self.parse_expr()?;
                         self.expect(&TokenKind::RParen)?;
-                        return Ok(match name.as_str() {
-                            "map_get" => Expr::MapGet(obj, Box::new(arg)),
-                            "map_has" => Expr::MapHas(obj, Box::new(arg)),
-                            "reg_read" => Expr::RegRead(obj, Box::new(arg)),
-                            _ => Expr::MeterCheck(obj, Box::new(arg)),
-                        });
+                        return Ok(make(obj, Box::new(arg)));
                     }
                     "counter_read" => {
                         self.advance();
@@ -824,11 +825,10 @@ impl Parser {
                     let path = self.parse_field_path()?;
                     Ok(Expr::Field(path))
                 } else {
-                    self.advance();
-                    Ok(Expr::Local(name))
+                    Ok(Expr::Local(self.ident()?))
                 }
             }
-            ref other => Err(self.error_here(format!("expected expression, found {other}"))),
+            other => Err(self.error_here(format!("expected expression, found {other}"))),
         }
     }
 }

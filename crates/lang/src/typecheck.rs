@@ -15,7 +15,6 @@
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
 use flexnet_types::{FlexError, Result};
-use std::collections::BTreeMap;
 
 /// The type of a FlexBPF expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,42 +42,31 @@ impl<'a> Checker<'a> {
 
     fn check(&self) -> Result<()> {
         self.check_unique_names()?;
+        // One scope for the whole program, emptied between bodies.
+        let mut scope = Scope::default();
         for t in &self.program.tables {
-            self.check_table(t)?;
+            self.check_table(t, &mut scope)?;
         }
         for h in &self.program.handlers {
-            let mut scope = Scope::default();
+            scope.locals.clear();
             self.check_block(&h.body, &mut scope)
                 .map_err(|e| prefix(e, &format!("handler `{}`", h.name)))?;
         }
         Ok(())
     }
 
+    /// States, tables and services share one namespace; handlers have
+    /// their own.
     fn check_unique_names(&self) -> Result<()> {
-        let mut seen = BTreeMap::new();
-        for s in &self.program.states {
-            if seen.insert(s.name.clone(), "state").is_some() {
-                return Err(FlexError::Type(format!("duplicate name `{}`", s.name)));
-            }
+        let p = self.program;
+        let names = p.states.iter().map(|s| s.name.as_str());
+        let names = names.chain(p.tables.iter().map(|t| t.name.as_str()));
+        let names = names.chain(p.services.iter().map(|s| s.name.as_str()));
+        if let Some(name) = first_repeat(names) {
+            return Err(FlexError::Type(format!("duplicate name `{name}`")));
         }
-        for t in &self.program.tables {
-            if seen.insert(t.name.clone(), "table").is_some() {
-                return Err(FlexError::Type(format!("duplicate name `{}`", t.name)));
-            }
-        }
-        for svc in &self.program.services {
-            if seen.insert(svc.name.clone(), "service").is_some() {
-                return Err(FlexError::Type(format!("duplicate name `{}`", svc.name)));
-            }
-        }
-        let mut handlers = BTreeMap::new();
-        for h in &self.program.handlers {
-            if handlers.insert(h.name.clone(), ()).is_some() {
-                return Err(FlexError::Type(format!(
-                    "duplicate handler `{}`",
-                    h.name
-                )));
-            }
+        if let Some(name) = first_repeat(p.handlers.iter().map(|h| h.name.as_str())) {
+            return Err(FlexError::Type(format!("duplicate handler `{name}`")));
         }
         Ok(())
     }
@@ -123,7 +111,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_table(&self, t: &TableDecl) -> Result<()> {
+    fn check_table(&self, t: &'a TableDecl, scope: &mut Scope<'a>) -> Result<()> {
         if t.size == 0 {
             return Err(FlexError::Type(format!("table `{}` has size 0", t.name)));
         }
@@ -137,19 +125,18 @@ impl<'a> Checker<'a> {
             self.check_field(&k.field)
                 .map_err(|e| prefix(e, &format!("table `{}`", t.name)))?;
         }
-        let mut action_names = BTreeMap::new();
+        if let Some(name) = first_repeat(t.actions.iter().map(|a| a.name.as_str())) {
+            return Err(FlexError::Type(format!(
+                "table `{}` declares action `{name}` twice",
+                t.name
+            )));
+        }
         for a in &t.actions {
-            if action_names.insert(a.name.clone(), ()).is_some() {
-                return Err(FlexError::Type(format!(
-                    "table `{}` declares action `{}` twice",
-                    t.name, a.name
-                )));
-            }
-            let mut scope = Scope::default();
+            scope.locals.clear();
             for (p, _) in &a.params {
                 scope.declare(p, Ty::Int)?;
             }
-            self.check_block(&a.body, &mut scope)
+            self.check_block(&a.body, scope)
                 .map_err(|e| prefix(e, &format!("action `{}.{}`", t.name, a.name)))?;
         }
         if let Some(d) = &t.default_action {
@@ -172,16 +159,18 @@ impl<'a> Checker<'a> {
         Ok(())
     }
 
-    fn check_block(&self, block: &Block, scope: &mut Scope) -> Result<()> {
-        scope.push();
+    /// Checks `block` in a frame of its own: what it declares is out of
+    /// scope again after it.
+    fn check_block(&self, block: &'a Block, scope: &mut Scope<'a>) -> Result<()> {
+        let frame = scope.locals.len();
         for stmt in block {
             self.check_stmt(stmt, scope)?;
         }
-        scope.pop();
+        scope.locals.truncate(frame);
         Ok(())
     }
 
-    fn check_stmt(&self, stmt: &Stmt, scope: &mut Scope) -> Result<()> {
+    fn check_stmt(&self, stmt: &'a Stmt, scope: &mut Scope<'a>) -> Result<()> {
         match stmt {
             Stmt::Let(n, e) => {
                 let ty = self.check_expr(e, scope)?;
@@ -272,14 +261,14 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn expect_int(&self, e: &Expr, scope: &Scope, what: &str) -> Result<()> {
+    fn expect_int(&self, e: &Expr, scope: &Scope<'_>, what: &str) -> Result<()> {
         match self.check_expr(e, scope)? {
             Ty::Int => Ok(()),
             Ty::Bool => Err(FlexError::Type(format!("{what} must be an integer"))),
         }
     }
 
-    fn check_expr(&self, e: &Expr, scope: &Scope) -> Result<Ty> {
+    fn check_expr(&self, e: &Expr, scope: &Scope<'_>) -> Result<Ty> {
         match e {
             Expr::Int(_) | Expr::PktLen => Ok(Ty::Int),
             Expr::Local(n) => scope
@@ -387,39 +376,38 @@ fn prefix(e: FlexError, ctx: &str) -> FlexError {
     }
 }
 
-/// A lexical scope stack for locals.
-#[derive(Default)]
-struct Scope {
-    frames: Vec<BTreeMap<String, Ty>>,
+/// The first name, in iteration order, that repeats one before it.
+fn first_repeat<'n>(names: impl Iterator<Item = &'n str>) -> Option<&'n str> {
+    let mut by_name: Vec<(&str, usize)> = names.zip(0..).collect();
+    by_name.sort_unstable();
+    // Equal names sort by position: the second of two equal neighbours
+    // repeats the first.
+    let repeats = by_name.windows(2).filter(|w| w[0].0 == w[1].0);
+    repeats.map(|w| w[1]).min_by_key(|&(_, at)| at).map(|(name, _)| name)
 }
 
-impl Scope {
-    fn push(&mut self) {
-        self.frames.push(BTreeMap::new());
-    }
+/// The locals in scope, outermost first, named by the program being
+/// checked. A block's frame is everything past the length it started at
+/// ([`Checker::check_block`]); since no local may shadow another, a name
+/// is in scope at most once.
+#[derive(Default)]
+struct Scope<'a> {
+    locals: Vec<(&'a str, Ty)>,
+}
 
-    fn pop(&mut self) {
-        self.frames.pop();
-    }
-
-    fn declare(&mut self, name: &str, ty: Ty) -> Result<()> {
+impl<'a> Scope<'a> {
+    fn declare(&mut self, name: &'a str, ty: Ty) -> Result<()> {
         if self.lookup(name).is_some() {
             return Err(FlexError::Type(format!(
                 "local `{name}` is already declared (shadowing is not allowed)"
             )));
         }
-        if self.frames.is_empty() {
-            self.frames.push(BTreeMap::new());
-        }
-        self.frames
-            .last_mut()
-            .expect("frame pushed above")
-            .insert(name.to_string(), ty);
+        self.locals.push((name, ty));
         Ok(())
     }
 
     fn lookup(&self, name: &str) -> Option<Ty> {
-        self.frames.iter().rev().find_map(|f| f.get(name).copied())
+        self.locals.iter().find(|(n, _)| *n == name).map(|&(_, ty)| ty)
     }
 }
 

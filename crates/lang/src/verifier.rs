@@ -15,13 +15,12 @@
 //!    explicit verdict, which architectures without a default action require.
 //!
 //! The output [`VerifyReport`] also feeds the compiler: worst-case op counts
-//! become per-packet processing-cost estimates, and the used-table/state sets
-//! drive placement.
+//! become per-packet processing-cost estimates.
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
 use flexnet_types::{FlexError, Result};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Maximum constant trip count for a `repeat` loop.
 pub const MAX_REPEAT: u64 = 64;
@@ -38,31 +37,26 @@ pub struct VerifyReport {
     /// Whether every control path in every handler ends in an explicit
     /// verdict (drop/forward/punt/recirculate/return).
     pub all_paths_verdict: bool,
-    /// Whether the program ever recirculates (devices bound recirculation).
-    pub uses_recirculate: bool,
-    /// Tables applied anywhere in the program.
-    pub tables_applied: BTreeSet<String>,
-    /// State objects read or written anywhere in the program.
-    pub state_used: BTreeSet<String>,
 }
 
 /// Verifies a type-checked program. Callers must run
 /// [`crate::typecheck::check_program`] first; the verifier assumes names
 /// resolve.
 pub fn verify_program(program: &Program, headers: &HeaderRegistry) -> Result<VerifyReport> {
-    let mut v = Verifier {
-        program,
-        headers,
-        tables_applied: BTreeSet::new(),
-        state_used: BTreeSet::new(),
-        uses_recirculate: false,
-    };
+    let v = Verifier { program, headers };
+    // One set of locals for the whole program, emptied between bodies.
+    let mut locals = Locals::default();
 
     // Actions must be straight-line primitives: no apply, no repeat.
     for t in &program.tables {
         for a in &t.actions {
-            v.forbid_apply_and_repeat(&a.body, &format!("action `{}.{}`", t.name, a.name))?;
-            let mut locals = Locals::default();
+            if let Some(why) = not_straight_line(&a.body) {
+                return Err(FlexError::Verify(format!(
+                    "action `{}.{}`: {why}",
+                    t.name, a.name
+                )));
+            }
+            locals.ranges.clear();
             for (p, _) in &a.params {
                 // Action parameters come from table entries: full range.
                 locals.set(p, Range::FULL);
@@ -71,18 +65,19 @@ pub fn verify_program(program: &Program, headers: &HeaderRegistry) -> Result<Ver
         }
     }
 
+    // A handler may apply any table, which may run any action.
+    let action_worst = program
+        .tables
+        .iter()
+        .flat_map(|t| t.actions.iter())
+        .map(|a| block_ops(&a.body))
+        .max()
+        .unwrap_or(0);
     let mut handler_ops = BTreeMap::new();
     let mut all_verdict = true;
     for h in &program.handlers {
-        let mut locals = Locals::default();
+        locals.ranges.clear();
         v.walk_block(&h.body, &mut locals)?;
-        let action_worst = program
-            .tables
-            .iter()
-            .flat_map(|t| t.actions.iter())
-            .map(|a| block_ops(&a.body))
-            .max()
-            .unwrap_or(0);
         let ops = block_ops(&h.body).saturating_add(action_worst);
         if ops > MAX_OPS {
             return Err(FlexError::Verify(format!(
@@ -99,9 +94,6 @@ pub fn verify_program(program: &Program, headers: &HeaderRegistry) -> Result<Ver
         handler_ops,
         max_ops,
         all_paths_verdict: all_verdict,
-        uses_recirculate: v.uses_recirculate,
-        tables_applied: v.tables_applied,
-        state_used: v.state_used,
     })
 }
 
@@ -153,77 +145,76 @@ fn width_range(width: u8) -> Range {
     }
 }
 
+/// The value range of every local assigned so far, named by the program
+/// being verified. Not scoped: the checker has already rejected every read
+/// of a local outside its block.
 #[derive(Debug, Clone, Default)]
-struct Locals {
-    ranges: BTreeMap<String, Range>,
+struct Locals<'a> {
+    ranges: Vec<(&'a str, Range)>,
 }
 
-impl Locals {
-    fn set(&mut self, name: &str, r: Range) {
-        self.ranges.insert(name.to_string(), r);
+impl<'a> Locals<'a> {
+    fn find(&self, name: &str) -> Option<Range> {
+        self.ranges
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, r)| r)
+    }
+
+    fn set(&mut self, name: &'a str, r: Range) {
+        match self.ranges.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, at)) => *at = r,
+            None => self.ranges.push((name, r)),
+        }
     }
 
     fn get(&self, name: &str) -> Range {
-        self.ranges.get(name).copied().unwrap_or(Range::FULL)
+        self.find(name).unwrap_or(Range::FULL)
     }
 
-    /// Join of two branch outcomes.
-    fn merge(a: Locals, b: Locals) -> Locals {
-        let mut out = Locals::default();
-        for (k, ra) in &a.ranges {
-            let r = match b.ranges.get(k) {
-                Some(rb) => ra.union(*rb),
+    /// Joins the other branch's outcome into this one: a local both
+    /// branches know gets the union of their ranges, one that either
+    /// branch lacks is FULL.
+    fn join(&mut self, other: &Locals<'a>) {
+        for (name, r) in &mut self.ranges {
+            *r = match other.find(name) {
+                Some(o) => r.union(o),
                 None => Range::FULL,
             };
-            out.ranges.insert(k.clone(), r);
         }
-        for (k, _) in b.ranges {
-            out.ranges.entry(k).or_insert(Range::FULL);
+        for &(name, _) in &other.ranges {
+            if self.find(name).is_none() {
+                self.ranges.push((name, Range::FULL));
+            }
         }
-        out
     }
+}
+
+/// Why an action body is not straight-line, if it is not: actions may
+/// neither apply tables nor loop.
+fn not_straight_line(block: &Block) -> Option<&'static str> {
+    block.iter().find_map(|s| match s {
+        Stmt::Apply(_) => Some("actions may not apply tables (apply cycles would be unbounded)"),
+        Stmt::Repeat(..) => Some("actions may not contain loops"),
+        Stmt::If(_, t, e) => not_straight_line(t).or_else(|| not_straight_line(e)),
+        _ => None,
+    })
 }
 
 struct Verifier<'a> {
     program: &'a Program,
     headers: &'a HeaderRegistry,
-    tables_applied: BTreeSet<String>,
-    state_used: BTreeSet<String>,
-    uses_recirculate: bool,
 }
 
 impl<'a> Verifier<'a> {
-    fn forbid_apply_and_repeat(&self, block: &Block, ctx: &str) -> Result<()> {
-        for s in block {
-            match s {
-                Stmt::Apply(_) => {
-                    return Err(FlexError::Verify(format!(
-                        "{ctx}: actions may not apply tables (apply cycles would be unbounded)"
-                    )))
-                }
-                Stmt::Repeat(..) => {
-                    return Err(FlexError::Verify(format!(
-                        "{ctx}: actions may not contain loops"
-                    )))
-                }
-                Stmt::If(_, t, e) => {
-                    self.forbid_apply_and_repeat(t, ctx)?;
-                    self.forbid_apply_and_repeat(e, ctx)?;
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    fn walk_block(&mut self, block: &Block, locals: &mut Locals) -> Result<()> {
+    fn walk_block(&self, block: &'a Block, locals: &mut Locals<'a>) -> Result<()> {
         for s in block {
             self.walk_stmt(s, locals)?;
         }
         Ok(())
     }
 
-    fn walk_stmt(&mut self, stmt: &Stmt, locals: &mut Locals) -> Result<()> {
+    fn walk_stmt(&self, stmt: &'a Stmt, locals: &mut Locals<'a>) -> Result<()> {
         match stmt {
             Stmt::Let(n, e) | Stmt::AssignLocal(n, e) => {
                 let r = self.expr_range(e, locals)?;
@@ -232,30 +223,23 @@ impl<'a> Verifier<'a> {
             Stmt::AssignField(_, e) | Stmt::Forward(e) => {
                 self.expr_range(e, locals)?;
             }
-            Stmt::MapPut(m, k, v) => {
-                self.state_used.insert(m.clone());
+            Stmt::MapPut(_, k, v) => {
                 self.expr_range(k, locals)?;
                 self.expr_range(v, locals)?;
             }
-            Stmt::MapDelete(m, k) => {
-                self.state_used.insert(m.clone());
+            Stmt::MapDelete(_, k) => {
                 self.expr_range(k, locals)?;
             }
             Stmt::RegWrite(r, i, v) => {
-                self.state_used.insert(r.clone());
                 self.check_reg_index(r, i, locals)?;
                 self.expr_range(v, locals)?;
             }
-            Stmt::Count(c) => {
-                self.state_used.insert(c.clone());
-            }
             Stmt::If(c, t, e) => {
                 self.expr_range(c, locals)?;
-                let mut lt = locals.clone();
-                let mut le = locals.clone();
-                self.walk_block(t, &mut lt)?;
-                self.walk_block(e, &mut le)?;
-                *locals = Locals::merge(lt, le);
+                let mut otherwise = locals.clone();
+                self.walk_block(t, locals)?;
+                self.walk_block(e, &mut otherwise)?;
+                locals.join(&otherwise);
             }
             Stmt::Repeat(n, body) => {
                 if *n > MAX_REPEAT {
@@ -265,24 +249,18 @@ impl<'a> Verifier<'a> {
                 }
                 // Loop bodies may update locals; analyze to fixpoint-lite by
                 // widening locals written in the body to FULL, then checking.
-                let mut widened = locals.clone();
-                widen_assigned(body, &mut widened);
-                self.walk_block(body, &mut widened)?;
-                *locals = widened;
+                widen_assigned(body, locals);
+                self.walk_block(body, locals)?;
             }
-            Stmt::Apply(t) => {
-                self.tables_applied.insert(t.clone());
-            }
-            Stmt::Recirculate => {
-                self.uses_recirculate = true;
-            }
-            Stmt::Invoke(s, args) => {
-                self.state_used.insert(format!("service:{s}"));
+            Stmt::Invoke(_, args) => {
                 for a in args {
                     self.expr_range(a, locals)?;
                 }
             }
-            Stmt::Drop
+            Stmt::Count(_)
+            | Stmt::Apply(_)
+            | Stmt::Recirculate
+            | Stmt::Drop
             | Stmt::Punt
             | Stmt::Return
             | Stmt::AddHeader(_)
@@ -291,7 +269,7 @@ impl<'a> Verifier<'a> {
         Ok(())
     }
 
-    fn check_reg_index(&mut self, reg: &str, idx: &Expr, locals: &Locals) -> Result<()> {
+    fn check_reg_index(&self, reg: &str, idx: &Expr, locals: &Locals<'_>) -> Result<()> {
         let size = self
             .program
             .state(reg)
@@ -308,7 +286,7 @@ impl<'a> Verifier<'a> {
         Ok(())
     }
 
-    fn expr_range(&mut self, e: &Expr, locals: &Locals) -> Result<Range> {
+    fn expr_range(&self, e: &Expr, locals: &Locals<'_>) -> Result<Range> {
         Ok(match e {
             Expr::Int(v) => Range::exactly(*v),
             Expr::Local(n) => locals.get(n),
@@ -319,14 +297,12 @@ impl<'a> Verifier<'a> {
                 .unwrap_or(Range::FULL),
             Expr::Field(FieldPath::Meta(_)) => Range::FULL,
             Expr::Valid(_) | Expr::MapHas(_, _) | Expr::MeterCheck(_, _) => {
-                if let Expr::MapHas(m, k) | Expr::MeterCheck(m, k) = e {
-                    self.state_used.insert(m.clone());
+                if let Expr::MapHas(_, k) | Expr::MeterCheck(_, k) = e {
                     self.expr_range(k, locals)?;
                 }
                 Range::up_to(1)
             }
             Expr::MapGet(m, k) => {
-                self.state_used.insert(m.clone());
                 self.expr_range(k, locals)?;
                 match self.program.state(m).map(|s| &s.kind) {
                     Some(StateKind::Map { value_width, .. }) => width_range(*value_width),
@@ -334,17 +310,13 @@ impl<'a> Verifier<'a> {
                 }
             }
             Expr::RegRead(r, i) => {
-                self.state_used.insert(r.clone());
                 self.check_reg_index(r, i, locals)?;
                 match self.program.state(r).map(|s| &s.kind) {
                     Some(StateKind::Register { width }) => width_range(*width),
                     _ => Range::FULL,
                 }
             }
-            Expr::CounterRead(c) => {
-                self.state_used.insert(c.clone());
-                Range::FULL
-            }
+            Expr::CounterRead(_) => Range::FULL,
             Expr::Hash(args) => {
                 for a in args {
                     self.expr_range(a, locals)?;
@@ -458,7 +430,7 @@ fn bin_range(op: BinOp, a: Range, b: Range) -> Range {
 
 /// After a loop body may run 0..n times, locals assigned inside can hold
 /// values from any iteration: widen them to FULL before checking the body.
-fn widen_assigned(block: &Block, locals: &mut Locals) {
+fn widen_assigned<'a>(block: &'a Block, locals: &mut Locals<'a>) {
     for s in block {
         match s {
             Stmt::Let(n, _) | Stmt::AssignLocal(n, _) => locals.set(n, Range::FULL),
@@ -482,14 +454,7 @@ pub fn analyze_expr_range(
     program: &Program,
     headers: &HeaderRegistry,
 ) -> Result<Range> {
-    let mut v = Verifier {
-        program,
-        headers,
-        tables_applied: BTreeSet::new(),
-        state_used: BTreeSet::new(),
-        uses_recirculate: false,
-    };
-    v.expr_range(e, &Locals::default())
+    Verifier { program, headers }.expr_range(e, &Locals::default())
 }
 
 // ---------------------------------------------------------------------------
@@ -572,7 +537,7 @@ mod tests {
         .unwrap();
         assert!(r.max_ops > 0 && r.max_ops < 10);
         assert!(r.all_paths_verdict);
-        assert!(r.state_used.contains("c"));
+        assert_eq!(r.handler_ops["ingress"], r.max_ops);
     }
 
     #[test]
@@ -740,16 +705,21 @@ mod tests {
     }
 
     #[test]
-    fn report_collects_tables_and_recirculate() {
+    fn report_bounds_each_handler_by_its_body_and_the_worst_action() {
         let r = verify(
             "program p {
-               table t { key { ipv4.src : exact; } size 4; }
+               table t { key { ipv4.src : exact; }
+                 action a() { meta.x = 1; meta.y = 2; } action b() { drop(); } size 4; }
                handler h(pkt) { apply t; recirculate(); }
+               handler g(pkt) { forward(1); }
              }",
         )
         .unwrap();
-        assert!(r.tables_applied.contains("t"));
-        assert!(r.uses_recirculate);
+        // `apply` 4 + `recirculate` 1, `forward(1)` 2; the worst action is
+        // `a`'s two assignments of 2 each, charged to every handler.
+        assert_eq!(r.handler_ops["h"], 5 + 4);
+        assert_eq!(r.handler_ops["g"], 2 + 4);
+        assert_eq!(r.max_ops, 9);
     }
 
     #[test]

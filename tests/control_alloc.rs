@@ -5,21 +5,27 @@
 //! shared block, and a device's state names live in its image's layout
 //! (§13), so a control operation allocates for what it changes — the
 //! newcomer's fragment, one merged `ingress` handler, the vectors of
-//! pointers and values — not for the eight tenants it leaves alone. Counts
-//! are exact and seed-free (a lossless fabric, fixed sources):
+//! pointers and values — not for the eight tenants it leaves alone. The
+//! checks that make a bundle an image borrow the program's names and the
+//! built-in headers are one static table (§18), so a seal allocates the
+//! image and little else. Counts are exact and seed-free (a lossless
+//! fabric, fixed sources):
 //!
-//! | measured here                                   | budget |   now | before layouts and blocks | before declarations |
-//! |-------------------------------------------------|-------:|------:|--------------------------:|--------------------:|
-//! | one `ctl_txn`-shaped op, mean of ops 16–39      |  1 300 | 1 141 |                     1 681 |               3 402 |
-//! | … of which the departure and the arrival        |    300 |   277 |                       493 |                   — |
-//! | … of which the four devices' `tick` to the flip |     64 |    45 |                       196 |                   — |
-//! | `ProgramBundle::clone()` of the 8-tenant bundle |      8 |     5 |                         5 |                 228 |
-//! | `==` of that bundle against its clone           |      0 |     0 |                         0 |                   0 |
-//! | `diff_bundles` of two successive compositions   |     16 |     4 |                         4 |                 187 |
+//! | measured here                                   | budget |   now | before borrowed names | before layouts and blocks | before declarations |
+//! |-------------------------------------------------|-------:|------:|----------------------:|--------------------------:|--------------------:|
+//! | one `ctl_txn`-shaped op, mean of ops 16–39      |  1 000 |   843 |                 1 141 |                     1 681 |               3 402 |
+//! | … of which the departure and the arrival        |    300 |   277 |                   277 |                       493 |                   — |
+//! | … of which the four devices' `tick` to the flip |     64 |    45 |                    45 |                       196 |                   — |
+//! | `ProgramBundle::clone()` of the 8-tenant bundle |      8 |     5 |                     5 |                         5 |                 228 |
+//! | `==` of that bundle against its clone           |      0 |     0 |                     0 |                         0 |                   0 |
+//! | `diff_bundles` of two successive compositions   |     16 |     4 |                     4 |                         4 |                 187 |
+//! | `ProgramImage::seal` of a clone of that bundle  |     96 |    32 |                   253 |                         — |                   — |
+//! | `apps::build` of one tenant source (`sketch41`) |     64 |    52 |                   111 |                         — |                   — |
 //!
-//! The last two columns count before the image owned its state layout and
-//! `if` branches were shared blocks (commit `ab0a1ba`), and before
-//! declarations were shared (`73c325c`).
+//! The last three columns count before the checker, the verifier and the
+//! header registry borrowed names (commit `91e328c`), before the image
+//! owned its state layout and `if` branches were shared blocks
+//! (`ab0a1ba`), and before declarations were shared (`73c325c`).
 //!
 //! The op is `flexbench`'s `ctl_txn` op: parse + check + verify a tenant
 //! source, the oldest of 8 tenants departs and the new one arrives, the
@@ -31,74 +37,20 @@
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "common/tenants.rs"]
+mod tenants;
 
 use counting_alloc::count;
 use flexnet::apps;
 use flexnet::prelude::*;
 use flexnet_controller::txn::LoggedTxnOutcome;
 use flexnet_controller::{logged_transactional_reconfig, IntendedStore, ReplicatedIntentLog};
+use flexnet_dataplane::ProgramImage;
 use flexnet_lang::diff::diff_bundles;
 use std::collections::VecDeque;
+use tenants::{churn, tenant_source, INFRA};
 
-const INFRA: &str = "program infra kind switch {
-   counter total;
-   service provide migrate_state(dst: u32);
-   handler ingress(pkt) { count(total); forward(0); }
- }";
-const TENANTS: usize = 8;
 const TARGETS: usize = 4;
-
-/// A tenant extension of one of three flavours; every constant comes from
-/// the op number.
-fn tenant_source(op: u64) -> String {
-    match op % 3 {
-        0 => format!(
-            "program meter{op} kind any {{
-               counter seen;
-               map hits : map<u32, u32>[{size}];
-               handler ingress(pkt) {{
-                 count(seen);
-                 let c = map_get(hits, ipv4.src) + {inc};
-                 map_put(hits, ipv4.src, c);
-                 if (c > {limit}) {{ drop(); }}
-               }}
-             }}",
-            size = 64 << (op % 3),
-            inc = 1 + op % 4,
-            limit = 1000 + op * 977,
-        ),
-        1 => format!(
-            "program acl{op} kind any {{
-               counter denied;
-               table rules {{
-                 key {{ ipv4.src : exact; tcp.dport : exact; }}
-                 action deny() {{ count(denied); drop(); }}
-                 action pass() {{ }}
-                 default pass();
-                 size {size};
-               }}
-               handler ingress(pkt) {{
-                 if (valid(tcp) && tcp.dport == {port}) {{ apply rules; }}
-               }}
-             }}",
-            size = 16 << (op % 3),
-            port = 1 + op * 131,
-        ),
-        _ => format!(
-            "program sketch{op} kind any {{
-               register row : u64[{width}];
-               counter updates;
-               handler ingress(pkt) {{
-                 let i = hash(ipv4.src, ipv4.dst, {salt}) % {width};
-                 reg_write(row, i, reg_read(row, i) + 1);
-                 count(updates);
-               }}
-             }}",
-            width = 128 << (op % 3),
-            salt = op * 7919 % 65_536,
-        ),
-    }
-}
 
 struct World {
     sim: Simulation,
@@ -138,16 +90,8 @@ impl World {
         let now = self.clock;
         // The front end: parse, header registry, check, verify.
         let extension = apps::build(src).unwrap();
-        let (churn, composed) = count(|| {
-            if self.live.len() >= TENANTS {
-                let oldest = self.live.pop_front().unwrap();
-                self.ctl.tenant_depart(oldest).unwrap();
-            }
-            let tenant = TenantId(op as u32 % 64 + 1);
-            let (_vlan, composed) = self.ctl.tenant_arrive(tenant, extension, now).unwrap();
-            self.live.push_back(tenant);
-            composed
-        });
+        let (churned, composed) =
+            count(|| churn(&mut self.ctl, &mut self.live, op, extension, now));
 
         let targets: Vec<(NodeId, ProgramBundle)> = (0..TARGETS)
             .map(|j| (self.leaves[(op as usize + j) % self.leaves.len()], composed.clone()))
@@ -178,7 +122,7 @@ impl World {
             assert_eq!(Some(dev.config_digest()), self.store.digest(*node));
         }
         self.clock = commit_at.max(report.finished_at) + SimDuration::from_millis(1);
-        (composed, Phases { churn, flips })
+        (composed, Phases { churn: churned, flips })
     }
 }
 
@@ -207,7 +151,7 @@ fn a_control_operation_allocates_for_what_it_changes() {
     }
     let (per_op, churn, flips) = (measured / 24, phases.churn / 24, phases.flips / 24);
     println!("control op: {per_op} allocations (mean of ops 16-39): depart + arrive {churn}, 4-flip tick {flips}");
-    assert!(per_op <= 1_300, "{per_op} allocations per control op");
+    assert!(per_op <= 1_000, "{per_op} allocations per control op");
     assert!(churn <= 300, "{churn} allocations per depart + arrive");
     assert!(flips <= 64, "{flips} allocations per 4-flip tick");
 
@@ -223,4 +167,16 @@ fn a_control_operation_allocates_for_what_it_changes() {
     println!("diff of successive compositions: {allocs} allocations, {} ops", ops.len());
     assert!(ops.len() >= 4, "{ops:?}");
     assert!(allocs <= 16, "{allocs} allocations to diff successive compositions");
+
+    // What the coordinator does with a target: seal a copy of it.
+    let (allocs, image) = count(|| ProgramImage::seal(last.clone()));
+    image.unwrap();
+    println!("seal of the 8-tenant composition: {allocs}");
+    assert!(allocs <= 96, "{allocs} allocations to seal the composition");
+    // The front end of one op: parse, header registry, check, verify.
+    let src = tenant_source(41);
+    let (allocs, built) = count(|| apps::build(&src));
+    built.unwrap();
+    println!("front end of one tenant source: {allocs}");
+    assert!(allocs <= 64, "{allocs} allocations to build one tenant source");
 }
