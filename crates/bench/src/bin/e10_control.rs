@@ -9,6 +9,7 @@
 //! classic distributed systems concerns on consensus and availability."
 
 use flexnet::prelude::*;
+use flexnet_bench::replicate::ReplicationGroup;
 use flexnet_bench::{header, row, sep};
 use flexnet_controller::drpc::ExecutionSite;
 
@@ -47,7 +48,7 @@ fn replication_section() {
         let mut group = ReplicationGroup::new(NodeId(1), vec![NodeId(2), NodeId(3)]);
         let mut cut = 0u64;
         for i in 1..=13u64 {
-            let epoch = group.cut_epoch(SimTime::from_millis(i * 100));
+            let epoch = group.cut_epoch();
             cut += 1;
             if i % sync_every == 0 {
                 group.record_applied(NodeId(2), epoch).unwrap();

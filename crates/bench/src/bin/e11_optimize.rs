@@ -10,12 +10,110 @@
 //! Part A sweeps table sizes through the merge transformation and reports
 //! the memory-for-latency trade. Part B runs a diurnal load profile through
 //! energy-aware vs latency-only placement and totals the energy.
+//!
+//! Both models are this experiment's own: the merge prediction
+//! ([`merge_tables`]) and the energy objective ([`choose_target`] under
+//! [`Objective::Energy`], priced by [`component_power_w`]) over the
+//! compiler's targets and the devices' cost models.
 
 use flexnet::prelude::*;
 use flexnet_bench::{bundle, header, row, sep};
-use flexnet_compiler::{choose_target, component_power_w, merge_tables, Objective};
-use flexnet_lang::ast::TableDecl;
+use flexnet_lang::ast::{ActionDecl, TableDecl};
+use flexnet_lang::ir::table_demand;
 use std::sync::Arc;
+
+/// The predicted memory effect of merging two sequentially-applied tables
+/// into one, which saves one table lookup per packet.
+struct MergePrediction {
+    /// Canonical demand before (both tables).
+    demand_before: ResourceVec,
+    /// Canonical demand after (the cross-product table).
+    demand_after: ResourceVec,
+}
+
+/// Predicts merging `a` and `b` into one cross-product table: the keys
+/// concatenated, every entry of `a` paired with every entry of `b` (`size =
+/// a.size * b.size`, the "cross product" memory blow-up), and one action
+/// per pair of actions (running `a`'s body, then `b`'s).
+fn merge_tables(
+    a: &TableDecl,
+    b: &TableDecl,
+    headers: &HeaderRegistry,
+) -> Result<MergePrediction> {
+    if a.name == b.name {
+        return Err(FlexError::Compile("cannot merge a table with itself".into()));
+    }
+    // The merged table as the demand model reads it: keys, size and the
+    // number of actions.
+    let pair = |x: &ActionDecl, y: &ActionDecl| ActionDecl {
+        name: format!("{}__{}", x.name, y.name),
+        params: Vec::new(),
+        body: Vec::new(),
+    };
+    let merged = TableDecl {
+        name: format!("{}__{}", a.name, b.name),
+        keys: [&a.keys[..], &b.keys[..]].concat(),
+        actions: (a.actions.iter())
+            .flat_map(|x| b.actions.iter().map(move |y| pair(x, y)))
+            .collect(),
+        default_action: None,
+        size: a.size.saturating_mul(b.size),
+    };
+    let mut demand_before = table_demand(a, headers);
+    demand_before += table_demand(b, headers);
+    Ok(MergePrediction {
+        demand_before,
+        demand_after: table_demand(&merged, headers),
+    })
+}
+
+/// How placement weighs latency vs. energy when choosing a target.
+enum Objective {
+    /// Minimize added per-packet latency.
+    Latency,
+    /// Minimize energy for the given offered load.
+    Energy {
+        /// Offered load in packets/second the component will process.
+        offered_pps: u64,
+    },
+}
+
+/// Total power (watts) of running a component on a target at an offered
+/// load, assuming the target is powered for this function: full idle power
+/// plus the load-proportional envelope plus per-packet energy. Infinite
+/// when the offered load exceeds the device's throughput (infeasible) —
+/// this is the crossover in Part B: small loads are cheapest on
+/// low-envelope targets (NICs), loads beyond their throughput force the
+/// ASIC.
+fn component_power_w(cost: &CostModel, offered_pps: u64) -> f64 {
+    if offered_pps > cost.throughput_pps {
+        return f64::INFINITY;
+    }
+    let util = (offered_pps as f64 / cost.throughput_pps as f64).clamp(0.0, 1.0);
+    cost.power_at(util) + cost.energy_per_pkt_uj * offered_pps as f64 / 1e6
+}
+
+/// Picks the best target for `component` among `candidates` under the given
+/// objective; `None` when nothing fits.
+fn choose_target(
+    component: &Component,
+    candidates: &[TargetView],
+    objective: Objective,
+) -> Option<usize> {
+    let demand = component.canonical_demand().ok()?;
+    let feasible = (0..candidates.len())
+        .filter(|&i| candidates[i].fits(component.kind(), &demand));
+    match objective {
+        Objective::Latency => feasible.min_by_key(|&i| {
+            flexnet_compiler::split::component_latency(component, &candidates[i])
+        }),
+        Objective::Energy { offered_pps } => feasible.min_by(|&a, &b| {
+            let pa = component_power_w(&candidates[a].cost_model(), offered_pps);
+            let pb = component_power_w(&candidates[b].cost_model(), offered_pps);
+            pa.total_cmp(&pb)
+        }),
+    }
+}
 
 fn two_tables(a_size: u64, b_size: u64) -> (Arc<TableDecl>, Arc<TableDecl>) {
     let p = bundle(&format!(
@@ -141,4 +239,89 @@ fn main() {
          the low-envelope NIC at night and only activates the ASIC when load \
          exceeds NIC throughput."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn probe(kind: &str) -> Component {
+        Component::new(
+            "probe",
+            bundle(&format!(
+                "program probe kind {kind} {{ handler ingress(pkt) {{ forward(0); }} }}"
+            )),
+        )
+    }
+
+    #[test]
+    fn merge_trades_cross_product_memory_for_a_lookup() {
+        let (a, b) = two_tables(64, 32);
+        let m = merge_tables(&a, &b, &HeaderRegistry::builtins()).unwrap();
+        // 1 KiB each before; after, 64 x 32 entries of (32 + 16)-bit keys
+        // plus a 32-bit action descriptor.
+        assert_eq!(m.demand_before.get(ResourceKind::SramKb), 2);
+        assert_eq!(m.demand_after.get(ResourceKind::SramKb), 20);
+        // One action per pair of actions.
+        assert_eq!(m.demand_after.get(ResourceKind::ActionSlots), 1);
+        let (c, d) = two_tables(16, 16);
+        let wide = TableDecl {
+            actions: [&c.actions[..], &c.actions[..]].concat(),
+            ..TableDecl::clone(&c)
+        };
+        let m = merge_tables(&wide, &d, &HeaderRegistry::builtins()).unwrap();
+        assert_eq!(m.demand_after.get(ResourceKind::ActionSlots), 2);
+    }
+
+    #[test]
+    fn self_merge_rejected() {
+        let (a, _) = two_tables(4, 4);
+        assert!(merge_tables(&a, &a, &HeaderRegistry::builtins()).is_err());
+    }
+
+    #[test]
+    fn energy_objective_prefers_nic_at_low_load_asic_at_high() {
+        // Marginal-power model: at low pps everything is cheap, but the
+        // SmartNIC's small envelope wins; at very high pps the ASIC's tiny
+        // per-packet energy wins despite its bigger envelope.
+        let comp = probe("any");
+        let candidates = vec![
+            TargetView::fresh(NodeId(1), Architecture::drmt_default()),
+            TargetView::fresh(NodeId(2), Architecture::smartnic_default()),
+        ];
+        let low = choose_target(&comp, &candidates, Objective::Energy { offered_pps: 10_000 })
+            .unwrap();
+        assert_eq!(candidates[low].node, NodeId(2), "NIC wins at low load");
+        let high = choose_target(
+            &comp,
+            &candidates,
+            Objective::Energy {
+                offered_pps: 500_000_000, // beyond the NIC's 50 Mpps
+            },
+        )
+        .unwrap();
+        assert_eq!(candidates[high].node, NodeId(1), "ASIC wins at high load");
+    }
+
+    #[test]
+    fn latency_objective_prefers_asic() {
+        let candidates = vec![
+            TargetView::fresh(NodeId(1), Architecture::host_default()),
+            TargetView::fresh(NodeId(2), Architecture::drmt_default()),
+        ];
+        let i = choose_target(&probe("any"), &candidates, Objective::Latency).unwrap();
+        assert_eq!(candidates[i].node, NodeId(2));
+    }
+
+    #[test]
+    fn choose_target_none_when_nothing_fits() {
+        let candidates = vec![TargetView::fresh(NodeId(1), Architecture::host_default())];
+        assert!(choose_target(&probe("switch"), &candidates, Objective::Latency).is_none());
+    }
+
+    #[test]
+    fn component_power_monotone_in_load() {
+        let cm = CostModel::for_arch(ArchClass::Host);
+        assert!(component_power_w(&cm, 1_000_000) > component_power_w(&cm, 1_000));
+    }
 }

@@ -13,6 +13,7 @@
 
 use flexnet::apps::security;
 use flexnet::prelude::*;
+use flexnet_bench::scale::{ElasticScaler, ScalingPolicy};
 use flexnet_bench::{header, row, sep};
 
 const DETECTION_DELAY_MS: u64 = 50;

@@ -9,11 +9,18 @@
 //!   checks) and swept by one driver ([`sweep`]): the `chaos` binary,
 //!   `chaos <suite|all> [seeds]`. A suite runs a seed on one [`Arm`] —
 //!   protected, or ablated for the oracle seeds that must keep failing.
+//! - A model only one experiment reaches lives beside that experiment:
+//!   [`scale`] (E3's elastic scaler, also `examples/security_response.rs`)
+//!   and [`replicate`] (E10's replication groups, also
+//!   `tests/migration_and_control.rs`) here; E2's Mantis/HyPer4 baselines
+//!   and E11's table merge and energy objective inside their binaries.
 //!
-//! The controller library ships none of this: a test rig linked into
-//! `flexnetc` and the benchmark is a rig nobody can delete.
+//! The libraries ship none of this: a test rig or an experiment's model
+//! linked into `flexnetc` and the benchmark is code nobody can delete.
 
 pub mod fixture;
+pub mod replicate;
+pub mod scale;
 pub mod sweep;
 /// The seeded chaos suites, one module per experiment.
 pub mod suites {

@@ -1,4 +1,4 @@
-//! State replication and failover.
+//! State replication and failover: experiment E10's replication groups.
 //!
 //! Paper §3.4: "To detect and tolerate device failures, the FlexNet
 //! controller replicates important network state in a logical datapath
@@ -10,7 +10,7 @@
 //! Failover promotes the replica with the freshest epoch, and reports how
 //! many epochs of updates were lost (zero when synchronization kept up).
 
-use flexnet_types::{FlexError, NodeId, Result, SimTime};
+use flexnet_types::{FlexError, NodeId, Result};
 use std::collections::BTreeMap;
 
 /// A replicated-state group for one app.
@@ -24,8 +24,6 @@ pub struct ReplicationGroup {
     epoch: u64,
     /// Replica → last applied epoch.
     applied: BTreeMap<NodeId, u64>,
-    /// Last synchronization instant.
-    pub last_sync: SimTime,
 }
 
 /// The outcome of a failover.
@@ -48,20 +46,13 @@ impl ReplicationGroup {
             replicas,
             epoch: 0,
             applied,
-            last_sync: SimTime::ZERO,
         }
-    }
-
-    /// The current primary epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Cuts a new snapshot epoch at the primary (callers then copy the
     /// snapshot to replicas and record each application).
-    pub fn cut_epoch(&mut self, now: SimTime) -> u64 {
+    pub fn cut_epoch(&mut self) -> u64 {
         self.epoch += 1;
-        self.last_sync = now;
         self.epoch
     }
 
@@ -118,9 +109,9 @@ mod tests {
     #[test]
     fn failover_promotes_freshest_replica() {
         let mut g = ReplicationGroup::new(NodeId(1), vec![NodeId(2), NodeId(3)]);
-        let e1 = g.cut_epoch(SimTime::from_secs(1));
+        let e1 = g.cut_epoch();
         g.record_applied(NodeId(2), e1).unwrap();
-        let e2 = g.cut_epoch(SimTime::from_secs(2));
+        let e2 = g.cut_epoch();
         g.record_applied(NodeId(3), e2).unwrap();
         // Node 3 has epoch 2, node 2 only epoch 1.
         let report = g.fail_node(NodeId(1)).unwrap().unwrap();
@@ -133,9 +124,9 @@ mod tests {
     #[test]
     fn failover_reports_lost_epochs_when_stale() {
         let mut g = ReplicationGroup::new(NodeId(1), vec![NodeId(2)]);
-        g.cut_epoch(SimTime::from_secs(1));
-        g.cut_epoch(SimTime::from_secs(2));
-        g.cut_epoch(SimTime::from_secs(3)); // replica never applied any
+        g.cut_epoch();
+        g.cut_epoch();
+        g.cut_epoch(); // replica never applied any
         let report = g.fail_node(NodeId(1)).unwrap().unwrap();
         assert_eq!(report.lost_epochs, 3);
     }

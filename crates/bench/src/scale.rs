@@ -1,4 +1,4 @@
-//! Elastic scaling of in-network apps.
+//! Elastic scaling of in-network apps: experiment E3's scaler.
 //!
 //! Paper §1.1 (real-time security): defenses are "elastic, capable of
 //! scaling, replicating, and migrating to other locations based on changing

@@ -12,8 +12,9 @@
 //!   horizontal splitter over a physical path (paper §3.1).
 //! - [`incremental`] — maximally-adjacent incremental recompilation with
 //!   SLA re-certification.
-//! - [`optimize`] — table merging (cross-product memory for one fewer
-//!   lookup) and energy/latency-aware target selection.
+//!
+//! Table merging and energy-aware target choice (§3.3's other objectives)
+//! are experiment E11's models, and live beside it in `flexnet-bench`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -21,13 +22,11 @@
 pub mod binpack;
 pub mod fungible;
 pub mod incremental;
-pub mod optimize;
 pub mod split;
 pub mod target;
 
 pub use binpack::{pack, PackStrategy};
 pub use fungible::{compile_fungible, FungibleOptions, FungibleOutcome, Reclaimable};
 pub use incremental::{recompile_full, recompile_incremental, IncrementalResult};
-pub use optimize::{choose_target, component_power_w, merge_tables, MergePrediction, Objective};
 pub use split::{split_datapath, LogicalDatapath, SplitResult};
 pub use target::{Component, Placement, TargetView};

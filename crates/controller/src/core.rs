@@ -155,35 +155,53 @@ pub struct FailureDetector {
     /// Minimum processed-packet delta before a slope is judged — a
     /// handful of packets is noise, not a health signal.
     degrade_min_sample: u64,
-    last_seen: BTreeMap<NodeId, SimTime>,
-    status: BTreeMap<NodeId, Health>,
-    /// Latest boot id each node's heartbeats reported.
-    reported_boot: BTreeMap<NodeId, u64>,
-    /// Boot id last acknowledged by a poll (flap detection edge).
-    acked_boot: BTreeMap<NodeId, u64>,
-    /// Latest config digest each node's heartbeats reported.
-    digests: BTreeMap<NodeId, u64>,
-    /// Data-path counters at the last judged heartbeat, per node.
-    counters: BTreeMap<NodeId, DataPathHealth>,
-    /// Whether the last judged slope exceeded the degrade threshold.
-    datapath_degraded: BTreeMap<NodeId, bool>,
-    /// Latest sandbox-quarantine flag each node's heartbeats reported.
-    reported_quarantine: BTreeMap<NodeId, bool>,
-    /// Quarantine episodes already surfaced by a poll (edge detection).
-    acked_quarantine: BTreeMap<NodeId, bool>,
-    /// Cumulative trap count from the latest heartbeat, per node.
-    reported_traps: BTreeMap<NodeId, u64>,
-    /// Latest *indirect* liveness evidence per node (data-plane counters
-    /// advancing, a peer relaying the node's traffic). Distinguishes a
-    /// one-way-partitioned device ([`Health::Unreachable`]) from a dead
-    /// one: heartbeats silent in both cases, but only the former keeps
-    /// producing hints.
-    liveness_hints: BTreeMap<NodeId, SimTime>,
+    /// What the detector knows of each node, in `NodeId` order (the order
+    /// of `poll` and `graded`).
+    nodes: BTreeMap<NodeId, NodeView>,
     /// Ablation hook for the E20 chaos suite: `false` disables the
     /// heartbeat monotonicity guard so the protections-off arm can
     /// demonstrate the damage reordered beats do. Always `true` in
     /// production paths.
     pub monotone_guard: bool,
+}
+
+/// One node as the [`FailureDetector`] sees it.
+#[derive(Debug, Clone, Default)]
+struct NodeView {
+    /// Send time of the latest heartbeat; `None` for a node known only
+    /// from a liveness hint, which `poll` does not grade.
+    last_seen: Option<SimTime>,
+    /// The grade as of the last poll.
+    status: Option<Health>,
+    /// Latest boot id the node's heartbeats reported.
+    reported_boot: Option<u64>,
+    /// Boot id last acknowledged by a poll (flap detection edge); set by
+    /// the first full heartbeat, so it is meaningful once `reported_boot`
+    /// is.
+    acked_boot: u64,
+    /// Latest config digest the node's heartbeats reported.
+    digest: Option<u64>,
+    /// Data-path counters at the last judged heartbeat.
+    counters: Option<DataPathHealth>,
+    /// Whether the last judged slope exceeded the degrade threshold.
+    datapath_degraded: bool,
+    /// Latest sandbox-quarantine flag the node's heartbeats reported.
+    reported_quarantine: bool,
+    /// Whether a poll already surfaced the current quarantine episode.
+    acked_quarantine: bool,
+    /// Cumulative trap count from the latest heartbeat.
+    reported_traps: u64,
+    /// Latest *indirect* liveness evidence (data-plane counters advancing,
+    /// a peer relaying the node's traffic). Distinguishes a
+    /// one-way-partitioned device ([`Health::Unreachable`]) from a dead
+    /// one: heartbeats silent in both cases, but only the former keeps
+    /// producing hints.
+    liveness_hint: Option<SimTime>,
+}
+
+/// Moves `slot` forward to `now`, never back.
+fn advance(slot: &mut Option<SimTime>, now: SimTime) {
+    *slot = Some(slot.map_or(now, |t| t.max(now)));
 }
 
 impl FailureDetector {
@@ -197,17 +215,7 @@ impl FailureDetector {
             period_scale: 1,
             degrade_threshold_ppm: 200_000,
             degrade_min_sample: 8,
-            last_seen: BTreeMap::new(),
-            status: BTreeMap::new(),
-            reported_boot: BTreeMap::new(),
-            acked_boot: BTreeMap::new(),
-            digests: BTreeMap::new(),
-            counters: BTreeMap::new(),
-            datapath_degraded: BTreeMap::new(),
-            reported_quarantine: BTreeMap::new(),
-            acked_quarantine: BTreeMap::new(),
-            reported_traps: BTreeMap::new(),
-            liveness_hints: BTreeMap::new(),
+            nodes: BTreeMap::new(),
             monotone_guard: true,
         }
     }
@@ -225,10 +233,7 @@ impl FailureDetector {
     /// Records a bare heartbeat from `node` at `now` (liveness only — no
     /// incarnation or digest payload; flap detection stays quiet).
     pub fn observe(&mut self, node: NodeId, now: SimTime) {
-        let seen = self.last_seen.entry(node).or_insert(now);
-        if now > *seen {
-            *seen = now;
-        }
+        advance(&mut self.nodes.entry(node).or_default().last_seen, now);
     }
 
     /// Records a full heartbeat: liveness plus the device's monotone
@@ -249,21 +254,32 @@ impl FailureDetector {
         boot_id: u64,
         digest: u64,
     ) -> bool {
-        let stale_time = self.last_seen.get(&node).is_some_and(|&seen| now < seen);
-        let stale_boot = self
-            .reported_boot
-            .get(&node)
-            .is_some_and(|&reported| boot_id < reported);
+        self.heartbeat(node, now, boot_id, digest).is_some()
+    }
+
+    /// [`FailureDetector::observe_heartbeat`], handing back the node's
+    /// view when the beat was fresh.
+    fn heartbeat(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        boot_id: u64,
+        digest: u64,
+    ) -> Option<&mut NodeView> {
+        let view = self.nodes.entry(node).or_default();
+        let stale_time = view.last_seen.is_some_and(|seen| now < seen);
+        let stale_boot = view.reported_boot.is_some_and(|reported| boot_id < reported);
         if self.monotone_guard && (stale_time || stale_boot) {
-            return false;
+            return None;
         }
-        self.observe(node, now);
-        self.reported_boot.insert(node, boot_id);
+        advance(&mut view.last_seen, now);
         // The first heartbeat establishes the baseline incarnation: a
         // device the controller has never seen cannot have flapped.
-        self.acked_boot.entry(node).or_insert(boot_id);
-        self.digests.insert(node, digest);
-        true
+        if view.reported_boot.replace(boot_id).is_none() {
+            view.acked_boot = boot_id;
+        }
+        view.digest = Some(digest);
+        Some(view)
     }
 
     /// Records a full heartbeat that additionally carries the device's
@@ -282,37 +298,35 @@ impl FailureDetector {
         digest: u64,
         health: DataPathHealth,
     ) {
-        if !self.observe_heartbeat(node, now, boot_id, digest) {
+        let (min_sample, threshold_ppm) = (self.degrade_min_sample, self.degrade_threshold_ppm);
+        let Some(view) = self.heartbeat(node, now, boot_id, digest) else {
             // Stale (reordered) beat: its counters describe a past the
             // detector has already moved beyond — judge nothing from it.
             return;
-        }
+        };
         // The quarantine flag is authoritative, not a slope: the device
         // itself judged its program and swapped it out. Record it before
         // any sampling-floor early return, and clear the episode edge
         // when a replacement install lifts it.
-        self.reported_quarantine.insert(node, health.quarantined);
-        self.reported_traps.insert(node, health.traps);
+        view.reported_quarantine = health.quarantined;
+        view.reported_traps = health.traps;
         if !health.quarantined {
-            self.acked_quarantine.insert(node, false);
+            view.acked_quarantine = false;
         }
-        let prev = *self.counters.entry(node).or_insert(health);
+        let prev = *view.counters.get_or_insert(health);
         if health.processed < prev.processed || health.dropped < prev.dropped {
-            self.counters.insert(node, health);
-            self.datapath_degraded.insert(node, health.quarantined);
+            view.counters = Some(health);
+            view.datapath_degraded = health.quarantined;
             return;
         }
         let d_processed = health.processed - prev.processed;
-        if d_processed >= self.degrade_min_sample {
+        if d_processed >= min_sample {
             let d_dropped = health.dropped - prev.dropped;
-            self.counters.insert(node, health);
-            self.datapath_degraded.insert(
-                node,
-                health.quarantined
-                    || d_dropped * 1_000_000 / d_processed >= self.degrade_threshold_ppm,
-            );
+            view.counters = Some(health);
+            view.datapath_degraded =
+                health.quarantined || d_dropped * 1_000_000 / d_processed >= threshold_ppm;
         } else if health.quarantined {
-            self.datapath_degraded.insert(node, true);
+            view.datapath_degraded = true;
         }
         // Under the sample floor: keep both the stored counters and the
         // previous verdict, so slow trickles still accumulate into a
@@ -353,7 +367,7 @@ impl FailureDetector {
 
     /// Whether `node`'s latest heartbeat reported a sandbox quarantine.
     pub fn quarantine_reported(&self, node: NodeId) -> bool {
-        self.reported_quarantine.get(&node) == Some(&true)
+        self.nodes.get(&node).is_some_and(|v| v.reported_quarantine)
     }
 
     /// Records *indirect* liveness evidence for `node` at `now`: its
@@ -369,10 +383,7 @@ impl FailureDetector {
     /// partition — suppress remediation) instead of [`Health::Dead`]
     /// (route around and reprovision).
     pub fn note_liveness_hint(&mut self, node: NodeId, now: SimTime) {
-        let hint = self.liveness_hints.entry(node).or_insert(now);
-        if now > *hint {
-            *hint = now;
-        }
+        advance(&mut self.nodes.entry(node).or_default().liveness_hint, now);
     }
 
     /// Re-grades every known device at `now` and returns the typed
@@ -387,19 +398,19 @@ impl FailureDetector {
             scale(self.recover_after),
         );
         let mut transitions = Vec::new();
-        for (&node, &seen) in &self.last_seen {
+        for (&node, view) in &mut self.nodes {
+            let Some(seen) = view.last_seen else { continue };
             let silence = now.saturating_since(seen);
-            let prev_grade = self.status.get(&node).copied();
+            let prev_grade = view.status;
             let health = if silence >= dead_after {
                 // Heartbeat-dead. Before declaring the device gone,
                 // consult indirect evidence: a fresh liveness hint means
                 // the device is alive and forwarding — we just cannot
                 // hear it (one-way partition). Grade it Unreachable so
                 // admission refuses it but nothing *remediates* it.
-                let hint_fresh = self
-                    .liveness_hints
-                    .get(&node)
-                    .is_some_and(|&h| now.saturating_since(h) < dead_after);
+                let hint_fresh = view
+                    .liveness_hint
+                    .is_some_and(|h| now.saturating_since(h) < dead_after);
                 if hint_fresh {
                     Health::Unreachable
                 } else {
@@ -414,14 +425,13 @@ impl FailureDetector {
                 // would flap it straight back to Suspect on the next late
                 // beat. Hold the previous grade until a punctual beat.
                 prev_grade.unwrap()
-            } else if self.datapath_degraded.get(&node) == Some(&true) {
+            } else if view.datapath_degraded {
                 // Punctual heartbeats, misbehaving data path: gray.
                 Health::Degraded
             } else {
                 Health::Healthy
             };
-            let prev = self.status.insert(node, health);
-            if prev != Some(health) {
+            if view.status.replace(health) != Some(health) {
                 transitions.push((node, HealthEvent::Graded(health)));
             }
             // A boot-id advance is reported once the device is heartbeating
@@ -429,32 +439,27 @@ impl FailureDetector {
             // restart faster than one heartbeat period still wipes state).
             // Degraded devices are heartbeating too, so their flaps report.
             if health <= Health::Degraded {
-                let reported = self.reported_boot.get(&node).copied();
-                let acked = self.acked_boot.get(&node).copied();
-                if let (Some(new_boot_id), Some(old_boot_id)) = (reported, acked) {
-                    if new_boot_id > old_boot_id {
-                        self.acked_boot.insert(node, new_boot_id);
-                        transitions.push((
-                            node,
-                            HealthEvent::Flapped {
-                                old_boot_id,
-                                new_boot_id,
-                            },
-                        ));
-                    }
+                let old_boot_id = view.acked_boot;
+                if let Some(new_boot_id) = view.reported_boot.filter(|&b| b > old_boot_id) {
+                    view.acked_boot = new_boot_id;
+                    transitions.push((
+                        node,
+                        HealthEvent::Flapped {
+                            old_boot_id,
+                            new_boot_id,
+                        },
+                    ));
                 }
                 // A quarantine episode is reported exactly once: on the
                 // first poll after the flag appears. A replacement
                 // install clears the flag (and the ack), re-arming the
                 // edge for any later episode.
-                if self.reported_quarantine.get(&node) == Some(&true)
-                    && self.acked_quarantine.get(&node) != Some(&true)
-                {
-                    self.acked_quarantine.insert(node, true);
+                if view.reported_quarantine && !view.acked_quarantine {
+                    view.acked_quarantine = true;
                     transitions.push((
                         node,
                         HealthEvent::Quarantined {
-                            traps: self.reported_traps.get(&node).copied().unwrap_or(0),
+                            traps: view.reported_traps,
                         },
                     ));
                 }
@@ -466,26 +471,25 @@ impl FailureDetector {
     /// The current grade of `node` (as of the last poll), if it has ever
     /// heartbeated.
     pub fn health(&self, node: NodeId) -> Option<Health> {
-        self.status.get(&node).copied()
+        self.nodes.get(&node).and_then(|v| v.status)
     }
 
     /// Devices currently graded `grade`.
     pub fn graded(&self, grade: Health) -> Vec<NodeId> {
-        self.status
-            .iter()
-            .filter(|(_, h)| **h == grade)
+        (self.nodes.iter())
+            .filter(|(_, v)| v.status == Some(grade))
             .map(|(n, _)| *n)
             .collect()
     }
 
     /// The latest configuration digest `node`'s heartbeats reported.
     pub fn digest(&self, node: NodeId) -> Option<u64> {
-        self.digests.get(&node).copied()
+        self.nodes.get(&node).and_then(|v| v.digest)
     }
 
     /// The latest boot id `node`'s heartbeats reported.
     pub fn boot_id(&self, node: NodeId) -> Option<u64> {
-        self.reported_boot.get(&node).copied()
+        self.nodes.get(&node).and_then(|v| v.reported_boot)
     }
 
     /// The admission gate for new transactions, waves, and resyncs: only
@@ -500,7 +504,7 @@ impl FailureDetector {
     /// partition to heal (and the grade to clear) rather than rewrite a
     /// configuration the device is actively using.
     pub fn admit(&self, node: NodeId) -> Result<()> {
-        match self.status.get(&node) {
+        match self.health(node) {
             None | Some(Health::Healthy) => Ok(()),
             Some(grade) => Err(FlexError::DegradedDevice {
                 node: u64::from(node.raw()),
@@ -980,6 +984,25 @@ mod tests {
             fd.poll(SimTime::from_millis(200)),
             vec![(n, HealthEvent::Graded(Health::Suspect))],
             "hints only soften Dead into Unreachable, nothing else"
+        );
+    }
+
+    #[test]
+    fn a_hint_for_a_node_that_never_heartbeated_grades_nothing() {
+        let mut fd = FailureDetector::default();
+        let n = NodeId(11);
+        fd.note_liveness_hint(n, SimTime::from_millis(10));
+        for ms in [20, 400, 2_000] {
+            assert_eq!(fd.poll(SimTime::from_millis(ms)), vec![]);
+        }
+        assert_eq!(fd.health(n), None);
+        assert!(fd.graded(Health::Unreachable).is_empty());
+        fd.admit(n).unwrap();
+        // Its first heartbeat starts the grading as for any new node.
+        fd.observe(n, SimTime::from_millis(2_000));
+        assert_eq!(
+            fd.poll(SimTime::from_millis(2_010)),
+            vec![(n, HealthEvent::Graded(Health::Healthy))]
         );
     }
 

@@ -10,7 +10,6 @@
 //!   composition-based access control.
 //! - [`migrate`] — control-plane vs. in-data-plane state migration (the
 //!   count-min-sketch argument of §3.4).
-//! - [`scale`] — elastic scaling with hysteresis and cooldown.
 //! - [`drpc`] — data-plane RPC registry, discovery, and latency model.
 //! - [`retry`] — lossy control fabric, retry policies with exponential
 //!   backoff and deadlines, and the one controller→device command
@@ -19,7 +18,6 @@
 //! - [`txn`] — transactional network-wide reconfiguration (two-phase
 //!   commit with rollback): two drivers, plain and journaled, over one
 //!   set of prepare / abort / commit steps that [`recovery`] shares.
-//! - [`replicate`] — replicated state groups with epoch-based failover.
 //! - [`raft`] — simulated Raft for physically distributed controllers.
 //! - [`wal`] — the replicated write-ahead intent log for crash-recovery.
 //! - [`recovery`] — the recovery coordinator: log replay, epoch fencing,
@@ -43,6 +41,9 @@
 //! `flexnet_bench::suites`, swept by the `chaos` binary — and the models
 //! only one suite needs live beside it there (the E17 retry budget,
 //! breakers, admission queue and governor; the E20 fabric adversary).
+//! The same holds for the models only one experiment reaches: E3's
+//! elastic scaler and E10's replication groups are
+//! `flexnet_bench::{scale, replicate}`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -53,11 +54,9 @@ pub mod drpc;
 pub mod migrate;
 pub mod raft;
 pub mod recovery;
-pub mod replicate;
 pub mod resync;
 pub mod retry;
 pub mod rollout;
-pub mod scale;
 pub mod storage;
 pub mod tenant;
 pub mod txn;
@@ -68,9 +67,7 @@ pub use apps::{AppRecord, AppRegistry, AppStatus};
 pub use drpc::{ExecutionSite, Invocation, ServiceRegistry};
 pub use migrate::{Migration, MigrationReport, MigrationStrategy};
 pub use raft::{CommittedView, RaftCluster, Role};
-pub use replicate::{FailoverReport, ReplicationGroup};
 pub use retry::{invoke_with_retry, with_retry, LossyFabric, RetryOutcome, RetryPolicy};
-pub use scale::{ElasticScaler, ScaleDecision, ScalingPolicy};
 pub use recovery::{recover, RecoveryReport, TxnResolution};
 pub use rollout::{
     resume_rollouts, run_rollout, RolloutCrash, RolloutOutcome, RolloutPlan, RolloutReport,

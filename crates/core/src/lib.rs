@@ -13,9 +13,9 @@
 //! | [`types`] | Packets, header stacks, ids, resource vectors, simulated time |
 //! | [`lang`] | FlexBPF: parser, type checker, verifier, interpreter, patch DSL, composition |
 //! | [`dataplane`] | RMT/dRMT/tiled/NIC/host device models with **hitless runtime reconfiguration** |
-//! | [`compiler`] | Fungible compilation: bin-packing + GC/realloc retry, datapath splitting, incremental recompilation, energy/latency objectives |
+//! | [`compiler`] | Fungible compilation: bin-packing + GC/realloc retry, datapath splitting, incremental recompilation |
 //! | [`sim`] | Discrete-event network simulator: topology, traffic, metrics |
-//! | [`controller`] | URI-named app management, tenants, migration, scaling, dRPC, replication, Raft |
+//! | [`controller`] | URI-named app management, tenants, migration, dRPC, Raft, transactions, recovery |
 //! | [`apps`] | Ready-made FlexBPF apps: firewall, sketches, load balancers, CC components |
 //!
 //! ## Quickstart
@@ -60,7 +60,10 @@ pub use flexnet_lang as lang;
 pub use flexnet_sim as sim;
 pub use flexnet_types as types;
 
-/// One-stop imports for applications and experiments.
+/// One-stop imports for applications and experiments: what the libraries
+/// run. A model only one experiment reaches (Mantis/HyPer4, table merging
+/// and the energy objective, elastic scaling, replication groups) lives
+/// beside that experiment in `flexnet-bench`, not here.
 pub mod prelude {
     pub use flexnet_compiler::{
         compile_fungible, pack, recompile_full, recompile_incremental, split_datapath,
@@ -68,13 +71,12 @@ pub mod prelude {
     };
     pub use flexnet_controller::{
         invoke_with_retry, transactional_reconfig, transactional_reconfig_over, Controller,
-        ElasticScaler, FailureDetector, Health, HealthEvent, LossyFabric, Migration,
-        MigrationStrategy, RaftCluster, ReplicationGroup, RetryPolicy, ScaleDecision,
-        ScalingPolicy, ServiceRegistry, TxnOutcome, TxnReport,
+        FailureDetector, Health, HealthEvent, LossyFabric, Migration, MigrationStrategy,
+        RaftCluster, RetryPolicy, ServiceRegistry, TxnOutcome, TxnReport,
     };
     pub use flexnet_dataplane::{
-        ArchClass, Architecture, CostModel, Device, Hyper4Device, KeyMatch, MantisDevice,
-        ReconfigMode, ReconfigOutcome, StateEncoding, TableEntry,
+        ArchClass, Architecture, CostModel, Device, KeyMatch, ReconfigMode, ReconfigOutcome,
+        StateEncoding, TableEntry,
     };
     pub use flexnet_lang::prelude::*;
     pub use flexnet_sim::{

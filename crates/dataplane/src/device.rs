@@ -18,7 +18,7 @@ use crate::table::{TableEntry, TableSet};
 use flexnet_lang::bytecode::{
     self, CompiledProgram, SlotEnv, SlotResolver, SymbolKind,
 };
-use flexnet_lang::ast::Program;
+use flexnet_lang::ast::{visit_names, Program};
 use flexnet_lang::diff::{ProgramBundle, ReconfigOp};
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::ir::program_elements;
@@ -833,29 +833,23 @@ impl Device {
     fn place_elements(&mut self, installed: &InstalledProgram) -> Result<()> {
         let (bundle, registry) = installed.code.parts();
         let elements = program_elements(&bundle.program, &bundle.headers, registry);
-        // Determine table application order from handlers.
-        let mut apply_order: Vec<String> = Vec::new();
+        // The tables the handlers apply: in a checked program a table name
+        // a handler mentions is an `apply` (states and tables share one
+        // namespace).
+        let mut applied: Vec<&str> = Vec::new();
         for h in &bundle.program.handlers {
-            collect_applies(&h.body, &mut apply_order);
+            visit_names(&h.body, &mut |n| applied.push(n));
         }
         let mut last_stage = 0usize;
         let mut placed: Vec<String> = Vec::new();
         let result = (|| {
             for e in &elements {
-                let min_stage = if e.kind == flexnet_lang::ir::ElementKind::Table
-                    && apply_order.contains(&e.name)
-                {
-                    last_stage
-                } else {
-                    0
-                };
+                let ordered = e.kind == flexnet_lang::ir::ElementKind::Table
+                    && applied.contains(&e.name.as_str());
+                let min_stage = if ordered { last_stage } else { 0 };
                 let loc = self.allocator.alloc(&e.name, &e.demand, min_stage)?;
                 placed.push(e.name.clone());
-                if let (crate::arch::Location::Stage(s), true) = (
-                    loc,
-                    e.kind == flexnet_lang::ir::ElementKind::Table
-                        && apply_order.contains(&e.name),
-                ) {
+                if let (crate::arch::Location::Stage(s), true) = (loc, ordered) {
                     last_stage = s;
                 }
             }
@@ -1282,22 +1276,6 @@ impl Device {
         self.window = TrapWindow::default();
         self.active = self.last_good.take().map(|good| *good);
         self.version = self.version.next();
-    }
-}
-
-/// Collects table names in `apply` order.
-fn collect_applies(block: &[flexnet_lang::ast::Stmt], out: &mut Vec<String>) {
-    use flexnet_lang::ast::Stmt;
-    for s in block {
-        match s {
-            Stmt::Apply(t) if !out.contains(t) => out.push(t.clone()),
-            Stmt::If(_, a, b) => {
-                collect_applies(a, out);
-                collect_applies(b, out);
-            }
-            Stmt::Repeat(_, b) => collect_applies(b, out),
-            _ => {}
-        }
     }
 }
 

@@ -20,8 +20,9 @@
 //!   by `Arc`) and the configuration digest memoised on them.
 //! - [`reconfig`] — hitless runtime reconfiguration (shadow program +
 //!   atomic version flip), the drain/reflash compile-time baseline, and an
-//!   unsafe in-place ablation (§2).
-//! - [`baseline`] — Mantis- and HyPer4-style approximations (§1.1).
+//!   unsafe in-place ablation (§2). The Mantis- and HyPer4-style
+//!   approximations of §1.1 are experiment E2's, and live beside it in
+//!   `flexnet-bench`.
 //! - [`cost`] — per-architecture latency/reconfiguration/energy models.
 //! - [`wire`] — the raw-bytes wire codec behind the device's one wire
 //!   admission step (checksum → parse → exact per-offender billing), which
@@ -36,7 +37,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod arch;
-pub mod baseline;
 pub mod cost;
 pub mod device;
 pub mod graph;
@@ -48,7 +48,6 @@ pub mod table;
 pub mod wire;
 
 pub use arch::{ArchAllocator, ArchClass, Architecture, Location};
-pub use baseline::{Hyper4Device, MantisDevice};
 pub use cost::CostModel;
 pub use device::{
     Device, DeviceStats, FrameOutcome, InstalledProgram, ProcessResult, SandboxConfig,

@@ -501,6 +501,110 @@ impl Expr {
 }
 
 // ---------------------------------------------------------------------------
+// Name references
+// ---------------------------------------------------------------------------
+//
+// The one walk over the state and table names a block references: access
+// control, namespacing, table sharing, placement dependencies and the
+// device's apply set all read names through it. The order is pre-order — a
+// statement's own name, then its expressions left to right, an `if`'s
+// condition, then-branch, else-branch. `visit_names_mut` is the same walk
+// for renaming; the two change together.
+
+/// Calls `f` with every state and table name `block` references, in
+/// pre-order. Locals, fields, headers and `invoke`d services are not names
+/// of this kind.
+pub fn visit_names<'a>(block: &'a Block, f: &mut impl FnMut(&'a str)) {
+    fn expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
+        match e {
+            Expr::MapGet(n, k) | Expr::MapHas(n, k) | Expr::RegRead(n, k)
+            | Expr::MeterCheck(n, k) => {
+                f(n);
+                expr(k, f);
+            }
+            Expr::CounterRead(n) => f(n),
+            Expr::Hash(args) => args.iter().for_each(|a| expr(a, f)),
+            Expr::Bin(_, l, r) => {
+                expr(l, f);
+                expr(r, f);
+            }
+            Expr::Un(_, v) => expr(v, f),
+            _ => {}
+        }
+    }
+    for s in block {
+        match s {
+            Stmt::Let(_, e) | Stmt::AssignLocal(_, e) | Stmt::AssignField(_, e)
+            | Stmt::Forward(e) => expr(e, f),
+            Stmt::MapPut(n, k, v) | Stmt::RegWrite(n, k, v) => {
+                f(n);
+                expr(k, f);
+                expr(v, f);
+            }
+            Stmt::MapDelete(n, k) => {
+                f(n);
+                expr(k, f);
+            }
+            Stmt::Count(n) | Stmt::Apply(n) => f(n),
+            Stmt::If(c, t, e) => {
+                expr(c, f);
+                visit_names(t, f);
+                visit_names(e, f);
+            }
+            Stmt::Repeat(_, b) => visit_names(b, f),
+            Stmt::Invoke(_, args) => args.iter().for_each(|a| expr(a, f)),
+            _ => {}
+        }
+    }
+}
+
+/// [`visit_names`] with each name handed out for renaming in place. A
+/// shared `if` branch is un-shared (`Arc::make_mut`) on the way down.
+pub fn visit_names_mut(block: &mut Block, f: &mut impl FnMut(&mut String)) {
+    fn expr(e: &mut Expr, f: &mut impl FnMut(&mut String)) {
+        match e {
+            Expr::MapGet(n, k) | Expr::MapHas(n, k) | Expr::RegRead(n, k)
+            | Expr::MeterCheck(n, k) => {
+                f(n);
+                expr(k, f);
+            }
+            Expr::CounterRead(n) => f(n),
+            Expr::Hash(args) => args.iter_mut().for_each(|a| expr(a, f)),
+            Expr::Bin(_, l, r) => {
+                expr(l, f);
+                expr(r, f);
+            }
+            Expr::Un(_, v) => expr(v, f),
+            _ => {}
+        }
+    }
+    for s in block {
+        match s {
+            Stmt::Let(_, e) | Stmt::AssignLocal(_, e) | Stmt::AssignField(_, e)
+            | Stmt::Forward(e) => expr(e, f),
+            Stmt::MapPut(n, k, v) | Stmt::RegWrite(n, k, v) => {
+                f(n);
+                expr(k, f);
+                expr(v, f);
+            }
+            Stmt::MapDelete(n, k) => {
+                f(n);
+                expr(k, f);
+            }
+            Stmt::Count(n) | Stmt::Apply(n) => f(n),
+            Stmt::If(c, t, e) => {
+                expr(c, f);
+                visit_names_mut(Arc::make_mut(t), f);
+                visit_names_mut(Arc::make_mut(e), f);
+            }
+            Stmt::Repeat(_, b) => visit_names_mut(b, f),
+            Stmt::Invoke(_, args) => args.iter_mut().for_each(|a| expr(a, f)),
+            _ => {}
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Pretty printer
 // ---------------------------------------------------------------------------
 //
@@ -777,6 +881,45 @@ mod tests {
             match_kind: MatchKind::Lpm,
         });
         assert!(t.needs_tcam());
+    }
+
+    #[test]
+    fn name_walks_visit_every_named_reference_in_pre_order() {
+        // Every statement and expression that carries a state or table
+        // name, each naming the position it must be visited at.
+        let mut p = crate::parser::parse_program(
+            "program p kind any {
+               handler ingress(pkt) {
+                 let x = map_get(n01, reg_read(n02, 0));
+                 x = map_has(n03, counter_read(n04));
+                 meta.m = meter_check(n05, hash(counter_read(n06), -counter_read(n07)));
+                 map_put(n08, counter_read(n09), counter_read(n10));
+                 map_del(n11, counter_read(n12));
+                 reg_write(n13, counter_read(n14), counter_read(n15));
+                 count(n16);
+                 if (counter_read(n17) == x) { apply n18; } else { count(n19); }
+                 repeat (2) { count(n20); }
+                 invoke svc(counter_read(n21));
+                 forward(counter_read(n22));
+               }
+             }",
+        )
+        .unwrap();
+        let want: Vec<String> = (1..=22).map(|i| format!("n{i:02}")).collect();
+        let mut seen = Vec::new();
+        visit_names(&p.handlers[0].body, &mut |n| seen.push(n.to_string()));
+        assert_eq!(seen, want);
+
+        let mut renamed = Vec::new();
+        let body = &mut Arc::make_mut(&mut p.handlers[0]).body;
+        visit_names_mut(body, &mut |n| {
+            renamed.push(n.clone());
+            n.insert(0, 'r');
+        });
+        assert_eq!(renamed, want);
+        let mut after = Vec::new();
+        visit_names(body, &mut |n| after.push(n.to_string()));
+        assert_eq!(after, want.iter().map(|n| format!("r{n}")).collect::<Vec<_>>());
     }
 
     #[test]

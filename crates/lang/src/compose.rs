@@ -356,119 +356,33 @@ fn undeclared_reference(ext: &Program) -> Option<&str> {
     declared.extend(ext.tables.iter().map(|t| t.name.as_str()));
 
     let mut refs = Vec::new();
+    let mut push = |n| refs.push(n);
     for h in &ext.handlers {
-        collect_refs(&h.body, &mut refs);
+        visit_names(&h.body, &mut push);
     }
     for t in &ext.tables {
         for a in &t.actions {
-            collect_refs(&a.body, &mut refs);
+            visit_names(&a.body, &mut push);
         }
     }
     refs.into_iter().find(|r| !declared.contains(r))
 }
 
-/// Collects every state/table name referenced in a block.
-fn collect_refs<'a>(block: &'a Block, out: &mut Vec<&'a str>) {
-    fn expr<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
-        match e {
-            Expr::MapGet(n, k) | Expr::MapHas(n, k) | Expr::RegRead(n, k)
-            | Expr::MeterCheck(n, k) => {
-                out.push(n);
-                expr(k, out);
-            }
-            Expr::CounterRead(n) => out.push(n),
-            Expr::Hash(args) => args.iter().for_each(|a| expr(a, out)),
-            Expr::Bin(_, l, r) => {
-                expr(l, out);
-                expr(r, out);
-            }
-            Expr::Un(_, v) => expr(v, out),
-            _ => {}
-        }
-    }
-    for s in block {
-        match s {
-            Stmt::Let(_, e) | Stmt::AssignLocal(_, e) | Stmt::AssignField(_, e)
-            | Stmt::Forward(e) => expr(e, out),
-            Stmt::MapPut(n, k, v) | Stmt::RegWrite(n, k, v) => {
-                out.push(n);
-                expr(k, out);
-                expr(v, out);
-            }
-            Stmt::MapDelete(n, k) => {
-                out.push(n);
-                expr(k, out);
-            }
-            Stmt::Count(n) => out.push(n),
-            Stmt::If(c, t, e) => {
-                expr(c, out);
-                collect_refs(t, out);
-                collect_refs(e, out);
-            }
-            Stmt::Repeat(_, b) => collect_refs(b, out),
-            Stmt::Apply(t) => out.push(t),
-            Stmt::Invoke(_, args) => args.iter().for_each(|a| expr(a, out)),
-            _ => {}
-        }
-    }
-}
-
 /// Renames state/table references in a block according to `map`.
-pub fn rename_block(block: &mut Block, map: &BTreeMap<String, String>) {
-    fn ren(n: &mut String, map: &BTreeMap<String, String>) {
+fn rename_block(block: &mut Block, map: &BTreeMap<String, String>) {
+    visit_names_mut(block, &mut |n| {
         if let Some(new) = map.get(n) {
             *n = new.clone();
         }
-    }
-    fn expr(e: &mut Expr, map: &BTreeMap<String, String>) {
-        match e {
-            Expr::MapGet(n, k) | Expr::MapHas(n, k) | Expr::RegRead(n, k)
-            | Expr::MeterCheck(n, k) => {
-                ren(n, map);
-                expr(k, map);
-            }
-            Expr::CounterRead(n) => ren(n, map),
-            Expr::Hash(args) => args.iter_mut().for_each(|a| expr(a, map)),
-            Expr::Bin(_, l, r) => {
-                expr(l, map);
-                expr(r, map);
-            }
-            Expr::Un(_, v) => expr(v, map),
-            _ => {}
-        }
-    }
-    for s in block {
-        match s {
-            Stmt::Let(_, e) | Stmt::AssignLocal(_, e) | Stmt::AssignField(_, e)
-            | Stmt::Forward(e) => expr(e, map),
-            Stmt::MapPut(n, k, v) | Stmt::RegWrite(n, k, v) => {
-                ren(n, map);
-                expr(k, map);
-                expr(v, map);
-            }
-            Stmt::MapDelete(n, k) => {
-                ren(n, map);
-                expr(k, map);
-            }
-            Stmt::Count(n) => ren(n, map),
-            Stmt::If(c, t, e) => {
-                expr(c, map);
-                rename_block(Arc::make_mut(t), map);
-                rename_block(Arc::make_mut(e), map);
-            }
-            Stmt::Repeat(_, b) => rename_block(b, map),
-            Stmt::Apply(t) => ren(t, map),
-            Stmt::Invoke(_, args) => args.iter_mut().for_each(|a| expr(a, map)),
-            _ => {}
-        }
-    }
+    });
 }
 
-/// Whether a block touches any state (blocks that don't are shareable).
+/// Whether a block names any state or table (blocks that don't are
+/// shareable).
 fn block_is_stateless(block: &Block) -> bool {
-    let mut refs = Vec::new();
-    collect_refs(block, &mut refs);
-    refs.is_empty()
+    let mut stateless = true;
+    visit_names(block, &mut |_| stateless = false);
+    stateless
 }
 
 /// Deduplicates structurally identical stateless tenant tables, rewriting
@@ -522,9 +436,9 @@ fn dedup_stateless_tables(program: &mut Program) -> usize {
     // Only a declaration that names an eliminated table is rewritten, on a
     // copy of its own: the fragment it came from is shared and stays as is.
     let mentions = |block: &Block| {
-        let mut refs = Vec::new();
-        collect_refs(block, &mut refs);
-        refs.iter().any(|r| renames.contains_key(*r))
+        let mut hit = false;
+        visit_names(block, &mut |r| hit |= renames.contains_key(r));
+        hit
     };
     for h in &mut program.handlers {
         if mentions(&h.body) {

@@ -122,50 +122,15 @@ pub fn parser_demand(h: &HeaderDecl) -> ResourceVec {
     )
 }
 
-/// Names of state objects and tables referenced by a block.
-fn block_refs(block: &Block, out: &mut Vec<String>) {
-    fn expr_refs(e: &Expr, out: &mut Vec<String>) {
-        match e {
-            Expr::MapGet(n, k) | Expr::MapHas(n, k) | Expr::RegRead(n, k)
-            | Expr::MeterCheck(n, k) => {
-                out.push(n.clone());
-                expr_refs(k, out);
-            }
-            Expr::CounterRead(n) => out.push(n.clone()),
-            Expr::Hash(args) => args.iter().for_each(|a| expr_refs(a, out)),
-            Expr::Bin(_, l, r) => {
-                expr_refs(l, out);
-                expr_refs(r, out);
-            }
-            Expr::Un(_, v) => expr_refs(v, out),
-            _ => {}
-        }
+/// The distinct state and table names `blocks` reference, sorted.
+fn deps<'a>(blocks: impl IntoIterator<Item = &'a Block>) -> Vec<String> {
+    let mut names = Vec::new();
+    for block in blocks {
+        visit_names(block, &mut |n| names.push(n));
     }
-    for s in block {
-        match s {
-            Stmt::Let(_, e) | Stmt::AssignLocal(_, e) | Stmt::AssignField(_, e)
-            | Stmt::Forward(e) => expr_refs(e, out),
-            Stmt::MapPut(n, k, v) | Stmt::RegWrite(n, k, v) => {
-                out.push(n.clone());
-                expr_refs(k, out);
-                expr_refs(v, out);
-            }
-            Stmt::MapDelete(n, k) => {
-                out.push(n.clone());
-                expr_refs(k, out);
-            }
-            Stmt::Count(n) => out.push(n.clone()),
-            Stmt::If(c, t, e) => {
-                expr_refs(c, out);
-                block_refs(t, out);
-                block_refs(e, out);
-            }
-            Stmt::Repeat(_, b) => block_refs(b, out),
-            Stmt::Apply(t) => out.push(t.clone()),
-            Stmt::Invoke(_, args) => args.iter().for_each(|a| expr_refs(a, out)),
-            _ => {}
-        }
-    }
+    names.sort_unstable();
+    names.dedup();
+    names.into_iter().map(str::to_string).collect()
 }
 
 /// Decomposes a program (plus the user headers it relies on) into placeable
@@ -197,12 +162,6 @@ pub fn program_elements(
         });
     }
     for t in &program.tables {
-        let mut deps = Vec::new();
-        for a in &t.actions {
-            block_refs(&a.body, &mut deps);
-        }
-        deps.sort();
-        deps.dedup();
         out.push(Element {
             name: t.name.clone(),
             kind: ElementKind::Table,
@@ -214,21 +173,17 @@ pub fn program_elements(
                 .map(|a| block_ops(&a.body))
                 .max()
                 .unwrap_or(0),
-            deps,
+            deps: deps(t.actions.iter().map(|a| &a.body)),
         });
     }
     for h in &program.handlers {
-        let mut deps = Vec::new();
-        block_refs(&h.body, &mut deps);
-        deps.sort();
-        deps.dedup();
         out.push(Element {
             name: h.name.clone(),
             kind: ElementKind::Handler,
             demand: handler_demand(h),
             needs_tcam: false,
             ops: block_ops(&h.body),
-            deps,
+            deps: deps([&h.body]),
         });
     }
     out

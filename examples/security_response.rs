@@ -6,6 +6,7 @@
 
 use flexnet::apps::security;
 use flexnet::prelude::*;
+use flexnet_bench::scale::{ElasticScaler, ScalingPolicy};
 
 fn main() {
     println!("== Real-time security response ==\n");

@@ -4,6 +4,7 @@
 
 use flexnet::apps::telemetry::{cms_estimate, count_min_sketch};
 use flexnet::prelude::*;
+use flexnet_bench::replicate::ReplicationGroup;
 use flexnet_controller::drpc::ExecutionSite;
 use flexnet_controller::raft::Role;
 
@@ -118,7 +119,7 @@ fn replication_failover_preserves_synced_state() {
     }
     let mut group = ReplicationGroup::new(NodeId(1), vec![NodeId(2)]);
     // Controller sync: cut an epoch, copy the snapshot, record it.
-    let epoch = group.cut_epoch(SimTime::from_secs(1));
+    let epoch = group.cut_epoch();
     let snap = primary.snapshot_state().unwrap();
     replica.restore_state(&snap).unwrap();
     group.record_applied(NodeId(2), epoch).unwrap();

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Non-test Rust line counts, per file and per crate.
 #
-#   tools/loc.sh            every crate, the total over crates/*/src, then
-#                           tests/ benches/ benchmark/
+#   tools/loc.sh            every crate, the total over crates/*/src, the
+#                           libraries' total (the same without crates/bench,
+#                           the experiment harness), then tests/ benches/
+#                           benchmark/
 #   tools/loc.sh FILE...    just those files
 #
 # For each source file two numbers, both taken over the lines before the
@@ -39,13 +41,18 @@ if [ $# -gt 0 ]; then
     count 0 "total" "$@"
     exit 0
 fi
+libs=
 for crate in crates/*; do
     # shellcheck disable=SC2046
     count 0 "$crate/src" $(rust_files "$crate/src")
+    [ "$crate" = crates/bench ] || libs="$libs $crate/src"
 done
 # The one number a "net negative" claim is checked against.
 # shellcheck disable=SC2046
 count 0 "crates/*/src (total)" $(rust_files crates/*/src) | tail -n 1
+# What the libraries ship: code moved into the harness leaves this line.
+# shellcheck disable=SC2046,SC2086
+count 0 "libraries (crates/*/src without crates/bench)" $(rust_files $libs) | tail -n 1
 # shellcheck disable=SC2046
 count 0 "src" $(rust_files src)
 echo "-- test and measurement code, whole files --"
