@@ -18,6 +18,7 @@
 
 use flexnet::prelude::*;
 use flexnet_bench::{bundle, header, row, sep};
+use flexnet_compiler::split;
 use flexnet_lang::ast::{ActionDecl, TableDecl};
 use flexnet_lang::ir::table_demand;
 use std::sync::Arc;
@@ -99,20 +100,22 @@ fn choose_target(
     component: &Component,
     candidates: &[TargetView],
     objective: Objective,
-) -> Option<usize> {
-    let demand = component.canonical_demand().ok()?;
+) -> Result<Option<usize>> {
+    let demand = component.canonical_demand()?;
     let feasible = (0..candidates.len())
         .filter(|&i| candidates[i].fits(component.kind(), &demand));
-    match objective {
-        Objective::Latency => feasible.min_by_key(|&i| {
-            flexnet_compiler::split::component_latency(component, &candidates[i])
-        }),
+    Ok(match objective {
+        Objective::Latency => {
+            let latency = |i: usize| split::component_latency(component, &candidates[i]).map(|l| (l, i));
+            let latencies = feasible.map(latency).collect::<Result<Vec<_>>>()?;
+            latencies.into_iter().min().map(|(_, i)| i)
+        }
         Objective::Energy { offered_pps } => feasible.min_by(|&a, &b| {
             let pa = component_power_w(&candidates[a].cost_model(), offered_pps);
             let pb = component_power_w(&candidates[b].cost_model(), offered_pps);
             pa.total_cmp(&pb)
         }),
-    }
+    })
 }
 
 fn two_tables(a_size: u64, b_size: u64) -> (Arc<TableDecl>, Arc<TableDecl>) {
@@ -201,8 +204,11 @@ fn part_b() {
     let mut kwh_latency = 0.0f64;
     for (hour, pps) in profile {
         let e_idx = choose_target(&comp, &candidates, Objective::Energy { offered_pps: pps })
+            .expect("builds")
             .expect("placeable");
-        let l_idx = choose_target(&comp, &candidates, Objective::Latency).expect("placeable");
+        let l_idx = choose_target(&comp, &candidates, Objective::Latency)
+            .expect("builds")
+            .expect("placeable");
         let pw_e = component_power_w(&candidates[e_idx].cost_model(), pps);
         let pw_l = component_power_w(&candidates[l_idx].cost_model(), pps);
         kwh_energy += pw_e * 3.0 / 1000.0;
@@ -290,6 +296,7 @@ mod tests {
             TargetView::fresh(NodeId(2), Architecture::smartnic_default()),
         ];
         let low = choose_target(&comp, &candidates, Objective::Energy { offered_pps: 10_000 })
+            .unwrap()
             .unwrap();
         assert_eq!(candidates[low].node, NodeId(2), "NIC wins at low load");
         let high = choose_target(
@@ -299,6 +306,7 @@ mod tests {
                 offered_pps: 500_000_000, // beyond the NIC's 50 Mpps
             },
         )
+        .unwrap()
         .unwrap();
         assert_eq!(candidates[high].node, NodeId(1), "ASIC wins at high load");
     }
@@ -309,14 +317,14 @@ mod tests {
             TargetView::fresh(NodeId(1), Architecture::host_default()),
             TargetView::fresh(NodeId(2), Architecture::drmt_default()),
         ];
-        let i = choose_target(&probe("any"), &candidates, Objective::Latency).unwrap();
+        let i = choose_target(&probe("any"), &candidates, Objective::Latency).unwrap().unwrap();
         assert_eq!(candidates[i].node, NodeId(2));
     }
 
     #[test]
     fn choose_target_none_when_nothing_fits() {
         let candidates = vec![TargetView::fresh(NodeId(1), Architecture::host_default())];
-        assert!(choose_target(&probe("switch"), &candidates, Objective::Latency).is_none());
+        assert!(choose_target(&probe("switch"), &candidates, Objective::Latency).unwrap().is_none());
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub fn recompile_incremental(
             .iter()
             .find(|t| t.node == node)
             .expect("node from working set");
-        est_latency += component_latency(c, t);
+        est_latency += component_latency(c, t)?;
     }
     if let Some(sla) = latency_sla {
         if est_latency > sla {
@@ -172,7 +172,7 @@ pub fn recompile_full(
     for c in new_components {
         let node = placement.node_of(&c.name).expect("placed");
         if let Some(t) = working.iter().find(|t| t.node == node) {
-            est_latency += component_latency(c, t);
+            est_latency += component_latency(c, t)?;
         }
     }
     Ok(IncrementalResult {

@@ -51,16 +51,14 @@ pub struct SplitResult {
 }
 
 /// Estimated per-packet processing latency a component adds on a target.
-pub fn component_latency(component: &Component, target: &TargetView) -> SimDuration {
+/// A component whose headers do not build has no estimate: the registry's
+/// error, never a zero that would certify any SLA.
+pub fn component_latency(component: &Component, target: &TargetView) -> Result<SimDuration> {
     // Worst-case ops of the component's handlers under this target's cost
     // model. (The verifier bound is computed per handler; use the program's
     // element decomposition.)
-    let registry = match flexnet_lang::headers::HeaderRegistry::with_user_headers(
-        &component.bundle.headers,
-    ) {
-        Ok(r) => r,
-        Err(_) => return SimDuration::ZERO,
-    };
+    let registry =
+        flexnet_lang::headers::HeaderRegistry::with_user_headers(&component.bundle.headers)?;
     let ops = flexnet_lang::ir::program_elements(
         &component.bundle.program,
         &component.bundle.headers,
@@ -70,7 +68,7 @@ pub fn component_latency(component: &Component, target: &TargetView) -> SimDurat
     .map(|e| e.ops)
     .max()
     .unwrap_or(0);
-    target.cost_model().packet_latency(ops)
+    Ok(target.cost_model().packet_latency(ops))
 }
 
 /// Whether a target is the *native* tier for a component kind (vs. merely
@@ -121,7 +119,7 @@ pub fn split_datapath(
                 c.kind()
             )));
         };
-        est_latency += component_latency(c, &shadow[i]);
+        est_latency += component_latency(c, &shadow[i])?;
         shadow[i].commit(&demand);
         staged.push((i, demand));
         placement.assignments.insert(c.name.clone(), shadow[i].node);
@@ -282,6 +280,20 @@ mod tests {
         let c = comp("x", "any");
         let host = TargetView::fresh(NodeId(0), Architecture::host_default());
         let asic = TargetView::fresh(NodeId(2), Architecture::drmt_default());
-        assert!(component_latency(&c, &asic) < component_latency(&c, &host));
+        assert!(component_latency(&c, &asic).unwrap() < component_latency(&c, &host).unwrap());
+    }
+
+    #[test]
+    fn headers_that_do_not_build_have_no_latency_and_no_placement() {
+        let mut c = comp("dup", "any");
+        let twice = bundle("header a { fields { x: 8; } } header a { fields { y: 8; } } program p { }");
+        c.bundle.headers = twice.headers;
+        let want = "type error: header `a` is already declared";
+        let host = TargetView::fresh(NodeId(0), Architecture::host_default());
+        let err = component_latency(&c, &host).unwrap_err();
+        assert!(matches!(&err, FlexError::Type(_)) && err.to_string() == want, "{err}");
+        let mut path = stack_path();
+        let err = split_datapath(&LogicalDatapath::new("dp", vec![c]), &mut path).unwrap_err();
+        assert_eq!(err.to_string(), want);
     }
 }

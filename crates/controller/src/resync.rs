@@ -61,14 +61,16 @@ pub enum ProgramClass {
 
 /// One device's intended configuration: the program the control plane
 /// last committed to it, plus the table entries installed out-of-band.
-/// Both change only through the store, which keeps the image's memoised
-/// digest true.
+/// Both change only through the store, which keeps the digest it
+/// journaled for them beside them.
 #[derive(Debug, Clone)]
 pub struct IntendedDevice {
     /// The device.
     pub node: NodeId,
     image: Arc<ProgramImage>,
     entries: Vec<(String, TableEntry)>,
+    /// `image`'s configuration digest over `entries`.
+    digest: u64,
     /// Reconciliation priority.
     pub class: ProgramClass,
     /// The transaction that committed the program (0 = out-of-band).
@@ -89,7 +91,7 @@ impl IntendedDevice {
     /// The intended-state digest — what the device's heartbeat digest
     /// must equal once converged.
     pub fn digest(&self) -> u64 {
-        self.image.config_digest(borrowed(&self.entries))
+        self.digest
     }
 }
 
@@ -192,10 +194,11 @@ impl IntendedStore {
             }
             None => Vec::new(),
         };
+        let digest = image.config_digest(borrowed(&kept));
         log.append(&IntentRecord::IntendedState {
             txn,
             device: node.0 as u64,
-            digest: image.config_digest(borrowed(&kept)),
+            digest,
         })?;
         let class = self.class(node);
         self.records.insert(
@@ -204,6 +207,7 @@ impl IntendedStore {
                 node,
                 image,
                 entries: kept,
+                digest,
                 class,
                 txn,
             },
@@ -232,12 +236,14 @@ impl IntendedStore {
             )));
         }
         let with_new = borrowed(&rec.entries).chain([(table, &entry)]);
+        let digest = rec.image.config_digest(with_new);
         log.append(&IntentRecord::IntendedState {
             txn: 0,
             device: node.0 as u64,
-            digest: rec.image.config_digest(with_new),
+            digest,
         })?;
         rec.entries.push((table.to_string(), entry));
+        rec.digest = digest;
         Ok(())
     }
 

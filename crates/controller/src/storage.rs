@@ -37,6 +37,7 @@
 use crate::wal::{IntentRecord, ReplayState};
 use flexnet_sim::disk::{DiskFaultPlan, SimDisk};
 use flexnet_types::{FlexError, Result, SimDuration, StorageError};
+use std::ops::Range;
 
 /// Bytes of record header: `[len u32 LE][crc u32 LE]`.
 pub const RECORD_HEADER: usize = 8;
@@ -97,8 +98,9 @@ pub fn decode_entry(payload: &[u8]) -> (u64, String) {
 /// What one recovery scan of a byte region found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubOutcome {
-    /// Every record that verified, in order.
-    pub payloads: Vec<Vec<u8>>,
+    /// Where the payload of every record that verified lies in the
+    /// scanned region, in order (the region is not copied).
+    pub payloads: Vec<Range<usize>>,
     /// Byte length of the verified prefix (the truncation point).
     pub valid_bytes: usize,
     /// Whether any synced bytes follow the verified prefix (i.e. the
@@ -121,7 +123,7 @@ pub struct ScrubOutcome {
 /// it loses nothing durable); a record that parses but fails its CRC is
 /// **bit rot** on synced data (everything from it on is untrustworthy).
 pub fn scrub(bytes: &[u8], base_record: u64, crc_checks: bool) -> ScrubOutcome {
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
+    let mut payloads: Vec<Range<usize>> = Vec::new();
     let mut off = 0usize;
     let mut fault = None;
     while off < bytes.len() {
@@ -148,8 +150,8 @@ pub fn scrub(bytes: &[u8], base_record: u64, crc_checks: bool) -> ScrubOutcome {
         let mut crc4 = [0u8; 4];
         crc4.copy_from_slice(&bytes[off + 4..off + 8]);
         let want = u32::from_le_bytes(crc4);
-        let payload = &bytes[off + RECORD_HEADER..off + RECORD_HEADER + len];
-        let got = record_crc(payload);
+        let at = off + RECORD_HEADER..off + RECORD_HEADER + len;
+        let got = record_crc(&bytes[at.clone()]);
         if crc_checks && got != want {
             fault = Some(StorageError::ChecksumFailed {
                 segment,
@@ -158,7 +160,7 @@ pub fn scrub(bytes: &[u8], base_record: u64, crc_checks: bool) -> ScrubOutcome {
             });
             break;
         }
-        payloads.push(payload.to_vec());
+        payloads.push(at);
         off += RECORD_HEADER + len;
     }
     // Mid-log detection: does a verifiable record follow the fault? If
@@ -287,7 +289,8 @@ impl SegmentedWal {
     }
 
     /// Recovery: scrub, truncate the disk at the first bad record, and
-    /// return the verified payloads (plus what was wrong, if anything).
+    /// return where the verified payloads lie in the synced region that
+    /// remains (plus what was wrong, if anything).
     pub fn recover(&mut self) -> ScrubOutcome {
         let outcome = self.scrub();
         if outcome.truncated {
@@ -440,8 +443,9 @@ impl SnapshotStore {
     pub fn load(&self) -> Option<(u64, u64, u64, Vec<String>, u64)> {
         let mut fallbacks = 0u64;
         for (gen, _, disk) in self.gens.iter().rev() {
-            let outcome = scrub(disk.synced_bytes(), 0, self.crc_checks);
-            let Some(payload) = outcome.payloads.first() else {
+            let bytes = disk.synced_bytes();
+            let outcome = scrub(bytes, 0, self.crc_checks);
+            let Some(payload) = outcome.payloads.first().map(|at| &bytes[at.clone()]) else {
                 fallbacks += 1;
                 continue;
             };
@@ -710,7 +714,7 @@ impl NodeStorage {
         self.hard_records = hard_scrub.payloads.len() as u64;
         let (mut term, mut voted_for) = (0u64, None);
         if let Some(last) = hard_scrub.payloads.last() {
-            let line = String::from_utf8_lossy(last);
+            let line = String::from_utf8_lossy(&self.hard.synced_bytes()[last.clone()]);
             let mut parts = line.split_whitespace();
             if parts.next() == Some("hs") {
                 term = parts.next().and_then(|t| t.parse().ok()).unwrap_or(0);
@@ -751,10 +755,13 @@ impl NodeStorage {
             needs_catchup = true;
             self.wal.truncate_records(wal_base);
         } else {
+            // Pushed, not collected: the node's log grows from here, and an
+            // exactly sized one would be copied whole by the first append
+            // after the revive.
             let skip = (base_index - wal_base) as usize;
-            for payload in outcome.payloads.iter().skip(skip) {
-                let (t, cmd) = decode_entry(payload);
-                entries.push((t, cmd));
+            let bytes = self.wal.disk().synced_bytes();
+            for at in outcome.payloads.iter().skip(skip) {
+                entries.push(decode_entry(&bytes[at.clone()]));
             }
         }
         if needs_catchup {
@@ -847,19 +854,24 @@ mod tests {
         SegmentedWal::new(SimDisk::with_plan(DiskFaultPlan::seeded(seed).tearing()), true)
     }
 
+    /// The verified payloads of a scrub of `bytes`.
+    fn payloads<'a>(bytes: &'a [u8], outcome: &ScrubOutcome) -> Vec<&'a [u8]> {
+        outcome.payloads.iter().map(|at| &bytes[at.clone()]).collect()
+    }
+
     #[test]
     fn scrub_accepts_a_clean_log_and_truncates_a_torn_tail() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&encode_record(b"alpha"));
         bytes.extend_from_slice(&encode_record(b"beta"));
         let clean = scrub(&bytes, 0, true);
-        assert_eq!(clean.payloads, vec![b"alpha".to_vec(), b"beta".to_vec()]);
+        assert_eq!(payloads(&bytes, &clean), [&b"alpha"[..], b"beta"]);
         assert!(!clean.truncated);
         assert_eq!(clean.valid_bytes, bytes.len());
 
         // Tear the second record mid-payload: only the first survives.
         let torn = scrub(&bytes[..bytes.len() - 2], 0, true);
-        assert_eq!(torn.payloads, vec![b"alpha".to_vec()]);
+        assert_eq!(payloads(&bytes, &torn), [b"alpha"]);
         assert!(torn.truncated);
         assert!(matches!(
             torn.fault,
@@ -900,7 +912,7 @@ mod tests {
         // No barrier for "second": the crash tears it away.
         w.crash();
         let outcome = w.recover();
-        assert_eq!(outcome.payloads, vec![b"first".to_vec()]);
+        assert_eq!(payloads(w.disk().synced_bytes(), &outcome), [b"first"]);
         assert_eq!(w.next_record(), 1);
     }
 
@@ -917,7 +929,7 @@ mod tests {
         assert_eq!(w.next_record(), 20);
         let outcome = w.scrub();
         assert_eq!(outcome.payloads.len(), 12);
-        assert_eq!(outcome.payloads[0], vec![8u8]);
+        assert_eq!(payloads(w.disk().synced_bytes(), &outcome)[0], [8u8]);
     }
 
     #[test]

@@ -537,39 +537,57 @@ impl ReplayState {
     }
 }
 
-/// The replay state of one node's committed prefix, and how far into that
-/// prefix it has been folded.
+/// The replay state of one node's committed prefix, how far into that
+/// prefix it has been folded, and the commands it folded.
 #[derive(Debug, Default)]
 struct Cursor {
     /// The node whose prefix was folded, under this
     /// [`CommittedView::generation`].
     node: usize,
     generation: u64,
-    /// Commands consumed (barriers included).
-    consumed: usize,
+    /// The commands consumed (barriers included), back to back: command
+    /// `i` ends at `ends[i]` and starts where command `i - 1` ends.
+    folded: String,
+    ends: Vec<usize>,
     state: ReplayState,
 }
 
 impl Cursor {
+    /// Commands consumed.
+    fn consumed(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The commands consumed, in order.
+    fn kept(&self) -> impl Iterator<Item = &str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| &self.folded[start..end])
+    }
+
     /// Brings the fold up to `node`'s `view`. Whether what was folded
-    /// before is still a prefix of `view` is decided here, on every read,
-    /// from the node and its prefix generation: harnesses kill, revive,
-    /// step and rot the cluster behind the log's back
-    /// ([`ReplicatedIntentLog::cluster_mut`]).
+    /// before is still a prefix of `view` is decided here, on every read:
+    /// harnesses kill, revive, step and rot the cluster behind the log's
+    /// back ([`ReplicatedIntentLog::cluster_mut`]). On the same node and
+    /// prefix generation the sequence only grew; on any other (a new
+    /// leader, a revived or re-based prefix) the fold is kept when the
+    /// view's first commands are byte for byte the ones it consumed — the
+    /// fold of the same commands is the same state — and re-run from
+    /// empty otherwise.
     fn advance(&mut self, node: usize, view: CommittedView<'_>) -> Result<()> {
         let committed = view.snapshot.len() + view.tail.len();
-        if (self.node, self.generation) != (node, view.generation) || committed < self.consumed {
-            *self = Cursor {
-                node,
-                generation: view.generation,
-                ..Cursor::default()
-            };
+        let grown = (self.node, self.generation) == (node, view.generation);
+        let keeps = committed >= self.consumed()
+            && (grown || view.commands_from(0).zip(self.kept()).all(|(a, b)| a == b));
+        if !keeps {
+            *self = Cursor::default();
         }
+        (self.node, self.generation) = (node, view.generation);
         // A command that does not decode stops the cursor *at* it: never
         // skipped, never folded past, re-attempted by the next read.
-        for command in view.commands_from(self.consumed) {
+        for command in view.commands_from(self.consumed()) {
             self.state.absorb(command)?;
-            self.consumed += 1;
+            self.folded.push_str(command);
+            self.ends.push(self.folded.len());
         }
         Ok(())
     }
@@ -713,9 +731,10 @@ impl ReplicatedIntentLog {
     /// it: the one way the control plane reads its log.
     ///
     /// Each call folds in what the leader committed since the last one
-    /// (every committed command is decoded once and cloned never); a new
-    /// leader, or one whose prefix was rebuilt from its disk, compacted or
-    /// re-based by a snapshot, is re-folded from empty. Election barriers
+    /// (every committed command is decoded once). A new leader, or one
+    /// whose prefix was rebuilt from its disk, compacted or re-based by a
+    /// snapshot, adopts the fold when its prefix holds the very commands
+    /// folded so far, and is re-folded from empty otherwise. Election barriers
     /// (see [`ReplicatedIntentLog::elect`]) are internal bookkeeping and
     /// filtered out.
     ///
@@ -979,6 +998,77 @@ mod tests {
             .append(&IntentRecord::Committed { txn: 1 })
             .unwrap_err();
         assert!(matches!(err, FlexError::Consensus(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn a_successor_holding_the_folded_commands_adopts_the_fold() {
+        let mut log = ReplicatedIntentLog::new(3, 5).unwrap();
+        for rec in &all_records() {
+            log.append(rec).unwrap();
+        }
+        let digest = log.replay().unwrap().digest();
+        let (old, consumed) = {
+            let mut cursor = log.cursor.borrow_mut();
+            // A mark no fold computes (the records' highest id is 11): a
+            // re-fold from empty would replace it.
+            cursor.state.max_id = 1_000;
+            (cursor.node, cursor.consumed())
+        };
+        assert_eq!(consumed, all_records().len());
+        log.kill_leader().unwrap();
+        let successor = log.elect().unwrap();
+        assert_ne!(successor, old);
+        let cursor = log.cursor.borrow();
+        assert_eq!(cursor.node, successor);
+        assert_eq!(cursor.consumed(), consumed + 1, "the kept commands, then the barrier");
+        assert_eq!(cursor.state.max_id, 1_000, "the fold was adopted, not re-run");
+        drop(cursor);
+        assert_eq!(log.next_txn_id(), 1_001, "the successor's ids continue from the kept fold");
+        // Without the mark, the adopted fold is the one before the crash.
+        log.cursor.borrow_mut().state.max_id = 11;
+        assert_eq!(log.replay().unwrap().digest(), digest);
+    }
+
+    #[test]
+    fn a_successor_whose_prefix_rotted_refolds_and_fails_like_a_fresh_fold() {
+        use crate::storage::NodeStorage;
+        use flexnet_sim::disk::DiskFaultPlan;
+        // Checksums off: the scrub keeps a rotted record.
+        let storages = (0..3u64)
+            .map(|i| {
+                let (wal, hard) = (DiskFaultPlan::seeded(i), DiskFaultPlan::seeded(!i));
+                NodeStorage::with_plans(wal, hard, None, i, false)
+            })
+            .collect();
+        let mut log = ReplicatedIntentLog::new_with(3, 9, storages).unwrap();
+        let records = all_records();
+        for rec in &records {
+            log.append(rec).unwrap();
+        }
+        let clean = log.replay().unwrap().digest();
+        // Record 5 is `intent 5 dev `: a flipped bit anywhere in the
+        // ` dev ` the rot reaches leaves it undecodable.
+        assert_eq!(records[5].encode(), "intent 5 dev ");
+        let leader = log.cluster.leader().unwrap();
+        for i in (0..3).filter(|&i| i != leader) {
+            log.cluster.kill(i).unwrap();
+            let wal = log.cluster.storage_mut(i).unwrap().wal_mut();
+            assert!(wal.rot_payload(5).is_some());
+            log.cluster.revive(i).unwrap();
+        }
+        // The followers learn the commit index again, then one succeeds.
+        log.cluster.step(SimDuration::from_millis(500));
+        log.kill_leader().unwrap();
+        let successor = log.elect().unwrap();
+        let got = log.replay().map(|r| r.digest()).unwrap_err();
+        let mut fresh = ReplayState::default();
+        let committed = log.cluster.committed(successor).unwrap();
+        let want = committed.iter().try_for_each(|c| fresh.absorb(c)).unwrap_err();
+        assert!(matches!(got, FlexError::Consensus(_)), "{got}");
+        assert_eq!(got, want);
+        let cursor = log.cursor.borrow();
+        assert_eq!((cursor.node, cursor.consumed()), (successor, 5), "stopped at the rotted record");
+        assert_ne!(cursor.state.digest(), clean);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use flexnet_types::{
     FlexError, NodeId, Packet, ProgramVersion, ResourceVec, Result, SimDuration, SimTime, Trap,
     Verdict,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Maximum recirculation passes before a packet is dropped (hardware bounds
 /// recirculation to protect the pipeline).
@@ -84,8 +84,13 @@ impl SlotResolver for DeviceResolver<'_> {
 #[derive(Debug, Clone)]
 pub struct InstalledProgram {
     code: Code,
-    /// Match/action tables with entries.
-    pub tables: TableSet,
+    /// Match/action tables with entries, read through
+    /// [`InstalledProgram::tables`] and changed only through
+    /// [`InstalledProgram::tables_mut`], so the digest memo stays true.
+    tables: TableSet,
+    /// [`InstalledProgram::config_digest`], kept until the tables or the
+    /// code change: cleared by every `&mut` route to either.
+    digest: OnceLock<u64>,
     /// Stateful storage.
     pub state: DeviceState,
     /// The compiled image, lowered against this instance's slot layout
@@ -116,6 +121,7 @@ impl InstalledProgram {
     pub(crate) fn shadow(image: Arc<ProgramImage>, encoding: StateEncoding) -> Result<InstalledProgram> {
         let mut p = InstalledProgram {
             tables: TableSet::default(),
+            digest: OnceLock::new(),
             state: DeviceState::unpopulated(image.layout().clone(), encoding),
             code: Code::Sealed(image),
             compiled: None,
@@ -152,14 +158,29 @@ impl InstalledProgram {
         self.code.image()
     }
 
+    /// Match/action tables with their entries.
+    pub fn tables(&self) -> &TableSet {
+        &self.tables
+    }
+
+    /// Mutable tables (controller-side entry management). Forgets the
+    /// digest memo: whatever the caller does is in the next digest.
+    pub fn tables_mut(&mut self) -> &mut TableSet {
+        self.digest.take();
+        &mut self.tables
+    }
+
     /// Content digest of this instance (program + entries): the image's
-    /// memoised program part continued over the live entries.
+    /// memoised program part continued over the live entries, folded once
+    /// per change of the tables or the code.
     pub fn config_digest(&self) -> u64 {
-        let entries = self.tables.iter().flat_map(|t| {
-            let table = t.decl.name.as_str();
-            t.entries.iter().map(move |e| (table, e))
-        });
-        self.code.config_digest(entries)
+        *self.digest.get_or_init(|| {
+            let entries = self.tables.iter().flat_map(|t| {
+                let table = t.decl.name.as_str();
+                t.entries.iter().map(move |e| (table, e))
+            });
+            self.code.config_digest(entries)
+        })
     }
 
     /// The carry-over rule of a hitless flip: this (incoming) instance's
@@ -172,6 +193,7 @@ impl InstalledProgram {
     pub(crate) fn carry_over(&mut self, outgoing: &InstalledProgram, carry: Option<&CarryMap>) {
         let program = &self.code.parts().0.program;
         self.tables = TableSet::carrying(&program.tables, &outgoing.tables);
+        self.digest.take();
         let (layout, encoding) = (self.state.layout().clone(), self.state.encoding());
         self.state = DeviceState::carrying(layout, encoding, Some(&outgoing.state), carry);
     }
@@ -181,6 +203,7 @@ impl InstalledProgram {
     fn reset_runtime(&mut self, encoding: StateEncoding) {
         let program = &self.code.parts().0.program;
         self.tables = TableSet::from_decls(&program.tables);
+        self.digest.take();
         self.state = DeviceState::carrying(self.state.layout().clone(), encoding, None, None);
     }
 
@@ -191,6 +214,7 @@ impl InstalledProgram {
     /// left untouched: the first op moves this instance onto a private,
     /// unverified copy, without the digest memo or the shared bytecode.
     pub fn apply_op(&mut self, op: &ReconfigOp) -> Result<()> {
+        self.digest.take();
         let (bundle, registry) = self.code.patch();
         match op {
             ReconfigOp::AddTable(t) => {
@@ -889,7 +913,7 @@ impl Device {
             .active
             .as_mut()
             .ok_or_else(|| FlexError::NotFound("no program installed".into()))?;
-        p.tables
+        p.tables_mut()
             .get_mut(table)
             .ok_or_else(|| FlexError::NotFound(format!("table `{table}`")))?
             .insert(entry)
@@ -902,7 +926,7 @@ impl Device {
             .active
             .as_mut()
             .ok_or_else(|| FlexError::NotFound("no program installed".into()))?;
-        Ok(p.tables
+        Ok(p.tables_mut()
             .get_mut(table)
             .ok_or_else(|| FlexError::NotFound(format!("table `{table}`")))?
             .remove(matches))

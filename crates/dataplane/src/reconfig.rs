@@ -785,7 +785,7 @@ mod tests {
         d.tick(report.ready_at);
         let p = d.program().unwrap();
         assert_eq!(p.state.counter_read("c"), 1, "counter carried over");
-        assert_eq!(p.tables.get("t").unwrap().len(), 1, "entries carried over");
+        assert_eq!(p.tables().get("t").unwrap().len(), 1, "entries carried over");
         // And the new map is live.
         let mut pkt2 = Packet::tcp(2, 9, 2, 3, 4, 0);
         let r = d.process(&mut pkt2, report.ready_at).unwrap();
@@ -945,7 +945,7 @@ mod tests {
         .unwrap();
 
         let bundle_before = d.program().unwrap().bundle().clone();
-        let tables_before = d.program().unwrap().tables.clone();
+        let tables_before = d.program().unwrap().tables().clone();
         let state_before = d.snapshot_state().unwrap();
         let used_before = d.used();
         let version_before = d.version();
@@ -960,7 +960,7 @@ mod tests {
         assert!(!d.reconfig_in_progress());
         let p = d.program().unwrap();
         assert_eq!(p.bundle(), &bundle_before, "program restored verbatim");
-        assert_eq!(p.tables, tables_before, "entries restored");
+        assert_eq!(p.tables(), &tables_before, "entries restored");
         assert_eq!(d.snapshot_state().unwrap(), state_before, "state restored");
         assert_eq!(d.used(), used_before, "placement restored");
         assert_eq!(d.version(), version_before, "no version flip happened");
@@ -1233,7 +1233,7 @@ mod tests {
 
         let p = d.program().unwrap();
         assert_eq!(p.state.counter_read("c"), 0, "counters wiped");
-        assert_eq!(p.tables.get("t").unwrap().len(), 0, "entries wiped");
+        assert_eq!(p.tables().get("t").unwrap().len(), 0, "entries wiped");
         assert_eq!(p.bundle(), &stateful_base(), "program image survives");
         assert!(d.version() > v_before, "restart is a new incarnation");
         // And it serves traffic again.

@@ -52,9 +52,9 @@ fn reference(
             to.clone_from(from);
         }
     }
-    for table in old.tables.iter() {
+    for table in old.tables().iter() {
         if entries_carry_over(&table.decl, &fresh.bundle().program) {
-            let dst = fresh.tables.get_mut(&table.decl.name).unwrap();
+            let dst = fresh.tables_mut().get_mut(&table.decl.name).unwrap();
             for e in &table.entries {
                 dst.insert(e.clone()).unwrap();
             }
@@ -82,7 +82,7 @@ fn assert_same(got: &InstalledProgram, want: &InstalledProgram, what: &str) {
     assert_eq!(got.bundle(), want.bundle(), "{what}: program");
     assert_eq!(got.state, want.state, "{what}: state, object for object");
     assert_eq!(
-        got.tables, want.tables,
+        got.tables(), want.tables(),
         "{what}: tables, entries and indexes"
     );
     assert_eq!(got.config_digest(), want.config_digest(), "{what}: digest");
@@ -192,7 +192,7 @@ fn populate(d: &mut Device, states: &[Option<Obj>], tables: &[Option<Tab>], rng:
         let Some((size, ternary, two)) = t else {
             continue;
         };
-        let table = p.tables.get_mut(&format!("t{i}")).unwrap();
+        let table = p.tables_mut().get_mut(&format!("t{i}")).unwrap();
         for _ in 0..rng.gen_range(0..*size + 2) {
             let key = rng.gen_range(0..6u64);
             let matches = if *ternary && rng.gen_bool(0.5) {

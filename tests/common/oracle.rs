@@ -144,7 +144,7 @@ fn reference(dev: &Device, pkt: &mut Packet, now: SimTime) -> Expected {
     let mut state = program.state.clone();
     state.now = now;
     let mut env = NamedEnv {
-        tables: &program.tables,
+        tables: program.tables(),
         state: &mut state,
         invocations: Vec::new(),
     };

@@ -1,0 +1,183 @@
+//! Allocation budget for a controller failover (`DESIGN.md` §8, §15).
+//!
+//! A successor whose committed prefix holds the very commands the log's
+//! replay cursor folded adopts that fold instead of re-deriving it from
+//! empty, and a revived node's recovery scrub reports where its verified
+//! records lie instead of copying them, so the node allocates only the
+//! command `String`s its log keeps. One `kill_leader → elect → revive`,
+//! counted exactly and seed-free (fixed seeds, fault-free disks) on a log
+//! aged by 64 `ctl_recover`-shaped scenarios — the most a `flexbench`
+//! `ctl_recover` world holds between two compactions:
+//!
+//! | measured here                          | budget |   now | before |
+//! |----------------------------------------|-------:|------:|-------:|
+//! | `kill_leader` + `elect`                |     64 |    38 |    217 |
+//! | `revive` of the dead leader            |    400 |   335 |    680 |
+//! | the whole failover                     |    450 |   373 |    897 |
+//!
+//! "before" counts the commit before the fold was adopted and the scrub
+//! stopped copying (`7618c1a`): the successor decoded and folded all 248
+//! records again, and the scrub copied every verified record once more
+//! before the revive decoded it. What the revive still allocates is
+//! mostly one `String` per command it keeps.
+//!
+//! A scenario is `flexbench`'s: a journaled 2PC over 3 of 8 leaves that
+//! dies at one crash phase (a third of them taking a leaf down with it),
+//! failover and revive, `recover`, the rolled-forward intent recorded, and
+//! a resync of the fleet.
+//!
+//! This file holds exactly one test (see `common/counting_alloc.rs`).
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::count;
+use flexnet::apps;
+use flexnet::prelude::*;
+use flexnet_controller::recovery::TargetDirectory;
+use flexnet_controller::txn::LoggedTxnOutcome;
+use flexnet_controller::{
+    logged_transactional_reconfig, recover, IntendedStore, NodeStorage, ReplicatedIntentLog,
+    Resyncer,
+};
+use flexnet_lang::ast::ActionCall;
+use flexnet_sim::faults::VICTIM_RESTART_DELAY;
+use flexnet_sim::CrashPhase;
+
+const SCENARIOS: usize = 64;
+const TARGETS: usize = 3;
+
+/// Program variant `k`: the same ACL table, `k + 1` counters.
+fn variant(k: usize) -> ProgramBundle {
+    let decls: String = (0..=k).map(|i| format!("counter c{i};\n")).collect();
+    let counts: String = (0..=k).map(|i| format!("count(c{i});\n")).collect();
+    apps::build(&format!(
+        "program app kind any {{
+           {decls}
+           table acl {{
+             key {{ ipv4.src : exact; }}
+             action deny() {{ drop(); }}
+             action allow() {{ forward(0); }}
+             default allow();
+             size 16;
+           }}
+           handler ingress(pkt) {{ {counts} apply acl; forward(0); }}
+         }}"
+    ))
+    .unwrap()
+}
+
+struct World {
+    sim: Simulation,
+    leaves: Vec<NodeId>,
+    log: ReplicatedIntentLog,
+    store: IntendedStore,
+    fabric: LossyFabric,
+    resyncer: Resyncer,
+    policy: RetryPolicy,
+    clock: SimTime,
+}
+
+impl World {
+    /// Eight leaves on variant 0, each with two out-of-band entries, and
+    /// their intent journaled.
+    fn new(seed: u64) -> World {
+        let (topo, _spines, leaves, _hosts) = Topology::leaf_spine(2, 8, 1);
+        let mut sim = Simulation::new(topo);
+        let storages = (0..3).map(|i| NodeStorage::fault_free(seed ^ (i + 1))).collect();
+        let mut log = ReplicatedIntentLog::new_with(3, seed, storages).unwrap();
+        let mut store = IntendedStore::new();
+        for (i, leaf) in leaves.iter().enumerate() {
+            let dev = &mut sim.topo.node_mut(*leaf).unwrap().device;
+            dev.install(variant(0)).unwrap();
+            store.commit_target(&mut log, 0, *leaf, variant(0)).unwrap();
+            for k in 0..2u64 {
+                let deny = ActionCall {
+                    action: "deny".into(),
+                    args: vec![],
+                };
+                let entry = TableEntry::exact(&[0xC0A8_0000 + 16 * i as u64 + k], deny);
+                dev.add_entry("acl", entry.clone()).unwrap();
+                store.record_entry(&mut log, *leaf, "acl", entry).unwrap();
+            }
+        }
+        World {
+            sim,
+            leaves,
+            log,
+            store,
+            fabric: LossyFabric::new(0.02, seed),
+            resyncer: Resyncer::default(),
+            policy: RetryPolicy {
+                max_attempts: 16,
+                deadline: SimDuration::from_secs(60),
+                ..RetryPolicy::default()
+            },
+            clock: SimTime::from_secs(1),
+        }
+    }
+
+    /// Crash → failover → recovery → resync, converged.
+    fn scenario(&mut self, op: usize) {
+        let World { sim, leaves, log, store, fabric, resyncer, policy, clock } = self;
+        let targets: Vec<(NodeId, ProgramBundle)> = (0..TARGETS)
+            .map(|j| (leaves[(op + j) % leaves.len()], variant(op % 4)))
+            .collect();
+        let phase = CrashPhase::ALL[op % 4];
+        let txn = logged_transactional_reconfig(
+            sim, &targets, *clock, fabric, policy, log, Some(phase), Some(store), None,
+        )
+        .unwrap();
+        if op.is_multiple_of(3) {
+            let dev = &mut sim.topo.node_mut(targets[op / 3 % TARGETS].0).unwrap().device;
+            dev.crash(txn.finished_at);
+            dev.restart(txn.finished_at + VICTIM_RESTART_DELAY).unwrap();
+        }
+        let before = log.now();
+        let dead = log.kill_leader().unwrap();
+        log.elect().unwrap();
+        log.cluster_mut().revive(dead).unwrap();
+        let mut directory = TargetDirectory::new();
+        directory.insert(txn.txn, targets.clone());
+        let from = txn.finished_at + log.now().saturating_since(before);
+        let recovery = recover(sim, log, &directory, leaves, from, fabric, policy).unwrap();
+        let settled = recovery.finished_at.max(txn.commit_at.unwrap_or(SimTime::ZERO))
+            + SimDuration::from_secs(1);
+        for leaf in leaves.iter() {
+            sim.topo.node_mut(*leaf).unwrap().device.tick(settled);
+        }
+        if txn.outcome == LoggedTxnOutcome::Crashed(CrashPhase::AfterFlipScheduled) {
+            for (node, bundle) in &targets {
+                store.commit_target(log, txn.txn, *node, bundle.clone()).unwrap();
+            }
+        }
+        let reports = resyncer.resync_all(sim, store, leaves, settled, fabric, policy, None).unwrap();
+        sim.reconfig_reports.clear();
+        let converged = reports.iter().map(|r| r.finished_at).max().unwrap_or(settled);
+        *clock = converged + SimDuration::from_millis(10);
+        for leaf in leaves.iter() {
+            let dev = &sim.topo.node(*leaf).unwrap().device;
+            assert_eq!(Some(dev.config_digest()), store.digest(*leaf), "scenario {op} converges");
+        }
+    }
+}
+
+#[test]
+fn a_failover_allocates_for_what_changed() {
+    let mut w = World::new(3);
+    for op in 0..SCENARIOS {
+        w.scenario(op);
+    }
+    let records = w.log.records().unwrap().len();
+    let (elect, dead) = count(|| {
+        let dead = w.log.kill_leader().unwrap();
+        w.log.elect().unwrap();
+        dead
+    });
+    let (revive, ()) = count(|| w.log.cluster_mut().revive(dead).unwrap());
+    println!("{records} records: kill_leader + elect {elect}, revive {revive}, total {}", elect + revive);
+    assert_eq!(w.log.records().unwrap().len(), records, "a failover commits only its barrier");
+    assert!(elect <= 64, "kill_leader + elect: {elect} allocations");
+    assert!(revive <= 400, "revive: {revive} allocations");
+    assert!(elect + revive <= 450, "failover: {} allocations", elect + revive);
+}

@@ -85,7 +85,7 @@ proptest! {
 
         let before = dev.program().unwrap();
         let before_bundle = before.bundle().clone();
-        let before_tables = before.tables.clone();
+        let before_tables = before.tables().clone();
         let before_state = before.state.snapshot();
         let before_version = dev.version();
 
@@ -109,7 +109,7 @@ proptest! {
 
         let after = dev.program().unwrap();
         prop_assert_eq!(after.bundle(), &before_bundle, "program image restored");
-        prop_assert_eq!(&after.tables, &before_tables, "table entries restored");
+        prop_assert_eq!(after.tables(), &before_tables, "table entries restored");
         prop_assert_eq!(after.state.snapshot(), expected_state, "state restored");
         prop_assert_eq!(dev.version(), before_version, "no version flip");
         prop_assert!(!dev.reconfig_in_progress());

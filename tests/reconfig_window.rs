@@ -107,7 +107,7 @@ fn assert_window_writes_present(d: &Device) {
     assert_eq!(p.state.counter_read("c"), 6, "counter: 1 at begin + 5 in the window");
     assert_eq!(p.state.reg_read("r", 0), 6, "register cell");
     assert_eq!(p.state.map_len("seen"), 6, "map keys");
-    let t = p.tables.get("t").unwrap();
+    let t = p.tables().get("t").unwrap();
     assert!(t.lookup(&[200]).is_some(), "entry acked in the window is present");
     assert!(t.lookup(&[100]).is_none(), "entry removed in the window is absent");
 }
@@ -343,7 +343,7 @@ fn quarantine_falls_back_to_the_outgoing_program_as_it_stood_at_the_flip() {
         storm(&mut d, flip);
         assert_eq!(d.program().unwrap().bundle(), &old(), "back on v1");
         assert_window_writes_present(&d);
-        let t = d.program().unwrap().tables.get("t").unwrap();
+        let t = d.program().unwrap().tables().get("t").unwrap();
         assert_eq!(t.len(), 1, "v1's entries as of the flip, and only those");
         assert_eq!(d.config_digest(), digest_of(old(), &[200]));
         assert_eq!(verdict(&mut d, 90, 200, flip), Verdict::Drop);
@@ -381,7 +381,7 @@ fn a_second_flip_replaces_the_fallback_with_the_second_outgoing_program() {
     assert_eq!(p.state.reg_read("r", 0), 11);
     assert_eq!(p.state.map_len("seen"), 11);
     assert_eq!(p.state.counter_read("extra"), 0);
-    let t = p.tables.get("t").unwrap();
+    let t = p.tables().get("t").unwrap();
     assert_eq!(t.len(), 2);
     assert!(t.lookup(&[200]).is_some() && t.lookup(&[300]).is_some());
     assert_eq!(d.config_digest(), digest_of(new(), &[200, 300]));

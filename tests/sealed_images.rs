@@ -107,7 +107,7 @@ fn reference_digest(dev: &Device) -> u64 {
         return EMPTY_CONFIG_DIGEST;
     };
     let entries: Vec<(String, TableEntry)> = p
-        .tables
+        .tables()
         .iter()
         .flat_map(|t| t.entries.iter().map(|e| (t.decl.name.clone(), e.clone())))
         .collect();
@@ -127,6 +127,16 @@ struct Pair {
 const NODE: NodeId = NodeId(1);
 
 impl Pair {
+    /// The store's kept digest of `NODE` against its image's fold of its
+    /// entries, recomputed: what a `commit_target` or `record_entry` must
+    /// leave behind.
+    fn check_store(&self, step: &str) -> std::result::Result<(), TestCaseError> {
+        let rec = self.store.get(NODE).expect("intent was recorded");
+        let entries = rec.entries().iter().map(|(t, e)| (t.as_str(), e));
+        prop_assert_eq!(self.store.digest(NODE), Some(rec.image().config_digest(entries)), "{}", step);
+        Ok(())
+    }
+
     fn check(&self, step: &str) -> std::result::Result<(), TestCaseError> {
         prop_assert_eq!(self.dev.config_digest(), reference_digest(&self.dev), "device, {}", step);
         if let Some(rec) = self.store.get(NODE) {
@@ -139,19 +149,33 @@ impl Pair {
         Ok(())
     }
 
-    fn install(&mut self, target: ProgramBundle) {
+    fn install(&mut self, target: ProgramBundle) -> std::result::Result<(), TestCaseError> {
         self.dev.install(target.clone()).unwrap();
         // A fresh install wipes the device's entries; intent starts over.
         self.store = IntendedStore::new();
         self.store.commit_target(&mut self.log, 0, NODE, target).unwrap();
         self.in_sync = true;
+        self.check_store("install")
+    }
+
+    /// Records `entry` in the store after the device took it.
+    fn record(&mut self, entry: TableEntry) -> std::result::Result<(), TestCaseError> {
+        // Intent may be on another program by now.
+        let recorded = self.store.record_entry(&mut self.log, NODE, "acl", entry).is_ok();
+        self.in_sync &= recorded;
+        if recorded {
+            self.check_store("record_entry")?;
+        }
+        Ok(())
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The memoised digests never drift from the from-scratch reference.
+    /// The memoised digests never drift from the from-scratch reference:
+    /// read before and after every op, so a memo a route forgot to clear
+    /// is caught stale.
     #[test]
     fn digests_equal_the_reference_after_any_history(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -163,9 +187,10 @@ proptest! {
             now: SimTime::from_secs(1),
         };
         w.check("empty")?;
-        w.install(gate(0, 16));
+        w.install(gate(0, 16))?;
         w.check("first install")?;
         for step in 0..24 {
+            w.check("before the op")?;
             w.now += SimDuration::from_secs(2);
             let now = w.now;
             let target = match rng.gen_range(0..6u64) {
@@ -174,22 +199,29 @@ proptest! {
                 _ => gate(rng.gen_range(0..3u64) as usize, 16),
             };
             // A second storm in a row leaves no fallback: reinstall.
-            let what = match rng.gen_range(0..9u64) {
+            let what = match rng.gen_range(0..10u64) {
                 _ if w.dev.program().is_none() => {
-                    w.install(target);
+                    w.install(target)?;
                     "install on the transparent default"
                 }
                 0 => {
-                    w.install(target);
+                    w.install(target)?;
                     "install"
                 }
                 1 | 2 => {
                     let entry = deny(rng.gen_range(0..8u64));
                     if w.dev.add_entry("acl", entry.clone()).is_ok() {
-                        // Intent may be on another program by now.
-                        w.in_sync &= w.store.record_entry(&mut w.log, NODE, "acl", entry).is_ok();
+                        w.record(entry)?;
                     }
                     "add_entry"
+                }
+                9 => {
+                    let entry = deny(rng.gen_range(0..8u64));
+                    let tables = w.dev.program_mut().unwrap().tables_mut();
+                    if tables.get_mut("acl").is_some_and(|t| t.insert(entry.clone()).is_ok()) {
+                        w.record(entry)?;
+                    }
+                    "entry inserted through tables_mut"
                 }
                 3 => {
                     let gone = w.dev.remove_entry("acl", &deny(rng.gen_range(0..8u64)).matches);
@@ -204,6 +236,7 @@ proptest! {
                         w.check("hitless shadow pending")?;
                         w.dev.tick(rep.ready_at);
                         w.store.commit_target(&mut w.log, step, NODE, target).unwrap();
+                        w.check_store("commit_target")?;
                         "hitless flip"
                     }
                     Err(_) => "hitless change refused",
@@ -715,7 +748,7 @@ fn restart_keeps_the_image_and_rebuilds_the_rest_lazily() {
     dev.restart(SimTime::from_secs(2)).unwrap();
     let p = dev.program().unwrap();
     assert!(Arc::ptr_eq(p.image().unwrap(), &shared), "the flashed image survives");
-    assert!(p.tables.get("acl").unwrap().is_empty(), "entries wiped");
+    assert!(p.tables().get("acl").unwrap().is_empty(), "entries wiped");
     assert!(p.compiled().is_none(), "bytecode dropped with the old slots");
     let mut pkt = Packet::tcp(1, 7, 20, 1, 80, 0);
     dev.process(&mut pkt, SimTime::from_secs(3)).unwrap();

@@ -99,7 +99,7 @@ proptest! {
         let out = scrub(&bytes[..cut], 0, true);
         prop_assert!(out.payloads.len() <= payloads.len(), "no phantom records");
         for (i, got) in out.payloads.iter().enumerate() {
-            prop_assert_eq!(got, &payloads[i], "record {} must match", i);
+            prop_assert_eq!(&bytes[got.clone()], &payloads[i][..], "record {} must match", i);
         }
         // The verified prefix may fall short of the cut only by the one
         // torn record the cut bisected.
