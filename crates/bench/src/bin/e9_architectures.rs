@@ -24,7 +24,7 @@ fn fill(alloc: &mut ArchAllocator, sram_each: u64) -> Vec<String> {
             (ResourceKind::SramKb, sram_each),
             (ResourceKind::ActionSlots, 8),
         ]);
-        if alloc.alloc(&name, &demand, 0).is_ok() {
+        if alloc.alloc(name.as_str().into(), &demand, 0).is_ok() {
             names.push(name);
         }
     }
@@ -39,14 +39,14 @@ fn realloc_task(
     resident: &[String],
     demand: &ResourceVec,
 ) -> (bool, usize, bool) {
-    if alloc.alloc("big", demand, 0).is_ok() {
+    if alloc.alloc("big".into(), demand, 0).is_ok() {
         return (true, 0, true);
     }
     let mut moves = 0;
     for name in resident {
         if alloc.free(name).is_ok() {
             moves += 1;
-            if alloc.alloc("big", demand, 0).is_ok() {
+            if alloc.alloc("big".into(), demand, 0).is_ok() {
                 return (false, moves, true);
             }
         }

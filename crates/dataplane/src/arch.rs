@@ -23,6 +23,7 @@ use flexnet_lang::ast::ProgramKind;
 use flexnet_types::{FlexError, ResourceKind, ResourceVec, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The architecture class (for cost model and report lookups).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -273,12 +274,17 @@ pub enum Location {
 }
 
 /// Per-device resource allocator enforcing the architecture's structure.
+///
+/// Elements are keyed by shared names: a placement made from a
+/// reconfiguration plan keeps the plan's pointer, so a clone — the
+/// rollback snapshot a begin holds until its flip or abort — copies
+/// pointers, not names.
 #[derive(Debug, Clone)]
 pub struct ArchAllocator {
     arch: Architecture,
     stage_used: Vec<ResourceVec>,
     pool_used: ResourceVec,
-    locations: BTreeMap<String, (Location, ResourceVec)>,
+    locations: BTreeMap<Arc<str>, (Location, ResourceVec)>,
 }
 
 impl ArchAllocator {
@@ -308,11 +314,11 @@ impl ArchAllocator {
     /// table sits in a later stage than its producers.
     pub fn alloc(
         &mut self,
-        name: &str,
+        name: Arc<str>,
         canonical_demand: &ResourceVec,
         min_stage: usize,
     ) -> Result<Location> {
-        if self.locations.contains_key(name) {
+        if self.locations.contains_key(&name) {
             return Err(FlexError::Compile(format!(
                 "element `{name}` is already placed"
             )));
@@ -325,8 +331,7 @@ impl ArchAllocator {
                     tentative += &demand;
                     if per_stage.covers(&tentative) {
                         self.stage_used[stage] = tentative;
-                        self.locations
-                            .insert(name.to_string(), (Location::Stage(stage), demand));
+                        self.locations.insert(name, (Location::Stage(stage), demand));
                         return Ok(Location::Stage(stage));
                     }
                 }
@@ -342,8 +347,7 @@ impl ArchAllocator {
                 tentative += &demand;
                 if cap.covers(&tentative) {
                     self.pool_used = tentative;
-                    self.locations
-                        .insert(name.to_string(), (Location::Pool, demand));
+                    self.locations.insert(name, (Location::Pool, demand));
                     Ok(Location::Pool)
                 } else {
                     Err(FlexError::ResourceExhausted {
@@ -380,7 +384,7 @@ impl ArchAllocator {
 
     /// Names of all placed elements.
     pub fn placed(&self) -> impl Iterator<Item = &str> {
-        self.locations.keys().map(|s| s.as_str())
+        self.locations.keys().map(|s| &**s)
     }
 
     /// Total used resources (arch kinds).
@@ -438,16 +442,16 @@ mod tests {
             per_stage: sram(100),
         };
         let mut a = ArchAllocator::new(arch);
-        assert_eq!(a.alloc("t1", &sram(80), 0).unwrap(), Location::Stage(0));
+        assert_eq!(a.alloc("t1".into(), &sram(80), 0).unwrap(), Location::Stage(0));
         // t2 doesn't fit in stage 0 (only 20 left) -> stage 1.
-        assert_eq!(a.alloc("t2", &sram(50), 0).unwrap(), Location::Stage(1));
+        assert_eq!(a.alloc("t2".into(), &sram(50), 0).unwrap(), Location::Stage(1));
         // min_stage 1 with 60 demanded: stage 1 has 50 left -> fails even
         // though stage 0 has 20 and total 70 remain (fragmentation).
-        let err = a.alloc("t3", &sram(60), 1).unwrap_err();
+        let err = a.alloc("t3".into(), &sram(60), 1).unwrap_err();
         assert!(matches!(err, FlexError::ResourceExhausted { .. }));
         // Freeing t2 makes stage 1 fit.
         a.free("t2").unwrap();
-        assert_eq!(a.alloc("t3", &sram(60), 1).unwrap(), Location::Stage(1));
+        assert_eq!(a.alloc("t3".into(), &sram(60), 1).unwrap(), Location::Stage(1));
     }
 
     #[test]
@@ -465,13 +469,13 @@ mod tests {
         let mut da = ArchAllocator::new(drmt);
         // Four 60KB tables fill each RMT stage's majority…
         for i in 0..4 {
-            ra.alloc(&format!("t{i}"), &sram(60), 0).unwrap();
-            da.alloc(&format!("t{i}"), &sram(60), 0).unwrap();
+            ra.alloc(format!("t{i}").into(), &sram(60), 0).unwrap();
+            da.alloc(format!("t{i}").into(), &sram(60), 0).unwrap();
         }
         // …so a 150KB table fails on RMT (no single stage has 150)…
-        assert!(ra.alloc("big", &sram(150), 0).is_err());
+        assert!(ra.alloc("big".into(), &sram(150), 0).is_err());
         // …but succeeds on dRMT (pool has 160 left).
-        da.alloc("big", &sram(150), 0).unwrap();
+        da.alloc("big".into(), &sram(150), 0).unwrap();
     }
 
     #[test]
@@ -508,8 +512,8 @@ mod tests {
     fn pool_alloc_free_roundtrip() {
         let mut a = ArchAllocator::new(Architecture::smartnic_default());
         let d = ResourceVec::of(ResourceKind::ActionSlots, 500);
-        a.alloc("h", &d, 0).unwrap();
-        assert!(a.alloc("h", &d, 0).is_err(), "duplicate placement");
+        a.alloc("h".into(), &d, 0).unwrap();
+        assert!(a.alloc("h".into(), &d, 0).is_err(), "duplicate placement");
         assert!(a.utilization() > 0.0);
         assert_eq!(a.location("h"), Some(Location::Pool));
         a.free("h").unwrap();
@@ -523,8 +527,8 @@ mod tests {
             processors: 1,
             pool: sram(10),
         });
-        a.alloc("a", &sram(8), 0).unwrap();
-        assert!(a.alloc("b", &sram(8), 0).is_err());
+        a.alloc("a".into(), &sram(8), 0).unwrap();
+        assert!(a.alloc("b".into(), &sram(8), 0).is_err());
         assert_eq!(a.available(), sram(2));
     }
 

@@ -810,14 +810,15 @@ impl Device {
                 self.id
             )));
         }
-        // Release any previous placement.
-        let old_placed: Vec<String> = self.allocator.placed().map(str::to_string).collect();
-        for name in old_placed {
-            let _ = self.allocator.free(&name);
-        }
+        // Release any previous placement; one that fails part-way is
+        // released too.
+        let empty = ArchAllocator::new(self.allocator.arch().clone());
+        self.allocator = empty.clone();
         self.parser = ParserGraph::new();
-
-        self.place_elements(&installed)?;
+        if let Err(e) = self.place_elements(&installed) {
+            self.allocator = empty;
+            return Err(e);
+        }
         for h in &installed.bundle().headers {
             self.parser.add_state(h)?;
         }
@@ -865,26 +866,16 @@ impl Device {
             visit_names(&h.body, &mut |n| applied.push(n));
         }
         let mut last_stage = 0usize;
-        let mut placed: Vec<String> = Vec::new();
-        let result = (|| {
-            for e in &elements {
-                let ordered = e.kind == flexnet_lang::ir::ElementKind::Table
-                    && applied.contains(&e.name.as_str());
-                let min_stage = if ordered { last_stage } else { 0 };
-                let loc = self.allocator.alloc(&e.name, &e.demand, min_stage)?;
-                placed.push(e.name.clone());
-                if let (crate::arch::Location::Stage(s), true) = (loc, ordered) {
-                    last_stage = s;
-                }
-            }
-            Ok(())
-        })();
-        if result.is_err() {
-            for name in placed {
-                let _ = self.allocator.free(&name);
+        for e in &elements {
+            let ordered = e.kind == flexnet_lang::ir::ElementKind::Table
+                && applied.contains(&e.name.as_str());
+            let min_stage = if ordered { last_stage } else { 0 };
+            let loc = self.allocator.alloc(e.name.as_str().into(), &e.demand, min_stage)?;
+            if let (crate::arch::Location::Stage(s), true) = (loc, ordered) {
+                last_stage = s;
             }
         }
-        result
+        Ok(())
     }
 
     /// Used resources (architecture kinds), including the parser.

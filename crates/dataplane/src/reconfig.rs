@@ -63,8 +63,9 @@ pub struct ReconfigPlan {
     ops: Vec<ReconfigOp>,
     /// Make-before-break placements in op order: the element, its demand,
     /// and whether a same-named element is freed first (break-before-make
-    /// for one that is modified in place).
-    placements: Vec<(String, ResourceVec, bool)>,
+    /// for one that is modified in place). The names are made once here;
+    /// every device's allocator keys its placement by the same pointer.
+    placements: Vec<(Arc<str>, ResourceVec, bool)>,
     pub(crate) flip: Arc<FlipPlan>,
 }
 
@@ -100,7 +101,7 @@ impl ReconfigPlan {
                 ReconfigOp::SetHandler(h) => (&h.name, handler_demand(h), true),
                 _ => return None,
             };
-            Some((name.clone(), demand, replace))
+            Some((Arc::from(name.as_str()), demand, replace))
         });
         let placements = placements.collect();
         let removal = |op: &&ReconfigOp| {
@@ -463,7 +464,7 @@ impl Device {
                 if *replace {
                     let _ = self.allocator_mut().free(name);
                 }
-                self.allocator_mut().alloc(name, demand, 0)?;
+                self.allocator_mut().alloc(name.clone(), demand, 0)?;
             }
             Ok(())
         })();

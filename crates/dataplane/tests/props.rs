@@ -222,7 +222,7 @@ proptest! {
                 (ResourceKind::SramKb, *sram),
                 (ResourceKind::ActionSlots, *slots),
             ]);
-            if alloc.alloc(&format!("e{i}"), &d, 0).is_ok() {
+            if alloc.alloc(format!("e{i}").into(), &d, 0).is_ok() {
                 placed.push(format!("e{i}"));
             }
         }

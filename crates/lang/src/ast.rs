@@ -83,14 +83,20 @@ pub enum ProgramKind {
     Any,
 }
 
+impl ProgramKind {
+    fn keyword(self) -> &'static str {
+        match self {
+            ProgramKind::Switch => "switch",
+            ProgramKind::Nic => "nic",
+            ProgramKind::Host => "host",
+            ProgramKind::Any => "any",
+        }
+    }
+}
+
 impl fmt::Display for ProgramKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProgramKind::Switch => write!(f, "switch"),
-            ProgramKind::Nic => write!(f, "nic"),
-            ProgramKind::Host => write!(f, "host"),
-            ProgramKind::Any => write!(f, "any"),
-        }
+        f.write_str(self.keyword())
     }
 }
 
@@ -191,14 +197,20 @@ pub enum MatchKind {
     Range,
 }
 
+impl MatchKind {
+    fn keyword(self) -> &'static str {
+        match self {
+            MatchKind::Exact => "exact",
+            MatchKind::Lpm => "lpm",
+            MatchKind::Ternary => "ternary",
+            MatchKind::Range => "range",
+        }
+    }
+}
+
 impl fmt::Display for MatchKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MatchKind::Exact => write!(f, "exact"),
-            MatchKind::Lpm => write!(f, "lpm"),
-            MatchKind::Ternary => write!(f, "ternary"),
-            MatchKind::Range => write!(f, "range"),
-        }
+        f.write_str(self.keyword())
     }
 }
 
@@ -232,10 +244,7 @@ impl FieldPath {
 
 impl fmt::Display for FieldPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FieldPath::Header(p, field) => write!(f, "{p}.{field}"),
-            FieldPath::Meta(field) => write!(f, "meta.{field}"),
-        }
+        write_field(f, self)
     }
 }
 
@@ -340,10 +349,11 @@ pub enum Stmt {
     RegWrite(String, Expr, Expr),
     /// `count(c);`
     Count(String),
-    /// `if (cond) { … } else { … }`. The branches are shared blocks: a
-    /// tenant's guarded body is built once and every composition lays the
-    /// same `Arc` down (an empty `else` prints as no `else`).
-    If(Expr, Arc<Block>, Arc<Block>),
+    /// `if (cond) { … } else { … }`. The condition and the branches are
+    /// shared: a tenant's VLAN guard is built once and every composition
+    /// lays the same three `Arc`s down (an empty `else` prints as no
+    /// `else`).
+    If(Arc<Expr>, Arc<Block>, Arc<Block>),
     /// `repeat (n) { … }` — constant trip count, verified bounded.
     Repeat(u64, Block),
     /// `apply t;`
@@ -559,7 +569,8 @@ pub fn visit_names<'a>(block: &'a Block, f: &mut impl FnMut(&'a str)) {
 }
 
 /// [`visit_names`] with each name handed out for renaming in place. A
-/// shared `if` branch is un-shared (`Arc::make_mut`) on the way down.
+/// shared `if` condition or branch is un-shared (`Arc::make_mut`) on the
+/// way down.
 pub fn visit_names_mut(block: &mut Block, f: &mut impl FnMut(&mut String)) {
     fn expr(e: &mut Expr, f: &mut impl FnMut(&mut String)) {
         match e {
@@ -593,7 +604,7 @@ pub fn visit_names_mut(block: &mut Block, f: &mut impl FnMut(&mut String)) {
             }
             Stmt::Count(n) | Stmt::Apply(n) => f(n),
             Stmt::If(c, t, e) => {
-                expr(c, f);
+                expr(Arc::make_mut(c), f);
                 visit_names_mut(Arc::make_mut(t), f);
                 visit_names_mut(Arc::make_mut(e), f);
             }
@@ -610,7 +621,37 @@ pub fn visit_names_mut(block: &mut Block, f: &mut impl FnMut(&mut String)) {
 //
 // One writer, generic over the sink: `to_source` collects it into a
 // `String`, the configuration digest folds the same bytes into an FNV
-// state without materializing them.
+// state without materializing them. It writes pieces — `write_str` and
+// `write_u64` — rather than format strings, which would run the
+// formatting machinery for every name and number of every seal.
+
+/// Writes `pieces` in order.
+fn write_all<W: fmt::Write>(out: &mut W, pieces: &[&str]) -> fmt::Result {
+    pieces.iter().try_for_each(|p| out.write_str(p))
+}
+
+/// `v` in decimal, as `{v}` prints it.
+fn write_u64<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    // Only ASCII digits were written.
+    out.write_str(std::str::from_utf8(&buf[at..]).unwrap_or_default())
+}
+
+fn write_field<W: fmt::Write>(out: &mut W, path: &FieldPath) -> fmt::Result {
+    match path {
+        FieldPath::Header(p, f) => write_all(out, &[p, ".", f]),
+        FieldPath::Meta(f) => write_all(out, &["meta.", f]),
+    }
+}
 
 /// A comma-separated list, written through `item`.
 fn write_list<W: fmt::Write, T>(
@@ -629,7 +670,10 @@ fn write_list<W: fmt::Write, T>(
 
 /// `name: u<width>, …` — service and action parameter lists.
 fn write_params<W: fmt::Write>(out: &mut W, params: &[(String, u8)]) -> fmt::Result {
-    write_list(out, params, |out, (n, w)| write!(out, "{n}: u{w}"))
+    write_list(out, params, |out, (n, w)| {
+        write_all(out, &[n, ": u"])?;
+        write_u64(out, u64::from(*w))
+    })
 }
 
 fn indent<W: fmt::Write>(out: &mut W, depth: usize) -> fmt::Result {
@@ -643,18 +687,41 @@ fn write_block<W: fmt::Write>(out: &mut W, block: &Block, depth: usize) -> fmt::
     block.iter().try_for_each(|stmt| write_stmt(out, stmt, depth))
 }
 
+/// `head` `e` `tail`: the shape of every one-expression statement.
+fn write_wrapped<W: fmt::Write>(out: &mut W, head: &[&str], e: &Expr, tail: &str) -> fmt::Result {
+    write_all(out, head)?;
+    write_expr(out, e)?;
+    out.write_str(tail)
+}
+
+/// `head` `a`, `b` `tail`: the shape of every two-expression statement.
+fn write_pair<W: fmt::Write>(
+    out: &mut W,
+    head: &[&str],
+    a: &Expr,
+    b: &Expr,
+    tail: &str,
+) -> fmt::Result {
+    write_wrapped(out, head, a, ", ")?;
+    write_expr(out, b)?;
+    out.write_str(tail)
+}
+
 fn write_stmt<W: fmt::Write>(out: &mut W, stmt: &Stmt, depth: usize) -> fmt::Result {
     indent(out, depth)?;
     match stmt {
-        Stmt::Let(n, e) => writeln!(out, "let {n} = {e};"),
-        Stmt::AssignLocal(n, e) => writeln!(out, "{n} = {e};"),
-        Stmt::AssignField(p, e) => writeln!(out, "{p} = {e};"),
-        Stmt::MapPut(m, k, v) => writeln!(out, "map_put({m}, {k}, {v});"),
-        Stmt::MapDelete(m, k) => writeln!(out, "map_del({m}, {k});"),
-        Stmt::RegWrite(r, i, v) => writeln!(out, "reg_write({r}, {i}, {v});"),
-        Stmt::Count(c) => writeln!(out, "count({c});"),
+        Stmt::Let(n, e) => write_wrapped(out, &["let ", n, " = "], e, ";\n"),
+        Stmt::AssignLocal(n, e) => write_wrapped(out, &[n, " = "], e, ";\n"),
+        Stmt::AssignField(p, e) => {
+            write_field(out, p)?;
+            write_wrapped(out, &[" = "], e, ";\n")
+        }
+        Stmt::MapPut(m, k, v) => write_pair(out, &["map_put(", m, ", "], k, v, ");\n"),
+        Stmt::MapDelete(m, k) => write_wrapped(out, &["map_del(", m, ", "], k, ");\n"),
+        Stmt::RegWrite(r, i, v) => write_pair(out, &["reg_write(", r, ", "], i, v, ");\n"),
+        Stmt::Count(c) => write_all(out, &["count(", c, ");\n"]),
         Stmt::If(c, t, e) => {
-            writeln!(out, "if ({c}) {{")?;
+            write_wrapped(out, &["if ("], c, ") {\n")?;
             write_block(out, t, depth + 1)?;
             indent(out, depth)?;
             if !e.is_empty() {
@@ -665,57 +732,66 @@ fn write_stmt<W: fmt::Write>(out: &mut W, stmt: &Stmt, depth: usize) -> fmt::Res
             out.write_str("}\n")
         }
         Stmt::Repeat(n, b) => {
-            writeln!(out, "repeat ({n}) {{")?;
+            out.write_str("repeat (")?;
+            write_u64(out, *n)?;
+            out.write_str(") {\n")?;
             write_block(out, b, depth + 1)?;
             indent(out, depth)?;
             out.write_str("}\n")
         }
-        Stmt::Apply(t) => writeln!(out, "apply {t};"),
+        Stmt::Apply(t) => write_all(out, &["apply ", t, ";\n"]),
         Stmt::Drop => out.write_str("drop();\n"),
-        Stmt::Forward(e) => writeln!(out, "forward({e});"),
+        Stmt::Forward(e) => write_wrapped(out, &["forward("], e, ");\n"),
         Stmt::Punt => out.write_str("punt();\n"),
         Stmt::Recirculate => out.write_str("recirculate();\n"),
         Stmt::Invoke(s, args) => {
-            write!(out, "invoke {s}(")?;
-            write_list(out, args, |out, a| write!(out, "{a}"))?;
+            write_all(out, &["invoke ", s, "("])?;
+            write_list(out, args, |out, a| write_expr(out, a))?;
             out.write_str(");\n")
         }
-        Stmt::AddHeader(p) => writeln!(out, "add_header({p});"),
-        Stmt::RemoveHeader(p) => writeln!(out, "remove_header({p});"),
+        Stmt::AddHeader(p) => write_all(out, &["add_header(", p, ");\n"]),
+        Stmt::RemoveHeader(p) => write_all(out, &["remove_header(", p, ");\n"]),
         Stmt::Return => out.write_str("return;\n"),
     }
 }
 
 /// An expression as parseable source (binary operations fully
 /// parenthesized).
+fn write_expr<W: fmt::Write>(out: &mut W, e: &Expr) -> fmt::Result {
+    match e {
+        Expr::Int(v) => write_u64(out, *v),
+        Expr::Local(n) => out.write_str(n),
+        Expr::Field(p) => write_field(out, p),
+        Expr::Valid(p) => write_all(out, &["valid(", p, ")"]),
+        Expr::MapGet(m, k) => write_wrapped(out, &["map_get(", m, ", "], k, ")"),
+        Expr::MapHas(m, k) => write_wrapped(out, &["map_has(", m, ", "], k, ")"),
+        Expr::RegRead(r, i) => write_wrapped(out, &["reg_read(", r, ", "], i, ")"),
+        Expr::CounterRead(c) => write_all(out, &["counter_read(", c, ")"]),
+        Expr::MeterCheck(m, k) => write_wrapped(out, &["meter_check(", m, ", "], k, ")"),
+        Expr::Hash(args) => {
+            out.write_str("hash(")?;
+            write_list(out, args, |out, a| write_expr(out, a))?;
+            out.write_str(")")
+        }
+        Expr::PktLen => out.write_str("pktlen()"),
+        Expr::Bin(op, l, r) => {
+            write_wrapped(out, &["("], l, " ")?;
+            write_wrapped(out, &[op.symbol(), " "], r, ")")
+        }
+        Expr::Un(op, v) => {
+            let sym = match op {
+                UnOp::Not => "!",
+                UnOp::BitNot => "~",
+                UnOp::Neg => "-",
+            };
+            write_wrapped(out, &[sym], v, "")
+        }
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Expr::Int(v) => write!(f, "{v}"),
-            Expr::Local(n) => f.write_str(n),
-            Expr::Field(p) => write!(f, "{p}"),
-            Expr::Valid(p) => write!(f, "valid({p})"),
-            Expr::MapGet(m, k) => write!(f, "map_get({m}, {k})"),
-            Expr::MapHas(m, k) => write!(f, "map_has({m}, {k})"),
-            Expr::RegRead(r, i) => write!(f, "reg_read({r}, {i})"),
-            Expr::CounterRead(c) => write!(f, "counter_read({c})"),
-            Expr::MeterCheck(m, k) => write!(f, "meter_check({m}, {k})"),
-            Expr::Hash(args) => {
-                f.write_str("hash(")?;
-                write_list(f, args, |f, a| write!(f, "{a}"))?;
-                f.write_str(")")
-            }
-            Expr::PktLen => f.write_str("pktlen()"),
-            Expr::Bin(op, l, r) => write!(f, "({l} {} {r})", op.symbol()),
-            Expr::Un(op, v) => {
-                let sym = match op {
-                    UnOp::Not => "!",
-                    UnOp::BitNot => "~",
-                    UnOp::Neg => "-",
-                };
-                write!(f, "{sym}{v}")
-            }
-        }
+        write_expr(f, self)
     }
 }
 
@@ -758,46 +834,60 @@ impl Program {
     /// Writes the program's parseable FlexBPF source into `out` — the
     /// bytes of [`Program::to_source`], without building them first.
     pub fn write_source<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        writeln!(out, "program {} kind {} {{", self.name, self.kind)?;
+        write_all(out, &["program ", &self.name, " kind ", self.kind.keyword(), " {\n"])?;
         for s in &self.states {
             indent(out, 1)?;
             match &s.kind {
                 StateKind::Map {
                     key_width,
                     value_width,
-                } => writeln!(
-                    out,
-                    "map {} : map<u{key_width}, u{value_width}>[{}];",
-                    s.name, s.size
-                )?,
-                StateKind::Counter => writeln!(out, "counter {};", s.name)?,
+                } => {
+                    write_all(out, &["map ", &s.name, " : map<u"])?;
+                    write_u64(out, u64::from(*key_width))?;
+                    out.write_str(", u")?;
+                    write_u64(out, u64::from(*value_width))?;
+                    out.write_str(">[")?;
+                    write_u64(out, s.size)?;
+                    out.write_str("];\n")?;
+                }
+                StateKind::Counter => write_all(out, &["counter ", &s.name, ";\n"])?,
                 StateKind::Register { width } => {
-                    writeln!(out, "register {} : u{width}[{}];", s.name, s.size)?
+                    write_all(out, &["register ", &s.name, " : u"])?;
+                    write_u64(out, u64::from(*width))?;
+                    out.write_str("[")?;
+                    write_u64(out, s.size)?;
+                    out.write_str("];\n")?;
                 }
                 StateKind::Meter { rate_pps, burst } => {
-                    writeln!(out, "meter {} rate {rate_pps} burst {burst};", s.name)?
+                    write_all(out, &["meter ", &s.name, " rate "])?;
+                    write_u64(out, *rate_pps)?;
+                    out.write_str(" burst ")?;
+                    write_u64(out, *burst)?;
+                    out.write_str(";\n")?;
                 }
             }
         }
         for svc in &self.services {
             indent(out, 1)?;
             let kw = if svc.provided { "provide" } else { "require" };
-            write!(out, "service {kw} {}(", svc.name)?;
+            write_all(out, &["service ", kw, " ", &svc.name, "("])?;
             write_params(out, &svc.params)?;
             out.write_str(");\n")?;
         }
         for t in &self.tables {
             indent(out, 1)?;
-            writeln!(out, "table {} {{", t.name)?;
+            write_all(out, &["table ", &t.name, " {\n"])?;
             indent(out, 2)?;
             out.write_str("key {")?;
             for k in &t.keys {
-                write!(out, " {} : {};", k.field, k.match_kind)?;
+                out.write_str(" ")?;
+                write_field(out, &k.field)?;
+                write_all(out, &[" : ", k.match_kind.keyword(), ";"])?;
             }
             out.write_str(" }\n")?;
             for a in &t.actions {
                 indent(out, 2)?;
-                write!(out, "action {}(", a.name)?;
+                write_all(out, &["action ", &a.name, "("])?;
                 write_params(out, &a.params)?;
                 out.write_str(") {\n")?;
                 write_block(out, &a.body, 3)?;
@@ -806,18 +896,20 @@ impl Program {
             }
             if let Some(d) = &t.default_action {
                 indent(out, 2)?;
-                write!(out, "default {}(", d.action)?;
-                write_list(out, &d.args, |out, v| write!(out, "{v}"))?;
+                write_all(out, &["default ", &d.action, "("])?;
+                write_list(out, &d.args, |out, v| write_u64(out, *v))?;
                 out.write_str(");\n")?;
             }
             indent(out, 2)?;
-            writeln!(out, "size {};", t.size)?;
+            out.write_str("size ")?;
+            write_u64(out, t.size)?;
+            out.write_str(";\n")?;
             indent(out, 1)?;
             out.write_str("}\n")?;
         }
         for h in &self.handlers {
             indent(out, 1)?;
-            writeln!(out, "handler {}(pkt) {{", h.name)?;
+            write_all(out, &["handler ", &h.name, "(pkt) {\n"])?;
             write_block(out, &h.body, 2)?;
             indent(out, 1)?;
             out.write_str("}\n")?;
@@ -910,8 +1002,16 @@ mod tests {
         visit_names(&p.handlers[0].body, &mut |n| seen.push(n.to_string()));
         assert_eq!(seen, want);
 
+        // Renaming works on a copy: the `if`'s condition and branches are
+        // shared with the original until the walk un-shares them.
+        let original = p.handlers[0].clone();
+        let condition = |body: &Block| match &body[7] {
+            Stmt::If(c, _, _) => c.clone(),
+            other => panic!("statement 8 is the `if`: {other:?}"),
+        };
         let mut renamed = Vec::new();
         let body = &mut Arc::make_mut(&mut p.handlers[0]).body;
+        assert!(Arc::ptr_eq(&condition(body), &condition(&original.body)));
         visit_names_mut(body, &mut |n| {
             renamed.push(n.clone());
             n.insert(0, 'r');
@@ -920,6 +1020,11 @@ mod tests {
         let mut after = Vec::new();
         visit_names(body, &mut |n| after.push(n.to_string()));
         assert_eq!(after, want.iter().map(|n| format!("r{n}")).collect::<Vec<_>>());
+        assert_eq!(condition(body).to_string(), "(counter_read(rn17) == x)");
+        assert_eq!(condition(&original.body).to_string(), "(counter_read(n17) == x)");
+        let mut untouched = Vec::new();
+        visit_names(&original.body, &mut |n| untouched.push(n.to_string()));
+        assert_eq!(untouched, want);
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //!
 //! 4. **Conflict detection** — incompatible redeclarations of the same
 //!    header type and duplicate `provide`d services are hard errors.
-//! 5. **Sharing** — structurally identical *stateless* tenant tables are
-//!    deduplicated into a single shared table.
+//! 5. **Sharing** — structurally identical *stateless* tables that
+//!    fragments brought are deduplicated into a single shared table; the
+//!    infrastructure's own tables are never shared, whatever their names.
 //!
 //! [`compose`] is the from-scratch reference: isolate each extension,
 //! assemble the lot. A holder of fragments (the controller's tenant
@@ -62,8 +63,6 @@ pub struct TenantExtension {
 pub struct CompositionReport {
     /// Number of tenant extensions composed.
     pub tenants: usize,
-    /// Renames applied: (original, namespaced).
-    pub renamed: Vec<(String, String)>,
     /// Number of tenant tables eliminated by sharing.
     pub shared_tables: usize,
 }
@@ -242,7 +241,7 @@ fn isolate_until_fault(
                     Expr::Int(ext.vlan.0 as u64),
                 )),
             );
-            frag.guards.push(Stmt::If(guard, Arc::new(body), Arc::default()));
+            frag.guards.push(Stmt::If(Arc::new(guard), Arc::new(body), Arc::default()));
         } else {
             // Non-ingress handlers are installed namespaced.
             frag.handlers.push(Arc::new(Handler {
@@ -260,6 +259,9 @@ struct Assembly {
     out: ProgramBundle,
     report: CompositionReport,
     guards: Vec<Stmt>,
+    /// How many tables the infrastructure declares: the composed tables
+    /// from here on are the ones fragments brought.
+    infra_tables: usize,
 }
 
 impl Assembly {
@@ -285,6 +287,7 @@ impl Assembly {
             }
         }
         Ok(Assembly {
+            infra_tables: out.program.tables.len(),
             out,
             report: CompositionReport::default(),
             guards: Vec::new(),
@@ -315,7 +318,6 @@ impl Assembly {
         program.tables.extend(frag.tables.iter().cloned());
         program.handlers.extend(frag.handlers.iter().cloned());
         self.guards.extend(guards);
-        self.report.renamed.extend(frag.renamed.iter().cloned());
         self.report.tenants += 1;
         Ok(())
     }
@@ -340,7 +342,7 @@ impl Assembly {
                 None => program.handlers.insert(0, merged),
             }
         }
-        self.report.shared_tables = dedup_stateless_tables(program);
+        self.report.shared_tables = dedup_stateless_tables(program, self.infra_tables);
         Composition {
             bundle: self.out,
             report: self.report,
@@ -385,20 +387,10 @@ fn block_is_stateless(block: &Block) -> bool {
     stateless
 }
 
-/// Deduplicates structurally identical stateless tenant tables, rewriting
-/// applies to the surviving copy. Returns the number of tables eliminated.
-fn dedup_stateless_tables(program: &mut Program) -> usize {
-    // Only tenant tables (prefixed `t<digits>_`) participate.
-    fn is_tenant_table(name: &str) -> bool {
-        let Some(rest) = name.strip_prefix('t') else {
-            return false;
-        };
-        let Some((digits, _)) = rest.split_once('_') else {
-            return false;
-        };
-        !digits.is_empty() && digits.chars().all(|c| c.is_ascii_digit())
-    }
-
+/// Deduplicates structurally identical stateless tables among those a
+/// fragment brought — `program.tables[infra_tables..]` — rewriting applies
+/// to the surviving copy. Returns the number of tables eliminated.
+fn dedup_stateless_tables(program: &mut Program, infra_tables: usize) -> usize {
     // The same table under another name.
     fn same_definition(a: &TableDecl, b: &TableDecl) -> bool {
         let TableDecl {
@@ -417,8 +409,8 @@ fn dedup_stateless_tables(program: &mut Program) -> usize {
     let mut renames: BTreeMap<String, String> = BTreeMap::new();
     let mut eliminated = 0usize;
 
-    for t in std::mem::take(&mut program.tables) {
-        if is_tenant_table(&t.name) && t.actions.iter().all(|a| block_is_stateless(&a.body)) {
+    for (at, t) in std::mem::take(&mut program.tables).into_iter().enumerate() {
+        if at >= infra_tables && t.actions.iter().all(|a| block_is_stateless(&a.body)) {
             if let Some(&i) = shareable.iter().find(|&&i| same_definition(&keep[i], &t)) {
                 renames.insert(t.name.clone(), keep[i].name.clone());
                 eliminated += 1;
@@ -645,6 +637,38 @@ mod tests {
         assert_eq!(screens.len(), 1);
         let reg = HeaderRegistry::builtins();
         check_program(&c.bundle.program, &reg).unwrap();
+    }
+
+    #[test]
+    fn infrastructure_tables_are_never_shared_whatever_their_names() {
+        // Two identical stateless tables the infrastructure declares under
+        // names a tenant prefix would produce: no fragment brought them,
+        // so composition leaves both, and both applies, as written.
+        let infra = bundle(
+            "program infra kind switch {
+               table t1_a { key { tcp.dport : exact; } action deny() { drop(); } size 16; }
+               table t2_a { key { tcp.dport : exact; } action deny() { drop(); } size 16; }
+               handler ingress(pkt) { apply t1_a; apply t2_a; forward(0); }
+             }",
+        );
+        let c = compose(&infra, &[]).unwrap();
+        assert_eq!(c.report.shared_tables, 0);
+        assert_eq!(c.bundle, infra);
+        // A tenant's copy of that table is not folded into either.
+        let tenant = TenantExtension {
+            tenant: TenantId(3),
+            vlan: VlanId(30),
+            bundle: bundle(
+                "program x {
+                   table a { key { tcp.dport : exact; } action deny() { drop(); } size 16; }
+                   handler ingress(pkt) { apply a; }
+                 }",
+            ),
+        };
+        let c = compose(&infra, &[tenant]).unwrap();
+        assert_eq!(c.report.shared_tables, 0);
+        let names: Vec<&str> = c.bundle.program.tables.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["t1_a", "t2_a", "t3_a"]);
     }
 
     #[test]

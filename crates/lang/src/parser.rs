@@ -545,7 +545,7 @@ impl Parser {
             } else {
                 Vec::new()
             };
-            return Ok(Stmt::If(cond, Arc::new(then), Arc::new(els)));
+            return Ok(Stmt::If(Arc::new(cond), Arc::new(then), Arc::new(els)));
         }
         if self.at_keyword("repeat") {
             self.keyword("repeat")?;

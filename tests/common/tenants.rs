@@ -77,7 +77,19 @@ pub fn churn(
     extension: ProgramBundle,
     now: SimTime,
 ) -> ProgramBundle {
-    if live.len() >= TENANTS {
+    churn_keeping(TENANTS, ctl, live, op, extension, now)
+}
+
+/// [`churn`] keeping `keep` (at most 64) tenants live.
+pub fn churn_keeping(
+    keep: usize,
+    ctl: &mut Controller,
+    live: &mut VecDeque<TenantId>,
+    op: u64,
+    extension: ProgramBundle,
+    now: SimTime,
+) -> ProgramBundle {
+    if live.len() >= keep {
         let oldest = live.pop_front().expect("tenants are live");
         ctl.tenant_depart(oldest).expect("a live tenant departs");
     }

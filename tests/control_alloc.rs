@@ -1,31 +1,39 @@
 //! Allocation budget for the control path.
 //!
 //! A program's declarations sit behind `Arc`s from the parser to
-//! `last_good` (DESIGN.md §23), a tenant's guarded `ingress` body is one
-//! shared block, and a device's state names live in its image's layout
-//! (§13), so a control operation allocates for what it changes — the
-//! newcomer's fragment, one merged `ingress` handler, the vectors of
-//! pointers and values — not for the eight tenants it leaves alone. The
-//! checks that make a bundle an image borrow the program's names and the
-//! built-in headers are one static table (§18), so a seal allocates the
-//! image and little else. Counts are exact and seed-free (a lossless
-//! fabric, fixed sources):
+//! `last_good` (DESIGN.md §23), a tenant's VLAN guard — condition and
+//! guarded body — is shared, a composition copies no rename list, and a
+//! device's state names live in its image's layout (§13), so a control
+//! operation allocates for what it changes — the newcomer's fragment, one
+//! merged `ingress` handler, the vectors of pointers and values — not for
+//! the tenants it leaves alone. A plan names its placements once and every
+//! allocator keys them by that pointer, so a begin's rollback snapshot
+//! copies pointers. The checks that make a bundle an image borrow the
+//! program's names and the built-in headers are one static table (§18), so
+//! a seal allocates the image and little else. Counts are exact and
+//! seed-free (a lossless fabric, fixed sources):
 //!
-//! | measured here                                   | budget |   now | before borrowed names | before layouts and blocks | before declarations |
-//! |-------------------------------------------------|-------:|------:|----------------------:|--------------------------:|--------------------:|
-//! | one `ctl_txn`-shaped op, mean of ops 16–39      |  1 000 |   843 |                 1 141 |                     1 681 |               3 402 |
-//! | … of which the departure and the arrival        |    300 |   277 |                   277 |                       493 |                   — |
-//! | … of which the four devices' `tick` to the flip |     64 |    45 |                    45 |                       196 |                   — |
-//! | `ProgramBundle::clone()` of the 8-tenant bundle |      8 |     5 |                     5 |                         5 |                 228 |
-//! | `==` of that bundle against its clone           |      0 |     0 |                     0 |                         0 |                   0 |
-//! | `diff_bundles` of two successive compositions   |     16 |     4 |                     4 |                         4 |                 187 |
-//! | `ProgramImage::seal` of a clone of that bundle  |     96 |    32 |                   253 |                         — |                   — |
-//! | `apps::build` of one tenant source (`sketch41`) |     64 |    52 |                   111 |                         — |                   — |
+//! | measured here                                   | budget | now | before shared guards | before borrowed names | before layouts and blocks | before declarations |
+//! |-------------------------------------------------|-------:|----:|---------------------:|----------------------:|--------------------------:|--------------------:|
+//! | one `ctl_txn`-shaped op, mean of ops 16–39      |    650 | 577 |                  838 |                 1 141 |                     1 681 |               3 402 |
+//! | … of which the departure and the arrival        |    130 | 102 |                  272 |                   277 |                       493 |                   — |
+//! | … of which the four devices' `tick` to the flip |     64 |  45 |                   45 |                    45 |                       196 |                   — |
+//! | one device's `allocator().clone()`              |      6 |   4 |                   22 |                     — |                         — |                   — |
+//! | departure and arrival at 64 live tenants        |    160 | 120 |                1 528 |                     — |                         — |                   — |
+//! | `ProgramBundle::clone()` of the 8-tenant bundle |      8 |   5 |                    5 |                     5 |                         5 |                 228 |
+//! | `==` of that bundle against its clone           |      0 |   0 |                    0 |                     0 |                         0 |                   0 |
+//! | `diff_bundles` of two successive compositions   |     16 |   4 |                    4 |                     4 |                         4 |                 187 |
+//! | `ProgramImage::seal` of a clone of that bundle  |     96 |  32 |                   32 |                   253 |                         — |                   — |
+//! | `apps::build` of one tenant source (`sketch41`) |     64 |  52 |                   52 |                   111 |                         — |                   — |
 //!
-//! The last three columns count before the checker, the verifier and the
-//! header registry borrowed names (commit `91e328c`), before the image
-//! owned its state layout and `if` branches were shared blocks
-//! (`ab0a1ba`), and before declarations were shared (`73c325c`).
+//! The last four columns count before `if` conditions were shared, the
+//! composition report dropped its rename list and placements were named
+//! once per plan (commit `41816c2`), before the checker, the verifier and
+//! the header registry borrowed names (`91e328c`), before the image owned
+//! its state layout and `if` branches were shared blocks (`ab0a1ba`), and
+//! before declarations were shared (`73c325c`). The 64-tenant row churns
+//! a controller alone (ops 80–103 after 64 arrivals); its growth over the
+//! 8-tenant row is the composed vectors' growth.
 //!
 //! The op is `flexbench`'s `ctl_txn` op: parse + check + verify a tenant
 //! source, the oldest of 8 tenants departs and the new one arrives, the
@@ -48,7 +56,7 @@ use flexnet_controller::{logged_transactional_reconfig, IntendedStore, Replicate
 use flexnet_dataplane::ProgramImage;
 use flexnet_lang::diff::diff_bundles;
 use std::collections::VecDeque;
-use tenants::{churn, tenant_source, INFRA};
+use tenants::{churn, churn_keeping, tenant_source, INFRA};
 
 const TARGETS: usize = 4;
 
@@ -126,6 +134,24 @@ impl World {
     }
 }
 
+/// The mean allocations of the departure and the arrival of ops 16–39
+/// after `keep` tenants went live, on a controller alone.
+fn churn_allocations(keep: usize) -> u64 {
+    let infra = apps::build(INFRA).unwrap();
+    let mut ctl = Controller::new(infra, NodeId(1), SimTime::ZERO).unwrap();
+    let mut live = VecDeque::new();
+    let mut measured = 0;
+    for op in 0..keep as u64 + 40 {
+        let extension = apps::build(&tenant_source(op)).unwrap();
+        let now = SimTime::from_millis(op + 1);
+        let (allocs, _) = count(|| churn_keeping(keep, &mut ctl, &mut live, op, extension, now));
+        if op >= keep as u64 + 16 {
+            measured += allocs;
+        }
+    }
+    measured / 24
+}
+
 /// Allocations of two phases of one op.
 #[derive(Default)]
 struct Phases {
@@ -151,9 +177,21 @@ fn a_control_operation_allocates_for_what_it_changes() {
     }
     let (per_op, churn, flips) = (measured / 24, phases.churn / 24, phases.flips / 24);
     println!("control op: {per_op} allocations (mean of ops 16-39): depart + arrive {churn}, 4-flip tick {flips}");
-    assert!(per_op <= 1_000, "{per_op} allocations per control op");
-    assert!(churn <= 300, "{churn} allocations per depart + arrive");
+    assert!(per_op <= 650, "{per_op} allocations per control op");
+    assert!(churn <= 130, "{churn} allocations per depart + arrive");
     assert!(flips <= 64, "{flips} allocations per 4-flip tick");
+
+    // The rollback snapshot a begin keeps: one device's allocator.
+    let dev = &w.sim.topo.node(w.leaves[0]).unwrap().device;
+    let (allocs, snapshot) = count(|| dev.allocator().clone());
+    println!("allocator clone: {allocs} ({} placements)", snapshot.placed().count());
+    assert!(allocs <= 6, "{allocs} allocations to clone a device's allocator");
+
+    // Churn at 64 live tenants: the fragments are shared, so only the
+    // composed vectors grow with the set.
+    let churn_64 = churn_allocations(64);
+    println!("depart + arrive at 64 tenants: {churn_64}");
+    assert!(churn_64 <= 160, "{churn_64} allocations per depart + arrive at 64 tenants");
 
     // Two successive 8-tenant compositions: one tenant left, one arrived.
     let (previous, last) = (previous.unwrap(), last.unwrap());

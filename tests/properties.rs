@@ -132,7 +132,7 @@ fn arb_program() -> impl Strategy<Value = Program> {
             body.push(Stmt::Count("c".into()));
             if use_if {
                 body.push(Stmt::If(
-                    Expr::eq(Expr::field("ipv4", "proto"), Expr::Int(6)),
+                    Expr::eq(Expr::field("ipv4", "proto"), Expr::Int(6)).into(),
                     vec![Stmt::Drop].into(),
                     vec![Stmt::Forward(Expr::Int(1))].into(),
                 ));

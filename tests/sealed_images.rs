@@ -647,7 +647,7 @@ fn a_begin_rejected_on_one_device_leaves_it_clean_and_the_shared_plan_usable() {
         (0..4).map(|i| device_on(i, Architecture::drmt_default(), &a)).collect();
     let ballast = devs[2].capacity().saturating_sub(&devs[2].used());
     let ballast = ResourceVec::from_pairs([(ResourceKind::SramKb, ballast.get(ResourceKind::SramKb))]);
-    devs[2].allocator_mut().alloc("ballast", &ballast, 0).unwrap();
+    devs[2].allocator_mut().alloc("ballast".into(), &ballast, 0).unwrap();
     let before = footprint(&devs[2]);
     let digest = devs[2].config_digest();
 
