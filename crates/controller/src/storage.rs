@@ -37,6 +37,7 @@
 use crate::wal::{IntentRecord, ReplayState};
 use flexnet_sim::disk::{DiskFaultPlan, SimDisk};
 use flexnet_types::{FlexError, Result, SimDuration, StorageError};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Bytes of record header: `[len u32 LE][crc u32 LE]`.
@@ -89,10 +90,17 @@ pub fn decode_entry(payload: &[u8]) -> (u64, String) {
     }
     let mut term = [0u8; 8];
     term.copy_from_slice(&payload[..8]);
-    (
-        u64::from_le_bytes(term),
-        String::from_utf8_lossy(&payload[8..]).into_owned(),
-    )
+    (u64::from_le_bytes(term), utf8_lossy(&payload[8..]).into_owned())
+}
+
+/// `bytes` as text, exactly as [`String::from_utf8_lossy`] reads them, but
+/// validated by the fast [`std::str::from_utf8`] first: only rotted bytes
+/// take the lossy decoder's chunk-by-chunk path.
+fn utf8_lossy(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
+    }
 }
 
 /// What one recovery scan of a byte region found.
@@ -458,7 +466,7 @@ impl SnapshotStore {
             let base_index = u64::from_le_bytes(b);
             b.copy_from_slice(&payload[8..16]);
             let base_term = u64::from_le_bytes(b);
-            let rest = String::from_utf8_lossy(&payload[16..]);
+            let rest = utf8_lossy(&payload[16..]);
             let cmds: Vec<String> = if rest.is_empty() {
                 Vec::new()
             } else {
@@ -714,7 +722,7 @@ impl NodeStorage {
         self.hard_records = hard_scrub.payloads.len() as u64;
         let (mut term, mut voted_for) = (0u64, None);
         if let Some(last) = hard_scrub.payloads.last() {
-            let line = String::from_utf8_lossy(&self.hard.synced_bytes()[last.clone()]);
+            let line = utf8_lossy(&self.hard.synced_bytes()[last.clone()]);
             let mut parts = line.split_whitespace();
             if parts.next() == Some("hs") {
                 term = parts.next().and_then(|t| t.parse().ok()).unwrap_or(0);
@@ -857,6 +865,29 @@ mod tests {
     /// The verified payloads of a scrub of `bytes`.
     fn payloads<'a>(bytes: &'a [u8], outcome: &ScrubOutcome) -> Vec<&'a [u8]> {
         outcome.payloads.iter().map(|at| &bytes[at.clone()]).collect()
+    }
+
+    #[test]
+    fn entries_decode_exactly_as_the_lossy_decoder_reads_them() {
+        let command = "intent 3 dev 1,2,4";
+        let entry = encode_entry(7, command);
+        let mut rotted = entry.clone();
+        rotted[10] ^= 0x80; // a lone continuation byte: invalid UTF-8
+        let mut cut = encode_entry(7, "snapshot ü");
+        cut.pop(); // a multi-byte character cut short
+        for payload in [&entry[..], &rotted, &cut, &entry[..8], &entry[..5], &[]] {
+            let lossy = match payload.len() {
+                0..8 => (0, String::new()),
+                _ => {
+                    let term = u64::from_le_bytes(payload[..8].try_into().unwrap());
+                    (term, String::from_utf8_lossy(&payload[8..]).into_owned())
+                }
+            };
+            assert_eq!(decode_entry(payload), lossy, "{payload:?}");
+        }
+        assert_eq!(decode_entry(&entry), (7, command.to_string()));
+        assert!(decode_entry(&rotted).1.contains('\u{FFFD}'));
+        assert!(decode_entry(&cut).1.ends_with('\u{FFFD}'));
     }
 
     #[test]

@@ -540,11 +540,12 @@ impl ReplayState {
 /// The replay state of one node's committed prefix, how far into that
 /// prefix it has been folded, and the commands it folded.
 #[derive(Debug, Default)]
-struct Cursor {
-    /// The node whose prefix was folded, under this
-    /// [`CommittedView::generation`].
-    node: usize,
-    generation: u64,
+struct Fold {
+    /// The node whose prefix was folded and its
+    /// [`CommittedView::generation`] then; `None` before the first read
+    /// (an empty fold, or a compaction seed whose leader did not install
+    /// the snapshot).
+    at: Option<(usize, u64)>,
     /// The commands consumed (barriers included), back to back: command
     /// `i` ends at `ends[i]` and starts where command `i - 1` ends.
     folded: String,
@@ -552,7 +553,22 @@ struct Cursor {
     state: ReplayState,
 }
 
-impl Cursor {
+impl Fold {
+    /// The fold of a compaction summary: its records pushed as they are
+    /// (no command decoded), `commands` their encodings.
+    fn seed(at: Option<(usize, u64)>, records: Vec<IntentRecord>, commands: &[String]) -> Fold {
+        let mut fold = Fold {
+            at,
+            ..Fold::default()
+        };
+        for (rec, command) in records.into_iter().zip(commands) {
+            fold.state.push(rec);
+            fold.folded.push_str(command);
+            fold.ends.push(fold.folded.len());
+        }
+        fold
+    }
+
     /// Commands consumed.
     fn consumed(&self) -> usize {
         self.ends.len()
@@ -564,25 +580,22 @@ impl Cursor {
         starts.zip(&self.ends).map(|(start, &end)| &self.folded[start..end])
     }
 
-    /// Brings the fold up to `node`'s `view`. Whether what was folded
-    /// before is still a prefix of `view` is decided here, on every read:
-    /// harnesses kill, revive, step and rot the cluster behind the log's
-    /// back ([`ReplicatedIntentLog::cluster_mut`]). On the same node and
-    /// prefix generation the sequence only grew; on any other (a new
-    /// leader, a revived or re-based prefix) the fold is kept when the
-    /// view's first commands are byte for byte the ones it consumed — the
-    /// fold of the same commands is the same state — and re-run from
-    /// empty otherwise.
-    fn advance(&mut self, node: usize, view: CommittedView<'_>) -> Result<()> {
+    /// Whether what was folded is still a prefix of `node`'s `view`. On the
+    /// same node and prefix generation the sequence only grew; on any other
+    /// (a new leader, a revived, compacted or re-based prefix) the fold is
+    /// kept when the view's first commands are byte for byte the ones it
+    /// consumed — the fold of the same commands is the same state.
+    fn keeps(&self, node: usize, view: CommittedView<'_>) -> bool {
         let committed = view.snapshot.len() + view.tail.len();
-        let grown = (self.node, self.generation) == (node, view.generation);
-        let keeps = committed >= self.consumed()
-            && (grown || view.commands_from(0).zip(self.kept()).all(|(a, b)| a == b));
-        if !keeps {
-            *self = Cursor::default();
-        }
-        (self.node, self.generation) = (node, view.generation);
-        // A command that does not decode stops the cursor *at* it: never
+        committed >= self.consumed()
+            && (self.at == Some((node, view.generation))
+                || view.commands_from(0).zip(self.kept()).all(|(a, b)| a == b))
+    }
+
+    /// Folds the rest of `node`'s `view` in; the fold must keep the view.
+    fn advance(&mut self, node: usize, view: CommittedView<'_>) -> Result<()> {
+        self.at = Some((node, view.generation));
+        // A command that does not decode stops the fold *at* it: never
         // skipped, never folded past, re-attempted by the next read.
         for command in view.commands_from(self.consumed()) {
             self.state.absorb(command)?;
@@ -590,6 +603,42 @@ impl Cursor {
             self.ends.push(self.folded.len());
         }
         Ok(())
+    }
+}
+
+/// The replay cursor: the fold of the log's current representation and
+/// the fold of the one it left. A node holds either a compaction's summary
+/// plus its tail or the prefix the summary replaced, so a successor on
+/// either side of the last compaction finds its fold here.
+#[derive(Debug, Default)]
+struct Cursor {
+    /// The fold the last read advanced.
+    current: Fold,
+    /// The fold of the other representation.
+    other: Fold,
+}
+
+impl Cursor {
+    /// Brings the current fold up to `node`'s `view`. Whether a fold is
+    /// still a prefix of `view` is decided here, on every read: harnesses
+    /// kill, revive, step and rot the cluster behind the log's back
+    /// ([`ReplicatedIntentLog::cluster_mut`]). The current fold is kept
+    /// when it keeps the view, else the other one when it does; only when
+    /// neither does is the fold re-run from empty, and the older of the two
+    /// is dropped.
+    fn advance(&mut self, node: usize, view: CommittedView<'_>) -> Result<()> {
+        if !self.current.keeps(node, view) {
+            std::mem::swap(&mut self.current, &mut self.other);
+            if !self.current.keeps(node, view) {
+                self.current = Fold::default();
+            }
+        }
+        self.current.advance(node, view)
+    }
+
+    /// Makes `fold` the current fold; the current one becomes the other.
+    fn install(&mut self, fold: Fold) {
+        self.other = std::mem::replace(&mut self.current, fold);
     }
 }
 
@@ -733,8 +782,9 @@ impl ReplicatedIntentLog {
     /// Each call folds in what the leader committed since the last one
     /// (every committed command is decoded once). A new leader, or one
     /// whose prefix was rebuilt from its disk, compacted or re-based by a
-    /// snapshot, adopts the fold when its prefix holds the very commands
-    /// folded so far, and is re-folded from empty otherwise. Election barriers
+    /// snapshot, adopts a fold when its prefix holds the very commands that
+    /// fold consumed — the cursor keeps one for each side of the last
+    /// compaction — and is re-folded from empty otherwise. Election barriers
     /// (see [`ReplicatedIntentLog::elect`]) are internal bookkeeping and
     /// filtered out.
     ///
@@ -748,7 +798,7 @@ impl ReplicatedIntentLog {
         if let Ok(mut cursor) = self.cursor.try_borrow_mut() {
             cursor.advance(leader, self.cluster.committed_view(leader)?)?;
         }
-        Ok(Ref::map(self.cursor.borrow(), |c| &c.state))
+        Ok(Ref::map(self.cursor.borrow(), |c| &c.current.state))
     }
 
     /// The committed record sequence, decoded, as seen by the current
@@ -810,12 +860,8 @@ impl ReplicatedIntentLog {
         // The summary replays to the same recovery state as the full
         // committed prefix (checked by digest equality in the property
         // suite). Barriers are bookkeeping and fold away.
-        let summary: Vec<String> = self
-            .replay()?
-            .summary()
-            .iter()
-            .map(IntentRecord::encode)
-            .collect();
+        let records = self.replay()?.summary();
+        let summary: Vec<String> = records.iter().map(IntentRecord::encode).collect();
         report.summary_len = summary.len();
         for i in 0..self.cluster.len() {
             if !self.cluster.is_alive(i) || self.cluster.commit_index(i)? < upto {
@@ -831,6 +877,15 @@ impl ReplicatedIntentLog {
                 Err(e) => return Err(e),
             }
         }
+        // The summary's fold is the fold of every compacted node's prefix:
+        // a decoded command is the record it encodes. The full prefix's
+        // fold stays for the nodes skipped.
+        let at = if report.compacted.contains(&leader) {
+            Some((leader, self.cluster.committed_view(leader)?.generation))
+        } else {
+            None
+        };
+        self.cursor.get_mut().install(Fold::seed(at, records, &summary));
         Ok(report)
     }
 }
@@ -1008,24 +1063,25 @@ mod tests {
         }
         let digest = log.replay().unwrap().digest();
         let (old, consumed) = {
-            let mut cursor = log.cursor.borrow_mut();
+            let fold = &mut log.cursor.borrow_mut().current;
             // A mark no fold computes (the records' highest id is 11): a
             // re-fold from empty would replace it.
-            cursor.state.max_id = 1_000;
-            (cursor.node, cursor.consumed())
+            fold.state.max_id = 1_000;
+            (fold.at.map(|(node, _)| node), fold.consumed())
         };
         assert_eq!(consumed, all_records().len());
         log.kill_leader().unwrap();
         let successor = log.elect().unwrap();
-        assert_ne!(successor, old);
+        assert_ne!(Some(successor), old);
         let cursor = log.cursor.borrow();
-        assert_eq!(cursor.node, successor);
-        assert_eq!(cursor.consumed(), consumed + 1, "the kept commands, then the barrier");
-        assert_eq!(cursor.state.max_id, 1_000, "the fold was adopted, not re-run");
+        let fold = &cursor.current;
+        assert_eq!(fold.at.map(|(node, _)| node), Some(successor));
+        assert_eq!(fold.consumed(), consumed + 1, "the kept commands, then the barrier");
+        assert_eq!(fold.state.max_id, 1_000, "the fold was adopted, not re-run");
         drop(cursor);
         assert_eq!(log.next_txn_id(), 1_001, "the successor's ids continue from the kept fold");
         // Without the mark, the adopted fold is the one before the crash.
-        log.cursor.borrow_mut().state.max_id = 11;
+        log.cursor.borrow_mut().current.state.max_id = 11;
         assert_eq!(log.replay().unwrap().digest(), digest);
     }
 
@@ -1066,9 +1122,112 @@ mod tests {
         let want = committed.iter().try_for_each(|c| fresh.absorb(c)).unwrap_err();
         assert!(matches!(got, FlexError::Consensus(_)), "{got}");
         assert_eq!(got, want);
-        let cursor = log.cursor.borrow();
-        assert_eq!((cursor.node, cursor.consumed()), (successor, 5), "stopped at the rotted record");
-        assert_ne!(cursor.state.digest(), clean);
+        let fold = &log.cursor.borrow().current;
+        let stopped = (fold.at.map(|(node, _)| node), fold.consumed());
+        assert_eq!(stopped, (Some(successor), 5), "stopped at the rotted record");
+        assert_ne!(fold.state.digest(), clean);
+    }
+
+    /// `replay()` against a fold from empty of the leader's committed
+    /// commands: the same records, digest, open set and id mark, or the
+    /// same error.
+    fn assert_replay_is_a_fresh_fold(log: &ReplicatedIntentLog, ctx: &str) {
+        let Some(leader) = log.cluster.leader() else {
+            return;
+        };
+        let mut fresh = ReplayState::default();
+        let view = log.cluster.committed_view(leader).unwrap();
+        let want = view.commands_from(0).try_for_each(|c| fresh.absorb(c));
+        match (log.replay(), want) {
+            (Ok(got), Ok(())) => {
+                assert_eq!(got.records(), fresh.records(), "{ctx}: records");
+                assert_eq!(got.digest(), fresh.digest(), "{ctx}: digest");
+                assert!(got.open().eq(fresh.open()), "{ctx}: open");
+                assert_eq!(got.max_id(), fresh.max_id(), "{ctx}: max id");
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "{ctx}"),
+            (got, want) => panic!("{ctx}: read {:?}, a fresh fold {want:?}", got.map(|r| r.digest())),
+        }
+    }
+
+    fn revive_dead(log: &mut ReplicatedIntentLog) {
+        for i in 0..log.cluster.len() {
+            if !log.cluster.is_alive(i) {
+                log.cluster.revive(i).unwrap();
+            }
+        }
+    }
+
+    /// One seeded schedule of appends, compactions that skip a dead or
+    /// lagging follower, failovers, revives and (checksums off) rot of a
+    /// follower's WAL payload, checked after every step.
+    fn run_cursor_schedule(seed: u64) {
+        use crate::storage::NodeStorage;
+        use flexnet_sim::disk::DiskFaultPlan;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const NODES: usize = 3;
+        let crc_checks = seed.is_multiple_of(2);
+        let storages = (0..NODES as u64)
+            .map(|i| {
+                let (wal, hard) = (DiskFaultPlan::seeded(seed ^ i), DiskFaultPlan::seeded(!seed ^ i));
+                NodeStorage::with_plans(wal, hard, None, seed ^ i, crc_checks)
+            })
+            .collect();
+        let mut log = ReplicatedIntentLog::new_with(NODES, seed, storages).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kinds = all_records();
+        let mut next_id = 0;
+        for step in 0..60 {
+            let ctx = format!("seed {seed} step {step}");
+            let follower = (0..NODES).find(|&i| Some(i) != log.cluster.leader() && rng.gen_bool(0.5));
+            match rng.gen_range(0..100u32) {
+                0..=44 => {
+                    next_id += 1;
+                    let mut rec = kinds[rng.gen_range(0..kinds.len())].clone();
+                    if let IntentRecord::Intent { txn, .. } | IntentRecord::Committed { txn } = &mut rec {
+                        *txn = next_id;
+                    }
+                    let _ = log.append(&rec);
+                }
+                45..=59 => {
+                    // A follower killed, or revived just now, is skipped.
+                    match follower {
+                        Some(i) if log.cluster.is_alive(i) => log.cluster.kill(i).unwrap(),
+                        Some(i) => log.cluster.revive(i).unwrap(),
+                        None => {}
+                    }
+                    let _ = log.compact();
+                }
+                60..=74 => {
+                    if log.kill_leader().is_ok() && log.elect().is_err() {
+                        revive_dead(&mut log);
+                        let _ = log.elect();
+                    }
+                }
+                75..=84 => revive_dead(&mut log),
+                85..=94 if !crc_checks => {
+                    if let Some(i) = follower {
+                        log.cluster.kill(i).unwrap();
+                        let wal = log.cluster.storage_mut(i).unwrap().wal_mut();
+                        let (from, until) = (wal.base_record(), wal.next_record());
+                        if from < until {
+                            wal.rot_payload(rng.gen_range(from..until));
+                        }
+                        log.cluster.revive(i).unwrap();
+                    }
+                }
+                _ => log.cluster.step(SimDuration::from_millis(300)),
+            }
+            assert_replay_is_a_fresh_fold(&log, &ctx);
+        }
+    }
+
+    #[test]
+    fn the_cursor_reads_what_a_fold_from_empty_reads() {
+        for seed in 0..48 {
+            run_cursor_schedule(seed);
+        }
     }
 
     #[test]

@@ -115,7 +115,10 @@ impl ParserGraph {
     /// list is empty and unallocated.
     ///
     /// Mirrors real parsers: parsing proceeds front-to-back and *stops* at
-    /// the first unrecognized header — everything after it is payload.
+    /// the first unrecognized header — everything after it is payload, and
+    /// is counted as payload: the hidden headers' bytes move into
+    /// `payload_len`, so [`Packet::wire_len`] (what `count` adds and
+    /// `pktlen()` reads) still covers the whole frame.
     #[inline]
     pub fn strip_invisible(&self, pkt: &mut Packet) -> Vec<(usize, Header)> {
         let Some(visible) = pkt
@@ -125,17 +128,33 @@ impl ParserGraph {
         else {
             return Vec::new();
         };
-        pkt.headers
+        Self::hide_from(pkt, visible)
+    }
+
+    /// Moves the headers from `visible` on out of the stack, and their
+    /// bytes into the payload. Out of line: most packets hide nothing, and
+    /// the packet loop that inlines [`ParserGraph::strip_invisible`] should
+    /// not carry this body.
+    #[cold]
+    #[inline(never)]
+    fn hide_from(pkt: &mut Packet, visible: usize) -> Vec<(usize, Header)> {
+        let hidden: Vec<(usize, Header)> = pkt
+            .headers
             .drain(visible..)
             .enumerate()
             .map(|(i, h)| (visible + i, h))
-            .collect()
+            .collect();
+        pkt.payload_len += hidden.iter().map(|(_, h)| h.wire_len()).sum::<u32>();
+        hidden
     }
 
-    /// Reattaches headers previously removed by [`ParserGraph::strip_invisible`].
+    /// Reattaches headers previously removed by
+    /// [`ParserGraph::strip_invisible`], taking their bytes back out of the
+    /// payload.
     #[inline]
     pub fn reattach(&self, pkt: &mut Packet, hidden: Vec<(usize, Header)>) {
         for (pos, h) in hidden {
+            pkt.payload_len -= h.wire_len();
             let idx = pos.min(pkt.headers.len());
             pkt.headers.insert(idx, h);
         }
@@ -232,12 +251,15 @@ mod tests {
         pkt.headers.push(Header::new("vxlan", [("vni", 7u64)]));
         pkt.headers.push(Header::new("tcp", [("sport", 1u64)])); // after unknown: hidden too
 
+        let whole = pkt.wire_len();
         let hidden = p.strip_invisible(&mut pkt);
         assert_eq!(hidden.len(), 2);
         assert!(!pkt.has_header("vxlan"));
         assert!(pkt.has_header("udp"));
+        assert_eq!(pkt.wire_len(), whole, "the hidden headers are payload, not gone");
 
         p.reattach(&mut pkt, hidden);
+        assert_eq!((pkt.wire_len(), pkt.payload_len), (whole, 512));
         assert!(pkt.has_header("vxlan"));
         assert_eq!(pkt.headers.last().unwrap().proto, "tcp");
         assert_eq!(pkt.get_field("vxlan.vni"), Some(7));

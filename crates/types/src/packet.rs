@@ -105,6 +105,20 @@ impl Header {
         )
     }
 
+    /// Nominal encoded size: the fixed size of a built-in protocol, four
+    /// bytes per field (at least one) for any other.
+    #[inline]
+    pub fn wire_len(&self) -> u32 {
+        match self.proto {
+            Sym::ETH => 14,
+            Sym::VLAN => 4,
+            Sym::IPV4 => 20,
+            Sym::TCP => 20,
+            Sym::UDP => 8,
+            _ => (4 * self.fields.len().max(1)) as u32,
+        }
+    }
+
     /// Reads a field value; `None` if the field is absent.
     #[inline]
     pub fn get_sym(&self, field: Sym) -> Option<u64> {
@@ -195,22 +209,11 @@ impl Packet {
         )
     }
 
-    /// Total wire length: headers are charged a nominal encoded size plus
-    /// the payload.
+    /// Total wire length: headers are charged their nominal encoded size
+    /// ([`Header::wire_len`]) plus the payload.
     #[inline]
     pub fn wire_len(&self) -> u32 {
-        let hdr: u32 = self
-            .headers
-            .iter()
-            .map(|h| match h.proto {
-                Sym::ETH => 14,
-                Sym::VLAN => 4,
-                Sym::IPV4 => 20,
-                Sym::TCP => 20,
-                Sym::UDP => 8,
-                _ => (4 * h.fields.len().max(1)) as u32,
-            })
-            .sum();
+        let hdr: u32 = self.headers.iter().map(Header::wire_len).sum();
         hdr + self.payload_len
     }
 

@@ -2,24 +2,33 @@
 //!
 //! A successor whose committed prefix holds the very commands the log's
 //! replay cursor folded adopts that fold instead of re-deriving it from
-//! empty, and a revived node's recovery scrub reports where its verified
-//! records lie instead of copying them, so the node allocates only the
-//! command `String`s its log keeps. One `kill_leader → elect → revive`,
-//! counted exactly and seed-free (fixed seeds, fault-free disks) on a log
-//! aged by 64 `ctl_recover`-shaped scenarios — the most a `flexbench`
-//! `ctl_recover` world holds between two compactions:
+//! empty — on either side of a compaction, since the cursor keeps the fold
+//! of the summary and of the prefix it replaced — and a revived node's
+//! recovery scrub reports where its verified records lie instead of
+//! copying them, so the node allocates only the command `String`s its log
+//! keeps. One `kill_leader → elect → revive`, counted exactly and
+//! seed-free (fixed seeds, fault-free disks) on a log aged by 64
+//! `ctl_recover`-shaped scenarios — the most a `flexbench` `ctl_recover`
+//! world holds between two compactions — then a compaction that skips the
+//! lagging followers, a failover onto one of them (it holds the full
+//! prefix) and one back onto the compacted node (summary plus tail):
 //!
-//! | measured here                          | budget |   now | before |
-//! |----------------------------------------|-------:|------:|-------:|
-//! | `kill_leader` + `elect`                |     64 |    38 |    217 |
-//! | `revive` of the dead leader            |    400 |   335 |    680 |
-//! | the whole failover                     |    450 |   373 |    897 |
+//! | measured here                              | budget |   now | before |
+//! |--------------------------------------------|-------:|------:|-------:|
+//! | `kill_leader` + `elect`                    |     64 |    38 |    217 |
+//! | `revive` of the dead leader                |    400 |   335 |    680 |
+//! | the whole failover                         |    450 |   373 |    897 |
+//! | `kill_leader` + `elect` onto the skipped   |     64 |    39 |    235 |
+//! | `kill_leader` + `elect` back               |     64 |    35 |    129 |
 //!
-//! "before" counts the commit before the fold was adopted and the scrub
-//! stopped copying (`7618c1a`): the successor decoded and folded all 248
-//! records again, and the scrub copied every verified record once more
-//! before the revive decoded it. What the revive still allocates is
-//! mostly one `String` per command it keeps.
+//! "before" counts, in the first three rows, the commit before the fold
+//! was adopted and the scrub stopped copying (`7618c1a`): the successor
+//! decoded and folded all 248 records again, and the scrub copied every
+//! verified record once more before the revive decoded it. What the
+//! revive still allocates is mostly one `String` per command it keeps. In
+//! the last two rows it counts the commit before the cursor kept a fold
+//! per representation (`2209c4f`): each successor re-folded its whole
+//! prefix, the 248 records or the 73-record summary and its tail.
 //!
 //! A scenario is `flexbench`'s: a journaled 2PC over 3 of 8 leaves that
 //! dies at one crash phase (a third of them taking a leaf down with it),
@@ -180,4 +189,38 @@ fn a_failover_allocates_for_what_changed() {
     assert!(elect <= 64, "kill_leader + elect: {elect} allocations");
     assert!(revive <= 400, "revive: {revive} allocations");
     assert!(elect + revive <= 450, "failover: {} allocations", elect + revive);
+
+    // Compact while the revived node lags; the leader reads its log, as
+    // the next scenario's coordinator would.
+    let digest = w.log.replay().unwrap().digest();
+    let report = w.log.compact().unwrap();
+    w.log.replay().unwrap();
+    let compacted = w.log.cluster_mut().leader().unwrap();
+    assert_eq!(report.compacted, [compacted], "both followers lag the commit index");
+    assert!(report.skipped.contains(&dead));
+    // The successor is the follower that holds the barrier: the full
+    // prefix, the representation the compaction left.
+    let (onto_skipped, skipped) = count(|| {
+        w.log.kill_leader().unwrap();
+        w.log.elect().unwrap()
+    });
+    assert!(report.skipped.contains(&skipped));
+    // And back: the compacted node, revived and caught up, is the only
+    // one holding the next barrier.
+    let c = w.log.cluster_mut();
+    c.revive(compacted).unwrap();
+    c.run_for(SimDuration::from_millis(500), SimDuration::from_millis(10));
+    let lagging = 3 - compacted - skipped;
+    c.kill(lagging).unwrap();
+    w.log.elect().unwrap();
+    w.log.cluster_mut().revive(lagging).unwrap();
+    let (back, successor) = count(|| {
+        w.log.kill_leader().unwrap();
+        w.log.elect().unwrap()
+    });
+    assert_eq!(successor, compacted);
+    println!("across the compaction: onto the skipped node {onto_skipped}, back {back}");
+    assert_eq!(w.log.replay().unwrap().digest(), digest, "failovers commit only barriers");
+    assert!(onto_skipped <= 64, "kill_leader + elect onto the skipped node: {onto_skipped} allocations");
+    assert!(back <= 64, "kill_leader + elect back onto the compacted node: {back} allocations");
 }

@@ -248,6 +248,39 @@ fn trapping_inputs_trap_identically_in_both_modes() {
     }
 }
 
+/// A header the parser has no state for is payload, and payload still has
+/// bytes: `count` and `pktlen()` see the whole 558-byte frame (UDP plus a
+/// trailing `vxlan` header), on the device and in the reference alike, and
+/// the packet leaves with its stack and payload as they came.
+#[test]
+fn a_hidden_header_still_counts_its_bytes() {
+    let bundle = bundle_of(
+        "program p kind any {
+           counter c;
+           register r : u64[1];
+           handler ingress(pkt) {
+             count(c);
+             reg_write(r, 0, pktlen());
+             forward(1);
+           }
+         }",
+    );
+    let mut d = dev(bundle.program.kind);
+    assert_eq!(d.arch_class(), flexnet_dataplane::ArchClass::Drmt);
+    d.install(bundle).expect("installs");
+    let mut pkt = Packet::udp(1, 1, 2, 3, 4789);
+    pkt.headers.push(Header::new("vxlan", [("vni", 7u64)]));
+    assert!(!d.parser().can_parse("vxlan"));
+    let sent = pkt.clone();
+    assert_eq!(sent.wire_len(), 558);
+    let r = oracle::process(&mut d, &mut pkt, SimTime::ZERO);
+    assert_eq!(r.verdict, Verdict::Forward(1));
+    let state = d.program().expect("installed").state.snapshot();
+    assert_eq!(state.counters["c"], (1, 558), "count adds the frame's bytes");
+    assert_eq!(state.registers["r"], [558], "pktlen() reads the frame's bytes");
+    assert_eq!((&pkt.headers, pkt.payload_len), (&sent.headers, sent.payload_len));
+}
+
 /// Service invocation: two services of different arities, so a wrong
 /// slot → name mapping on the device shows in the invocation log the
 /// reference compares after every packet.

@@ -14,8 +14,9 @@
 # result to DIR/base.json and DIR/change.json (both emptied first). Each
 # run's output is kept in DIR/log/. Prints one line per pair and workload —
 # both throughputs, their ratio, who won and whether the `sim_digest`s agree
-# — a win count per workload, and finally `flexbench compare` of the two
-# files, whose exit code it returns.
+# — then per workload the win count, the median change/base throughput
+# ratio and the median `peak_rss_mb` of each side, and finally `flexbench
+# compare` of the two files, whose exit code it returns.
 #
 # The two binaries stay at DIR/base/release/flexbench and
 # DIR/change/release/flexbench for traced (`--trace 1`) runs by hand.
@@ -67,9 +68,26 @@ measure() { # side pair workload seed
     "$@" >"$log" 2>&1 || true
 }
 
-# The first `throughput_ops_s` value and the `sim_digest` of a run's log.
-throughput() { sed -n 's/.*"throughput_ops_s": {"value": \([0-9.e+-]*\).*/\1/p' "$1" | tail -n 1; }
+# A metric's value in a run's log (from its last result line), and the
+# run's `sim_digest`.
+metric() { sed -n "s/.*\"$2\": {\"value\": \([0-9.e+-]*\).*/\1/p" "$1" | tail -n 1; }
+throughput() { metric "$1" throughput_ops_s; }
 digest() { sed -n 's/.*sim_digest \(0x[0-9a-f]*\).*/\1/p' "$1" | head -n 1; }
+# The median of the numbers on stdin, one a line ("-" when there are none).
+median() {
+    sort -g | awk '{ v[NR] = $1 } END {
+        if (NR == 0) { print "-"; exit }
+        printf "%.3f\n", NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2
+    }'
+}
+# The `peak_rss_mb` of every pair's run of workload $2 on side $1.
+rss_runs() {
+    i=1
+    while [ "$i" -le "$pairs" ]; do
+        metric "$dir/log/$1-$i-$2.txt" peak_rss_mb
+        i=$((i + 1))
+    done
+}
 
 printf '%-5s %-6s %-16s %12s %12s %7s %-6s %s\n' pair seed workload base change ratio win digests
 i=1
@@ -98,8 +116,11 @@ done | tee "$dir/pairs.txt"
 echo
 for w in "$@"; do
     awk -v w="$w" '$3 == w { n++; if ($7 == "change") won++ } END {
-        printf "%-16s change won %d of %d pairs\n", w, won, n
+        printf "%-16s change won %d of %d pairs", w, won, n
     }' "$dir/pairs.txt"
+    ratio=$(awk -v w="$w" '$3 == w { print $6 }' "$dir/pairs.txt" | median)
+    printf ', median ratio %s, median peak_rss_mb base %s change %s\n' "$ratio" \
+        "$(rss_runs base "$w" | median)" "$(rss_runs change "$w" | median)"
 done
 echo
 "$dir/change/release/flexbench" compare "$dir/base.json" "$dir/change.json"
