@@ -47,7 +47,7 @@ pub fn count_min_sketch(depth: usize, width: u64) -> Result<ProgramBundle> {
 /// The row-salted hash the sketch program uses, reproduced for control-
 /// plane reads. Must stay in sync with the generated program text.
 pub fn cms_index(src: u32, dst: u32, proto: u8, row: usize, width: u64) -> u64 {
-    flexnet_lang::interp::hash_values(&[src as u64, dst as u64, proto as u64, row as u64]) % width
+    flexnet_types::hash::hash_values(&[src as u64, dst as u64, proto as u64, row as u64]) % width
 }
 
 /// Control-plane count-min estimate for a (src, dst, proto) key: the
@@ -126,7 +126,7 @@ pub const TRACE_MAX_HOPS: u64 = 16;
 pub fn trace_fingerprint(nodes: &[u32]) -> u64 {
     let mut acc = 0u64;
     for n in nodes {
-        acc = flexnet_lang::interp::hash_values(&[acc, *n as u64]);
+        acc = flexnet_types::hash::hash_values(&[acc, *n as u64]);
     }
     acc
 }

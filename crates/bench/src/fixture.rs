@@ -22,7 +22,8 @@ use flexnet_controller::{
 use flexnet_dataplane::Device;
 use flexnet_lang::ast::ActionCall;
 use flexnet_sim::faults::VICTIM_RESTART_DELAY;
-use flexnet_sim::{diverged, mix};
+use flexnet_sim::diverged;
+use flexnet_types::hash::mix;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Controller nodes in every suite's Raft cluster.

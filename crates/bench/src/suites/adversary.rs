@@ -41,7 +41,7 @@ use crate::fixture::{
 use crate::sweep::{col, count, total, Arm, Oracle, Report, Suite, Summary};
 use flexnet_controller::{FailureDetector, Health, HealthEvent, LossyFabric};
 use flexnet_dataplane::{flip_bits, seal_frame, TxnTag};
-use flexnet_sim::mix;
+use flexnet_types::hash::mix;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -16,7 +16,7 @@ use crate::fixture::{bundle, Draws, LaneFleet, LANES};
 use crate::sweep::{col, count, mean, total, Arm, Report, Suite};
 use flexnet_controller::{IntentRecord, RolloutOutcome, RolloutReport};
 use flexnet_lang::diff::ProgramBundle;
-use flexnet_sim::mix;
+use flexnet_types::hash::mix;
 use flexnet_types::{NodeId, Result, SimDuration, SimTime};
 use std::collections::BTreeSet;
 

@@ -53,7 +53,7 @@
 use crate::fixture::Draws;
 use crate::sweep::{col, count, total, Arm, Oracle, Report, Suite, Summary};
 use flexnet_controller::{FailureDetector, HealthEvent, TokenBucket};
-use flexnet_sim::mix;
+use flexnet_types::hash::mix;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

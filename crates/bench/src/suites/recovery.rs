@@ -26,7 +26,8 @@ use crate::sweep::{col, mean, total, Arm, Report, Suite};
 use flexnet_controller::recovery::{recover, RecoveryReport, TargetDirectory, TxnResolution};
 use flexnet_controller::txn::{logged_transactional_reconfig, LoggedTxnOutcome, LoggedTxnReport};
 use flexnet_dataplane::TxnTag;
-use flexnet_sim::{mix, CrashPhase};
+use flexnet_sim::CrashPhase;
+use flexnet_types::hash::mix;
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
 
 /// Everything a crash-recovery run does, derived deterministically from

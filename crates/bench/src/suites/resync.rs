@@ -19,7 +19,8 @@ use flexnet_controller::{
     FailureDetector, HealthEvent, ProgramClass, ResyncOutcome, ResyncReport, Resyncer,
 };
 use flexnet_sim::faults::{FaultPlan, VICTIM_RESTART_DELAY};
-use flexnet_sim::{mix, CrashPhase};
+use flexnet_sim::CrashPhase;
+use flexnet_types::hash::mix;
 use flexnet_types::{NodeId, Result, SimDuration, SimTime};
 
 /// Everything a device-restart run does, derived from one seed: a seeded

@@ -30,7 +30,7 @@ use flexnet_controller::{HealthEvent, LossyFabric, RolloutOutcome, RolloutReport
 use flexnet_dataplane::{SandboxConfig, TRAP_WINDOW};
 use flexnet_lang::ast::{StateDecl, StateKind};
 use flexnet_lang::diff::{ProgramBundle, ReconfigOp};
-use flexnet_sim::{mix, mix_next};
+use flexnet_types::hash::{mix, mix_next};
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
 
 /// How a rogue tenant attacks the data-plane sandbox: a

@@ -25,7 +25,8 @@ use flexnet_controller::{
 };
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::disk::DiskFaultPlan;
-use flexnet_sim::{mix, CrashPhase};
+use flexnet_sim::CrashPhase;
+use flexnet_types::hash::mix;
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
 
 /// Which layer of the durable-state stack one run attacks: the medium the

@@ -161,7 +161,7 @@ mod tests {
     fn component_demand_and_kind() {
         let c = comp("fw", "switch", 4096);
         assert_eq!(c.kind(), ProgramKind::Switch);
-        assert!(!c.canonical_demand().unwrap().is_zero());
+        assert_ne!(c.canonical_demand().unwrap(), ResourceVec::new());
     }
 
     #[test]

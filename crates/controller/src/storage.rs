@@ -36,11 +36,15 @@
 
 use crate::wal::{IntentRecord, ReplayState};
 use flexnet_sim::disk::{DiskFaultPlan, SimDisk};
+use flexnet_types::hash::fnv1a32;
 use flexnet_types::{FlexError, Result, SimDuration, StorageError};
 use std::borrow::Cow;
 use std::ops::Range;
 
-/// Bytes of record header: `[len u32 LE][crc u32 LE]`.
+/// Bytes of record header: `[len u32 LE][crc u32 LE]`. The checksum is
+/// FNV-1a 32 ([`fnv1a32`]): the workspace has no CRC crate and must not
+/// grow one, and FNV-1a detects the single-bit and short-burst corruptions
+/// the fault model injects.
 pub const RECORD_HEADER: usize = 8;
 
 /// Records per logical WAL segment. Compaction deletes storage only in
@@ -51,23 +55,11 @@ pub const SEG_CAP: u64 = 8;
 /// times before declaring the node snapshot-less.
 pub const SNAP_GENERATIONS: usize = 2;
 
-/// FNV-1a 32-bit over `bytes` — the record checksum. (The workspace has
-/// no CRC crate and must not grow one; FNV-1a detects the single-bit
-/// and short-burst corruptions the fault model injects.)
-pub fn record_crc(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 /// Frames `payload` as one durable record: `[len][crc][payload]`.
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&record_crc(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a32(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -135,31 +127,16 @@ pub fn scrub(bytes: &[u8], base_record: u64, crc_checks: bool) -> ScrubOutcome {
     let mut off = 0usize;
     let mut fault = None;
     while off < bytes.len() {
-        let global = base_record + payloads.len() as u64;
-        let segment = global / SEG_CAP;
-        let remaining = bytes.len() - off;
-        if remaining < RECORD_HEADER {
+        let segment = (base_record + payloads.len() as u64) / SEG_CAP;
+        let Some((payload, want)) = frame(&bytes[off..]) else {
             fault = Some(StorageError::TornRecord {
                 segment,
                 offset: off as u64,
             });
             break;
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&bytes[off..off + 4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        if len > remaining - RECORD_HEADER {
-            fault = Some(StorageError::TornRecord {
-                segment,
-                offset: off as u64,
-            });
-            break;
-        }
-        let mut crc4 = [0u8; 4];
-        crc4.copy_from_slice(&bytes[off + 4..off + 8]);
-        let want = u32::from_le_bytes(crc4);
-        let at = off + RECORD_HEADER..off + RECORD_HEADER + len;
-        let got = record_crc(&bytes[at.clone()]);
+        };
+        let at = off + payload.start..off + payload.end;
+        let got = fnv1a32(&bytes[at.clone()]);
         if crc_checks && got != want {
             fault = Some(StorageError::ChecksumFailed {
                 segment,
@@ -168,16 +145,12 @@ pub fn scrub(bytes: &[u8], base_record: u64, crc_checks: bool) -> ScrubOutcome {
             });
             break;
         }
+        off = at.end;
         payloads.push(at);
-        off += RECORD_HEADER + len;
     }
     // Mid-log detection: does a verifiable record follow the fault? If
     // so the corruption hit cold data, not the in-flight tail.
-    let mid_log = if fault.is_some() {
-        next_record_verifies(&bytes[off..])
-    } else {
-        false
-    };
+    let mid_log = fault.is_some() && next_record_verifies(&bytes[off..]);
     ScrubOutcome {
         payloads,
         valid_bytes: off,
@@ -187,37 +160,25 @@ pub fn scrub(bytes: &[u8], base_record: u64, crc_checks: bool) -> ScrubOutcome {
     }
 }
 
-/// Whether `bytes` starts with (possibly after the one bad record) a
-/// structurally valid, checksum-clean record.
+/// The record framed at the start of `bytes`: its payload's range and its
+/// stored checksum, or `None` when the header or the payload its length
+/// announces is cut short.
+fn frame(bytes: &[u8]) -> Option<(Range<usize>, u32)> {
+    let header: [u8; RECORD_HEADER] = bytes.get(..RECORD_HEADER)?.try_into().ok()?;
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    let end = RECORD_HEADER + u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    (end <= bytes.len()).then_some((RECORD_HEADER..end, u32::from_le_bytes([c0, c1, c2, c3])))
+}
+
+/// Whether the one bad record at the start of `bytes` is followed by a
+/// structurally valid, checksum-clean record. The bad record is skipped
+/// only if its length prefix still fits in `bytes`.
 fn next_record_verifies(bytes: &[u8]) -> bool {
-    // Skip the bad record if its length prefix is still plausible, then
-    // try to verify the record after it.
-    let mut starts = vec![0usize];
-    if bytes.len() >= RECORD_HEADER {
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&bytes[..4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        if let Some(next) = RECORD_HEADER.checked_add(len) {
-            if next < bytes.len() {
-                starts.push(next);
-            }
-        }
-    }
-    starts.into_iter().skip(1).any(|s| {
-        let rest = &bytes[s..];
-        if rest.len() < RECORD_HEADER {
-            return false;
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&rest[..4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        if len > rest.len() - RECORD_HEADER {
-            return false;
-        }
-        let mut crc4 = [0u8; 4];
-        crc4.copy_from_slice(&rest[4..8]);
-        record_crc(&rest[RECORD_HEADER..RECORD_HEADER + len]) == u32::from_le_bytes(crc4)
-    })
+    let Some((bad, _)) = frame(bytes) else {
+        return false;
+    };
+    let rest = &bytes[bad.end..];
+    frame(rest).is_some_and(|(payload, want)| fnv1a32(&rest[payload]) == want)
 }
 
 /// Byte offsets `(start, total_len)` of each framed record in a healthy
@@ -225,15 +186,9 @@ fn next_record_verifies(bytes: &[u8]) -> bool {
 fn record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut off = 0usize;
-    while off + RECORD_HEADER <= bytes.len() {
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&bytes[off..off + 4]);
-        let len = u32::from_le_bytes(len4) as usize;
-        if len > bytes.len() - off - RECORD_HEADER {
-            break;
-        }
-        spans.push((off, RECORD_HEADER + len));
-        off += RECORD_HEADER + len;
+    while let Some((payload, _)) = frame(&bytes[off..]) {
+        spans.push((off, payload.end));
+        off += payload.end;
     }
     spans
 }

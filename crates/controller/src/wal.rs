@@ -19,6 +19,7 @@
 
 use crate::raft::{CommittedView, RaftCluster};
 use crate::storage::NodeStorage;
+use flexnet_types::hash::{fnv1a, FNV_OFFSET};
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -513,15 +514,9 @@ impl ReplayState {
     /// Invariant under [`ReplayState::summary`], and any content
     /// corruption that survives decoding perturbs it.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut h = FNV_OFFSET;
+        // Each field is followed by one 0xff separator byte.
+        let mut eat = |bytes: &[u8]| h = fnv1a(fnv1a(h, bytes), &[0xff]);
         eat(&self.max_id.to_le_bytes());
         for (device, at) in &self.intended {
             eat(&device.to_le_bytes());

@@ -424,24 +424,6 @@ pub struct ProcessResult {
     pub trap: Option<Trap>,
 }
 
-/// Per-frame outcome of [`Device::process_sealed_burst`], index-aligned
-/// with the input frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameOutcome {
-    /// Checksum and parse passed; the packet ran the installed program.
-    Processed(ProcessResult),
-    /// The end-to-end checksum failed: billed to
-    /// [`DeviceStats::checksum_drops`] only — exactly this frame, no trap
-    /// window involvement, burst neighbors untouched (the single-frame
-    /// equivalent is the [`FlexError::ChecksumMismatch`] error return of
-    /// [`Device::process_sealed_bytes`]).
-    ChecksumDrop,
-    /// Wire parse failed: a fail-closed drop billed to
-    /// [`DeviceStats::parse_traps`], indicting the packet — never the
-    /// program, so no quarantine pressure.
-    ParseDrop(ProcessResult),
-}
-
 /// Aggregate device statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
@@ -962,7 +944,7 @@ impl Device {
     ///
     /// On `Err` (device down, image corrupt) `out` holds results only for
     /// the packets completed before the failure.
-    pub fn process_burst(
+    pub(crate) fn process_burst(
         &mut self,
         pkts: &mut [Packet],
         now: SimTime,
@@ -1001,54 +983,6 @@ impl Device {
         now: SimTime,
     ) -> Result<ProcessResult> {
         self.process_frame(sealed, true, id, now)
-    }
-
-    /// Verifies, parses, and processes a burst of sealed frames, writing
-    /// one [`FrameOutcome`] per frame (input order, index-aligned) into
-    /// `out`; packets that survive admission are left, post-processing,
-    /// in `pkts` (in outcome order, `Processed` entries only). Both are
-    /// cleared first and keep their capacity.
-    ///
-    /// Billing is per-offender, exactly as the single-frame entry points
-    /// bill: a corrupted frame counts one `checksum_drops` and nothing
-    /// else; a malformed body counts one `parse_traps` + one `dropped`
-    /// and never feeds any trap window; neighbors in the burst are
-    /// processed as if the poison frame had arrived alone between them.
-    /// Admitted packets are parsed straight into `pkts` and run as
-    /// sub-slices of it *flushed in arrival order around each poison
-    /// frame*, so quarantine/version interleaving matches the equivalent
-    /// single-frame call sequence.
-    pub fn process_sealed_burst(
-        &mut self,
-        frames: &[Vec<u8>],
-        first_id: u64,
-        now: SimTime,
-        pkts: &mut Vec<Packet>,
-        out: &mut Vec<FrameOutcome>,
-    ) -> Result<()> {
-        out.clear();
-        pkts.clear();
-        self.ensure_up()?;
-        let mut flushed = 0;
-        for (k, sealed) in frames.iter().enumerate() {
-            match admit(sealed, true, first_id + k as u64) {
-                Ok(pkt) => pkts.push(pkt),
-                Err(poison) => {
-                    self.run_burst(&mut pkts[flushed..], now, |r| {
-                        out.push(FrameOutcome::Processed(r))
-                    })?;
-                    flushed = pkts.len();
-                    out.push(match self.bill(poison) {
-                        Ok(r) => FrameOutcome::ParseDrop(r),
-                        Err(FlexError::ChecksumMismatch { .. }) => FrameOutcome::ChecksumDrop,
-                        Err(e) => return Err(e),
-                    });
-                }
-            }
-        }
-        self.run_burst(&mut pkts[flushed..], now, |r| {
-            out.push(FrameOutcome::Processed(r))
-        })
     }
 
     /// The single-frame wire entry: one up-check, [`admit`], then the
@@ -1502,7 +1436,7 @@ pub(crate) mod tests {
         let mut d = new_dev();
         d.install(fw_bundle()).unwrap();
         let used_before = d.used();
-        assert!(!used_before.is_zero());
+        assert_ne!(used_before, ResourceVec::new());
         d.install(bundle(
             "program tiny kind any { handler ingress(pkt) { forward(1); } }",
         ))
@@ -1896,86 +1830,5 @@ pub(crate) mod tests {
         assert!(out.iter().all(|r| r.refused && r.verdict == Verdict::Drop));
         assert_eq!(d.stats().refused, 8);
         assert_eq!(d.stats().processed, 0);
-    }
-
-    #[test]
-    fn sealed_burst_checksum_poison_bills_exactly_one_frame() {
-        let mut d = new_dev();
-        d.install(fw_bundle()).unwrap();
-        let mut frames: Vec<Vec<u8>> = (0..256u64)
-            .map(|i| {
-                crate::wire::seal_frame(&crate::wire::encode_wire(&Packet::tcp(
-                    i, 10, 20, 1, 80, 0,
-                )))
-            })
-            .collect();
-        crate::wire::flip_bits(&mut frames[100], 0xBAD5EED, 3);
-
-        let mut pkts = Vec::new();
-        let mut out = Vec::new();
-        d.process_sealed_burst(&frames, 0, SimTime::ZERO, &mut pkts, &mut out)
-            .unwrap();
-
-        assert_eq!(out.len(), 256);
-        for (i, o) in out.iter().enumerate() {
-            if i == 100 {
-                assert_eq!(*o, FrameOutcome::ChecksumDrop, "the corrupted frame");
-            } else {
-                match o {
-                    FrameOutcome::Processed(r) => {
-                        assert_eq!(r.verdict, Verdict::Forward(1), "neighbor {i}")
-                    }
-                    other => panic!("neighbor {i} mis-billed: {other:?}"),
-                }
-            }
-        }
-        let s = d.stats();
-        assert_eq!(s.checksum_drops, 1, "exactly the corrupted frame");
-        assert_eq!(s.processed, 255);
-        assert_eq!(s.parse_traps, 0);
-        assert_eq!(s.traps, 0, "fabric corruption never indicts the program");
-        assert!(!d.quarantined());
-        assert_eq!(pkts.len(), 255, "admitted packets retained for egress");
-    }
-
-    #[test]
-    fn sealed_burst_parse_poison_bills_exactly_one_frame() {
-        let mut d = new_dev();
-        d.install(fw_bundle()).unwrap();
-        let mut frames: Vec<Vec<u8>> = (0..256u64)
-            .map(|i| {
-                crate::wire::seal_frame(&crate::wire::encode_wire(&Packet::tcp(
-                    i, 10, 20, 1, 80, 0,
-                )))
-            })
-            .collect();
-        // A validly sealed frame whose *body* is garbage: passes the
-        // checksum, fails the parser.
-        frames[31] = crate::wire::seal_frame(&[0xffu8; 5]);
-
-        let mut pkts = Vec::new();
-        let mut out = Vec::new();
-        d.process_sealed_burst(&frames, 0, SimTime::ZERO, &mut pkts, &mut out)
-            .unwrap();
-
-        match &out[31] {
-            FrameOutcome::ParseDrop(r) => {
-                assert_eq!(r.verdict, Verdict::Drop);
-                assert!(matches!(r.trap, Some(Trap::MalformedPacket { .. })));
-            }
-            other => panic!("expected a parse drop, got {other:?}"),
-        }
-        assert!(out
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != 31)
-            .all(|(_, o)| matches!(o, FrameOutcome::Processed(_))));
-        let s = d.stats();
-        assert_eq!(s.parse_traps, 1, "exactly the malformed frame");
-        assert_eq!(s.checksum_drops, 0);
-        assert_eq!(s.processed, 255);
-        assert_eq!(s.dropped, 1, "the parse drop and nothing else");
-        assert_eq!(s.traps, 0, "parse traps are not program traps");
-        assert!(!d.quarantined());
     }
 }

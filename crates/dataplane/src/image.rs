@@ -26,18 +26,10 @@ use flexnet_lang::diff::ProgramBundle;
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::typecheck::check_program;
 use flexnet_lang::verifier::verify_program;
+use flexnet_types::hash::{fnv1a, FNV_OFFSET};
 use flexnet_types::Result;
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
-
-/// FNV-1a 64-bit fold of `bytes` into `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// An FNV-1a state as a text sink: what is written is folded, not kept.
 struct FnvSink(u64);
@@ -54,7 +46,7 @@ impl fmt::Write for FnvSink {
 /// writes straight into the fold — the bytes of `{hdr:?}` and
 /// `to_source()`, never materialized.
 fn program_digest_of(bundle: &ProgramBundle) -> u64 {
-    let mut h = FnvSink(0xcbf2_9ce4_8422_2325); // FNV-1a offset basis
+    let mut h = FnvSink(FNV_OFFSET);
     for hdr in &bundle.headers {
         let _ = write!(h, "{hdr:?}"); // the sink cannot fail
     }

@@ -12,8 +12,8 @@
 //!   sets, stateful tables) behind a virtualized logical K/V layer (§3.1).
 //! - [`parser`] — the parser graph with runtime state add/remove (§2).
 //! - [`device`] — the device: placement, statistics, and the one packet
-//!   loop every entry ([`device::Device::process`],
-//!   [`device::Device::process_burst`], the wire entries) drives: one
+//!   loop every entry ([`device::Device::process`], the forwarding graph,
+//!   the wire entries) drives: one
 //!   per-packet body around the one engine, the bytecode executor (the
 //!   reference interpreter is the tests' oracle, not a device path).
 //! - [`image`] — sealed program images (checked and verified once, shared
@@ -26,12 +26,10 @@
 //! - [`cost`] — per-architecture latency/reconfiguration/energy models.
 //! - [`wire`] — the raw-bytes wire codec behind the device's one wire
 //!   admission step (checksum → parse → exact per-offender billing), which
-//!   [`device::Device::process_bytes`],
-//!   [`device::Device::process_sealed_bytes`] and
-//!   [`device::Device::process_sealed_burst`] share.
-//! - [`graph`] — the burst hot path: exec → emit (sealed-frame admission
-//!   in exec's place on the wire entry) over reusable burst lanes, built
-//!   on [`device::Device::process_burst`].
+//!   [`device::Device::process_bytes`] and
+//!   [`device::Device::process_sealed_bytes`] share.
+//! - [`graph`] — the device's one burst entry,
+//!   [`graph::ForwardingGraph::run`], over reusable burst lanes.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,7 +48,7 @@ pub mod wire;
 pub use arch::{ArchAllocator, ArchClass, Architecture, Location};
 pub use cost::CostModel;
 pub use device::{
-    Device, DeviceStats, FrameOutcome, InstalledProgram, ProcessResult, SandboxConfig,
+    Device, DeviceStats, InstalledProgram, ProcessResult, SandboxConfig,
     DEDUP_WINDOW, EMPTY_CONFIG_DIGEST, TRAP_WINDOW,
 };
 pub use graph::{BurstLanes, ForwardingGraph};

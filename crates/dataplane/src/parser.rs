@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn used_counts_entries() {
         let mut p = ParserGraph::new();
-        assert!(p.used().is_zero());
+        assert_eq!(p.used(), ResourceVec::new());
         p.add_state(&vxlan()).unwrap();
         assert_eq!(p.used().get(ResourceKind::ParserEntries), 2);
     }

@@ -24,6 +24,7 @@
 //! values through a [`CarryMap`] made once per image pair.
 
 use flexnet_lang::ast::{StateDecl, StateKind};
+use flexnet_types::hash::{fnv_step, FNV_OFFSET};
 use flexnet_types::{FlexError, Result, SimTime, Trap};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -189,12 +190,7 @@ impl MapStore {
 
     fn slot_of(key: u64, len: usize) -> usize {
         // Deterministic hash-to-slot (FNV step keeps adjacent keys apart).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for i in 0..8 {
-            h ^= (key >> (i * 8)) & 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % len as u64) as usize
+        (fnv_step(FNV_OFFSET, key) % len as u64) as usize
     }
 
     #[inline]

@@ -14,6 +14,7 @@
 //! round-tripping is pinned by tests and exploited by the fuzz harness
 //! (valid frames must parse; arbitrary bytes must parse-or-trap).
 
+use flexnet_types::hash::{fnv1a, mix_next, FNV_OFFSET};
 use flexnet_types::{FlexError, Header, Packet, Result, Sym, Trap};
 
 /// Maximum 802.1Q tags the parser will walk before declaring the frame
@@ -32,12 +33,7 @@ pub const FRAME_CHECKSUM_LEN: usize = 8;
 /// catches any burst the chaos fabric can inject while staying cheap
 /// enough for the per-frame hot path.
 pub fn frame_checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// Appends the integrity trailer: `bytes ++ BE64(frame_checksum(bytes))`.
@@ -92,14 +88,10 @@ pub fn flip_bits(bytes: &mut [u8], seed: u64, flips: u32) {
     let mut state = seed;
     let mut chosen = Vec::with_capacity(flips as usize);
     for _ in 0..flips.min(total_bits as u32) {
-        // splitmix64 step — same generator the fabric schedules use.
+        // The splitmix64 stream the fabric schedules draw from.
         let mut pos;
         loop {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            pos = (z ^ (z >> 31)) % total_bits;
+            pos = mix_next(&mut state) % total_bits;
             if !chosen.contains(&pos) {
                 break;
             }

@@ -230,6 +230,6 @@ proptest! {
             alloc.free(name).unwrap();
         }
         prop_assert_eq!(alloc.available(), before);
-        prop_assert!(alloc.used().is_zero());
+        prop_assert_eq!(alloc.used(), ResourceVec::new());
     }
 }

@@ -24,7 +24,8 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
-use crate::interp::{eval_bin, fnv_step, ExecOutcome, FNV_OFFSET, MAX_TABLE_KEY_WIDTH};
+use crate::interp::{eval_bin, ExecOutcome, MAX_TABLE_KEY_WIDTH};
+use flexnet_types::hash::{fnv_step, FNV_OFFSET};
 use flexnet_types::{Fields, FlexError, Header, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
 
@@ -1125,7 +1126,7 @@ pub fn execute_compiled<E: SlotEnv + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{execute, ExecEnv, MemEnv, GAS_UNLIMITED};
+    use crate::interp::{execute_metered, ExecEnv, MemEnv, GAS_UNLIMITED};
     use crate::parser::parse_program;
     use crate::typecheck::check_program;
 
@@ -1306,7 +1307,9 @@ mod tests {
         setup(&mut env_b);
         let mut pkt_i = pkt.clone();
         let mut pkt_b = pkt.clone();
-        let out_i = execute(&p, "ingress", &mut pkt_i, &mut env_i, &headers).unwrap();
+        let out_i =
+            execute_metered(&p, "ingress", &mut pkt_i, &mut env_i, &headers, GAS_UNLIMITED)
+                .unwrap();
         let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b, "verdict/ops diverged on {src}");
         assert_eq!(pkt_i, pkt_b, "packet effects diverged on {src}");
@@ -1450,7 +1453,9 @@ mod tests {
         let mut env_i = MemEnv::new();
         env_i.tables = setup.tables.clone();
         let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let out_i = execute(&p, "ingress", &mut pkt.clone(), &mut env_i, &headers).unwrap();
+        let out_i =
+            execute_metered(&p, "ingress", &mut pkt.clone(), &mut env_i, &headers, GAS_UNLIMITED)
+                .unwrap();
         let mut env_b = MemEnv::new();
         env_b.tables = setup.tables.clone();
         let out_b = run(&p, &c, "ingress", &mut pkt, &mut env_b, GAS_UNLIMITED).unwrap();
@@ -1502,7 +1507,7 @@ mod tests {
         let full = {
             let mut env = MemEnv::new();
             let mut pkt = base.clone();
-            execute(&p, "ingress", &mut pkt, &mut env, &headers).unwrap()
+            execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED).unwrap()
         };
         assert!(full.trap.is_none());
         for gas in 0..=full.ops {
@@ -1548,7 +1553,9 @@ mod tests {
         let mut env_b = MemEnv::new();
         let mut pkt_i = Packet::tcp(1, 1, 2, 3, 4, 0);
         let mut pkt_b = pkt_i.clone();
-        let out_i = execute(&p, "ingress", &mut pkt_i, &mut env_i, &headers).unwrap();
+        let out_i =
+            execute_metered(&p, "ingress", &mut pkt_i, &mut env_i, &headers, GAS_UNLIMITED)
+                .unwrap();
         let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b);
         assert_eq!(
@@ -1596,14 +1603,14 @@ mod tests {
     }
 
     /// Every `hash()` the VM resumes from its memo equals a fresh
-    /// [`crate::interp::hash_values`], whatever ran through the same
+    /// [`flexnet_types::hash::hash_values`], whatever ran through the same
     /// scratch before it: other packets, shared prefixes, repeats, every
     /// arity from 0 (a hand-built `Hash(0)`: the checker rejects `hash()`)
     /// to 8, values that differ only in their top byte, and another program
     /// in between.
     #[test]
     fn the_hash_memo_is_exact_across_packets_and_programs() {
-        use crate::interp::hash_values;
+        use flexnet_types::hash::hash_values;
         // One program per arity hashing its locals `x0..x{n-1}`, and another
         // image (with a counter) hashing a three-wide prefix of them.
         let widest = 8usize;

@@ -13,6 +13,7 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
+use flexnet_types::hash::hash_values;
 use flexnet_types::{FlexError, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
 
@@ -77,39 +78,6 @@ impl ExecOutcome {
     pub fn trapped(&self) -> bool {
         self.trap.is_some()
     }
-}
-
-/// The FNV-1a state before any value: what `hash()` of no arguments is.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a step of the `hash()` builtin: folds `v`'s eight bytes, low
-/// byte first, into the state `h`. The state after a prefix of arguments
-/// depends on that prefix alone, which is what lets the VM resume a hash
-/// from a shared prefix.
-#[inline]
-pub(crate) fn fnv_step(mut h: u64, v: u64) -> u64 {
-    for i in 0..8 {
-        h ^= (v >> (i * 8)) & 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Deterministic FNV-1a mixing used by the `hash()` builtin.
-pub fn hash_values(values: &[u64]) -> u64 {
-    values.iter().fold(FNV_OFFSET, |h, &v| fnv_step(h, v))
-}
-
-/// Executes `handler` of `program` over `pkt` against `env` with no gas
-/// limit. See [`execute_metered`] for the sandboxed form.
-pub fn execute(
-    program: &Program,
-    handler: &str,
-    pkt: &mut Packet,
-    env: &mut dyn ExecEnv,
-    headers: &HeaderRegistry,
-) -> Result<ExecOutcome> {
-    execute_metered(program, handler, pkt, env, headers, GAS_UNLIMITED)
 }
 
 /// Executes `handler` of `program` over `pkt` against `env` under a gas
@@ -678,7 +646,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let headers = HeaderRegistry::builtins();
         crate::typecheck::check_program(&p, &headers).unwrap();
-        execute(&p, "ingress", pkt, env, &headers).unwrap()
+        execute_metered(&p, "ingress", pkt, env, &headers, GAS_UNLIMITED).unwrap()
     }
 
     #[test]
@@ -939,7 +907,8 @@ mod tests {
         crate::typecheck::check_program(&p, &headers).unwrap();
         let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
         let mut env = MemEnv::new();
-        let out = execute(&p, "ingress", &mut pkt, &mut env, &headers).unwrap();
+        let out =
+            execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED).unwrap();
         assert_eq!(out.verdict, None, "a trapped packet carries no verdict");
         assert_eq!(out.trap, Some(Trap::DivisionByZero { op: "/" }));
     }
@@ -962,7 +931,8 @@ mod tests {
         // Unmetered run establishes the true cost.
         let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
         let mut env = MemEnv::new();
-        let full = execute(&p, "ingress", &mut pkt, &mut env, &headers).unwrap();
+        let full =
+            execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED).unwrap();
         assert!(full.trap.is_none());
         let cost = full.ops;
 
@@ -1000,7 +970,8 @@ mod tests {
         let mut env = MemEnv::new();
         env.reg_sizes.insert("r".into(), 4);
         let mut pkt = Packet::tcp(1, 40, 2, 3, 4, 0);
-        let out = execute(&p, "ingress", &mut pkt, &mut env, &headers).unwrap();
+        let out =
+            execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED).unwrap();
         assert_eq!(
             out.trap,
             Some(Trap::StateOutOfBounds {

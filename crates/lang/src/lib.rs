@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::diff::{diff_bundles, ProgramBundle, ReconfigOp};
     pub use crate::headers::HeaderRegistry;
     pub use crate::interp::{
-        execute, execute_metered, ExecEnv, ExecOutcome, MemEnv, GAS_UNLIMITED,
+        execute_metered, ExecEnv, ExecOutcome, MemEnv, GAS_UNLIMITED,
         MAX_TABLE_KEY_WIDTH,
     };
     pub use crate::parser::{parse_program, parse_source};

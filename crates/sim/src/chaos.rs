@@ -1,7 +1,7 @@
 //! The chaos vocabulary the controller shares with its suites: the
-//! two-phase-commit crash points ([`CrashPhase`]), the workspace's one
-//! seed-expansion hash ([`mix`], [`mix_next`]) and the anti-entropy
-//! convergence check ([`diverged`]).
+//! two-phase-commit crash points ([`CrashPhase`]) and the anti-entropy
+//! convergence check ([`diverged`]). Seeds expand through
+//! `flexnet_types::hash::{mix, mix_next}`.
 //!
 //! The seeded schedules themselves — which phase a coordinator dies in,
 //! which devices restart, how lossy the fabric is — belong to the one
@@ -44,26 +44,6 @@ impl CrashPhase {
             CrashPhase::AfterFlipScheduled => "after-flip-scheduled",
         }
     }
-}
-
-/// splitmix64's stream increment.
-const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// splitmix64: decorrelates consecutive seeds into independent streams
-/// (the workspace's one seed-expansion hash — schedules, retry jitter and
-/// the chaos suites all draw through it).
-pub fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// The next draw of the splitmix64 stream whose state is `stream`.
-pub fn mix_next(stream: &mut u64) -> u64 {
-    let z = mix(*stream);
-    *stream = stream.wrapping_add(GAMMA);
-    z
 }
 
 /// The convergence check at the heart of anti-entropy: which of the

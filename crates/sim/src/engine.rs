@@ -12,6 +12,7 @@ use crate::metrics::{LossKind, Metrics};
 use crate::topology::{NodeKind, Topology};
 use crate::workload::Departure;
 use flexnet_dataplane::reconfig::ReconfigReport;
+use flexnet_dataplane::Device;
 use flexnet_dataplane::table::{KeyMatch, TableEntry};
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_types::{LinkId, NodeId, Packet, SimDuration, SimTime, Sym, Verdict};
@@ -446,83 +447,42 @@ impl Simulation {
                 self.inject(node, pkt);
             }
             Command::Install { node, bundle } => {
-                let r = self
-                    .topo
-                    .node_mut(node)
-                    .ok_or_else(|| flexnet_types::FlexError::NotFound(node.to_string()))
-                    .and_then(|n| n.device.install(bundle));
-                if let Err(e) = r {
-                    self.errors.push((now, format!("install on {node}: {e}")));
-                }
+                self.on_device(node, "install on", |d| d.install(bundle));
             }
             Command::RuntimeReconfig { node, bundle } => {
-                match self.topo.node_mut(node) {
-                    Some(n) => match n.device.begin_runtime_reconfig(bundle, now) {
-                        Ok(rep) => self.reconfig_reports.push((now, node, rep)),
-                        Err(e) => self
-                            .errors
-                            .push((now, format!("runtime reconfig on {node}: {e}"))),
-                    },
-                    None => self.errors.push((now, format!("unknown node {node}"))),
-                }
+                self.reconfig(node, "runtime reconfig on", |d| {
+                    d.begin_runtime_reconfig(bundle, now)
+                })
             }
-            Command::Reflash { node, bundle } => match self.topo.node_mut(node) {
-                Some(n) => match n.device.begin_reflash(bundle, now) {
-                    Ok(rep) => self.reconfig_reports.push((now, node, rep)),
-                    Err(e) => self.errors.push((now, format!("reflash on {node}: {e}"))),
-                },
-                None => self.errors.push((now, format!("unknown node {node}"))),
-            },
-            Command::UnsafeReconfig { node, bundle } => match self.topo.node_mut(node) {
-                Some(n) => match n.device.begin_unsafe_inplace(bundle, now) {
-                    Ok(rep) => self.reconfig_reports.push((now, node, rep)),
-                    Err(e) => self
-                        .errors
-                        .push((now, format!("unsafe reconfig on {node}: {e}"))),
-                },
-                None => self.errors.push((now, format!("unknown node {node}"))),
-            },
+            Command::Reflash { node, bundle } => {
+                self.reconfig(node, "reflash on", |d| d.begin_reflash(bundle, now))
+            }
+            Command::UnsafeReconfig { node, bundle } => {
+                self.reconfig(node, "unsafe reconfig on", |d| {
+                    d.begin_unsafe_inplace(bundle, now)
+                })
+            }
             Command::AddEntry { node, table, entry } => {
-                let r = self
-                    .topo
-                    .node_mut(node)
-                    .ok_or_else(|| flexnet_types::FlexError::NotFound(node.to_string()))
-                    .and_then(|n| n.device.add_entry(&table, entry));
-                if let Err(e) = r {
-                    self.errors.push((now, format!("add entry on {node}: {e}")));
-                }
+                self.on_device(node, "add entry on", |d| d.add_entry(&table, entry));
             }
             Command::RemoveEntry {
                 node,
                 table,
                 matches,
             } => {
-                let r = self
-                    .topo
-                    .node_mut(node)
-                    .ok_or_else(|| flexnet_types::FlexError::NotFound(node.to_string()))
-                    .and_then(|n| n.device.remove_entry(&table, &matches).map(|_| ()));
-                if let Err(e) = r {
-                    self.errors
-                        .push((now, format!("remove entry on {node}: {e}")));
-                }
+                self.on_device(node, "remove entry on", |d| {
+                    d.remove_entry(&table, &matches)
+                });
             }
             Command::CrashDevice { node } => {
-                match self.topo.node_mut(node) {
-                    Some(n) => n.device.crash(now),
-                    None => self.errors.push((now, format!("unknown node {node}"))),
-                }
+                self.on_device(node, "crash", |d| {
+                    d.crash(now);
+                    Ok(())
+                });
                 self.recompute_routes();
             }
             Command::RestartDevice { node } => {
-                let r = self
-                    .topo
-                    .node_mut(node)
-                    .ok_or_else(|| flexnet_types::FlexError::NotFound(node.to_string()))
-                    .and_then(|n| n.device.restart(now));
-                if let Err(e) = r {
-                    self.errors.push((now, format!("restart {node}: {e}")));
-                }
+                self.on_device(node, "restart", |d| d.restart(now));
                 self.recompute_routes();
             }
             Command::SetLinkState { link, up } => {
@@ -539,13 +499,40 @@ impl Simulation {
                 }
                 self.recompute_routes();
             }
-            Command::AbortReconfig { node } => match self.topo.node_mut(node) {
-                Some(n) => match n.device.abort_reconfig(now) {
-                    Ok(rep) => self.reconfig_reports.push((now, node, rep)),
-                    Err(e) => self.errors.push((now, format!("abort on {node}: {e}"))),
-                },
-                None => self.errors.push((now, format!("unknown node {node}"))),
+            Command::AbortReconfig { node } => {
+                self.reconfig(node, "abort on", |d| d.abort_reconfig(now))
+            }
+        }
+    }
+
+    /// Runs `op` on `node`'s device. A failure is recorded as
+    /// `"{what} {node}: {error}"`, an absent node as `"unknown node {node}"`.
+    fn on_device<T>(
+        &mut self,
+        node: NodeId,
+        what: &str,
+        op: impl FnOnce(&mut Device) -> flexnet_types::Result<T>,
+    ) -> Option<T> {
+        let error = match self.topo.node_mut(node) {
+            None => format!("unknown node {node}"),
+            Some(n) => match op(&mut n.device) {
+                Ok(value) => return Some(value),
+                Err(e) => format!("{what} {node}: {e}"),
             },
+        };
+        self.errors.push((self.now, error));
+        None
+    }
+
+    /// [`Simulation::on_device`] for a reconfiguration, its report kept.
+    fn reconfig(
+        &mut self,
+        node: NodeId,
+        what: &str,
+        op: impl FnOnce(&mut Device) -> flexnet_types::Result<ReconfigReport>,
+    ) {
+        if let Some(report) = self.on_device(node, what, op) {
+            self.reconfig_reports.push((self.now, node, report));
         }
     }
 
@@ -1007,7 +994,7 @@ mod tests {
 
     #[test]
     fn queue_pops_what_one_heap_of_keys_would() {
-        use crate::chaos::{mix, mix_next};
+        use flexnet_types::hash::{mix, mix_next};
         type Model = BinaryHeap<Reverse<(SimTime, u64)>>;
         // What both must answer to "the earliest event, if due by `until`".
         fn pop_both(queue: &mut EventQueue, model: &mut Model, until: SimTime) -> Option<SimTime> {
@@ -1233,8 +1220,16 @@ mod tests {
                 }),
             },
         );
+        sim.schedule(
+            SimTime::from_millis(2),
+            Command::RestartDevice { node: NodeId(98) },
+        );
         sim.run_to_completion();
-        assert_eq!(sim.errors.len(), 2);
+        let errors: Vec<&str> = sim.errors.iter().map(|(_, e)| e.as_str()).collect();
+        assert_eq!(errors.len(), 3);
+        assert!(errors[0].starts_with(&format!("install on {sw}: ")), "{errors:?}");
+        // An absent node reads the same whatever the command.
+        assert_eq!(errors[1..], ["unknown node node99", "unknown node node98"]);
     }
 
     #[test]

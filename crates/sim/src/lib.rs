@@ -30,7 +30,7 @@ pub mod metrics;
 pub mod topology;
 pub mod workload;
 
-pub use chaos::{diverged, mix, mix_next, CrashPhase};
+pub use chaos::{diverged, CrashPhase};
 pub use disk::{DiskFaultPlan, DiskStats, SimDisk};
 pub use engine::{Command, LogBuffer, Simulation, DEFAULT_LOG_CAP};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};

@@ -15,6 +15,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod error;
+pub mod hash;
 pub mod id;
 pub mod packet;
 pub mod resources;

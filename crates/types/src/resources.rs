@@ -131,11 +131,6 @@ impl ResourceVec {
         *cur = cur.saturating_add(amount);
     }
 
-    /// Whether every component is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&amt| amt == 0)
-    }
-
     /// Whether `self` covers `needed` in every component.
     pub fn covers(&self, needed: &ResourceVec) -> bool {
         self.0.iter().zip(needed.0).all(|(&have, need)| have >= need)
@@ -245,7 +240,6 @@ mod tests {
     fn zero_entries_are_normalized_away() {
         let mut v = sram(5);
         v.set(ResourceKind::SramKb, 0);
-        assert!(v.is_zero());
         assert_eq!(v, ResourceVec::new());
     }
 
@@ -313,7 +307,7 @@ mod tests {
     #[test]
     fn saturating_sub_clamps() {
         let v = sram(3).saturating_sub(&sram(5));
-        assert!(v.is_zero());
+        assert_eq!(v, ResourceVec::new());
     }
 
     /// The sparse `BTreeMap` vector [`ResourceVec`] replaced, kept as the
@@ -342,10 +336,6 @@ mod tests {
             pub fn add_amount(&mut self, kind: ResourceKind, amount: u64) {
                 let cur = self.get(kind);
                 self.set(kind, cur.saturating_add(amount));
-            }
-
-            pub fn is_zero(&self) -> bool {
-                self.0.is_empty()
             }
 
             pub fn covers(&self, needed: &ResourceVec) -> bool {
@@ -504,7 +494,6 @@ mod tests {
                 }
                 for i in 0..4 {
                     prop_assert!(same_text(&new[i], &old[i]), "{:?} vs {:?}", new[i], old[i]);
-                    prop_assert_eq!(new[i].is_zero(), old[i].is_zero());
                     prop_assert!(new[i].iter().eq(old[i].iter()));
                     for j in 0..4 {
                         prop_assert_eq!(new[i] == new[j], old[i] == old[j]);

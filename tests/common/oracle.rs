@@ -15,7 +15,9 @@
 //! device's program, so after one the state and digest are not compared.
 
 use flexnet_dataplane::device::MAX_RECIRCULATIONS;
-use flexnet_dataplane::{Device, DeviceState, ProcessResult, TableSet, EMPTY_CONFIG_DIGEST};
+use flexnet_dataplane::{
+    Device, DeviceState, ForwardingGraph, ProcessResult, TableSet, EMPTY_CONFIG_DIGEST,
+};
 use flexnet_lang::ast::ActionCall;
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::interp::{execute_metered, ExecEnv};
@@ -87,7 +89,8 @@ impl ExecEnv for NamedEnv<'_> {
 /// the reference does with the program the device holds; returns the
 /// device's result.
 pub fn process(dev: &mut Device, pkt: &mut Packet, now: SimTime) -> ProcessResult {
-    dev.process_burst(&mut [], now, &mut Vec::new())
+    ForwardingGraph::standard()
+        .run(dev, &mut [], now)
         .expect("preamble");
     let (version, id) = (dev.version(), pkt.id);
     let mut want_pkt = pkt.clone();

@@ -11,9 +11,9 @@
 //! records its own regressions file.
 
 use flexnet::prelude::*;
-use flexnet_dataplane::device::{FrameOutcome, ProcessResult};
+use flexnet_dataplane::device::ProcessResult;
 use flexnet_dataplane::table::{KeyMatch, TableEntry};
-use flexnet_dataplane::wire::{encode_wire, flip_bits, seal_frame};
+use flexnet_dataplane::wire::{encode_wire, flip_bits, open_frame, parse_wire, seal_frame};
 use flexnet_dataplane::{ForwardingGraph, SandboxConfig};
 use flexnet_lang::ast::{ActionCall, MatchKind, TableDecl};
 use flexnet_lang::parser::parse_source;
@@ -373,12 +373,12 @@ fn burst_bills_exactly_the_poisoned_packet() {
     let [mut d, mut single] = [(); 2].map(|()| installed(sel, "d", 77));
     let pkt = |i: u64| Packet::tcp(i, i as u32, 9, 1, 80, 0);
     let mut burst: Vec<Packet> = (0..256).map(pkt).collect();
-    let mut out = Vec::new();
-    d.process_burst(&mut burst, SimTime::ZERO, &mut out).expect("processes");
+    let mut graph = ForwardingGraph::standard();
+    let out = &graph.run(&mut d, &mut burst, SimTime::ZERO).expect("processes").results;
     let singles: Vec<ProcessResult> = (0..256)
         .map(|i| oracle::process(&mut single, &mut pkt(i), SimTime::ZERO))
         .collect();
-    assert_eq!(out, singles);
+    assert_eq!(*out, singles);
     for (i, r) in out.iter().enumerate() {
         if i == 77 {
             assert_eq!(r.verdict, Verdict::Drop);
@@ -394,7 +394,7 @@ fn burst_bills_exactly_the_poisoned_packet() {
 }
 
 // ---------------------------------------------------------------------------
-// Burst differential: `Device::process_burst` must be observationally
+// Burst differential: `ForwardingGraph::run` must be observationally
 // identical to a per-packet `Device::process` loop — same per-packet
 // results (verdict, ops, latency, trap, version), same packet mutations,
 // same logical state, stats, and config digest — for every gallery
@@ -407,12 +407,10 @@ fn burst_bills_exactly_the_poisoned_packet() {
 /// points.
 const BURST_SIZES: [usize; 4] = [1, 3, 64, 256];
 
-/// Drives `packets` through three identically configured devices — one via
+/// Drives `packets` through two identically configured devices — one via
 /// per-packet [`Device::process`] checked against the reference, one via
-/// [`Device::process_burst`] in chunks of `burst`, one via
-/// [`ForwardingGraph::run`] over the same chunks (at burst 1 that is
-/// graph-of-1 ≡ `process` ≡ `process_burst` of 1) — and requires identical
-/// observable behaviour. Each chunk shares one timestamp on every path,
+/// [`ForwardingGraph::run`] in chunks of `burst` (at burst 1 that is
+/// graph-of-1 ≡ `process`) — and requires identical observable behaviour. Each chunk shares one timestamp on every path,
 /// mirroring how a burst shares its `now`.
 fn assert_burst_matches_single(
     name: &str,
@@ -420,9 +418,8 @@ fn assert_burst_matches_single(
     packets: &[Packet],
     burst: usize,
 ) {
-    let [mut single, mut bursty, mut graphed] = gallery_devices(name, bundle);
+    let [mut single, mut graphed] = gallery_devices(name, bundle);
     let mut graph = ForwardingGraph::standard();
-    let mut out = Vec::new();
     for (ci, chunk) in packets.chunks(burst.max(1)).enumerate() {
         let now = SimTime::from_millis(ci as u64 * 3);
         let mut singles = Vec::with_capacity(chunk.len());
@@ -432,18 +429,6 @@ fn assert_burst_matches_single(
             singles.push(oracle::process(&mut single, &mut p, now));
             single_pkts.push(p);
         }
-        let mut burst_pkts: Vec<Packet> = chunk.to_vec();
-        bursty
-            .process_burst(&mut burst_pkts, now, &mut out)
-            .expect("processes");
-        assert_eq!(
-            out, singles,
-            "{name}: burst {burst}, chunk {ci} results"
-        );
-        assert_eq!(
-            burst_pkts, single_pkts,
-            "{name}: burst {burst}, chunk {ci} packet mutations"
-        );
         let mut graph_pkts: Vec<Packet> = chunk.to_vec();
         let lanes = graph
             .run(&mut graphed, &mut graph_pkts, now)
@@ -457,9 +442,7 @@ fn assert_burst_matches_single(
             "{name}: graph burst {burst}, chunk {ci} packet mutations"
         );
     }
-    for (lane, other) in [("burst", &bursty), ("graph", &graphed)] {
-        assert_same_device(&format!("{name}: {lane} {burst}"), &single, other);
-    }
+    assert_same_device(&format!("{name}: graph {burst}"), &single, &graphed);
 }
 
 /// Identically configured devices for one gallery program: installed,
@@ -570,7 +553,7 @@ fn burst_matches_single_under_tiny_gas_budgets() {
                 bursty.set_sandbox(sandbox);
                 single.install(bundle.clone()).expect("installs");
                 bursty.install(bundle.clone()).expect("installs");
-                let mut out = Vec::new();
+                let mut graph = ForwardingGraph::standard();
                 for (ci, chunk) in pkts.chunks(burst).enumerate() {
                     let now = SimTime::from_millis(ci as u64);
                     let singles: Vec<ProcessResult> = chunk
@@ -578,10 +561,8 @@ fn burst_matches_single_under_tiny_gas_budgets() {
                         .map(|p| oracle::process(&mut single, &mut p.clone(), now))
                         .collect();
                     let mut burst_pkts: Vec<Packet> = chunk.to_vec();
-                    bursty
-                        .process_burst(&mut burst_pkts, now, &mut out)
-                        .expect("processes");
-                    assert_eq!(out, singles, "{name}: gas {gas} burst {burst} chunk {ci}");
+                    let lanes = graph.run(&mut bursty, &mut burst_pkts, now).expect("processes");
+                    assert_eq!(lanes.results, singles, "{name}: gas {gas} burst {burst} chunk {ci}");
                 }
                 assert_eq!(single.stats(), bursty.stats(), "{name}: gas {gas} stats");
             }
@@ -643,11 +624,11 @@ fn header_mutating_programs_agree_across_engines_and_burst_sizes() {
 }
 
 // ---------------------------------------------------------------------------
-// Sealed differential: the three wire entries — `process_sealed_bytes` frame
-// by frame, `process_sealed_burst`, `ForwardingGraph::run_sealed` — share one
-// admission step and one packet loop, and must be indistinguishable on
-// streams that mix clean frames, frames corrupted in flight and validly
-// sealed garbage.
+// Sealed differential: the sealed-frame entry is admission (checksum, then
+// parse) in front of the one packet path, so on streams that mix clean
+// frames, frames corrupted in flight and validly sealed garbage it must be
+// indistinguishable from opening and parsing each frame by hand and running
+// the packet through the reference-checked `process`.
 // ---------------------------------------------------------------------------
 
 /// `packet_stream(seed, n)` on the wire, with a seeded share of poison: about
@@ -673,83 +654,32 @@ fn sealed_stream(seed: u64, n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The single-frame entry's return value as the burst entries report it.
-fn frame_outcome(r: flexnet_types::Result<ProcessResult>) -> FrameOutcome {
-    match r {
-        Err(FlexError::ChecksumMismatch { .. }) => FrameOutcome::ChecksumDrop,
-        Ok(r) if matches!(r.trap, Some(Trap::MalformedPacket { .. })) => FrameOutcome::ParseDrop(r),
-        Ok(r) => FrameOutcome::Processed(r),
-        Err(e) => panic!("wire entry failed: {e}"),
-    }
-}
-
-/// Feeds `frames` to three identically configured devices — frame by frame
-/// through [`Device::process_sealed_bytes`], and in chunks of `burst` through
-/// [`Device::process_sealed_burst`] and [`ForwardingGraph::run_sealed`] — and
-/// requires the same outcome per frame, the same survivors and the same
-/// device afterwards.
-fn assert_sealed_entries_agree(
-    name: &str,
-    bundle: &ProgramBundle,
-    frames: &[Vec<u8>],
-    burst: usize,
-) {
-    let [mut single, mut bursty, mut graphed] = gallery_devices(name, bundle);
-    let mut graph = ForwardingGraph::standard();
-    let (mut pkts, mut out) = (Vec::new(), Vec::new());
+/// Feeds `frames` to two identically configured devices. One takes each
+/// frame through [`Device::process_sealed_bytes`]. The other opens and
+/// parses each frame itself and runs an admitted packet through
+/// `oracle::process`; it hands a poison frame to `process_sealed_bytes` to
+/// be billed. Requires the same result per frame, the same survivors and the
+/// same device afterwards.
+fn assert_sealed_entry_matches_admission(name: &str, bundle: &ProgramBundle, frames: &[Vec<u8>]) {
+    let [mut sealed, mut twin] = gallery_devices(name, bundle);
     let mut kinds = [0usize; 3];
-    for (ci, chunk) in frames.chunks(burst).enumerate() {
-        let what = format!("{name}: sealed burst {burst}, chunk {ci}");
-        let now = SimTime::from_millis(ci as u64 * 3);
-        let first_id = (ci * burst) as u64;
-        let singles: Vec<FrameOutcome> = chunk
-            .iter()
-            .enumerate()
-            .map(|(k, f)| frame_outcome(single.process_sealed_bytes(f, first_id + k as u64, now)))
-            .collect();
-        bursty
-            .process_sealed_burst(chunk, first_id, now, &mut pkts, &mut out)
-            .expect("processes");
-        assert_eq!(out, singles, "{what} outcomes");
-        let lanes = graph
-            .run_sealed(&mut graphed, chunk, first_id, now)
-            .expect("processes");
-        assert_eq!(lanes.frame_outcomes, singles, "{what} graph outcomes");
-
-        // Survivors: exactly the processed frames, in arrival order, each
-        // stamped by the version that processed it; and the graph's results
-        // and egress line up with them.
-        let processed: Vec<(u64, &ProcessResult)> = singles
-            .iter()
-            .enumerate()
-            .filter_map(|(k, o)| match o {
-                FrameOutcome::Processed(r) => Some((first_id + k as u64, r)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(pkts.len(), processed.len(), "{what} survivors");
-        for (pkt, (id, r)) in pkts.iter().zip(&processed) {
-            assert_eq!(pkt.id, *id, "{what} survivor order");
-            assert_eq!(pkt.trace, vec![(bursty.id(), r.version)], "{what} survivor trace");
-        }
-        let results: Vec<&ProcessResult> = processed.iter().map(|(_, r)| *r).collect();
-        assert_eq!(lanes.results.iter().collect::<Vec<_>>(), results, "{what} graph results");
-        let forwarded: Vec<u32> = (0..results.len() as u32)
-            .filter(|&i| matches!(results[i as usize].verdict, Verdict::Forward(_)))
-            .collect();
-        assert_eq!(lanes.egress, forwarded, "{what} graph egress");
-        for o in &singles {
-            kinds[match o {
-                FrameOutcome::Processed(_) => 0,
-                FrameOutcome::ChecksumDrop => 1,
-                FrameOutcome::ParseDrop(_) => 2,
-            }] += 1;
-        }
+    for (i, frame) in frames.iter().enumerate() {
+        let (id, now) = (i as u64, SimTime::from_millis(i as u64 / 8 * 3));
+        let got = sealed.process_sealed_bytes(frame, id, now);
+        let want = match open_frame(frame).and_then(|body| parse_wire(body, id)) {
+            Ok(mut pkt) => Ok(oracle::process(&mut twin, &mut pkt, now)),
+            Err(_) => twin.process_sealed_bytes(frame, id, now),
+        };
+        assert_eq!(got, want, "{name}: frame {i}");
+        kinds[match &got {
+            Err(FlexError::ChecksumMismatch { .. }) => 1,
+            Ok(r) if matches!(r.trap, Some(Trap::MalformedPacket { .. })) => 2,
+            Ok(_) => 0,
+            Err(e) => panic!("{name}: frame {i}: wire entry failed: {e}"),
+        }] += 1;
     }
     assert!(kinds.iter().all(|&k| k > 0), "{name}: stream lacks a frame kind: {kinds:?}");
-    for (lane, other) in [("sealed burst", &bursty), ("run_sealed", &graphed)] {
-        assert_same_device(&format!("{name}: {lane} {burst}"), &single, other);
-    }
+    assert_same_device(&format!("{name}: sealed"), &sealed, &twin);
 }
 
 #[test]
@@ -767,17 +697,14 @@ fn sealed_entries_agree_on_every_gallery_program_with_poisoned_streams() {
     programs.push(("storm", storm));
     for (name, bundle) in &programs {
         let frames = sealed_stream(0x5ea1 ^ name.len() as u64, 200);
-        for burst in [1, 3, 64] {
-            assert_sealed_entries_agree(name, bundle, &frames, burst);
-        }
+        assert_sealed_entry_matches_admission(name, bundle, &frames);
     }
-    // The storm quarantines mid-burst: poison frames never feed the trap
-    // window, so it takes 16 *admitted* trapping packets.
+    // The storm quarantines: poison frames never feed the trap window, so
+    // it takes 16 *admitted* trapping packets.
     let [mut d] = gallery_devices("storm", &programs.last().expect("storm").1);
-    let frames = sealed_stream(0x5ea1 ^ 5, 64);
-    let (mut pkts, mut out) = (Vec::new(), Vec::new());
-    d.process_sealed_burst(&frames, 0, SimTime::ZERO, &mut pkts, &mut out)
-        .expect("processes");
+    for (i, frame) in sealed_stream(0x5ea1 ^ 5, 64).iter().enumerate() {
+        let _ = d.process_sealed_bytes(frame, i as u64, SimTime::ZERO);
+    }
     assert!(d.quarantined() && d.stats().traps == 16, "{:?}", d.stats());
     assert!(d.stats().checksum_drops > 0 && d.stats().parse_traps > 0);
 }
@@ -874,7 +801,7 @@ fn tenant_header_added_removed_and_readded_at_runtime_agrees_across_engines() {
         d.install(plain.clone()).expect("installs");
     }
     let mut now = SimTime::ZERO;
-    let mut out = Vec::new();
+    let mut graph = ForwardingGraph::standard();
     // plain → tenant → plain → tenant: add, remove, re-add the same name.
     for (phase, (bundle, visible)) in [(&tenant, true), (&plain, false), (&tenant, true)]
         .into_iter()
@@ -893,8 +820,8 @@ fn tenant_header_added_removed_and_readded_at_runtime_agrees_across_engines() {
                 if *burst == 1 {
                     results.push(oracle::process(d, &mut chunk[0], ready));
                 } else {
-                    d.process_burst(chunk, ready, &mut out).expect("processes");
-                    results.append(&mut out);
+                    let lanes = graph.run(d, chunk, ready).expect("processes");
+                    results.extend_from_slice(&lanes.results);
                 }
             }
             assert_eq!(d.parser().can_parse("tun"), visible, "phase {phase}");

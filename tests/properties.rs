@@ -187,7 +187,9 @@ proptest! {
         }.into());
         let mut env = MemEnv::new();
         let mut pkt = pkt;
-        let outcome = execute(&p, "ingress", &mut pkt, &mut env, &headers).expect("executes");
+        let outcome =
+            execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED)
+                .expect("executes");
         // Division/modulo by zero traps instead of producing a value, so
         // interval analysis only bounds expressions that run to completion.
         if let Some(trap) = outcome.trap {
@@ -219,7 +221,8 @@ proptest! {
         // above the declared size would reveal an out-of-bounds write.
         let mut env = MemEnv::new();
         for mut pkt in packets {
-            execute(&program, "ingress", &mut pkt, &mut env, &headers).unwrap();
+            execute_metered(&program, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED)
+                .unwrap();
         }
         if let Some(r) = env.regs.get("r") {
             prop_assert!(
@@ -259,7 +262,7 @@ proptest! {
         prop_assert_eq!(sum.checked_sub(&b).unwrap(), a.clone());
         // covers is reflexive; checked_sub with self is zero.
         prop_assert!(a.covers(&a));
-        prop_assert!(a.checked_sub(&a).unwrap().is_zero());
+        prop_assert_eq!(a.checked_sub(&a).unwrap(), ResourceVec::new());
         // checked_sub succeeds iff covers.
         prop_assert_eq!(a.covers(&b), a.checked_sub(&b).is_some());
     }

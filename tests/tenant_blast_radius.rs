@@ -16,6 +16,10 @@
 //! every benign packet after the quarantine, and every benign tenant is
 //! hit: containment per tenant is open work, and a change that contains
 //! the storm changes the pinned numbers on purpose.
+//!
+//! The test also pins what the swap rolls back. The fallback holds its
+//! state as of the last flip, so every counter increment written after that
+//! flip and before the quarantine is lost.
 
 #[path = "common/tenants.rs"]
 mod tenants;
@@ -40,6 +44,12 @@ const ROGUE: TenantId = TenantId(3);
 /// Packets tenant 3 sends per round.
 const BURST: usize = 8;
 const ROUNDS: usize = 16;
+
+/// Every counter of the active program by name, with its packet count.
+fn counters(dev: &Device) -> Vec<(String, u64)> {
+    let state = dev.snapshot_state().unwrap();
+    state.counters.into_iter().map(|(name, (pkts, _))| (name, pkts)).collect()
+}
 
 /// A TCP packet on `vlan`, with the routing metadata the programs read.
 fn packet(id: u64, vlan: VlanId) -> Packet {
@@ -78,12 +88,16 @@ fn a_rogue_tenant_takes_every_co_resident_tenant_off_its_program() {
     // tenant → (packets sent, packets served by another program).
     let mut served_elsewhere = std::collections::BTreeMap::<TenantId, (u64, u64)>::new();
     let (mut id, mut rogue_traps, mut rogue_forwarded, mut quarantined_at) = (0u64, 0, 0, None);
+    let mut before_quarantine = Vec::new();
     for _ in 0..ROUNDS {
         for tenant in ctl.tenants.tenants() {
             let vlan = ctl.tenants.vlan_of(tenant).unwrap();
             let sends = if tenant == ROGUE { BURST } else { 1 };
             for _ in 0..sends {
                 id += 1;
+                if quarantined_at.is_none() {
+                    before_quarantine = counters(&dev);
+                }
                 let result = dev.process(&mut packet(id, vlan), now).unwrap();
                 if tenant == ROGUE {
                     rogue_traps += u64::from(result.trap.is_some());
@@ -121,4 +135,19 @@ fn a_rogue_tenant_takes_every_co_resident_tenant_off_its_program() {
         [(1, 16, 14), (2, 16, 14), (4, 16, 15), (5, 16, 15), (6, 16, 15), (7, 16, 15), (8, 16, 15)]
     );
     assert_eq!(total, 103);
+
+    // The rollback. Just before the quarantining packet, the composition
+    // had counted 9 packets in `total`. Tenant 1 had two `seen`, tenants 4
+    // and 7 one `seen` each, and tenant 6 one `updates`. (The rogue's
+    // trapped packets add nothing to `total`.) At the end, each counter
+    // holds only what the fallback counted after the swap: `total` the 222
+    // packets after the 18th, and each benign tenant the packets served by
+    // the fallback. So all those increments are lost, as predicted. The
+    // ACL tenants' `denied` stays 0, because their tables are empty.
+    let names = [
+        "t1_seen", "t2_denied", "t4_seen", "t5_denied", "t6_updates", "t7_seen", "t8_denied", "total",
+    ];
+    let pin = |counts: [u64; 8]| names.map(String::from).into_iter().zip(counts).collect::<Vec<_>>();
+    assert_eq!(before_quarantine, pin([2, 0, 1, 0, 1, 1, 0, 9]));
+    assert_eq!(counters(&dev), pin([14, 0, 15, 0, 15, 15, 0, 222]));
 }

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Public items nobody uses: a gate, not a report.
+# Public items nobody uses, and public items only tests use: a gate, not a
+# report.
 #
 #   tools/dead_pub.sh
 #
@@ -16,18 +17,26 @@
 # (`new`, `len`) is never listed, so the list under-reports and what it
 # prints is real.
 #
-# Exits non-zero unless the printed names are exactly the names in
-# tools/dead_pub.allow (one `name — reason` per line, `#` comments): an
-# unlisted entry fails, and so does a listed entry the tool no longer
-# prints — the allowlist can only shrink.
+# A second list, printed after a `-- reached only by tests --` line, holds
+# the items that pass the own-file test above but that other files do
+# name — and only in test code: files under a `tests/` directory and the
+# `#[cfg(test)]` part of any file. Such an item is library surface kept
+# for tests alone (a from-scratch reference, an introspection read).
+#
+# Exits non-zero unless the first list's names are exactly the names in
+# tools/dead_pub.allow and the second list's exactly those in
+# tools/tests_only_pub.allow (one `name — reason` per line, `#` comments):
+# an unlisted entry fails, and so does a listed entry the tool no longer
+# prints — each allowlist can only shrink.
 set -eu
 cd "$(dirname "$0")/.."
 
-dead=$(find crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | sort |
+found=$(find crates tests examples benchmark/src -name '*.rs' -not -path '*/target/*' | sort |
     xargs awk '
     FNR == 1 {
         intest = 0; inuse = 0; inhdr = 0; inimpl = 0
         lib = FILENAME ~ /^crates\/[^\/]+\/src\// && FILENAME !~ /\/bin\//
+        testfile = FILENAME ~ /(^|\/)tests\//
     }
     /^[[:space:]]*#\[cfg\(test\)\]/ { intest = 1 }
     /^[[:space:]]*\/\// { next }
@@ -56,26 +65,41 @@ dead=$(find crates tests examples benchmark/src -name '*.rs' -not -path '*/targe
             everywhere[word[i]]++
             here[FILENAME SUBSEP word[i]]++
             if (!intest) live[FILENAME SUBSEP word[i]]++
+            if (!intest && !testfile) user[word[i]]++
             if (!intest && !(inimpl && word[i] in subject)) apart[FILENAME SUBSEP word[i]]++
         }
     }
     END {
         for (k in decl) {
             split(k, part, SUBSEP)
-            if (everywhere[part[2]] == here[k] && (live[k] == 1 || (k in type && apart[k] == 1)))
-                printf "%s:%d %s\n", part[1], decl[k], part[2]
+            if (!(live[k] == 1 || (k in type && apart[k] == 1)))
+                continue
+            # `user` counts non-test code everywhere; `live` its own-file share.
+            if (everywhere[part[2]] == here[k])
+                printf "dead %s:%d %s\n", part[1], decl[k], part[2]
+            else if (user[part[2]] == live[k])
+                printf "tests %s:%d %s\n", part[1], decl[k], part[2]
         }
     }' | sort -t: -k1,1 -k2,2n)
+dead=$(printf '%s\n' "$found" | sed -n 's/^dead //p')
+tests=$(printf '%s\n' "$found" | sed -n 's/^tests //p')
 [ -z "$dead" ] || printf '%s\n' "$dead"
+[ -z "$tests" ] || printf -- '-- reached only by tests --\n%s\n' "$tests"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-printf '%s\n' "$dead" | sed -n 's/.* //p' | sort >"$tmp/printed"
-sed -n 's/^\([A-Za-z_0-9][A-Za-z_0-9]*\) — ..*/\1/p' tools/dead_pub.allow | sort >"$tmp/allowed"
-unlisted=$(comm -23 "$tmp/printed" "$tmp/allowed")
-stale=$(comm -13 "$tmp/printed" "$tmp/allowed")
-# shellcheck disable=SC2086
-[ -z "$unlisted" ] || echo "dead_pub: no caller and not in tools/dead_pub.allow (delete it or give it a caller):" $unlisted >&2
-# shellcheck disable=SC2086
-[ -z "$stale" ] || echo "dead_pub: in tools/dead_pub.allow but no longer printed (delete the line):" $stale >&2
-[ -z "$unlisted$stale" ]
+failed=
+check() { # printed-list allowlist what-the-entries-lack
+    printf '%s\n' "$1" | sed -n 's/.* //p' | sort >"$tmp/printed"
+    sed -n 's/^\([A-Za-z_0-9][A-Za-z_0-9]*\) — ..*/\1/p' "$2" | sort >"$tmp/allowed"
+    unlisted=$(comm -23 "$tmp/printed" "$tmp/allowed")
+    stale=$(comm -13 "$tmp/printed" "$tmp/allowed")
+    # shellcheck disable=SC2086
+    [ -z "$unlisted" ] || echo "dead_pub: $3 and not in $2 (delete it or give it a caller):" $unlisted >&2
+    # shellcheck disable=SC2086
+    [ -z "$stale" ] || echo "dead_pub: in $2 but no longer printed (delete the line):" $stale >&2
+    [ -z "$unlisted$stale" ] || failed=1
+}
+check "$dead" tools/dead_pub.allow "no caller"
+check "$tests" tools/tests_only_pub.allow "reached only by tests"
+[ -z "$failed" ]
