@@ -34,12 +34,14 @@
 //! compaction, lagging fsync, and the CRC-checks-off oracle arm) lives
 //! with the other chaos suites in `flexnet_bench::suites::storage`.
 
+use crate::raft::{LogCommand, LogEntry};
 use crate::wal::{IntentRecord, ReplayState};
 use flexnet_sim::disk::{DiskFaultPlan, SimDisk};
 use flexnet_types::hash::fnv1a32;
 use flexnet_types::{FlexError, Result, SimDuration, StorageError};
 use std::borrow::Cow;
 use std::ops::Range;
+use std::rc::Rc;
 
 /// Bytes of record header: `[len u32 LE][crc u32 LE]`. The checksum is
 /// FNV-1a 32 ([`fnv1a32`]): the workspace has no CRC crate and must not
@@ -72,17 +74,16 @@ pub fn encode_entry(term: u64, command: &str) -> Vec<u8> {
     p
 }
 
-/// Inverse of [`encode_entry`]. Short or non-UTF-8 payloads decode
-/// *lossily* (term 0 / replacement characters) rather than panicking —
-/// with CRC checks disabled (the protections-off arm), rotted payloads
-/// reach this decoder and must surface as wrong state, never a crash.
-pub fn decode_entry(payload: &[u8]) -> (u64, String) {
-    if payload.len() < 8 {
-        return (0, String::new());
+/// The command text of an [`encode_entry`] payload at `payload`: the
+/// bytes after its 8-byte term. A short payload reads as term 0 and no
+/// text rather than panicking — with CRC checks disabled (the
+/// protections-off arm), rotted payloads reach the decoder and must surface
+/// as wrong state, never a crash.
+fn entry_text(payload: &Range<usize>) -> Range<usize> {
+    match payload.len() {
+        0..8 => payload.end..payload.end,
+        _ => payload.start + 8..payload.end,
     }
-    let mut term = [0u8; 8];
-    term.copy_from_slice(&payload[..8]);
-    (u64::from_le_bytes(term), utf8_lossy(&payload[8..]).into_owned())
 }
 
 /// `bytes` as text, exactly as [`String::from_utf8_lossy`] reads them, but
@@ -93,6 +94,54 @@ fn utf8_lossy(bytes: &[u8]) -> Cow<'_, str> {
         Ok(text) => Cow::Borrowed(text),
         Err(_) => String::from_utf8_lossy(bytes),
     }
+}
+
+/// The log entries framed at `payloads` in `bytes` (verified
+/// [`encode_entry`] payloads, in order), their commands slices of one
+/// shared buffer: a constant number of allocations, whatever their count.
+///
+/// The buffer is the span of `bytes` from the first command text to the
+/// last, copied once, with every byte that is not command text (record
+/// headers, terms) zeroed, and validated as UTF-8 in one pass. A zero byte
+/// is ASCII: it ends any character cut at a text's edge, so the buffer is
+/// valid exactly when every text is valid alone, and the lossy decoder
+/// reads each text within it exactly as it reads that text alone.
+fn decode_entries(bytes: &[u8], payloads: &[Range<usize>]) -> Vec<LogEntry> {
+    let (Some(first), Some(last)) = (payloads.first(), payloads.last()) else {
+        return Vec::new();
+    };
+    let origin = entry_text(first).start;
+    let mut raw = bytes[origin..last.end].to_vec();
+    let mut gap = origin;
+    for text in payloads.iter().map(entry_text) {
+        raw[gap - origin..text.start - origin].fill(0);
+        gap = text.end;
+    }
+    let (buf, exact): (Rc<str>, bool) = match String::from_utf8(raw) {
+        Ok(buf) => (Rc::from(buf), true),
+        Err(rotted) => (Rc::from(String::from_utf8_lossy(rotted.as_bytes())), false),
+    };
+    // A lossy text is longer than its bytes: the ones after it shift.
+    let mut shift = 0;
+    // Sized with room to spare: the node's log grows from here, and an
+    // exactly sized one would be copied whole by the first append after
+    // the revive.
+    let mut entries = Vec::with_capacity(2 * payloads.len());
+    entries.extend(payloads.iter().map(|payload| {
+        let term = bytes[payload.clone()].first_chunk().map_or(0, |t| u64::from_le_bytes(*t));
+        let text = entry_text(payload);
+        let len = match exact {
+            true => text.len(),
+            false => utf8_lossy(&bytes[text.clone()]).len(),
+        };
+        let start = text.start - origin + shift;
+        shift += len - text.len();
+        LogEntry {
+            term,
+            command: LogCommand::slice(&buf, start..start + len),
+        }
+    }));
+    entries
 }
 
 /// What one recovery scan of a byte region found.
@@ -123,7 +172,8 @@ pub struct ScrubOutcome {
 /// it loses nothing durable); a record that parses but fails its CRC is
 /// **bit rot** on synced data (everything from it on is untrustworthy).
 pub fn scrub(bytes: &[u8], base_record: u64, crc_checks: bool) -> ScrubOutcome {
-    let mut payloads: Vec<Range<usize>> = Vec::new();
+    // Sized by a walk over the headers: one allocation, whatever the count.
+    let mut payloads: Vec<Range<usize>> = Vec::with_capacity(frames(bytes).count());
     let mut off = 0usize;
     let mut fault = None;
     while off < bytes.len() {
@@ -181,16 +231,18 @@ fn next_record_verifies(bytes: &[u8]) -> bool {
     frame(rest).is_some_and(|(payload, want)| fnv1a32(&rest[payload]) == want)
 }
 
-/// Byte offsets `(start, total_len)` of each framed record in a healthy
-/// region (structural parse only — callers use it on bytes they wrote).
-fn record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
+/// Byte offsets `(start, total_len)` of the records framed back to back
+/// from the start of `bytes`, up to the first one cut short (structural
+/// parse only, no checksum — on a healthy region, callers use it on bytes
+/// they wrote).
+fn frames(bytes: &[u8]) -> impl Iterator<Item = (usize, usize)> + '_ {
     let mut off = 0usize;
-    while let Some((payload, _)) = frame(&bytes[off..]) {
-        spans.push((off, payload.end));
+    std::iter::from_fn(move || {
+        let (payload, _) = frame(&bytes[off..])?;
+        let span = (off, payload.end);
         off += payload.end;
-    }
-    spans
+        Some(span)
+    })
 }
 
 /// The per-node Raft log on disk: framed records over a [`SimDisk`], in
@@ -271,8 +323,7 @@ impl SegmentedWal {
             return;
         }
         let keep = keep_until.saturating_sub(self.base_record) as usize;
-        let spans = record_spans(self.disk.synced_bytes());
-        let cut = spans.get(keep).map_or(0, |(s, _)| *s);
+        let cut = frames(self.disk.synced_bytes()).nth(keep).map_or(0, |(s, _)| s);
         let bytes = self.disk.synced_bytes()[..cut].to_vec();
         self.disk.set_synced(bytes);
         self.count = keep as u64;
@@ -288,11 +339,9 @@ impl SegmentedWal {
         }
         let boundary = boundary.min(self.next_record());
         let drop = (boundary - self.base_record) as usize;
-        let spans = record_spans(self.disk.synced_bytes());
-        let cut = spans.get(drop).map_or_else(
-            || self.disk.synced_bytes().len(),
-            |(s, _)| *s,
-        );
+        let cut = frames(self.disk.synced_bytes())
+            .nth(drop)
+            .map_or_else(|| self.disk.synced_bytes().len(), |(s, _)| s);
         let bytes = self.disk.synced_bytes()[cut..].to_vec();
         self.disk.set_synced(bytes);
         self.count -= drop as u64;
@@ -305,7 +354,7 @@ impl SegmentedWal {
     fn abort_volatile(&mut self) {
         let keep = self.disk.synced_bytes().to_vec();
         self.disk.set_synced(keep);
-        self.count = record_spans(self.disk.synced_bytes()).len() as u64;
+        self.count = frames(self.disk.synced_bytes()).count() as u64;
     }
 
     /// Injects bit rot into the *payload* of the record at global index
@@ -317,7 +366,7 @@ impl SegmentedWal {
             return None;
         }
         let idx = (global - self.base_record) as usize;
-        let (start, total) = *record_spans(self.disk.synced_bytes()).get(idx)?;
+        let (start, total) = frames(self.disk.synced_bytes()).nth(idx)?;
         let payload_start = start + RECORD_HEADER;
         let payload_len = total - RECORD_HEADER;
         let lo = if payload_len > 16 {
@@ -339,10 +388,12 @@ impl SegmentedWal {
 ///
 /// A snapshot's payload is `[base_index u64][base_term u64][commands
 /// joined by '\n']` — the summary command sequence that replaces the
-/// compacted log prefix. Loading tries the newest generation first and
-/// falls back on checksum failure; the fallback horizon (the oldest
-/// retained generation's base) bounds how much WAL compaction may
-/// delete.
+/// compacted log prefix. A command is never empty and never spans lines
+/// ([`crate::raft::RaftCluster::compact_to`] refuses one), so the split
+/// gives back exactly the commands joined. Loading tries the newest
+/// generation first and falls back on checksum failure; the fallback
+/// horizon (the oldest retained generation's base) bounds how much WAL
+/// compaction may delete.
 #[derive(Debug)]
 pub struct SnapshotStore {
     /// `(generation id, base_index, disk)`, oldest first.
@@ -376,11 +427,17 @@ impl SnapshotStore {
 
     /// Writes a new generation. On [`StorageError::NoSpace`] nothing is
     /// retained — the store (and the log behind it) are unchanged.
-    pub fn install(&mut self, base_index: u64, base_term: u64, cmds: &[String]) -> Result<u64> {
-        let mut payload = Vec::new();
+    pub fn install(&mut self, base_index: u64, base_term: u64, cmds: &[LogCommand]) -> Result<u64> {
+        let text_len = cmds.iter().map(|c| c.len() + 1).sum::<usize>();
+        let mut payload = Vec::with_capacity(16 + text_len);
         payload.extend_from_slice(&base_index.to_le_bytes());
         payload.extend_from_slice(&base_term.to_le_bytes());
-        payload.extend_from_slice(cmds.join("\n").as_bytes());
+        for (k, cmd) in cmds.iter().enumerate() {
+            if k > 0 {
+                payload.push(b'\n');
+            }
+            payload.extend_from_slice(cmd.as_bytes());
+        }
         let mut plan = DiskFaultPlan::seeded(self.seed ^ self.next_gen);
         plan.fsync_lag = self.fsync_lag;
         if let Some(cap) = self.capacity {
@@ -402,8 +459,8 @@ impl SnapshotStore {
     /// `(generation, base_index, base_term, commands, fallbacks)` where
     /// `fallbacks` counts newer generations that failed their checksum
     /// and were skipped. `None` when no generation verifies (or none
-    /// exists).
-    pub fn load(&self) -> Option<(u64, u64, u64, Vec<String>, u64)> {
+    /// exists). The commands are slices of one buffer.
+    pub fn load(&self) -> Option<(u64, u64, u64, Vec<LogCommand>, u64)> {
         let mut fallbacks = 0u64;
         for (gen, _, disk) in self.gens.iter().rev() {
             let bytes = disk.synced_bytes();
@@ -421,12 +478,17 @@ impl SnapshotStore {
             let base_index = u64::from_le_bytes(b);
             b.copy_from_slice(&payload[8..16]);
             let base_term = u64::from_le_bytes(b);
-            let rest = utf8_lossy(&payload[16..]);
-            let cmds: Vec<String> = if rest.is_empty() {
-                Vec::new()
-            } else {
-                rest.split('\n').map(str::to_string).collect()
-            };
+            let text: Rc<str> = Rc::from(utf8_lossy(&payload[16..]));
+            let mut cmds = Vec::new();
+            if !text.is_empty() {
+                cmds.reserve_exact(text.bytes().filter(|&b| b == b'\n').count() + 1);
+                let mut start = 0;
+                cmds.extend(text.split('\n').map(|line| {
+                    let at = start..start + line.len();
+                    start = at.end + 1;
+                    LogCommand::slice(&text, at)
+                }));
+            }
             return Some((*gen, base_index, base_term, cmds, fallbacks));
         }
         None
@@ -505,11 +567,11 @@ pub struct RecoveredState {
     pub base_index: u64,
     /// Term of the entry at `base_index`.
     pub base_term: u64,
-    /// The snapshot's summary command sequence.
-    pub snapshot_cmds: Vec<String>,
-    /// Verified log tail: `(term, command)` for entries after
-    /// `base_index`.
-    pub entries: Vec<(u64, String)>,
+    /// The snapshot's summary command sequence, slices of one buffer.
+    pub snapshot_cmds: Vec<LogCommand>,
+    /// Verified log tail: the entries after `base_index`, their commands
+    /// slices of one buffer.
+    pub entries: Vec<LogEntry>,
     /// The node discarded synced bytes (tear or rot) or lost its
     /// snapshot chain: it must rejoin as a non-voting catch-up follower
     /// until the leader has refilled everything committed.
@@ -595,13 +657,13 @@ impl NodeStorage {
     /// and fsyncs once. Returns the barrier latency. On error the
     /// in-flight record is in the volatile buffer and the caller must
     /// treat the node as crashed (the ack must never be sent).
-    pub fn sync_log(&mut self, from: u64, entries: &[(u64, String)]) -> Result<SimDuration> {
+    pub fn sync_log(&mut self, from: u64, entries: &[LogEntry]) -> Result<SimDuration> {
         self.wal.truncate_records(from);
         if entries.is_empty() {
             return Ok(SimDuration::ZERO);
         }
-        for (term, cmd) in entries {
-            if let Err(e) = self.wal.append(&encode_entry(*term, cmd)) {
+        for entry in entries {
+            if let Err(e) = self.wal.append(&encode_entry(entry.term, &entry.command)) {
                 if matches!(e, FlexError::Storage(StorageError::NoSpace { .. })) {
                     self.counters.nospace += 1;
                 }
@@ -627,7 +689,7 @@ impl NodeStorage {
         &mut self,
         base_index: u64,
         base_term: u64,
-        cmds: &[String],
+        cmds: &[LogCommand],
     ) -> Result<()> {
         match self.snaps.install(base_index, base_term, cmds) {
             Ok(_) => {}
@@ -650,7 +712,7 @@ impl NodeStorage {
         &mut self,
         base_index: u64,
         base_term: u64,
-        cmds: &[String],
+        cmds: &[LogCommand],
     ) -> Result<()> {
         self.snaps.install(base_index, base_term, cmds)?;
         self.wal.truncate_records(self.wal.base_record());
@@ -713,19 +775,14 @@ impl NodeStorage {
         // *after* the recovered base (every covering generation rotted
         // away) is a hole: the node keeps nothing and catches up.
         let wal_base = self.wal.base_record();
-        let mut entries: Vec<(u64, String)> = Vec::new();
+        let mut entries = Vec::new();
         if wal_base > base_index {
             needs_catchup = true;
             self.wal.truncate_records(wal_base);
         } else {
-            // Pushed, not collected: the node's log grows from here, and an
-            // exactly sized one would be copied whole by the first append
-            // after the revive.
             let skip = (base_index - wal_base) as usize;
-            let bytes = self.wal.disk().synced_bytes();
-            for at in outcome.payloads.iter().skip(skip) {
-                entries.push(decode_entry(&bytes[at.clone()]));
-            }
+            let kept = outcome.payloads.get(skip..).unwrap_or_default();
+            entries = decode_entries(self.wal.disk().synced_bytes(), kept);
         }
         if needs_catchup {
             self.counters.catchup_demotions += 1;
@@ -822,6 +879,35 @@ mod tests {
         outcome.payloads.iter().map(|at| &bytes[at.clone()]).collect()
     }
 
+    fn entry(term: u64, command: &str) -> LogEntry {
+        LogEntry {
+            term,
+            command: command.into(),
+        }
+    }
+
+    /// One payload decoded into its own `String`: the reference the shared
+    /// buffer is held to.
+    fn decode_entry(payload: &[u8]) -> (u64, String) {
+        match payload.len() {
+            0..8 => (0, String::new()),
+            _ => {
+                let term = u64::from_le_bytes(payload[..8].try_into().unwrap());
+                (term, String::from_utf8_lossy(&payload[8..]).into_owned())
+            }
+        }
+    }
+
+    /// `payloads`, framed back to back, decoded as a revive decodes them:
+    /// into one buffer.
+    fn decode_all(payloads: &[&[u8]]) -> Vec<(u64, String)> {
+        let bytes: Vec<u8> = payloads.iter().flat_map(|p| encode_record(p)).collect();
+        let outcome = scrub(&bytes, 0, false);
+        assert_eq!(outcome.payloads.len(), payloads.len());
+        let entries = decode_entries(&bytes, &outcome.payloads);
+        entries.into_iter().map(|e| (e.term, e.command.to_string())).collect()
+    }
+
     #[test]
     fn entries_decode_exactly_as_the_lossy_decoder_reads_them() {
         let command = "intent 3 dev 1,2,4";
@@ -829,20 +915,27 @@ mod tests {
         let mut rotted = entry.clone();
         rotted[10] ^= 0x80; // a lone continuation byte: invalid UTF-8
         let mut cut = encode_entry(7, "snapshot ü");
-        cut.pop(); // a multi-byte character cut short
-        for payload in [&entry[..], &rotted, &cut, &entry[..8], &entry[..5], &[]] {
-            let lossy = match payload.len() {
-                0..8 => (0, String::new()),
-                _ => {
-                    let term = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                    (term, String::from_utf8_lossy(&payload[8..]).into_owned())
-                }
-            };
-            assert_eq!(decode_entry(payload), lossy, "{payload:?}");
+        // A multi-byte character cut short, whose other half opens the
+        // next entry: valid UTF-8 once the two texts sit back to back,
+        // invalid alone.
+        let last = cut.pop().unwrap();
+        let mut rest = encode_entry(8, "x");
+        rest.insert(8, last);
+        let runs: [&[&[u8]]; 6] = [
+            &[&entry, &entry],
+            &[&entry, &rotted, &cut, &entry[..8], &entry[..5], &[]],
+            &[&cut, &rest],
+            &[&rest, &cut],
+            &[&cut],
+            &[],
+        ];
+        for run in runs {
+            let want: Vec<_> = run.iter().map(|p| decode_entry(p)).collect();
+            assert_eq!(decode_all(run), want, "{run:?}");
         }
-        assert_eq!(decode_entry(&entry), (7, command.to_string()));
-        assert!(decode_entry(&rotted).1.contains('\u{FFFD}'));
-        assert!(decode_entry(&cut).1.ends_with('\u{FFFD}'));
+        assert_eq!(decode_all(&[&entry]), [(7, command.to_string())]);
+        let split = decode_all(&[&cut, &rest]);
+        assert!(split[0].1.ends_with('\u{FFFD}') && split[1].1.starts_with('\u{FFFD}'));
     }
 
     #[test]
@@ -926,15 +1019,45 @@ mod tests {
         assert!(s.rot_latest());
         let (_gen, base, term, cmds, fallbacks) = s.load().expect("older generation verifies");
         assert_eq!((base, term, fallbacks), (4, 2, 1));
-        assert_eq!(cmds, vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(cmds, ["a", "b"]);
         assert_eq!(s.generations(), 2);
+    }
+
+    #[test]
+    fn a_snapshot_reads_its_commands_as_the_lossy_decoder_reads_its_body() {
+        let mut s = SnapshotStore::new(9, None, false);
+        s.install(3, 1, &LogCommand::shared(["ü€x", "𝄞"])).unwrap();
+        let (_, _, _, cmds, _) = s.load().unwrap();
+        assert_eq!(cmds, ["ü€x", "𝄞"]);
+        // Cut characters on either side of a line break, a lone break,
+        // empty lines and a stray byte: written as the body directly.
+        let bodies: [&[u8]; 6] = [
+            b"plain\nlines",
+            &[0xC3, b'\n', 0xBC, b'a'],
+            &[0xF0, 0x9D, b'\n', 0x84, 0x9E, b'\n', 0xE2],
+            b"\n",
+            &[b'a', b'\n', b'\n', 0xFF],
+            &[],
+        ];
+        for body in bodies {
+            let mut payload = Vec::from([0u8; 16]);
+            payload.extend_from_slice(body);
+            s.gens.last_mut().unwrap().2.set_synced(encode_record(&payload));
+            let (_, _, _, cmds, _) = s.load().unwrap();
+            let lossy = String::from_utf8_lossy(body);
+            let want: Vec<&str> = match lossy.is_empty() {
+                true => Vec::new(),
+                false => lossy.split('\n').collect(),
+            };
+            assert_eq!(cmds, want, "{body:?}");
+        }
     }
 
     #[test]
     fn node_storage_recovers_hard_state_snapshot_and_tail() {
         let mut ns = NodeStorage::fault_free(21);
         ns.persist_hard(3, Some(1)).unwrap();
-        ns.sync_log(0, &[(1, "one".into()), (1, "two".into()), (3, "three".into())])
+        ns.sync_log(0, &[entry(1, "one"), entry(1, "two"), entry(3, "three")])
             .unwrap();
         ns.compact_snapshot(2, 1, &["summary".into()]).unwrap();
         ns.crash();
@@ -943,8 +1066,8 @@ mod tests {
         assert_eq!(state.voted_for, Some(1));
         assert_eq!(state.base_index, 2);
         assert_eq!(state.base_term, 1);
-        assert_eq!(state.snapshot_cmds, vec!["summary".to_string()]);
-        assert_eq!(state.entries, vec![(3, "three".to_string())]);
+        assert_eq!(state.snapshot_cmds, ["summary"]);
+        assert_eq!(state.entries, [entry(3, "three")]);
         assert!(!state.needs_catchup);
     }
 
@@ -954,9 +1077,9 @@ mod tests {
         ns.sync_log(
             0,
             &[
-                (1, "committed long ago".into()),
-                (1, "also cold data here".into()),
-                (1, "the warm tail record".into()),
+                entry(1, "committed long ago"),
+                entry(1, "also cold data here"),
+                entry(1, "the warm tail record"),
             ],
         )
         .unwrap();
@@ -1000,8 +1123,8 @@ mod tests {
         // snapshot + tail, not the full history. Write many records, keep
         // a short tail, and pin the replayed entry count to the tail.
         let mut ns = NodeStorage::fault_free(33);
-        let entries: Vec<(u64, String)> =
-            (0..40).map(|i| (1, format!("intended 0 dev 4 digest {i}"))).collect();
+        let entries: Vec<LogEntry> =
+            (0..40).map(|i| entry(1, &format!("intended 0 dev 4 digest {i}"))).collect();
         ns.sync_log(0, &entries).unwrap();
         ns.compact_snapshot(36, 1, &["intended 0 dev 4 digest 35".into()]).unwrap();
         ns.crash();

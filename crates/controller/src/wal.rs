@@ -17,7 +17,7 @@
 //! `String`s), e.g. `intent 3 dev 1,2,4` or `flip 3 at 1500000000` —
 //! human-readable in test failures and trivially round-trippable.
 
-use crate::raft::{CommittedView, RaftCluster};
+use crate::raft::{CommittedView, LogCommand, RaftCluster};
 use crate::storage::NodeStorage;
 use flexnet_types::hash::{fnv1a, FNV_OFFSET};
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
@@ -551,7 +551,11 @@ struct Fold {
 impl Fold {
     /// The fold of a compaction summary: its records pushed as they are
     /// (no command decoded), `commands` their encodings.
-    fn seed(at: Option<(usize, u64)>, records: Vec<IntentRecord>, commands: &[String]) -> Fold {
+    fn seed(
+        at: Option<(usize, u64)>,
+        records: Vec<IntentRecord>,
+        commands: &[LogCommand],
+    ) -> Fold {
         let mut fold = Fold {
             at,
             ..Fold::default()
@@ -856,7 +860,8 @@ impl ReplicatedIntentLog {
         // committed prefix (checked by digest equality in the property
         // suite). Barriers are bookkeeping and fold away.
         let records = self.replay()?.summary();
-        let summary: Vec<String> = records.iter().map(IntentRecord::encode).collect();
+        // One buffer every compacted node shares.
+        let summary = LogCommand::shared(records.iter().map(IntentRecord::encode));
         report.summary_len = summary.len();
         for i in 0..self.cluster.len() {
             if !self.cluster.is_alive(i) || self.cluster.commit_index(i)? < upto {

@@ -5,30 +5,38 @@
 //! empty — on either side of a compaction, since the cursor keeps the fold
 //! of the summary and of the prefix it replaced — and a revived node's
 //! recovery scrub reports where its verified records lie instead of
-//! copying them, so the node allocates only the command `String`s its log
-//! keeps. One `kill_leader → elect → revive`, counted exactly and
+//! copying them, and decodes every command it keeps into one shared
+//! buffer, so a revive allocates a constant number of times whatever the
+//! log's length. One `kill_leader → elect → revive`, counted exactly and
 //! seed-free (fixed seeds, fault-free disks) on a log aged by 64
 //! `ctl_recover`-shaped scenarios — the most a `flexbench` `ctl_recover`
 //! world holds between two compactions — then a compaction that skips the
 //! lagging followers, a failover onto one of them (it holds the full
-//! prefix) and one back onto the compacted node (summary plus tail):
+//! prefix) and one back onto the compacted node (summary plus tail), and
+//! last the revive of the same world aged by 128 scenarios:
 //!
-//! | measured here                              | budget |   now | before |
-//! |--------------------------------------------|-------:|------:|-------:|
-//! | `kill_leader` + `elect`                    |     64 |    38 |    217 |
-//! | `revive` of the dead leader                |    400 |   335 |    680 |
-//! | the whole failover                         |    450 |   373 |    897 |
-//! | `kill_leader` + `elect` onto the skipped   |     64 |    39 |    235 |
-//! | `kill_leader` + `elect` back               |     64 |    35 |    129 |
+//! | measured here                              | budget |   now | `String`s | before |
+//! |--------------------------------------------|-------:|------:|----------:|-------:|
+//! | `kill_leader` + `elect`                    |     64 |    32 |        38 |    217 |
+//! | `revive` of the dead leader                |     12 |     7 |       335 |    680 |
+//! | the whole failover                         |     64 |    39 |       373 |    897 |
+//! | `kill_leader` + `elect` onto the skipped   |     64 |    30 |        39 |    235 |
+//! | `kill_leader` + `elect` back               |     64 |    26 |        35 |    129 |
+//! | `revive` after 128 scenarios (472 records) |  = 7   |     7 |       625 |      — |
 //!
-//! "before" counts, in the first three rows, the commit before the fold
-//! was adopted and the scrub stopped copying (`7618c1a`): the successor
-//! decoded and folded all 248 records again, and the scrub copied every
-//! verified record once more before the revive decoded it. What the
-//! revive still allocates is mostly one `String` per command it keeps. In
-//! the last two rows it counts the commit before the cursor kept a fold
-//! per representation (`2209c4f`): each successor re-folded its whole
-//! prefix, the 248 records or the 73-record summary and its tail.
+//! "`String`s" counts the commit before commands became shared slices
+//! (`1034990`): the revive allocated one `String` per command it kept, so
+//! its count grew with the log (335 at 248 records, 625 at 472), and every
+//! replicated entry, snapshot and summary copied its commands. "before"
+//! counts, in the first three rows, the commit before the fold was adopted
+//! and the scrub stopped copying (`7618c1a`): the successor decoded and
+//! folded all 248 records again, and the scrub copied every verified
+//! record once more before the revive decoded it. In the two rows across
+//! the compaction it counts the commit before the cursor kept a fold per
+//! representation (`2209c4f`): each successor re-folded its whole prefix,
+//! the 248 records or the 73-record summary and its tail. What a revive
+//! allocates now: the two scrubs' range lists, the buffer's bytes and its
+//! shared copy, the log, and the node's two peer-index vectors.
 //!
 //! A scenario is `flexbench`'s: a journaled 2PC over 3 of 8 leaves that
 //! dies at one crash phase (a third of them taking a leaf down with it),
@@ -169,6 +177,23 @@ impl World {
             assert_eq!(Some(dev.config_digest()), store.digest(*leaf), "scenario {op} converges");
         }
     }
+
+    /// One counted `kill_leader → elect → revive`: the two counts and the
+    /// node killed.
+    fn failover(&mut self) -> (u64, u64, usize) {
+        let records = self.log.records().unwrap().len();
+        let (elect, dead) = count(|| {
+            let dead = self.log.kill_leader().unwrap();
+            self.log.elect().unwrap();
+            dead
+        });
+        let (revive, ()) = count(|| self.log.cluster_mut().revive(dead).unwrap());
+        let total = elect + revive;
+        println!("{records} records: kill_leader + elect {elect}, revive {revive}, total {total}");
+        let after = self.log.records().unwrap().len();
+        assert_eq!(after, records, "a failover commits only its barrier");
+        (elect, revive, dead)
+    }
 }
 
 #[test]
@@ -177,18 +202,10 @@ fn a_failover_allocates_for_what_changed() {
     for op in 0..SCENARIOS {
         w.scenario(op);
     }
-    let records = w.log.records().unwrap().len();
-    let (elect, dead) = count(|| {
-        let dead = w.log.kill_leader().unwrap();
-        w.log.elect().unwrap();
-        dead
-    });
-    let (revive, ()) = count(|| w.log.cluster_mut().revive(dead).unwrap());
-    println!("{records} records: kill_leader + elect {elect}, revive {revive}, total {}", elect + revive);
-    assert_eq!(w.log.records().unwrap().len(), records, "a failover commits only its barrier");
+    let (elect, revive, dead) = w.failover();
     assert!(elect <= 64, "kill_leader + elect: {elect} allocations");
-    assert!(revive <= 400, "revive: {revive} allocations");
-    assert!(elect + revive <= 450, "failover: {} allocations", elect + revive);
+    assert!(revive <= 12, "revive: {revive} allocations");
+    assert!(elect + revive <= 64, "failover: {} allocations", elect + revive);
 
     // Compact while the revived node lags; the leader reads its log, as
     // the next scenario's coordinator would.
@@ -223,4 +240,13 @@ fn a_failover_allocates_for_what_changed() {
     assert_eq!(w.log.replay().unwrap().digest(), digest, "failovers commit only barriers");
     assert!(onto_skipped <= 64, "kill_leader + elect onto the skipped node: {onto_skipped} allocations");
     assert!(back <= 64, "kill_leader + elect back onto the compacted node: {back} allocations");
+
+    // A revive decodes its log into one buffer: on the same world aged by
+    // as many scenarios again, it allocates exactly as often.
+    let mut w = World::new(3);
+    for op in 0..2 * SCENARIOS {
+        w.scenario(op);
+    }
+    let (_, aged, _) = w.failover();
+    assert_eq!(aged, revive, "revive {SCENARIOS} scenarios later: {aged} allocations");
 }

@@ -10,13 +10,18 @@
 //!   compaction is idempotent;
 //! - `NodeStorage::recover` replays exactly the tail after the snapshot
 //!   point — recovery work is O(tail), not O(history);
+//! - with checksums off, the one buffer a revive decodes its log into
+//!   reads every kept command exactly as the lossy decoder reads its
+//!   payload alone, a character cut at an entry's edge included;
 //! - the full storage-chaos harness converges for *any* seed with
 //!   checksums armed.
 
 use flexnet_bench::suites::storage;
 use flexnet_bench::{Arm, Report};
+use flexnet_controller::raft::LogEntry;
 use flexnet_controller::storage::{encode_entry, encode_record, scrub, NodeStorage};
 use flexnet_controller::wal::IntentRecord;
+use flexnet_sim::disk::DiskFaultPlan;
 use flexnet_types::SimTime;
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
@@ -28,6 +33,26 @@ fn arb_payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
         (0u64..1000, "[a-z0-9 ]{0,24}").prop_map(|(term, cmd)| encode_entry(term, &cmd)),
         0..24,
     )
+}
+
+/// Characters of one to four bytes in UTF-8.
+const PALETTE: [char; 6] = ['a', ' ', '7', 'ü', '€', '𝄞'];
+
+/// Command text mixing one- to four-byte characters.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..PALETTE.len(), 1..12)
+        .prop_map(|ix| ix.into_iter().map(|i| PALETTE[i]).collect())
+}
+
+/// One payload decoded into its own `String` — the decoder a revive used
+/// before its log shared one buffer, kept here as the reference.
+fn decode_entry(payload: &[u8]) -> (u64, String) {
+    if payload.len() < 8 {
+        return (0, String::new());
+    }
+    let mut term = [0u8; 8];
+    term.copy_from_slice(&payload[..8]);
+    (u64::from_le_bytes(term), String::from_utf8_lossy(&payload[8..]).into_owned())
 }
 
 fn arb_record() -> impl Strategy<Value = IntentRecord> {
@@ -128,6 +153,14 @@ proptest! {
         prop_assert_eq!(compact_records(&summary), summary);
     }
 
+    /// A record's encoding is a command a snapshot gives back: not empty,
+    /// one line. `RaftCluster::compact_to` refuses any other.
+    #[test]
+    fn every_record_encodes_to_one_non_empty_line(record in arb_record()) {
+        let text = record.encode();
+        prop_assert!(!text.is_empty() && !text.contains('\n'), "{:?}", text);
+    }
+
     /// Recovery replay is O(tail): after compacting through an arbitrary
     /// point, a crash+recover replays exactly the entries behind the
     /// snapshot — no re-read of folded history, no catch-up demotion.
@@ -137,23 +170,77 @@ proptest! {
         at_frac in 0u32..=100,
     ) {
         let mut storage = NodeStorage::fault_free(7);
-        let cmds: Vec<String> = (0..n).map(|i| format!("cmd {i}")).collect();
-        for (i, cmd) in cmds.iter().enumerate() {
-            storage.sync_log(i as u64, &[(1, cmd.clone())]).expect("append");
+        let entries: Vec<LogEntry> = (0..n)
+            .map(|i| LogEntry { term: 1, command: format!("cmd {i}").as_str().into() })
+            .collect();
+        for (i, entry) in entries.iter().enumerate() {
+            storage.sync_log(i as u64, std::slice::from_ref(entry)).expect("append");
         }
         let at = (n * at_frac as usize) / 100;
+        let summary: Vec<_> = entries[..at].iter().map(|e| e.command.clone()).collect();
         storage
-            .compact_snapshot(at as u64, 1, &cmds[..at])
+            .compact_snapshot(at as u64, 1, &summary)
             .expect("compact");
         storage.crash();
         let rec = storage.recover();
         prop_assert_eq!(rec.base_index, at as u64);
-        prop_assert_eq!(rec.entries.len(), n - at, "replay is the tail, exactly");
-        for (i, (term, cmd)) in rec.entries.iter().enumerate() {
-            prop_assert_eq!(*term, 1u64);
-            prop_assert_eq!(cmd, &cmds[at + i]);
-        }
+        prop_assert_eq!(&rec.entries[..], &entries[at..], "replay is the tail, exactly");
         prop_assert!(!rec.needs_catchup, "clean recovery must keep its vote");
+    }
+
+    /// With checksums off, cut characters and rotted payloads reach the
+    /// revive's decoder: every kept command reads exactly as the lossy
+    /// decoder reads its payload alone. A character whose last byte was
+    /// moved to the front of the next entry is valid UTF-8 once the two
+    /// texts sit back to back in the shared buffer, and must still read
+    /// as two replacement characters.
+    #[test]
+    fn a_revive_reads_each_payload_as_the_lossy_decoder_reads_it(
+        texts in proptest::collection::vec(arb_text(), 0..24),
+        edges in proptest::collection::vec(0usize..24, 0..12),
+        shorts in proptest::collection::vec((0usize..24, 0usize..8), 0..3),
+        rots in proptest::collection::vec(0u64..24, 0..6),
+        seed in 0u64..1_000,
+    ) {
+        let mut payloads: Vec<Vec<u8>> =
+            texts.iter().enumerate().map(|(i, t)| encode_entry(i as u64, t)).collect();
+        for k in edges {
+            if k + 1 < payloads.len() && payloads[k].len() > 8 {
+                let byte = payloads[k].pop().unwrap();
+                payloads[k + 1].insert(8, byte);
+            }
+        }
+        for (k, len) in shorts {
+            if let Some(p) = payloads.get_mut(k) {
+                p.truncate(len);
+            }
+        }
+        let mut storage = NodeStorage::with_plans(
+            DiskFaultPlan::seeded(seed),
+            DiskFaultPlan::seeded(seed ^ 1),
+            None,
+            seed,
+            false,
+        );
+        for p in &payloads {
+            storage.wal_mut().append(p).expect("append");
+        }
+        storage.wal_mut().fsync().expect("fsync");
+        storage.crash();
+        for global in rots {
+            storage.wal_mut().rot_payload(global);
+        }
+        let rec = storage.recover();
+        let bytes = storage.wal().disk().synced_bytes();
+        let want: Vec<(u64, String)> = scrub(bytes, 0, false)
+            .payloads
+            .iter()
+            .map(|at| decode_entry(&bytes[at.clone()]))
+            .collect();
+        let got: Vec<(u64, String)> =
+            rec.entries.iter().map(|e| (e.term, e.command.to_string())).collect();
+        prop_assert_eq!(want.len(), payloads.len(), "rot never breaks a frame");
+        prop_assert_eq!(got, want);
     }
 }
 
