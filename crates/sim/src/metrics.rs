@@ -1,6 +1,7 @@
 //! Measurement: per-packet accounting, latency percentiles, loss
 //! timeseries, and disruption-window detection.
 
+use flexnet_types::telemetry::{Histogram, Series};
 use flexnet_types::{NodeId, Packet, ProgramVersion, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -72,18 +73,30 @@ pub struct WindowDelta {
     pub p99_delta_ns: i64,
 }
 
-/// The `p`-th percentile of `samples` — the value a full sort would leave
-/// at rank `round(p% × (len − 1))` — found by selection, which reorders
-/// `samples` but does not sort them.
-fn percentile_of(samples: &mut [u64], p: f64) -> Option<SimDuration> {
-    let last = samples.len().checked_sub(1)?;
-    let rank = ((p / 100.0) * last as f64).round() as usize;
-    let (_, value, _) = samples.select_nth_unstable(rank.min(last));
-    Some(SimDuration::from_nanos(*value))
+/// The width of a slot: a delivery or loss is counted in the millisecond
+/// of simulated time it happened in.
+const SLOT_NS: u64 = 1_000_000;
+/// The width of a [`Metrics::timeseries`] bucket, in slots.
+const SLOTS_PER_BUCKET: u64 = 10;
+
+/// The losses one millisecond of simulated time saw. Its deliveries are
+/// `Metrics::latency`'s histogram at the same index.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// `at / SLOT_NS` of every event counted here.
+    ms: u64,
+    /// Losses (all causes), and the refusals among them.
+    lost: u64,
+    refused: u64,
 }
 
 /// Collected simulation metrics.
-#[derive(Debug)]
+///
+/// Deliveries and losses are counted in one slot per millisecond of
+/// simulated time that saw one, with a log-linear histogram of the
+/// deliveries' latencies ([`Histogram`]); no per-packet sample is kept, so
+/// memory grows with the simulated milliseconds, not with the packets.
+#[derive(Debug, Default)]
 pub struct Metrics {
     /// Packets injected.
     pub sent: u64,
@@ -93,15 +106,15 @@ pub struct Metrics {
     pub losses: BTreeMap<LossKind, u64>,
     /// Packets punted to the controller.
     pub punted: u64,
-    /// End-to-end latencies of delivered packets as `(delivery time,
-    /// latency ns)` — timestamped so rollout guards can compute
-    /// percentiles over a soak window, not just the whole run.
-    latencies_ns: Vec<(SimTime, u64)>,
-    /// Timestamps of every loss (all causes), for windowed loss rates.
-    lost_at: Vec<(SimTime, LossKind)>,
-    /// Delivery/loss timeseries.
-    buckets: BTreeMap<u64, Bucket>,
-    bucket_width: SimDuration,
+    /// One slot per millisecond that saw an event, in time order. Events
+    /// arrive almost in time order, so the last slot is where nearly every
+    /// one is counted.
+    slots: Vec<Slot>,
+    /// The deliveries' latencies in ns, one histogram per slot.
+    latency: Series,
+    /// The latencies of every slot but the last, merged: with the last
+    /// slot's, the whole run's.
+    closed: Histogram,
     /// How many packets were processed by each (node, program version).
     pub version_counts: BTreeMap<(NodeId, ProgramVersion), u64>,
     /// First and last instants at which a refusal was observed.
@@ -112,34 +125,31 @@ pub struct Metrics {
     pub keep_packets: bool,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new(SimDuration::from_millis(10))
-    }
-}
-
 impl Metrics {
-    /// A collector with the given timeseries bucket width.
-    pub fn new(bucket_width: SimDuration) -> Metrics {
-        Metrics {
-            sent: 0,
-            delivered: 0,
-            losses: BTreeMap::new(),
-            punted: 0,
-            latencies_ns: Vec::new(),
-            lost_at: Vec::new(),
-            buckets: BTreeMap::new(),
-            bucket_width,
-            version_counts: BTreeMap::new(),
-            refusal_window: None,
-            delivered_packets: Vec::new(),
-            keep_packets: false,
+    /// The index of `at`'s slot, opened if no event fell in its millisecond
+    /// before. A slot opened after the last one closes the last: its
+    /// latencies join `closed`.
+    #[inline]
+    fn slot(&mut self, at: SimTime) -> usize {
+        let ms = at.as_nanos() / SLOT_NS;
+        let n = self.slots.len();
+        match self.slots.last() {
+            Some(last) if last.ms == ms => n - 1,
+            Some(last) if last.ms > ms => {
+                let i = self.slots.partition_point(|s| s.ms < ms);
+                if self.slots[i].ms != ms {
+                    self.slots.insert(i, Slot { ms, ..Slot::default() });
+                    self.latency.insert(i);
+                }
+                i
+            }
+            _ => {
+                self.latency.merge_into(n.saturating_sub(1)..n, &mut self.closed);
+                self.slots.push(Slot { ms, ..Slot::default() });
+                self.latency.insert(n);
+                n
+            }
         }
-    }
-
-    fn bucket(&mut self, at: SimTime) -> &mut Bucket {
-        let idx = at.as_nanos() / self.bucket_width.as_nanos().max(1);
-        self.buckets.entry(idx).or_default()
     }
 
     /// Records an injection.
@@ -151,9 +161,12 @@ impl Metrics {
     /// is over: it is kept whole when `keep_packets`, dropped otherwise.
     pub fn record_delivered(&mut self, pkt: Packet, at: SimTime) {
         self.delivered += 1;
-        let latency = at.saturating_since(pkt.ingress_time);
-        self.latencies_ns.push((at, latency.as_nanos()));
-        self.bucket(at).delivered += 1;
+        let latency = at.saturating_since(pkt.ingress_time).as_nanos();
+        let i = self.slot(at);
+        self.latency.record(i, latency);
+        if i + 1 < self.slots.len() {
+            self.closed.record(latency);
+        }
         for (node, version) in &pkt.trace {
             *self.version_counts.entry((*node, *version)).or_insert(0) += 1;
         }
@@ -165,11 +178,11 @@ impl Metrics {
     /// Records a loss.
     pub fn record_lost(&mut self, kind: LossKind, at: SimTime) {
         *self.losses.entry(kind).or_insert(0) += 1;
-        self.lost_at.push((at, kind));
-        let b = self.bucket(at);
-        b.lost += 1;
+        let i = self.slot(at);
+        let slot = &mut self.slots[i];
+        slot.lost += 1;
         if kind == LossKind::Refused {
-            b.refused += 1;
+            slot.refused += 1;
             self.refusal_window = Some(match self.refusal_window {
                 None => (at, at),
                 Some((first, last)) => (first.min(at), last.max(at)),
@@ -187,44 +200,44 @@ impl Metrics {
         self.losses.values().sum()
     }
 
-    /// A latency percentile (p in [0, 100]) over delivered packets.
-    pub fn latency_percentile(&self, p: f64) -> Option<SimDuration> {
-        let mut v: Vec<u64> = self.latencies_ns.iter().map(|&(_, l)| l).collect();
-        percentile_of(&mut v, p)
+    /// The latencies of every delivered packet, in ns, in one histogram.
+    pub fn latencies(&self) -> Histogram {
+        let mut all = self.closed.clone();
+        let n = self.slots.len();
+        self.latency.merge_into(n.saturating_sub(1)..n, &mut all);
+        all
     }
 
-    /// Mean delivery latency.
+    /// A latency percentile (p in [0, 100]) over delivered packets: the
+    /// histogram's answer, never below the exact one and less than 1/128
+    /// above it (see [`Histogram::percentile`]).
+    pub fn latency_percentile(&self, p: f64) -> Option<SimDuration> {
+        self.latencies().percentile(p).map(SimDuration::from_nanos)
+    }
+
+    /// Mean delivery latency (exact: the sum over the count).
     pub fn latency_mean(&self) -> Option<SimDuration> {
-        if self.latencies_ns.is_empty() {
-            return None;
-        }
-        let sum: u128 = self.latencies_ns.iter().map(|&(_, l)| l as u128).sum();
-        Some(SimDuration::from_nanos(
-            (sum / self.latencies_ns.len() as u128) as u64,
-        ))
+        self.latencies().mean().map(SimDuration::from_nanos)
     }
 
     /// Delivery, loss, and latency statistics over the half-open window
-    /// `[from, to)`. Exact — computed from per-event timestamps, not the
-    /// coarser timeseries buckets — so SLO guards can compare a soak
-    /// window against a pre-rollout baseline without bucket-edge noise.
+    /// `[from, to)`, merged from the 1 ms slots it overlaps: exact when
+    /// both edges fall on whole milliseconds, otherwise widened to the
+    /// milliseconds that enclose it. The p99 is the histogram's (see
+    /// [`Histogram::percentile`]). An empty window (`from >= to`) is empty.
     pub fn window_stats(&self, from: SimTime, to: SimTime) -> WindowStats {
-        let mut lat: Vec<u64> = self
-            .latencies_ns
-            .iter()
-            .filter(|(at, _)| *at >= from && *at < to)
-            .map(|&(_, l)| l)
-            .collect();
-        let delivered = lat.len() as u64;
-        let lost = self
-            .lost_at
-            .iter()
-            .filter(|(at, _)| *at >= from && *at < to)
-            .count() as u64;
+        if from >= to {
+            return WindowStats::default();
+        }
+        let (first, end) = (from.as_nanos() / SLOT_NS, to.as_nanos().div_ceil(SLOT_NS));
+        let lo = self.slots.partition_point(|s| s.ms < first);
+        let hi = self.slots.partition_point(|s| s.ms < end);
+        let mut latency = Histogram::default();
+        self.latency.merge_into(lo..hi, &mut latency);
         WindowStats {
-            delivered,
-            lost,
-            p99: percentile_of(&mut lat, 99.0),
+            delivered: latency.count(),
+            lost: self.slots[lo..hi].iter().map(|s| s.lost).sum(),
+            p99: latency.percentile(99.0).map(SimDuration::from_nanos),
         }
     }
 
@@ -258,25 +271,28 @@ impl Metrics {
             .map(|(first, last)| last.saturating_since(first))
     }
 
-    /// The delivery timeseries as `(bucket start, bucket)` pairs.
+    /// The delivery timeseries as `(bucket start, bucket)` pairs, one per
+    /// 10 ms of simulated time that saw an event.
     pub fn timeseries(&self) -> Vec<(SimTime, Bucket)> {
-        self.buckets
-            .iter()
-            .map(|(idx, b)| {
-                (
-                    SimTime::from_nanos(idx * self.bucket_width.as_nanos()),
-                    *b,
-                )
-            })
-            .collect()
+        let mut series: Vec<(SimTime, Bucket)> = Vec::new();
+        for (i, slot) in self.slots.iter().enumerate() {
+            let start = SimTime::from_nanos((slot.ms - slot.ms % SLOTS_PER_BUCKET) * SLOT_NS);
+            if series.last().is_none_or(|(at, _)| *at != start) {
+                series.push((start, Bucket::default()));
+            }
+            let (_, b) = series.last_mut().expect("pushed above");
+            b.delivered += self.latency.count(i);
+            b.lost += slot.lost;
+            b.refused += slot.refused;
+        }
+        series
     }
 
     /// Distinct program versions observed at `node` among processed packets.
     pub fn versions_seen(&self, node: NodeId) -> Vec<ProgramVersion> {
         self.version_counts
-            .keys()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, v)| *v)
+            .range((node, ProgramVersion(0))..=(node, ProgramVersion(u64::MAX)))
+            .map(|((_, v), _)| *v)
             .collect()
     }
 }
@@ -321,49 +337,56 @@ mod tests {
     }
 
     #[test]
-    fn percentile_by_selection_equals_sort_based_answer() {
-        fn by_sorting(samples: &[u64], p: f64) -> Option<SimDuration> {
-            let mut sorted = samples.to_vec();
-            sorted.sort_unstable();
-            let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-            sorted
-                .get(rank.min(sorted.len().saturating_sub(1)))
-                .map(|v| SimDuration::from_nanos(*v))
+    fn percentiles_are_the_histograms_through_every_entry() {
+        // Ties and a spread through the public entry points; the exact
+        // differential is the histogram's own (`flexnet_types::telemetry`).
+        let samples: Vec<u64> = (0..1000u64).map(|i| 31_000 + (i * 7919) % 1_013).collect();
+        let mut h = Histogram::default();
+        let mut m = Metrics::default();
+        for (i, &ns) in samples.iter().enumerate() {
+            h.record(ns);
+            let sent = SimTime::from_micros(i as u64);
+            m.record_delivered(pkt_at(i as u64, sent), sent + SimDuration::from_nanos(ns));
         }
-        // Seeded vectors of several lengths; `% 7` forces heavy ties.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut vectors: Vec<Vec<u64>> = vec![vec![], vec![42], vec![5; 100]];
-        for len in [2usize, 3, 10, 101, 1000] {
-            vectors.push((0..len).map(|_| next() % 1_000_000).collect());
-            vectors.push((0..len).map(|_| next() % 7).collect());
+        for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
+            let want = h.percentile(p).map(SimDuration::from_nanos);
+            assert_eq!(m.latency_percentile(p), want);
         }
-        for samples in &vectors {
-            for p in [0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-                let want = by_sorting(samples, p);
-                assert_eq!(
-                    percentile_of(&mut samples.clone(), p),
-                    want,
-                    "p{p} of {} samples",
-                    samples.len()
-                );
-                // And through the public entry points.
-                let mut m = Metrics::default();
-                for (i, &ns) in samples.iter().enumerate() {
-                    let sent = SimTime::from_micros(i as u64);
-                    m.record_delivered(pkt_at(i as u64, sent), sent + SimDuration::from_nanos(ns));
-                }
-                assert_eq!(m.latency_percentile(p), want);
-                if p == 99.0 {
-                    assert_eq!(m.window_stats(SimTime::ZERO, SimTime::MAX).p99, want);
-                }
-            }
+        assert_eq!(m.latencies(), h);
+        assert_eq!(
+            m.window_stats(SimTime::ZERO, SimTime::MAX).p99,
+            h.percentile(99.0).map(SimDuration::from_nanos)
+        );
+        let sum: u64 = samples.iter().sum();
+        assert_eq!(m.latency_mean(), Some(SimDuration::from_nanos(sum / 1000)));
+    }
+
+    #[test]
+    fn a_window_off_the_millisecond_widens_to_the_slots_it_overlaps() {
+        let mut m = Metrics::default();
+        m.record_delivered(pkt_at(1, SimTime::ZERO), SimTime::from_micros(1_100));
+        m.record_delivered(pkt_at(2, SimTime::ZERO), SimTime::from_micros(1_900));
+        m.record_delivered(pkt_at(3, SimTime::ZERO), SimTime::from_micros(2_100));
+        let w = m.window_stats(SimTime::from_micros(1_500), SimTime::from_micros(1_600));
+        assert_eq!(w.delivered, 2, "[1.5, 1.6) ms reads the whole of slot 1 ms");
+        let w = m.window_stats(SimTime::from_micros(1_500), SimTime::from_micros(1_500));
+        assert_eq!(w, WindowStats::default(), "an empty window stays empty");
+    }
+
+    #[test]
+    fn events_out_of_time_order_land_in_their_own_slots() {
+        let mut m = Metrics::default();
+        for at in [5, 3, 7, 3, 1, 7] {
+            m.record_delivered(pkt_at(at, SimTime::ZERO), SimTime::from_millis(at));
         }
+        m.record_lost(LossKind::Refused, SimTime::from_millis(2));
+        assert_eq!(m.window_stats(SimTime::from_millis(3), SimTime::from_millis(4)).delivered, 2);
+        assert_eq!(m.window_stats(SimTime::ZERO, SimTime::from_millis(3)).lost, 1);
+        let all = m.latencies();
+        assert_eq!((all.count(), all.min(), all.max()), (6, Some(1_000_000), Some(7_000_000)));
+        let ts = m.timeseries();
+        assert_eq!(ts.len(), 1);
+        assert_eq!(ts[0].1, Bucket { delivered: 6, lost: 1, refused: 1 });
     }
 
     #[test]
@@ -385,7 +408,7 @@ mod tests {
 
     #[test]
     fn timeseries_buckets() {
-        let mut m = Metrics::new(SimDuration::from_millis(10));
+        let mut m = Metrics::default();
         m.record_delivered(pkt_at(1, SimTime::ZERO), SimTime::from_millis(5));
         m.record_delivered(pkt_at(2, SimTime::ZERO), SimTime::from_millis(15));
         m.record_lost(LossKind::QueueDrop, SimTime::from_millis(15));
@@ -423,7 +446,7 @@ mod tests {
         // All events inside one timeseries bucket (width 10ms): window
         // math must still be exact, and [from, to) must include `from`
         // but exclude `to`.
-        let mut m = Metrics::new(SimDuration::from_millis(10));
+        let mut m = Metrics::default();
         m.record_delivered(pkt_at(1, SimTime::ZERO), SimTime::from_millis(2));
         m.record_delivered(pkt_at(2, SimTime::ZERO), SimTime::from_millis(4));
         m.record_lost(LossKind::PolicyDrop, SimTime::from_millis(4));

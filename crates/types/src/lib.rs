@@ -1,8 +1,8 @@
 //! # flexnet-types
 //!
 //! Common vocabulary types shared by every FlexNet crate: simulated time,
-//! identifiers, packets and header stacks, resource vectors, and the error
-//! type.
+//! identifiers, packets and header stacks, resource vectors, bounded
+//! latency histograms, and the error type.
 //!
 //! FlexNet (from *"A Vision for Runtime Programmable Networks"*, HotNets '21)
 //! is a framework for networks whose devices are reprogrammed **at runtime**,
@@ -20,6 +20,7 @@ pub mod id;
 pub mod packet;
 pub mod resources;
 pub mod sym;
+pub mod telemetry;
 pub mod time;
 
 pub use error::{FlexError, Result, StorageError, Trap};

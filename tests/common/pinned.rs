@@ -5,7 +5,7 @@
 
 use super::fabric::{cross_pod_flow, leaf_spine_fabric};
 use flexnet_sim::{generate, Command, FlowSpec, LossKind};
-use flexnet_types::{NodeId, ProgramVersion, SimDuration, SimTime};
+use flexnet_types::{hash, NodeId, ProgramVersion, SimDuration, SimTime};
 
 /// Runs the seeded scenario and asserts every pinned figure.
 pub fn assert_seeded_leaf_spine_run_matches_pinned_numbers() {
@@ -73,6 +73,14 @@ pub fn assert_seeded_leaf_spine_run_matches_pinned_numbers() {
         m.latency_percentile(99.0),
         Some(SimDuration::from_nanos(P99_NS))
     );
+    let latencies = m.latencies();
+    let buckets = latencies
+        .buckets()
+        .fold(hash::FNV_OFFSET, |h, (bucket, n)| hash::fnv_step(hash::fnv_step(h, bucket), n));
+    assert_eq!(
+        (latencies.sum(), latencies.min(), latencies.max(), buckets),
+        (LATENCY_SUM_NS, Some(LATENCY_MIN_NS), Some(LATENCY_MAX_NS), LATENCY_BUCKETS)
+    );
     let versions: Vec<(u32, u64, u64)> = m
         .version_counts
         .iter()
@@ -88,8 +96,16 @@ const DELIVERED: u64 = 9866;
 /// Hosts behind the rebooting leaf have nowhere to send for 5 ms.
 const LOSSES: &[(LossKind, u64)] = &[(LossKind::NoRoute, 69)];
 const LATENCY_MEAN_NS: u64 = 31_625;
-const P50_NS: u64 = 31_510;
-const P99_NS: u64 = 32_525;
+/// The histogram's p50 and p99: each its bucket's upper bound, less than
+/// 1/128 above the exact 31 510 and 32 525 pinned before the histogram.
+const P50_NS: u64 = 31_615;
+const P99_NS: u64 = 32_639;
+/// The latency histogram's exact sum, min and max, and an FNV over its
+/// `(bucket, count)` pairs: what the exact percentiles used to catch.
+const LATENCY_SUM_NS: u128 = 312_021_742;
+const LATENCY_MIN_NS: u64 = 31_510;
+const LATENCY_MAX_NS: u64 = 33_282;
+const LATENCY_BUCKETS: u64 = 0xc659_d04c_9408_8c65;
 /// `(node, program version, packets)` over delivered packets' traces:
 /// spines 0–1, leaves 2–5 (leaf 2 flips to version 2 at 85 ms; a reboot
 /// bumps the version too), hosts 6–21.

@@ -14,7 +14,12 @@
 //! captured on the commit *before* the queue was rebuilt (one
 //! `BinaryHeap` of keys over a slab of payloads, delivered packets
 //! cloned into `delivered_packets`), so a drift in pop order, in loss
-//! accounting, or in what a kept packet holds fails here.
+//! accounting, or in what a kept packet holds fails here. The p50 and p99
+//! were re-pinned when `Metrics` moved to bounded latency histograms (each
+//! is now its bucket's upper bound, less than 1/128 above the exact value);
+//! the histogram's exact sum, min and max and an FNV over its buckets were
+//! pinned with them, so a latency change the exact percentiles caught still
+//! fails here.
 //! `tests/sim_pinned.rs` pins the plain path.
 
 #[path = "common/fabric.rs"]
@@ -41,6 +46,13 @@ struct Fingerprint {
     latency_mean_ns: u64,
     p50_ns: u64,
     p99_ns: u64,
+    /// The latency histogram's exact sum, min and max, and an FNV over
+    /// its `(bucket, count)` pairs: together as strict as the exact
+    /// percentiles pinned before the histogram.
+    latency_sum_ns: u128,
+    latency_min_ns: u64,
+    latency_max_ns: u64,
+    latency_buckets: u64,
     /// Rows of `version_counts`, and an FNV over `(node, version, count)`.
     version_rows: usize,
     versions: u64,
@@ -55,6 +67,12 @@ fn fingerprint(sim: &Simulation) -> Fingerprint {
     assert!(sim.errors.is_empty(), "{:?}", &sim.errors[..]);
     assert_eq!(m.delivered_packets.len() as u64, m.delivered);
     let ns = |d: Option<SimDuration>| d.map_or(0, |d| d.as_nanos());
+    let latencies = m.latencies();
+    let mut latency_buckets = FNV_OFFSET;
+    for (bucket, n) in latencies.buckets() {
+        fnv(&mut latency_buckets, bucket);
+        fnv(&mut latency_buckets, n);
+    }
     let (mut versions, mut order, mut kept) = (FNV_OFFSET, FNV_OFFSET, FNV_OFFSET);
     for ((node, version), n) in &m.version_counts {
         [node.raw() as u64, version.0, *n]
@@ -82,6 +100,10 @@ fn fingerprint(sim: &Simulation) -> Fingerprint {
         latency_mean_ns: ns(m.latency_mean()),
         p50_ns: ns(m.latency_percentile(50.0)),
         p99_ns: ns(m.latency_percentile(99.0)),
+        latency_sum_ns: latencies.sum(),
+        latency_min_ns: latencies.min().unwrap_or(0),
+        latency_max_ns: latencies.max().unwrap_or(0),
+        latency_buckets,
         version_rows: m.version_counts.len(),
         versions,
         order,
@@ -314,8 +336,12 @@ fn overlapping_loads() -> Fingerprint {
         delivered: 9744,
         losses: vec![],
         latency_mean_ns: 31536,
-        p50_ns: 31510,
-        p99_ns: 31796,
+        p50_ns: 31615,
+        p99_ns: 31871,
+        latency_sum_ns: 307287653,
+        latency_min_ns: 31510,
+        latency_max_ns: 32229,
+        latency_buckets: 5068437078849372021,
         version_rows: 21,
         versions: 5676738662119266852,
         order: 7388940765526750373,
@@ -328,8 +354,12 @@ fn unsorted_load() -> Fingerprint {
         delivered: 4751,
         losses: vec![],
         latency_mean_ns: 31530,
-        p50_ns: 31510,
-        p99_ns: 31761,
+        p50_ns: 31615,
+        p99_ns: 31871,
+        latency_sum_ns: 149802604,
+        latency_min_ns: 31510,
+        latency_max_ns: 32159,
+        latency_buckets: 17499604951437138427,
         version_rows: 21,
         versions: 11760360176484992079,
         order: 14957964356806807875,
@@ -342,8 +372,12 @@ fn equal_instants() -> Fingerprint {
         delivered: 530,
         losses: vec![(LossKind::PolicyDrop, 93)],
         latency_mean_ns: 35536,
-        p50_ns: 35343,
-        p99_ns: 41532,
+        p50_ns: 35583,
+        p99_ns: 41727,
+        latency_sum_ns: 18834540,
+        latency_min_ns: 31510,
+        latency_max_ns: 42132,
+        latency_buckets: 4383480451094024423,
         version_rows: 36,
         versions: 7620159855325268757,
         order: 9186627285793643347,
@@ -356,8 +390,12 @@ fn edited_link() -> Fingerprint {
         delivered: 28578,
         losses: vec![(LossKind::QueueDrop, 298)],
         latency_mean_ns: 105750,
-        p50_ns: 31557,
-        p99_ns: 862113,
+        p50_ns: 31615,
+        p99_ns: 863250,
+        latency_sum_ns: 3022126796,
+        latency_min_ns: 31510,
+        latency_max_ns: 863250,
+        latency_buckets: 17337562812941772758,
         version_rows: 21,
         versions: 14425354062716008808,
         order: 10107043770061152489,
@@ -370,8 +408,12 @@ fn late_link() -> Fingerprint {
         delivered: 3266,
         losses: vec![],
         latency_mean_ns: 31401,
-        p50_ns: 31510,
-        p99_ns: 31706,
+        p50_ns: 31615,
+        p99_ns: 31743,
+        latency_sum_ns: 102556781,
+        latency_min_ns: 27043,
+        latency_max_ns: 41697,
+        latency_buckets: 16536956250154785924,
         version_rows: 21,
         versions: 16771187549840329151,
         order: 10363146628514506971,
@@ -388,8 +430,12 @@ fn faults() -> Fingerprint {
             (LossKind::LinkDown, 269),
         ],
         latency_mean_ns: 31531,
-        p50_ns: 31510,
-        p99_ns: 31761,
+        p50_ns: 31615,
+        p99_ns: 31871,
+        latency_sum_ns: 425113912,
+        latency_min_ns: 31510,
+        latency_max_ns: 36696,
+        latency_buckets: 3496081340072318677,
         version_rows: 24,
         versions: 16085410768056681225,
         order: 8364896555289270556,
