@@ -79,7 +79,7 @@ fn raft_section() {
             .run_until_leader(SimDuration::from_secs(10))
             .expect("leader");
         let first = c.now().saturating_since(t0);
-        c.propose("deploy infra").unwrap();
+        c.propose(b"deploy infra").unwrap();
         c.run_for(SimDuration::from_millis(500), SimDuration::from_millis(10));
 
         c.kill(l1).unwrap();
@@ -97,7 +97,7 @@ fn raft_section() {
         }
         c.run_for(SimDuration::from_millis(500), SimDuration::from_millis(10));
         let l2 = c.leader().expect("re-elected");
-        let intact = c.committed(l2).unwrap() == vec!["deploy infra".to_string()];
+        let intact = c.committed(l2).unwrap() == [b"deploy infra"];
         elections.push((first, second));
         row(&[
             &seed.to_string(),
@@ -129,9 +129,9 @@ fn raft_section() {
             killed += 1;
         }
     }
-    c.propose("with 3/5 alive").unwrap();
+    c.propose(b"with 3/5 alive").unwrap();
     c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-    let ok3 = c.committed(leader).unwrap().contains(&"with 3/5 alive".to_string());
+    let ok3 = c.committed(leader).unwrap().iter().any(|cmd| *cmd == b"with 3/5 alive");
     // Kill one more *alive* follower (majority gone): unavailable.
     for i in 0..c.len() {
         if i != leader && c.is_alive(i) && killed < 3 {
@@ -139,9 +139,9 @@ fn raft_section() {
             killed += 1;
         }
     }
-    c.propose("with 2/5 alive").unwrap();
+    c.propose(b"with 2/5 alive").unwrap();
     c.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-    let ok2 = c.committed(leader).unwrap().contains(&"with 2/5 alive".to_string());
+    let ok2 = c.committed(leader).unwrap().iter().any(|cmd| *cmd == b"with 2/5 alive");
     println!("commits with 3/5 controllers alive: {ok3}");
     println!(
         "commits with 2/5 controllers alive: {ok2} (correctly unavailable: {})",

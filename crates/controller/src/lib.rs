@@ -81,8 +81,8 @@ pub use txn::{
     logged_transactional_reconfig, transactional_reconfig, transactional_reconfig_over,
     LoggedTxnReport, TxnOutcome, TxnReport,
 };
-pub use storage::{
-    compact_records, replay_digest, state_digest, NodeStorage, ScrubOutcome, SegmentedWal,
-    SnapshotStore, StorageCounters,
+pub use storage::{NodeStorage, ScrubOutcome, SegmentedWal, SnapshotStore, StorageCounters};
+pub use wal::{
+    compact_records, replay_digest, state_digest, CompactionReport, IntentRecord, ReplayState,
+    ReplicatedIntentLog,
 };
-pub use wal::{CompactionReport, IntentRecord, ReplayState, ReplicatedIntentLog};

@@ -54,34 +54,34 @@ pub const NET_DELAY: SimDuration = SimDuration::from_millis(5);
 /// A Raft term.
 pub type Term = u64;
 
-/// A controller command's text (opaque to Raft): an immutable slice of a
+/// A controller command's bytes (opaque to Raft): an immutable slice of a
 /// shared buffer.
 ///
-/// A clone copies a reference count, never the text: a proposal allocates
+/// A clone copies a reference count, never the bytes: a proposal allocates
 /// its command once and every log, message and replica shares it, a
 /// revive decodes its whole log into one buffer
 /// ([`NodeStorage::recover`]), and a compaction's summary is one buffer
 /// all compacted nodes share. A buffer lives as long as any command points
-/// into it. A command dereferences to `&str` and compares, hashes and
-/// `Debug`-prints exactly as that `&str` does.
+/// into it. A command dereferences to `&[u8]` and compares and hashes
+/// exactly as that slice does.
 ///
 /// The count is an `Rc`'s, not an `Arc`'s: a cluster is driven by one
 /// thread, and an atomic increment and decrement per kept command cost
 /// about a third of a revive.
 #[derive(Clone)]
 pub struct LogCommand {
-    buf: Rc<str>,
+    buf: Rc<[u8]>,
     start: usize,
     end: usize,
 }
 
 impl LogCommand {
-    /// `texts` back to back in one shared buffer, one command each.
-    pub fn shared<S: AsRef<str>>(texts: impl IntoIterator<Item = S>) -> Vec<LogCommand> {
-        let mut buf = String::new();
+    /// `commands` back to back in one shared buffer, one command each.
+    pub fn shared<B: AsRef<[u8]>>(commands: impl IntoIterator<Item = B>) -> Vec<LogCommand> {
+        let mut buf = Vec::new();
         let mut ends = Vec::new();
-        for text in texts {
-            buf.push_str(text.as_ref());
+        for command in commands {
+            buf.extend_from_slice(command.as_ref());
             ends.push(buf.len());
         }
         let buf = Rc::from(buf);
@@ -92,9 +92,8 @@ impl LogCommand {
             .collect()
     }
 
-    /// The command at `at` in `buf`, a range on character boundaries.
-    pub(crate) fn slice(buf: &Rc<str>, at: Range<usize>) -> LogCommand {
-        debug_assert!(buf.get(at.clone()).is_some(), "{at:?} splits a character");
+    /// The command at `at` in `buf`.
+    pub(crate) fn slice(buf: &Rc<[u8]>, at: Range<usize>) -> LogCommand {
         LogCommand {
             buf: Rc::clone(buf),
             start: at.start,
@@ -102,62 +101,52 @@ impl LogCommand {
         }
     }
 
-    /// The command's text.
-    pub fn as_str(&self) -> &str {
+    /// The command's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
         &self.buf[self.start..self.end]
     }
 }
 
 impl Deref for LogCommand {
-    type Target = str;
+    type Target = [u8];
 
-    fn deref(&self) -> &str {
-        self.as_str()
+    fn deref(&self) -> &[u8] {
+        self.as_bytes()
     }
 }
 
-impl From<&str> for LogCommand {
-    fn from(text: &str) -> LogCommand {
-        let buf: Rc<str> = Rc::from(text);
-        LogCommand::slice(&buf, 0..text.len())
+impl From<&[u8]> for LogCommand {
+    fn from(bytes: &[u8]) -> LogCommand {
+        let buf: Rc<[u8]> = Rc::from(bytes);
+        LogCommand::slice(&buf, 0..bytes.len())
     }
 }
 
 impl PartialEq for LogCommand {
     fn eq(&self, other: &LogCommand) -> bool {
-        self.as_str() == other.as_str()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
 impl Eq for LogCommand {}
 
-impl PartialEq<&str> for LogCommand {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
+impl<const N: usize> PartialEq<&[u8; N]> for LogCommand {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        self.as_bytes() == *other
     }
 }
 
 impl Hash for LogCommand {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
+        self.as_bytes().hash(state);
     }
 }
 
+/// Printed as a byte-string literal: `b"deploy app1"`, `b"\x02\x05"`.
 impl fmt::Debug for LogCommand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.as_str(), f)
+        write!(f, "b\"{}\"", self.as_bytes().escape_ascii())
     }
-}
-
-/// Refuses a command a snapshot could not give back: snapshots store their
-/// commands `'\n'`-separated and read an empty body as no commands.
-fn check_command(command: &str) -> Result<()> {
-    if command.is_empty() || command.contains('\n') {
-        return Err(FlexError::Consensus(format!(
-            "command {command:?} is empty or spans lines"
-        )));
-    }
-    Ok(())
 }
 
 /// One replicated controller command.
@@ -295,7 +284,7 @@ pub struct CommittedView<'a> {
 
 impl<'a> CommittedView<'a> {
     /// The commands from position `from` (0-based, snapshot first) on.
-    pub fn commands_from(&self, from: usize) -> impl Iterator<Item = &'a str> {
+    pub fn commands_from(&self, from: usize) -> impl Iterator<Item = &'a [u8]> {
         let snapshot = self.snapshot.get(from..).unwrap_or_default();
         let tail = self
             .tail
@@ -303,8 +292,8 @@ impl<'a> CommittedView<'a> {
             .unwrap_or_default();
         snapshot
             .iter()
-            .map(LogCommand::as_str)
-            .chain(tail.iter().map(|e| e.command.as_str()))
+            .map(LogCommand::as_bytes)
+            .chain(tail.iter().map(|e| e.command.as_bytes()))
     }
 }
 
@@ -436,11 +425,12 @@ impl RaftCluster {
         })
     }
 
-    /// [`RaftCluster::committed_view`], cloned into owned commands (for
-    /// tests and harness grading; the control plane reads the view).
-    pub fn committed(&self, i: usize) -> Result<Vec<String>> {
+    /// [`RaftCluster::committed_view`], the commands shared (for tests
+    /// and harness grading; the control plane reads the view).
+    pub fn committed(&self, i: usize) -> Result<Vec<LogCommand>> {
         let view = self.committed_view(i)?;
-        Ok(view.commands_from(0).map(str::to_string).collect())
+        let tail = view.tail.iter().map(|e| e.command.clone());
+        Ok(view.snapshot.iter().cloned().chain(tail).collect())
     }
 
     /// Global index of a node's last entry (committed and uncommitted,
@@ -462,7 +452,7 @@ impl RaftCluster {
     /// The command at 1-based global index `global` in node `i`'s log
     /// tail. `None` when the slot was compacted into the snapshot or is
     /// beyond the last entry.
-    pub fn command_at(&self, i: usize, global: u64) -> Result<Option<&str>> {
+    pub fn command_at(&self, i: usize, global: u64) -> Result<Option<&[u8]>> {
         let n = self.node(i)?;
         let global = global as usize;
         if global <= n.base_index || global > n.last_index() {
@@ -551,11 +541,9 @@ impl RaftCluster {
     /// in-memory log. A leader whose disk trips mid-append self-crashes
     /// (the command's durability is unknowable without a scrub) and the
     /// storage error propagates; a typed refusal (`NoSpace`) leaves the
-    /// leader intact and the log unchanged. A command that is empty or
-    /// spans lines is refused with [`FlexError::Consensus`]: a snapshot
-    /// could not give it back.
-    pub fn propose(&mut self, command: &str) -> Result<()> {
-        check_command(command)?;
+    /// leader intact and the log unchanged. Any bytes are a command, the
+    /// empty sequence too.
+    pub fn propose(&mut self, command: &[u8]) -> Result<()> {
         let Some(leader) = self.leader() else {
             return Err(FlexError::NoLeader {
                 hint: self.last_leader.map(|l| l as u64),
@@ -587,12 +575,10 @@ impl RaftCluster {
     /// The snapshot is fsync'd before the in-memory log shrinks, and WAL
     /// segments behind the snapshot-fallback horizon are deleted. On
     /// [`flexnet_types::StorageError::NoSpace`] the node keeps its full
-    /// log and the typed error propagates, and so does the
-    /// [`FlexError::Consensus`] refusing a summary command that is empty
-    /// or spans lines. The node shares `summary`'s commands.
+    /// log and the typed error propagates. The node shares `summary`'s
+    /// commands.
     pub fn compact_to(&mut self, i: usize, upto: u64, summary: &[LogCommand]) -> Result<()> {
         self.node(i)?;
-        summary.iter().try_for_each(|c| check_command(c))?;
         let upto_us = upto as usize;
         let (base, commit) = (self.nodes[i].base_index, self.nodes[i].commit);
         if upto_us <= base || upto_us > commit {
@@ -1162,13 +1148,13 @@ mod tests {
     fn proposals_commit_on_majority() {
         let mut c = RaftCluster::new(3, 7);
         settle(&mut c);
-        c.propose("deploy app1").unwrap();
-        c.propose("tenant 5 arrive").unwrap();
+        c.propose(b"deploy app1").unwrap();
+        c.propose(b"tenant 5 arrive").unwrap();
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
         let leader = c.leader().unwrap();
         assert_eq!(
             c.committed(leader).unwrap(),
-            vec!["deploy app1".to_string(), "tenant 5 arrive".to_string()]
+            LogCommand::shared(["deploy app1", "tenant 5 arrive"])
         );
         // Followers converge too.
         for i in 0..c.len() {
@@ -1180,7 +1166,7 @@ mod tests {
     fn leader_failure_triggers_reelection_preserving_log() {
         let mut c = RaftCluster::new(5, 11);
         let l1 = settle(&mut c);
-        c.propose("before failover").unwrap();
+        c.propose(b"before failover").unwrap();
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
         c.kill(l1).unwrap();
         c.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
@@ -1188,9 +1174,9 @@ mod tests {
         assert_ne!(l1, l2);
         assert!(c.term(l2) > 0);
         // The committed entry survived the failover.
-        assert_eq!(c.committed(l2).unwrap(), vec!["before failover".to_string()]);
+        assert_eq!(c.committed(l2).unwrap(), [b"before failover"]);
         // And the new leader accepts new commands.
-        c.propose("after failover").unwrap();
+        c.propose(b"after failover").unwrap();
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
         assert_eq!(c.committed(l2).unwrap().len(), 2);
     }
@@ -1207,10 +1193,10 @@ mod tests {
                 killed += 1;
             }
         }
-        c.propose("doomed").unwrap();
+        c.propose(b"doomed").unwrap();
         c.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
         assert!(
-            !c.committed(leader).unwrap().contains(&"doomed".to_string()),
+            !c.committed(leader).unwrap().iter().any(|cmd| *cmd == b"doomed"),
             "a minority must not commit"
         );
     }
@@ -1220,10 +1206,10 @@ mod tests {
         let mut c = RaftCluster::new(3, 17);
         c.drop_prob = 0.2;
         settle(&mut c);
-        c.propose("lossy world").unwrap();
+        c.propose(b"lossy world").unwrap();
         c.run_for(SimDuration::from_secs(5), SimDuration::from_millis(10));
         let leader = c.leader().unwrap();
-        assert_eq!(c.committed(leader).unwrap(), vec!["lossy world".to_string()]);
+        assert_eq!(c.committed(leader).unwrap(), [b"lossy world"]);
     }
 
     #[test]
@@ -1234,20 +1220,17 @@ mod tests {
         let leader = c.leader().unwrap();
         let follower = (0..c.len()).find(|&i| i != leader).unwrap();
         c.kill(follower).unwrap();
-        c.propose("while you were gone").unwrap();
+        c.propose(b"while you were gone").unwrap();
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
         c.revive(follower).unwrap();
         c.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-        assert_eq!(
-            c.committed(follower).unwrap(),
-            vec!["while you were gone".to_string()]
-        );
+        assert_eq!(c.committed(follower).unwrap(), [b"while you were gone"]);
     }
 
     #[test]
     fn propose_without_leader_is_typed_and_retryable() {
         let mut c = RaftCluster::new(3, 29);
-        let err = c.propose("too early").unwrap_err();
+        let err = c.propose(b"too early").unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1265,7 +1248,7 @@ mod tests {
         for i in 0..c.len() {
             c.kill(i).unwrap();
         }
-        match c.propose("nobody home").unwrap_err() {
+        match c.propose(b"nobody home").unwrap_err() {
             FlexError::NoLeader { hint: Some(h), .. } => assert_eq!(h, leader as u64),
             other => panic!("expected a hinted NoLeader, got {other:?}"),
         }
@@ -1294,7 +1277,7 @@ mod tests {
     fn whole_cluster_power_loss_recovers_the_log_from_disk() {
         let mut c = RaftCluster::new(3, 51);
         settle(&mut c);
-        c.propose("survives power loss").unwrap();
+        c.propose(b"survives power loss").unwrap();
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
         // Kill EVERY node: all in-memory state is gone; only disks
         // survive. Then revive the fleet.
@@ -1309,34 +1292,57 @@ mod tests {
             .expect("fleet re-elects after full power loss");
         // Raft only commits prior-term entries through a current-term
         // one — drive one proposal to pull the old entry over the line.
-        c.propose("post-recovery").unwrap();
+        c.propose(b"post-recovery").unwrap();
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
         assert_eq!(
             c.committed(leader).unwrap(),
-            vec![
-                "survives power loss".to_string(),
-                "post-recovery".to_string()
-            ]
+            LogCommand::shared(["survives power loss", "post-recovery"])
         );
     }
 
+    /// Commands are bytes: an empty one, one holding `\n` and one that is
+    /// not UTF-8 come back byte for byte from a commit, a compaction into
+    /// a snapshot, an `InstallSnapshot` to a lagging follower and a kill
+    /// and revive of every node.
     #[test]
-    fn a_snapshot_gives_back_the_commands_it_was_given() {
-        for bad in ["a\nb", ""] {
-            let mut c = RaftCluster::new(3, 41);
-            let leader = settle(&mut c);
-            c.propose("one").unwrap();
-            c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-            let commit = c.commit_index(leader).unwrap();
-            let compacted = c.compact_to(leader, commit, &LogCommand::shared([bad]));
-            let held = c.committed(leader).unwrap();
-            c.kill(leader).unwrap();
-            c.revive(leader).unwrap();
-            c.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-            assert_eq!(c.committed(leader).unwrap(), held, "{bad:?}: the revived prefix");
-            assert!(matches!(compacted, Err(FlexError::Consensus(_))), "{bad:?}");
-            assert!(matches!(c.propose(bad), Err(FlexError::Consensus(_))), "{bad:?}");
+    fn any_bytes_survive_commit_snapshot_install_and_revive() {
+        let odd: [&[u8]; 4] = [b"", b"a\nb", &[0xFF, 0xC3, 0x00, 0x80], b"\n"];
+        let mut c = RaftCluster::new(3, 41);
+        let leader = settle(&mut c);
+        let lagging = (0..c.len()).find(|&i| i != leader).unwrap();
+        c.kill(lagging).unwrap();
+        for cmd in odd {
+            c.propose(cmd).unwrap();
         }
+        c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
+        assert_eq!(c.committed(leader).unwrap(), LogCommand::shared(odd), "committed");
+        // The summary replacing the prefix is those same commands.
+        let upto = c.commit_index(leader).unwrap();
+        let summary = c.committed(leader).unwrap();
+        for i in (0..c.len()).filter(|&i| i != lagging) {
+            c.compact_to(i, upto, &summary).unwrap();
+        }
+        for cmd in odd {
+            c.propose(cmd).unwrap();
+        }
+        c.run_for(SimDuration::from_millis(200), SimDuration::from_millis(10));
+        c.revive(lagging).unwrap();
+        c.run_for(SimDuration::from_secs(3), SimDuration::from_millis(10));
+        assert_eq!(c.base_index(lagging).unwrap(), upto, "the lagging follower's snapshot");
+        let want = LogCommand::shared(odd.iter().chain(&odd));
+        for i in 0..c.len() {
+            assert_eq!(c.committed(i).unwrap(), want, "node {i} before the power loss");
+        }
+        for i in 0..c.len() {
+            c.kill(i).unwrap();
+            c.revive(i).unwrap();
+        }
+        let leader = settle(&mut c);
+        // Prior-term entries commit through one of the new term.
+        c.propose(b"").unwrap();
+        c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
+        let want = LogCommand::shared(odd.iter().chain(&odd).chain(&[&b""[..]]));
+        assert_eq!(c.committed(leader).unwrap(), want, "after the revive");
     }
 
     /// What a node holds on its disks: term and vote, every entry's term
@@ -1354,11 +1360,9 @@ mod tests {
     /// snapshot it held when it was killed.
     #[test]
     fn a_revive_gives_back_exactly_what_was_durable() {
-        const WORDS: [&str; 6] = ["intent", "ü", "€", "𝄞", "7", "dev"];
-        let command = |rng: &mut StdRng| -> String {
-            let words: Vec<&str> =
-                (0..rng.gen_range(1..5)).map(|_| WORDS[rng.gen_range(0..WORDS.len())]).collect();
-            words.join(" ")
+        const BYTES: [u8; 6] = [b'a', b'\n', 0x00, 0xC3, 0x80, 0xFF];
+        let command = |rng: &mut StdRng| -> Vec<u8> {
+            (0..rng.gen_range(0..5)).map(|_| BYTES[rng.gen_range(0..BYTES.len())]).collect()
         };
         let mut revives = 0;
         for seed in 0..24u64 {
@@ -1369,8 +1373,7 @@ mod tests {
                 let i = rng.gen_range(0..c.len());
                 match rng.gen_range(0..10) {
                     0..=3 => {
-                        let text = command(&mut rng);
-                        let _ = c.propose(&text);
+                        let _ = c.propose(&command(&mut rng));
                     }
                     4..=6 => c.step(SimDuration::from_millis(rng.gen_range(1..40))),
                     7 if c.is_alive(i) => {
@@ -1388,9 +1391,9 @@ mod tests {
                         let (base, commit) = (c.nodes[i].base_index, c.nodes[i].commit);
                         if commit > base {
                             let upto = rng.gen_range(base + 1..=commit) as u64;
-                            let texts: Vec<String> =
+                            let summary: Vec<Vec<u8>> =
                                 (0..rng.gen_range(0..4)).map(|_| command(&mut rng)).collect();
-                            c.compact_to(i, upto, &LogCommand::shared(texts)).unwrap();
+                            c.compact_to(i, upto, &LogCommand::shared(summary)).unwrap();
                         }
                     }
                     _ => {}
@@ -1404,14 +1407,14 @@ mod tests {
     fn snapshot_compaction_and_install_snapshot_catch_up_a_stale_node() {
         let mut c = RaftCluster::new(3, 37);
         settle(&mut c);
-        c.propose("early 1").unwrap();
-        c.propose("early 2").unwrap();
+        c.propose(b"early 1").unwrap();
+        c.propose(b"early 2").unwrap();
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
         let leader = c.leader().unwrap();
         let stale = (0..c.len()).find(|&i| i != leader).unwrap();
         c.kill(stale).unwrap();
         for k in 0..10 {
-            c.propose(&format!("bulk {k}")).unwrap();
+            c.propose(format!("bulk {k}").as_bytes()).unwrap();
         }
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
         // Compact every caught-up node to the commit point.

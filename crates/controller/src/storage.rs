@@ -5,9 +5,10 @@
 //! survived `kill`/`revive` intact. This module puts a real storage
 //! discipline under them, on top of [`flexnet_sim::disk::SimDisk`]:
 //!
-//! - **Record codec** — every durable record is length-prefixed and
+//! - **Record frame** — every durable record is length-prefixed and
 //!   CRC-checksummed (`[len u32][crc u32][payload]`), so recovery can
-//!   tell a torn tail from bit rot from a clean end of log.
+//!   tell a torn tail from bit rot from a clean end of log. Payloads are
+//!   opaque bytes: what a command means is [`crate::wal`]'s business.
 //! - **Scrub** ([`scrub`]) — the recovery scan: verify every record,
 //!   truncate at the first torn or corrupt one, and report whether the
 //!   fault was a tail tear (benign — the record was never acked) or
@@ -16,18 +17,12 @@
 //!   logical segments so compaction can delete whole segments behind a
 //!   snapshot.
 //! - **[`SnapshotStore`]** — checksummed snapshot generations (the last
-//!   two are kept); a rotted newest generation falls back to the
-//!   previous one plus a longer log tail.
+//!   two are kept), each framed like the WAL; a rotted newest generation
+//!   falls back to the previous one plus a longer log tail.
 //! - **[`NodeStorage`]** — one controller node's disks: hard state
 //!   (term/vote, fsync'd before any vote or append ack), the WAL, and
 //!   snapshots, with [`NodeStorage::recover`] performing the full
 //!   scrub + fallback + catch-up-demotion decision.
-//! - **Compaction** ([`compact_records`]) — folds the committed intent
-//!   log into its recovery-relevant summary
-//!   ([`crate::wal::ReplayState::summary`]): latest intended state per
-//!   device, final record per terminal transaction, full history for
-//!   anything unresolved, and a [`crate::wal::IntentRecord::Compacted`]
-//!   marker preserving the id allocator's high-water mark.
 //!
 //! The seeded storage suite (experiment E21: crash-mid-append,
 //! torn-tail-on-failover, cold-log rot, snapshot rot, `NoSpace` during
@@ -35,11 +30,9 @@
 //! with the other chaos suites in `flexnet_bench::suites::storage`.
 
 use crate::raft::{LogCommand, LogEntry};
-use crate::wal::{IntentRecord, ReplayState};
 use flexnet_sim::disk::{DiskFaultPlan, SimDisk};
 use flexnet_types::hash::fnv1a32;
 use flexnet_types::{FlexError, Result, SimDuration, StorageError};
-use std::borrow::Cow;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -57,88 +50,83 @@ pub const SEG_CAP: u64 = 8;
 /// times before declaring the node snapshot-less.
 pub const SNAP_GENERATIONS: usize = 2;
 
+/// Bytes of a snapshot generation's first record, `[base_index][base_term]`
+/// framed: its commands' records start here.
+const SNAP_BASE: usize = RECORD_HEADER + 16;
+
 /// Frames `payload` as one durable record: `[len][crc][payload]`.
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    push_record(&mut out, payload);
     out
 }
 
+/// Appends `payload` to `out`, framed as by [`encode_record`].
+fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// `[a u64 LE][b u64 LE]`: the payload of a snapshot's base record and of
+/// a hard-state record.
+fn words(a: u64, b: u64) -> [u8; 16] {
+    let mut payload = [0u8; 16];
+    payload[..8].copy_from_slice(&a.to_le_bytes());
+    payload[8..].copy_from_slice(&b.to_le_bytes());
+    payload
+}
+
+/// The two words of a [`words`] payload; `None` for a payload of any other
+/// length (rot with checksums off).
+fn read_words(payload: &[u8]) -> Option<(u64, u64)> {
+    match payload.as_chunks() {
+        (&[a, b], []) => Some((u64::from_le_bytes(a), u64::from_le_bytes(b))),
+        _ => None,
+    }
+}
+
 /// Frames a Raft log entry as a record payload: `[term u64 LE][command]`.
-pub fn encode_entry(term: u64, command: &str) -> Vec<u8> {
+pub fn encode_entry(term: u64, command: &[u8]) -> Vec<u8> {
     let mut p = Vec::with_capacity(8 + command.len());
     p.extend_from_slice(&term.to_le_bytes());
-    p.extend_from_slice(command.as_bytes());
+    p.extend_from_slice(command);
     p
 }
 
-/// The command text of an [`encode_entry`] payload at `payload`: the
-/// bytes after its 8-byte term. A short payload reads as term 0 and no
-/// text rather than panicking — with CRC checks disabled (the
-/// protections-off arm), rotted payloads reach the decoder and must surface
-/// as wrong state, never a crash.
-fn entry_text(payload: &Range<usize>) -> Range<usize> {
+/// The command of an [`encode_entry`] payload at `payload`: the bytes
+/// after its 8-byte term. A short payload reads as term 0 and no command
+/// rather than panicking — with CRC checks disabled (the protections-off
+/// arm), rotted payloads reach the decoder and must surface as wrong
+/// state, never a crash.
+fn entry_command(payload: &Range<usize>) -> Range<usize> {
     match payload.len() {
         0..8 => payload.end..payload.end,
         _ => payload.start + 8..payload.end,
     }
 }
 
-/// `bytes` as text, exactly as [`String::from_utf8_lossy`] reads them, but
-/// validated by the fast [`std::str::from_utf8`] first: only rotted bytes
-/// take the lossy decoder's chunk-by-chunk path.
-fn utf8_lossy(bytes: &[u8]) -> Cow<'_, str> {
-    match std::str::from_utf8(bytes) {
-        Ok(text) => Cow::Borrowed(text),
-        Err(_) => String::from_utf8_lossy(bytes),
-    }
-}
-
 /// The log entries framed at `payloads` in `bytes` (verified
 /// [`encode_entry`] payloads, in order), their commands slices of one
-/// shared buffer: a constant number of allocations, whatever their count.
-///
-/// The buffer is the span of `bytes` from the first command text to the
-/// last, copied once, with every byte that is not command text (record
-/// headers, terms) zeroed, and validated as UTF-8 in one pass. A zero byte
-/// is ASCII: it ends any character cut at a text's edge, so the buffer is
-/// valid exactly when every text is valid alone, and the lossy decoder
-/// reads each text within it exactly as it reads that text alone.
+/// shared buffer — the span of `bytes` from the first command to the
+/// last, copied once: a constant number of allocations, whatever their
+/// count.
 fn decode_entries(bytes: &[u8], payloads: &[Range<usize>]) -> Vec<LogEntry> {
     let (Some(first), Some(last)) = (payloads.first(), payloads.last()) else {
         return Vec::new();
     };
-    let origin = entry_text(first).start;
-    let mut raw = bytes[origin..last.end].to_vec();
-    let mut gap = origin;
-    for text in payloads.iter().map(entry_text) {
-        raw[gap - origin..text.start - origin].fill(0);
-        gap = text.end;
-    }
-    let (buf, exact): (Rc<str>, bool) = match String::from_utf8(raw) {
-        Ok(buf) => (Rc::from(buf), true),
-        Err(rotted) => (Rc::from(String::from_utf8_lossy(rotted.as_bytes())), false),
-    };
-    // A lossy text is longer than its bytes: the ones after it shift.
-    let mut shift = 0;
+    let origin = entry_command(first).start;
+    let buf: Rc<[u8]> = Rc::from(&bytes[origin..last.end]);
     // Sized with room to spare: the node's log grows from here, and an
     // exactly sized one would be copied whole by the first append after
     // the revive.
     let mut entries = Vec::with_capacity(2 * payloads.len());
     entries.extend(payloads.iter().map(|payload| {
         let term = bytes[payload.clone()].first_chunk().map_or(0, |t| u64::from_le_bytes(*t));
-        let text = entry_text(payload);
-        let len = match exact {
-            true => text.len(),
-            false => utf8_lossy(&bytes[text.clone()]).len(),
-        };
-        let start = text.start - origin + shift;
-        shift += len - text.len();
+        let command = entry_command(payload);
         LogEntry {
             term,
-            command: LogCommand::slice(&buf, start..start + len),
+            command: LogCommand::slice(&buf, command.start - origin..command.end - origin),
         }
     }));
     entries
@@ -374,7 +362,8 @@ impl SegmentedWal {
         } else {
             payload_start
         };
-        self.disk.rot_byte(lo, start + total)
+        let content = lo..start + total;
+        self.disk.rot_byte(&[content])
     }
 
     /// The underlying disk (stats, fault state).
@@ -386,14 +375,12 @@ impl SegmentedWal {
 /// Checksummed snapshot generations (newest last, at most
 /// [`SNAP_GENERATIONS`] kept).
 ///
-/// A snapshot's payload is `[base_index u64][base_term u64][commands
-/// joined by '\n']` — the summary command sequence that replaces the
-/// compacted log prefix. A command is never empty and never spans lines
-/// ([`crate::raft::RaftCluster::compact_to`] refuses one), so the split
-/// gives back exactly the commands joined. Loading tries the newest
-/// generation first and falls back on checksum failure; the fallback
-/// horizon (the oldest retained generation's base) bounds how much WAL
-/// compaction may delete.
+/// A generation's disk holds records framed as the WAL's are: first
+/// `[base_index u64][base_term u64]`, then one record per command of the
+/// summary sequence that replaces the compacted log prefix. Loading tries
+/// the newest generation first and falls back when its scrub stops short;
+/// the fallback horizon (the oldest retained generation's base) bounds how
+/// much WAL compaction may delete.
 #[derive(Debug)]
 pub struct SnapshotStore {
     /// `(generation id, base_index, disk)`, oldest first.
@@ -428,15 +415,11 @@ impl SnapshotStore {
     /// Writes a new generation. On [`StorageError::NoSpace`] nothing is
     /// retained — the store (and the log behind it) are unchanged.
     pub fn install(&mut self, base_index: u64, base_term: u64, cmds: &[LogCommand]) -> Result<u64> {
-        let text_len = cmds.iter().map(|c| c.len() + 1).sum::<usize>();
-        let mut payload = Vec::with_capacity(16 + text_len);
-        payload.extend_from_slice(&base_index.to_le_bytes());
-        payload.extend_from_slice(&base_term.to_le_bytes());
-        for (k, cmd) in cmds.iter().enumerate() {
-            if k > 0 {
-                payload.push(b'\n');
-            }
-            payload.extend_from_slice(cmd.as_bytes());
+        let framed = cmds.iter().map(|c| RECORD_HEADER + c.len()).sum::<usize>();
+        let mut bytes = Vec::with_capacity(SNAP_BASE + framed);
+        push_record(&mut bytes, &words(base_index, base_term));
+        for cmd in cmds {
+            push_record(&mut bytes, cmd);
         }
         let mut plan = DiskFaultPlan::seeded(self.seed ^ self.next_gen);
         plan.fsync_lag = self.fsync_lag;
@@ -444,7 +427,7 @@ impl SnapshotStore {
             plan = plan.with_capacity(cap);
         }
         let mut disk = SimDisk::with_plan(plan);
-        disk.write(&encode_record(&payload))?;
+        disk.write(&bytes)?;
         disk.fsync()?;
         let gen = self.next_gen;
         self.next_gen += 1;
@@ -465,30 +448,16 @@ impl SnapshotStore {
         for (gen, _, disk) in self.gens.iter().rev() {
             let bytes = disk.synced_bytes();
             let outcome = scrub(bytes, 0, self.crc_checks);
-            let Some(payload) = outcome.payloads.first().map(|at| &bytes[at.clone()]) else {
+            let base = outcome.payloads.first().and_then(|at| read_words(&bytes[at.clone()]));
+            let (Some((base_index, base_term)), None) = (base, &outcome.fault) else {
                 fallbacks += 1;
                 continue;
             };
-            if payload.len() < 16 {
-                fallbacks += 1;
-                continue;
-            }
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&payload[..8]);
-            let base_index = u64::from_le_bytes(b);
-            b.copy_from_slice(&payload[8..16]);
-            let base_term = u64::from_le_bytes(b);
-            let text: Rc<str> = Rc::from(utf8_lossy(&payload[16..]));
-            let mut cmds = Vec::new();
-            if !text.is_empty() {
-                cmds.reserve_exact(text.bytes().filter(|&b| b == b'\n').count() + 1);
-                let mut start = 0;
-                cmds.extend(text.split('\n').map(|line| {
-                    let at = start..start + line.len();
-                    start = at.end + 1;
-                    LogCommand::slice(&text, at)
-                }));
-            }
+            let buf: Rc<[u8]> = Rc::from(&bytes[SNAP_BASE..]);
+            let cmds = outcome.payloads[1..]
+                .iter()
+                .map(|at| LogCommand::slice(&buf, at.start - SNAP_BASE..at.end - SNAP_BASE))
+                .collect();
             return Some((*gen, base_index, base_term, cmds, fallbacks));
         }
         None
@@ -506,15 +475,16 @@ impl SnapshotStore {
         self.gens.len()
     }
 
-    /// Injects bit rot into the newest generation's command region (past
-    /// the 16-byte base fields, so the corruption lands on content).
+    /// Injects bit rot into the newest generation's commands: one bit of
+    /// one byte drawn from their payloads (not the base record, not a
+    /// record header), so the corruption lands on content.
     /// Returns whether a byte was flipped.
     pub fn rot_latest(&mut self) -> bool {
         let Some((_, _, disk)) = self.gens.last_mut() else {
             return false;
         };
-        let len = disk.synced_bytes().len();
-        disk.rot_byte(RECORD_HEADER + 16, len).is_some()
+        let records = scrub(disk.synced_bytes(), 0, false).payloads;
+        disk.rot_byte(records.get(1..).unwrap_or_default()).is_some()
     }
 }
 
@@ -632,21 +602,18 @@ impl NodeStorage {
     }
 
     /// Durably records `(term, vote)` — the write-then-barrier that must
-    /// precede any vote or append acknowledgement. The hard-state log is
-    /// rewritten in place once it accumulates a segment's worth of
+    /// precede any vote or append acknowledgement — as one record
+    /// `[term u64 LE][vote u64 LE]`, `u64::MAX` for no vote. The hard-state
+    /// log is rewritten in place once it accumulates a segment's worth of
     /// records (only the last one matters).
     pub fn persist_hard(&mut self, term: u64, vote: Option<usize>) -> Result<SimDuration> {
-        let line = match vote {
-            Some(v) => format!("hs {term} {v}"),
-            None => format!("hs {term} -"),
-        };
-        self.hard.write(&encode_record(line.as_bytes()))?;
+        let record = encode_record(&words(term, vote.map_or(u64::MAX, |v| v as u64)));
+        self.hard.write(&record)?;
         let lag = self.hard.fsync()?;
         self.counters.fsync_lag += lag;
         self.hard_records += 1;
         if self.hard_records > 64 {
-            let last = encode_record(line.as_bytes());
-            self.hard.set_synced(last);
+            self.hard.set_synced(record);
             self.hard_records = 1;
         }
         Ok(lag)
@@ -737,18 +704,13 @@ impl NodeStorage {
             self.hard.set_synced(keep);
         }
         self.hard_records = hard_scrub.payloads.len() as u64;
-        let (mut term, mut voted_for) = (0u64, None);
-        if let Some(last) = hard_scrub.payloads.last() {
-            let line = utf8_lossy(&self.hard.synced_bytes()[last.clone()]);
-            let mut parts = line.split_whitespace();
-            if parts.next() == Some("hs") {
-                term = parts.next().and_then(|t| t.parse().ok()).unwrap_or(0);
-                voted_for = match parts.next() {
-                    Some("-") | None => None,
-                    Some(v) => v.parse().ok(),
-                };
-            }
-        }
+        // A record that does not read (rot with checksums off) is term 0
+        // and no vote.
+        let last = hard_scrub.payloads.last();
+        let (term, vote) = last
+            .and_then(|at| read_words(&self.hard.synced_bytes()[at.clone()]))
+            .unwrap_or((0, u64::MAX));
+        let voted_for = usize::try_from(vote).ok().filter(|_| vote != u64::MAX);
 
         // Snapshot: newest verifiable generation.
         let (base_index, base_term, snapshot_cmds, fallbacks) = match self.snaps.load() {
@@ -834,41 +796,9 @@ impl NodeStorage {
     }
 }
 
-// ---------------------------------------------------------------------
-// Compaction and replay digests
-// ---------------------------------------------------------------------
-
-/// Folds a committed record sequence into the recovery-relevant summary
-/// a snapshot keeps in its place ([`ReplayState::summary`]): the replay
-/// fold, run from empty.
-pub fn compact_records(records: &[IntentRecord]) -> Vec<IntentRecord> {
-    ReplayState::over(records).summary()
-}
-
-/// A semantic digest of a replayed record sequence
-/// ([`ReplayState::digest`]): the replay fold, run from empty. Invariant
-/// under [`compact_records`]: summary + tail digests equal to full-log
-/// digests.
-pub fn replay_digest(records: &[IntentRecord]) -> u64 {
-    ReplayState::over(records).digest()
-}
-
-/// Decodes a committed command sequence (skipping election barriers)
-/// and digests it. A command that fails to decode is itself the signal
-/// — with checksums disabled, rotted bytes replay as garbage — so the
-/// error propagates for the caller to grade as divergence.
-pub fn state_digest(cmds: &[String]) -> Result<u64> {
-    let mut state = ReplayState::default();
-    for cmd in cmds {
-        state.absorb(cmd)?;
-    }
-    Ok(state.digest())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexnet_types::SimTime;
 
     fn wal(seed: u64) -> SegmentedWal {
         SegmentedWal::new(SimDisk::with_plan(DiskFaultPlan::seeded(seed).tearing()), true)
@@ -882,60 +812,33 @@ mod tests {
     fn entry(term: u64, command: &str) -> LogEntry {
         LogEntry {
             term,
-            command: command.into(),
+            command: command.as_bytes().into(),
         }
     }
 
-    /// One payload decoded into its own `String`: the reference the shared
-    /// buffer is held to.
-    fn decode_entry(payload: &[u8]) -> (u64, String) {
-        match payload.len() {
-            0..8 => (0, String::new()),
-            _ => {
-                let term = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                (term, String::from_utf8_lossy(&payload[8..]).into_owned())
-            }
-        }
-    }
-
-    /// `payloads`, framed back to back, decoded as a revive decodes them:
-    /// into one buffer.
-    fn decode_all(payloads: &[&[u8]]) -> Vec<(u64, String)> {
-        let bytes: Vec<u8> = payloads.iter().flat_map(|p| encode_record(p)).collect();
-        let outcome = scrub(&bytes, 0, false);
-        assert_eq!(outcome.payloads.len(), payloads.len());
-        let entries = decode_entries(&bytes, &outcome.payloads);
-        entries.into_iter().map(|e| (e.term, e.command.to_string())).collect()
-    }
-
+    /// Each payload a revive keeps reads as its term and the bytes after
+    /// it, a payload shorter than a term as term 0 and no command, all
+    /// sliced from one buffer.
     #[test]
-    fn entries_decode_exactly_as_the_lossy_decoder_reads_them() {
-        let command = "intent 3 dev 1,2,4";
-        let entry = encode_entry(7, command);
-        let mut rotted = entry.clone();
-        rotted[10] ^= 0x80; // a lone continuation byte: invalid UTF-8
-        let mut cut = encode_entry(7, "snapshot ü");
-        // A multi-byte character cut short, whose other half opens the
-        // next entry: valid UTF-8 once the two texts sit back to back,
-        // invalid alone.
-        let last = cut.pop().unwrap();
-        let mut rest = encode_entry(8, "x");
-        rest.insert(8, last);
-        let runs: [&[&[u8]]; 6] = [
-            &[&entry, &entry],
-            &[&entry, &rotted, &cut, &entry[..8], &entry[..5], &[]],
-            &[&cut, &rest],
-            &[&rest, &cut],
-            &[&cut],
+    fn entries_decode_to_their_terms_and_command_bytes() {
+        let entry = encode_entry(7, &[b'a', 0xFF, b'\n', 0xC3]);
+        let runs: [&[&[u8]]; 4] = [
+            &[&entry, &encode_entry(9, b"")],
+            &[&entry[..8], &entry, &entry[..5], &[], &entry],
+            &[&[]],
             &[],
         ];
         for run in runs {
-            let want: Vec<_> = run.iter().map(|p| decode_entry(p)).collect();
-            assert_eq!(decode_all(run), want, "{run:?}");
+            let bytes: Vec<u8> = run.iter().flat_map(|p| encode_record(p)).collect();
+            let outcome = scrub(&bytes, 0, true);
+            assert_eq!(outcome.payloads.len(), run.len());
+            let got = decode_entries(&bytes, &outcome.payloads);
+            let want = run.iter().map(|p| match p.split_first_chunk() {
+                Some((term, command)) => (u64::from_le_bytes(*term), command),
+                None => (0, &[][..]),
+            });
+            assert!(got.iter().map(|e| (e.term, &e.command[..])).eq(want), "{run:?}");
         }
-        assert_eq!(decode_all(&[&entry]), [(7, command.to_string())]);
-        let split = decode_all(&[&cut, &rest]);
-        assert!(split[0].1.ends_with('\u{FFFD}') && split[1].1.starts_with('\u{FFFD}'));
     }
 
     #[test]
@@ -1014,43 +917,29 @@ mod tests {
     #[test]
     fn snapshot_store_falls_back_past_a_rotted_generation() {
         let mut s = SnapshotStore::new(5, None, true);
-        s.install(4, 2, &["a".into(), "b".into()]).unwrap();
-        s.install(8, 3, &["a".into(), "b".into(), "c".into()]).unwrap();
+        s.install(4, 2, &LogCommand::shared(["a", "b"])).unwrap();
+        s.install(8, 3, &LogCommand::shared(["a", "b", "c"])).unwrap();
         assert!(s.rot_latest());
         let (_gen, base, term, cmds, fallbacks) = s.load().expect("older generation verifies");
         assert_eq!((base, term, fallbacks), (4, 2, 1));
-        assert_eq!(cmds, ["a", "b"]);
+        assert_eq!(cmds, LogCommand::shared(["a", "b"]));
         assert_eq!(s.generations(), 2);
     }
 
+    /// With checksums off, a generation whose records do not all frame
+    /// is passed over as a rotted one is.
     #[test]
-    fn a_snapshot_reads_its_commands_as_the_lossy_decoder_reads_its_body() {
+    fn a_snapshot_gives_back_its_commands_and_falls_back_when_cut() {
         let mut s = SnapshotStore::new(9, None, false);
-        s.install(3, 1, &LogCommand::shared(["ü€x", "𝄞"])).unwrap();
-        let (_, _, _, cmds, _) = s.load().unwrap();
-        assert_eq!(cmds, ["ü€x", "𝄞"]);
-        // Cut characters on either side of a line break, a lone break,
-        // empty lines and a stray byte: written as the body directly.
-        let bodies: [&[u8]; 6] = [
-            b"plain\nlines",
-            &[0xC3, b'\n', 0xBC, b'a'],
-            &[0xF0, 0x9D, b'\n', 0x84, 0x9E, b'\n', 0xE2],
-            b"\n",
-            &[b'a', b'\n', b'\n', 0xFF],
-            &[],
-        ];
-        for body in bodies {
-            let mut payload = Vec::from([0u8; 16]);
-            payload.extend_from_slice(body);
-            s.gens.last_mut().unwrap().2.set_synced(encode_record(&payload));
-            let (_, _, _, cmds, _) = s.load().unwrap();
-            let lossy = String::from_utf8_lossy(body);
-            let want: Vec<&str> = match lossy.is_empty() {
-                true => Vec::new(),
-                false => lossy.split('\n').collect(),
-            };
-            assert_eq!(cmds, want, "{body:?}");
-        }
+        let old = LogCommand::shared([&b"a"[..], b""]);
+        let new = LogCommand::shared([&b""[..], b"a\nb", &[0xFF, 0x00]]);
+        s.install(3, 1, &old).unwrap();
+        s.install(6, 2, &new).unwrap();
+        assert_eq!(s.load().unwrap(), (2, 6, 2, new, 0));
+        let disk = &mut s.gens.last_mut().unwrap().2;
+        let cut = disk.synced_bytes()[..disk.synced_bytes().len() - 1].to_vec();
+        disk.set_synced(cut);
+        assert_eq!(s.load().unwrap(), (1, 3, 1, old, 1));
     }
 
     #[test]
@@ -1059,14 +948,14 @@ mod tests {
         ns.persist_hard(3, Some(1)).unwrap();
         ns.sync_log(0, &[entry(1, "one"), entry(1, "two"), entry(3, "three")])
             .unwrap();
-        ns.compact_snapshot(2, 1, &["summary".into()]).unwrap();
+        ns.compact_snapshot(2, 1, &LogCommand::shared(["summary"])).unwrap();
         ns.crash();
         let state = ns.recover();
         assert_eq!(state.term, 3);
         assert_eq!(state.voted_for, Some(1));
         assert_eq!(state.base_index, 2);
         assert_eq!(state.base_term, 1);
-        assert_eq!(state.snapshot_cmds, ["summary"]);
+        assert_eq!(state.snapshot_cmds, [b"summary"]);
         assert_eq!(state.entries, [entry(3, "three")]);
         assert!(!state.needs_catchup);
     }
@@ -1093,31 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_summary_replays_to_the_full_log_digest() {
-        let records = vec![
-            IntentRecord::Intent { txn: 1, devices: vec![4, 5] },
-            IntentRecord::Prepared { txn: 1, devices: vec![4, 5] },
-            IntentRecord::FlipScheduled { txn: 1, commit_at: SimTime::from_secs(1) },
-            IntentRecord::IntendedState { txn: 1, device: 4, digest: 11 },
-            IntentRecord::IntendedState { txn: 1, device: 5, digest: 12 },
-            IntentRecord::Committed { txn: 1 },
-            IntentRecord::IntendedState { txn: 2, device: 4, digest: 13 },
-            IntentRecord::Intent { txn: 2, devices: vec![4] },
-            IntentRecord::Prepared { txn: 2, devices: vec![4] },
-        ];
-        let summary = compact_records(&records);
-        // The open txn 2 keeps its full history; txn 1 folds to its
-        // terminal record; device 4's intended state keeps only digest 13.
-        assert!(matches!(summary[0], IntentRecord::Compacted { txn: 2 }));
-        assert_eq!(replay_digest(&summary), replay_digest(&records));
-        // And compaction is idempotent under replay.
-        assert_eq!(
-            replay_digest(&compact_records(&summary)),
-            replay_digest(&records)
-        );
-    }
-
-    #[test]
     fn recovery_after_compaction_is_bounded_by_the_tail() {
         // The satellite-1 regression: after compaction, recovery replays
         // snapshot + tail, not the full history. Write many records, keep
@@ -1126,7 +990,7 @@ mod tests {
         let entries: Vec<LogEntry> =
             (0..40).map(|i| entry(1, &format!("intended 0 dev 4 digest {i}"))).collect();
         ns.sync_log(0, &entries).unwrap();
-        ns.compact_snapshot(36, 1, &["intended 0 dev 4 digest 35".into()]).unwrap();
+        ns.compact_snapshot(36, 1, &LogCommand::shared(["intended 0 dev 4 digest 35"])).unwrap();
         ns.crash();
         let state = ns.recover();
         assert_eq!(state.base_index, 36);

@@ -13,9 +13,11 @@
 //! controller node can replay the log ([`crate::recovery`]) and resolve
 //! every in-doubt transaction deterministically.
 //!
-//! Records are encoded as small stable strings (Raft commands are opaque
-//! `String`s), e.g. `intent 3 dev 1,2,4` or `flip 3 at 1500000000` —
-//! human-readable in test failures and trivially round-trippable.
+//! This module is the one place that knows what a control record looks
+//! like: [`IntentRecord::encode`] and [`IntentRecord::decode`] are its
+//! codec — one stable line of text per record, e.g. `intent 3 dev 1,2,4`,
+//! human-readable in test failures — and Raft and the disks below it carry
+//! the encodings as opaque bytes.
 
 use crate::raft::{CommittedView, LogCommand, RaftCluster};
 use crate::storage::NodeStorage;
@@ -188,8 +190,9 @@ impl IntentRecord {
         )
     }
 
-    /// Stable wire encoding (a Raft command string).
-    pub fn encode(&self) -> String {
+    /// Stable wire encoding, the Raft command that journals the record:
+    /// one line of text, e.g. `intent 3 dev 1,2,4` or `flip 3 at 1500000000`.
+    pub fn encode(&self) -> Vec<u8> {
         fn devs(devices: &[u64]) -> String {
             devices
                 .iter()
@@ -236,12 +239,17 @@ impl IntentRecord {
             IntentRecord::RolledBack { rollout } => format!("rolled-back {rollout}"),
             IntentRecord::Compacted { txn } => format!("compacted {txn}"),
         }
+        .into_bytes()
     }
 
-    /// Parses a record previously produced by [`IntentRecord::encode`].
-    pub fn decode(s: &str) -> Result<IntentRecord> {
-        let bad = || FlexError::Consensus(format!("malformed intent record: {s:?}"));
-        let mut parts = s.split_whitespace();
+    /// Parses a record previously produced by [`IntentRecord::encode`];
+    /// anything else, bytes that are not UTF-8 included, is a
+    /// [`FlexError::Consensus`] error.
+    pub fn decode(bytes: &[u8]) -> Result<IntentRecord> {
+        let bad = || {
+            FlexError::Consensus(format!("malformed intent record: b\"{}\"", bytes.escape_ascii()))
+        };
+        let mut parts = std::str::from_utf8(bytes).map_err(|_| bad())?.split_whitespace();
         let kind = parts.next().ok_or_else(bad)?;
         let txn: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
         let parse_devs = |list: &str| -> Result<Vec<u64>> {
@@ -365,9 +373,8 @@ const BARRIER: &str = "barrier";
 /// Records are folded in one at a time, so a reader that has seen a
 /// prefix pays only for what was committed since.
 /// [`ReplicatedIntentLog::replay`] keeps one, advanced over the current
-/// leader's committed prefix; [`crate::storage::compact_records`]
-/// and [`crate::storage::replay_digest`] run the same fold from empty over
-/// a slice.
+/// leader's committed prefix; [`compact_records`] and [`replay_digest`]
+/// run the same fold from empty over a slice.
 ///
 /// A history is dropped when its terminal record arrives, exactly as if
 /// the log had been compacted there: a record that (against the protocol —
@@ -418,8 +425,8 @@ impl ReplayState {
     /// Folds the next committed command in; election barriers fold away. A
     /// command that does not decode is the typed error and leaves the
     /// state as it was. The control plane's one decode site.
-    pub(crate) fn absorb(&mut self, command: &str) -> Result<()> {
-        if !command.starts_with(BARRIER) {
+    pub(crate) fn absorb(&mut self, command: &[u8]) -> Result<()> {
+        if !command.starts_with(BARRIER.as_bytes()) {
             self.push(IntentRecord::decode(command)?);
         }
         Ok(())
@@ -520,16 +527,43 @@ impl ReplayState {
         eat(&self.max_id.to_le_bytes());
         for (device, at) in &self.intended {
             eat(&device.to_le_bytes());
-            eat(self.records[*at].encode().as_bytes());
+            eat(&self.records[*at].encode());
         }
         for (id, history) in &self.histories {
             if let Some(at) = history.last() {
                 eat(&id.to_le_bytes());
-                eat(self.records[*at].encode().as_bytes());
+                eat(&self.records[*at].encode());
             }
         }
         h
     }
+}
+
+/// Folds a committed record sequence into the recovery-relevant summary
+/// a snapshot keeps in its place ([`ReplayState::summary`]): the replay
+/// fold, run from empty.
+pub fn compact_records(records: &[IntentRecord]) -> Vec<IntentRecord> {
+    ReplayState::over(records).summary()
+}
+
+/// A semantic digest of a replayed record sequence
+/// ([`ReplayState::digest`]): the replay fold, run from empty. Invariant
+/// under [`compact_records`]: summary + tail digests equal to full-log
+/// digests.
+pub fn replay_digest(records: &[IntentRecord]) -> u64 {
+    ReplayState::over(records).digest()
+}
+
+/// Decodes a committed command sequence (skipping election barriers)
+/// and digests it. A command that fails to decode is itself the signal
+/// — with checksums disabled, rotted bytes replay as garbage — so the
+/// error propagates for the caller to grade as divergence.
+pub fn state_digest(cmds: &[LogCommand]) -> Result<u64> {
+    let mut state = ReplayState::default();
+    for cmd in cmds {
+        state.absorb(cmd)?;
+    }
+    Ok(state.digest())
 }
 
 /// The replay state of one node's committed prefix, how far into that
@@ -543,7 +577,7 @@ struct Fold {
     at: Option<(usize, u64)>,
     /// The commands consumed (barriers included), back to back: command
     /// `i` ends at `ends[i]` and starts where command `i - 1` ends.
-    folded: String,
+    folded: Vec<u8>,
     ends: Vec<usize>,
     state: ReplayState,
 }
@@ -562,7 +596,7 @@ impl Fold {
         };
         for (rec, command) in records.into_iter().zip(commands) {
             fold.state.push(rec);
-            fold.folded.push_str(command);
+            fold.folded.extend_from_slice(command);
             fold.ends.push(fold.folded.len());
         }
         fold
@@ -574,7 +608,7 @@ impl Fold {
     }
 
     /// The commands consumed, in order.
-    fn kept(&self) -> impl Iterator<Item = &str> {
+    fn kept(&self) -> impl Iterator<Item = &[u8]> {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         starts.zip(&self.ends).map(|(start, &end)| &self.folded[start..end])
     }
@@ -598,7 +632,7 @@ impl Fold {
         // skipped, never folded past, re-attempted by the next read.
         for command in view.commands_from(self.consumed()) {
             self.state.absorb(command)?;
-            self.folded.push_str(command);
+            self.folded.extend_from_slice(command);
             self.ends.push(self.folded.len());
         }
         Ok(())
@@ -736,8 +770,9 @@ impl ReplicatedIntentLog {
 
     /// Proposes `command` and drives the cluster until a majority commits
     /// it under the same leader.
-    fn commit_command(&mut self, command: String) -> Result<()> {
+    fn commit_command(&mut self, command: Vec<u8>) -> Result<()> {
         self.cluster.propose(&command)?;
+        let shown = command.escape_ascii();
         // `propose` only succeeds under a leader, but the leader's
         // durable append can trip its own disk mid-propose — re-check
         // instead of unwrapping.
@@ -751,7 +786,7 @@ impl ReplicatedIntentLog {
             self.cluster.step(SimDuration::from_millis(10));
             if !self.cluster.is_alive(leader) || self.cluster.leader() != Some(leader) {
                 return Err(FlexError::Consensus(format!(
-                    "leader {leader} deposed before {command:?} committed"
+                    "leader {leader} deposed before \"{shown}\" committed"
                 )));
             }
             if self.cluster.commit_index(leader)? < target {
@@ -761,17 +796,18 @@ impl ReplicatedIntentLog {
             // entry there is ours (a `None` means a concurrent local
             // compaction folded it into the snapshot — equally durable).
             match self.cluster.command_at(leader, target)? {
-                Some(c) if c == command => return Ok(()),
+                Some(c) if c == command.as_slice() => return Ok(()),
                 None => return Ok(()),
                 Some(other) => {
                     return Err(FlexError::Consensus(format!(
-                        "slot {target} committed {other:?}, not {command:?}"
+                        "slot {target} committed \"{}\", not \"{shown}\"",
+                        other.escape_ascii()
                     )))
                 }
             }
         }
         Err(FlexError::Consensus(format!(
-            "append of {command:?} did not commit within {APPEND_TIMEOUT}"
+            "append of \"{shown}\" did not commit within {APPEND_TIMEOUT}"
         )))
     }
 
@@ -826,7 +862,7 @@ impl ReplicatedIntentLog {
             .run_until_leader(SimDuration::from_secs(10))
             .ok_or_else(|| FlexError::Consensus("no quorum: election never converged".into()))?;
         let term = self.cluster.term(leader);
-        self.commit_command(format!("{BARRIER} {term}"))?;
+        self.commit_command(format!("{BARRIER} {term}").into_bytes())?;
         // An undecodable committed log (bit rot replicated with checksums
         // disabled) must not wedge failover — the id allocator keeps its
         // current high-water mark and the divergence surfaces in grading.
@@ -1002,7 +1038,7 @@ mod tests {
             "compacted 3 extra",
         ] {
             assert!(
-                matches!(IntentRecord::decode(bad), Err(FlexError::Consensus(_))),
+                matches!(IntentRecord::decode(bad.as_bytes()), Err(FlexError::Consensus(_))),
                 "{bad:?} must not decode"
             );
         }
@@ -1104,7 +1140,7 @@ mod tests {
         let clean = log.replay().unwrap().digest();
         // Record 5 is `intent 5 dev `: a flipped bit anywhere in the
         // ` dev ` the rot reaches leaves it undecodable.
-        assert_eq!(records[5].encode(), "intent 5 dev ");
+        assert_eq!(records[5].encode(), b"intent 5 dev ");
         let leader = log.cluster.leader().unwrap();
         for i in (0..3).filter(|&i| i != leader) {
             log.cluster.kill(i).unwrap();
@@ -1228,6 +1264,31 @@ mod tests {
         for seed in 0..48 {
             run_cursor_schedule(seed);
         }
+    }
+
+    #[test]
+    fn compaction_summary_replays_to_the_full_log_digest() {
+        let records = vec![
+            IntentRecord::Intent { txn: 1, devices: vec![4, 5] },
+            IntentRecord::Prepared { txn: 1, devices: vec![4, 5] },
+            IntentRecord::FlipScheduled { txn: 1, commit_at: SimTime::from_secs(1) },
+            IntentRecord::IntendedState { txn: 1, device: 4, digest: 11 },
+            IntentRecord::IntendedState { txn: 1, device: 5, digest: 12 },
+            IntentRecord::Committed { txn: 1 },
+            IntentRecord::IntendedState { txn: 2, device: 4, digest: 13 },
+            IntentRecord::Intent { txn: 2, devices: vec![4] },
+            IntentRecord::Prepared { txn: 2, devices: vec![4] },
+        ];
+        let summary = compact_records(&records);
+        // The open txn 2 keeps its full history; txn 1 folds to its
+        // terminal record; device 4's intended state keeps only digest 13.
+        assert!(matches!(summary[0], IntentRecord::Compacted { txn: 2 }));
+        assert_eq!(replay_digest(&summary), replay_digest(&records));
+        // And compaction is idempotent under replay.
+        assert_eq!(
+            replay_digest(&compact_records(&summary)),
+            replay_digest(&records)
+        );
     }
 
     #[test]

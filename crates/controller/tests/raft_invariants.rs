@@ -59,7 +59,7 @@ fn committed_prefixes_never_diverge_under_churn() {
     for round in 0..40 {
         c.run_for(SimDuration::from_millis(250), SimDuration::from_millis(10));
         if c.leader().is_some() {
-            let _ = c.propose(&format!("cmd{proposed}"));
+            let _ = c.propose(format!("cmd{proposed}").as_bytes());
             proposed += 1;
         }
         assert_log_matching(&c);
@@ -104,7 +104,7 @@ proptest! {
     ) {
         let mut c = RaftCluster::new(5, seed);
         c.run_until_leader(SimDuration::from_secs(10)).unwrap();
-        c.propose("durable").unwrap();
+        c.propose(b"durable").unwrap();
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
         // Kill up to two nodes (a minority), chosen by the mask.
         let mut killed = 0;
@@ -116,6 +116,6 @@ proptest! {
         }
         c.run_for(SimDuration::from_secs(3), SimDuration::from_millis(10));
         let leader = c.leader().expect("majority keeps a leader");
-        prop_assert!(c.committed(leader).unwrap().contains(&"durable".to_string()));
+        prop_assert!(c.committed(leader).unwrap().iter().any(|cmd| *cmd == b"durable"));
     }
 }

@@ -28,6 +28,7 @@
 use flexnet_types::{Result, SimDuration, StorageError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// A seeded plan of physical disk faults. The default plan is fault-free.
 #[derive(Debug, Clone, PartialEq)]
@@ -260,15 +261,27 @@ impl SimDisk {
         self.volatile.clear();
     }
 
-    /// Flips one seeded bit of one seeded byte in `synced[lo..hi)` —
-    /// injected bit rot. Returns the offset hit, or `None` when the
-    /// range is empty. Draws only from the disk's private RNG.
-    pub fn rot_byte(&mut self, lo: usize, hi: usize) -> Option<usize> {
-        let hi = hi.min(self.synced.len());
-        if lo >= hi {
+    /// Flips one seeded bit of one seeded byte of the synced region, the
+    /// byte drawn uniformly from the offsets `ranges` cover (cut at the
+    /// region's end) — injected bit rot. Returns the offset hit, or `None`
+    /// when the ranges cover nothing. Draws only from the disk's private
+    /// RNG.
+    pub fn rot_byte(&mut self, ranges: &[Range<usize>]) -> Option<usize> {
+        let len = self.synced.len();
+        let cut = |r: &Range<usize>| r.start.min(len)..r.end.min(len);
+        let covered: usize = ranges.iter().map(|r| cut(r).len()).sum();
+        if covered == 0 {
             return None;
         }
-        let at = self.rng.gen_range(lo..hi);
+        let mut k = self.rng.gen_range(0..covered);
+        let mut at = 0;
+        for r in ranges.iter().map(cut) {
+            if k < r.len() {
+                at = r.start + k;
+                break;
+            }
+            k -= r.len();
+        }
         let bit = self.rng.gen_range(0..8u32);
         self.synced[at] ^= 1 << bit;
         self.stats.rotted_bytes += 1;
@@ -371,8 +384,9 @@ mod tests {
         };
         let mut a = mk();
         let mut b = mk();
-        let at_a = a.rot_byte(16, 48).unwrap();
-        let at_b = b.rot_byte(16, 48).unwrap();
+        let region = 16..48;
+        let at_a = a.rot_byte(std::slice::from_ref(&region)).unwrap();
+        let at_b = b.rot_byte(&[region]).unwrap();
         assert_eq!(at_a, at_b, "rot draws only from the disk's private rng");
         assert!((16..48).contains(&at_a));
         let diff: u32 = a
@@ -385,11 +399,22 @@ mod tests {
     }
 
     #[test]
+    fn rot_lands_only_inside_the_ranges_given() {
+        let mut d = SimDisk::new();
+        d.write(&[0u8; 64]).unwrap();
+        d.fsync().unwrap();
+        for _ in 0..200 {
+            let at = d.rot_byte(&[3..5, 9..9, 40..44, 60..80]).unwrap();
+            assert!([3..5, 40..44, 60..64].iter().any(|r| r.contains(&at)), "{at}");
+        }
+    }
+
+    #[test]
     fn rot_outside_synced_range_is_a_noop() {
         let mut d = SimDisk::new();
-        assert_eq!(d.rot_byte(0, 10), None);
+        assert_eq!(d.rot_byte(&[0..10, 12..20]), None);
         d.write(b"ab").unwrap();
         d.fsync().unwrap();
-        assert_eq!(d.rot_byte(2, 10), None);
+        assert_eq!(d.rot_byte(&[2..10, 12..20]), None);
     }
 }

@@ -15,15 +15,19 @@
 //! prefix) and one back onto the compacted node (summary plus tail), and
 //! last the revive of the same world aged by 128 scenarios:
 //!
-//! | measured here                              | budget |   now | `String`s | before |
-//! |--------------------------------------------|-------:|------:|----------:|-------:|
-//! | `kill_leader` + `elect`                    |     64 |    32 |        38 |    217 |
-//! | `revive` of the dead leader                |     12 |     7 |       335 |    680 |
-//! | the whole failover                         |     64 |    39 |       373 |    897 |
-//! | `kill_leader` + `elect` onto the skipped   |     64 |    30 |        39 |    235 |
-//! | `kill_leader` + `elect` back               |     64 |    26 |        35 |    129 |
-//! | `revive` after 128 scenarios (472 records) |  = 7   |     7 |       625 |      — |
+//! | measured here                              | budget |   now |  text | `String`s | before |
+//! |--------------------------------------------|-------:|------:|------:|----------:|-------:|
+//! | `kill_leader` + `elect`                    |     64 |    27 |    32 |        38 |    217 |
+//! | `revive` of the dead leader                |     12 |     6 |     7 |       335 |    680 |
+//! | the whole failover                         |     64 |    33 |    39 |       373 |    897 |
+//! | `kill_leader` + `elect` onto the skipped   |     64 |    26 |    30 |        39 |    235 |
+//! | `kill_leader` + `elect` back               |     64 |    23 |    26 |        35 |    129 |
+//! | `revive` after 128 scenarios (472 records) |  = 6   |     6 |     7 |       625 |      — |
 //!
+//! "text" counts the commit before Raft and its disks carried commands as
+//! bytes (`7442228`): every hard-state persist formatted its term and vote
+//! as a line before framing it, and a revive copied its log span once to
+//! validate it as UTF-8 and again into the shared buffer.
 //! "`String`s" counts the commit before commands became shared slices
 //! (`1034990`): the revive allocated one `String` per command it kept, so
 //! its count grew with the log (335 at 248 records, 625 at 472), and every
@@ -35,8 +39,8 @@
 //! the compaction it counts the commit before the cursor kept a fold per
 //! representation (`2209c4f`): each successor re-folded its whole prefix,
 //! the 248 records or the 73-record summary and its tail. What a revive
-//! allocates now: the two scrubs' range lists, the buffer's bytes and its
-//! shared copy, the log, and the node's two peer-index vectors.
+//! allocates now: the two scrubs' range lists, the shared buffer (one copy
+//! of the kept bytes), the log, and the node's two peer-index vectors.
 //!
 //! A scenario is `flexbench`'s: a journaled 2PC over 3 of 8 leaves that
 //! dies at one crash phase (a third of them taking a leaf down with it),

@@ -6,7 +6,7 @@ use flexnet::apps::telemetry::{cms_estimate, count_min_sketch};
 use flexnet::prelude::*;
 use flexnet_bench::replicate::ReplicationGroup;
 use flexnet_controller::drpc::ExecutionSite;
-use flexnet_controller::raft::Role;
+use flexnet_controller::raft::{LogCommand, Role};
 
 fn sketch_device(id: u32) -> Device {
     let mut d = Device::new(
@@ -139,8 +139,8 @@ fn raft_controllers_keep_piloting_after_leader_loss() {
     let l1 = cluster
         .run_until_leader(SimDuration::from_secs(5))
         .expect("initial leader");
-    cluster.propose("install infra@switch0").unwrap();
-    cluster.propose("tenant 1 arrive vlan100").unwrap();
+    cluster.propose(b"install infra@switch0").unwrap();
+    cluster.propose(b"tenant 1 arrive vlan100").unwrap();
     cluster.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
 
     cluster.kill(l1).unwrap();
@@ -150,15 +150,15 @@ fn raft_controllers_keep_piloting_after_leader_loss() {
     assert_eq!(cluster.role(l2), Role::Leader);
 
     // The management log survived, and new decisions append to it.
-    cluster.propose("tenant 2 arrive vlan101").unwrap();
+    cluster.propose(b"tenant 2 arrive vlan101").unwrap();
     cluster.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
     let log = cluster.committed(l2).unwrap();
     assert_eq!(
         log,
-        vec![
-            "install infra@switch0".to_string(),
-            "tenant 1 arrive vlan100".to_string(),
-            "tenant 2 arrive vlan101".to_string(),
-        ]
+        LogCommand::shared([
+            "install infra@switch0",
+            "tenant 1 arrive vlan100",
+            "tenant 2 arrive vlan101",
+        ])
     );
 }

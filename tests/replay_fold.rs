@@ -14,6 +14,7 @@
 //! Every history ends with the idempotency signature: a second `recover`
 //! is a no-op.
 
+use flexnet_controller::raft::LogCommand;
 use flexnet_controller::recovery::TargetDirectory;
 use flexnet_controller::storage::NodeStorage;
 use flexnet_controller::{
@@ -38,11 +39,11 @@ const STEPS: usize = 48;
 // ---------------------------------------------------------------------
 
 /// `records()`: decode everything the leader committed, barriers aside.
-fn oracle_records(commands: &[String]) -> Result<Vec<IntentRecord>> {
+fn oracle_records(commands: &[LogCommand]) -> Result<Vec<IntentRecord>> {
     commands
         .iter()
-        .filter(|s| !s.starts_with("barrier"))
-        .map(|s| IntentRecord::decode(s))
+        .filter(|c| !c.starts_with(b"barrier"))
+        .map(|c| IntentRecord::decode(c))
         .collect()
 }
 
@@ -135,8 +136,8 @@ fn oracle_compact_records(records: &[IntentRecord]) -> Vec<IntentRecord> {
 /// `replay_digest`.
 fn oracle_replay_digest(records: &[IntentRecord]) -> u64 {
     let mut max_txn = 0u64;
-    let mut intended: BTreeMap<u64, String> = BTreeMap::new();
-    let mut finals: BTreeMap<u64, String> = BTreeMap::new();
+    let mut intended: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    let mut finals: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     for rec in records {
         max_txn = max_txn.max(rec.txn());
         match rec {
@@ -159,13 +160,13 @@ fn oracle_replay_digest(records: &[IntentRecord]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
     eat(&max_txn.to_le_bytes());
-    for (dev, line) in &intended {
+    for (dev, encoding) in &intended {
         eat(&dev.to_le_bytes());
-        eat(line.as_bytes());
+        eat(encoding);
     }
-    for (id, line) in &finals {
+    for (id, encoding) in &finals {
         eat(&id.to_le_bytes());
-        eat(line.as_bytes());
+        eat(encoding);
     }
     h
 }
