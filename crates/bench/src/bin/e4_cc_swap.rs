@@ -13,7 +13,9 @@
 //! utilization) — drive each CC component; we score how well each reacts.
 //!
 //! Part B: the runtime swap itself, across all three tiers at once, with
-//! live traffic.
+//! live traffic — and how many delivered packets met the old program at one
+//! hop and the new one at another (old-XOR-new holds per device, not per
+//! path; `tests/path_consistency.rs` counts the same way).
 
 use flexnet::apps::cc;
 use flexnet::prelude::*;
@@ -123,6 +125,7 @@ fn main() {
     let (topo, nodes) = Topology::host_nic_switch_line();
     let [h1, n1, swn, _n2, h2] = nodes;
     let mut sim = Simulation::new(topo);
+    sim.metrics.keep_packets = true;
     for (node, b) in [
         (h1, cc::dctcp_host().unwrap()),
         (swn, cc::ecn_marking(50).unwrap()),
@@ -135,17 +138,23 @@ fn main() {
     };
     sim.load(generate(&[flow], 5));
     // At t=2s the workload shifts: swap host+NIC+switch CC together.
+    let swap_at = SimTime::from_secs(2);
     for (node, b) in [
         (h1, cc::bbr_host().unwrap()),
         (n1, cc::hpcc_nic().unwrap()),
         (swn, flexnet::apps::routing::l3_router(64).unwrap()),
     ] {
-        sim.schedule(
-            SimTime::from_secs(2),
-            Command::RuntimeReconfig { node, bundle: b },
-        );
+        sim.schedule(swap_at, Command::RuntimeReconfig { node, bundle: b });
     }
+    let versions = |sim: &Simulation| -> Vec<(NodeId, ProgramVersion)> {
+        [h1, n1, swn]
+            .map(|n| (n, sim.topo.node(n).unwrap().device.version()))
+            .to_vec()
+    };
+    sim.run(SimTime::from_nanos(swap_at.as_nanos() - 1));
+    let old = versions(&sim);
     sim.run_to_completion();
+    let new = versions(&sim);
 
     row(&["tier", "node", "swap-ops", "swap-duration"]);
     sep(4);
@@ -162,6 +171,18 @@ fn main() {
         sim.metrics.sent,
         sim.metrics.delivered,
         sim.metrics.total_lost()
+    );
+    let delivered = &sim.metrics.delivered_packets;
+    let mixed = delivered
+        .iter()
+        .filter(|pkt| {
+            let at = |when: &[(NodeId, ProgramVersion)]| pkt.trace.iter().any(|hop| when.contains(hop));
+            at(&old) && at(&new)
+        })
+        .count();
+    println!(
+        "packets on mixed-version paths (old program at one hop, new at another): {mixed} of {} delivered",
+        delivered.len()
     );
     println!(
         "\nshape check: each CC wins on its natural workload (DCTCP reacts to \

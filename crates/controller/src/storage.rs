@@ -346,9 +346,13 @@ impl SegmentedWal {
     }
 
     /// Injects bit rot into the *payload* of the record at global index
-    /// `global` — past the 8-byte term field when the payload is long
-    /// enough, so the corrupted bytes are the command content itself.
-    /// Returns the rotted byte offset, or `None` if out of range.
+    /// `global`. A payload longer than 16 bytes is rotted past its first 16:
+    /// for a Raft entry (`[term u64][command]`) that skips the term and the
+    /// command's first 8 bytes. A payload of 16 bytes or less is rotted
+    /// anywhere in it, its term included. The skip is 16 bytes, not the
+    /// 8-byte term, because E21's recorded oracle seeds depend on where the
+    /// rot lands; it stays until ROADMAP 12(a) re-draws E21. Returns the
+    /// rotted byte offset, or `None` if out of range.
     pub fn rot_payload(&mut self, global: u64) -> Option<usize> {
         if global < self.base_record || global >= self.next_record() {
             return None;
@@ -802,6 +806,29 @@ mod tests {
 
     fn wal(seed: u64) -> SegmentedWal {
         SegmentedWal::new(SimDisk::with_plan(DiskFaultPlan::seeded(seed).tearing()), true)
+    }
+
+    /// `rot_payload` skips a payload's first 16 bytes when it is longer
+    /// than that, and rots a shorter payload anywhere, its term included.
+    #[test]
+    fn rot_payload_skips_sixteen_bytes_of_a_long_payload_and_none_of_a_short_one() {
+        let mut w = SegmentedWal::new(SimDisk::with_plan(DiskFaultPlan::seeded(3)), true);
+        let long = encode_entry(5, &[b'x'; 24]); // 32-byte payload
+        let short = encode_entry(5, &[b'y'; 8]); // 16-byte payload
+        w.append(&long).unwrap();
+        w.append(&short).unwrap();
+        w.fsync().unwrap();
+        let (long_at, short_at) = (RECORD_HEADER, 2 * RECORD_HEADER + long.len());
+        let mut in_short_term = false;
+        for _ in 0..200 {
+            let at = w.rot_payload(0).expect("record 0 exists");
+            assert!((long_at + 16..long_at + long.len()).contains(&at), "{at}");
+            let at = w.rot_payload(1).expect("record 1 exists");
+            assert!((short_at..short_at + short.len()).contains(&at), "{at}");
+            in_short_term |= at < short_at + 8;
+        }
+        assert!(in_short_term, "a short payload's term is rotted too");
+        assert_eq!(w.rot_payload(2), None);
     }
 
     /// The verified payloads of a scrub of `bytes`.

@@ -8,7 +8,7 @@
 
 use flexnet_lang::ast::HeaderDecl;
 use flexnet_lang::headers::HeaderRegistry;
-use flexnet_types::{FlexError, Header, Packet, ResourceKind, ResourceVec, Result, Sym};
+use flexnet_types::{FlexError, HeaderTail, Packet, ResourceKind, ResourceVec, Result, Sym};
 use std::collections::BTreeMap;
 
 /// A device's parser: the set of header types it can extract.
@@ -109,10 +109,9 @@ impl ParserGraph {
     }
 
     /// Splits a packet's header stack into the *visible* prefix the program
-    /// sees and the hidden remainder, returning the hidden headers with
-    /// their original positions so they can be reattached after processing.
-    /// When every header is parseable nothing is stripped and the returned
-    /// list is empty and unallocated.
+    /// sees and the hidden remainder, returning the hidden headers so they
+    /// can be reattached after processing. When every header is parseable
+    /// nothing is stripped and the returned tail is empty and unallocated.
     ///
     /// Mirrors real parsers: parsing proceeds front-to-back and *stops* at
     /// the first unrecognized header — everything after it is payload, and
@@ -120,43 +119,33 @@ impl ParserGraph {
     /// `payload_len`, so [`Packet::wire_len`] (what `count` adds and
     /// `pktlen()` reads) still covers the whole frame.
     #[inline]
-    pub fn strip_invisible(&self, pkt: &mut Packet) -> Vec<(usize, Header)> {
-        let Some(visible) = pkt
-            .headers
-            .iter()
-            .position(|h| !self.can_parse_sym(h.proto))
-        else {
-            return Vec::new();
+    pub fn strip_invisible(&self, pkt: &mut Packet) -> HeaderTail {
+        let Some(visible) = pkt.headers().position(|h| !self.can_parse_sym(h.proto())) else {
+            return HeaderTail::default();
         };
         Self::hide_from(pkt, visible)
     }
 
-    /// Moves the headers from `visible` on out of the stack, and their
+    /// Splits the headers from `visible` on off the stack, and moves their
     /// bytes into the payload. Out of line: most packets hide nothing, and
     /// the packet loop that inlines [`ParserGraph::strip_invisible`] should
     /// not carry this body.
     #[cold]
     #[inline(never)]
-    fn hide_from(pkt: &mut Packet, visible: usize) -> Vec<(usize, Header)> {
-        let hidden: Vec<(usize, Header)> = pkt
-            .headers
-            .drain(visible..)
-            .enumerate()
-            .map(|(i, h)| (visible + i, h))
-            .collect();
-        pkt.payload_len += hidden.iter().map(|(_, h)| h.wire_len()).sum::<u32>();
+    fn hide_from(pkt: &mut Packet, visible: usize) -> HeaderTail {
+        let hidden = pkt.split_off_headers(visible);
+        pkt.payload_len += hidden.wire_len();
         hidden
     }
 
     /// Reattaches headers previously removed by
-    /// [`ParserGraph::strip_invisible`], taking their bytes back out of the
-    /// payload.
+    /// [`ParserGraph::strip_invisible`] where they stood, taking their
+    /// bytes back out of the payload.
     #[inline]
-    pub fn reattach(&self, pkt: &mut Packet, hidden: Vec<(usize, Header)>) {
-        for (pos, h) in hidden {
-            pkt.payload_len -= h.wire_len();
-            let idx = pos.min(pkt.headers.len());
-            pkt.headers.insert(idx, h);
+    pub fn reattach(&self, pkt: &mut Packet, hidden: HeaderTail) {
+        if !hidden.is_empty() {
+            pkt.payload_len -= hidden.wire_len();
+            pkt.rejoin_headers(hidden);
         }
     }
 }
@@ -165,6 +154,7 @@ impl ParserGraph {
 mod tests {
     use super::*;
     use flexnet_lang::ast::{FieldDecl, FollowsClause};
+    use flexnet_types::Header;
 
     fn vxlan() -> HeaderDecl {
         HeaderDecl {
@@ -248,8 +238,8 @@ mod tests {
     fn strip_stops_at_first_unknown() {
         let p = ParserGraph::new();
         let mut pkt = Packet::udp(1, 1, 2, 3, 4789);
-        pkt.headers.push(Header::new("vxlan", [("vni", 7u64)]));
-        pkt.headers.push(Header::new("tcp", [("sport", 1u64)])); // after unknown: hidden too
+        pkt.push_header(Header::new("vxlan", [("vni", 7u64)]));
+        pkt.push_header(Header::new("tcp", [("sport", 1u64)])); // after unknown: hidden too
 
         let whole = pkt.wire_len();
         let hidden = p.strip_invisible(&mut pkt);
@@ -261,7 +251,7 @@ mod tests {
         p.reattach(&mut pkt, hidden);
         assert_eq!((pkt.wire_len(), pkt.payload_len), (whole, 512));
         assert!(pkt.has_header("vxlan"));
-        assert_eq!(pkt.headers.last().unwrap().proto, "tcp");
+        assert_eq!(pkt.headers().last().unwrap().proto(), "tcp");
         assert_eq!(pkt.get_field("vxlan.vni"), Some(7));
     }
 
@@ -270,7 +260,7 @@ mod tests {
         let mut p = ParserGraph::new();
         p.add_state(&vxlan()).unwrap();
         let mut pkt = Packet::udp(1, 1, 2, 3, 4789);
-        pkt.headers.push(Header::new("vxlan", [("vni", 7u64)]));
+        pkt.push_header(Header::new("vxlan", [("vni", 7u64)]));
         let hidden = p.strip_invisible(&mut pkt);
         assert!(hidden.is_empty());
         assert!(pkt.has_header("vxlan"));

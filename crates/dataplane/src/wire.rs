@@ -15,7 +15,7 @@
 //! (valid frames must parse; arbitrary bytes must parse-or-trap).
 
 use flexnet_types::hash::{fnv1a, mix_next, FNV_OFFSET};
-use flexnet_types::{FlexError, Header, Packet, Result, Sym, Trap};
+use flexnet_types::{FlexError, Header, HeaderRef, Packet, Result, Sym, Trap};
 
 /// Maximum 802.1Q tags the parser will walk before declaring the frame
 /// malformed (real pipelines bound VLAN stacking the same way).
@@ -136,7 +136,7 @@ fn be48(b: &[u8], off: usize) -> u64 {
 /// the frame becomes payload, exactly like a real pipeline punting an
 /// unparsed protocol past its last known header.
 pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
-    let mut headers: Vec<Header> = Vec::with_capacity(4);
+    let mut pkt = Packet::new(id, Vec::new(), 0);
     let mut off = 0usize;
 
     if bytes.len() < 14 {
@@ -147,25 +147,28 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
     let mut ethertype = be16(bytes, 12);
     off += 14;
 
-    // 802.1Q tags, bounded.
+    // 802.1Q tags, bounded. The eth header goes outermost-first and carries
+    // the ethertype after the last tag, so the tags are read first.
+    let mut tcis = [0u64; MAX_VLAN_DEPTH];
     let mut vlans = 0usize;
     while ethertype == 0x8100 {
-        vlans += 1;
-        if vlans > MAX_VLAN_DEPTH {
+        if vlans == MAX_VLAN_DEPTH {
             return Err(trap(format!("vlan stack deeper than {MAX_VLAN_DEPTH}")));
         }
         if bytes.len() < off + 4 {
             return Err(trap("vlan tag truncated"));
         }
-        let tci = be16(bytes, off);
-        let mut h = Header::vlan(tci & 0x0fff);
-        h.fields.insert(Sym::PCP, tci >> 13);
-        headers.push(h);
+        tcis[vlans] = be16(bytes, off);
+        vlans += 1;
         ethertype = be16(bytes, off + 2);
         off += 4;
     }
-    // The eth header goes outermost-first; vlan tags sit after it.
-    headers.insert(0, Header::ethernet(src, dst, ethertype));
+    pkt.push_header(Header::ethernet(src, dst, ethertype));
+    for tci in &tcis[..vlans] {
+        let mut h = Header::vlan(tci & 0x0fff);
+        h.set_sym(Sym::PCP, tci >> 13);
+        pkt.push_header(h);
+    }
 
     let mut payload_start = off;
     if ethertype == 0x0800 {
@@ -207,10 +210,10 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
         let ip_src = be32(bytes, off + 12);
         let ip_dst = be32(bytes, off + 16);
         let mut h = Header::ipv4(ip_src as u32, ip_dst as u32, proto);
-        h.fields.insert(Sym::TTL, ttl);
-        h.fields.insert(Sym::DSCP, tos >> 2);
-        h.fields.insert(Sym::ECN, tos & 0x3);
-        headers.push(h);
+        h.set_sym(Sym::TTL, ttl);
+        h.set_sym(Sym::DSCP, tos >> 2);
+        h.set_sym(Sym::ECN, tos & 0x3);
+        pkt.push_header(h);
         let l4_off = off + hdr_len;
         let l4_end = off + total_len;
         off = l4_off;
@@ -239,10 +242,10 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
                     be16(bytes, off + 2) as u16,
                     bytes[off + 13],
                 );
-                h.fields.insert(Sym::SEQ, be32(bytes, off + 4));
-                h.fields.insert(Sym::ACK, be32(bytes, off + 8));
-                h.fields.insert(Sym::WINDOW, be16(bytes, off + 14));
-                headers.push(h);
+                h.set_sym(Sym::SEQ, be32(bytes, off + 4));
+                h.set_sym(Sym::ACK, be32(bytes, off + 8));
+                h.set_sym(Sym::WINDOW, be16(bytes, off + 14));
+                pkt.push_header(h);
                 payload_start = off + data_off * 4;
             }
             17 => {
@@ -262,7 +265,7 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
                         l4_end - off
                     )));
                 }
-                headers.push(Header::udp(
+                pkt.push_header(Header::udp(
                     be16(bytes, off) as u16,
                     be16(bytes, off + 2) as u16,
                 ));
@@ -273,15 +276,13 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
         }
         // Payload length comes from the IP total length, not the frame
         // (frames may carry padding past the datagram).
-        let payload_len = l4_end.saturating_sub(payload_start) as u32;
-        let mut pkt = Packet::new(id, headers, payload_len);
+        pkt.payload_len = l4_end.saturating_sub(payload_start) as u32;
         pkt.payload = bytes[payload_start..l4_end].to_vec().into();
         return Ok(pkt);
     }
 
     // Non-IP frame: everything after the L2 headers is payload.
-    let payload_len = (bytes.len() - payload_start) as u32;
-    let mut pkt = Packet::new(id, headers, payload_len);
+    pkt.payload_len = (bytes.len() - payload_start) as u32;
     pkt.payload = bytes[payload_start..].to_vec().into();
     Ok(pkt)
 }
@@ -301,7 +302,7 @@ fn push48(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Reads `name` from an optional header.
-fn field(h: Option<&Header>, name: Sym) -> Option<u64> {
+fn field(h: Option<HeaderRef<'_>>, name: Sym) -> Option<u64> {
     h.and_then(|h| h.get_sym(name))
 }
 
@@ -315,7 +316,7 @@ pub fn encode_wire(pkt: &Packet) -> Vec<u8> {
     push48(&mut out, field(eth, Sym::DST).unwrap_or(2));
     push48(&mut out, field(eth, Sym::SRC).unwrap_or(1));
 
-    let vlans: Vec<&Header> = pkt.headers.iter().filter(|h| h.proto == Sym::VLAN).collect();
+    let vlans: Vec<HeaderRef<'_>> = pkt.headers().filter(|h| h.proto() == Sym::VLAN).collect();
     let has_ip = pkt.has_header_sym(Sym::IPV4);
     let inner_ethertype = if has_ip {
         0x0800

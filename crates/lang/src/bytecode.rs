@@ -26,7 +26,7 @@ use crate::ast::*;
 use crate::headers::HeaderRegistry;
 use crate::interp::{eval_bin, ExecOutcome, MAX_TABLE_KEY_WIDTH};
 use flexnet_types::hash::{fnv_step, FNV_OFFSET};
-use flexnet_types::{Fields, FlexError, Header, Packet, Result, Sym, Trap, Verdict};
+use flexnet_types::{FlexError, Header, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
 
 /// The kind of symbol a [`SlotResolver`] is asked to resolve.
@@ -222,10 +222,8 @@ pub struct TableMeta {
 /// `add_header` allocates nothing but the header itself on the hot path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeaderTemplate {
-    /// The protocol name.
-    pub proto: Sym,
-    /// All declared fields, zeroed.
-    pub fields: Fields,
+    /// The header with all declared fields, zeroed.
+    pub header: Header,
     /// Where to insert: after this protocol, or at the top of the stack.
     pub after: Option<Sym>,
 }
@@ -446,14 +444,14 @@ impl Compiler<'_> {
         let decl = self.registry.decl(name);
         index_of(
             &mut self.out.header_templates,
-            |t| t.proto == proto,
+            |t| t.header.view().proto() == proto,
             || HeaderTemplate {
-                proto,
-                fields: decl
-                    .into_iter()
-                    .flat_map(|d| &d.fields)
-                    .map(|f| (Sym::intern(&f.name), 0))
-                    .collect(),
+                header: Header::new(
+                    proto,
+                    decl.into_iter()
+                        .flat_map(|d| &d.fields)
+                        .map(|f| (f.name.as_str(), 0)),
+                ),
                 after: decl
                     .and_then(|d| d.follows.as_ref())
                     .map(|f| Sym::intern(&f.prev_proto)),
@@ -1103,14 +1101,8 @@ pub fn execute_compiled<E: SlotEnv + ?Sized>(
             Insn::AddHeader(t) => {
                 tick!(1);
                 let tpl = &prog.header_templates[*t as usize];
-                if !pkt.has_header_sym(tpl.proto) {
-                    pkt.insert_header_sym(
-                        Header {
-                            proto: tpl.proto,
-                            fields: tpl.fields.clone(),
-                        },
-                        tpl.after,
-                    );
+                if !pkt.has_header_sym(tpl.header.view().proto()) {
+                    pkt.insert_header_sym(tpl.header.clone(), tpl.after);
                     refetch!();
                 }
             }

@@ -14,7 +14,7 @@
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
 use flexnet_types::hash::hash_values;
-use flexnet_types::{FlexError, Packet, Result, Sym, Trap, Verdict};
+use flexnet_types::{FlexError, Header, Packet, Result, Trap, Verdict};
 use std::collections::BTreeMap;
 
 /// Sentinel gas budget meaning "no limit". The metering checkpoints still
@@ -324,21 +324,12 @@ impl<'a> Interp<'a> {
                 self.tick(1)?; // AddHeader
                 if !pkt.has_header(proto) {
                     let decl = self.headers.decl(proto);
-                    let fields = decl
-                        .into_iter()
-                        .flat_map(|d| &d.fields)
-                        .map(|f| (Sym::intern(&f.name), 0))
-                        .collect();
+                    let fields = decl.into_iter().flat_map(|d| &d.fields);
+                    let header = Header::new(proto.as_str(), fields.map(|f| (f.name.as_str(), 0)));
                     let after = decl
                         .and_then(|d| d.follows.as_ref())
                         .map(|f| f.prev_proto.as_str());
-                    pkt.insert_header(
-                        flexnet_types::Header {
-                            proto: Sym::intern(proto),
-                            fields,
-                        },
-                        after,
-                    );
+                    pkt.insert_header(header, after);
                 }
                 Ok(Flow::Continue)
             }
@@ -813,7 +804,7 @@ mod tests {
             &mut pkt,
             &mut env,
         );
-        assert_eq!(pkt.headers[1].proto, "vlan");
+        assert_eq!(pkt.headers().nth(1).unwrap().proto(), "vlan");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 pub mod error;
 pub mod hash;
 pub mod id;
+mod layout;
 pub mod packet;
 pub mod resources;
 pub mod sym;
@@ -25,7 +26,7 @@ pub mod time;
 
 pub use error::{FlexError, Result, StorageError, Trap};
 pub use id::{AppId, AppUri, LinkId, NodeId, ProgramVersion, TenantId, VlanId};
-pub use packet::{Header, Packet, Verdict};
+pub use packet::{Header, HeaderRef, HeaderTail, Packet, Verdict};
 pub use resources::{ResourceKind, ResourceVec};
 pub use sym::{Fields, Sym};
 pub use time::{SimDuration, SimTime};

@@ -2,133 +2,260 @@
 //!
 //! FlexNet programs are protocol-independent (FlexBPF parsers can add and
 //! remove header types at runtime, paper §2), so a packet carries a generic
-//! *header stack*: an ordered list of named headers, each a flat list of
-//! `(field, value)` pairs kept in field-name order. Names are interned
-//! [`Sym`]s, so the packet path compares 4-byte ids; the string-keyed
-//! accessors (`get_field("ipv4.src")`, `header("tcp")`, …) are a thin
-//! lookup veneer over the `*_sym` forms for tests, tools and control code.
-//! Well-known protocols get convenience constructors, but a tenant
-//! extension is free to invent `myproto.flags` and a runtime parser update
-//! will start extracting it — without recompiling this crate.
+//! *header stack*: an ordered list of headers, each a protocol name and
+//! its `(field, value)` pairs in field-name order. Which fields a header
+//! has is its interned layout (`crate::layout`), resolved once per process,
+//! so the stack is one buffer of values: each header is a layout word
+//! followed by its values, the packet header vector of a
+//! protocol-independent pipeline. Names are interned [`Sym`]s, so the
+//! packet path compares 4-byte ids; the string-keyed accessors
+//! (`get_field("ipv4.src")`, `header("tcp")`, …) are a thin lookup veneer
+//! over the `*_sym` forms for tests, tools and control code. Well-known
+//! protocols get convenience constructors, but a tenant extension is free
+//! to invent `myproto.flags` and a runtime parser update will start
+//! extracting it — without recompiling this crate.
 
 use crate::id::{NodeId, ProgramVersion};
+use crate::layout::Layout;
 use crate::sym::{Fields, Sym};
 use crate::time::SimTime;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
-/// One parsed header instance in a packet's header stack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One header, owned: built to be pushed onto a packet's stack, or taken
+/// off one. A header *in* a packet is read through a [`HeaderRef`].
+#[derive(Clone, PartialEq, Eq)]
 pub struct Header {
-    /// Protocol name, e.g. `ipv4`, `tcp`, or a tenant-defined name.
-    pub proto: Sym,
-    /// Field name → value. Field widths are declared in FlexBPF header
-    /// declarations; the packet representation stores raw values.
-    pub fields: Fields,
+    /// The header in stack form: its layout word, then its values.
+    words: Vec<u64>,
 }
 
 impl Header {
-    /// Creates a header with the given protocol name and fields.
-    pub fn new(proto: &str, fields: impl IntoIterator<Item = (&'static str, u64)>) -> Header {
+    /// Creates a header with the given protocol name and fields (a later
+    /// duplicate name overwrites an earlier one, as in a map).
+    pub fn new<K: Into<Sym>>(
+        proto: impl Into<Sym>,
+        fields: impl IntoIterator<Item = (K, u64)>,
+    ) -> Header {
+        let fields: Fields = fields.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        let names: Vec<Sym> = fields.iter().map(|(k, _)| k).collect();
+        let layout = Layout::of(proto.into(), &names);
         Header {
-            proto: Sym::intern(proto),
-            fields: fields
-                .into_iter()
-                .map(|(k, v)| (Sym::intern(k), v))
+            words: std::iter::once(layout.word())
+                .chain(fields.iter().map(|(_, v)| v))
                 .collect(),
         }
     }
 
-    /// A well-known header from constants already in name order: one exact
-    /// allocation, no interner access.
-    fn well_known<const N: usize>(proto: Sym, fields: [(Sym, u64); N]) -> Header {
+    /// A well-known header: one exact allocation, no interner access.
+    fn well_known(layout: Layout, values: &[u64]) -> Header {
         Header {
-            proto,
-            fields: Fields::from_name_ordered(fields.to_vec()),
+            words: stack_of(&[(layout, values)]),
         }
     }
 
     /// Standard Ethernet header.
     pub fn ethernet(src: u64, dst: u64, ethertype: u64) -> Header {
-        Header::well_known(
-            Sym::ETH,
-            [
-                (Sym::DST, dst),
-                (Sym::ETHERTYPE, ethertype),
-                (Sym::SRC, src),
-            ],
-        )
+        Header::well_known(Layout::ETH, &ethernet(src, dst, ethertype))
     }
 
     /// 802.1Q VLAN tag.
     pub fn vlan(vid: u64) -> Header {
-        Header::well_known(Sym::VLAN, [(Sym::PCP, 0), (Sym::VID, vid)])
+        Header::well_known(Layout::VLAN, &[0, vid])
     }
 
     /// IPv4 header (addresses as u32-in-u64, `proto` is the IP protocol
     /// number: 6 = TCP, 17 = UDP).
     pub fn ipv4(src: u32, dst: u32, proto: u8) -> Header {
-        Header::well_known(
-            Sym::IPV4,
-            [
-                (Sym::DSCP, 0),
-                (Sym::DST, dst as u64),
-                (Sym::ECN, 0),
-                (Sym::PROTO, proto as u64),
-                (Sym::SRC, src as u64),
-                (Sym::TTL, 64),
-            ],
-        )
+        Header::well_known(Layout::IPV4, &ipv4(src, dst, proto))
     }
 
     /// TCP header. `flags` uses the usual bit layout (0x02 = SYN, 0x10 = ACK,
     /// 0x01 = FIN, 0x04 = RST).
     pub fn tcp(sport: u16, dport: u16, flags: u8) -> Header {
-        Header::well_known(
-            Sym::TCP,
-            [
-                (Sym::ACK, 0),
-                (Sym::DPORT, dport as u64),
-                (Sym::FLAGS, flags as u64),
-                (Sym::SEQ, 0),
-                (Sym::SPORT, sport as u64),
-                (Sym::WINDOW, 65_535),
-            ],
-        )
+        Header::well_known(Layout::TCP, &tcp(sport, dport, flags))
     }
 
     /// UDP header.
     pub fn udp(sport: u16, dport: u16) -> Header {
-        Header::well_known(
-            Sym::UDP,
-            [(Sym::DPORT, dport as u64), (Sym::SPORT, sport as u64)],
-        )
+        Header::well_known(Layout::UDP, &udp(sport, dport))
+    }
+
+    /// Reads the header.
+    pub fn view(&self) -> HeaderRef<'_> {
+        HeaderRef::at(&self.words, 0)
+    }
+
+    /// Writes a field, creating it if the header lacks it.
+    pub fn set_sym(&mut self, field: Sym, value: u64) {
+        store(&mut self.words, 0, field, value);
+    }
+}
+
+impl fmt::Debug for Header {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+/// Headers in stack form, in one exact allocation.
+fn stack_of(headers: &[(Layout, &[u64])]) -> Vec<u64> {
+    let mut words = Vec::with_capacity(headers.iter().map(|(_, v)| 1 + v.len()).sum());
+    for (layout, values) in headers {
+        words.push(layout.word());
+        words.extend_from_slice(values);
+    }
+    words
+}
+
+// The values of the well-known headers, in their layouts' (name) order.
+
+fn ethernet(src: u64, dst: u64, ethertype: u64) -> [u64; 3] {
+    [dst, ethertype, src]
+}
+
+fn ipv4(src: u32, dst: u32, proto: u8) -> [u64; 6] {
+    // dscp, dst, ecn, proto, src, ttl
+    [0, dst.into(), 0, proto.into(), src.into(), 64]
+}
+
+fn tcp(sport: u16, dport: u16, flags: u8) -> [u64; 6] {
+    // ack, dport, flags, seq, sport, window
+    [0, dport.into(), flags.into(), 0, sport.into(), 65_535]
+}
+
+fn udp(sport: u16, dport: u16) -> [u64; 2] {
+    [dport.into(), sport.into()]
+}
+
+/// One header of a packet's stack, borrowed.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct HeaderRef<'a> {
+    layout: Layout,
+    values: &'a [u64],
+}
+
+impl<'a> HeaderRef<'a> {
+    /// The header whose layout word is `words[at]`.
+    #[inline]
+    fn at(words: &'a [u64], at: usize) -> HeaderRef<'a> {
+        let layout = Layout::from_word(words[at]);
+        HeaderRef {
+            layout,
+            values: &words[at + 1..at + 1 + layout.len()],
+        }
+    }
+
+    /// Protocol name, e.g. `ipv4`, `tcp`, or a tenant-defined name.
+    #[inline]
+    pub fn proto(self) -> Sym {
+        self.layout.proto()
+    }
+
+    /// Reads a field value; `None` if the field is absent.
+    #[inline]
+    pub fn get_sym(self, field: Sym) -> Option<u64> {
+        let i = self.layout.index(field)?;
+        Some(self.values[i])
+    }
+
+    /// [`HeaderRef::get_sym`] by name; `None` for a name never interned.
+    pub fn get(self, field: &str) -> Option<u64> {
+        self.get_sym(Sym::lookup(field)?)
+    }
+
+    /// The fields in name order. Field widths are declared in FlexBPF
+    /// header declarations; the packet representation stores raw values.
+    pub fn fields(self) -> impl Iterator<Item = (Sym, u64)> + 'a {
+        let names = self.layout.fields();
+        names.iter().copied().zip(self.values.iter().copied())
     }
 
     /// Nominal encoded size: the fixed size of a built-in protocol, four
     /// bytes per field (at least one) for any other.
     #[inline]
-    pub fn wire_len(&self) -> u32 {
-        match self.proto {
-            Sym::ETH => 14,
-            Sym::VLAN => 4,
-            Sym::IPV4 => 20,
-            Sym::TCP => 20,
-            Sym::UDP => 8,
-            _ => (4 * self.fields.len().max(1)) as u32,
+    pub fn wire_len(self) -> u32 {
+        self.layout.wire_len()
+    }
+}
+
+impl fmt::Debug for HeaderRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct FieldMap<'a>(HeaderRef<'a>);
+        impl fmt::Debug for FieldMap<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.fields()).finish()
+            }
         }
+        f.debug_struct("Header")
+            .field("proto", &self.proto())
+            .field("fields", &FieldMap(*self))
+            .finish()
+    }
+}
+
+/// Writes `field` of the header whose layout word is `words[at]`, creating
+/// the field if the header lacks it.
+#[inline]
+fn store(words: &mut Vec<u64>, at: usize, field: Sym, value: u64) {
+    let layout = Layout::from_word(words[at]);
+    match layout.index(field) {
+        Some(i) => words[at + 1 + i] = value,
+        None => add_field(words, at, layout, field, value),
+    }
+}
+
+/// Re-lays the header at `at` out with one more field. Out of line: the
+/// packet path only ever overwrites fields a header has.
+#[cold]
+#[inline(never)]
+fn add_field(words: &mut Vec<u64>, at: usize, layout: Layout, field: Sym, value: u64) {
+    let (layout, i) = layout.with(field);
+    words[at] = layout.word();
+    words.insert(at + 1 + i, value);
+}
+
+/// Headers split off the bottom of a packet's stack by
+/// [`Packet::split_off_headers`], to be put back by
+/// [`Packet::rejoin_headers`].
+#[derive(Default)]
+pub struct HeaderTail {
+    /// Where the first of them stood in the stack, counted in headers.
+    index: usize,
+    /// The headers in stack form.
+    words: Vec<u64>,
+}
+
+impl HeaderTail {
+    /// Whether no header was split off.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
     }
 
-    /// Reads a field value; `None` if the field is absent.
-    #[inline]
-    pub fn get_sym(&self, field: Sym) -> Option<u64> {
-        self.fields.get_sym(field)
+    /// How many headers were split off.
+    pub fn len(&self) -> usize {
+        spans(&self.words).count()
     }
 
-    /// [`Header::get_sym`] by name; `None` for a name never interned.
-    pub fn get(&self, field: &str) -> Option<u64> {
-        self.fields.get(field).copied()
+    /// Their nominal encoded size, as [`Packet::wire_len`] counts it.
+    pub fn wire_len(&self) -> u32 {
+        spans(&self.words)
+            .map(|(_, layout)| layout.wire_len())
+            .sum()
     }
+}
+
+/// Each header of a stack: the offset of its layout word, and its layout.
+#[inline]
+fn spans(words: &[u64]) -> impl Iterator<Item = (usize, Layout)> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let layout = Layout::from_word(*words.get(at)?);
+        let here = at;
+        at += 1 + layout.len();
+        Some((here, layout))
+    })
 }
 
 /// The final disposition of a packet after data-plane processing.
@@ -145,12 +272,18 @@ pub enum Verdict {
 }
 
 /// A packet traversing the simulated network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// With real `serde`, the header stack must serialize by names, never by
+/// layout words.
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Packet {
     /// Unique packet id (assigned by the workload generator).
     pub id: u64,
-    /// The parsed header stack, outermost first.
-    pub headers: Vec<Header>,
+    /// The parsed header stack, outermost first: each header is its layout
+    /// word followed by its values. Read through [`Packet::headers`] and
+    /// the field accessors. Layouts are interned, so two stacks are equal
+    /// exactly when their headers are.
+    stack: Vec<u64>,
     /// Payload length in bytes (wire size accounting includes headers via
     /// [`Packet::wire_len`]).
     pub payload_len: u32,
@@ -172,9 +305,17 @@ pub struct Packet {
 impl Packet {
     /// Creates a packet with the given id and header stack.
     pub fn new(id: u64, headers: Vec<Header>, payload_len: u32) -> Packet {
+        let mut stack = Vec::with_capacity(headers.iter().map(|h| h.words.len()).sum());
+        for h in &headers {
+            stack.extend_from_slice(&h.words);
+        }
+        Packet::with_stack(id, stack, payload_len)
+    }
+
+    fn with_stack(id: u64, stack: Vec<u64>, payload_len: u32) -> Packet {
         Packet {
             id,
-            headers,
+            stack,
             payload_len,
             payload: Bytes::new(),
             metadata: Fields::new(),
@@ -185,48 +326,64 @@ impl Packet {
 
     /// Convenience: a TCP packet with the given 5-tuple and flags.
     pub fn tcp(id: u64, src: u32, dst: u32, sport: u16, dport: u16, flags: u8) -> Packet {
-        Packet::new(
-            id,
-            vec![
-                Header::ethernet(1, 2, 0x0800),
-                Header::ipv4(src, dst, 6),
-                Header::tcp(sport, dport, flags),
-            ],
-            1000,
-        )
+        let stack = stack_of(&[
+            (Layout::ETH, &ethernet(1, 2, 0x0800)),
+            (Layout::IPV4, &ipv4(src, dst, 6)),
+            (Layout::TCP, &tcp(sport, dport, flags)),
+        ]);
+        Packet::with_stack(id, stack, 1000)
     }
 
     /// Convenience: a UDP packet with the given 5-tuple.
     pub fn udp(id: u64, src: u32, dst: u32, sport: u16, dport: u16) -> Packet {
-        Packet::new(
-            id,
-            vec![
-                Header::ethernet(1, 2, 0x0800),
-                Header::ipv4(src, dst, 17),
-                Header::udp(sport, dport),
-            ],
-            512,
-        )
+        let stack = stack_of(&[
+            (Layout::ETH, &ethernet(1, 2, 0x0800)),
+            (Layout::IPV4, &ipv4(src, dst, 17)),
+            (Layout::UDP, &udp(sport, dport)),
+        ]);
+        Packet::with_stack(id, stack, 512)
     }
 
     /// Total wire length: headers are charged their nominal encoded size
-    /// ([`Header::wire_len`]) plus the payload.
+    /// ([`HeaderRef::wire_len`]) plus the payload.
     #[inline]
     pub fn wire_len(&self) -> u32 {
-        let hdr: u32 = self.headers.iter().map(Header::wire_len).sum();
+        let hdr: u32 = spans(&self.stack)
+            .map(|(_, layout)| layout.wire_len())
+            .sum();
         hdr + self.payload_len
+    }
+
+    /// The header stack, outermost first.
+    pub fn headers(&self) -> impl Iterator<Item = HeaderRef<'_>> + '_ {
+        spans(&self.stack).map(|(at, _)| HeaderRef::at(&self.stack, at))
+    }
+
+    /// The offset and layout of the first header of the given protocol: a
+    /// walk over layout words that reads nothing else.
+    #[inline]
+    fn find(&self, proto: Sym) -> Option<(usize, Layout)> {
+        spans(&self.stack).find(|(_, layout)| layout.proto() == proto)
+    }
+
+    /// Where the `index`-th header starts, or the end of the stack.
+    fn offset_of(&self, index: usize) -> usize {
+        spans(&self.stack)
+            .nth(index)
+            .map_or(self.stack.len(), |(at, _)| at)
     }
 
     /// Finds the first header of the given protocol.
     #[inline]
-    pub fn header_sym(&self, proto: Sym) -> Option<&Header> {
-        self.headers.iter().find(|h| h.proto == proto)
+    pub fn header_sym(&self, proto: Sym) -> Option<HeaderRef<'_>> {
+        let (at, _) = self.find(proto)?;
+        Some(HeaderRef::at(&self.stack, at))
     }
 
     /// Whether the stack contains a header of the given protocol.
     #[inline]
     pub fn has_header_sym(&self, proto: Sym) -> bool {
-        self.header_sym(proto).is_some()
+        self.find(proto).is_some()
     }
 
     /// Reads `proto.field` (the pseudo-protocol `meta` reads packet
@@ -236,7 +393,9 @@ impl Packet {
         if proto == Sym::META {
             return self.metadata.get_sym(field);
         }
-        self.header_sym(proto)?.get_sym(field)
+        let (at, layout) = self.find(proto)?;
+        let i = layout.index(field)?;
+        Some(self.stack[at + 1 + i])
     }
 
     /// Writes `proto.field`, creating the field if the header lacks it;
@@ -244,15 +403,14 @@ impl Packet {
     /// always succeed).
     #[inline]
     pub fn set_field_sym(&mut self, proto: Sym, field: Sym, value: u64) -> bool {
-        let fields = if proto == Sym::META {
-            &mut self.metadata
-        } else {
-            match self.headers.iter_mut().find(|h| h.proto == proto) {
-                Some(h) => &mut h.fields,
-                None => return false,
-            }
+        if proto == Sym::META {
+            self.metadata.insert(field, value);
+            return true;
+        }
+        let Some((at, _)) = self.find(proto) else {
+            return false;
         };
-        fields.insert(field, value);
+        store(&mut self.stack, at, field, value);
         true
     }
 
@@ -260,15 +418,42 @@ impl Packet {
     /// (or at the top of the stack when `after` is `None` or absent).
     pub fn insert_header_sym(&mut self, header: Header, after: Option<Sym>) {
         let at = after
-            .and_then(|p| self.headers.iter().position(|h| h.proto == p))
-            .map_or(0, |idx| idx + 1);
-        self.headers.insert(at, header);
+            .and_then(|p| self.find(p))
+            .map_or(0, |(at, layout)| at + 1 + layout.len());
+        self.stack.splice(at..at, header.words);
     }
 
     /// Removes the first header of the given protocol; returns it if present.
     pub fn remove_header_sym(&mut self, proto: Sym) -> Option<Header> {
-        let idx = self.headers.iter().position(|h| h.proto == proto)?;
-        Some(self.headers.remove(idx))
+        let (at, layout) = self.find(proto)?;
+        let words = self.stack.drain(at..at + 1 + layout.len()).collect();
+        Some(Header { words })
+    }
+
+    /// Pushes a header at the bottom of the stack.
+    pub fn push_header(&mut self, header: Header) {
+        self.stack.extend_from_slice(&header.words);
+    }
+
+    /// Splits the headers from the `index`-th on off the stack (none when
+    /// the stack is shorter).
+    pub fn split_off_headers(&mut self, index: usize) -> HeaderTail {
+        let at = self.offset_of(index);
+        HeaderTail {
+            index,
+            words: self.stack.split_off(at),
+        }
+    }
+
+    /// Puts split-off headers back, in order, where they stood — or at the
+    /// bottom, if the stack has since become shorter than that.
+    #[inline]
+    pub fn rejoin_headers(&mut self, tail: HeaderTail) {
+        if tail.is_empty() {
+            return;
+        }
+        let at = self.offset_of(tail.index);
+        self.stack.splice(at..at, tail.words);
     }
 
     // The string-keyed forms below resolve names with `Sym::lookup` — a
@@ -276,7 +461,7 @@ impl Packet {
     // only where a store creates a field.
 
     /// Finds the first header with the given protocol name.
-    pub fn header(&self, proto: &str) -> Option<&Header> {
+    pub fn header(&self, proto: &str) -> Option<HeaderRef<'_>> {
         self.header_sym(Sym::lookup(proto)?)
     }
 
@@ -315,6 +500,28 @@ impl Packet {
     /// Records that `node` processed this packet under `version`.
     pub fn record_processing(&mut self, node: NodeId, version: ProgramVersion) {
         self.trace.push((node, version));
+    }
+}
+
+impl fmt::Debug for Packet {
+    /// The derived form of the stack as a list of headers, so the text
+    /// names every protocol and field and never shows a layout word.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Headers<'a>(&'a Packet);
+        impl fmt::Debug for Headers<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.headers()).finish()
+            }
+        }
+        f.debug_struct("Packet")
+            .field("id", &self.id)
+            .field("headers", &Headers(self))
+            .field("payload_len", &self.payload_len)
+            .field("payload", &self.payload)
+            .field("metadata", &self.metadata)
+            .field("ingress_time", &self.ingress_time)
+            .field("trace", &self.trace)
+            .finish()
     }
 }
 
@@ -358,9 +565,9 @@ mod tests {
                 ("pkt_test_m", 4),
             ],
         );
-        let names: Vec<&str> = h.fields.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = h.view().fields().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["pkt_test_a", "pkt_test_m", "pkt_test_z"]);
-        assert_eq!(h.get("pkt_test_m"), Some(4), "later duplicate wins");
+        assert_eq!(h.view().get("pkt_test_m"), Some(4), "later duplicate wins");
         assert_eq!(
             format!("{h:?}"),
             r#"Header { proto: "pkt_test_hdr", fields: {"pkt_test_a": 1, "pkt_test_m": 4, "pkt_test_z": 3} }"#
@@ -372,7 +579,7 @@ mod tests {
             Header::tcp(1, 2, 0),
             Header::udp(1, 2),
         ] {
-            let names: Vec<&str> = h.fields.iter().map(|(n, _)| n.as_str()).collect();
+            let names: Vec<&str> = h.view().fields().map(|(n, _)| n.as_str()).collect();
             assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
         }
     }
@@ -394,10 +601,10 @@ mod tests {
     fn insert_and_remove_headers() {
         let mut p = Packet::tcp(1, 1, 2, 3, 4, 0);
         p.insert_header(Header::vlan(42), Some("eth"));
-        assert_eq!(p.headers[1].proto, "vlan");
+        assert_eq!(p.headers().nth(1).unwrap().proto(), "vlan");
         assert_eq!(p.get_field("vlan.vid"), Some(42));
         let v = p.remove_header("vlan").unwrap();
-        assert_eq!(v.get("vid"), Some(42));
+        assert_eq!(v, Header::vlan(42));
         assert!(!p.has_header("vlan"));
         assert!(p.remove_header("vlan").is_none());
     }
@@ -406,7 +613,7 @@ mod tests {
     fn insert_header_top_of_stack() {
         let mut p = Packet::new(1, vec![Header::ipv4(1, 2, 6)], 10);
         p.insert_header(Header::ethernet(9, 9, 0x0800), None);
-        assert_eq!(p.headers[0].proto, "eth");
+        assert_eq!(p.headers().next().unwrap().proto(), "eth");
     }
 
     #[test]

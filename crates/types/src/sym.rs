@@ -12,8 +12,8 @@
 //! differs between processes and between parallel sweep workers, so `Sym`
 //! has no `Ord`, no `Hash` and no accessor for the number: nothing ordered,
 //! hashed, digested or written to a wire may depend on it. Anything that
-//! needs an order uses the *name* ([`Sym::as_str`]) — as [`Fields`], the
-//! flat name → value list inside every header and packet, does.
+//! needs an order uses the *name* ([`Sym::as_str`]) — as a header's layout
+//! (`crate::layout`) and [`Fields`], a packet's flat metadata list, do.
 //!
 //! The interner is process-global and append-only; each distinct name is
 //! leaked once, so the leak is bounded by the number of distinct names ever
@@ -40,6 +40,9 @@ macro_rules! well_known {
         enum WellKnown { $($id),* }
 
         const WELL_KNOWN: &[&str] = &[$($name),*];
+
+        /// How many names are well known: their ids are `0..WELL_KNOWN_NAMES`.
+        pub(crate) const WELL_KNOWN_NAMES: usize = WELL_KNOWN.len();
 
         impl Sym {
             $(
@@ -68,19 +71,51 @@ well_known! {
 const CHUNK: usize = 1024;
 const MAX_CHUNKS: usize = 1024;
 
-/// One chunk of the id → name table.
-type Chunk = Box<[OnceLock<&'static str>]>;
+/// An append-only slot → value table of an interner, in chunks that are
+/// allocated once and never move, so readers need no lock. Each slot is
+/// written once, by the interner that owns the table, under its lock.
+pub(crate) struct Slots<T: 'static>([OnceLock<Box<[OnceLock<T>]>>; MAX_CHUNKS]);
+
+/// How many slots an interner may fill before it refuses: a million, far
+/// beyond any set of declared headers; a runaway caller is a bug.
+pub(crate) const INTERNER_CAP: usize = CHUNK * MAX_CHUNKS;
+
+impl<T> Slots<T> {
+    pub(crate) const fn new() -> Slots<T> {
+        Slots([const { OnceLock::new() }; MAX_CHUNKS])
+    }
+
+    /// Writes slot `slot`, which must be the next one and below
+    /// [`INTERNER_CAP`].
+    pub(crate) fn set(&'static self, slot: usize, value: T) -> &'static T {
+        let chunk =
+            self.0[slot / CHUNK].get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect());
+        let cell = &chunk[slot % CHUNK];
+        assert!(
+            cell.set(value).is_ok(),
+            "slot is written once, under the write lock"
+        );
+        cell.get().expect("just written")
+    }
+
+    /// Reads slot `slot`. Lock-free.
+    #[inline]
+    pub(crate) fn get(&'static self, slot: usize) -> Option<&'static T> {
+        self.0[slot / CHUNK]
+            .get()
+            .and_then(|chunk| chunk[slot % CHUNK].get())
+    }
+}
 
 /// Name → id for every name interned at runtime (well-known names are
 /// resolved by `well_known` and never stored here).
 static IDS: RwLock<BTreeMap<&'static str, u32>> = RwLock::new(BTreeMap::new());
 
-/// Id → name for runtime names, in chunks that are allocated once and never
-/// move, so readers need no lock. Slot `i` holds the name of id
+/// Id → name for runtime names. Slot `i` holds the name of id
 /// `WELL_KNOWN.len() + i`.
-static NAMES: [OnceLock<Chunk>; MAX_CHUNKS] = [const { OnceLock::new() }; MAX_CHUNKS];
+static NAMES: Slots<&'static str> = Slots::new();
 
-const POISONED: &str = "interner lock poisoned: a thread panicked while interning";
+pub(crate) const POISONED: &str = "interner lock poisoned: a thread panicked while interning";
 
 impl Sym {
     /// The symbol for `name`, interning it if it is new.
@@ -97,16 +132,9 @@ impl Sym {
             return Sym(id);
         }
         let slot = ids.len();
-        assert!(
-            slot < CHUNK * MAX_CHUNKS,
-            "interner full: {slot} distinct names"
-        );
+        assert!(slot < INTERNER_CAP, "interner full: {slot} distinct names");
         let leaked: &'static str = Box::leak(name.into());
-        let chunk =
-            NAMES[slot / CHUNK].get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect());
-        chunk[slot % CHUNK]
-            .set(leaked)
-            .expect("slot is written once, under the write lock");
+        NAMES.set(slot, leaked);
         let id = (WELL_KNOWN.len() + slot) as u32;
         ids.insert(leaked, id);
         Sym(id)
@@ -124,11 +152,24 @@ impl Sym {
         let id = self.0 as usize;
         match id.checked_sub(WELL_KNOWN.len()) {
             None => WELL_KNOWN[id],
-            Some(slot) => NAMES[slot / CHUNK]
-                .get()
-                .and_then(|chunk| chunk[slot % CHUNK].get())
+            Some(slot) => NAMES
+                .get(slot)
                 .expect("a Sym is only ever made by intern, after its name is stored"),
         }
+    }
+
+    /// The id, for an interner's lookup key and a header stack's layout
+    /// word only: it must never decide an order, a hash that is observed, a
+    /// digest or a wire byte.
+    #[inline]
+    pub(crate) const fn id(self) -> u32 {
+        self.0
+    }
+
+    /// The symbol whose [`Sym::id`] is `id`.
+    #[inline]
+    pub(crate) const fn from_id(id: u32) -> Sym {
+        Sym(id)
     }
 }
 
@@ -159,9 +200,10 @@ impl PartialEq<&str> for Sym {
 /// Field name → value, stored flat and iterated in *name* order (never id
 /// order: a [`Sym`]'s id must not be observable).
 ///
-/// Used for a header's fields and for packet metadata. Reads and stores to
-/// an existing field are a short scan over ids; only creating a field
-/// compares names, to find its place.
+/// A packet's metadata. Reads and stores to an existing field are a short
+/// scan over ids; only creating a field compares names, to find its place,
+/// and grows the list by exactly one entry: most packets carry one field
+/// (`dst_node`), and a list that doubled would reserve four.
 #[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Fields(Vec<(Sym, u64)>);
 
@@ -169,12 +211,6 @@ impl Fields {
     /// No fields.
     pub const fn new() -> Fields {
         Fields(Vec::new())
-    }
-
-    /// Wraps a list that is already in name order, with no duplicates.
-    pub(crate) fn from_name_ordered(fields: Vec<(Sym, u64)>) -> Fields {
-        debug_assert!(fields.windows(2).all(|w| w[0].0.as_str() < w[1].0.as_str()));
-        Fields(fields)
     }
 
     /// Number of fields.
@@ -205,6 +241,7 @@ impl Fields {
             return Some(std::mem::replace(v, value));
         }
         let at = self.0.partition_point(|(n, _)| n.as_str() < name.as_str());
+        self.0.reserve_exact(1);
         self.0.insert(at, (name, value));
         None
     }

@@ -215,8 +215,7 @@ fn parser_reconfig_enables_new_protocol_mid_stream() {
 
     let mk_pkt = |id| {
         let mut p = Packet::udp(id, 1, 2, 3, 4789);
-        p.headers
-            .push(flexnet_types::Header::new("vxlan", [("vni", 7u64)]));
+        p.push_header(flexnet_types::Header::new("vxlan", [("vni", 7u64)]));
         p
     };
 

@@ -6,13 +6,15 @@
 //! in-flight table and borrowed there by every device; an event is 32
 //! bytes inline in a lane or the heap; the hop count is engine state;
 //! node, link and route lookups are index arithmetic; `Device::process`
-//! runs on the device's persistent VM scratch; a field store writes a flat
-//! `(Sym, u64)` slot in place; and a kept packet is moved into
-//! `delivered_packets`, not cloned. What is left is one reservation of the
+//! runs on the device's persistent VM scratch; a field store writes one
+//! value of the packet's header stack in place; and a kept packet is moved
+//! into `delivered_packets`, not cloned. What is left is one reservation of the
 //! packet's audit trail when it is injected — one per five hops here — and
 //! the doubling of the metrics' vectors: 1 665 allocations over 8 293 hops
 //! (1 663 while `Metrics` kept every latency sample in one vector, which
-//! doubled as rarely but grew with the packets). (By count the loop made
+//! doubled as rarely but grew with the packets; the same 1 665 when a
+//! packet's headers became one buffer of values, which `generate` builds
+//! outside the counted window). (By count the loop made
 //! 0.4 per hop while the trail grew twice per flight, 1.6 with
 //! `keep_packets` while every delivery was a six-allocation clone, and 3.4
 //! before the event core was first rebuilt.)

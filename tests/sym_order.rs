@@ -1,11 +1,15 @@
-//! A `Sym`'s id depends on interning order and must never be observable.
+//! A `Sym`'s id, and a header layout's, depend on interning order and must
+//! never be observable.
 //!
 //! This binary interns a thousand junk names — sorting before, between and
 //! after every real name — *before anything else touches the interner*, so
-//! every real name gets a different id than in any other test binary. The
-//! pinned simulation, a config digest, the wire codec and `Debug` output
-//! must still reproduce, byte for byte, what they produced when packets
-//! stored `String`s (the constants below were captured on that commit).
+//! every real name gets a different id than in any other test binary; then
+//! a thousand junk header layouts, and the runtime layouts the scenario
+//! below builds in the reverse of the order it builds them, so every layout
+//! id differs too. The pinned simulation, a config digest, the wire codec
+//! and `Debug` output must still reproduce, byte for byte, what they
+//! produced when packets stored `String`s (the constants below were
+//! captured on that commit).
 //!
 //! This file holds exactly one test: a sibling would race it to the
 //! interner.
@@ -29,6 +33,13 @@ fn outputs_are_identical_when_every_name_gets_a_different_id() {
         let prefix = ["a", "d", "e", "i", "m", "s", "t", "z"][i as usize % 8];
         Sym::intern(&format!("{prefix}{}", (i * 7919) % 1_000));
     }
+    for i in 0..1_000u32 {
+        let proto = ["tun", "eth", "ipv4", "vxlan", "junk"][i as usize % 5];
+        let junk = format!("z{}", (i * 7919) % 1_000);
+        Header::new(proto, [(junk.as_str(), 1), ("alpha", 2)]);
+    }
+    Header::new("tun", [("alpha", 0), ("beta", 0), ("mid", 0), ("zeta", 0)]);
+    Header::new("tun", [("alpha", 0), ("mid", 0), ("zeta", 0)]);
 
     pinned::assert_seeded_leaf_spine_run_matches_pinned_numbers();
 
@@ -73,11 +84,10 @@ fn outputs_are_identical_when_every_name_gets_a_different_id() {
     let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(hex, WIRE_HEX);
     let parsed = parse_wire(&wire, 42).expect("round-trips");
-    assert_eq!(parsed.headers, pkt.headers);
+    assert_eq!(parsed.headers().collect::<Vec<_>>(), pkt.headers().collect::<Vec<_>>());
     assert_eq!(format!("{parsed:?}"), PARSED_DEBUG);
 
-    pkt.headers
-        .push(Header::new("tun", [("zeta", 1), ("alpha", 2), ("mid", 3)]));
+    pkt.push_header(Header::new("tun", [("zeta", 1), ("alpha", 2), ("mid", 3)]));
     assert!(pkt.set_field("tun.beta", 4));
     assert!(pkt.set_field("meta.out_port", 9));
     pkt.metadata.insert("dst_node".into(), 3);
