@@ -118,7 +118,7 @@ pub fn bbr_host() -> Result<ProgramBundle> {
 mod tests {
     use super::*;
     use flexnet_dataplane::{Architecture, Device, StateEncoding};
-    use flexnet_types::{NodeId, Packet, SimTime};
+    use flexnet_types::{NodeId, Packet, SimTime, Sym};
 
     fn dev(bundle: ProgramBundle, arch: Architecture) -> Device {
         let mut d = Device::new(NodeId(1), arch, StateEncoding::StatefulTable);
@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(d.program_mut().unwrap().state.reg_read("cwnd", 0), 20);
         // One ECN echo halves.
         let mut ecn = Packet::tcp(99, 1, 2, 3, 4, 0x10);
-        ecn.set_field("ipv4.ecn", 3);
+        ecn.set_field_sym(Sym::IPV4, Sym::ECN, 3);
         d.process(&mut ecn, SimTime::ZERO).unwrap();
         assert_eq!(d.program_mut().unwrap().state.reg_read("cwnd", 0), 10);
         assert_eq!(ecn.metadata["cwnd"], 10);
@@ -163,7 +163,7 @@ mod tests {
         let mut d = dev(dctcp_host().unwrap(), Architecture::host_default());
         for i in 0..20 {
             let mut ecn = Packet::tcp(i, 1, 2, 3, 4, 0x10);
-            ecn.set_field("ipv4.ecn", 3);
+            ecn.set_field_sym(Sym::IPV4, Sym::ECN, 3);
             d.process(&mut ecn, SimTime::ZERO).unwrap();
         }
         assert!(d.program_mut().unwrap().state.reg_read("cwnd", 0) >= 1);

@@ -57,7 +57,7 @@ mod tests {
     use super::*;
     use flexnet_dataplane::{Architecture, Device, KeyMatch, StateEncoding, TableEntry};
     use flexnet_lang::ast::ActionCall;
-    use flexnet_types::{NodeId, Packet, SimTime, Verdict};
+    use flexnet_types::{NodeId, Packet, SimTime, Sym, Verdict};
 
     fn dev(bundle: ProgramBundle) -> Device {
         let mut d = Device::new(
@@ -104,7 +104,7 @@ mod tests {
     fn router_drops_expired_ttl() {
         let mut d = dev(l3_router(4).unwrap());
         let mut p = Packet::tcp(1, 1, 2, 5, 80, 0);
-        p.set_field("ipv4.ttl", 0);
+        p.set_field_sym(Sym::IPV4, Sym::TTL, 0);
         assert_eq!(d.process(&mut p, SimTime::ZERO).unwrap().verdict, Verdict::Drop);
     }
 
@@ -145,7 +145,7 @@ mod tests {
     fn gateway_drops_cross_tenant_spoofing() {
         let mut d = dev(vlan_gateway().unwrap());
         let mut p = Packet::tcp(1, 1, 2, 3, 4, 0);
-        p.insert_header(flexnet_types::Header::vlan(999), Some("eth"));
+        p.insert_header_sym(flexnet_types::Header::vlan(999), Some(Sym::ETH));
         p.metadata.insert("tenant_vlan".into(), 300);
         assert_eq!(d.process(&mut p, SimTime::ZERO).unwrap().verdict, Verdict::Drop);
         assert_eq!(d.program_mut().unwrap().state.counter_read("violations"), 1);

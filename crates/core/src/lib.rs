@@ -11,7 +11,7 @@
 //! | Crate | What it provides |
 //! |---|---|
 //! | [`types`] | Packets, header stacks, ids, resource vectors, simulated time |
-//! | [`lang`] | FlexBPF: parser, type checker, verifier, interpreter, patch DSL, composition |
+//! | [`lang`] | FlexBPF: parser, type checker, verifier, bytecode VM, patch DSL, composition |
 //! | [`dataplane`] | RMT/dRMT/tiled/NIC/host device models with **hitless runtime reconfiguration** |
 //! | [`compiler`] | Fungible compilation: bin-packing + GC/realloc retry, datapath splitting, incremental recompilation |
 //! | [`sim`] | Discrete-event network simulator: topology, traffic, metrics |

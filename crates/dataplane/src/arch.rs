@@ -21,12 +21,11 @@
 
 use flexnet_lang::ast::ProgramKind;
 use flexnet_types::{FlexError, ResourceKind, ResourceVec, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The architecture class (for cost model and report lookups).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchClass {
     /// Reconfigurable match table pipeline (Tofino-like).
     Rmt,
@@ -53,7 +52,7 @@ impl std::fmt::Display for ArchClass {
 }
 
 /// A concrete device architecture instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Architecture {
     /// Fixed pipeline of `stages`, each with `per_stage` resources.
     Rmt {
@@ -265,7 +264,7 @@ impl Architecture {
 }
 
 /// Where an element landed on a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Location {
     /// RMT: a specific pipeline stage.
     Stage(usize),

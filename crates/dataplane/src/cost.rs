@@ -18,10 +18,9 @@
 use crate::arch::ArchClass;
 use flexnet_lang::diff::ReconfigOp;
 use flexnet_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The cost model of one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Fixed per-packet pipeline latency.
     pub base_latency: SimDuration,

@@ -4,8 +4,8 @@
 //! resource allocator, a parser graph, a cost model, and (at most) one
 //! installed FlexBPF program with its tables and state. Devices process
 //! packets by running the installed program's `ingress` handler as
-//! slot-resolved bytecode (the one engine; `flexnet_lang::interp` is the
-//! reference the tests compare it against) and are reprogrammed either
+//! slot-resolved bytecode (the one engine; the tests hold it to a
+//! tree-walking reference interpreter) and are reprogrammed either
 //! *hitlessly at runtime* (see `reconfig.rs`) or by the compile-time
 //! drain/reflash baseline.
 

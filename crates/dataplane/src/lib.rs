@@ -15,7 +15,7 @@
 //!   loop every entry ([`device::Device::process`], the forwarding graph,
 //!   the wire entries) drives: one
 //!   per-packet body around the one engine, the bytecode executor (the
-//!   reference interpreter is the tests' oracle, not a device path).
+//!   reference interpreter it is held to lives in the tests).
 //! - [`image`] — sealed program images (checked and verified once, shared
 //!   by `Arc`) and the configuration digest memoised on them.
 //! - [`reconfig`] — hitless runtime reconfiguration (shadow program +

@@ -244,13 +244,14 @@ mod tests {
         let whole = pkt.wire_len();
         let hidden = p.strip_invisible(&mut pkt);
         assert_eq!(hidden.len(), 2);
-        assert!(!pkt.has_header("vxlan"));
-        assert!(pkt.has_header("udp"));
+        let vxlan = Sym::intern("vxlan");
+        assert!(pkt.header_sym(vxlan).is_none());
+        assert!(pkt.header_sym(Sym::UDP).is_some());
         assert_eq!(pkt.wire_len(), whole, "the hidden headers are payload, not gone");
 
         p.reattach(&mut pkt, hidden);
         assert_eq!((pkt.wire_len(), pkt.payload_len), (whole, 512));
-        assert!(pkt.has_header("vxlan"));
+        assert!(pkt.header_sym(vxlan).is_some());
         assert_eq!(pkt.headers().last().unwrap().proto(), "tcp");
         assert_eq!(pkt.get_field("vxlan.vni"), Some(7));
     }
@@ -263,6 +264,6 @@ mod tests {
         pkt.push_header(Header::new("vxlan", [("vni", 7u64)]));
         let hidden = p.strip_invisible(&mut pkt);
         assert!(hidden.is_empty());
-        assert!(pkt.has_header("vxlan"));
+        assert!(pkt.header_sym(Sym::intern("vxlan")).is_some());
     }
 }

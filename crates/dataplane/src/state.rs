@@ -26,12 +26,11 @@
 use flexnet_lang::ast::{StateDecl, StateKind};
 use flexnet_types::hash::{fnv_step, FNV_OFFSET};
 use flexnet_types::{FlexError, Result, SimTime, Trap};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How a device encodes logical key/value maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StateEncoding {
     /// P4-style register arrays: the map is hashed into a fixed array;
     /// colliding keys *overwrite is not possible* — a colliding insert is
@@ -47,7 +46,7 @@ pub enum StateEncoding {
 
 /// A serializable snapshot of a program's entire logical state — the
 /// representation that migrates between devices.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LogicalState {
     /// Map contents.
     pub maps: BTreeMap<String, BTreeMap<u64, u64>>,
@@ -71,7 +70,7 @@ impl LogicalState {
 /// Stamping on insert only gives FIFO eviction (flow-instruction sets);
 /// restamping on every hit and overwrite gives LRU (stateful tables). Every
 /// operation is O(log n): the oldest key is the first entry of `by_stamp`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct StampedStore {
     /// key → (value, stamp).
     entries: BTreeMap<u64, (u64, u64)>,
@@ -147,7 +146,7 @@ impl StampedStore {
 }
 
 /// One logical map under a specific encoding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum MapStore {
     Registers { slots: Vec<Option<(u64, u64)>> },
     /// FIFO eviction.

@@ -17,7 +17,6 @@
 
 use flexnet_lang::ast::{ActionCall, TableDecl};
 use flexnet_types::{FlexError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -28,7 +27,7 @@ use std::sync::Arc;
 pub const BURST_MISS: u32 = u32::MAX;
 
 /// How one key of one entry matches a value.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KeyMatch {
     /// Matches exactly this value.
     Exact(u64),
@@ -89,7 +88,7 @@ impl KeyMatch {
 }
 
 /// One installed table entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableEntry {
     /// Per-key match specifications (one per declared table key).
     pub matches: Vec<KeyMatch>,
@@ -200,7 +199,7 @@ impl Hasher for FoldHasher {
 /// The non-public fields are lookup indexes — pure functions of
 /// `(decl, entries)` rebuilt on every mutation, so equality and the config
 /// digest (which reads `entries` only) are unaffected by them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableInstance {
     /// The declaration this instance implements; shared with the copy a
     /// hitless flip makes of an unchanged table.
@@ -444,7 +443,7 @@ impl TableInstance {
 /// order-preserving (later slots shift down), mirroring how
 /// `ReconfigOp::RemoveTable` compacts the program's declaration list — the
 /// device recompiles its image after any such change, keeping slots aligned.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TableSet {
     tables: Vec<TableInstance>,
     index: BTreeMap<String, usize>,

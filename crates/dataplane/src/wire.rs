@@ -422,7 +422,7 @@ mod tests {
         let mut pkt = Packet::udp(9, 10, 20, 53, 5353);
         pkt.payload = vec![1, 2, 3].into();
         pkt.payload_len = 3;
-        pkt.insert_header(flexnet_types::Header::vlan(42), Some("eth"));
+        pkt.insert_header_sym(Header::vlan(42), Some(Sym::ETH));
         let bytes = encode_wire(&pkt);
         let parsed = parse_wire(&bytes, 9).unwrap();
         assert_eq!(parsed.get_field("vlan.vid"), Some(42));
@@ -438,8 +438,8 @@ mod tests {
         arp[13] = 0x06; // ARP
         arp.extend_from_slice(&[0xaa; 28]);
         let pkt = parse_wire(&arp, 1).unwrap();
-        assert!(pkt.has_header("eth"));
-        assert!(!pkt.has_header("ipv4"));
+        assert!(pkt.header_sym(Sym::ETH).is_some());
+        assert!(pkt.header_sym(Sym::IPV4).is_none());
         assert_eq!(pkt.payload_len, 28);
     }
 

@@ -10,8 +10,8 @@
 //!
 //! The AST doubles as the exchange format for the incremental-change DSL
 //! (`patch.rs`) and datapath composition (`compose.rs`), so every node is
-//! `Clone + PartialEq + Serialize` and the tree can be pretty-printed back
-//! to parseable source (`to_source`), which the tests round-trip.
+//! `Clone + PartialEq` and the tree can be pretty-printed back to parseable
+//! source (`to_source`), which the tests round-trip.
 //!
 //! The declaration is the unit of sharing: a [`Program`] holds its state,
 //! table, service and handler declarations (and a bundle its headers)
@@ -21,14 +21,13 @@
 //! invisible to `{:?}`, `to_source()` and every digest; whoever edits a
 //! declaration in place does so through `Arc::make_mut`, on its own copy.
 
-use flexnet_types::Sym;
-use serde::{Deserialize, Serialize};
+use flexnet_types::{Result, Sym, Trap};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A parsed FlexBPF source file.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SourceFile {
     /// Global header-type declarations.
     pub headers: Vec<Arc<HeaderDecl>>,
@@ -38,7 +37,7 @@ pub struct SourceFile {
 
 /// A header-type declaration, e.g.
 /// `header vxlan { fields { vni: 24; } follows udp when udp.dport == 4789; }`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeaderDecl {
     /// Protocol name.
     pub name: String,
@@ -50,7 +49,7 @@ pub struct HeaderDecl {
 }
 
 /// One field of a header type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDecl {
     /// Field name.
     pub name: String,
@@ -59,7 +58,7 @@ pub struct FieldDecl {
 }
 
 /// The parser transition that leads to a header.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FollowsClause {
     /// The predecessor protocol, e.g. `udp`.
     pub prev_proto: String,
@@ -71,7 +70,7 @@ pub struct FollowsClause {
 
 /// Which class of device a program is written for. Determines which
 /// builtins the verifier admits and which targets the compiler considers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgramKind {
     /// Switch ASIC datapath program (match/action oriented).
     Switch,
@@ -101,7 +100,7 @@ impl fmt::Display for ProgramKind {
 }
 
 /// A FlexBPF program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// Program name.
     pub name: String,
@@ -148,7 +147,7 @@ impl Program {
 
 /// The kinds of logical state FlexBPF exposes (paper §3.1: "a logical and
 /// constrained form of network state, organized in key/value maps").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StateKind {
     /// A key/value map with fixed key and value widths.
     Map {
@@ -174,7 +173,7 @@ pub enum StateKind {
 }
 
 /// A state declaration, e.g. `map blocked : map<u32, u8>[1024];`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateDecl {
     /// State object name.
     pub name: String,
@@ -185,7 +184,7 @@ pub struct StateDecl {
 }
 
 /// How a table key field is matched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchKind {
     /// Exact match (SRAM hash lookup).
     Exact,
@@ -215,7 +214,7 @@ impl fmt::Display for MatchKind {
 }
 
 /// A reference to a packet field or metadata slot.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum FieldPath {
     /// A header field, e.g. `ipv4.src`.
     Header(String, String),
@@ -224,14 +223,6 @@ pub enum FieldPath {
 }
 
 impl FieldPath {
-    /// The dotted-path form used by `flexnet_types::Packet` accessors.
-    pub fn dotted(&self) -> String {
-        match self {
-            FieldPath::Header(p, f) => format!("{p}.{f}"),
-            FieldPath::Meta(f) => format!("meta.{f}"),
-        }
-    }
-
     /// The interned `(proto, field)` form used by the packet path. This is
     /// where a program's field names enter the interner.
     pub fn syms(&self) -> (Sym, Sym) {
@@ -249,7 +240,7 @@ impl fmt::Display for FieldPath {
 }
 
 /// One key of a match/action table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableKey {
     /// The matched field.
     pub field: FieldPath,
@@ -258,7 +249,7 @@ pub struct TableKey {
 }
 
 /// An action declaration inside a table: a named parameterized block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActionDecl {
     /// Action name (unique within the table).
     pub name: String,
@@ -270,7 +261,7 @@ pub struct ActionDecl {
 
 /// An action invocation with constant arguments (table entries and default
 /// actions bind actions this way).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActionCall {
     /// The action name.
     pub action: String,
@@ -279,7 +270,7 @@ pub struct ActionCall {
 }
 
 /// A match/action table declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableDecl {
     /// Table name.
     pub name: String,
@@ -309,7 +300,7 @@ impl TableDecl {
 
 /// A dRPC service declaration (paper §3.4): either provided by this program
 /// or imported from the infrastructure program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceDecl {
     /// Service name.
     pub name: String,
@@ -321,7 +312,7 @@ pub struct ServiceDecl {
 }
 
 /// A packet handler.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Handler {
     /// Handler name (`ingress`, `egress`, …).
     pub name: String,
@@ -333,7 +324,7 @@ pub struct Handler {
 pub type Block = Vec<Stmt>;
 
 /// FlexBPF statements.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Stmt {
     /// `let x = expr;`
     Let(String, Expr),
@@ -377,7 +368,7 @@ pub enum Stmt {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,
@@ -431,6 +422,53 @@ impl BinOp {
         matches!(self, BinOp::LAnd | BinOp::LOr)
     }
 
+    /// Applies the operator: wrapping u64 arithmetic; division and modulo
+    /// by zero raise a typed [`Trap::DivisionByZero`] (shift amounts ≥ 64
+    /// stay defined as 0 — they lose information, they don't indict the
+    /// packet). The one definition of operator semantics: the bytecode VM
+    /// and the tests' reference interpreter both call it, so they agree
+    /// bit for bit, traps included.
+    pub fn eval(self, a: u64, b: u64) -> Result<u64> {
+        Ok(match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Div => match a.checked_div(b) {
+                Some(v) => v,
+                None => return Err(Trap::DivisionByZero { op: "/" }.into()),
+            },
+            BinOp::Mod => match a.checked_rem(b) {
+                Some(v) => v,
+                None => return Err(Trap::DivisionByZero { op: "%" }.into()),
+            },
+            BinOp::And => a & b,
+            BinOp::Or => a | b,
+            BinOp::Xor => a ^ b,
+            BinOp::Shl => {
+                if b >= 64 {
+                    0
+                } else {
+                    a << b
+                }
+            }
+            BinOp::Shr => {
+                if b >= 64 {
+                    0
+                } else {
+                    a >> b
+                }
+            }
+            BinOp::Eq => (a == b) as u64,
+            BinOp::Ne => (a != b) as u64,
+            BinOp::Lt => (a < b) as u64,
+            BinOp::Le => (a <= b) as u64,
+            BinOp::Gt => (a > b) as u64,
+            BinOp::Ge => (a >= b) as u64,
+            BinOp::LAnd => ((a != 0) && (b != 0)) as u64,
+            BinOp::LOr => ((a != 0) || (b != 0)) as u64,
+        })
+    }
+
     /// Source token for pretty-printing.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -457,7 +495,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Logical `!`
     Not,
@@ -468,7 +506,7 @@ pub enum UnOp {
 }
 
 /// FlexBPF expressions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Expr {
     /// Integer literal.
     Int(u64),
@@ -923,20 +961,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn field_path_dotted_forms() {
-        assert_eq!(
-            FieldPath::Header("ipv4".into(), "src".into()).dotted(),
-            "ipv4.src"
-        );
-        assert_eq!(FieldPath::Meta("mark".into()).dotted(), "meta.mark");
-    }
-
-    #[test]
     fn binop_classification() {
         assert!(BinOp::Eq.is_comparison());
         assert!(!BinOp::Add.is_comparison());
         assert!(BinOp::LAnd.is_logical());
         assert!(!BinOp::Lt.is_logical());
+    }
+
+    #[test]
+    fn division_by_zero_traps_shifts_stay_defined() {
+        assert_eq!(
+            BinOp::Div.eval(5, 0),
+            Err(Trap::DivisionByZero { op: "/" }.into())
+        );
+        assert_eq!(
+            BinOp::Mod.eval(5, 0),
+            Err(Trap::DivisionByZero { op: "%" }.into())
+        );
+        assert_eq!(BinOp::Shl.eval(1, 64), Ok(0));
+        assert_eq!(BinOp::Shr.eval(u64::MAX, 64), Ok(0));
+    }
+
+    #[test]
+    fn wrapping_arithmetic() {
+        assert_eq!(BinOp::Add.eval(u64::MAX, 1), Ok(0));
+        assert_eq!(BinOp::Sub.eval(0, 1), Ok(u64::MAX));
+        assert_eq!(BinOp::Mul.eval(u64::MAX, 2), Ok(u64::MAX - 1));
     }
 
     #[test]

@@ -1,33 +1,53 @@
-//! Slot-resolved bytecode: the fast packet path.
+//! Slot-resolved bytecode: the packet path's one engine.
 //!
-//! The reference interpreter ([`crate::interp`]) walks the AST per packet
-//! and resolves every table/map/register/counter/meter/service reference by
-//! *name* through `BTreeMap`s — exactly the cost the paper says runtime
-//! programmability must not impose on the data plane. This module lowers a
-//! type-checked program **once, at install/flip time**, into a flat
-//! instruction array in which every symbol is a dense `u16` slot index and
-//! every protocol and field name is an interned [`flexnet_types::Sym`].
-//! Devices keep a matching slot-indexed state plane and swap whole compiled
-//! images atomically on a flip, so the old-XOR-new reconfiguration
-//! semantics are untouched.
+//! A program that walked the AST per packet would resolve every table/map/
+//! register/counter/meter/service reference by *name* — exactly the cost
+//! the paper says runtime programmability must not impose on the data
+//! plane. This module lowers a type-checked program **once, at
+//! install/flip time**, into a flat instruction array in which every symbol
+//! is a dense `u16` slot index and every protocol and field name is an
+//! interned [`flexnet_types::Sym`]. Devices keep a matching slot-indexed
+//! state plane and swap whole compiled images atomically on a flip, so the
+//! old-XOR-new reconfiguration semantics are untouched.
 //!
 //! The lowering is **exactly** semantics- and ops-count-preserving with
-//! respect to the interpreter: every AST node that ticks the abstract op
-//! counter compiles to exactly one ticking instruction (jump/glue
-//! instructions tick zero), short-circuit evaluation skips the same
-//! sub-expressions, and runtime error messages on the reachable error paths
-//! (action arity mismatches) are byte-identical. The differential test
-//! suite in `tests/` holds this line.
+//! respect to the source: every AST node that ticks the abstract op counter
+//! compiles to exactly one ticking instruction (jump/glue instructions tick
+//! zero), short-circuit evaluation skips the same sub-expressions, and
+//! runtime error messages on the reachable error paths (action arity
+//! mismatches) are byte-identical. The tests hold this line against a
+//! tree-walking reference interpreter (`tests/common/interp.rs`) run in
+//! lockstep.
 //!
 //! Name resolution failures surface here, at compile time, as
 //! [`FlexError::UnresolvedSymbol`] — never as a silent per-packet miss.
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
-use crate::interp::{eval_bin, ExecOutcome, MAX_TABLE_KEY_WIDTH};
 use flexnet_types::hash::{fnv_step, FNV_OFFSET};
 use flexnet_types::{FlexError, Header, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
+
+/// The widest table key (in field count) the VM will build at runtime.
+/// Statically-typechecked programs never get near it; a runtime
+/// reconfiguration that grafts a wider table onto a live program trips
+/// [`Trap::KeyOverflow`] instead of unbounded key-build work.
+pub const MAX_TABLE_KEY_WIDTH: usize = 16;
+
+/// The result of running one handler over one packet.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExecOutcome {
+    /// The verdict, or `None` when the handler fell through / `return`ed
+    /// without one (the device applies its default behaviour), and always
+    /// `None` when the packet trapped.
+    pub verdict: Option<Verdict>,
+    /// Abstract operations executed (for device latency models). On a trap
+    /// this is the gas consumed up to and including the trapping operation.
+    pub ops: u64,
+    /// The trap that ended execution, if any. A trapped packet carries no
+    /// verdict; the device fails closed (drops) and accounts the trap.
+    pub trap: Option<Trap>,
+}
 
 /// The kind of symbol a [`SlotResolver`] is asked to resolve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,10 +93,11 @@ pub trait SlotResolver {
 /// The environment compiled programs execute against: the device's state
 /// plane addressed by dense slot indices instead of names.
 ///
-/// Mirrors [`crate::interp::ExecEnv`] operation for operation; the only
-/// structural change is `table_lookup`, which returns the matched entry's
-/// *resolved action index* and a borrow of its argument vector, so the hot
-/// path neither hashes a string nor clones an `ActionCall`.
+/// Mirrors the reference interpreter's name-keyed environment operation
+/// for operation; the only structural change is `table_lookup`, which
+/// returns the matched entry's *resolved action index* and a borrow of its
+/// argument vector, so the hot path neither hashes a string nor clones an
+/// `ActionCall`.
 pub trait SlotEnv {
     /// Looks up `keys` in table `table`, returning `(action index within
     /// the table's declared actions, action arguments)` on a hit.
@@ -719,10 +740,10 @@ impl VmScratch {
 
 /// Executes a compiled program over `pkt` against `env` from the handler
 /// entry pc `entry` (e.g. [`CompiledProgram::ingress`]) under a gas budget
-/// of `gas` abstract operations ([`crate::interp::GAS_UNLIMITED`] disables
-/// metering), with frame storage supplied by the caller. The environment
-/// type is generic so a device's concrete [`SlotEnv`] monomorphizes state
-/// access into direct calls instead of vtable dispatch.
+/// of `gas` abstract operations (`u64::MAX` never runs out), with frame
+/// storage supplied by the caller. The environment type is generic so a
+/// device's concrete [`SlotEnv`] monomorphizes state access into direct
+/// calls instead of vtable dispatch.
 ///
 /// Every interned field is read once into the scratch's field lane at
 /// handler entry, refreshed after a header is added or removed and written
@@ -731,11 +752,11 @@ impl VmScratch {
 /// access. The prefetch is free under the gas meter — it only relocates
 /// reads.
 ///
-/// Verdicts, op counts, state effects, and traps are identical to
-/// [`crate::interp::execute_metered`] on the same program — the
-/// differential suite in `tests/` asserts this over every example program,
-/// randomized packets, and trapping inputs. Faults attributable to the
-/// packet or to a post-verification reconfiguration come back as `Ok`
+/// Verdicts, op counts, state effects, and traps are identical to the
+/// reference interpreter's (`tests/common/interp.rs`) on the same program
+/// — the differential suite in `tests/` asserts this over every example
+/// program, randomized packets, and trapping inputs. Faults attributable to
+/// the packet or to a post-verification reconfiguration come back as `Ok`
 /// outcomes carrying a [`Trap`]; an inconsistent image itself (stack/pc/
 /// frame invariants broken) traps as [`Trap::CorruptImage`] so a device can
 /// fail closed rather than crash its sweep.
@@ -899,7 +920,7 @@ pub fn execute_compiled<E: SlotEnv + ?Sized>(
                 tick!(1);
                 let b = pop!();
                 let a = pop!();
-                match eval_bin(*op, a, b) {
+                match op.eval(a, b) {
                     Ok(v) => stack.push(v),
                     Err(FlexError::Trap(t)) => trap!(t),
                     Err(e) => return Err(e),
@@ -1112,709 +1133,5 @@ pub fn execute_compiled<E: SlotEnv + ?Sized>(
                 refetch!();
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::interp::{execute_metered, ExecEnv, MemEnv, GAS_UNLIMITED};
-    use crate::parser::parse_program;
-    use crate::typecheck::check_program;
-
-    const IS_MAP: fn(&StateKind) -> bool = |k| matches!(k, StateKind::Map { .. });
-    const IS_REGISTER: fn(&StateKind) -> bool = |k| matches!(k, StateKind::Register { .. });
-    const IS_COUNTER: fn(&StateKind) -> bool = |k| matches!(k, StateKind::Counter);
-    const IS_METER: fn(&StateKind) -> bool = |k| matches!(k, StateKind::Meter { .. });
-
-    /// Slots by declaration position: table `i` gets slot `i`, each state
-    /// kind is numbered independently in declaration order — the layout a
-    /// device builds at install time.
-    struct Positional<'a>(&'a Program);
-
-    impl<'a> Positional<'a> {
-        fn state_slot(&self, name: &str, want: fn(&StateKind) -> bool) -> Option<u16> {
-            let mut of_kind = self.0.states.iter().filter(|s| want(&s.kind));
-            of_kind.position(|s| s.name == name).map(|i| i as u16)
-        }
-
-        /// The inverse of [`Self::state_slot`]: the declared name of a slot.
-        fn state_name(&self, slot: u16, want: fn(&StateKind) -> bool) -> &'a str {
-            let mut of_kind = self.0.states.iter().filter(|s| want(&s.kind));
-            &of_kind
-                .nth(slot as usize)
-                .expect("a slot this layout gave out")
-                .name
-        }
-    }
-
-    impl SlotResolver for Positional<'_> {
-        fn resolve(&self, kind: SymbolKind, name: &str) -> Option<u16> {
-            let at = |i: usize| i as u16;
-            match kind {
-                SymbolKind::Table => self.0.tables.iter().position(|t| t.name == name).map(at),
-                SymbolKind::Map => self.state_slot(name, IS_MAP),
-                SymbolKind::Register => self.state_slot(name, IS_REGISTER),
-                SymbolKind::Counter => self.state_slot(name, IS_COUNTER),
-                SymbolKind::Meter => self.state_slot(name, IS_METER),
-                SymbolKind::Service => {
-                    self.0.services.iter().position(|s| s.name == name).map(at)
-                }
-            }
-        }
-    }
-
-    fn compile_positional(p: &Program, headers: &HeaderRegistry) -> Result<CompiledProgram> {
-        compile(p, headers, &Positional(p))
-    }
-
-    /// Adapts a name-keyed [`ExecEnv`] (here [`MemEnv`]) to the slot-indexed
-    /// [`SlotEnv`] interface, naming each state slot from the declarations of
-    /// the program `prog` was compiled from ([`Positional`] in reverse): the
-    /// bridge these tests use to run both engines against the *same* state.
-    /// Devices implement [`SlotEnv`] natively and never pay this translation.
-    struct NamedSlotEnv<'a> {
-        prog: &'a CompiledProgram,
-        layout: Positional<'a>,
-        inner: &'a mut dyn ExecEnv,
-        table_names: Vec<String>,
-        last_call: Option<ActionCall>,
-    }
-
-    impl<'a> NamedSlotEnv<'a> {
-        fn new(
-            prog: &'a CompiledProgram,
-            program: &'a Program,
-            inner: &'a mut dyn ExecEnv,
-        ) -> NamedSlotEnv<'a> {
-            // slot → table name (table slots come from the resolver, so build
-            // the reverse map from the compiled metadata).
-            let max = prog.tables.iter().map(|t| t.slot).max().map_or(0, |m| m + 1);
-            let mut table_names = vec![String::new(); max as usize];
-            for t in &prog.tables {
-                table_names[t.slot as usize] = t.name.clone();
-            }
-            NamedSlotEnv {
-                prog,
-                layout: Positional(program),
-                inner,
-                table_names,
-                last_call: None,
-            }
-        }
-    }
-
-    impl SlotEnv for NamedSlotEnv<'_> {
-        fn table_lookup(&mut self, table: u16, keys: &[u64]) -> Option<(u16, &[u64])> {
-            let name = &self.table_names[table as usize];
-            self.last_call = self.inner.table_lookup(name, keys);
-            let call = self.last_call.as_ref()?;
-            // Unknown action names map to an out-of-range index; the VM turns
-            // that into the same class of runtime error the interpreter raises.
-            let meta = self.prog.tables.iter().find(|t| t.slot == table);
-            let idx = meta
-                .and_then(|t| t.actions.iter().position(|a| a.name == call.action))
-                .map_or(u16::MAX, |i| i as u16);
-            Some((idx, call.args.as_slice()))
-        }
-
-        fn map_get(&mut self, map: u16, key: u64) -> Option<u64> {
-            self.inner.map_get(self.layout.state_name(map, IS_MAP), key)
-        }
-
-        fn map_put(&mut self, map: u16, key: u64, value: u64) -> Result<()> {
-            self.inner
-                .map_put(self.layout.state_name(map, IS_MAP), key, value)
-        }
-
-        fn map_del(&mut self, map: u16, key: u64) {
-            self.inner.map_del(self.layout.state_name(map, IS_MAP), key)
-        }
-
-        fn reg_read(&mut self, reg: u16, idx: u64) -> Result<u64> {
-            self.inner
-                .reg_read(self.layout.state_name(reg, IS_REGISTER), idx)
-        }
-
-        fn reg_write(&mut self, reg: u16, idx: u64, val: u64) -> Result<()> {
-            self.inner
-                .reg_write(self.layout.state_name(reg, IS_REGISTER), idx, val)
-        }
-
-        fn counter_add(&mut self, counter: u16, pkts: u64, bytes: u64) {
-            self.inner
-                .counter_add(self.layout.state_name(counter, IS_COUNTER), pkts, bytes)
-        }
-
-        fn counter_read(&mut self, counter: u16) -> u64 {
-            self.inner
-                .counter_read(self.layout.state_name(counter, IS_COUNTER))
-        }
-
-        fn meter_check(&mut self, meter: u16, key: u64) -> bool {
-            self.inner
-                .meter_check(self.layout.state_name(meter, IS_METER), key)
-        }
-
-        fn invoke_service(&mut self, service: u16, args: &[u64]) {
-            self.inner
-                .invoke_service(&self.prog.service_names[service as usize], args)
-        }
-    }
-
-    /// Runs `handler` of `c` on the one executor against `env` through the
-    /// name bridge, on fresh frame storage.
-    fn run(
-        p: &Program,
-        c: &CompiledProgram,
-        handler: &str,
-        pkt: &mut Packet,
-        env: &mut MemEnv,
-        gas: u64,
-    ) -> Result<ExecOutcome> {
-        let entry = c
-            .handlers
-            .iter()
-            .find_map(|(n, pc)| (n == handler).then_some(*pc))
-            .ok_or_else(|| FlexError::NotFound(format!("handler `{handler}`")))?;
-        let mut bridge = NamedSlotEnv::new(c, p, env);
-        execute_compiled(c, entry, pkt, &mut bridge, gas, &mut VmScratch::new())
-    }
-
-    fn compiled(src: &str) -> (Program, CompiledProgram, HeaderRegistry) {
-        let p = parse_program(src).unwrap();
-        let headers = HeaderRegistry::builtins();
-        check_program(&p, &headers).unwrap();
-        let c = compile_positional(&p, &headers).unwrap();
-        (p, c, headers)
-    }
-
-    /// Runs both engines from identical initial state and asserts verdict,
-    /// op count, and all observable state effects agree.
-    fn assert_equivalent(src: &str, pkt: &Packet, setup: impl Fn(&mut MemEnv)) -> ExecOutcome {
-        let (p, c, headers) = compiled(src);
-        let mut env_i = MemEnv::new();
-        setup(&mut env_i);
-        let mut env_b = MemEnv::new();
-        setup(&mut env_b);
-        let mut pkt_i = pkt.clone();
-        let mut pkt_b = pkt.clone();
-        let out_i =
-            execute_metered(&p, "ingress", &mut pkt_i, &mut env_i, &headers, GAS_UNLIMITED)
-                .unwrap();
-        let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
-        assert_eq!(out_i, out_b, "verdict/ops diverged on {src}");
-        assert_eq!(pkt_i, pkt_b, "packet effects diverged on {src}");
-        assert_eq!(env_i.maps, env_b.maps, "map state diverged");
-        assert_eq!(env_i.regs, env_b.regs, "register state diverged");
-        assert_eq!(env_i.counters, env_b.counters, "counter state diverged");
-        assert_eq!(env_i.meters, env_b.meters, "meter state diverged");
-        assert_eq!(env_i.invocations, env_b.invocations, "invocations diverged");
-        out_b
-    }
-
-    #[test]
-    fn straight_line_ops_and_verdict_match() {
-        let out = assert_equivalent(
-            "program p { handler ingress(pkt) { let x = 1 + 2 * 3; forward(x); } }",
-            &Packet::tcp(1, 1, 2, 3, 4, 0),
-            |_| {},
-        );
-        assert_eq!(out.verdict, Some(Verdict::Forward(7)));
-    }
-
-    #[test]
-    fn short_circuit_skips_rhs_in_both_engines() {
-        // The rhs meter_check must not fire when the lhs decides; meters
-        // are observable state, so divergence would show in the state
-        // comparison as well as the op count.
-        for src in [
-            "program p { meter m rate 1 burst 1; handler ingress(pkt) {
-               if (1 == 2 && meter_check(m, 1)) { drop(); } forward(1); } }",
-            "program p { meter m rate 1 burst 1; handler ingress(pkt) {
-               if (1 == 1 || meter_check(m, 1)) { forward(2); } drop(); } }",
-            "program p { meter m rate 1 burst 1; handler ingress(pkt) {
-               if (1 == 1 && meter_check(m, 1)) { forward(3); } drop(); } }",
-            "program p { meter m rate 1 burst 1; handler ingress(pkt) {
-               if (1 == 2 || meter_check(m, 1)) { forward(4); } drop(); } }",
-        ] {
-            assert_equivalent(src, &Packet::tcp(1, 1, 2, 3, 4, 0), |_| {});
-        }
-    }
-
-    #[test]
-    fn table_hit_default_and_miss_match() {
-        let src = "program p {
-            table acl {
-              key { ipv4.src : exact; }
-              action set_port(port: u16) { forward(port); }
-              action deny() { drop(); }
-              default deny();
-              size 8;
-            }
-            handler ingress(pkt) { apply acl; forward(1); }
-          }";
-        // Hit.
-        let out = assert_equivalent(src, &Packet::tcp(1, 99, 2, 3, 4, 0), |env| {
-            env.install_entry(
-                "acl",
-                vec![99],
-                ActionCall {
-                    action: "set_port".into(),
-                    args: vec![42],
-                },
-            );
-        });
-        assert_eq!(out.verdict, Some(Verdict::Forward(42)));
-        // Miss → default.
-        let out = assert_equivalent(src, &Packet::tcp(1, 7, 2, 3, 4, 0), |_| {});
-        assert_eq!(out.verdict, Some(Verdict::Drop));
-        // Miss, no default → fall through.
-        let out = assert_equivalent(
-            "program p {
-               table acl { key { ipv4.src : exact; } size 8; }
-               handler ingress(pkt) { apply acl; forward(9); } }",
-            &Packet::tcp(1, 7, 2, 3, 4, 0),
-            |_| {},
-        );
-        assert_eq!(out.verdict, Some(Verdict::Forward(9)));
-    }
-
-    #[test]
-    fn repeat_headers_maps_registers_match() {
-        assert_equivalent(
-            "program p {
-               map m : map<u32, u32>[64];
-               register r : u64[8];
-               counter c;
-               handler ingress(pkt) {
-                 repeat (5) {
-                   reg_write(r, 1, reg_read(r, 1) + 3);
-                   map_put(m, ipv4.src, map_get(m, ipv4.src) + 1);
-                   count(c);
-                 }
-                 add_header(vlan);
-                 vlan.vid = 7;
-                 meta.mark = hash(ipv4.src, pktlen());
-                 remove_header(vlan);
-                 if (map_has(m, ipv4.src)) { forward(reg_read(r, 1)); }
-                 drop();
-               }
-             }",
-            &Packet::tcp(1, 10, 2, 3, 4, 0),
-            |_| {},
-        );
-    }
-
-    #[test]
-    fn return_and_invoke_match() {
-        assert_equivalent(
-            "program p {
-               service require mig(dst: u32, tag: u32);
-               handler ingress(pkt) {
-                 invoke mig(7, ipv4.src);
-                 if (ipv4.src == 1) { return; }
-                 forward(1);
-               }
-             }",
-            &Packet::tcp(1, 1, 2, 3, 4, 0),
-            |_| {},
-        );
-    }
-
-    #[test]
-    fn arity_mismatch_trap_is_identical() {
-        let src = "program p {
-            table t {
-              key { ipv4.src : exact; }
-              action go(port: u16) { forward(port); }
-              size 8;
-            }
-            handler ingress(pkt) { apply t; forward(1); }
-          }";
-        let (p, c, headers) = compiled(src);
-        let mut setup = MemEnv::new();
-        setup.install_entry(
-            "t",
-            vec![1],
-            ActionCall {
-                action: "go".into(),
-                args: vec![1, 2], // wrong arity
-            },
-        );
-        let mut env_i = MemEnv::new();
-        env_i.tables = setup.tables.clone();
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let out_i =
-            execute_metered(&p, "ingress", &mut pkt.clone(), &mut env_i, &headers, GAS_UNLIMITED)
-                .unwrap();
-        let mut env_b = MemEnv::new();
-        env_b.tables = setup.tables.clone();
-        let out_b = run(&p, &c, "ingress", &mut pkt, &mut env_b, GAS_UNLIMITED).unwrap();
-        assert_eq!(out_i, out_b, "trap identity and gas count must agree");
-        let trap = out_b.trap.expect("a bad entry traps, fail closed");
-        assert_eq!(
-            trap,
-            flexnet_types::Trap::ArityMismatch {
-                table: "t".into(),
-                action: "go".into(),
-            }
-        );
-        assert_eq!(
-            trap.to_string(),
-            "table `t` action `go` arity mismatch"
-        );
-        assert_eq!(out_b.verdict, None, "a trapped packet carries no verdict");
-    }
-
-    #[test]
-    fn gas_exhaustion_identical_across_engines_at_every_budget() {
-        // Sweep every budget from 0 to the true cost: both engines must
-        // trap (or complete) at the identical ops count with the identical
-        // trap, packet effects, and state — the strongest form of the
-        // metering-parity invariant.
-        let src = "program p {
-            map m : map<u32, u32>[64];
-            register r : u64[8];
-            counter c;
-            table t {
-              key { ipv4.src : exact; }
-              action tag(v: u16) { meta.mark = v; }
-              default tag(3);
-              size 4;
-            }
-            handler ingress(pkt) {
-              repeat (3) {
-                reg_write(r, 1, reg_read(r, 1) + 1);
-                map_put(m, ipv4.src, map_get(m, ipv4.src) + 1);
-                count(c);
-              }
-              apply t;
-              if (map_has(m, ipv4.src) && reg_read(r, 1) > 1) { forward(2); }
-              drop();
-            }
-          }";
-        let (p, c, headers) = compiled(src);
-        let base = Packet::tcp(1, 10, 2, 3, 4, 0);
-        let full = {
-            let mut env = MemEnv::new();
-            let mut pkt = base.clone();
-            execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED).unwrap()
-        };
-        assert!(full.trap.is_none());
-        for gas in 0..=full.ops {
-            let mut env_i = MemEnv::new();
-            let mut env_b = MemEnv::new();
-            let mut pkt_i = base.clone();
-            let mut pkt_b = base.clone();
-            let out_i = crate::interp::execute_metered(
-                &p, "ingress", &mut pkt_i, &mut env_i, &headers, gas,
-            )
-            .unwrap();
-            let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, gas).unwrap();
-            assert_eq!(out_i, out_b, "divergence at gas={gas}");
-            assert_eq!(pkt_i, pkt_b, "packet divergence at gas={gas}");
-            assert_eq!(env_i.maps, env_b.maps, "map divergence at gas={gas}");
-            assert_eq!(env_i.regs, env_b.regs, "register divergence at gas={gas}");
-            assert_eq!(env_i.counters, env_b.counters, "counter divergence at gas={gas}");
-            assert_eq!(env_i.invocations, env_b.invocations);
-            if gas < full.ops {
-                assert_eq!(
-                    out_i.trap,
-                    Some(flexnet_types::Trap::GasExhausted { limit: gas }),
-                    "under-budget run must trap at gas={gas}"
-                );
-                assert!(
-                    out_i.ops > gas && out_i.ops <= gas + 4,
-                    "trapping op is the first charge over budget (ops={}, gas={gas}; \
-                     apply charges 4 at once)",
-                    out_i.ops
-                );
-            } else {
-                assert!(out_i.trap.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn division_by_zero_trap_is_identical() {
-        let (p, c, headers) = compiled(
-            "program p { handler ingress(pkt) { let x = 7 % meta.z; forward(x); } }",
-        );
-        let mut env_i = MemEnv::new();
-        let mut env_b = MemEnv::new();
-        let mut pkt_i = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut pkt_b = pkt_i.clone();
-        let out_i =
-            execute_metered(&p, "ingress", &mut pkt_i, &mut env_i, &headers, GAS_UNLIMITED)
-                .unwrap();
-        let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
-        assert_eq!(out_i, out_b);
-        assert_eq!(
-            out_b.trap,
-            Some(flexnet_types::Trap::DivisionByZero { op: "%" })
-        );
-    }
-
-    #[test]
-    fn corrupt_image_traps_instead_of_panicking() {
-        // A hand-corrupted image (jump past the end) must fail closed with
-        // a CorruptImage trap, never a panic or a hang.
-        let (p, mut c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
-        c.insns.clear();
-        c.insns.push(Insn::Jump(1000));
-        let mut env = MemEnv::new();
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let out = run(&p, &c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
-        assert_eq!(
-            out.trap,
-            Some(flexnet_types::Trap::CorruptImage {
-                reason: "bytecode pc out of range",
-            })
-        );
-
-        // A store, a hash or an invocation with too little on the stack
-        // underflows.
-        for insn in [Insn::StoreLocal(0), Insn::Hash(3), Insn::Invoke(0, 2)] {
-            let (p, mut c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
-            c.insns.clear();
-            c.insns.push(insn);
-            c.n_locals = 1;
-            c.service_names = vec!["s".into()];
-            let mut env = MemEnv::new();
-            let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-            let out = run(&p, &c, "ingress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap();
-            assert_eq!(
-                out.trap,
-                Some(flexnet_types::Trap::CorruptImage {
-                    reason: "bytecode stack underflow",
-                }),
-                "{insn:?}"
-            );
-        }
-    }
-
-    /// Every `hash()` the VM resumes from its memo equals a fresh
-    /// [`flexnet_types::hash::hash_values`], whatever ran through the same
-    /// scratch before it: other packets, shared prefixes, repeats, every
-    /// arity from 0 (a hand-built `Hash(0)`: the checker rejects `hash()`)
-    /// to 8, values that differ only in their top byte, and another program
-    /// in between.
-    #[test]
-    fn the_hash_memo_is_exact_across_packets_and_programs() {
-        use flexnet_types::hash::hash_values;
-        // One program per arity hashing its locals `x0..x{n-1}`, and another
-        // image (with a counter) hashing a three-wide prefix of them.
-        let widest = 8usize;
-        let lets: String = (0..widest).map(|i| format!("let x{i} = meta.a{i};")).collect();
-        let args = |n: usize| (0..n).map(|i| format!("x{i}")).collect::<Vec<_>>().join(", ");
-        let hash_n: Vec<(Program, CompiledProgram)> = (0..=widest)
-            .map(|n| {
-                let src = format!(
-                    "program p{n} {{ handler ingress(pkt) {{ {lets} meta.h = hash({}); }} }}",
-                    args(n.max(1))
-                );
-                let (p, mut c, _) = compiled(&src);
-                if n == 0 {
-                    // `x0` stays pushed beneath the hash, unread.
-                    let at = c.insns.iter().position(|i| *i == Insn::Hash(1)).unwrap();
-                    c.insns[at] = Insn::Hash(0);
-                }
-                (p, c)
-            })
-            .collect();
-        let (q, other, _) = compiled(&format!(
-            "program q {{ counter c; handler ingress(pkt) {{ {lets} count(c); \
-             meta.h = hash(x0, x1, x2); }} }}"
-        ));
-        let mut x: u64 = 0x1234_5678_9abc_def1;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut scratch = VmScratch::new();
-        let mut last = vec![0u64; widest];
-        for round in 0..4_000 {
-            // Mostly small perturbations of the previous vector, so
-            // prefixes are shared often; sometimes identical, sometimes
-            // only the top byte differs, sometimes all fresh.
-            let mut vals = last.clone();
-            match rng() % 5 {
-                0 => {}
-                1 => {
-                    let i = (rng() % widest as u64) as usize;
-                    vals[i] ^= 0xff << 56;
-                }
-                2 => vals.iter_mut().for_each(|v| *v = rng()),
-                _ => {
-                    let i = (rng() % widest as u64) as usize;
-                    vals[i] = rng() % 4;
-                }
-            }
-            let ((program, prog), n) = if rng() % 7 == 0 {
-                ((&q, &other), 3)
-            } else {
-                let n = (rng() % (widest as u64 + 1)) as usize;
-                let (p, c) = &hash_n[n];
-                ((p, c), n)
-            };
-            let mut pkt = Packet::tcp(round, 1, 2, 3, 4, 0);
-            for (i, v) in vals.iter().enumerate() {
-                pkt.metadata.insert(Sym::intern(&format!("a{i}")), *v);
-            }
-            let mut env = MemEnv::new();
-            let mut bridge = NamedSlotEnv::new(prog, program, &mut env);
-            let entry = prog.ingress.unwrap();
-            execute_compiled(prog, entry, &mut pkt, &mut bridge, GAS_UNLIMITED, &mut scratch)
-                .unwrap();
-            assert_eq!(
-                pkt.metadata["h"],
-                hash_values(&vals[..n]),
-                "round {round}: hash of {:?}",
-                &vals[..n]
-            );
-            last = vals;
-        }
-    }
-
-    #[test]
-    fn unresolved_symbols_surface_per_kind_at_compile_time() {
-        // A resolver that knows nothing forces every kind's error path.
-        struct Nothing;
-        impl SlotResolver for Nothing {
-            fn resolve(&self, _: SymbolKind, _: &str) -> Option<u16> {
-                None
-            }
-        }
-        let headers = HeaderRegistry::builtins();
-        let cases = [
-            (
-                "program p { map m : map<u32, u32>[4];
-                   handler ingress(pkt) { map_put(m, 1, 2); } }",
-                "map",
-                "m",
-            ),
-            (
-                "program p { register r : u64[4];
-                   handler ingress(pkt) { reg_write(r, 0, 1); } }",
-                "register",
-                "r",
-            ),
-            (
-                "program p { counter c; handler ingress(pkt) { count(c); } }",
-                "counter",
-                "c",
-            ),
-            (
-                "program p { meter m rate 1 burst 1;
-                   handler ingress(pkt) { if (meter_check(m, 1)) { drop(); } } }",
-                "meter",
-                "m",
-            ),
-            (
-                "program p { service require s(x: u32);
-                   handler ingress(pkt) { invoke s(1); } }",
-                "service",
-                "s",
-            ),
-            (
-                "program p { table t { key { ipv4.src : exact; } size 4; }
-                   handler ingress(pkt) { apply t; } }",
-                "table",
-                "t",
-            ),
-        ];
-        for (src, kind, name) in cases {
-            let p = parse_program(src).unwrap();
-            check_program(&p, &headers).unwrap();
-            let err = compile(&p, &headers, &Nothing).unwrap_err();
-            assert_eq!(
-                err,
-                FlexError::UnresolvedSymbol {
-                    kind: kind.into(),
-                    name: name.into(),
-                },
-                "wrong error for {src}"
-            );
-        }
-    }
-
-    #[test]
-    fn unresolved_local_and_default_action_surface() {
-        // Hand-built AST (the type checker would reject both), proving the
-        // compiler degrades into typed errors rather than panics.
-        let mut p = Program::empty("p", ProgramKind::Any);
-        p.handlers.push(Handler {
-            name: "ingress".into(),
-            body: vec![Stmt::Forward(Expr::Local("nope".into()))],
-        }.into());
-        let headers = HeaderRegistry::builtins();
-        let err = compile_positional(&p, &headers).unwrap_err();
-        assert_eq!(
-            err,
-            FlexError::UnresolvedSymbol {
-                kind: "local".into(),
-                name: "nope".into(),
-            }
-        );
-
-        let mut p = Program::empty("p", ProgramKind::Any);
-        p.tables.push(TableDecl {
-            name: "t".into(),
-            keys: vec![],
-            actions: vec![],
-            default_action: Some(ActionCall {
-                action: "ghost".into(),
-                args: vec![],
-            }),
-            size: 4,
-        }.into());
-        p.handlers.push(Handler {
-            name: "ingress".into(),
-            body: vec![Stmt::Apply("t".into())],
-        }.into());
-        let err = compile_positional(&p, &headers).unwrap_err();
-        assert_eq!(
-            err,
-            FlexError::UnresolvedSymbol {
-                kind: "action".into(),
-                name: "ghost".into(),
-            }
-        );
-    }
-
-    #[test]
-    fn unknown_handler_matches_interpreter_error() {
-        let (p, c, _) = compiled("program p { handler ingress(pkt) { forward(1); } }");
-        let mut env = MemEnv::new();
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let err = run(&p, &c, "egress", &mut pkt, &mut env, GAS_UNLIMITED).unwrap_err();
-        assert_eq!(err, FlexError::NotFound("handler `egress`".into()));
-    }
-
-    #[test]
-    fn action_locals_do_not_leak_into_the_handler_frame() {
-        // The action writes a name the handler also declares; reads after
-        // the apply must see the handler's value in both engines.
-        let out = assert_equivalent(
-            "program p {
-               table t {
-                 key { ipv4.src : exact; }
-                 action tag(v: u16) { let x = v + 100; meta.inner = x; }
-                 default tag(1);
-                 size 4;
-               }
-               handler ingress(pkt) {
-                 let x = 5;
-                 apply t;
-                 forward(x);
-               }
-             }",
-            &Packet::tcp(1, 1, 2, 3, 4, 0),
-            |_| {},
-        );
-        assert_eq!(out.verdict, Some(Verdict::Forward(5)));
     }
 }

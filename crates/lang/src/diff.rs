@@ -8,13 +8,12 @@
 //! on-the-fly … parser states can be similarly manipulated").
 
 use crate::ast::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A program together with the user header types it requires — the unit
 /// installed on a device. Every declaration sits behind an `Arc`, so a
 /// clone copies six vectors of pointers and a name, never a declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramBundle {
     /// User-declared header types (parser additions).
     pub headers: Vec<Arc<HeaderDecl>>,
@@ -34,7 +33,7 @@ impl ProgramBundle {
 
 /// One primitive runtime reconfiguration of a device program. An op that
 /// brings a declaration shares the target bundle's, it does not copy it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReconfigOp {
     /// Install a new match/action table.
     AddTable(Arc<TableDecl>),

@@ -13,11 +13,10 @@ use crate::ast::*;
 use crate::headers::HeaderRegistry;
 use crate::verifier::block_ops;
 use flexnet_types::{ResourceKind, ResourceVec};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What kind of program element this is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElementKind {
     /// A match/action table.
     Table,
@@ -30,7 +29,7 @@ pub enum ElementKind {
 }
 
 /// One placeable unit of a program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Element {
     /// Element name (table/state/handler/header name).
     pub name: String,

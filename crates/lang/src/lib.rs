@@ -16,11 +16,11 @@
 //! - [`typecheck`] — name resolution and the int/bool type discipline.
 //! - [`verifier`] — bounded-execution certification, register-index safety
 //!   via interval analysis, and per-packet op bounds.
-//! - [`interp`] — the reference interpreter, executing handlers against an
-//!   [`interp::ExecEnv`] provided by each device model.
-//! - [`bytecode`] — the packet path's engine: install-time lowering to flat,
-//!   slot-resolved instructions, run by the one executor
-//!   [`bytecode::execute_compiled`] against a [`bytecode::SlotEnv`].
+//! - [`bytecode`] — the packet path's one engine: install-time lowering to
+//!   flat, slot-resolved instructions, run by [`bytecode::execute_compiled`]
+//!   against a [`bytecode::SlotEnv`] each device model provides. The
+//!   tree-walking reference interpreter it is checked against lives with
+//!   the tests that use it (`tests/common/interp.rs`).
 //! - [`ir`] — decomposition into placeable elements with resource demands.
 //! - [`diff`] — program diffing into runtime [`diff::ReconfigOp`]s.
 //! - [`patch`] — the incremental-change DSL (paper §3.2).
@@ -56,7 +56,6 @@ pub mod bytecode;
 pub mod compose;
 pub mod diff;
 pub mod headers;
-pub mod interp;
 pub mod ir;
 pub mod lexer;
 pub mod parser;
@@ -74,10 +73,6 @@ pub mod prelude {
     pub use crate::compose::{compose, TenantExtension};
     pub use crate::diff::{diff_bundles, ProgramBundle, ReconfigOp};
     pub use crate::headers::HeaderRegistry;
-    pub use crate::interp::{
-        execute_metered, ExecEnv, ExecOutcome, MemEnv, GAS_UNLIMITED,
-        MAX_TABLE_KEY_WIDTH,
-    };
     pub use crate::parser::{parse_program, parse_source};
     pub use crate::patch::{apply_patch, parse_patch, Patch};
     pub use crate::typecheck::check_program;

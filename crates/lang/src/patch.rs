@@ -36,12 +36,11 @@ use crate::lexer::lex;
 use crate::parser::Parser;
 use crate::token::TokenKind;
 use flexnet_types::{FlexError, Result};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Where an added table goes relative to existing tables (placement
 /// adjacency matters for incremental recompilation, paper §3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TablePosition {
     /// Append after all existing tables.
     Append,
@@ -52,7 +51,7 @@ pub enum TablePosition {
 }
 
 /// How a handler body is modified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModifyMode {
     /// New statements run before the existing body.
     Prepend,
@@ -63,7 +62,7 @@ pub enum ModifyMode {
 }
 
 /// One operation of a patch program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PatchOp {
     /// `add map|counter|register|meter …`
     AddState(Arc<StateDecl>),
@@ -96,7 +95,7 @@ pub enum PatchOp {
 }
 
 /// A parsed patch program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Patch {
     /// Patch name (for management/audit).
     pub name: String,

@@ -177,13 +177,6 @@ pub enum StorageError {
         /// The disk's configured capacity in bytes.
         capacity: u64,
     },
-    /// No usable snapshot generation: the requested (or every) snapshot
-    /// failed its checksum, so recovery must fall back to an older
-    /// generation or replay from the log's origin.
-    StaleSnapshot {
-        /// The newest generation that was tried and found rotted.
-        generation: u64,
-    },
 }
 
 impl StorageError {
@@ -193,7 +186,6 @@ impl StorageError {
             StorageError::TornRecord { .. } => "torn-record",
             StorageError::ChecksumFailed { .. } => "checksum-failed",
             StorageError::NoSpace { .. } => "no-space",
-            StorageError::StaleSnapshot { .. } => "stale-snapshot",
         }
     }
 }
@@ -211,10 +203,6 @@ impl fmt::Display for StorageError {
             StorageError::NoSpace { needed, capacity } => write!(
                 f,
                 "disk full: write of {needed} bytes refused (capacity {capacity})"
-            ),
-            StorageError::StaleSnapshot { generation } => write!(
-                f,
-                "snapshot generation {generation} unusable (checksum failed); falling back"
             ),
         }
     }
@@ -488,9 +476,8 @@ impl FlexError {
     /// succeeds) and [`StorageError::ChecksumFailed`] is retryable at
     /// the *caller's* level (the node re-fetches an intact copy from a
     /// replica, exactly as a retransmission replaces a corrupted
-    /// frame). [`StorageError::TornRecord`] and
-    /// [`StorageError::StaleSnapshot`] are *not* — they are resolved by
-    /// recovery's scrub/fallback path, never by re-issuing the read.
+    /// frame). [`StorageError::TornRecord`] is *not* — it is resolved by
+    /// recovery's scrub path, never by re-issuing the read.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -841,14 +828,6 @@ mod tests {
         assert_eq!(full.label(), "no-space");
         assert!(full.is_retryable(), "compaction frees space; retry succeeds");
 
-        let stale = FlexError::Storage(StorageError::StaleSnapshot { generation: 3 });
-        assert!(stale.to_string().contains("generation 3"));
-        assert_eq!(stale.label(), "stale-snapshot");
-        assert!(
-            !stale.is_retryable(),
-            "the fallback chain is recovery's job, not the reader's"
-        );
-
         // From impl and single-token labels.
         let e: FlexError = StorageError::NoSpace {
             needed: 1,
@@ -867,7 +846,6 @@ mod tests {
                 needed: 0,
                 capacity: 0,
             },
-            StorageError::StaleSnapshot { generation: 0 },
         ] {
             assert!(!s.label().contains(' '), "labels are single tokens");
         }

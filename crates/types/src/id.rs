@@ -5,15 +5,12 @@
 //! (cheap to copy through the data plane) and a human-meaningful [`AppUri`]
 //! used as the management handle.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! numeric_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -61,7 +58,7 @@ numeric_id!(
 /// An 802.1Q VLAN identifier used for tenant isolation (paper §3: "Extension
 /// programs are isolated from each other and from the infrastructure code
 /// via, e.g., VLAN-based isolation mechanisms").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VlanId(pub u16);
 
 impl VlanId {
@@ -88,9 +85,7 @@ impl fmt::Display for VlanId {
 /// version that processed it, which is how the E1 experiment checks the
 /// paper's consistency claim ("packets are either processed by the new
 /// program or old one in a consistent manner", §2).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProgramVersion(pub u64);
 
 impl ProgramVersion {
@@ -114,7 +109,7 @@ impl fmt::Display for ProgramVersion {
 /// URIs are the first-class management handle in the controller API
 /// (paper §3.4). The format is `flexnet://<authority>/<path>`, where the
 /// authority is typically `infra` or a tenant name.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppUri {
     authority: String,
     path: String,

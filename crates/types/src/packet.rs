@@ -20,7 +20,6 @@ use crate::layout::Layout;
 use crate::sym::{Fields, Sym};
 use crate::time::SimTime;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One header, owned: built to be pushed onto a packet's stack, or taken
@@ -259,7 +258,7 @@ fn spans(words: &[u64]) -> impl Iterator<Item = (usize, Layout)> + '_ {
 }
 
 /// The final disposition of a packet after data-plane processing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// Forward out of the given egress port.
     Forward(u16),
@@ -272,10 +271,7 @@ pub enum Verdict {
 }
 
 /// A packet traversing the simulated network.
-///
-/// With real `serde`, the header stack must serialize by names, never by
-/// layout words.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Unique packet id (assigned by the workload generator).
     pub id: u64,
@@ -288,7 +284,6 @@ pub struct Packet {
     /// [`Packet::wire_len`]).
     pub payload_len: u32,
     /// Optional payload contents (most experiments only need lengths).
-    #[serde(skip)]
     pub payload: Bytes,
     /// Per-packet scratch metadata written by programs (like P4 metadata or
     /// eBPF per-packet context).
@@ -456,45 +451,13 @@ impl Packet {
         self.stack.splice(at..at, tail.words);
     }
 
-    // The string-keyed forms below resolve names with `Sym::lookup` — a
-    // name that was never interned cannot be in any packet — and intern
-    // only where a store creates a field.
-
-    /// Finds the first header with the given protocol name.
-    pub fn header(&self, proto: &str) -> Option<HeaderRef<'_>> {
-        self.header_sym(Sym::lookup(proto)?)
-    }
-
-    /// Whether the stack contains a header of the given protocol.
-    pub fn has_header(&self, proto: &str) -> bool {
-        self.header(proto).is_some()
-    }
-
     /// Reads a field by dotted path, e.g. `"ipv4.src"` or `"meta.mark"`
-    /// (the pseudo-protocol `meta` reads packet metadata).
+    /// (the pseudo-protocol `meta` reads packet metadata). Names resolve
+    /// with `Sym::lookup`: a name that was never interned cannot be in any
+    /// packet, and the read interns nothing.
     pub fn get_field(&self, path: &str) -> Option<u64> {
         let (proto, field) = path.split_once('.')?;
         self.get_field_sym(Sym::lookup(proto)?, Sym::lookup(field)?)
-    }
-
-    /// Writes a field by dotted path; returns `false` when the header does
-    /// not exist (metadata writes always succeed).
-    pub fn set_field(&mut self, path: &str, value: u64) -> bool {
-        let Some((proto, field)) = path.split_once('.') else {
-            return false;
-        };
-        Sym::lookup(proto).is_some_and(|p| self.set_field_sym(p, Sym::intern(field), value))
-    }
-
-    /// Pushes a header after the outermost header of `after_proto`
-    /// (or at the top of the stack when `after_proto` is `None`).
-    pub fn insert_header(&mut self, header: Header, after_proto: Option<&str>) {
-        self.insert_header_sym(header, after_proto.and_then(Sym::lookup));
-    }
-
-    /// Removes the first header of the given protocol; returns it if present.
-    pub fn remove_header(&mut self, proto: &str) -> Option<Header> {
-        self.remove_header_sym(Sym::lookup(proto)?)
     }
 
     /// Records that `node` processed this packet under `version`.
@@ -532,9 +495,9 @@ mod tests {
     #[test]
     fn tcp_constructor_builds_full_stack() {
         let p = Packet::tcp(1, 0x0a000001, 0x0a000002, 1234, 80, 0x02);
-        assert!(p.has_header("eth"));
-        assert!(p.has_header("ipv4"));
-        assert!(p.has_header("tcp"));
+        for proto in [Sym::ETH, Sym::IPV4, Sym::TCP] {
+            assert!(p.header_sym(proto).is_some(), "{proto:?}");
+        }
         assert_eq!(p.get_field("tcp.dport"), Some(80));
         assert_eq!(p.get_field("ipv4.proto"), Some(6));
     }
@@ -542,10 +505,12 @@ mod tests {
     #[test]
     fn field_paths_read_and_write() {
         let mut p = Packet::tcp(1, 1, 2, 3, 4, 0);
-        assert!(p.set_field("ipv4.ttl", 10));
+        assert!(p.set_field_sym(Sym::IPV4, Sym::TTL, 10));
         assert_eq!(p.get_field("ipv4.ttl"), Some(10));
-        assert!(!p.set_field("ipv6.src", 1), "missing header rejected");
-        assert!(p.set_field("meta.mark", 7), "metadata always writable");
+        let ipv6 = Sym::intern("ipv6");
+        assert!(!p.set_field_sym(ipv6, Sym::SRC, 1), "missing header rejected");
+        let mark = Sym::intern("mark");
+        assert!(p.set_field_sym(Sym::META, mark, 7), "metadata always writable");
         assert_eq!(p.get_field("meta.mark"), Some(7));
         assert_eq!(p.get_field("nodots"), None);
     }
@@ -600,19 +565,19 @@ mod tests {
     #[test]
     fn insert_and_remove_headers() {
         let mut p = Packet::tcp(1, 1, 2, 3, 4, 0);
-        p.insert_header(Header::vlan(42), Some("eth"));
+        p.insert_header_sym(Header::vlan(42), Some(Sym::ETH));
         assert_eq!(p.headers().nth(1).unwrap().proto(), "vlan");
         assert_eq!(p.get_field("vlan.vid"), Some(42));
-        let v = p.remove_header("vlan").unwrap();
+        let v = p.remove_header_sym(Sym::VLAN).unwrap();
         assert_eq!(v, Header::vlan(42));
-        assert!(!p.has_header("vlan"));
-        assert!(p.remove_header("vlan").is_none());
+        assert!(p.header_sym(Sym::VLAN).is_none());
+        assert!(p.remove_header_sym(Sym::VLAN).is_none());
     }
 
     #[test]
     fn insert_header_top_of_stack() {
         let mut p = Packet::new(1, vec![Header::ipv4(1, 2, 6)], 10);
-        p.insert_header(Header::ethernet(9, 9, 0x0800), None);
+        p.insert_header_sym(Header::ethernet(9, 9, 0x0800), None);
         assert_eq!(p.headers().next().unwrap().proto(), "eth");
     }
 
@@ -626,7 +591,7 @@ mod tests {
     #[test]
     fn custom_header_wire_len_scales_with_fields() {
         let mut p = Packet::new(1, vec![], 0);
-        p.insert_header(Header::new("custom", [("a", 1), ("b", 2)]), None);
+        p.insert_header_sym(Header::new("custom", [("a", 1), ("b", 2)]), None);
         assert_eq!(p.wire_len(), 8);
     }
 

@@ -9,14 +9,11 @@
 //! *where* a vector is accounted (per stage, per pool, per tile group) is up
 //! to each device model in `flexnet-dataplane`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
 /// The kinds of data-plane resources tracked by FlexNet device models.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResourceKind {
     /// SRAM for exact-match tables and register arrays, in KiB.
     SramKb,
@@ -89,7 +86,7 @@ impl ResourceKind {
 /// `{:?}` list only the non-zero components, in [`ResourceKind`] order.
 ///
 /// [`Display`]: fmt::Display
-#[derive(Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceVec([u64; ResourceKind::ALL.len()]);
 
 impl ResourceVec {

@@ -21,15 +21,12 @@
 //! so neither the constants nor the string API on them touches the lock;
 //! [`Sym::as_str`] is lock-free for every name.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
 use std::sync::{OnceLock, RwLock};
 
 /// An interned protocol, field or metadata name.
-///
-/// With real `serde`, a `Sym` must serialize as its name, never its id.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Sym(u32);
 
@@ -204,7 +201,7 @@ impl PartialEq<&str> for Sym {
 /// scan over ids; only creating a field compares names, to find its place,
 /// and grows the list by exactly one entry: most packets carry one field
 /// (`dst_node`), and a list that doubled would reserve four.
-#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Fields(Vec<(Sym, u64)>);
 
 impl Fields {

@@ -1,32 +1,34 @@
-//! The FlexBPF reference interpreter.
+//! The FlexBPF reference interpreter: the tests' oracle for the bytecode
+//! VM, which is the only engine a device runs.
 //!
-//! The interpreter executes a handler against a packet, delegating all
-//! *stateful* operations (table lookups, maps, registers, counters, meters,
-//! dRPC invocations) to an [`ExecEnv`] implemented by the device models in
-//! `flexnet-dataplane`. This split mirrors the paper's observation (§3.1)
-//! that "individual devices have drastically different ways of implementing
-//! this state": the program sees logical key/value maps; the device chooses
-//! the encoding.
+//! The interpreter walks a handler's AST over a packet, resolving every
+//! name at the moment it is used and delegating all *stateful* operations
+//! (table lookups, maps, registers, counters, meters, dRPC invocations) to
+//! an [`ExecEnv`] addressed by name. `oracle.rs` runs it in lockstep with a
+//! device; `properties.rs` and `engines.rs` run it against [`MemEnv`].
 //!
-//! Execution also counts abstract operations, which device models convert
-//! into per-packet latency using their own cost models.
+//! Execution counts abstract operations and charges gas at exactly the
+//! VM's checkpoints, so the two engines agree on `ops` to the operation,
+//! traps included. Operator semantics come from the one definition both
+//! engines call, [`BinOp::eval`]. A packet's fields and headers are
+//! resolved by name ([`set_field`], [`has_header`], ...): with
+//! `Sym::lookup`, since a name never interned is in no packet, and with
+//! `Sym::intern` only where a store creates a field.
 
-use crate::ast::*;
-use crate::headers::HeaderRegistry;
+// Each test binary that includes this file uses a different part of it.
+#![allow(dead_code)]
+
+use flexnet_lang::ast::*;
+use flexnet_lang::bytecode::{ExecOutcome, MAX_TABLE_KEY_WIDTH};
+use flexnet_lang::headers::HeaderRegistry;
 use flexnet_types::hash::hash_values;
-use flexnet_types::{FlexError, Header, Packet, Result, Trap, Verdict};
+use flexnet_types::{FlexError, Header, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
 
 /// Sentinel gas budget meaning "no limit". The metering checkpoints still
 /// run (so a limited and an unlimited budget share one code path and one
 /// op accounting), but the budget can never be exceeded.
 pub const GAS_UNLIMITED: u64 = u64::MAX;
-
-/// The widest table key (in field count) either engine will build at
-/// runtime. Statically-typechecked programs never get near it; a runtime
-/// reconfiguration that grafts a wider table onto a live program trips
-/// [`Trap::KeyOverflow`] instead of unbounded key-build work.
-pub const MAX_TABLE_KEY_WIDTH: usize = 16;
 
 /// The environment a program executes against: the device's state plane.
 pub trait ExecEnv {
@@ -55,29 +57,6 @@ pub trait ExecEnv {
     /// Invokes a dRPC service (paper §3.4). Fire-and-forget at the data
     /// plane; delivery is the device/controller's concern.
     fn invoke_service(&mut self, service: &str, args: &[u64]);
-}
-
-/// The result of running one handler over one packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExecOutcome {
-    /// The verdict, or `None` when the handler fell through / `return`ed
-    /// without one (the device applies its default behaviour), and always
-    /// `None` when the packet trapped.
-    pub verdict: Option<Verdict>,
-    /// Abstract operations executed (for device latency models). On a trap
-    /// this is the gas consumed up to and including the trapping operation,
-    /// identical across both execution engines.
-    pub ops: u64,
-    /// The trap that ended execution, if any. A trapped packet carries no
-    /// verdict; the device fails closed (drops) and accounts the trap.
-    pub trap: Option<Trap>,
-}
-
-impl ExecOutcome {
-    /// Whether execution ended in a trap.
-    pub fn trapped(&self) -> bool {
-        self.trap.is_some()
-    }
 }
 
 /// Executes `handler` of `program` over `pkt` against `env` under a gas
@@ -190,7 +169,7 @@ impl<'a> Interp<'a> {
             Stmt::AssignField(p, e) => {
                 let v = self.eval(e, pkt)?;
                 self.tick(1)?; // StoreField
-                pkt.set_field(&p.dotted(), v);
+                set_field(pkt, &dotted(p), v);
                 Ok(Flow::Continue)
             }
             Stmt::MapPut(m, k, val) => {
@@ -258,7 +237,7 @@ impl<'a> Interp<'a> {
                 let keys: Vec<u64> = table
                     .keys
                     .iter()
-                    .map(|k| pkt.get_field(&k.field.dotted()).unwrap_or(0))
+                    .map(|k| pkt.get_field(&dotted(&k.field)).unwrap_or(0))
                     .collect();
                 let call = self
                     .env
@@ -322,20 +301,20 @@ impl<'a> Interp<'a> {
             }
             Stmt::AddHeader(proto) => {
                 self.tick(1)?; // AddHeader
-                if !pkt.has_header(proto) {
+                if !has_header(pkt, proto) {
                     let decl = self.headers.decl(proto);
                     let fields = decl.into_iter().flat_map(|d| &d.fields);
                     let header = Header::new(proto.as_str(), fields.map(|f| (f.name.as_str(), 0)));
                     let after = decl
                         .and_then(|d| d.follows.as_ref())
                         .map(|f| f.prev_proto.as_str());
-                    pkt.insert_header(header, after);
+                    insert_header(pkt, header, after);
                 }
                 Ok(Flow::Continue)
             }
             Stmt::RemoveHeader(proto) => {
                 self.tick(1)?; // RemoveHeader
-                pkt.remove_header(proto);
+                remove_header(pkt, proto);
                 Ok(Flow::Continue)
             }
             Stmt::Return => {
@@ -363,11 +342,11 @@ impl<'a> Interp<'a> {
             }
             Expr::Field(p) => {
                 self.tick(1)?;
-                pkt.get_field(&p.dotted()).unwrap_or(0)
+                pkt.get_field(&dotted(p)).unwrap_or(0)
             }
             Expr::Valid(proto) => {
                 self.tick(1)?;
-                pkt.has_header(proto) as u64
+                has_header(pkt, proto) as u64
             }
             Expr::MapGet(m, k) => {
                 let k = self.eval(k, pkt)?;
@@ -424,7 +403,7 @@ impl<'a> Interp<'a> {
                     _ => {
                         let b = self.eval(r, pkt)?;
                         self.tick(1)?;
-                        eval_bin(*op, a, b)?
+                        op.eval(a, b)?
                     }
                 }
             }
@@ -441,53 +420,42 @@ impl<'a> Interp<'a> {
     }
 }
 
-/// Wrapping u64 semantics; division/modulo by zero raise a typed
-/// [`Trap::DivisionByZero`] (shift amounts ≥ 64 remain defined as 0 —
-/// they lose information, they don't indict the packet). Shared with the
-/// bytecode VM so both engines agree bit for bit, traps included.
-pub(crate) fn eval_bin(op: BinOp, a: u64, b: u64) -> Result<u64> {
-    Ok(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => match a.checked_div(b) {
-            Some(v) => v,
-            None => return Err(Trap::DivisionByZero { op: "/" }.into()),
-        },
-        BinOp::Mod => match a.checked_rem(b) {
-            Some(v) => v,
-            None => return Err(Trap::DivisionByZero { op: "%" }.into()),
-        },
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => {
-            if b >= 64 {
-                0
-            } else {
-                a << b
-            }
-        }
-        BinOp::Shr => {
-            if b >= 64 {
-                0
-            } else {
-                a >> b
-            }
-        }
-        BinOp::Eq => (a == b) as u64,
-        BinOp::Ne => (a != b) as u64,
-        BinOp::Lt => (a < b) as u64,
-        BinOp::Le => (a <= b) as u64,
-        BinOp::Gt => (a > b) as u64,
-        BinOp::Ge => (a >= b) as u64,
-        BinOp::LAnd => ((a != 0) && (b != 0)) as u64,
-        BinOp::LOr => ((a != 0) || (b != 0)) as u64,
-    })
+/// `path` as [`Packet::get_field`] spells it: `proto.field`, or
+/// `meta.field` for metadata.
+fn dotted(path: &FieldPath) -> String {
+    match path {
+        FieldPath::Header(p, f) => format!("{p}.{f}"),
+        FieldPath::Meta(f) => format!("meta.{f}"),
+    }
 }
 
-/// A plain in-memory [`ExecEnv`] backed by hash maps, used by unit tests and
-/// by the host device model (eBPF-style software state).
+/// Writes a field by dotted path; returns `false` when the header does
+/// not exist (metadata writes always succeed).
+fn set_field(pkt: &mut Packet, path: &str, value: u64) -> bool {
+    let Some((proto, field)) = path.split_once('.') else {
+        return false;
+    };
+    Sym::lookup(proto).is_some_and(|p| pkt.set_field_sym(p, Sym::intern(field), value))
+}
+
+/// Whether the stack contains a header of the given protocol.
+pub fn has_header(pkt: &Packet, proto: &str) -> bool {
+    Sym::lookup(proto).is_some_and(|p| pkt.header_sym(p).is_some())
+}
+
+/// Pushes a header after the outermost header of `after_proto`
+/// (or at the top of the stack when `after_proto` is `None`).
+fn insert_header(pkt: &mut Packet, header: Header, after_proto: Option<&str>) {
+    pkt.insert_header_sym(header, after_proto.and_then(Sym::lookup));
+}
+
+/// Removes the first header of the given protocol; returns it if present.
+fn remove_header(pkt: &mut Packet, proto: &str) -> Option<Header> {
+    pkt.remove_header_sym(Sym::lookup(proto)?)
+}
+
+/// A plain in-memory [`ExecEnv`] backed by ordered maps, for the
+/// interpreter's own tests, the VM differential and the property tests.
 #[derive(Debug, Default)]
 pub struct MemEnv {
     /// Table entries: table name → list of (keys, action) exact entries.
@@ -625,367 +593,5 @@ impl ExecEnv for MemEnv {
 
     fn invoke_service(&mut self, service: &str, args: &[u64]) {
         self.invocations.push((service.to_string(), args.to_vec()));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::parser::parse_program;
-
-    fn run(src: &str, pkt: &mut Packet, env: &mut MemEnv) -> ExecOutcome {
-        let p = parse_program(src).unwrap();
-        let headers = HeaderRegistry::builtins();
-        crate::typecheck::check_program(&p, &headers).unwrap();
-        execute_metered(&p, "ingress", pkt, env, &headers, GAS_UNLIMITED).unwrap()
-    }
-
-    #[test]
-    fn forward_verdict() {
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        let out = run(
-            "program p { handler ingress(pkt) { forward(7); } }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(out.verdict, Some(Verdict::Forward(7)));
-        assert!(out.ops >= 2);
-    }
-
-    #[test]
-    fn map_and_counter_state() {
-        let mut pkt = Packet::tcp(1, 10, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        let out = run(
-            "program p {
-               map m : map<u32, u32>[16];
-               counter c;
-               handler ingress(pkt) {
-                 map_put(m, ipv4.src, map_get(m, ipv4.src) + 1);
-                 count(c);
-                 if (map_get(m, ipv4.src) >= 1) { drop(); }
-                 forward(1);
-               }
-             }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(out.verdict, Some(Verdict::Drop));
-        assert_eq!(env.maps["m"][&10], 1);
-        assert_eq!(env.counters["c"].0, 1);
-    }
-
-    #[test]
-    fn table_hit_runs_action_with_params() {
-        let mut pkt = Packet::tcp(1, 99, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        env.install_entry(
-            "acl",
-            vec![99],
-            ActionCall {
-                action: "set_port".into(),
-                args: vec![42],
-            },
-        );
-        let out = run(
-            "program p {
-               table acl {
-                 key { ipv4.src : exact; }
-                 action set_port(port: u16) { forward(port); }
-                 action deny() { drop(); }
-                 default deny();
-                 size 8;
-               }
-               handler ingress(pkt) { apply acl; }
-             }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(out.verdict, Some(Verdict::Forward(42)));
-    }
-
-    #[test]
-    fn table_miss_runs_default() {
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        let out = run(
-            "program p {
-               table acl {
-                 key { ipv4.src : exact; }
-                 action deny() { drop(); }
-                 default deny();
-                 size 8;
-               }
-               handler ingress(pkt) { apply acl; forward(1); }
-             }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(out.verdict, Some(Verdict::Drop));
-    }
-
-    #[test]
-    fn table_miss_without_default_falls_through() {
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        let out = run(
-            "program p {
-               table acl { key { ipv4.src : exact; } size 8; }
-               handler ingress(pkt) { apply acl; forward(9); }
-             }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(out.verdict, Some(Verdict::Forward(9)));
-    }
-
-    #[test]
-    fn registers_and_repeat() {
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        run(
-            "program p {
-               register r : u64[4];
-               handler ingress(pkt) {
-                 repeat (3) { reg_write(r, 0, reg_read(r, 0) + 2); }
-                 forward(1);
-               }
-             }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(env.regs["r"][0], 6);
-    }
-
-    #[test]
-    fn meter_rejects_after_tokens_exhausted() {
-        let mut env = MemEnv::new();
-        env.meter_default_tokens = 2;
-        let src = "program p {
-            meter lim rate 1 burst 2;
-            handler ingress(pkt) {
-              if (meter_check(lim, ipv4.src)) { forward(1); } else { drop(); }
-            }
-          }";
-        let mut pkt = Packet::tcp(1, 5, 2, 3, 4, 0);
-        assert_eq!(run(src, &mut pkt, &mut env).verdict, Some(Verdict::Forward(1)));
-        assert_eq!(run(src, &mut pkt, &mut env).verdict, Some(Verdict::Forward(1)));
-        assert_eq!(run(src, &mut pkt, &mut env).verdict, Some(Verdict::Drop));
-    }
-
-    #[test]
-    fn header_add_remove_and_validity() {
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        let out = run(
-            "program p { handler ingress(pkt) {
-               add_header(vlan);
-               vlan.vid = 42;
-               if (valid(vlan)) { meta.tagged = 1; }
-               remove_header(vlan);
-               if (!valid(vlan)) { forward(2); }
-               drop();
-             } }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(out.verdict, Some(Verdict::Forward(2)));
-        assert_eq!(pkt.metadata.get("tagged"), Some(&1));
-        assert!(!pkt.has_header("vlan"));
-    }
-
-    #[test]
-    fn vlan_inserted_after_eth() {
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        run(
-            "program p { handler ingress(pkt) { add_header(vlan); forward(1); } }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(pkt.headers().nth(1).unwrap().proto(), "vlan");
-    }
-
-    #[test]
-    fn short_circuit_logical_ops() {
-        // map_get on the rhs of && must not run when lhs is false: use a
-        // meter with 0 tokens as an observable side effect.
-        let mut env = MemEnv::new();
-        env.meter_default_tokens = 5;
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        run(
-            "program p {
-               meter lim rate 1 burst 1;
-               handler ingress(pkt) {
-                 if (1 == 2 && meter_check(lim, 0)) { drop(); }
-                 forward(1);
-               }
-             }",
-            &mut pkt,
-            &mut env,
-        );
-        assert!(env.meters.get("lim").is_none_or(|m| m.is_empty()));
-    }
-
-    #[test]
-    fn punt_recirculate_return() {
-        let mut env = MemEnv::new();
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let out = run(
-            "program p { handler ingress(pkt) { punt(); } }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(out.verdict, Some(Verdict::ToController));
-        let out = run(
-            "program p { handler ingress(pkt) { recirculate(); } }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(out.verdict, Some(Verdict::Recirculate));
-        let out = run(
-            "program p { handler ingress(pkt) { return; drop(); } }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(out.verdict, None, "return yields no verdict");
-    }
-
-    #[test]
-    fn invoke_records_service_call() {
-        let mut env = MemEnv::new();
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        run(
-            "program p {
-               service require mig(dst: u32, tag: u32);
-               handler ingress(pkt) { invoke mig(7, ipv4.src); forward(1); }
-             }",
-            &mut pkt,
-            &mut env,
-        );
-        assert_eq!(env.invocations, vec![("mig".to_string(), vec![7, 1])]);
-    }
-
-    #[test]
-    fn division_by_zero_traps_shifts_stay_defined() {
-        assert_eq!(
-            eval_bin(BinOp::Div, 5, 0),
-            Err(Trap::DivisionByZero { op: "/" }.into())
-        );
-        assert_eq!(
-            eval_bin(BinOp::Mod, 5, 0),
-            Err(Trap::DivisionByZero { op: "%" }.into())
-        );
-        assert_eq!(eval_bin(BinOp::Shl, 1, 64), Ok(0));
-        assert_eq!(eval_bin(BinOp::Shr, u64::MAX, 64), Ok(0));
-    }
-
-    #[test]
-    fn wrapping_arithmetic() {
-        assert_eq!(eval_bin(BinOp::Add, u64::MAX, 1), Ok(0));
-        assert_eq!(eval_bin(BinOp::Sub, 0, 1), Ok(u64::MAX));
-        assert_eq!(eval_bin(BinOp::Mul, u64::MAX, 2), Ok(u64::MAX - 1));
-    }
-
-    #[test]
-    fn division_by_zero_in_program_is_a_trapped_outcome() {
-        let p = parse_program(
-            "program p { handler ingress(pkt) { let x = 10 / meta.z; forward(1); } }",
-        )
-        .unwrap();
-        let headers = HeaderRegistry::builtins();
-        crate::typecheck::check_program(&p, &headers).unwrap();
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        let out =
-            execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED).unwrap();
-        assert_eq!(out.verdict, None, "a trapped packet carries no verdict");
-        assert_eq!(out.trap, Some(Trap::DivisionByZero { op: "/" }));
-    }
-
-    #[test]
-    fn gas_exhaustion_traps_at_limit_plus_one() {
-        let p = parse_program(
-            "program p {
-               register r : u64[4];
-               handler ingress(pkt) {
-                 repeat (64) { reg_write(r, 0, reg_read(r, 0) + 1); }
-                 forward(1);
-               }
-             }",
-        )
-        .unwrap();
-        let headers = HeaderRegistry::builtins();
-        crate::typecheck::check_program(&p, &headers).unwrap();
-
-        // Unmetered run establishes the true cost.
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        let full =
-            execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED).unwrap();
-        assert!(full.trap.is_none());
-        let cost = full.ops;
-
-        // One op short of the cost must trap at exactly limit + 1.
-        let gas = cost - 1;
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        let out = execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, gas).unwrap();
-        assert_eq!(out.trap, Some(Trap::GasExhausted { limit: gas }));
-        assert_eq!(out.ops, gas + 1, "the trapping op is the first over budget");
-        assert_eq!(out.verdict, None);
-
-        // Exactly the cost completes.
-        let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let mut env = MemEnv::new();
-        let out = execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, cost).unwrap();
-        assert!(out.trap.is_none());
-        assert_eq!(out.verdict, Some(Verdict::Forward(1)));
-    }
-
-    #[test]
-    fn shrunken_register_traps_out_of_bounds() {
-        // The program verifies against size 64; the environment models a
-        // register shrunk to 4 by a post-install reconfiguration.
-        let p = parse_program(
-            "program p {
-               register r : u64[64];
-               handler ingress(pkt) { reg_write(r, ipv4.src % 64, 1); forward(1); }
-             }",
-        )
-        .unwrap();
-        let headers = HeaderRegistry::builtins();
-        crate::typecheck::check_program(&p, &headers).unwrap();
-        crate::verifier::verify_program(&p, &headers).unwrap();
-        let mut env = MemEnv::new();
-        env.reg_sizes.insert("r".into(), 4);
-        let mut pkt = Packet::tcp(1, 40, 2, 3, 4, 0);
-        let out =
-            execute_metered(&p, "ingress", &mut pkt, &mut env, &headers, GAS_UNLIMITED).unwrap();
-        assert_eq!(
-            out.trap,
-            Some(Trap::StateOutOfBounds {
-                kind: "register",
-                name: "r".into(),
-                index: 40,
-                size: 4,
-            })
-        );
-    }
-
-    #[test]
-    fn hash_is_deterministic() {
-        assert_eq!(hash_values(&[1, 2, 3]), hash_values(&[1, 2, 3]));
-        assert_ne!(hash_values(&[1, 2, 3]), hash_values(&[3, 2, 1]));
-    }
-
-    #[test]
-    fn map_capacity_enforced() {
-        let mut env = MemEnv::new();
-        env.map_caps.insert("m".into(), 1);
-        env.map_put("m", 1, 1).unwrap();
-        assert!(env.map_put("m", 2, 2).is_err());
-        env.map_put("m", 1, 9).unwrap(); // update in place is fine
     }
 }

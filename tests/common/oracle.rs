@@ -1,5 +1,5 @@
 //! The reference a device's one engine is held to: the AST interpreter
-//! (`flexnet_lang::interp`), run in lockstep with the device.
+//! (`interp.rs`), run in lockstep with the device.
 //!
 //! [`process`] first runs the device's preamble (a burst of zero packets
 //! commits a reconfiguration that is ready and checks the drain), then runs
@@ -20,8 +20,11 @@ use flexnet_dataplane::{
 };
 use flexnet_lang::ast::ActionCall;
 use flexnet_lang::headers::HeaderRegistry;
-use flexnet_lang::interp::{execute_metered, ExecEnv};
 use flexnet_types::{Packet, Result, SimTime, Trap, Verdict};
+
+#[path = "interp.rs"]
+mod interp;
+use interp::{execute_metered, ExecEnv};
 
 /// The interpreter's state plane: one program's tables and a copy of its
 /// state, addressed by name.

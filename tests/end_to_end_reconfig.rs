@@ -2,6 +2,7 @@
 //! (language → device → simulator), exercising the paper's §2 claims.
 
 use flexnet::prelude::*;
+use flexnet_types::Sym;
 
 fn forwarding() -> ProgramBundle {
     flexnet::apps::routing::l3_router(64).unwrap()
@@ -225,7 +226,8 @@ fn parser_reconfig_enables_new_protocol_mid_stream() {
         dev.process(&mut before, SimTime::ZERO).unwrap().verdict,
         Verdict::Forward(0)
     );
-    assert!(before.has_header("vxlan"), "opaque header preserved");
+    let vxlan = Sym::intern("vxlan");
+    assert!(before.header_sym(vxlan).is_some(), "opaque header preserved");
 
     let rep = dev.begin_runtime_reconfig(vxlan_aware, SimTime::ZERO).unwrap();
     // After: the parser extracts vxlan and the program drops vni 7.

@@ -5,8 +5,8 @@
 //! a `Vec` of `(proto, BTreeMap<field, value>)` plus a metadata map.
 //! Random sequences of builds and clones, header inserts (after a given
 //! protocol) and removals, field reads and stores — on existing and new
-//! fields, metadata included, through both the string-keyed and the
-//! `Sym`-keyed entry points — and `strip_invisible` with its restore run
+//! fields, metadata included, through the `Sym`-keyed entry points, and
+//! reads also by dotted path — and `strip_invisible` with its restore run
 //! over well-known and runtime-declared headers. After every step the
 //! packet must agree with the model in its field values, its `Debug` text,
 //! its `wire_len`, and `==` with a packet built afresh from the model (so
@@ -48,7 +48,7 @@ const FIELDS: [&str; 14] = [
     "dscp",
     GHOST_FIELD,
 ];
-/// Only ever passed to the string API: must still be unknown at the end.
+/// Only ever read by dotted path: must still be unknown at the end.
 const GHOST: &str = "model_never_interned_proto";
 const GHOST_FIELD: &str = "model_never_interned_field";
 /// The one runtime header the test parser has a state for; `model_beta`
@@ -232,7 +232,7 @@ fn random_edits_agree_with_the_string_keyed_model() {
         for step in 1..4_000usize {
             let proto = PROTOS[rng.gen_range(0..PROTOS.len())];
             let field = FIELDS[rng.gen_range(0..FIELDS.len())];
-            // A ghost name has no `Sym`; it can only come in as a string.
+            // A ghost name has no `Sym`; it can only be read by dotted path.
             let by_sym = rng.gen_bool(0.5) && proto != GHOST && field != GHOST_FIELD;
             let value = rng.gen_range(0..1_000u64);
             match rng.gen_range(0..13u32) {
@@ -244,12 +244,8 @@ fn random_edits_agree_with_the_string_keyed_model() {
                     };
                     assert_eq!(got, model.get(proto, field), "step {step}");
                 }
-                3..=5 if field != GHOST_FIELD => {
-                    let got = if by_sym {
-                        pkt.set_field_sym(Sym::intern(proto), Sym::intern(field), value)
-                    } else {
-                        pkt.set_field(&format!("{proto}.{field}"), value)
-                    };
+                3..=5 if by_sym => {
+                    let got = pkt.set_field_sym(Sym::intern(proto), Sym::intern(field), value);
                     assert_eq!(got, model.set(proto, field, value), "step {step}");
                 }
                 6..=7 if proto != GHOST && proto != "meta" && model.headers.len() < 6 => {
@@ -257,20 +253,13 @@ fn random_edits_agree_with_the_string_keyed_model() {
                     let after = rng
                         .gen_bool(0.7)
                         .then(|| PROTOS[rng.gen_range(0..PROTOS.len())]);
-                    match after {
-                        Some(a) if by_sym && a != GHOST => {
-                            pkt.insert_header_sym(header, Some(Sym::intern(a)))
-                        }
-                        _ => pkt.insert_header(header, after),
-                    }
+                    // A ghost names no header: the new one goes on top.
+                    let after_sym = after.filter(|&a| a != GHOST).map(Sym::intern);
+                    pkt.insert_header_sym(header, after_sym);
                     model.insert(proto, fields, after);
                 }
-                8..=9 => {
-                    let got = if by_sym {
-                        pkt.remove_header_sym(Sym::intern(proto))
-                    } else {
-                        pkt.remove_header(proto)
-                    };
+                8..=9 if by_sym => {
+                    let got = pkt.remove_header_sym(Sym::intern(proto));
                     let want = if proto == "meta" {
                         None
                     } else {
@@ -290,7 +279,7 @@ fn random_edits_agree_with_the_string_keyed_model() {
                     assert_eq!(format!("{copy:?}"), format!("{pkt:?}"), "step {step}");
                     let original = std::mem::replace(&mut pkt, copy);
                     let snapshot = model.clone();
-                    if pkt.set_field("tcp.m", value) {
+                    if pkt.set_field_sym(Sym::TCP, Sym::intern("m"), value) {
                         model.set("tcp", "m", value);
                     }
                     assert_same(&original, &snapshot, step);
@@ -330,10 +319,12 @@ fn random_edits_agree_with_the_string_keyed_model() {
                     let at = visible.min(model.headers.len());
                     model.headers.splice(at..at, tail);
                 }
-                _ => {
+                _ if by_sym => {
                     let want = proto != "meta" && model.headers.iter().any(|(p, _)| p == proto);
-                    assert_eq!(pkt.has_header(proto), want, "step {step}");
+                    let got = pkt.header_sym(Sym::intern(proto)).is_some();
+                    assert_eq!(got, want, "step {step}");
                 }
+                _ => {}
             }
             assert_same(&pkt, &model, step);
         }

@@ -21,6 +21,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
+#[path = "common/interp.rs"]
+mod interp;
+use interp::{execute_metered, MemEnv, GAS_UNLIMITED};
+
 // ---------------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------------

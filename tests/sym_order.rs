@@ -77,9 +77,9 @@ fn outputs_are_identical_when_every_name_gets_a_different_id() {
     let mut pkt = Packet::tcp(42, 0x0a00_0001, 0x0a00_0002, 1234, 80, 0x12);
     pkt.payload_len = 3;
     pkt.payload = vec![1, 2, 3].into();
-    pkt.insert_header(Header::vlan(300), Some("eth"));
-    assert!(pkt.set_field("vlan.pcp", 5));
-    assert!(pkt.set_field("ipv4.dscp", 10));
+    pkt.insert_header_sym(Header::vlan(300), Some(Sym::ETH));
+    assert!(pkt.set_field_sym(Sym::VLAN, Sym::PCP, 5));
+    assert!(pkt.set_field_sym(Sym::IPV4, Sym::DSCP, 10));
     let wire = encode_wire(&pkt);
     let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(hex, WIRE_HEX);
@@ -88,10 +88,11 @@ fn outputs_are_identical_when_every_name_gets_a_different_id() {
     assert_eq!(format!("{parsed:?}"), PARSED_DEBUG);
 
     pkt.push_header(Header::new("tun", [("zeta", 1), ("alpha", 2), ("mid", 3)]));
-    assert!(pkt.set_field("tun.beta", 4));
-    assert!(pkt.set_field("meta.out_port", 9));
+    let tun = Sym::lookup("tun").expect("interned by its header");
+    assert!(pkt.set_field_sym(tun, Sym::intern("beta"), 4));
+    assert!(pkt.set_field_sym(Sym::META, Sym::intern("out_port"), 9));
     pkt.metadata.insert("dst_node".into(), 3);
-    assert!(pkt.set_field("meta.aaa", 1));
+    assert!(pkt.set_field_sym(Sym::META, Sym::intern("aaa"), 1));
     pkt.record_processing(NodeId(5), ProgramVersion(2));
     assert_eq!(format!("{pkt:?}"), PACKET_DEBUG);
     assert_eq!(pkt.wire_len(), 14 + 4 + 20 + 20 + 16 + 3);

@@ -27,6 +27,7 @@ mod tenants;
 use flexnet::apps;
 use flexnet::prelude::*;
 use flexnet_dataplane::SandboxConfig;
+use flexnet_types::Sym;
 
 /// The rogue tenant's extension: 512 register updates a packet, inside the
 /// verifier's bound, far over the gas budget below.
@@ -54,7 +55,7 @@ fn counters(dev: &Device) -> Vec<(String, u64)> {
 /// A TCP packet on `vlan`, with the routing metadata the programs read.
 fn packet(id: u64, vlan: VlanId) -> Packet {
     let mut p = Packet::tcp(id, 10 + id as u32 % 7, 2, 3, 80, 0x10);
-    p.insert_header(flexnet_types::Header::vlan(u64::from(vlan.0)), Some("eth"));
+    p.insert_header_sym(flexnet_types::Header::vlan(u64::from(vlan.0)), Some(Sym::ETH));
     p.metadata.insert("dst_node".into(), 1);
     p
 }

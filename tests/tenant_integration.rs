@@ -4,6 +4,7 @@
 
 use flexnet::apps;
 use flexnet::prelude::*;
+use flexnet_types::Sym;
 
 fn infra() -> ProgramBundle {
     let file = parse_source(
@@ -121,7 +122,7 @@ fn tenant_traffic_only_hits_its_own_guard() {
     let mk = |id, tagged: bool| {
         let mut p = Packet::tcp(id, 77, 2, 3, 80, 0x10);
         if tagged {
-            p.insert_header(flexnet_types::Header::vlan(vlan.0 as u64), Some("eth"));
+            p.insert_header_sym(flexnet_types::Header::vlan(vlan.0 as u64), Some(Sym::ETH));
         }
         p.metadata.insert("dst_node".into(), 1);
         p
