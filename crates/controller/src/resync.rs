@@ -348,7 +348,7 @@ impl Default for Resyncer {
 impl Resyncer {
     /// A reconciler admitting at most one resync per `min_gap`
     /// (globally, across all devices), booking at most
-    /// [`RESYNC_BUCKET_DEPTH`] admissions ahead.
+    /// `RESYNC_BUCKET_DEPTH` admissions ahead.
     pub fn new(min_gap: SimDuration) -> Resyncer {
         Resyncer::with_bucket(TokenBucket::new(min_gap, RESYNC_BUCKET_DEPTH))
     }

@@ -18,7 +18,7 @@ use crate::table::{TableEntry, TableSet};
 use flexnet_lang::bytecode::{
     self, CompiledProgram, SlotEnv, SlotResolver, SymbolKind,
 };
-use flexnet_lang::ast::{visit_names, Program};
+use flexnet_lang::ast::{visit_names, Program, ProgramKind};
 use flexnet_lang::diff::{ProgramBundle, ReconfigOp};
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::ir::program_elements;
@@ -474,21 +474,39 @@ fn admit(bytes: &[u8], sealed: bool, id: u64) -> Result<Packet> {
     crate::wire::parse_wire(body, id)
 }
 
+/// Where a device's programs sit: the allocator — the one resource ledger,
+/// every element placed there, parser states included — and the parser
+/// graph that makes the placed user headers visible to packets.
+#[derive(Debug, Clone)]
+pub(crate) struct Placement {
+    pub(crate) allocator: ArchAllocator,
+    pub(crate) parser: ParserGraph,
+}
+
+impl Placement {
+    /// Nothing placed, only the built-in protocols parsed.
+    fn empty(arch: &Architecture) -> Placement {
+        Placement {
+            allocator: ArchAllocator::new(arch.clone()),
+            parser: ParserGraph::new(),
+        }
+    }
+}
+
 /// A runtime-programmable network device.
 #[derive(Debug)]
 pub struct Device {
     id: NodeId,
-    allocator: ArchAllocator,
+    /// The active program's placement, and during a hitless change the
+    /// shadow's additions beside it (make-before-break).
+    pub(crate) placement: Placement,
     cost: CostModel,
     encoding: StateEncoding,
-    parser: ParserGraph,
     active: Option<InstalledProgram>,
     version: ProgramVersion,
-    /// In-flight runtime reconfiguration (managed by `reconfig.rs`).
+    /// In-flight runtime reconfiguration (managed by `reconfig.rs`). A
+    /// device drains exactly while a reflash is pending.
     pub(crate) pending: Option<crate::reconfig::PendingReconfig>,
-    /// When non-`None`, the device refuses traffic until this instant
-    /// (compile-time drain/reflash baseline).
-    pub(crate) drained_until: Option<SimTime>,
     /// Whether the device is powered and reachable (fault injection).
     up: bool,
     /// Monotone incarnation counter, bumped on every restart. Reported in
@@ -538,14 +556,12 @@ impl Device {
         let cost = CostModel::for_arch(arch.class());
         Device {
             id,
-            allocator: ArchAllocator::new(arch),
+            placement: Placement::empty(&arch),
             cost,
             encoding,
-            parser: ParserGraph::new(),
             active: None,
             version: ProgramVersion::INITIAL,
             pending: None,
-            drained_until: None,
             up: true,
             boot_id: 1,
             fence: 0,
@@ -593,12 +609,12 @@ impl Device {
 
     /// The architecture class.
     pub fn arch_class(&self) -> ArchClass {
-        self.allocator.arch().class()
+        self.architecture().class()
     }
 
     /// The architecture instance.
     pub fn architecture(&self) -> &Architecture {
-        self.allocator.arch()
+        self.placement.allocator.arch()
     }
 
     /// The cost model.
@@ -613,13 +629,13 @@ impl Device {
 
     /// The allocator (placement state).
     pub fn allocator(&self) -> &ArchAllocator {
-        &self.allocator
+        &self.placement.allocator
     }
 
     /// Mutable allocator access (used by the fungible compiler to
     /// tentatively reshuffle placements).
     pub fn allocator_mut(&mut self) -> &mut ArchAllocator {
-        &mut self.allocator
+        &mut self.placement.allocator
     }
 
     /// The current program version.
@@ -642,21 +658,13 @@ impl Device {
         self.active.as_mut()
     }
 
-    pub(crate) fn take_active(&mut self) -> Option<InstalledProgram> {
-        self.active.take()
-    }
-
     pub(crate) fn set_active(&mut self, p: InstalledProgram) {
         self.active = Some(p);
     }
 
     /// The parser graph.
     pub fn parser(&self) -> &ParserGraph {
-        &self.parser
-    }
-
-    pub(crate) fn parser_mut(&mut self) -> &mut ParserGraph {
-        &mut self.parser
+        &self.placement.parser
     }
 
     /// Aggregate statistics.
@@ -765,7 +773,6 @@ impl Device {
             )));
         }
         self.up = true;
-        self.drained_until = None;
         if let Some(p) = self.active.as_mut() {
             p.reset_runtime(self.encoding);
             p.compiled = None;
@@ -780,66 +787,43 @@ impl Device {
     /// Installs a program from scratch (initial deployment or reflash),
     /// allocating resources for every element. A sealed image is not
     /// checked again; what is per-device — kind support, resource
-    /// admission, the parser graph, symbol resolution — always runs.
+    /// admission, the parser graph, symbol resolution — always runs. A
+    /// refused program changes nothing; an admitted one supersedes any
+    /// change still pending.
     pub fn install(&mut self, target: impl SealTarget) -> Result<()> {
         self.ensure_up()?;
         let installed = InstalledProgram::new(target, self.encoding)?;
-        let kind = installed.bundle().program.kind;
-        if !self.allocator.arch().supports(kind) {
-            return Err(FlexError::Compile(format!(
-                "program kind `{kind}` not supported on {} device {}",
-                self.arch_class(),
-                self.id
-            )));
+        let placement = self.admit_program(&installed)?;
+        if let Some(superseded) = self.pending.take() {
+            self.undo(superseded);
         }
-        // Release any previous placement; one that fails part-way is
-        // released too.
-        let empty = ArchAllocator::new(self.allocator.arch().clone());
-        self.allocator = empty.clone();
-        self.parser = ParserGraph::new();
-        if let Err(e) = self.place_elements(&installed) {
-            self.allocator = empty;
-            return Err(e);
-        }
-        for h in &installed.bundle().headers {
-            self.parser.add_state(h)?;
-        }
-        // The outgoing program becomes the quarantine fallback — unless
-        // the device is quarantined, in which case the outgoing program
-        // *is* the suspect (or already the fallback) and must not be
-        // re-stashed as known-good. A fresh install always lifts
-        // quarantine: the controller shipped a replacement.
-        if let Some(prev) = self.active.take() {
-            if !self.quarantined {
-                self.last_good = Some(Box::new(prev));
-            }
-        }
-        self.quarantined = false;
-        self.window = TrapWindow::default();
-        self.active = Some(installed);
-        self.version = self.version.next();
+        self.placement = placement;
+        self.commit(installed);
         Ok(())
     }
 
-    /// Called by the reconfiguration engine when a hitless flip commits:
-    /// the outgoing image becomes the quarantine fallback, and any
-    /// quarantine is lifted (a replacement program shipped).
-    pub(crate) fn note_flip_committed(&mut self, outgoing: Option<InstalledProgram>) {
-        if let Some(prev) = outgoing {
-            if !self.quarantined {
-                self.last_good = Some(Box::new(prev));
-            }
+    /// Errors unless this device's architecture runs programs of `kind`.
+    pub(crate) fn check_kind(&self, kind: ProgramKind) -> Result<()> {
+        if self.architecture().supports(kind) {
+            return Ok(());
         }
-        self.quarantined = false;
-        self.window = TrapWindow::default();
+        Err(FlexError::Compile(format!(
+            "program kind `{kind}` not supported on {} device {}",
+            self.arch_class(),
+            self.id
+        )))
     }
 
-    /// Allocates every element of `installed`, applying monotone stage
-    /// ordering for tables on RMT (tables applied later may not sit in an
-    /// earlier stage than their predecessors).
-    fn place_elements(&mut self, installed: &InstalledProgram) -> Result<()> {
-        let (bundle, registry) = installed.code.parts();
-        let elements = program_elements(&bundle.program, &bundle.headers, registry);
+    /// Admission of a whole program — an install, a reflash, a quarantine
+    /// fallback: the kind check, then every element of `program` placed
+    /// and every user header parsed on a fresh allocator and parser graph,
+    /// built aside so a refusal changes nothing. Tables the handlers apply
+    /// keep monotone stage order on RMT (a table applied later may not sit
+    /// in an earlier stage than its predecessors).
+    pub(crate) fn admit_program(&self, program: &InstalledProgram) -> Result<Placement> {
+        let (bundle, registry) = program.code.parts();
+        self.check_kind(bundle.program.kind)?;
+        let mut placement = Placement::empty(self.architecture());
         // The tables the handlers apply: in a checked program a table name
         // a handler mentions is an `apply` (states and tables share one
         // namespace).
@@ -848,28 +832,46 @@ impl Device {
             visit_names(&h.body, &mut |n| applied.push(n));
         }
         let mut last_stage = 0usize;
-        for e in &elements {
+        for e in &program_elements(&bundle.program, &bundle.headers, registry) {
             let ordered = e.kind == flexnet_lang::ir::ElementKind::Table
                 && applied.contains(&e.name.as_str());
             let min_stage = if ordered { last_stage } else { 0 };
-            let loc = self.allocator.alloc(e.name.as_str().into(), &e.demand, min_stage)?;
+            let loc = placement.allocator.alloc(e.name.as_str().into(), &e.demand, min_stage)?;
             if let (crate::arch::Location::Stage(s), true) = (loc, ordered) {
                 last_stage = s;
             }
         }
-        Ok(())
+        for h in &bundle.headers {
+            placement.parser.add_state(h)?;
+        }
+        Ok(placement)
     }
 
-    /// Used resources (architecture kinds), including the parser.
+    /// Makes `program` active — the one commit of an install and of both
+    /// flips. The outgoing program becomes the quarantine fallback, unless
+    /// the device is quarantined: then the outgoing program *is* the
+    /// suspect (or already the fallback) and must not be re-stashed as
+    /// known-good. A commit always lifts quarantine (a replacement
+    /// shipped), starts a fresh trap window and advances the version.
+    pub(crate) fn commit(&mut self, program: InstalledProgram) {
+        if let Some(prev) = self.active.replace(program) {
+            if !self.quarantined {
+                self.last_good = Some(Box::new(prev));
+            }
+        }
+        self.quarantined = false;
+        self.window = TrapWindow::default();
+        self.version = self.version.next();
+    }
+
+    /// Used resources (architecture kinds), parser states included.
     pub fn used(&self) -> ResourceVec {
-        let mut u = self.allocator.used();
-        u += self.parser.used();
-        u
+        self.placement.allocator.used()
     }
 
     /// Total capacity (architecture kinds).
     pub fn capacity(&self) -> ResourceVec {
-        self.allocator.arch().capacity()
+        self.architecture().capacity()
     }
 
     /// Max-component utilization in [0, 1].
@@ -879,30 +881,30 @@ impl Device {
 
     // -- control-plane entry management ---------------------------------------
 
+    /// The active program's table `table`, on a device that is up.
+    fn table_mut(&mut self, table: &str) -> Result<&mut crate::table::TableInstance> {
+        self.ensure_up()?;
+        self.active_mut()?
+            .tables_mut()
+            .get_mut(table)
+            .ok_or_else(|| FlexError::NotFound(format!("table `{table}`")))
+    }
+
+    /// The active program, or [`FlexError::NotFound`] on an empty device.
+    fn active_mut(&mut self) -> Result<&mut InstalledProgram> {
+        self.active
+            .as_mut()
+            .ok_or_else(|| FlexError::NotFound("no program installed".into()))
+    }
+
     /// Installs a table entry.
     pub fn add_entry(&mut self, table: &str, entry: TableEntry) -> Result<()> {
-        self.ensure_up()?;
-        let p = self
-            .active
-            .as_mut()
-            .ok_or_else(|| FlexError::NotFound("no program installed".into()))?;
-        p.tables_mut()
-            .get_mut(table)
-            .ok_or_else(|| FlexError::NotFound(format!("table `{table}`")))?
-            .insert(entry)
+        self.table_mut(table)?.insert(entry)
     }
 
     /// Removes table entries matching the given key matches.
     pub fn remove_entry(&mut self, table: &str, matches: &[crate::table::KeyMatch]) -> Result<usize> {
-        self.ensure_up()?;
-        let p = self
-            .active
-            .as_mut()
-            .ok_or_else(|| FlexError::NotFound("no program installed".into()))?;
-        Ok(p.tables_mut()
-            .get_mut(table)
-            .ok_or_else(|| FlexError::NotFound(format!("table `{table}`")))?
-            .remove(matches))
+        Ok(self.table_mut(table)?.remove(matches))
     }
 
     /// Snapshots the installed program's logical state.
@@ -912,11 +914,7 @@ impl Device {
 
     /// Restores a logical state snapshot into the installed program.
     pub fn restore_state(&mut self, state: &LogicalState) -> Result<()> {
-        let p = self
-            .active
-            .as_mut()
-            .ok_or_else(|| FlexError::NotFound("no program installed".into()))?;
-        p.state.restore(state);
+        self.active_mut()?.state.restore(state);
         Ok(())
     }
 
@@ -1067,7 +1065,7 @@ impl Device {
             // At most one trapped packet per run — the trap ends it.
             let mut run_trap = None;
             for pkt in rest.by_ref() {
-                let hidden = self.parser.strip_invisible(pkt);
+                let hidden = self.placement.parser.strip_invisible(pkt);
                 let mut ops = 0u64;
                 let mut passes = 0u32;
                 let (verdict, trap) = loop {
@@ -1102,7 +1100,7 @@ impl Device {
                         break (Verdict::Drop, None);
                     }
                 };
-                self.parser.reattach(pkt, hidden);
+                self.placement.parser.reattach(pkt, hidden);
                 pkt.record_processing(self.id, version);
                 self.stats.processed += 1;
                 if verdict == Verdict::ToController {
@@ -1139,16 +1137,11 @@ impl Device {
 
     /// The time-dependent preamble of every packet entry: commits a
     /// reconfiguration whose transition completed, then reports whether the
-    /// device is still drained at `now` (a drain that ran out is lifted).
+    /// device is still drained at `now` — whether a reflash is still
+    /// pending.
     fn draining(&mut self, now: SimTime) -> bool {
         crate::reconfig::commit_if_ready(self, now);
-        match self.drained_until {
-            Some(until) if now < until => true,
-            _ => {
-                self.drained_until = None;
-                false
-            }
-        }
+        self.pending.as_ref().is_some_and(crate::reconfig::PendingReconfig::drains)
     }
 
     /// Refuses one packet of a drained device: lost, not processed.
@@ -1211,9 +1204,10 @@ impl Device {
     }
 
     /// Quarantines the active program: atomically swaps in the
-    /// last-known-good image (or the transparent-forward default when
-    /// none is stashed) and sets the sticky `quarantined` flag that
-    /// heartbeats report to the controller.
+    /// last-known-good image, placed and parsed as an install would place
+    /// and parse it (or the transparent-forward default, with nothing
+    /// placed, when none is stashed or it no longer fits), and sets the
+    /// sticky `quarantined` flag that heartbeats report to the controller.
     fn quarantine_now(&mut self, now: SimTime) {
         // A quarantine mid-reconfiguration also condemns the in-flight
         // transition — the shadow belongs to the same suspect push.
@@ -1223,7 +1217,12 @@ impl Device {
         self.stats.quarantines += 1;
         self.quarantined = true;
         self.window = TrapWindow::default();
-        self.active = self.last_good.take().map(|good| *good);
+        let fallback = self.last_good.take();
+        let admitted = fallback.and_then(|good| Some((self.admit_program(&good).ok()?, *good)));
+        (self.placement, self.active) = match admitted {
+            Some((placement, good)) => (placement, Some(good)),
+            None => (Placement::empty(self.architecture()), None),
+        };
         self.version = self.version.next();
     }
 }
@@ -1264,6 +1263,11 @@ pub(crate) mod tests {
         )
     }
 
+    /// The `fw_bundle` entry that denies source 99.
+    fn deny_99() -> TableEntry {
+        TableEntry::exact(&[99], ActionCall { action: "deny".into(), args: vec![] })
+    }
+
     fn new_dev() -> Device {
         Device::new(
             NodeId(1),
@@ -1295,17 +1299,7 @@ pub(crate) mod tests {
     fn entries_change_behavior() {
         let mut d = new_dev();
         d.install(fw_bundle()).unwrap();
-        d.add_entry(
-            "acl",
-            TableEntry::exact(
-                &[99],
-                ActionCall {
-                    action: "deny".into(),
-                    args: vec![],
-                },
-            ),
-        )
-        .unwrap();
+        d.add_entry("acl", deny_99()).unwrap();
         let mut pkt = Packet::tcp(1, 99, 20, 1, 80, 0);
         let r = d.process(&mut pkt, SimTime::ZERO).unwrap();
         assert_eq!(r.verdict, Verdict::Drop);
@@ -1340,39 +1334,6 @@ pub(crate) mod tests {
         let mut pkt = Packet::udp(1, 1, 2, 3, 4);
         let r = d.process(&mut pkt, SimTime::ZERO).unwrap();
         assert_eq!(r.verdict, Verdict::Forward(DEFAULT_PORT));
-    }
-
-    #[test]
-    fn unsupported_kind_rejected() {
-        let mut d = Device::new(
-            NodeId(2),
-            Architecture::smartnic_default(),
-            StateEncoding::StatefulTable,
-        );
-        let b = bundle("program p kind switch { handler ingress(pkt) { forward(1); } }");
-        assert!(d.install(b).is_err());
-    }
-
-    #[test]
-    fn install_rolls_back_on_resource_failure() {
-        let mut d = Device::new(
-            NodeId(3),
-            Architecture::Rmt {
-                stages: 1,
-                per_stage: ResourceVec::of(flexnet_types::ResourceKind::SramKb, 1),
-            },
-            StateEncoding::StatefulTable,
-        );
-        // Demands far more than 1 KiB of SRAM.
-        let b = bundle(
-            "program p kind any {
-               table t { key { ipv4.src : exact; } size 65536; }
-               handler ingress(pkt) { apply t; forward(1); }
-             }",
-        );
-        assert!(d.install(b).is_err());
-        assert_eq!(d.allocator().placed().count(), 0, "rollback must free all");
-        assert!(d.program().is_none());
     }
 
     #[test]
@@ -1463,13 +1424,7 @@ pub(crate) mod tests {
         assert_eq!(d.config_digest(), base, "counters/maps are not config");
 
         // ...but an installed entry does, and removing it restores it.
-        let entry = TableEntry::exact(
-            &[99],
-            ActionCall {
-                action: "deny".into(),
-                args: vec![],
-            },
-        );
+        let entry = deny_99();
         d.add_entry("acl", entry.clone()).unwrap();
         let with_entry = d.config_digest();
         assert_ne!(with_entry, base);
@@ -1511,17 +1466,7 @@ pub(crate) mod tests {
         let mut d = new_dev();
         d.install(fw_bundle()).unwrap();
         let program_only = d.config_digest();
-        d.add_entry(
-            "acl",
-            TableEntry::exact(
-                &[99],
-                ActionCall {
-                    action: "deny".into(),
-                    args: vec![],
-                },
-            ),
-        )
-        .unwrap();
+        d.add_entry("acl", deny_99()).unwrap();
         assert_eq!(d.boot_id(), 1);
         d.crash(SimTime::from_secs(1));
         d.restart(SimTime::from_secs(2)).unwrap();

@@ -8,7 +8,7 @@
 
 use flexnet_lang::ast::HeaderDecl;
 use flexnet_lang::headers::HeaderRegistry;
-use flexnet_types::{FlexError, HeaderTail, Packet, ResourceKind, ResourceVec, Result, Sym};
+use flexnet_types::{FlexError, HeaderTail, Packet, Result, Sym};
 use std::collections::BTreeMap;
 
 /// A device's parser: the set of header types it can extract.
@@ -96,16 +96,6 @@ impl ParserGraph {
     #[inline]
     pub fn can_parse_sym(&self, proto: Sym) -> bool {
         self.accept.contains(&proto)
-    }
-
-    /// Parser resource consumption (TCAM entries).
-    pub fn used(&self) -> ResourceVec {
-        let entries: u64 = self
-            .user
-            .values()
-            .map(|d| 1 + d.fields.len() as u64)
-            .sum();
-        ResourceVec::of(ResourceKind::ParserEntries, entries)
     }
 
     /// Splits a packet's header stack into the *visible* prefix the program
@@ -224,14 +214,6 @@ mod tests {
     fn builtins_cannot_be_removed() {
         let mut p = ParserGraph::new();
         assert!(p.remove_state("ipv4").is_err());
-    }
-
-    #[test]
-    fn used_counts_entries() {
-        let mut p = ParserGraph::new();
-        assert_eq!(p.used(), ResourceVec::new());
-        p.add_state(&vxlan()).unwrap();
-        assert_eq!(p.used().get(ResourceKind::ParserEntries), 2);
     }
 
     #[test]

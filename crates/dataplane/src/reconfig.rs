@@ -24,14 +24,12 @@
 //!   transition can observe a program that is neither the old nor the new
 //!   one (experiment E1's consistency ablation).
 
-use crate::arch::ArchAllocator;
-use crate::device::{Device, InstalledProgram};
+use crate::device::{Device, InstalledProgram, Placement};
 use crate::image::{ProgramImage, SealTarget};
-use crate::parser::ParserGraph;
 use crate::state::CarryMap;
 use flexnet_lang::ast::{Program, TableDecl};
 use flexnet_lang::diff::{diff_bundles, ProgramBundle, ReconfigOp};
-use flexnet_lang::ir::{handler_demand, state_demand, table_demand};
+use flexnet_lang::ir::{handler_demand, parser_demand, state_demand, table_demand};
 use flexnet_types::{FlexError, ResourceVec, Result, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -55,16 +53,17 @@ pub fn entries_carry_over(old: &Arc<TableDecl>, new: &Program) -> bool {
 ///
 /// A control operation shares one plan among the devices that run the
 /// same sealed image (`SealedTargets`); nothing in a plan is per device.
-/// What the flip needs is a [`FlipPlan`] each device holds until its flip.
+/// What the flip needs is a `FlipPlan` each device holds until its flip.
 #[derive(Debug)]
 pub struct ReconfigPlan {
     /// The image this plan leads to.
     pub(crate) target: Arc<ProgramImage>,
     ops: Vec<ReconfigOp>,
-    /// Make-before-break placements in op order: the element, its demand,
-    /// and whether a same-named element is freed first (break-before-make
-    /// for one that is modified in place). The names are made once here;
-    /// every device's allocator keys its placement by the same pointer.
+    /// Make-before-break placements in op order, parser states first: the
+    /// element, its demand, and whether a same-named element is freed first
+    /// (break-before-make for one that is modified in place). The names are
+    /// made once here; every device's allocator keys its placement by the
+    /// same pointer.
     placements: Vec<(Arc<str>, ResourceVec, bool)>,
     pub(crate) flip: Arc<FlipPlan>,
 }
@@ -76,8 +75,11 @@ pub(crate) struct FlipPlan {
     /// Where each state object of the target starts: the active program's
     /// slot holding it (`None`: an empty device, which installs at once).
     pub(crate) carry: Option<CarryMap>,
-    /// The removals among the plan's ops, freed and un-parsed at the flip.
-    removals: Vec<ReconfigOp>,
+    /// The elements the plan's removals free at the flip, parser states
+    /// included.
+    freed: Vec<String>,
+    /// The parser states the plan's removals un-parse at the flip.
+    unparsed: Vec<String>,
 }
 
 impl ReconfigPlan {
@@ -94,6 +96,7 @@ impl ReconfigPlan {
         let registry = target.registry();
         let placements = ops.iter().filter_map(|op| {
             let (name, demand, replace) = match op {
+                ReconfigOp::AddParserState(h) => (&h.name, parser_demand(h), false),
                 ReconfigOp::AddTable(t) => (&t.name, table_demand(t, registry), false),
                 ReconfigOp::ModifyTable(t) => (&t.name, table_demand(t, registry), true),
                 ReconfigOp::AddState(s) => (&s.name, state_demand(s), false),
@@ -104,13 +107,21 @@ impl ReconfigPlan {
             Some((Arc::from(name.as_str()), demand, replace))
         });
         let placements = placements.collect();
-        let removal = |op: &&ReconfigOp| {
-            use ReconfigOp::*;
-            matches!(op, RemoveTable(_) | RemoveState(_) | RemoveHandler(_) | RemoveParserState(_))
+        let freed = |op: &ReconfigOp| match op {
+            ReconfigOp::RemoveTable(n)
+            | ReconfigOp::RemoveState(n)
+            | ReconfigOp::RemoveHandler(n)
+            | ReconfigOp::RemoveParserState(n) => Some(n.clone()),
+            _ => None,
+        };
+        let unparsed = |op: &ReconfigOp| match op {
+            ReconfigOp::RemoveParserState(n) => Some(n.clone()),
+            _ => None,
         };
         let flip = Arc::new(FlipPlan {
             carry: active.map(|p| CarryMap::between(p.state.layout(), target.layout())),
-            removals: ops.iter().filter(removal).cloned().collect(),
+            freed: ops.iter().filter_map(freed).collect(),
+            unparsed: ops.iter().filter_map(unparsed).collect(),
         });
         ReconfigPlan { target, ops, placements, flip }
     }
@@ -175,39 +186,99 @@ pub struct TxnTag {
 /// In-flight reconfiguration state held by a device.
 #[derive(Debug)]
 pub(crate) struct PendingReconfig {
-    mode: ReconfigMode,
+    /// When the change completes: the flip of a hitless change or a
+    /// reflash, the last op of an in-place one.
     ready_at: SimTime,
-    /// Transaction that owns this shadow, if it was prepared through the
-    /// two-phase-commit path (orphan-shadow enumeration keys on this).
-    txn: Option<TxnTag>,
-    /// `true` while the shadow awaits an explicit commit/abort decision:
-    /// the flip is withheld even past `ready_at`, so an in-doubt prepared
-    /// device never unilaterally commits (2PC safety).
-    await_decision: bool,
     /// When the transition was initiated (for abort reports).
     started_at: SimTime,
-    /// Number of primitive ops in the change (for abort reports).
+    /// Number of primitive ops in the change (for reports).
     ops: usize,
-    /// Hitless / reflash: the program that becomes active at `ready_at`.
-    /// A hitless shadow holds no tables and no state until the flip
-    /// builds them from what the outgoing program holds then.
-    shadow: Option<InstalledProgram>,
-    /// Hitless: what the flip copies by, frees and un-parses.
-    flip: Option<Arc<FlipPlan>>,
-    /// Unsafe in-place: (apply-at, op) pairs not yet applied.
-    staged_ops: Vec<(SimTime, ReconfigOp)>,
-    /// Pre-reconfig placement, restored verbatim on abort.
-    allocator_snapshot: ArchAllocator,
-    /// Pre-reconfig parser graph, restored verbatim on abort.
-    parser_snapshot: ParserGraph,
-    /// Unsafe in-place only: the pre-reconfig program (including entries
-    /// and state), restored on abort since in-place ops mutate it live.
-    program_snapshot: Option<InstalledProgram>,
-    /// Drain/reflash only: the drain window to cancel on abort.
-    was_drained: bool,
+    change: Change,
+}
+
+/// What a pending change holds: what its mode needs to finish, and to be
+/// undone.
+#[derive(Debug)]
+enum Change {
+    /// Shadow build + atomic flip.
+    Hitless {
+        /// The program that becomes active at the flip. It holds no tables
+        /// and no state until the flip builds them from what the outgoing
+        /// program holds then.
+        shadow: InstalledProgram,
+        /// What the flip carries by, frees and un-parses.
+        flip: Arc<FlipPlan>,
+        /// The transaction that owns this shadow, if it was prepared
+        /// through the two-phase-commit path (orphan-shadow enumeration
+        /// keys on this).
+        txn: Option<TxnTag>,
+        /// `true` while the shadow awaits an explicit commit/abort
+        /// decision: the flip is withheld even past `ready_at`, so an
+        /// in-doubt prepared device never unilaterally commits (2PC
+        /// safety).
+        await_decision: bool,
+        /// The placement before the shadow's additions were made, restored
+        /// on abort.
+        before: Placement,
+    },
+    /// Drain + reflash: the program and its from-scratch placement, which
+    /// replace the active ones at `ready_at`. The device refuses traffic
+    /// until then.
+    Reflash(InstalledProgram, Placement),
+    /// Unsafe in-place: the (apply-at, op) pairs not yet applied, and the
+    /// program as it was before the first (entries and state included),
+    /// restored on abort since the ops mutate the live program.
+    InPlace {
+        staged: Vec<(SimTime, ReconfigOp)>,
+        before: InstalledProgram,
+    },
+}
+
+impl PendingReconfig {
+    /// Whether the device refuses traffic while this change is pending.
+    pub(crate) fn drains(&self) -> bool {
+        matches!(self.change, Change::Reflash(..))
+    }
+
+    fn mode(&self) -> ReconfigMode {
+        match self.change {
+            Change::Hitless { .. } => ReconfigMode::RuntimeHitless,
+            Change::Reflash(..) => ReconfigMode::DrainAndReflash,
+            Change::InPlace { .. } => ReconfigMode::UnsafeInPlace,
+        }
+    }
+
+    /// The report of this change as it stands, ending at `at`.
+    fn report(&self, at: SimTime, outcome: ReconfigOutcome) -> ReconfigReport {
+        ReconfigReport {
+            mode: self.mode(),
+            ops: self.ops,
+            duration: at.saturating_since(self.started_at),
+            ready_at: at,
+            outcome,
+        }
+    }
+
+    /// The transaction of a hitless shadow prepared through 2PC.
+    fn txn(&self) -> Option<TxnTag> {
+        match self.change {
+            Change::Hitless { txn, .. } => txn,
+            _ => None,
+        }
+    }
 }
 
 impl Device {
+    /// Errors unless the device is up with no change in flight: a device
+    /// runs one change at a time.
+    fn accept_change(&self) -> Result<()> {
+        self.ensure_up()?;
+        match self.pending {
+            Some(_) => Err(FlexError::Reconfig("a reconfiguration is already in progress".into())),
+            None => Ok(()),
+        }
+    }
+
     /// Whether a reconfiguration is in flight.
     pub fn reconfig_in_progress(&self) -> bool {
         self.pending.is_some()
@@ -226,17 +297,12 @@ impl Device {
         let pending = self.pending.as_mut().ok_or_else(|| {
             FlexError::Reconfig("no reconfiguration in progress to hold".into())
         })?;
-        if pending.mode == ReconfigMode::UnsafeInPlace {
+        if let Change::InPlace { .. } = pending.change {
             return Err(FlexError::Reconfig(
                 "unsafe in-place changes have no atomic flip to defer".into(),
             ));
         }
-        if at > pending.ready_at {
-            pending.ready_at = at;
-            if pending.was_drained {
-                self.drained_until = Some(at);
-            }
-        }
+        pending.ready_at = pending.ready_at.max(at);
         Ok(())
     }
 
@@ -250,26 +316,21 @@ impl Device {
         let pending = self.pending.take().ok_or_else(|| {
             FlexError::Reconfig("no reconfiguration in progress to abort".into())
         })?;
-        // Restore placement and parser to their pre-reconfig snapshots
-        // (undoes make-before-break allocations and added parser states).
-        *self.allocator_mut() = pending.allocator_snapshot;
-        *self.parser_mut() = pending.parser_snapshot;
-        if let Some(before) = pending.program_snapshot {
-            // Unsafe in-place: ops already applied mutated the live
-            // program; put the pre-reconfig instance back.
-            self.set_active(before);
+        let report = pending.report(now, ReconfigOutcome::Aborted);
+        self.undo(pending);
+        Ok(report)
+    }
+
+    /// Undoes a change taken out of `pending`: a hitless change gives back
+    /// the room its additions took, an in-place one puts the pre-change
+    /// program back. A reflash changed nothing yet; with it pending gone,
+    /// the drain ends.
+    pub(crate) fn undo(&mut self, pending: PendingReconfig) {
+        match pending.change {
+            Change::Hitless { before, .. } => self.placement = before,
+            Change::Reflash(..) => {}
+            Change::InPlace { before, .. } => self.set_active(before),
         }
-        if pending.was_drained {
-            // Cancel the drain window: the device resumes serving.
-            self.drained_until = None;
-        }
-        Ok(ReconfigReport {
-            mode: pending.mode,
-            ops: pending.ops,
-            duration: now.saturating_since(pending.started_at),
-            ready_at: now,
-            outcome: ReconfigOutcome::Aborted,
-        })
     }
 
     // -- epoch fencing and transactional (2PC) commands ----------------------
@@ -302,10 +363,10 @@ impl Device {
     /// released by a commit that merely await their flip instant are
     /// excluded. A `Some` after recovery finished is an orphan.
     pub fn txn_in_doubt(&self) -> Option<TxnTag> {
-        self.pending
-            .as_ref()
-            .filter(|p| p.await_decision)
-            .and_then(|p| p.txn)
+        match self.pending.as_ref()?.change {
+            Change::Hitless { txn, await_decision: true, .. } => txn,
+            _ => None,
+        }
     }
 
     /// Phase 1 of two-phase commit: prepares a shadow for `tag`'s
@@ -331,24 +392,18 @@ impl Device {
     ) -> Result<ReconfigReport> {
         self.observe_epoch(tag.epoch)?;
         if let Some(p) = self.pending.as_ref() {
-            if let Some(t) = p.txn {
-                if t.txn_id == tag.txn_id {
-                    // Duplicate delivery of our own prepare: ack the
-                    // existing shadow as-is (exactly-once application).
-                    return Ok(ReconfigReport {
-                        mode: p.mode,
-                        ops: p.ops,
-                        duration: p.ready_at.saturating_since(p.started_at),
-                        ready_at: p.ready_at,
-                        outcome: ReconfigOutcome::InFlight,
-                    });
-                }
+            if p.txn().is_some_and(|t| t.txn_id == tag.txn_id) {
+                // Duplicate delivery of our own prepare: ack the existing
+                // shadow as-is (exactly-once application).
+                return Ok(p.report(p.ready_at, ReconfigOutcome::InFlight));
             }
         }
         let report = self.begin_runtime_reconfig(target, now)?;
-        if let Some(p) = self.pending.as_mut() {
-            p.txn = Some(tag);
-            p.await_decision = true;
+        if let Some(Change::Hitless { txn, await_decision, .. }) =
+            self.pending.as_mut().map(|p| &mut p.change)
+        {
+            *txn = Some(tag);
+            *await_decision = true;
         }
         Ok(report)
     }
@@ -368,12 +423,12 @@ impl Device {
         let Some(p) = self.pending.as_mut() else {
             return Ok(false);
         };
-        match p.txn {
+        match p.txn() {
             Some(t) if t.txn_id == tag.txn_id => {
-                p.await_decision = false;
-                if at > p.ready_at {
-                    p.ready_at = at;
+                if let Change::Hitless { await_decision, .. } = &mut p.change {
+                    *await_decision = false;
                 }
+                p.ready_at = p.ready_at.max(at);
                 Ok(true)
             }
             Some(t) => Err(FlexError::Conflict(format!(
@@ -396,7 +451,7 @@ impl Device {
     /// by a different transaction is left untouched and errors.
     pub fn abort_txn(&mut self, tag: TxnTag, now: SimTime) -> Result<Option<ReconfigReport>> {
         self.observe_epoch(tag.epoch)?;
-        match self.pending.as_ref().and_then(|p| p.txn) {
+        match self.pending.as_ref().and_then(PendingReconfig::txn) {
             Some(t) if t.txn_id == tag.txn_id => self.abort_reconfig(now).map(Some),
             Some(t) => Err(FlexError::Conflict(format!(
                 "abort for txn {} but pending shadow belongs to txn {}",
@@ -424,13 +479,9 @@ impl Device {
         target: impl SealTarget,
         now: SimTime,
     ) -> Result<ReconfigReport> {
-        self.ensure_up()?;
-        if self.pending.is_some() {
-            return Err(FlexError::Reconfig(
-                "a reconfiguration is already in progress".into(),
-            ));
-        }
+        self.accept_change()?;
         let plan = target.into_plan(self.program())?;
+        self.check_kind(plan.target.bundle().program.kind)?;
         let duration = self.cost_model().plan_duration(&plan.ops);
         let report = |outcome| ReconfigReport {
             mode: ReconfigMode::RuntimeHitless,
@@ -448,47 +499,36 @@ impl Device {
         // The shadow is the image and its bytecode, checked against the
         // slot layout the flip will build; the storage comes at the flip.
         let shadow = InstalledProgram::shadow(plan.target.clone(), self.encoding())?;
-        let allocator_snapshot = self.allocator().clone();
-        let parser_snapshot = self.parser().clone();
 
-        // Resource accounting: make-before-break. Parse and allocate the
-        // additions now (a diff lists parser states first), defer removals
-        // to commit. Roll back on failure.
-        let placed: Result<()> = (|| {
-            for op in &plan.ops {
-                if let ReconfigOp::AddParserState(h) = op {
-                    self.parser_mut().add_state(h)?;
-                }
+        // Make-before-break, on a copy of the placement: parse and place
+        // the additions now (a diff lists parser states first), free the
+        // removals at the flip. A refusal leaves the device as it was.
+        let mut after = self.placement.clone();
+        for op in &plan.ops {
+            if let ReconfigOp::AddParserState(h) = op {
+                after.parser.add_state(h)?;
             }
-            for (name, demand, replace) in &plan.placements {
-                if *replace {
-                    let _ = self.allocator_mut().free(name);
-                }
-                self.allocator_mut().alloc(name.clone(), demand, 0)?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = placed {
-            *self.allocator_mut() = allocator_snapshot;
-            *self.parser_mut() = parser_snapshot;
-            return Err(e);
         }
+        for (name, demand, replace) in &plan.placements {
+            if *replace {
+                let _ = after.allocator.free(name);
+            }
+            after.allocator.alloc(name.clone(), demand, 0)?;
+        }
+        let before = std::mem::replace(&mut self.placement, after);
 
         let report = report(ReconfigOutcome::InFlight);
         self.pending = Some(PendingReconfig {
-            mode: ReconfigMode::RuntimeHitless,
             ready_at: report.ready_at,
-            txn: None,
-            await_decision: false,
             started_at: now,
             ops: report.ops,
-            shadow: Some(shadow),
-            flip: Some(plan.flip.clone()),
-            staged_ops: Vec::new(),
-            allocator_snapshot,
-            parser_snapshot,
-            program_snapshot: None,
-            was_drained: false,
+            change: Change::Hitless {
+                shadow,
+                flip: plan.flip.clone(),
+                txn: None,
+                await_decision: false,
+                before,
+            },
         });
         Ok(report)
     }
@@ -498,42 +538,21 @@ impl Device {
     /// The device refuses all traffic until the reflash completes, and the
     /// old program's state is wiped (a reflash clears device memory).
     pub fn begin_reflash(&mut self, target: ProgramBundle, now: SimTime) -> Result<ReconfigReport> {
-        self.ensure_up()?;
-        if self.pending.is_some() {
-            return Err(FlexError::Reconfig(
-                "a reconfiguration is already in progress".into(),
-            ));
-        }
-        let downtime = self.cost_model().reflash_downtime();
-        let ready_at = now + downtime;
-        // Validate the target now (a failed compile would abort the
-        // maintenance window before draining).
-        let shadow = InstalledProgram::new(target, self.encoding())?;
-        let allocator_snapshot = self.allocator().clone();
-        let parser_snapshot = self.parser().clone();
-        self.drained_until = Some(ready_at);
-        self.pending = Some(PendingReconfig {
-            mode: ReconfigMode::DrainAndReflash,
+        self.accept_change()?;
+        // Admit the target now: a program that does not compile or fit
+        // aborts the maintenance window before draining.
+        let program = InstalledProgram::new(target, self.encoding())?;
+        let placement = self.admit_program(&program)?;
+        let ready_at = now + self.cost_model().reflash_downtime();
+        let pending = PendingReconfig {
             ready_at,
-            txn: None,
-            await_decision: false,
             started_at: now,
             ops: 1,
-            shadow: Some(shadow),
-            flip: None,
-            staged_ops: Vec::new(),
-            allocator_snapshot,
-            parser_snapshot,
-            program_snapshot: None,
-            was_drained: true,
-        });
-        Ok(ReconfigReport {
-            mode: ReconfigMode::DrainAndReflash,
-            ops: 1,
-            duration: downtime,
-            ready_at,
-            outcome: ReconfigOutcome::InFlight,
-        })
+            change: Change::Reflash(program, placement),
+        };
+        let report = pending.report(ready_at, ReconfigOutcome::InFlight);
+        self.pending = Some(pending);
+        Ok(report)
     }
 
     /// Begins the unsafe in-place ablation: each op mutates the live
@@ -545,18 +564,13 @@ impl Device {
         target: ProgramBundle,
         now: SimTime,
     ) -> Result<ReconfigReport> {
-        self.ensure_up()?;
-        if self.pending.is_some() {
-            return Err(FlexError::Reconfig(
-                "a reconfiguration is already in progress".into(),
-            ));
-        }
+        self.accept_change()?;
         let Some(active) = self.program() else {
             return Err(FlexError::Reconfig(
                 "no active program to mutate in place".into(),
             ));
         };
-        let program_snapshot = Some(active.clone());
+        let before = active.clone();
         let ops = ReconfigPlan::new(Some(active), ProgramImage::seal(target)?).ops;
         let mut staged = Vec::new();
         let mut t = now;
@@ -564,31 +578,15 @@ impl Device {
             t += self.cost_model().op_duration(&op);
             staged.push((t, op));
         }
-        let ready_at = t;
-        let duration = ready_at.saturating_since(now);
-        let n = staged.len();
-        self.pending = Some(PendingReconfig {
-            mode: ReconfigMode::UnsafeInPlace,
-            ready_at,
-            txn: None,
-            await_decision: false,
+        let pending = PendingReconfig {
+            ready_at: t,
             started_at: now,
-            ops: n,
-            shadow: None,
-            flip: None,
-            staged_ops: staged,
-            allocator_snapshot: self.allocator().clone(),
-            parser_snapshot: self.parser().clone(),
-            program_snapshot,
-            was_drained: false,
-        });
-        Ok(ReconfigReport {
-            mode: ReconfigMode::UnsafeInPlace,
-            ops: n,
-            duration,
-            ready_at,
-            outcome: ReconfigOutcome::InFlight,
-        })
+            ops: staged.len(),
+            change: Change::InPlace { staged, before },
+        };
+        let report = pending.report(t, ReconfigOutcome::InFlight);
+        self.pending = Some(pending);
+        Ok(report)
     }
 }
 
@@ -598,24 +596,20 @@ pub(crate) fn commit_if_ready(dev: &mut Device, now: SimTime) {
     let Some(pending) = dev.pending.as_mut() else {
         return;
     };
-    match pending.mode {
-        ReconfigMode::UnsafeInPlace => {
+    match &mut pending.change {
+        Change::InPlace { staged, .. } => {
             // Apply every op whose time has come, directly to the live
             // program. This is exactly the inconsistency the shadow+flip
             // design avoids.
-            let due: Vec<ReconfigOp> = {
-                let mut due = Vec::new();
-                pending.staged_ops.retain(|(t, op)| {
-                    if *t <= now {
-                        due.push(op.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                due
-            };
-            let finished = pending.staged_ops.is_empty();
+            let mut due = Vec::new();
+            staged.retain(|(t, op)| {
+                let keep = *t > now;
+                if !keep {
+                    due.push(op.clone());
+                }
+                keep
+            });
+            let finished = staged.is_empty();
             if let Some(active) = dev.program_mut() {
                 for op in due {
                     let _ = active.apply_op(&op);
@@ -626,44 +620,32 @@ pub(crate) fn commit_if_ready(dev: &mut Device, now: SimTime) {
                 dev.bump_version();
             }
         }
-        ReconfigMode::RuntimeHitless | ReconfigMode::DrainAndReflash => {
-            if pending.await_decision {
-                // 2PC in-doubt shadow: the flip is withheld until the
-                // coordinator (or its recovery successor) decides.
-                return;
-            }
-            if now < pending.ready_at {
-                return;
-            }
-            let Some(pending) = dev.pending.take() else {
-                return;
-            };
-            if let Some(mut shadow) = pending.shadow {
+        // 2PC in-doubt shadow: the flip is withheld until the coordinator
+        // (or its recovery successor) decides.
+        Change::Hitless { await_decision: true, .. } => {}
+        _ if now < pending.ready_at => {}
+        _ => match dev.pending.take().map(|p| p.change) {
+            Some(Change::Hitless { mut shadow, flip, .. }) => {
                 // Atomic flip: packets before this instant saw the old
-                // program, packets after see the new one, which starts
-                // from the state and entries the old one holds now. The
-                // outgoing image is stashed as the sandbox's
-                // last-known-good quarantine fallback.
-                let outgoing = dev.take_active();
-                if let (ReconfigMode::RuntimeHitless, Some(old)) = (pending.mode, &outgoing) {
-                    let carry = pending.flip.as_ref().and_then(|f| f.carry.as_ref());
-                    shadow.carry_over(old, carry);
+                // program, packets after see the new one, which starts from
+                // the state and entries the old one holds now.
+                if let Some(old) = dev.program() {
+                    shadow.carry_over(old, flip.carry.as_ref());
                 }
-                dev.set_active(shadow);
-                dev.note_flip_committed(outgoing);
-                dev.bump_version();
-            }
-            let removals = pending.flip.as_ref().map_or(&[][..], |f| &f.removals[..]);
-            for op in removals {
-                match op {
-                    ReconfigOp::RemoveParserState(n) => drop(dev.parser_mut().remove_state(n)),
-                    ReconfigOp::RemoveTable(n)
-                    | ReconfigOp::RemoveState(n)
-                    | ReconfigOp::RemoveHandler(n) => drop(dev.allocator_mut().free(n)),
-                    _ => {}
+                for n in &flip.unparsed {
+                    drop(dev.placement.parser.remove_state(n));
                 }
+                for n in &flip.freed {
+                    drop(dev.allocator_mut().free(n));
+                }
+                dev.commit(shadow);
             }
-        }
+            Some(Change::Reflash(program, placement)) => {
+                dev.placement = placement;
+                dev.commit(program);
+            }
+            Some(Change::InPlace { .. }) | None => {}
+        },
     }
 }
 
@@ -671,17 +653,9 @@ pub(crate) fn commit_if_ready(dev: &mut Device, now: SimTime) {
 mod tests {
     use super::*;
     use crate::arch::Architecture;
+    use crate::device::tests::bundle;
     use crate::state::StateEncoding;
-    use flexnet_lang::parser::parse_source;
     use flexnet_types::{NodeId, Packet, ProgramVersion, Verdict};
-
-    fn bundle(src: &str) -> ProgramBundle {
-        let file = parse_source(src).unwrap();
-        ProgramBundle {
-            headers: file.headers,
-            program: file.programs.into_iter().next().unwrap(),
-        }
-    }
 
     fn v1() -> ProgramBundle {
         bundle("program app kind any { handler ingress(pkt) { forward(1); } }")
@@ -696,13 +670,43 @@ mod tests {
         )
     }
 
+    /// One UDP packet through `d` at `at`.
+    fn send(d: &mut Device, at: SimTime) -> crate::device::ProcessResult {
+        d.process(&mut Packet::udp(1, 1, 2, 3, 4), at).unwrap()
+    }
+
+    fn empty() -> Device {
+        Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable)
+    }
+
     fn dev() -> Device {
-        let mut d = Device::new(
-            NodeId(1),
-            Architecture::drmt_default(),
-            StateEncoding::StatefulTable,
-        );
+        let mut d = empty();
         d.install(v1()).unwrap();
+        d
+    }
+
+    fn stateful_base() -> ProgramBundle {
+        bundle(
+            "program app kind any {
+               counter c;
+               table t {
+                 key { ipv4.src : exact; }
+                 action deny() { drop(); }
+                 size 8;
+               }
+               handler ingress(pkt) { count(c); apply t; forward(1); }
+             }",
+        )
+    }
+
+    /// A device running `stateful_base()` that has counted one packet and
+    /// holds one entry, denying source 9.
+    fn warmed_up() -> Device {
+        let mut d = empty();
+        d.install(stateful_base()).unwrap();
+        d.process(&mut Packet::tcp(1, 9, 2, 3, 4, 0), SimTime::ZERO).unwrap();
+        let deny = flexnet_lang::ast::ActionCall { action: "deny".into(), args: vec![] };
+        d.add_entry("t", crate::table::TableEntry::exact(&[9], deny)).unwrap();
         d
     }
 
@@ -720,77 +724,15 @@ mod tests {
 
         // During the transition, packets are processed (no loss) by the OLD
         // program.
-        let mut pkt = Packet::udp(1, 1, 2, 3, 4);
-        let r = d.process(&mut pkt, t0 + SimDuration::from_millis(1)).unwrap();
+        let r = send(&mut d, t0 + SimDuration::from_millis(1));
         assert!(!r.refused);
         assert_eq!(r.verdict, Verdict::Forward(1), "old program semantics");
 
         // After ready_at, the NEW program answers.
-        let mut pkt2 = Packet::udp(2, 1, 2, 3, 4);
-        let r2 = d
-            .process(&mut pkt2, report.ready_at + SimDuration::from_nanos(1))
-            .unwrap();
+        let r2 = send(&mut d, report.ready_at + SimDuration::from_nanos(1));
         assert_eq!(r2.verdict, Verdict::Forward(2), "new program semantics");
         assert!(r2.version > r.version, "version flipped atomically");
         assert_eq!(d.stats().refused, 0, "hitless = zero loss");
-    }
-
-    #[test]
-    fn hitless_carries_over_state_and_entries() {
-        let base = bundle(
-            "program app kind any {
-               counter c;
-               table t {
-                 key { ipv4.src : exact; }
-                 action deny() { drop(); }
-                 size 8;
-               }
-               handler ingress(pkt) { count(c); apply t; forward(1); }
-             }",
-        );
-        // v2 keeps c and t, adds a map.
-        let next = bundle(
-            "program app kind any {
-               counter c;
-               map m : map<u32, u8>[16];
-               table t {
-                 key { ipv4.src : exact; }
-                 action deny() { drop(); }
-                 size 8;
-               }
-               handler ingress(pkt) { count(c); apply t; forward(1); }
-             }",
-        );
-        let mut d = Device::new(
-            NodeId(1),
-            Architecture::drmt_default(),
-            StateEncoding::StatefulTable,
-        );
-        d.install(base).unwrap();
-        // Accumulate state + an entry.
-        let mut pkt = Packet::tcp(1, 9, 2, 3, 4, 0);
-        d.process(&mut pkt, SimTime::ZERO).unwrap();
-        d.add_entry(
-            "t",
-            crate::table::TableEntry::exact(
-                &[9],
-                flexnet_lang::ast::ActionCall {
-                    action: "deny".into(),
-                    args: vec![],
-                },
-            ),
-        )
-        .unwrap();
-
-        let report = d.begin_runtime_reconfig(next, SimTime::ZERO).unwrap();
-        d.tick(report.ready_at);
-        let p = d.program().unwrap();
-        assert_eq!(p.state.counter_read("c"), 1, "counter carried over");
-        assert_eq!(p.tables().get("t").unwrap().len(), 1, "entries carried over");
-        // And the new map is live.
-        let mut pkt2 = Packet::tcp(2, 9, 2, 3, 4, 0);
-        let r = d.process(&mut pkt2, report.ready_at).unwrap();
-        assert_eq!(r.verdict, Verdict::Drop, "entry still matches after flip");
     }
 
     #[test]
@@ -804,13 +746,11 @@ mod tests {
             report.duration
         );
         // Mid-window: refused.
-        let mut pkt = Packet::udp(1, 1, 2, 3, 4);
-        let r = d.process(&mut pkt, t0 + SimDuration::from_secs(1)).unwrap();
+        let r = send(&mut d, t0 + SimDuration::from_secs(1));
         assert!(r.refused);
         assert_eq!(d.stats().refused, 1);
         // After the window: new program runs.
-        let mut pkt2 = Packet::udp(2, 1, 2, 3, 4);
-        let r2 = d.process(&mut pkt2, report.ready_at).unwrap();
+        let r2 = send(&mut d, report.ready_at);
         assert!(!r2.refused);
         assert_eq!(r2.verdict, Verdict::Forward(2));
     }
@@ -829,16 +769,14 @@ mod tests {
         // two: state added but handler still old -> a mix.
         let state_op = cost_model_state_op(&d);
         let mid = t0 + state_op + SimDuration::from_nanos(1);
-        let mut pkt = Packet::udp(1, 1, 2, 3, 4);
-        let r = d.process(&mut pkt, mid).unwrap();
+        let r = send(&mut d, mid);
         // Old handler (forward(1)) but new state exists: neither old nor new
         // program as a whole.
         assert_eq!(r.verdict, Verdict::Forward(1));
         assert!(d.program().unwrap().state.has("c"), "state already added");
 
         // After completion the program is fully v2.
-        let mut pkt2 = Packet::udp(2, 1, 2, 3, 4);
-        let r2 = d.process(&mut pkt2, report.ready_at).unwrap();
+        let r2 = send(&mut d, report.ready_at);
         assert_eq!(r2.verdict, Verdict::Forward(2));
     }
 
@@ -862,11 +800,7 @@ mod tests {
 
     #[test]
     fn hitless_on_empty_device_installs() {
-        let mut d = Device::new(
-            NodeId(9),
-            Architecture::drmt_default(),
-            StateEncoding::StatefulTable,
-        );
+        let mut d = empty();
         let report = d.begin_runtime_reconfig(v1(), SimTime::ZERO).unwrap();
         assert!(report.ops > 0);
         assert!(d.program().is_some());
@@ -882,24 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn parser_states_added_and_removed_across_reconfig() {
-        let with_hdr = bundle(
-            "header vxlan { fields { vni: 24; } follows udp when udp.dport == 4789; }
-             program app kind any {
-               handler ingress(pkt) { if (valid(vxlan)) { drop(); } forward(1); }
-             }",
-        );
-        let mut d = dev();
-        let r = d.begin_runtime_reconfig(with_hdr, SimTime::ZERO).unwrap();
-        d.tick(r.ready_at);
-        assert!(d.parser().can_parse("vxlan"));
-        // Back to v1: parser state removed at commit.
-        let r2 = d.begin_runtime_reconfig(v1(), r.ready_at).unwrap();
-        d.tick(r2.ready_at);
-        assert!(!d.parser().can_parse("vxlan"));
-    }
-
-    #[test]
     fn version_increments_once_per_hitless_change() {
         let mut d = dev();
         let v_before = d.version();
@@ -908,42 +824,9 @@ mod tests {
         assert_eq!(d.version(), ProgramVersion(v_before.0 + 1));
     }
 
-    fn stateful_base() -> ProgramBundle {
-        bundle(
-            "program app kind any {
-               counter c;
-               table t {
-                 key { ipv4.src : exact; }
-                 action deny() { drop(); }
-                 size 8;
-               }
-               handler ingress(pkt) { count(c); apply t; forward(1); }
-             }",
-        )
-    }
-
     #[test]
     fn abort_restores_pre_reconfig_program_exactly() {
-        let mut d = Device::new(
-            NodeId(1),
-            Architecture::drmt_default(),
-            StateEncoding::StatefulTable,
-        );
-        d.install(stateful_base()).unwrap();
-        // Accumulate runtime state and a control-plane entry.
-        let mut pkt = Packet::tcp(1, 9, 2, 3, 4, 0);
-        d.process(&mut pkt, SimTime::ZERO).unwrap();
-        d.add_entry(
-            "t",
-            crate::table::TableEntry::exact(
-                &[9],
-                flexnet_lang::ast::ActionCall {
-                    action: "deny".into(),
-                    args: vec![],
-                },
-            ),
-        )
-        .unwrap();
+        let mut d = warmed_up();
 
         let bundle_before = d.program().unwrap().bundle().clone();
         let tables_before = d.program().unwrap().tables().clone();
@@ -980,8 +863,7 @@ mod tests {
         let bundle_expected = v1();
         // Let some (but not all) staged ops apply.
         let mid = SimTime::ZERO + d.cost_model().state_op + SimDuration::from_nanos(1);
-        let mut pkt = Packet::udp(1, 1, 2, 3, 4);
-        d.process(&mut pkt, mid).unwrap();
+        send(&mut d, mid);
         assert!(d.program().unwrap().state.has("c"), "op already applied");
         assert!(mid < rep.ready_at, "still mid-transition");
 
@@ -997,8 +879,7 @@ mod tests {
         d.begin_reflash(v2(), t0).unwrap();
         d.abort_reconfig(t0 + SimDuration::from_secs(1)).unwrap();
         // Traffic is served again, by the old program.
-        let mut pkt = Packet::udp(1, 1, 2, 3, 4);
-        let r = d.process(&mut pkt, t0 + SimDuration::from_secs(2)).unwrap();
+        let r = send(&mut d, t0 + SimDuration::from_secs(2));
         assert!(!r.refused);
         assert_eq!(r.verdict, Verdict::Forward(1), "old program semantics");
     }
@@ -1016,12 +897,10 @@ mod tests {
         let hold = rep.ready_at + SimDuration::from_millis(50);
         d.hold_pending_until(hold).unwrap();
         // At the original ready_at the old program still answers.
-        let mut pkt = Packet::udp(1, 1, 2, 3, 4);
-        let r = d.process(&mut pkt, rep.ready_at + SimDuration::from_nanos(1)).unwrap();
+        let r = send(&mut d, rep.ready_at + SimDuration::from_nanos(1));
         assert_eq!(r.verdict, Verdict::Forward(1), "flip deferred");
         // At the held instant the new program answers.
-        let mut pkt2 = Packet::udp(2, 1, 2, 3, 4);
-        let r2 = d.process(&mut pkt2, hold).unwrap();
+        let r2 = send(&mut d, hold);
         assert_eq!(r2.verdict, Verdict::Forward(2));
         // Holding earlier than the plan is a no-op; holding without a
         // pending change is an error.
@@ -1038,16 +917,14 @@ mod tests {
         // Far past the transition's ready_at, the shadow is still in doubt.
         d.tick(rep.ready_at + SimDuration::from_secs(3600));
         assert!(d.reconfig_in_progress(), "in-doubt shadow held");
-        let mut pkt = Packet::udp(1, 1, 2, 3, 4);
-        let r = d.process(&mut pkt, rep.ready_at + SimDuration::from_secs(7200)).unwrap();
+        let r = send(&mut d, rep.ready_at + SimDuration::from_secs(7200));
         assert_eq!(r.verdict, Verdict::Forward(1), "old program still serves");
         // The commit decision releases it.
         let commit_at = rep.ready_at + SimDuration::from_secs(9000);
         assert!(d.commit_txn(tag, commit_at).unwrap());
         d.tick(commit_at);
         assert!(!d.reconfig_in_progress());
-        let mut pkt2 = Packet::udp(2, 1, 2, 3, 4);
-        let r2 = d.process(&mut pkt2, commit_at).unwrap();
+        let r2 = send(&mut d, commit_at);
         assert_eq!(r2.verdict, Verdict::Forward(2), "flip happened at commit");
         // A duplicate commit (lost ack) is an idempotent no-op.
         assert!(!d.commit_txn(tag, commit_at).unwrap());
@@ -1206,25 +1083,7 @@ mod tests {
 
     #[test]
     fn restart_wipes_state_but_keeps_program_image() {
-        let mut d = Device::new(
-            NodeId(1),
-            Architecture::drmt_default(),
-            StateEncoding::StatefulTable,
-        );
-        d.install(stateful_base()).unwrap();
-        let mut pkt = Packet::tcp(1, 9, 2, 3, 4, 0);
-        d.process(&mut pkt, SimTime::ZERO).unwrap();
-        d.add_entry(
-            "t",
-            crate::table::TableEntry::exact(
-                &[9],
-                flexnet_lang::ast::ActionCall {
-                    action: "deny".into(),
-                    args: vec![],
-                },
-            ),
-        )
-        .unwrap();
+        let mut d = warmed_up();
         let v_before = d.version();
 
         d.crash(SimTime::from_secs(1));
@@ -1238,8 +1097,8 @@ mod tests {
         assert_eq!(p.bundle(), &stateful_base(), "program image survives");
         assert!(d.version() > v_before, "restart is a new incarnation");
         // And it serves traffic again.
-        let mut pkt2 = Packet::tcp(2, 9, 2, 3, 4, 0);
-        let r = d.process(&mut pkt2, SimTime::from_secs(3)).unwrap();
+        let mut pkt = Packet::tcp(2, 9, 2, 3, 4, 0);
+        let r = d.process(&mut pkt, SimTime::from_secs(3)).unwrap();
         assert_eq!(r.verdict, Verdict::Forward(1));
     }
 }

@@ -21,7 +21,7 @@
 //! addresses state by `u16` slot (`map_get_at` and friends). Names live in
 //! a [`StateLayout`] the sealed image owns and every device on it shares; a
 //! name reaches a slot through `*_slot`, and a flip reaches the outgoing
-//! values through a [`CarryMap`] made once per image pair.
+//! values through a `CarryMap` made once per image pair.
 
 use flexnet_lang::ast::{StateDecl, StateKind};
 use flexnet_types::hash::{fnv_step, FNV_OFFSET};

@@ -10,7 +10,7 @@
 //! time**; entries are kept in a winner-first scan order; and a table whose
 //! entries are all exact-match additionally maintains a hash index keyed by
 //! the full key vector, making its lookups O(1). That index hashes with a
-//! keyed folded multiply ([`FoldKey`]) rather than SipHash. The winner a lookup
+//! keyed folded multiply (`FoldKey`) rather than SipHash. The winner a lookup
 //! returns is bit-identical to the historical linear scan (highest
 //! `(priority, total LPM specificity)`, ties broken toward the
 //! latest-inserted entry).

@@ -112,12 +112,12 @@ fn assert_window_writes_present(d: &Device) {
     assert!(t.lookup(&[100]).is_none(), "entry removed in the window is absent");
 }
 
-/// Placement, resource use and parser, as the tests compare them.
-fn footprint(d: &Device) -> (Vec<String>, ResourceVec, ResourceVec, bool) {
+/// Placement (parser states included), resource use and parser, as the
+/// tests compare them.
+fn footprint(d: &Device) -> (Vec<String>, ResourceVec, bool) {
     (
         d.allocator().placed().map(str::to_owned).collect(),
-        d.allocator().used(),
-        d.parser().used(),
+        d.used(),
         d.parser().can_parse("vx"),
     )
 }

@@ -229,8 +229,7 @@ proptest! {
                     w.in_sync &= gone.unwrap_or(0) == 0;
                     "remove_entry"
                 }
-                // A fallback leaves the rogue program's placement behind,
-                // so a later change can be refused: a no-op on both sides.
+                // A refused change is a no-op on both sides.
                 4 | 5 => match w.dev.begin_runtime_reconfig(target.clone(), now) {
                     Ok(rep) => {
                         w.check("hitless shadow pending")?;
@@ -511,10 +510,10 @@ fn report_from_scratch(dev: &Device, target: &ProgramBundle, now: SimTime) -> Re
     }
 }
 
-/// Placement, resource use and parser of a device.
-fn footprint(d: &Device) -> (Vec<String>, ResourceVec, ResourceVec) {
+/// Placement (parser states included) and resource use of a device.
+fn footprint(d: &Device) -> (Vec<String>, ResourceVec) {
     let placed = d.allocator().placed().map(str::to_owned).collect();
-    (placed, d.allocator().used(), d.parser().used())
+    (placed, d.used())
 }
 
 fn device_on(node: u32, arch: Architecture, image: &Arc<ProgramImage>) -> Device {

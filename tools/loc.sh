@@ -4,7 +4,7 @@
 #   tools/loc.sh            every crate, the total over crates/*/src, the
 #                           libraries' total (the same without crates/bench,
 #                           the experiment harness), then tests/ benches/
-#                           benchmark/
+#                           benchmark/, then one whole-file total
 #   tools/loc.sh FILE...    just those files
 #
 # For each source file two numbers, both taken over the lines before the
@@ -12,7 +12,10 @@
 # repository): `lines` is every such line, `code` leaves out blank lines and
 # lines that hold only a `//` comment. tests/, benches/, examples/ and
 # benchmark/ are test and measurement code throughout; they are listed
-# separately and counted whole.
+# separately and counted whole. The last line counts the libraries, tests/,
+# crates/*/tests/ and vendor/ whole, unit-test modules included, so code
+# moved between a library's test module and a test file leaves it alone:
+# the number a "the total must fall" claim is checked against.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -62,3 +65,7 @@ count 1 "tests/ crates/*/tests/" $(rust_files tests crates/*/tests)
 count 1 "crates/*/benches/ examples/" $(rust_files crates/*/benches examples)
 # shellcheck disable=SC2046
 count 1 "benchmark/" $(rust_files benchmark)
+echo "-- whole files --"
+# shellcheck disable=SC2046,SC2086
+count 1 "whole-file total (libraries + tests/ + crates/*/tests/ + vendor/)" \
+    $(rust_files $libs tests crates/*/tests vendor) | tail -n 1
