@@ -4,8 +4,9 @@
 //! line's devices restart — for some seeds while a two-phase-commit
 //! upgrade is in flight — over a fabric of seeded loss. The run drives
 //! intended-state reconciliation end to end: boot-id flap detection from
-//! heartbeats, digest-based anti-entropy, re-provisioning through the
-//! shadow-program + atomic-flip path, critical programs before telemetry,
+//! heartbeats, digest-based anti-entropy (a restarted device still runs
+//! its intended image, so its resync sets only the tables whose digests
+//! differ and flips nothing), critical programs before telemetry,
 //! admissions rate-limited so a mass restart cannot stampede. Every
 //! convergence invariant is checked (digest equality, zero orphan shadows,
 //! loss confined to the downtime window, old-XOR-new on post-convergence
@@ -327,6 +328,12 @@ pub fn suite() -> Suite<ResyncChaosReport> {
                 let reprovisioned =
                     |r: &&ResyncReport| matches!(r.outcome, ResyncOutcome::Reprovisioned { .. });
                 resyncs.filter(reprovisioned).count().to_string()
+            }),
+            col("flips avoided", |c| {
+                let resyncs = c.iter().flat_map(|r| &r.resyncs);
+                let repaired =
+                    |r: &&ResyncReport| matches!(r.outcome, ResyncOutcome::Repaired { .. });
+                resyncs.filter(repaired).count().to_string()
             }),
             col("wiped shadows", |c| {
                 let wiped =

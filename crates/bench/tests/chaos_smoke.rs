@@ -16,7 +16,7 @@ use flexnet_bench::suites::canary::{self, RolloutFault, RolloutSchedule};
 use flexnet_bench::suites::recovery::{self, ChaosSchedule};
 use flexnet_bench::suites::resync::{self, RestartSchedule};
 use flexnet_bench::{Arm, Report};
-use flexnet_controller::{ResyncOutcome, RolloutOutcome};
+use flexnet_controller::{ResyncOutcome, ResyncReport, RolloutOutcome};
 use flexnet_sim::CrashPhase;
 
 /// The pinned CI seed set. Contiguous so phase coverage is guaranteed
@@ -128,17 +128,22 @@ fn every_restart_smoke_seed_converges_with_every_invariant() {
                     report.schedule.restarts,
                     "seed {seed}: every restarted device flaps exactly once"
                 );
-                let reprovisioned = report
-                    .resyncs
-                    .iter()
-                    .filter(|r| matches!(r.outcome, ResyncOutcome::Reprovisioned { .. }))
-                    .count();
+                let count = |repaired: bool| {
+                    let outcome = |r: &&ResyncReport| match r.outcome {
+                        ResyncOutcome::Repaired { .. } => repaired,
+                        ResyncOutcome::Reprovisioned { .. } => !repaired,
+                        _ => false,
+                    };
+                    report.resyncs.iter().filter(outcome).count()
+                };
                 assert!(
-                    reprovisioned >= report.schedule.restarts,
-                    "seed {seed}: a restart wipes entries, so resync must \
-                     re-provision (got {reprovisioned} of {})",
+                    count(true) >= report.schedule.restarts,
+                    "seed {seed}: a restart wipes entries but keeps the image, so resync must \
+                     repair tables in place (got {} of {})",
+                    count(true),
                     report.schedule.restarts
                 );
+                assert_eq!(count(false), 0, "seed {seed}: no restart needs a flip");
                 if report.schedule.mid_txn {
                     let rec = report.recovery.as_ref().expect("mid-txn runs recovery");
                     assert!(

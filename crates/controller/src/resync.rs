@@ -40,7 +40,10 @@
 use crate::core::{FailureDetector, TokenBucket};
 use crate::retry::{Channel, LossyFabric, RetryPolicy};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
-use flexnet_dataplane::{entries_carry_over, Device, ProgramImage, SealTarget, TableEntry};
+use flexnet_dataplane::{
+    entries_carry_over, root_digest, table_digest, Device, DigestLevels, ProgramImage,
+    SealTarget, TableEntry,
+};
 use flexnet_sim::Simulation;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -61,20 +64,29 @@ pub enum ProgramClass {
 
 /// One device's intended configuration: the program the control plane
 /// last committed to it, plus the table entries installed out-of-band.
-/// Both change only through the store, which keeps the digest it
-/// journaled for them beside them.
+/// Both change only through the store, which keeps beside them the
+/// digests it journaled: one per table and the root over them.
 #[derive(Debug, Clone)]
 pub struct IntendedDevice {
     /// The device.
     pub node: NodeId,
     image: Arc<ProgramImage>,
-    entries: Vec<(String, TableEntry)>,
-    /// `image`'s configuration digest over `entries`.
+    /// One per table `image` declares, in declaration order.
+    tables: Vec<IntendedTable>,
+    /// `image`'s configuration digest over `tables`.
     digest: u64,
     /// Reconciliation priority.
     pub class: ProgramClass,
     /// The transaction that committed the program (0 = out-of-band).
     pub txn: u64,
+}
+
+/// One intended table: its entries in installation order and their
+/// [`table_digest`].
+#[derive(Debug, Clone, Default)]
+struct IntendedTable {
+    entries: Vec<TableEntry>,
+    digest: u64,
 }
 
 impl IntendedDevice {
@@ -83,9 +95,12 @@ impl IntendedDevice {
         &self.image
     }
 
-    /// Intended control-plane table entries, in installation order.
-    pub fn entries(&self) -> &[(String, TableEntry)] {
-        &self.entries
+    /// Intended control-plane table entries, table by table in
+    /// declaration order, each table's in installation order.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &TableEntry)> + '_ {
+        self.table_names()
+            .zip(&self.tables)
+            .flat_map(|(name, t)| t.entries.iter().map(move |e| (name, e)))
     }
 
     /// The intended-state digest — what the device's heartbeat digest
@@ -93,10 +108,11 @@ impl IntendedDevice {
     pub fn digest(&self) -> u64 {
         self.digest
     }
-}
 
-fn borrowed(entries: &[(String, TableEntry)]) -> impl Iterator<Item = (&str, &TableEntry)> {
-    entries.iter().map(|(t, e)| (t.as_str(), e))
+    /// The names of `image`'s tables, in declaration order.
+    fn table_names(&self) -> impl Iterator<Item = &str> + '_ {
+        self.image.bundle().program.tables.iter().map(|d| d.name.as_str())
+    }
 }
 
 /// The controller's per-device intended-state store.
@@ -183,18 +199,21 @@ impl IntendedStore {
         target: impl SealTarget,
     ) -> Result<()> {
         let image = target.into_image()?;
-        let kept: Vec<(String, TableEntry)> = match self.records.get(&node) {
-            Some(prev) => {
-                let (old, new) = (&prev.image.bundle().program, &image.bundle().program);
-                prev.entries
-                    .iter()
-                    .filter(|(t, _)| old.table(t).is_some_and(|d| entries_carry_over(d, new)))
-                    .cloned()
-                    .collect()
+        let new = &image.bundle().program;
+        // Only a table holding entries can keep any, and a kept table keeps
+        // its digest: nothing is hashed here.
+        let mut tables = vec![IntendedTable::default(); new.tables.len()];
+        if let Some(prev) = self.records.get(&node) {
+            let old = prev.image.bundle().program.tables.iter().zip(&prev.tables);
+            for (d, held) in old.filter(|(_, held)| !held.entries.is_empty()) {
+                if entries_carry_over(d, new) {
+                    if let Some(at) = new.tables.iter().position(|t| t.name == d.name) {
+                        tables[at] = held.clone();
+                    }
+                }
             }
-            None => Vec::new(),
-        };
-        let digest = image.config_digest(borrowed(&kept));
+        }
+        let digest = root_digest(image.code_digest(), tables.iter().map(|t| t.digest));
         log.append(&IntentRecord::IntendedState {
             txn,
             device: node.0 as u64,
@@ -206,7 +225,7 @@ impl IntendedStore {
             IntendedDevice {
                 node,
                 image,
-                entries: kept,
+                tables,
                 digest,
                 class,
                 txn,
@@ -230,19 +249,24 @@ impl IntendedStore {
         let rec = self.records.get_mut(&node).ok_or_else(|| {
             FlexError::NotFound(format!("no intended program for node {node}"))
         })?;
-        if rec.image.bundle().program.table(table).is_none() {
+        let Some(at) = rec.table_names().position(|t| t == table) else {
             return Err(FlexError::NotFound(format!(
                 "table `{table}` not in the intended program of {node}"
             )));
-        }
-        let with_new = borrowed(&rec.entries).chain([(table, &entry)]);
-        let digest = rec.image.config_digest(with_new);
+        };
+        // Only this table is folded again.
+        let held = &rec.tables[at].entries;
+        let table_digest = table_digest(table, held.iter().chain([&entry]));
+        let tables = rec.tables.iter().enumerate();
+        let levels = tables.map(|(i, t)| if i == at { table_digest } else { t.digest });
+        let digest = root_digest(rec.image.code_digest(), levels);
         log.append(&IntentRecord::IntendedState {
             txn: 0,
             device: node.0 as u64,
             digest,
         })?;
-        rec.entries.push((table.to_string(), entry));
+        rec.tables[at].entries.push(entry);
+        rec.tables[at].digest = table_digest;
         rec.digest = digest;
         Ok(())
     }
@@ -265,12 +289,19 @@ impl IntendedStore {
 pub enum ResyncOutcome {
     /// The device's digest already matched intent — nothing to do.
     AlreadyConverged,
+    /// The device ran the intended program, but some of its tables
+    /// differed from intent: each was made equal to intent in place, with
+    /// no shadow and no flip (every restart ends here).
+    Repaired {
+        /// Intended entries the repaired tables were set to.
+        entries: usize,
+    },
     /// The intended program was re-provisioned through the shadow +
-    /// atomic-flip path and the intended entries were replayed.
+    /// atomic-flip path and the intended entries were set after it.
     Reprovisioned {
         /// Primitive ops in the re-provisioning diff.
         ops: usize,
-        /// Intended entries replayed after the flip.
+        /// Intended entries set after the flip.
         entries: usize,
     },
     /// The device restarted *again* mid-resync: its shadow died with
@@ -291,6 +322,8 @@ pub struct ResyncReport {
     pub class: ProgramClass,
     /// How the resync ended.
     pub outcome: ResyncOutcome,
+    /// The tables the resync made equal to intent, in declaration order.
+    pub tables: Vec<String>,
     /// Admission-controlled instant the resync started.
     pub started_at: SimTime,
     /// When the resync concluded.
@@ -310,12 +343,28 @@ pub struct ResyncTicket {
     /// completion means the device restarted mid-resync (superseded).
     boot_id: u64,
     started_at: SimTime,
-    /// Flip instant of the re-provisioning shadow; `None` when the
-    /// probe found the device already converged.
-    ready_at: Option<SimTime>,
-    ops: usize,
+    /// What the probe found to do.
+    plan: ResyncPlan,
     messages: u32,
     after_start: SimTime,
+}
+
+/// What a resync does after its probe, by the digest level that differs.
+#[derive(Debug, Clone)]
+enum ResyncPlan {
+    /// Every level equals intent.
+    Nothing,
+    /// The code digest equals intent: set the tables at these declaration
+    /// positions, whose digests differ.
+    Repair(Vec<usize>),
+    /// The code differs: a shadow of `ops` ops flips at `ready_at`, and
+    /// then every intended table is set if intent holds any entry or the
+    /// flip `carries` entries over.
+    Reprovision {
+        ready_at: SimTime,
+        ops: usize,
+        carries: bool,
+    },
 }
 
 /// How many refill periods ahead the resync admission bucket will book
@@ -386,11 +435,14 @@ impl Resyncer {
     /// fails with [`FlexError::ResyncInProgress`] (retryable — the
     /// running pass converges the device or frees the slot), and the
     /// start instant is deferred to keep at least `min_gap` between
-    /// consecutive admissions. Then the device's digest is probed over
-    /// the fabric; on divergence the intended bundle is re-provisioned
-    /// through [`flexnet_dataplane::Device::begin_runtime_reconfig`] —
-    /// the shadow-program + atomic-flip path, *never* in-place — even
-    /// when the image is unchanged and only entries must be replayed.
+    /// consecutive admissions. Then the device's two digest levels — code
+    /// and tables — are probed over the fabric in one exchange. When the
+    /// code digest equals intent's (every restart: the image is flashed)
+    /// no program is shipped, and [`Resyncer::complete`] sets only the
+    /// tables whose digests differ. When the code differs, the intended
+    /// image is re-provisioned through
+    /// [`flexnet_dataplane::Device::begin_runtime_reconfig`] — the
+    /// shadow-program + atomic-flip path, *never* in-place.
     ///
     /// `gate`, when set, health-gates admission: a node the detector
     /// grades worse than [`Health::Healthy`](crate::core::Health) is
@@ -446,10 +498,11 @@ impl Resyncer {
     }
 
     /// Completes a resync started with [`Resyncer::start`]: waits out
-    /// the shadow's flip, replays the intended entries (upsert — an
-    /// entry already present is replaced, not duplicated), and verifies
-    /// the device's digest now equals intent. Always frees the node's
-    /// in-progress slot, even on error.
+    /// the shadow's flip if there is one, sets every table that needs it to
+    /// exactly its intended entries in one command (what is missing is
+    /// added, what is extra removed), and verifies the device's digest now
+    /// equals intent. Always frees the node's in-progress slot, even on
+    /// error.
     pub fn complete(
         &mut self,
         sim: &mut Simulation,
@@ -521,32 +574,55 @@ impl Resyncer {
 }
 
 /// The fabric half of [`Resyncer::start`], on a channel opened at the
-/// admitted start instant: probe, and re-provision when diverged.
+/// admitted start instant: probe, and re-provision when the code diverged.
 fn start_inner(ch: &mut Channel<'_>, intended: &IntendedDevice) -> Result<ResyncTicket> {
     let (node, started_at) = (intended.node, ch.now);
-    // Probe the device's digest and boot id over the fabric.
-    let (got, boot_id) = ch.send(node, "resync", |dev, _| {
+    // Probe the device's digest levels and boot id over the fabric.
+    let (levels, boot_id) = ch.send(node, "resync", |dev, _| {
         if !dev.is_up() {
             return Err(FlexError::Unavailable(format!(
                 "resync probe: device {node} is down"
             )));
         }
-        Ok((dev.config_digest(), dev.boot_id()))
+        Ok((dev.digest_levels(), dev.boot_id()))
     })?;
-    // Diverged: re-provision the intended image via shadow + flip.
-    let shadow = if got == intended.digest() {
-        None
-    } else {
-        let image = intended.image();
-        Some(ch.send(node, "resync", |dev, at| dev.begin_runtime_reconfig(image.clone(), at))?)
+    let plan = match levels {
+        Some(DigestLevels { code, tables }) if code == intended.image().code_digest() => {
+            let want = intended.tables.iter().map(|t| t.digest);
+            let pairs = tables.iter().zip(want).enumerate();
+            let differ = pairs.filter(|(_, (got, want))| **got != *want);
+            let differ: Vec<usize> = differ.map(|(at, _)| at).collect();
+            if differ.is_empty() {
+                ResyncPlan::Nothing
+            } else {
+                ResyncPlan::Repair(differ)
+            }
+        }
+        _ => {
+            let image = intended.image();
+            let target = &image.bundle().program;
+            let (shadow, carries) = ch.send(node, "resync", |dev, at| {
+                // Whether the flip keeps entries the device holds, which
+                // intent need not.
+                let tables = dev.program().map(|p| p.tables().iter());
+                let carries = tables.into_iter().flatten().any(|t| {
+                    !t.is_empty() && entries_carry_over(&t.decl, target)
+                });
+                Ok((dev.begin_runtime_reconfig(image.clone(), at)?, carries))
+            })?;
+            ResyncPlan::Reprovision {
+                ready_at: shadow.ready_at,
+                ops: shadow.ops,
+                carries,
+            }
+        }
     };
     Ok(ResyncTicket {
         node,
         class: intended.class,
         boot_id,
         started_at,
-        ready_at: shadow.as_ref().map(|rep| rep.ready_at),
-        ops: shadow.map_or(0, |rep| rep.ops),
+        plan,
         messages: ch.messages,
         after_start: ch.now,
     })
@@ -572,10 +648,11 @@ fn complete_inner(
         messages: ticket.messages,
     };
 
-    let report = |ch: &Channel<'_>, outcome| ResyncReport {
+    let report = |ch: &Channel<'_>, outcome, tables| ResyncReport {
         node,
         class: ticket.class,
         outcome,
+        tables,
         started_at: ticket.started_at,
         finished_at: ch.now,
         messages: ch.messages,
@@ -586,29 +663,43 @@ fn complete_inner(
     // the caller re-runs resync against the new boot id.
     let new_boot_id = device(ch.sim, node)?.boot_id();
     if new_boot_id > ticket.boot_id {
-        return Ok(report(&ch, ResyncOutcome::Superseded { new_boot_id }));
+        let outcome = ResyncOutcome::Superseded { new_boot_id };
+        return Ok(report(&ch, outcome, Vec::new()));
     }
 
-    let Some(ready_at) = ticket.ready_at else {
+    let repair: Vec<usize> = match &ticket.plan {
         // The probe found the device digest-equal to intent.
-        return Ok(report(&ch, ResyncOutcome::AlreadyConverged));
+        ResyncPlan::Nothing => return Ok(report(&ch, ResyncOutcome::AlreadyConverged, Vec::new())),
+        ResyncPlan::Repair(differ) => differ.clone(),
+        ResyncPlan::Reprovision {
+            ready_at, carries, ..
+        } => {
+            // Let the shadow flip (atomic: packets before see the old
+            // program, packets after see the new one). A table the flip
+            // carried holds what the device held, not what intent holds.
+            ch.now = (*ready_at).max(ch.now);
+            device(ch.sim, node)?.tick(ch.now);
+            let held = intended.tables.iter().any(|t| !t.entries.is_empty());
+            if held || *carries {
+                (0..intended.tables.len()).collect()
+            } else {
+                Vec::new()
+            }
+        }
     };
 
-    // Let the shadow flip (atomic: packets before see the old program,
-    // packets after see the new one).
-    ch.now = ready_at.max(ch.now);
-    device(ch.sim, node)?.tick(ch.now);
-
-    // Replay the intended entries. Upsert: remove-then-add is exact and
-    // idempotent, so entries the flip carried over are not duplicated.
-    let mut entries = 0usize;
-    for (table, entry) in intended.entries() {
+    // Set each table to exactly its intended entries, all in one command.
+    let names: Vec<&str> = intended.table_names().collect();
+    if !repair.is_empty() {
         ch.send(node, "resync", |dev, _| {
-            dev.remove_entry(table, &entry.matches)?;
-            dev.add_entry(table, entry.clone())
+            for &at in &repair {
+                dev.set_entries(names[at], &intended.tables[at].entries)?;
+            }
+            Ok(())
         })?;
-        entries += 1;
     }
+    let entries = repair.iter().map(|&at| intended.tables[at].entries.len()).sum();
+    let tables = repair.iter().map(|&at| names[at].to_string()).collect();
 
     // Verify: the whole point of digest-based anti-entropy is that
     // convergence is checked, not assumed.
@@ -620,8 +711,11 @@ fn complete_inner(
             got,
         });
     }
-    let ops = ticket.ops;
-    Ok(report(&ch, ResyncOutcome::Reprovisioned { ops, entries }))
+    let outcome = match ticket.plan {
+        ResyncPlan::Reprovision { ops, .. } => ResyncOutcome::Reprovisioned { ops, entries },
+        _ => ResyncOutcome::Repaired { entries },
+    };
+    Ok(report(&ch, outcome, tables))
 }
 
 /// The simulation's own handle on `node`'s device, for the reads and the
@@ -762,7 +856,7 @@ mod tests {
         let with_entry = store.digest(sw).unwrap();
         // Upgrading to v2 keeps the acl table: the entry must survive.
         store.commit_target(&mut log, 9, sw, critical_v2()).unwrap();
-        assert_eq!(store.get(sw).unwrap().entries().len(), 1, "entry kept");
+        assert_eq!(store.get(sw).unwrap().entries().count(), 1, "entry kept");
         assert_eq!(store.get(sw).unwrap().txn, 9);
         assert_ne!(store.digest(sw).unwrap(), with_entry, "bundle changed");
         // A program without the table drops its intended entries.
@@ -774,7 +868,7 @@ mod tests {
                 bundle("program gate kind any { handler ingress(pkt) { forward(1); } }"),
             )
             .unwrap();
-        assert!(store.get(sw).unwrap().entries().is_empty(), "entry dropped");
+        assert_eq!(store.get(sw).unwrap().entries().count(), 0, "entry dropped");
     }
 
     #[test]
@@ -803,24 +897,87 @@ mod tests {
     }
 
     #[test]
-    fn restarted_device_is_reprovisioned_and_verified() {
+    fn a_restarted_device_is_repaired_in_place_and_verified() {
         let (mut sim, devices, store, _log) = provisioned();
         let sw = devices[1];
         let (mut fabric, policy) = reliable_env();
         let dev = &mut sim.topo.node_mut(sw).unwrap().device;
         dev.crash(SimTime::from_secs(1));
         dev.restart(SimTime::from_secs(1) + VICTIM_RESTART_DELAY).unwrap();
+        let version = dev.version();
         assert_eq!(diverged(&sim, &store.intended_digests()), vec![sw]);
 
         let mut r = Resyncer::default();
         let now = SimTime::from_secs(2);
         let ticket = r.start(&mut sim, &store, sw, now, &mut fabric, &policy, None).unwrap();
+        assert!(!sim.topo.node(sw).unwrap().device.reconfig_in_progress(), "no shadow");
         let report = r.complete(&mut sim, &store, ticket, &mut fabric, &policy).unwrap();
+        assert_eq!(report.outcome, ResyncOutcome::Repaired { entries: 1 });
+        assert_eq!(report.tables, ["acl"], "the wiped table, and only it");
+        assert_eq!(report.messages, 2, "the probe and one repair");
+        assert_eq!(sim.topo.node(sw).unwrap().device.version(), version, "nothing flipped");
+        assert!(diverged(&sim, &store.intended_digests()).is_empty());
+    }
+
+    #[test]
+    fn a_repair_removes_what_intent_does_not_hold() {
+        let (mut sim, devices, store, _log) = provisioned();
+        let sw = devices[1];
+        let (mut fabric, policy) = reliable_env();
+        let dev = &mut sim.topo.node_mut(sw).unwrap().device;
+        let stray = TableEntry::exact(&[7], ActionCall { action: "allow".into(), args: vec![] });
+        dev.add_entry("acl", stray).unwrap();
+        assert_eq!(diverged(&sim, &store.intended_digests()), vec![sw]);
+        let mut r = Resyncer::default();
+        let reports = r
+            .resync_all(&mut sim, &store, &[sw], SimTime::from_secs(2), &mut fabric, &policy, None)
+            .unwrap();
+        assert_eq!(reports[0].outcome, ResyncOutcome::Repaired { entries: 1 });
+        assert_eq!(sim.topo.node(sw).unwrap().device.table("acl").unwrap().len(), 1);
+        assert!(diverged(&sim, &store.intended_digests()).is_empty());
+    }
+
+    #[test]
+    fn entries_a_flip_carries_but_intent_lacks_are_removed() {
+        let (mut sim, devices, _store, mut log) = provisioned();
+        let sw = devices[1];
+        let (mut fabric, policy) = reliable_env();
+        // Intent: v2 with no entries; the device: v1 holding one in the
+        // `acl` both declare alike, which the flip to v2 carries.
+        let mut store = IntendedStore::new();
+        store.commit_target(&mut log, 1, sw, critical_v2()).unwrap();
+        let mut r = Resyncer::default();
+        let reports = r
+            .resync_all(&mut sim, &store, &[sw], SimTime::from_secs(2), &mut fabric, &policy, None)
+            .unwrap();
         assert!(
-            matches!(report.outcome, ResyncOutcome::Reprovisioned { entries: 1, .. }),
-            "wiped entries force a real re-provision: {:?}",
-            report.outcome
+            matches!(reports[0].outcome, ResyncOutcome::Reprovisioned { entries: 0, .. }),
+            "{:?}",
+            reports[0].outcome
         );
+        assert_eq!(reports[0].tables, ["acl"]);
+        assert!(sim.topo.node(sw).unwrap().device.table("acl").unwrap().is_empty());
+        assert!(diverged(&sim, &store.intended_digests()).is_empty());
+    }
+
+    #[test]
+    fn a_device_on_another_program_is_reprovisioned_then_its_tables_set() {
+        let (mut sim, devices, store, _log) = provisioned();
+        let sw = devices[1];
+        let (mut fabric, policy) = reliable_env();
+        let dev = &mut sim.topo.node_mut(sw).unwrap().device;
+        dev.install(critical_v2()).unwrap();
+        let mut r = Resyncer::default();
+        let reports = r
+            .resync_all(&mut sim, &store, &[sw], SimTime::from_secs(2), &mut fabric, &policy, None)
+            .unwrap();
+        assert!(
+            matches!(reports[0].outcome, ResyncOutcome::Reprovisioned { entries: 1, .. }),
+            "{:?}",
+            reports[0].outcome
+        );
+        assert_eq!(reports[0].tables, ["acl"]);
+        assert_eq!(reports[0].messages, 3, "the probe, the begin and one repair");
         assert!(diverged(&sim, &store.intended_digests()).is_empty());
     }
 
@@ -925,8 +1082,7 @@ mod tests {
         let ticket = r
             .start(&mut sim, &store, sw, SimTime::from_secs(2), &mut fabric, &policy, None)
             .unwrap();
-        // The device restarts again while the resync's shadow is in
-        // flight — the shadow dies with the incarnation.
+        // The device restarts again while the resync is in flight.
         let dev = &mut sim.topo.node_mut(sw).unwrap().device;
         dev.crash(SimTime::from_millis(2500));
         dev.restart(SimTime::from_millis(2700)).unwrap();
@@ -945,7 +1101,7 @@ mod tests {
         let report = r
             .complete(&mut sim, &store, ticket, &mut fabric, &policy)
             .unwrap();
-        assert!(matches!(report.outcome, ResyncOutcome::Reprovisioned { .. }));
+        assert_eq!(report.outcome, ResyncOutcome::Repaired { entries: 1 });
         assert!(diverged(&sim, &store.intended_digests()).is_empty());
     }
 

@@ -48,6 +48,7 @@ use flexnet_dataplane::{ReconfigOutcome, ReconfigReport, SealedTargets, TxnTag};
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::{CrashPhase, Simulation};
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
+use std::rc::Rc;
 
 /// How a network-wide reconfiguration transaction ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -398,7 +399,7 @@ pub fn logged_transactional_reconfig(
     let txn = log.next_txn_id();
     let epoch = log.epoch()?;
     let tag = TxnTag { txn_id: txn, epoch };
-    let devices: Vec<u64> = targets.iter().map(|(n, _)| n.0 as u64).collect();
+    let devices: Rc<[u64]> = targets.iter().map(|(n, _)| n.0 as u64).collect();
     let mut ch = Channel {
         sim,
         fabric,
@@ -788,11 +789,11 @@ mod tests {
             vec![
                 IntentRecord::Intent {
                     txn: report.txn,
-                    devices: devs.clone(),
+                    devices: devs.as_slice().into(),
                 },
                 IntentRecord::Prepared {
                     txn: report.txn,
-                    devices: devs,
+                    devices: devs.as_slice().into(),
                 },
                 IntentRecord::FlipScheduled {
                     txn: report.txn,

@@ -25,6 +25,7 @@ use flexnet_types::hash::{fnv1a, FNV_OFFSET};
 use flexnet_types::{FlexError, Result, SimDuration, SimTime};
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// One durable phase transition of a reconfiguration transaction.
 ///
@@ -39,16 +40,17 @@ pub enum IntentRecord {
     Intent {
         /// Transaction id (monotone per log).
         txn: u64,
-        /// Node ids of every participant.
-        devices: Vec<u64>,
+        /// Node ids of every participant (shared: a read of the log copies
+        /// a pointer, not the list).
+        devices: Rc<[u64]>,
     },
     /// Every participant acked its prepare; `devices` now hold shadow
     /// programs awaiting the coordinator's decision.
     Prepared {
         /// Transaction id.
         txn: u64,
-        /// Node ids that hold a prepared shadow.
-        devices: Vec<u64>,
+        /// Node ids that hold a prepared shadow (shared, as in `Intent`).
+        devices: Rc<[u64]>,
     },
     /// The coordinator chose to commit and scheduled the aligned flip.
     /// Logged before any commit command is sent — past this record the
@@ -265,7 +267,7 @@ impl IntentRecord {
                 if parts.next() != Some("dev") {
                     return Err(bad());
                 }
-                let devices = parse_devs(parts.next().unwrap_or(""))?;
+                let devices = parse_devs(parts.next().unwrap_or(""))?.into();
                 if kind == "intent" {
                     IntentRecord::Intent { txn, devices }
                 } else {
@@ -483,7 +485,7 @@ impl ReplayState {
         self.history(id)
             .filter_map(|rec| match rec {
                 IntentRecord::Intent { devices, .. } | IntentRecord::Prepared { devices, .. } => {
-                    Some(devices.as_slice())
+                    Some(&devices[..])
                 }
                 _ => None,
             })
@@ -837,7 +839,8 @@ impl ReplicatedIntentLog {
     }
 
     /// The committed record sequence, decoded, as seen by the current
-    /// leader — a clone of [`ReplayState::records`].
+    /// leader — a clone of [`ReplayState::records`], which shares every
+    /// device list rather than copying it.
     pub fn records(&self) -> Result<Vec<IntentRecord>> {
         Ok(self.replay()?.records().to_vec())
     }
@@ -949,11 +952,11 @@ mod tests {
         vec![
             IntentRecord::Intent {
                 txn: 3,
-                devices: vec![1, 2, 4],
+                devices: [1, 2, 4].into(),
             },
             IntentRecord::Prepared {
                 txn: 3,
-                devices: vec![1, 2],
+                devices: [1, 2].into(),
             },
             IntentRecord::FlipScheduled {
                 txn: 3,
@@ -963,7 +966,7 @@ mod tests {
             IntentRecord::Aborted { txn: 4 },
             IntentRecord::Intent {
                 txn: 5,
-                devices: vec![],
+                devices: [].into(),
             },
             IntentRecord::IntendedState {
                 txn: 3,
@@ -1060,7 +1063,7 @@ mod tests {
         let epoch0 = log.epoch().unwrap();
         let rec = IntentRecord::Intent {
             txn: 9,
-            devices: vec![1, 2],
+            devices: [1, 2].into(),
         };
         log.append(&rec).unwrap();
         let old = log.kill_leader().unwrap();
@@ -1269,15 +1272,15 @@ mod tests {
     #[test]
     fn compaction_summary_replays_to_the_full_log_digest() {
         let records = vec![
-            IntentRecord::Intent { txn: 1, devices: vec![4, 5] },
-            IntentRecord::Prepared { txn: 1, devices: vec![4, 5] },
+            IntentRecord::Intent { txn: 1, devices: [4, 5].into() },
+            IntentRecord::Prepared { txn: 1, devices: [4, 5].into() },
             IntentRecord::FlipScheduled { txn: 1, commit_at: SimTime::from_secs(1) },
             IntentRecord::IntendedState { txn: 1, device: 4, digest: 11 },
             IntentRecord::IntendedState { txn: 1, device: 5, digest: 12 },
             IntentRecord::Committed { txn: 1 },
             IntentRecord::IntendedState { txn: 2, device: 4, digest: 13 },
-            IntentRecord::Intent { txn: 2, devices: vec![4] },
-            IntentRecord::Prepared { txn: 2, devices: vec![4] },
+            IntentRecord::Intent { txn: 2, devices: [4].into() },
+            IntentRecord::Prepared { txn: 2, devices: [4].into() },
         ];
         let summary = compact_records(&records);
         // The open txn 2 keeps its full history; txn 1 folds to its

@@ -11,10 +11,10 @@
 
 use crate::arch::{ArchClass, Architecture, ArchAllocator};
 use crate::cost::CostModel;
-use crate::image::{Code, ProgramImage, SealTarget};
+use crate::image::{root_digest, Code, DigestLevels, ProgramImage, SealTarget};
 use crate::parser::ParserGraph;
 use crate::state::{CarryMap, DeviceState, LogicalState, StateEncoding};
-use crate::table::{TableEntry, TableSet};
+use crate::table::{TableEntry, TableInstance, TableSet};
 use flexnet_lang::bytecode::{
     self, CompiledProgram, SlotEnv, SlotResolver, SymbolKind,
 };
@@ -170,17 +170,22 @@ impl InstalledProgram {
         &mut self.tables
     }
 
-    /// Content digest of this instance (program + entries): the image's
-    /// memoised program part continued over the live entries, folded once
-    /// per change of the tables or the code.
+    /// Content digest of this instance (program + entries): the code
+    /// digest folded with each table's memoised digest, once per change of
+    /// the tables or the code. After one entry change only that entry's
+    /// table is hashed again, and nothing is allocated.
     pub fn config_digest(&self) -> u64 {
         *self.digest.get_or_init(|| {
-            let entries = self.tables.iter().flat_map(|t| {
-                let table = t.decl.name.as_str();
-                t.entries.iter().map(move |e| (table, e))
-            });
-            self.code.config_digest(entries)
+            root_digest(self.code.code_digest(), self.tables.iter().map(TableInstance::digest))
         })
+    }
+
+    /// The two levels under [`InstalledProgram::config_digest`].
+    pub fn digest_levels(&self) -> DigestLevels {
+        DigestLevels {
+            code: self.code.code_digest(),
+            tables: self.tables.iter().map(TableInstance::digest).collect(),
+        }
     }
 
     /// The carry-over rule of a hitless flip: this (incoming) instance's
@@ -632,8 +637,9 @@ impl Device {
         &self.placement.allocator
     }
 
-    /// Mutable allocator access (used by the fungible compiler to
-    /// tentatively reshuffle placements).
+    /// Mutable allocator access: a flip frees what the outgoing program's
+    /// removals held through it (`commit_if_ready`), and a test places
+    /// ballast with it to make a later change run out of room.
     pub fn allocator_mut(&mut self) -> &mut ArchAllocator {
         &mut self.placement.allocator
     }
@@ -732,6 +738,12 @@ impl Device {
         self.active
             .as_ref()
             .map_or(EMPTY_CONFIG_DIGEST, InstalledProgram::config_digest)
+    }
+
+    /// The code and table digests under [`Device::config_digest`] — what
+    /// the resync probe asks for — or `None` with no program installed.
+    pub fn digest_levels(&self) -> Option<DigestLevels> {
+        self.active.as_ref().map(InstalledProgram::digest_levels)
     }
 
     /// Errors with [`FlexError::Unavailable`] when the device is down.
@@ -882,7 +894,7 @@ impl Device {
     // -- control-plane entry management ---------------------------------------
 
     /// The active program's table `table`, on a device that is up.
-    fn table_mut(&mut self, table: &str) -> Result<&mut crate::table::TableInstance> {
+    fn table_mut(&mut self, table: &str) -> Result<&mut TableInstance> {
         self.ensure_up()?;
         self.active_mut()?
             .tables_mut()
@@ -900,6 +912,12 @@ impl Device {
     /// Installs a table entry.
     pub fn add_entry(&mut self, table: &str, entry: TableEntry) -> Result<()> {
         self.table_mut(table)?.insert(entry)
+    }
+
+    /// Makes `table` hold exactly `entries` ([`TableInstance::set_entries`]):
+    /// the resync's repair of one table.
+    pub fn set_entries(&mut self, table: &str, entries: &[TableEntry]) -> Result<()> {
+        self.table_mut(table)?.set_entries(entries)
     }
 
     /// Removes table entries matching the given key matches.

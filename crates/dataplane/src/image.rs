@@ -11,22 +11,25 @@
 //! access, so holding an image is proof the program was checked; every
 //! entry point that takes a program takes a [`SealTarget`].
 //!
-//! The configuration digest splits along the same line: the expensive
-//! *program part* (headers + pretty-printed source) is folded once at
-//! seal time, and [`ProgramImage::config_digest`] continues that FNV state
-//! over the table entries. [`config_digest_of`] is the from-scratch
-//! reference with the identical value.
+//! The configuration digest splits along the same line, in two levels
+//! (`DESIGN.md` §9): the expensive *code digest* (headers + pretty-printed
+//! source) is folded once at seal time ([`ProgramImage::code_digest`]),
+//! each table's entries have a digest of their own ([`table_digest`],
+//! memoised by whoever holds the table), and [`root_digest`] folds the
+//! code digest with the table digests in declaration order.
+//! [`config_digest_of`] is the from-scratch reference with the identical
+//! value.
 
 use crate::device::InstalledProgram;
 use crate::reconfig::ReconfigPlan;
 use crate::state::StateLayout;
-use crate::table::TableEntry;
+use crate::table::{KeyMatch, TableEntry};
 use flexnet_lang::bytecode::CompiledProgram;
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::typecheck::check_program;
 use flexnet_lang::verifier::verify_program;
-use flexnet_types::hash::{fnv1a, FNV_OFFSET};
+use flexnet_types::hash::{fnv1a, mix, FNV_OFFSET};
 use flexnet_types::Result;
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
@@ -41,11 +44,10 @@ impl fmt::Write for FnvSink {
     }
 }
 
-/// The program part of the configuration digest: the FNV-1a state after
-/// folding the bundle's headers and pretty-printed source. The printer
-/// writes straight into the fold — the bytes of `{hdr:?}` and
-/// `to_source()`, never materialized.
-fn program_digest_of(bundle: &ProgramBundle) -> u64 {
+/// The code digest: FNV-1a over the bundle's headers and pretty-printed
+/// source. The printer writes straight into the fold — the bytes of
+/// `{hdr:?}` and `to_source()`, never materialized.
+fn code_digest_of(bundle: &ProgramBundle) -> u64 {
     let mut h = FnvSink(FNV_OFFSET);
     for hdr in &bundle.headers {
         let _ = write!(h, "{hdr:?}"); // the sink cannot fail
@@ -54,28 +56,78 @@ fn program_digest_of(bundle: &ProgramBundle) -> u64 {
     h.0
 }
 
-/// Continues a program-part digest over table entries: one
-/// `table|entry` line each, sorted, so the value is order-insensitive.
-fn fold_entries<'a>(
-    mut h: u64,
-    entries: impl IntoIterator<Item = (&'a str, &'a TableEntry)>,
-) -> u64 {
-    let mut lines: Vec<String> = entries
-        .into_iter()
-        .map(|(table, e)| format!("{table}|{e:?}"))
-        .collect();
-    lines.sort_unstable();
-    for line in lines {
-        h = fnv1a(h, line.as_bytes());
+/// One word into a running entry hash: a rotate, an xor and an odd
+/// multiply.
+fn fold_word(h: u64, w: u64) -> u64 {
+    (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// The hash of one entry over its fields — each key match's kind and
+/// values, the priority, the action's name and arguments — mixed so that
+/// sums of them stay spread.
+fn entry_hash(e: &TableEntry) -> u64 {
+    let mut h = fold_word(e.matches.len() as u64, e.priority as u32 as u64);
+    for m in &e.matches {
+        h = match *m {
+            KeyMatch::Exact(v) => fold_word(fold_word(h, 1), v),
+            KeyMatch::Lpm {
+                value,
+                prefix_len,
+                width,
+            } => {
+                let shape = 2 | u64::from(prefix_len) << 8 | u64::from(width) << 16;
+                fold_word(fold_word(h, shape), value)
+            }
+            KeyMatch::Ternary { value, mask } => fold_word(fold_word(fold_word(h, 3), value), mask),
+            KeyMatch::Range { lo, hi } => fold_word(fold_word(fold_word(h, 4), lo), hi),
+        };
     }
-    h
+    h = fold_word(h, fnv1a(FNV_OFFSET, e.action.action.as_bytes()));
+    h = fold_word(h, e.action.args.len() as u64);
+    mix(e.action.args.iter().fold(h, |h, &a| fold_word(h, a)))
+}
+
+/// The digest of table `name` holding `entries`: the wrapping sum of the
+/// entries' hashes, so the order they were installed in does not matter
+/// and a duplicate counts twice, mixed with the count and the table's
+/// name. An empty table's digest is 0.
+pub fn table_digest<'a>(name: &str, entries: impl IntoIterator<Item = &'a TableEntry>) -> u64 {
+    let (sum, count) = entries.into_iter().fold((0u64, 0u64), |(sum, n), e| {
+        (sum.wrapping_add(entry_hash(e)), n + 1)
+    });
+    if count == 0 {
+        return 0;
+    }
+    mix(mix(sum.wrapping_add(count)) ^ fnv1a(FNV_OFFSET, name.as_bytes()))
+}
+
+/// The configuration digest: `code` folded with each table's digest in
+/// declaration order. An empty table folds as nothing, so a program with
+/// no entries digests to its code digest.
+pub fn root_digest(code: u64, tables: impl IntoIterator<Item = u64>) -> u64 {
+    tables
+        .into_iter()
+        .filter(|&t| t != 0)
+        .fold(code, |h, t| mix(h ^ t))
+}
+
+/// A configuration digest's two levels: the code digest and one
+/// [`table_digest`] per declared table, in declaration order, which
+/// [`root_digest`] folds into the configuration digest. A device reports
+/// them to the resync probe, which repairs only the tables whose digests
+/// differ from intent while the code digests agree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DigestLevels {
+    /// The program's code digest.
+    pub code: u64,
+    /// One digest per declared table, in declaration order.
+    pub tables: Vec<u64>,
 }
 
 /// Cheap deterministic content digest over one device's *configuration*:
 /// the program bundle (headers + pretty-printed source) and every
-/// installed table entry, grouped per table and order-insensitive within
-/// a table (controllers and devices may install entries in different
-/// orders).
+/// installed table entry, per table and order-insensitive within a table
+/// (controllers and devices may install entries in different orders).
 ///
 /// Volatile runtime state (counters, registers, map contents) and
 /// device-local version numbers are deliberately excluded: the digest
@@ -84,16 +136,18 @@ fn fold_entries<'a>(
 /// "same program, same entries" — the anti-entropy equality the resync
 /// protocol checks in every heartbeat.
 ///
-/// This is the from-scratch reference: it pretty-prints the whole
-/// program on every call. Devices and the intended-state store answer
-/// from the sealed image's memoised program part
-/// ([`ProgramImage::config_digest`]) — the same value, which the property
-/// tests hold them to.
+/// This is the from-scratch reference: it pretty-prints the whole program
+/// and hashes every entry on every call. An entry of a table the program
+/// does not declare has no place on a device and is not folded. Devices
+/// and the intended-state store answer from memoised levels — the
+/// image's code digest and a digest kept per table — with the same value,
+/// which the property tests hold them to.
 pub fn config_digest_of(bundle: &ProgramBundle, entries: &[(String, TableEntry)]) -> u64 {
-    fold_entries(
-        program_digest_of(bundle),
-        entries.iter().map(|(t, e)| (t.as_str(), e)),
-    )
+    let tables = bundle.program.tables.iter().map(|d| {
+        let held = entries.iter().filter(|(t, _)| *t == d.name).map(|(_, e)| e);
+        table_digest(&d.name, held)
+    });
+    root_digest(code_digest_of(bundle), tables)
 }
 
 /// A checked, verified, immutable program bundle (see the module docs).
@@ -101,7 +155,7 @@ pub fn config_digest_of(bundle: &ProgramBundle, entries: &[(String, TableEntry)]
 pub struct ProgramImage {
     bundle: ProgramBundle,
     registry: HeaderRegistry,
-    program_digest: u64,
+    code_digest: u64,
     /// Where the program's state lives, shared by every device that runs
     /// the image.
     layout: Arc<StateLayout>,
@@ -113,18 +167,17 @@ pub struct ProgramImage {
 
 impl ProgramImage {
     /// Builds the header registry, type-checks and verifies `bundle`,
-    /// folds the program part of its configuration digest and lays out its
-    /// state.
+    /// folds its code digest and lays out its state.
     pub fn seal(bundle: ProgramBundle) -> Result<Arc<ProgramImage>> {
         let registry = HeaderRegistry::with_user_headers(&bundle.headers)?;
         check_program(&bundle.program, &registry)?;
         verify_program(&bundle.program, &registry)?;
-        let program_digest = program_digest_of(&bundle);
+        let code_digest = code_digest_of(&bundle);
         let layout = Arc::new(StateLayout::new(&bundle.program.states));
         Ok(Arc::new(ProgramImage {
             bundle,
             registry,
-            program_digest,
+            code_digest,
             layout,
             compiled: Default::default(),
         }))
@@ -145,13 +198,11 @@ impl ProgramImage {
         &self.layout
     }
 
-    /// The configuration digest of this program with `entries` installed
-    /// — [`config_digest_of`]'s value, without re-printing the program.
-    pub fn config_digest<'a>(
-        &self,
-        entries: impl IntoIterator<Item = (&'a str, &'a TableEntry)>,
-    ) -> u64 {
-        fold_entries(self.program_digest, entries)
+    /// The code digest: the configuration digest's first level, folded
+    /// once at seal time — and the whole configuration digest of this
+    /// program while its tables are empty.
+    pub fn code_digest(&self) -> u64 {
+        self.code_digest
     }
 
     /// The shared bytecode, compiling it with `compile` if no device has
@@ -172,7 +223,7 @@ impl ProgramImage {
 /// What an installed program executes: the shared sealed image, or — only
 /// after [`Code::patch`], i.e. under the `UnsafeInPlace` ablation and
 /// fault injection — a private, *unverified* copy that in-place ops have
-/// mutated. The copy has no digest memo and no shared bytecode.
+/// mutated. The copy has no code digest memo and no shared bytecode.
 #[derive(Debug, Clone)]
 pub(crate) enum Code {
     Sealed(Arc<ProgramImage>),
@@ -208,13 +259,12 @@ impl Code {
         }
     }
 
-    pub(crate) fn config_digest<'a>(
-        &self,
-        entries: impl IntoIterator<Item = (&'a str, &'a TableEntry)>,
-    ) -> u64 {
+    /// The code digest: the image's memo while sealed, folded afresh once
+    /// patched.
+    pub(crate) fn code_digest(&self) -> u64 {
         match self {
-            Code::Sealed(image) => image.config_digest(entries),
-            Code::Patched(p) => fold_entries(program_digest_of(&p.0), entries),
+            Code::Sealed(image) => image.code_digest,
+            Code::Patched(p) => code_digest_of(&p.0),
         }
     }
 
@@ -384,21 +434,52 @@ mod tests {
     }
 
     #[test]
-    fn memoised_digest_equals_the_reference() {
+    fn the_two_levels_fold_to_the_reference() {
         let image = ProgramImage::seal(acl()).unwrap();
         let entries = vec![deny(7), deny(3)];
-        let borrowed = || entries.iter().map(|(t, e)| (t.as_str(), e));
-        assert_eq!(image.config_digest(borrowed()), config_digest_of(&acl(), &entries));
-        assert_eq!(
-            image.config_digest(borrowed().rev()),
-            config_digest_of(&acl(), &entries),
-            "entry order does not matter"
-        );
-        assert_eq!(image.config_digest([]), config_digest_of(&acl(), &[]));
+        let acl_digest = table_digest("acl", entries.iter().map(|(_, e)| e));
+        let want = config_digest_of(&acl(), &entries);
+        assert_eq!(root_digest(image.code_digest(), [acl_digest]), want);
+        let reversed: Vec<_> = entries.iter().rev().cloned().collect();
+        assert_eq!(config_digest_of(&acl(), &reversed), want, "entry order does not matter");
+        let no_entries = config_digest_of(&acl(), &[]);
+        assert_eq!(image.code_digest(), no_entries, "no entries: the code digest");
+        assert_eq!(table_digest("acl", []), 0);
+        let twice = vec![deny(7), deny(7)];
+        assert_ne!(config_digest_of(&acl(), &twice), config_digest_of(&acl(), &[deny(7)]));
     }
 
     #[test]
-    fn streamed_program_digest_folds_exactly_the_printed_bytes() {
+    fn a_table_digest_sees_every_field_of_every_entry() {
+        let entry = |matches: Vec<KeyMatch>, priority, action: &str, args: Vec<u64>| TableEntry {
+            matches,
+            priority,
+            action: ActionCall { action: action.into(), args },
+        };
+        let lpm = |value, prefix_len| KeyMatch::Lpm { value, prefix_len, width: 32 };
+        let base = entry(vec![KeyMatch::Exact(1), lpm(8, 24)], 0, "go", vec![2]);
+        let ternary = KeyMatch::Ternary { value: 8, mask: 24 };
+        let range = KeyMatch::Range { lo: 8, hi: 24 };
+        let variants = [
+            entry(vec![KeyMatch::Exact(2), lpm(8, 24)], 0, "go", vec![2]),
+            entry(vec![KeyMatch::Exact(1), lpm(8, 16)], 0, "go", vec![2]),
+            entry(vec![KeyMatch::Exact(1), lpm(9, 24)], 0, "go", vec![2]),
+            entry(vec![KeyMatch::Exact(1), ternary], 0, "go", vec![2]),
+            entry(vec![KeyMatch::Exact(1), range], 0, "go", vec![2]),
+            entry(vec![KeyMatch::Exact(1), lpm(8, 24)], 1, "go", vec![2]),
+            entry(vec![KeyMatch::Exact(1), lpm(8, 24)], 0, "stop", vec![2]),
+            entry(vec![KeyMatch::Exact(1), lpm(8, 24)], 0, "go", vec![2, 0]),
+            entry(vec![KeyMatch::Exact(1), lpm(8, 24)], 0, "go", vec![]),
+        ];
+        let d = |e: &TableEntry| table_digest("t", [e]);
+        for v in &variants {
+            assert_ne!(d(v), d(&base), "{v:?}");
+        }
+        assert_ne!(table_digest("u", [&base]), d(&base), "the name is folded");
+    }
+
+    #[test]
+    fn the_streamed_code_digest_folds_exactly_the_printed_bytes() {
         let with_header = bundle(
             "header vxlan { fields { flags: 8; vni: 24; } follows udp when udp.dport == 4789; }
              program p kind any {
@@ -413,7 +494,7 @@ mod tests {
             let mut printed: String = b.headers.iter().map(|h| format!("{h:?}")).collect();
             printed.push_str(&b.program.to_source());
             let expected = fnv1a(0xcbf2_9ce4_8422_2325, printed.as_bytes());
-            assert_eq!(program_digest_of(&b), expected);
+            assert_eq!(code_digest_of(&b), expected);
         }
     }
 

@@ -52,7 +52,10 @@ pub use device::{
     DEDUP_WINDOW, EMPTY_CONFIG_DIGEST, TRAP_WINDOW,
 };
 pub use graph::{BurstLanes, ForwardingGraph};
-pub use image::{config_digest_of, ProgramImage, SealTarget, SealedTargets};
+pub use image::{
+    config_digest_of, root_digest, table_digest, DigestLevels, ProgramImage, SealTarget,
+    SealedTargets,
+};
 pub use parser::ParserGraph;
 pub use reconfig::{
     entries_carry_over, ReconfigMode, ReconfigOutcome, ReconfigPlan, ReconfigReport, TxnTag,

@@ -65,6 +65,9 @@ pub struct ReconfigPlan {
     /// made once here; every device's allocator keys its placement by the
     /// same pointer.
     placements: Vec<(Arc<str>, ResourceVec, bool)>,
+    /// A user header the target redefines (its diff removes and re-adds
+    /// it), which a hitless change refuses ([`FlexError::LiveHeaderRedefined`]).
+    redefined_header: Option<String>,
     pub(crate) flip: Arc<FlipPlan>,
 }
 
@@ -123,7 +126,15 @@ impl ReconfigPlan {
             freed: ops.iter().filter_map(freed).collect(),
             unparsed: ops.iter().filter_map(unparsed).collect(),
         });
-        ReconfigPlan { target, ops, placements, flip }
+        let added = |n: &String| {
+            ops.iter()
+                .any(|op| matches!(op, ReconfigOp::AddParserState(h) if h.name == *n))
+        };
+        let redefined_header = ops.iter().find_map(|op| match op {
+            ReconfigOp::RemoveParserState(n) if added(n) => Some(n.clone()),
+            _ => None,
+        });
+        ReconfigPlan { target, ops, placements, redefined_header, flip }
     }
 }
 
@@ -482,6 +493,9 @@ impl Device {
         self.accept_change()?;
         let plan = target.into_plan(self.program())?;
         self.check_kind(plan.target.bundle().program.kind)?;
+        if let Some(header) = &plan.redefined_header {
+            return Err(FlexError::LiveHeaderRedefined { header: header.clone() });
+        }
         let duration = self.cost_model().plan_duration(&plan.ops);
         let report = |outcome| ReconfigReport {
             mode: ReconfigMode::RuntimeHitless,
@@ -796,6 +810,32 @@ mod tests {
         assert!(!d.reconfig_in_progress());
         // Now a new one is accepted.
         d.begin_runtime_reconfig(v1(), SimTime::from_secs(100)).unwrap();
+    }
+
+    #[test]
+    fn a_hitless_change_that_redefines_a_live_header_is_refused_and_a_reflash_is_not() {
+        let with = |fields: &str| {
+            bundle(&format!(
+                "header foo {{ fields {{ {fields} }} follows udp when udp.dport == 9000; }}
+                 program app kind any {{ handler ingress(pkt) {{ forward(1); }} }}"
+            ))
+        };
+        let mut d = empty();
+        d.install(with("x: 8;")).unwrap();
+        let footprint = |d: &Device| (format!("{:?}", d.parser()), d.used(), d.version());
+        let before = footprint(&d);
+        let err = d.begin_runtime_reconfig(with("x: 8; y: 8;"), SimTime::ZERO).unwrap_err();
+        assert_eq!(err, FlexError::LiveHeaderRedefined { header: "foo".into() });
+        let why = err.to_string();
+        let names = ["`foo`", "old-XOR-new", "reflash"];
+        assert!(names.iter().all(|n| why.contains(n)), "{why}");
+        assert!(!d.reconfig_in_progress());
+        assert_eq!(footprint(&d), before, "parser, placement and version untouched");
+        assert_eq!(d.program().unwrap().bundle(), &with("x: 8;"));
+
+        let report = d.begin_reflash(with("x: 8; y: 8;"), SimTime::ZERO).unwrap();
+        d.tick(report.ready_at);
+        assert_eq!(d.program().unwrap().bundle(), &with("x: 8; y: 8;"));
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //! `(priority, total LPM specificity)`, ties broken toward the
 //! latest-inserted entry).
 
+use crate::image::table_digest;
 use flexnet_lang::ast::{ActionCall, TableDecl};
 use flexnet_types::{FlexError, Result};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel entry index [`TableInstance::lookup_burst`] writes for a miss.
 pub const BURST_MISS: u32 = u32::MAX;
@@ -196,16 +197,18 @@ impl Hasher for FoldHasher {
 
 /// One table's installed entries plus its declaration.
 ///
-/// The non-public fields are lookup indexes — pure functions of
-/// `(decl, entries)` rebuilt on every mutation, so equality and the config
-/// digest (which reads `entries` only) are unaffected by them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The other fields are lookup indexes and the digest memo — pure
+/// functions of `(decl, entries)` brought up to date by every mutation,
+/// so equality compares the declaration and the entries alone. Entries
+/// change only through [`TableInstance::insert`], [`TableInstance::remove`]
+/// and [`TableInstance::set_entries`], each of which forgets the memo.
+#[derive(Debug, Clone)]
 pub struct TableInstance {
     /// The declaration this instance implements; shared with the copy a
     /// hitless flip makes of an unchanged table.
     pub decl: Arc<TableDecl>,
-    /// Installed entries.
-    pub entries: Vec<TableEntry>,
+    /// Installed entries, in installation order.
+    entries: Vec<TableEntry>,
     /// `decl.keys.len()`, kept beside the entries so a lookup does not
     /// follow the declaration's pointer.
     arity: usize,
@@ -221,7 +224,17 @@ pub struct TableInstance {
     /// all-exact; `None` as soon as any entry needs prefix/mask/range
     /// matching.
     exact: Option<HashMap<Vec<u64>, u32, FoldKey>>,
+    /// [`TableInstance::digest`], kept until the entries change.
+    digest: OnceLock<u64>,
 }
+
+impl PartialEq for TableInstance {
+    fn eq(&self, other: &TableInstance) -> bool {
+        self.decl == other.decl && self.entries == other.entries
+    }
+}
+
+impl Eq for TableInstance {}
 
 impl TableInstance {
     /// An empty instance of `decl`, which it shares with whoever gave it.
@@ -234,9 +247,39 @@ impl TableInstance {
             action_slots: Vec::new(),
             order: Vec::new(),
             exact: None,
+            digest: OnceLock::new(),
         };
         t.reindex();
         t
+    }
+
+    /// Installed entries, in installation order.
+    pub fn entries(&self) -> &[TableEntry] {
+        &self.entries
+    }
+
+    /// This table's level of the configuration digest
+    /// ([`crate::image::table_digest`]): folded on the first read after a
+    /// change of the entries, and by nothing else — another table's change
+    /// never reaches it.
+    pub fn digest(&self) -> u64 {
+        *self
+            .digest
+            .get_or_init(|| table_digest(&self.decl.name, &self.entries))
+    }
+
+    /// Makes this table hold exactly `entries`, in that order: what is
+    /// missing is added and what is extra is gone. Each entry is checked as
+    /// [`TableInstance::insert`] checks it; a refused one leaves the table
+    /// as it was.
+    pub fn set_entries(&mut self, entries: &[TableEntry]) -> Result<()> {
+        for (held, e) in entries.iter().enumerate() {
+            self.admit(e, held)?;
+        }
+        self.entries = entries.to_vec();
+        self.digest.take();
+        self.reindex();
+        Ok(())
     }
 
     /// Rebuilds every index from `entries`. Called on mutation only — the
@@ -273,8 +316,9 @@ impl TableInstance {
             });
     }
 
-    /// Installs an entry, enforcing arity and capacity.
-    pub fn insert(&mut self, entry: TableEntry) -> Result<()> {
+    /// Whether `entry` may join a table that holds `held` entries: its
+    /// arity, the capacity, and its action.
+    fn admit(&self, entry: &TableEntry, held: usize) -> Result<()> {
         if entry.matches.len() != self.decl.keys.len() {
             return Err(FlexError::Reconfig(format!(
                 "table `{}` expects {} keys, entry has {}",
@@ -283,7 +327,7 @@ impl TableInstance {
                 entry.matches.len()
             )));
         }
-        if self.entries.len() as u64 >= self.decl.size {
+        if held as u64 >= self.decl.size {
             return Err(FlexError::Reconfig(format!(
                 "table `{}` is full ({} entries)",
                 self.decl.name, self.decl.size
@@ -295,6 +339,13 @@ impl TableInstance {
                 self.decl.name, entry.action.action
             )));
         }
+        Ok(())
+    }
+
+    /// Installs an entry, enforcing arity and capacity.
+    pub fn insert(&mut self, entry: TableEntry) -> Result<()> {
+        self.admit(&entry, self.entries.len())?;
+        self.digest.take();
         // Incremental index maintenance: appends are the common bulk-load
         // path, and a full reindex per insert would make populating an
         // n-entry table O(n²). Removal (rare) still rebuilds everything.
@@ -337,6 +388,7 @@ impl TableInstance {
         self.entries.retain(|e| e.matches.as_slice() != matches);
         let removed = before - self.entries.len();
         if removed > 0 {
+            self.digest.take();
             self.reindex();
         }
         removed
@@ -731,6 +783,28 @@ mod tests {
         assert_eq!(t.remove(&[KeyMatch::Exact(1)]), 1);
         assert_eq!(t.remove(&[KeyMatch::Exact(1)]), 0);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn set_entries_builds_what_inserting_builds_and_a_refusal_changes_nothing() {
+        let d = decl("t", &[MatchKind::Exact], 2);
+        let (a, b) = (TableEntry::exact(&[1], go(1)), TableEntry::exact(&[2], go(2)));
+        let mut inserted = TableInstance::new(d.clone());
+        inserted.insert(a.clone()).unwrap();
+        inserted.insert(b.clone()).unwrap();
+        let mut set = TableInstance::new(d);
+        set.insert(TableEntry::exact(&[9], go(9))).unwrap();
+        let stale = set.digest();
+        set.set_entries(&[a.clone(), b.clone()]).unwrap();
+        assert_eq!(set, inserted, "the stray entry is gone, the two are in");
+        assert_eq!(set.order, inserted.order);
+        assert_eq!(set.exact, inserted.exact);
+        assert_ne!(set.digest(), stale, "the memo was forgotten");
+        assert_eq!(set.digest(), inserted.digest());
+        let before = set.clone();
+        assert!(set.set_entries(&[a.clone(), b, a]).is_err(), "over capacity");
+        assert_eq!(set, before);
+        assert_eq!(set.digest(), before.digest());
     }
 
     #[test]

@@ -358,6 +358,17 @@ pub enum FlexError {
     /// the crash-consistent log built on it. Retryability splits per
     /// variant — see [`FlexError::is_retryable`].
     Storage(StorageError),
+    /// A hitless change redefines a user header the running program
+    /// parses. One parser serves the old and the new program until the
+    /// flip, so parsing the header the new way before the flip would show
+    /// old packets the new layout (and parsing it the old way after the
+    /// flip the reverse): old-XOR-new would break. The change is refused
+    /// before anything on the device moves; a reflash, or the new
+    /// definition under another name, is the way forward.
+    LiveHeaderRedefined {
+        /// The redefined header.
+        header: String,
+    },
     /// Bytecode lowering could not resolve a name to a slot index.
     ///
     /// Surfaced at install/compile time — a program that references a
@@ -435,6 +446,12 @@ impl fmt::Display for FlexError {
             ),
             FlexError::Trap(t) => write!(f, "data-plane trap: {t}"),
             FlexError::Storage(s) => write!(f, "storage fault: {s}"),
+            FlexError::LiveHeaderRedefined { header } => write!(
+                f,
+                "hitless change refused: it redefines header `{header}`, but one parser serves \
+                 both programs until the flip, so re-parsing a live header would break \
+                 old-XOR-new; reflash, or give the new definition another name"
+            ),
             FlexError::UnresolvedSymbol { kind, name } => {
                 write!(f, "unresolved {kind} `{name}` during bytecode lowering")
             }
@@ -523,6 +540,7 @@ impl FlexError {
             FlexError::StaleDuplicate { .. } => "stale-duplicate",
             FlexError::Trap(t) => t.label(),
             FlexError::Storage(s) => s.label(),
+            FlexError::LiveHeaderRedefined { .. } => "live-header-redefined",
             FlexError::UnresolvedSymbol { .. } => "unresolved-symbol",
         }
     }

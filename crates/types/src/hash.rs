@@ -1,9 +1,12 @@
-//! The workspace's hashes, each written once: FNV-1a (64-bit over bytes or
-//! over little-endian words, 32-bit for the storage record checksum) and
-//! splitmix64.
+//! The workspace's hashes, each written once: FNV-1a (64-bit, over bytes or
+//! over little-endian words), the storage record checksum (two FNV-style
+//! 32-bit lanes over 4-byte words) and splitmix64.
 //!
 //! None is cryptographic. Every value feeds a pinned digest, a recording, a
-//! wire trailer or a durable record, so none may change.
+//! wire trailer or a durable record, so none may change without re-pinning
+//! what it feeds; the unit test below pins them all. The record checksum
+//! replaced a byte-serial FNV-1a 32 (`DESIGN.md` §15): no recording or
+//! summary printed a checksum, and a simulated disk outlives no process.
 
 /// The FNV-1a 64-bit offset basis: the state before any byte.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -38,14 +41,42 @@ pub fn hash_values(values: &[u64]) -> u64 {
     values.iter().fold(FNV_OFFSET, |h, &v| fnv_step(h, v))
 }
 
-/// FNV-1a 32-bit over `bytes`: the durable record checksum.
-pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
+/// The durable record checksum: two FNV-style 32-bit lanes over the
+/// little-endian 4-byte words of `bytes` — even words in one lane, odd in
+/// the other, and the trailing 0–3 bytes, zero-padded, as one more word of
+/// the odd lane — started from the length and joined by odd-multiply steps.
+///
+/// A lane step `h = rotl((h ^ w) * K, 13)` is a bijection of the word for
+/// a fixed state and of the state for a fixed word, and the join is a
+/// bijection of either lane for a fixed other, so a change confined to one
+/// aligned 4-byte word — any single-bit flip among them — changes the
+/// checksum with certainty. It needs no table, and the two lanes keep two
+/// multiplies in flight: a scrub runs at word speed, not byte speed.
+pub fn checksum32(bytes: &[u8]) -> u32 {
+    const K: u32 = 0x9e37_79b1;
+    let step = |h: u32, w: [u8; 4]| (h ^ u32::from_le_bytes(w)).wrapping_mul(K).rotate_left(13);
+    let mut a = 0x811c_9dc5 ^ bytes.len() as u32;
+    let mut b = 0x0100_0193u32;
+    let (pairs, rest) = bytes.as_chunks::<8>();
+    for pair in pairs {
+        let ([lo, hi], []) = pair.as_chunks::<4>() else {
+            unreachable!("8 bytes are two words")
+        };
+        a = step(a, *lo);
+        b = step(b, *hi);
     }
-    h
+    let (word, tail) = rest.as_chunks::<4>();
+    if let [word] = word {
+        a = step(a, *word);
+    }
+    if !tail.is_empty() {
+        let mut padded = [0u8; 4];
+        padded[..tail.len()].copy_from_slice(tail);
+        b = step(b, padded);
+    }
+    let mut h = a.wrapping_mul(0x85eb_ca77) ^ b;
+    h = (h ^ (h >> 15)).wrapping_mul(0xc2b2_ae3d);
+    h ^ (h >> 16)
 }
 
 /// splitmix64's stream increment.
@@ -83,14 +114,49 @@ mod tests {
         assert_eq!(fnv_step(7, word), fnv1a(7, &word.to_le_bytes()));
         assert_eq!(hash_values(&[]), FNV_OFFSET);
         assert_eq!(hash_values(&[1, 2, 3]), 0xda2b_fb22_5e0d_1f05);
-        assert_eq!(fnv1a32(b""), 0x811c_9dc5);
-        assert_eq!(fnv1a32(b"a"), 0xe40c_292c);
-        assert_eq!(fnv1a32(b"foobar"), 0xbf9c_f968);
+        assert_eq!(checksum32(b""), 0x3a72_e385);
+        assert_eq!(checksum32(b"a"), 0x8562_45e4);
+        assert_eq!(checksum32(b"foobar"), 0x00b1_eecc);
+        assert_eq!(checksum32(b"intent 3 dev 1,2,4"), 0x54e0_3638);
         assert_eq!(mix(0), 0xe220_a839_7b1d_cdaf);
         assert_eq!(mix(1), 0x910a_2dec_8902_5cc1);
         let mut stream = 7;
         let draws = [(); 3].map(|()| mix_next(&mut stream));
         assert_eq!(draws, [0x63cb_e1e4_5932_0dd7, 0x044c_3cd7_f43c_661c, 0xe698_4080_bab1_2a02]);
         assert_eq!(stream, 0xdaa6_6d2c_7ddf_7446);
+    }
+
+    /// Payloads of every length from 0 to 40 bytes (every tail and lane
+    /// split) plus a 1 KiB one: flipping any one bit, and replacing any one
+    /// aligned word with any of a spread of other values, changes the
+    /// checksum.
+    #[test]
+    fn any_change_inside_one_aligned_word_is_detected() {
+        let mut stream = 11;
+        let mut payloads: Vec<Vec<u8>> = (0..=40usize)
+            .map(|n| (0..n).map(|_| mix_next(&mut stream) as u8).collect())
+            .collect();
+        payloads.push((0..1024).map(|_| mix_next(&mut stream) as u8).collect());
+        for p in &payloads {
+            let clean = checksum32(p);
+            let mut rotted = p.clone();
+            for bit in 0..8 * p.len() {
+                rotted[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum32(&rotted), clean, "{} bytes, bit {bit}", p.len());
+                rotted[bit / 8] ^= 1 << (bit % 8);
+            }
+            for start in (0..p.len()).step_by(4) {
+                let end = (start + 4).min(p.len());
+                for _ in 0..16 {
+                    let other = mix_next(&mut stream).to_le_bytes();
+                    rotted[start..end].copy_from_slice(&other[..end - start]);
+                    if rotted[start..end] != p[start..end] {
+                        let n = p.len();
+                        assert_ne!(checksum32(&rotted), clean, "{n} bytes, word at {start}");
+                    }
+                }
+                rotted[start..end].copy_from_slice(&p[start..end]);
+            }
+        }
     }
 }

@@ -55,7 +55,7 @@ fn reference(
     for table in old.tables().iter() {
         if entries_carry_over(&table.decl, &fresh.bundle().program) {
             let dst = fresh.tables_mut().get_mut(&table.decl.name).unwrap();
-            for e in &table.entries {
+            for e in table.entries() {
                 dst.insert(e.clone()).unwrap();
             }
         }

@@ -15,7 +15,7 @@
 //!
 //! | measured here                                   | budget | now | before shared guards | before borrowed names | before layouts and blocks | before declarations |
 //! |-------------------------------------------------|-------:|----:|---------------------:|----------------------:|--------------------------:|--------------------:|
-//! | one `ctl_txn`-shaped op, mean of ops 16–39      |    650 | 577 |                  838 |                 1 141 |                     1 681 |               3 402 |
+//! | one `ctl_txn`-shaped op, mean of ops 16–39      |    650 | 507 |                  838 |                 1 141 |                     1 681 |               3 402 |
 //! | … of which the departure and the arrival        |    130 | 102 |                  272 |                   277 |                       493 |                   — |
 //! | … of which the four devices' `tick` to the flip |     64 |  45 |                   45 |                    45 |                       196 |                   — |
 //! | one device's `allocator().clone()`              |      6 |   4 |                   22 |                     — |                         — |                   — |

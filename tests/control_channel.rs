@@ -5,8 +5,9 @@
 //! of `{:?}` over everything those paths report — the coordinator's report,
 //! `sim.errors`, `sim.reconfig_reports`, the fabric's draw counts and the
 //! intent log — on the paths no `results/` recording reaches under loss.
-//! The constants were captured at the commit before the channel existed: a
-//! moved draw, a re-stamped report or a reworded error changes them.
+//! The constants were captured at the commit before the channel existed
+//! (`RESYNCED` re-pinned since, where its comment says why): a moved draw,
+//! a re-stamped report or a reworded error changes them.
 
 use flexnet_controller::wal::ReplicatedIntentLog;
 use flexnet_controller::{
@@ -257,4 +258,8 @@ const LOGGED: [(u64, u64); 5] = [
     (16909145026714109080, 5857481149837669453),
     (12793570340438637732, 470130505142427138),
 ];
-const RESYNCED: [u64; 2] = [5242653121244356296, 13520299137422195426];
+/// Re-pinned when a resync of a device that runs its intended program
+/// stopped shipping a shadow and per-entry upserts: the probe now reads
+/// the table digests, one command sets the tables that differ, and every
+/// seed sends fewer messages (156 against 279 over both sweeps).
+const RESYNCED: [u64; 2] = [16093357489170637342, 10636729745470161636];

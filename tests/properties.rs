@@ -455,7 +455,7 @@ fn observed(bundle: &ProgramBundle, image: &ProgramImage, witness: &Device) -> [
         bundle.program.to_source(),
         format!("{bundle:?}"),
         format!("{:?}", image.bundle()),
-        format!("{:#x}", image.config_digest([])),
+        format!("{:#x}", image.code_digest()),
         format!("{:?} {:#x}", running.bundle(), witness.config_digest()),
         running.bundle().program.to_source(),
     ]

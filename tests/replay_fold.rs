@@ -57,7 +57,7 @@ fn oracle_recovery_maps(records: &[IntentRecord]) -> RecoveryMaps {
     for rec in records {
         match rec {
             IntentRecord::Intent { txn, devices } | IntentRecord::Prepared { txn, devices } => {
-                participants.insert(*txn, devices.clone());
+                participants.insert(*txn, devices.to_vec());
             }
             IntentRecord::IntendedState { .. }
             | IntentRecord::RolloutStarted { .. }
@@ -330,7 +330,7 @@ impl Journal {
                 self.txns.push((txn, 0));
                 IntentRecord::Intent {
                     txn,
-                    devices: self.some_devices(rng),
+                    devices: self.some_devices(rng).into(),
                 }
             }
             2..=5 if !self.txns.is_empty() => {
@@ -344,7 +344,7 @@ impl Journal {
                 match phase {
                     0 => IntentRecord::Prepared {
                         txn,
-                        devices: self.some_devices(rng),
+                        devices: self.some_devices(rng).into(),
                     },
                     1 => IntentRecord::FlipScheduled {
                         txn,

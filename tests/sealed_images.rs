@@ -20,12 +20,12 @@
 use flexnet::prelude::*;
 use flexnet_controller::txn::LoggedTxnOutcome;
 use flexnet_controller::{
-    logged_transactional_reconfig, IntendedStore, IntentRecord, LoggedTxnReport,
+    logged_transactional_reconfig, IntendedDevice, IntendedStore, IntentRecord, LoggedTxnReport,
     ReplicatedIntentLog,
 };
 use flexnet_dataplane::{
-    config_digest_of, InstalledProgram, ProgramImage, ReconfigPlan, ReconfigReport, SealTarget,
-    SealedTargets, TxnTag, EMPTY_CONFIG_DIGEST,
+    config_digest_of, root_digest, InstalledProgram, ProgramImage, ReconfigPlan, ReconfigReport,
+    SealTarget, SealedTargets, TxnTag, EMPTY_CONFIG_DIGEST,
 };
 use flexnet_lang::ast::ActionCall;
 use flexnet_lang::diff::{diff_bundles, ReconfigOp};
@@ -61,6 +61,30 @@ fn gate(counters: usize, size: usize) -> ProgramBundle {
              size {size};
            }}
            handler ingress(pkt) {{ {counts} apply acl; forward(1); }}
+         }}"
+    ))
+}
+
+/// `gate` with a second table, `watch`, sized apart from `acl` so that a
+/// flip can carry one table and start the other empty.
+fn two_tables(counters: usize, acl: usize, watch: usize) -> ProgramBundle {
+    let decls: String = (0..=counters).map(|i| format!("counter c{i};\n")).collect();
+    bundle(&format!(
+        "program app kind any {{
+           {decls}
+           table acl {{
+             key {{ ipv4.src : exact; }}
+             action deny() {{ drop(); }}
+             action allow() {{ forward(1); }}
+             default allow();
+             size {acl};
+           }}
+           table watch {{
+             key {{ ipv4.dst : exact; }}
+             action mark() {{ count(c0); }}
+             size {watch};
+           }}
+           handler ingress(pkt) {{ apply watch; apply acl; forward(1); }}
          }}"
     ))
 }
@@ -109,9 +133,17 @@ fn reference_digest(dev: &Device) -> u64 {
     let entries: Vec<(String, TableEntry)> = p
         .tables()
         .iter()
-        .flat_map(|t| t.entries.iter().map(|e| (t.decl.name.clone(), e.clone())))
+        .flat_map(|t| t.entries().iter().map(|e| (t.decl.name.clone(), e.clone())))
         .collect();
     config_digest_of(p.bundle(), &entries)
+}
+
+/// The store's digest for `rec` recomputed from nothing but its image and
+/// entries.
+fn intended_reference(rec: &IntendedDevice) -> u64 {
+    let entries: Vec<(String, TableEntry)> =
+        rec.entries().map(|(t, e)| (t.to_string(), e.clone())).collect();
+    config_digest_of(rec.image().bundle(), &entries)
 }
 
 /// A device and the controller's record of it, driven side by side.
@@ -127,20 +159,22 @@ struct Pair {
 const NODE: NodeId = NodeId(1);
 
 impl Pair {
-    /// The store's kept digest of `NODE` against its image's fold of its
-    /// entries, recomputed: what a `commit_target` or `record_entry` must
+    /// The store's kept digest of `NODE` against the reference over its
+    /// image and entries: what a `commit_target` or `record_entry` must
     /// leave behind.
     fn check_store(&self, step: &str) -> std::result::Result<(), TestCaseError> {
         let rec = self.store.get(NODE).expect("intent was recorded");
-        let entries = rec.entries().iter().map(|(t, e)| (t.as_str(), e));
-        prop_assert_eq!(self.store.digest(NODE), Some(rec.image().config_digest(entries)), "{}", step);
+        prop_assert_eq!(self.store.digest(NODE), Some(intended_reference(rec)), "{}", step);
         Ok(())
     }
 
     fn check(&self, step: &str) -> std::result::Result<(), TestCaseError> {
         prop_assert_eq!(self.dev.config_digest(), reference_digest(&self.dev), "device, {}", step);
+        let levels = self.dev.digest_levels();
+        let root = levels.map_or(EMPTY_CONFIG_DIGEST, |l| root_digest(l.code, l.tables));
+        prop_assert_eq!(root, self.dev.config_digest(), "device levels, {}", step);
         if let Some(rec) = self.store.get(NODE) {
-            let want = config_digest_of(rec.image().bundle(), rec.entries());
+            let want = intended_reference(rec);
             prop_assert_eq!(self.store.digest(NODE), Some(want), "store, {}", step);
             if self.in_sync {
                 prop_assert_eq!(want, self.dev.config_digest(), "store vs device, {}", step);
@@ -159,9 +193,9 @@ impl Pair {
     }
 
     /// Records `entry` in the store after the device took it.
-    fn record(&mut self, entry: TableEntry) -> std::result::Result<(), TestCaseError> {
+    fn record(&mut self, table: &str, entry: TableEntry) -> std::result::Result<(), TestCaseError> {
         // Intent may be on another program by now.
-        let recorded = self.store.record_entry(&mut self.log, NODE, "acl", entry).is_ok();
+        let recorded = self.store.record_entry(&mut self.log, NODE, table, entry).is_ok();
         self.in_sync &= recorded;
         if recorded {
             self.check_store("record_entry")?;
@@ -173,9 +207,11 @@ impl Pair {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The memoised digests never drift from the from-scratch reference:
-    /// read before and after every op, so a memo a route forgot to clear
-    /// is caught stale.
+    /// The memoised digests — the device's root, each of its tables', and
+    /// the store's — never drift from the from-scratch reference: read
+    /// before and after every op, so a memo a route forgot to clear is
+    /// caught stale. Programs hold two tables, entries go to either, and a
+    /// flip may carry one table and rebuild the other.
     #[test]
     fn digests_equal_the_reference_after_any_history(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -187,17 +223,26 @@ proptest! {
             now: SimTime::from_secs(1),
         };
         w.check("empty")?;
-        w.install(gate(0, 16))?;
+        w.install(two_tables(0, 16, 8))?;
         w.check("first install")?;
         for step in 0..24 {
             w.check("before the op")?;
             w.now += SimDuration::from_secs(2);
             let now = w.now;
-            let target = match rng.gen_range(0..6u64) {
+            let counters = rng.gen_range(0..3u64) as usize;
+            let target = match rng.gen_range(0..8u64) {
                 0 => tableless(),
-                1 => gate(rng.gen_range(0..3u64) as usize, 32),
-                _ => gate(rng.gen_range(0..3u64) as usize, 16),
+                1 => gate(counters, 16),
+                2 => two_tables(counters, 32, 8),
+                3 => two_tables(counters, 16, 16),
+                _ => two_tables(counters, 16, 8),
             };
+            let table = ["acl", "watch"][rng.gen_range(0..2usize)];
+            let action = ActionCall {
+                action: if table == "acl" { "deny" } else { "mark" }.into(),
+                args: vec![],
+            };
+            let entry = TableEntry::exact(&[rng.gen_range(0..8u64)], action);
             // A second storm in a row leaves no fallback: reinstall.
             let what = match rng.gen_range(0..10u64) {
                 _ if w.dev.program().is_none() => {
@@ -209,22 +254,20 @@ proptest! {
                     "install"
                 }
                 1 | 2 => {
-                    let entry = deny(rng.gen_range(0..8u64));
-                    if w.dev.add_entry("acl", entry.clone()).is_ok() {
-                        w.record(entry)?;
+                    if w.dev.add_entry(table, entry.clone()).is_ok() {
+                        w.record(table, entry)?;
                     }
                     "add_entry"
                 }
                 9 => {
-                    let entry = deny(rng.gen_range(0..8u64));
                     let tables = w.dev.program_mut().unwrap().tables_mut();
-                    if tables.get_mut("acl").is_some_and(|t| t.insert(entry.clone()).is_ok()) {
-                        w.record(entry)?;
+                    if tables.get_mut(table).is_some_and(|t| t.insert(entry.clone()).is_ok()) {
+                        w.record(table, entry)?;
                     }
                     "entry inserted through tables_mut"
                 }
                 3 => {
-                    let gone = w.dev.remove_entry("acl", &deny(rng.gen_range(0..8u64)).matches);
+                    let gone = w.dev.remove_entry(table, &entry.matches);
                     // The store has no removal: intent keeps the entry.
                     w.in_sync &= gone.unwrap_or(0) == 0;
                     "remove_entry"
@@ -352,7 +395,7 @@ fn one_transaction_seals_and_compiles_each_distinct_target_once() {
         assert!(Arc::ptr_eq(&image_of(&f, *n), &first), "{n} shares the one image");
         assert!(Arc::ptr_eq(f.store.get(*n).unwrap().image(), &first), "store, {n}");
         assert_eq!(code(&f, *n), code(&f, four[0]), "{n} shares the one bytecode");
-        assert_eq!(f.store.digest(*n), Some(image_of(&f, *n).config_digest([])));
+        assert_eq!(f.store.digest(*n), Some(image_of(&f, *n).code_digest()));
     }
     assert_eq!(first.bundle(), &gate(1, 16));
 
@@ -700,7 +743,7 @@ fn bad_targets_abort_as_that_devices_prepare() {
         assert_eq!(
             f.log.records().unwrap()[before..],
             [
-                IntentRecord::Intent { txn: report.txn, devices },
+                IntentRecord::Intent { txn: report.txn, devices: devices.into() },
                 IntentRecord::Aborted { txn: report.txn },
             ]
         );
@@ -768,7 +811,7 @@ fn a_transaction_that_modifies_a_table_leaves_intent_and_device_agreeing() {
     // Declaration unchanged: the entry crosses the flip on both sides.
     assert_eq!(run_txn(&mut f, &[(leaf, gate(1, 16))]).outcome, LoggedTxnOutcome::Committed);
     let dev = &f.sim.topo.node(leaf).unwrap().device;
-    assert_eq!(f.store.get(leaf).unwrap().entries().len(), 1);
+    assert_eq!(f.store.get(leaf).unwrap().entries().count(), 1);
     assert_eq!(f.store.digest(leaf), Some(dev.config_digest()));
 
     // `size 16` → `size 32`: the device's shadow starts the table empty,
@@ -776,7 +819,7 @@ fn a_transaction_that_modifies_a_table_leaves_intent_and_device_agreeing() {
     assert_eq!(run_txn(&mut f, &[(leaf, gate(1, 32))]).outcome, LoggedTxnOutcome::Committed);
     let dev = &f.sim.topo.node(leaf).unwrap().device;
     assert!(dev.table("acl").unwrap().is_empty());
-    assert!(f.store.get(leaf).unwrap().entries().is_empty());
+    assert_eq!(f.store.get(leaf).unwrap().entries().count(), 0);
     assert_eq!(f.store.digest(leaf), Some(dev.config_digest()));
     assert_eq!(
         IntendedStore::digests_from_log(&f.log).unwrap()[&leaf],
@@ -870,7 +913,7 @@ fn the_streamed_digest_is_fnv_of_the_printed_source_which_parses_back() {
         let expected = fnv1a(0xcbf2_9ce4_8422_2325, printed.as_bytes());
         assert_eq!(config_digest_of(&b, &[]), expected, "{name}: reference digest");
         let image = ProgramImage::seal(b).unwrap();
-        assert_eq!(image.config_digest([]), expected, "{name}: sealed digest");
+        assert_eq!(image.code_digest(), expected, "{name}: sealed digest");
     }
 }
 

@@ -47,8 +47,8 @@ fn arb_record() -> impl Strategy<Value = IntentRecord> {
     let devices = proptest::collection::vec(1u64..16, 0..6);
     prop_oneof![
         (1u64..64, devices.clone())
-            .prop_map(|(txn, devices)| IntentRecord::Intent { txn, devices }),
-        (1u64..64, devices).prop_map(|(txn, devices)| IntentRecord::Prepared { txn, devices }),
+            .prop_map(|(txn, d)| IntentRecord::Intent { txn, devices: d.into() }),
+        (1u64..64, devices).prop_map(|(txn, d)| IntentRecord::Prepared { txn, devices: d.into() }),
         (1u64..64, any::<u32>()).prop_map(|(txn, ns)| IntentRecord::FlipScheduled {
             txn,
             commit_at: SimTime::from_nanos(u64::from(ns)),
@@ -68,9 +68,10 @@ fn arb_any_record() -> impl Strategy<Value = IntentRecord> {
     let devices = || proptest::collection::vec(any::<u64>(), 0..6);
     let wave = proptest::collection::vec(any::<u64>(), 1..6);
     prop_oneof![
-        (any::<u64>(), devices()).prop_map(|(txn, devices)| IntentRecord::Intent { txn, devices }),
         (any::<u64>(), devices())
-            .prop_map(|(txn, devices)| IntentRecord::Prepared { txn, devices }),
+            .prop_map(|(txn, d)| IntentRecord::Intent { txn, devices: d.into() }),
+        (any::<u64>(), devices())
+            .prop_map(|(txn, d)| IntentRecord::Prepared { txn, devices: d.into() }),
         (any::<u64>(), any::<u64>()).prop_map(|(txn, ns)| IntentRecord::FlipScheduled {
             txn,
             commit_at: SimTime::from_nanos(ns),
