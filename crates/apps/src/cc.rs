@@ -191,8 +191,14 @@ mod tests {
         let mut ok = Packet::tcp(1, 1, 2, 3, 4, 0);
         ok.metadata.insert("link_util".into(), 90);
         d.process(&mut ok, SimTime::ZERO).unwrap();
-        assert_eq!(d.program_mut().unwrap().state.reg_read("rate_mbps", 0), 1000);
-        assert_eq!(d.program_mut().unwrap().state.counter_read("adjustments"), 0);
+        assert_eq!(
+            d.program_mut().unwrap().state.reg_read("rate_mbps", 0),
+            1000
+        );
+        assert_eq!(
+            d.program_mut().unwrap().state.counter_read("adjustments"),
+            0
+        );
     }
 
     #[test]

@@ -105,7 +105,10 @@ mod tests {
         let mut d = dev(l3_router(4).unwrap());
         let mut p = Packet::tcp(1, 1, 2, 5, 80, 0);
         p.set_field_sym(Sym::IPV4, Sym::TTL, 0);
-        assert_eq!(d.process(&mut p, SimTime::ZERO).unwrap().verdict, Verdict::Drop);
+        assert_eq!(
+            d.process(&mut p, SimTime::ZERO).unwrap().verdict,
+            Verdict::Drop
+        );
     }
 
     #[test]
@@ -128,7 +131,10 @@ mod tests {
         )
         .unwrap();
         let mut p = Packet::tcp(1, 1, 0xdead_beef, 5, 80, 0);
-        assert_eq!(d.process(&mut p, SimTime::ZERO).unwrap().verdict, Verdict::Drop);
+        assert_eq!(
+            d.process(&mut p, SimTime::ZERO).unwrap().verdict,
+            Verdict::Drop
+        );
     }
 
     #[test]
@@ -147,7 +153,10 @@ mod tests {
         let mut p = Packet::tcp(1, 1, 2, 3, 4, 0);
         p.insert_header_sym(flexnet_types::Header::vlan(999), Some(Sym::ETH));
         p.metadata.insert("tenant_vlan".into(), 300);
-        assert_eq!(d.process(&mut p, SimTime::ZERO).unwrap().verdict, Verdict::Drop);
+        assert_eq!(
+            d.process(&mut p, SimTime::ZERO).unwrap().verdict,
+            Verdict::Drop
+        );
         assert_eq!(d.program_mut().unwrap().state.counter_read("violations"), 1);
     }
 }

@@ -132,7 +132,10 @@ mod tests {
         let state = &mut d.program_mut().unwrap().state;
         state.map_put_at(state.map_slot("blocked").unwrap(), 666, 1);
         let mut bad = Packet::tcp(1, 666, 2, 3, 80, 0x10);
-        assert_eq!(d.process(&mut bad, SimTime::ZERO).unwrap().verdict, Verdict::Drop);
+        assert_eq!(
+            d.process(&mut bad, SimTime::ZERO).unwrap().verdict,
+            Verdict::Drop
+        );
         let mut good = Packet::tcp(2, 7, 2, 3, 80, 0x10);
         assert_eq!(
             d.process(&mut good, SimTime::ZERO).unwrap().verdict,
@@ -154,7 +157,10 @@ mod tests {
             );
         }
         let mut syn6 = Packet::tcp(6, 200, 9, 1, 80, 0x02);
-        assert_eq!(d.process(&mut syn6, SimTime::ZERO).unwrap().verdict, Verdict::Drop);
+        assert_eq!(
+            d.process(&mut syn6, SimTime::ZERO).unwrap().verdict,
+            Verdict::Drop
+        );
         // ACK traffic to the same (attacked) destination still flows.
         let mut ack = Packet::tcp(7, 300, 9, 1, 80, 0x10);
         assert_eq!(
@@ -191,7 +197,10 @@ mod tests {
         // Default flipped to deny: unmatched traffic is now dropped.
         let mut d = dev(patched);
         let mut p = Packet::tcp(1, 7, 2, 3, 80, 0x10);
-        assert_eq!(d.process(&mut p, SimTime::ZERO).unwrap().verdict, Verdict::Drop);
+        assert_eq!(
+            d.process(&mut p, SimTime::ZERO).unwrap().verdict,
+            Verdict::Drop
+        );
     }
 
     #[test]

@@ -46,7 +46,11 @@ fn bench_packet_processing(c: &mut Criterion) {
         });
     }
     // Four sketch rows whose hashes share the (src, dst, proto) prefix.
-    let mut dev = Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable);
+    let mut dev = Device::new(
+        NodeId(1),
+        Architecture::drmt_default(),
+        StateEncoding::StatefulTable,
+    );
     dev.install(flexnet::apps::telemetry::count_min_sketch(4, 4096).unwrap())
         .unwrap();
     group.bench_function("cms4", |b| {
@@ -214,14 +218,25 @@ fn carrying_pair() -> [Arc<ProgramImage>; 2] {
 /// A device on `image` holding `entries` ACL entries and, when `populated`,
 /// a value in every register cell and every map slot.
 fn carrying_device(image: &Arc<ProgramImage>, entries: u64, populated: bool) -> Device {
-    let mut dev = Device::new(NodeId(1), Architecture::host_default(), StateEncoding::StatefulTable);
+    let mut dev = Device::new(
+        NodeId(1),
+        Architecture::host_default(),
+        StateEncoding::StatefulTable,
+    );
     dev.install(image.clone()).unwrap();
-    let deny = ActionCall { action: "deny".into(), args: vec![] };
+    let deny = ActionCall {
+        action: "deny".into(),
+        args: vec![],
+    };
     for key in 0..entries {
-        dev.add_entry("acl", TableEntry::exact(&[key], deny.clone())).unwrap();
+        dev.add_entry("acl", TableEntry::exact(&[key], deny.clone()))
+            .unwrap();
     }
     let state = &mut dev.program_mut().unwrap().state;
-    let (r, seen) = (state.register_slot("r").unwrap(), state.map_slot("seen").unwrap());
+    let (r, seen) = (
+        state.register_slot("r").unwrap(),
+        state.map_slot("seen").unwrap(),
+    );
     for i in 0..if populated { 1024 } else { 0 } {
         state.reg_write_at_checked(r, i, i + 1).unwrap();
         state.map_put_at(seen, i * 7, i);
@@ -236,14 +251,21 @@ fn carrying_device(image: &Arc<ProgramImage>, entries: u64, populated: bool) -> 
 /// the last begin, the begin before a flip) runs in the untimed set-up.
 fn bench_hitless_reconfig(c: &mut Criterion) {
     let pair = carrying_pair();
-    let arms = [("0", 0, false), ("1k", 1024, false), ("32k", 32 * 1024, false), ("1k_reg_map", 0, true)];
+    let arms = [
+        ("0", 0, false),
+        ("1k", 1024, false),
+        ("32k", 32 * 1024, false),
+        ("1k_reg_map", 0, true),
+    ];
     for (label, entries, populated) in arms {
         let dev = RefCell::new(carrying_device(&pair[0], entries, populated));
         c.bench_function(&format!("begin_hitless_reconfig/{label}"), |b| {
             b.iter_batched(
                 || drop(dev.borrow_mut().abort_reconfig(SimTime::ZERO)),
                 |()| {
-                    let begun = dev.borrow_mut().begin_runtime_reconfig(pair[1].clone(), SimTime::ZERO);
+                    let begun = dev
+                        .borrow_mut()
+                        .begin_runtime_reconfig(pair[1].clone(), SimTime::ZERO);
                     black_box(begun.unwrap())
                 },
                 criterion::BatchSize::SmallInput,
@@ -256,13 +278,20 @@ fn bench_hitless_reconfig(c: &mut Criterion) {
                 || {
                     flips += 1;
                     let (target, now) = (pair[flips % 2].clone(), SimTime::from_secs(flips as u64));
-                    dev.borrow_mut().begin_runtime_reconfig(target, now).unwrap().ready_at
+                    dev.borrow_mut()
+                        .begin_runtime_reconfig(target, now)
+                        .unwrap()
+                        .ready_at
                 },
                 |at| dev.borrow_mut().tick(at),
                 criterion::BatchSize::SmallInput,
             );
         });
-        assert_eq!(dev.borrow().table("acl").unwrap().len() as u64, entries, "carried");
+        assert_eq!(
+            dev.borrow().table("acl").unwrap().len() as u64,
+            entries,
+            "carried"
+        );
     }
 }
 
@@ -391,7 +420,11 @@ fn bench_simulation(c: &mut Criterion) {
         let sim = sim.into_inner();
         // A name filter that skips this bench never runs a slice.
         let ran = slice_no > 0;
-        assert!(!ran || sim.metrics.sent > 10_000 && sim.metrics.total_lost() == 0, "{:?}", sim.metrics.losses);
+        assert!(
+            !ran || sim.metrics.sent > 10_000 && sim.metrics.total_lost() == 0,
+            "{:?}",
+            sim.metrics.losses
+        );
     }
 }
 

@@ -131,7 +131,11 @@ fn raft_section() {
     }
     c.propose(b"with 3/5 alive").unwrap();
     c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-    let ok3 = c.committed(leader).unwrap().iter().any(|cmd| *cmd == b"with 3/5 alive");
+    let ok3 = c
+        .committed(leader)
+        .unwrap()
+        .iter()
+        .any(|cmd| *cmd == b"with 3/5 alive");
     // Kill one more *alive* follower (majority gone): unavailable.
     for i in 0..c.len() {
         if i != leader && c.is_alive(i) && killed < 3 {
@@ -141,7 +145,11 @@ fn raft_section() {
     }
     c.propose(b"with 2/5 alive").unwrap();
     c.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
-    let ok2 = c.committed(leader).unwrap().iter().any(|cmd| *cmd == b"with 2/5 alive");
+    let ok2 = c
+        .committed(leader)
+        .unwrap()
+        .iter()
+        .any(|cmd| *cmd == b"with 2/5 alive");
     println!("commits with 3/5 controllers alive: {ok3}");
     println!(
         "commits with 2/5 controllers alive: {ok2} (correctly unavailable: {})",

@@ -36,13 +36,11 @@ struct MergePrediction {
 /// concatenated, every entry of `a` paired with every entry of `b` (`size =
 /// a.size * b.size`, the "cross product" memory blow-up), and one action
 /// per pair of actions (running `a`'s body, then `b`'s).
-fn merge_tables(
-    a: &TableDecl,
-    b: &TableDecl,
-    headers: &HeaderRegistry,
-) -> Result<MergePrediction> {
+fn merge_tables(a: &TableDecl, b: &TableDecl, headers: &HeaderRegistry) -> Result<MergePrediction> {
     if a.name == b.name {
-        return Err(FlexError::Compile("cannot merge a table with itself".into()));
+        return Err(FlexError::Compile(
+            "cannot merge a table with itself".into(),
+        ));
     }
     // The merged table as the demand model reads it: keys, size and the
     // number of actions.
@@ -102,11 +100,11 @@ fn choose_target(
     objective: Objective,
 ) -> Result<Option<usize>> {
     let demand = component.canonical_demand()?;
-    let feasible = (0..candidates.len())
-        .filter(|&i| candidates[i].fits(component.kind(), &demand));
+    let feasible = (0..candidates.len()).filter(|&i| candidates[i].fits(component.kind(), &demand));
     Ok(match objective {
         Objective::Latency => {
-            let latency = |i: usize| split::component_latency(component, &candidates[i]).map(|l| (l, i));
+            let latency =
+                |i: usize| split::component_latency(component, &candidates[i]).map(|l| (l, i));
             let latencies = feasible.map(latency).collect::<Result<Vec<_>>>()?;
             latencies.into_iter().min().map(|(_, i)| i)
         }
@@ -198,7 +196,13 @@ fn part_b() {
         (21, 2_000_000),
     ];
 
-    row(&["hour", "load-pps", "energy-aware", "latency-only", "watts-saved"]);
+    row(&[
+        "hour",
+        "load-pps",
+        "energy-aware",
+        "latency-only",
+        "watts-saved",
+    ]);
     sep(5);
     let mut kwh_energy = 0.0f64;
     let mut kwh_latency = 0.0f64;
@@ -295,9 +299,15 @@ mod tests {
             TargetView::fresh(NodeId(1), Architecture::drmt_default()),
             TargetView::fresh(NodeId(2), Architecture::smartnic_default()),
         ];
-        let low = choose_target(&comp, &candidates, Objective::Energy { offered_pps: 10_000 })
-            .unwrap()
-            .unwrap();
+        let low = choose_target(
+            &comp,
+            &candidates,
+            Objective::Energy {
+                offered_pps: 10_000,
+            },
+        )
+        .unwrap()
+        .unwrap();
         assert_eq!(candidates[low].node, NodeId(2), "NIC wins at low load");
         let high = choose_target(
             &comp,
@@ -317,14 +327,20 @@ mod tests {
             TargetView::fresh(NodeId(1), Architecture::host_default()),
             TargetView::fresh(NodeId(2), Architecture::drmt_default()),
         ];
-        let i = choose_target(&probe("any"), &candidates, Objective::Latency).unwrap().unwrap();
+        let i = choose_target(&probe("any"), &candidates, Objective::Latency)
+            .unwrap()
+            .unwrap();
         assert_eq!(candidates[i].node, NodeId(2));
     }
 
     #[test]
     fn choose_target_none_when_nothing_fits() {
         let candidates = vec![TargetView::fresh(NodeId(1), Architecture::host_default())];
-        assert!(choose_target(&probe("switch"), &candidates, Objective::Latency).unwrap().is_none());
+        assert!(
+            choose_target(&probe("switch"), &candidates, Objective::Latency)
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]

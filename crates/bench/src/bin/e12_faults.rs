@@ -180,9 +180,7 @@ fn fault_crash_on_path() -> Vec<String> {
         .timeseries()
         .iter()
         .find(|(at, b)| *at >= SimTime::from_secs(3) && b.delivered > 0)
-        .map(|(at, _)| {
-            at.saturating_since(SimTime::from_secs(3)) + SimDuration::from_millis(10)
-        });
+        .map(|(at, _)| at.saturating_since(SimTime::from_secs(3)) + SimDuration::from_millis(10));
     vec![
         "crash on-path".into(),
         format!("{:?}", rep.outcome),

@@ -49,12 +49,23 @@ fn new_program() -> ProgramBundle {
 
 fn part_a() {
     println!("\n--- Part A: loss and transition time (10 kpps CBR, one change) ---\n");
-    row(&["mode", "ops", "transition", "lost", "disruption", "versions"]);
+    row(&[
+        "mode",
+        "ops",
+        "transition",
+        "lost",
+        "disruption",
+        "versions",
+    ]);
     sep(6);
 
     for mode in ["runtime-hitless", "unsafe-inplace", "drain-reflash"] {
         let secs = if mode == "drain-reflash" { 40 } else { 4 };
-        let pps = if mode == "drain-reflash" { 1_000 } else { 10_000 };
+        let pps = if mode == "drain-reflash" {
+            1_000
+        } else {
+            10_000
+        };
         let (mut sim, sw) = switch_scenario(pps, secs, old_program());
         let cmd = match mode {
             "runtime-hitless" => Command::RuntimeReconfig {
@@ -168,7 +179,11 @@ fn part_b() {
             mode,
             &total.to_string(),
             &mixed.to_string(),
-            if mixed == 0 { "yes (old XOR new)" } else { "VIOLATED" },
+            if mixed == 0 {
+                "yes (old XOR new)"
+            } else {
+                "VIOLATED"
+            },
         ]);
     }
 }

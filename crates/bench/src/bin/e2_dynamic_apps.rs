@@ -59,7 +59,9 @@ impl MantisDevice {
     /// demands exceeds the device capacity — the cost of static baking.
     fn new(mut dev: Device, variants: Vec<ProgramBundle>) -> Result<MantisDevice> {
         if variants.is_empty() {
-            return Err(FlexError::Compile("Mantis needs at least one variant".into()));
+            return Err(FlexError::Compile(
+                "Mantis needs at least one variant".into(),
+            ));
         }
         let mut total = ResourceVec::new();
         for v in &variants {
@@ -207,14 +209,7 @@ fn main() {
                 ]);
             }
             Err(_) => {
-                row(&[
-                    &k.to_string(),
-                    "mantis",
-                    "EXHAUSTED",
-                    "-",
-                    "-",
-                    "no",
-                ]);
+                row(&[&k.to_string(), "mantis", "EXHAUSTED", "-", "-", "no"]);
             }
         }
 
@@ -335,7 +330,9 @@ mod tests {
             },
             StateEncoding::StatefulTable,
         );
-        let err = MantisDevice::new(small, (1..=4).map(forwarder).collect()).err().unwrap();
+        let err = MantisDevice::new(small, (1..=4).map(forwarder).collect())
+            .err()
+            .unwrap();
         assert!(matches!(err, FlexError::ResourceExhausted { .. }), "{err}");
     }
 

@@ -93,12 +93,17 @@ fn run_attack(mode: &str, attack_pps: u64) -> (u64, u64, SimDuration, SimDuratio
         .copied()
         .unwrap_or(0)
         .min(legit_total);
-    let attack_leaked = sim.metrics.delivered.saturating_sub(legit_total - legit_lost);
-    let legit_downtime = sim
+    let attack_leaked = sim
         .metrics
-        .disruption_window()
-        .unwrap_or(SimDuration::ZERO);
-    (attack_leaked, attack_total, time_to_mitigate, legit_downtime)
+        .delivered
+        .saturating_sub(legit_total - legit_lost);
+    let legit_downtime = sim.metrics.disruption_window().unwrap_or(SimDuration::ZERO);
+    (
+        attack_leaked,
+        attack_total,
+        time_to_mitigate,
+        legit_downtime,
+    )
 }
 
 fn main() {

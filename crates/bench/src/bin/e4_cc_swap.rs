@@ -49,9 +49,17 @@ fn main() {
     sep(4);
 
     // DCTCP under incast: ECN marks + window cuts track the bursts.
-    let mut sw = Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable);
+    let mut sw = Device::new(
+        NodeId(1),
+        Architecture::drmt_default(),
+        StateEncoding::StatefulTable,
+    );
     sw.install(cc::ecn_marking(50).unwrap()).unwrap();
-    let mut host = Device::new(NodeId(2), Architecture::host_default(), StateEncoding::StatefulTable);
+    let mut host = Device::new(
+        NodeId(2),
+        Architecture::host_default(),
+        StateEncoding::StatefulTable,
+    );
     host.install(cc::dctcp_host().unwrap()).unwrap();
     for i in 0..10_000u64 {
         let mut p = Packet::tcp(i, 1, 2, 3, 4, 0x10);
@@ -69,7 +77,11 @@ fn main() {
     ]);
 
     // HPCC under incast: utilization telemetry misses queue bursts.
-    let mut nic = Device::new(NodeId(3), Architecture::smartnic_default(), StateEncoding::StatefulTable);
+    let mut nic = Device::new(
+        NodeId(3),
+        Architecture::smartnic_default(),
+        StateEncoding::StatefulTable,
+    );
     nic.install(cc::hpcc_nic().unwrap()).unwrap();
     for i in 0..10_000u64 {
         let mut p = Packet::tcp(i, 1, 2, 3, 4, 0x10);
@@ -85,7 +97,11 @@ fn main() {
     ]);
 
     // HPCC under long flows: converges near the 95% target.
-    let mut nic2 = Device::new(NodeId(4), Architecture::smartnic_default(), StateEncoding::StatefulTable);
+    let mut nic2 = Device::new(
+        NodeId(4),
+        Architecture::smartnic_default(),
+        StateEncoding::StatefulTable,
+    );
     nic2.install(cc::hpcc_nic().unwrap()).unwrap();
     let mut in_band = 0u64;
     for i in 0..10_000u64 {
@@ -97,7 +113,11 @@ fn main() {
             in_band += 1;
         }
     }
-    let adj2 = nic2.program_mut().unwrap().state.counter_read("adjustments");
+    let adj2 = nic2
+        .program_mut()
+        .unwrap()
+        .state
+        .counter_read("adjustments");
     row(&[
         "longflow",
         "hpcc",
@@ -106,7 +126,11 @@ fn main() {
     ]);
 
     // DCTCP under long flows: without queue buildup it only grows.
-    let mut host2 = Device::new(NodeId(5), Architecture::host_default(), StateEncoding::StatefulTable);
+    let mut host2 = Device::new(
+        NodeId(5),
+        Architecture::host_default(),
+        StateEncoding::StatefulTable,
+    );
     host2.install(cc::dctcp_host().unwrap()).unwrap();
     for i in 0..10_000u64 {
         let mut p = Packet::tcp(i, 1, 2, 3, 4, 0x10);
@@ -134,7 +158,13 @@ fn main() {
     }
     let flow = FlowSpec {
         proto: 6,
-        ..FlowSpec::udp_cbr(h1, h2, 20_000, SimTime::from_millis(1), SimDuration::from_secs(4))
+        ..FlowSpec::udp_cbr(
+            h1,
+            h2,
+            20_000,
+            SimTime::from_millis(1),
+            SimDuration::from_secs(4),
+        )
     };
     sim.load(generate(&[flow], 5));
     // At t=2s the workload shifts: swap host+NIC+switch CC together.
@@ -176,7 +206,8 @@ fn main() {
     let mixed = delivered
         .iter()
         .filter(|pkt| {
-            let at = |when: &[(NodeId, ProgramVersion)]| pkt.trace.iter().any(|hop| when.contains(hop));
+            let at =
+                |when: &[(NodeId, ProgramVersion)]| pkt.trace.iter().any(|hop| when.contains(hop));
             at(&old) && at(&new)
         })
         .count();

@@ -92,7 +92,10 @@ fn main() {
             }
             ChurnEvent::Depart(id) => {
                 departures += 1;
-                (format!("depart t{id}"), ctl.tenant_depart(TenantId(id)).unwrap())
+                (
+                    format!("depart t{id}"),
+                    ctl.tenant_depart(TenantId(id)).unwrap(),
+                )
             }
         };
         let live = ctl.tenants.tenants().len();
@@ -105,10 +108,7 @@ fn main() {
         let t = t.max(next_free);
         sim.run(t); // bring the sim (and device) up to the event time
         let dev = &sim.topo.node(sw).unwrap().device;
-        let ops = flexnet_lang::diff::diff_bundles(
-            dev.program().unwrap().bundle(),
-            &composed,
-        );
+        let ops = flexnet_lang::diff::diff_bundles(dev.program().unwrap().bundle(), &composed);
         let duration = dev.cost_model().plan_duration(&ops);
         next_free = t + duration + SimDuration::from_millis(1);
         total_ops += ops.len();

@@ -69,8 +69,7 @@ fn main() {
             let mut targets = fabric();
             let mut reclaimable = Vec::new();
             for t in &mut targets {
-                let dead_sram =
-                    t.free.get(ResourceKind::SramKb) * DEAD_FRACTION_NUM / 10;
+                let dead_sram = t.free.get(ResourceKind::SramKb) * DEAD_FRACTION_NUM / 10;
                 let dead = ResourceVec::of(ResourceKind::SramKb, dead_sram);
                 t.free = t.free.saturating_sub(&dead);
                 reclaimable.push(Reclaimable {

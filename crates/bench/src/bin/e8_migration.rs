@@ -55,7 +55,12 @@ fn run(rate_pps: u64, strategy: MigrationStrategy) -> (SimDuration, u64, u64, u6
     let truth = warm + in_flight;
     let est = cms_estimate(&dst.program().unwrap().state, DEPTH, WIDTH, 10, 20, 6);
     let lost = truth.saturating_sub(est);
-    (report.completed.saturating_since(report.started), truth, est, lost)
+    (
+        report.completed.saturating_since(report.started),
+        truth,
+        est,
+        lost,
+    )
 }
 
 fn main() {

@@ -106,12 +106,15 @@ fn main() {
     ];
 
     println!("\n--- task A: one 100 KiB exact table onto a ~90%-full device ---\n");
-    row(&["architecture", "fits-in-place", "moves-needed", "fits-at-all"]);
-    sep(4);
-    let big_exact = ResourceVec::from_pairs([
-        (ResourceKind::SramKb, 100),
-        (ResourceKind::ActionSlots, 16),
+    row(&[
+        "architecture",
+        "fits-in-place",
+        "moves-needed",
+        "fits-at-all",
     ]);
+    sep(4);
+    let big_exact =
+        ResourceVec::from_pairs([(ResourceKind::SramKb, 100), (ResourceKind::ActionSlots, 16)]);
     for (name, arch) in &archs {
         let mut alloc = ArchAllocator::new(arch.clone());
         let resident = fill(&mut alloc, 60); // up to 16 x 60 KiB
@@ -125,12 +128,15 @@ fn main() {
     }
 
     println!("\n--- task B: one 64 KiB TCAM (ternary) table onto the same fill ---\n");
-    row(&["architecture", "fits-in-place", "moves-needed", "fits-at-all"]);
-    sep(4);
-    let big_tcam = ResourceVec::from_pairs([
-        (ResourceKind::TcamKb, 64),
-        (ResourceKind::ActionSlots, 16),
+    row(&[
+        "architecture",
+        "fits-in-place",
+        "moves-needed",
+        "fits-at-all",
     ]);
+    sep(4);
+    let big_tcam =
+        ResourceVec::from_pairs([(ResourceKind::TcamKb, 64), (ResourceKind::ActionSlots, 16)]);
     for (name, arch) in &archs {
         let mut alloc = ArchAllocator::new(arch.clone());
         let resident = fill(&mut alloc, 60);

@@ -21,8 +21,8 @@ use flexnet_controller::{
 };
 use flexnet_dataplane::Device;
 use flexnet_lang::ast::ActionCall;
-use flexnet_sim::faults::VICTIM_RESTART_DELAY;
 use flexnet_sim::diverged;
+use flexnet_sim::faults::VICTIM_RESTART_DELAY;
 use flexnet_types::hash::mix;
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -77,9 +77,7 @@ impl ReplicationGroup {
                 .iter()
                 .max_by_key(|r| self.applied.get(r).copied().unwrap_or(0))
                 .copied()
-                .ok_or_else(|| {
-                    FlexError::Consensus("primary failed with no replicas".into())
-                })?;
+                .ok_or_else(|| FlexError::Consensus("primary failed with no replicas".into()))?;
             let promoted_epoch = self.applied.get(&promoted).copied().unwrap_or(0);
             let lost = self.epoch - promoted_epoch;
             self.replicas.retain(|r| *r != promoted);

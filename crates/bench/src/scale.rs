@@ -88,9 +88,7 @@ impl ElasticScaler {
     /// Observes the offered load and decides. The decision is applied to
     /// the internal replica count when it is not `Hold`.
     pub fn observe(&mut self, offered_pps: u64, now: SimTime) -> ScaleDecision {
-        if self.acted_once
-            && now.saturating_since(self.last_action) < self.policy.cooldown
-        {
+        if self.acted_once && now.saturating_since(self.last_action) < self.policy.cooldown {
             return ScaleDecision::Hold;
         }
         let capacity = self.replicas as u64 * self.policy.per_replica_pps;
@@ -110,7 +108,9 @@ impl ElasticScaler {
             return ScaleDecision::Out(add);
         }
         if util < self.policy.in_threshold && self.replicas > self.policy.min_replicas {
-            let target = self.desired(offered_pps).min(self.replicas.saturating_sub(1));
+            let target = self
+                .desired(offered_pps)
+                .min(self.replicas.saturating_sub(1));
             let target = target.max(self.policy.min_replicas);
             let remove = self.replicas - target;
             if remove > 0 {
@@ -168,7 +168,10 @@ mod tests {
     #[test]
     fn cooldown_suppresses_thrash() {
         let mut s = ElasticScaler::new(policy(), 1);
-        assert!(matches!(s.observe(5000, SimTime::from_millis(10)), ScaleDecision::Out(_)));
+        assert!(matches!(
+            s.observe(5000, SimTime::from_millis(10)),
+            ScaleDecision::Out(_)
+        ));
         // Immediately after, load drops — but cooldown holds.
         assert_eq!(s.observe(10, SimTime::from_millis(20)), ScaleDecision::Hold);
         // After cooldown, scale-in proceeds.
@@ -181,7 +184,10 @@ mod tests {
     #[test]
     fn respects_min_and_max() {
         let mut s = ElasticScaler::new(policy(), 4);
-        assert_eq!(s.observe(1_000_000, SimTime::from_secs(1)), ScaleDecision::Hold);
+        assert_eq!(
+            s.observe(1_000_000, SimTime::from_secs(1)),
+            ScaleDecision::Hold
+        );
         assert_eq!(s.replicas(), 4, "already at max");
         let mut s = ElasticScaler::new(policy(), 1);
         assert_eq!(s.observe(0, SimTime::from_secs(1)), ScaleDecision::Hold);

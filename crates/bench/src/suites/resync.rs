@@ -200,7 +200,8 @@ pub fn run(seed: u64, _arm: Arm) -> Result<ResyncChaosReport> {
     while t < t_end {
         t += HEARTBEAT_PERIOD;
         fleet.sim.run(t);
-        let batch: Vec<NodeId> = detector.sweep(&fleet.sim, &mut fleet.fabric, t)
+        let batch: Vec<NodeId> = detector
+            .sweep(&fleet.sim, &mut fleet.fabric, t)
             .into_iter()
             .filter(|(_, event)| matches!(event, HealthEvent::Flapped { .. }))
             .map(|(node, _)| node)

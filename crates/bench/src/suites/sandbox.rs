@@ -272,11 +272,14 @@ pub fn run(seed: u64, _arm: Arm) -> Result<SandboxReport> {
                 RogueScenario::StateBomb => {
                     // The runtime shrink that arms the bomb: cells 4..8
                     // vanish under the running program.
-                    let shrink = ReconfigOp::ModifyState(StateDecl {
-                        name: "slots".into(),
-                        kind: StateKind::Register { width: 64 },
-                        size: schedule.shrink_to,
-                    }.into());
+                    let shrink = ReconfigOp::ModifyState(
+                        StateDecl {
+                            name: "slots".into(),
+                            kind: StateKind::Register { width: 64 },
+                            size: schedule.shrink_to,
+                        }
+                        .into(),
+                    );
                     if let Some(p) = dev.program_mut() {
                         p.apply_op(&shrink).map_err(|e| {
                             FlexError::Sim(format!("seed {seed}: shrink register: {e}"))
@@ -305,8 +308,7 @@ pub fn run(seed: u64, _arm: Arm) -> Result<SandboxReport> {
         if quarantined_at.is_none() && fleet.device(victim).quarantined() {
             quarantined_at = Some(t);
         }
-        for (node, event) in fleet.detector.sweep(&fleet.sim, &mut fleet.fabric, t)
-        {
+        for (node, event) in fleet.detector.sweep(&fleet.sim, &mut fleet.fabric, t) {
             if node == victim && matches!(event, HealthEvent::Quarantined { .. }) {
                 observed_at.get_or_insert(t);
             }

@@ -53,9 +53,7 @@ pub fn pack(
         let demand = c.canonical_demand()?;
         let kind = c.kind();
         let chosen = match strategy {
-            PackStrategy::FirstFitDecreasing => targets
-                .iter()
-                .position(|t| t.fits(kind, &demand)),
+            PackStrategy::FirstFitDecreasing => targets.iter().position(|t| t.fits(kind, &demand)),
             PackStrategy::BestFit => targets
                 .iter()
                 .enumerate()
@@ -179,7 +177,11 @@ mod tests {
         // One 48K table + two 24K tables over two 64K bins only packs if the
         // big one goes first (48+24 | 24), not (24+24 | 48 doesn't fit 64?
         // it does… construct tighter: bins 64 and 32; items 48, 24, 24).
-        let comps = vec![comp("small1", 3072), comp("big", 6144), comp("small2", 3072)];
+        let comps = vec![
+            comp("small1", 3072),
+            comp("big", 6144),
+            comp("small2", 3072),
+        ];
         // 6144 entries * 64 bits = 48 KiB; 3072 -> 24 KiB.
         let mut targets = vec![small_switch(1, 72), small_switch(2, 24)];
         let p = pack(&comps, &mut targets, PackStrategy::FirstFitDecreasing).unwrap();

@@ -64,7 +64,11 @@ pub fn compile_fungible(
 ) -> Result<FungibleOutcome> {
     // Round 1: what a non-fungible compiler would do.
     let mut round_targets = targets.to_vec();
-    match pack(components, &mut round_targets, PackStrategy::FirstFitDecreasing) {
+    match pack(
+        components,
+        &mut round_targets,
+        PackStrategy::FirstFitDecreasing,
+    ) {
         Ok(placement) => {
             return Ok(FungibleOutcome {
                 placement,
@@ -241,7 +245,10 @@ mod tests {
             one_shot: false,
         };
         let err = compile_fungible(&[comp("a", 8192)], &[switch(1, 8)], &opts).unwrap_err();
-        assert!(matches!(err, flexnet_types::FlexError::ResourceExhausted { .. }));
+        assert!(matches!(
+            err,
+            flexnet_types::FlexError::ResourceExhausted { .. }
+        ));
     }
 
     #[test]

@@ -73,7 +73,9 @@ pub fn recompile_incremental(
     let mut leftovers: Vec<Component> = Vec::new();
     for c in new_components {
         let demand = c.canonical_demand()?;
-        let prior = old.node_of(&c.name).filter(|_| old_names.contains_key(c.name.as_str()));
+        let prior = old
+            .node_of(&c.name)
+            .filter(|_| old_names.contains_key(c.name.as_str()));
         match prior.and_then(|node| {
             working
                 .iter_mut()
@@ -92,9 +94,9 @@ pub fn recompile_incremental(
     if !leftovers.is_empty() {
         let sub = pack(&leftovers, &mut working, PackStrategy::FirstFitDecreasing)?;
         for c in &leftovers {
-            let node = sub.node_of(&c.name).ok_or_else(|| {
-                FlexError::Compile(format!("component `{}` unplaced", c.name))
-            })?;
+            let node = sub
+                .node_of(&c.name)
+                .ok_or_else(|| FlexError::Compile(format!("component `{}` unplaced", c.name)))?;
             placement.assignments.insert(c.name.clone(), node);
             if old.node_of(&c.name).is_some() {
                 moved.push(c.name.clone());
@@ -226,10 +228,7 @@ mod tests {
         )
     }
 
-    fn initial_placement(
-        comps: &[Component],
-        targets: &[TargetView],
-    ) -> Placement {
+    fn initial_placement(comps: &[Component], targets: &[TargetView]) -> Placement {
         let mut working = targets.to_vec();
         pack(comps, &mut working, PackStrategy::FirstFitDecreasing).unwrap()
     }
@@ -242,8 +241,7 @@ mod tests {
 
         let mut new_comps = old_comps.clone();
         new_comps.push(comp("c", 1024));
-        let r =
-            recompile_incremental(&old, &old_comps, &new_comps, &targets, None).unwrap();
+        let r = recompile_incremental(&old, &old_comps, &new_comps, &targets, None).unwrap();
         assert_eq!(r.kept.len(), 2);
         assert!(r.moved.is_empty());
         assert_eq!(r.added, vec!["c".to_string()]);
@@ -260,8 +258,7 @@ mod tests {
         let targets = vec![switch(1, 128)];
         let old = initial_placement(&old_comps, &targets);
         let new_comps = vec![comp("a", 1024)];
-        let r =
-            recompile_incremental(&old, &old_comps, &new_comps, &targets, None).unwrap();
+        let r = recompile_incremental(&old, &old_comps, &new_comps, &targets, None).unwrap();
         assert_eq!(r.removed, vec!["b".to_string()]);
         assert_eq!(r.kept, vec!["a".to_string()]);
     }
@@ -276,8 +273,7 @@ mod tests {
         assert_eq!(old.node_of("a"), Some(NodeId(1)));
 
         let new_comps = vec![comp("a", 8192)];
-        let r =
-            recompile_incremental(&old, &old_comps, &new_comps, &targets, None).unwrap();
+        let r = recompile_incremental(&old, &old_comps, &new_comps, &targets, None).unwrap();
         assert_eq!(r.moved, vec!["a".to_string()]);
         assert_eq!(r.placement.node_of("a"), Some(NodeId(2)));
     }
@@ -286,15 +282,13 @@ mod tests {
     fn incremental_churn_at_most_full_churn() {
         // Several components; change one. Incremental must touch fewer (or
         // equal) components than a from-scratch best-fit recompile.
-        let old_comps: Vec<Component> =
-            (0..6).map(|i| comp(&format!("c{i}"), 2048)).collect();
+        let old_comps: Vec<Component> = (0..6).map(|i| comp(&format!("c{i}"), 2048)).collect();
         let targets = vec![switch(1, 128), switch(2, 128), switch(3, 128)];
         let old = initial_placement(&old_comps, &targets);
 
         let mut new_comps = old_comps.clone();
         new_comps[3] = comp("c3", 4096); // one component grows
-        let inc =
-            recompile_incremental(&old, &old_comps, &new_comps, &targets, None).unwrap();
+        let inc = recompile_incremental(&old, &old_comps, &new_comps, &targets, None).unwrap();
         let full = recompile_full(&old, &new_comps, &targets).unwrap();
         assert!(
             inc.churn() <= full.churn(),
@@ -335,8 +329,6 @@ mod tests {
         let targets = vec![switch(1, 16)];
         let old = initial_placement(&old_comps, &targets);
         let new_comps = vec![comp("a", 65536)];
-        assert!(
-            recompile_incremental(&old, &old_comps, &new_comps, &targets, None).is_err()
-        );
+        assert!(recompile_incremental(&old, &old_comps, &new_comps, &targets, None).is_err());
     }
 }

@@ -89,10 +89,7 @@ fn native_tier(kind: flexnet_lang::ast::ProgramKind, target: &TargetView) -> boo
 
 /// Splits `datapath` across the ordered device `path`, committing resources
 /// on success. Checks the latency SLA when one is set.
-pub fn split_datapath(
-    datapath: &LogicalDatapath,
-    path: &mut [TargetView],
-) -> Result<SplitResult> {
+pub fn split_datapath(datapath: &LogicalDatapath, path: &mut [TargetView]) -> Result<SplitResult> {
     let mut placement = Placement::default();
     let mut cursor = 0usize; // earliest admissible path index
     let mut est_latency = SimDuration::ZERO;
@@ -105,11 +102,10 @@ pub fn split_datapath(
         // Prefer the component's native tier (a `nic` component goes to a
         // SmartNIC even though a host could run it in software), then fall
         // back to any supporting device.
-        let native = (cursor..shadow.len()).find(|&i| {
-            native_tier(c.kind(), &shadow[i]) && shadow[i].fits(c.kind(), &demand)
-        });
-        let found = native
-            .or_else(|| (cursor..shadow.len()).find(|&i| shadow[i].fits(c.kind(), &demand)));
+        let native = (cursor..shadow.len())
+            .find(|&i| native_tier(c.kind(), &shadow[i]) && shadow[i].fits(c.kind(), &demand));
+        let found =
+            native.or_else(|| (cursor..shadow.len()).find(|&i| shadow[i].fits(c.kind(), &demand)));
         let Some(i) = found else {
             return Err(FlexError::Compile(format!(
                 "datapath `{}`: no device at or after path position {cursor} fits \
@@ -235,10 +231,7 @@ mod tests {
         // That actually succeeds; make a truly impossible chain instead:
         let r = split_datapath(&dp, &mut path);
         assert!(r.is_ok());
-        let dp_bad = LogicalDatapath::new(
-            "bad2",
-            vec![comp("far", "host"), comp("sw", "switch")],
-        );
+        let dp_bad = LogicalDatapath::new("bad2", vec![comp("far", "host"), comp("sw", "switch")]);
         // Fill every host except the far one is complex; instead use a path
         // whose only switch precedes the only host that fits `far`… easiest:
         // path = [switch, host]; component order [host, switch] cannot hold.
@@ -286,12 +279,16 @@ mod tests {
     #[test]
     fn headers_that_do_not_build_have_no_latency_and_no_placement() {
         let mut c = comp("dup", "any");
-        let twice = bundle("header a { fields { x: 8; } } header a { fields { y: 8; } } program p { }");
+        let twice =
+            bundle("header a { fields { x: 8; } } header a { fields { y: 8; } } program p { }");
         c.bundle.headers = twice.headers;
         let want = "type error: header `a` is already declared";
         let host = TargetView::fresh(NodeId(0), Architecture::host_default());
         let err = component_latency(&c, &host).unwrap_err();
-        assert!(matches!(&err, FlexError::Type(_)) && err.to_string() == want, "{err}");
+        assert!(
+            matches!(&err, FlexError::Type(_)) && err.to_string() == want,
+            "{err}"
+        );
         let mut path = stack_path();
         let err = split_datapath(&LogicalDatapath::new("dp", vec![c]), &mut path).unwrap_err();
         assert_eq!(err.to_string(), want);

@@ -170,6 +170,8 @@ mod tests {
     #[test]
     fn set_status_of_an_unknown_app_is_an_error() {
         let mut reg = AppRegistry::new();
-        assert!(reg.set_status(&AppUri::infra("nope"), AppStatus::Running).is_err());
+        assert!(reg
+            .set_status(&AppUri::infra("nope"), AppStatus::Running)
+            .is_err());
     }
 }

@@ -18,9 +18,7 @@ use flexnet_lang::ast::ServiceDecl;
 use flexnet_lang::compose::tenant_prefix;
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_sim::Simulation;
-use flexnet_types::{
-    AppUri, FlexError, NodeId, Result, SimDuration, SimTime, TenantId, VlanId,
-};
+use flexnet_types::{AppUri, FlexError, NodeId, Result, SimDuration, SimTime, TenantId, VlanId};
 use std::collections::BTreeMap;
 
 /// Liveness of a device as judged by the controller's heartbeats.
@@ -268,7 +266,9 @@ impl FailureDetector {
     ) -> Option<&mut NodeView> {
         let view = self.nodes.entry(node).or_default();
         let stale_time = view.last_seen.is_some_and(|seen| now < seen);
-        let stale_boot = view.reported_boot.is_some_and(|reported| boot_id < reported);
+        let stale_boot = view
+            .reported_boot
+            .is_some_and(|reported| boot_id < reported);
         if self.monotone_guard && (stale_time || stale_boot) {
             return None;
         }
@@ -391,7 +391,9 @@ impl FailureDetector {
     /// [`HealthEvent::Graded`], plus one [`HealthEvent::Flapped`] for
     /// every device whose heartbeats resumed under a new boot id.
     pub fn poll(&mut self, now: SimTime) -> Vec<(NodeId, HealthEvent)> {
-        let scale = |d: SimDuration| SimDuration::from_nanos(d.as_nanos().saturating_mul(self.period_scale));
+        let scale = |d: SimDuration| {
+            SimDuration::from_nanos(d.as_nanos().saturating_mul(self.period_scale))
+        };
         let (suspect_after, dead_after, recover_after) = (
             scale(self.suspect_after),
             scale(self.dead_after),
@@ -673,16 +675,23 @@ impl Controller {
         now: SimTime,
     ) -> Result<(VlanId, ProgramBundle)> {
         let app_name = extension.program.name.clone();
-        let uri = AppUri::new(&tenant.to_string(), &app_name)
-            .unwrap_or_else(|| AppUri::infra(&app_name));
+        let uri =
+            AppUri::new(&tenant.to_string(), &app_name).unwrap_or_else(|| AppUri::infra(&app_name));
         if (self.apps.lookup(&uri)).is_some_and(|app| app.status != AppStatus::Retired) {
-            return Err(FlexError::Conflict(format!("app `{uri}` is already registered")));
+            return Err(FlexError::Conflict(format!(
+                "app `{uri}` is already registered"
+            )));
         }
         let provided: Vec<(String, usize)> = tenant_services(tenant, &extension)
             .map(|(name, svc)| (name, svc.params.len()))
             .collect();
-        if let Some((name, _)) = provided.iter().find(|(n, _)| self.services.discover(n).is_some()) {
-            return Err(FlexError::Conflict(format!("service `{name}` already registered")));
+        if let Some((name, _)) = provided
+            .iter()
+            .find(|(n, _)| self.services.discover(n).is_some())
+        {
+            return Err(FlexError::Conflict(format!(
+                "service `{name}` already registered"
+            )));
         }
 
         let (vlan, composition) = self.tenants.admit(tenant, extension)?;
@@ -695,7 +704,8 @@ impl Controller {
         // Register namespaced tenant-provided services.
         for (namespaced, arity) in provided {
             let site = ExecutionSite::DataPlane;
-            self.services.register(&namespaced, self.infra_node, arity, site)?;
+            self.services
+                .register(&namespaced, self.infra_node, arity, site)?;
         }
         Ok((vlan, composition.bundle))
     }
@@ -802,10 +812,8 @@ mod tests {
 
     #[test]
     fn detector_grades_silence_and_recovers() {
-        let mut fd = FailureDetector::new(
-            SimDuration::from_millis(150),
-            SimDuration::from_millis(500),
-        );
+        let mut fd =
+            FailureDetector::new(SimDuration::from_millis(150), SimDuration::from_millis(500));
         let n = NodeId(3);
         fd.observe(n, SimTime::ZERO);
         assert_eq!(
@@ -1013,7 +1021,7 @@ mod tests {
         fd.observe_heartbeat(n, SimTime::ZERO, 3, 0xCCCC);
         fd.poll(SimTime::from_millis(10));
         fd.poll(SimTime::from_millis(600)); // graded Dead
-        // Same incarnation resumes: a partition healed; state is intact.
+                                            // Same incarnation resumes: a partition healed; state is intact.
         fd.observe_heartbeat(n, SimTime::from_millis(700), 3, 0xCCCC);
         assert_eq!(
             fd.poll(SimTime::from_millis(710)),
@@ -1267,14 +1275,12 @@ mod tests {
         // suspect threshold — used to flap the grade Healthy↔Suspect on
         // every poll. The hysteresis band holds Suspect until silence
         // drops below the recovery floor (suspect_after / 2 = 75 ms).
-        let mut fd = FailureDetector::new(
-            SimDuration::from_millis(150),
-            SimDuration::from_millis(500),
-        );
+        let mut fd =
+            FailureDetector::new(SimDuration::from_millis(150), SimDuration::from_millis(500));
         let n = NodeId(1);
         fd.observe(n, SimTime::ZERO);
         fd.poll(SimTime::from_millis(10)); // baseline Healthy
-        // Silence crosses the threshold: graded Suspect.
+                                           // Silence crosses the threshold: graded Suspect.
         assert_eq!(
             fd.poll(SimTime::from_millis(155)),
             vec![(n, HealthEvent::Graded(Health::Suspect))]

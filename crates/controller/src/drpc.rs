@@ -190,8 +190,12 @@ mod tests {
             .unwrap();
         reg.register("slow", NodeId(1), 0, ExecutionSite::ControlPlane)
             .unwrap();
-        let fast = reg.invoke("fast", NodeId(2), &[], 4, SimTime::ZERO).unwrap();
-        let slow = reg.invoke("slow", NodeId(2), &[], 4, SimTime::ZERO).unwrap();
+        let fast = reg
+            .invoke("fast", NodeId(2), &[], 4, SimTime::ZERO)
+            .unwrap();
+        let slow = reg
+            .invoke("slow", NodeId(2), &[], 4, SimTime::ZERO)
+            .unwrap();
         assert!(
             slow.as_nanos() > fast.as_nanos() * 10,
             "control-plane {slow} must dwarf dRPC {fast}"
@@ -203,9 +207,13 @@ mod tests {
         let mut reg = ServiceRegistry::new();
         reg.register("s", NodeId(1), 2, ExecutionSite::DataPlane)
             .unwrap();
-        assert!(reg.register("s", NodeId(2), 2, ExecutionSite::DataPlane).is_err());
+        assert!(reg
+            .register("s", NodeId(2), 2, ExecutionSite::DataPlane)
+            .is_err());
         assert!(reg.invoke("s", NodeId(1), &[1], 1, SimTime::ZERO).is_err());
-        assert!(reg.invoke("missing", NodeId(1), &[], 1, SimTime::ZERO).is_err());
+        assert!(reg
+            .invoke("missing", NodeId(1), &[], 1, SimTime::ZERO)
+            .is_err());
     }
 
     #[test]

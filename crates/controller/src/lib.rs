@@ -67,21 +67,21 @@ pub use apps::{AppRecord, AppRegistry, AppStatus};
 pub use drpc::{ExecutionSite, Invocation, ServiceRegistry};
 pub use migrate::{Migration, MigrationReport, MigrationStrategy};
 pub use raft::{CommittedView, RaftCluster, Role};
-pub use retry::{invoke_with_retry, with_retry, LossyFabric, RetryOutcome, RetryPolicy};
 pub use recovery::{recover, RecoveryReport, TxnResolution};
+pub use resync::{
+    IntendedDevice, IntendedStore, ProgramClass, ResyncOutcome, ResyncReport, Resyncer,
+};
+pub use retry::{invoke_with_retry, with_retry, LossyFabric, RetryOutcome, RetryPolicy};
 pub use rollout::{
     resume_rollouts, run_rollout, RolloutCrash, RolloutOutcome, RolloutPlan, RolloutReport,
     RolloutResume, SloBreach, SloGuards,
 };
-pub use resync::{
-    IntendedDevice, IntendedStore, ProgramClass, ResyncOutcome, ResyncReport, Resyncer,
-};
+pub use storage::{NodeStorage, ScrubOutcome, SegmentedWal, SnapshotStore, StorageCounters};
 pub use tenant::TenantManager;
 pub use txn::{
     logged_transactional_reconfig, transactional_reconfig, transactional_reconfig_over,
     LoggedTxnReport, TxnOutcome, TxnReport,
 };
-pub use storage::{NodeStorage, ScrubOutcome, SegmentedWal, SnapshotStore, StorageCounters};
 pub use wal::{
     compact_records, replay_digest, state_digest, CompactionReport, IntentRecord, ReplayState,
     ReplicatedIntentLog,

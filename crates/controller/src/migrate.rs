@@ -170,7 +170,9 @@ mod tests {
 
     /// What the sketch's `counts` map holds for `key`.
     fn get(d: &Device, key: u64) -> Option<u64> {
-        d.snapshot_state().unwrap().maps["counts"].get(&key).copied()
+        d.snapshot_state().unwrap().maps["counts"]
+            .get(&key)
+            .copied()
     }
 
     #[test]
@@ -248,8 +250,7 @@ mod tests {
         for k in 0..1000u64 {
             put(&mut src, k, 1);
         }
-        let m_big =
-            Migration::begin(&src, MigrationStrategy::ControlPlane, SimTime::ZERO).unwrap();
+        let m_big = Migration::begin(&src, MigrationStrategy::ControlPlane, SimTime::ZERO).unwrap();
         assert!(m_big.completes_at() > m_small.completes_at());
     }
 }

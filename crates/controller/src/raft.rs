@@ -414,10 +414,7 @@ impl RaftCluster {
     /// snapshot summary followed by the committed log tail, borrowed.
     pub fn committed_view(&self, i: usize) -> Result<CommittedView<'_>> {
         let n = self.node(i)?;
-        let tail = n
-            .commit
-            .saturating_sub(n.base_index)
-            .min(n.log.len());
+        let tail = n.commit.saturating_sub(n.base_index).min(n.log.len());
         Ok(CommittedView {
             generation: n.prefix_gen,
             snapshot: &n.snapshot,
@@ -623,8 +620,7 @@ impl RaftCluster {
             }
             match self.nodes[i].role {
                 Role::Leader => {
-                    if self.now.saturating_since(self.nodes[i].last_heartbeat)
-                        >= HEARTBEAT_INTERVAL
+                    if self.now.saturating_since(self.nodes[i].last_heartbeat) >= HEARTBEAT_INTERVAL
                     {
                         self.nodes[i].last_heartbeat = self.now;
                         self.send_appends(i);
@@ -858,7 +854,11 @@ impl RaftCluster {
                     },
                 );
             }
-            Msg::Vote { term, from, granted } => {
+            Msg::Vote {
+                term,
+                from,
+                granted,
+            } => {
                 if term > self.nodes[me].term {
                     self.become_follower(me, term);
                     return;
@@ -1026,11 +1026,10 @@ impl RaftCluster {
                 let match_index = if base_index > my_commit {
                     // Adopt: everything through base_index is committed
                     // cluster-wide, so discarding the local log is safe.
-                    match self.nodes[me].storage.adopt_snapshot(
-                        base_index as u64,
-                        base_term,
-                        &cmds,
-                    ) {
+                    match self.nodes[me]
+                        .storage
+                        .adopt_snapshot(base_index as u64, base_term, &cmds)
+                    {
                         Ok(_) => {
                             let n = &mut self.nodes[me];
                             n.snapshot = cmds;
@@ -1196,7 +1195,10 @@ mod tests {
         c.propose(b"doomed").unwrap();
         c.run_for(SimDuration::from_secs(2), SimDuration::from_millis(10));
         assert!(
-            !c.committed(leader).unwrap().iter().any(|cmd| *cmd == b"doomed"),
+            !c.committed(leader)
+                .unwrap()
+                .iter()
+                .any(|cmd| *cmd == b"doomed"),
             "a minority must not commit"
         );
     }
@@ -1315,7 +1317,11 @@ mod tests {
             c.propose(cmd).unwrap();
         }
         c.run_for(SimDuration::from_secs(1), SimDuration::from_millis(10));
-        assert_eq!(c.committed(leader).unwrap(), LogCommand::shared(odd), "committed");
+        assert_eq!(
+            c.committed(leader).unwrap(),
+            LogCommand::shared(odd),
+            "committed"
+        );
         // The summary replacing the prefix is those same commands.
         let upto = c.commit_index(leader).unwrap();
         let summary = c.committed(leader).unwrap();
@@ -1328,10 +1334,18 @@ mod tests {
         c.run_for(SimDuration::from_millis(200), SimDuration::from_millis(10));
         c.revive(lagging).unwrap();
         c.run_for(SimDuration::from_secs(3), SimDuration::from_millis(10));
-        assert_eq!(c.base_index(lagging).unwrap(), upto, "the lagging follower's snapshot");
+        assert_eq!(
+            c.base_index(lagging).unwrap(),
+            upto,
+            "the lagging follower's snapshot"
+        );
         let want = LogCommand::shared(odd.iter().chain(&odd));
         for i in 0..c.len() {
-            assert_eq!(c.committed(i).unwrap(), want, "node {i} before the power loss");
+            assert_eq!(
+                c.committed(i).unwrap(),
+                want,
+                "node {i} before the power loss"
+            );
         }
         for i in 0..c.len() {
             c.kill(i).unwrap();
@@ -1347,11 +1361,25 @@ mod tests {
 
     /// What a node holds on its disks: term and vote, every entry's term
     /// and command, the snapshot and the base it covers.
-    type Held = (Term, Option<usize>, Vec<LogEntry>, Vec<LogCommand>, usize, Term);
+    type Held = (
+        Term,
+        Option<usize>,
+        Vec<LogEntry>,
+        Vec<LogCommand>,
+        usize,
+        Term,
+    );
 
     fn held(n: &RaftNode) -> Held {
         let (log, snapshot) = (n.log.clone(), n.snapshot.clone());
-        (n.term, n.voted_for, log, snapshot, n.base_index, n.base_term)
+        (
+            n.term,
+            n.voted_for,
+            log,
+            snapshot,
+            n.base_index,
+            n.base_term,
+        )
     }
 
     /// Acked implies durable: on fault-free disks, through seeded
@@ -1362,7 +1390,9 @@ mod tests {
     fn a_revive_gives_back_exactly_what_was_durable() {
         const BYTES: [u8; 6] = [b'a', b'\n', 0x00, 0xC3, 0x80, 0xFF];
         let command = |rng: &mut StdRng| -> Vec<u8> {
-            (0..rng.gen_range(0..5)).map(|_| BYTES[rng.gen_range(0..BYTES.len())]).collect()
+            (0..rng.gen_range(0..5))
+                .map(|_| BYTES[rng.gen_range(0..BYTES.len())])
+                .collect()
         };
         let mut revives = 0;
         for seed in 0..24u64 {
@@ -1391,8 +1421,9 @@ mod tests {
                         let (base, commit) = (c.nodes[i].base_index, c.nodes[i].commit);
                         if commit > base {
                             let upto = rng.gen_range(base + 1..=commit) as u64;
-                            let summary: Vec<Vec<u8>> =
-                                (0..rng.gen_range(0..4)).map(|_| command(&mut rng)).collect();
+                            let summary: Vec<Vec<u8>> = (0..rng.gen_range(0..4))
+                                .map(|_| command(&mut rng))
+                                .collect();
                             c.compact_to(i, upto, &LogCommand::shared(summary)).unwrap();
                         }
                     }

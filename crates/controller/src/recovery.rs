@@ -235,7 +235,9 @@ const WHO: &str = "recovery";
 fn discard_shadow(ch: &mut Channel<'_>, node: NodeId, tag: TxnTag) -> bool {
     let (result, delivered) = abort_on(ch, node, Some(tag));
     if let Err(e) = result {
-        ch.sim.errors.push((ch.now, format!("{WHO} abort on {node}: {e}")));
+        ch.sim
+            .errors
+            .push((ch.now, format!("{WHO} abort on {node}: {e}")));
     }
     let Some(done) = delivered else { return false };
     if let Some(rep) = done.report {

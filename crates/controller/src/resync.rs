@@ -41,8 +41,8 @@ use crate::core::{FailureDetector, TokenBucket};
 use crate::retry::{Channel, LossyFabric, RetryPolicy};
 use crate::wal::{IntentRecord, ReplicatedIntentLog};
 use flexnet_dataplane::{
-    entries_carry_over, root_digest, table_digest, Device, DigestLevels, ProgramImage,
-    SealTarget, TableEntry,
+    entries_carry_over, root_digest, table_digest, Device, DigestLevels, ProgramImage, SealTarget,
+    TableEntry,
 };
 use flexnet_sim::Simulation;
 use flexnet_types::{FlexError, NodeId, Result, SimDuration, SimTime};
@@ -111,7 +111,12 @@ impl IntendedDevice {
 
     /// The names of `image`'s tables, in declaration order.
     fn table_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.image.bundle().program.tables.iter().map(|d| d.name.as_str())
+        self.image
+            .bundle()
+            .program
+            .tables
+            .iter()
+            .map(|d| d.name.as_str())
     }
 }
 
@@ -165,10 +170,7 @@ impl IntendedStore {
     /// Every device's intended digest — the comparison baseline for
     /// [`flexnet_sim::diverged`].
     pub fn intended_digests(&self) -> BTreeMap<NodeId, u64> {
-        self.records
-            .iter()
-            .map(|(n, r)| (*n, r.digest()))
-            .collect()
+        self.records.iter().map(|(n, r)| (*n, r.digest())).collect()
     }
 
     /// Number of devices with an intended record.
@@ -246,9 +248,10 @@ impl IntendedStore {
         table: &str,
         entry: TableEntry,
     ) -> Result<()> {
-        let rec = self.records.get_mut(&node).ok_or_else(|| {
-            FlexError::NotFound(format!("no intended program for node {node}"))
-        })?;
+        let rec = self
+            .records
+            .get_mut(&node)
+            .ok_or_else(|| FlexError::NotFound(format!("no intended program for node {node}")))?;
         let Some(at) = rec.table_names().position(|t| t == table) else {
             return Err(FlexError::NotFound(format!(
                 "table `{table}` not in the intended program of {node}"
@@ -463,14 +466,16 @@ impl Resyncer {
         gate: Option<&FailureDetector>,
     ) -> Result<ResyncTicket> {
         if self.in_progress.contains(&node) {
-            return Err(FlexError::ResyncInProgress { node: node.0 as u64 });
+            return Err(FlexError::ResyncInProgress {
+                node: node.0 as u64,
+            });
         }
         if let Some(detector) = gate {
             detector.admit(node)?;
         }
-        let intended = store.get(node).ok_or_else(|| {
-            FlexError::NotFound(format!("no intended state for node {node}"))
-        })?;
+        let intended = store
+            .get(node)
+            .ok_or_else(|| FlexError::NotFound(format!("no intended state for node {node}")))?;
         // Admission: one global token-bucket reservation. The grant is a
         // deferred start instant (≥ min_gap after the previous grant);
         // past the booking horizon the bucket denies with the retryable
@@ -605,9 +610,10 @@ fn start_inner(ch: &mut Channel<'_>, intended: &IntendedDevice) -> Result<Resync
                 // Whether the flip keeps entries the device holds, which
                 // intent need not.
                 let tables = dev.program().map(|p| p.tables().iter());
-                let carries = tables.into_iter().flatten().any(|t| {
-                    !t.is_empty() && entries_carry_over(&t.decl, target)
-                });
+                let carries = tables
+                    .into_iter()
+                    .flatten()
+                    .any(|t| !t.is_empty() && entries_carry_over(&t.decl, target));
                 Ok((dev.begin_runtime_reconfig(image.clone(), at)?, carries))
             })?;
             ResyncPlan::Reprovision {
@@ -636,9 +642,9 @@ fn complete_inner(
     policy: &RetryPolicy,
 ) -> Result<ResyncReport> {
     let node = ticket.node;
-    let intended = store.get(node).ok_or_else(|| {
-        FlexError::NotFound(format!("no intended state for node {node}"))
-    })?;
+    let intended = store
+        .get(node)
+        .ok_or_else(|| FlexError::NotFound(format!("no intended state for node {node}")))?;
     let want = intended.digest();
     let mut ch = Channel {
         sim,
@@ -698,7 +704,10 @@ fn complete_inner(
             Ok(())
         })?;
     }
-    let entries = repair.iter().map(|&at| intended.tables[at].entries.len()).sum();
+    let entries = repair
+        .iter()
+        .map(|&at| intended.tables[at].entries.len())
+        .sum();
     let tables = repair.iter().map(|&at| names[at].to_string()).collect();
 
     // Verify: the whole point of digest-based anti-entropy is that
@@ -748,7 +757,11 @@ mod tests {
     /// The switch's critical program: an ACL in front of line forwarding
     /// (`counter` adds the upgrade target's counter).
     fn critical(counter: bool) -> ProgramBundle {
-        let (decl, stmt) = if counter { ("counter gated;", "count(gated);") } else { ("", "") };
+        let (decl, stmt) = if counter {
+            ("counter gated;", "count(gated);")
+        } else {
+            ("", "")
+        };
         bundle(&format!(
             "program gate kind any {{
                {decl}
@@ -903,19 +916,31 @@ mod tests {
         let (mut fabric, policy) = reliable_env();
         let dev = &mut sim.topo.node_mut(sw).unwrap().device;
         dev.crash(SimTime::from_secs(1));
-        dev.restart(SimTime::from_secs(1) + VICTIM_RESTART_DELAY).unwrap();
+        dev.restart(SimTime::from_secs(1) + VICTIM_RESTART_DELAY)
+            .unwrap();
         let version = dev.version();
         assert_eq!(diverged(&sim, &store.intended_digests()), vec![sw]);
 
         let mut r = Resyncer::default();
         let now = SimTime::from_secs(2);
-        let ticket = r.start(&mut sim, &store, sw, now, &mut fabric, &policy, None).unwrap();
-        assert!(!sim.topo.node(sw).unwrap().device.reconfig_in_progress(), "no shadow");
-        let report = r.complete(&mut sim, &store, ticket, &mut fabric, &policy).unwrap();
+        let ticket = r
+            .start(&mut sim, &store, sw, now, &mut fabric, &policy, None)
+            .unwrap();
+        assert!(
+            !sim.topo.node(sw).unwrap().device.reconfig_in_progress(),
+            "no shadow"
+        );
+        let report = r
+            .complete(&mut sim, &store, ticket, &mut fabric, &policy)
+            .unwrap();
         assert_eq!(report.outcome, ResyncOutcome::Repaired { entries: 1 });
         assert_eq!(report.tables, ["acl"], "the wiped table, and only it");
         assert_eq!(report.messages, 2, "the probe and one repair");
-        assert_eq!(sim.topo.node(sw).unwrap().device.version(), version, "nothing flipped");
+        assert_eq!(
+            sim.topo.node(sw).unwrap().device.version(),
+            version,
+            "nothing flipped"
+        );
         assert!(diverged(&sim, &store.intended_digests()).is_empty());
     }
 
@@ -925,15 +950,38 @@ mod tests {
         let sw = devices[1];
         let (mut fabric, policy) = reliable_env();
         let dev = &mut sim.topo.node_mut(sw).unwrap().device;
-        let stray = TableEntry::exact(&[7], ActionCall { action: "allow".into(), args: vec![] });
+        let stray = TableEntry::exact(
+            &[7],
+            ActionCall {
+                action: "allow".into(),
+                args: vec![],
+            },
+        );
         dev.add_entry("acl", stray).unwrap();
         assert_eq!(diverged(&sim, &store.intended_digests()), vec![sw]);
         let mut r = Resyncer::default();
         let reports = r
-            .resync_all(&mut sim, &store, &[sw], SimTime::from_secs(2), &mut fabric, &policy, None)
+            .resync_all(
+                &mut sim,
+                &store,
+                &[sw],
+                SimTime::from_secs(2),
+                &mut fabric,
+                &policy,
+                None,
+            )
             .unwrap();
         assert_eq!(reports[0].outcome, ResyncOutcome::Repaired { entries: 1 });
-        assert_eq!(sim.topo.node(sw).unwrap().device.table("acl").unwrap().len(), 1);
+        assert_eq!(
+            sim.topo
+                .node(sw)
+                .unwrap()
+                .device
+                .table("acl")
+                .unwrap()
+                .len(),
+            1
+        );
         assert!(diverged(&sim, &store.intended_digests()).is_empty());
     }
 
@@ -948,15 +996,33 @@ mod tests {
         store.commit_target(&mut log, 1, sw, critical_v2()).unwrap();
         let mut r = Resyncer::default();
         let reports = r
-            .resync_all(&mut sim, &store, &[sw], SimTime::from_secs(2), &mut fabric, &policy, None)
+            .resync_all(
+                &mut sim,
+                &store,
+                &[sw],
+                SimTime::from_secs(2),
+                &mut fabric,
+                &policy,
+                None,
+            )
             .unwrap();
         assert!(
-            matches!(reports[0].outcome, ResyncOutcome::Reprovisioned { entries: 0, .. }),
+            matches!(
+                reports[0].outcome,
+                ResyncOutcome::Reprovisioned { entries: 0, .. }
+            ),
             "{:?}",
             reports[0].outcome
         );
         assert_eq!(reports[0].tables, ["acl"]);
-        assert!(sim.topo.node(sw).unwrap().device.table("acl").unwrap().is_empty());
+        assert!(sim
+            .topo
+            .node(sw)
+            .unwrap()
+            .device
+            .table("acl")
+            .unwrap()
+            .is_empty());
         assert!(diverged(&sim, &store.intended_digests()).is_empty());
     }
 
@@ -969,15 +1035,29 @@ mod tests {
         dev.install(critical_v2()).unwrap();
         let mut r = Resyncer::default();
         let reports = r
-            .resync_all(&mut sim, &store, &[sw], SimTime::from_secs(2), &mut fabric, &policy, None)
+            .resync_all(
+                &mut sim,
+                &store,
+                &[sw],
+                SimTime::from_secs(2),
+                &mut fabric,
+                &policy,
+                None,
+            )
             .unwrap();
         assert!(
-            matches!(reports[0].outcome, ResyncOutcome::Reprovisioned { entries: 1, .. }),
+            matches!(
+                reports[0].outcome,
+                ResyncOutcome::Reprovisioned { entries: 1, .. }
+            ),
             "{:?}",
             reports[0].outcome
         );
         assert_eq!(reports[0].tables, ["acl"]);
-        assert_eq!(reports[0].messages, 3, "the probe, the begin and one repair");
+        assert_eq!(
+            reports[0].messages, 3,
+            "the probe, the begin and one repair"
+        );
         assert!(diverged(&sim, &store.intended_digests()).is_empty());
     }
 
@@ -987,7 +1067,15 @@ mod tests {
         let (mut fabric, policy) = reliable_env();
         let mut r = Resyncer::default();
         let ticket = r
-            .start(&mut sim, &store, devices[0], SimTime::from_secs(1), &mut fabric, &policy, None)
+            .start(
+                &mut sim,
+                &store,
+                devices[0],
+                SimTime::from_secs(1),
+                &mut fabric,
+                &policy,
+                None,
+            )
             .unwrap();
         let report = r
             .complete(&mut sim, &store, ticket, &mut fabric, &policy)
@@ -1002,17 +1090,42 @@ mod tests {
         let (mut fabric, policy) = reliable_env();
         let mut r = Resyncer::default();
         let ticket = r
-            .start(&mut sim, &store, sw, SimTime::from_secs(1), &mut fabric, &policy, None)
+            .start(
+                &mut sim,
+                &store,
+                sw,
+                SimTime::from_secs(1),
+                &mut fabric,
+                &policy,
+                None,
+            )
             .unwrap();
         let err = r
-            .start(&mut sim, &store, sw, SimTime::from_secs(1), &mut fabric, &policy, None)
+            .start(
+                &mut sim,
+                &store,
+                sw,
+                SimTime::from_secs(1),
+                &mut fabric,
+                &policy,
+                None,
+            )
             .unwrap_err();
         assert!(matches!(err, FlexError::ResyncInProgress { .. }));
         assert!(err.is_retryable(), "the slot frees itself");
         // Completing frees the slot.
-        r.complete(&mut sim, &store, ticket, &mut fabric, &policy).unwrap();
+        r.complete(&mut sim, &store, ticket, &mut fabric, &policy)
+            .unwrap();
         assert!(r
-            .start(&mut sim, &store, sw, SimTime::from_secs(2), &mut fabric, &policy, None)
+            .start(
+                &mut sim,
+                &store,
+                sw,
+                SimTime::from_secs(2),
+                &mut fabric,
+                &policy,
+                None
+            )
             .is_ok());
     }
 
@@ -1065,7 +1178,15 @@ mod tests {
         assert!(matches!(err, FlexError::DegradedDevice { .. }));
         // A remedial pass (gate = None) still reaches the device.
         assert!(r
-            .start(&mut sim, &store, sw, SimTime::from_secs(1), &mut fabric, &policy, None)
+            .start(
+                &mut sim,
+                &store,
+                sw,
+                SimTime::from_secs(1),
+                &mut fabric,
+                &policy,
+                None
+            )
             .is_ok());
     }
 
@@ -1080,7 +1201,15 @@ mod tests {
 
         let mut r = Resyncer::default();
         let ticket = r
-            .start(&mut sim, &store, sw, SimTime::from_secs(2), &mut fabric, &policy, None)
+            .start(
+                &mut sim,
+                &store,
+                sw,
+                SimTime::from_secs(2),
+                &mut fabric,
+                &policy,
+                None,
+            )
             .unwrap();
         // The device restarts again while the resync is in flight.
         let dev = &mut sim.topo.node_mut(sw).unwrap().device;
@@ -1096,7 +1225,15 @@ mod tests {
         );
         // The follow-up resync against the new incarnation converges.
         let ticket = r
-            .start(&mut sim, &store, sw, SimTime::from_secs(3), &mut fabric, &policy, None)
+            .start(
+                &mut sim,
+                &store,
+                sw,
+                SimTime::from_secs(3),
+                &mut fabric,
+                &policy,
+                None,
+            )
             .unwrap();
         let report = r
             .complete(&mut sim, &store, ticket, &mut fabric, &policy)
@@ -1112,11 +1249,20 @@ mod tests {
         for d in devices {
             let dev = &mut sim.topo.node_mut(d).unwrap().device;
             dev.crash(SimTime::from_secs(1));
-            dev.restart(SimTime::from_secs(1) + VICTIM_RESTART_DELAY).unwrap();
+            dev.restart(SimTime::from_secs(1) + VICTIM_RESTART_DELAY)
+                .unwrap();
         }
         let mut r = Resyncer::default();
         let reports = r
-            .resync_all(&mut sim, &store, &devices, SimTime::from_secs(2), &mut fabric, &policy, None)
+            .resync_all(
+                &mut sim,
+                &store,
+                &devices,
+                SimTime::from_secs(2),
+                &mut fabric,
+                &policy,
+                None,
+            )
             .unwrap();
         assert_eq!(reports.len(), 3);
         assert_eq!(
@@ -1141,15 +1287,13 @@ mod tests {
         for d in devices {
             let dev = &mut sim.topo.node_mut(d).unwrap().device;
             dev.crash(SimTime::from_secs(1));
-            dev.restart(SimTime::from_secs(1) + VICTIM_RESTART_DELAY).unwrap();
+            dev.restart(SimTime::from_secs(1) + VICTIM_RESTART_DELAY)
+                .unwrap();
         }
         // A zero-depth bucket denies every start that would need to
         // defer — the worst case for a mass restart. The batch must
         // still reconcile every device by requeueing, never dropping.
-        let mut r = Resyncer::with_bucket(TokenBucket::new(
-            SimDuration::from_millis(25),
-            0,
-        ));
+        let mut r = Resyncer::with_bucket(TokenBucket::new(SimDuration::from_millis(25), 0));
         // A direct start that needs deferral surfaces typed backpressure.
         let t0 = SimTime::from_secs(2);
         let ticket = r
@@ -1161,7 +1305,8 @@ mod tests {
         assert!(matches!(err, FlexError::Backpressure { .. }), "{err}");
         assert!(err.is_retryable(), "denial means requeue, not drop");
         assert!(r.bucket().denied > 0);
-        r.complete(&mut sim, &store, ticket, &mut fabric, &policy).unwrap();
+        r.complete(&mut sim, &store, ticket, &mut fabric, &policy)
+            .unwrap();
 
         // The batch path requeues denied nodes and converges them all.
         let reports = r

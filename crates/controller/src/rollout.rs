@@ -217,14 +217,9 @@ fn soak_with_heartbeats(
 }
 
 /// Drains a detector poll into `degraded_seen`, keeping it sorted-unique.
-fn note_degraded(
-    detector: &mut FailureDetector,
-    now: SimTime,
-    degraded_seen: &mut Vec<NodeId>,
-) {
+fn note_degraded(detector: &mut FailureDetector, now: SimTime, degraded_seen: &mut Vec<NodeId>) {
     for (node, event) in detector.poll(now) {
-        if matches!(event, HealthEvent::Graded(Health::Degraded))
-            && !degraded_seen.contains(&node)
+        if matches!(event, HealthEvent::Graded(Health::Degraded)) && !degraded_seen.contains(&node)
         {
             degraded_seen.push(node);
         }
@@ -247,16 +242,16 @@ fn evaluate_guards(
     baseline_window: (SimTime, SimTime),
     soak_window: (SimTime, SimTime),
 ) -> (WindowDelta, Option<(&'static str, u64, u64)>) {
-    let delta = sim
-        .metrics
-        .window_delta(baseline_window, soak_window);
+    let delta = sim.metrics.window_delta(baseline_window, soak_window);
 
     // Quarantine: the most specific verdict there is — a device's own
     // sandbox already judged the program (trap storm) and swapped it
     // out. No slope arithmetic needed; one quarantined device condemns
     // the wave.
     for &d in fleet {
-        let Some(node) = sim.topo.node(d) else { continue };
+        let Some(node) = sim.topo.node(d) else {
+            continue;
+        };
         if node.device.is_up() && node.device.quarantined() {
             return (delta, Some(("quarantine", d.0 as u64, 0)));
         }
@@ -292,10 +287,11 @@ fn evaluate_guards(
     // Drop slope, per flipped device over this soak only.
     let mut worst_slope = 0u64;
     for &d in flipped {
-        let Some(node) = sim.topo.node(d) else { continue };
+        let Some(node) = sim.topo.node(d) else {
+            continue;
+        };
         let stats = node.device.stats();
-        let (pre_processed, pre_dropped) =
-            pre_soak.get(&d).copied().unwrap_or((0, 0));
+        let (pre_processed, pre_dropped) = pre_soak.get(&d).copied().unwrap_or((0, 0));
         let d_processed = stats.processed.saturating_sub(pre_processed);
         let d_dropped = stats.dropped.saturating_sub(pre_dropped);
         if d_processed >= 8 {
@@ -306,13 +302,20 @@ fn evaluate_guards(
         }
     }
     if worst_slope >= guards.drop_slope_ppm {
-        return (delta, Some(("drop-slope", worst_slope, guards.drop_slope_ppm)));
+        return (
+            delta,
+            Some(("drop-slope", worst_slope, guards.drop_slope_ppm)),
+        );
     }
 
     if delta.loss_delta_ppm > guards.loss_delta_ppm as i64 {
         return (
             delta,
-            Some(("loss-delta", delta.loss_delta_ppm as u64, guards.loss_delta_ppm)),
+            Some((
+                "loss-delta",
+                delta.loss_delta_ppm as u64,
+                guards.loss_delta_ppm,
+            )),
         );
     }
     if delta.p99_delta_ns > guards.p99_delta_ns as i64 {
@@ -439,7 +442,9 @@ pub fn run_rollout(
     let baseline_window = (now, now + plan.soak);
     soak_with_heartbeats(sim, &fleet, detector, baseline_window.0, baseline_window.1);
     note_degraded(detector, baseline_window.1, &mut degraded_seen);
-    let baseline_stats = sim.metrics.window_stats(baseline_window.0, baseline_window.1);
+    let baseline_stats = sim
+        .metrics
+        .window_stats(baseline_window.0, baseline_window.1);
     let old_digest: BTreeMap<NodeId, u64> = fleet
         .iter()
         .filter_map(|&d| sim.topo.node(d).map(|n| (d, n.device.config_digest())))
@@ -457,8 +462,8 @@ pub fn run_rollout(
 
     // Every exit builds its report here; the one that unwound fills in
     // the rollback fields.
-    let report = |outcome, wave_txns: Vec<u64>, deltas, breach, degraded_seen, messages, t| {
-        RolloutReport {
+    let report =
+        |outcome, wave_txns: Vec<u64>, deltas, breach, degraded_seen, messages, t| RolloutReport {
             rollout,
             outcome,
             waves_committed: wave_txns.len() as u32,
@@ -472,8 +477,7 @@ pub fn run_rollout(
             quarantined: Vec::new(),
             messages,
             finished_at: t,
-        }
-    };
+        };
 
     let mut t = baseline_window.1;
     let mut messages = 0u32;
@@ -486,12 +490,17 @@ pub fn run_rollout(
 
     for (i, wave) in plan.waves.iter().enumerate() {
         let wave_no = (i + 1) as u32;
-        let targets: Vec<(NodeId, ProgramBundle)> = wave
-            .iter()
-            .map(|d| (*d, candidate_of[d].clone()))
-            .collect();
+        let targets: Vec<(NodeId, ProgramBundle)> =
+            wave.iter().map(|d| (*d, candidate_of[d].clone())).collect();
         let rep = match logged_transactional_reconfig(
-            sim, &targets, t, fabric, policy, log, None, None,
+            sim,
+            &targets,
+            t,
+            fabric,
+            policy,
+            log,
+            None,
+            None,
             Some(detector),
         ) {
             Ok(rep) => rep,
@@ -533,7 +542,15 @@ pub fn run_rollout(
         flip_order.extend(wave.iter().copied());
         if crash == Some(RolloutCrash::AfterWaveCommit(wave_no)) {
             let outcome = RolloutOutcome::Crashed(RolloutCrash::AfterWaveCommit(wave_no));
-            return Ok(report(outcome, wave_txns, deltas, None, degraded_seen, messages, t));
+            return Ok(report(
+                outcome,
+                wave_txns,
+                deltas,
+                None,
+                degraded_seen,
+                messages,
+                t,
+            ));
         }
 
         // Let the aligned flip land, then record the wave's new digests.
@@ -593,7 +610,15 @@ pub fn run_rollout(
         // Every wave soaked clean.
         log.append(&IntentRecord::RolloutCompleted { rollout })?;
         let outcome = RolloutOutcome::Completed;
-        return Ok(report(outcome, wave_txns, deltas, None, degraded_seen, messages, t));
+        return Ok(report(
+            outcome,
+            wave_txns,
+            deltas,
+            None,
+            degraded_seen,
+            messages,
+            t,
+        ));
     };
 
     // Halt: journal the verdict, then unwind every flipped device in
@@ -605,7 +630,15 @@ pub fn run_rollout(
     })?;
     if crash == Some(RolloutCrash::AfterAbortRecord) {
         let outcome = RolloutOutcome::Crashed(RolloutCrash::AfterAbortRecord);
-        return Ok(report(outcome, wave_txns, deltas, Some(breach), degraded_seen, messages, t));
+        return Ok(report(
+            outcome,
+            wave_txns,
+            deltas,
+            Some(breach),
+            degraded_seen,
+            messages,
+            t,
+        ));
     }
     let abort_at = t;
     flip_order.reverse();
@@ -623,7 +656,15 @@ pub fn run_rollout(
         rollback_latency: Some(t.saturating_since(abort_at)),
         rolled_back,
         quarantined,
-        ..report(outcome, wave_txns, deltas, Some(breach), degraded_seen, messages, t)
+        ..report(
+            outcome,
+            wave_txns,
+            deltas,
+            Some(breach),
+            degraded_seen,
+            messages,
+            t,
+        )
     })
 }
 
@@ -784,7 +825,13 @@ mod tests {
     fn lanes_env(
         n: usize,
         seconds: u64,
-    ) -> (Simulation, Vec<NodeId>, ReplicatedIntentLog, LossyFabric, RetryPolicy) {
+    ) -> (
+        Simulation,
+        Vec<NodeId>,
+        ReplicatedIntentLog,
+        LossyFabric,
+        RetryPolicy,
+    ) {
         let (topo, switches, lanes) = Topology::parallel_lanes(n);
         let mut sim = Simulation::new(topo);
         for &d in &switches {
@@ -821,14 +868,17 @@ mod tests {
     #[test]
     fn canonical_plan_doubles_exposure() {
         let fleet: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let plan =
-            RolloutPlan::canonical(&fleet, SimDuration::from_secs(1), SloGuards::default());
+        let plan = RolloutPlan::canonical(&fleet, SimDuration::from_secs(1), SloGuards::default());
         let sizes: Vec<usize> = plan.waves.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![1, 1, 2, 4]);
         let flat: Vec<NodeId> = plan.waves.iter().flatten().copied().collect();
         assert_eq!(flat, fleet, "every device flips exactly once");
-        let tiny = RolloutPlan::canonical(&fleet[..3], SimDuration::from_secs(1), SloGuards::default());
-        assert_eq!(tiny.waves.iter().map(Vec::len).collect::<Vec<_>>(), vec![1, 1, 1]);
+        let tiny =
+            RolloutPlan::canonical(&fleet[..3], SimDuration::from_secs(1), SloGuards::default());
+        assert_eq!(
+            tiny.waves.iter().map(Vec::len).collect::<Vec<_>>(),
+            vec![1, 1, 1]
+        );
     }
 
     #[test]
@@ -847,11 +897,8 @@ mod tests {
         let mut baseline = pairs(&switches, lane_base());
         baseline[1].1 = lane_drop_all();
         let candidate = pairs(&switches, lane_good());
-        let plan = RolloutPlan::canonical(
-            &switches,
-            SimDuration::from_secs(1),
-            SloGuards::default(),
-        );
+        let plan =
+            RolloutPlan::canonical(&switches, SimDuration::from_secs(1), SloGuards::default());
         let mut detector = FailureDetector::default();
         let report = run_rollout(
             &mut sim,
@@ -878,7 +925,13 @@ mod tests {
         assert_eq!(report.rolled_back, vec![switches[0]], "wave 1 unwound");
         // Wave 1's device is back on the baseline image.
         assert_eq!(
-            sim.topo.node(switches[0]).unwrap().device.program().unwrap().bundle(),
+            sim.topo
+                .node(switches[0])
+                .unwrap()
+                .device
+                .program()
+                .unwrap()
+                .bundle(),
             &lane_base()
         );
     }
@@ -893,11 +946,8 @@ mod tests {
         let (mut sim, switches, mut log, mut fabric, policy) = lanes_env(4, 8);
         let baseline = pairs(&switches, lane_base());
         let candidate = pairs(&switches, lane_drop_all());
-        let plan = RolloutPlan::canonical(
-            &switches,
-            SimDuration::from_secs(1),
-            SloGuards::default(),
-        );
+        let plan =
+            RolloutPlan::canonical(&switches, SimDuration::from_secs(1), SloGuards::default());
         let mut detector = FailureDetector::default();
         let report = run_rollout(
             &mut sim,
@@ -944,7 +994,10 @@ mod tests {
             vec![switches[0]],
             "the dead device is named, not silently diverged"
         );
-        assert!(resumed[0].rolled_back.is_empty(), "nothing else had flipped");
+        assert!(
+            resumed[0].rolled_back.is_empty(),
+            "nothing else had flipped"
+        );
         // The log is terminal; a second resume pass is a no-op.
         let again = resume_rollouts(
             &mut sim,
@@ -966,11 +1019,8 @@ mod tests {
         let (mut sim, switches, mut log, mut fabric, policy) = lanes_env(4, 8);
         let baseline = pairs(&switches, lane_base());
         let candidate = pairs(&switches, lane_good());
-        let plan = RolloutPlan::canonical(
-            &switches,
-            SimDuration::from_secs(1),
-            SloGuards::default(),
-        );
+        let plan =
+            RolloutPlan::canonical(&switches, SimDuration::from_secs(1), SloGuards::default());
         let mut detector = FailureDetector::default();
         let report = run_rollout(
             &mut sim,
@@ -1022,8 +1072,8 @@ mod tests {
             IntentRecord::RolloutAborted { rollout, guard, .. }
                 if *rollout == report.rollout && guard == "coordinator-failover"
         )));
-        assert!(records
-            .iter()
-            .any(|r| matches!(r, IntentRecord::RolledBack { rollout } if *rollout == report.rollout)));
+        assert!(records.iter().any(
+            |r| matches!(r, IntentRecord::RolledBack { rollout } if *rollout == report.rollout)
+        ));
     }
 }

@@ -123,7 +123,9 @@ fn decode_entries(bytes: &[u8], payloads: &[Range<usize>]) -> Vec<LogEntry> {
     // the revive.
     let mut entries = Vec::with_capacity(2 * payloads.len());
     entries.extend(payloads.iter().map(|payload| {
-        let term = bytes[payload.clone()].first_chunk().map_or(0, |t| u64::from_le_bytes(*t));
+        let term = bytes[payload.clone()]
+            .first_chunk()
+            .map_or(0, |t| u64::from_le_bytes(*t));
         let command = entry_command(payload);
         LogEntry {
             term,
@@ -314,7 +316,9 @@ impl SegmentedWal {
             return;
         }
         let keep = keep_until.saturating_sub(self.base_record) as usize;
-        let cut = frames(self.disk.synced_bytes()).nth(keep).map_or(0, |(s, _)| s);
+        let cut = frames(self.disk.synced_bytes())
+            .nth(keep)
+            .map_or(0, |(s, _)| s);
         let bytes = self.disk.synced_bytes()[..cut].to_vec();
         self.disk.set_synced(bytes);
         self.count = keep as u64;
@@ -455,7 +459,10 @@ impl SnapshotStore {
         for (gen, _, disk) in self.gens.iter().rev() {
             let bytes = disk.synced_bytes();
             let outcome = scrub(bytes, 0, self.crc_checks);
-            let base = outcome.payloads.first().and_then(|at| read_words(&bytes[at.clone()]));
+            let base = outcome
+                .payloads
+                .first()
+                .and_then(|at| read_words(&bytes[at.clone()]));
             let (Some((base_index, base_term)), None) = (base, &outcome.fault) else {
                 fallbacks += 1;
                 continue;
@@ -491,7 +498,8 @@ impl SnapshotStore {
             return false;
         };
         let records = scrub(disk.synced_bytes(), 0, false).payloads;
-        disk.rot_byte(records.get(1..).unwrap_or_default()).is_some()
+        disk.rot_byte(records.get(1..).unwrap_or_default())
+            .is_some()
     }
 }
 
@@ -808,7 +816,10 @@ mod tests {
     use super::*;
 
     fn wal(seed: u64) -> SegmentedWal {
-        SegmentedWal::new(SimDisk::with_plan(DiskFaultPlan::seeded(seed).tearing()), true)
+        SegmentedWal::new(
+            SimDisk::with_plan(DiskFaultPlan::seeded(seed).tearing()),
+            true,
+        )
     }
 
     /// `rot_payload` skips a payload's first 16 bytes when it is longer
@@ -836,7 +847,11 @@ mod tests {
 
     /// The verified payloads of a scrub of `bytes`.
     fn payloads<'a>(bytes: &'a [u8], outcome: &ScrubOutcome) -> Vec<&'a [u8]> {
-        outcome.payloads.iter().map(|at| &bytes[at.clone()]).collect()
+        outcome
+            .payloads
+            .iter()
+            .map(|at| &bytes[at.clone()])
+            .collect()
     }
 
     fn entry(term: u64, command: &str) -> LogEntry {
@@ -867,7 +882,10 @@ mod tests {
                 Some((term, command)) => (u64::from_le_bytes(*term), command),
                 None => (0, &[][..]),
             });
-            assert!(got.iter().map(|e| (e.term, &e.command[..])).eq(want), "{run:?}");
+            assert!(
+                got.iter().map(|e| (e.term, &e.command[..])).eq(want),
+                "{run:?}"
+            );
         }
     }
 
@@ -885,10 +903,7 @@ mod tests {
         let torn = scrub(&bytes[..bytes.len() - 2], 0, true);
         assert_eq!(payloads(&bytes, &torn), [b"alpha"]);
         assert!(torn.truncated);
-        assert!(matches!(
-            torn.fault,
-            Some(StorageError::TornRecord { .. })
-        ));
+        assert!(matches!(torn.fault, Some(StorageError::TornRecord { .. })));
         assert!(!torn.mid_log);
     }
 
@@ -948,7 +963,8 @@ mod tests {
     fn snapshot_store_falls_back_past_a_rotted_generation() {
         let mut s = SnapshotStore::new(5, None, true);
         s.install(4, 2, &LogCommand::shared(["a", "b"])).unwrap();
-        s.install(8, 3, &LogCommand::shared(["a", "b", "c"])).unwrap();
+        s.install(8, 3, &LogCommand::shared(["a", "b", "c"]))
+            .unwrap();
         assert!(s.rot_latest());
         let (_gen, base, term, cmds, fallbacks) = s.load().expect("older generation verifies");
         assert_eq!((base, term, fallbacks), (4, 2, 1));
@@ -978,7 +994,8 @@ mod tests {
         ns.persist_hard(3, Some(1)).unwrap();
         ns.sync_log(0, &[entry(1, "one"), entry(1, "two"), entry(3, "three")])
             .unwrap();
-        ns.compact_snapshot(2, 1, &LogCommand::shared(["summary"])).unwrap();
+        ns.compact_snapshot(2, 1, &LogCommand::shared(["summary"]))
+            .unwrap();
         ns.crash();
         let state = ns.recover();
         assert_eq!(state.term, 3);
@@ -1017,10 +1034,12 @@ mod tests {
         // snapshot + tail, not the full history. Write many records, keep
         // a short tail, and pin the replayed entry count to the tail.
         let mut ns = NodeStorage::fault_free(33);
-        let entries: Vec<LogEntry> =
-            (0..40).map(|i| entry(1, &format!("intended 0 dev 4 digest {i}"))).collect();
+        let entries: Vec<LogEntry> = (0..40)
+            .map(|i| entry(1, &format!("intended 0 dev 4 digest {i}")))
+            .collect();
         ns.sync_log(0, &entries).unwrap();
-        ns.compact_snapshot(36, 1, &LogCommand::shared(["intended 0 dev 4 digest 35"])).unwrap();
+        ns.compact_snapshot(36, 1, &LogCommand::shared(["intended 0 dev 4 digest 35"]))
+            .unwrap();
         ns.crash();
         let state = ns.recover();
         assert_eq!(state.base_index, 36);

@@ -275,7 +275,10 @@ mod tests {
         for newcomer in [TenantId(3), TenantId(9)] {
             let err = tm.arrive(newcomer, vxlan(32)).unwrap_err();
             let expected = format!("tenant {newcomer} redeclares header `vxlan` incompatibly");
-            assert!(matches!(&err, FlexError::Conflict(m) if *m == expected), "{err}");
+            assert!(
+                matches!(&err, FlexError::Conflict(m) if *m == expected),
+                "{err}"
+            );
         }
         tm.arrive(TenantId(3), vxlan(24)).unwrap();
     }

@@ -191,11 +191,19 @@ pub(crate) fn abort_on(
 fn abort_sweep(ch: &mut Channel<'_>, talked_to: &[(NodeId, ProgramBundle)], tag: Option<TxnTag>) {
     for (node, _) in talked_to.iter().rev() {
         match abort_on(ch, *node, tag) {
-            (Ok(()), Some(Aborted { report: Some(rep), .. })) => {
+            (
+                Ok(()),
+                Some(Aborted {
+                    report: Some(rep), ..
+                }),
+            ) => {
                 ch.sim.reconfig_reports.push((ch.now, *node, rep));
             }
             (Ok(()), _) => {}
-            (Err(e), _) => ch.sim.errors.push((ch.now, format!("txn abort on {node}: {e}"))),
+            (Err(e), _) => ch
+                .sim
+                .errors
+                .push((ch.now, format!("txn abort on {node}: {e}"))),
         }
     }
 }
@@ -240,7 +248,10 @@ pub(crate) fn commit_on<'a>(
                 }
             }
         }
-        Err(e) => ch.sim.errors.push((ch.now, format!("{who} commit on {node}: {e}"))),
+        Err(e) => ch
+            .sim
+            .errors
+            .push((ch.now, format!("{who} commit on {node}: {e}"))),
     }
     false
 }
@@ -283,7 +294,13 @@ pub fn transactional_reconfig_over(
         now,
         messages: 0,
     };
-    let p = prepare_all(&mut ch, targets, None, &mut SealedTargets::default(), usize::MAX);
+    let p = prepare_all(
+        &mut ch,
+        targets,
+        None,
+        &mut SealedTargets::default(),
+        usize::MAX,
+    );
 
     if let Some((failed_idx, reason)) = p.failure {
         let abort_started = ch.now;
@@ -308,7 +325,9 @@ pub fn transactional_reconfig_over(
         if let Err(e) = ch.send(*node, "hold", |dev, _| dev.hold_pending_until(commit_at)) {
             // The device still flips — at its own (earlier) ready_at — so
             // the network converges, just not at one aligned instant.
-            ch.sim.errors.push((ch.now, format!("txn hold on {node}: {e}")));
+            ch.sim
+                .errors
+                .push((ch.now, format!("txn hold on {node}: {e}")));
         }
     }
     TxnReport {
@@ -445,7 +464,9 @@ pub fn logged_transactional_reconfig(
             ch.sim.errors.push((ch.now, lost));
         }
         abort_sweep(&mut ch, &targets[..=failed_idx], Some(tag));
-        ch.sim.errors.push((ch.now, format!("txn {txn} aborted: {reason}")));
+        ch.sim
+            .errors
+            .push((ch.now, format!("txn {txn} aborted: {reason}")));
         return Ok(report(&ch, LoggedTxnOutcome::Aborted, p.prepared, None));
     }
     if p.prepared.len() < targets.len() {
@@ -895,4 +916,3 @@ mod tests {
             .reconfig_in_progress());
     }
 }
-

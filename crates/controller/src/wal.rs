@@ -220,11 +220,7 @@ impl IntentRecord {
                 digest,
             } => format!("intended {txn} dev {device} digest {digest}"),
             IntentRecord::RolloutStarted { rollout, waves } => {
-                let plan = waves
-                    .iter()
-                    .map(|w| devs(w))
-                    .collect::<Vec<_>>()
-                    .join(";");
+                let plan = waves.iter().map(|w| devs(w)).collect::<Vec<_>>().join(";");
                 format!("rollout-started {rollout} waves {plan}")
             }
             IntentRecord::WaveCommitted { rollout, wave, txn } => {
@@ -249,9 +245,14 @@ impl IntentRecord {
     /// [`FlexError::Consensus`] error.
     pub fn decode(bytes: &[u8]) -> Result<IntentRecord> {
         let bad = || {
-            FlexError::Consensus(format!("malformed intent record: b\"{}\"", bytes.escape_ascii()))
+            FlexError::Consensus(format!(
+                "malformed intent record: b\"{}\"",
+                bytes.escape_ascii()
+            ))
         };
-        let mut parts = std::str::from_utf8(bytes).map_err(|_| bad())?.split_whitespace();
+        let mut parts = std::str::from_utf8(bytes)
+            .map_err(|_| bad())?
+            .split_whitespace();
         let kind = parts.next().ok_or_else(bad)?;
         let txn: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
         let parse_devs = |list: &str| -> Result<Vec<u64>> {
@@ -587,11 +588,7 @@ struct Fold {
 impl Fold {
     /// The fold of a compaction summary: its records pushed as they are
     /// (no command decoded), `commands` their encodings.
-    fn seed(
-        at: Option<(usize, u64)>,
-        records: Vec<IntentRecord>,
-        commands: &[LogCommand],
-    ) -> Fold {
+    fn seed(at: Option<(usize, u64)>, records: Vec<IntentRecord>, commands: &[LogCommand]) -> Fold {
         let mut fold = Fold {
             at,
             ..Fold::default()
@@ -612,7 +609,9 @@ impl Fold {
     /// The commands consumed, in order.
     fn kept(&self) -> impl Iterator<Item = &[u8]> {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        starts.zip(&self.ends).map(|(start, &end)| &self.folded[start..end])
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.folded[start..end])
     }
 
     /// Whether what was folded is still a prefix of `node`'s `view`. On the
@@ -708,7 +707,11 @@ impl ReplicatedIntentLog {
     /// Like [`ReplicatedIntentLog::new`], but each node persists to the
     /// given [`NodeStorage`] (one per node, possibly armed with fault
     /// plans) instead of default fault-free disks.
-    pub fn new_with(n: usize, seed: u64, storages: Vec<NodeStorage>) -> Result<ReplicatedIntentLog> {
+    pub fn new_with(
+        n: usize,
+        seed: u64,
+        storages: Vec<NodeStorage>,
+    ) -> Result<ReplicatedIntentLog> {
         ReplicatedIntentLog::over(RaftCluster::new_with(n, seed, storages))
     }
 
@@ -924,7 +927,9 @@ impl ReplicatedIntentLog {
         } else {
             None
         };
-        self.cursor.get_mut().install(Fold::seed(at, records, &summary));
+        self.cursor
+            .get_mut()
+            .install(Fold::seed(at, records, &summary));
         Ok(report)
     }
 }
@@ -1041,7 +1046,10 @@ mod tests {
             "compacted 3 extra",
         ] {
             assert!(
-                matches!(IntentRecord::decode(bad.as_bytes()), Err(FlexError::Consensus(_))),
+                matches!(
+                    IntentRecord::decode(bad.as_bytes()),
+                    Err(FlexError::Consensus(_))
+                ),
                 "{bad:?} must not decode"
             );
         }
@@ -1088,9 +1096,7 @@ mod tests {
                 log.cluster.kill(i).unwrap();
             }
         }
-        let err = log
-            .append(&IntentRecord::Committed { txn: 1 })
-            .unwrap_err();
+        let err = log.append(&IntentRecord::Committed { txn: 1 }).unwrap_err();
         assert!(matches!(err, FlexError::Consensus(_)), "got {err:?}");
     }
 
@@ -1115,10 +1121,18 @@ mod tests {
         let cursor = log.cursor.borrow();
         let fold = &cursor.current;
         assert_eq!(fold.at.map(|(node, _)| node), Some(successor));
-        assert_eq!(fold.consumed(), consumed + 1, "the kept commands, then the barrier");
+        assert_eq!(
+            fold.consumed(),
+            consumed + 1,
+            "the kept commands, then the barrier"
+        );
         assert_eq!(fold.state.max_id, 1_000, "the fold was adopted, not re-run");
         drop(cursor);
-        assert_eq!(log.next_txn_id(), 1_001, "the successor's ids continue from the kept fold");
+        assert_eq!(
+            log.next_txn_id(),
+            1_001,
+            "the successor's ids continue from the kept fold"
+        );
         // Without the mark, the adopted fold is the one before the crash.
         log.cursor.borrow_mut().current.state.max_id = 11;
         assert_eq!(log.replay().unwrap().digest(), digest);
@@ -1158,12 +1172,19 @@ mod tests {
         let got = log.replay().map(|r| r.digest()).unwrap_err();
         let mut fresh = ReplayState::default();
         let committed = log.cluster.committed(successor).unwrap();
-        let want = committed.iter().try_for_each(|c| fresh.absorb(c)).unwrap_err();
+        let want = committed
+            .iter()
+            .try_for_each(|c| fresh.absorb(c))
+            .unwrap_err();
         assert!(matches!(got, FlexError::Consensus(_)), "{got}");
         assert_eq!(got, want);
         let fold = &log.cursor.borrow().current;
         let stopped = (fold.at.map(|(node, _)| node), fold.consumed());
-        assert_eq!(stopped, (Some(successor), 5), "stopped at the rotted record");
+        assert_eq!(
+            stopped,
+            (Some(successor), 5),
+            "stopped at the rotted record"
+        );
         assert_ne!(fold.state.digest(), clean);
     }
 
@@ -1185,7 +1206,10 @@ mod tests {
                 assert_eq!(got.max_id(), fresh.max_id(), "{ctx}: max id");
             }
             (Err(got), Err(want)) => assert_eq!(got, want, "{ctx}"),
-            (got, want) => panic!("{ctx}: read {:?}, a fresh fold {want:?}", got.map(|r| r.digest())),
+            (got, want) => panic!(
+                "{ctx}: read {:?}, a fresh fold {want:?}",
+                got.map(|r| r.digest())
+            ),
         }
     }
 
@@ -1209,7 +1233,10 @@ mod tests {
         let crc_checks = seed.is_multiple_of(2);
         let storages = (0..NODES as u64)
             .map(|i| {
-                let (wal, hard) = (DiskFaultPlan::seeded(seed ^ i), DiskFaultPlan::seeded(!seed ^ i));
+                let (wal, hard) = (
+                    DiskFaultPlan::seeded(seed ^ i),
+                    DiskFaultPlan::seeded(!seed ^ i),
+                );
                 NodeStorage::with_plans(wal, hard, None, seed ^ i, crc_checks)
             })
             .collect();
@@ -1219,12 +1246,15 @@ mod tests {
         let mut next_id = 0;
         for step in 0..60 {
             let ctx = format!("seed {seed} step {step}");
-            let follower = (0..NODES).find(|&i| Some(i) != log.cluster.leader() && rng.gen_bool(0.5));
+            let follower =
+                (0..NODES).find(|&i| Some(i) != log.cluster.leader() && rng.gen_bool(0.5));
             match rng.gen_range(0..100u32) {
                 0..=44 => {
                     next_id += 1;
                     let mut rec = kinds[rng.gen_range(0..kinds.len())].clone();
-                    if let IntentRecord::Intent { txn, .. } | IntentRecord::Committed { txn } = &mut rec {
+                    if let IntentRecord::Intent { txn, .. } | IntentRecord::Committed { txn } =
+                        &mut rec
+                    {
                         *txn = next_id;
                     }
                     let _ = log.append(&rec);
@@ -1272,15 +1302,42 @@ mod tests {
     #[test]
     fn compaction_summary_replays_to_the_full_log_digest() {
         let records = vec![
-            IntentRecord::Intent { txn: 1, devices: [4, 5].into() },
-            IntentRecord::Prepared { txn: 1, devices: [4, 5].into() },
-            IntentRecord::FlipScheduled { txn: 1, commit_at: SimTime::from_secs(1) },
-            IntentRecord::IntendedState { txn: 1, device: 4, digest: 11 },
-            IntentRecord::IntendedState { txn: 1, device: 5, digest: 12 },
+            IntentRecord::Intent {
+                txn: 1,
+                devices: [4, 5].into(),
+            },
+            IntentRecord::Prepared {
+                txn: 1,
+                devices: [4, 5].into(),
+            },
+            IntentRecord::FlipScheduled {
+                txn: 1,
+                commit_at: SimTime::from_secs(1),
+            },
+            IntentRecord::IntendedState {
+                txn: 1,
+                device: 4,
+                digest: 11,
+            },
+            IntentRecord::IntendedState {
+                txn: 1,
+                device: 5,
+                digest: 12,
+            },
             IntentRecord::Committed { txn: 1 },
-            IntentRecord::IntendedState { txn: 2, device: 4, digest: 13 },
-            IntentRecord::Intent { txn: 2, devices: [4].into() },
-            IntentRecord::Prepared { txn: 2, devices: [4].into() },
+            IntentRecord::IntendedState {
+                txn: 2,
+                device: 4,
+                digest: 13,
+            },
+            IntentRecord::Intent {
+                txn: 2,
+                devices: [4].into(),
+            },
+            IntentRecord::Prepared {
+                txn: 2,
+                devices: [4].into(),
+            },
         ];
         let summary = compact_records(&records);
         // The open txn 2 keeps its full history; txn 1 folds to its

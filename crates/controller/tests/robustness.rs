@@ -186,7 +186,10 @@ fn drpc_survives_30_percent_message_loss() {
             retried += 1;
         }
     }
-    assert!(retried > 100, "loss forced retries ({retried} calls retried)");
+    assert!(
+        retried > 100,
+        "loss forced retries ({retried} calls retried)"
+    );
     let seen = fabric.dropped as f64 / (fabric.dropped + fabric.delivered) as f64;
     assert!((0.25..0.35).contains(&seen), "observed loss rate {seen}");
 }

@@ -98,11 +98,7 @@ fn cmd_demand(path: &str) -> Result<()> {
     let bundle = load_bundle(path)?;
     certify(&bundle)?;
     let registry = HeaderRegistry::with_user_headers(&bundle.headers)?;
-    let elements = flexnet_lang::ir::program_elements(
-        &bundle.program,
-        &bundle.headers,
-        &registry,
-    );
+    let elements = flexnet_lang::ir::program_elements(&bundle.program, &bundle.headers, &registry);
     println!("{path}: {} placeable elements", elements.len());
     let mut total = ResourceVec::new();
     for e in &elements {
@@ -177,11 +173,7 @@ fn cmd_plan(old_path: &str, new_path: &str, arch_name: &str) -> Result<()> {
     };
     let cm = CostModel::for_arch(arch.class());
     let ops = diff_bundles(&old, &new);
-    println!(
-        "transition plan on {} ({} ops):",
-        arch.class(),
-        ops.len()
-    );
+    println!("transition plan on {} ({} ops):", arch.class(), ops.len());
     let mut total = SimDuration::ZERO;
     for op in &ops {
         let d = cm.op_duration(op);

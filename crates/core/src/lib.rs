@@ -66,8 +66,8 @@ pub use flexnet_types as types;
 /// beside that experiment in `flexnet-bench`, not here.
 pub mod prelude {
     pub use flexnet_compiler::{
-        compile_fungible, pack, recompile_full, recompile_incremental, split_datapath,
-        Component, FungibleOptions, LogicalDatapath, PackStrategy, Placement, TargetView,
+        compile_fungible, pack, recompile_full, recompile_incremental, split_datapath, Component,
+        FungibleOptions, LogicalDatapath, PackStrategy, Placement, TargetView,
     };
     pub use flexnet_controller::{
         invoke_with_retry, transactional_reconfig, transactional_reconfig_over, Controller,

@@ -61,7 +61,10 @@ fn check_accepts_valid_program() {
 
 #[test]
 fn check_rejects_invalid_program_with_nonzero_exit() {
-    let f = write_tmp("bad.fbpf", "program p { handler ingress(pkt) { apply nope; } }");
+    let f = write_tmp(
+        "bad.fbpf",
+        "program p { handler ingress(pkt) { apply nope; } }",
+    );
     let (ok, _, stderr) = flexnetc(&["check", f.to_str().unwrap()]);
     assert!(!ok);
     assert!(stderr.contains("error"), "{stderr}");
@@ -134,12 +137,7 @@ fn diff_identical_reports_no_changes() {
 #[test]
 fn plan_rejects_unknown_architecture() {
     let f = write_tmp("a.fbpf", FIREWALL);
-    let (ok, _, stderr) = flexnetc(&[
-        "plan",
-        f.to_str().unwrap(),
-        f.to_str().unwrap(),
-        "quantum",
-    ]);
+    let (ok, _, stderr) = flexnetc(&["plan", f.to_str().unwrap(), f.to_str().unwrap(), "quantum"]);
     assert!(!ok);
     assert!(stderr.contains("unknown architecture"), "{stderr}");
 }

@@ -193,11 +193,12 @@ impl Architecture {
                 (ResourceKind::PemElements, *pem_elements),
                 (ResourceKind::ParserEntries, 256),
             ]),
-            Architecture::SmartNic { cores, dram_mb }
-            | Architecture::Host { cores, dram_mb } => ResourceVec::from_pairs([
-                (ResourceKind::CpuMillis, cores * 1000),
-                (ResourceKind::DramMb, *dram_mb),
-            ]),
+            Architecture::SmartNic { cores, dram_mb } | Architecture::Host { cores, dram_mb } => {
+                ResourceVec::from_pairs([
+                    (ResourceKind::CpuMillis, cores * 1000),
+                    (ResourceKind::DramMb, *dram_mb),
+                ])
+            }
         }
     }
 
@@ -244,7 +245,10 @@ impl Architecture {
                 let mut out = ResourceVec::new();
                 // Memory-like demands become DRAM; TCAM is emulated at 4x.
                 let mb = demand.get(ResourceKind::SramKb).div_ceil(1024)
-                    + demand.get(ResourceKind::TcamKb).saturating_mul(4).div_ceil(1024)
+                    + demand
+                        .get(ResourceKind::TcamKb)
+                        .saturating_mul(4)
+                        .div_ceil(1024)
                     + demand.get(ResourceKind::RegisterCells).saturating_mul(8) / (1024 * 1024)
                     + u64::from(demand.get(ResourceKind::RegisterCells) > 0);
                 if mb > 0 {
@@ -330,7 +334,8 @@ impl ArchAllocator {
                     tentative += &demand;
                     if per_stage.covers(&tentative) {
                         self.stage_used[stage] = tentative;
-                        self.locations.insert(name, (Location::Stage(stage), demand));
+                        self.locations
+                            .insert(name, (Location::Stage(stage), demand));
                         return Ok(Location::Stage(stage));
                     }
                 }
@@ -441,16 +446,25 @@ mod tests {
             per_stage: sram(100),
         };
         let mut a = ArchAllocator::new(arch);
-        assert_eq!(a.alloc("t1".into(), &sram(80), 0).unwrap(), Location::Stage(0));
+        assert_eq!(
+            a.alloc("t1".into(), &sram(80), 0).unwrap(),
+            Location::Stage(0)
+        );
         // t2 doesn't fit in stage 0 (only 20 left) -> stage 1.
-        assert_eq!(a.alloc("t2".into(), &sram(50), 0).unwrap(), Location::Stage(1));
+        assert_eq!(
+            a.alloc("t2".into(), &sram(50), 0).unwrap(),
+            Location::Stage(1)
+        );
         // min_stage 1 with 60 demanded: stage 1 has 50 left -> fails even
         // though stage 0 has 20 and total 70 remain (fragmentation).
         let err = a.alloc("t3".into(), &sram(60), 1).unwrap_err();
         assert!(matches!(err, FlexError::ResourceExhausted { .. }));
         // Freeing t2 makes stage 1 fit.
         a.free("t2").unwrap();
-        assert_eq!(a.alloc("t3".into(), &sram(60), 1).unwrap(), Location::Stage(1));
+        assert_eq!(
+            a.alloc("t3".into(), &sram(60), 1).unwrap(),
+            Location::Stage(1)
+        );
     }
 
     #[test]
@@ -481,9 +495,9 @@ mod tests {
     fn tiled_normalization() {
         let t = Architecture::tiled_default();
         let d = ResourceVec::from_pairs([
-            (ResourceKind::SramKb, 100),  // -> 2 hash tiles
-            (ResourceKind::TcamKb, 20),   // -> 2 tcam tiles
-            (ResourceKind::ActionSlots, 20), // -> 2 pem
+            (ResourceKind::SramKb, 100),         // -> 2 hash tiles
+            (ResourceKind::TcamKb, 20),          // -> 2 tcam tiles
+            (ResourceKind::ActionSlots, 20),     // -> 2 pem
             (ResourceKind::RegisterCells, 5000), // -> 2 index tiles
         ]);
         let n = t.normalize(&d);

@@ -197,22 +197,31 @@ mod tests {
 
     fn sample_ops() -> Vec<ReconfigOp> {
         vec![
-            ReconfigOp::AddState(StateDecl {
-                name: "s".into(),
-                kind: StateKind::Counter,
-                size: 1,
-            }.into()),
-            ReconfigOp::AddTable(TableDecl {
-                name: "t".into(),
-                keys: vec![],
-                actions: vec![],
-                default_action: None,
-                size: 8,
-            }.into()),
-            ReconfigOp::SetHandler(Handler {
-                name: "h".into(),
-                body: vec![],
-            }.into()),
+            ReconfigOp::AddState(
+                StateDecl {
+                    name: "s".into(),
+                    kind: StateKind::Counter,
+                    size: 1,
+                }
+                .into(),
+            ),
+            ReconfigOp::AddTable(
+                TableDecl {
+                    name: "t".into(),
+                    keys: vec![],
+                    actions: vec![],
+                    default_action: None,
+                    size: 8,
+                }
+                .into(),
+            ),
+            ReconfigOp::SetHandler(
+                Handler {
+                    name: "h".into(),
+                    body: vec![],
+                }
+                .into(),
+            ),
         ]
     }
 
@@ -222,10 +231,7 @@ mod tests {
         for class in [ArchClass::Rmt, ArchClass::Drmt, ArchClass::Tiled] {
             let cm = CostModel::for_arch(class);
             let d = cm.plan_duration(&sample_ops());
-            assert!(
-                d < SimDuration::from_secs(1),
-                "{class}: {d} should be < 1s"
-            );
+            assert!(d < SimDuration::from_secs(1), "{class}: {d} should be < 1s");
             assert!(d > SimDuration::ZERO);
         }
     }
@@ -267,13 +273,22 @@ mod tests {
     #[test]
     fn op_durations_cover_all_variants() {
         let cm = CostModel::for_arch(ArchClass::Rmt);
-        assert_eq!(cm.op_duration(&ReconfigOp::RemoveTable("x".into())), cm.table_op);
+        assert_eq!(
+            cm.op_duration(&ReconfigOp::RemoveTable("x".into())),
+            cm.table_op
+        );
         assert_eq!(
             cm.op_duration(&ReconfigOp::RemoveParserState("x".into())),
             cm.parser_op
         );
-        assert_eq!(cm.op_duration(&ReconfigOp::RemoveState("x".into())), cm.state_op);
-        assert_eq!(cm.op_duration(&ReconfigOp::RemoveHandler("x".into())), cm.handler_op);
+        assert_eq!(
+            cm.op_duration(&ReconfigOp::RemoveState("x".into())),
+            cm.state_op
+        );
+        assert_eq!(
+            cm.op_duration(&ReconfigOp::RemoveHandler("x".into())),
+            cm.handler_op
+        );
         assert_eq!(
             cm.op_duration(&ReconfigOp::RemoveService("x".into())),
             cm.service_op

@@ -9,16 +9,14 @@
 //! *hitlessly at runtime* (see `reconfig.rs`) or by the compile-time
 //! drain/reflash baseline.
 
-use crate::arch::{ArchClass, Architecture, ArchAllocator};
+use crate::arch::{ArchAllocator, ArchClass, Architecture};
 use crate::cost::CostModel;
 use crate::image::{root_digest, Code, DigestLevels, ProgramImage, SealTarget};
 use crate::parser::ParserGraph;
 use crate::state::{CarryMap, DeviceState, LogicalState, StateEncoding};
 use crate::table::{TableEntry, TableInstance, TableSet};
-use flexnet_lang::bytecode::{
-    self, CompiledProgram, SlotEnv, SlotResolver, SymbolKind,
-};
 use flexnet_lang::ast::{visit_names, Program, ProgramKind};
+use flexnet_lang::bytecode::{self, CompiledProgram, SlotEnv, SlotResolver, SymbolKind};
 use flexnet_lang::diff::{ProgramBundle, ReconfigOp};
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::ir::program_elements;
@@ -118,7 +116,10 @@ impl InstalledProgram {
     /// those at the flip. The first instance of an image compiles the
     /// image's shared bytecode (or fails on an unresolvable symbol) once for
     /// everyone after.
-    pub(crate) fn shadow(image: Arc<ProgramImage>, encoding: StateEncoding) -> Result<InstalledProgram> {
+    pub(crate) fn shadow(
+        image: Arc<ProgramImage>,
+        encoding: StateEncoding,
+    ) -> Result<InstalledProgram> {
         let mut p = InstalledProgram {
             tables: TableSet::default(),
             digest: OnceLock::new(),
@@ -176,7 +177,10 @@ impl InstalledProgram {
     /// table is hashed again, and nothing is allocated.
     pub fn config_digest(&self) -> u64 {
         *self.digest.get_or_init(|| {
-            root_digest(self.code.code_digest(), self.tables.iter().map(TableInstance::digest))
+            root_digest(
+                self.code.code_digest(),
+                self.tables.iter().map(TableInstance::digest),
+            )
         })
     }
 
@@ -259,7 +263,12 @@ impl InstalledProgram {
                 *registry = HeaderRegistry::with_user_headers(&bundle.headers)?;
             }
             ReconfigOp::SetHandler(h) => {
-                match bundle.program.handlers.iter_mut().find(|x| x.name == h.name) {
+                match bundle
+                    .program
+                    .handlers
+                    .iter_mut()
+                    .find(|x| x.name == h.name)
+                {
                     Some(slot) => *slot = h.clone(),
                     None => bundle.program.handlers.push(h.clone()),
                 }
@@ -751,7 +760,10 @@ impl Device {
         if self.up {
             Ok(())
         } else {
-            Err(FlexError::Unavailable(format!("device {} is down", self.id)))
+            Err(FlexError::Unavailable(format!(
+                "device {} is down",
+                self.id
+            )))
         }
     }
 
@@ -779,10 +791,7 @@ impl Device {
     /// trigger a resync.
     pub fn restart(&mut self, _now: SimTime) -> Result<()> {
         if self.up {
-            return Err(FlexError::Sim(format!(
-                "device {} is already up",
-                self.id
-            )));
+            return Err(FlexError::Sim(format!("device {} is already up", self.id)));
         }
         self.up = true;
         if let Some(p) = self.active.as_mut() {
@@ -848,7 +857,9 @@ impl Device {
             let ordered = e.kind == flexnet_lang::ir::ElementKind::Table
                 && applied.contains(&e.name.as_str());
             let min_stage = if ordered { last_stage } else { 0 };
-            let loc = placement.allocator.alloc(e.name.as_str().into(), &e.demand, min_stage)?;
+            let loc = placement
+                .allocator
+                .alloc(e.name.as_str().into(), &e.demand, min_stage)?;
             if let (crate::arch::Location::Stage(s), true) = (loc, ordered) {
                 last_stage = s;
             }
@@ -921,7 +932,11 @@ impl Device {
     }
 
     /// Removes table entries matching the given key matches.
-    pub fn remove_entry(&mut self, table: &str, matches: &[crate::table::KeyMatch]) -> Result<usize> {
+    pub fn remove_entry(
+        &mut self,
+        table: &str,
+        matches: &[crate::table::KeyMatch],
+    ) -> Result<usize> {
         Ok(self.table_mut(table)?.remove(matches))
     }
 
@@ -1106,9 +1121,7 @@ impl Device {
                         // forwarded on a half-executed pipeline.
                         break (Verdict::Drop, outcome.trap);
                     }
-                    let verdict = outcome
-                        .verdict
-                        .unwrap_or(Verdict::Forward(DEFAULT_PORT));
+                    let verdict = outcome.verdict.unwrap_or(Verdict::Forward(DEFAULT_PORT));
                     if verdict != Verdict::Recirculate {
                         break (verdict, None);
                     }
@@ -1159,7 +1172,9 @@ impl Device {
     /// pending.
     fn draining(&mut self, now: SimTime) -> bool {
         crate::reconfig::commit_if_ready(self, now);
-        self.pending.as_ref().is_some_and(crate::reconfig::PendingReconfig::drains)
+        self.pending
+            .as_ref()
+            .is_some_and(crate::reconfig::PendingReconfig::drains)
     }
 
     /// Refuses one packet of a drained device: lost, not processed.
@@ -1283,7 +1298,13 @@ pub(crate) mod tests {
 
     /// The `fw_bundle` entry that denies source 99.
     fn deny_99() -> TableEntry {
-        TableEntry::exact(&[99], ActionCall { action: "deny".into(), args: vec![] })
+        TableEntry::exact(
+            &[99],
+            ActionCall {
+                action: "deny".into(),
+                args: vec![],
+            },
+        )
     }
 
     fn new_dev() -> Device {
@@ -1407,7 +1428,10 @@ pub(crate) mod tests {
         let mut d2 = new_dev();
         d2.install(fw_bundle()).unwrap();
         d2.restore_state(&snap).unwrap();
-        assert_eq!(d2.snapshot_state().unwrap().maps["blocked"].get(&5), Some(&1));
+        assert_eq!(
+            d2.snapshot_state().unwrap().maps["blocked"].get(&5),
+            Some(&1)
+        );
     }
 
     #[test]
@@ -1506,15 +1530,21 @@ pub(crate) mod tests {
     fn bytecode_image_survives_restart_and_reconfig_ops() {
         let mut d = new_dev();
         d.install(fw_bundle()).unwrap();
-        assert!(d.program().unwrap().compiled().is_some(), "eager at install");
+        assert!(
+            d.program().unwrap().compiled().is_some(),
+            "eager at install"
+        );
         // A structural op drops the image; the next packet rebuilds it.
         d.program_mut()
             .unwrap()
-            .apply_op(&ReconfigOp::AddState(flexnet_lang::ast::StateDecl {
-                name: "extra".into(),
-                kind: flexnet_lang::ast::StateKind::Counter,
-                size: 1,
-            }.into()))
+            .apply_op(&ReconfigOp::AddState(
+                flexnet_lang::ast::StateDecl {
+                    name: "extra".into(),
+                    kind: flexnet_lang::ast::StateKind::Counter,
+                    size: 1,
+                }
+                .into(),
+            ))
             .unwrap();
         assert!(d.program().unwrap().compiled().is_none(), "invalidated");
         let mut pkt = Packet::tcp(1, 10, 20, 1, 80, 0);
@@ -1646,9 +1676,7 @@ pub(crate) mod tests {
         // A flood of truncated frames: all dropped, none panic, and the
         // *program* is never quarantined — the packets are at fault.
         for i in 0..100u64 {
-            let r = d
-                .process_bytes(&[0xffu8; 5], i, SimTime::ZERO)
-                .unwrap();
+            let r = d.process_bytes(&[0xffu8; 5], i, SimTime::ZERO).unwrap();
             assert_eq!(r.verdict, Verdict::Drop);
             assert!(matches!(r.trap, Some(Trap::MalformedPacket { .. })));
         }
@@ -1716,7 +1744,10 @@ pub(crate) mod tests {
         let s2 = d.allocator().location("second").unwrap();
         match (s1, s2) {
             (crate::arch::Location::Stage(a), crate::arch::Location::Stage(b)) => {
-                assert!(b >= a, "second table must not precede first (got {a} vs {b})");
+                assert!(
+                    b >= a,
+                    "second table must not precede first (got {a} vs {b})"
+                );
                 assert_ne!(a, b, "1024-entry tables cannot share an 8KiB stage");
             }
             other => panic!("expected stage placements, got {other:?}"),
@@ -1739,8 +1770,9 @@ pub(crate) mod tests {
             let mut pkt = Packet::tcp(i, i as u32, 9, 1, 80, 0);
             singles.push(single.process(&mut pkt, SimTime::ZERO).unwrap());
         }
-        let mut burst: Vec<Packet> =
-            (0..64).map(|i| Packet::tcp(i, i as u32, 9, 1, 80, 0)).collect();
+        let mut burst: Vec<Packet> = (0..64)
+            .map(|i| Packet::tcp(i, i as u32, 9, 1, 80, 0))
+            .collect();
         let mut out = Vec::new();
         burst_dev
             .process_burst(&mut burst, SimTime::ZERO, &mut out)
@@ -1785,10 +1817,10 @@ pub(crate) mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        let mut burst: Vec<Packet> =
-            (0..8).map(|i| Packet::tcp(i, 1, 9, 1, 80, 0)).collect();
+        let mut burst: Vec<Packet> = (0..8).map(|i| Packet::tcp(i, 1, 9, 1, 80, 0)).collect();
         let mut out = Vec::new();
-        d.process_burst(&mut burst, SimTime::ZERO, &mut out).unwrap();
+        d.process_burst(&mut burst, SimTime::ZERO, &mut out)
+            .unwrap();
         assert_eq!(out.len(), 8);
         assert!(out.iter().all(|r| r.refused && r.verdict == Verdict::Drop));
         assert_eq!(d.stats().refused, 8);

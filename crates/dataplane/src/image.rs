@@ -364,7 +364,10 @@ impl<'a> SealedTargets<'a> {
     /// `bundle` as a target of this operation: sealed, and planned, when a
     /// device accepts it.
     pub fn target<'s>(&'s mut self, bundle: &'a ProgramBundle) -> OperationTarget<'s, 'a> {
-        OperationTarget { sealed: self, bundle }
+        OperationTarget {
+            sealed: self,
+            bundle,
+        }
     }
 }
 
@@ -441,12 +444,23 @@ mod tests {
         let want = config_digest_of(&acl(), &entries);
         assert_eq!(root_digest(image.code_digest(), [acl_digest]), want);
         let reversed: Vec<_> = entries.iter().rev().cloned().collect();
-        assert_eq!(config_digest_of(&acl(), &reversed), want, "entry order does not matter");
+        assert_eq!(
+            config_digest_of(&acl(), &reversed),
+            want,
+            "entry order does not matter"
+        );
         let no_entries = config_digest_of(&acl(), &[]);
-        assert_eq!(image.code_digest(), no_entries, "no entries: the code digest");
+        assert_eq!(
+            image.code_digest(),
+            no_entries,
+            "no entries: the code digest"
+        );
         assert_eq!(table_digest("acl", []), 0);
         let twice = vec![deny(7), deny(7)];
-        assert_ne!(config_digest_of(&acl(), &twice), config_digest_of(&acl(), &[deny(7)]));
+        assert_ne!(
+            config_digest_of(&acl(), &twice),
+            config_digest_of(&acl(), &[deny(7)])
+        );
     }
 
     #[test]
@@ -454,9 +468,16 @@ mod tests {
         let entry = |matches: Vec<KeyMatch>, priority, action: &str, args: Vec<u64>| TableEntry {
             matches,
             priority,
-            action: ActionCall { action: action.into(), args },
+            action: ActionCall {
+                action: action.into(),
+                args,
+            },
         };
-        let lpm = |value, prefix_len| KeyMatch::Lpm { value, prefix_len, width: 32 };
+        let lpm = |value, prefix_len| KeyMatch::Lpm {
+            value,
+            prefix_len,
+            width: 32,
+        };
         let base = entry(vec![KeyMatch::Exact(1), lpm(8, 24)], 0, "go", vec![2]);
         let ternary = KeyMatch::Ternary { value: 8, mask: 24 };
         let range = KeyMatch::Range { lo: 8, hi: 24 };
@@ -510,7 +531,11 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(second.bundle(), &other);
         assert!(Arc::ptr_eq(&second, &sealed.image_for(&other).unwrap()));
-        assert_eq!(sealed.resolved.len(), 3, "one by-value search per distinct reference");
+        assert_eq!(
+            sealed.resolved.len(),
+            3,
+            "one by-value search per distinct reference"
+        );
     }
 
     #[test]
@@ -518,30 +543,48 @@ mod tests {
         use crate::{Architecture, Device, StateEncoding};
         use flexnet_lang::diff::ReconfigOp;
         use flexnet_types::{NodeId, SimTime};
-        let (a, b) = (ProgramImage::seal(acl()).unwrap(), ProgramImage::seal(other()).unwrap());
-        let target = bundle("program fw kind any { counter c; handler ingress(pkt) { forward(2); } }");
+        let (a, b) = (
+            ProgramImage::seal(acl()).unwrap(),
+            ProgramImage::seal(other()).unwrap(),
+        );
+        let target =
+            bundle("program fw kind any { counter c; handler ingress(pkt) { forward(2); } }");
         let mut devs: Vec<Device> = [&a, &a, &b, &a, &a]
             .iter()
             .map(|image| {
-                let mut d = Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable);
+                let mut d = Device::new(
+                    NodeId(1),
+                    Architecture::drmt_default(),
+                    StateEncoding::StatefulTable,
+                );
                 d.install((*image).clone()).unwrap();
                 d
             })
             .collect();
         // The last one is patched off its image: same program, no identity.
         let patched = devs[4].program_mut().unwrap();
-        patched.apply_op(&ReconfigOp::RemoveHandler("nosuch".into())).unwrap();
+        patched
+            .apply_op(&ReconfigOp::RemoveHandler("nosuch".into()))
+            .unwrap();
         assert!(patched.image().is_none());
 
         let mut sealed = SealedTargets::default();
         for dev in &mut devs {
-            dev.begin_runtime_reconfig(sealed.target(&target), SimTime::ZERO).unwrap();
+            dev.begin_runtime_reconfig(sealed.target(&target), SimTime::ZERO)
+                .unwrap();
         }
         assert_eq!(sealed.resolved.len(), 1);
-        assert_eq!(sealed.plans.len(), 2, "one for the three on `a`, one for `b`, none kept for the patched");
+        assert_eq!(
+            sealed.plans.len(),
+            2,
+            "one for the three on `a`, one for `b`, none kept for the patched"
+        );
         assert!(Arc::ptr_eq(&sealed.plans[0].0, &a) && Arc::ptr_eq(&sealed.plans[1].0, &b));
         let shared = |p: &Arc<ReconfigPlan>| Arc::ptr_eq(&p.target, &sealed.resolved[0].1);
-        assert!(sealed.plans.iter().all(|(_, p)| shared(p) && Arc::strong_count(p) == 1));
+        assert!(sealed
+            .plans
+            .iter()
+            .all(|(_, p)| shared(p) && Arc::strong_count(p) == 1));
         // Each plan's carry map starts from its active image's layout, and
         // the devices on that image hold it until their flip.
         for ((from, plan), holders) in sealed.plans.iter().zip([3, 1]) {
@@ -562,9 +605,8 @@ mod tests {
 
     #[test]
     fn seal_rejects_what_install_rejected() {
-        let ill_typed = bundle(
-            "program p kind any { handler ingress(pkt) { count(nosuch); forward(1); } }",
-        );
+        let ill_typed =
+            bundle("program p kind any { handler ingress(pkt) { count(nosuch); forward(1); } }");
         assert!(matches!(
             ProgramImage::seal(ill_typed),
             Err(FlexError::Type(_))

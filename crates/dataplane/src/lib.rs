@@ -48,8 +48,8 @@ pub mod wire;
 pub use arch::{ArchAllocator, ArchClass, Architecture, Location};
 pub use cost::CostModel;
 pub use device::{
-    Device, DeviceStats, InstalledProgram, ProcessResult, SandboxConfig,
-    DEDUP_WINDOW, EMPTY_CONFIG_DIGEST, TRAP_WINDOW,
+    Device, DeviceStats, InstalledProgram, ProcessResult, SandboxConfig, DEDUP_WINDOW,
+    EMPTY_CONFIG_DIGEST, TRAP_WINDOW,
 };
 pub use graph::{BurstLanes, ForwardingGraph};
 pub use image::{

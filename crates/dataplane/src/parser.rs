@@ -229,7 +229,11 @@ mod tests {
         let vxlan = Sym::intern("vxlan");
         assert!(pkt.header_sym(vxlan).is_none());
         assert!(pkt.header_sym(Sym::UDP).is_some());
-        assert_eq!(pkt.wire_len(), whole, "the hidden headers are payload, not gone");
+        assert_eq!(
+            pkt.wire_len(),
+            whole,
+            "the hidden headers are payload, not gone"
+        );
 
         p.reattach(&mut pkt, hidden);
         assert_eq!((pkt.wire_len(), pkt.payload_len), (whole, 512));

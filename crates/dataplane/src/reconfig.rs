@@ -87,7 +87,10 @@ pub(crate) struct FlipPlan {
 
 impl ReconfigPlan {
     /// The plan from `active` (`None`: an empty device) to `target`.
-    pub(crate) fn new(active: Option<&InstalledProgram>, target: Arc<ProgramImage>) -> ReconfigPlan {
+    pub(crate) fn new(
+        active: Option<&InstalledProgram>,
+        target: Arc<ProgramImage>,
+    ) -> ReconfigPlan {
         let ops = match active {
             Some(p) => diff_bundles(p.bundle(), target.bundle()),
             None => {
@@ -134,7 +137,13 @@ impl ReconfigPlan {
             ReconfigOp::RemoveParserState(n) if added(n) => Some(n.clone()),
             _ => None,
         });
-        ReconfigPlan { target, ops, placements, redefined_header, flip }
+        ReconfigPlan {
+            target,
+            ops,
+            placements,
+            redefined_header,
+            flip,
+        }
     }
 }
 
@@ -285,7 +294,9 @@ impl Device {
     fn accept_change(&self) -> Result<()> {
         self.ensure_up()?;
         match self.pending {
-            Some(_) => Err(FlexError::Reconfig("a reconfiguration is already in progress".into())),
+            Some(_) => Err(FlexError::Reconfig(
+                "a reconfiguration is already in progress".into(),
+            )),
             None => Ok(()),
         }
     }
@@ -305,9 +316,10 @@ impl Device {
     /// to align the atomic flips of every prepared device on the slowest
     /// participant, so the whole network changes programs at one instant.
     pub fn hold_pending_until(&mut self, at: SimTime) -> Result<()> {
-        let pending = self.pending.as_mut().ok_or_else(|| {
-            FlexError::Reconfig("no reconfiguration in progress to hold".into())
-        })?;
+        let pending = self
+            .pending
+            .as_mut()
+            .ok_or_else(|| FlexError::Reconfig("no reconfiguration in progress to hold".into()))?;
         if let Change::InPlace { .. } = pending.change {
             return Err(FlexError::Reconfig(
                 "unsafe in-place changes have no atomic flip to defer".into(),
@@ -324,9 +336,10 @@ impl Device {
     /// discarded and the device keeps serving traffic on the old program as
     /// if the transition had never been initiated.
     pub fn abort_reconfig(&mut self, now: SimTime) -> Result<ReconfigReport> {
-        let pending = self.pending.take().ok_or_else(|| {
-            FlexError::Reconfig("no reconfiguration in progress to abort".into())
-        })?;
+        let pending = self
+            .pending
+            .take()
+            .ok_or_else(|| FlexError::Reconfig("no reconfiguration in progress to abort".into()))?;
         let report = pending.report(now, ReconfigOutcome::Aborted);
         self.undo(pending);
         Ok(report)
@@ -375,7 +388,11 @@ impl Device {
     /// excluded. A `Some` after recovery finished is an orphan.
     pub fn txn_in_doubt(&self) -> Option<TxnTag> {
         match self.pending.as_ref()?.change {
-            Change::Hitless { txn, await_decision: true, .. } => txn,
+            Change::Hitless {
+                txn,
+                await_decision: true,
+                ..
+            } => txn,
             _ => None,
         }
     }
@@ -410,8 +427,11 @@ impl Device {
             }
         }
         let report = self.begin_runtime_reconfig(target, now)?;
-        if let Some(Change::Hitless { txn, await_decision, .. }) =
-            self.pending.as_mut().map(|p| &mut p.change)
+        if let Some(Change::Hitless {
+            txn,
+            await_decision,
+            ..
+        }) = self.pending.as_mut().map(|p| &mut p.change)
         {
             *txn = Some(tag);
             *await_decision = true;
@@ -494,7 +514,9 @@ impl Device {
         let plan = target.into_plan(self.program())?;
         self.check_kind(plan.target.bundle().program.kind)?;
         if let Some(header) = &plan.redefined_header {
-            return Err(FlexError::LiveHeaderRedefined { header: header.clone() });
+            return Err(FlexError::LiveHeaderRedefined {
+                header: header.clone(),
+            });
         }
         let duration = self.cost_model().plan_duration(&plan.ops);
         let report = |outcome| ReconfigReport {
@@ -636,10 +658,15 @@ pub(crate) fn commit_if_ready(dev: &mut Device, now: SimTime) {
         }
         // 2PC in-doubt shadow: the flip is withheld until the coordinator
         // (or its recovery successor) decides.
-        Change::Hitless { await_decision: true, .. } => {}
+        Change::Hitless {
+            await_decision: true,
+            ..
+        } => {}
         _ if now < pending.ready_at => {}
         _ => match dev.pending.take().map(|p| p.change) {
-            Some(Change::Hitless { mut shadow, flip, .. }) => {
+            Some(Change::Hitless {
+                mut shadow, flip, ..
+            }) => {
                 // Atomic flip: packets before this instant saw the old
                 // program, packets after see the new one, which starts from
                 // the state and entries the old one holds now.
@@ -690,7 +717,11 @@ mod tests {
     }
 
     fn empty() -> Device {
-        Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable)
+        Device::new(
+            NodeId(1),
+            Architecture::drmt_default(),
+            StateEncoding::StatefulTable,
+        )
     }
 
     fn dev() -> Device {
@@ -718,9 +749,14 @@ mod tests {
     fn warmed_up() -> Device {
         let mut d = empty();
         d.install(stateful_base()).unwrap();
-        d.process(&mut Packet::tcp(1, 9, 2, 3, 4, 0), SimTime::ZERO).unwrap();
-        let deny = flexnet_lang::ast::ActionCall { action: "deny".into(), args: vec![] };
-        d.add_entry("t", crate::table::TableEntry::exact(&[9], deny)).unwrap();
+        d.process(&mut Packet::tcp(1, 9, 2, 3, 4, 0), SimTime::ZERO)
+            .unwrap();
+        let deny = flexnet_lang::ast::ActionCall {
+            action: "deny".into(),
+            args: vec![],
+        };
+        d.add_entry("t", crate::table::TableEntry::exact(&[9], deny))
+            .unwrap();
         d
     }
 
@@ -809,7 +845,8 @@ mod tests {
         d.tick(SimTime::from_secs(100));
         assert!(!d.reconfig_in_progress());
         // Now a new one is accepted.
-        d.begin_runtime_reconfig(v1(), SimTime::from_secs(100)).unwrap();
+        d.begin_runtime_reconfig(v1(), SimTime::from_secs(100))
+            .unwrap();
     }
 
     #[test]
@@ -824,13 +861,24 @@ mod tests {
         d.install(with("x: 8;")).unwrap();
         let footprint = |d: &Device| (format!("{:?}", d.parser()), d.used(), d.version());
         let before = footprint(&d);
-        let err = d.begin_runtime_reconfig(with("x: 8; y: 8;"), SimTime::ZERO).unwrap_err();
-        assert_eq!(err, FlexError::LiveHeaderRedefined { header: "foo".into() });
+        let err = d
+            .begin_runtime_reconfig(with("x: 8; y: 8;"), SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FlexError::LiveHeaderRedefined {
+                header: "foo".into()
+            }
+        );
         let why = err.to_string();
         let names = ["`foo`", "old-XOR-new", "reflash"];
         assert!(names.iter().all(|n| why.contains(n)), "{why}");
         assert!(!d.reconfig_in_progress());
-        assert_eq!(footprint(&d), before, "parser, placement and version untouched");
+        assert_eq!(
+            footprint(&d),
+            before,
+            "parser, placement and version untouched"
+        );
         assert_eq!(d.program().unwrap().bundle(), &with("x: 8;"));
 
         let report = d.begin_reflash(with("x: 8; y: 8;"), SimTime::ZERO).unwrap();
@@ -893,7 +941,8 @@ mod tests {
         d.tick(SimTime::from_secs(100));
         assert_eq!(d.version(), version_before);
         // And a fresh reconfiguration is accepted.
-        d.begin_runtime_reconfig(v2(), SimTime::from_secs(100)).unwrap();
+        d.begin_runtime_reconfig(v2(), SimTime::from_secs(100))
+            .unwrap();
     }
 
     #[test]
@@ -909,7 +958,10 @@ mod tests {
 
         d.abort_reconfig(mid).unwrap();
         assert!(!d.program().unwrap().state.has("c"), "mutation rolled back");
-        assert_eq!(d.program().unwrap().bundle().program, bundle_expected.program);
+        assert_eq!(
+            d.program().unwrap().bundle().program,
+            bundle_expected.program
+        );
     }
 
     #[test]
@@ -950,7 +1002,10 @@ mod tests {
     #[test]
     fn prepared_txn_shadow_never_flips_without_a_decision() {
         let mut d = dev();
-        let tag = TxnTag { txn_id: 7, epoch: 1 };
+        let tag = TxnTag {
+            txn_id: 7,
+            epoch: 1,
+        };
         let rep = d.prepare_txn_reconfig(v2(), SimTime::ZERO, tag).unwrap();
         assert_eq!(rep.outcome, ReconfigOutcome::InFlight);
         assert_eq!(d.txn_in_doubt(), Some(tag));
@@ -973,7 +1028,10 @@ mod tests {
     #[test]
     fn duplicate_prepare_is_reacked_not_reapplied() {
         let mut d = dev();
-        let tag = TxnTag { txn_id: 7, epoch: 1 };
+        let tag = TxnTag {
+            txn_id: 7,
+            epoch: 1,
+        };
         let first = d.prepare_txn_reconfig(v2(), SimTime::ZERO, tag).unwrap();
         let v_before = d.version();
         // A duplicated fabric delivery of the same prepare, arbitrarily
@@ -992,7 +1050,10 @@ mod tests {
         d.tick(first.ready_at);
         assert!(!d.reconfig_in_progress());
         // A *different* transaction's prepare still conflicts.
-        let other = TxnTag { txn_id: 8, epoch: 1 };
+        let other = TxnTag {
+            txn_id: 8,
+            epoch: 1,
+        };
         d.prepare_txn_reconfig(v1(), SimTime::from_secs(1), other)
             .unwrap();
         assert!(d
@@ -1031,7 +1092,10 @@ mod tests {
     #[test]
     fn txn_abort_is_idempotent_and_exact() {
         let mut d = dev();
-        let tag = TxnTag { txn_id: 3, epoch: 2 };
+        let tag = TxnTag {
+            txn_id: 3,
+            epoch: 2,
+        };
         d.prepare_txn_reconfig(v2(), SimTime::ZERO, tag).unwrap();
         let rep = d.abort_txn(tag, SimTime::from_millis(1)).unwrap();
         assert_eq!(rep.unwrap().outcome, ReconfigOutcome::Aborted);
@@ -1043,8 +1107,14 @@ mod tests {
     #[test]
     fn txn_commands_respect_ownership() {
         let mut d = dev();
-        let mine = TxnTag { txn_id: 1, epoch: 1 };
-        let theirs = TxnTag { txn_id: 2, epoch: 1 };
+        let mine = TxnTag {
+            txn_id: 1,
+            epoch: 1,
+        };
+        let theirs = TxnTag {
+            txn_id: 2,
+            epoch: 1,
+        };
         d.prepare_txn_reconfig(v2(), SimTime::ZERO, mine).unwrap();
         // Another transaction can neither commit nor abort my shadow.
         assert!(matches!(
@@ -1058,7 +1128,8 @@ mod tests {
         assert!(d.reconfig_in_progress(), "shadow untouched");
         // And a non-transactional pending shadow rejects txn decisions.
         d.abort_txn(mine, SimTime::from_secs(1)).unwrap();
-        d.begin_runtime_reconfig(v2(), SimTime::from_secs(2)).unwrap();
+        d.begin_runtime_reconfig(v2(), SimTime::from_secs(2))
+            .unwrap();
         assert!(matches!(
             d.commit_txn(mine, SimTime::from_secs(3)),
             Err(FlexError::Conflict(_))
@@ -1072,7 +1143,10 @@ mod tests {
         assert_eq!(d.fence(), 5);
         // Same epoch is fine (the fence is monotone, not strictly rising).
         d.observe_epoch(5).unwrap();
-        let zombie = TxnTag { txn_id: 9, epoch: 4 };
+        let zombie = TxnTag {
+            txn_id: 9,
+            epoch: 4,
+        };
         assert!(matches!(
             d.prepare_txn_reconfig(v2(), SimTime::ZERO, zombie),
             Err(FlexError::Fenced { seen: 5, got: 4 })
@@ -1087,7 +1161,10 @@ mod tests {
         ));
         assert!(!d.reconfig_in_progress(), "zombie changed nothing");
         // A newer coordinator raises the fence through its commands.
-        let fresh = TxnTag { txn_id: 9, epoch: 6 };
+        let fresh = TxnTag {
+            txn_id: 9,
+            epoch: 6,
+        };
         d.prepare_txn_reconfig(v2(), SimTime::ZERO, fresh).unwrap();
         assert_eq!(d.fence(), 6);
     }
@@ -1096,7 +1173,10 @@ mod tests {
     fn fence_survives_crash_and_restart() {
         let mut d = dev();
         d.observe_epoch(3).unwrap();
-        let tag = TxnTag { txn_id: 1, epoch: 3 };
+        let tag = TxnTag {
+            txn_id: 1,
+            epoch: 3,
+        };
         d.prepare_txn_reconfig(v2(), SimTime::ZERO, tag).unwrap();
         d.crash(SimTime::from_millis(1));
         d.restart(SimTime::from_millis(2)).unwrap();
@@ -1117,7 +1197,9 @@ mod tests {
         assert!(!d.reconfig_in_progress(), "shadow lost with the crash");
         let mut pkt = Packet::udp(1, 1, 2, 3, 4);
         assert!(d.process(&mut pkt, SimTime::from_millis(2)).is_err());
-        assert!(d.begin_runtime_reconfig(v2(), SimTime::from_millis(2)).is_err());
+        assert!(d
+            .begin_runtime_reconfig(v2(), SimTime::from_millis(2))
+            .is_err());
         assert!(d.install(v2()).is_err());
     }
 

@@ -138,8 +138,15 @@ impl StampedStore {
     /// order would: the `cap` largest keys, stamped in key order.
     fn refill(&mut self, from: &StampedStore) {
         let n = from.entries.len();
-        let kept = || from.entries.iter().enumerate().skip(n.saturating_sub(self.cap));
-        self.entries = kept().map(|(i, (k, (v, _)))| (*k, (*v, i as u64))).collect();
+        let kept = || {
+            from.entries
+                .iter()
+                .enumerate()
+                .skip(n.saturating_sub(self.cap))
+        };
+        self.entries = kept()
+            .map(|(i, (k, (v, _)))| (*k, (*v, i as u64)))
+            .collect();
         self.by_stamp = kept().map(|(i, (k, _))| (i as u64, *k)).collect();
         self.next_stamp = n as u64;
     }
@@ -148,7 +155,9 @@ impl StampedStore {
 /// One logical map under a specific encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum MapStore {
-    Registers { slots: Vec<Option<(u64, u64)>> },
+    Registers {
+        slots: Vec<Option<(u64, u64)>>,
+    },
     /// FIFO eviction.
     FlowIs(StampedStore),
     /// LRU eviction.
@@ -419,9 +428,7 @@ impl DeviceState {
     ) -> DeviceState {
         let remade;
         let outgoing = match (outgoing, carry) {
-            (Some(old), Some(carry)) if Arc::ptr_eq(&carry.from, &old.layout) => {
-                Some((old, carry))
-            }
+            (Some(old), Some(carry)) if Arc::ptr_eq(&carry.from, &old.layout) => Some((old, carry)),
             (Some(old), _) => {
                 remade = CarryMap::between(&old.layout, &layout);
                 Some((old, &remade))
@@ -444,9 +451,8 @@ impl DeviceState {
         });
         let counters =
             (0..counters.len()).map(|i| source(COUNTER, i).map_or((0, 0), |(o, s)| o.counters[s]));
-        let meters = (0..meters.len()).map(|i| {
-            source(METER, i).map_or_else(MeterBuckets::new, |(o, s)| o.meters[s].clone())
-        });
+        let meters = (0..meters.len())
+            .map(|i| source(METER, i).map_or_else(MeterBuckets::new, |(o, s)| o.meters[s].clone()));
         DeviceState {
             maps: maps.collect(),
             registers: registers.collect(),
@@ -587,8 +593,12 @@ impl DeviceState {
             counters.insert(DROPPED_INSERTS.to_string(), (self.dropped_inserts, 0));
         }
         LogicalState {
-            maps: named(MAP).zip(self.maps.iter().map(MapStore::to_logical)).collect(),
-            registers: named(REGISTER).zip(self.registers.iter().cloned()).collect(),
+            maps: named(MAP)
+                .zip(self.maps.iter().map(MapStore::to_logical))
+                .collect(),
+            registers: named(REGISTER)
+                .zip(self.registers.iter().cloned())
+                .collect(),
             counters,
         }
     }
@@ -631,7 +641,10 @@ impl DeviceState {
     /// Reads a register cell.
     pub fn reg_read(&self, reg: &str, idx: u64) -> u64 {
         let cells = self.layout.slot(REGISTER, reg).map(|s| &self.registers[s]);
-        cells.and_then(|r| r.get(idx as usize)).copied().unwrap_or(0)
+        cells
+            .and_then(|r| r.get(idx as usize))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Reads a counter's packet count (`__dropped_inserts`: the register
@@ -777,7 +790,10 @@ mod tests {
 
     #[test]
     fn exact_encodings_store_and_delete() {
-        for enc in [StateEncoding::FlowInstructionSet, StateEncoding::StatefulTable] {
+        for enc in [
+            StateEncoding::FlowInstructionSet,
+            StateEncoding::StatefulTable,
+        ] {
             let mut s = DeviceState::from_decls(&[map_decl("m", 4)], enc);
             let m = s.map_slot("m").unwrap();
             s.map_put_at(m, 1, 10);
@@ -798,14 +814,16 @@ mod tests {
         for k in 0..16 {
             s.map_put_at(m, k, k);
         }
-        assert!(s.counter_read("__dropped_inserts") > 0, "register encoding must drop colliding inserts");
+        assert!(
+            s.counter_read("__dropped_inserts") > 0,
+            "register encoding must drop colliding inserts"
+        );
         assert!(s.map_len("m") <= 2);
     }
 
     #[test]
     fn flow_is_evicts_fifo() {
-        let mut s =
-            DeviceState::from_decls(&[map_decl("m", 2)], StateEncoding::FlowInstructionSet);
+        let mut s = DeviceState::from_decls(&[map_decl("m", 2)], StateEncoding::FlowInstructionSet);
         let m = s.map_slot("m").unwrap();
         s.map_put_at(m, 1, 1);
         s.map_put_at(m, 2, 2);
@@ -912,7 +930,10 @@ mod tests {
                 for fresh in 0..2 * cap as u64 {
                     new.put(keys + fresh, 0, lru);
                     old.put(keys + fresh, 0, lru);
-                    assert!(same_survivors(&new, &old), "cap {cap} lru {lru} fill {fresh}");
+                    assert!(
+                        same_survivors(&new, &old),
+                        "cap {cap} lru {lru} fill {fresh}"
+                    );
                 }
                 assert_eq!(new.to_logical(), old.entries);
             }
@@ -921,7 +942,10 @@ mod tests {
 
     #[test]
     fn snapshot_restore_keeps_survivors_under_both_exact_encodings() {
-        for enc in [StateEncoding::FlowInstructionSet, StateEncoding::StatefulTable] {
+        for enc in [
+            StateEncoding::FlowInstructionSet,
+            StateEncoding::StatefulTable,
+        ] {
             let mut s = DeviceState::from_decls(&[map_decl("m", 3)], enc);
             let m = s.map_slot("m").unwrap();
             for k in 0..5 {
@@ -940,18 +964,25 @@ mod tests {
     #[test]
     fn registers_and_counters() {
         let mut s = DeviceState::from_decls(
-            &[reg_decl("r", 4), StateDecl {
-                name: "c".into(),
-                kind: StateKind::Counter,
-                size: 1,
-            }.into()],
+            &[
+                reg_decl("r", 4),
+                StateDecl {
+                    name: "c".into(),
+                    kind: StateKind::Counter,
+                    size: 1,
+                }
+                .into(),
+            ],
             StateEncoding::StatefulTable,
         );
         let (r, c) = (s.register_slot("r").unwrap(), s.counter_slot("c").unwrap());
         s.reg_write_at_checked(r, 2, 99).unwrap();
         assert_eq!(s.reg_read("r", 2), 99);
         assert_eq!(s.reg_read("r", 9), 0, "out of range reads 0");
-        assert!(s.reg_read_at_checked(r, 9).is_err(), "the packet path traps instead");
+        assert!(
+            s.reg_read_at_checked(r, 9).is_err(),
+            "the packet path traps instead"
+        );
         s.counter_add_at(c, 2, 100);
         assert_eq!(s.counter_read("c"), 2);
     }
@@ -966,7 +997,8 @@ mod tests {
                     burst: 2,
                 },
                 size: 1,
-            }.into()],
+            }
+            .into()],
             StateEncoding::StatefulTable,
         );
         let lim = s.meter_slot("lim").unwrap();
@@ -982,8 +1014,10 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trip() {
-        let mut a =
-            DeviceState::from_decls(&[map_decl("m", 8), reg_decl("r", 4)], StateEncoding::StatefulTable);
+        let mut a = DeviceState::from_decls(
+            &[map_decl("m", 8), reg_decl("r", 4)],
+            StateEncoding::StatefulTable,
+        );
         a.map_put_at(0, 5, 50);
         a.reg_write_at_checked(0, 1, 11).unwrap();
 
@@ -1006,7 +1040,8 @@ mod tests {
             kind: StateKind::Counter,
             size: 1,
         });
-        let mut a = DeviceState::from_decls(std::slice::from_ref(&decl), StateEncoding::StatefulTable);
+        let mut a =
+            DeviceState::from_decls(std::slice::from_ref(&decl), StateEncoding::StatefulTable);
         a.counter_add_at(0, 5, 500);
         let snap = a.snapshot();
         let mut b = DeviceState::from_decls(&[decl], StateEncoding::StatefulTable);
@@ -1043,7 +1078,8 @@ mod tests {
                     name: "c".into(),
                     kind: StateKind::Counter,
                     size: 1,
-                }.into(),
+                }
+                .into(),
             ],
             StateEncoding::StatefulTable,
         );

@@ -333,7 +333,12 @@ impl TableInstance {
                 self.decl.name, self.decl.size
             )));
         }
-        if !self.decl.actions.iter().any(|a| a.name == entry.action.action) {
+        if !self
+            .decl
+            .actions
+            .iter()
+            .any(|a| a.name == entry.action.action)
+        {
             return Err(FlexError::Reconfig(format!(
                 "table `{}` has no action `{}`",
                 self.decl.name, entry.action.action
@@ -730,7 +735,11 @@ mod tests {
             action: go(2),
         })
         .unwrap();
-        assert_eq!(t.lookup(&[0x81]).unwrap().action, go(2), "high priority wins");
+        assert_eq!(
+            t.lookup(&[0x81]).unwrap().action,
+            go(2),
+            "high priority wins"
+        );
         assert_eq!(t.lookup(&[0x01]).unwrap().action, go(1), "fallback matches");
     }
 
@@ -788,7 +797,10 @@ mod tests {
     #[test]
     fn set_entries_builds_what_inserting_builds_and_a_refusal_changes_nothing() {
         let d = decl("t", &[MatchKind::Exact], 2);
-        let (a, b) = (TableEntry::exact(&[1], go(1)), TableEntry::exact(&[2], go(2)));
+        let (a, b) = (
+            TableEntry::exact(&[1], go(1)),
+            TableEntry::exact(&[2], go(2)),
+        );
         let mut inserted = TableInstance::new(d.clone());
         inserted.insert(a.clone()).unwrap();
         inserted.insert(b.clone()).unwrap();
@@ -802,7 +814,10 @@ mod tests {
         assert_ne!(set.digest(), stale, "the memo was forgotten");
         assert_eq!(set.digest(), inserted.digest());
         let before = set.clone();
-        assert!(set.set_entries(&[a.clone(), b, a]).is_err(), "over capacity");
+        assert!(
+            set.set_entries(&[a.clone(), b, a]).is_err(),
+            "over capacity"
+        );
         assert_eq!(set, before);
         assert_eq!(set.digest(), before.digest());
     }
@@ -865,16 +880,15 @@ mod tests {
         // original O(entries × keys) scan including its tie-break.
         let mut x: u64 = 0x3DF0_77FA_23C1_55A1;
         let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         for round in 0..40 {
             let all_exact = round % 2 == 0;
-            let mut t = TableInstance::new(decl(
-                "t",
-                &[MatchKind::Ternary, MatchKind::Ternary],
-                64,
-            ));
+            let mut t =
+                TableInstance::new(decl("t", &[MatchKind::Ternary, MatchKind::Ternary], 64));
             for _ in 0..24 {
                 let m = |r: u64| -> KeyMatch {
                     if all_exact {
@@ -991,17 +1005,16 @@ mod tests {
         // the hash-indexed and ordered-scan table shapes.
         let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut rng = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         let mut hits = vec![];
         for round in 0..40 {
             let all_exact = round % 2 == 0;
-            let mut t = TableInstance::new(decl(
-                "t",
-                &[MatchKind::Ternary, MatchKind::Ternary],
-                64,
-            ));
+            let mut t =
+                TableInstance::new(decl("t", &[MatchKind::Ternary, MatchKind::Ternary], 64));
             for _ in 0..24 {
                 let m = |r: u64| -> KeyMatch {
                     if all_exact {
@@ -1058,7 +1071,10 @@ mod tests {
     fn the_exact_index_hasher_is_keyed_and_spreads_structured_keys() {
         let index = |arity: usize| {
             let t = TableInstance::new(decl("t", &vec![MatchKind::Exact; arity], 8));
-            t.exact.expect("an empty table is all-exact").hasher().clone()
+            t.exact
+                .expect("an empty table is all-exact")
+                .hasher()
+                .clone()
         };
         // Sequential keys, a 2³² stride and top-byte-only differences, at
         // arity 1 and 2: no two distinct tuples share a 64-bit hash.
@@ -1075,10 +1091,16 @@ mod tests {
                     words[2 - arity..].to_vec()
                 };
                 let tuples: std::collections::BTreeSet<Vec<u64>> = (0..4096).map(tuple).collect();
-                let hashes: std::collections::BTreeSet<u64> =
-                    tuples.iter().map(|t| hasher.hash_one(t.as_slice())).collect();
+                let hashes: std::collections::BTreeSet<u64> = tuples
+                    .iter()
+                    .map(|t| hasher.hash_one(t.as_slice()))
+                    .collect();
                 // 4 096 tuples each, but for the 256 a lone top byte takes.
-                let want = if (family, arity) == ("top byte", 1) { 256 } else { 4096 };
+                let want = if (family, arity) == ("top byte", 1) {
+                    256
+                } else {
+                    4096
+                };
                 assert_eq!(tuples.len(), want, "{family}/{arity}");
                 assert_eq!(hashes.len(), want, "{family}/{arity}: colliding hashes");
             }

@@ -115,7 +115,9 @@ fn be16(b: &[u8], off: usize) -> u64 {
 
 /// Reads a big-endian u32 at `off`.
 fn be32(b: &[u8], off: usize) -> u64 {
-    ((b[off] as u64) << 24) | ((b[off + 1] as u64) << 16) | ((b[off + 2] as u64) << 8)
+    ((b[off] as u64) << 24)
+        | ((b[off + 1] as u64) << 16)
+        | ((b[off + 2] as u64) << 8)
         | b[off + 3] as u64
 }
 
@@ -140,7 +142,10 @@ pub fn parse_wire(bytes: &[u8], id: u64) -> Result<Packet> {
     let mut off = 0usize;
 
     if bytes.len() < 14 {
-        return Err(trap(format!("ethernet frame truncated (len {})", bytes.len())));
+        return Err(trap(format!(
+            "ethernet frame truncated (len {})",
+            bytes.len()
+        )));
     }
     let dst = be48(bytes, 0);
     let src = be48(bytes, 6);

@@ -279,7 +279,10 @@ mod footprint {
     fn bundle(src: &str) -> ProgramBundle {
         let file = parse_source(src).unwrap();
         let program = file.programs.into_iter().next().unwrap();
-        ProgramBundle { headers: file.headers, program }
+        ProgramBundle {
+            headers: file.headers,
+            program,
+        }
     }
 
     fn device(arch: Architecture) -> Device {
@@ -288,7 +291,10 @@ mod footprint {
 
     /// Placed names (parser states included) and resources in use.
     fn footprint(d: &Device) -> (Vec<String>, ResourceVec) {
-        (d.allocator().placed().map(str::to_owned).collect(), d.used())
+        (
+            d.allocator().placed().map(str::to_owned).collect(),
+            d.used(),
+        )
     }
 
     /// A dRMT device running `src`.
@@ -336,11 +342,16 @@ mod footprint {
         let mut d = running(A);
         let at = flip_to(&mut d, ROGUE, SimTime::ZERO);
         for i in 0..16u64 {
-            d.process(&mut Packet::tcp(i, i as u32, 20, 1, 80, 0), at).unwrap();
+            d.process(&mut Packet::tcp(i, i as u32, 20, 1, 80, 0), at)
+                .unwrap();
         }
         assert!(d.quarantined());
         assert_eq!(d.program().unwrap().bundle(), &bundle(A));
-        assert_eq!(footprint(&d), installed(A), "A's placement, not the rogue's");
+        assert_eq!(
+            footprint(&d),
+            installed(A),
+            "A's placement, not the rogue's"
+        );
         // The rogue's `tb` is gone, so a change that adds it back is admitted.
         flip_to(&mut d, B, at + SimDuration::from_secs(1));
         assert_eq!(footprint(&d), installed(B));
@@ -351,7 +362,11 @@ mod footprint {
         let mut d = running(A);
         flip_to(&mut d, B, SimTime::ZERO);
         assert_eq!(footprint(&d), installed(B));
-        assert_eq!(installed(B).0, ["c", "foo", "ingress", "tb"], "the parser state is placed");
+        assert_eq!(
+            installed(B).0,
+            ["c", "foo", "ingress", "tb"],
+            "the parser state is placed"
+        );
         assert!(d.parser().can_parse("foo"));
         // And back: the flip frees and un-parses what it removes.
         flip_to(&mut d, A, SimTime::from_secs(1));
@@ -361,14 +376,23 @@ mod footprint {
 
     #[test]
     fn every_entry_refuses_a_kind_the_device_does_not_run() {
-        let refused = |e: FlexError| matches!(e, FlexError::Compile(m) if m.contains("not supported"));
+        let refused =
+            |e: FlexError| matches!(e, FlexError::Compile(m) if m.contains("not supported"));
         let mut d = device(Architecture::host_default());
         d.install(bundle(A)).unwrap();
         let before = (footprint(&d), d.version());
         assert!(refused(d.install(bundle(SWITCH)).unwrap_err()));
-        assert!(refused(d.begin_runtime_reconfig(bundle(SWITCH), SimTime::ZERO).unwrap_err()));
-        assert!(refused(d.begin_reflash(bundle(SWITCH), SimTime::ZERO).unwrap_err()));
-        assert_eq!((d.reconfig_in_progress(), footprint(&d), d.version()), (false, before.0, before.1));
+        assert!(refused(
+            d.begin_runtime_reconfig(bundle(SWITCH), SimTime::ZERO)
+                .unwrap_err()
+        ));
+        assert!(refused(
+            d.begin_reflash(bundle(SWITCH), SimTime::ZERO).unwrap_err()
+        ));
+        assert_eq!(
+            (d.reconfig_in_progress(), footprint(&d), d.version()),
+            (false, before.0, before.1)
+        );
     }
 
     /// With nothing pending, the device holds what a fresh device of its
@@ -378,15 +402,31 @@ mod footprint {
         if d.reconfig_in_progress() {
             return Ok(());
         }
-        let mut fresh = Device::new(NodeId(9), d.architecture().clone(), StateEncoding::StatefulTable);
+        let mut fresh = Device::new(
+            NodeId(9),
+            d.architecture().clone(),
+            StateEncoding::StatefulTable,
+        );
         if let Some(p) = d.program() {
-            fresh.install(p.bundle().clone()).map_err(|e| format!("fresh install: {e}"))?;
+            fresh
+                .install(p.bundle().clone())
+                .map_err(|e| format!("fresh install: {e}"))?;
         }
         if footprint(d) != footprint(&fresh) {
-            return Err(format!("holds {:?}, a fresh install {:?}", footprint(d), footprint(&fresh)));
+            return Err(format!(
+                "holds {:?}, a fresh install {:?}",
+                footprint(d),
+                footprint(&fresh)
+            ));
         }
-        let declared = |h| d.program().is_some_and(|p| p.bundle().headers.iter().any(|x| x.name == h));
-        match HEADERS.into_iter().find(|h| d.parser().can_parse(h) != declared(*h)) {
+        let declared = |h| {
+            d.program()
+                .is_some_and(|p| p.bundle().headers.iter().any(|x| x.name == h))
+        };
+        match HEADERS
+            .into_iter()
+            .find(|h| d.parser().can_parse(h) != declared(*h))
+        {
             Some(h) => Err(format!("parses `{h}`: {}", d.parser().can_parse(h))),
             None => Ok(()),
         }
@@ -396,7 +436,11 @@ mod footprint {
     /// crashes and trap storms on one device, checked after every step.
     fn history(seed: u64) -> Result<(), String> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let archs = [Architecture::drmt_default(), Architecture::tiled_default(), Architecture::host_default()];
+        let archs = [
+            Architecture::drmt_default(),
+            Architecture::tiled_default(),
+            Architecture::host_default(),
+        ];
         let mut d = device(archs[rng.gen_range(0..archs.len())].clone());
         let (mut now, mut txn, mut log) = (SimTime::from_secs(1), 0, Vec::new());
         for _ in 0..40 {
@@ -406,14 +450,23 @@ mod footprint {
             let tag = |txn_id| TxnTag { txn_id, epoch: 1 };
             let step = match rng.gen_range(0..12u64) {
                 0 | 1 => format!("install {name}: {}", d.install(target).is_ok()),
-                2 | 3 => format!("hitless {name}: {}", d.begin_runtime_reconfig(target, now).is_ok()),
+                2 | 3 => format!(
+                    "hitless {name}: {}",
+                    d.begin_runtime_reconfig(target, now).is_ok()
+                ),
                 4 => format!("abort: {}", d.abort_reconfig(now).is_ok()),
                 5 => {
                     txn += 1;
-                    format!("prepare {name}: {}", d.prepare_txn_reconfig(target, now, tag(txn)).is_ok())
+                    format!(
+                        "prepare {name}: {}",
+                        d.prepare_txn_reconfig(target, now, tag(txn)).is_ok()
+                    )
                 }
                 6 => format!("commit: {:?}", d.commit_txn(tag(txn), now)),
-                7 => format!("abort txn: {:?}", d.abort_txn(tag(txn), now).map(|r| r.is_some())),
+                7 => format!(
+                    "abort txn: {:?}",
+                    d.abort_txn(tag(txn), now).map(|r| r.is_some())
+                ),
                 8 => format!("reflash {name}: {}", d.begin_reflash(target, now).is_ok()),
                 9 => {
                     d.crash(now);
@@ -434,7 +487,13 @@ mod footprint {
             };
             now += SimDuration::from_millis(rng.gen_range(0..400u64));
             log.push(step);
-            check(&d).map_err(|e| format!("seed {seed}, {}: {e}\n  {}", d.arch_class(), log.join("\n  ")))?;
+            check(&d).map_err(|e| {
+                format!(
+                    "seed {seed}, {}: {e}\n  {}",
+                    d.arch_class(),
+                    log.join("\n  ")
+                )
+            })?;
         }
         Ok(())
     }

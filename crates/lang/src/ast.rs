@@ -565,7 +565,9 @@ impl Expr {
 pub fn visit_names<'a>(block: &'a Block, f: &mut impl FnMut(&'a str)) {
     fn expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
         match e {
-            Expr::MapGet(n, k) | Expr::MapHas(n, k) | Expr::RegRead(n, k)
+            Expr::MapGet(n, k)
+            | Expr::MapHas(n, k)
+            | Expr::RegRead(n, k)
             | Expr::MeterCheck(n, k) => {
                 f(n);
                 expr(k, f);
@@ -582,7 +584,9 @@ pub fn visit_names<'a>(block: &'a Block, f: &mut impl FnMut(&'a str)) {
     }
     for s in block {
         match s {
-            Stmt::Let(_, e) | Stmt::AssignLocal(_, e) | Stmt::AssignField(_, e)
+            Stmt::Let(_, e)
+            | Stmt::AssignLocal(_, e)
+            | Stmt::AssignField(_, e)
             | Stmt::Forward(e) => expr(e, f),
             Stmt::MapPut(n, k, v) | Stmt::RegWrite(n, k, v) => {
                 f(n);
@@ -612,7 +616,9 @@ pub fn visit_names<'a>(block: &'a Block, f: &mut impl FnMut(&'a str)) {
 pub fn visit_names_mut(block: &mut Block, f: &mut impl FnMut(&mut String)) {
     fn expr(e: &mut Expr, f: &mut impl FnMut(&mut String)) {
         match e {
-            Expr::MapGet(n, k) | Expr::MapHas(n, k) | Expr::RegRead(n, k)
+            Expr::MapGet(n, k)
+            | Expr::MapHas(n, k)
+            | Expr::RegRead(n, k)
             | Expr::MeterCheck(n, k) => {
                 f(n);
                 expr(k, f);
@@ -629,7 +635,9 @@ pub fn visit_names_mut(block: &mut Block, f: &mut impl FnMut(&mut String)) {
     }
     for s in block {
         match s {
-            Stmt::Let(_, e) | Stmt::AssignLocal(_, e) | Stmt::AssignField(_, e)
+            Stmt::Let(_, e)
+            | Stmt::AssignLocal(_, e)
+            | Stmt::AssignField(_, e)
             | Stmt::Forward(e) => expr(e, f),
             Stmt::MapPut(n, k, v) | Stmt::RegWrite(n, k, v) => {
                 f(n);
@@ -722,7 +730,9 @@ fn indent<W: fmt::Write>(out: &mut W, depth: usize) -> fmt::Result {
 }
 
 fn write_block<W: fmt::Write>(out: &mut W, block: &Block, depth: usize) -> fmt::Result {
-    block.iter().try_for_each(|stmt| write_stmt(out, stmt, depth))
+    block
+        .iter()
+        .try_for_each(|stmt| write_stmt(out, stmt, depth))
 }
 
 /// `head` `e` `tail`: the shape of every one-expression statement.
@@ -872,7 +882,16 @@ impl Program {
     /// Writes the program's parseable FlexBPF source into `out` — the
     /// bytes of [`Program::to_source`], without building them first.
     pub fn write_source<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        write_all(out, &["program ", &self.name, " kind ", self.kind.keyword(), " {\n"])?;
+        write_all(
+            out,
+            &[
+                "program ",
+                &self.name,
+                " kind ",
+                self.kind.keyword(),
+                " {\n",
+            ],
+        )?;
         for s in &self.states {
             indent(out, 1)?;
             match &s.kind {
@@ -992,13 +1011,16 @@ mod tests {
     #[test]
     fn program_lookups() {
         let mut p = Program::empty("x", ProgramKind::Any);
-        p.tables.push(TableDecl {
-            name: "acl".into(),
-            keys: vec![],
-            actions: vec![],
-            default_action: None,
-            size: 8,
-        }.into());
+        p.tables.push(
+            TableDecl {
+                name: "acl".into(),
+                keys: vec![],
+                actions: vec![],
+                default_action: None,
+                size: 8,
+            }
+            .into(),
+        );
         assert!(p.table("acl").is_some());
         assert!(p.table("nope").is_none());
         assert!(p.state("s").is_none());
@@ -1069,9 +1091,15 @@ mod tests {
         assert_eq!(renamed, want);
         let mut after = Vec::new();
         visit_names(body, &mut |n| after.push(n.to_string()));
-        assert_eq!(after, want.iter().map(|n| format!("r{n}")).collect::<Vec<_>>());
+        assert_eq!(
+            after,
+            want.iter().map(|n| format!("r{n}")).collect::<Vec<_>>()
+        );
         assert_eq!(condition(body).to_string(), "(counter_read(rn17) == x)");
-        assert_eq!(condition(&original.body).to_string(), "(counter_read(n17) == x)");
+        assert_eq!(
+            condition(&original.body).to_string(),
+            "(counter_read(n17) == x)"
+        );
         let mut untouched = Vec::new();
         visit_names(&original.body, &mut |n| untouched.push(n.to_string()));
         assert_eq!(untouched, want);
@@ -1080,18 +1108,24 @@ mod tests {
     #[test]
     fn pretty_printer_emits_program_skeleton() {
         let mut p = Program::empty("fw", ProgramKind::Switch);
-        p.states.push(StateDecl {
-            name: "blocked".into(),
-            kind: StateKind::Map {
-                key_width: 32,
-                value_width: 8,
-            },
-            size: 1024,
-        }.into());
-        p.handlers.push(Handler {
-            name: "ingress".into(),
-            body: vec![Stmt::Forward(Expr::Int(1))],
-        }.into());
+        p.states.push(
+            StateDecl {
+                name: "blocked".into(),
+                kind: StateKind::Map {
+                    key_width: 32,
+                    value_width: 8,
+                },
+                size: 1024,
+            }
+            .into(),
+        );
+        p.handlers.push(
+            Handler {
+                name: "ingress".into(),
+                body: vec![Stmt::Forward(Expr::Int(1))],
+            }
+            .into(),
+        );
         let src = p.to_source();
         assert!(src.contains("program fw kind switch {"));
         assert!(src.contains("map blocked : map<u32, u8>[1024];"));

@@ -375,11 +375,9 @@ pub fn compile(
                 let idx = actions
                     .iter()
                     .position(|a| a.name == call.action)
-                    .ok_or_else(|| {
-                        FlexError::UnresolvedSymbol {
-                            kind: "action".into(),
-                            name: call.action.clone(),
-                        }
+                    .ok_or_else(|| FlexError::UnresolvedSymbol {
+                        kind: "action".into(),
+                        name: call.action.clone(),
                     })?;
                 if actions[idx].arity as usize != call.args.len() {
                     return Err(FlexError::Compile(format!(
@@ -599,11 +597,11 @@ impl Compiler<'_> {
                 self.compile_expr(e)?;
                 self.out.insns.push(Insn::HaltForward);
             }
-            Stmt::Punt => self.out.insns.push(Insn::HaltVerdict(Verdict::ToController)),
-            Stmt::Recirculate => self
+            Stmt::Punt => self
                 .out
                 .insns
-                .push(Insn::HaltVerdict(Verdict::Recirculate)),
+                .push(Insn::HaltVerdict(Verdict::ToController)),
+            Stmt::Recirculate => self.out.insns.push(Insn::HaltVerdict(Verdict::Recirculate)),
             Stmt::Invoke(svc, args) => {
                 for a in args {
                     self.compile_expr(a)?;
@@ -902,7 +900,11 @@ pub fn execute_compiled<E: SlotEnv + ?Sized>(
                 // Resume FNV from the longest prefix shared with the last
                 // `hash()` (a sketch's rows differ only in their salt).
                 let args = &stack[at..];
-                let same = hash_memo.iter().zip(args).take_while(|(m, a)| m.0 == **a).count();
+                let same = hash_memo
+                    .iter()
+                    .zip(args)
+                    .take_while(|(m, a)| m.0 == **a)
+                    .count();
                 hash_memo.truncate(same);
                 let mut h = hash_memo.last().map_or(FNV_OFFSET, |m| m.1);
                 for &v in &args[same..] {

@@ -241,7 +241,8 @@ fn isolate_until_fault(
                     Expr::Int(ext.vlan.0 as u64),
                 )),
             );
-            frag.guards.push(Stmt::If(Arc::new(guard), Arc::new(body), Arc::default()));
+            frag.guards
+                .push(Stmt::If(Arc::new(guard), Arc::new(body), Arc::default()));
         } else {
             // Non-ingress handlers are installed namespaced.
             frag.handlers.push(Arc::new(Handler {
@@ -303,9 +304,8 @@ impl Assembly {
         // one so far — the infrastructure's and the earlier tenants' — is a
         // `provided` entry of the program being built.
         for (written, decl) in &frag.provides {
-            let taken = |s: &Arc<ServiceDecl>| {
-                s.provided && (s.name == *written || s.name == decl.name)
-            };
+            let taken =
+                |s: &Arc<ServiceDecl>| s.provided && (s.name == *written || s.name == decl.name);
             if program.services.iter().any(taken) {
                 return Err(FlexError::Conflict(format!(
                     "tenant {} provides service `{written}` which is already provided",
@@ -520,7 +520,10 @@ mod tests {
             panic!()
         };
         let printed = format!("{guard:?}");
-        assert!(printed.contains("777"), "guard must test the tenant vlan: {printed}");
+        assert!(
+            printed.contains("777"),
+            "guard must test the tenant vlan: {printed}"
+        );
         // Tenant body had its state refs renamed.
         let body_str = format!("{body:?}");
         assert!(body_str.contains("t7_blocked"));
@@ -531,9 +534,7 @@ mod tests {
         let evil = TenantExtension {
             tenant: TenantId(3),
             vlan: VlanId(300),
-            bundle: bundle(
-                "program evil { handler ingress(pkt) { count(total); } }",
-            ),
+            bundle: bundle("program evil { handler ingress(pkt) { count(total); } }"),
         };
         let err = compose(&infra(), &[evil]).unwrap_err();
         assert!(matches!(err, FlexError::Denied(_)), "{err}");
@@ -593,7 +594,11 @@ mod tests {
         };
         let c = compose(&infra(), &[a.clone(), b_same]).unwrap();
         assert_eq!(
-            c.bundle.headers.iter().filter(|h| h.name == "vxlan").count(),
+            c.bundle
+                .headers
+                .iter()
+                .filter(|h| h.name == "vxlan")
+                .count(),
             1
         );
 
@@ -667,7 +672,13 @@ mod tests {
         };
         let c = compose(&infra, &[tenant]).unwrap();
         assert_eq!(c.report.shared_tables, 0);
-        let names: Vec<&str> = c.bundle.program.tables.iter().map(|t| t.name.as_str()).collect();
+        let names: Vec<&str> = c
+            .bundle
+            .program
+            .tables
+            .iter()
+            .map(|t| t.name.as_str())
+            .collect();
         assert_eq!(names, ["t1_a", "t2_a", "t3_a"]);
     }
 
@@ -689,7 +700,10 @@ mod tests {
             ),
         };
         let c = compose(&infra(), &[mk(1, 10), mk(2, 20)]).unwrap();
-        assert_eq!(c.report.shared_tables, 0, "stateful tables must stay isolated");
+        assert_eq!(
+            c.report.shared_tables, 0,
+            "stateful tables must stay isolated"
+        );
     }
 
     #[test]

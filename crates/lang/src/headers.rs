@@ -188,7 +188,10 @@ mod tests {
         let vxlan = builtin("vxlan", &[("vni", 24)], Some(("udp", "dport", 4789)));
         r.register(vxlan.into()).unwrap();
         assert!(r.has_proto("vxlan"));
-        assert_eq!(r.decl("vxlan").unwrap().follows.as_ref().unwrap().value, 4789);
+        assert_eq!(
+            r.decl("vxlan").unwrap().follows.as_ref().unwrap().value,
+            4789
+        );
     }
 
     #[test]

@@ -51,10 +51,7 @@ fn table_key_bits(t: &TableDecl, headers: &HeaderRegistry) -> u64 {
     t.keys
         .iter()
         .map(|k| match &k.field {
-            FieldPath::Header(p, f) => headers
-                .field(p, f)
-                .map(|fd| fd.width as u64)
-                .unwrap_or(32),
+            FieldPath::Header(p, f) => headers.field(p, f).map(|fd| fd.width as u64).unwrap_or(32),
             FieldPath::Meta(_) => 32,
         })
         .sum()
@@ -68,7 +65,9 @@ fn table_key_bits(t: &TableDecl, headers: &HeaderRegistry) -> u64 {
 pub fn table_demand(t: &TableDecl, headers: &HeaderRegistry) -> ResourceVec {
     let key_bits = table_key_bits(t, headers);
     let entry_bits = key_bits + 32;
-    let kib = (t.size.saturating_mul(entry_bits) / 8).div_ceil(1024).max(1);
+    let kib = (t.size.saturating_mul(entry_bits) / 8)
+        .div_ceil(1024)
+        .max(1);
     let mut v = ResourceVec::new();
     if t.needs_tcam() {
         v.set(ResourceKind::TcamKb, kib);
@@ -115,10 +114,7 @@ pub fn handler_demand(h: &Handler) -> ResourceVec {
 pub fn parser_demand(h: &HeaderDecl) -> ResourceVec {
     // One parser TCAM entry per transition into the header, plus one per
     // field extracted (PHV allocation proxy).
-    ResourceVec::of(
-        ResourceKind::ParserEntries,
-        1 + h.fields.len() as u64,
-    )
+    ResourceVec::of(ResourceKind::ParserEntries, 1 + h.fields.len() as u64)
 }
 
 /// The distinct state and table names `blocks` reference, sorted.
@@ -224,10 +220,8 @@ mod tests {
 
     #[test]
     fn exact_table_demands_sram() {
-        let p = parse_program(
-            "program p { table t { key { ipv4.src : exact; } size 1024; } }",
-        )
-        .unwrap();
+        let p = parse_program("program p { table t { key { ipv4.src : exact; } size 1024; } }")
+            .unwrap();
         let d = table_demand(&p.tables[0], &HeaderRegistry::builtins());
         assert!(d.get(ResourceKind::SramKb) > 0);
         assert_eq!(d.get(ResourceKind::TcamKb), 0);
@@ -235,10 +229,8 @@ mod tests {
 
     #[test]
     fn lpm_table_demands_tcam() {
-        let p = parse_program(
-            "program p { table t { key { ipv4.dst : lpm; } size 1024; } }",
-        )
-        .unwrap();
+        let p =
+            parse_program("program p { table t { key { ipv4.dst : lpm; } size 1024; } }").unwrap();
         let d = table_demand(&p.tables[0], &HeaderRegistry::builtins());
         assert_eq!(d.get(ResourceKind::SramKb), 0);
         assert!(d.get(ResourceKind::TcamKb) > 0);
@@ -246,14 +238,11 @@ mod tests {
 
     #[test]
     fn table_demand_scales_with_size() {
-        let small = parse_program(
-            "program p { table t { key { ipv4.src : exact; } size 1024; } }",
-        )
-        .unwrap();
-        let large = parse_program(
-            "program p { table t { key { ipv4.src : exact; } size 65536; } }",
-        )
-        .unwrap();
+        let small = parse_program("program p { table t { key { ipv4.src : exact; } size 1024; } }")
+            .unwrap();
+        let large =
+            parse_program("program p { table t { key { ipv4.src : exact; } size 65536; } }")
+                .unwrap();
         let reg = HeaderRegistry::builtins();
         assert!(
             table_demand(&large.tables[0], &reg).get(ResourceKind::SramKb)
@@ -304,8 +293,14 @@ mod tests {
 
     #[test]
     fn handler_demand_tracks_ops() {
-        let elements =
-            elements("program p { handler h(pkt) { repeat (8) { meta.x = meta.x + 1; } forward(1); } }");
-        assert!(element(&elements, "h").demand.get(ResourceKind::ActionSlots) > 8);
+        let elements = elements(
+            "program p { handler h(pkt) { repeat (8) { meta.x = meta.x + 1; } forward(1); } }",
+        );
+        assert!(
+            element(&elements, "h")
+                .demand
+                .get(ResourceKind::ActionSlots)
+                > 8
+        );
     }
 }

@@ -338,9 +338,9 @@ impl Parser {
             "u16" => Ok(16),
             "u32" => Ok(32),
             "u64" => Ok(64),
-            other => Err(self.error_here(format!(
-                "unknown type `{other}` (expected u8/u16/u32/u64)"
-            ))),
+            other => {
+                Err(self.error_here(format!("unknown type `{other}` (expected u8/u16/u32/u64)")))
+            }
         }
     }
 
@@ -430,9 +430,7 @@ impl Parser {
                         "ternary" => MatchKind::Ternary,
                         "range" => MatchKind::Range,
                         other => {
-                            return Err(self.error_here(format!(
-                                "unknown match kind `{other}`"
-                            )))
+                            return Err(self.error_here(format!("unknown match kind `{other}`")))
                         }
                     };
                     self.expect(&TokenKind::Semi)?;
@@ -687,10 +685,7 @@ impl Parser {
                 return Ok(Stmt::AssignLocal(n, e));
             }
         }
-        Err(self.error_here(format!(
-            "expected a statement, found {}",
-            self.peek().kind
-        )))
+        Err(self.error_here(format!("expected a statement, found {}", self.peek().kind)))
     }
 
     // -- expressions ----------------------------------------------------------
@@ -960,10 +955,8 @@ mod tests {
 
     #[test]
     fn meta_fields_parse_as_meta() {
-        let p = parse_program(
-            "program t { handler h(pkt) { meta.mark = 1; let x = meta.mark; } }",
-        )
-        .unwrap();
+        let p = parse_program("program t { handler h(pkt) { meta.mark = 1; let x = meta.mark; } }")
+            .unwrap();
         assert!(matches!(
             &p.handlers[0].body[0],
             Stmt::AssignField(FieldPath::Meta(f), _) if f == "mark"

@@ -248,9 +248,7 @@ pub fn glob_match(pattern: &str, name: &str) -> bool {
     fn inner(p: &[u8], n: &[u8]) -> bool {
         match (p.first(), n.first()) {
             (None, None) => true,
-            (Some(b'*'), _) => {
-                inner(&p[1..], n) || (!n.is_empty() && inner(p, &n[1..]))
-            }
+            (Some(b'*'), _) => inner(&p[1..], n) || (!n.is_empty() && inner(p, &n[1..])),
             (Some(b'?'), Some(_)) => inner(&p[1..], &n[1..]),
             (Some(a), Some(b)) if a == b => inner(&p[1..], &n[1..]),
             _ => false,
@@ -280,10 +278,14 @@ pub fn apply_patch(base: &ProgramBundle, patch: &Patch) -> Result<ProgramBundle>
 
 fn apply_op(out: &mut ProgramBundle, op: &PatchOp, patch_name: &str) -> Result<()> {
     let missing = |what: &str, name: &str| {
-        FlexError::Patch(format!("patch `{patch_name}`: {what} `{name}` does not exist"))
+        FlexError::Patch(format!(
+            "patch `{patch_name}`: {what} `{name}` does not exist"
+        ))
     };
     let duplicate = |what: &str, name: &str| {
-        FlexError::Patch(format!("patch `{patch_name}`: {what} `{name}` already exists"))
+        FlexError::Patch(format!(
+            "patch `{patch_name}`: {what} `{name}` already exists"
+        ))
     };
     match op {
         PatchOp::AddState(s) => {
@@ -518,8 +520,8 @@ mod tests {
         assert!(apply_patch(&base(), &p).is_err());
         let p = parse_patch("patch x on fw { add counter dropped; }").unwrap();
         assert!(apply_patch(&base(), &p).is_err());
-        let p = parse_patch("patch x on fw { modify handler nope { append { drop(); } } }")
-            .unwrap();
+        let p =
+            parse_patch("patch x on fw { modify handler nope { append { drop(); } } }").unwrap();
         assert!(apply_patch(&base(), &p).is_err());
         let p = parse_patch(
             "patch x on fw { add table t after nope { key { ipv4.src : exact; } size 4; } }",
@@ -538,17 +540,16 @@ mod tests {
 
     #[test]
     fn replace_and_append_handler_modes() {
-        let p = parse_patch(
-            "patch x on fw { modify handler ingress { replace { drop(); } } }",
-        )
-        .unwrap();
+        let p = parse_patch("patch x on fw { modify handler ingress { replace { drop(); } } }")
+            .unwrap();
         let out = apply_patch(&base(), &p).unwrap();
-        assert_eq!(out.program.handler("ingress").unwrap().body, vec![Stmt::Drop]);
+        assert_eq!(
+            out.program.handler("ingress").unwrap().body,
+            vec![Stmt::Drop]
+        );
 
-        let p = parse_patch(
-            "patch x on fw { modify handler ingress { append { punt(); } } }",
-        )
-        .unwrap();
+        let p =
+            parse_patch("patch x on fw { modify handler ingress { append { punt(); } } }").unwrap();
         let out = apply_patch(&base(), &p).unwrap();
         let body = &out.program.handler("ingress").unwrap().body;
         assert!(matches!(body.last(), Some(Stmt::Punt)));
@@ -580,14 +581,17 @@ mod tests {
     #[test]
     fn remove_header_roundtrip() {
         let mut b = base();
-        b.headers.push(HeaderDecl {
-            name: "vxlan".into(),
-            fields: vec![FieldDecl {
-                name: "vni".into(),
-                width: 24,
-            }],
-            follows: None,
-        }.into());
+        b.headers.push(
+            HeaderDecl {
+                name: "vxlan".into(),
+                fields: vec![FieldDecl {
+                    name: "vni".into(),
+                    width: 24,
+                }],
+                follows: None,
+            }
+            .into(),
+        );
         let p = parse_patch("patch x on fw { remove header vxlan; }").unwrap();
         let out = apply_patch(&b, &p).unwrap();
         assert!(out.headers.is_empty());

@@ -86,9 +86,7 @@ impl<'a> Checker<'a> {
     ) -> Result<&StateDecl> {
         let s = self.state(name)?;
         if !pred(&s.kind) {
-            return Err(FlexError::Type(format!(
-                "state `{name}` is not a {want}"
-            )));
+            return Err(FlexError::Type(format!("state `{name}` is not a {want}")));
         }
         Ok(s)
     }
@@ -202,9 +200,7 @@ impl<'a> Checker<'a> {
                 self.expect_int(k, scope, "map key")
             }
             Stmt::RegWrite(r, i, v) => {
-                self.expect_state_kind(r, "register", |k| {
-                    matches!(k, StateKind::Register { .. })
-                })?;
+                self.expect_state_kind(r, "register", |k| matches!(k, StateKind::Register { .. }))?;
                 self.expect_int(i, scope, "register index")?;
                 self.expect_int(v, scope, "register value")
             }
@@ -215,9 +211,7 @@ impl<'a> Checker<'a> {
             Stmt::If(cond, then, els) => {
                 let t = self.check_expr(cond, scope)?;
                 if t != Ty::Bool {
-                    return Err(FlexError::Type(
-                        "if condition must be boolean".to_string(),
-                    ));
+                    return Err(FlexError::Type("if condition must be boolean".to_string()));
                 }
                 self.check_block(then, scope)?;
                 self.check_block(els, scope)
@@ -295,9 +289,7 @@ impl<'a> Checker<'a> {
                 Ok(Ty::Bool)
             }
             Expr::RegRead(r, i) => {
-                self.expect_state_kind(r, "register", |k| {
-                    matches!(k, StateKind::Register { .. })
-                })?;
+                self.expect_state_kind(r, "register", |k| matches!(k, StateKind::Register { .. }))?;
                 self.expect_int(i, scope, "register index")?;
                 Ok(Ty::Int)
             }
@@ -383,7 +375,10 @@ fn first_repeat<'n>(names: impl Iterator<Item = &'n str>) -> Option<&'n str> {
     // Equal names sort by position: the second of two equal neighbours
     // repeats the first.
     let repeats = by_name.windows(2).filter(|w| w[0].0 == w[1].0);
-    repeats.map(|w| w[1]).min_by_key(|&(_, at)| at).map(|(name, _)| name)
+    repeats
+        .map(|w| w[1])
+        .min_by_key(|&(_, at)| at)
+        .map(|(name, _)| name)
 }
 
 /// The locals in scope, outermost first, named by the program being
@@ -407,7 +402,10 @@ impl<'a> Scope<'a> {
     }
 
     fn lookup(&self, name: &str) -> Option<Ty> {
-        self.locals.iter().find(|(n, _)| *n == name).map(|&(_, ty)| ty)
+        self.locals
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, ty)| ty)
     }
 }
 
@@ -419,7 +417,9 @@ mod tests {
     fn check(src: &str) -> Result<()> {
         let file = parse_source(src)?;
         let registry = HeaderRegistry::with_user_headers(&file.headers)?;
-        file.programs.iter().try_for_each(|p| check_program(p, &registry))
+        file.programs
+            .iter()
+            .try_for_each(|p| check_program(p, &registry))
     }
 
     #[test]
@@ -464,15 +464,13 @@ mod tests {
     #[test]
     fn rejects_kind_confusion() {
         // counting a map
-        assert!(check(
-            "program p { map m : map<u32,u8>[4]; handler h(pkt) { count(m); } }"
-        )
-        .is_err());
+        assert!(
+            check("program p { map m : map<u32,u8>[4]; handler h(pkt) { count(m); } }").is_err()
+        );
         // reading a counter as a register
-        assert!(check(
-            "program p { counter c; handler h(pkt) { let x = reg_read(c, 0); } }"
-        )
-        .is_err());
+        assert!(
+            check("program p { counter c; handler h(pkt) { let x = reg_read(c, 0); } }").is_err()
+        );
     }
 
     #[test]
@@ -481,30 +479,25 @@ mod tests {
         assert!(check("program p { handler h(pkt) { forward(1 == 1); } }").is_err());
         assert!(check("program p { handler h(pkt) { let x = valid(ipv4) + 1; } }").is_err());
         assert!(check("program p { handler h(pkt) { let x = !3; } }").is_err());
-        assert!(
-            check("program p { handler h(pkt) { let b = 1 == 1; let y = ~b; } }").is_err()
-        );
+        assert!(check("program p { handler h(pkt) { let b = 1 == 1; let y = ~b; } }").is_err());
     }
 
     #[test]
     fn rejects_duplicate_names() {
         assert!(check("program p { counter c; counter c; }").is_err());
-        assert!(check(
-            "program p { handler h(pkt) { drop(); } handler h(pkt) { drop(); } }"
-        )
-        .is_err());
-        assert!(check(
-            "program p { counter x; table x { key { ipv4.src : exact; } size 4; } }"
-        )
-        .is_err());
+        assert!(
+            check("program p { handler h(pkt) { drop(); } handler h(pkt) { drop(); } }").is_err()
+        );
+        assert!(
+            check("program p { counter x; table x { key { ipv4.src : exact; } size 4; } }")
+                .is_err()
+        );
     }
 
     #[test]
     fn rejects_shadowing_and_type_changing_assignment() {
         assert!(check("program p { handler h(pkt) { let x = 1; let x = 2; } }").is_err());
-        assert!(
-            check("program p { handler h(pkt) { let x = 1; x = 1 == 1; } }").is_err()
-        );
+        assert!(check("program p { handler h(pkt) { let x = 1; x = 1 == 1; } }").is_err());
         assert!(check("program p { handler h(pkt) { x = 1; } }").is_err());
     }
 
@@ -523,7 +516,10 @@ mod tests {
     #[test]
     fn table_validation() {
         assert!(check("program p { table t { key { ipv4.src : exact; } size 0; } }").is_err());
-        assert!(check("program p { table t { size 4; } }").is_err(), "no keys");
+        assert!(
+            check("program p { table t { size 4; } }").is_err(),
+            "no keys"
+        );
         assert!(check(
             "program p { table t { key { ipv4.src : exact; }
                action a() { drop(); } action a() { drop(); } size 4; } }"

@@ -270,11 +270,7 @@ impl<'a> Verifier<'a> {
     }
 
     fn check_reg_index(&self, reg: &str, idx: &Expr, locals: &Locals<'_>) -> Result<()> {
-        let size = self
-            .program
-            .state(reg)
-            .map(|s| s.size)
-            .unwrap_or(0);
+        let size = self.program.state(reg).map(|s| s.size).unwrap_or(0);
         let r = self.expr_range(idx, locals)?;
         if size == 0 || r.hi >= size {
             return Err(FlexError::Verify(format!(
@@ -449,11 +445,7 @@ fn widen_assigned<'a>(block: &'a Block, locals: &mut Locals<'a>) {
 /// property tests that cross-check the static analysis against the
 /// interpreter: for every packet, the evaluated value must lie within the
 /// computed range.
-pub fn analyze_expr_range(
-    e: &Expr,
-    program: &Program,
-    headers: &HeaderRegistry,
-) -> Result<Range> {
+pub fn analyze_expr_range(e: &Expr, program: &Program, headers: &HeaderRegistry) -> Result<Range> {
     Verifier { program, headers }.expr_range(e, &Locals::default())
 }
 
@@ -644,10 +636,10 @@ mod tests {
 
     #[test]
     fn repeat_bound_enforced() {
-        assert!(verify(
-            "program p { handler h(pkt) { repeat (65) { meta.x = 1; } forward(1); } }"
-        )
-        .is_err());
+        assert!(
+            verify("program p { handler h(pkt) { repeat (65) { meta.x = 1; } forward(1); } }")
+                .is_err()
+        );
     }
 
     #[test]
@@ -737,12 +729,18 @@ mod tests {
             bin_range(BinOp::Add, Range::exactly(3), Range::exactly(4)),
             Range::exactly(7)
         );
-        assert_eq!(bin_range(BinOp::Sub, Range::up_to(4), Range::up_to(9)), full);
+        assert_eq!(
+            bin_range(BinOp::Sub, Range::up_to(4), Range::up_to(9)),
+            full
+        );
         assert_eq!(
             bin_range(BinOp::Shr, Range::up_to(255), Range::exactly(4)),
             Range::up_to(15)
         );
-        assert_eq!(bin_range(BinOp::Div, Range::up_to(100), full), Range::up_to(100));
+        assert_eq!(
+            bin_range(BinOp::Div, Range::up_to(100), full),
+            Range::up_to(100)
+        );
         assert_eq!(
             bin_range(BinOp::Or, Range::up_to(5), Range::up_to(9)),
             Range::up_to(15)

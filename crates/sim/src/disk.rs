@@ -233,7 +233,11 @@ impl SimDisk {
         if self.plan.tear_on_crash {
             // 1..len keeps the tear strictly partial: at least one byte
             // reached the platter, at least one byte did not.
-            let keep = if len == 1 { 1 } else { self.rng.gen_range(1..len) };
+            let keep = if len == 1 {
+                1
+            } else {
+                self.rng.gen_range(1..len)
+            };
             self.stats.torn_crashes += 1;
             self.stats.dropped_bytes += (len - keep) as u64;
             self.synced.extend_from_slice(&self.volatile[..keep]);
@@ -326,7 +330,11 @@ mod tests {
         let synced = d.synced_bytes();
         assert!(synced.starts_with(b"synced"));
         let torn = &synced[6..];
-        assert!(!torn.is_empty() && torn.len() < 16, "torn {} bytes", torn.len());
+        assert!(
+            !torn.is_empty() && torn.len() < 16,
+            "torn {} bytes",
+            torn.len()
+        );
         assert!(b"in-flight-record".starts_with(torn));
         assert_eq!(d.stats().torn_crashes, 1);
     }
@@ -338,7 +346,10 @@ mod tests {
         let err = d.write(b"x").unwrap_err();
         assert!(matches!(
             err,
-            FlexError::Storage(StorageError::NoSpace { needed: 1, capacity: 8 })
+            FlexError::Storage(StorageError::NoSpace {
+                needed: 1,
+                capacity: 8
+            })
         ));
         d.fsync().unwrap();
         assert_eq!(d.synced_bytes(), b"12345678");
@@ -389,11 +400,7 @@ mod tests {
         let at_b = b.rot_byte(&[region]).unwrap();
         assert_eq!(at_a, at_b, "rot draws only from the disk's private rng");
         assert!((16..48).contains(&at_a));
-        let diff: u32 = a
-            .synced_bytes()
-            .iter()
-            .map(|&x| x.count_ones())
-            .sum();
+        let diff: u32 = a.synced_bytes().iter().map(|&x| x.count_ones()).sum();
         assert_eq!(diff, 1, "exactly one bit flipped");
         assert_eq!(a.stats().rotted_bytes, 1);
     }
@@ -405,7 +412,10 @@ mod tests {
         d.fsync().unwrap();
         for _ in 0..200 {
             let at = d.rot_byte(&[3..5, 9..9, 40..44, 60..80]).unwrap();
-            assert!([3..5, 40..44, 60..64].iter().any(|r| r.contains(&at)), "{at}");
+            assert!(
+                [3..5, 40..44, 60..64].iter().any(|r| r.contains(&at)),
+                "{at}"
+            );
         }
     }
 

@@ -12,8 +12,8 @@ use crate::metrics::{LossKind, Metrics};
 use crate::topology::{NodeKind, Topology};
 use crate::workload::Departure;
 use flexnet_dataplane::reconfig::ReconfigReport;
-use flexnet_dataplane::Device;
 use flexnet_dataplane::table::{KeyMatch, TableEntry};
+use flexnet_dataplane::Device;
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_types::{LinkId, NodeId, Packet, SimDuration, SimTime, Sym, Verdict};
 use std::cmp::Reverse;
@@ -584,9 +584,8 @@ impl Simulation {
 
         // Device service (throughput) model: packets queue for the device;
         // bounded waiting, then serialized service time.
-        let service = SimDuration::from_nanos(
-            1_000_000_000 / node.device.cost_model().throughput_pps.max(1),
-        );
+        let service =
+            SimDuration::from_nanos(1_000_000_000 / node.device.cost_model().throughput_pps.max(1));
         let start = now.max(node.busy_until);
         let wait = start.saturating_since(now);
         if wait > DEVICE_QUEUE_BOUND {
@@ -596,7 +595,8 @@ impl Simulation {
 
         let pkt = self.packets.get_mut(slot);
         let result = node.device.process(pkt, now).map_err(|e| {
-            self.errors.push((now, format!("process at {node_id}: {e}")));
+            self.errors
+                .push((now, format!("process at {node_id}: {e}")));
             LossKind::PolicyDrop
         })?;
         let node_kind = node.kind;
@@ -775,8 +775,16 @@ mod tests {
             },
         );
         sim.run_to_completion();
-        let refused = sim.metrics.losses.get(&LossKind::Refused).copied().unwrap_or(0);
-        assert!(refused >= 25_000, "~30s of downtime at 1kpps, got {refused}");
+        let refused = sim
+            .metrics
+            .losses
+            .get(&LossKind::Refused)
+            .copied()
+            .unwrap_or(0);
+        assert!(
+            refused >= 25_000,
+            "~30s of downtime at 1kpps, got {refused}"
+        );
         assert!(sim.metrics.disruption_window().unwrap() > SimDuration::from_secs(20));
     }
 
@@ -824,8 +832,14 @@ mod tests {
     fn hop_limit_breaks_loops() {
         // Two switches explicitly steering to each other forever.
         let mut topo = Topology::new();
-        let a = topo.add_node(NodeKind::Switch, flexnet_dataplane::Architecture::drmt_default());
-        let b = topo.add_node(NodeKind::Switch, flexnet_dataplane::Architecture::drmt_default());
+        let a = topo.add_node(
+            NodeKind::Switch,
+            flexnet_dataplane::Architecture::drmt_default(),
+        );
+        let b = topo.add_node(
+            NodeKind::Switch,
+            flexnet_dataplane::Architecture::drmt_default(),
+        );
         topo.connect(a, 1, b, 1, SimDuration::from_micros(1), 1_000_000_000)
             .unwrap();
         let mut sim = Simulation::new(topo);
@@ -842,7 +856,13 @@ mod tests {
         }
         let mut pkt = Packet::udp(1, 1, 2, 3, 4);
         pkt.metadata.insert("dst_node".into(), 99); // unreachable dst
-        sim.schedule(SimTime::from_millis(1), Command::Inject { node: a, packet: pkt });
+        sim.schedule(
+            SimTime::from_millis(1),
+            Command::Inject {
+                node: a,
+                packet: pkt,
+            },
+        );
         sim.run_to_completion();
         assert_eq!(
             sim.metrics.losses.get(&LossKind::HopLimit).copied(),
@@ -1126,9 +1146,21 @@ mod tests {
         sim.load(generate(&[flow], 1));
         // A program whose handler the device cannot enter fails `process`;
         // a reflashing device refuses; a crashed one is down.
-        sim.schedule(at(20), install(hosts[1], "program h kind any { handler egress(pkt) { drop(); } }"));
+        sim.schedule(
+            at(20),
+            install(
+                hosts[1],
+                "program h kind any { handler egress(pkt) { drop(); } }",
+            ),
+        );
         sim.schedule(at(21), to(hosts[1], 40, hosts[0]));
-        sim.schedule(at(22), install(hosts[1], "program f kind any { handler ingress(pkt) { forward(0); } }"));
+        sim.schedule(
+            at(22),
+            install(
+                hosts[1],
+                "program f kind any { handler ingress(pkt) { forward(0); } }",
+            ),
+        );
         sim.schedule(
             at(30),
             Command::Reflash {
@@ -1144,7 +1176,14 @@ mod tests {
         let lost = |kind| sim.metrics.losses.get(&kind).copied().unwrap_or(0);
         use LossKind::*;
         for kind in [
-            HopLimit, NoRoute, DeviceDown, DeviceOverload, Refused, PolicyDrop, LinkDown, QueueDrop,
+            HopLimit,
+            NoRoute,
+            DeviceDown,
+            DeviceOverload,
+            Refused,
+            PolicyDrop,
+            LinkDown,
+            QueueDrop,
         ] {
             assert!(lost(kind) > 0, "{kind:?}: {:?}", sim.metrics.losses);
         }
@@ -1152,8 +1191,15 @@ mod tests {
         assert!(sim.errors[0].1.starts_with("process at"));
         let m = &sim.metrics;
         assert_eq!(m.sent, m.delivered + m.punted + m.total_lost());
-        assert_eq!(parked(&sim), (0, 0, 0), "a leaked slot is memory a lossy run never returns");
-        assert!(sim.packets.slots.len() > 5_000, "the overload queued thousands at once");
+        assert_eq!(
+            parked(&sim),
+            (0, 0, 0),
+            "a leaked slot is memory a lossy run never returns"
+        );
+        assert!(
+            sim.packets.slots.len() > 5_000,
+            "the overload queued thousands at once"
+        );
     }
 
     #[test]
@@ -1214,10 +1260,13 @@ mod tests {
             Command::AddEntry {
                 node: NodeId(99),
                 table: "t".into(),
-                entry: TableEntry::exact(&[1], flexnet_lang::ast::ActionCall {
-                    action: "a".into(),
-                    args: vec![],
-                }),
+                entry: TableEntry::exact(
+                    &[1],
+                    flexnet_lang::ast::ActionCall {
+                        action: "a".into(),
+                        args: vec![],
+                    },
+                ),
             },
         );
         sim.schedule(
@@ -1227,7 +1276,10 @@ mod tests {
         sim.run_to_completion();
         let errors: Vec<&str> = sim.errors.iter().map(|(_, e)| e.as_str()).collect();
         assert_eq!(errors.len(), 3);
-        assert!(errors[0].starts_with(&format!("install on {sw}: ")), "{errors:?}");
+        assert!(
+            errors[0].starts_with(&format!("install on {sw}: ")),
+            "{errors:?}"
+        );
         // An absent node reads the same whatever the command.
         assert_eq!(errors[1..], ["unknown node node99", "unknown node node98"]);
     }
@@ -1291,7 +1343,10 @@ mod tests {
             },
         );
         sim.schedule(SimTime::from_millis(10), Command::CrashDevice { node: sw });
-        sim.schedule(SimTime::from_millis(20), Command::RestartDevice { node: sw });
+        sim.schedule(
+            SimTime::from_millis(20),
+            Command::RestartDevice { node: sw },
+        );
         sim.run_to_completion();
         assert!(sim.errors.is_empty(), "{:?}", sim.errors);
         let dev = &sim.topo.node(sw).unwrap().device;
@@ -1320,10 +1375,19 @@ mod tests {
         // Two full crash/restart cycles before any reconciliation could
         // run, plus one bogus restart of an already-up device.
         sim.schedule(SimTime::from_millis(10), Command::CrashDevice { node: sw });
-        sim.schedule(SimTime::from_millis(20), Command::RestartDevice { node: sw });
+        sim.schedule(
+            SimTime::from_millis(20),
+            Command::RestartDevice { node: sw },
+        );
         sim.schedule(SimTime::from_millis(30), Command::CrashDevice { node: sw });
-        sim.schedule(SimTime::from_millis(40), Command::RestartDevice { node: sw });
-        sim.schedule(SimTime::from_millis(50), Command::RestartDevice { node: sw });
+        sim.schedule(
+            SimTime::from_millis(40),
+            Command::RestartDevice { node: sw },
+        );
+        sim.schedule(
+            SimTime::from_millis(50),
+            Command::RestartDevice { node: sw },
+        );
         let flow = FlowSpec::udp_cbr(
             hosts[0],
             hosts[1],
@@ -1369,7 +1433,10 @@ mod tests {
         let mut sim = Simulation::new(topo);
         // No Install: the device has never been provisioned.
         sim.schedule(SimTime::from_millis(10), Command::CrashDevice { node: sw });
-        sim.schedule(SimTime::from_millis(20), Command::RestartDevice { node: sw });
+        sim.schedule(
+            SimTime::from_millis(20),
+            Command::RestartDevice { node: sw },
+        );
         sim.run_to_completion();
         assert!(sim.errors.is_empty(), "{:?}", sim.errors);
         let dev = &sim.topo.node(sw).unwrap().device;

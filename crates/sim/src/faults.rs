@@ -209,15 +209,11 @@ mod tests {
             SimTime::from_secs(1),
             SimDuration::from_millis(50),
         );
-        let last_state = plan
-            .events()
-            .iter()
-            .rev()
-            .find_map(|e| match e.kind {
-                FaultKind::LinkUp(_) => Some(true),
-                FaultKind::LinkDown(_) => Some(false),
-                _ => None,
-            });
+        let last_state = plan.events().iter().rev().find_map(|e| match e.kind {
+            FaultKind::LinkUp(_) => Some(true),
+            FaultKind::LinkDown(_) => Some(false),
+            _ => None,
+        });
         assert_eq!(last_state, Some(true));
     }
 
@@ -294,7 +290,10 @@ mod tests {
             1,
         ));
         for (at, up) in [(1, false), (2, true)] {
-            sim.schedule(SimTime::from_secs(at), Command::SetLinkState { link: cut, up });
+            sim.schedule(
+                SimTime::from_secs(at),
+                Command::SetLinkState { link: cut, up },
+            );
         }
         sim.run_to_completion();
         let lost: u64 = sim.metrics.total_lost();

@@ -59,7 +59,9 @@ impl WindowStats {
     /// thresholds and [`flexnet_types`] errors stay `Eq`-comparable.
     /// 0 for an empty window — no evidence is not evidence of loss.
     pub fn loss_ppm(&self) -> u64 {
-        (self.lost * 1_000_000).checked_div(self.attempts()).unwrap_or(0)
+        (self.lost * 1_000_000)
+            .checked_div(self.attempts())
+            .unwrap_or(0)
     }
 }
 
@@ -138,14 +140,24 @@ impl Metrics {
             Some(last) if last.ms > ms => {
                 let i = self.slots.partition_point(|s| s.ms < ms);
                 if self.slots[i].ms != ms {
-                    self.slots.insert(i, Slot { ms, ..Slot::default() });
+                    self.slots.insert(
+                        i,
+                        Slot {
+                            ms,
+                            ..Slot::default()
+                        },
+                    );
                     self.latency.insert(i);
                 }
                 i
             }
             _ => {
-                self.latency.merge_into(n.saturating_sub(1)..n, &mut self.closed);
-                self.slots.push(Slot { ms, ..Slot::default() });
+                self.latency
+                    .merge_into(n.saturating_sub(1)..n, &mut self.closed);
+                self.slots.push(Slot {
+                    ms,
+                    ..Slot::default()
+                });
                 self.latency.insert(n);
                 n
             }
@@ -332,7 +344,10 @@ mod tests {
         let p50 = m.latency_percentile(50.0).unwrap();
         let p99 = m.latency_percentile(99.0).unwrap();
         assert!(p50 < p99);
-        assert_eq!(m.latency_percentile(100.0).unwrap(), SimDuration::from_micros(100));
+        assert_eq!(
+            m.latency_percentile(100.0).unwrap(),
+            SimDuration::from_micros(100)
+        );
         assert!(m.latency_mean().unwrap() >= SimDuration::from_micros(50));
     }
 
@@ -380,13 +395,30 @@ mod tests {
             m.record_delivered(pkt_at(at, SimTime::ZERO), SimTime::from_millis(at));
         }
         m.record_lost(LossKind::Refused, SimTime::from_millis(2));
-        assert_eq!(m.window_stats(SimTime::from_millis(3), SimTime::from_millis(4)).delivered, 2);
-        assert_eq!(m.window_stats(SimTime::ZERO, SimTime::from_millis(3)).lost, 1);
+        assert_eq!(
+            m.window_stats(SimTime::from_millis(3), SimTime::from_millis(4))
+                .delivered,
+            2
+        );
+        assert_eq!(
+            m.window_stats(SimTime::ZERO, SimTime::from_millis(3)).lost,
+            1
+        );
         let all = m.latencies();
-        assert_eq!((all.count(), all.min(), all.max()), (6, Some(1_000_000), Some(7_000_000)));
+        assert_eq!(
+            (all.count(), all.min(), all.max()),
+            (6, Some(1_000_000), Some(7_000_000))
+        );
         let ts = m.timeseries();
         assert_eq!(ts.len(), 1);
-        assert_eq!(ts[0].1, Bucket { delivered: 6, lost: 1, refused: 1 });
+        assert_eq!(
+            ts[0].1,
+            Bucket {
+                delivered: 6,
+                lost: 1,
+                refused: 1
+            }
+        );
     }
 
     #[test]
@@ -438,7 +470,10 @@ mod tests {
             (SimTime::from_secs(1), SimTime::from_secs(2)),
         );
         assert_eq!(d.p99_delta_ns, 0);
-        assert_eq!(d.loss_delta_ppm, -500_000, "baseline lost half its attempts");
+        assert_eq!(
+            d.loss_delta_ppm, -500_000,
+            "baseline lost half its attempts"
+        );
     }
 
     #[test]
@@ -465,7 +500,10 @@ mod tests {
         let mut m = Metrics::default();
         // Baseline [0, 10ms): fast, lossless.
         for i in 0..10u64 {
-            m.record_delivered(pkt_at(i, SimTime::from_millis(i)), SimTime::from_millis(i) + SimDuration::from_micros(100));
+            m.record_delivered(
+                pkt_at(i, SimTime::from_millis(i)),
+                SimTime::from_millis(i) + SimDuration::from_micros(100),
+            );
         }
         // Observation [100ms, 110ms): slower and lossy.
         for i in 0..8u64 {

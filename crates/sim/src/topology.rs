@@ -62,7 +62,9 @@ impl Link {
         if self.bandwidth_bps == 0 {
             return SimDuration::ZERO;
         }
-        SimDuration::from_nanos((bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps)
+        SimDuration::from_nanos(
+            (bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps,
+        )
     }
 }
 
@@ -306,8 +308,15 @@ impl Topology {
             }
             for hi in 0..hosts_per_leaf {
                 let h = t.add_node(NodeKind::Host, Architecture::host_default());
-                t.connect(leaf, hi as u16, h, 0, SimDuration::from_micros(1), 10_000_000_000)
-                    .expect("nodes exist");
+                t.connect(
+                    leaf,
+                    hi as u16,
+                    h,
+                    0,
+                    SimDuration::from_micros(1),
+                    10_000_000_000,
+                )
+                .expect("nodes exist");
                 host_ids.push(h);
             }
         }

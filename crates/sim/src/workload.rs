@@ -270,7 +270,10 @@ mod tests {
         );
         let deps = generate(&[f], 42);
         assert_eq!(deps.len(), 10);
-        assert_eq!(deps[1].at.saturating_since(deps[0].at), SimDuration::from_millis(1));
+        assert_eq!(
+            deps[1].at.saturating_since(deps[0].at),
+            SimDuration::from_millis(1)
+        );
         assert!(deps.iter().all(|d| d.packet.header_sym(Sym::UDP).is_some()));
         assert_eq!(deps[0].packet.metadata["dst_node"], 2);
     }

@@ -118,7 +118,10 @@ impl fmt::Display for Trap {
                 name,
                 index,
                 size,
-            } => write!(f, "{kind} `{name}` index {index} out of bounds (size {size})"),
+            } => write!(
+                f,
+                "{kind} `{name}` index {index} out of bounds (size {size})"
+            ),
             Trap::MalformedPacket { reason } => write!(f, "malformed packet: {reason}"),
             Trap::KeyOverflow { table, width, max } => write!(
                 f,
@@ -602,7 +605,10 @@ mod tests {
         let fenced = FlexError::Fenced { seen: 7, got: 3 };
         assert!(fenced.to_string().contains("epoch 3"));
         assert!(fenced.to_string().contains("epoch 7"));
-        assert!(!fenced.is_retryable(), "a zombie must stand down, not retry");
+        assert!(
+            !fenced.is_retryable(),
+            "a zombie must stand down, not retry"
+        );
 
         let no_leader = FlexError::NoLeader {
             hint: Some(2),
@@ -661,8 +667,7 @@ mod tests {
     fn unresolved_symbol_formats_and_classifies_per_kind() {
         // One assertion per symbol kind the lowering pass can fail on.
         for kind in [
-            "table", "map", "register", "counter", "meter", "service", "action", "local",
-            "handler",
+            "table", "map", "register", "counter", "meter", "service", "action", "local", "handler",
         ] {
             let e = FlexError::UnresolvedSymbol {
                 kind: kind.into(),
@@ -720,7 +725,10 @@ mod tests {
         let cases: Vec<(FlexError, &str)> = vec![
             (FlexError::Timeout("x".into()), "timeout"),
             (FlexError::Unavailable("x".into()), "unavailable"),
-            (FlexError::ChecksumMismatch { want: 1, got: 2 }, "checksum-mismatch"),
+            (
+                FlexError::ChecksumMismatch { want: 1, got: 2 },
+                "checksum-mismatch",
+            ),
             (FlexError::StaleDuplicate { token: 1 }, "stale-duplicate"),
             (
                 FlexError::Trap(Trap::MalformedPacket { reason: "x".into() }),
@@ -844,7 +852,10 @@ mod tests {
         assert!(full.to_string().contains("128"));
         assert!(full.to_string().contains("64"));
         assert_eq!(full.label(), "no-space");
-        assert!(full.is_retryable(), "compaction frees space; retry succeeds");
+        assert!(
+            full.is_retryable(),
+            "compaction frees space; retry succeeds"
+        );
 
         // From impl and single-token labels.
         let e: FlexError = StorageError::NoSpace {
@@ -854,7 +865,10 @@ mod tests {
         .into();
         assert!(matches!(e, FlexError::Storage(_)));
         for s in [
-            StorageError::TornRecord { segment: 0, offset: 0 },
+            StorageError::TornRecord {
+                segment: 0,
+                offset: 0,
+            },
             StorageError::ChecksumFailed {
                 segment: 0,
                 want: 0,

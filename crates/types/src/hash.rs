@@ -109,7 +109,10 @@ mod tests {
         assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
         assert_eq!(fnv_step(FNV_OFFSET, 0), 0xa8c7_f832_281a_39c5);
-        assert_eq!(fnv_step(FNV_OFFSET, 0x0102_0304_0506_0708), 0x0c6d_4496_e178_59d5);
+        assert_eq!(
+            fnv_step(FNV_OFFSET, 0x0102_0304_0506_0708),
+            0x0c6d_4496_e178_59d5
+        );
         let word = 0x0102_0304_0506_0708u64;
         assert_eq!(fnv_step(7, word), fnv1a(7, &word.to_le_bytes()));
         assert_eq!(hash_values(&[]), FNV_OFFSET);
@@ -122,7 +125,14 @@ mod tests {
         assert_eq!(mix(1), 0x910a_2dec_8902_5cc1);
         let mut stream = 7;
         let draws = [(); 3].map(|()| mix_next(&mut stream));
-        assert_eq!(draws, [0x63cb_e1e4_5932_0dd7, 0x044c_3cd7_f43c_661c, 0xe698_4080_bab1_2a02]);
+        assert_eq!(
+            draws,
+            [
+                0x63cb_e1e4_5932_0dd7,
+                0x044c_3cd7_f43c_661c,
+                0xe698_4080_bab1_2a02
+            ]
+        );
         assert_eq!(stream, 0xdaa6_6d2c_7ddf_7446);
     }
 

@@ -508,9 +508,15 @@ mod tests {
         assert!(p.set_field_sym(Sym::IPV4, Sym::TTL, 10));
         assert_eq!(p.get_field("ipv4.ttl"), Some(10));
         let ipv6 = Sym::intern("ipv6");
-        assert!(!p.set_field_sym(ipv6, Sym::SRC, 1), "missing header rejected");
+        assert!(
+            !p.set_field_sym(ipv6, Sym::SRC, 1),
+            "missing header rejected"
+        );
         let mark = Sym::intern("mark");
-        assert!(p.set_field_sym(Sym::META, mark, 7), "metadata always writable");
+        assert!(
+            p.set_field_sym(Sym::META, mark, 7),
+            "metadata always writable"
+        );
         assert_eq!(p.get_field("meta.mark"), Some(7));
         assert_eq!(p.get_field("nodots"), None);
     }

@@ -130,7 +130,10 @@ impl ResourceVec {
 
     /// Whether `self` covers `needed` in every component.
     pub fn covers(&self, needed: &ResourceVec) -> bool {
-        self.0.iter().zip(needed.0).all(|(&have, need)| have >= need)
+        self.0
+            .iter()
+            .zip(needed.0)
+            .all(|(&have, need)| have >= need)
     }
 
     /// Component-wise checked subtraction; `None` if any component would
@@ -221,7 +224,9 @@ impl fmt::Debug for ResourceVec {
                 f.debug_map().entries(self.0.iter()).finish()
             }
         }
-        f.debug_tuple("ResourceVec").field(&Components(self)).finish()
+        f.debug_tuple("ResourceVec")
+            .field(&Components(self))
+            .finish()
     }
 }
 
@@ -242,10 +247,8 @@ mod tests {
 
     #[test]
     fn covers_is_component_wise() {
-        let cap = ResourceVec::from_pairs([
-            (ResourceKind::SramKb, 100),
-            (ResourceKind::TcamKb, 10),
-        ]);
+        let cap =
+            ResourceVec::from_pairs([(ResourceKind::SramKb, 100), (ResourceKind::TcamKb, 10)]);
         assert!(cap.covers(&sram(100)));
         assert!(!cap.covers(&sram(101)));
         assert!(!cap.covers(&ResourceVec::of(ResourceKind::ActionSlots, 1)));
@@ -268,35 +271,24 @@ mod tests {
 
     #[test]
     fn scaled_multiplies_each_component() {
-        let v = ResourceVec::from_pairs([
-            (ResourceKind::SramKb, 3),
-            (ResourceKind::MeterSlots, 2),
-        ])
-        .scaled(4);
+        let v = ResourceVec::from_pairs([(ResourceKind::SramKb, 3), (ResourceKind::MeterSlots, 2)])
+            .scaled(4);
         assert_eq!(v.get(ResourceKind::SramKb), 12);
         assert_eq!(v.get(ResourceKind::MeterSlots), 8);
     }
 
     #[test]
     fn utilization_reports_max_component() {
-        let cap = ResourceVec::from_pairs([
-            (ResourceKind::SramKb, 100),
-            (ResourceKind::TcamKb, 10),
-        ]);
-        let used = ResourceVec::from_pairs([
-            (ResourceKind::SramKb, 50),
-            (ResourceKind::TcamKb, 9),
-        ]);
+        let cap =
+            ResourceVec::from_pairs([(ResourceKind::SramKb, 100), (ResourceKind::TcamKb, 10)]);
+        let used = ResourceVec::from_pairs([(ResourceKind::SramKb, 50), (ResourceKind::TcamKb, 9)]);
         let u = used.utilization_of(&cap);
         assert!((u - 0.9).abs() < 1e-9);
     }
 
     #[test]
     fn display_lists_components() {
-        let v = ResourceVec::from_pairs([
-            (ResourceKind::SramKb, 1),
-            (ResourceKind::TcamKb, 2),
-        ]);
+        let v = ResourceVec::from_pairs([(ResourceKind::SramKb, 1), (ResourceKind::TcamKb, 2)]);
         assert_eq!(v.to_string(), "{sram_kb=1, tcam_kb=2}");
         assert_eq!(ResourceVec::new().to_string(), "{}");
     }

@@ -195,7 +195,10 @@ impl Series {
     /// Where slot `i`'s buckets lie in `buckets`.
     #[inline]
     fn run(&self, i: usize) -> (usize, usize) {
-        let end = self.slots.get(i + 1).map_or(self.buckets.len(), |&(s, _)| s);
+        let end = self
+            .slots
+            .get(i + 1)
+            .map_or(self.buckets.len(), |&(s, _)| s);
         (self.slots[i].0, end)
     }
 
@@ -375,12 +378,20 @@ mod tests {
         for step in 0..20_000u64 {
             let r = next();
             if model.is_empty() || r % 50 == 0 {
-                let i = if r % 3 == 0 { next() as usize % (model.len() + 1) } else { model.len() };
+                let i = if r % 3 == 0 {
+                    next() as usize % (model.len() + 1)
+                } else {
+                    model.len()
+                };
                 series.insert(i);
                 model.insert(i, Histogram::default());
                 continue;
             }
-            let i = if r % 4 == 0 { next() as usize % model.len() } else { model.len() - 1 };
+            let i = if r % 4 == 0 {
+                next() as usize % model.len()
+            } else {
+                model.len() - 1
+            };
             let v = 30_000 + next() % (1 + step);
             series.record(i, v);
             model[i].record(v);

@@ -106,7 +106,6 @@ impl SimDuration {
     pub fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
-
 }
 
 impl std::ops::Div<u64> for SimDuration {
@@ -215,10 +214,7 @@ mod tests {
         let d = SimDuration::from_millis(10);
         assert_eq!(d.saturating_mul(3), SimDuration::from_millis(30));
         assert_eq!(d / 2, SimDuration::from_millis(5));
-        assert_eq!(
-            d - SimDuration::from_millis(4),
-            SimDuration::from_millis(6)
-        );
+        assert_eq!(d - SimDuration::from_millis(4), SimDuration::from_millis(6));
         assert_eq!(
             SimDuration::from_millis(4) - d,
             SimDuration::ZERO,

@@ -90,7 +90,10 @@ fn main() {
         sim.metrics.total_lost() == 0
     );
     for (t, node, rep) in &sim.reconfig_reports {
-        println!("  reconfig at {t} on {node}: {} ops, {}", rep.ops, rep.duration);
+        println!(
+            "  reconfig at {t} on {node}: {} ops, {}",
+            rep.ops, rep.duration
+        );
     }
     let nic_dev = &sim.topo.node(n1).unwrap().device;
     println!(

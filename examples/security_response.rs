@@ -101,9 +101,7 @@ fn main() {
     println!("\nAttack packets dropped by the summoned defense: {attack_dropped}");
     println!(
         "Legitimate delivery: {} of {} sent (loss sources: {:?})",
-        sim.metrics.delivered,
-        sim.metrics.sent,
-        sim.metrics.losses
+        sim.metrics.delivered, sim.metrics.sent, sim.metrics.losses
     );
     println!(
         "Reconfigurations performed: {} (all hitless, total transition time {})",

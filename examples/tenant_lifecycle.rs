@@ -48,9 +48,16 @@ fn main() {
 
     // t=1s: tenant 1 arrives with a firewall extension.
     let (vlan1, composed) = controller
-        .tenant_arrive(TenantId(1), apps::security::firewall(64).unwrap(), SimTime::from_secs(1))
+        .tenant_arrive(
+            TenantId(1),
+            apps::security::firewall(64).unwrap(),
+            SimTime::from_secs(1),
+        )
         .expect("tenant 1 admitted");
-    println!("tenant1 admitted on {vlan1}; composed program has {} states", composed.program.states.len());
+    println!(
+        "tenant1 admitted on {vlan1}; composed program has {} states",
+        composed.program.states.len()
+    );
     sim.schedule(
         SimTime::from_secs(1),
         Command::RuntimeReconfig {

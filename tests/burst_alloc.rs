@@ -27,7 +27,11 @@ fn pump(graph: &mut ForwardingGraph, dev: &mut Device, ring: &mut [Packet]) -> u
             // `record_processing` appends to the trace; clearing keeps the
             // reused ring's memory flat instead of ever-growing.
             burst.iter_mut().for_each(|pkt| pkt.trace.clear());
-            results += graph.run(dev, burst, SimTime::ZERO).expect("burst runs").results.len();
+            results += graph
+                .run(dev, burst, SimTime::ZERO)
+                .expect("burst runs")
+                .results
+                .len();
         }
     }
     results

@@ -44,11 +44,18 @@ fn reference(
     let mut fresh = InstalledProgram::new(target, enc).unwrap();
     fresh.state.restore(&old.state.snapshot());
     let mut outgoing = old.state.clone();
-    let names: Vec<String> = fresh.bundle().program.states.iter().map(|s| s.name.clone()).collect();
+    let names: Vec<String> = fresh
+        .bundle()
+        .program
+        .states
+        .iter()
+        .map(|s| s.name.clone())
+        .collect();
     for name in names {
-        if let (Some(from), Some(to)) =
-            (outgoing.meter_buckets_mut(&name), fresh.state.meter_buckets_mut(&name))
-        {
+        if let (Some(from), Some(to)) = (
+            outgoing.meter_buckets_mut(&name),
+            fresh.state.meter_buckets_mut(&name),
+        ) {
             to.clone_from(from);
         }
     }
@@ -82,7 +89,8 @@ fn assert_same(got: &InstalledProgram, want: &InstalledProgram, what: &str) {
     assert_eq!(got.bundle(), want.bundle(), "{what}: program");
     assert_eq!(got.state, want.state, "{what}: state, object for object");
     assert_eq!(
-        got.tables(), want.tables(),
+        got.tables(),
+        want.tables(),
         "{what}: tables, entries and indexes"
     );
     assert_eq!(got.config_digest(), want.config_digest(), "{what}: digest");
@@ -155,7 +163,8 @@ fn populate(d: &mut Device, states: &[Option<Obj>], tables: &[Option<Tab>], rng:
         match s {
             Some((0, _)) => {
                 let c = p.state.counter_slot(&name).unwrap();
-                p.state.counter_add_at(c, rng.gen_range(0..9u64), rng.gen_range(0..999u64))
+                p.state
+                    .counter_add_at(c, rng.gen_range(0..9u64), rng.gen_range(0..999u64))
             }
             Some((1, n)) => {
                 let r = p.state.register_slot(&name).unwrap();
@@ -292,7 +301,7 @@ fn a_map_at_capacity_is_restamped_in_key_order() {
             state.map_put_at(M, key, key * 10);
         }
         state.map_get_at(M, 3); // newest under LRU, untouched under FIFO
-        // Same map, one more counter: the map is carried as declared.
+                                // Same map, one more counter: the map is carried as declared.
         let target = bundle(
             "program p kind any { map m : map<u32, u64>[4]; counter c;
                handler ingress(pkt) { forward(1); } }",
@@ -384,9 +393,15 @@ fn a_meter_declared_in_both_programs_carries_its_buckets_across_the_flip() {
             !state.meter_check_at(0, 7),
             "{enc:?}: the drained bucket stays drained"
         );
-        assert!(state.meter_check_at(0, 8), "{enc:?}: another key starts full");
+        assert!(
+            state.meter_check_at(0, 8),
+            "{enc:?}: another key starts full"
+        );
         state.now = SimTime::from_secs(6); // 1 token per second
-        assert!(state.meter_check_at(0, 7), "{enc:?}: and refills on the same clock");
+        assert!(
+            state.meter_check_at(0, 7),
+            "{enc:?}: and refills on the same clock"
+        );
     }
 }
 
@@ -413,9 +428,13 @@ fn a_program_patched_inside_the_window_is_carried_as_it_stands() {
         state.counter_add_at(b, 2, 20);
         state.reg_write_at_checked(r, 3, 7).unwrap();
 
-        let rep = d.begin_runtime_reconfig(target(), SimTime::from_secs(1)).unwrap();
+        let rep = d
+            .begin_runtime_reconfig(target(), SimTime::from_secs(1))
+            .unwrap();
         let patched = d.program_mut().unwrap();
-        patched.apply_op(&ReconfigOp::RemoveState("a".into())).unwrap();
+        patched
+            .apply_op(&ReconfigOp::RemoveState("a".into()))
+            .unwrap();
         assert_eq!(patched.state.counter_slot("b"), Some(0));
         let expected = reference(d.program().unwrap(), target(), enc);
         d.tick(rep.ready_at);

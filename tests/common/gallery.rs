@@ -12,7 +12,10 @@ pub fn gallery() -> Vec<(&'static str, ProgramBundle)> {
         ("path_tracer", a::telemetry::path_tracer(7).unwrap()),
         ("firewall", a::security::firewall(64).unwrap()),
         ("syn_defense", a::security::syn_defense(20, 100).unwrap()),
-        ("rate_limiter", a::security::rate_limiter(1_000, 64).unwrap()),
+        (
+            "rate_limiter",
+            a::security::rate_limiter(1_000, 64).unwrap(),
+        ),
         ("l3_router", a::routing::l3_router(64).unwrap()),
         ("vlan_gateway", a::routing::vlan_gateway().unwrap()),
         ("ecmp", a::lb::ecmp(4).unwrap()),

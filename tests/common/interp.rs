@@ -176,7 +176,7 @@ impl<'a> Interp<'a> {
                 let k = self.eval(k, pkt)?;
                 let v = self.eval(val, pkt)?;
                 self.tick(1)?; // MapPut
-                // A full map drops the insert; data planes degrade, not trap.
+                               // A full map drops the insert; data planes degrade, not trap.
                 let _ = self.env.map_put(m, k, v);
                 Ok(Flow::Continue)
             }
@@ -491,7 +491,10 @@ impl MemEnv {
 
     /// Installs an exact-match entry.
     pub fn install_entry(&mut self, table: &str, keys: Vec<u64>, action: ActionCall) {
-        self.tables.entry(table.to_string()).or_default().push((keys, action));
+        self.tables
+            .entry(table.to_string())
+            .or_default()
+            .push((keys, action));
     }
 }
 

@@ -76,10 +76,17 @@ pub fn assert_seeded_leaf_spine_run_matches_pinned_numbers() {
     let latencies = m.latencies();
     let buckets = latencies
         .buckets()
-        .fold(hash::FNV_OFFSET, |h, (bucket, n)| hash::fnv_step(hash::fnv_step(h, bucket), n));
+        .fold(hash::FNV_OFFSET, |h, (bucket, n)| {
+            hash::fnv_step(hash::fnv_step(h, bucket), n)
+        });
     assert_eq!(
         (latencies.sum(), latencies.min(), latencies.max(), buckets),
-        (LATENCY_SUM_NS, Some(LATENCY_MIN_NS), Some(LATENCY_MAX_NS), LATENCY_BUCKETS)
+        (
+            LATENCY_SUM_NS,
+            Some(LATENCY_MIN_NS),
+            Some(LATENCY_MAX_NS),
+            LATENCY_BUCKETS
+        )
     );
     let versions: Vec<(u32, u64, u64)> = m
         .version_counts

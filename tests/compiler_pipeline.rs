@@ -128,7 +128,11 @@ fn incremental_recompile_touches_less_than_full() {
     let inc = recompile_incremental(&old, &comps, &new_comps, &targets, None).unwrap();
     let full = recompile_full(&old, &new_comps, &targets).unwrap();
     assert!(inc.churn() <= full.churn());
-    assert!(inc.kept.len() >= 7, "unchanged apps stay put: {:?}", inc.kept);
+    assert!(
+        inc.kept.len() >= 7,
+        "unchanged apps stay put: {:?}",
+        inc.kept
+    );
     assert!(inc.added.contains(&"app8".to_string()));
 }
 
@@ -180,12 +184,13 @@ fn whole_stack_datapath_deploys_and_processes() {
     sim.run_to_completion();
     assert_eq!(sim.metrics.delivered, 100, "errors: {:?}", sim.errors);
     // Every delivered packet crossed all five devices.
-    assert!(sim
-        .metrics
-        .version_counts
-        .keys()
-        .map(|(n, _)| *n)
-        .collect::<std::collections::BTreeSet<_>>()
-        .len()
-        >= 5);
+    assert!(
+        sim.metrics
+            .version_counts
+            .keys()
+            .map(|(n, _)| *n)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len()
+            >= 5
+    );
 }

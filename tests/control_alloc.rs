@@ -102,7 +102,12 @@ impl World {
             count(|| churn(&mut self.ctl, &mut self.live, op, extension, now));
 
         let targets: Vec<(NodeId, ProgramBundle)> = (0..TARGETS)
-            .map(|j| (self.leaves[(op as usize + j) % self.leaves.len()], composed.clone()))
+            .map(|j| {
+                (
+                    self.leaves[(op as usize + j) % self.leaves.len()],
+                    composed.clone(),
+                )
+            })
             .collect();
         let report = logged_transactional_reconfig(
             &mut self.sim,
@@ -121,7 +126,12 @@ impl World {
         let commit_at = report.commit_at.unwrap();
         let (flips, ()) = count(|| {
             for (node, _) in &targets {
-                self.sim.topo.node_mut(*node).unwrap().device.tick(commit_at);
+                self.sim
+                    .topo
+                    .node_mut(*node)
+                    .unwrap()
+                    .device
+                    .tick(commit_at);
             }
         });
         for (node, _) in &targets {
@@ -130,7 +140,13 @@ impl World {
             assert_eq!(Some(dev.config_digest()), self.store.digest(*node));
         }
         self.clock = commit_at.max(report.finished_at) + SimDuration::from_millis(1);
-        (composed, Phases { churn: churned, flips })
+        (
+            composed,
+            Phases {
+                churn: churned,
+                flips,
+            },
+        )
     }
 }
 
@@ -184,27 +200,46 @@ fn a_control_operation_allocates_for_what_it_changes() {
     // The rollback snapshot a begin keeps: one device's allocator.
     let dev = &w.sim.topo.node(w.leaves[0]).unwrap().device;
     let (allocs, snapshot) = count(|| dev.allocator().clone());
-    println!("allocator clone: {allocs} ({} placements)", snapshot.placed().count());
-    assert!(allocs <= 6, "{allocs} allocations to clone a device's allocator");
+    println!(
+        "allocator clone: {allocs} ({} placements)",
+        snapshot.placed().count()
+    );
+    assert!(
+        allocs <= 6,
+        "{allocs} allocations to clone a device's allocator"
+    );
 
     // Churn at 64 live tenants: the fragments are shared, so only the
     // composed vectors grow with the set.
     let churn_64 = churn_allocations(64);
     println!("depart + arrive at 64 tenants: {churn_64}");
-    assert!(churn_64 <= 160, "{churn_64} allocations per depart + arrive at 64 tenants");
+    assert!(
+        churn_64 <= 160,
+        "{churn_64} allocations per depart + arrive at 64 tenants"
+    );
 
     // Two successive 8-tenant compositions: one tenant left, one arrived.
     let (previous, last) = (previous.unwrap(), last.unwrap());
-    assert_eq!(last.program.states.len(), 15, "the infrastructure's and eight tenants'");
+    assert_eq!(
+        last.program.states.len(),
+        15,
+        "the infrastructure's and eight tenants'"
+    );
     let (allocs, copy) = count(|| last.clone());
     println!("bundle clone: {allocs}");
     assert!(allocs <= 8, "{allocs} allocations to clone the composition");
     let (allocs, equal) = count(|| copy == last);
     assert!(equal && allocs == 0, "{allocs} allocations to compare it");
     let (allocs, ops) = count(|| diff_bundles(&previous, &last));
-    println!("diff of successive compositions: {allocs} allocations, {} ops", ops.len());
+    println!(
+        "diff of successive compositions: {allocs} allocations, {} ops",
+        ops.len()
+    );
     assert!(ops.len() >= 4, "{ops:?}");
-    assert!(allocs <= 16, "{allocs} allocations to diff successive compositions");
+    assert!(
+        allocs <= 16,
+        "{allocs} allocations to diff successive compositions"
+    );
 
     // What the coordinator does with a target: seal a copy of it.
     let (allocs, image) = count(|| ProgramImage::seal(last.clone()));
@@ -216,5 +251,8 @@ fn a_control_operation_allocates_for_what_it_changes() {
     let (allocs, built) = count(|| apps::build(&src));
     built.unwrap();
     println!("front end of one tenant source: {allocs}");
-    assert!(allocs <= 64, "{allocs} allocations to build one tenant source");
+    assert!(
+        allocs <= 64,
+        "{allocs} allocations to build one tenant source"
+    );
 }

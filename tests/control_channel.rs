@@ -45,7 +45,11 @@ fn bundle(src: &str) -> ProgramBundle {
 
 /// An ACL in front of line forwarding; `counter` is the upgrade.
 fn gate(counter: bool) -> ProgramBundle {
-    let (decl, stmt) = if counter { ("counter gated;", "count(gated);") } else { ("", "") };
+    let (decl, stmt) = if counter {
+        ("counter gated;", "count(gated);")
+    } else {
+        ("", "")
+    };
     bundle(&format!(
         "program gate kind any {{
            {decl}
@@ -77,7 +81,9 @@ fn line() -> (Simulation, [NodeId; 3]) {
     let devices = [nodes[1], nodes[2], nodes[3]];
     let mut sim = Simulation::new(topo);
     for d in devices {
-        device(&mut sim, d).install(gate(false)).expect("old program installs");
+        device(&mut sim, d)
+            .install(gate(false))
+            .expect("old program installs");
     }
     (sim, devices)
 }
@@ -166,7 +172,13 @@ fn logged_then_recovered(crash: Option<CrashPhase>, max_attempts: u32) -> u64 {
         let mut now = txn.finished_at + SimDuration::from_secs(1);
         for _ in 0..2 {
             let pass = recover(
-                &mut sim, &mut log, &directory, &devices, now, &mut fabric, &policy,
+                &mut sim,
+                &mut log,
+                &directory,
+                &devices,
+                now,
+                &mut fabric,
+                &policy,
             )
             .expect("recovery runs");
             now = pass.finished_at + SimDuration::from_secs(1);
@@ -187,10 +199,16 @@ fn resynced(down: bool) -> u64 {
         let mut store = IntendedStore::new();
         store.set_class(devices[0], ProgramClass::Telemetry);
         for (i, d) in devices.into_iter().enumerate() {
-            store.commit_target(&mut log, 0, d, gate(false)).expect("intent recorded");
+            store
+                .commit_target(&mut log, 0, d, gate(false))
+                .expect("intent recorded");
             for src in 0..=i as u64 {
-                device(&mut sim, d).add_entry("acl", deny(src)).expect("entry installs");
-                store.record_entry(&mut log, d, "acl", deny(src)).expect("entry recorded");
+                device(&mut sim, d)
+                    .add_entry("acl", deny(src))
+                    .expect("entry installs");
+                store
+                    .record_entry(&mut log, d, "acl", deny(src))
+                    .expect("entry recorded");
             }
         }
         for d in [devices[0], devices[1]] {
@@ -234,7 +252,12 @@ fn journaled_two_phase_commit_and_recovery_are_pinned_under_loss() {
     // (one attempt, sixteen attempts) for no crash, then the four phases.
     let crashes = std::iter::once(None).chain(CrashPhase::ALL.map(Some));
     let got: Vec<(u64, u64)> = crashes
-        .map(|crash| (logged_then_recovered(crash, 1), logged_then_recovered(crash, 16)))
+        .map(|crash| {
+            (
+                logged_then_recovered(crash, 1),
+                logged_then_recovered(crash, 16),
+            )
+        })
         .collect();
     assert_eq!(got, LOGGED);
 }

@@ -37,7 +37,9 @@ fn inject_trace_retire_cycle() {
     // Wait out the transitions, then send one probe cross-pod.
     sim.run(SimTime::from_millis(200));
     let mut probe = Packet::udp(1, 1, 2, 3, 4);
-    probe.metadata.insert("dst_node".into(), hosts[1].raw() as u64);
+    probe
+        .metadata
+        .insert("dst_node".into(), hosts[1].raw() as u64);
     sim.metrics.keep_packets = true;
     sim.schedule(
         SimTime::from_millis(250),
@@ -48,7 +50,11 @@ fn inject_trace_retire_cycle() {
     );
     sim.run(SimTime::from_millis(400));
 
-    assert_eq!(sim.metrics.delivered, 1, "probe delivered: {:?}", sim.errors);
+    assert_eq!(
+        sim.metrics.delivered, 1,
+        "probe delivered: {:?}",
+        sim.errors
+    );
     let delivered = &sim.metrics.delivered_packets[0];
     let fingerprint = delivered.metadata["trace"];
     let depth = delivered.metadata["trace_depth"];
@@ -60,9 +66,7 @@ fn inject_trace_retire_cycle() {
         .trace
         .iter()
         .map(|(n, _)| n.raw())
-        .filter(|id| {
-            leaves.iter().chain(spines.iter()).any(|s| s.raw() == *id)
-        })
+        .filter(|id| leaves.iter().chain(spines.iter()).any(|s| s.raw() == *id))
         .collect();
     assert_eq!(depth, switch_path.len() as u64);
     assert_eq!(fingerprint, trace_fingerprint(&switch_path));
@@ -76,10 +80,8 @@ fn inject_trace_retire_cycle() {
             Command::RuntimeReconfig {
                 node: n,
                 bundle: ProgramBundle::new(
-                    parse_program(
-                        "program idle kind any { handler ingress(pkt) { forward(0); } }",
-                    )
-                    .unwrap(),
+                    parse_program("program idle kind any { handler ingress(pkt) { forward(0); } }")
+                        .unwrap(),
                 ),
             },
         );

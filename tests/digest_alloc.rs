@@ -71,12 +71,16 @@ fn a_refold_after_one_entry_change_allocates_nothing_and_skips_the_other_tables(
         key += 1;
         dev.add_entry("acl", deny(key)).expect("fits");
         let (allocs, _) = count(|| dev.config_digest());
-        assert_eq!(allocs, 0, "a refold after one entry change allocates nothing");
+        assert_eq!(
+            allocs, 0,
+            "a refold after one entry change allocates nothing"
+        );
         let start = Instant::now();
         dev.add_entry("acl", deny(key + 100_000)).expect("fits");
         let digest = dev.config_digest();
         let took = start.elapsed();
-        dev.remove_entry("acl", &deny(key + 100_000).matches).expect("table");
+        dev.remove_entry("acl", &deny(key + 100_000).matches)
+            .expect("table");
         std::hint::black_box(digest);
         took
     };

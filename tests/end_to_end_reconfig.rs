@@ -55,7 +55,11 @@ fn hitless_reconfig_zero_loss_under_load() {
     sim.run_to_completion();
 
     assert_eq!(sim.metrics.sent, 30_000);
-    assert_eq!(sim.metrics.delivered, 30_000, "losses: {:?}", sim.metrics.losses);
+    assert_eq!(
+        sim.metrics.delivered, 30_000,
+        "losses: {:?}",
+        sim.metrics.losses
+    );
     assert_eq!(sim.metrics.total_lost(), 0);
 
     // The paper's timing claim: the transition completed within a second.
@@ -111,7 +115,10 @@ fn reflash_baseline_disrupts_the_same_change() {
         .get(&LossKind::Refused)
         .copied()
         .unwrap_or(0);
-    assert!(refused >= 25_000, "downtime should refuse ~30s of 1kpps: {refused}");
+    assert!(
+        refused >= 25_000,
+        "downtime should refuse ~30s of 1kpps: {refused}"
+    );
     assert!(sim.metrics.disruption_window().unwrap() >= SimDuration::from_secs(24));
 }
 
@@ -227,9 +234,14 @@ fn parser_reconfig_enables_new_protocol_mid_stream() {
         Verdict::Forward(0)
     );
     let vxlan = Sym::intern("vxlan");
-    assert!(before.header_sym(vxlan).is_some(), "opaque header preserved");
+    assert!(
+        before.header_sym(vxlan).is_some(),
+        "opaque header preserved"
+    );
 
-    let rep = dev.begin_runtime_reconfig(vxlan_aware, SimTime::ZERO).unwrap();
+    let rep = dev
+        .begin_runtime_reconfig(vxlan_aware, SimTime::ZERO)
+        .unwrap();
     // After: the parser extracts vxlan and the program drops vni 7.
     let mut after = mk_pkt(2);
     assert_eq!(

@@ -154,8 +154,14 @@ mod interp_tests {
             }
           }";
         let mut pkt = Packet::tcp(1, 5, 2, 3, 4, 0);
-        assert_eq!(run(src, &mut pkt, &mut env).verdict, Some(Verdict::Forward(1)));
-        assert_eq!(run(src, &mut pkt, &mut env).verdict, Some(Verdict::Forward(1)));
+        assert_eq!(
+            run(src, &mut pkt, &mut env).verdict,
+            Some(Verdict::Forward(1))
+        );
+        assert_eq!(
+            run(src, &mut pkt, &mut env).verdict,
+            Some(Verdict::Forward(1))
+        );
         assert_eq!(run(src, &mut pkt, &mut env).verdict, Some(Verdict::Drop));
     }
 
@@ -398,9 +404,7 @@ mod bytecode_tests {
                 SymbolKind::Register => self.state_slot(name, IS_REGISTER),
                 SymbolKind::Counter => self.state_slot(name, IS_COUNTER),
                 SymbolKind::Meter => self.state_slot(name, IS_METER),
-                SymbolKind::Service => {
-                    self.0.services.iter().position(|s| s.name == name).map(at)
-                }
+                SymbolKind::Service => self.0.services.iter().position(|s| s.name == name).map(at),
             }
         }
     }
@@ -430,7 +434,12 @@ mod bytecode_tests {
         ) -> NamedSlotEnv<'a> {
             // slot → table name (table slots come from the resolver, so build
             // the reverse map from the compiled metadata).
-            let max = prog.tables.iter().map(|t| t.slot).max().map_or(0, |m| m + 1);
+            let max = prog
+                .tables
+                .iter()
+                .map(|t| t.slot)
+                .max()
+                .map_or(0, |m| m + 1);
             let mut table_names = vec![String::new(); max as usize];
             for t in &prog.tables {
                 table_names[t.slot as usize] = t.name.clone();
@@ -540,9 +549,15 @@ mod bytecode_tests {
         setup(&mut env_b);
         let mut pkt_i = pkt.clone();
         let mut pkt_b = pkt.clone();
-        let out_i =
-            execute_metered(&p, "ingress", &mut pkt_i, &mut env_i, &headers, GAS_UNLIMITED)
-                .unwrap();
+        let out_i = execute_metered(
+            &p,
+            "ingress",
+            &mut pkt_i,
+            &mut env_i,
+            &headers,
+            GAS_UNLIMITED,
+        )
+        .unwrap();
         let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b, "verdict/ops diverged on {src}");
         assert_eq!(pkt_i, pkt_b, "packet effects diverged on {src}");
@@ -686,9 +701,15 @@ mod bytecode_tests {
         let mut env_i = MemEnv::new();
         env_i.tables = setup.tables.clone();
         let mut pkt = Packet::tcp(1, 1, 2, 3, 4, 0);
-        let out_i =
-            execute_metered(&p, "ingress", &mut pkt.clone(), &mut env_i, &headers, GAS_UNLIMITED)
-                .unwrap();
+        let out_i = execute_metered(
+            &p,
+            "ingress",
+            &mut pkt.clone(),
+            &mut env_i,
+            &headers,
+            GAS_UNLIMITED,
+        )
+        .unwrap();
         let mut env_b = MemEnv::new();
         env_b.tables = setup.tables.clone();
         let out_b = run(&p, &c, "ingress", &mut pkt, &mut env_b, GAS_UNLIMITED).unwrap();
@@ -701,10 +722,7 @@ mod bytecode_tests {
                 action: "go".into(),
             }
         );
-        assert_eq!(
-            trap.to_string(),
-            "table `t` action `go` arity mismatch"
-        );
+        assert_eq!(trap.to_string(), "table `t` action `go` arity mismatch");
         assert_eq!(out_b.verdict, None, "a trapped packet carries no verdict");
     }
 
@@ -748,16 +766,17 @@ mod bytecode_tests {
             let mut env_b = MemEnv::new();
             let mut pkt_i = base.clone();
             let mut pkt_b = base.clone();
-            let out_i = execute_metered(
-                &p, "ingress", &mut pkt_i, &mut env_i, &headers, gas,
-            )
-            .unwrap();
+            let out_i =
+                execute_metered(&p, "ingress", &mut pkt_i, &mut env_i, &headers, gas).unwrap();
             let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, gas).unwrap();
             assert_eq!(out_i, out_b, "divergence at gas={gas}");
             assert_eq!(pkt_i, pkt_b, "packet divergence at gas={gas}");
             assert_eq!(env_i.maps, env_b.maps, "map divergence at gas={gas}");
             assert_eq!(env_i.regs, env_b.regs, "register divergence at gas={gas}");
-            assert_eq!(env_i.counters, env_b.counters, "counter divergence at gas={gas}");
+            assert_eq!(
+                env_i.counters, env_b.counters,
+                "counter divergence at gas={gas}"
+            );
             assert_eq!(env_i.invocations, env_b.invocations);
             if gas < full.ops {
                 assert_eq!(
@@ -779,16 +798,21 @@ mod bytecode_tests {
 
     #[test]
     fn division_by_zero_trap_is_identical() {
-        let (p, c, headers) = compiled(
-            "program p { handler ingress(pkt) { let x = 7 % meta.z; forward(x); } }",
-        );
+        let (p, c, headers) =
+            compiled("program p { handler ingress(pkt) { let x = 7 % meta.z; forward(x); } }");
         let mut env_i = MemEnv::new();
         let mut env_b = MemEnv::new();
         let mut pkt_i = Packet::tcp(1, 1, 2, 3, 4, 0);
         let mut pkt_b = pkt_i.clone();
-        let out_i =
-            execute_metered(&p, "ingress", &mut pkt_i, &mut env_i, &headers, GAS_UNLIMITED)
-                .unwrap();
+        let out_i = execute_metered(
+            &p,
+            "ingress",
+            &mut pkt_i,
+            &mut env_i,
+            &headers,
+            GAS_UNLIMITED,
+        )
+        .unwrap();
         let out_b = run(&p, &c, "ingress", &mut pkt_b, &mut env_b, GAS_UNLIMITED).unwrap();
         assert_eq!(out_i, out_b);
         assert_eq!(
@@ -847,8 +871,15 @@ mod bytecode_tests {
         // One program per arity hashing its locals `x0..x{n-1}`, and another
         // image (with a counter) hashing a three-wide prefix of them.
         let widest = 8usize;
-        let lets: String = (0..widest).map(|i| format!("let x{i} = meta.a{i};")).collect();
-        let args = |n: usize| (0..n).map(|i| format!("x{i}")).collect::<Vec<_>>().join(", ");
+        let lets: String = (0..widest)
+            .map(|i| format!("let x{i} = meta.a{i};"))
+            .collect();
+        let args = |n: usize| {
+            (0..n)
+                .map(|i| format!("x{i}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
         let hash_n: Vec<(Program, CompiledProgram)> = (0..=widest)
             .map(|n| {
                 let src = format!(
@@ -908,8 +939,15 @@ mod bytecode_tests {
             let mut env = MemEnv::new();
             let mut bridge = NamedSlotEnv::new(prog, program, &mut env);
             let entry = prog.ingress.unwrap();
-            execute_compiled(prog, entry, &mut pkt, &mut bridge, GAS_UNLIMITED, &mut scratch)
-                .unwrap();
+            execute_compiled(
+                prog,
+                entry,
+                &mut pkt,
+                &mut bridge,
+                GAS_UNLIMITED,
+                &mut scratch,
+            )
+            .unwrap();
             assert_eq!(
                 pkt.metadata["h"],
                 hash_values(&vals[..n]),
@@ -987,10 +1025,13 @@ mod bytecode_tests {
         // Hand-built AST (the type checker would reject both), proving the
         // compiler degrades into typed errors rather than panics.
         let mut p = Program::empty("p", ProgramKind::Any);
-        p.handlers.push(Handler {
-            name: "ingress".into(),
-            body: vec![Stmt::Forward(Expr::Local("nope".into()))],
-        }.into());
+        p.handlers.push(
+            Handler {
+                name: "ingress".into(),
+                body: vec![Stmt::Forward(Expr::Local("nope".into()))],
+            }
+            .into(),
+        );
         let headers = HeaderRegistry::builtins();
         let err = compile_positional(&p, &headers).unwrap_err();
         assert_eq!(
@@ -1002,20 +1043,26 @@ mod bytecode_tests {
         );
 
         let mut p = Program::empty("p", ProgramKind::Any);
-        p.tables.push(TableDecl {
-            name: "t".into(),
-            keys: vec![],
-            actions: vec![],
-            default_action: Some(ActionCall {
-                action: "ghost".into(),
-                args: vec![],
-            }),
-            size: 4,
-        }.into());
-        p.handlers.push(Handler {
-            name: "ingress".into(),
-            body: vec![Stmt::Apply("t".into())],
-        }.into());
+        p.tables.push(
+            TableDecl {
+                name: "t".into(),
+                keys: vec![],
+                actions: vec![],
+                default_action: Some(ActionCall {
+                    action: "ghost".into(),
+                    args: vec![],
+                }),
+                size: 4,
+            }
+            .into(),
+        );
+        p.handlers.push(
+            Handler {
+                name: "ingress".into(),
+                body: vec![Stmt::Apply("t".into())],
+            }
+            .into(),
+        );
         let err = compile_positional(&p, &headers).unwrap_err();
         assert_eq!(
             err,

@@ -105,7 +105,9 @@ impl World {
     fn new(seed: u64) -> World {
         let (topo, _spines, leaves, _hosts) = Topology::leaf_spine(2, 8, 1);
         let mut sim = Simulation::new(topo);
-        let storages = (0..3).map(|i| NodeStorage::fault_free(seed ^ (i + 1))).collect();
+        let storages = (0..3)
+            .map(|i| NodeStorage::fault_free(seed ^ (i + 1)))
+            .collect();
         let mut log = ReplicatedIntentLog::new_with(3, seed, storages).unwrap();
         let mut store = IntendedStore::new();
         for (i, leaf) in leaves.iter().enumerate() {
@@ -140,17 +142,38 @@ impl World {
 
     /// Crash → failover → recovery → resync, converged.
     fn scenario(&mut self, op: usize) {
-        let World { sim, leaves, log, store, fabric, resyncer, policy, clock } = self;
+        let World {
+            sim,
+            leaves,
+            log,
+            store,
+            fabric,
+            resyncer,
+            policy,
+            clock,
+        } = self;
         let targets: Vec<(NodeId, ProgramBundle)> = (0..TARGETS)
             .map(|j| (leaves[(op + j) % leaves.len()], variant(op % 4)))
             .collect();
         let phase = CrashPhase::ALL[op % 4];
         let txn = logged_transactional_reconfig(
-            sim, &targets, *clock, fabric, policy, log, Some(phase), Some(store), None,
+            sim,
+            &targets,
+            *clock,
+            fabric,
+            policy,
+            log,
+            Some(phase),
+            Some(store),
+            None,
         )
         .unwrap();
         if op.is_multiple_of(3) {
-            let dev = &mut sim.topo.node_mut(targets[op / 3 % TARGETS].0).unwrap().device;
+            let dev = &mut sim
+                .topo
+                .node_mut(targets[op / 3 % TARGETS].0)
+                .unwrap()
+                .device;
             dev.crash(txn.finished_at);
             dev.restart(txn.finished_at + VICTIM_RESTART_DELAY).unwrap();
         }
@@ -162,23 +185,37 @@ impl World {
         directory.insert(txn.txn, targets.clone());
         let from = txn.finished_at + log.now().saturating_since(before);
         let recovery = recover(sim, log, &directory, leaves, from, fabric, policy).unwrap();
-        let settled = recovery.finished_at.max(txn.commit_at.unwrap_or(SimTime::ZERO))
+        let settled = recovery
+            .finished_at
+            .max(txn.commit_at.unwrap_or(SimTime::ZERO))
             + SimDuration::from_secs(1);
         for leaf in leaves.iter() {
             sim.topo.node_mut(*leaf).unwrap().device.tick(settled);
         }
         if txn.outcome == LoggedTxnOutcome::Crashed(CrashPhase::AfterFlipScheduled) {
             for (node, bundle) in &targets {
-                store.commit_target(log, txn.txn, *node, bundle.clone()).unwrap();
+                store
+                    .commit_target(log, txn.txn, *node, bundle.clone())
+                    .unwrap();
             }
         }
-        let reports = resyncer.resync_all(sim, store, leaves, settled, fabric, policy, None).unwrap();
+        let reports = resyncer
+            .resync_all(sim, store, leaves, settled, fabric, policy, None)
+            .unwrap();
         sim.reconfig_reports.clear();
-        let converged = reports.iter().map(|r| r.finished_at).max().unwrap_or(settled);
+        let converged = reports
+            .iter()
+            .map(|r| r.finished_at)
+            .max()
+            .unwrap_or(settled);
         *clock = converged + SimDuration::from_millis(10);
         for leaf in leaves.iter() {
             let dev = &sim.topo.node(*leaf).unwrap().device;
-            assert_eq!(Some(dev.config_digest()), store.digest(*leaf), "scenario {op} converges");
+            assert_eq!(
+                Some(dev.config_digest()),
+                store.digest(*leaf),
+                "scenario {op} converges"
+            );
         }
     }
 
@@ -209,7 +246,11 @@ fn a_failover_allocates_for_what_changed() {
     let (elect, revive, dead) = w.failover();
     assert!(elect <= 64, "kill_leader + elect: {elect} allocations");
     assert!(revive <= 12, "revive: {revive} allocations");
-    assert!(elect + revive <= 64, "failover: {} allocations", elect + revive);
+    assert!(
+        elect + revive <= 64,
+        "failover: {} allocations",
+        elect + revive
+    );
 
     // Compact while the revived node lags; the leader reads its log, as
     // the next scenario's coordinator would.
@@ -217,7 +258,11 @@ fn a_failover_allocates_for_what_changed() {
     let report = w.log.compact().unwrap();
     w.log.replay().unwrap();
     let compacted = w.log.cluster_mut().leader().unwrap();
-    assert_eq!(report.compacted, [compacted], "both followers lag the commit index");
+    assert_eq!(
+        report.compacted,
+        [compacted],
+        "both followers lag the commit index"
+    );
     assert!(report.skipped.contains(&dead));
     // The successor is the follower that holds the barrier: the full
     // prefix, the representation the compaction left.
@@ -241,9 +286,19 @@ fn a_failover_allocates_for_what_changed() {
     });
     assert_eq!(successor, compacted);
     println!("across the compaction: onto the skipped node {onto_skipped}, back {back}");
-    assert_eq!(w.log.replay().unwrap().digest(), digest, "failovers commit only barriers");
-    assert!(onto_skipped <= 64, "kill_leader + elect onto the skipped node: {onto_skipped} allocations");
-    assert!(back <= 64, "kill_leader + elect back onto the compacted node: {back} allocations");
+    assert_eq!(
+        w.log.replay().unwrap().digest(),
+        digest,
+        "failovers commit only barriers"
+    );
+    assert!(
+        onto_skipped <= 64,
+        "kill_leader + elect onto the skipped node: {onto_skipped} allocations"
+    );
+    assert!(
+        back <= 64,
+        "kill_leader + elect back onto the compacted node: {back} allocations"
+    );
 
     // A revive decodes its log into one buffer: on the same world aged by
     // as many scenarios again, it allocates exactly as often.
@@ -252,5 +307,8 @@ fn a_failover_allocates_for_what_changed() {
         w.scenario(op);
     }
     let (_, aged, _) = w.failover();
-    assert_eq!(aged, revive, "revive {SCENARIOS} scenarios later: {aged} allocations");
+    assert_eq!(
+        aged, revive,
+        "revive {SCENARIOS} scenarios later: {aged} allocations"
+    );
 }

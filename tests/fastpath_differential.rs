@@ -228,15 +228,21 @@ fn trapping_inputs_trap_identically_in_both_modes() {
         d.install(bundle).expect("installs");
         if name == "reg_oob" {
             use flexnet_lang::ast::{StateDecl, StateKind};
-            let shrink = flexnet_lang::diff::ReconfigOp::ModifyState(StateDecl {
-                name: "r".into(),
-                kind: StateKind::Register { width: 64 },
-                size: 2,
-            }.into());
+            let shrink = flexnet_lang::diff::ReconfigOp::ModifyState(
+                StateDecl {
+                    name: "r".into(),
+                    kind: StateKind::Register { width: 64 },
+                    size: 2,
+                }
+                .into(),
+            );
             d.program_mut().unwrap().apply_op(&shrink).expect("shrinks");
         }
         let mut trapped = 0usize;
-        for (i, pkt) in packet_stream(0x7a9 ^ name.len() as u64, 80).iter().enumerate() {
+        for (i, pkt) in packet_stream(0x7a9 ^ name.len() as u64, 80)
+            .iter()
+            .enumerate()
+        {
             let r = oracle::process(&mut d, &mut pkt.clone(), SimTime::from_millis(i as u64));
             if let Some(t) = &r.trap {
                 trapped += 1;
@@ -276,9 +282,20 @@ fn a_hidden_header_still_counts_its_bytes() {
     let r = oracle::process(&mut d, &mut pkt, SimTime::ZERO);
     assert_eq!(r.verdict, Verdict::Forward(1));
     let state = d.program().expect("installed").state.snapshot();
-    assert_eq!(state.counters["c"], (1, 558), "count adds the frame's bytes");
-    assert_eq!(state.registers["r"], [558], "pktlen() reads the frame's bytes");
-    assert_eq!((stack(&pkt), pkt.payload_len), (stack(&sent), sent.payload_len));
+    assert_eq!(
+        state.counters["c"],
+        (1, 558),
+        "count adds the frame's bytes"
+    );
+    assert_eq!(
+        state.registers["r"],
+        [558],
+        "pktlen() reads the frame's bytes"
+    );
+    assert_eq!(
+        (stack(&pkt), pkt.payload_len),
+        (stack(&sent), sent.payload_len)
+    );
 }
 
 /// Service invocation: two services of different arities, so a wrong
@@ -339,9 +356,14 @@ fn exec_modes_agree_on_verdict_ops_and_state() {
         action: "deny".into(),
         args: vec![],
     };
-    d.add_entry("acl", TableEntry::exact(&[99], deny)).expect("entry fits");
+    d.add_entry("acl", TableEntry::exact(&[99], deny))
+        .expect("entry fits");
     for (id, src) in [(1u64, 99u32), (2, 7), (3, 10)] {
-        oracle::process(&mut d, &mut Packet::tcp(id, src, 20, 1, 80, 0), SimTime::ZERO);
+        oracle::process(
+            &mut d,
+            &mut Packet::tcp(id, src, 20, 1, 80, 0),
+            SimTime::ZERO,
+        );
     }
 }
 
@@ -374,7 +396,10 @@ fn burst_bills_exactly_the_poisoned_packet() {
     let pkt = |i: u64| Packet::tcp(i, i as u32, 9, 1, 80, 0);
     let mut burst: Vec<Packet> = (0..256).map(pkt).collect();
     let mut graph = ForwardingGraph::standard();
-    let out = &graph.run(&mut d, &mut burst, SimTime::ZERO).expect("processes").results;
+    let out = &graph
+        .run(&mut d, &mut burst, SimTime::ZERO)
+        .expect("processes")
+        .results;
     let singles: Vec<ProcessResult> = (0..256)
         .map(|i| oracle::process(&mut single, &mut pkt(i), SimTime::ZERO))
         .collect();
@@ -382,9 +407,17 @@ fn burst_bills_exactly_the_poisoned_packet() {
     for (i, r) in out.iter().enumerate() {
         if i == 77 {
             assert_eq!(r.verdict, Verdict::Drop);
-            assert!(matches!(r.trap, Some(Trap::DivisionByZero { .. })), "{:?}", r.trap);
+            assert!(
+                matches!(r.trap, Some(Trap::DivisionByZero { .. })),
+                "{:?}",
+                r.trap
+            );
         } else {
-            assert_eq!((r.verdict, &r.trap), (Verdict::Forward(1), &None), "neighbor {i}");
+            assert_eq!(
+                (r.verdict, &r.trap),
+                (Verdict::Forward(1), &None),
+                "neighbor {i}"
+            );
             assert_eq!(r.ops, out[0].ops, "neighbor {i} ops uniform");
         }
     }
@@ -464,7 +497,11 @@ fn gallery_devices<const N: usize>(name: &str, bundle: &ProgramBundle) -> [Devic
 /// Everything a device lets an observer see after a stream: logical state,
 /// stats, config digest, program version and the quarantine flag.
 fn assert_same_device(what: &str, a: &Device, b: &Device) {
-    assert_eq!(a.snapshot_state(), b.snapshot_state(), "{what} logical state");
+    assert_eq!(
+        a.snapshot_state(),
+        b.snapshot_state(),
+        "{what} logical state"
+    );
     assert_eq!(a.stats(), b.stats(), "{what} device stats");
     assert_eq!(a.config_digest(), b.config_digest(), "{what} config digest");
     assert_eq!(a.version(), b.version(), "{what} program version");
@@ -540,7 +577,10 @@ fn burst_matches_single_across_recirculation_boundaries() {
 #[test]
 fn burst_matches_single_under_tiny_gas_budgets() {
     for (name, bundle) in [
-        ("cms", flexnet::apps::telemetry::count_min_sketch(4, 1024).unwrap()),
+        (
+            "cms",
+            flexnet::apps::telemetry::count_min_sketch(4, 1024).unwrap(),
+        ),
         ("firewall", flexnet::apps::security::firewall(64).unwrap()),
     ] {
         for gas in [3u64, 19] {
@@ -561,8 +601,13 @@ fn burst_matches_single_under_tiny_gas_budgets() {
                         .map(|p| oracle::process(&mut single, &mut p.clone(), now))
                         .collect();
                     let mut burst_pkts: Vec<Packet> = chunk.to_vec();
-                    let lanes = graph.run(&mut bursty, &mut burst_pkts, now).expect("processes");
-                    assert_eq!(lanes.results, singles, "{name}: gas {gas} burst {burst} chunk {ci}");
+                    let lanes = graph
+                        .run(&mut bursty, &mut burst_pkts, now)
+                        .expect("processes");
+                    assert_eq!(
+                        lanes.results, singles,
+                        "{name}: gas {gas} burst {burst} chunk {ci}"
+                    );
                 }
                 assert_eq!(single.stats(), bursty.stats(), "{name}: gas {gas} stats");
             }
@@ -619,7 +664,10 @@ fn header_mutating_programs_agree_across_engines_and_burst_sizes() {
         let tun = p.header_sym(Sym::intern("tun")).is_some();
         assert_eq!(tun, src % 4 == 0 && src % 8 != 4, "src {src}");
         assert_eq!(p.header_sym(Sym::TCP).is_some(), src % 4 != 1, "src {src}");
-        assert!(p.header_sym(Sym::VLAN).is_none(), "a store never creates a header");
+        assert!(
+            p.header_sym(Sym::VLAN).is_none(),
+            "a store never creates a header"
+        );
     }
     assert!(verdicts.len() > 2, "only {verdicts:?}");
 }
@@ -679,7 +727,10 @@ fn assert_sealed_entry_matches_admission(name: &str, bundle: &ProgramBundle, fra
             Err(e) => panic!("{name}: frame {i}: wire entry failed: {e}"),
         }] += 1;
     }
-    assert!(kinds.iter().all(|&k| k > 0), "{name}: stream lacks a frame kind: {kinds:?}");
+    assert!(
+        kinds.iter().all(|&k| k > 0),
+        "{name}: stream lacks a frame kind: {kinds:?}"
+    );
     assert_same_device(&format!("{name}: sealed"), &sealed, &twin);
 }
 
@@ -796,7 +847,10 @@ fn tenant_header_added_removed_and_readded_at_runtime_agrees_across_engines() {
         })
         .collect();
 
-    let mut lanes = [(dev(plain.program.kind), 1usize), (dev(plain.program.kind), 64)];
+    let mut lanes = [
+        (dev(plain.program.kind), 1usize),
+        (dev(plain.program.kind), 64),
+    ];
     for (d, _) in lanes.iter_mut() {
         d.install(plain.clone()).expect("installs");
     }
@@ -848,7 +902,7 @@ fn tenant_header_added_removed_and_readded_at_runtime_agrees_across_engines() {
             // Opaque again: untouched and carried through.
             assert_eq!(pkts.len(), packets.len());
             for (after, before) in pkts.iter().zip(&packets) {
-                    assert_eq!(stack(after), stack(before), "phase {phase}");
+                assert_eq!(stack(after), stack(before), "phase {phase}");
             }
         }
     }

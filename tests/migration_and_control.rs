@@ -38,7 +38,10 @@ fn sketch_migration_dataplane_lossless_controlplane_lossy() {
     let done = m.completes_at();
     let rep_cp = m.finish(&src, &mut dst_cp, done).unwrap();
     let est_cp = cms_estimate(&dst_cp.program().unwrap().state, depth, width, 10, 20, 6);
-    assert_eq!(est_cp, 500, "control-plane copy missed the 100 in-flight updates");
+    assert_eq!(
+        est_cp, 500,
+        "control-plane copy missed the 100 in-flight updates"
+    );
     assert!(rep_cp.blackout > SimDuration::ZERO);
 
     // Data-plane migration of the same source captures everything.

@@ -32,26 +32,36 @@ fn a_transaction_over_every_leaf_mixes_versions_on_the_paths_in_flight_at_its_fl
     sim.load(generate(&flows, 7));
 
     sim.run(start);
-    let version = |sim: &flexnet_sim::Simulation, n: NodeId| sim.topo.node(n).unwrap().device.version();
+    let version =
+        |sim: &flexnet_sim::Simulation, n: NodeId| sim.topo.node(n).unwrap().device.version();
     let old: BTreeMap<NodeId, _> = leaves.iter().map(|&l| (l, version(&sim, l))).collect();
     let firewall = flexnet_apps::security::firewall(128).expect("firewall builds");
     let targets: Vec<_> = leaves.iter().map(|&l| (l, firewall.clone())).collect();
     let txn = transactional_reconfig(&mut sim, &targets, start);
     assert_eq!(txn.outcome, TxnOutcome::Committed, "{:?}", txn.reason);
-    let commit_at = txn.commit_at.expect("a committed transaction has a flip instant");
+    let commit_at = txn
+        .commit_at
+        .expect("a committed transaction has a flip instant");
     sim.run_to_completion();
     let new: BTreeMap<NodeId, _> = leaves.iter().map(|&l| (l, version(&sim, l))).collect();
-    assert!(leaves.iter().all(|l| new[l] == old[l].next()), "every leaf flipped once");
+    assert!(
+        leaves.iter().all(|l| new[l] == old[l].next()),
+        "every leaf flipped once"
+    );
 
     let delivered = &sim.metrics.delivered_packets;
     let mixed = delivered
         .iter()
         .filter(|pkt| {
-            let at = |when: &BTreeMap<NodeId, _>| pkt.trace.iter().any(|(n, v)| when.get(n) == Some(v));
+            let at =
+                |when: &BTreeMap<NodeId, _>| pkt.trace.iter().any(|(n, v)| when.get(n) == Some(v));
             at(&old) && at(&new)
         })
         .count();
-    let flipped_after = delivered.iter().filter(|p| p.ingress_time >= commit_at).count();
+    let flipped_after = delivered
+        .iter()
+        .filter(|p| p.ingress_time >= commit_at)
+        .count();
     println!(
         "{} delivered, {flipped_after} injected after the flip at {commit_at}, {mixed} on mixed paths",
         delivered.len()
@@ -59,5 +69,8 @@ fn a_transaction_over_every_leaf_mixes_versions_on_the_paths_in_flight_at_its_fl
     assert_eq!(sim.metrics.total_lost(), 0, "the change is hitless");
     // Two packets crossed their source leaf before the flip and their
     // destination leaf after it.
-    assert_eq!(mixed, 2, "pinned: a changed count is a changed flip alignment or path model");
+    assert_eq!(
+        mixed, 2,
+        "pinned: a changed count is a changed flip alignment or path model"
+    );
 }

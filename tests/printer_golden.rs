@@ -67,7 +67,8 @@ fn composed_8() -> ProgramBundle {
 
 /// Every statement, expression, declaration and operator the printer
 /// writes, with a header type, parsed but not checked.
-const EVERY_CONSTRUCT: &str = "header vxlan { fields { vni: 24; flags: 8; } follows udp when udp.dport == 4789; }
+const EVERY_CONSTRUCT: &str =
+    "header vxlan { fields { vni: 24; flags: 8; } follows udp when udp.dport == 4789; }
 program every kind nic {
   map m : map<u32, u64>[1024];
   counter c;
@@ -113,7 +114,10 @@ fn programs() -> Vec<(String, ProgramBundle)> {
     all.push(("ctl_txn_composed_8".to_string(), composed_8()));
     let file = parse_source(EVERY_CONSTRUCT).unwrap();
     let program = file.programs.into_iter().next().unwrap();
-    let every = ProgramBundle { headers: file.headers, program };
+    let every = ProgramBundle {
+        headers: file.headers,
+        program,
+    };
     all.push(("every_construct".to_string(), every));
     all
 }
@@ -124,7 +128,12 @@ fn printed_sources_and_digests_are_pinned() {
         .into_iter()
         .map(|(name, bundle)| {
             let src = bundle.program.to_source();
-            (name, src.len(), fnv1a(src.as_bytes()), config_digest_of(&bundle, &[]))
+            (
+                name,
+                src.len(),
+                fnv1a(src.as_bytes()),
+                config_digest_of(&bundle, &[]),
+            )
         })
         .collect();
     let want: Vec<(String, usize, u64, u64)> = PINNED

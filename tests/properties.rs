@@ -11,8 +11,8 @@
 use flexnet::prelude::*;
 use flexnet_dataplane::ProgramImage;
 use flexnet_lang::ast::{
-    ActionCall, BinOp, Block, Expr, FieldPath, Handler, Program, ProgramKind, StateDecl,
-    StateKind, Stmt, UnOp,
+    ActionCall, BinOp, Block, Expr, FieldPath, Handler, Program, ProgramKind, StateDecl, StateKind,
+    Stmt, UnOp,
 };
 use flexnet_lang::patch::{ModifyMode, PatchOp};
 use flexnet_lang::verifier::analyze_expr_range;
@@ -96,24 +96,33 @@ fn arb_program() -> impl Strategy<Value = Program> {
     )
         .prop_map(|(map_size, reg_size, exprs, use_if)| {
             let mut p = Program::empty("generated", ProgramKind::Any);
-            p.states.push(StateDecl {
-                name: "m".into(),
-                kind: StateKind::Map {
-                    key_width: 64,
-                    value_width: 64,
-                },
-                size: map_size,
-            }.into());
-            p.states.push(StateDecl {
-                name: "r".into(),
-                kind: StateKind::Register { width: 64 },
-                size: reg_size,
-            }.into());
-            p.states.push(StateDecl {
-                name: "c".into(),
-                kind: StateKind::Counter,
-                size: 1,
-            }.into());
+            p.states.push(
+                StateDecl {
+                    name: "m".into(),
+                    kind: StateKind::Map {
+                        key_width: 64,
+                        value_width: 64,
+                    },
+                    size: map_size,
+                }
+                .into(),
+            );
+            p.states.push(
+                StateDecl {
+                    name: "r".into(),
+                    kind: StateKind::Register { width: 64 },
+                    size: reg_size,
+                }
+                .into(),
+            );
+            p.states.push(
+                StateDecl {
+                    name: "c".into(),
+                    kind: StateKind::Counter,
+                    size: 1,
+                }
+                .into(),
+            );
             let mut body: Block = Vec::new();
             for (i, e) in exprs.into_iter().enumerate() {
                 body.push(Stmt::Let(format!("x{i}"), e.clone()));
@@ -143,10 +152,13 @@ fn arb_program() -> impl Strategy<Value = Program> {
             } else {
                 body.push(Stmt::Forward(Expr::Int(0)));
             }
-            p.handlers.push(Handler {
-                name: "ingress".into(),
-                body,
-            }.into());
+            p.handlers.push(
+                Handler {
+                    name: "ingress".into(),
+                    body,
+                }
+                .into(),
+            );
             p
         })
 }
@@ -466,12 +478,18 @@ fn arb_patch_op(rng: &mut StdRng, base: &Program) -> PatchOp {
     let pick = |rng: &mut StdRng, n: usize| rng.gen_range(0..n.max(1));
     let table = |rng: &mut StdRng| base.tables.get(pick(rng, base.tables.len())).cloned();
     let handler = &base.handlers[pick(rng, base.handlers.len())];
-    let body = vec![Stmt::AssignField(FieldPath::Meta("aliased".into()), Expr::Int(rng.gen_range(0..9)))];
+    let body = vec![Stmt::AssignField(
+        FieldPath::Meta("aliased".into()),
+        Expr::Int(rng.gen_range(0..9)),
+    )];
     match (rng.gen_range(0..8), table(rng)) {
         (0, Some(t)) => PatchOp::ResizeTable(t.name.clone(), t.size + 1 + rng.gen_range(0..64)),
         (1, Some(t)) => {
             let a = &t.actions[pick(rng, t.actions.len())];
-            let call = ActionCall { action: a.name.clone(), args: vec![1; a.params.len()] };
+            let call = ActionCall {
+                action: a.name.clone(),
+                args: vec![1; a.params.len()],
+            };
             PatchOp::SetDefault(t.name.clone(), call)
         }
         (2, Some(t)) => PatchOp::RemoveTable(t.name.clone()),

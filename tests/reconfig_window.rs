@@ -104,12 +104,22 @@ fn write_in_window(d: &mut Device, at: SimTime) {
 /// The state `warmed_up` + `write_in_window` leave, whichever program holds it.
 fn assert_window_writes_present(d: &Device) {
     let p = d.program().unwrap();
-    assert_eq!(p.state.counter_read("c"), 6, "counter: 1 at begin + 5 in the window");
+    assert_eq!(
+        p.state.counter_read("c"),
+        6,
+        "counter: 1 at begin + 5 in the window"
+    );
     assert_eq!(p.state.reg_read("r", 0), 6, "register cell");
     assert_eq!(p.state.map_len("seen"), 6, "map keys");
     let t = p.tables().get("t").unwrap();
-    assert!(t.lookup(&[200]).is_some(), "entry acked in the window is present");
-    assert!(t.lookup(&[100]).is_none(), "entry removed in the window is absent");
+    assert!(
+        t.lookup(&[200]).is_some(),
+        "entry acked in the window is present"
+    );
+    assert!(
+        t.lookup(&[100]).is_none(),
+        "entry removed in the window is absent"
+    );
 }
 
 /// Placement (parser states included), resource use and parser, as the
@@ -128,7 +138,10 @@ fn the_flip_carries_what_the_window_wrote() {
     let t0 = SimTime::from_secs(1);
     let rep = d.begin_runtime_reconfig(new(), t0).unwrap();
     assert_eq!(rep.outcome, ReconfigOutcome::InFlight);
-    write_in_window(&mut d, t0 + SimDuration::from_nanos(rep.duration.as_nanos() / 2));
+    write_in_window(
+        &mut d,
+        t0 + SimDuration::from_nanos(rep.duration.as_nanos() / 2),
+    );
     assert_window_writes_present(&d);
 
     let before = d.version();
@@ -142,8 +155,13 @@ fn the_flip_carries_what_the_window_wrote() {
 #[test]
 fn a_shadow_held_in_doubt_and_released_late_carries_what_is_there_then() {
     let mut d = warmed_up();
-    let tag = TxnTag { txn_id: 7, epoch: 1 };
-    let rep = d.prepare_txn_reconfig(new(), SimTime::from_secs(1), tag).unwrap();
+    let tag = TxnTag {
+        txn_id: 7,
+        epoch: 1,
+    };
+    let rep = d
+        .prepare_txn_reconfig(new(), SimTime::from_secs(1), tag)
+        .unwrap();
     // Far past `ready_at` the shadow is still in doubt and the old program
     // still serves — and still writes.
     let late = rep.ready_at + SimDuration::from_secs(3600);
@@ -163,7 +181,10 @@ fn a_shadow_held_in_doubt_and_released_late_carries_what_is_there_then() {
 
 #[test]
 fn abort_keeps_every_window_write_and_restores_placement_and_parser() {
-    let tag = TxnTag { txn_id: 3, epoch: 1 };
+    let tag = TxnTag {
+        txn_id: 3,
+        epoch: 1,
+    };
     for transactional in [false, true] {
         let mut d = warmed_up();
         let before = footprint(&d);
@@ -174,7 +195,11 @@ fn abort_keeps_every_window_write_and_restores_placement_and_parser() {
         } else {
             d.begin_runtime_reconfig(new(), t0).unwrap()
         };
-        assert_ne!(footprint(&d), before, "make-before-break holds both footprints");
+        assert_ne!(
+            footprint(&d),
+            before,
+            "make-before-break holds both footprints"
+        );
         let mid = t0 + SimDuration::from_nanos(rep.duration.as_nanos() / 2);
         write_in_window(&mut d, mid);
 
@@ -184,7 +209,11 @@ fn abort_keeps_every_window_write_and_restores_placement_and_parser() {
             d.abort_reconfig(mid).unwrap()
         };
         assert_eq!(aborted.outcome, ReconfigOutcome::Aborted);
-        assert_eq!(footprint(&d), before, "placement, use and parser exactly as before");
+        assert_eq!(
+            footprint(&d),
+            before,
+            "placement, use and parser exactly as before"
+        );
         assert_eq!(d.version(), version);
         d.tick(rep.ready_at + SimDuration::from_secs(10));
         assert_eq!(d.version(), version, "no flip resurrects");
@@ -227,7 +256,10 @@ fn a_rejected_begin_leaves_no_residue() {
     // Adds a header, re-sizes `t` (a `ModifyTable`: free, then an alloc the
     // device cannot satisfy) and replaces the handler.
     let too_big = || app(VX, "", 1 << 30, 2);
-    let tag = TxnTag { txn_id: 5, epoch: 1 };
+    let tag = TxnTag {
+        txn_id: 5,
+        epoch: 1,
+    };
     for transactional in [false, true] {
         let mut d = warmed_up();
         let before = footprint(&d);
@@ -252,7 +284,13 @@ fn a_rejected_begin_leaves_no_residue() {
 /// `app` with a rate limiter of one packet per second, burst 2, per source.
 fn limited(decls: &str, port: u16) -> ProgramBundle {
     let decls = format!("meter lim rate 1 burst 2; {decls}");
-    app_with("", &decls, 8, port, "if (!meter_check(lim, ipv4.src)) { drop(); }")
+    app_with(
+        "",
+        &decls,
+        8,
+        port,
+        "if (!meter_check(lim, ipv4.src)) { drop(); }",
+    )
 }
 
 #[test]
@@ -265,18 +303,38 @@ fn a_drained_meter_stays_drained_across_a_flip() {
     d.install(limited("", 1)).unwrap();
     // A flood from source 66 drains its bucket: the burst passes, then drops.
     let t0 = SimTime::from_secs(1);
-    for (i, want) in [Verdict::Forward(1), Verdict::Forward(1), Verdict::Drop].into_iter().enumerate() {
+    for (i, want) in [Verdict::Forward(1), Verdict::Forward(1), Verdict::Drop]
+        .into_iter()
+        .enumerate()
+    {
         assert_eq!(verdict(&mut d, i as u64, 66, t0), want);
     }
     // An unrelated change: one counter more, another port.
-    let rep = d.begin_runtime_reconfig(limited("counter extra;", 2), t0).unwrap();
+    let rep = d
+        .begin_runtime_reconfig(limited("counter extra;", 2), t0)
+        .unwrap();
     assert_eq!(verdict(&mut d, 3, 66, t0), Verdict::Drop, "in the window");
     d.tick(rep.ready_at);
-    assert!(rep.ready_at < t0 + SimDuration::from_millis(500), "less than a token's worth later");
-    assert_eq!(verdict(&mut d, 4, 66, rep.ready_at), Verdict::Drop, "still drained after the flip");
-    assert_eq!(verdict(&mut d, 5, 77, rep.ready_at), Verdict::Forward(2), "another source starts full");
+    assert!(
+        rep.ready_at < t0 + SimDuration::from_millis(500),
+        "less than a token's worth later"
+    );
+    assert_eq!(
+        verdict(&mut d, 4, 66, rep.ready_at),
+        Verdict::Drop,
+        "still drained after the flip"
+    );
+    assert_eq!(
+        verdict(&mut d, 5, 77, rep.ready_at),
+        Verdict::Forward(2),
+        "another source starts full"
+    );
     let later = rep.ready_at + SimDuration::from_secs(1);
-    assert_eq!(verdict(&mut d, 6, 66, later), Verdict::Forward(2), "one token back a second on");
+    assert_eq!(
+        verdict(&mut d, 6, 66, later),
+        Verdict::Forward(2),
+        "one token back a second on"
+    );
 }
 
 /// `new()`'s declarations on `port`, with a handler that divides by zero on
@@ -313,7 +371,10 @@ fn digest_of(program: ProgramBundle, denied: &[u64]) -> u64 {
 
 #[test]
 fn quarantine_falls_back_to_the_outgoing_program_as_it_stood_at_the_flip() {
-    let tag = TxnTag { txn_id: 11, epoch: 1 };
+    let tag = TxnTag {
+        txn_id: 11,
+        epoch: 1,
+    };
     for transactional in [false, true] {
         // v1 -> v2, writing in the window; v2 is the rogue.
         let mut d = warmed_up();
@@ -326,7 +387,10 @@ fn quarantine_falls_back_to_the_outgoing_program_as_it_stood_at_the_flip() {
             late
         } else {
             let rep = d.begin_runtime_reconfig(rogue(2), t0).unwrap();
-            write_in_window(&mut d, t0 + SimDuration::from_nanos(rep.duration.as_nanos() / 2));
+            write_in_window(
+                &mut d,
+                t0 + SimDuration::from_nanos(rep.duration.as_nanos() / 2),
+            );
             rep.ready_at
         };
         d.tick(flip);
@@ -334,7 +398,10 @@ fn quarantine_falls_back_to_the_outgoing_program_as_it_stood_at_the_flip() {
 
         // v2 writes on: three packets, one entry more, one entry less.
         for i in 0..3 {
-            assert_eq!(verdict(&mut d, 50 + i, 70 + i as u32, flip), Verdict::Forward(2));
+            assert_eq!(
+                verdict(&mut d, 50 + i, 70 + i as u32, flip),
+                Verdict::Forward(2)
+            );
         }
         d.add_entry("t", deny(300)).unwrap();
         assert_eq!(d.remove_entry("t", &[KeyMatch::Exact(200)]).unwrap(), 1);
@@ -362,7 +429,10 @@ fn a_second_flip_replaces_the_fallback_with_the_second_outgoing_program() {
     // v2 = `new()` serves and is written to, then flips to the rogue v3.
     let t1 = rep.ready_at + SimDuration::from_secs(1);
     for i in 0..4 {
-        assert_eq!(verdict(&mut d, 50 + i, 70 + i as u32, t1), Verdict::Forward(2));
+        assert_eq!(
+            verdict(&mut d, 50 + i, 70 + i as u32, t1),
+            Verdict::Forward(2)
+        );
     }
     d.add_entry("t", deny(300)).unwrap();
     let rep = d.begin_runtime_reconfig(rogue(3), t1).unwrap();
@@ -377,7 +447,11 @@ fn a_second_flip_replaces_the_fallback_with_the_second_outgoing_program() {
 
     let p = d.program().unwrap();
     assert_eq!(p.bundle(), &new(), "back on v2, not v1");
-    assert_eq!(p.state.counter_read("c"), 11, "6 carried from v1 + 5 under v2");
+    assert_eq!(
+        p.state.counter_read("c"),
+        11,
+        "6 carried from v1 + 5 under v2"
+    );
     assert_eq!(p.state.reg_read("r", 0), 11);
     assert_eq!(p.state.map_len("seen"), 11);
     assert_eq!(p.state.counter_read("extra"), 0);

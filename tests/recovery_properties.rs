@@ -49,10 +49,14 @@ proptest! {
 fn arb_record() -> impl Strategy<Value = IntentRecord> {
     let devices = proptest::collection::vec(any::<u64>(), 0..8);
     prop_oneof![
-        (any::<u64>(), devices.clone())
-            .prop_map(|(txn, d)| IntentRecord::Intent { txn, devices: d.into() }),
-        (any::<u64>(), devices)
-            .prop_map(|(txn, d)| IntentRecord::Prepared { txn, devices: d.into() }),
+        (any::<u64>(), devices.clone()).prop_map(|(txn, d)| IntentRecord::Intent {
+            txn,
+            devices: d.into()
+        }),
+        (any::<u64>(), devices).prop_map(|(txn, d)| IntentRecord::Prepared {
+            txn,
+            devices: d.into()
+        }),
         (any::<u64>(), any::<u64>()).prop_map(|(txn, ns)| IntentRecord::FlipScheduled {
             txn,
             commit_at: SimTime::from_nanos(ns),

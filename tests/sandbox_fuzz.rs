@@ -162,9 +162,9 @@ impl GenStmt {
     fn render(&self) -> String {
         match self {
             GenStmt::Count => "count(c);".into(),
-            GenStmt::RegBump { idx, add } => format!(
-                "reg_write(r, {idx} % 8, reg_read(r, {idx} % 8) + {add});"
-            ),
+            GenStmt::RegBump { idx, add } => {
+                format!("reg_write(r, {idx} % 8, reg_read(r, {idx} % 8) + {add});")
+            }
             GenStmt::DivByMap { num } => {
                 format!("let q{num} = {num} / map_get(m, ipv4.src);")
             }
@@ -213,7 +213,11 @@ fn render_program(stmts: &[GenStmt]) -> ProgramBundle {
 
 /// A device with a `gas`-op budget running `bundle`, if it installs.
 fn sandboxed(bundle: ProgramBundle, gas: u64) -> Option<Device> {
-    let mut d = Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable);
+    let mut d = Device::new(
+        NodeId(1),
+        Architecture::drmt_default(),
+        StateEncoding::StatefulTable,
+    );
     d.set_sandbox(SandboxConfig { gas_limit: gas });
     d.install(bundle).ok().map(|()| d)
 }
@@ -228,7 +232,10 @@ fn pinned_generated_program_regressions() {
         // 4 gas in one tick — the widest single charge.
         &[GenStmt::Apply, GenStmt::Count],
         // Division by an empty-map lookup traps on every packet.
-        &[GenStmt::DivByMap { num: 1000 }, GenStmt::Forward { port: 1 }],
+        &[
+            GenStmt::DivByMap { num: 1000 },
+            GenStmt::Forward { port: 1 },
+        ],
         // A mod whose divisor register is bumped first: traps only until
         // the bump lands, then runs clean — exercises mixed streams.
         &[

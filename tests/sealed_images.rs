@@ -141,8 +141,10 @@ fn reference_digest(dev: &Device) -> u64 {
 /// The store's digest for `rec` recomputed from nothing but its image and
 /// entries.
 fn intended_reference(rec: &IntendedDevice) -> u64 {
-    let entries: Vec<(String, TableEntry)> =
-        rec.entries().map(|(t, e)| (t.to_string(), e.clone())).collect();
+    let entries: Vec<(String, TableEntry)> = rec
+        .entries()
+        .map(|(t, e)| (t.to_string(), e.clone()))
+        .collect();
     config_digest_of(rec.image().bundle(), &entries)
 }
 
@@ -164,12 +166,22 @@ impl Pair {
     /// leave behind.
     fn check_store(&self, step: &str) -> std::result::Result<(), TestCaseError> {
         let rec = self.store.get(NODE).expect("intent was recorded");
-        prop_assert_eq!(self.store.digest(NODE), Some(intended_reference(rec)), "{}", step);
+        prop_assert_eq!(
+            self.store.digest(NODE),
+            Some(intended_reference(rec)),
+            "{}",
+            step
+        );
         Ok(())
     }
 
     fn check(&self, step: &str) -> std::result::Result<(), TestCaseError> {
-        prop_assert_eq!(self.dev.config_digest(), reference_digest(&self.dev), "device, {}", step);
+        prop_assert_eq!(
+            self.dev.config_digest(),
+            reference_digest(&self.dev),
+            "device, {}",
+            step
+        );
         let levels = self.dev.digest_levels();
         let root = levels.map_or(EMPTY_CONFIG_DIGEST, |l| root_digest(l.code, l.tables));
         prop_assert_eq!(root, self.dev.config_digest(), "device levels, {}", step);
@@ -187,7 +199,9 @@ impl Pair {
         self.dev.install(target.clone()).unwrap();
         // A fresh install wipes the device's entries; intent starts over.
         self.store = IntendedStore::new();
-        self.store.commit_target(&mut self.log, 0, NODE, target).unwrap();
+        self.store
+            .commit_target(&mut self.log, 0, NODE, target)
+            .unwrap();
         self.in_sync = true;
         self.check_store("install")
     }
@@ -195,7 +209,10 @@ impl Pair {
     /// Records `entry` in the store after the device took it.
     fn record(&mut self, table: &str, entry: TableEntry) -> std::result::Result<(), TestCaseError> {
         // Intent may be on another program by now.
-        let recorded = self.store.record_entry(&mut self.log, NODE, table, entry).is_ok();
+        let recorded = self
+            .store
+            .record_entry(&mut self.log, NODE, table, entry)
+            .is_ok();
         self.in_sync &= recorded;
         if recorded {
             self.check_store("record_entry")?;
@@ -349,9 +366,16 @@ fn fleet() -> Fleet {
     for leaf in &leaves {
         let dev = &mut sim.topo.node_mut(*leaf).unwrap().device;
         dev.install(gate(0, 16)).unwrap();
-        store.commit_target(&mut log, 0, *leaf, gate(0, 16)).unwrap();
+        store
+            .commit_target(&mut log, 0, *leaf, gate(0, 16))
+            .unwrap();
     }
-    Fleet { sim, leaves, log, store }
+    Fleet {
+        sim,
+        leaves,
+        log,
+        store,
+    }
 }
 
 fn run_txn(f: &mut Fleet, targets: &[(NodeId, ProgramBundle)]) -> LoggedTxnReport {
@@ -385,16 +409,29 @@ fn one_transaction_seals_and_compiles_each_distinct_target_once() {
     let mut f = fleet();
     let four = f.leaves[..4].to_vec();
     let targets: Vec<_> = four.iter().map(|n| (*n, gate(1, 16))).collect();
-    assert_eq!(run_txn(&mut f, &targets).outcome, LoggedTxnOutcome::Committed);
+    assert_eq!(
+        run_txn(&mut f, &targets).outcome,
+        LoggedTxnOutcome::Committed
+    );
     let first = image_of(&f, four[0]);
     let code = |f: &Fleet, n: NodeId| {
         let p = f.sim.topo.node(n).unwrap().device.program().unwrap();
         p.compiled().expect("compiled at prepare") as *const _
     };
     for n in &four {
-        assert!(Arc::ptr_eq(&image_of(&f, *n), &first), "{n} shares the one image");
-        assert!(Arc::ptr_eq(f.store.get(*n).unwrap().image(), &first), "store, {n}");
-        assert_eq!(code(&f, *n), code(&f, four[0]), "{n} shares the one bytecode");
+        assert!(
+            Arc::ptr_eq(&image_of(&f, *n), &first),
+            "{n} shares the one image"
+        );
+        assert!(
+            Arc::ptr_eq(f.store.get(*n).unwrap().image(), &first),
+            "store, {n}"
+        );
+        assert_eq!(
+            code(&f, *n),
+            code(&f, four[0]),
+            "{n} shares the one bytecode"
+        );
         assert_eq!(f.store.digest(*n), Some(image_of(&f, *n).code_digest()));
     }
     assert_eq!(first.bundle(), &gate(1, 16));
@@ -409,7 +446,10 @@ fn one_transaction_seals_and_compiles_each_distinct_target_once() {
     let images: Vec<_> = mixed.iter().map(|(n, _)| image_of(&f, *n)).collect();
     assert!(Arc::ptr_eq(&images[0], &images[2]) && Arc::ptr_eq(&images[1], &images[3]));
     assert!(!Arc::ptr_eq(&images[0], &images[1]));
-    assert!(!Arc::ptr_eq(&images[0], &first), "sharing is per transaction");
+    assert!(
+        !Arc::ptr_eq(&images[0], &first),
+        "sharing is per transaction"
+    );
 }
 
 /// A tenant header arrives, leaves and arrives again by transaction: each
@@ -439,7 +479,10 @@ fn transactions_add_remove_and_readd_a_tenant_header_on_shared_images() {
         .enumerate()
     {
         let targets: Vec<_> = four.iter().map(|n| (*n, target.clone())).collect();
-        assert_eq!(run_txn(&mut f, &targets).outcome, LoggedTxnOutcome::Committed);
+        assert_eq!(
+            run_txn(&mut f, &targets).outcome,
+            LoggedTxnOutcome::Committed
+        );
         let first = image_of(&f, four[0]);
         assert_eq!(first.bundle(), &target);
         for n in &four {
@@ -448,10 +491,21 @@ fn transactions_add_remove_and_readd_a_tenant_header_on_shared_images() {
             let dev = &mut f.sim.topo.node_mut(*n).unwrap().device;
             assert_eq!(dev.parser().can_parse("tun"), visible, "round {round}: {n}");
             assert_eq!(Some(dev.config_digest()), want, "round {round}: {n}");
-            assert_eq!(dev.config_digest(), reference_digest(dev), "round {round}: {n}");
+            assert_eq!(
+                dev.config_digest(),
+                reference_digest(dev),
+                "round {round}: {n}"
+            );
             let mut pkt = tunnelled.clone();
-            let verdict = dev.process(&mut pkt, SimTime::from_secs(2)).unwrap().verdict;
-            let expected = if visible { Verdict::Drop } else { Verdict::Forward(1) };
+            let verdict = dev
+                .process(&mut pkt, SimTime::from_secs(2))
+                .unwrap()
+                .verdict;
+            let expected = if visible {
+                Verdict::Drop
+            } else {
+                Verdict::Forward(1)
+            };
             assert_eq!(verdict, expected, "round {round}: {n}");
             assert_eq!(stack(&pkt), stack(&tunnelled), "round {round}: {n}");
         }
@@ -478,20 +532,46 @@ fn quarantine(f: &mut Fleet, node: NodeId) {
 fn every_device_on_an_image_and_its_fallback_share_the_images_layout() {
     let mut f = fleet();
     let four = f.leaves[..4].to_vec();
-    let layout = |f: &Fleet, n: NodeId| f.sim.topo.node(n).unwrap().device.program().unwrap().state.layout().clone();
+    let layout = |f: &Fleet, n: NodeId| {
+        f.sim
+            .topo
+            .node(n)
+            .unwrap()
+            .device
+            .program()
+            .unwrap()
+            .state
+            .layout()
+            .clone()
+    };
     let on = |image: &Arc<ProgramImage>| image.layout().clone();
 
     let targets: Vec<_> = four.iter().map(|n| (*n, gate(1, 16))).collect();
-    assert_eq!(run_txn(&mut f, &targets).outcome, LoggedTxnOutcome::Committed);
+    assert_eq!(
+        run_txn(&mut f, &targets).outcome,
+        LoggedTxnOutcome::Committed
+    );
     let first = image_of(&f, four[0]);
     let targets: Vec<_> = four.iter().map(|n| (*n, trapping())).collect();
-    assert_eq!(run_txn(&mut f, &targets).outcome, LoggedTxnOutcome::Committed);
+    assert_eq!(
+        run_txn(&mut f, &targets).outcome,
+        LoggedTxnOutcome::Committed
+    );
     let second = image_of(&f, four[0]);
     for n in &four {
-        assert!(Arc::ptr_eq(&layout(&f, *n), &on(&second)), "{n}: the image's layout after the flip");
+        assert!(
+            Arc::ptr_eq(&layout(&f, *n), &on(&second)),
+            "{n}: the image's layout after the flip"
+        );
         quarantine(&mut f, *n);
-        assert!(Arc::ptr_eq(&image_of(&f, *n), &first), "{n}: back on the outgoing image");
-        assert!(Arc::ptr_eq(&layout(&f, *n), &on(&first)), "{n}: and on its layout");
+        assert!(
+            Arc::ptr_eq(&image_of(&f, *n), &first),
+            "{n}: back on the outgoing image"
+        );
+        assert!(
+            Arc::ptr_eq(&layout(&f, *n), &on(&first)),
+            "{n}: and on its layout"
+        );
     }
 }
 
@@ -510,7 +590,11 @@ fn a_packet_never_changes_the_shared_layout() {
     .unwrap();
     let mut devs: Vec<Device> = (0..2)
         .map(|i| {
-            let mut d = Device::new(NodeId(i), Architecture::drmt_default(), StateEncoding::RegisterArray);
+            let mut d = Device::new(
+                NodeId(i),
+                Architecture::drmt_default(),
+                StateEncoding::RegisterArray,
+            );
             d.install(image.clone()).unwrap();
             d
         })
@@ -518,19 +602,35 @@ fn a_packet_never_changes_the_shared_layout() {
     for (i, dev) in devs.iter_mut().enumerate() {
         let state = || &dev.program().unwrap().state;
         assert_eq!(state().counter_read("__dropped_inserts"), 0);
-        assert!(!state().snapshot().counters.contains_key("__dropped_inserts"));
+        assert!(!state()
+            .snapshot()
+            .counters
+            .contains_key("__dropped_inserts"));
         for src in 0..16 * (i as u32 + 1) {
             let mut pkt = Packet::tcp(src as u64, src, 20, 1, 80, 0);
-            assert_eq!(dev.process(&mut pkt, SimTime::ZERO).unwrap().verdict, Verdict::Forward(1));
+            assert_eq!(
+                dev.process(&mut pkt, SimTime::ZERO).unwrap().verdict,
+                Verdict::Forward(1)
+            );
         }
         let state = &dev.program().unwrap().state;
         let dropped = state.counter_read("__dropped_inserts");
-        assert_eq!(dropped, 16 * (i as u64 + 1) - state.map_len("seen") as u64, "device {i}");
+        assert_eq!(
+            dropped,
+            16 * (i as u64 + 1) - state.map_len("seen") as u64,
+            "device {i}"
+        );
         assert_eq!(state.snapshot().counters["__dropped_inserts"], (dropped, 0));
-        assert!(state.counter_slot("__dropped_inserts").is_none(), "not a slot of the layout");
+        assert!(
+            state.counter_slot("__dropped_inserts").is_none(),
+            "not a slot of the layout"
+        );
     }
     for dev in &devs {
-        assert!(Arc::ptr_eq(dev.program().unwrap().state.layout(), image.layout()));
+        assert!(Arc::ptr_eq(
+            dev.program().unwrap().state.layout(),
+            image.layout()
+        ));
     }
 }
 
@@ -581,14 +681,26 @@ fn one_operation_plans_each_active_target_pair_once() {
     let mut sealed = SealedTargets::default();
     let now = SimTime::from_secs(1);
     for (i, dev) in devs.iter_mut().enumerate() {
-        let tag = TxnTag { txn_id: 5, epoch: 1 };
+        let tag = TxnTag {
+            txn_id: 5,
+            epoch: 1,
+        };
         let expected = report_from_scratch(dev, &target, now);
-        let got = dev.prepare_txn_reconfig(sealed.target(&target), now, tag).unwrap();
-        assert_eq!(got, expected, "device {i}: report, ready_at and ops as without a plan");
+        let got = dev
+            .prepare_txn_reconfig(sealed.target(&target), now, tag)
+            .unwrap();
+        assert_eq!(
+            got, expected,
+            "device {i}: report, ready_at and ops as without a plan"
+        );
     }
     let probe = [ReconfigOp::RemoveTable("t".into())];
     let price = |d: &Device| d.cost_model().plan_duration(&probe);
-    assert_ne!(price(&devs[0]), price(&devs[2]), "the durations came from different cost models");
+    assert_ne!(
+        price(&devs[0]),
+        price(&devs[2]),
+        "the durations came from different cost models"
+    );
 
     // Asking again hands back the plans the prepares were made from: one
     // for the three on A, one for B (that the four prepares made exactly
@@ -598,17 +710,34 @@ fn one_operation_plans_each_active_target_pair_once() {
         .map(|d| sealed.target(&target).into_plan(d.program()).unwrap())
         .collect();
     assert!(Arc::ptr_eq(&plans[0], &plans[1]) && Arc::ptr_eq(&plans[0], &plans[2]));
-    assert!(!Arc::ptr_eq(&plans[0], &plans[3]), "a different active image, a different plan");
+    assert!(
+        !Arc::ptr_eq(&plans[0], &plans[3]),
+        "a different active image, a different plan"
+    );
     drop(sealed);
-    assert_eq!(Arc::strong_count(&plans[0]), 3, "a plan does not outlive its operation");
+    assert_eq!(
+        Arc::strong_count(&plans[0]),
+        3,
+        "a plan does not outlive its operation"
+    );
 
     // Every shadow is the one target image, whichever plan brought it.
     for dev in devs.iter_mut() {
-        assert!(dev.commit_txn(TxnTag { txn_id: 5, epoch: 1 }, now).unwrap());
+        assert!(dev
+            .commit_txn(
+                TxnTag {
+                    txn_id: 5,
+                    epoch: 1
+                },
+                now
+            )
+            .unwrap());
         dev.tick(now + SimDuration::from_secs(60));
     }
     let image = |d: &Device| d.program().unwrap().image().unwrap().clone();
-    assert!(devs.iter().all(|d| Arc::ptr_eq(&image(d), &image(&devs[0]))));
+    assert!(devs
+        .iter()
+        .all(|d| Arc::ptr_eq(&image(d), &image(&devs[0]))));
     assert_eq!(image(&devs[0]).bundle(), &target);
 }
 
@@ -619,12 +748,17 @@ fn a_device_without_an_image_identity_gets_a_plan_of_its_own_and_the_same_report
     let now = SimTime::from_secs(1);
     let mut sealed = SealedTargets::default();
     let mut shared = device_on(0, Architecture::drmt_default(), &a);
-    let with_plan = shared.begin_runtime_reconfig(sealed.target(&target), now).unwrap();
+    let with_plan = shared
+        .begin_runtime_reconfig(sealed.target(&target), now)
+        .unwrap();
     let the_plan = sealed.target(&target).into_plan(shared.program()).unwrap();
 
     // A raw bundle and a bare image: sealed or not, no operation to share in.
     let mut raw = device_on(1, Architecture::drmt_default(), &a);
-    assert_eq!(raw.begin_runtime_reconfig(target.clone(), now).unwrap(), with_plan);
+    assert_eq!(
+        raw.begin_runtime_reconfig(target.clone(), now).unwrap(),
+        with_plan
+    );
     let mut bare = device_on(2, Architecture::drmt_default(), &a);
     let image = ProgramImage::seal(target.clone()).unwrap();
     assert_eq!(bare.begin_runtime_reconfig(image, now).unwrap(), with_plan);
@@ -641,8 +775,17 @@ fn a_device_without_an_image_identity_gets_a_plan_of_its_own_and_the_same_report
     assert_eq!(expected, with_plan, "same program, same change");
     let private = sealed.target(&target).into_plan(patched.program()).unwrap();
     assert!(!Arc::ptr_eq(&private, &the_plan));
-    assert_eq!(Arc::strong_count(&private), 1, "not kept: there is nobody to share it with");
-    assert_eq!(patched.begin_runtime_reconfig(sealed.target(&target), now).unwrap(), expected);
+    assert_eq!(
+        Arc::strong_count(&private),
+        1,
+        "not kept: there is nobody to share it with"
+    );
+    assert_eq!(
+        patched
+            .begin_runtime_reconfig(sealed.target(&target), now)
+            .unwrap(),
+        expected
+    );
 
     for dev in [&mut shared, &mut raw, &mut bare, &mut patched] {
         dev.tick(with_plan.ready_at);
@@ -667,14 +810,23 @@ impl SealTarget for Untouchable {
 fn a_duplicate_prepare_asks_for_neither_image_nor_plan() {
     let a = ProgramImage::seal(gate(0, 16)).unwrap();
     let mut dev = device_on(0, Architecture::drmt_default(), &a);
-    let tag = TxnTag { txn_id: 9, epoch: 0 };
+    let tag = TxnTag {
+        txn_id: 9,
+        epoch: 0,
+    };
     let target = gate(1, 16);
     let mut sealed = SealedTargets::default();
-    let first = dev.prepare_txn_reconfig(sealed.target(&target), SimTime::from_secs(1), tag).unwrap();
-    let again = dev.prepare_txn_reconfig(Untouchable, SimTime::from_secs(2), tag).unwrap();
+    let first = dev
+        .prepare_txn_reconfig(sealed.target(&target), SimTime::from_secs(1), tag)
+        .unwrap();
+    let again = dev
+        .prepare_txn_reconfig(Untouchable, SimTime::from_secs(2), tag)
+        .unwrap();
     assert_eq!((again.ready_at, again.ops), (first.ready_at, first.ops));
     dev.crash(SimTime::from_secs(3));
-    let err = dev.prepare_txn_reconfig(Untouchable, SimTime::from_secs(4), tag).unwrap_err();
+    let err = dev
+        .prepare_txn_reconfig(Untouchable, SimTime::from_secs(4), tag)
+        .unwrap_err();
     assert!(matches!(err, FlexError::Unavailable(_)), "{err:?}");
 }
 
@@ -683,17 +835,25 @@ fn a_begin_rejected_on_one_device_leaves_it_clean_and_the_shared_plan_usable() {
     let a = ProgramImage::seal(gate(0, 16)).unwrap();
     // Frees `acl`, then asks for more than device 2 has left.
     let target = gate(1, 1 << 16);
-    let mut devs: Vec<Device> =
-        (0..4).map(|i| device_on(i, Architecture::drmt_default(), &a)).collect();
+    let mut devs: Vec<Device> = (0..4)
+        .map(|i| device_on(i, Architecture::drmt_default(), &a))
+        .collect();
     let ballast = devs[2].capacity().saturating_sub(&devs[2].used());
-    let ballast = ResourceVec::from_pairs([(ResourceKind::SramKb, ballast.get(ResourceKind::SramKb))]);
-    devs[2].allocator_mut().alloc("ballast".into(), &ballast, 0).unwrap();
+    let ballast =
+        ResourceVec::from_pairs([(ResourceKind::SramKb, ballast.get(ResourceKind::SramKb))]);
+    devs[2]
+        .allocator_mut()
+        .alloc("ballast".into(), &ballast, 0)
+        .unwrap();
     let before = footprint(&devs[2]);
     let digest = devs[2].config_digest();
 
     let mut sealed = SealedTargets::default();
     let now = SimTime::from_secs(1);
-    let tag = TxnTag { txn_id: 6, epoch: 1 };
+    let tag = TxnTag {
+        txn_id: 6,
+        epoch: 1,
+    };
     let expected = report_from_scratch(&devs[0], &target, now);
     for (i, dev) in devs.iter_mut().enumerate() {
         let got = dev.prepare_txn_reconfig(sealed.target(&target), now, tag);
@@ -705,15 +865,24 @@ fn a_begin_rejected_on_one_device_leaves_it_clean_and_the_shared_plan_usable() {
         }
     }
     assert!(!devs[2].reconfig_in_progress());
-    assert_eq!(footprint(&devs[2]), before, "placement, use and parser untouched");
+    assert_eq!(
+        footprint(&devs[2]),
+        before,
+        "placement, use and parser untouched"
+    );
     assert_eq!(devs[2].config_digest(), digest);
 
     // Without the ballast the same plan — device 2's refusal changed
     // nothing in it — still serves device 2.
     let plan = sealed.target(&target).into_plan(devs[2].program()).unwrap();
-    assert!(Arc::ptr_eq(&plan, &sealed.target(&target).into_plan(devs[3].program()).unwrap()));
+    assert!(Arc::ptr_eq(
+        &plan,
+        &sealed.target(&target).into_plan(devs[3].program()).unwrap()
+    ));
     devs[2].allocator_mut().free("ballast").unwrap();
-    let got = devs[2].prepare_txn_reconfig(sealed.target(&target), now, tag).unwrap();
+    let got = devs[2]
+        .prepare_txn_reconfig(sealed.target(&target), now, tag)
+        .unwrap();
     assert_eq!(got, expected);
 }
 
@@ -724,14 +893,22 @@ fn a_begin_rejected_on_one_device_leaves_it_clean_and_the_shared_plan_usable() {
 #[test]
 fn bad_targets_abort_as_that_devices_prepare() {
     for (bad, is_expected) in [
-        (ill_typed(), (|e| matches!(e, FlexError::Type(_))) as fn(&FlexError) -> bool),
+        (
+            ill_typed(),
+            (|e| matches!(e, FlexError::Type(_))) as fn(&FlexError) -> bool,
+        ),
         (unverifiable(), |e| matches!(e, FlexError::Verify(_))),
     ] {
         let mut f = fleet();
         let (a, b) = (f.leaves[0], f.leaves[1]);
-        let tag = TxnTag { txn_id: 77, epoch: 0 };
+        let tag = TxnTag {
+            txn_id: 77,
+            epoch: 0,
+        };
         let dev = &mut f.sim.topo.node_mut(b).unwrap().device;
-        let err = dev.prepare_txn_reconfig(bad.clone(), SimTime::ZERO, tag).unwrap_err();
+        let err = dev
+            .prepare_txn_reconfig(bad.clone(), SimTime::ZERO, tag)
+            .unwrap_err();
         assert!(is_expected(&err), "{err:?}");
         assert!(!dev.reconfig_in_progress());
 
@@ -743,12 +920,18 @@ fn bad_targets_abort_as_that_devices_prepare() {
         assert_eq!(
             f.log.records().unwrap()[before..],
             [
-                IntentRecord::Intent { txn: report.txn, devices: devices.into() },
+                IntentRecord::Intent {
+                    txn: report.txn,
+                    devices: devices.into()
+                },
                 IntentRecord::Aborted { txn: report.txn },
             ]
         );
         let why = &f.sim.errors.last().unwrap().1;
-        assert!(why.contains(&format!("prepare on {b} failed: {err}")), "{why}");
+        assert!(
+            why.contains(&format!("prepare on {b} failed: {err}")),
+            "{why}"
+        );
         for n in [a, b] {
             let dev = &f.sim.topo.node(n).unwrap().device;
             assert!(!dev.reconfig_in_progress(), "{n} rolled back");
@@ -761,17 +944,29 @@ fn bad_targets_abort_as_that_devices_prepare() {
 fn duplicate_prepare_re_acks_without_sealing_and_a_down_device_never_asks() {
     let mut f = fleet();
     let dev = &mut f.sim.topo.node_mut(f.leaves[0]).unwrap().device;
-    let tag = TxnTag { txn_id: 9, epoch: 0 };
-    let first = dev.prepare_txn_reconfig(gate(1, 16), SimTime::from_secs(1), tag).unwrap();
+    let tag = TxnTag {
+        txn_id: 9,
+        epoch: 0,
+    };
+    let first = dev
+        .prepare_txn_reconfig(gate(1, 16), SimTime::from_secs(1), tag)
+        .unwrap();
     let mut asked = false;
     let mut never = || {
         asked = true;
         ProgramImage::seal(ill_typed())
     };
-    let again = dev.prepare_txn_reconfig(&mut never, SimTime::from_secs(2), tag).unwrap();
-    assert_eq!(again.ready_at, first.ready_at, "the transition clock did not restart");
+    let again = dev
+        .prepare_txn_reconfig(&mut never, SimTime::from_secs(2), tag)
+        .unwrap();
+    assert_eq!(
+        again.ready_at, first.ready_at,
+        "the transition clock did not restart"
+    );
     dev.crash(SimTime::from_secs(3));
-    let err = dev.prepare_txn_reconfig(&mut never, SimTime::from_secs(4), tag).unwrap_err();
+    let err = dev
+        .prepare_txn_reconfig(&mut never, SimTime::from_secs(4), tag)
+        .unwrap_err();
     assert!(matches!(err, FlexError::Unavailable(_)), "{err:?}");
     assert!(!asked, "neither a re-ack nor a refusal seals the target");
 }
@@ -787,13 +982,26 @@ fn restart_keeps_the_image_and_rebuilds_the_rest_lazily() {
     dev.crash(SimTime::from_secs(1));
     dev.restart(SimTime::from_secs(2)).unwrap();
     let p = dev.program().unwrap();
-    assert!(Arc::ptr_eq(p.image().unwrap(), &shared), "the flashed image survives");
+    assert!(
+        Arc::ptr_eq(p.image().unwrap(), &shared),
+        "the flashed image survives"
+    );
     assert!(p.tables().get("acl").unwrap().is_empty(), "entries wiped");
-    assert!(p.compiled().is_none(), "bytecode dropped with the old slots");
+    assert!(
+        p.compiled().is_none(),
+        "bytecode dropped with the old slots"
+    );
     let mut pkt = Packet::tcp(1, 7, 20, 1, 80, 0);
     dev.process(&mut pkt, SimTime::from_secs(3)).unwrap();
-    let rebuilt = dev.program().unwrap().compiled().expect("rebuilt on first use");
-    assert_eq!(rebuilt as *const _, flashed, "taken back from the image, not recompiled");
+    let rebuilt = dev
+        .program()
+        .unwrap()
+        .compiled()
+        .expect("rebuilt on first use");
+    assert_eq!(
+        rebuilt as *const _, flashed,
+        "taken back from the image, not recompiled"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -806,17 +1014,25 @@ fn a_transaction_that_modifies_a_table_leaves_intent_and_device_agreeing() {
     let leaf = f.leaves[0];
     let dev = &mut f.sim.topo.node_mut(leaf).unwrap().device;
     dev.add_entry("acl", deny(7)).unwrap();
-    f.store.record_entry(&mut f.log, leaf, "acl", deny(7)).unwrap();
+    f.store
+        .record_entry(&mut f.log, leaf, "acl", deny(7))
+        .unwrap();
 
     // Declaration unchanged: the entry crosses the flip on both sides.
-    assert_eq!(run_txn(&mut f, &[(leaf, gate(1, 16))]).outcome, LoggedTxnOutcome::Committed);
+    assert_eq!(
+        run_txn(&mut f, &[(leaf, gate(1, 16))]).outcome,
+        LoggedTxnOutcome::Committed
+    );
     let dev = &f.sim.topo.node(leaf).unwrap().device;
     assert_eq!(f.store.get(leaf).unwrap().entries().count(), 1);
     assert_eq!(f.store.digest(leaf), Some(dev.config_digest()));
 
     // `size 16` → `size 32`: the device's shadow starts the table empty,
     // and so must intent — no resync pass is needed to agree.
-    assert_eq!(run_txn(&mut f, &[(leaf, gate(1, 32))]).outcome, LoggedTxnOutcome::Committed);
+    assert_eq!(
+        run_txn(&mut f, &[(leaf, gate(1, 32))]).outcome,
+        LoggedTxnOutcome::Committed
+    );
     let dev = &f.sim.topo.node(leaf).unwrap().device;
     assert!(dev.table("acl").unwrap().is_empty());
     assert_eq!(f.store.get(leaf).unwrap().entries().count(), 0);
@@ -890,7 +1106,9 @@ fn the_streamed_digest_is_fnv_of_the_printed_source_which_parses_back() {
     let mut programs = gallery_programs::gallery();
     let mut tenants = flexnet_controller::TenantManager::new(infra);
     for t in 1..=8u64 {
-        tenants.arrive(TenantId(t as u32), tenant_flavour(t)).unwrap();
+        tenants
+            .arrive(TenantId(t as u32), tenant_flavour(t))
+            .unwrap();
         programs.push(("composed", tenants.composed().unwrap().0));
     }
     assert_eq!(programs.len(), 14 + 8);
@@ -901,17 +1119,25 @@ fn the_streamed_digest_is_fnv_of_the_printed_source_which_parses_back() {
         b.program.write_source(&mut streamed).unwrap();
         assert_eq!(streamed, source, "{name}: one writer");
         let reparsed = parse_source(&source).unwrap();
-        assert_eq!(reparsed.programs, vec![b.program.clone()], "{name}: round trip");
+        assert_eq!(
+            reparsed.programs,
+            vec![b.program.clone()],
+            "{name}: round trip"
+        );
 
         let fnv1a = |h: u64, bytes: &[u8]| {
-            bytes
-                .iter()
-                .fold(h, |h, b| (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+            bytes.iter().fold(h, |h, b| {
+                (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
         };
         let headers = b.headers.iter().map(|h| format!("{h:?}"));
         let printed: String = headers.chain([source]).collect();
         let expected = fnv1a(0xcbf2_9ce4_8422_2325, printed.as_bytes());
-        assert_eq!(config_digest_of(&b, &[]), expected, "{name}: reference digest");
+        assert_eq!(
+            config_digest_of(&b, &[]),
+            expected,
+            "{name}: reference digest"
+        );
         let image = ProgramImage::seal(b).unwrap();
         assert_eq!(image.code_digest(), expected, "{name}: sealed digest");
     }

@@ -89,7 +89,11 @@ fn metrics_allocs(calls: u64) -> u64 {
         }
     });
     assert_eq!(m.delivered + m.total_lost(), calls);
-    assert_eq!(m.timeseries().len(), 2, "[1 ms, 11 ms) spans two 10 ms buckets");
+    assert_eq!(
+        m.timeseries().len(),
+        2,
+        "[1 ms, 11 ms) spans two 10 ms buckets"
+    );
     allocs
 }
 
@@ -110,5 +114,8 @@ fn warmed_up_leaf_spine_run_allocates_at_most_once_per_four_hops() {
     }
     let (small, large) = (metrics_allocs(100_000), metrics_allocs(1_000_000));
     println!("Metrics: {small} allocations for 100 k events, {large} for 1 M");
-    assert_eq!(small, large, "the metrics store grows with simulated time, not with events");
+    assert_eq!(
+        small, large,
+        "the metrics store grows with simulated time, not with events"
+    );
 }

@@ -46,9 +46,14 @@ fn arb_payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
 fn arb_record() -> impl Strategy<Value = IntentRecord> {
     let devices = proptest::collection::vec(1u64..16, 0..6);
     prop_oneof![
-        (1u64..64, devices.clone())
-            .prop_map(|(txn, d)| IntentRecord::Intent { txn, devices: d.into() }),
-        (1u64..64, devices).prop_map(|(txn, d)| IntentRecord::Prepared { txn, devices: d.into() }),
+        (1u64..64, devices.clone()).prop_map(|(txn, d)| IntentRecord::Intent {
+            txn,
+            devices: d.into()
+        }),
+        (1u64..64, devices).prop_map(|(txn, d)| IntentRecord::Prepared {
+            txn,
+            devices: d.into()
+        }),
         (1u64..64, any::<u32>()).prop_map(|(txn, ns)| IntentRecord::FlipScheduled {
             txn,
             commit_at: SimTime::from_nanos(u64::from(ns)),
@@ -56,7 +61,11 @@ fn arb_record() -> impl Strategy<Value = IntentRecord> {
         (1u64..64).prop_map(|txn| IntentRecord::Committed { txn }),
         (1u64..64).prop_map(|txn| IntentRecord::Aborted { txn }),
         (1u64..64, 1u64..16, any::<u64>()).prop_map(|(txn, device, digest)| {
-            IntentRecord::IntendedState { txn, device, digest }
+            IntentRecord::IntendedState {
+                txn,
+                device,
+                digest,
+            }
         }),
     ]
 }
@@ -68,10 +77,14 @@ fn arb_any_record() -> impl Strategy<Value = IntentRecord> {
     let devices = || proptest::collection::vec(any::<u64>(), 0..6);
     let wave = proptest::collection::vec(any::<u64>(), 1..6);
     prop_oneof![
-        (any::<u64>(), devices())
-            .prop_map(|(txn, d)| IntentRecord::Intent { txn, devices: d.into() }),
-        (any::<u64>(), devices())
-            .prop_map(|(txn, d)| IntentRecord::Prepared { txn, devices: d.into() }),
+        (any::<u64>(), devices()).prop_map(|(txn, d)| IntentRecord::Intent {
+            txn,
+            devices: d.into()
+        }),
+        (any::<u64>(), devices()).prop_map(|(txn, d)| IntentRecord::Prepared {
+            txn,
+            devices: d.into()
+        }),
         (any::<u64>(), any::<u64>()).prop_map(|(txn, ns)| IntentRecord::FlipScheduled {
             txn,
             commit_at: SimTime::from_nanos(ns),
@@ -79,14 +92,22 @@ fn arb_any_record() -> impl Strategy<Value = IntentRecord> {
         any::<u64>().prop_map(|txn| IntentRecord::Committed { txn }),
         any::<u64>().prop_map(|txn| IntentRecord::Aborted { txn }),
         (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(txn, device, digest)| {
-            IntentRecord::IntendedState { txn, device, digest }
+            IntentRecord::IntendedState {
+                txn,
+                device,
+                digest,
+            }
         }),
         (any::<u64>(), proptest::collection::vec(wave, 1..4))
             .prop_map(|(rollout, waves)| IntentRecord::RolloutStarted { rollout, waves }),
         (any::<u64>(), any::<u32>(), any::<u64>())
             .prop_map(|(rollout, wave, txn)| IntentRecord::WaveCommitted { rollout, wave, txn }),
         (any::<u64>(), any::<u32>(), "[a-z0-9-]{1,12}").prop_map(|(rollout, wave, guard)| {
-            IntentRecord::RolloutAborted { rollout, wave, guard }
+            IntentRecord::RolloutAborted {
+                rollout,
+                wave,
+                guard,
+            }
         }),
         any::<u64>().prop_map(|rollout| IntentRecord::RolloutCompleted { rollout }),
         any::<u64>().prop_map(|rollout| IntentRecord::RolledBack { rollout }),

@@ -84,7 +84,10 @@ fn outputs_are_identical_when_every_name_gets_a_different_id() {
     let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(hex, WIRE_HEX);
     let parsed = parse_wire(&wire, 42).expect("round-trips");
-    assert_eq!(parsed.headers().collect::<Vec<_>>(), pkt.headers().collect::<Vec<_>>());
+    assert_eq!(
+        parsed.headers().collect::<Vec<_>>(),
+        pkt.headers().collect::<Vec<_>>()
+    );
     assert_eq!(format!("{parsed:?}"), PARSED_DEBUG);
 
     pkt.push_header(Header::new("tun", [("zeta", 1), ("alpha", 2), ("mid", 3)]));

@@ -49,13 +49,20 @@ const ROUNDS: usize = 16;
 /// Every counter of the active program by name, with its packet count.
 fn counters(dev: &Device) -> Vec<(String, u64)> {
     let state = dev.snapshot_state().unwrap();
-    state.counters.into_iter().map(|(name, (pkts, _))| (name, pkts)).collect()
+    state
+        .counters
+        .into_iter()
+        .map(|(name, (pkts, _))| (name, pkts))
+        .collect()
 }
 
 /// A TCP packet on `vlan`, with the routing metadata the programs read.
 fn packet(id: u64, vlan: VlanId) -> Packet {
     let mut p = Packet::tcp(id, 10 + id as u32 % 7, 2, 3, 80, 0x10);
-    p.insert_header_sym(flexnet_types::Header::vlan(u64::from(vlan.0)), Some(Sym::ETH));
+    p.insert_header_sym(
+        flexnet_types::Header::vlan(u64::from(vlan.0)),
+        Some(Sym::ETH),
+    );
     p.metadata.insert("dst_node".into(), 1);
     p
 }
@@ -64,7 +71,11 @@ fn packet(id: u64, vlan: VlanId) -> Packet {
 fn a_rogue_tenant_takes_every_co_resident_tenant_off_its_program() {
     let infra = apps::build(tenants::INFRA).unwrap();
     let mut ctl = Controller::new(infra.clone(), NodeId(1), SimTime::ZERO).unwrap();
-    let mut dev = Device::new(NodeId(1), Architecture::drmt_default(), StateEncoding::StatefulTable);
+    let mut dev = Device::new(
+        NodeId(1),
+        Architecture::drmt_default(),
+        StateEncoding::StatefulTable,
+    );
     dev.install(infra).unwrap();
 
     // Seven benign tenants, then the rogue (the churn's op `n` brings
@@ -130,10 +141,21 @@ fn a_rogue_tenant_takes_every_co_resident_tenant_off_its_program() {
         .map(|(tenant, (sent, elsewhere))| (tenant.0, sent, elsewhere))
         .collect();
     let total: u64 = hit.iter().map(|&(_, _, elsewhere)| elsewhere).sum();
-    println!("benign packets served by another program: {total} of {}", 7 * ROUNDS);
+    println!(
+        "benign packets served by another program: {total} of {}",
+        7 * ROUNDS
+    );
     assert_eq!(
         hit,
-        [(1, 16, 14), (2, 16, 14), (4, 16, 15), (5, 16, 15), (6, 16, 15), (7, 16, 15), (8, 16, 15)]
+        [
+            (1, 16, 14),
+            (2, 16, 14),
+            (4, 16, 15),
+            (5, 16, 15),
+            (6, 16, 15),
+            (7, 16, 15),
+            (8, 16, 15)
+        ]
     );
     assert_eq!(total, 103);
 
@@ -146,9 +168,22 @@ fn a_rogue_tenant_takes_every_co_resident_tenant_off_its_program() {
     // the fallback. So all those increments are lost, as predicted. The
     // ACL tenants' `denied` stays 0, because their tables are empty.
     let names = [
-        "t1_seen", "t2_denied", "t4_seen", "t5_denied", "t6_updates", "t7_seen", "t8_denied", "total",
+        "t1_seen",
+        "t2_denied",
+        "t4_seen",
+        "t5_denied",
+        "t6_updates",
+        "t7_seen",
+        "t8_denied",
+        "total",
     ];
-    let pin = |counts: [u64; 8]| names.map(String::from).into_iter().zip(counts).collect::<Vec<_>>();
+    let pin = |counts: [u64; 8]| {
+        names
+            .map(String::from)
+            .into_iter()
+            .zip(counts)
+            .collect::<Vec<_>>()
+    };
     assert_eq!(before_quarantine, pin([2, 0, 1, 0, 1, 1, 0, 9]));
     assert_eq!(counters(&dev), pin([14, 0, 15, 0, 15, 15, 0, 222]));
 }

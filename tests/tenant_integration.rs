@@ -46,7 +46,11 @@ fn tenant_churn_is_hitless_and_isolated() {
 
     // Tenant 1 brings a firewall at t=1s; tenant 2 a rate limiter at t=2s.
     let (v1, composed) = ctl
-        .tenant_arrive(TenantId(1), apps::security::firewall(32).unwrap(), SimTime::from_secs(1))
+        .tenant_arrive(
+            TenantId(1),
+            apps::security::firewall(32).unwrap(),
+            SimTime::from_secs(1),
+        )
         .unwrap();
     sim.schedule(
         SimTime::from_secs(1),
@@ -87,7 +91,15 @@ fn tenant_churn_is_hitless_and_isolated() {
     assert_eq!(sim.metrics.delivered, 20_000);
 
     // Final program retains tenant 2's elements only.
-    let prog = &sim.topo.node(sw).unwrap().device.program().unwrap().bundle().program;
+    let prog = &sim
+        .topo
+        .node(sw)
+        .unwrap()
+        .device
+        .program()
+        .unwrap()
+        .bundle()
+        .program;
     assert!(prog.state("t2_throttled").is_some());
     assert!(prog.state("t1_blocked").is_none());
     // Versions: install + 3 reconfigs.
@@ -102,7 +114,11 @@ fn tenant_traffic_only_hits_its_own_guard() {
     let mut sim = Simulation::new(topo);
     let mut ctl = Controller::new(infra(), sw, SimTime::ZERO).unwrap();
     let (vlan, composed) = ctl
-        .tenant_arrive(TenantId(1), apps::security::firewall(32).unwrap(), SimTime::ZERO)
+        .tenant_arrive(
+            TenantId(1),
+            apps::security::firewall(32).unwrap(),
+            SimTime::ZERO,
+        )
         .unwrap();
     sim.schedule(
         SimTime::ZERO,
@@ -115,7 +131,14 @@ fn tenant_traffic_only_hits_its_own_guard() {
 
     // Seed tenant 1's blocklist.
     {
-        let state = &mut sim.topo.node_mut(sw).unwrap().device.program_mut().unwrap().state;
+        let state = &mut sim
+            .topo
+            .node_mut(sw)
+            .unwrap()
+            .device
+            .program_mut()
+            .unwrap()
+            .state;
         state.map_put_at(state.map_slot("t1_blocked").unwrap(), 77, 1);
     }
 
@@ -131,13 +154,17 @@ fn tenant_traffic_only_hits_its_own_guard() {
     let dev = &mut sim.topo.node_mut(sw).unwrap().device;
     let mut tenant_pkt = mk(1, true);
     assert_eq!(
-        dev.process(&mut tenant_pkt, SimTime::from_millis(2)).unwrap().verdict,
+        dev.process(&mut tenant_pkt, SimTime::from_millis(2))
+            .unwrap()
+            .verdict,
         Verdict::Drop,
         "tenant's own traffic is filtered by its extension"
     );
     let mut infra_pkt = mk(2, false);
     assert_eq!(
-        dev.process(&mut infra_pkt, SimTime::from_millis(2)).unwrap().verdict,
+        dev.process(&mut infra_pkt, SimTime::from_millis(2))
+            .unwrap()
+            .verdict,
         Verdict::Forward(0),
         "untagged traffic bypasses the tenant guard"
     );
@@ -203,7 +230,11 @@ fn probe_extension() -> ProgramBundle {
 fn books(ctl: &Controller) -> String {
     let tenants = ctl.tenants.tenants();
     let vlans: Vec<_> = tenants.iter().map(|t| ctl.tenants.vlan_of(*t)).collect();
-    let services: Vec<_> = ctl.services.services().map(|s| (&s.name, s.provider, s.arity, s.site)).collect();
+    let services: Vec<_> = ctl
+        .services
+        .services()
+        .map(|s| (&s.name, s.provider, s.arity, s.site))
+        .collect();
     let probe_app = AppUri::new(&TenantId(5).to_string(), "probe").unwrap();
     format!(
         "{tenants:?} {vlans:?} running={} probe={:?} {services:?}",
@@ -217,24 +248,45 @@ fn a_rejected_arrival_leaves_every_registry_as_it_was() {
     use flexnet_controller::ExecutionSite;
     let node = NodeId(1);
     let mut ctl = Controller::new(infra(), node, SimTime::ZERO).unwrap();
-    ctl.tenant_arrive(TenantId(1), apps::security::firewall(32).unwrap(), SimTime::ZERO).unwrap();
+    ctl.tenant_arrive(
+        TenantId(1),
+        apps::security::firewall(32).unwrap(),
+        SimTime::ZERO,
+    )
+    .unwrap();
     // The operator already runs a service under the name tenant 5's
     // `probe` would be namespaced to.
-    ctl.services.register("t5_probe", node, 1, ExecutionSite::ControlPlane).unwrap();
+    ctl.services
+        .register("t5_probe", node, 1, ExecutionSite::ControlPlane)
+        .unwrap();
     let before = books(&ctl);
     let composed_before = ctl.tenants.composed().unwrap();
 
-    let err = ctl.tenant_arrive(TenantId(5), probe_extension(), SimTime::from_secs(1)).unwrap_err();
-    assert!(matches!(&err, FlexError::Conflict(m) if m.contains("t5_probe")), "{err}");
-    assert_eq!(books(&ctl), before, "nothing was admitted, registered or taken");
+    let err = ctl
+        .tenant_arrive(TenantId(5), probe_extension(), SimTime::from_secs(1))
+        .unwrap_err();
+    assert!(
+        matches!(&err, FlexError::Conflict(m) if m.contains("t5_probe")),
+        "{err}"
+    );
+    assert_eq!(
+        books(&ctl),
+        before,
+        "nothing was admitted, registered or taken"
+    );
     assert_eq!(ctl.tenants.composed().unwrap(), composed_before);
 
     // The refusal is not sticky: once the name is free the same arrival
     // goes through, on the VLAN the rejected attempt did not consume.
     ctl.services.unregister("t5_probe").unwrap();
-    let (vlan, _) = ctl.tenant_arrive(TenantId(5), probe_extension(), SimTime::from_secs(2)).unwrap();
+    let (vlan, _) = ctl
+        .tenant_arrive(TenantId(5), probe_extension(), SimTime::from_secs(2))
+        .unwrap();
     assert_eq!(vlan, VlanId(101));
-    assert_eq!(ctl.services.discover("t5_probe").unwrap().site, ExecutionSite::DataPlane);
+    assert_eq!(
+        ctl.services.discover("t5_probe").unwrap().site,
+        ExecutionSite::DataPlane
+    );
 }
 
 #[test]
@@ -242,14 +294,25 @@ fn a_departure_unregisters_only_what_the_tenant_registered() {
     use flexnet_controller::ExecutionSite;
     let node = NodeId(1);
     let mut ctl = Controller::new(infra(), node, SimTime::ZERO).unwrap();
-    ctl.tenant_arrive(TenantId(5), probe_extension(), SimTime::ZERO).unwrap();
+    ctl.tenant_arrive(TenantId(5), probe_extension(), SimTime::ZERO)
+        .unwrap();
     // Operator services that merely look like tenant 5's.
-    ctl.services.register("t5_audit", node, 0, ExecutionSite::ControlPlane).unwrap();
-    ctl.services.register("t5_probe_mirror", node, 1, ExecutionSite::ControlPlane).unwrap();
+    ctl.services
+        .register("t5_audit", node, 0, ExecutionSite::ControlPlane)
+        .unwrap();
+    ctl.services
+        .register("t5_probe_mirror", node, 1, ExecutionSite::ControlPlane)
+        .unwrap();
 
     ctl.tenant_depart(TenantId(5)).unwrap();
-    assert!(ctl.services.discover("t5_probe").is_none(), "the tenant's own is gone");
-    assert!(ctl.services.discover("t5_audit").is_some(), "the operator's stay");
+    assert!(
+        ctl.services.discover("t5_probe").is_none(),
+        "the tenant's own is gone"
+    );
+    assert!(
+        ctl.services.discover("t5_audit").is_some(),
+        "the operator's stay"
+    );
     assert!(ctl.services.discover("t5_probe_mirror").is_some());
     assert!(ctl.services.discover("migrate_state").is_some());
 }
