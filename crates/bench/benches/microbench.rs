@@ -135,6 +135,186 @@ fn bench_table_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `table_scale` arm's inputs: the declaration, `n` entries, 4 096
+/// lookup key tuples (half under an entry's cared-for bits, half random)
+/// and 4 096 removal targets (installed entries' matches), drawn from a
+/// SplitMix64 seeded by the arm.
+type ScaleArm = (
+    Arc<flexnet_lang::ast::TableDecl>,
+    Vec<flexnet_dataplane::TableEntry>,
+    Vec<Vec<u64>>,
+    Vec<Vec<KeyMatch>>,
+);
+
+fn scale_arm(kind: &str, keys: &str, n: usize) -> ScaleArm {
+    const MASKS: [u64; 8] = [
+        0xffff_ffff,
+        0xffff_ff00,
+        0xffff_0000,
+        0xff00_0000,
+        0xff00_ff00,
+        0x00ff_00ff,
+        0xf0f0_f0f0,
+        0x0000_ffff,
+    ];
+    let mut x = 0x7AB1_E5CA_1E00_0000 ^ n as u64 ^ kind.len() as u64;
+    let mut rng = move || {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    // A random /8–/32 prefix of a 32-bit field.
+    let prefix = |r: u64| {
+        let len = 8 + (r % 25) as u8;
+        KeyMatch::Lpm {
+            value: (r >> 8) & (u32::MAX << (32 - len as u32)) as u64,
+            prefix_len: len,
+            width: 32,
+        }
+    };
+    let decl = bundle(&format!(
+        "program p kind any {{
+           table t {{ key {{ {keys} }}
+             action out(x: u16) {{ forward(x); }} size {n}; }}
+         }}"
+    ))
+    .program
+    .tables[0]
+        .clone();
+    let entries: Vec<flexnet_dataplane::TableEntry> = (0..n as u64)
+        .map(|i| flexnet_dataplane::TableEntry {
+            matches: match kind {
+                "lpm" => vec![prefix(rng())],
+                "ternary" => {
+                    let r = rng();
+                    let mask = MASKS[(r % 8) as usize];
+                    vec![KeyMatch::Ternary {
+                        value: (r >> 8) & mask,
+                        mask,
+                    }]
+                }
+                _ => vec![KeyMatch::Exact(rng() % 64), prefix(rng())],
+            },
+            priority: if kind == "ternary" {
+                (rng() % 16) as i32
+            } else {
+                0
+            },
+            action: ActionCall {
+                action: "out".into(),
+                args: vec![i],
+            },
+        })
+        .collect();
+    let under = |m: &KeyMatch, r: u64| match *m {
+        KeyMatch::Exact(v) => v,
+        KeyMatch::Lpm {
+            value, prefix_len, ..
+        } => value | (r & (u32::MAX >> prefix_len) as u64),
+        KeyMatch::Ternary { value, mask } => value | (r & !mask & 0xffff_ffff),
+        KeyMatch::Range { lo, .. } => lo,
+    };
+    let lookups = (0..4096)
+        .map(|i| {
+            let e = &entries[(rng() % n as u64) as usize];
+            e.matches
+                .iter()
+                .map(|m| match (i % 2, m) {
+                    (0, _) => under(m, rng()),
+                    (_, KeyMatch::Exact(_)) => rng() % 64,
+                    _ => rng() & 0xffff_ffff,
+                })
+                .collect()
+        })
+        .collect();
+    let removals = (0..4096)
+        .map(|_| entries[(rng() % n as u64) as usize].matches.clone())
+        .collect();
+    (decl, entries, lookups, removals)
+}
+
+/// Tables that scale with their entries: a bulk load (one iteration loads
+/// the whole table: divide by the entry count for ns/entry, the drop of
+/// the table included), one lookup and one remove of an installed entry
+/// from a fresh copy of the loaded table — on one-key LPM tables of random
+/// /8–/32 prefixes at four sizes, a one-key ternary table over eight masks
+/// and sixteen priorities, and a two-key exact + LPM table. The inputs are
+/// built inside the closures, so a filtered run that skips them builds
+/// nothing.
+fn bench_table_scale(c: &mut Criterion) {
+    use flexnet_dataplane::TableInstance;
+    let load = |decl: &Arc<flexnet_lang::ast::TableDecl>, entries: Vec<_>| {
+        let mut t = TableInstance::new(decl.clone());
+        for e in entries {
+            t.insert(e).unwrap();
+        }
+        t
+    };
+    let arms = [
+        ("lpm", "ipv4.dst : lpm;", 1024usize),
+        ("lpm", "ipv4.dst : lpm;", 4096),
+        ("lpm", "ipv4.dst : lpm;", 16384),
+        ("lpm", "ipv4.dst : lpm;", 65536),
+        ("ternary", "ipv4.dst : ternary;", 4096),
+        ("exact_lpm", "ipv4.src : exact; ipv4.dst : lpm;", 4096),
+    ];
+    let mut group = c.benchmark_group("table_scale");
+    for (kind, keys, n) in arms {
+        group.bench_function(format!("{kind}_load/{n}").as_str(), |b| {
+            let (decl, entries, ..) = scale_arm(kind, keys, n);
+            // The last load is dropped in the next set-up, untimed.
+            let last = RefCell::new(None);
+            b.iter_batched(
+                || {
+                    drop(last.take());
+                    entries.clone()
+                },
+                |entries| *last.borrow_mut() = Some(load(&decl, entries)),
+                criterion::BatchSize::LargeInput,
+            );
+        });
+        group.bench_function(format!("{kind}_lookup/{n}").as_str(), |b| {
+            let (decl, entries, lookups, _) = scale_arm(kind, keys, n);
+            let table = load(&decl, entries);
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 1) % lookups.len();
+                black_box(table.lookup(&lookups[i]).is_some())
+            });
+        });
+        group.bench_function(format!("{kind}_remove/{n}").as_str(), |b| {
+            let (decl, entries, _, removals) = scale_arm(kind, keys, n);
+            let table = RefCell::new(load(&decl, entries));
+            // The set-up puts back what the last remove took (as the newest
+            // entries), so every timed remove finds a table of `n` entries.
+            let mut taken: Vec<flexnet_dataplane::TableEntry> = Vec::new();
+            let mut i = 0usize;
+            b.iter_batched(
+                || {
+                    let mut t = table.borrow_mut();
+                    for e in taken.drain(..) {
+                        t.insert(e).unwrap();
+                    }
+                    i = (i + 1) % removals.len();
+                    let matches = &removals[i];
+                    taken.extend(
+                        t.entries()
+                            .iter()
+                            .filter(|e| &e.matches == matches)
+                            .cloned(),
+                    );
+                    matches
+                },
+                |matches| assert!(table.borrow_mut().remove(matches) > 0),
+                criterion::BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+}
+
 fn bench_language_pipeline(c: &mut Criterion) {
     let src = flexnet::apps::security::firewall(256)
         .unwrap()
@@ -432,6 +612,7 @@ criterion_group!(
     benches,
     bench_packet_processing,
     bench_table_lookup,
+    bench_table_scale,
     bench_language_pipeline,
     bench_control_checks,
     bench_reconfig_planning,

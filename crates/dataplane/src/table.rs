@@ -1,27 +1,41 @@
 //! The match/action table engine.
 //!
 //! Supports the four match kinds FlexBPF declares (exact, LPM, ternary,
-//! range) with longest-prefix and priority semantics matching real switch
-//! ASICs: exact tables behave like hash tables; LPM prefers longer prefixes;
-//! ternary/range entries are ordered by explicit priority (higher wins).
+//! range) with the winner rule of a switch's TCAM: among the entries whose
+//! every key matches, the highest `(priority, total LPM specificity)` wins,
+//! ties going to the latest-installed entry.
 //!
-//! Lookup is indexed, not scanned: each entry's `(priority, specificity)`
-//! rank and its action's declaration index are computed **once at insert
-//! time**; entries are kept in a winner-first scan order; and a table whose
-//! entries are all exact-match additionally maintains a hash index keyed by
-//! the full key vector, making its lookups O(1). That index hashes with a
-//! keyed folded multiply (`FoldKey`) rather than SipHash. The winner a lookup
-//! returns is bit-identical to the historical linear scan (highest
-//! `(priority, total LPM specificity)`, ties broken toward the
-//! latest-inserted entry).
+//! A table is one tuple-space index (Srinivasan, Suri and Varghese,
+//! SIGCOMM 1999), built at insert:
+//!
+//! - **Groups.** Each key of an entry contributes a care mask — all ones
+//!   for exact, `u64::MAX << (width − prefix_len)` for LPM (0 at prefix 0),
+//!   the ternary mask, 0 for a range — and entries with the same mask tuple
+//!   form a group. An all-exact table is a table with one group.
+//! - **Keys stored once.** The masked key words live in one flat arena,
+//!   `arity` words per entry, at the entry's installation index (its
+//!   slot). Each group hashes masked keys with a keyed folded multiply
+//!   (`FoldKey`) into an open-addressed table of `u32` slots; equality is
+//!   decided on arena words, so a hash collision costs a probe, never a
+//!   wrong winner, and no entry allocates inside the index.
+//! - **Chains.** Entries of a group with equal masked keys chain from one
+//!   bucket, best `(rank, slot)` first. The slot is the sequence number of
+//!   the tie rule: installation order is entry order. A range key is not
+//!   hashed; a group holding one checks its chain's candidates in order.
+//! - **Lookup.** Groups are probed in descending order of their best rank,
+//!   and the probe stops once no later group can beat the winner so far, so
+//!   a lookup costs at most one hash probe per group.
+//!
+//! `insert` touches one group. `remove` unlinks its entries from their one
+//! chain and renumbers the slots behind them, re-hashing nothing.
+//! `set_entries` rebuilds in O(n).
 
 use crate::image::table_digest;
 use flexnet_lang::ast::{ActionCall, TableDecl};
 use flexnet_types::{FlexError, Result};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 
 /// Sentinel entry index [`TableInstance::lookup_burst`] writes for a miss.
@@ -61,20 +75,38 @@ impl KeyMatch {
     /// Whether `key` satisfies this match.
     pub fn matches(&self, key: u64) -> bool {
         match self {
-            KeyMatch::Exact(v) => key == *v,
+            KeyMatch::Range { lo, hi } => key >= *lo && key <= *hi,
+            _ => {
+                let (value, mask) = self.care();
+                key & mask == value & mask
+            }
+        }
+    }
+
+    /// The pattern and the care mask this key is hashed under: a key
+    /// matches when `key & mask == value & mask`, which is the whole test
+    /// for every kind but a range (mask 0, checked on the candidates). An
+    /// LPM prefix keeps the bits at and above `width − prefix_len`, bits
+    /// above `width` included; the shift wraps at 64 as a release build's
+    /// `>>` does.
+    fn care(&self) -> (u64, u64) {
+        match *self {
+            KeyMatch::Exact(v) => (v, u64::MAX),
+            KeyMatch::Lpm {
+                value,
+                prefix_len: 0,
+                ..
+            } => (value, 0),
             KeyMatch::Lpm {
                 value,
                 prefix_len,
                 width,
-            } => {
-                if *prefix_len == 0 {
-                    return true;
-                }
-                let shift = width.saturating_sub(*prefix_len) as u32;
-                (key >> shift) == (value >> shift)
-            }
-            KeyMatch::Ternary { value, mask } => key & mask == value & mask,
-            KeyMatch::Range { lo, hi } => key >= *lo && key <= *hi,
+            } => (
+                value,
+                u64::MAX.wrapping_shl(width.saturating_sub(prefix_len) as u32),
+            ),
+            KeyMatch::Ternary { value, mask } => (value, mask),
+            KeyMatch::Range { .. } => (0, 0),
         }
     }
 
@@ -110,29 +142,21 @@ impl TableEntry {
     }
 
     /// `(priority, total LPM specificity)` — the winner ordering.
-    fn rank(&self) -> (i32, u32) {
+    fn rank(&self) -> Rank {
         (
             self.priority,
             self.matches.iter().map(|m| m.lpm_len() as u32).sum(),
         )
     }
-
-    /// The exact-match key vector, if every key is [`KeyMatch::Exact`].
-    fn exact_keys(&self) -> Option<Vec<u64>> {
-        self.matches
-            .iter()
-            .map(|m| match m {
-                KeyMatch::Exact(v) => Some(*v),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
-/// The exact index's hasher: a folded 64×64→128-bit multiply per key word
-/// under a per-index random secret, the design of hashbrown's default
-/// hasher. It stays keyed because lookups come from packets: a fixed
-/// function would let traffic aim keys at one bucket chain.
+/// `(priority, total LPM specificity)`: higher wins.
+type Rank = (i32, u32);
+
+/// The index's hasher: a folded 64×64→128-bit multiply per key word under
+/// a per-table random secret, the design of hashbrown's default hasher. It
+/// stays keyed because lookups come from packets: a fixed function would
+/// let traffic aim keys at one probe sequence.
 #[derive(Debug, Clone)]
 struct FoldKey([u64; 2]);
 
@@ -145,14 +169,12 @@ impl Default for FoldKey {
     }
 }
 
-impl BuildHasher for FoldKey {
-    type Hasher = FoldHasher;
-
-    fn build_hasher(&self) -> FoldHasher {
-        FoldHasher {
-            acc: self.0[0],
-            key: self.0[1],
-        }
+impl FoldKey {
+    /// The hash of a key tuple, one word at a time.
+    #[inline]
+    fn hash(&self, words: impl Iterator<Item = u64>) -> u64 {
+        let acc = words.fold(self.0[0], |acc, w| folded_multiply(acc ^ w, self.0[1]));
+        folded_multiply(acc, self.0[1].rotate_left(23))
     }
 }
 
@@ -163,41 +185,157 @@ fn folded_multiply(a: u64, b: u64) -> u64 {
     (full as u64) ^ ((full >> 64) as u64)
 }
 
-#[derive(Debug)]
-struct FoldHasher {
-    acc: u64,
-    key: u64,
+/// End of a chain, and the head of a bucket that holds none.
+const NIL: u32 = u32::MAX;
+
+/// A control byte: never held, or held and vacated. A held bucket's byte
+/// is its key's `h2`, the top seven bits of its hash (below 0x80).
+const EMPTY: u8 = 0x80;
+const TOMB: u8 = 0xFE;
+/// The low and the high bit of each of a control word's eight bytes.
+const LSB: u64 = 0x0101_0101_0101_0101;
+const MSB: u64 = 0x8080_8080_8080_8080;
+
+fn h2(hash: u64) -> u8 {
+    (hash >> 57) as u8
 }
 
-impl FoldHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.acc = folded_multiply(self.acc ^ word, self.key);
-    }
+/// Per-entry index state, at the entry's slot.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    rank: Rank,
+    /// The next entry of this one's chain (same group, same masked key),
+    /// or [`NIL`].
+    next: u32,
+    /// The action's index within `decl.actions` (for the bytecode VM).
+    action: u16,
 }
 
-impl Hasher for FoldHasher {
-    /// A `[u64]` key arrives as its length, then its bytes in one call.
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.mix(u64::from_ne_bytes(w.try_into().expect("eight bytes")));
-        }
-        for &b in words.remainder() {
-            self.mix(b as u64);
+/// The entries that share one mask tuple, and their hash table: open
+/// addressing over control words of eight control bytes, probed a word at
+/// a time (the portable form of hashbrown's control groups), so a miss
+/// usually reads one word.
+#[derive(Debug, Clone)]
+struct Group {
+    /// One care mask per key.
+    masks: Box<[u64]>,
+    /// Whether a member has a range key, which the hash does not decide.
+    ranged: bool,
+    /// The best member rank: no member of this group beats it.
+    best: Rank,
+    /// Members.
+    len: u32,
+    /// Control bytes, eight to a word, a power of two of words; the low
+    /// bits of a key's hash pick its first word.
+    ctrl: Vec<u64>,
+    /// Each bucket's chain head, or [`NIL`].
+    chains: Vec<u32>,
+    /// Buckets holding a chain.
+    heads: u32,
+    /// Buckets holding [`TOMB`].
+    tombs: u32,
+}
+
+impl Group {
+    fn new(masks: Box<[u64]>) -> Group {
+        Group {
+            masks,
+            ranged: false,
+            best: (i32::MIN, 0),
+            len: 0,
+            ctrl: Vec::new(),
+            chains: Vec::new(),
+            heads: 0,
+            tombs: 0,
         }
     }
 
-    #[inline]
-    fn finish(&self) -> u64 {
-        folded_multiply(self.acc, self.key.rotate_left(23))
+    /// The bucket of the chain whose masked key `eq` accepts. A control
+    /// word is searched for `h2` in one step; the search can flag a held
+    /// byte just above a true match too, and `eq` turns that down. A word
+    /// with an empty byte ends the probe sequence.
+    #[inline(always)]
+    fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<usize> {
+        let words = self.ctrl.len() - 1;
+        let pattern = LSB * h2(hash) as u64;
+        let mut w = hash as usize & words;
+        loop {
+            let word = self.ctrl[w];
+            let x = word ^ pattern;
+            let mut hits = x.wrapping_sub(LSB) & !x & MSB;
+            while hits != 0 {
+                let b = w * 8 + hits.trailing_zeros() as usize / 8;
+                if eq(self.chains[b]) {
+                    return Some(b);
+                }
+                hits &= hits - 1;
+            }
+            if word & !(word << 1) & MSB != 0 {
+                return None;
+            }
+            w = (w + 1) & words;
+        }
+    }
+
+    /// The first empty or vacated bucket on `hash`'s probe sequence.
+    fn free(&self, hash: u64) -> usize {
+        let words = self.ctrl.len() - 1;
+        let mut w = hash as usize & words;
+        loop {
+            let special = self.ctrl[w] & MSB;
+            if special != 0 {
+                return w * 8 + special.trailing_zeros() as usize / 8;
+            }
+            w = (w + 1) & words;
+        }
+    }
+
+    fn set_ctrl(&mut self, b: usize, byte: u8) {
+        let shift = b % 8 * 8;
+        let word = &mut self.ctrl[b / 8];
+        *word = (*word & !(0xff << shift)) | (byte as u64) << shift;
+    }
+
+    /// Starts a chain headed by `slot`, whose key hashed to `hash`.
+    fn occupy(&mut self, hash: u64, slot: u32) {
+        let b = self.free(hash);
+        if self.ctrl[b / 8] >> (b % 8 * 8) & 0xff == TOMB as u64 {
+            self.tombs -= 1;
+        }
+        self.set_ctrl(b, h2(hash));
+        self.chains[b] = slot;
+        self.heads += 1;
+    }
+
+    /// Ends the chain at bucket `b`.
+    fn vacate(&mut self, b: usize) {
+        self.set_ctrl(b, TOMB);
+        self.chains[b] = NIL;
+        self.heads -= 1;
+        self.tombs += 1;
+    }
+
+    /// Makes room for one more chain: at most half the buckets are ever
+    /// taken, tombstones included, so most control words hold an empty
+    /// byte and a miss ends at its first. Growing re-hashes each chain's
+    /// head with `hash_of`.
+    fn reserve_head(&mut self, hash_of: impl Fn(u32) -> u64) {
+        if (self.heads + self.tombs + 1) as usize * 2 <= self.chains.len() {
+            return;
+        }
+        let buckets = ((self.heads as usize + 1) * 2).next_power_of_two().max(8);
+        self.ctrl = vec![LSB * EMPTY as u64; buckets / 8];
+        let held = std::mem::replace(&mut self.chains, vec![NIL; buckets]);
+        (self.heads, self.tombs) = (0, 0);
+        for head in held.into_iter().filter(|&h| h != NIL) {
+            self.occupy(hash_of(head), head);
+        }
     }
 }
 
 /// One table's installed entries plus its declaration.
 ///
-/// The other fields are lookup indexes and the digest memo — pure
+/// The other fields are the lookup index and the digest memo — pure
 /// functions of `(decl, entries)` brought up to date by every mutation,
 /// so equality compares the declaration and the entries alone. Entries
 /// change only through [`TableInstance::insert`], [`TableInstance::remove`]
@@ -207,23 +345,21 @@ pub struct TableInstance {
     /// The declaration this instance implements; shared with the copy a
     /// hitless flip makes of an unchanged table.
     pub decl: Arc<TableDecl>,
-    /// Installed entries, in installation order.
+    /// Installed entries, in installation order: entry `i` is slot `i`.
     entries: Vec<TableEntry>,
     /// `decl.keys.len()`, kept beside the entries so a lookup does not
     /// follow the declaration's pointer.
     arity: usize,
-    /// Cached per-entry `(priority, specificity)` ranks (insert-time, not
-    /// per-packet).
-    ranks: Vec<(i32, u32)>,
-    /// Per-entry action index within `decl.actions` (for the bytecode VM).
-    action_slots: Vec<u16>,
-    /// Entry indices, best rank first; ties prefer the later insert, which
-    /// reproduces the historical scan's `max_by_key` tie-break exactly.
-    order: Vec<u32>,
-    /// Full-key-vector hash index, maintained while *every* entry is
-    /// all-exact; `None` as soon as any entry needs prefix/mask/range
-    /// matching.
-    exact: Option<HashMap<Vec<u64>, u32, FoldKey>>,
+    /// Each slot's masked key words, `arity` per slot.
+    keys: Vec<u64>,
+    /// Each slot's rank, chain link and action index.
+    slots: Vec<Slot>,
+    /// One group per distinct mask tuple among the entries.
+    groups: Vec<Group>,
+    /// `(best rank, group)`, best first: the order lookups probe in.
+    probe: Vec<(Rank, u32)>,
+    /// The index's hash secret.
+    seed: FoldKey,
     /// [`TableInstance::digest`], kept until the entries change.
     digest: OnceLock<u64>,
 }
@@ -239,18 +375,17 @@ impl Eq for TableInstance {}
 impl TableInstance {
     /// An empty instance of `decl`, which it shares with whoever gave it.
     pub fn new(decl: Arc<TableDecl>) -> TableInstance {
-        let mut t = TableInstance {
+        TableInstance {
             arity: decl.keys.len(),
             decl,
             entries: Vec::new(),
-            ranks: Vec::new(),
-            action_slots: Vec::new(),
-            order: Vec::new(),
-            exact: None,
+            keys: Vec::new(),
+            slots: Vec::new(),
+            groups: Vec::new(),
+            probe: Vec::new(),
+            seed: FoldKey::default(),
             digest: OnceLock::new(),
-        };
-        t.reindex();
-        t
+        }
     }
 
     /// Installed entries, in installation order.
@@ -273,52 +408,26 @@ impl TableInstance {
     /// [`TableInstance::insert`] checks it; a refused one leaves the table
     /// as it was.
     pub fn set_entries(&mut self, entries: &[TableEntry]) -> Result<()> {
-        for (held, e) in entries.iter().enumerate() {
-            self.admit(e, held)?;
-        }
-        self.entries = entries.to_vec();
+        let actions = entries
+            .iter()
+            .enumerate()
+            .map(|(held, e)| self.admit(e, held))
+            .collect::<Result<Vec<u16>>>()?;
         self.digest.take();
-        self.reindex();
+        self.entries = entries.to_vec();
+        self.keys.clear();
+        self.slots.clear();
+        self.groups.clear();
+        self.probe.clear();
+        for (slot, action) in actions.into_iter().enumerate() {
+            self.index(slot as u32, action);
+        }
         Ok(())
     }
 
-    /// Rebuilds every index from `entries`. Called on mutation only — the
-    /// packet path never touches this.
-    fn reindex(&mut self) {
-        self.ranks = self.entries.iter().map(TableEntry::rank).collect();
-        self.action_slots = self
-            .entries
-            .iter()
-            .map(|e| {
-                self.decl
-                    .actions
-                    .iter()
-                    .position(|a| a.name == e.action.action)
-                    .map_or(u16::MAX, |i| i as u16)
-            })
-            .collect();
-        let mut order: Vec<u32> = (0..self.entries.len() as u32).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse((self.ranks[i as usize], i)));
-        self.order = order;
-        self.exact = self
-            .entries
-            .iter()
-            .map(TableEntry::exact_keys)
-            .collect::<Option<Vec<_>>>()
-            .map(|keyvecs| {
-                let mut m = HashMap::with_capacity_and_hasher(keyvecs.len(), FoldKey::default());
-                // Ascending preference, so the last write per key vector is
-                // the rank/recency winner.
-                for &i in self.order.iter().rev() {
-                    m.insert(keyvecs[i as usize].clone(), i);
-                }
-                m
-            });
-    }
-
-    /// Whether `entry` may join a table that holds `held` entries: its
-    /// arity, the capacity, and its action.
-    fn admit(&self, entry: &TableEntry, held: usize) -> Result<()> {
+    /// Whether `entry` may join a table that holds `held` entries — its
+    /// arity, the capacity, and its action — and if so the action's index.
+    fn admit(&self, entry: &TableEntry, held: usize) -> Result<u16> {
         if entry.matches.len() != self.decl.keys.len() {
             return Err(FlexError::Reconfig(format!(
                 "table `{}` expects {} keys, entry has {}",
@@ -333,94 +442,297 @@ impl TableInstance {
                 self.decl.name, self.decl.size
             )));
         }
-        if !self
+        match self
             .decl
             .actions
             .iter()
-            .any(|a| a.name == entry.action.action)
+            .position(|a| a.name == entry.action.action)
         {
-            return Err(FlexError::Reconfig(format!(
+            Some(i) => Ok(i as u16),
+            None => Err(FlexError::Reconfig(format!(
                 "table `{}` has no action `{}`",
                 self.decl.name, entry.action.action
-            )));
+            ))),
         }
-        Ok(())
     }
 
     /// Installs an entry, enforcing arity and capacity.
     pub fn insert(&mut self, entry: TableEntry) -> Result<()> {
-        self.admit(&entry, self.entries.len())?;
+        let action = self.admit(&entry, self.entries.len())?;
         self.digest.take();
-        // Incremental index maintenance: appends are the common bulk-load
-        // path, and a full reindex per insert would make populating an
-        // n-entry table O(n²). Removal (rare) still rebuilds everything.
-        let idx = self.entries.len() as u32;
+        self.entries.push(entry);
+        self.index(self.entries.len() as u32 - 1, action);
+        Ok(())
+    }
+
+    /// Indexes entry `slot`, the first not yet indexed: its arena words,
+    /// its `Slot`, and its place in its group's chain for its masked key.
+    fn index(&mut self, slot: u32, action: u16) {
+        let entry = &self.entries[slot as usize];
         let rank = entry.rank();
-        let exact_keys = entry.exact_keys();
-        self.ranks.push(rank);
-        self.action_slots.push(
-            self.decl
-                .actions
+        let ranged = entry
+            .matches
+            .iter()
+            .any(|m| matches!(m, KeyMatch::Range { .. }));
+        let g = match self.group_of(&entry.matches) {
+            Some(g) => g,
+            None => {
+                let masks = entry.matches.iter().map(|m| m.care().1).collect();
+                self.groups.push(Group::new(masks));
+                self.groups.len() - 1
+            }
+        };
+        self.keys.extend(
+            entry
+                .matches
                 .iter()
-                .position(|a| a.name == entry.action.action)
-                .map_or(u16::MAX, |i| i as u16),
+                .map(|m| m.care())
+                .map(|(v, mask)| v & mask),
         );
-        // `order` is sorted by `Reverse((rank, idx))`; find the insertion
-        // point for the new entry (it wins every rank tie, being newest).
-        let pos = self
-            .order
-            .partition_point(|&i| (self.ranks[i as usize], i) > (rank, idx));
-        self.order.insert(pos, idx);
-        match (&mut self.exact, exact_keys) {
-            (Some(index), Some(keys)) => {
-                // Newest entry wins a key collision unless the incumbent
-                // outranks it.
-                let incumbent = index.get(&keys).map(|&i| (self.ranks[i as usize], i));
-                if incumbent.is_none_or(|inc| (rank, idx) > inc) {
-                    index.insert(keys, idx);
+        self.slots.push(Slot {
+            rank,
+            next: NIL,
+            action,
+        });
+        let (arity, seed) = (self.arity, &self.seed);
+        let keys = &self.keys;
+        let key_of = |s: u32| &keys[s as usize * arity..][..arity];
+        let hash = seed.hash(key_of(slot).iter().copied());
+        let group = &mut self.groups[g];
+        group.reserve_head(|s| seed.hash(key_of(s).iter().copied()));
+        let slots = &mut self.slots;
+        match group.find(hash, |s| key_of(s) == key_of(slot)) {
+            Some(b) => {
+                // The newest entry goes ahead of the first it ties or beats.
+                let head = group.chains[b];
+                if slots[head as usize].rank <= rank {
+                    slots[slot as usize].next = head;
+                    group.chains[b] = slot;
+                } else {
+                    let mut prev = head;
+                    loop {
+                        let next = slots[prev as usize].next;
+                        if next == NIL || slots[next as usize].rank <= rank {
+                            slots[slot as usize].next = next;
+                            slots[prev as usize].next = slot;
+                            break;
+                        }
+                        prev = next;
+                    }
                 }
             }
-            (exact, _) => *exact = None,
+            None => group.occupy(hash, slot),
         }
-        self.entries.push(entry);
-        Ok(())
+        group.len += 1;
+        group.ranged |= ranged;
+        if group.len == 1 || rank > group.best {
+            group.best = rank;
+            self.reprobe(g as u32);
+        }
+    }
+
+    /// The group of `matches`' mask tuple, if there is one.
+    fn group_of(&self, matches: &[KeyMatch]) -> Option<usize> {
+        let masks = || matches.iter().map(|m| m.care().1);
+        let first = masks().next();
+        self.groups
+            .iter()
+            .position(|g| g.masks.first().copied() == first && g.masks.iter().copied().eq(masks()))
+    }
+
+    /// Puts group `g` at its place in the probe order, dropping it if it
+    /// has no members.
+    fn reprobe(&mut self, g: u32) {
+        self.probe.retain(|&(_, held)| held != g);
+        let group = &self.groups[g as usize];
+        if group.len > 0 {
+            let at = self.probe.partition_point(|&(best, _)| best > group.best);
+            self.probe.insert(at, (group.best, g));
+        }
     }
 
     /// Removes entries whose matches equal `matches` exactly; returns the
     /// number removed.
     pub fn remove(&mut self, matches: &[KeyMatch]) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.matches.as_slice() != matches);
-        let removed = before - self.entries.len();
-        if removed > 0 {
-            self.digest.take();
-            self.reindex();
+        if matches.len() != self.arity {
+            return 0;
         }
-        removed
+        let Some(g) = self.group_of(matches) else {
+            return 0;
+        };
+        // Every entry equal to `matches` is in one chain of group `g`.
+        let arity = self.arity;
+        let key = || matches.iter().map(|m| m.care()).map(|(v, mask)| v & mask);
+        let hash = self.seed.hash(key());
+        let group = &mut self.groups[g];
+        let keys = &self.keys;
+        let Some(b) = group.find(hash, |s| {
+            keys[s as usize * arity..][..arity]
+                .iter()
+                .copied()
+                .eq(key())
+        }) else {
+            return 0;
+        };
+        // Unlink the victims, keeping the chain's order.
+        let mut victims = Vec::new();
+        let (mut head, mut prev) = (group.chains[b], NIL);
+        let mut at = head;
+        while at != NIL {
+            let next = self.slots[at as usize].next;
+            if self.entries[at as usize].matches == matches {
+                victims.push(at);
+                match prev {
+                    NIL => head = next,
+                    p => self.slots[p as usize].next = next,
+                }
+            } else {
+                prev = at;
+            }
+            at = next;
+        }
+        if victims.is_empty() {
+            return 0;
+        }
+        match head {
+            NIL => group.vacate(b),
+            head => group.chains[b] = head,
+        }
+        group.len -= victims.len() as u32;
+        self.digest.take();
+        victims.sort_unstable();
+        self.compact(&victims);
+        if self.groups[g].len == 0 {
+            self.groups.swap_remove(g);
+            self.probe.retain(|&(_, held)| held as usize != g);
+            let moved = self.groups.len() as u32;
+            if let Some(p) = self.probe.iter_mut().find(|(_, held)| *held == moved) {
+                p.1 = g as u32;
+            }
+        } else {
+            self.rescore(g);
+        }
+        victims.len()
     }
 
-    /// The winning entry index for `keys`, via the hash index when every
-    /// entry is exact, else the rank-ordered scan (first match wins).
+    /// Drops the unlinked `victims` (ascending) from the entries, the arena
+    /// and the slots, and moves every later slot number down past them.
+    fn compact(&mut self, victims: &[u32]) {
+        let renumber = |s: u32| s - victims.partition_point(|&v| v < s) as u32;
+        let mut doomed = victims.iter().peekable();
+        let mut i = 0u32;
+        let arity = self.arity;
+        self.entries.retain(|_| {
+            let keep = doomed.next_if_eq(&&i).is_none();
+            i += 1;
+            keep
+        });
+        for (n, &v) in victims.iter().enumerate() {
+            let from = (v as usize - n) * arity;
+            self.keys.drain(from..from + arity);
+            self.slots.remove(v as usize - n);
+        }
+        for slot in &mut self.slots {
+            if slot.next != NIL {
+                slot.next = renumber(slot.next);
+            }
+        }
+        for head in self.groups.iter_mut().flat_map(|g| g.chains.iter_mut()) {
+            if *head != NIL {
+                *head = renumber(*head);
+            }
+        }
+    }
+
+    /// Recomputes group `g`'s best rank and range flag from its chains,
+    /// and its place in the probe order.
+    fn rescore(&mut self, g: usize) {
+        let group = &self.groups[g];
+        let (mut best, mut ranged) = ((i32::MIN, 0), false);
+        for &head in group.chains.iter().filter(|&&h| h != NIL) {
+            let mut at = head;
+            // A chain is best first: its head holds its best rank.
+            best = best.max(self.slots[at as usize].rank);
+            while at != NIL {
+                ranged |= self.entries[at as usize]
+                    .matches
+                    .iter()
+                    .any(|m| matches!(m, KeyMatch::Range { .. }));
+                at = self.slots[at as usize].next;
+            }
+        }
+        let group = &mut self.groups[g];
+        (group.best, group.ranged) = (best, ranged);
+        self.reprobe(g as u32);
+    }
+
+    /// The best entry of `group` matching `keys`: the head of the chain of
+    /// the keys' masked words, or with a range key the first of its
+    /// candidates that matches.
+    #[inline(always)]
+    fn group_winner(&self, group: &Group, keys: &[u64]) -> Option<u32> {
+        let masked = || keys.iter().zip(&*group.masks).map(|(k, m)| k & m);
+        let hash = self.seed.hash(masked());
+        let arity = self.arity;
+        let b = group.find(hash, |s| {
+            self.keys[s as usize * arity..][..arity]
+                .iter()
+                .copied()
+                .eq(masked())
+        })?;
+        let head = group.chains[b];
+        match group.ranged {
+            false => Some(head),
+            true => self.first_match(head, keys),
+        }
+    }
+
+    /// The first entry of the chain from `at` whose every key matches.
+    #[inline(never)]
+    fn first_match(&self, mut at: u32, keys: &[u64]) -> Option<u32> {
+        while at != NIL {
+            let e = &self.entries[at as usize];
+            if e.matches.iter().zip(keys).all(|(m, k)| m.matches(*k)) {
+                return Some(at);
+            }
+            at = self.slots[at as usize].next;
+        }
+        None
+    }
+
+    /// The winning slot for `keys` (of the right arity) and how many groups
+    /// the lookup probed: best group first, stopping at the first group
+    /// whose best rank is below the winner so far.
+    #[inline(never)]
+    fn probe_winner(&self, keys: &[u64]) -> (Option<u32>, usize) {
+        let mut won: Option<u32> = None;
+        let mut probed = 0;
+        for &(best, g) in &self.probe {
+            if won.is_some_and(|w| best < self.slots[w as usize].rank) {
+                break;
+            }
+            probed += 1;
+            if let Some(s) = self.group_winner(&self.groups[g as usize], keys) {
+                let better =
+                    |w: u32| (self.slots[s as usize].rank, s) > (self.slots[w as usize].rank, w);
+                if won.is_none_or(better) {
+                    won = Some(s);
+                }
+            }
+        }
+        (won, probed)
+    }
+
+    /// The winning entry index for `keys`.
     fn winner(&self, keys: &[u64]) -> Option<u32> {
         if keys.len() != self.arity {
             return None;
         }
-        if let Some(index) = &self.exact {
-            return index.get(keys).copied();
+        match *self.probe {
+            // One group (an all-exact table among them): its winner.
+            [(_, g)] => self.group_winner(&self.groups[g as usize], keys),
+            _ => self.probe_winner(keys).0,
         }
-        self.scan_winner(keys)
-    }
-
-    /// The rank-ordered scan half of [`TableInstance::winner`]; arity is
-    /// already validated by the caller.
-    fn scan_winner(&self, keys: &[u64]) -> Option<u32> {
-        self.order.iter().copied().find(|&i| {
-            self.entries[i as usize]
-                .matches
-                .iter()
-                .zip(keys)
-                .all(|(m, k)| m.matches(*k))
-        })
     }
 
     /// Looks up `keys` (one value per declared key), returning the winning
@@ -440,7 +752,7 @@ impl TableInstance {
     #[inline]
     pub fn lookup_resolved(&self, keys: &[u64]) -> Option<(u16, &[u64])> {
         let i = self.winner(keys)? as usize;
-        Some((self.action_slots[i], self.entries[i].action.args.as_slice()))
+        Some((self.slots[i].action, self.entries[i].action.args.as_slice()))
     }
 
     /// Batch lookup for the burst dataplane: resolves every key tuple in
@@ -448,12 +760,10 @@ impl TableInstance {
     /// one pass, pushing the winning entry index — or [`BURST_MISS`] — per
     /// tuple onto `out`.
     ///
-    /// The branch between the all-exact hash index and the rank-ordered
-    /// scan is taken once per burst instead of once per packet; per-tuple
-    /// winner selection is identical to [`TableInstance::lookup`]. An
-    /// `arity` that disagrees with the declaration marks every tuple a
-    /// miss (the same outcome `winner` gives a malformed single lookup);
-    /// `arity == 0` yields no tuples.
+    /// Per-tuple winner selection is identical to
+    /// [`TableInstance::lookup`]. An `arity` that disagrees with the
+    /// declaration marks every tuple a miss (the same outcome a malformed
+    /// single lookup gets); `arity == 0` yields no tuples.
     pub fn lookup_burst(&self, keys: &[u64], arity: usize, out: &mut Vec<u32>) {
         out.clear();
         if arity == 0 {
@@ -463,17 +773,13 @@ impl TableInstance {
             out.resize(keys.len() / arity, BURST_MISS);
             return;
         }
-        match &self.exact {
-            Some(index) => {
-                for tuple in keys.chunks_exact(arity) {
-                    out.push(index.get(tuple).copied().unwrap_or(BURST_MISS));
-                }
+        let tuples = keys.chunks_exact(arity);
+        match *self.probe {
+            [(_, g)] => {
+                let group = &self.groups[g as usize];
+                out.extend(tuples.map(|t| self.group_winner(group, t).unwrap_or(BURST_MISS)));
             }
-            None => {
-                for tuple in keys.chunks_exact(arity) {
-                    out.push(self.scan_winner(tuple).unwrap_or(BURST_MISS));
-                }
-            }
+            _ => out.extend(tuples.map(|t| self.probe_winner(t).0.unwrap_or(BURST_MISS))),
         }
     }
 
@@ -650,22 +956,6 @@ mod tests {
         }
     }
 
-    /// The historical linear scan, kept as the oracle the indexes must
-    /// reproduce bit for bit (including the last-wins tie-break of
-    /// `max_by_key`).
-    fn legacy_lookup<'a>(t: &'a TableInstance, keys: &[u64]) -> Option<&'a TableEntry> {
-        if keys.len() != t.decl.keys.len() {
-            return None;
-        }
-        t.entries
-            .iter()
-            .filter(|e| e.matches.iter().zip(keys).all(|(m, k)| m.matches(*k)))
-            .max_by_key(|e| {
-                let spec: u32 = e.matches.iter().map(|m| m.lpm_len() as u32).sum();
-                (e.priority, spec)
-            })
-    }
-
     #[test]
     fn exact_match_hit_and_miss() {
         let mut t = TableInstance::new(decl("t", &[MatchKind::Exact], 8));
@@ -809,8 +1099,11 @@ mod tests {
         let stale = set.digest();
         set.set_entries(&[a.clone(), b.clone()]).unwrap();
         assert_eq!(set, inserted, "the stray entry is gone, the two are in");
-        assert_eq!(set.order, inserted.order);
-        assert_eq!(set.exact, inserted.exact);
+        for k in 0..12 {
+            assert_eq!(set.lookup(&[k]), inserted.lookup(&[k]), "key {k}");
+            assert_eq!(set.lookup_resolved(&[k]), inserted.lookup_resolved(&[k]));
+        }
+        assert_eq!(set.lookup(&[9]), None, "the stray entry is not found");
         assert_ne!(set.digest(), stale, "the memo was forgotten");
         assert_eq!(set.digest(), inserted.digest());
         let before = set.clone();
@@ -874,89 +1167,12 @@ mod tests {
     }
 
     #[test]
-    fn indexed_lookup_matches_legacy_scan_on_randomized_tables() {
-        // Deterministic LCG; mixed-kind tables exercise the ordered scan,
-        // all-exact phases exercise the hash index. The oracle is the
-        // original O(entries × keys) scan including its tie-break.
-        let mut x: u64 = 0x3DF0_77FA_23C1_55A1;
-        let mut rng = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        for round in 0..40 {
-            let all_exact = round % 2 == 0;
-            let mut t =
-                TableInstance::new(decl("t", &[MatchKind::Ternary, MatchKind::Ternary], 64));
-            for _ in 0..24 {
-                let m = |r: u64| -> KeyMatch {
-                    if all_exact {
-                        return KeyMatch::Exact(r % 8);
-                    }
-                    match r % 4 {
-                        0 => KeyMatch::Exact(r % 8),
-                        1 => KeyMatch::Lpm {
-                            value: r % 256,
-                            prefix_len: (r % 9) as u8,
-                            width: 8,
-                        },
-                        2 => KeyMatch::Ternary {
-                            value: r % 256,
-                            mask: (r >> 8) % 256,
-                        },
-                        _ => KeyMatch::Range {
-                            lo: r % 8,
-                            hi: r % 8 + (r >> 16) % 8,
-                        },
-                    }
-                };
-                let e = TableEntry {
-                    matches: vec![m(rng()), m(rng())],
-                    priority: (rng() % 3) as i32,
-                    action: go(rng() % 100),
-                };
-                t.insert(e).unwrap();
-            }
-            // Random removals keep the caches honest.
-            for _ in 0..3 {
-                let spec = t.entries[(rng() % t.entries.len() as u64) as usize]
-                    .matches
-                    .clone();
-                t.remove(&spec);
-            }
-            for _ in 0..200 {
-                let keys = [rng() % 8, rng() % 8];
-                assert_eq!(
-                    t.lookup(&keys),
-                    legacy_lookup(&t, &keys),
-                    "divergence (round {round}, keys {keys:?}, exact={all_exact})"
-                );
-                let resolved = t.lookup_resolved(&keys);
-                let expect = t.lookup(&keys).map(|e| {
-                    (
-                        t.decl
-                            .actions
-                            .iter()
-                            .position(|a| a.name == e.action.action)
-                            .unwrap() as u16,
-                        e.action.args.as_slice(),
-                    )
-                });
-                assert_eq!(resolved, expect);
-            }
-        }
-    }
-
-    #[test]
-    fn exact_index_ties_prefer_latest_insert_like_the_scan() {
-        // Two identical-key entries with equal priority: the legacy
-        // max_by_key returned the *last* maximum; the hash index must too.
+    fn exact_ties_prefer_the_latest_insert_and_priority_beats_recency() {
+        // Two identical-key entries with equal priority: the later wins.
         let mut t = TableInstance::new(decl("t", &[MatchKind::Exact], 8));
         t.insert(TableEntry::exact(&[5], go(1))).unwrap();
         t.insert(TableEntry::exact(&[5], go(2))).unwrap();
         assert_eq!(t.lookup(&[5]).unwrap().action, go(2));
-        assert_eq!(t.lookup(&[5]), legacy_lookup(&t, &[5]));
         // A higher-priority earlier entry still wins over a later one.
         let mut t = TableInstance::new(decl("t", &[MatchKind::Exact], 8));
         t.insert(TableEntry {
@@ -967,119 +1183,41 @@ mod tests {
         .unwrap();
         t.insert(TableEntry::exact(&[5], go(2))).unwrap();
         assert_eq!(t.lookup(&[5]).unwrap().action, go(1));
-        assert_eq!(t.lookup(&[5]), legacy_lookup(&t, &[5]));
     }
 
     #[test]
-    fn mixed_entries_drop_the_exact_index_without_changing_results() {
+    fn a_wildcard_joins_and_leaves_an_exact_table_without_changing_its_hits() {
         let mut t = TableInstance::new(decl("t", &[MatchKind::Exact], 8));
         t.insert(TableEntry::exact(&[1], go(1))).unwrap();
-        assert!(t.exact.is_some(), "all-exact table is hash-indexed");
+        assert_eq!(t.lookup(&[7]), None);
+        let wildcard = KeyMatch::Lpm {
+            value: 0,
+            prefix_len: 0,
+            width: 32,
+        };
         t.insert(TableEntry {
-            matches: vec![KeyMatch::Lpm {
-                value: 0,
-                prefix_len: 0,
-                width: 32,
-            }],
+            matches: vec![wildcard.clone()],
             priority: -1,
             action: go(0),
         })
         .unwrap();
-        assert!(t.exact.is_none(), "mixed table falls back to ordered scan");
-        assert_eq!(t.lookup(&[1]).unwrap().action, go(1));
+        assert_eq!(
+            t.lookup(&[1]).unwrap().action,
+            go(1),
+            "the exact hit outranks it"
+        );
         assert_eq!(t.lookup(&[7]).unwrap().action, go(0), "wildcard catches");
-        // Removing the wildcard restores the index.
-        t.remove(&[KeyMatch::Lpm {
-            value: 0,
-            prefix_len: 0,
-            width: 32,
-        }]);
-        assert!(t.exact.is_some());
+        assert_eq!(t.remove(&[wildcard]), 1);
         assert_eq!(t.lookup(&[1]).unwrap().action, go(1));
+        assert_eq!(t.lookup(&[7]), None, "the wildcard is gone");
     }
 
     #[test]
-    fn burst_lookup_matches_per_key_lookup_on_randomized_tables() {
-        // Same generator as the indexed-vs-scan oracle: the burst resolver
-        // must pick the identical winner (or miss) for every tuple, on both
-        // the hash-indexed and ordered-scan table shapes.
-        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut rng = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        let mut hits = vec![];
-        for round in 0..40 {
-            let all_exact = round % 2 == 0;
-            let mut t =
-                TableInstance::new(decl("t", &[MatchKind::Ternary, MatchKind::Ternary], 64));
-            for _ in 0..24 {
-                let m = |r: u64| -> KeyMatch {
-                    if all_exact {
-                        return KeyMatch::Exact(r % 8);
-                    }
-                    match r % 4 {
-                        0 => KeyMatch::Exact(r % 8),
-                        1 => KeyMatch::Lpm {
-                            value: r % 256,
-                            prefix_len: (r % 9) as u8,
-                            width: 8,
-                        },
-                        2 => KeyMatch::Ternary {
-                            value: r % 256,
-                            mask: (r >> 8) % 256,
-                        },
-                        _ => KeyMatch::Range {
-                            lo: r % 8,
-                            hi: r % 8 + (r >> 16) % 8,
-                        },
-                    }
-                };
-                let e = TableEntry {
-                    matches: vec![m(rng()), m(rng())],
-                    priority: (rng() % 3) as i32,
-                    action: go(rng() % 100),
-                };
-                t.insert(e).unwrap();
-            }
-            // A burst of 200 tuples, flat burst-major.
-            let flat: Vec<u64> = (0..400).map(|_| rng() % 8).collect();
-            t.lookup_burst(&flat, 2, &mut hits);
-            assert_eq!(hits.len(), 200);
-            for (i, tuple) in flat.chunks_exact(2).enumerate() {
-                let single = t.lookup(tuple);
-                match hits[i] {
-                    BURST_MISS => assert_eq!(
-                        single, None,
-                        "burst miss but single lookup hit (round {round}, {tuple:?})"
-                    ),
-                    idx => {
-                        assert_eq!(
-                            Some(&t.entries[idx as usize]),
-                            single,
-                            "burst winner diverged (round {round}, {tuple:?})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn the_exact_index_hasher_is_keyed_and_spreads_structured_keys() {
-        let index = |arity: usize| {
-            let t = TableInstance::new(decl("t", &vec![MatchKind::Exact; arity], 8));
-            t.exact
-                .expect("an empty table is all-exact")
-                .hasher()
-                .clone()
-        };
+    fn the_index_hasher_is_keyed_and_spreads_structured_keys() {
         // Sequential keys, a 2³² stride and top-byte-only differences, at
         // arity 1 and 2: no two distinct tuples share a 64-bit hash.
+        let hasher = FoldKey::default();
         for arity in [1, 2] {
-            let hasher = index(arity);
             for family in ["sequential", "stride 2^32", "top byte"] {
                 // The last `arity` words of a two-word tuple.
                 let tuple = |i: u64| {
@@ -1093,7 +1231,7 @@ mod tests {
                 let tuples: std::collections::BTreeSet<Vec<u64>> = (0..4096).map(tuple).collect();
                 let hashes: std::collections::BTreeSet<u64> = tuples
                     .iter()
-                    .map(|t| hasher.hash_one(t.as_slice()))
+                    .map(|t| hasher.hash(t.iter().copied()))
                     .collect();
                 // 4 096 tuples each, but for the 256 a lone top byte takes.
                 let want = if (family, arity) == ("top byte", 1) {
@@ -1105,10 +1243,45 @@ mod tests {
                 assert_eq!(hashes.len(), want, "{family}/{arity}: colliding hashes");
             }
         }
-        // Every index draws its own secret, so two indexes disagree.
-        let (a, b) = (index(1), index(1));
-        assert_ne!(a.0, b.0, "two indexes drew the same secret");
-        assert_ne!(a.hash_one([5u64].as_slice()), b.hash_one([5u64].as_slice()));
+        // Every table draws its own secret, so two tables' hashes disagree.
+        let (a, b) = (FoldKey::default(), FoldKey::default());
+        assert_ne!(a.0, b.0, "two tables drew the same secret");
+        assert_ne!(a.hash([5u64].into_iter()), b.hash([5u64].into_iter()));
+    }
+
+    #[test]
+    fn a_lookup_probes_each_group_at_most_once_and_stops_at_the_rank_bound() {
+        let lpm = |value: u64, prefix_len: u8| KeyMatch::Lpm {
+            value,
+            prefix_len,
+            width: 32,
+        };
+        let mut t = TableInstance::new(decl("t", &[MatchKind::Lpm], 64));
+        // 25 prefix lengths, one group each, all covering 0x0a0b0c0d.
+        for len in 8..=32u8 {
+            let value = 0x0a0b_0c0d & (u32::MAX << (32 - len as u32)) as u64;
+            t.insert(TableEntry {
+                matches: vec![lpm(value, len)],
+                priority: 0,
+                action: go(len as u64),
+            })
+            .unwrap();
+        }
+        assert_eq!(t.groups.len(), 25);
+        // The /32 hit is the best group's: nothing after it can win.
+        assert_eq!(t.probe_winner(&[0x0a0b_0c0d]), (Some(24), 1));
+        // A key under the /16 only: 17 longer groups miss first.
+        assert_eq!(t.probe_winner(&[0x0a0b_ff00]), (Some(8), 17));
+        // A miss probes every group, and no more.
+        assert_eq!(t.probe_winner(&[0xff00_0000]), (None, 25));
+        // An all-exact table is one group: one probe, hit or miss.
+        let mut t = TableInstance::new(decl("t", &[MatchKind::Exact, MatchKind::Exact], 4096));
+        for i in 0..4096 {
+            t.insert(TableEntry::exact(&[i, i << 8], go(i))).unwrap();
+        }
+        assert_eq!(t.groups.len(), 1);
+        assert_eq!(t.probe_winner(&[7, 7 << 8]), (Some(7), 1));
+        assert_eq!(t.probe_winner(&[7, 7]), (None, 1));
     }
 
     #[test]

@@ -1,13 +1,9 @@
 //! Property tests for the data-plane substrates: state-encoding invariants,
-//! table lookup vs. a reference scan, meter conformance, and allocator
-//! conservation.
+//! meter conformance, and allocator conservation. Table lookups are held
+//! to the reference scan in the workspace's `tests/table_lookup.rs`.
 
-use flexnet_dataplane::{
-    ArchAllocator, Architecture, DeviceState, KeyMatch, StateEncoding, TableEntry, TableInstance,
-};
-use flexnet_lang::ast::{
-    ActionCall, ActionDecl, FieldPath, MatchKind, StateDecl, StateKind, TableDecl, TableKey,
-};
+use flexnet_dataplane::{ArchAllocator, Architecture, DeviceState, StateEncoding};
+use flexnet_lang::ast::{StateDecl, StateKind};
 use flexnet_types::{ResourceKind, ResourceVec, SimTime};
 use proptest::prelude::*;
 
@@ -114,64 +110,6 @@ proptest! {
         for (k, v) in &entries {
             prop_assert_eq!(b.map_get_at(0, *k), Some(*v));
         }
-    }
-
-    /// Table lookup equals a reference linear scan with the same
-    /// priority/specificity rule.
-    #[test]
-    fn lookup_matches_reference_scan(
-        entries in prop::collection::vec(
-            (any::<u32>(), 0u8..=32, -8i32..8),
-            1..20,
-        ),
-        key in any::<u32>(),
-    ) {
-        let decl = TableDecl {
-            name: "t".into(),
-            keys: vec![TableKey {
-                field: FieldPath::Header("ipv4".into(), "dst".into()),
-                match_kind: MatchKind::Lpm,
-            }],
-            actions: vec![ActionDecl {
-                name: "a".into(),
-                params: vec![("x".into(), 32)],
-                body: vec![],
-            }],
-            default_action: None,
-            size: 64,
-        };
-        let mut table = TableInstance::new(decl.into());
-        for (i, (value, len, prio)) in entries.iter().enumerate() {
-            table
-                .insert(TableEntry {
-                    matches: vec![KeyMatch::Lpm {
-                        value: *value as u64,
-                        prefix_len: *len,
-                        width: 32,
-                    }],
-                    priority: *prio,
-                    action: ActionCall {
-                        action: "a".into(),
-                        args: vec![i as u64],
-                    },
-                })
-                .unwrap();
-        }
-        let hw = table.lookup(&[key as u64]).map(|e| e.action.args[0]);
-        // Reference: filter matches, max by (priority, prefix len).
-        let reference = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, (value, len, _))| {
-                if *len == 0 {
-                    true
-                } else {
-                    (key >> (32 - *len as u32)) == (*value >> (32 - *len as u32))
-                }
-            })
-            .max_by_key(|(_, (_, len, prio))| (*prio, *len))
-            .map(|(i, _)| i as u64);
-        prop_assert_eq!(hw, reference);
     }
 
     /// A meter never admits more than burst + rate*time packets.
