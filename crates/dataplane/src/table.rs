@@ -1282,6 +1282,27 @@ mod tests {
         assert_eq!(t.groups.len(), 1);
         assert_eq!(t.probe_winner(&[7, 7 << 8]), (Some(7), 1));
         assert_eq!(t.probe_winner(&[7, 7]), (None, 1));
+        // A remove lowers its group's best rank, and the probe order
+        // follows: once the priority-5 entry is gone, the priority-3 hit
+        // of the other mask ends the lookup.
+        let ternary = |value: u64, mask: u64, priority: i32| TableEntry {
+            matches: vec![KeyMatch::Ternary { value, mask }],
+            priority,
+            action: go(priority as u64),
+        };
+        let mut t = TableInstance::new(decl("t", &[MatchKind::Ternary], 8));
+        for e in [ternary(1, 0xff, 5), ternary(2, 0xff, 1), ternary(2, 0xf, 3)] {
+            t.insert(e).unwrap();
+        }
+        assert_eq!(t.probe_winner(&[2]), (Some(2), 2));
+        assert_eq!(
+            t.remove(&[KeyMatch::Ternary {
+                value: 1,
+                mask: 0xff
+            }]),
+            1
+        );
+        assert_eq!(t.probe_winner(&[2]), (Some(1), 1));
     }
 
     #[test]
