@@ -15,9 +15,10 @@
 //! - **Keys stored once.** The masked key words live in one flat arena,
 //!   `arity` words per entry, at the entry's installation index (its
 //!   slot). Each group hashes masked keys with a keyed folded multiply
-//!   (`FoldKey`) into an open-addressed table of `u32` slots; equality is
-//!   decided on arena words, so a hash collision costs a probe, never a
-//!   wrong winner, and no entry allocates inside the index.
+//!   (`FoldKey`) into an open-addressed table of `u32` chain heads, probed
+//!   eight buckets at a time through control words of one-byte hash tags;
+//!   equality is decided on arena words, so a hash collision costs a
+//!   probe, never a wrong winner, and no entry allocates inside the index.
 //! - **Chains.** Entries of a group with equal masked keys chain from one
 //!   bucket, best `(rank, slot)` first. The slot is the sequence number of
 //!   the tie rule: installation order is entry order. A range key is not
@@ -307,23 +308,36 @@ impl Group {
         self.heads += 1;
     }
 
-    /// Ends the chain at bucket `b`.
+    /// Ends the chain at bucket `b`. A word that already holds an empty
+    /// byte ends every probe sequence that reaches it, so no key lies past
+    /// it on one: its bucket can be empty again rather than a tombstone.
     fn vacate(&mut self, b: usize) {
-        self.set_ctrl(b, TOMB);
+        let word = self.ctrl[b / 8];
+        if word & !(word << 1) & MSB != 0 {
+            self.set_ctrl(b, EMPTY);
+        } else {
+            self.set_ctrl(b, TOMB);
+            self.tombs += 1;
+        }
         self.chains[b] = NIL;
         self.heads -= 1;
-        self.tombs += 1;
     }
 
     /// Makes room for one more chain: at most half the buckets are ever
     /// taken, tombstones included, so most control words hold an empty
-    /// byte and a miss ends at its first. Growing re-hashes each chain's
-    /// head with `hash_of`.
+    /// byte and a miss ends at its first. A rebuild re-hashes each chain's
+    /// head with `hash_of`; one that would keep the size clears at least
+    /// an eighth of the buckets' tombstones or doubles instead, so a table
+    /// held near its limit by churn does not rebuild on every insert.
     fn reserve_head(&mut self, hash_of: impl Fn(u32) -> u64) {
-        if (self.heads + self.tombs + 1) as usize * 2 <= self.chains.len() {
+        let len = self.chains.len();
+        if (self.heads + self.tombs + 1) as usize * 2 <= len {
             return;
         }
-        let buckets = ((self.heads as usize + 1) * 2).next_power_of_two().max(8);
+        let buckets = match ((self.heads as usize + 1) * 2).next_power_of_two().max(8) {
+            same if same == len && (self.tombs as usize) < len / 8 => len * 2,
+            buckets => buckets,
+        };
         self.ctrl = vec![LSB * EMPTY as u64; buckets / 8];
         let held = std::mem::replace(&mut self.chains, vec![NIL; buckets]);
         (self.heads, self.tombs) = (0, 0);
