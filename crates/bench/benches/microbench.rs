@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexnet::prelude::*;
 use flexnet_bench::bundle;
-use flexnet_dataplane::ProgramImage;
+use flexnet_dataplane::{ProgramImage, SealTarget, SealedTargets};
 use flexnet_lang::ast::ActionCall;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -348,11 +348,50 @@ fn bench_control_checks(c: &mut Criterion) {
     }
     let composed = composed.unwrap();
     c.bench_function("lang/seal/composed_8", |b| {
-        b.iter(|| black_box(ProgramImage::seal(composed.clone()).unwrap()))
+        b.iter(|| black_box(ProgramImage::seal(composed.clone(), None).unwrap()))
     });
+    for keep in [8, 64] {
+        bench_seal_churn(c, keep);
+    }
     let src = tenants::tenant_source(41);
     c.bench_function("lang/front_end/tenant", |b| {
         b.iter(|| black_box(flexnet::apps::build(&src).unwrap()))
+    });
+}
+
+/// `lang/seal/churn_{keep}`: what a coordinator's prepare does with a
+/// churn op's composition at `keep` live tenants — seal it against the
+/// image the device runs (the previous composition's), splice its bytecode
+/// and plan the change. The setup holds the image to a seal from scratch.
+fn bench_seal_churn(c: &mut Criterion, keep: usize) {
+    let infra = flexnet::apps::build(tenants::INFRA).unwrap();
+    let mut ctl = Controller::new(infra, NodeId(1), SimTime::ZERO).unwrap();
+    let mut live = VecDeque::new();
+    let (mut previous, mut last) = (None, None);
+    for op in 0..keep as u64 + 40 {
+        let extension = flexnet::apps::build(&tenants::tenant_source(op)).unwrap();
+        let now = SimTime::from_millis(op + 1);
+        let composed = tenants::churn_keeping(keep, &mut ctl, &mut live, op, extension, now);
+        previous = last.replace(composed);
+    }
+    let (previous, last) = (previous.unwrap(), last.unwrap());
+    let mut dev = Device::new(
+        NodeId(1),
+        Architecture::drmt_default(),
+        StateEncoding::StatefulTable,
+    );
+    dev.install(previous).unwrap();
+    let base = dev.program().unwrap().image().unwrap().clone();
+    let against = ProgramImage::seal(last.clone(), Some(&base)).unwrap();
+    let scratch = ProgramImage::seal(last.clone(), None).unwrap();
+    assert_eq!(against.compiled().unwrap(), scratch.compiled().unwrap());
+    assert_eq!(against.verify_report(), scratch.verify_report());
+    assert_eq!(against.code_digest(), scratch.code_digest());
+    c.bench_function(&format!("lang/seal/churn_{keep}"), |b| {
+        b.iter(|| {
+            let mut sealed = SealedTargets::default();
+            black_box(sealed.target(&last).into_plan(dev.program()).unwrap())
+        })
     });
 }
 
@@ -373,8 +412,9 @@ fn bench_reconfig_planning(c: &mut Criterion) {
 /// crosses a flip to the second, and back.
 fn carrying_pair() -> [Arc<ProgramImage>; 2] {
     [("", 1), ("counter extra;", 2)].map(|(decl, port)| {
-        ProgramImage::seal(bundle(&format!(
-            "program app kind any {{
+        ProgramImage::seal(
+            bundle(&format!(
+                "program app kind any {{
                register r : u64[1024];
                map seen : map<u32, u64>[1024];
                {decl}
@@ -390,7 +430,9 @@ fn carrying_pair() -> [Arc<ProgramImage>; 2] {
                  forward({port});
                }}
              }}"
-        )))
+            )),
+            None,
+        )
         .unwrap()
     })
 }

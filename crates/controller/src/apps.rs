@@ -38,10 +38,15 @@ pub struct AppRecord {
     pub deployed_at: SimTime,
 }
 
-/// The URI-keyed application registry.
+/// The URI-keyed application registry. Retired records stay (for audit
+/// and [`AppRegistry::lookup`]); a tenant's live apps are also indexed by
+/// owner, so what a departure touches is its own apps, not the registry's
+/// history.
 #[derive(Debug, Default)]
 pub struct AppRegistry {
     by_uri: BTreeMap<AppUri, AppRecord>,
+    /// The URIs of each tenant's apps that are not retired.
+    live_by_owner: BTreeMap<TenantId, Vec<AppUri>>,
     next_id: u32,
 }
 
@@ -68,6 +73,12 @@ impl AppRegistry {
         }
         let id = AppId(self.next_id);
         self.next_id += 1;
+        if let Some(tenant) = owner {
+            self.live_by_owner
+                .entry(tenant)
+                .or_default()
+                .push(uri.clone());
+        }
         self.by_uri.insert(
             uri.clone(),
             AppRecord {
@@ -93,16 +104,31 @@ impl AppRegistry {
             .by_uri
             .get_mut(uri)
             .ok_or_else(|| FlexError::NotFound(format!("app `{uri}`")))?;
+        let (was_live, live) = (
+            rec.status != AppStatus::Retired,
+            status != AppStatus::Retired,
+        );
         rec.status = status;
+        if let (Some(tenant), true) = (rec.owner, was_live != live) {
+            let uris = self.live_by_owner.entry(tenant).or_default();
+            if live {
+                uris.push(uri.clone());
+            } else {
+                uris.retain(|u| u != uri);
+                if uris.is_empty() {
+                    self.live_by_owner.remove(&tenant);
+                }
+            }
+        }
         Ok(())
     }
 
-    /// All non-retired apps owned by `tenant`.
+    /// All non-retired apps owned by `tenant`, in URI order.
     pub fn apps_of_tenant(&self, tenant: TenantId) -> Vec<&AppRecord> {
-        self.by_uri
-            .values()
-            .filter(|r| r.status != AppStatus::Retired && r.owner == Some(tenant))
-            .collect()
+        let uris = self.live_by_owner.get(&tenant).into_iter().flatten();
+        let mut apps: Vec<&AppRecord> = uris.filter_map(|u| self.by_uri.get(u)).collect();
+        apps.sort_by(|a, b| a.uri.cmp(&b.uri));
+        apps
     }
 
     /// Number of running apps.
@@ -165,6 +191,32 @@ mod tests {
         assert_eq!(reg.apps_of_tenant(TenantId(1)).len(), 1);
         reg.set_status(&a, AppStatus::Retired).unwrap();
         assert_eq!(reg.apps_of_tenant(TenantId(1)).len(), 0);
+    }
+
+    /// A departure touches its own tenant's apps: after 10 000 churns of
+    /// distinct app names the owner index holds the live apps only, and
+    /// each tenant's query answers from it.
+    #[test]
+    fn the_owner_index_holds_only_live_apps_over_long_churn() {
+        let mut reg = AppRegistry::new();
+        for n in 0..10_000u32 {
+            let tenant = TenantId(n % 8 + 1);
+            if let Some(old) = reg.apps_of_tenant(tenant).first().map(|r| r.uri.clone()) {
+                reg.set_status(&old, AppStatus::Retired).unwrap();
+            }
+            let uri = AppUri::new(&tenant.to_string(), &format!("app{n}")).unwrap();
+            reg.register(uri, Some(tenant), placement_on(1), SimTime::ZERO)
+                .unwrap();
+            assert_eq!(reg.apps_of_tenant(tenant).len(), 1);
+        }
+        assert_eq!(reg.by_uri.len(), 10_000, "retired records are kept");
+        let live: usize = reg.live_by_owner.values().map(Vec::len).sum();
+        assert_eq!((reg.live_by_owner.len(), live), (8, 8));
+        assert_eq!(reg.running(), 8);
+        // Back to running: indexed again.
+        let any = AppUri::new("tenant1", "app0").unwrap();
+        reg.set_status(&any, AppStatus::Running).unwrap();
+        assert_eq!(reg.apps_of_tenant(TenantId(1)).len(), 2);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
+use crate::reuse::{guards, Reuse};
 use flexnet_types::{FlexError, Result};
 
 /// The type of a FlexBPF expression.
@@ -27,7 +28,18 @@ pub enum Ty {
 
 /// Type-checks `program` against the given header registry.
 pub fn check_program(program: &Program, headers: &HeaderRegistry) -> Result<()> {
-    Checker::new(program, headers)?.check()
+    check_program_with(program, headers, &Reuse::none())
+}
+
+/// [`check_program`], skipping the items `reuse` takes from a base that
+/// passed (`crate::reuse`): what is left is checked in the same order, so
+/// the first error is the same.
+pub fn check_program_with(
+    program: &Program,
+    headers: &HeaderRegistry,
+    reuse: &Reuse<'_>,
+) -> Result<()> {
+    Checker { program, headers }.check(reuse)
 }
 
 struct Checker<'a> {
@@ -36,21 +48,29 @@ struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
-    fn new(program: &'a Program, headers: &'a HeaderRegistry) -> Result<Checker<'a>> {
-        Ok(Checker { program, headers })
-    }
-
-    fn check(&self) -> Result<()> {
+    fn check(&self, reuse: &Reuse<'_>) -> Result<()> {
         self.check_unique_names()?;
         // One scope for the whole program, emptied between bodies.
         let mut scope = Scope::default();
-        for t in &self.program.tables {
-            self.check_table(t, &mut scope)?;
+        for (i, t) in self.program.tables.iter().enumerate() {
+            if reuse.table(i).is_none() {
+                self.check_table(t, &mut scope)?;
+            }
         }
-        for h in &self.program.handlers {
+        for (at, h) in self.program.handlers.iter().enumerate() {
+            if reuse.handler(at).is_some() {
+                continue;
+            }
             scope.locals.clear();
-            self.check_block(&h.body, &mut scope)
+            // A guard starts with no local in scope and leaves none.
+            let g = guards(&h.body);
+            let fresh = |j: &usize| *j >= g || reuse.guard(at, *j).is_none();
+            let frame = scope.locals.len();
+            (h.body.iter().enumerate())
+                .filter(|(j, _)| fresh(j))
+                .try_for_each(|(_, stmt)| self.check_stmt(stmt, &mut scope))
                 .map_err(|e| prefix(e, &format!("handler `{}`", h.name)))?;
+            scope.locals.truncate(frame);
         }
         Ok(())
     }

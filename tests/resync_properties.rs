@@ -180,3 +180,87 @@ proptest! {
         }
     }
 }
+
+/// `program()` with the `watch` table resized and a counter more: a
+/// change whose flip carries `acl`'s entries and not `watch`'s.
+fn program_v2() -> ProgramBundle {
+    let src = program()
+        .program
+        .to_source()
+        .replace("size 32;\n    }\n  handler", "size 64;\n    }\n  handler");
+    let mut v2 = ProgramBundle {
+        headers: Vec::new(),
+        program: parse_source(&src).expect("parses").programs.remove(0),
+    };
+    let extra = parse_source("program p kind any { counter more; }").expect("parses");
+    let more = extra.programs[0].states[0].clone();
+    v2.program.states.push(more);
+    v2
+}
+
+/// The resync's code-mismatch path end to end: a leaf prepares the new
+/// program, crashes before its flip while the coordinator commits, and
+/// restarts on its old image. Intent is the new program with an entry in
+/// each table; the resync reprovisions the leaf through a shadow and a
+/// flip — the new image sealed against the one the leaf runs — and then
+/// sets the tables intent holds.
+#[test]
+fn a_leaf_that_lost_its_prepared_shadow_is_reprovisioned_to_intent() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let (mut sim, leaves, mut store) = fleet(&mut rng, 7);
+    let mut log = ReplicatedIntentLog::new(3, 7).expect("cluster elects");
+    let leaf = leaves[0];
+    let old_digest = device(&mut sim, leaf).config_digest();
+
+    // Phase 1 on the leaf; the decision is made and intent follows it.
+    let tag = flexnet_dataplane::TxnTag {
+        txn_id: 1,
+        epoch: 1,
+    };
+    let at = SimTime::from_millis(10);
+    device(&mut sim, leaf)
+        .prepare_txn_reconfig(program_v2(), at, tag)
+        .expect("prepares");
+    store
+        .commit_target(&mut log, 1, leaf, program_v2())
+        .expect("intent recorded");
+    for (table, key) in [(0, 3), (1, 4)] {
+        store
+            .record_entry(&mut log, leaf, TABLES[table].0, entry(table, key))
+            .expect("recorded");
+    }
+    // The shadow dies with the leaf's memory; it comes back on v1.
+    let dev = device(&mut sim, leaf);
+    dev.crash(at + SimDuration::from_millis(1));
+    dev.restart(at + SimDuration::from_millis(5))
+        .expect("restarts");
+    assert!(!dev.reconfig_in_progress());
+    assert_ne!(dev.config_digest(), store.digest(leaf).unwrap());
+    assert_ne!(old_digest, store.digest(leaf).unwrap());
+
+    let mut fabric = LossyFabric::reliable();
+    let (now, policy) = (SimTime::from_secs(1), RetryPolicy::default());
+    let reports = Resyncer::default()
+        .resync_all(&mut sim, &store, &[leaf], now, &mut fabric, &policy, None)
+        .expect("the resync completes");
+    let report = &reports[0];
+    assert!(
+        matches!(
+            report.outcome,
+            ResyncOutcome::Reprovisioned { entries: 2, .. }
+        ),
+        "{:?}",
+        report.outcome
+    );
+    assert_eq!(report.tables, ["acl", "watch"]);
+    assert_eq!(report.messages, 3, "the probe, the begin and one repair");
+    let dev = device(&mut sim, leaf);
+    assert!(!dev.reconfig_in_progress());
+    assert_eq!(dev.config_digest(), store.digest(leaf).unwrap());
+    assert_eq!(
+        dev.program().unwrap().bundle(),
+        &program_v2(),
+        "the leaf runs intent's program"
+    );
+    assert!(diverged(&sim, &store.intended_digests()).is_empty());
+}
