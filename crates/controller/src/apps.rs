@@ -38,15 +38,16 @@ pub struct AppRecord {
     pub deployed_at: SimTime,
 }
 
-/// The URI-keyed application registry. Retired records stay (for audit
-/// and [`AppRegistry::lookup`]); a tenant's live apps are also indexed by
-/// owner, so what a departure touches is its own apps, not the registry's
-/// history.
+/// The URI-keyed application registry. Live and retired records are kept
+/// apart: a retired record stays (for audit and [`AppRegistry::lookup`])
+/// but no query over live apps walks it, so a departure costs what is live,
+/// not every app ever registered.
 #[derive(Debug, Default)]
 pub struct AppRegistry {
-    by_uri: BTreeMap<AppUri, AppRecord>,
-    /// The URIs of each tenant's apps that are not retired.
-    live_by_owner: BTreeMap<TenantId, Vec<AppUri>>,
+    /// Records that are running or migrating.
+    live: BTreeMap<AppUri, AppRecord>,
+    /// Retired records, until their URI is registered again.
+    retired: BTreeMap<AppUri, AppRecord>,
     next_id: u32,
 }
 
@@ -64,22 +65,16 @@ impl AppRegistry {
         placement: Placement,
         now: SimTime,
     ) -> Result<AppId> {
-        if let Some(existing) = self.by_uri.get(&uri) {
-            if existing.status != AppStatus::Retired {
-                return Err(FlexError::Conflict(format!(
-                    "app `{uri}` is already registered"
-                )));
-            }
+        if self.live.contains_key(&uri) {
+            return Err(FlexError::Conflict(format!(
+                "app `{uri}` is already registered"
+            )));
         }
+        // Re-registering a retired URI starts a new generation.
+        self.retired.remove(&uri);
         let id = AppId(self.next_id);
         self.next_id += 1;
-        if let Some(tenant) = owner {
-            self.live_by_owner
-                .entry(tenant)
-                .or_default()
-                .push(uri.clone());
-        }
-        self.by_uri.insert(
+        self.live.insert(
             uri.clone(),
             AppRecord {
                 id,
@@ -95,45 +90,36 @@ impl AppRegistry {
 
     /// Looks an app up by URI.
     pub fn lookup(&self, uri: &AppUri) -> Option<&AppRecord> {
-        self.by_uri.get(uri)
+        self.live.get(uri).or_else(|| self.retired.get(uri))
     }
 
     /// Marks an app as migrating / running / retired.
     pub fn set_status(&mut self, uri: &AppUri, status: AppStatus) -> Result<()> {
-        let rec = self
-            .by_uri
+        let (from, to) = match status {
+            AppStatus::Retired => (&mut self.live, &mut self.retired),
+            _ => (&mut self.retired, &mut self.live),
+        };
+        if let Some((key, rec)) = from.remove_entry(uri) {
+            to.insert(key, rec);
+        }
+        let rec = to
             .get_mut(uri)
             .ok_or_else(|| FlexError::NotFound(format!("app `{uri}`")))?;
-        let (was_live, live) = (
-            rec.status != AppStatus::Retired,
-            status != AppStatus::Retired,
-        );
         rec.status = status;
-        if let (Some(tenant), true) = (rec.owner, was_live != live) {
-            let uris = self.live_by_owner.entry(tenant).or_default();
-            if live {
-                uris.push(uri.clone());
-            } else {
-                uris.retain(|u| u != uri);
-                if uris.is_empty() {
-                    self.live_by_owner.remove(&tenant);
-                }
-            }
-        }
         Ok(())
     }
 
     /// All non-retired apps owned by `tenant`, in URI order.
     pub fn apps_of_tenant(&self, tenant: TenantId) -> Vec<&AppRecord> {
-        let uris = self.live_by_owner.get(&tenant).into_iter().flatten();
-        let mut apps: Vec<&AppRecord> = uris.filter_map(|u| self.by_uri.get(u)).collect();
-        apps.sort_by(|a, b| a.uri.cmp(&b.uri));
-        apps
+        self.live
+            .values()
+            .filter(|r| r.owner == Some(tenant))
+            .collect()
     }
 
     /// Number of running apps.
     pub fn running(&self) -> usize {
-        self.by_uri
+        self.live
             .values()
             .filter(|r| r.status == AppStatus::Running)
             .count()
@@ -193,11 +179,10 @@ mod tests {
         assert_eq!(reg.apps_of_tenant(TenantId(1)).len(), 0);
     }
 
-    /// A departure touches its own tenant's apps: after 10 000 churns of
-    /// distinct app names the owner index holds the live apps only, and
-    /// each tenant's query answers from it.
+    /// A departure walks live apps only: after 10 000 churns of distinct
+    /// app names every retired record is still looked up, none is walked.
     #[test]
-    fn the_owner_index_holds_only_live_apps_over_long_churn() {
+    fn live_queries_skip_the_retired_history_over_long_churn() {
         let mut reg = AppRegistry::new();
         for n in 0..10_000u32 {
             let tenant = TenantId(n % 8 + 1);
@@ -209,14 +194,14 @@ mod tests {
                 .unwrap();
             assert_eq!(reg.apps_of_tenant(tenant).len(), 1);
         }
-        assert_eq!(reg.by_uri.len(), 10_000, "retired records are kept");
-        let live: usize = reg.live_by_owner.values().map(Vec::len).sum();
-        assert_eq!((reg.live_by_owner.len(), live), (8, 8));
+        assert_eq!((reg.live.len(), reg.retired.len()), (8, 9_992));
         assert_eq!(reg.running(), 8);
-        // Back to running: indexed again.
-        let any = AppUri::new("tenant1", "app0").unwrap();
-        reg.set_status(&any, AppStatus::Running).unwrap();
+        let first = AppUri::new("tenant1", "app0").unwrap();
+        assert_eq!(reg.lookup(&first).unwrap().status, AppStatus::Retired);
+        // Back to running: live again, and a second record of its tenant.
+        reg.set_status(&first, AppStatus::Running).unwrap();
         assert_eq!(reg.apps_of_tenant(TenantId(1)).len(), 2);
+        assert_eq!(reg.retired.len(), 9_991);
     }
 
     #[test]

@@ -513,7 +513,7 @@ pub fn logged_transactional_reconfig(
     if let Some(store) = intent {
         for (node, bundle) in targets {
             let recorded = sealed
-                .image_for(bundle, None)
+                .image_for(bundle)
                 .and_then(|image| store.commit_target(log, txn, *node, image));
             if let Err(e) = recorded {
                 let lost = format!("txn {txn}: intended state for {node}: {e}");

@@ -11,12 +11,12 @@
 
 use crate::arch::{ArchAllocator, ArchClass, Architecture};
 use crate::cost::CostModel;
-use crate::image::{root_digest, Code, DigestLevels, LayoutResolver, ProgramImage, SealTarget};
+use crate::image::{root_digest, Code, DigestLevels, ProgramImage, SealTarget};
 use crate::parser::ParserGraph;
 use crate::state::{CarryMap, DeviceState, LogicalState, StateEncoding};
 use crate::table::{TableEntry, TableInstance, TableSet};
-use flexnet_lang::ast::{visit_names, ProgramKind};
-use flexnet_lang::bytecode::{self, CompiledProgram, SlotEnv};
+use flexnet_lang::ast::{visit_names, Program, ProgramKind};
+use flexnet_lang::bytecode::{self, CompiledProgram, SlotEnv, SlotResolver, SymbolKind};
 use flexnet_lang::diff::{ProgramBundle, ReconfigOp};
 use flexnet_lang::headers::HeaderRegistry;
 use flexnet_lang::ir::program_elements;
@@ -51,6 +51,30 @@ pub const EMPTY_CONFIG_DIGEST: u64 = 0;
 /// beyond the deepest replay the chaos fabric can produce, while
 /// keeping the memory fixed (512 bytes) under any dup-flood.
 pub const DEDUP_WINDOW: usize = 64;
+
+/// Resolves program symbols to the dense slots the bytecode VM indexes:
+/// state through the instance's [`crate::state::StateLayout`], tables and
+/// services by declaration order — the order [`TableSet`] and the service
+/// list install them in. No storage is needed to compile.
+struct DeviceResolver<'a> {
+    program: &'a Program,
+    state: &'a DeviceState,
+}
+
+impl SlotResolver for DeviceResolver<'_> {
+    fn resolve(&self, kind: SymbolKind, name: &str) -> Option<u16> {
+        let at = |i: usize| i as u16;
+        let program = self.program;
+        match kind {
+            SymbolKind::Table => program.tables.iter().position(|t| t.name == name).map(at),
+            SymbolKind::Map => self.state.map_slot(name),
+            SymbolKind::Register => self.state.register_slot(name),
+            SymbolKind::Counter => self.state.counter_slot(name),
+            SymbolKind::Meter => self.state.meter_slot(name),
+            SymbolKind::Service => program.services.iter().position(|s| s.name == name).map(at),
+        }
+    }
+}
 
 /// One program installed on a device: the sealed image it runs, this
 /// device's tables and state, and the slot-resolved bytecode the fast
@@ -110,9 +134,9 @@ impl InstalledProgram {
     /// Rebuilds the bytecode image against the current slot layout.
     pub fn recompile(&mut self) -> Result<()> {
         let (bundle, registry) = self.code.parts();
-        let resolver = LayoutResolver {
+        let resolver = DeviceResolver {
             program: &bundle.program,
-            layout: self.state.layout(),
+            state: &self.state,
         };
         let compile = || bytecode::compile(&bundle.program, registry, &resolver);
         self.compiled = Some(self.code.compiled_for(compile)?);

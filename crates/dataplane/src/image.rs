@@ -24,15 +24,11 @@ use crate::device::InstalledProgram;
 use crate::reconfig::ReconfigPlan;
 use crate::state::StateLayout;
 use crate::table::{KeyMatch, TableEntry};
-use flexnet_lang::ast::Program;
-use flexnet_lang::bytecode::{
-    compile_with, CompiledProgram, ItemCode, SlotResolver, Splice, SymbolKind,
-};
+use flexnet_lang::bytecode::CompiledProgram;
 use flexnet_lang::diff::ProgramBundle;
 use flexnet_lang::headers::HeaderRegistry;
-use flexnet_lang::reuse::{ItemFacts, Reuse};
-use flexnet_lang::typecheck::check_program_with;
-use flexnet_lang::verifier::{verify_program_with, VerifyReport};
+use flexnet_lang::typecheck::check_program;
+use flexnet_lang::verifier::verify_program;
 use flexnet_types::hash::{fnv1a, mix, FNV_OFFSET};
 use flexnet_types::Result;
 use std::fmt::{self, Write as _};
@@ -154,26 +150,6 @@ pub fn config_digest_of(bundle: &ProgramBundle, entries: &[(String, TableEntry)]
     root_digest(code_digest_of(bundle), tables)
 }
 
-/// Resolves a program's symbols to the dense slots its bytecode indexes:
-/// state through a [`StateLayout`], tables and services by declaration
-/// order — the order `TableSet` and the service list install them in.
-pub(crate) struct LayoutResolver<'a> {
-    pub(crate) program: &'a Program,
-    pub(crate) layout: &'a StateLayout,
-}
-
-impl SlotResolver for LayoutResolver<'_> {
-    fn resolve(&self, kind: SymbolKind, name: &str) -> Option<u16> {
-        let at = |i: usize| i as u16;
-        let program = self.program;
-        match kind {
-            SymbolKind::Table => program.tables.iter().position(|t| t.name == name).map(at),
-            SymbolKind::Service => program.services.iter().position(|s| s.name == name).map(at),
-            state => self.layout.symbol_slot(state, name),
-        }
-    }
-}
-
 /// A checked, verified, immutable program bundle (see the module docs).
 #[derive(Debug)]
 pub struct ProgramImage {
@@ -183,68 +159,27 @@ pub struct ProgramImage {
     /// Where the program's state lives, shared by every device that runs
     /// the image.
     layout: Arc<StateLayout>,
-    /// The verifier's certification.
-    report: VerifyReport,
-    /// What the checks learned of each item: what the seal of the image
-    /// that replaces this one takes instead of checking it again.
-    facts: ItemFacts,
     /// Bytecode for `layout` and the declaration order of the tables — the
-    /// same under every `StateEncoding` — and where each item sits in it;
-    /// spliced at seal time from the base's when there is one, else filled
-    /// by the first device that materializes the image.
-    compiled: OnceLock<(Arc<CompiledProgram>, ItemCode)>,
+    /// same under every `StateEncoding`; filled by the first device that
+    /// materializes the image.
+    compiled: OnceLock<Arc<CompiledProgram>>,
 }
 
 impl ProgramImage {
     /// Builds the header registry, type-checks and verifies `bundle`,
     /// folds its code digest and lays out its state.
-    ///
-    /// `base` is the image the program replaces — what the accepting
-    /// device runs — if any. The items of `bundle` that are `base`'s own
-    /// and whose names still resolve to the same declarations
-    /// (`flexnet_lang::reuse`) are neither checked nor verified again, and
-    /// when `base` has its bytecode their code is spliced from it here.
-    /// The result is the one a seal without a base makes: the same image,
-    /// or the same first error. Nothing of `base` is kept.
-    pub fn seal(bundle: ProgramBundle, base: Option<&ProgramImage>) -> Result<Arc<ProgramImage>> {
+    pub fn seal(bundle: ProgramBundle) -> Result<Arc<ProgramImage>> {
         let registry = HeaderRegistry::with_user_headers(&bundle.headers)?;
-        let reuse = match base {
-            Some(b) => Reuse::against(&bundle, &b.bundle, &b.facts),
-            None => Reuse::none(),
-        };
-        let program = &bundle.program;
-        check_program_with(program, &registry, &reuse)?;
-        let report = verify_program_with(program, &registry, &reuse)?;
-        let facts = reuse.learn(program);
+        check_program(&bundle.program, &registry)?;
+        verify_program(&bundle.program, &registry)?;
         let code_digest = code_digest_of(&bundle);
-        let layout = Arc::new(StateLayout::of_checked(&program.states));
-        let compiled = OnceLock::new();
-        if let Some((b, (code, spans))) = base.and_then(|b| Some((b, b.compiled.get()?))) {
-            let relocation = Relocation::new(b, program, &layout);
-            let relocate = |kind, slot| relocation.get(kind, slot);
-            let splice = Splice {
-                reuse: &reuse,
-                code,
-                spans,
-                relocate: &relocate,
-            };
-            let resolver = LayoutResolver {
-                program,
-                layout: &layout,
-            };
-            // A failed compile is not remembered: every device reports it.
-            if let Ok((code, spans)) = compile_with(program, &registry, &resolver, Some(&splice)) {
-                let _ = compiled.set((Arc::new(code), spans));
-            }
-        }
+        let layout = Arc::new(StateLayout::new(&bundle.program.states));
         Ok(Arc::new(ProgramImage {
             bundle,
             registry,
             code_digest,
             layout,
-            report,
-            facts,
-            compiled,
+            compiled: Default::default(),
         }))
     }
 
@@ -263,11 +198,6 @@ impl ProgramImage {
         &self.layout
     }
 
-    /// The verifier's certification of the program.
-    pub fn verify_report(&self) -> &VerifyReport {
-        &self.report
-    }
-
     /// The code digest: the configuration digest's first level, folded
     /// once at seal time — and the whole configuration digest of this
     /// program while its tables are empty.
@@ -275,78 +205,18 @@ impl ProgramImage {
         self.code_digest
     }
 
-    /// The shared bytecode, compiling it against the image's own layout if
-    /// neither the seal nor a device has yet. A failed compile is not
-    /// remembered: every device reports it for itself.
-    pub fn compiled(&self) -> Result<Arc<CompiledProgram>> {
-        if let Some((c, _)) = self.compiled.get() {
+    /// The shared bytecode, compiling it with `compile` if no device has
+    /// yet. A failed compile is not remembered: every device reports it for
+    /// itself.
+    fn compiled_for(
+        &self,
+        compile: impl FnOnce() -> Result<CompiledProgram>,
+    ) -> Result<Arc<CompiledProgram>> {
+        if let Some(c) = self.compiled.get() {
             return Ok(c.clone());
         }
-        let resolver = LayoutResolver {
-            program: &self.bundle.program,
-            layout: &self.layout,
-        };
-        let fresh = compile_with(&self.bundle.program, &self.registry, &resolver, None)?;
-        let (c, _) = self.compiled.get_or_init(|| (Arc::new(fresh.0), fresh.1));
-        Ok(c.clone())
-    }
-}
-
-/// Where each declaration of a base image sits in a program sealed
-/// against it: per bytecode operand kind, the base's slot → the new slot of
-/// the same `Arc` (`u16::MAX`: gone). Made once per seal that splices.
-struct Relocation {
-    slots: Vec<u16>,
-    /// Where each kind's run of `slots` starts, and the end.
-    starts: [usize; 7],
-}
-
-/// Operand kinds in the order [`Relocation`] keeps them.
-const KINDS: [SymbolKind; 6] = [
-    SymbolKind::Map,
-    SymbolKind::Register,
-    SymbolKind::Counter,
-    SymbolKind::Meter,
-    SymbolKind::Table,
-    SymbolKind::Service,
-];
-
-impl Relocation {
-    fn new(base: &ProgramImage, program: &Program, layout: &StateLayout) -> Relocation {
-        let from = &base.bundle.program;
-        let mut r = Relocation {
-            slots: Vec::new(),
-            starts: [0; 7],
-        };
-        for (k, kind) in KINDS.into_iter().enumerate() {
-            r.starts[k] = r.slots.len();
-            match kind {
-                SymbolKind::Table => r.map(&from.tables, &program.tables),
-                SymbolKind::Service => r.map(&from.services, &program.services),
-                state => r.map(base.layout.decls(state), layout.decls(state)),
-            }
-        }
-        r.starts[6] = r.slots.len();
-        r
-    }
-
-    /// Appends where each of `from` sits in `to`, looking first after the
-    /// last one found: a churn keeps the rest in order.
-    fn map<T>(&mut self, from: &[Arc<T>], to: &[Arc<T>]) {
-        let mut next = 0;
-        for d in from {
-            let found = (next..to.len())
-                .chain(0..next)
-                .find(|&j| Arc::ptr_eq(&to[j], d));
-            next = found.map_or(next, |j| j + 1);
-            self.slots.push(found.map_or(u16::MAX, |j| j as u16));
-        }
-    }
-
-    fn get(&self, kind: SymbolKind, slot: u16) -> Option<u16> {
-        let k = KINDS.iter().position(|&x| x == kind)?;
-        let run = &self.slots[self.starts[k]..self.starts[k + 1]];
-        run.get(slot as usize).copied().filter(|&s| s != u16::MAX)
+        let fresh = Arc::new(compile()?);
+        Ok(self.compiled.get_or_init(|| fresh).clone())
     }
 }
 
@@ -407,7 +277,7 @@ impl Code {
         compile: impl FnOnce() -> Result<CompiledProgram>,
     ) -> Result<Arc<CompiledProgram>> {
         match self {
-            Code::Sealed(image) => image.compiled(),
+            Code::Sealed(image) => image.compiled_for(compile),
             Code::Patched(_) => Ok(Arc::new(compile()?)),
         }
     }
@@ -427,32 +297,17 @@ pub trait SealTarget: Sized {
     /// The sealed image of this target.
     fn into_image(self) -> Result<Arc<ProgramImage>>;
 
-    /// [`SealTarget::into_image`], sealing — if this target is still to be
-    /// sealed — against `base`, the image it replaces
-    /// ([`ProgramImage::seal`]).
-    fn into_image_against(self, base: Option<&ProgramImage>) -> Result<Arc<ProgramImage>> {
-        let _ = base;
-        self.into_image()
-    }
-
     /// The plan that takes `active` — what the accepting device runs,
-    /// `None` on an empty one — to this target, sealed against `active`'s
-    /// image. Only a target of a control operation has a plan to share;
-    /// any other gets one of its own.
+    /// `None` on an empty one — to this target. Only a target of a control
+    /// operation has a plan to share; any other gets one of its own.
     fn into_plan(self, active: Option<&InstalledProgram>) -> Result<Arc<ReconfigPlan>> {
-        let base = active.and_then(InstalledProgram::image);
-        let image = self.into_image_against(base.map(|b| &**b))?;
-        Ok(Arc::new(ReconfigPlan::new(active, image)))
+        Ok(Arc::new(ReconfigPlan::new(active, self.into_image()?)))
     }
 }
 
 impl SealTarget for ProgramBundle {
     fn into_image(self) -> Result<Arc<ProgramImage>> {
-        ProgramImage::seal(self, None)
-    }
-
-    fn into_image_against(self, base: Option<&ProgramImage>) -> Result<Arc<ProgramImage>> {
-        ProgramImage::seal(self, base)
+        ProgramImage::seal(self)
     }
 }
 
@@ -492,21 +347,15 @@ pub struct SealedTargets<'a> {
 }
 
 impl<'a> SealedTargets<'a> {
-    /// The image of `bundle`, sealing it against `base` — the image it
-    /// replaces, if any ([`ProgramImage::seal`]) — if this operation has
-    /// not yet.
-    pub fn image_for(
-        &mut self,
-        bundle: &'a ProgramBundle,
-        base: Option<&ProgramImage>,
-    ) -> Result<Arc<ProgramImage>> {
+    /// The image of `bundle`, sealing it if this operation has not yet.
+    pub fn image_for(&mut self, bundle: &'a ProgramBundle) -> Result<Arc<ProgramImage>> {
         let seen = self.resolved.iter().find(|(b, _)| std::ptr::eq(*b, bundle));
         if let Some((_, image)) = seen {
             return Ok(image.clone());
         }
         let image = match self.resolved.iter().find(|(_, i)| i.bundle() == bundle) {
             Some((_, image)) => image.clone(),
-            None => ProgramImage::seal(bundle.clone(), base)?,
+            None => ProgramImage::seal(bundle.clone())?,
         };
         self.resolved.push((bundle, image.clone()));
         Ok(image)
@@ -531,18 +380,15 @@ pub struct OperationTarget<'s, 'a> {
 
 impl SealTarget for OperationTarget<'_, '_> {
     fn into_image(self) -> Result<Arc<ProgramImage>> {
-        self.sealed.image_for(self.bundle, None)
+        self.sealed.image_for(self.bundle)
     }
 
-    /// The operation's plan for this (active image, target) pair, the
-    /// target sealed against the active image if this is the first device
-    /// to ask for it. A device that runs no sealed image — empty, or
-    /// patched in place — has no identity to share a plan under and gets
-    /// one of its own.
+    /// The operation's plan for this (active image, target) pair. A device
+    /// that runs no sealed image — empty, or patched in place — has no
+    /// identity to share a plan under and gets one of its own.
     fn into_plan(self, active: Option<&InstalledProgram>) -> Result<Arc<ReconfigPlan>> {
-        let from = active.and_then(InstalledProgram::image);
-        let target = self.sealed.image_for(self.bundle, from.map(|f| &**f))?;
-        let Some(from) = from else {
+        let target = self.sealed.image_for(self.bundle)?;
+        let Some(from) = active.and_then(InstalledProgram::image) else {
             return Ok(Arc::new(ReconfigPlan::new(active, target)));
         };
         let plans = &mut self.sealed.plans;
@@ -592,7 +438,7 @@ mod tests {
 
     #[test]
     fn the_two_levels_fold_to_the_reference() {
-        let image = ProgramImage::seal(acl(), None).unwrap();
+        let image = ProgramImage::seal(acl()).unwrap();
         let entries = vec![deny(7), deny(3)];
         let acl_digest = table_digest("acl", entries.iter().map(|(_, e)| e));
         let want = config_digest_of(&acl(), &entries);
@@ -678,19 +524,13 @@ mod tests {
         // Equal bundles at two addresses, and a different one.
         let (a, a_again, other) = (acl(), acl(), other());
         let mut sealed = SealedTargets::default();
-        let first = sealed.image_for(&a, None).unwrap();
-        assert!(Arc::ptr_eq(&first, &sealed.image_for(&a, None).unwrap()));
-        assert!(Arc::ptr_eq(
-            &first,
-            &sealed.image_for(&a_again, None).unwrap()
-        ));
-        let second = sealed.image_for(&other, None).unwrap();
+        let first = sealed.image_for(&a).unwrap();
+        assert!(Arc::ptr_eq(&first, &sealed.image_for(&a).unwrap()));
+        assert!(Arc::ptr_eq(&first, &sealed.image_for(&a_again).unwrap()));
+        let second = sealed.image_for(&other).unwrap();
         assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(second.bundle(), &other);
-        assert!(Arc::ptr_eq(
-            &second,
-            &sealed.image_for(&other, None).unwrap()
-        ));
+        assert!(Arc::ptr_eq(&second, &sealed.image_for(&other).unwrap()));
         assert_eq!(
             sealed.resolved.len(),
             3,
@@ -704,8 +544,8 @@ mod tests {
         use flexnet_lang::diff::ReconfigOp;
         use flexnet_types::{NodeId, SimTime};
         let (a, b) = (
-            ProgramImage::seal(acl(), None).unwrap(),
-            ProgramImage::seal(other(), None).unwrap(),
+            ProgramImage::seal(acl()).unwrap(),
+            ProgramImage::seal(other()).unwrap(),
         );
         let target =
             bundle("program fw kind any { counter c; handler ingress(pkt) { forward(2); } }");
@@ -758,14 +598,8 @@ mod tests {
     fn a_target_that_does_not_seal_fails_every_time_it_is_asked_for() {
         let bad = bundle("program p kind any { handler ingress(pkt) { count(nosuch); } }");
         let mut sealed = SealedTargets::default();
-        assert!(matches!(
-            sealed.image_for(&bad, None),
-            Err(FlexError::Type(_))
-        ));
-        assert!(matches!(
-            sealed.image_for(&bad, None),
-            Err(FlexError::Type(_))
-        ));
+        assert!(matches!(sealed.image_for(&bad), Err(FlexError::Type(_))));
+        assert!(matches!(sealed.image_for(&bad), Err(FlexError::Type(_))));
         assert!(sealed.resolved.is_empty());
     }
 
@@ -774,7 +608,7 @@ mod tests {
         let ill_typed =
             bundle("program p kind any { handler ingress(pkt) { count(nosuch); forward(1); } }");
         assert!(matches!(
-            ProgramImage::seal(ill_typed, None),
+            ProgramImage::seal(ill_typed),
             Err(FlexError::Type(_))
         ));
         let unverifiable = bundle(
@@ -784,7 +618,7 @@ mod tests {
              }",
         );
         assert!(matches!(
-            ProgramImage::seal(unverifiable, None),
+            ProgramImage::seal(unverifiable),
             Err(FlexError::Verify(_))
         ));
     }

@@ -607,7 +607,7 @@ impl Device {
             ));
         };
         let before = active.clone();
-        let ops = ReconfigPlan::new(Some(active), ProgramImage::seal(target, None)?).ops;
+        let ops = ReconfigPlan::new(Some(active), ProgramImage::seal(target)?).ops;
         let mut staged = Vec::new();
         let mut t = now;
         for op in ops {

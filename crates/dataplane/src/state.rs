@@ -24,7 +24,6 @@
 //! values through a `CarryMap` made once per image pair.
 
 use flexnet_lang::ast::{StateDecl, StateKind};
-use flexnet_lang::bytecode::SymbolKind;
 use flexnet_types::hash::{fnv_step, FNV_OFFSET};
 use flexnet_types::{FlexError, Result, SimTime, Trap};
 use std::collections::BTreeMap;
@@ -351,41 +350,8 @@ impl StateLayout {
         layout
     }
 
-    /// The layout of a checked program's `decls`, whose names are unique:
-    /// [`StateLayout::new`]'s, without looking for a repeated name.
-    pub(crate) fn of_checked(decls: &[Arc<StateDecl>]) -> StateLayout {
-        let mut layout = StateLayout::default();
-        for d in decls {
-            layout.kinds[kind_of(&d.kind)].push(d.clone());
-        }
-        layout
-    }
-
     fn slot(&self, kind: usize, name: &str) -> Option<usize> {
         self.kinds[kind].iter().position(|d| d.name == name)
-    }
-
-    /// The slot of state `name` of the kind a bytecode operand of `kind`
-    /// addresses; `None` for tables and services, which are not state.
-    pub(crate) fn symbol_slot(&self, kind: SymbolKind, name: &str) -> Option<u16> {
-        self.slot(symbol_kind(kind)?, name).map(|s| s as u16)
-    }
-
-    /// The declarations of the kind a bytecode operand of `kind`
-    /// addresses, in slot order; none for tables and services.
-    pub(crate) fn decls(&self, kind: SymbolKind) -> &[Arc<StateDecl>] {
-        symbol_kind(kind).map_or(&[], |k| &self.kinds[k])
-    }
-}
-
-/// The slot kind a bytecode operand of `kind` addresses.
-fn symbol_kind(kind: SymbolKind) -> Option<usize> {
-    match kind {
-        SymbolKind::Map => Some(MAP),
-        SymbolKind::Register => Some(REGISTER),
-        SymbolKind::Counter => Some(COUNTER),
-        SymbolKind::Meter => Some(METER),
-        SymbolKind::Table | SymbolKind::Service => None,
     }
 }
 
@@ -404,24 +370,9 @@ pub(crate) struct CarryMap {
 impl CarryMap {
     /// The carry map from `from` to `to`.
     pub(crate) fn between(from: &Arc<StateLayout>, to: &StateLayout) -> CarryMap {
-        // Names are unique within a kind of a layout, so a declaration
-        // `from` holds at the slot after the last one found is the only
-        // same-named one: a change that keeps most objects in order
-        // compares pointers, not names.
         let sources = std::array::from_fn(|kind| {
-            let mut next = 0;
             let slots = to.kinds[kind].iter();
-            let source = |d: &Arc<StateDecl>| {
-                let kept = (from.kinds[kind].get(next)).is_some_and(|o| Arc::ptr_eq(o, d));
-                let at = if kept {
-                    Some(next)
-                } else {
-                    from.slot(kind, &d.name)
-                };
-                next = at.map_or(next, |at| at + 1);
-                at
-            };
-            slots.map(source).collect()
+            slots.map(|d| from.slot(kind, &d.name)).collect()
         });
         CarryMap {
             from: from.clone(),
@@ -1024,10 +975,7 @@ mod tests {
             ],
             StateEncoding::StatefulTable,
         );
-        let (r, c) = (
-            s.register_slot("r").unwrap(),
-            s.layout.symbol_slot(SymbolKind::Counter, "c").unwrap(),
-        );
+        let (r, c) = (s.register_slot("r").unwrap(), s.counter_slot("c").unwrap());
         s.reg_write_at_checked(r, 2, 99).unwrap();
         assert_eq!(s.reg_read("r", 2), 99);
         assert_eq!(s.reg_read("r", 9), 0, "out of range reads 0");
@@ -1053,7 +1001,7 @@ mod tests {
             .into()],
             StateEncoding::StatefulTable,
         );
-        let lim = s.layout.symbol_slot(SymbolKind::Meter, "lim").unwrap();
+        let lim = s.meter_slot("lim").unwrap();
         s.now = SimTime::from_millis(0);
         assert!(s.meter_check_at(lim, 7));
         assert!(s.meter_check_at(lim, 7));
@@ -1139,7 +1087,7 @@ mod tests {
         assert_eq!(s.map_slot("m2"), Some(1));
         assert_eq!(s.map_slot("zz"), None);
         assert_eq!(s.register_slot("r"), Some(0), "slots count per kind");
-        assert_eq!(s.layout.symbol_slot(SymbolKind::Counter, "c"), Some(0));
+        assert_eq!(s.counter_slot("c"), Some(0));
 
         s.map_put_at(1, 7, 77);
         assert_eq!(s.snapshot().maps["m2"].get(&7), Some(&77));

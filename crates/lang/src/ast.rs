@@ -552,24 +552,6 @@ impl Expr {
 // Name references
 // ---------------------------------------------------------------------------
 //
-/// [`visit_names`] of one expression.
-pub(crate) fn visit_expr_names<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
-    match e {
-        Expr::MapGet(n, k) | Expr::MapHas(n, k) | Expr::RegRead(n, k) | Expr::MeterCheck(n, k) => {
-            f(n);
-            visit_expr_names(k, f);
-        }
-        Expr::CounterRead(n) => f(n),
-        Expr::Hash(args) => args.iter().for_each(|a| visit_expr_names(a, f)),
-        Expr::Bin(_, l, r) => {
-            visit_expr_names(l, f);
-            visit_expr_names(r, f);
-        }
-        Expr::Un(_, v) => visit_expr_names(v, f),
-        _ => {}
-    }
-}
-
 // The one walk over the state and table names a block references: access
 // control, namespacing, table sharing, placement dependencies and the
 // device's apply set all read names through it. The order is pre-order — a
@@ -581,29 +563,48 @@ pub(crate) fn visit_expr_names<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
 /// pre-order. Locals, fields, headers and `invoke`d services are not names
 /// of this kind.
 pub fn visit_names<'a>(block: &'a Block, f: &mut impl FnMut(&'a str)) {
+    fn expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
+        match e {
+            Expr::MapGet(n, k)
+            | Expr::MapHas(n, k)
+            | Expr::RegRead(n, k)
+            | Expr::MeterCheck(n, k) => {
+                f(n);
+                expr(k, f);
+            }
+            Expr::CounterRead(n) => f(n),
+            Expr::Hash(args) => args.iter().for_each(|a| expr(a, f)),
+            Expr::Bin(_, l, r) => {
+                expr(l, f);
+                expr(r, f);
+            }
+            Expr::Un(_, v) => expr(v, f),
+            _ => {}
+        }
+    }
     for s in block {
         match s {
             Stmt::Let(_, e)
             | Stmt::AssignLocal(_, e)
             | Stmt::AssignField(_, e)
-            | Stmt::Forward(e) => visit_expr_names(e, f),
+            | Stmt::Forward(e) => expr(e, f),
             Stmt::MapPut(n, k, v) | Stmt::RegWrite(n, k, v) => {
                 f(n);
-                visit_expr_names(k, f);
-                visit_expr_names(v, f);
+                expr(k, f);
+                expr(v, f);
             }
             Stmt::MapDelete(n, k) => {
                 f(n);
-                visit_expr_names(k, f);
+                expr(k, f);
             }
             Stmt::Count(n) | Stmt::Apply(n) => f(n),
             Stmt::If(c, t, e) => {
-                visit_expr_names(c, f);
+                expr(c, f);
                 visit_names(t, f);
                 visit_names(e, f);
             }
             Stmt::Repeat(_, b) => visit_names(b, f),
-            Stmt::Invoke(_, args) => args.iter().for_each(|a| visit_expr_names(a, f)),
+            Stmt::Invoke(_, args) => args.iter().for_each(|a| expr(a, f)),
             _ => {}
         }
     }

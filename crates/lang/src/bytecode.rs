@@ -24,7 +24,6 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
-use crate::reuse::{guards, Reuse};
 use flexnet_types::hash::{fnv_step, FNV_OFFSET};
 use flexnet_types::{FlexError, Header, Packet, Result, Sym, Trap, Verdict};
 use std::collections::BTreeMap;
@@ -309,70 +308,16 @@ pub fn compile(
     registry: &HeaderRegistry,
     resolver: &dyn SlotResolver,
 ) -> Result<CompiledProgram> {
-    compile_with(program, registry, resolver, None).map(|(code, _)| code)
-}
-
-/// Where one item's code sits in a [`CompiledProgram`]: its instructions
-/// and the locals it allocated, both as half-open ranges.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct CodeSpan {
-    pcs: (u32, u32),
-    locals: (u16, u16),
-}
-
-/// Where each item of a compiled program (`crate::reuse`) sits in its
-/// bytecode, in walk order: the boundaries a later compile splices an item
-/// from. Not a copy of the code.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ItemCode {
-    spans: Vec<CodeSpan>,
-}
-
-/// What a compile may take from the program it replaces: the items
-/// `reuse` matched, found in `code` by `spans`.
-pub struct Splice<'s> {
-    /// The items taken, and their records in the base.
-    pub reuse: &'s Reuse<'s>,
-    /// The base's bytecode.
-    pub code: &'s CompiledProgram,
-    /// Where the base's items sit in `code`.
-    pub spans: &'s ItemCode,
-    /// A slot of the base (a table or service by position) to the slot of
-    /// the same declaration in the program being compiled.
-    pub relocate: &'s dyn Fn(SymbolKind, u16) -> Option<u16>,
-}
-
-/// [`compile`], splicing the bytecode of the items `splice` takes from a
-/// base instead of lowering them again, and returning where each item
-/// landed. A spliced item's instructions are copied with their jump
-/// targets, locals, state, table and service slots and field, protocol
-/// and template indices relocated, and those indices are interned in the
-/// order a fresh lowering meets them — so the result equals [`compile`]'s
-/// (`==`). An item whose code does not relocate is lowered afresh.
-pub fn compile_with(
-    program: &Program,
-    registry: &HeaderRegistry,
-    resolver: &dyn SlotResolver,
-    splice: Option<&Splice<'_>>,
-) -> Result<(CompiledProgram, ItemCode)> {
     let mut c = Compiler {
         registry,
         resolver,
         out: CompiledProgram {
             name: program.name.clone(),
-            // A spliced program is about as long as its base.
-            insns: Vec::with_capacity(splice.map_or(0, |s| s.code.insns.len() + 16)),
             ..CompiledProgram::default()
         },
         scopes: Vec::new(),
         next_local: 0,
     };
-    let mut spans = Vec::with_capacity(
-        program.tables.len()
-            + (program.handlers.iter())
-                .map(|h| guards(&h.body).max(1))
-                .sum::<usize>(),
-    );
 
     // Dangling state/service declarations are impossible against the
     // program's own layout but possible against a foreign (device) layout —
@@ -400,136 +345,24 @@ pub fn compile_with(
 
     // Pass 1: compile every table's actions as subroutines and build the
     // table metadata (including the resolved default action).
-    for (i, t) in program.tables.iter().enumerate() {
+    for t in &program.tables {
         let slot = c
             .resolver
             .resolve(SymbolKind::Table, &t.name)
             .ok_or_else(|| unresolved(SymbolKind::Table, &t.name))?;
-        let start = c.mark();
-        let from = splice.and_then(|s| Some((s, s.reuse.table(i)?)));
-        let spliced = from.and_then(|(s, l)| {
-            let base = &s.code.tables[Reuse::base_table(l)?];
-            let span = *s.spans.spans.get(Reuse::base_index(l))?;
-            c.splice_table(s, base, span, t, slot)
-        });
-        if spliced.is_none() {
-            c.rewind(start);
-            c.compile_table(t, slot)?;
-        }
-        spans.push(c.span_since(start));
-    }
-
-    // Pass 2: compile the handlers.
-    for (at, h) in program.handlers.iter().enumerate() {
-        c.scopes.clear();
-        c.scopes.push(BTreeMap::new());
-        let start = c.mark();
-        let entry = c.here();
-        let g = guards(&h.body);
-        let whole = splice.and_then(|s| Some((s, s.reuse.handler(at)?)));
-        let spliced = whole.and_then(|(s, l)| {
-            let span = *s.spans.spans.get(Reuse::base_index(l))?;
-            c.splice_code(s, span)
-        });
-        if spliced.is_none() {
-            c.rewind(start);
-            c.scopes.push(BTreeMap::new());
-            for (j, stmt) in h.body.iter().enumerate() {
-                if j >= g {
-                    c.compile_stmt(stmt)?;
-                    continue;
-                }
-                let before = c.mark();
-                let taken = splice.and_then(|s| {
-                    let l = s.reuse.guard(at, j)?;
-                    let span = *s.spans.spans.get(Reuse::base_index(l))?;
-                    c.splice_code(s, span)
-                });
-                if taken.is_none() {
-                    c.rewind(before);
-                    c.compile_stmt(stmt)?;
-                }
-                spans.push(c.span_since(before));
-            }
-            c.scopes.pop();
-            c.out.insns.push(Insn::EndHandler);
-        }
-        if g == 0 {
-            spans.push(c.span_since(start));
-        }
-        c.out.handlers.push((h.name.clone(), entry));
-        if h.name == "ingress" && c.out.ingress.is_none() {
-            c.out.ingress = Some(entry);
-        }
-    }
-
-    c.out.n_locals = c.next_local;
-    Ok((c.out, ItemCode { spans }))
-}
-
-/// How far a compile has got: what [`Compiler::rewind`] goes back to.
-#[derive(Debug, Clone, Copy)]
-struct Mark {
-    insns: usize,
-    fields: usize,
-    protos: usize,
-    templates: usize,
-    next_local: u16,
-}
-
-struct Compiler<'a> {
-    registry: &'a HeaderRegistry,
-    resolver: &'a dyn SlotResolver,
-    out: CompiledProgram,
-    /// Lexical frames, innermost last — mirrors the type checker exactly,
-    /// which is what makes compile-time slot assignment sound.
-    scopes: Vec<BTreeMap<String, u16>>,
-    next_local: u16,
-}
-
-impl Compiler<'_> {
-    fn mark(&self) -> Mark {
-        Mark {
-            insns: self.out.insns.len(),
-            fields: self.out.fields.len(),
-            protos: self.out.protos.len(),
-            templates: self.out.header_templates.len(),
-            next_local: self.next_local,
-        }
-    }
-
-    /// Forgets everything emitted, interned and allocated since `m`.
-    fn rewind(&mut self, m: Mark) {
-        self.out.insns.truncate(m.insns);
-        self.out.fields.truncate(m.fields);
-        self.out.protos.truncate(m.protos);
-        self.out.header_templates.truncate(m.templates);
-        self.next_local = m.next_local;
-    }
-
-    /// The code and locals emitted since `m`.
-    fn span_since(&self, m: Mark) -> CodeSpan {
-        CodeSpan {
-            pcs: (m.insns as u32, self.here()),
-            locals: (m.next_local, self.next_local),
-        }
-    }
-
-    /// Lowers table `t`'s actions and pushes its metadata.
-    fn compile_table(&mut self, t: &TableDecl, slot: u16) -> Result<()> {
-        let key_fields = t.keys.iter().map(|k| self.intern_field(&k.field)).collect();
+        let key_fields = t.keys.iter().map(|k| c.intern_field(&k.field)).collect();
         let mut actions = Vec::with_capacity(t.actions.len());
         for a in &t.actions {
-            let param_base = self.next_local;
-            self.scopes.clear();
-            self.scopes.push(BTreeMap::new());
+            let param_base = c.next_local;
+            c.scopes.clear();
+            c.scopes.push(BTreeMap::new());
             for (p, _) in &a.params {
-                let s = self.alloc_local()?;
-                self.scopes.last_mut().expect("frame").insert(p.clone(), s);
+                let s = c.alloc_local()?;
+                c.scopes.last_mut().expect("frame").insert(p.clone(), s);
             }
-            let entry = self.out.insns.len() as u32;
-            self.compile_block(&a.body)?;
-            self.out.insns.push(Insn::ActionEnd);
+            let entry = c.out.insns.len() as u32;
+            c.compile_block(&a.body)?;
+            c.out.insns.push(Insn::ActionEnd);
             actions.push(ActionMeta {
                 name: a.name.clone(),
                 entry,
@@ -556,126 +389,43 @@ impl Compiler<'_> {
             }
             None => None,
         };
-        self.out.tables.push(TableMeta {
+        c.out.tables.push(TableMeta {
             name: t.name.clone(),
             slot,
             key_fields,
             actions,
             default,
         });
-        Ok(())
     }
 
-    /// Splices table `t` from the base's `base` at `span`: its key fields
-    /// interned first, as [`Compiler::compile_table`] does, then its
-    /// actions' code. `None` (nothing pushed, maybe something interned —
-    /// the caller rewinds) when some of it does not relocate.
-    fn splice_table(
-        &mut self,
-        s: &Splice<'_>,
-        base: &TableMeta,
-        span: CodeSpan,
-        t: &TableDecl,
-        slot: u16,
-    ) -> Option<()> {
-        let key_fields = (base.key_fields.iter())
-            .map(|&k| Some(self.intern_syms(*s.code.fields.get(k as usize)?)))
-            .collect::<Option<Vec<u32>>>()?;
-        let (pc0, local0) = (self.here(), self.next_local);
-        self.splice_code(s, span)?;
-        let actions = (base.actions.iter())
-            .map(|a| ActionMeta {
-                name: a.name.clone(),
-                entry: a.entry - span.pcs.0 + pc0,
-                param_base: a.param_base - span.locals.0 + local0,
-                arity: a.arity,
-            })
-            .collect();
-        self.out.tables.push(TableMeta {
-            name: t.name.clone(),
-            slot,
-            key_fields,
-            actions,
-            default: base.default.clone(),
-        });
-        Some(())
-    }
-
-    /// Appends the base's code at `span`, relocated (see [`compile_with`]).
-    /// `None` when an operand does not relocate; the caller rewinds.
-    fn splice_code(&mut self, s: &Splice<'_>, span: CodeSpan) -> Option<()> {
-        let (lo, hi) = (span.pcs.0 as usize, span.pcs.1 as usize);
-        let pc0 = self.here();
-        let local0 = self.next_local;
-        self.next_local = local0.checked_add(span.locals.1.checked_sub(span.locals.0)?)?;
-        let pc = |t: u32| {
-            (span.pcs.0..=span.pcs.1)
-                .contains(&t)
-                .then(|| t - span.pcs.0 + pc0)
-        };
-        let local = |l: u16| {
-            (span.locals.0..span.locals.1)
-                .contains(&l)
-                .then(|| l - span.locals.0 + local0)
-        };
-        let slot = |kind, slot| (s.relocate)(kind, slot);
-        let code = s.code;
-        for insn in code.insns.get(lo..hi)? {
-            let moved = match *insn {
-                Insn::PushLocal(l) => Insn::PushLocal(local(l)?),
-                Insn::StoreLocal(l) => Insn::StoreLocal(local(l)?),
-                Insn::PushField(f) => {
-                    Insn::PushField(self.intern_syms(*code.fields.get(f as usize)?))
-                }
-                Insn::StoreField(f) => {
-                    Insn::StoreField(self.intern_syms(*code.fields.get(f as usize)?))
-                }
-                Insn::PushValid(p) => {
-                    Insn::PushValid(self.intern_sym(*code.protos.get(p as usize)?))
-                }
-                Insn::RemoveHeader(p) => {
-                    Insn::RemoveHeader(self.intern_sym(*code.protos.get(p as usize)?))
-                }
-                Insn::AddHeader(t) => {
-                    let template = code.header_templates.get(t as usize)?;
-                    let proto = template.header.view().proto();
-                    let at = index_of(
-                        &mut self.out.header_templates,
-                        |t| t.header.view().proto() == proto,
-                        || template.clone(),
-                    );
-                    Insn::AddHeader(at)
-                }
-                Insn::MapGet(m) => Insn::MapGet(slot(SymbolKind::Map, m)?),
-                Insn::MapHas(m) => Insn::MapHas(slot(SymbolKind::Map, m)?),
-                Insn::MapPut(m) => Insn::MapPut(slot(SymbolKind::Map, m)?),
-                Insn::MapDelete(m) => Insn::MapDelete(slot(SymbolKind::Map, m)?),
-                Insn::RegRead(r) => Insn::RegRead(slot(SymbolKind::Register, r)?),
-                Insn::RegWrite(r) => Insn::RegWrite(slot(SymbolKind::Register, r)?),
-                Insn::Count(c) => Insn::Count(slot(SymbolKind::Counter, c)?),
-                Insn::CounterRead(c) => Insn::CounterRead(slot(SymbolKind::Counter, c)?),
-                Insn::MeterCheck(m) => Insn::MeterCheck(slot(SymbolKind::Meter, m)?),
-                Insn::Invoke(svc, n) => Insn::Invoke(slot(SymbolKind::Service, svc)?, n),
-                Insn::Apply(t) => {
-                    // A table not lowered yet fails a fresh lowering: let it.
-                    let at = slot(SymbolKind::Table, t)?;
-                    if at as usize >= self.out.tables.len() {
-                        return None;
-                    }
-                    Insn::Apply(at)
-                }
-                Insn::LAndProbe(t) => Insn::LAndProbe(pc(t)?),
-                Insn::LOrProbe(t) => Insn::LOrProbe(pc(t)?),
-                Insn::Jump(t) => Insn::Jump(pc(t)?),
-                Insn::BranchIfZero(t) => Insn::BranchIfZero(pc(t)?),
-                Insn::LoopTest(t) => Insn::LoopTest(pc(t)?),
-                other => other,
-            };
-            self.out.insns.push(moved);
+    // Pass 2: compile the handlers.
+    for h in &program.handlers {
+        c.scopes.clear();
+        c.scopes.push(BTreeMap::new());
+        let entry = c.out.insns.len() as u32;
+        c.compile_block(&h.body)?;
+        c.out.insns.push(Insn::EndHandler);
+        c.out.handlers.push((h.name.clone(), entry));
+        if h.name == "ingress" && c.out.ingress.is_none() {
+            c.out.ingress = Some(entry);
         }
-        Some(())
     }
 
+    c.out.n_locals = c.next_local;
+    Ok(c.out)
+}
+
+struct Compiler<'a> {
+    registry: &'a HeaderRegistry,
+    resolver: &'a dyn SlotResolver,
+    out: CompiledProgram,
+    /// Lexical frames, innermost last — mirrors the type checker exactly,
+    /// which is what makes compile-time slot assignment sound.
+    scopes: Vec<BTreeMap<String, u16>>,
+    next_local: u16,
+}
+
+impl Compiler<'_> {
     fn alloc_local(&mut self) -> Result<u16> {
         let s = self.next_local;
         self.next_local = self
@@ -697,18 +447,12 @@ impl Compiler<'_> {
     }
 
     fn intern_field(&mut self, p: &FieldPath) -> u32 {
-        self.intern_syms(p.syms())
-    }
-
-    fn intern_syms(&mut self, syms: (Sym, Sym)) -> u32 {
+        let syms = p.syms();
         index_of(&mut self.out.fields, |f| *f == syms, || syms)
     }
 
     fn intern_proto(&mut self, proto: &str) -> u32 {
-        self.intern_sym(Sym::intern(proto))
-    }
-
-    fn intern_sym(&mut self, proto: Sym) -> u32 {
+        let proto = Sym::intern(proto);
         index_of(&mut self.out.protos, |p| *p == proto, || proto)
     }
 

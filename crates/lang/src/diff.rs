@@ -81,81 +81,22 @@ impl ReconfigOp {
     }
 }
 
-/// The kinds of named declaration a bundle holds, as [`Names`] tags them.
-const HEADER: u8 = 0;
-const STATE: u8 = 1;
-const TABLE: u8 = 2;
-const SERVICE: u8 = 3;
-const HANDLER: u8 = 4;
-
-/// One bundle's names: `(kind, name, position)` of the first declaration
-/// of each name of each kind, sorted — the one index a diff looks names up
-/// in, instead of walking a declaration list per name.
-struct Names<'a>(Vec<(u8, &'a str, u32)>);
-
-impl<'a> Names<'a> {
-    fn of(b: &'a ProgramBundle) -> Names<'a> {
-        let p = &b.program;
-        let mut names = Vec::with_capacity(
-            b.headers.len() + p.states.len() + p.tables.len() + p.services.len() + p.handlers.len(),
-        );
-        let mut add = |kind, list: &mut dyn Iterator<Item = &'a str>| {
-            names.extend(list.enumerate().map(|(i, n)| (kind, n, i as u32)));
-        };
-        add(HEADER, &mut b.headers.iter().map(|h| h.name.as_str()));
-        add(STATE, &mut p.states.iter().map(|s| s.name.as_str()));
-        add(TABLE, &mut p.tables.iter().map(|t| t.name.as_str()));
-        add(SERVICE, &mut p.services.iter().map(|s| s.name.as_str()));
-        add(HANDLER, &mut p.handlers.iter().map(|h| h.name.as_str()));
-        names.sort_unstable();
-        // Equal names sort by position: keep the first.
-        names.dedup_by(|later, first| (later.0, later.1) == (first.0, first.1));
-        Names(names)
-    }
-
-    /// The position of the first declaration of `kind` named `name`.
-    fn find(&self, kind: u8, name: &str) -> Option<usize> {
-        let at = self.0.partition_point(|&(k, n, _)| (k, n) < (kind, name));
-        match self.0.get(at) {
-            Some(&(k, n, i)) if (k, n) == (kind, name) => Some(i as usize),
-            _ => None,
-        }
-    }
-}
-
 /// Computes the ops that transform `old` into `new`.
 ///
 /// The returned sequence is ordered additions-first (state before tables
 /// before handlers, so new handlers never reference missing elements),
 /// removals last — matching how a hitless reconfiguration engine must stage
 /// changes so that both the old and the new program are runnable throughout
-/// the transition. Each name is found through one index per bundle
-/// (`Names`), the first declaration of a name being the one that counts;
-/// a declaration both bundles share is recognised by address before it is
-/// compared by value.
+/// the transition. A declaration both bundles share is recognised by
+/// address (`Arc`'s `==` looks there first) before it is compared by value.
 pub fn diff_bundles(old: &ProgramBundle, new: &ProgramBundle) -> Vec<ReconfigOp> {
     let mut ops = Vec::new();
-    let (was, is) = (Names::of(old), Names::of(new));
-    let (o, n) = (&old.program, &new.program);
-    // The declaration of `kind` named `name` in `list`, per `names`.
-    fn at<'l, T>(
-        names: &Names<'_>,
-        list: &'l [Arc<T>],
-        kind: u8,
-        name: &str,
-    ) -> Option<&'l Arc<T>> {
-        names.find(kind, name).map(|i| &list[i])
-    }
-    // Unchanged: the same declaration, or an equal one.
-    fn same<T: PartialEq>(a: &Arc<T>, b: &Arc<T>) -> bool {
-        Arc::ptr_eq(a, b) || a == b
-    }
 
     // Parser additions first: new tables/handlers may match on new headers.
     for h in &new.headers {
-        match at(&was, &old.headers, HEADER, &h.name) {
+        match old.headers.iter().find(|o| o.name == h.name) {
             None => ops.push(ReconfigOp::AddParserState(h.clone())),
-            Some(o) if !same(o, h) => {
+            Some(o) if o != h => {
                 // Header redefinition = remove + add (parsers have no
                 // in-place modify on real hardware).
                 ops.push(ReconfigOp::RemoveParserState(h.name.clone()));
@@ -165,26 +106,26 @@ pub fn diff_bundles(old: &ProgramBundle, new: &ProgramBundle) -> Vec<ReconfigOp>
         }
     }
 
-    for s in &n.states {
-        match at(&was, &o.states, STATE, &s.name) {
+    for s in &new.program.states {
+        match old.program.state(&s.name) {
             None => ops.push(ReconfigOp::AddState(s.clone())),
-            Some(o) if !same(o, s) => ops.push(ReconfigOp::ModifyState(s.clone())),
+            Some(o) if o != s => ops.push(ReconfigOp::ModifyState(s.clone())),
             _ => {}
         }
     }
 
-    for t in &n.tables {
-        match at(&was, &o.tables, TABLE, &t.name) {
+    for t in &new.program.tables {
+        match old.program.table(&t.name) {
             None => ops.push(ReconfigOp::AddTable(t.clone())),
-            Some(o) if !same(o, t) => ops.push(ReconfigOp::ModifyTable(t.clone())),
+            Some(o) if o != t => ops.push(ReconfigOp::ModifyTable(t.clone())),
             _ => {}
         }
     }
 
-    for svc in &n.services {
-        match at(&was, &o.services, SERVICE, &svc.name) {
+    for svc in &new.program.services {
+        match old.program.services.iter().find(|s| s.name == svc.name) {
             None => ops.push(ReconfigOp::AddService(svc.clone())),
-            Some(o) if !same(o, svc) => {
+            Some(o) if o != svc => {
                 ops.push(ReconfigOp::RemoveService(svc.name.clone()));
                 ops.push(ReconfigOp::AddService(svc.clone()));
             }
@@ -192,31 +133,40 @@ pub fn diff_bundles(old: &ProgramBundle, new: &ProgramBundle) -> Vec<ReconfigOp>
         }
     }
 
-    for h in &n.handlers {
-        match at(&was, &o.handlers, HANDLER, &h.name) {
+    for h in &new.program.handlers {
+        match old.program.handler(&h.name) {
             None => ops.push(ReconfigOp::SetHandler(h.clone())),
-            Some(o) if !same(o, h) => ops.push(ReconfigOp::SetHandler(h.clone())),
+            Some(o) if o != h => ops.push(ReconfigOp::SetHandler(h.clone())),
             _ => {}
         }
     }
 
     // Removals, in reverse dependency order: handlers, services, tables,
     // state, parser states.
-    let gone = |kind, name: &str| is.find(kind, name).is_none();
-    for h in o.handlers.iter().filter(|h| gone(HANDLER, &h.name)) {
-        ops.push(ReconfigOp::RemoveHandler(h.name.clone()));
+    for h in &old.program.handlers {
+        if new.program.handler(&h.name).is_none() {
+            ops.push(ReconfigOp::RemoveHandler(h.name.clone()));
+        }
     }
-    for svc in o.services.iter().filter(|s| gone(SERVICE, &s.name)) {
-        ops.push(ReconfigOp::RemoveService(svc.name.clone()));
+    for svc in &old.program.services {
+        if !new.program.services.iter().any(|s| s.name == svc.name) {
+            ops.push(ReconfigOp::RemoveService(svc.name.clone()));
+        }
     }
-    for t in o.tables.iter().filter(|t| gone(TABLE, &t.name)) {
-        ops.push(ReconfigOp::RemoveTable(t.name.clone()));
+    for t in &old.program.tables {
+        if new.program.table(&t.name).is_none() {
+            ops.push(ReconfigOp::RemoveTable(t.name.clone()));
+        }
     }
-    for s in o.states.iter().filter(|s| gone(STATE, &s.name)) {
-        ops.push(ReconfigOp::RemoveState(s.name.clone()));
+    for s in &old.program.states {
+        if new.program.state(&s.name).is_none() {
+            ops.push(ReconfigOp::RemoveState(s.name.clone()));
+        }
     }
-    for h in old.headers.iter().filter(|h| gone(HEADER, &h.name)) {
-        ops.push(ReconfigOp::RemoveParserState(h.name.clone()));
+    for h in &old.headers {
+        if !new.headers.iter().any(|n| n.name == h.name) {
+            ops.push(ReconfigOp::RemoveParserState(h.name.clone()));
+        }
     }
 
     ops

@@ -60,7 +60,6 @@ pub mod ir;
 pub mod lexer;
 pub mod parser;
 pub mod patch;
-pub mod reuse;
 pub mod token;
 pub mod typecheck;
 pub mod verifier;

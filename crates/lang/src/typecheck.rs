@@ -14,7 +14,6 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
-use crate::reuse::{guards, Reuse};
 use flexnet_types::{FlexError, Result};
 
 /// The type of a FlexBPF expression.
@@ -28,18 +27,7 @@ pub enum Ty {
 
 /// Type-checks `program` against the given header registry.
 pub fn check_program(program: &Program, headers: &HeaderRegistry) -> Result<()> {
-    check_program_with(program, headers, &Reuse::none())
-}
-
-/// [`check_program`], skipping the items `reuse` takes from a base that
-/// passed (`crate::reuse`): what is left is checked in the same order, so
-/// the first error is the same.
-pub fn check_program_with(
-    program: &Program,
-    headers: &HeaderRegistry,
-    reuse: &Reuse<'_>,
-) -> Result<()> {
-    Checker { program, headers }.check(reuse)
+    Checker::new(program, headers)?.check()
 }
 
 struct Checker<'a> {
@@ -48,29 +36,21 @@ struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
-    fn check(&self, reuse: &Reuse<'_>) -> Result<()> {
+    fn new(program: &'a Program, headers: &'a HeaderRegistry) -> Result<Checker<'a>> {
+        Ok(Checker { program, headers })
+    }
+
+    fn check(&self) -> Result<()> {
         self.check_unique_names()?;
         // One scope for the whole program, emptied between bodies.
         let mut scope = Scope::default();
-        for (i, t) in self.program.tables.iter().enumerate() {
-            if reuse.table(i).is_none() {
-                self.check_table(t, &mut scope)?;
-            }
+        for t in &self.program.tables {
+            self.check_table(t, &mut scope)?;
         }
-        for (at, h) in self.program.handlers.iter().enumerate() {
-            if reuse.handler(at).is_some() {
-                continue;
-            }
+        for h in &self.program.handlers {
             scope.locals.clear();
-            // A guard starts with no local in scope and leaves none.
-            let g = guards(&h.body);
-            let fresh = |j: &usize| *j >= g || reuse.guard(at, *j).is_none();
-            let frame = scope.locals.len();
-            (h.body.iter().enumerate())
-                .filter(|(j, _)| fresh(j))
-                .try_for_each(|(_, stmt)| self.check_stmt(stmt, &mut scope))
+            self.check_block(&h.body, &mut scope)
                 .map_err(|e| prefix(e, &format!("handler `{}`", h.name)))?;
-            scope.locals.truncate(frame);
         }
         Ok(())
     }

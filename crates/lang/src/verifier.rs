@@ -19,7 +19,6 @@
 
 use crate::ast::*;
 use crate::headers::HeaderRegistry;
-use crate::reuse::{guards, Reuse};
 use flexnet_types::{FlexError, Result};
 use std::collections::BTreeMap;
 
@@ -44,28 +43,12 @@ pub struct VerifyReport {
 /// [`crate::typecheck::check_program`] first; the verifier assumes names
 /// resolve.
 pub fn verify_program(program: &Program, headers: &HeaderRegistry) -> Result<VerifyReport> {
-    verify_program_with(program, headers, &Reuse::none())
-}
-
-/// [`verify_program`], taking the walk and the op count of the items
-/// `reuse` takes from a base that passed (`crate::reuse`): what is left is
-/// walked in the same order, and the bounds that depend on the whole
-/// program — the dearest action, each handler's total — are checked
-/// afresh.
-pub fn verify_program_with(
-    program: &Program,
-    headers: &HeaderRegistry,
-    reuse: &Reuse<'_>,
-) -> Result<VerifyReport> {
     let v = Verifier { program, headers };
     // One set of locals for the whole program, emptied between bodies.
     let mut locals = Locals::default();
 
     // Actions must be straight-line primitives: no apply, no repeat.
-    for (i, t) in program.tables.iter().enumerate() {
-        if reuse.table(i).is_some() {
-            continue;
-        }
+    for t in &program.tables {
         for a in &t.actions {
             if let Some(why) = not_straight_line(&a.body) {
                 return Err(FlexError::Verify(format!(
@@ -83,40 +66,19 @@ pub fn verify_program_with(
     }
 
     // A handler may apply any table, which may run any action.
-    let action_worst = (program.tables.iter().enumerate())
-        .map(|(i, t)| match reuse.table(i) {
-            Some(l) => l.ops,
-            None => t
-                .actions
-                .iter()
-                .map(|a| block_ops(&a.body))
-                .max()
-                .unwrap_or(0),
-        })
+    let action_worst = program
+        .tables
+        .iter()
+        .flat_map(|t| t.actions.iter())
+        .map(|a| block_ops(&a.body))
         .max()
         .unwrap_or(0);
     let mut handler_ops = BTreeMap::new();
     let mut all_verdict = true;
-    for (at, h) in program.handlers.iter().enumerate() {
-        let body_ops = match reuse.handler(at) {
-            Some(l) => l.ops,
-            None => {
-                locals.ranges.clear();
-                let g = guards(&h.body);
-                let mut ops = 0u64;
-                for (j, s) in h.body.iter().enumerate() {
-                    match reuse.guard(at, j).filter(|_| j < g) {
-                        Some(l) => ops += l.ops,
-                        None => {
-                            v.walk_stmt(s, &mut locals)?;
-                            ops += stmt_ops(s);
-                        }
-                    }
-                }
-                ops
-            }
-        };
-        let ops = body_ops.saturating_add(action_worst);
+    for h in &program.handlers {
+        locals.ranges.clear();
+        v.walk_block(&h.body, &mut locals)?;
+        let ops = block_ops(&h.body).saturating_add(action_worst);
         if ops > MAX_OPS {
             return Err(FlexError::Verify(format!(
                 "handler `{}` worst-case op count {} exceeds the bound {}",
@@ -504,8 +466,7 @@ fn expr_ops(e: &Expr) -> u64 {
     }
 }
 
-/// Worst-case operation count of one statement.
-pub(crate) fn stmt_ops(s: &Stmt) -> u64 {
+fn stmt_ops(s: &Stmt) -> u64 {
     match s {
         Stmt::Let(_, e) | Stmt::AssignLocal(_, e) | Stmt::AssignField(_, e) | Stmt::Forward(e) => {
             1 + expr_ops(e)

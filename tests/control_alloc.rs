@@ -13,33 +13,20 @@
 //! a seal allocates the image and little else. Counts are exact and
 //! seed-free (a lossless fabric, fixed sources):
 //!
-//! | measured here                                   | budget | now | before seal reuse | before shared guards | before borrowed names | before layouts and blocks | before declarations |
-//! |-------------------------------------------------|-------:|----:|------------------:|---------------------:|----------------------:|--------------------------:|--------------------:|
-//! | one `ctl_txn`-shaped op, mean of ops 16–39      |    600 | 498 |               507 |                  838 |                 1 141 |                     1 681 |               3 402 |
-//! | … of which the departure and the arrival        |    120 | 105 |               102 |                  272 |                   277 |                       493 |                   — |
-//! | … of which the four devices' `tick` to the flip |     64 |  45 |                45 |                   45 |                    45 |                       196 |                   — |
-//! | one device's `allocator().clone()`              |      6 |   4 |                 4 |                   22 |                     — |                         — |                   — |
-//! | departure and arrival at 64 live tenants        |    144 | 123 |               120 |                1 528 |                     — |                         — |                   — |
-//! | `ProgramBundle::clone()` of the 8-tenant bundle |      8 |   5 |                 5 |                    5 |                     5 |                         5 |                 228 |
-//! | `==` of that bundle against its clone           |      0 |   0 |                 0 |                    0 |                     0 |                         0 |                   0 |
-//! | `diff_bundles` of two successive compositions   |     16 |   6 |                 4 |                    4 |                     4 |                         4 |                 187 |
-//! | `ProgramImage::seal` of a clone of that bundle  |     64 |  37 |                32 |                   32 |                   253 |                         — |                   — |
-//! | … against its predecessor's image, 8 tenants    |     96 |  55 |                 — |                    — |                     — |                         — |                   — |
-//! | … against its predecessor's image, 64 tenants   |   4× ↑ | 169 |                 — |                    — |                     — |                         — |                   — |
-//! | `apps::build` of one tenant source (`sketch41`) |     64 |  52 |                52 |                   52 |                   111 |                         — |                   — |
+//! | measured here                                   | budget | now | before shared guards | before borrowed names | before layouts and blocks | before declarations |
+//! |-------------------------------------------------|-------:|----:|---------------------:|----------------------:|--------------------------:|--------------------:|
+//! | one `ctl_txn`-shaped op, mean of ops 16–39      |    560 | 507 |                  838 |                 1 141 |                     1 681 |               3 402 |
+//! | … of which the departure and the arrival        |    112 | 102 |                  272 |                   277 |                       493 |                   — |
+//! | … of which the four devices' `tick` to the flip |     64 |  45 |                   45 |                    45 |                       196 |                   — |
+//! | one device's `allocator().clone()`              |      6 |   4 |                   22 |                     — |                         — |                   — |
+//! | departure and arrival at 64 live tenants        |    132 | 120 |                1 528 |                     — |                         — |                   — |
+//! | `ProgramBundle::clone()` of the 8-tenant bundle |      8 |   5 |                    5 |                     5 |                         5 |                 228 |
+//! | `==` of that bundle against its clone           |      0 |   0 |                    0 |                     0 |                         0 |                   0 |
+//! | `diff_bundles` of two successive compositions   |     16 |   4 |                    4 |                     4 |                         4 |                 187 |
+//! | `ProgramImage::seal` of a clone of that bundle  |     40 |  32 |                   32 |                   253 |                         — |                   — |
+//! | `apps::build` of one tenant source (`sketch41`) |     64 |  52 |                   52 |                   111 |                         — |                   — |
 //!
-//! A seal against its predecessor allocates the image, what the checks
-//! learned per item and the bytecode, whose per-table metadata (names,
-//! key and action lists) is copied for every table — so it grows with the
-//! tables the composition holds (3.1× from 8 to 64 tenants), while the
-//! checks and the code of the tenants it leaves alone are taken, not
-//! redone. The seal from scratch also keeps the verifier's report and the
-//! per-item record; the op no longer compiles at the first prepare, which
-//! is why it allocates less. The departure keeps the owner index of the
-//! app registry; the diff finds names through one index per bundle.
-//!
-//! "Before seal reuse" is the parent of the change that sealed against the
-//! predecessor. The last four columns count before `if` conditions were shared, the
+//! The last four columns count before `if` conditions were shared, the
 //! composition report dropped its rename list and placements were named
 //! once per plan (commit `41816c2`), before the checker, the verifier and
 //! the header registry borrowed names (`91e328c`), before the image owned
@@ -164,37 +151,21 @@ impl World {
 }
 
 /// The mean allocations of the departure and the arrival of ops 16–39
-/// after `keep` tenants went live, on a controller alone, and the last two
-/// compositions.
-fn churn_allocations(keep: usize) -> (u64, ProgramBundle, ProgramBundle) {
+/// after `keep` tenants went live, on a controller alone.
+fn churn_allocations(keep: usize) -> u64 {
     let infra = apps::build(INFRA).unwrap();
     let mut ctl = Controller::new(infra, NodeId(1), SimTime::ZERO).unwrap();
     let mut live = VecDeque::new();
-    let (mut measured, mut previous, mut last) = (0, None, None);
+    let mut measured = 0;
     for op in 0..keep as u64 + 40 {
         let extension = apps::build(&tenant_source(op)).unwrap();
         let now = SimTime::from_millis(op + 1);
-        let (allocs, composed) =
-            count(|| churn_keeping(keep, &mut ctl, &mut live, op, extension, now));
+        let (allocs, _) = count(|| churn_keeping(keep, &mut ctl, &mut live, op, extension, now));
         if op >= keep as u64 + 16 {
             measured += allocs;
         }
-        previous = last.replace(composed);
     }
-    (measured / 24, previous.unwrap(), last.unwrap())
-}
-
-/// The allocations of sealing `last` against the image of `previous`,
-/// whose bytecode a device has built — what the coordinator of the op
-/// that ships `last` does.
-fn seal_against(previous: &ProgramBundle, last: &ProgramBundle) -> u64 {
-    let base = ProgramImage::seal(previous.clone(), None).unwrap();
-    base.compiled().unwrap();
-    let (allocs, image) = count(|| ProgramImage::seal(last.clone(), Some(&base)));
-    let scratch = ProgramImage::seal(last.clone(), None).unwrap();
-    let image = image.unwrap();
-    assert_eq!(image.compiled().unwrap(), scratch.compiled().unwrap());
-    allocs
+    measured / 24
 }
 
 /// Allocations of two phases of one op.
@@ -222,8 +193,8 @@ fn a_control_operation_allocates_for_what_it_changes() {
     }
     let (per_op, churn, flips) = (measured / 24, phases.churn / 24, phases.flips / 24);
     println!("control op: {per_op} allocations (mean of ops 16-39): depart + arrive {churn}, 4-flip tick {flips}");
-    assert!(per_op <= 600, "{per_op} allocations per control op");
-    assert!(churn <= 120, "{churn} allocations per depart + arrive");
+    assert!(per_op <= 560, "{per_op} allocations per control op");
+    assert!(churn <= 112, "{churn} allocations per depart + arrive");
     assert!(flips <= 64, "{flips} allocations per 4-flip tick");
 
     // The rollback snapshot a begin keeps: one device's allocator.
@@ -240,10 +211,10 @@ fn a_control_operation_allocates_for_what_it_changes() {
 
     // Churn at 64 live tenants: the fragments are shared, so only the
     // composed vectors grow with the set.
-    let (churn_64, previous_64, last_64) = churn_allocations(64);
+    let churn_64 = churn_allocations(64);
     println!("depart + arrive at 64 tenants: {churn_64}");
     assert!(
-        churn_64 <= 144,
+        churn_64 <= 132,
         "{churn_64} allocations per depart + arrive at 64 tenants"
     );
 
@@ -271,25 +242,10 @@ fn a_control_operation_allocates_for_what_it_changes() {
     );
 
     // What the coordinator does with a target: seal a copy of it.
-    let (allocs, image) = count(|| ProgramImage::seal(last.clone(), None));
+    let (allocs, image) = count(|| ProgramImage::seal(last.clone()));
     image.unwrap();
     println!("seal of the 8-tenant composition: {allocs}");
-    assert!(allocs <= 64, "{allocs} allocations to seal the composition");
-    // The seal an op makes: against the image it replaces. What the
-    // tenants it leaves alone cost is pointers, not allocations.
-    let (seal_8, seal_64) = (
-        seal_against(&previous, &last),
-        seal_against(&previous_64, &last_64),
-    );
-    println!("seal against the predecessor: {seal_8} at 8 tenants, {seal_64} at 64");
-    assert!(
-        seal_8 <= 96,
-        "{seal_8} allocations to seal against the predecessor"
-    );
-    assert!(
-        seal_64 <= 4 * seal_8,
-        "{seal_64} allocations at 64 tenants against {seal_8} at 8"
-    );
+    assert!(allocs <= 40, "{allocs} allocations to seal the composition");
     // The front end of one op: parse, header registry, check, verify.
     let src = tenant_source(41);
     let (allocs, built) = count(|| apps::build(&src));

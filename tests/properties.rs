@@ -520,7 +520,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let gallery = gallery::gallery();
         for (i, (name, original)) in gallery.iter().enumerate() {
-            let image = ProgramImage::seal(original.clone(), None).unwrap();
+            let image = ProgramImage::seal(original.clone()).unwrap();
             let device = || match original.program.kind {
                 ProgramKind::Host | ProgramKind::Nic => {
                     Device::new(NodeId(1), Architecture::host_default(), StateEncoding::StatefulTable)

@@ -202,8 +202,8 @@ fn program_v2() -> ProgramBundle {
 /// program, crashes before its flip while the coordinator commits, and
 /// restarts on its old image. Intent is the new program with an entry in
 /// each table; the resync reprovisions the leaf through a shadow and a
-/// flip — the new image sealed against the one the leaf runs — and then
-/// sets the tables intent holds.
+/// flip from the image it runs to intent's, and then sets the tables
+/// intent holds.
 #[test]
 fn a_leaf_that_lost_its_prepared_shadow_is_reprovisioned_to_intent() {
     let mut rng = StdRng::seed_from_u64(7);

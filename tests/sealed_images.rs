@@ -581,15 +581,12 @@ fn every_device_on_an_image_and_its_fallback_share_the_images_layout() {
 /// counter that appears with the first collision.
 #[test]
 fn a_packet_never_changes_the_shared_layout() {
-    let image = ProgramImage::seal(
-        bundle(
-            "program app kind any {
+    let image = ProgramImage::seal(bundle(
+        "program app kind any {
            map seen : map<u32, u64>[2];
            handler ingress(pkt) { map_put(seen, ipv4.src, 1); forward(1); }
          }",
-        ),
-        None,
-    )
+    ))
     .unwrap();
     let mut devs: Vec<Device> = (0..2)
         .map(|i| {
@@ -670,8 +667,8 @@ fn device_on(node: u32, arch: Architecture, image: &Arc<ProgramImage>) -> Device
 
 #[test]
 fn one_operation_plans_each_active_target_pair_once() {
-    let a = ProgramImage::seal(gate(0, 16), None).unwrap();
-    let b = ProgramImage::seal(gate(2, 16), None).unwrap();
+    let a = ProgramImage::seal(gate(0, 16)).unwrap();
+    let b = ProgramImage::seal(gate(2, 16)).unwrap();
     let target = gate(1, 32);
     // Three on image A — on three architectures, so three cost models —
     // and one on image B.
@@ -746,7 +743,7 @@ fn one_operation_plans_each_active_target_pair_once() {
 
 #[test]
 fn a_device_without_an_image_identity_gets_a_plan_of_its_own_and_the_same_report() {
-    let a = ProgramImage::seal(gate(0, 16), None).unwrap();
+    let a = ProgramImage::seal(gate(0, 16)).unwrap();
     let target = gate(1, 32);
     let now = SimTime::from_secs(1);
     let mut sealed = SealedTargets::default();
@@ -763,7 +760,7 @@ fn a_device_without_an_image_identity_gets_a_plan_of_its_own_and_the_same_report
         with_plan
     );
     let mut bare = device_on(2, Architecture::drmt_default(), &a);
-    let image = ProgramImage::seal(target.clone(), None).unwrap();
+    let image = ProgramImage::seal(target.clone()).unwrap();
     assert_eq!(bare.begin_runtime_reconfig(image, now).unwrap(), with_plan);
 
     // Patched in place, then patched back: the same program as `a`, but no
@@ -811,7 +808,7 @@ impl SealTarget for Untouchable {
 
 #[test]
 fn a_duplicate_prepare_asks_for_neither_image_nor_plan() {
-    let a = ProgramImage::seal(gate(0, 16), None).unwrap();
+    let a = ProgramImage::seal(gate(0, 16)).unwrap();
     let mut dev = device_on(0, Architecture::drmt_default(), &a);
     let tag = TxnTag {
         txn_id: 9,
@@ -835,7 +832,7 @@ fn a_duplicate_prepare_asks_for_neither_image_nor_plan() {
 
 #[test]
 fn a_begin_rejected_on_one_device_leaves_it_clean_and_the_shared_plan_usable() {
-    let a = ProgramImage::seal(gate(0, 16), None).unwrap();
+    let a = ProgramImage::seal(gate(0, 16)).unwrap();
     // Frees `acl`, then asks for more than device 2 has left.
     let target = gate(1, 1 << 16);
     let mut devs: Vec<Device> = (0..4)
@@ -957,7 +954,7 @@ fn duplicate_prepare_re_acks_without_sealing_and_a_down_device_never_asks() {
     let mut asked = false;
     let mut never = || {
         asked = true;
-        ProgramImage::seal(ill_typed(), None)
+        ProgramImage::seal(ill_typed())
     };
     let again = dev
         .prepare_txn_reconfig(&mut never, SimTime::from_secs(2), tag)
@@ -1141,7 +1138,7 @@ fn the_streamed_digest_is_fnv_of_the_printed_source_which_parses_back() {
             expected,
             "{name}: reference digest"
         );
-        let image = ProgramImage::seal(b, None).unwrap();
+        let image = ProgramImage::seal(b).unwrap();
         assert_eq!(image.code_digest(), expected, "{name}: sealed digest");
     }
 }
