@@ -92,10 +92,8 @@ fn main() {
             }
             ChurnEvent::Depart(id) => {
                 departures += 1;
-                (
-                    format!("depart t{id}"),
-                    ctl.tenant_depart(TenantId(id)).unwrap(),
-                )
+                ctl.tenant_depart(TenantId(id)).unwrap();
+                (format!("depart t{id}"), ctl.tenants.composed().unwrap().0)
             }
         };
         let live = ctl.tenants.tenants().len();

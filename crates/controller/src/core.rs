@@ -710,12 +710,13 @@ impl Controller {
         Ok((vlan, composition.bundle))
     }
 
-    /// Removes a tenant. Returns the composed bundle without it (push via
-    /// runtime reconfiguration; its resources are reclaimed by the diff's
-    /// remove ops).
-    pub fn tenant_depart(&mut self, tenant: TenantId) -> Result<ProgramBundle> {
+    /// Removes a tenant, retiring its apps and services. The composition
+    /// without it is [`TenantManager::composed`] (push it via runtime
+    /// reconfiguration; the tenant's resources are reclaimed by the diff's
+    /// remove ops). A departure composes nothing itself: when an arrival
+    /// follows, the composition that ships is the one the arrival returns.
+    pub fn tenant_depart(&mut self, tenant: TenantId) -> Result<()> {
         let departed = self.tenants.depart(tenant)?;
-        let (composed, _) = self.tenants.composed()?;
         // Retire the tenant's apps and services.
         let uris: Vec<AppUri> = self
             .apps
@@ -731,7 +732,7 @@ impl Controller {
         for (name, _) in tenant_services(tenant, &departed.bundle) {
             self.services.unregister(&name)?;
         }
-        Ok(composed)
+        Ok(())
     }
 }
 
@@ -798,7 +799,8 @@ mod tests {
         assert!(c.apps.lookup(&uri).is_some());
         assert!(c.services.discover("t7_scrub").is_some());
 
-        let composed = c.tenant_depart(TenantId(7)).unwrap();
+        c.tenant_depart(TenantId(7)).unwrap();
+        let (composed, _) = c.tenants.composed().unwrap();
         assert!(composed.program.state("t7_seen").is_none());
         assert_eq!(c.apps.lookup(&uri).unwrap().status, AppStatus::Retired);
         assert!(c.services.discover("t7_scrub").is_none());

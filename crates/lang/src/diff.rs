@@ -81,6 +81,38 @@ impl ReconfigOp {
     }
 }
 
+/// Looks declarations up by name in one list, trying first the entry
+/// after the last one found. Two successive compositions list what they
+/// share in the same order, so walking one list finds each name of it in
+/// the other at the cursor: one comparison, not a scan. A miss there scans
+/// the list. Names are unique in a program the checker passed, so the
+/// entry found either way is the only one of that name.
+struct Lookup<'a, T> {
+    decls: &'a [Arc<T>],
+    next: usize,
+    name: fn(&T) -> &str,
+}
+
+impl<'a, T> Lookup<'a, T> {
+    fn new(decls: &'a [Arc<T>], name: fn(&T) -> &str) -> Lookup<'a, T> {
+        Lookup {
+            decls,
+            next: 0,
+            name,
+        }
+    }
+
+    fn find(&mut self, name: &str) -> Option<&'a Arc<T>> {
+        let named = |d: &Arc<T>| (self.name)(d) == name;
+        let at = match self.decls.get(self.next) {
+            Some(d) if named(d) => self.next,
+            _ => self.decls.iter().position(named)?,
+        };
+        self.next = at + 1;
+        Some(&self.decls[at])
+    }
+}
+
 /// Computes the ops that transform `old` into `new`.
 ///
 /// The returned sequence is ordered additions-first (state before tables
@@ -89,12 +121,17 @@ impl ReconfigOp {
 /// changes so that both the old and the new program are runnable throughout
 /// the transition. A declaration both bundles share is recognised by
 /// address (`Arc`'s `==` looks there first) before it is compared by value.
+/// Both programs are expected to have passed the checker, so that each
+/// name names one declaration; for an `old` that declares a name twice,
+/// which of the two a declaration of `new` is compared with is unspecified.
 pub fn diff_bundles(old: &ProgramBundle, new: &ProgramBundle) -> Vec<ReconfigOp> {
     let mut ops = Vec::new();
+    let (old_p, new_p) = (&old.program, &new.program);
 
     // Parser additions first: new tables/handlers may match on new headers.
+    let mut olds = Lookup::new(&old.headers, |h| &h.name);
     for h in &new.headers {
-        match old.headers.iter().find(|o| o.name == h.name) {
+        match olds.find(&h.name) {
             None => ops.push(ReconfigOp::AddParserState(h.clone())),
             Some(o) if o != h => {
                 // Header redefinition = remove + add (parsers have no
@@ -106,24 +143,27 @@ pub fn diff_bundles(old: &ProgramBundle, new: &ProgramBundle) -> Vec<ReconfigOp>
         }
     }
 
-    for s in &new.program.states {
-        match old.program.state(&s.name) {
+    let mut olds = Lookup::new(&old_p.states, |s| &s.name);
+    for s in &new_p.states {
+        match olds.find(&s.name) {
             None => ops.push(ReconfigOp::AddState(s.clone())),
             Some(o) if o != s => ops.push(ReconfigOp::ModifyState(s.clone())),
             _ => {}
         }
     }
 
-    for t in &new.program.tables {
-        match old.program.table(&t.name) {
+    let mut olds = Lookup::new(&old_p.tables, |t| &t.name);
+    for t in &new_p.tables {
+        match olds.find(&t.name) {
             None => ops.push(ReconfigOp::AddTable(t.clone())),
             Some(o) if o != t => ops.push(ReconfigOp::ModifyTable(t.clone())),
             _ => {}
         }
     }
 
-    for svc in &new.program.services {
-        match old.program.services.iter().find(|s| s.name == svc.name) {
+    let mut olds = Lookup::new(&old_p.services, |s| &s.name);
+    for svc in &new_p.services {
+        match olds.find(&svc.name) {
             None => ops.push(ReconfigOp::AddService(svc.clone())),
             Some(o) if o != svc => {
                 ops.push(ReconfigOp::RemoveService(svc.name.clone()));
@@ -133,8 +173,9 @@ pub fn diff_bundles(old: &ProgramBundle, new: &ProgramBundle) -> Vec<ReconfigOp>
         }
     }
 
-    for h in &new.program.handlers {
-        match old.program.handler(&h.name) {
+    let mut olds = Lookup::new(&old_p.handlers, |h| &h.name);
+    for h in &new_p.handlers {
+        match olds.find(&h.name) {
             None => ops.push(ReconfigOp::SetHandler(h.clone())),
             Some(o) if o != h => ops.push(ReconfigOp::SetHandler(h.clone())),
             _ => {}
@@ -143,28 +184,33 @@ pub fn diff_bundles(old: &ProgramBundle, new: &ProgramBundle) -> Vec<ReconfigOp>
 
     // Removals, in reverse dependency order: handlers, services, tables,
     // state, parser states.
-    for h in &old.program.handlers {
-        if new.program.handler(&h.name).is_none() {
+    let mut news = Lookup::new(&new_p.handlers, |h| &h.name);
+    for h in &old_p.handlers {
+        if news.find(&h.name).is_none() {
             ops.push(ReconfigOp::RemoveHandler(h.name.clone()));
         }
     }
-    for svc in &old.program.services {
-        if !new.program.services.iter().any(|s| s.name == svc.name) {
+    let mut news = Lookup::new(&new_p.services, |s| &s.name);
+    for svc in &old_p.services {
+        if news.find(&svc.name).is_none() {
             ops.push(ReconfigOp::RemoveService(svc.name.clone()));
         }
     }
-    for t in &old.program.tables {
-        if new.program.table(&t.name).is_none() {
+    let mut news = Lookup::new(&new_p.tables, |t| &t.name);
+    for t in &old_p.tables {
+        if news.find(&t.name).is_none() {
             ops.push(ReconfigOp::RemoveTable(t.name.clone()));
         }
     }
-    for s in &old.program.states {
-        if new.program.state(&s.name).is_none() {
+    let mut news = Lookup::new(&new_p.states, |s| &s.name);
+    for s in &old_p.states {
+        if news.find(&s.name).is_none() {
             ops.push(ReconfigOp::RemoveState(s.name.clone()));
         }
     }
+    let mut news = Lookup::new(&new.headers, |h| &h.name);
     for h in &old.headers {
-        if !new.headers.iter().any(|n| n.name == h.name) {
+        if news.find(&h.name).is_none() {
             ops.push(ReconfigOp::RemoveParserState(h.name.clone()));
         }
     }

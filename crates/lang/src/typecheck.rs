@@ -123,10 +123,15 @@ impl<'a> Checker<'a> {
             self.check_field(&k.field)
                 .map_err(|e| prefix(e, &format!("table `{}`", t.name)))?;
         }
-        if let Some(name) = first_repeat(t.actions.iter().map(|a| a.name.as_str())) {
+        // A table declares a handful of actions: the first that repeats an
+        // earlier one is found by scanning, with nothing to allocate.
+        let mut earlier = t.actions.iter().enumerate();
+        if let Some((_, a)) =
+            earlier.find(|(at, a)| t.actions[..*at].iter().any(|b| b.name == a.name))
+        {
             return Err(FlexError::Type(format!(
-                "table `{}` declares action `{name}` twice",
-                t.name
+                "table `{}` declares action `{}` twice",
+                t.name, a.name
             )));
         }
         for a in &t.actions {

@@ -148,9 +148,14 @@ fn width_range(width: u8) -> Range {
 /// The value range of every local assigned so far, named by the program
 /// being verified. Not scoped: the checker has already rejected every read
 /// of a local outside its block.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Locals<'a> {
     ranges: Vec<(&'a str, Range)>,
+    /// Vectors the `else` branches walked so far were copied into, for the
+    /// next `if` to copy into again: a walk allocates for its deepest nest
+    /// of `if`s, not for each `if` (a composition's merged `ingress` holds
+    /// one per tenant).
+    spare: Vec<Vec<(&'a str, Range)>>,
 }
 
 impl<'a> Locals<'a> {
@@ -236,10 +241,17 @@ impl<'a> Verifier<'a> {
             }
             Stmt::If(c, t, e) => {
                 self.expr_range(c, locals)?;
-                let mut otherwise = locals.clone();
+                let mut entry = locals.spare.pop().unwrap_or_default();
+                entry.clone_from(&locals.ranges);
                 self.walk_block(t, locals)?;
+                let mut otherwise = Locals {
+                    ranges: entry,
+                    spare: std::mem::take(&mut locals.spare),
+                };
                 self.walk_block(e, &mut otherwise)?;
                 locals.join(&otherwise);
+                locals.spare = otherwise.spare;
+                locals.spare.push(otherwise.ranges);
             }
             Stmt::Repeat(n, body) => {
                 if *n > MAX_REPEAT {

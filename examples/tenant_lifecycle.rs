@@ -96,7 +96,8 @@ fn main() {
     }
 
     // t=3s: tenant 1 departs; its elements are reclaimed.
-    let composed = controller.tenant_depart(TenantId(1)).unwrap();
+    controller.tenant_depart(TenantId(1)).unwrap();
+    let (composed, _) = controller.tenants.composed().unwrap();
     sim.schedule(
         SimTime::from_secs(3),
         Command::RuntimeReconfig {

@@ -13,26 +13,31 @@
 //! a seal allocates the image and little else. Counts are exact and
 //! seed-free (a lossless fabric, fixed sources):
 //!
-//! | measured here                                   | budget | now | before shared guards | before borrowed names | before layouts and blocks | before declarations |
-//! |-------------------------------------------------|-------:|----:|---------------------:|----------------------:|--------------------------:|--------------------:|
-//! | one `ctl_txn`-shaped op, mean of ops 16–39      |    560 | 507 |                  838 |                 1 141 |                     1 681 |               3 402 |
-//! | … of which the departure and the arrival        |    112 | 102 |                  272 |                   277 |                       493 |                   — |
-//! | … of which the four devices' `tick` to the flip |     64 |  45 |                   45 |                    45 |                       196 |                   — |
-//! | one device's `allocator().clone()`              |      6 |   4 |                   22 |                     — |                         — |                   — |
-//! | departure and arrival at 64 live tenants        |    132 | 120 |                1 528 |                     — |                         — |                   — |
-//! | `ProgramBundle::clone()` of the 8-tenant bundle |      8 |   5 |                    5 |                     5 |                         5 |                 228 |
-//! | `==` of that bundle against its clone           |      0 |   0 |                    0 |                     0 |                         0 |                   0 |
-//! | `diff_bundles` of two successive compositions   |     16 |   4 |                    4 |                     4 |                         4 |                 187 |
-//! | `ProgramImage::seal` of a clone of that bundle  |     40 |  32 |                   32 |                   253 |                         — |                   — |
-//! | `apps::build` of one tenant source (`sketch41`) |     64 |  52 |                   52 |                   111 |                         — |                   — |
+//! | measured here                                    | budget | now | before one assembly per churn | before shared guards | before borrowed names | before layouts and blocks | before declarations |
+//! |--------------------------------------------------|-------:|----:|------------------------------:|---------------------:|----------------------:|--------------------------:|--------------------:|
+//! | one `ctl_txn`-shaped op, mean of ops 16–39       |    500 | 480 |                           507 |                  838 |                 1 141 |                     1 681 |               3 402 |
+//! | … of which the departure and the arrival         |     92 |  86 |                           102 |                  272 |                   277 |                       493 |                   — |
+//! | … of which the four devices' `tick` to the flip  |     64 |  45 |                            45 |                   45 |                    45 |                       196 |                   — |
+//! | one device's `allocator().clone()`               |      6 |   4 |                             4 |                   22 |                     — |                         — |                   — |
+//! | departure and arrival at 64 live tenants         |    100 |  95 |                           120 |                1 528 |                     — |                         — |                   — |
+//! | `ProgramBundle::clone()` of the 8-tenant bundle  |      8 |   5 |                             5 |                    5 |                     5 |                         5 |                 228 |
+//! | `==` of that bundle against its clone            |      0 |   0 |                             0 |                    0 |                     0 |                         0 |                   0 |
+//! | `diff_bundles` of two successive compositions    |     16 |   4 |                             4 |                    4 |                     4 |                         4 |                 187 |
+//! | `ProgramImage::seal` of a clone of that bundle   |     24 |  21 |                            32 |                   32 |                   253 |                         — |                   — |
+//! | seal + plan against the predecessor, 8 tenants   |     44 |  39 |                            49 |                    — |                     — |                         — |                   — |
+//! | … at 64 tenants (at most twice the 8-tenant row) |     78 |  48 |                           171 |                    — |                     — |                         — |                   — |
+//! | `apps::build` of one tenant source (`sketch41`)  |     64 |  52 |                            52 |                   52 |                   111 |                         — |                   — |
 //!
-//! The last four columns count before `if` conditions were shared, the
-//! composition report dropped its rename list and placements were named
-//! once per plan (commit `41816c2`), before the checker, the verifier and
-//! the header registry borrowed names (`91e328c`), before the image owned
-//! its state layout and `if` branches were shared blocks (`ab0a1ba`), and
-//! before declarations were shared (`73c325c`). The 64-tenant row churns
-//! a controller alone (ops 80–103 after 64 arrivals); its growth over the
+//! The last five columns count before a departure stopped composing and
+//! the verifier's `if`s reused their copies of the locals (the seal rows
+//! at 64 tenants grew with the merged `ingress`, one copy per tenant
+//! guard), before `if` conditions were shared, the composition
+//! report dropped its rename list and placements were named once per plan
+//! (commit `41816c2`), before the checker, the verifier and the header
+//! registry borrowed names (`91e328c`), before the image owned its state
+//! layout and `if` branches were shared blocks (`ab0a1ba`), and before
+//! declarations were shared (`73c325c`). The 64-tenant rows churn a
+//! controller alone (ops 80–103 after 64 arrivals); their growth over the
 //! 8-tenant row is the composed vectors' growth.
 //!
 //! The op is `flexbench`'s `ctl_txn` op: parse + check + verify a tenant
@@ -53,7 +58,7 @@ use flexnet::apps;
 use flexnet::prelude::*;
 use flexnet_controller::txn::LoggedTxnOutcome;
 use flexnet_controller::{logged_transactional_reconfig, IntendedStore, ReplicatedIntentLog};
-use flexnet_dataplane::ProgramImage;
+use flexnet_dataplane::{ProgramImage, SealTarget, SealedTargets};
 use flexnet_lang::diff::diff_bundles;
 use std::collections::VecDeque;
 use tenants::{churn, churn_keeping, tenant_source, INFRA};
@@ -168,6 +173,36 @@ fn churn_allocations(keep: usize) -> u64 {
     measured / 24
 }
 
+/// The allocations of what a coordinator's prepare does with a churn op's
+/// composition at `keep` live tenants: seal it and plan the change from a
+/// device on the previous op's composition.
+fn seal_against_predecessor(keep: usize) -> u64 {
+    let infra = apps::build(INFRA).unwrap();
+    let mut ctl = Controller::new(infra, NodeId(1), SimTime::ZERO).unwrap();
+    let mut live = VecDeque::new();
+    let (mut previous, mut last) = (None, None);
+    for op in 0..keep as u64 + 40 {
+        let extension = apps::build(&tenant_source(op)).unwrap();
+        let now = SimTime::from_millis(op + 1);
+        let composed = churn_keeping(keep, &mut ctl, &mut live, op, extension, now);
+        previous = last.replace(composed);
+    }
+    let (previous, last) = (previous.unwrap(), last.unwrap());
+    let mut dev = Device::new(
+        NodeId(1),
+        Architecture::drmt_default(),
+        StateEncoding::StatefulTable,
+    );
+    dev.install(previous).unwrap();
+    let (allocs, plan) = count(|| {
+        SealedTargets::default()
+            .target(&last)
+            .into_plan(dev.program())
+    });
+    plan.unwrap();
+    allocs
+}
+
 /// Allocations of two phases of one op.
 #[derive(Default)]
 struct Phases {
@@ -193,8 +228,8 @@ fn a_control_operation_allocates_for_what_it_changes() {
     }
     let (per_op, churn, flips) = (measured / 24, phases.churn / 24, phases.flips / 24);
     println!("control op: {per_op} allocations (mean of ops 16-39): depart + arrive {churn}, 4-flip tick {flips}");
-    assert!(per_op <= 560, "{per_op} allocations per control op");
-    assert!(churn <= 112, "{churn} allocations per depart + arrive");
+    assert!(per_op <= 500, "{per_op} allocations per control op");
+    assert!(churn <= 92, "{churn} allocations per depart + arrive");
     assert!(flips <= 64, "{flips} allocations per 4-flip tick");
 
     // The rollback snapshot a begin keeps: one device's allocator.
@@ -214,7 +249,7 @@ fn a_control_operation_allocates_for_what_it_changes() {
     let churn_64 = churn_allocations(64);
     println!("depart + arrive at 64 tenants: {churn_64}");
     assert!(
-        churn_64 <= 132,
+        churn_64 <= 100,
         "{churn_64} allocations per depart + arrive at 64 tenants"
     );
 
@@ -245,7 +280,19 @@ fn a_control_operation_allocates_for_what_it_changes() {
     let (allocs, image) = count(|| ProgramImage::seal(last.clone()));
     image.unwrap();
     println!("seal of the 8-tenant composition: {allocs}");
-    assert!(allocs <= 40, "{allocs} allocations to seal the composition");
+    assert!(allocs <= 24, "{allocs} allocations to seal the composition");
+    // Seal and plan against the predecessor: what grows with the tenants
+    // the op leaves alone is the vectors the image and the plan keep.
+    let (seal_8, seal_64) = (seal_against_predecessor(8), seal_against_predecessor(64));
+    println!("seal + plan against the predecessor: {seal_8} at 8 tenants, {seal_64} at 64");
+    assert!(
+        seal_8 <= 44,
+        "{seal_8} allocations to seal and plan at 8 tenants"
+    );
+    assert!(
+        seal_64 <= 2 * seal_8,
+        "{seal_64} allocations to seal and plan at 64 tenants, {seal_8} at 8"
+    );
     // The front end of one op: parse, header registry, check, verify.
     let src = tenant_source(41);
     let (allocs, built) = count(|| apps::build(&src));

@@ -76,7 +76,8 @@ fn tenant_churn_is_hitless_and_isolated() {
     );
 
     // Tenant 1 departs at t=3s.
-    let composed = ctl.tenant_depart(TenantId(1)).unwrap();
+    ctl.tenant_depart(TenantId(1)).unwrap();
+    let (composed, _) = ctl.tenants.composed().unwrap();
     sim.schedule(
         SimTime::from_secs(3),
         Command::RuntimeReconfig {
