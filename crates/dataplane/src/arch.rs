@@ -21,7 +21,6 @@
 
 use flexnet_lang::ast::ProgramKind;
 use flexnet_types::{FlexError, ResourceKind, ResourceVec, Result};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The architecture class (for cost model and report lookups).
@@ -281,13 +280,15 @@ pub enum Location {
 /// Elements are keyed by shared names: a placement made from a
 /// reconfiguration plan keeps the plan's pointer, so a clone — the
 /// rollback snapshot a begin holds until its flip or abort — copies
-/// pointers, not names.
+/// pointers, not names. The placements are one vector in name order, so
+/// that snapshot is one allocation, not a tree of nodes.
 #[derive(Debug, Clone)]
 pub struct ArchAllocator {
     arch: Architecture,
     stage_used: Vec<ResourceVec>,
     pool_used: ResourceVec,
-    locations: BTreeMap<Arc<str>, (Location, ResourceVec)>,
+    /// Every placed element, its location and its demand, by name.
+    locations: Vec<(Arc<str>, Location, ResourceVec)>,
 }
 
 impl ArchAllocator {
@@ -301,7 +302,7 @@ impl ArchAllocator {
             arch,
             stage_used: vec![ResourceVec::new(); stages],
             pool_used: ResourceVec::new(),
-            locations: BTreeMap::new(),
+            locations: Vec::new(),
         }
     }
 
@@ -321,11 +322,11 @@ impl ArchAllocator {
         canonical_demand: &ResourceVec,
         min_stage: usize,
     ) -> Result<Location> {
-        if self.locations.contains_key(&name) {
+        let Err(at) = self.find(&name) else {
             return Err(FlexError::Compile(format!(
                 "element `{name}` is already placed"
             )));
-        }
+        };
         let demand = self.arch.normalize(canonical_demand);
         match &self.arch {
             Architecture::Rmt { stages, per_stage } => {
@@ -334,8 +335,8 @@ impl ArchAllocator {
                     tentative += &demand;
                     if per_stage.covers(&tentative) {
                         self.stage_used[stage] = tentative;
-                        self.locations
-                            .insert(name, (Location::Stage(stage), demand));
+                        let placed = (name, Location::Stage(stage), demand);
+                        self.locations.insert(at, placed);
                         return Ok(Location::Stage(stage));
                     }
                 }
@@ -351,7 +352,7 @@ impl ArchAllocator {
                 tentative += &demand;
                 if cap.covers(&tentative) {
                     self.pool_used = tentative;
-                    self.locations.insert(name, (Location::Pool, demand));
+                    self.locations.insert(at, (name, Location::Pool, demand));
                     Ok(Location::Pool)
                 } else {
                     Err(FlexError::ResourceExhausted {
@@ -366,10 +367,10 @@ impl ArchAllocator {
 
     /// Frees a previously allocated element, returning its location.
     pub fn free(&mut self, name: &str) -> Result<Location> {
-        let (loc, demand) = self
-            .locations
-            .remove(name)
-            .ok_or_else(|| FlexError::NotFound(format!("placement of `{name}`")))?;
+        let Ok(at) = self.find(name) else {
+            return Err(FlexError::NotFound(format!("placement of `{name}`")));
+        };
+        let (_, loc, demand) = self.locations.remove(at);
         match loc {
             Location::Stage(s) => {
                 self.stage_used[s] = self.stage_used[s].saturating_sub(&demand);
@@ -383,12 +384,19 @@ impl ArchAllocator {
 
     /// The location of an element, if placed.
     pub fn location(&self, name: &str) -> Option<Location> {
-        self.locations.get(name).map(|(l, _)| *l)
+        let at = self.find(name).ok()?;
+        Some(self.locations[at].1)
     }
 
-    /// Names of all placed elements.
+    /// Names of all placed elements, in name order.
     pub fn placed(&self) -> impl Iterator<Item = &str> {
-        self.locations.keys().map(|s| &**s)
+        self.locations.iter().map(|(name, ..)| &**name)
+    }
+
+    /// Where `name` is in the placements, or where it would go.
+    fn find(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.locations
+            .binary_search_by(|(placed, ..)| (**placed).cmp(name))
     }
 
     /// Total used resources (arch kinds).
