@@ -275,20 +275,22 @@ pub enum Location {
     Pool,
 }
 
+/// One placed element: its name, where it sits and what it takes there.
+pub(crate) type Placed = (Arc<str>, Location, ResourceVec);
+
 /// Per-device resource allocator enforcing the architecture's structure.
 ///
 /// Elements are keyed by shared names: a placement made from a
-/// reconfiguration plan keeps the plan's pointer, so a clone — the
-/// rollback snapshot a begin holds until its flip or abort — copies
+/// reconfiguration plan keeps the plan's pointer, so a clone copies
 /// pointers, not names. The placements are one vector in name order, so
-/// that snapshot is one allocation, not a tree of nodes.
+/// a clone is one allocation, not a tree of nodes.
 #[derive(Debug, Clone)]
 pub struct ArchAllocator {
     arch: Architecture,
     stage_used: Vec<ResourceVec>,
     pool_used: ResourceVec,
-    /// Every placed element, its location and its demand, by name.
-    locations: Vec<(Arc<str>, Location, ResourceVec)>,
+    /// Every placed element, by name.
+    locations: Vec<Placed>,
 }
 
 impl ArchAllocator {
@@ -367,19 +369,42 @@ impl ArchAllocator {
 
     /// Frees a previously allocated element, returning its location.
     pub fn free(&mut self, name: &str) -> Result<Location> {
-        let Ok(at) = self.find(name) else {
-            return Err(FlexError::NotFound(format!("placement of `{name}`")));
-        };
-        let (_, loc, demand) = self.locations.remove(at);
-        match loc {
+        match self.take(name) {
+            Some((_, loc, _)) => Ok(loc),
+            None => Err(FlexError::NotFound(format!("placement of `{name}`"))),
+        }
+    }
+
+    /// Frees an element, returning its placement for
+    /// [`ArchAllocator::restore`].
+    pub(crate) fn take(&mut self, name: &str) -> Option<Placed> {
+        let at = self.find(name).ok()?;
+        let placed = self.locations.remove(at);
+        let (_, loc, demand) = &placed;
+        match *loc {
             Location::Stage(s) => {
-                self.stage_used[s] = self.stage_used[s].saturating_sub(&demand);
+                self.stage_used[s] = self.stage_used[s].saturating_sub(demand);
             }
             Location::Pool => {
-                self.pool_used = self.pool_used.saturating_sub(&demand);
+                self.pool_used = self.pool_used.saturating_sub(demand);
             }
         }
-        Ok(loc)
+        Some(placed)
+    }
+
+    /// Puts back a placement [`ArchAllocator::take`] returned, where it
+    /// was and with the demand it had. It undoes that free, so the room is
+    /// not checked again: nothing placed since may hold it. A name placed
+    /// again meanwhile keeps its new placement.
+    pub(crate) fn restore(&mut self, placed: Placed) {
+        let Err(at) = self.find(&placed.0) else {
+            return;
+        };
+        match placed.1 {
+            Location::Stage(s) => self.stage_used[s] += &placed.2,
+            Location::Pool => self.pool_used += &placed.2,
+        }
+        self.locations.insert(at, placed);
     }
 
     /// The location of an element, if placed.

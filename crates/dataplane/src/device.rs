@@ -519,8 +519,10 @@ pub struct Device {
     active: Option<InstalledProgram>,
     version: ProgramVersion,
     /// In-flight runtime reconfiguration (managed by `reconfig.rs`). A
-    /// device drains exactly while a reflash is pending.
-    pub(crate) pending: Option<crate::reconfig::PendingReconfig>,
+    /// device drains exactly while a reflash is pending. Boxed: a packet
+    /// asks only whether there is one, and a change holds a whole shadow
+    /// program.
+    pub(crate) pending: Option<Box<crate::reconfig::PendingReconfig>>,
     /// Whether the device is powered and reachable (fault injection).
     up: bool,
     /// Monotone incarnation counter, bumped on every restart. Reported in
@@ -816,7 +818,7 @@ impl Device {
         let installed = InstalledProgram::new(target, self.encoding)?;
         let placement = self.admit_program(&installed)?;
         if let Some(superseded) = self.pending.take() {
-            self.undo(superseded);
+            self.undo(*superseded);
         }
         self.placement = placement;
         self.commit(installed);
@@ -1173,7 +1175,7 @@ impl Device {
     fn draining(&mut self, now: SimTime) -> bool {
         crate::reconfig::commit_if_ready(self, now);
         self.pending
-            .as_ref()
+            .as_deref()
             .is_some_and(crate::reconfig::PendingReconfig::drains)
     }
 

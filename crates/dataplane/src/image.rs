@@ -581,16 +581,13 @@ mod tests {
         );
         assert!(Arc::ptr_eq(&sealed.plans[0].0, &a) && Arc::ptr_eq(&sealed.plans[1].0, &b));
         let shared = |p: &Arc<ReconfigPlan>| Arc::ptr_eq(&p.target, &sealed.resolved[0].1);
-        assert!(sealed
-            .plans
-            .iter()
-            .all(|(_, p)| shared(p) && Arc::strong_count(p) == 1));
+        assert!(sealed.plans.iter().all(|(_, p)| shared(p)));
         // Each plan's carry map starts from its active image's layout, and
-        // the devices on that image hold it until their flip.
+        // the devices on that image hold the plan until their flip.
         for ((from, plan), holders) in sealed.plans.iter().zip([3, 1]) {
-            let carry = plan.flip.carry.as_ref().expect("a device was running");
+            let carry = plan.carry.as_ref().expect("a device was running");
             assert!(Arc::ptr_eq(&carry.from, from.layout()));
-            assert_eq!(Arc::strong_count(&plan.flip), 1 + holders);
+            assert_eq!(Arc::strong_count(plan), 1 + holders);
         }
     }
 

@@ -24,10 +24,11 @@
 //!   transition can observe a program that is neither the old nor the new
 //!   one (experiment E1's consistency ablation).
 
+use crate::arch::Placed;
 use crate::device::{Device, InstalledProgram, Placement};
 use crate::image::{ProgramImage, SealTarget};
 use crate::state::CarryMap;
-use flexnet_lang::ast::{Program, TableDecl};
+use flexnet_lang::ast::{HeaderDecl, Program, TableDecl};
 use flexnet_lang::diff::{diff_bundles, ProgramBundle, ReconfigOp};
 use flexnet_lang::ir::{handler_demand, parser_demand, state_demand, table_demand};
 use flexnet_types::{FlexError, ResourceVec, Result, SimDuration, SimTime};
@@ -53,7 +54,7 @@ pub fn entries_carry_over(old: &Arc<TableDecl>, new: &Program) -> bool {
 ///
 /// A control operation shares one plan among the devices that run the
 /// same sealed image (`SealedTargets`); nothing in a plan is per device.
-/// What the flip needs is a `FlipPlan` each device holds until its flip.
+/// A device holds the plan from its begin to its flip or abort.
 #[derive(Debug)]
 pub struct ReconfigPlan {
     /// The image this plan leads to.
@@ -68,21 +69,9 @@ pub struct ReconfigPlan {
     /// A user header the target redefines (its diff removes and re-adds
     /// it), which a hitless change refuses ([`FlexError::LiveHeaderRedefined`]).
     redefined_header: Option<String>,
-    pub(crate) flip: Arc<FlipPlan>,
-}
-
-/// The part of a [`ReconfigPlan`] a device holds from its begin to its
-/// flip.
-#[derive(Debug)]
-pub(crate) struct FlipPlan {
     /// Where each state object of the target starts: the active program's
     /// slot holding it (`None`: an empty device, which installs at once).
     pub(crate) carry: Option<CarryMap>,
-    /// The elements the plan's removals free at the flip, parser states
-    /// included.
-    freed: Vec<String>,
-    /// The parser states the plan's removals un-parse at the flip.
-    unparsed: Vec<String>,
 }
 
 impl ReconfigPlan {
@@ -113,22 +102,7 @@ impl ReconfigPlan {
             Some((Arc::from(name.as_str()), demand, replace))
         });
         let placements = placements.collect();
-        let freed = |op: &ReconfigOp| match op {
-            ReconfigOp::RemoveTable(n)
-            | ReconfigOp::RemoveState(n)
-            | ReconfigOp::RemoveHandler(n)
-            | ReconfigOp::RemoveParserState(n) => Some(n.clone()),
-            _ => None,
-        };
-        let unparsed = |op: &ReconfigOp| match op {
-            ReconfigOp::RemoveParserState(n) => Some(n.clone()),
-            _ => None,
-        };
-        let flip = Arc::new(FlipPlan {
-            carry: active.map(|p| CarryMap::between(p.state.layout(), target.layout())),
-            freed: ops.iter().filter_map(freed).collect(),
-            unparsed: ops.iter().filter_map(unparsed).collect(),
-        });
+        let carry = active.map(|p| CarryMap::between(p.state.layout(), target.layout()));
         let added = |n: &String| {
             ops.iter()
                 .any(|op| matches!(op, ReconfigOp::AddParserState(h) if h.name == *n))
@@ -142,7 +116,82 @@ impl ReconfigPlan {
             ops,
             placements,
             redefined_header,
-            flip,
+            carry,
+        }
+    }
+
+    /// The elements the plan's removals free at the flip, parser states
+    /// included, in op order.
+    fn freed(&self) -> impl Iterator<Item = &str> {
+        self.ops.iter().filter_map(|op| match op {
+            ReconfigOp::RemoveTable(n)
+            | ReconfigOp::RemoveState(n)
+            | ReconfigOp::RemoveHandler(n)
+            | ReconfigOp::RemoveParserState(n) => Some(n.as_str()),
+            _ => None,
+        })
+    }
+
+    /// The parser states the plan's removals un-parse at the flip.
+    fn unparsed(&self) -> impl Iterator<Item = &str> {
+        self.ops.iter().filter_map(|op| match op {
+            ReconfigOp::RemoveParserState(n) => Some(n.as_str()),
+            _ => None,
+        })
+    }
+
+    /// The user headers the plan parses at begin, in op order.
+    fn parsed(&self) -> impl Iterator<Item = &HeaderDecl> {
+        self.ops.iter().filter_map(|op| match op {
+            ReconfigOp::AddParserState(h) => Some(&**h),
+            _ => None,
+        })
+    }
+}
+
+/// What a hitless begin added to a device's placement: how many of its
+/// plan's parser states it parsed and of its placements it made, in plan
+/// order, and the placements those replaced. An abort takes it back, as
+/// does the begin itself when the device refuses an addition; the flip
+/// keeps it.
+#[derive(Debug, Default)]
+struct Added {
+    parsed: usize,
+    placed: usize,
+    replaced: Vec<Placed>,
+}
+
+impl Placement {
+    /// Parses and places `plan`'s additions, counting in `added` what it
+    /// did (a diff lists parser states first).
+    fn add(&mut self, plan: &ReconfigPlan, added: &mut Added) -> Result<()> {
+        for h in plan.parsed() {
+            self.parser.add_state(h)?;
+            added.parsed += 1;
+        }
+        for (name, demand, replace) in &plan.placements {
+            if *replace {
+                added.replaced.extend(self.allocator.take(name));
+            }
+            self.allocator.alloc(name.clone(), demand, 0)?;
+            added.placed += 1;
+        }
+        Ok(())
+    }
+
+    /// Takes back what [`Placement::add`] did for `plan`, latest first:
+    /// frees what it placed, puts back what that replaced and un-parses
+    /// what it parsed.
+    fn take_back(&mut self, plan: &ReconfigPlan, added: Added) {
+        for (name, ..) in plan.placements[..added.placed].iter().rev() {
+            self.allocator.take(name);
+        }
+        for placed in added.replaced.into_iter().rev() {
+            self.allocator.restore(placed);
+        }
+        let parsed: Vec<&HeaderDecl> = plan.parsed().take(added.parsed).collect();
+        for h in parsed.into_iter().rev() {
+            let _ = self.parser.remove_state(&h.name);
         }
     }
 }
@@ -226,8 +275,9 @@ enum Change {
         /// and no state until the flip builds them from what the outgoing
         /// program holds then.
         shadow: InstalledProgram,
-        /// What the flip carries by, frees and un-parses.
-        flip: Arc<FlipPlan>,
+        /// The plan: what the flip carries by, frees and un-parses, and
+        /// what an abort takes back.
+        plan: Arc<ReconfigPlan>,
         /// The transaction that owns this shadow, if it was prepared
         /// through the two-phase-commit path (orphan-shadow enumeration
         /// keys on this).
@@ -237,14 +287,14 @@ enum Change {
         /// in-doubt prepared device never unilaterally commits (2PC
         /// safety).
         await_decision: bool,
-        /// The placement before the shadow's additions were made, restored
-        /// on abort.
-        before: Placement,
+        /// What the begin added to the placement, taken back on abort.
+        added: Added,
     },
     /// Drain + reflash: the program and its from-scratch placement, which
     /// replace the active ones at `ready_at`. The device refuses traffic
-    /// until then.
-    Reflash(InstalledProgram, Placement),
+    /// until then. The placement is boxed: a hitless change, the common
+    /// one, holds no placement of its own.
+    Reflash(InstalledProgram, Box<Placement>),
     /// Unsafe in-place: the (apply-at, op) pairs not yet applied, and the
     /// program as it was before the first (entries and state included),
     /// restored on abort since the ops mutate the live program.
@@ -341,7 +391,7 @@ impl Device {
             .take()
             .ok_or_else(|| FlexError::Reconfig("no reconfiguration in progress to abort".into()))?;
         let report = pending.report(now, ReconfigOutcome::Aborted);
-        self.undo(pending);
+        self.undo(*pending);
         Ok(report)
     }
 
@@ -351,7 +401,7 @@ impl Device {
     /// the drain ends.
     pub(crate) fn undo(&mut self, pending: PendingReconfig) {
         match pending.change {
-            Change::Hitless { before, .. } => self.placement = before,
+            Change::Hitless { plan, added, .. } => self.placement.take_back(&plan, added),
             Change::Reflash(..) => {}
             Change::InPlace { before, .. } => self.set_active(before),
         }
@@ -482,7 +532,7 @@ impl Device {
     /// by a different transaction is left untouched and errors.
     pub fn abort_txn(&mut self, tag: TxnTag, now: SimTime) -> Result<Option<ReconfigReport>> {
         self.observe_epoch(tag.epoch)?;
-        match self.pending.as_ref().and_then(PendingReconfig::txn) {
+        match self.pending.as_deref().and_then(PendingReconfig::txn) {
             Some(t) if t.txn_id == tag.txn_id => self.abort_reconfig(now).map(Some),
             Some(t) => Err(FlexError::Conflict(format!(
                 "abort for txn {} but pending shadow belongs to txn {}",
@@ -536,36 +586,28 @@ impl Device {
         // slot layout the flip will build; the storage comes at the flip.
         let shadow = InstalledProgram::shadow(plan.target.clone(), self.encoding())?;
 
-        // Make-before-break, on a copy of the placement: parse and place
-        // the additions now (a diff lists parser states first), free the
-        // removals at the flip. A refusal leaves the device as it was.
-        let mut after = self.placement.clone();
-        for op in &plan.ops {
-            if let ReconfigOp::AddParserState(h) = op {
-                after.parser.add_state(h)?;
-            }
+        // Make-before-break: parse and place the additions now, free the
+        // removals at the flip. What the additions did is recorded, and a
+        // refusal takes it back, leaving the device as it was.
+        let mut added = Added::default();
+        if let Err(refused) = self.placement.add(&plan, &mut added) {
+            self.placement.take_back(&plan, added);
+            return Err(refused);
         }
-        for (name, demand, replace) in &plan.placements {
-            if *replace {
-                let _ = after.allocator.free(name);
-            }
-            after.allocator.alloc(name.clone(), demand, 0)?;
-        }
-        let before = std::mem::replace(&mut self.placement, after);
 
         let report = report(ReconfigOutcome::InFlight);
-        self.pending = Some(PendingReconfig {
+        self.pending = Some(Box::new(PendingReconfig {
             ready_at: report.ready_at,
             started_at: now,
             ops: report.ops,
             change: Change::Hitless {
                 shadow,
-                flip: plan.flip.clone(),
+                plan,
                 txn: None,
                 await_decision: false,
-                before,
+                added,
             },
-        });
+        }));
         Ok(report)
     }
 
@@ -584,10 +626,10 @@ impl Device {
             ready_at,
             started_at: now,
             ops: 1,
-            change: Change::Reflash(program, placement),
+            change: Change::Reflash(program, Box::new(placement)),
         };
         let report = pending.report(ready_at, ReconfigOutcome::InFlight);
-        self.pending = Some(pending);
+        self.pending = Some(Box::new(pending));
         Ok(report)
     }
 
@@ -621,7 +663,7 @@ impl Device {
             change: Change::InPlace { staged, before },
         };
         let report = pending.report(t, ReconfigOutcome::InFlight);
-        self.pending = Some(pending);
+        self.pending = Some(Box::new(pending));
         Ok(report)
     }
 }
@@ -665,24 +707,24 @@ pub(crate) fn commit_if_ready(dev: &mut Device, now: SimTime) {
         _ if now < pending.ready_at => {}
         _ => match dev.pending.take().map(|p| p.change) {
             Some(Change::Hitless {
-                mut shadow, flip, ..
+                mut shadow, plan, ..
             }) => {
                 // Atomic flip: packets before this instant saw the old
                 // program, packets after see the new one, which starts from
                 // the state and entries the old one holds now.
                 if let Some(old) = dev.program() {
-                    shadow.carry_over(old, flip.carry.as_ref());
+                    shadow.carry_over(old, plan.carry.as_ref());
                 }
-                for n in &flip.unparsed {
+                for n in plan.unparsed() {
                     drop(dev.placement.parser.remove_state(n));
                 }
-                for n in &flip.freed {
+                for n in plan.freed() {
                     drop(dev.allocator_mut().free(n));
                 }
                 dev.commit(shadow);
             }
             Some(Change::Reflash(program, placement)) => {
-                dev.placement = placement;
+                dev.placement = *placement;
                 dev.commit(program);
             }
             Some(Change::InPlace { .. }) | None => {}
@@ -943,6 +985,62 @@ mod tests {
         // And a fresh reconfiguration is accepted.
         d.begin_runtime_reconfig(v2(), SimTime::from_secs(100))
             .unwrap();
+    }
+
+    /// An abort, and a begin the device refuses after placing part of its
+    /// change, take back exactly what the begin did: the parser, and on an
+    /// RMT pipeline every element on its stage with the demand it had —
+    /// also the table the change modifies, which sits in stage 1 (`big`
+    /// fills stage 0) and which the begin freed and placed again.
+    #[test]
+    fn a_begin_taken_back_leaves_every_placement_where_it_was() {
+        let base = bundle(
+            "program app kind any {
+               counter c;
+               table big { key { ipv4.dst : exact; } action deny() { drop(); } size 100000; }
+               table t { key { ipv4.src : exact; } action deny() { drop(); } size 100000; }
+               handler ingress(pkt) { count(c); apply big; apply t; forward(1); }
+             }",
+        );
+        let change = |u_size: u64| {
+            bundle(&format!(
+                "header foo {{ fields {{ x: 8; }} follows udp when udp.dport == 9000; }}
+                 program app kind any {{
+                   counter c;
+                   counter n;
+                   table big {{ key {{ ipv4.dst : exact; }} action deny() {{ drop(); }} size 100000; }}
+                   table t {{ key {{ ipv4.src : exact; }} action deny() {{ drop(); }} size 100001; }}
+                   table u {{ key {{ tcp.dport : exact; }} action deny() {{ drop(); }} size {u_size}; }}
+                   handler ingress(pkt) {{ count(c); count(n); apply big; apply t; apply u; forward(1); }}
+                 }}"
+            ))
+        };
+        let mut d = Device::new(
+            NodeId(1),
+            Architecture::rmt_default(),
+            StateEncoding::StatefulTable,
+        );
+        d.install(base).unwrap();
+        assert_eq!(
+            d.allocator().location("t"),
+            Some(crate::arch::Location::Stage(1))
+        );
+        let footprint = |d: &Device| format!("{:?} {:?}", d.allocator(), d.parser());
+        let before = footprint(&d);
+
+        d.begin_runtime_reconfig(change(8), SimTime::ZERO).unwrap();
+        assert_ne!(footprint(&d), before, "the begin placed its additions");
+        d.abort_reconfig(SimTime::ZERO).unwrap();
+        assert_eq!(footprint(&d), before, "an abort takes the begin back");
+
+        // `u` does not fit; the header, `n` and the modified `t` were
+        // placed before it.
+        let err = d
+            .begin_runtime_reconfig(change(1 << 30), SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, FlexError::ResourceExhausted { .. }), "{err}");
+        assert!(!d.reconfig_in_progress());
+        assert_eq!(footprint(&d), before, "a refusal takes the begin back");
     }
 
     #[test]

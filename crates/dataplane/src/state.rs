@@ -369,25 +369,10 @@ pub(crate) struct CarryMap {
 
 impl CarryMap {
     /// The carry map from `from` to `to`.
-    ///
-    /// Two successive layouts list what they share in the same order, so
-    /// each slot of `to` is looked for first at the slot after the last
-    /// one found: one comparison, not a scan. A miss there scans the kind.
-    /// Names are unique within a kind of a layout, so either way the slot
-    /// found is the only one of that name.
     pub(crate) fn between(from: &Arc<StateLayout>, to: &StateLayout) -> CarryMap {
         let sources = std::array::from_fn(|kind| {
-            let olds = &from.kinds[kind];
-            let mut next = 0;
-            let source = |d: &Arc<StateDecl>| {
-                let at = match olds.get(next) {
-                    Some(o) if o.name == d.name => next,
-                    _ => from.slot(kind, &d.name)?,
-                };
-                next = at + 1;
-                Some(at)
-            };
-            to.kinds[kind].iter().map(source).collect()
+            let slots = to.kinds[kind].iter();
+            slots.map(|d| from.slot(kind, &d.name)).collect()
         });
         CarryMap {
             from: from.clone(),

@@ -717,8 +717,9 @@ fn one_operation_plans_each_active_target_pair_once() {
     drop(sealed);
     assert_eq!(
         Arc::strong_count(&plans[0]),
-        3,
-        "a plan does not outlive its operation"
+        3 + 3,
+        "past its operation a plan is held by these handles and by the \
+         devices it prepared, until their flip"
     );
 
     // Every shadow is the one target image, whichever plan brought it.
@@ -734,6 +735,7 @@ fn one_operation_plans_each_active_target_pair_once() {
             .unwrap());
         dev.tick(now + SimDuration::from_secs(60));
     }
+    assert_eq!(Arc::strong_count(&plans[0]), 3, "a flip lets its plan go");
     let image = |d: &Device| d.program().unwrap().image().unwrap().clone();
     assert!(devs
         .iter()
